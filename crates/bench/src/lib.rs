@@ -3,9 +3,9 @@
 //! The benchmark harness that regenerates every table and figure of the
 //! Seabed paper's evaluation (§6). Each `exp_*` function reproduces one
 //! experiment at a configurable [`Scale`] and returns structured rows; the
-//! `harness` binary prints them in the same shape the paper reports, and the
-//! Criterion benches under `benches/` wrap the hot paths for statistically
-//! rigorous per-operation numbers.
+//! `harness` binary prints them in the same shape the paper reports. (The
+//! regression-gating benchmark is the separate `benchmark/` package,
+//! `seabench`.)
 //!
 //! Paper-scale runs (1.75 B rows, 100 physical cores, 2048-bit Paillier) are
 //! not feasible in a test environment; every experiment therefore runs at a

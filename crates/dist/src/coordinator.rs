@@ -68,11 +68,12 @@ use seabed_core::{
 use seabed_engine::merge::{merge_partial_groups, PartialGroups};
 use seabed_engine::{ExecStats, OperatorProfile, Schema, Table};
 use seabed_error::SeabedError;
-use seabed_net::wire::{self, Frame, ShardExecConfig, HEADER_LEN};
+use seabed_net::wire::{self, Frame, ShardExecConfig};
+use seabed_net::FrameConn;
 use seabed_obs::{Counter, Gauge, Histogram, QueryEvent, Registry, UNTRACED};
 use seabed_query::{PlanNode, PlanProfile, TranslatedQuery};
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::ToSocketAddrs;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant, SystemTime};
@@ -238,166 +239,89 @@ pub struct WorkerSummary {
     pub bytes_received: u64,
 }
 
-/// How a deadline-bounded receive failed.
-enum RecvError {
-    /// The deadline passed before *any* byte of the next frame arrived. The
-    /// stream is still frame-aligned, so a hedging caller may abandon the
-    /// wait without poisoning the connection.
-    TimedOutIdle,
-    /// Transport or framing failure — including a deadline that passed
-    /// mid-frame, after which the stream can no longer be trusted.
-    Failed(SeabedError),
-}
-
-impl RecvError {
-    fn into_error(self) -> SeabedError {
-        match self {
-            RecvError::TimedOutIdle => SeabedError::net("worker stalled past the read timeout"),
-            RecvError::Failed(err) => err,
-        }
-    }
-}
-
-/// A framed, persistent connection to one worker. Any transport or framing
-/// failure poisons it (the stream can no longer be assumed frame-aligned,
-/// nor empty of stale replies), which the coordinator treats as worker death.
-struct FramedConn {
-    stream: TcpStream,
-    bytes_sent: u64,
-    bytes_received: u64,
-}
-
-impl FramedConn {
-    /// Writes one pre-encoded frame. Encoding happens *before* the
-    /// connection is involved (see the callers): a local encode failure —
-    /// e.g. a shard table that outgrows the frame limit — is deterministic
-    /// and must not read as worker death.
-    fn send(&mut self, bytes: &[u8]) -> Result<(), SeabedError> {
-        self.stream
-            .write_all(bytes)
-            .and_then(|_| self.stream.flush())
-            .map_err(|e| SeabedError::net(format!("send: {e}")))?;
-        self.bytes_sent += bytes.len() as u64;
-        Ok(())
-    }
-
-    /// Receives one frame under a *total* deadline: header and payload share
-    /// it, so a worker trickling one byte per read-timeout interval — which
-    /// a per-chunk timeout would wait out indefinitely — still fails the
-    /// round trip when the budget runs dry.
-    fn recv_deadline(&mut self, max_frame_len: u32, deadline: Instant) -> Result<Frame, RecvError> {
-        let mut header_bytes = [0u8; HEADER_LEN];
-        read_exact_deadline(&mut self.stream, &mut header_bytes, deadline)?;
-        let header = wire::decode_header(&header_bytes, max_frame_len).map_err(RecvError::Failed)?;
-        let mut payload = vec![0u8; header.payload_len as usize];
-        read_exact_deadline(&mut self.stream, &mut payload, deadline).map_err(|e| match e {
-            // The header arrived but the payload did not: mid-frame, the
-            // stream is desynced and must not be reused.
-            RecvError::TimedOutIdle => {
-                RecvError::Failed(SeabedError::net("worker stalled mid-frame past the read timeout"))
-            }
-            failed => failed,
-        })?;
-        self.bytes_received += (HEADER_LEN + payload.len()) as u64;
-        wire::decode_payload(header.kind, &payload).map_err(RecvError::Failed)
-    }
-}
-
-/// Fills `buf` from `stream` under `deadline`. Each read waits at most the
-/// *remaining* budget, so the total wait is bounded no matter how many
-/// partial reads the peer spreads it over. A timeout with bytes already
-/// consumed is reported as a hard failure (the frame boundary is lost); a
-/// timeout on a pristine buffer is [`RecvError::TimedOutIdle`].
-fn read_exact_deadline(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> Result<(), RecvError> {
-    let timed_out = |filled: usize| {
-        if filled > 0 {
-            RecvError::Failed(SeabedError::net("worker stalled mid-frame past the read timeout"))
-        } else {
-            RecvError::TimedOutIdle
-        }
-    };
-    let mut filled = 0;
-    while filled < buf.len() {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(timed_out(filled));
-        }
-        stream
-            .set_read_timeout(Some(remaining))
-            .map_err(|e| RecvError::Failed(SeabedError::net(format!("set_read_timeout: {e}"))))?;
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err(RecvError::Failed(SeabedError::net("worker closed the connection"))),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock || e.kind() == std::io::ErrorKind::TimedOut => {
-                return Err(timed_out(filled))
-            }
-            Err(e) => return Err(RecvError::Failed(SeabedError::net(format!("receive: {e}")))),
-        }
-    }
-    Ok(())
-}
-
 /// One worker as the coordinator sees it.
 struct WorkerLink {
     label: String,
-    /// `None` once poisoned. Guarded per worker, so concurrent scatter
-    /// threads to *different* workers never contend.
-    conn: Mutex<Option<FramedConn>>,
-    /// Set when the worker left the cluster via
-    /// [`DistCoordinator::leave_worker`]; a removed worker is never selected
-    /// again (worker indices stay stable, the slot is retired in place).
+    /// Guarded per worker, so concurrent scatter threads to *different*
+    /// workers never contend. A poisoned connection is kept, not dropped: it
+    /// refuses all traffic (the coordinator reads that as worker death) while
+    /// the post-mortem summary still reports the bytes it really shipped.
+    conn: Mutex<FrameConn>,
+    /// The coordinator's shard epoch and frame limit, fixed for the link.
+    epoch: u64,
+    max_frame_len: u32,
+    /// Set by [`DistCoordinator::leave_worker`]; a removed worker is never
+    /// selected again (indices stay stable, the slot is retired in place).
     removed: AtomicBool,
     queries: AtomicU64,
-    /// Cumulative traffic totals, mirrored out of the connection after every
-    /// exchange so they survive poisoning — the post-mortem summary of a dead
-    /// worker still reports what it really shipped.
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
+    /// Stale partials drained off this connection and thrown away.
+    discarded: AtomicU64,
 }
 
 impl WorkerLink {
-    /// Runs `op` under this worker's connection lock. `op` reports on two
-    /// levels: the **outer** error means the exchange itself broke
-    /// (transport failure, framing desync, protocol violation) and always
-    /// poisons the connection; the **inner** error is a complete,
-    /// well-framed error frame the worker sent — e.g. a query the shard
-    /// rejected, or a response that outgrew the worker's frame limit — and
-    /// leaves the healthy connection alone.
-    fn with_conn<T>(
+    /// One request/reply exchange under this worker's connection lock and
+    /// one total `budget` — the only way the coordinator talks to a worker.
+    /// Sends the pre-encoded `request` (encoded *before* the connection is
+    /// involved: a request that cannot be framed is a local failure, not
+    /// worker death), then receives until `accept` breaks with the expected
+    /// echo; a frame it hands back is not the echo. A partial of this epoch
+    /// with a sequence number below `stale_below` — a duplicate, a hedge
+    /// loser, a late answer — is counted and drained, never mistaken for the
+    /// reply.
+    ///
+    /// The two failure levels of the module docs are told apart here: the
+    /// exchange itself breaking (transport failure, desync, a stall past
+    /// `budget`, a frame neither echo nor stale) **poisons** the connection;
+    /// a well-framed error frame from the worker is returned as the error it
+    /// carries and leaves the healthy connection alone. With `hedge`, a
+    /// budget that runs dry before any byte of the reply is `Ok(None)`,
+    /// connection healthy; a mid-frame stall always poisons.
+    fn exchange<T>(
         &self,
-        op: impl FnOnce(&mut FramedConn) -> Result<Result<T, SeabedError>, SeabedError>,
-    ) -> Result<T, SeabedError> {
-        let mut guard = self.conn.lock().unwrap_or_else(|p| p.into_inner());
-        let Some(conn) = guard.as_mut() else {
-            return Err(SeabedError::dist(
-                &self.label,
-                "connection is poisoned (worker presumed dead)",
-            ));
-        };
-        let outcome = op(conn);
-        self.bytes_sent.store(conn.bytes_sent, Ordering::Relaxed);
-        self.bytes_received.store(conn.bytes_received, Ordering::Relaxed);
-        match outcome {
-            Ok(Ok(value)) => Ok(value),
-            Ok(Err(reported)) => Err(reported),
-            Err(err) => {
-                *guard = None;
-                Err(err)
+        request: &[u8],
+        budget: Duration,
+        hedge: bool,
+        stale_below: u64,
+        expected: std::fmt::Arguments<'_>,
+        mut accept: impl FnMut(Frame) -> ControlFlow<T, Frame>,
+    ) -> Result<Option<T>, SeabedError> {
+        let mut conn = self.conn.lock().unwrap_or_else(|p| p.into_inner());
+        conn.send_encoded(request)?;
+        let deadline = Instant::now() + budget;
+        loop {
+            let Some(frame) = conn.recv_reply(self.max_frame_len, deadline, hedge)? else {
+                return Ok(None);
+            };
+            match accept(frame) {
+                ControlFlow::Break(echo) => return Ok(Some(echo)),
+                ControlFlow::Continue(Frame::ShardPartial { epoch, seq, .. })
+                    if epoch == self.epoch && seq < stale_below =>
+                {
+                    self.discarded.fetch_add(1, Ordering::Relaxed);
+                }
+                ControlFlow::Continue(Frame::Error(reported)) => return Err(reported),
+                ControlFlow::Continue(other) => {
+                    let violation = format!("expected {expected}, got {:?}", other.kind());
+                    return Err(conn.poison(SeabedError::dist(&self.label, violation)));
+                }
             }
         }
     }
 
-    fn alive(&self) -> bool {
-        !self.removed.load(Ordering::Acquire) && self.conn.lock().unwrap_or_else(|p| p.into_inner()).is_some()
+    /// Poisons the connection (see [`FrameConn::poison`]).
+    fn poison(&self, why: SeabedError) -> SeabedError {
+        self.conn.lock().unwrap_or_else(|p| p.into_inner()).poison(why)
     }
 
-    fn traffic(&self) -> (u64, u64) {
-        (
-            self.bytes_sent.load(Ordering::Relaxed),
-            self.bytes_received.load(Ordering::Relaxed),
-        )
+    fn alive(&self) -> bool {
+        !self.removed.load(Ordering::Acquire) && !self.conn.lock().unwrap_or_else(|p| p.into_inner()).is_poisoned()
     }
+}
+
+/// Unwraps the reply of an un-hedged [`WorkerLink::exchange`], which runs to
+/// a reply or an error: only a hedged one abandons its wait.
+fn answered<T>(reply: Option<T>) -> T {
+    reply.expect("only a hedged exchange abandons the wait")
 }
 
 /// Whether a failed shard query is worth re-dispatching to another worker:
@@ -542,7 +466,6 @@ pub struct DistCoordinator {
     epoch: u64,
     seq: AtomicU64,
     config: DistConfig,
-    discarded: AtomicU64,
     hedged: AtomicU64,
     last_report: Mutex<QueryReport>,
     /// Statement-keyed partial-result cache serving prepared executes.
@@ -651,7 +574,6 @@ impl DistCoordinator {
             workers: RwLock::new(workers),
             epoch,
             seq: AtomicU64::new(0),
-            discarded: AtomicU64::new(0),
             hedged: AtomicU64::new(0),
             last_report: Mutex::new(QueryReport::default()),
             cache: Mutex::new(PartialCache::new(config.partial_cache_capacity)),
@@ -774,13 +696,14 @@ impl DistCoordinator {
         self.workers.read().unwrap_or_else(|p| p.into_inner()).clone()
     }
 
+    /// Stale partials drained and thrown away so far, over every worker.
+    fn discarded_partials(&self) -> u64 {
+        let workers = self.workers.read().unwrap_or_else(|p| p.into_inner());
+        workers.iter().map(|link| link.discarded.load(Ordering::Relaxed)).sum()
+    }
+
     fn worker_alive(&self, index: usize) -> bool {
-        self.workers
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(index)
-            .map(|link| link.alive())
-            .unwrap_or(false)
+        self.worker(index).is_ok_and(|link| link.alive())
     }
 
     /// Health and traffic summaries, one per worker slot.
@@ -794,7 +717,7 @@ impl DistCoordinator {
             .iter()
             .enumerate()
             .map(|(w, link)| {
-                let (bytes_sent, bytes_received) = link.traffic();
+                let wire = link.conn.lock().unwrap_or_else(|p| p.into_inner()).stats();
                 WorkerSummary {
                     label: link.label.clone(),
                     alive: link.alive(),
@@ -810,8 +733,8 @@ impl DistCoordinator {
                         })
                         .collect(),
                     queries: link.queries.load(Ordering::Relaxed),
-                    bytes_sent,
-                    bytes_received,
+                    bytes_sent: wire.bytes_sent,
+                    bytes_received: wire.bytes_received,
                 }
             })
             .collect()
@@ -914,7 +837,7 @@ impl DistCoordinator {
         let tb = self.obs.trace_builder(trace_id, "coordinator");
         let (table_id, entry) = self.resolve(&query.base_table)?;
         let assignment: Vec<Vec<usize>> = entry.assignment.lock().unwrap_or_else(|p| p.into_inner()).clone();
-        let discarded_before = self.discarded.load(Ordering::Relaxed);
+        let discarded_before = self.discarded_partials();
         let hedged_before = self.hedged.load(Ordering::Relaxed);
         let ctx = QueryContext {
             table_id,
@@ -1124,7 +1047,7 @@ impl DistCoordinator {
                 .collect(),
             gather_time: gather_started.elapsed(),
             wall_time: started.elapsed(),
-            discarded_partials: self.discarded.load(Ordering::Relaxed) - discarded_before,
+            discarded_partials: self.discarded_partials() - discarded_before,
             cache_hits,
             cache_misses,
             hedged_reads: self.hedged.load(Ordering::Relaxed) - hedged_before,
@@ -1285,11 +1208,8 @@ impl DistCoordinator {
         if !hedging {
             return self.query_shard(primary, shard, ctx);
         }
-        let link = self.worker(primary)?;
-        match self.query_shard_once(primary, &link, shard, ctx, self.config.hedge_after, true) {
-            Ok(Some(run)) => return Ok(run),
-            Ok(None) => {}
-            Err(err) => return Err(err),
+        if let Some(run) = self.query_shard_once(primary, shard, ctx, Some(self.config.hedge_after))? {
+            return Ok(run);
         }
         // The primary is outstanding. Race a replica; first valid echo wins.
         self.hedged.fetch_add(1, Ordering::Relaxed);
@@ -1298,19 +1218,11 @@ impl DistCoordinator {
             if replica == primary || !self.worker_alive(replica) {
                 continue;
             }
-            let link = match self.worker(replica) {
-                Ok(link) => link,
-                Err(err) => {
-                    last_err = Some(err);
-                    continue;
-                }
-            };
-            match self.query_shard_once(replica, &link, shard, ctx, self.config.read_timeout, false) {
-                Ok(Some(mut run)) => {
+            match self.query_shard(replica, shard, ctx) {
+                Ok(mut run) => {
                     run.hedged = true;
                     return Ok(run);
                 }
-                Ok(None) => unreachable!("non-hedged query never abandons the wait"),
                 Err(err) if retry_elsewhere(&err) => last_err = Some(err),
                 Err(err) => return Err(err),
             }
@@ -1328,102 +1240,64 @@ impl DistCoordinator {
 
     /// One plain (non-hedged) shard query under the full round-trip budget.
     fn query_shard(&self, worker: usize, shard: u32, ctx: QueryContext<'_>) -> Result<LaneRun, SeabedError> {
-        let link = self.worker(worker)?;
-        match self.query_shard_once(worker, &link, shard, ctx, self.config.read_timeout, false)? {
-            Some(run) => Ok(run),
-            None => unreachable!("non-hedged query never abandons the wait"),
-        }
+        self.query_shard_once(worker, shard, ctx, None).map(answered)
     }
 
-    /// One shard query on one worker: send, then read until the reply that
-    /// echoes this request's `(epoch, shard, seq)` arrives and shape-checks
-    /// against the query, all under one total `budget`. Stale triples (late,
-    /// duplicated, or hedge-loser partials of earlier sequence numbers) are
-    /// discarded; error frames are worker-reported failures that leave the
-    /// connection healthy; anything else — including a malformed partial —
-    /// poisons the connection. With `hedge_mode`, a budget that runs dry
-    /// *between* frames returns `Ok(None)` and leaves the connection healthy
-    /// (nothing of the reply was consumed, the stream is still aligned); a
-    /// mid-frame stall always poisons.
+    /// One shard query on one worker: one [`WorkerLink::exchange`] accepting
+    /// the partial that echoes this request's `(epoch, table, shard, seq)`
+    /// and shape-checks against the query (a malformed one poisons the
+    /// connection). With `hedge_after`, a reply of which no byte arrived
+    /// within it returns `Ok(None)`; without, the budget is the full
+    /// `read_timeout` and the wait is never abandoned.
     fn query_shard_once(
         &self,
         worker: usize,
-        link: &WorkerLink,
         shard: u32,
         ctx: QueryContext<'_>,
-        budget: Duration,
-        hedge_mode: bool,
+        hedge_after: Option<Duration>,
     ) -> Result<Option<LaneRun>, SeabedError> {
+        let link = self.worker(worker)?;
         let table_id = ctx.table_id;
-        let query = ctx.query;
+        let epoch = self.epoch;
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let request = Frame::ShardQuery {
-            epoch: self.epoch,
+            epoch,
             table_id,
             shard,
             seq,
             trace_id: ctx.trace_id,
             analyze: ctx.analyze,
-            query: query.clone(),
+            query: ctx.query.clone(),
             filters: ctx.filters.to_vec(),
         };
-        // Encode before touching the connection: a request that cannot be
-        // framed is a deterministic failure, not worker death.
         let request_bytes = wire::encode_frame(&request, self.config.max_frame_len)?;
         let started = Instant::now();
-        let max_frame_len = self.config.max_frame_len;
-        let epoch = self.epoch;
-        let discarded = &self.discarded;
-        let label = &link.label;
-        let partial = link.with_conn(|conn| {
-            conn.send(&request_bytes)?;
-            let deadline = Instant::now() + budget;
-            loop {
-                let frame = match conn.recv_deadline(max_frame_len, deadline) {
-                    Ok(frame) => frame,
-                    Err(RecvError::TimedOutIdle) if hedge_mode => return Ok(Ok(None)),
-                    Err(err) => return Err(err.into_error()),
-                };
-                match frame {
-                    Frame::ShardPartial {
-                        epoch: e,
-                        table_id: t,
-                        shard: s,
-                        seq: q,
-                        partial,
-                    } if e == epoch && t == table_id && s == shard && q == seq => {
-                        // Shape-check before the partial may reach the merge:
-                        // a forged or buggy partial must be rejected here,
-                        // never silently zip-truncated by the fold.
-                        return match validate_partial(query, &partial) {
-                            Ok(()) => Ok(Ok(Some(partial))),
-                            Err(detail) => Err(SeabedError::dist(label, detail)),
-                        };
-                    }
-                    // A stale reply: a duplicate, a hedge loser, or the late
-                    // answer to an earlier (timed-out, re-dispatched)
-                    // request. Discard and keep waiting for ours.
-                    Frame::ShardPartial { epoch: e, seq: q, .. } if e == epoch && q < seq => {
-                        discarded.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // A complete, well-framed error from the worker: the
-                    // exchange succeeded, the connection stays healthy.
-                    Frame::Error(err) => return Ok(Err(err)),
-                    other => {
-                        return Err(SeabedError::dist(
-                            label,
-                            format!(
-                                "expected the partial for (table {table_id}, shard {shard}, seq {seq}), got {:?}",
-                                other.kind()
-                            ),
-                        ))
-                    }
-                }
-            }
-        })?;
-        let Some(partial) = partial else {
+        let reply = link.exchange(
+            &request_bytes,
+            hedge_after.unwrap_or(self.config.read_timeout),
+            hedge_after.is_some(),
+            seq,
+            format_args!("the partial for (table {table_id}, shard {shard}, seq {seq})"),
+            |frame| match frame {
+                Frame::ShardPartial {
+                    epoch: e,
+                    table_id: t,
+                    shard: s,
+                    seq: q,
+                    partial,
+                } if e == epoch && t == table_id && s == shard && q == seq => ControlFlow::Break(partial),
+                other => ControlFlow::Continue(other),
+            },
+        )?;
+        let Some(partial) = reply else {
             return Ok(None);
         };
+        // Shape-check before the partial may reach the merge: a forged or
+        // buggy partial must be rejected here, never silently zip-truncated
+        // by the fold.
+        if let Err(detail) = validate_partial(ctx.query, &partial) {
+            return Err(link.poison(SeabedError::dist(&link.label, detail)));
+        }
         link.queries.fetch_add(1, Ordering::Relaxed);
         Ok(Some(LaneRun {
             shard,
@@ -1445,8 +1319,9 @@ impl DistCoordinator {
         let link = self.worker(worker)?;
         let table = self.tables[table_id as usize].shards[shard as usize].clone();
         let rows = table.num_rows() as u64;
+        let epoch = self.epoch;
         let frame = Frame::LoadShard {
-            epoch: self.epoch,
+            epoch,
             table_id,
             shard,
             exec: self.config.exec,
@@ -1455,41 +1330,23 @@ impl DistCoordinator {
         // A shard too large for the frame limit is a configuration problem,
         // reported as-is without condemning the worker.
         let frame_bytes = wire::encode_frame(&frame, self.config.max_frame_len)?;
-        let max_frame_len = self.config.max_frame_len;
-        let read_timeout = self.config.read_timeout;
-        let epoch = self.epoch;
-        let discarded = &self.discarded;
-        let label = &link.label;
-        link.with_conn(|conn| {
-            conn.send(&frame_bytes)?;
-            let deadline = Instant::now() + read_timeout;
-            loop {
-                match conn
-                    .recv_deadline(max_frame_len, deadline)
-                    .map_err(RecvError::into_error)?
-                {
-                    Frame::ShardLoaded {
-                        epoch: e,
-                        table_id: t,
-                        shard: s,
-                        rows: r,
-                    } if e == epoch && t == table_id && s == shard && r == rows => return Ok(Ok(())),
-                    Frame::ShardPartial { epoch: e, .. } if e == epoch => {
-                        discarded.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Frame::Error(err) => return Ok(Err(err)),
-                    other => {
-                        return Err(SeabedError::dist(
-                            label,
-                            format!(
-                                "expected the load ack for table {table_id} shard {shard}, got {:?}",
-                                other.kind()
-                            ),
-                        ))
-                    }
-                }
-            }
-        })
+        let ack = link.exchange(
+            &frame_bytes,
+            self.config.read_timeout,
+            false,
+            u64::MAX,
+            format_args!("the load ack for table {table_id} shard {shard}"),
+            |frame| match frame {
+                Frame::ShardLoaded {
+                    epoch: e,
+                    table_id: t,
+                    shard: s,
+                    rows: r,
+                } if e == epoch && t == table_id && s == shard && r == rows => ControlFlow::Break(()),
+                other => ControlFlow::Continue(other),
+            },
+        );
+        ack.map(answered)
     }
 
     /// Asks `worker` to drop its copy of shard `shard` (after a rebalance
@@ -1497,47 +1354,26 @@ impl DistCoordinator {
     /// partials are drained exactly as in [`DistCoordinator::load_shard`].
     fn unload_shard(&self, table_id: u32, shard: u32, worker: usize) -> Result<u64, SeabedError> {
         let link = self.worker(worker)?;
-        let frame = Frame::UnloadShard {
-            epoch: self.epoch,
-            table_id,
-            shard,
-        };
-        let frame_bytes = wire::encode_frame(&frame, self.config.max_frame_len)?;
-        let max_frame_len = self.config.max_frame_len;
-        let read_timeout = self.config.read_timeout;
         let epoch = self.epoch;
-        let discarded = &self.discarded;
-        let label = &link.label;
-        link.with_conn(|conn| {
-            conn.send(&frame_bytes)?;
-            let deadline = Instant::now() + read_timeout;
-            loop {
-                match conn
-                    .recv_deadline(max_frame_len, deadline)
-                    .map_err(RecvError::into_error)?
-                {
-                    Frame::ShardUnloaded {
-                        epoch: e,
-                        table_id: t,
-                        shard: s,
-                        remaining,
-                    } if e == epoch && t == table_id && s == shard => return Ok(Ok(remaining)),
-                    Frame::ShardPartial { epoch: e, .. } if e == epoch => {
-                        discarded.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Frame::Error(err) => return Ok(Err(err)),
-                    other => {
-                        return Err(SeabedError::dist(
-                            label,
-                            format!(
-                                "expected the unload ack for table {table_id} shard {shard}, got {:?}",
-                                other.kind()
-                            ),
-                        ))
-                    }
-                }
-            }
-        })
+        let frame = Frame::UnloadShard { epoch, table_id, shard };
+        let frame_bytes = wire::encode_frame(&frame, self.config.max_frame_len)?;
+        let ack = link.exchange(
+            &frame_bytes,
+            self.config.read_timeout,
+            false,
+            u64::MAX,
+            format_args!("the unload ack for table {table_id} shard {shard}"),
+            |frame| match frame {
+                Frame::ShardUnloaded {
+                    epoch: e,
+                    table_id: t,
+                    shard: s,
+                    remaining,
+                } if e == epoch && t == table_id && s == shard => ControlFlow::Break(remaining),
+                other => ControlFlow::Continue(other),
+            },
+        );
+        ack.map(answered)
     }
 
     /// Moves `worker` to the front of the shard's replica set (it just
@@ -1800,7 +1636,7 @@ impl DistCoordinator {
                 }
             }
         }
-        *link.conn.lock().unwrap_or_else(|p| p.into_inner()) = None;
+        let _ = link.poison(SeabedError::dist(&link.label, "worker left the cluster"));
         self.fence_cache(&[worker]);
         Ok(())
     }
@@ -1976,52 +1812,33 @@ fn validate_partial(query: &TranslatedQuery, partial: &PartialResponse) -> Resul
     Ok(())
 }
 
-/// Connects to one worker and performs the epoch handshake, all under the
+/// Connects to one worker and performs the epoch handshake under the
 /// configured round-trip budget.
 fn connect_worker<A: ToSocketAddrs>(addr: &A, epoch: u64, config: &DistConfig) -> Result<WorkerLink, SeabedError> {
-    let addr = addr
-        .to_socket_addrs()
-        .map_err(|e| SeabedError::net(format!("resolve: {e}")))?
-        .next()
-        .ok_or_else(|| SeabedError::net("worker address resolved to nothing"))?;
-    let label = addr.to_string();
-    let stream = TcpStream::connect(addr).map_err(|e| SeabedError::net(format!("connect {label}: {e}")))?;
-    let _ = stream.set_nodelay(true);
-    stream
-        .set_read_timeout(Some(config.read_timeout))
-        .map_err(|e| SeabedError::net(format!("set_read_timeout: {e}")))?;
-    stream
-        .set_write_timeout(Some(config.read_timeout))
-        .map_err(|e| SeabedError::net(format!("set_write_timeout: {e}")))?;
-    let mut conn = FramedConn {
-        stream,
-        bytes_sent: 0,
-        bytes_received: 0,
-    };
-    let hello = wire::encode_frame(&Frame::WorkerHandshake { epoch }, config.max_frame_len)?;
-    conn.send(&hello)?;
-    let deadline = Instant::now() + config.read_timeout;
-    match conn
-        .recv_deadline(config.max_frame_len, deadline)
-        .map_err(RecvError::into_error)?
-    {
-        Frame::WorkerReady { epoch: e, .. } if e == epoch => {}
-        Frame::Error(err) => return Err(err),
-        other => {
-            return Err(SeabedError::dist(
-                &label,
-                format!("expected a handshake ack, got {:?}", other.kind()),
-            ))
-        }
-    }
-    Ok(WorkerLink {
-        label,
+    let conn = FrameConn::connect(addr, config.read_timeout)?;
+    let link = WorkerLink {
+        label: conn.peer_addr()?.to_string(),
+        conn: Mutex::new(conn),
+        epoch,
+        max_frame_len: config.max_frame_len,
         removed: AtomicBool::new(false),
         queries: AtomicU64::new(0),
-        bytes_sent: AtomicU64::new(conn.bytes_sent),
-        bytes_received: AtomicU64::new(conn.bytes_received),
-        conn: Mutex::new(Some(conn)),
-    })
+        discarded: AtomicU64::new(0),
+    };
+    let hello = wire::encode_frame(&Frame::WorkerHandshake { epoch }, config.max_frame_len)?;
+    // A fresh connection has no stale partials to drain.
+    link.exchange(
+        &hello,
+        config.read_timeout,
+        false,
+        0,
+        format_args!("a handshake ack"),
+        |frame| match frame {
+            Frame::WorkerReady { epoch: e, .. } if e == epoch => ControlFlow::Break(()),
+            other => ControlFlow::Continue(other),
+        },
+    )?;
+    Ok(link)
 }
 
 #[cfg(test)]

@@ -16,94 +16,25 @@
 //! response bytes — the point where the modeled and the real network paths
 //! meet (§6.6).
 
-use crate::wire::{self, Frame, HEADER_LEN};
+use crate::conn::{FrameConn, WireStats};
+use crate::wire::{self, Frame};
 use seabed_core::{PhysicalFilter, QueryResult, QueryTarget, SeabedClient, ServerResponse};
 use seabed_engine::Schema;
 use seabed_error::SeabedError;
 use seabed_obs::{MetricsSnapshot, QueryEvent, QueryTrace, TraceId, UNTRACED};
 use seabed_query::{Query, TranslatedQuery};
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Byte accounting of one client connection.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Requests sent (including the schema handshake).
-    pub requests: u64,
-    /// Total bytes written to the socket.
-    pub bytes_sent: u64,
-    /// Total bytes read from the socket.
-    pub bytes_received: u64,
-    /// Size of the most recent request frame (header + payload).
-    pub last_request_bytes: u64,
-    /// Size of the most recent response frame (header + payload).
-    pub last_response_bytes: u64,
-}
-
-struct Connection {
-    stream: TcpStream,
-    stats: WireStats,
-    /// Set when a round trip failed partway: the stream may hold a stale or
-    /// half-read frame, so reusing it could silently pair a new request with
-    /// an old response. Every further round trip is refused until the caller
-    /// reconnects.
-    poisoned: bool,
-}
-
-impl Connection {
-    /// One request/response round trip; returns the decoded reply and the
-    /// size of the reply frame on the wire. Any I/O failure is a
-    /// [`SeabedError::Net`], any framing failure a [`SeabedError::Wire`] —
-    /// and either one poisons the connection (the stream can no longer be
-    /// assumed frame-aligned, nor empty of stale responses).
-    fn round_trip(&mut self, frame: &Frame, max_frame_len: u32) -> Result<(Frame, u64), SeabedError> {
-        if self.poisoned {
-            return Err(SeabedError::net(
-                "connection poisoned by an earlier failure; reconnect to continue",
-            ));
-        }
-        match self.try_round_trip(frame, max_frame_len) {
-            Ok(reply) => Ok(reply),
-            Err(err) => {
-                self.poisoned = true;
-                Err(err)
-            }
-        }
+/// What a reply of the wrong kind means: a typed error frame from the server
+/// is the [`SeabedError`] it carries; anything else is a protocol violation.
+fn unexpected(reply: Frame, expected: &str) -> SeabedError {
+    match reply {
+        Frame::Error(err) => err,
+        other => SeabedError::wire(format!("expected {expected}, got {:?}", other.kind())),
     }
-
-    fn try_round_trip(&mut self, frame: &Frame, max_frame_len: u32) -> Result<(Frame, u64), SeabedError> {
-        let bytes = wire::encode_frame(frame, max_frame_len)?;
-        self.stream
-            .write_all(&bytes)
-            .and_then(|_| self.stream.flush())
-            .map_err(|e| SeabedError::net(format!("send: {e}")))?;
-        self.stats.requests += 1;
-        self.stats.bytes_sent += bytes.len() as u64;
-        self.stats.last_request_bytes = bytes.len() as u64;
-
-        let mut header_bytes = [0u8; HEADER_LEN];
-        read_exact(&mut self.stream, &mut header_bytes)?;
-        let header = wire::decode_header(&header_bytes, max_frame_len)?;
-        let mut payload = vec![0u8; header.payload_len as usize];
-        read_exact(&mut self.stream, &mut payload)?;
-        let frame_bytes = (HEADER_LEN + payload.len()) as u64;
-        self.stats.bytes_received += frame_bytes;
-        self.stats.last_response_bytes = frame_bytes;
-        Ok((wire::decode_payload(header.kind, &payload)?, frame_bytes))
-    }
-}
-
-fn read_exact(stream: &mut TcpStream, buf: &mut [u8]) -> Result<(), SeabedError> {
-    stream.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            SeabedError::net("server closed the connection")
-        } else {
-            SeabedError::net(format!("receive: {e}"))
-        }
-    })
 }
 
 /// A Seabed client proxy talking to a remote [`seabed_core::SeabedServer`]
@@ -113,7 +44,8 @@ pub struct RemoteSeabedClient {
     schema: Schema,
     peer: SocketAddr,
     max_frame_len: u32,
-    conn: Mutex<Connection>,
+    read_timeout: Duration,
+    conn: Mutex<FrameConn>,
     /// Server-side statement handles, keyed by the statement's *plan
     /// content* hash (the same bytes the server hashes into the handle) —
     /// never by the caller's statement id alone, so a statement whose plan
@@ -169,44 +101,27 @@ impl RemoteSeabedClient {
         RemoteSeabedClient::connect_with(addr, client, wire::DEFAULT_MAX_FRAME_LEN, Duration::from_secs(30))
     }
 
-    /// [`RemoteSeabedClient::connect`] with an explicit frame limit and
-    /// socket read timeout.
+    /// [`RemoteSeabedClient::connect`] with an explicit frame limit and read
+    /// timeout: every reply must arrive, whole, within `read_timeout` of its
+    /// request being written.
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         client: SeabedClient,
         max_frame_len: u32,
         read_timeout: Duration,
     ) -> Result<RemoteSeabedClient, SeabedError> {
-        let peer = addr
-            .to_socket_addrs()
-            .map_err(|e| SeabedError::net(format!("resolve: {e}")))?
-            .next()
-            .ok_or_else(|| SeabedError::net("address resolved to nothing"))?;
-        let stream = TcpStream::connect(peer).map_err(|e| SeabedError::net(format!("connect {peer}: {e}")))?;
-        let _ = stream.set_nodelay(true);
-        stream
-            .set_read_timeout(Some(read_timeout))
-            .map_err(|e| SeabedError::net(format!("set_read_timeout: {e}")))?;
-        let mut conn = Connection {
-            stream,
-            stats: WireStats::default(),
-            poisoned: false,
-        };
-        let schema = match conn.round_trip(&Frame::SchemaRequest, max_frame_len)?.0 {
+        let mut conn = FrameConn::connect(addr, read_timeout)?;
+        let peer = conn.peer_addr()?;
+        let schema = match conn.round_trip(&Frame::SchemaRequest, max_frame_len, read_timeout)? {
             Frame::Schema(schema) => schema,
-            Frame::Error(err) => return Err(err),
-            other => {
-                return Err(SeabedError::wire(format!(
-                    "expected a schema frame during the handshake, got {:?}",
-                    other.kind()
-                )))
-            }
+            other => return Err(unexpected(other, "a schema frame during the handshake")),
         };
         Ok(RemoteSeabedClient {
             inner: client,
             schema,
             peer,
             max_frame_len,
+            read_timeout,
             conn: Mutex::new(conn),
             handles: Mutex::new(HandleCache::new()),
         })
@@ -229,7 +144,26 @@ impl RemoteSeabedClient {
 
     /// A snapshot of the connection's byte accounting.
     pub fn wire_stats(&self) -> WireStats {
-        self.conn.lock().unwrap_or_else(|p| p.into_inner()).stats
+        self.conn.lock().unwrap_or_else(|p| p.into_inner()).stats()
+    }
+
+    /// One round trip on the shared connection under the [`FrameConn`] rules
+    /// (any transport or framing failure poisons it). Returns the reply and
+    /// the size of its frame on the wire, read inside the connection lock so
+    /// concurrent queries on a shared client cannot attribute each other's
+    /// frames.
+    fn round_trip(&self, frame: &Frame) -> Result<(Frame, u64), SeabedError> {
+        let mut conn = self.conn.lock().unwrap_or_else(|p| p.into_inner());
+        let reply = conn.round_trip(frame, self.max_frame_len, self.read_timeout)?;
+        Ok((reply, conn.stats().last_response_bytes))
+    }
+
+    /// A round trip whose reply must be a `Response` frame.
+    fn round_trip_response(&self, frame: &Frame) -> Result<(ServerResponse, u64), SeabedError> {
+        match self.round_trip(frame)? {
+            (Frame::Response(response), frame_bytes) => Ok((response, frame_bytes)),
+            (other, _) => Err(unexpected(other, "a response frame")),
+        }
     }
 
     /// Translates a SQL string and encrypts its literals against the remote
@@ -246,11 +180,9 @@ impl RemoteSeabedClient {
     }
 
     /// [`RemoteSeabedClient::execute`] plus the measured size of the response
-    /// frame, captured inside the connection lock so concurrent queries on a
-    /// shared client cannot attribute each other's frames. A non-zero
-    /// `trace_id` travels in the request frame, so the server records its
-    /// execute span under the same id this client (or its session) uses;
-    /// `analyze` asks the server for the per-operator profile
+    /// frame. A non-zero `trace_id` travels in the request frame, so the
+    /// server records its execute span under the same id this client (or its
+    /// session) uses; `analyze` asks the server for the per-operator profile
     /// (`EXPLAIN ANALYZE`).
     fn execute_measured(
         &self,
@@ -259,21 +191,12 @@ impl RemoteSeabedClient {
         trace_id: u64,
         analyze: bool,
     ) -> Result<(ServerResponse, u64), SeabedError> {
-        let request = Frame::Request {
+        self.round_trip_response(&Frame::Request {
             query: query.clone(),
             filters: filters.to_vec(),
             trace_id,
             analyze,
-        };
-        let mut conn = self.conn.lock().unwrap_or_else(|p| p.into_inner());
-        match conn.round_trip(&request, self.max_frame_len)? {
-            (Frame::Response(response), frame_bytes) => Ok((response, frame_bytes)),
-            (Frame::Error(err), _) => Err(err),
-            (other, _) => Err(SeabedError::wire(format!(
-                "expected a response frame, got {:?}",
-                other.kind()
-            ))),
-        }
+        })
     }
 
     /// Registers a statement's (unbound) plan on the server, returning the
@@ -282,14 +205,9 @@ impl RemoteSeabedClient {
         let frame = Frame::PrepareStatement {
             query: statement.clone(),
         };
-        let mut conn = self.conn.lock().unwrap_or_else(|p| p.into_inner());
-        match conn.round_trip(&frame, self.max_frame_len)? {
-            (Frame::StatementPrepared { handle }, _) => Ok(handle),
-            (Frame::Error(err), _) => Err(err),
-            (other, _) => Err(SeabedError::wire(format!(
-                "expected a statement handle, got {:?}",
-                other.kind()
-            ))),
+        match self.round_trip(&frame)?.0 {
+            Frame::StatementPrepared { handle } => Ok(handle),
+            other => Err(unexpected(other, "a statement handle")),
         }
     }
 
@@ -301,20 +219,11 @@ impl RemoteSeabedClient {
         filters: &[PhysicalFilter],
         trace_id: u64,
     ) -> Result<(ServerResponse, u64), SeabedError> {
-        let frame = Frame::ExecuteStatement {
+        self.round_trip_response(&Frame::ExecuteStatement {
             handle,
             trace_id,
             filters: filters.to_vec(),
-        };
-        let mut conn = self.conn.lock().unwrap_or_else(|p| p.into_inner());
-        match conn.round_trip(&frame, self.max_frame_len)? {
-            (Frame::Response(response), frame_bytes) => Ok((response, frame_bytes)),
-            (Frame::Error(err), _) => Err(err),
-            (other, _) => Err(SeabedError::wire(format!(
-                "expected a response frame, got {:?}",
-                other.kind()
-            ))),
-        }
+        })
     }
 
     /// Executes a prepared statement over the wire: the plan is registered
@@ -425,38 +334,18 @@ pub fn scrape_metrics(
     include_events: bool,
     read_timeout: Duration,
 ) -> Result<(MetricsSnapshot, Vec<QueryTrace>, Vec<QueryEvent>), SeabedError> {
-    let peer = addr
-        .to_socket_addrs()
-        .map_err(|e| SeabedError::net(format!("resolve: {e}")))?
-        .next()
-        .ok_or_else(|| SeabedError::net("address resolved to nothing"))?;
-    let stream = TcpStream::connect(peer).map_err(|e| SeabedError::net(format!("connect {peer}: {e}")))?;
-    stream
-        .set_read_timeout(Some(read_timeout))
-        .map_err(|e| SeabedError::net(format!("set_read_timeout: {e}")))?;
-    let mut conn = Connection {
-        stream,
-        stats: WireStats::default(),
-        poisoned: false,
-    };
+    let mut conn = FrameConn::connect(addr, read_timeout)?;
     let request = Frame::MetricsRequest {
         include_traces,
         include_events,
     };
-    match conn.round_trip(&request, wire::DEFAULT_MAX_FRAME_LEN)? {
-        (
-            Frame::MetricsSnapshot {
-                metrics,
-                traces,
-                events,
-            },
-            _,
-        ) => Ok((metrics, traces, events)),
-        (Frame::Error(err), _) => Err(err),
-        (other, _) => Err(SeabedError::wire(format!(
-            "expected a metrics snapshot, got {:?}",
-            other.kind()
-        ))),
+    match conn.round_trip(&request, wire::DEFAULT_MAX_FRAME_LEN, read_timeout)? {
+        Frame::MetricsSnapshot {
+            metrics,
+            traces,
+            events,
+        } => Ok((metrics, traces, events)),
+        other => Err(unexpected(other, "a metrics snapshot")),
     }
 }
 
@@ -541,18 +430,12 @@ mod tests {
             std::thread::sleep(Duration::from_millis(300));
         });
 
-        let mut conn = Connection {
-            stream: TcpStream::connect(addr).expect("connect"),
-            stats: WireStats::default(),
-            poisoned: false,
-        };
-        conn.stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("timeout");
-        let first = conn.round_trip(&Frame::SchemaRequest, wire::DEFAULT_MAX_FRAME_LEN);
+        let timeout = Duration::from_secs(5);
+        let mut conn = FrameConn::connect(addr, timeout).expect("connect");
+        let first = conn.round_trip(&Frame::SchemaRequest, wire::DEFAULT_MAX_FRAME_LEN, timeout);
         assert!(matches!(first, Err(SeabedError::Wire(_))), "{first:?}");
         // The retry is refused up front instead of desynchronizing.
-        let second = conn.round_trip(&Frame::SchemaRequest, wire::DEFAULT_MAX_FRAME_LEN);
+        let second = conn.round_trip(&Frame::SchemaRequest, wire::DEFAULT_MAX_FRAME_LEN, timeout);
         match second {
             Err(SeabedError::Net(msg)) => assert!(msg.contains("poisoned"), "{msg}"),
             other => panic!("expected a poisoned-connection error, got {other:?}"),

@@ -13,13 +13,17 @@
 //!   (`ServerResponse`), typed errors and the schema handshake, with every
 //!   length prefix capped by the bytes actually remaining (forged-prefix
 //!   hardening);
+//! * [`conn`] — [`FrameConn`]: the one framed connection every socket in the
+//!   system goes through — one receive rule (a started frame must arrive
+//!   whole within one total budget), one poison flag, one byte counter, one
+//!   connect;
 //! * [`server`] — [`NetServer`]: a `TcpListener` + worker-thread-pool
-//!   service hosting a [`seabed_core::SeabedServer`], with per-connection
-//!   framing, read/write timeouts, a max-frame-size limit, typed error
-//!   frames for malformed input, graceful shutdown, and per-connection /
-//!   aggregate byte accounting. The same service speaks the `seabed-dist`
-//!   worker protocol: it accepts shard assignments under a coordinator's
-//!   epoch and answers shard queries with *mergeable* partial results;
+//!   service hosting a [`seabed_core::SeabedServer`], with a max-frame-size
+//!   limit, typed error frames for malformed input, graceful shutdown, and
+//!   per-connection / aggregate byte accounting. The same service speaks the
+//!   `seabed-dist` worker protocol: it accepts shard assignments under a
+//!   coordinator's epoch and answers shard queries with *mergeable* partial
+//!   results;
 //! * [`client`] — [`RemoteSeabedClient`]: the in-process
 //!   `prepare`/`query`/`decrypt_response` surface spoken over the socket, so
 //!   every existing workload runs unchanged against the service.
@@ -30,9 +34,11 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod conn;
 pub mod server;
 pub mod wire;
 
-pub use client::{scrape_metrics, RemoteSeabedClient, WireStats};
+pub use client::{scrape_metrics, RemoteSeabedClient};
+pub use conn::{FrameConn, Received, Wait, WireStats};
 pub use server::{ConnectionStats, NetServer, ServiceConfig, ServiceStats};
 pub use wire::{Frame, FrameKind, ShardExecConfig, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION};

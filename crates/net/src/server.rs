@@ -4,34 +4,34 @@
 //! accepted connections to a fixed pool of worker threads over a channel; a
 //! worker owns its connection until the peer disconnects (size the pool to
 //! the expected number of simultaneous connections — queued connections wait
-//! for a free worker, they are never dropped). Each worker runs the framing
-//! loop of [`crate::wire`]:
+//! for a free worker, they are never dropped). Each worker serves its
+//! connection through a [`FrameConn`] (the one framing rule, stated in
+//! [`crate::conn`]):
 //!
 //! * request frames are executed against the shared [`SeabedServer`]; the
 //!   result (or the typed [`SeabedError`] the engine reported) goes back as
 //!   one frame;
 //! * malformed payloads, unknown frame kinds and protocol misuse are answered
-//!   with a typed error frame and the connection *survives* — only a
-//!   desynchronized stream (bad magic, wrong version, oversized length
-//!   prefix) or an I/O failure closes it, and even that closes one
-//!   connection, never the process;
-//! * reads poll in short ticks so a graceful [`NetServer::shutdown`] is
-//!   observed promptly, while a peer that stalls mid-frame for longer than
-//!   the configured read timeout is disconnected (slow-loris guard).
+//!   with a typed error frame and the connection *survives* — only a broken
+//!   stream closes it, and even that closes one connection, never the
+//!   process;
+//! * an idle connection may wait forever (until [`NetServer::shutdown`],
+//!   noticed within a poll tick), but a frame must arrive whole within
+//!   [`ServiceConfig::read_timeout`] of its first byte — stalled or trickled.
 //!
 //! The service keeps aggregate counters (connections, requests, error
 //! frames, bytes in/out) and a per-connection log, so benches and tests can
 //! account for every byte that really crossed the wire — the measured
 //! counterpart of [`seabed_engine::NetworkModel`]'s predictions.
 
-use crate::wire::{self, Frame, FrameKind, HEADER_LEN};
+use crate::conn::{FrameConn, Received, Wait};
+use crate::wire::{self, Frame, FrameKind};
 use seabed_core::SeabedServer;
 use seabed_engine::{Cluster, ClusterConfig};
 use seabed_error::SeabedError;
 use seabed_obs::{Counter, Gauge, Histogram, ObsConfig, Registry};
 use seabed_query::TranslatedQuery;
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -46,9 +46,9 @@ pub struct ServiceConfig {
     /// *simultaneously served* connections; further accepted connections
     /// queue until a worker frees up.
     pub worker_threads: usize,
-    /// How long a peer may stall in the middle of a frame before the
-    /// connection is closed. Idle connections (no frame started) are not
-    /// subject to this timeout.
+    /// Total time a frame may take from its first byte to its last before
+    /// the connection is closed. Idle connections (no frame started) are not
+    /// subject to it.
     pub read_timeout: Duration,
     /// Socket write timeout for response frames.
     pub write_timeout: Duration,
@@ -237,10 +237,6 @@ fn kind_slug(kind: FrameKind) -> String {
     slug
 }
 
-/// Poll tick for blocking reads: the granularity at which idle workers notice
-/// a shutdown request.
-const POLL_TICK: Duration = Duration::from_millis(50);
-
 /// Shards resident on this service for the `seabed-dist` scatter/gather
 /// protocol, keyed by coordinator-assigned **(table id, shard id)** under one
 /// epoch — one worker pool hosts shards of many encrypted tables.
@@ -406,9 +402,7 @@ impl StatementStore {
 /// drop, which performs the same graceful stop).
 pub struct NetServer {
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<SharedStats>,
-    obs: Registry,
+    service: Arc<Service>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -423,63 +417,45 @@ impl NetServer {
         let local_addr = listener
             .local_addr()
             .map_err(|e| SeabedError::net(format!("local_addr: {e}")))?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let obs = Registry::new(config.obs);
-        let stats = Arc::new(SharedStats::new(&obs));
-        let metrics = Arc::new(NetMetrics::new(&obs));
-        let server = Arc::new(server);
-        let shards = Arc::new(ShardStore::default());
-        let statements = Arc::new(StatementStore::new(config.statement_capacity));
-        // Worker identity carried in SeabedError::Dist reports, so a
-        // coordinator log names the node that failed.
-        let identity: Arc<str> = Arc::from(local_addr.to_string());
+        let service = Arc::new(Service {
+            server,
+            shards: ShardStore::default(),
+            statements: StatementStore::new(config.statement_capacity),
+            identity: local_addr.to_string(),
+            stats: SharedStats::new(&obs),
+            metrics: NetMetrics::new(&obs),
+            obs,
+            config,
+            shutdown: AtomicBool::new(false),
+        });
         let (tx, rx) = mpsc::channel::<(u64, TcpStream)>();
         let rx = Arc::new(Mutex::new(rx));
 
-        let mut workers = Vec::with_capacity(config.worker_threads);
-        for _ in 0..config.worker_threads.max(1) {
-            let rx = Arc::clone(&rx);
-            let server = Arc::clone(&server);
-            let stats = Arc::clone(&stats);
-            let shutdown = Arc::clone(&shutdown);
-            let shards = Arc::clone(&shards);
-            let statements = Arc::clone(&statements);
-            let identity = Arc::clone(&identity);
-            let config = config.clone();
-            let obs = obs.clone();
-            let metrics = Arc::clone(&metrics);
-            workers.push(std::thread::spawn(move || loop {
-                // Holding the lock only for the recv keeps the pool honest:
-                // one queued connection wakes exactly one worker.
-                let conn = {
-                    let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
-                    guard.recv()
-                };
-                match conn {
-                    Ok((id, stream)) => {
-                        let ctx = ConnContext {
-                            server: &server,
-                            shards: &shards,
-                            statements: &statements,
-                            identity: &identity,
-                            config: &config,
-                            stats: &stats,
-                            obs: &obs,
-                            metrics: &metrics,
-                        };
-                        handle_connection(id, stream, ctx, &stats, &shutdown)
+        let workers = (0..service.config.worker_threads.max(1))
+            .map(|_| {
+                let rx = Arc::clone(&rx);
+                let service = Arc::clone(&service);
+                std::thread::spawn(move || loop {
+                    // Holding the lock only for the recv keeps the pool
+                    // honest: one queued connection wakes exactly one worker.
+                    let conn = {
+                        let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
+                        guard.recv()
+                    };
+                    match conn {
+                        Ok((id, stream)) => handle_connection(id, stream, &service),
+                        Err(_) => break, // acceptor gone: service is shutting down
                     }
-                    Err(_) => break, // acceptor gone: service is shutting down
-                }
-            }));
-        }
+                })
+            })
+            .collect();
 
         let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let stats = Arc::clone(&stats);
+            let service = Arc::clone(&service);
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
+                    if service.shutdown.load(Ordering::SeqCst) {
                         break;
                     }
                     match stream {
@@ -487,7 +463,7 @@ impl NetServer {
                             // The pre-increment value is the connection's
                             // sequence number; it travels with the stream so
                             // the handling worker cannot race the counter.
-                            let id = stats.connections.fetch_incr();
+                            let id = service.stats.connections.fetch_incr();
                             if tx.send((id, stream)).is_err() {
                                 break;
                             }
@@ -505,9 +481,7 @@ impl NetServer {
 
         Ok(NetServer {
             local_addr,
-            shutdown,
-            stats,
-            obs,
+            service,
             acceptor: Some(acceptor),
             workers,
         })
@@ -522,33 +496,29 @@ impl NetServer {
     /// later update). The same snapshot is served remotely to
     /// [`Frame::MetricsRequest`] scrapes.
     pub fn registry(&self) -> Registry {
-        self.obs.clone()
+        self.service.obs.clone()
     }
 
     /// A snapshot of the aggregate counters — a thin view over the
     /// registry's `net_*` counters.
     pub fn stats(&self) -> ServiceStats {
+        let stats = &self.service.stats;
         ServiceStats {
-            connections: self.stats.connections.get(),
-            requests_served: self.stats.requests_served.get(),
-            error_frames: self.stats.error_frames.get(),
-            bytes_in: self.stats.bytes_in.get(),
-            bytes_out: self.stats.bytes_out.get(),
-            statements_prepared: self.stats.statements_prepared.get(),
-            statements_evicted: self.stats.statements_evicted.get(),
+            connections: stats.connections.get(),
+            requests_served: stats.requests_served.get(),
+            error_frames: stats.error_frames.get(),
+            bytes_in: stats.bytes_in.get(),
+            bytes_out: stats.bytes_out.get(),
+            statements_prepared: stats.statements_prepared.get(),
+            statements_evicted: stats.statements_evicted.get(),
         }
     }
 
     /// Per-connection accounting of the most recently closed connections
     /// (oldest first), bounded by [`ServiceConfig::connection_log_capacity`].
     pub fn connection_log(&self) -> Vec<ConnectionStats> {
-        self.stats
-            .closed
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .copied()
-            .collect()
+        let closed = self.service.stats.closed.lock().unwrap_or_else(|p| p.into_inner());
+        closed.iter().copied().collect()
     }
 
     /// Gracefully stops the service: stops accepting, lets every worker
@@ -560,7 +530,7 @@ impl NetServer {
     }
 
     fn stop_and_join(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
+        if self.service.shutdown.swap(true, Ordering::SeqCst) {
             return; // already stopped
         }
         // Unblock the acceptor's blocking accept() with a throwaway
@@ -581,191 +551,186 @@ impl Drop for NetServer {
     }
 }
 
-/// Why the connection loop stopped.
-enum ConnExit {
-    /// Peer closed or an I/O / framing failure made the stream unusable.
-    Closed,
-    /// The service is shutting down.
-    Shutdown,
+/// Everything the service's threads share: the hosted base server, the
+/// shard and statement stores, the configuration and the instruments.
+struct Service {
+    server: SeabedServer,
+    shards: ShardStore,
+    statements: StatementStore,
+    /// Worker identity carried in `SeabedError::Dist` reports, so a
+    /// coordinator log names the node that failed.
+    identity: String,
+    config: ServiceConfig,
+    stats: SharedStats,
+    obs: Registry,
+    metrics: NetMetrics,
+    shutdown: AtomicBool,
 }
 
-/// Everything a connection needs besides its socket: the hosted base server,
-/// the shard store, the worker identity, and the service configuration.
-#[derive(Clone, Copy)]
-struct ConnContext<'a> {
-    server: &'a SeabedServer,
-    shards: &'a ShardStore,
-    statements: &'a StatementStore,
-    identity: &'a str,
-    config: &'a ServiceConfig,
-    stats: &'a SharedStats,
-    obs: &'a Registry,
-    metrics: &'a NetMetrics,
-}
-
-fn handle_connection(
-    id: u64,
-    stream: TcpStream,
-    ctx: ConnContext<'_>,
-    shared: &SharedStats,
-    shutdown: &Arc<AtomicBool>,
-) {
-    let mut conn = ConnectionStats {
+fn handle_connection(id: u64, stream: TcpStream, ctx: &Service) {
+    let mut log = ConnectionStats {
         id,
         ..ConnectionStats::default()
     };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL_TICK));
-    let _ = stream.set_write_timeout(Some(ctx.config.write_timeout));
-    let mut stream = stream;
-    let mut flushed = FlushedCounters::default();
-    // Both exit reasons end the connection the same way; the distinction only
-    // matters inside the framing loop.
-    let (ConnExit::Closed | ConnExit::Shutdown) = serve_frames(&mut stream, ctx, shutdown, &mut conn, &mut flushed);
-    // Pick up whatever the last partial frame accumulated after the final
-    // per-frame flush (e.g. bytes read before an EOF).
-    flush_live(shared, &conn, &mut flushed);
+    // A socket whose timeouts cannot be set is dropped unserved: without
+    // them a stalled peer would pin this worker and hang shutdown.
+    if let Ok(mut conn) = FrameConn::from_stream(stream, ctx.config.write_timeout) {
+        serve_frames(&mut conn, ctx, &mut log);
+        // Pick up whatever the last partial frame accumulated after the final
+        // per-frame flush (e.g. bytes read before an EOF).
+        flush_bytes(&ctx.stats, &conn, &mut log);
+    }
     // The connection log is a bounded ring: evict the oldest entries rather
     // than growing one entry per connection for the life of the service.
-    let mut closed = shared.closed.lock().unwrap_or_else(|p| p.into_inner());
+    let mut closed = ctx.stats.closed.lock().unwrap_or_else(|p| p.into_inner());
     while closed.len() >= ctx.config.connection_log_capacity.max(1) {
         closed.pop_front();
     }
-    closed.push_back(conn);
+    closed.push_back(log);
 }
 
-/// Watermarks of what a connection has already pushed into the live registry
-/// counters, so per-frame flushing never double counts.
-#[derive(Default)]
-struct FlushedCounters {
-    requests_served: u64,
-    error_frames: u64,
-    bytes_in: u64,
-    bytes_out: u64,
+/// Pushes what the connection's byte counter gained since the last call into
+/// the shared registry (`log` holds the totals already pushed). Called after
+/// every frame, not only at connection close, so a live scrape of a worker
+/// with long-lived coordinator connections sees its traffic, not zeros.
+fn flush_bytes(stats: &SharedStats, conn: &FrameConn, log: &mut ConnectionStats) {
+    let wire = conn.stats();
+    stats.bytes_in.add(wire.bytes_received - log.bytes_in);
+    stats.bytes_out.add(wire.bytes_sent - log.bytes_out);
+    log.bytes_in = wire.bytes_received;
+    log.bytes_out = wire.bytes_sent;
 }
 
-/// Pushes a connection's traffic counters into the shared registry
-/// incrementally. Flushed after every frame (not only at connection close) so
-/// a live scrape of a worker with long-lived coordinator connections sees its
-/// traffic, not zeros.
-fn flush_live(stats: &SharedStats, conn: &ConnectionStats, flushed: &mut FlushedCounters) {
-    stats
-        .requests_served
-        .add(conn.requests_served - flushed.requests_served);
-    stats.error_frames.add(conn.error_frames - flushed.error_frames);
-    stats.bytes_in.add(conn.bytes_in - flushed.bytes_in);
-    stats.bytes_out.add(conn.bytes_out - flushed.bytes_out);
-    flushed.requests_served = conn.requests_served;
-    flushed.error_frames = conn.error_frames;
-    flushed.bytes_in = conn.bytes_in;
-    flushed.bytes_out = conn.bytes_out;
+/// Counts one error frame on the connection and, live, in the registry.
+fn count_error_frame(stats: &SharedStats, log: &mut ConnectionStats) {
+    log.error_frames += 1;
+    stats.error_frames.incr();
 }
 
-/// Serves frames until the connection must close or the service shuts down.
-fn serve_frames(
-    stream: &mut TcpStream,
-    ctx: ConnContext<'_>,
-    shutdown: &Arc<AtomicBool>,
-    conn: &mut ConnectionStats,
-    flushed: &mut FlushedCounters,
-) -> ConnExit {
-    let config = ctx.config;
+/// Serves frames until the peer closes, the stream breaks, or the service
+/// shuts down with this connection idle.
+fn serve_frames(conn: &mut FrameConn, ctx: &Service, log: &mut ConnectionStats) {
+    let config = &ctx.config;
+    let wait = Wait::Serve {
+        stop: &ctx.shutdown,
+        budget: config.read_timeout,
+    };
     loop {
-        // --- read the fixed header ------------------------------------------------
-        let mut header_bytes = [0u8; HEADER_LEN];
-        match read_exact_polled(stream, &mut header_bytes, shutdown, config.read_timeout, conn) {
-            ReadOutcome::Ok => {}
-            ReadOutcome::Eof | ReadOutcome::Failed => return ConnExit::Closed,
-            ReadOutcome::Shutdown => return ConnExit::Shutdown,
-        }
-        let header = match wire::decode_header(&header_bytes, config.max_frame_len) {
-            Ok(header) => header,
+        let (kind, payload) = match conn.recv_raw(config.max_frame_len, wait) {
+            Ok(Received::Frame(raw)) => raw,
+            Ok(Received::Idle | Received::Closed) => return,
             Err(err) => {
-                // Bad magic / version / oversized length: the stream cannot
-                // be trusted to be frame-aligned any more. Answer with a
-                // typed error, then close this connection (only this one).
-                let _ = send_frame(stream, &Frame::Error(err), config, conn);
-                return ConnExit::Closed;
+                // A header that does not parse (bad magic / version /
+                // oversized length) was answered with a typed error frame by
+                // the connection itself before it closed — this connection
+                // only, never the process.
+                if matches!(err, SeabedError::Wire(_)) {
+                    count_error_frame(&ctx.stats, log);
+                }
+                return;
             }
         };
 
-        // --- read the payload -----------------------------------------------------
-        let mut payload = vec![0u8; header.payload_len as usize];
-        match read_exact_polled(stream, &mut payload, shutdown, config.read_timeout, conn) {
-            ReadOutcome::Ok => {}
-            ReadOutcome::Eof | ReadOutcome::Failed => return ConnExit::Closed,
-            ReadOutcome::Shutdown => return ConnExit::Shutdown,
-        }
-
-        // --- decode and dispatch --------------------------------------------------
         // The frame boundary is intact from here on, so every failure below
         // is answered with a typed error frame and the connection survives.
-        ctx.metrics.count_frame(header.kind);
+        ctx.metrics.count_frame(kind);
         let request_timer = ctx.metrics.request_ns.start();
-        let reply = match wire::decode_payload(header.kind, &payload) {
+        let reply = match wire::decode_payload(kind, &payload) {
             Err(err) => Frame::Error(err),
             Ok(frame) => dispatch_frame(frame, ctx),
         };
         ctx.metrics.request_ns.stop(request_timer);
-        match send_frame(stream, &reply, config, conn) {
-            None => return ConnExit::Closed,
-            // Counted off the frame that actually went out: a response that
-            // outgrew the frame limit was substituted with an error frame and
-            // must not count as served.
-            Some(FrameKind::Response | FrameKind::ShardPartial) => conn.requests_served += 1,
-            Some(_) => {}
+        let sent = match conn.send(&reply, config.max_frame_len) {
+            // The response outgrew the frame limit: an encode failure (the
+            // only `Wire` error a send has), local, the connection is fine.
+            // Tell the client why with a (small) typed error instead of
+            // silently dropping the frame.
+            Err(SeabedError::Wire(_)) => {
+                let err = Frame::Error(SeabedError::wire("response exceeds the connection's frame limit"));
+                conn.send(&err, config.max_frame_len).map(|()| FrameKind::Error)
+            }
+            sent => sent.map(|()| reply.kind()),
+        };
+        match sent {
+            Err(_) => return,
+            // Counted off the frame that actually went out: a substituted
+            // error frame must not count as served.
+            Ok(FrameKind::Response | FrameKind::ShardPartial) => {
+                log.requests_served += 1;
+                ctx.stats.requests_served.incr();
+            }
+            Ok(FrameKind::Error) => count_error_frame(&ctx.stats, log),
+            Ok(_) => {}
         }
-        flush_live(ctx.stats, conn, flushed);
-        if shutdown.load(Ordering::SeqCst) {
-            return ConnExit::Shutdown;
-        }
+        flush_bytes(&ctx.stats, conn, log);
+    }
+}
+
+/// Runs one query execution under the service's telemetry: a
+/// `server-execute` span in this service's trace ring under the propagated
+/// `trace_id` (scrapeable by the client, or a coordinator on its behalf) and,
+/// with observability on, one redacted [`seabed_obs::QueryEvent`] describing
+/// `plan` (`None` when a stale handle left nothing to describe). A prepared
+/// `handle` is stamped on the trace and identifies the event; a one-shot
+/// request is identified by its plan's wire-content hash — the same identity
+/// a handle is, never SQL text.
+fn execute_observed(
+    ctx: &Service,
+    handle: Option<u64>,
+    plan: Option<&TranslatedQuery>,
+    trace_id: u64,
+    run: impl FnOnce() -> Result<seabed_core::ServerResponse, SeabedError>,
+) -> Frame {
+    let mut tb = ctx.obs.trace_builder(trace_id, &ctx.identity);
+    if let Some(handle) = handle {
+        tb.set_statement_id(handle);
+    }
+    let started = ctx.obs.enabled().then(Instant::now);
+    let span = tb.start();
+    let outcome = run();
+    tb.end("server-execute", span);
+    if let Some(trace) = tb.finish() {
+        ctx.obs.record_trace(trace);
+    }
+    if let Some(started) = started {
+        let statement_id = handle.unwrap_or_else(|| {
+            let mut payload = Vec::new();
+            if let Some(plan) = plan {
+                wire::write_statement_payload(&mut payload, plan);
+            }
+            seabed_core::fnv1a64(&payload)
+        });
+        ctx.obs.record_event(seabed_obs::QueryEvent {
+            trace_id,
+            statement_id,
+            node: ctx.identity.clone(),
+            plan: plan.map(TranslatedQuery::describe).unwrap_or_default(),
+            operators: seabed_core::event_operators(
+                outcome.as_ref().map(|r| r.stats.operators.as_slice()).unwrap_or(&[]),
+            ),
+            total_ns: started.elapsed().as_nanos() as u64,
+            slow: false,
+            outcome: seabed_core::outcome_tag(&outcome).to_string(),
+        });
+    }
+    match outcome {
+        Ok(response) => Frame::Response(response),
+        Err(err) => Frame::Error(err),
     }
 }
 
 /// Computes the reply to one well-framed request. Service-level failures come
 /// back as typed error frames; the connection framing above is unaffected.
-fn dispatch_frame(frame: Frame, ctx: ConnContext<'_>) -> Frame {
+fn dispatch_frame(frame: Frame, ctx: &Service) -> Frame {
     match frame {
         Frame::Request {
             query,
             filters,
             trace_id,
             analyze,
-        } => {
-            // A traced request records its server-side execute span into this
-            // service's ring under the propagated id, so a client (or a
-            // coordinator on its behalf) can scrape it back out later.
-            let tb = ctx.obs.trace_builder(trace_id, ctx.identity);
-            let started = ctx.obs.enabled().then(std::time::Instant::now);
-            let span = tb.start();
-            let outcome = ctx.server.execute_analyzed(&query, &filters, analyze);
-            tb.end("server-execute", span);
-            if let Some(trace) = tb.finish() {
-                ctx.obs.record_trace(trace);
-            }
-            if let Some(started) = started {
-                // The event's statement id is the plan's wire-content hash —
-                // the same identity prepared statements use — never SQL text.
-                let mut payload = Vec::new();
-                wire::write_statement_payload(&mut payload, &query);
-                ctx.obs.record_event(seabed_obs::QueryEvent {
-                    trace_id,
-                    statement_id: seabed_core::fnv1a64(&payload),
-                    node: ctx.identity.to_string(),
-                    plan: query.describe(),
-                    operators: seabed_core::event_operators(
-                        outcome.as_ref().map(|r| r.stats.operators.as_slice()).unwrap_or(&[]),
-                    ),
-                    total_ns: started.elapsed().as_nanos() as u64,
-                    slow: false,
-                    outcome: seabed_core::outcome_tag(&outcome).to_string(),
-                });
-            }
-            match outcome {
-                Ok(response) => Frame::Response(response),
-                Err(err) => Frame::Error(err),
-            }
-        }
+        } => execute_observed(ctx, None, Some(&query), trace_id, || {
+            ctx.server.execute_analyzed(&query, &filters, analyze)
+        }),
         Frame::SchemaRequest => Frame::Schema(ctx.server.table().schema.clone()),
         Frame::WorkerHandshake { epoch } => {
             let shards = ctx.shards.handshake(epoch);
@@ -789,7 +754,7 @@ fn dispatch_frame(frame: Frame, ctx: ConnContext<'_>) -> Frame {
                 .and_then(|cluster| table.validate_layout().map(|()| cluster))
                 .and_then(|cluster| {
                     ctx.shards
-                        .load(ctx.identity, epoch, table_id, shard, SeabedServer::new(table, cluster))
+                        .load(&ctx.identity, epoch, table_id, shard, SeabedServer::new(table, cluster))
                 });
             match loaded {
                 Ok(rows) => {
@@ -814,12 +779,12 @@ fn dispatch_frame(frame: Frame, ctx: ConnContext<'_>) -> Frame {
             filters,
             analyze,
         } => {
-            let tb = ctx.obs.trace_builder(trace_id, ctx.identity);
+            let tb = ctx.obs.trace_builder(trace_id, &ctx.identity);
             let span = tb.start();
             let timer = ctx.metrics.shard_execute_ns.start();
             match ctx
                 .shards
-                .get(ctx.identity, epoch, table_id, shard)
+                .get(&ctx.identity, epoch, table_id, shard)
                 // The Arc clone lets the scan run outside the store lock.
                 .and_then(|server| server.execute_partial_analyzed(&query, &filters, analyze))
             {
@@ -843,7 +808,7 @@ fn dispatch_frame(frame: Frame, ctx: ConnContext<'_>) -> Frame {
             }
         }
         Frame::UnloadShard { epoch, table_id, shard } => {
-            match ctx.shards.unload(ctx.identity, epoch, table_id, shard) {
+            match ctx.shards.unload(&ctx.identity, epoch, table_id, shard) {
                 Ok(remaining) => {
                     ctx.metrics.shard_store_size.set(remaining);
                     Frame::ShardUnloaded {
@@ -876,35 +841,11 @@ fn dispatch_frame(frame: Frame, ctx: ConnContext<'_>) -> Frame {
             trace_id,
             filters,
         } => {
-            let mut tb = ctx.obs.trace_builder(trace_id, ctx.identity);
-            // The handle *is* the statement's content hash — an identity,
-            // never the SQL text (redaction rule).
-            tb.set_statement_id(handle);
-            let started = ctx.obs.enabled().then(std::time::Instant::now);
-            let span = tb.start();
             let statement = ctx.statements.get(handle);
-            let plan = statement.as_ref().map(|s| s.describe()).unwrap_or_default();
-            let outcome = statement.and_then(|statement| ctx.server.execute(&statement, &filters));
-            tb.end("server-execute", span);
-            if let Some(trace) = tb.finish() {
-                ctx.obs.record_trace(trace);
-            }
-            if let Some(started) = started {
-                ctx.obs.record_event(seabed_obs::QueryEvent {
-                    trace_id,
-                    statement_id: handle,
-                    node: ctx.identity.to_string(),
-                    plan,
-                    operators: Vec::new(),
-                    total_ns: started.elapsed().as_nanos() as u64,
-                    slow: false,
-                    outcome: seabed_core::outcome_tag(&outcome).to_string(),
-                });
-            }
-            match outcome {
-                Ok(response) => Frame::Response(response),
-                Err(err) => Frame::Error(err),
-            }
+            execute_observed(ctx, Some(handle), statement.as_deref().ok(), trace_id, || {
+                ctx.server
+                    .execute(statement.as_deref().map_err(Clone::clone)?, &filters)
+            })
         }
         Frame::MetricsRequest {
             include_traces,
@@ -929,89 +870,10 @@ fn dispatch_frame(frame: Frame, ctx: ConnContext<'_>) -> Frame {
     }
 }
 
-/// Encodes and writes one frame; counts bytes and error frames. Returns the
-/// kind of the frame that actually went out (an oversized response is
-/// substituted with a typed error frame), or `None` when the connection is no
-/// longer writable.
-fn send_frame(
-    stream: &mut TcpStream,
-    frame: &Frame,
-    config: &ServiceConfig,
-    conn: &mut ConnectionStats,
-) -> Option<FrameKind> {
-    let (bytes, kind) = match wire::encode_frame(frame, config.max_frame_len) {
-        Ok(bytes) => (bytes, frame.kind()),
-        Err(_) => {
-            // The response outgrew the frame limit; tell the client why with
-            // a (small) typed error instead of silently dropping the frame.
-            let err = Frame::Error(SeabedError::wire("response exceeds the connection's frame limit"));
-            (wire::encode_frame(&err, config.max_frame_len).ok()?, FrameKind::Error)
-        }
-    };
-    if kind == FrameKind::Error {
-        conn.error_frames += 1;
-    }
-    match stream.write_all(&bytes).and_then(|_| stream.flush()) {
-        Ok(()) => {
-            conn.bytes_out += bytes.len() as u64;
-            Some(kind)
-        }
-        Err(_) => None,
-    }
-}
-
-enum ReadOutcome {
-    Ok,
-    Eof,
-    Failed,
-    Shutdown,
-}
-
-/// Fills `buf` from the socket, polling in [`POLL_TICK`] slices so shutdown
-/// is noticed while idle. An idle connection (zero bytes of the next frame
-/// read) may wait forever; once a frame has started, a stall longer than
-/// `read_timeout` fails the read.
-fn read_exact_polled(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &Arc<AtomicBool>,
-    read_timeout: Duration,
-    conn: &mut ConnectionStats,
-) -> ReadOutcome {
-    let mut filled = 0usize;
-    let mut stalled_since: Option<Instant> = None;
-    while filled < buf.len() {
-        if shutdown.load(Ordering::SeqCst) && filled == 0 {
-            return ReadOutcome::Shutdown;
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return ReadOutcome::Eof,
-            Ok(n) => {
-                filled += n;
-                conn.bytes_in += n as u64;
-                stalled_since = None;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if filled > 0 {
-                    let since = *stalled_since.get_or_insert_with(Instant::now);
-                    if since.elapsed() >= read_timeout {
-                        return ReadOutcome::Failed; // mid-frame stall: slow-loris guard
-                    }
-                } else if shutdown.load(Ordering::SeqCst) {
-                    return ReadOutcome::Shutdown;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return ReadOutcome::Failed,
-        }
-    }
-    ReadOutcome::Ok
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_header, decode_payload, encode_frame, DEFAULT_MAX_FRAME_LEN};
+    use crate::wire::DEFAULT_MAX_FRAME_LEN;
     use seabed_engine::{Cluster, ClusterConfig, ColumnData, ColumnType, Schema, Table};
     use seabed_query::{ServerAggregate, SupportCategory, TranslatedQuery};
 
@@ -1045,26 +907,21 @@ mod tests {
         }
     }
 
-    fn round_trip(stream: &mut TcpStream, frame: &Frame) -> Frame {
-        let bytes = encode_frame(frame, DEFAULT_MAX_FRAME_LEN).expect("encode");
-        stream.write_all(&bytes).expect("send");
-        read_reply(stream)
+    const TIMEOUT: Duration = Duration::from_secs(10);
+
+    fn connect(net: &NetServer) -> FrameConn {
+        FrameConn::connect(net.local_addr(), TIMEOUT).expect("connect")
     }
 
-    fn read_reply(stream: &mut TcpStream) -> Frame {
-        let mut header_bytes = [0u8; HEADER_LEN];
-        stream.read_exact(&mut header_bytes).expect("header");
-        let header = decode_header(&header_bytes, DEFAULT_MAX_FRAME_LEN).expect("valid header");
-        let mut payload = vec![0u8; header.payload_len as usize];
-        stream.read_exact(&mut payload).expect("payload");
-        decode_payload(header.kind, &payload).expect("valid payload")
+    fn round_trip(conn: &mut FrameConn, frame: &Frame) -> Frame {
+        conn.round_trip(frame, DEFAULT_MAX_FRAME_LEN, TIMEOUT)
+            .expect("round trip")
     }
 
     #[test]
     fn serves_schema_requests_and_errors_on_one_connection() {
         let net = NetServer::serve(test_server(), "127.0.0.1:0", ServiceConfig::default()).expect("serve");
-        let mut stream = TcpStream::connect(net.local_addr()).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut stream = connect(&net);
 
         // Schema handshake.
         let Frame::Schema(schema) = round_trip(&mut stream, &Frame::SchemaRequest) else {
@@ -1129,25 +986,57 @@ mod tests {
     fn garbage_header_gets_typed_error_then_close_but_service_survives() {
         let net = NetServer::serve(test_server(), "127.0.0.1:0", ServiceConfig::default()).expect("serve");
         {
-            let mut stream = TcpStream::connect(net.local_addr()).expect("connect");
-            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            stream
-                .write_all(b"GET / HTTP/1.1\r\n\r\n\0\0\0\0\0\0")
-                .expect("send garbage");
-            let reply = read_reply(&mut stream);
-            assert!(matches!(reply, Frame::Error(SeabedError::Wire(_))), "{reply:?}");
-            // The stream is desynchronized; the server closes it.
-            let mut probe = [0u8; 1];
-            assert_eq!(stream.read(&mut probe).unwrap_or(0), 0, "connection should be closed");
+            let mut raw = TcpStream::connect(net.local_addr()).expect("connect");
+            std::io::Write::write_all(&mut raw, b"GET / HTTP/1.1\r\n\r\n\0\0\0\0\0\0").expect("send garbage");
+            let mut stream = FrameConn::from_stream(raw, TIMEOUT).expect("wrap");
+            let deadline = Wait::Until(Instant::now() + TIMEOUT);
+            let reply = stream.recv(DEFAULT_MAX_FRAME_LEN, deadline);
+            assert!(
+                matches!(reply, Ok(Received::Frame(Frame::Error(SeabedError::Wire(_))))),
+                "{reply:?}"
+            );
+            // The stream is desynchronized; the server closes it (a reset,
+            // if garbage was left unread, counts as closed too).
+            let after = stream.recv(DEFAULT_MAX_FRAME_LEN, deadline);
+            assert!(
+                matches!(after, Ok(Received::Closed) | Err(_)),
+                "connection should be closed: {after:?}"
+            );
         }
         // A fresh connection is served normally: the process survived.
-        let mut stream = TcpStream::connect(net.local_addr()).expect("reconnect");
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut stream = connect(&net);
         assert!(matches!(
             round_trip(&mut stream, &Frame::SchemaRequest),
             Frame::Schema(_)
         ));
         net.shutdown();
+    }
+
+    /// A response that outgrows the connection's frame limit fails to
+    /// *encode* — a local error that must not poison the connection: the
+    /// client gets a typed error frame instead, and the connection survives.
+    #[test]
+    fn oversized_response_becomes_a_typed_error_and_the_connection_survives() {
+        let columns = 24;
+        let wide = Table::from_columns(
+            Schema::new((0..columns).map(|c| (format!("a_rather_long_column_name_{c}"), ColumnType::UInt64))),
+            (0..columns).map(|_| ColumnData::UInt64(vec![1, 2, 3])).collect(),
+            1,
+        );
+        let server = SeabedServer::new(wide, Cluster::new(ClusterConfig::with_workers(1).local_threads(1)));
+        let net = NetServer::serve(server, "127.0.0.1:0", ServiceConfig::default().max_frame_len(128)).expect("serve");
+        let mut stream = connect(&net);
+        for _ in 0..2 {
+            let reply = stream
+                .round_trip(&Frame::SchemaRequest, 128, TIMEOUT)
+                .expect("round trip");
+            match reply {
+                Frame::Error(SeabedError::Wire(msg)) => assert!(msg.contains("frame limit"), "{msg}"),
+                other => panic!("expected the typed substitute, got {other:?}"),
+            }
+        }
+        let stats = net.shutdown();
+        assert_eq!((stats.error_frames, stats.requests_served), (2, 0));
     }
 
     /// The worker side of the seabed-dist protocol on one connection:
@@ -1160,8 +1049,7 @@ mod tests {
         use seabed_engine::{ColumnData, Schema, Table};
 
         let net = NetServer::serve(test_server(), "127.0.0.1:0", ServiceConfig::default()).expect("serve");
-        let mut stream = TcpStream::connect(net.local_addr()).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut stream = connect(&net);
 
         let reply = round_trip(&mut stream, &Frame::WorkerHandshake { epoch: 42 });
         assert_eq!(reply, Frame::WorkerReady { epoch: 42, shards: 0 });
@@ -1308,8 +1196,7 @@ mod tests {
             ServiceConfig::default().statement_capacity(1),
         )
         .expect("serve");
-        let mut stream = TcpStream::connect(net.local_addr()).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut stream = connect(&net);
 
         // One-shot reference.
         let reply = round_trip(
@@ -1404,8 +1291,7 @@ mod tests {
     #[test]
     fn prepare_validates_the_plan_against_the_hosted_schema() {
         let net = NetServer::serve(test_server(), "127.0.0.1:0", ServiceConfig::default()).expect("serve");
-        let mut stream = TcpStream::connect(net.local_addr()).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut stream = connect(&net);
 
         let mut bad = sum_query();
         bad.aggregates = vec![ServerAggregate::AsheSum {
@@ -1470,8 +1356,7 @@ mod tests {
         )
         .expect("serve");
         for _ in 0..10 {
-            let mut stream = TcpStream::connect(net.local_addr()).expect("connect");
-            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut stream = connect(&net);
             assert!(matches!(
                 round_trip(&mut stream, &Frame::SchemaRequest),
                 Frame::Schema(_)
@@ -1501,8 +1386,7 @@ mod tests {
     #[test]
     fn metrics_scrape_returns_counters_histograms_and_traces() {
         let net = NetServer::serve(test_server(), "127.0.0.1:0", ServiceConfig::default()).expect("serve");
-        let mut stream = TcpStream::connect(net.local_addr()).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut stream = connect(&net);
 
         // One untraced and one traced request.
         assert!(matches!(

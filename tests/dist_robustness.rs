@@ -7,12 +7,13 @@ use seabed_core::{SeabedServer, ServerResponse};
 use seabed_dist::{spawn_worker, DistConfig, DistCoordinator};
 use seabed_engine::{Cluster, ClusterConfig, ColumnData, ColumnType, Schema, Table};
 use seabed_error::SeabedError;
-use seabed_net::wire::{self, Frame, HEADER_LEN};
-use seabed_net::ServiceConfig;
+use seabed_net::wire::{self, Frame};
+use seabed_net::{FrameConn, Received, ServiceConfig, Wait};
 use seabed_query::{ServerAggregate, SupportCategory, TranslatedQuery};
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
 fn test_table(rows: u64, partitions: usize) -> Table {
@@ -95,18 +96,20 @@ enum Misbehavior {
     SlowPartialOnce,
 }
 
-fn read_frame(stream: &mut TcpStream) -> Option<Frame> {
-    let mut header_bytes = [0u8; HEADER_LEN];
-    stream.read_exact(&mut header_bytes).ok()?;
-    let header = wire::decode_header(&header_bytes, wire::DEFAULT_MAX_FRAME_LEN).ok()?;
-    let mut payload = vec![0u8; header.payload_len as usize];
-    stream.read_exact(&mut payload).ok()?;
-    wire::decode_payload(header.kind, &payload).ok()
-}
+const MAX: u32 = wire::DEFAULT_MAX_FRAME_LEN;
 
-fn send_frame(stream: &mut TcpStream, frame: &Frame) {
-    let bytes = wire::encode_frame(frame, wire::DEFAULT_MAX_FRAME_LEN).expect("encode");
-    let _ = stream.write_all(&bytes);
+/// The next frame the coordinator sends; `None` once it hangs up (or the
+/// stream ends any other way).
+fn next_frame(conn: &mut FrameConn) -> Option<Frame> {
+    static NEVER: AtomicBool = AtomicBool::new(false);
+    let wait = Wait::Serve {
+        stop: &NEVER,
+        budget: Duration::from_secs(10),
+    };
+    match conn.recv(MAX, wait) {
+        Ok(Received::Frame(frame)) => Some(frame),
+        _ => None,
+    }
 }
 
 /// Spawns the fake worker; it serves exactly one coordinator connection.
@@ -117,11 +120,17 @@ fn fake_worker(behavior: Misbehavior) -> (SocketAddr, std::thread::JoinHandle<()
         let Ok((mut stream, _)) = listener.accept() else {
             return;
         };
+        // Well-formed frames go through `conn`; the misbehaviors write raw
+        // bytes to `stream`, the same socket.
+        let mut conn =
+            FrameConn::from_stream(stream.try_clone().expect("clone"), Duration::from_secs(10)).expect("wrap");
         let mut shards: HashMap<u32, SeabedServer> = HashMap::new();
         let mut first_query = true;
-        while let Some(frame) = read_frame(&mut stream) {
+        while let Some(frame) = next_frame(&mut conn) {
             match frame {
-                Frame::WorkerHandshake { epoch } => send_frame(&mut stream, &Frame::WorkerReady { epoch, shards: 0 }),
+                Frame::WorkerHandshake { epoch } => {
+                    let _ = conn.send(&Frame::WorkerReady { epoch, shards: 0 }, MAX);
+                }
                 Frame::LoadShard {
                     epoch,
                     table_id,
@@ -134,14 +143,14 @@ fn fake_worker(behavior: Misbehavior) -> (SocketAddr, std::thread::JoinHandle<()
                         shard,
                         SeabedServer::new(table, Cluster::new(ClusterConfig::with_workers(1).local_threads(1))),
                     );
-                    send_frame(
-                        &mut stream,
+                    let _ = conn.send(
                         &Frame::ShardLoaded {
                             epoch,
                             table_id,
                             shard,
                             rows,
                         },
+                        MAX,
                     );
                 }
                 Frame::ShardQuery {
@@ -183,8 +192,7 @@ fn fake_worker(behavior: Misbehavior) -> (SocketAddr, std::thread::JoinHandle<()
                         for states in partial.groups.values_mut() {
                             states.truncate(1);
                         }
-                        send_frame(
-                            &mut stream,
+                        let _ = conn.send(
                             &Frame::ShardPartial {
                                 epoch,
                                 table_id,
@@ -192,6 +200,7 @@ fn fake_worker(behavior: Misbehavior) -> (SocketAddr, std::thread::JoinHandle<()
                                 seq,
                                 partial,
                             },
+                            MAX,
                         );
                     }
                     Misbehavior::TrickleOnQuery => {
@@ -208,7 +217,7 @@ fn fake_worker(behavior: Misbehavior) -> (SocketAddr, std::thread::JoinHandle<()
                                 seq,
                                 partial,
                             },
-                            wire::DEFAULT_MAX_FRAME_LEN,
+                            MAX,
                         )
                         .expect("encode");
                         // One byte per 60 ms: each chunk is comfortably
@@ -235,8 +244,7 @@ fn fake_worker(behavior: Misbehavior) -> (SocketAddr, std::thread::JoinHandle<()
                             .expect("shard resident")
                             .execute_partial(&query, &filters)
                             .expect("shard execution");
-                        send_frame(
-                            &mut stream,
+                        let _ = conn.send(
                             &Frame::ShardPartial {
                                 epoch,
                                 table_id,
@@ -244,6 +252,7 @@ fn fake_worker(behavior: Misbehavior) -> (SocketAddr, std::thread::JoinHandle<()
                                 seq,
                                 partial,
                             },
+                            MAX,
                         );
                     }
                     Misbehavior::DuplicateStaleThenCorrect => {
@@ -254,8 +263,7 @@ fn fake_worker(behavior: Misbehavior) -> (SocketAddr, std::thread::JoinHandle<()
                             .expect("shard execution");
                         // A duplicate under an older sequence number first —
                         // the coordinator must discard it, not merge twice.
-                        send_frame(
-                            &mut stream,
+                        let _ = conn.send(
                             &Frame::ShardPartial {
                                 epoch,
                                 table_id,
@@ -263,9 +271,9 @@ fn fake_worker(behavior: Misbehavior) -> (SocketAddr, std::thread::JoinHandle<()
                                 seq: seq.saturating_sub(1),
                                 partial: partial.clone(),
                             },
+                            MAX,
                         );
-                        send_frame(
-                            &mut stream,
+                        let _ = conn.send(
                             &Frame::ShardPartial {
                                 epoch,
                                 table_id,
@@ -273,6 +281,7 @@ fn fake_worker(behavior: Misbehavior) -> (SocketAddr, std::thread::JoinHandle<()
                                 seq,
                                 partial,
                             },
+                            MAX,
                         );
                     }
                 },

@@ -1,0 +1,165 @@
+//! Slow-peer regressions for the one framing rule (`seabed_net::FrameConn`):
+//! once a frame's first byte has arrived, the whole frame shares one total
+//! budget that arriving bytes never extend. A peer that stalls after a
+//! header, or trickles a frame one byte per almost-timeout, is cut off within
+//! that budget — on the server (where it would otherwise pin a worker thread
+//! and starve the connections queued behind it) and on the client (where it
+//! would otherwise hang a query for `interval × frame length`).
+
+use seabed_core::{EncryptedAggregate, GroupResult, SeabedClient, SeabedServer, ServerResponse};
+use seabed_engine::{Cluster, ClusterConfig, ColumnData, ColumnType, ExecStats, Schema, Table};
+use seabed_error::SeabedError;
+use seabed_net::wire::{self, Frame};
+use seabed_net::{FrameConn, NetServer, Received, RemoteSeabedClient, ServiceConfig, Wait};
+use seabed_query::{parse, ColumnSpec, PlannerConfig};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
+
+const MAX: u32 = wire::DEFAULT_MAX_FRAME_LEN;
+
+fn tiny_server() -> SeabedServer {
+    let table = Table::from_columns(
+        Schema::new([("x".to_string(), ColumnType::UInt64)]),
+        vec![ColumnData::UInt64((0..10).collect())],
+        1,
+    );
+    SeabedServer::new(table, Cluster::new(ClusterConfig::with_workers(1).local_threads(1)))
+}
+
+/// A single-worker service; peer A sends a valid header promising 1 000
+/// payload bytes and then either goes silent or trickles one byte per
+/// ⅔·`read_timeout`. A must be disconnected within ~2× `read_timeout` of its
+/// first byte, and peer B's `SchemaRequest`, queued behind A for the one
+/// worker thread, must then be answered.
+fn slow_peer_is_cut_off_and_the_queue_moves(trickle: bool) {
+    let read_timeout = Duration::from_millis(300);
+    let config = ServiceConfig {
+        read_timeout,
+        ..ServiceConfig::default().worker_threads(1)
+    };
+    let net = NetServer::serve(tiny_server(), "127.0.0.1:0", config).expect("serve");
+
+    let mut a = TcpStream::connect(net.local_addr()).expect("connect A");
+    let mut header = Vec::new();
+    header.extend_from_slice(&wire::MAGIC);
+    header.extend_from_slice(&wire::PROTOCOL_VERSION.to_le_bytes());
+    header.push(1); // request kind
+    header.extend_from_slice(&1_000u32.to_le_bytes());
+    a.write_all(&header).expect("header");
+    let first_byte = Instant::now();
+
+    // A watches for the server hanging up, one trickle interval per look.
+    let peer_a = std::thread::spawn(move || {
+        a.set_read_timeout(Some(read_timeout * 2 / 3)).expect("timeout");
+        let mut probe = [0u8; 1];
+        while first_byte.elapsed() < read_timeout * 10 {
+            match a.read(&mut probe) {
+                // EOF or a reset: disconnected.
+                Ok(0) => return Some(first_byte.elapsed()),
+                Err(e) if !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) => {
+                    return Some(first_byte.elapsed())
+                }
+                _ => {}
+            }
+            if trickle && a.write_all(&[0]).is_err() {
+                return Some(first_byte.elapsed());
+            }
+        }
+        None
+    });
+
+    // B queues behind A: the only worker thread is A's until A is dropped.
+    let mut b = FrameConn::connect(net.local_addr(), read_timeout * 10).expect("connect B");
+    let reply = b.round_trip(&Frame::SchemaRequest, MAX, read_timeout * 10);
+    assert!(
+        matches!(reply, Ok(Frame::Schema(_))),
+        "the connection queued behind the slow peer was never served: {reply:?}"
+    );
+
+    let cut_off = peer_a
+        .join()
+        .expect("peer A")
+        .expect("the slow peer was never disconnected");
+    assert!(
+        cut_off < read_timeout * 2,
+        "the slow peer held its worker for {cut_off:?}, past 2x the {read_timeout:?} read timeout"
+    );
+    net.shutdown();
+}
+
+#[test]
+fn server_drops_a_peer_that_stalls_after_the_header() {
+    slow_peer_is_cut_off_and_the_queue_moves(false);
+}
+
+#[test]
+fn server_drops_a_peer_that_trickles_a_frame() {
+    slow_peer_is_cut_off_and_the_queue_moves(true);
+}
+
+/// A server that answers a request by trickling a valid `Response` one byte
+/// per interval shorter than the client's read timeout: the call must fail
+/// with a `Net` error within ~2× `read_timeout` (not after `interval × frame
+/// length`), and the connection must refuse the next call as poisoned.
+#[test]
+fn client_fails_a_trickled_reply_within_the_budget_and_poisons() {
+    let read_timeout = Duration::from_millis(300);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let fake_server = std::thread::spawn(move || {
+        let (mut raw, _) = listener.accept().expect("accept");
+        let patience = Duration::from_secs(10);
+        let mut conn = FrameConn::from_stream(raw.try_clone().expect("clone"), patience).expect("wrap");
+        // The schema handshake is answered properly.
+        let request = conn.recv(MAX, Wait::Until(Instant::now() + patience));
+        assert!(
+            matches!(request, Ok(Received::Frame(Frame::SchemaRequest))),
+            "{request:?}"
+        );
+        let schema = Frame::Schema(Schema::new([("x".to_string(), ColumnType::UInt64)]));
+        conn.send(&schema, MAX).expect("schema");
+        // The request is answered one byte at a time, written raw to the same
+        // socket; the client hanging up fails a write and ends the trickle.
+        let request = conn.recv(MAX, Wait::Until(Instant::now() + patience));
+        assert!(
+            matches!(request, Ok(Received::Frame(Frame::Request { .. }))),
+            "{request:?}"
+        );
+        let response = Frame::Response(ServerResponse {
+            groups: vec![GroupResult {
+                key: vec![],
+                aggregates: vec![EncryptedAggregate::Count { rows: 7 }],
+            }],
+            stats: ExecStats::default(),
+            result_bytes: 8,
+        });
+        for byte in wire::encode_frame(&response, MAX).expect("encode") {
+            if raw.write_all(&[byte]).is_err() {
+                return;
+            }
+            std::thread::sleep(read_timeout / 3);
+        }
+    });
+
+    let columns = vec![ColumnSpec::public("x")];
+    let samples = vec![parse("SELECT COUNT(*) FROM t").expect("sample")];
+    let client = SeabedClient::create_plan(b"trickle", &columns, &samples, &PlannerConfig::default());
+    let remote = RemoteSeabedClient::connect_with(addr, client, MAX, read_timeout).expect("connect");
+    let (_, translated, filters) = remote.prepare("SELECT COUNT(*) FROM t").expect("prepare");
+
+    let started = Instant::now();
+    let outcome = remote.execute(&translated, &filters);
+    let elapsed = started.elapsed();
+    assert!(matches!(outcome, Err(SeabedError::Net(_))), "{outcome:?}");
+    assert!(
+        elapsed < read_timeout * 2,
+        "a trickled reply held the call for {elapsed:?}, past 2x the {read_timeout:?} read timeout"
+    );
+    match remote.execute(&translated, &filters) {
+        Err(SeabedError::Net(msg)) => assert!(msg.contains("poisoned"), "{msg}"),
+        other => panic!("expected a poisoned-connection error, got {other:?}"),
+    }
+    drop(remote);
+    fake_server.join().expect("fake server");
+}

@@ -12,28 +12,15 @@ use seabed_core::{EncryptedAggregate, GroupResult, PlainDataset, SeabedClient, S
 use seabed_core::{ResultValue, ServerResponse};
 use seabed_engine::{Cluster, ClusterConfig, ExecStats};
 use seabed_error::SeabedError;
-use seabed_net::wire::{self, Frame, HEADER_LEN};
-use seabed_net::{NetServer, RemoteSeabedClient, ServiceConfig};
+use seabed_net::wire::{self, Frame};
+use seabed_net::{FrameConn, NetServer, Received, RemoteSeabedClient, ServiceConfig, Wait};
 use seabed_query::{parse, ColumnSpec, Literal, PlannerConfig};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-fn read_frame(stream: &mut TcpStream) -> Option<Frame> {
-    let mut header_bytes = [0u8; HEADER_LEN];
-    stream.read_exact(&mut header_bytes).ok()?;
-    let header = wire::decode_header(&header_bytes, wire::DEFAULT_MAX_FRAME_LEN).ok()?;
-    let mut payload = vec![0u8; header.payload_len as usize];
-    stream.read_exact(&mut payload).ok()?;
-    wire::decode_payload(header.kind, &payload).ok()
-}
-
-fn send_frame(stream: &mut TcpStream, frame: &Frame) {
-    let bytes = wire::encode_frame(frame, wire::DEFAULT_MAX_FRAME_LEN).expect("encode");
-    let _ = stream.write_all(&bytes);
-}
+const MAX: u32 = wire::DEFAULT_MAX_FRAME_LEN;
 
 fn canned_response() -> ServerResponse {
     ServerResponse {
@@ -62,29 +49,33 @@ fn fake_statement_server(stale_executes: u64) -> (SocketAddr, Arc<FakeCounters>,
     let counters = Arc::new(FakeCounters::default());
     let thread_counters = Arc::clone(&counters);
     let handle = std::thread::spawn(move || {
-        let Ok((mut stream, _)) = listener.accept() else {
+        let Ok((stream, _)) = listener.accept() else {
             return;
         };
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-        while let Some(frame) = read_frame(&mut stream) {
+        let timeout = Duration::from_secs(10);
+        let mut conn = FrameConn::from_stream(stream, timeout).expect("wrap");
+        // Serves until the client hangs up (or stays silent for `timeout`).
+        while let Ok(Received::Frame(frame)) = conn.recv(MAX, Wait::Until(Instant::now() + timeout)) {
             match frame {
-                Frame::SchemaRequest => send_frame(
-                    &mut stream,
-                    &Frame::Schema(seabed_engine::Schema::new([(
-                        "x".to_string(),
-                        seabed_engine::ColumnType::UInt64,
-                    )])),
-                ),
+                Frame::SchemaRequest => {
+                    let _ = conn.send(
+                        &Frame::Schema(seabed_engine::Schema::new([(
+                            "x".to_string(),
+                            seabed_engine::ColumnType::UInt64,
+                        )])),
+                        MAX,
+                    );
+                }
                 Frame::PrepareStatement { .. } => {
                     let n = thread_counters.prepares.fetch_add(1, Ordering::SeqCst) + 1;
-                    send_frame(&mut stream, &Frame::StatementPrepared { handle: 1000 + n });
+                    let _ = conn.send(&Frame::StatementPrepared { handle: 1000 + n }, MAX);
                 }
                 Frame::ExecuteStatement { handle, .. } => {
                     let n = thread_counters.executes.fetch_add(1, Ordering::SeqCst) + 1;
                     if n <= stale_executes {
-                        send_frame(&mut stream, &Frame::Error(SeabedError::StaleStatement(handle)));
+                        let _ = conn.send(&Frame::Error(SeabedError::StaleStatement(handle)), MAX);
                     } else {
-                        send_frame(&mut stream, &Frame::Response(canned_response()));
+                        let _ = conn.send(&Frame::Response(canned_response()), MAX);
                     }
                 }
                 _ => return,
