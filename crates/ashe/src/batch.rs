@@ -30,9 +30,10 @@ impl EncryptedColumn {
         self.values.is_empty()
     }
 
-    /// The identifier of row `index`.
+    /// The identifier of row `index` (identifiers wrap, like the run
+    /// encryption that produced the column).
     pub fn id_of(&self, index: usize) -> u64 {
-        self.start_id + index as u64
+        self.start_id.wrapping_add(index as u64)
     }
 
     /// Reconstructs the full ciphertext of a single row.
@@ -46,14 +47,12 @@ impl EncryptedColumn {
 
 /// Encrypts a column of plaintext values with consecutive identifiers starting
 /// at `start_id` on a single thread, through the batched run kernel
-/// ([`AsheScheme::encrypt_run`]): one amortised keystream expansion for the
-/// whole column instead of two AES dispatches per row.
+/// ([`AsheScheme::encrypt_run_into`]): one amortised keystream expansion
+/// written straight into the column's words, instead of two AES dispatches
+/// per row.
 pub fn encrypt_column(scheme: &AsheScheme, values: &[u64], start_id: u64) -> EncryptedColumn {
-    let out = scheme
-        .encrypt_run(values, start_id)
-        .into_iter()
-        .map(|c| c.value)
-        .collect();
+    let mut out = vec![0u64; values.len()];
+    scheme.encrypt_run_into(values, start_id, &mut out);
     EncryptedColumn { start_id, values: out }
 }
 
@@ -62,7 +61,7 @@ pub fn encrypt_column(scheme: &AsheScheme, values: &[u64], start_id: u64) -> Enc
 pub fn encrypt_column_scalar(scheme: &AsheScheme, values: &[u64], start_id: u64) -> EncryptedColumn {
     let mut out = Vec::with_capacity(values.len());
     for (offset, &m) in values.iter().enumerate() {
-        out.push(scheme.encrypt(m, start_id + offset as u64).value);
+        out.push(scheme.encrypt(m, start_id.wrapping_add(offset as u64)).value);
     }
     EncryptedColumn { start_id, values: out }
 }
@@ -78,16 +77,8 @@ pub fn encrypt_column_parallel(scheme: &AsheScheme, values: &[u64], start_id: u6
     let mut out = vec![0u64; values.len()];
     std::thread::scope(|scope| {
         for (chunk_idx, (input, output)) in values.chunks(chunk_size).zip(out.chunks_mut(chunk_size)).enumerate() {
-            let chunk_start = start_id + (chunk_idx * chunk_size) as u64;
-            scope.spawn(move || {
-                for (c, slot) in scheme
-                    .encrypt_run(input, chunk_start)
-                    .into_iter()
-                    .zip(output.iter_mut())
-                {
-                    *slot = c.value;
-                }
-            });
+            let chunk_start = start_id.wrapping_add((chunk_idx * chunk_size) as u64);
+            scope.spawn(move || scheme.encrypt_run_into(input, chunk_start, output));
         }
     });
     EncryptedColumn { start_id, values: out }

@@ -18,6 +18,7 @@
 //!   worker-side aggregation loop.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod idset;

@@ -98,16 +98,36 @@ impl AsheScheme {
     /// operations for bulk encryption of consecutive rows.
     pub fn mask(&self, id: u64) -> u64 {
         match &self.packed_prf {
+            Some(prf) => self.reduce_word(prf.eval_wide(id >> 1)[(id & 1) as usize]),
+            None => self.prf.eval(id, self.modulus),
+        }
+    }
+
+    /// Batch counterpart of [`AsheScheme::mask`] for arbitrary identifiers:
+    /// `out[i]` is the mask of `ids[i]`. With the AES PRF all the blocks go
+    /// through the batched kernel in a few dispatches instead of one each.
+    pub fn mask_each(&self, ids: &[u64], out: &mut [u64]) {
+        assert_eq!(ids.len(), out.len(), "one mask per identifier");
+        const CHUNK: usize = 64;
+        match &self.packed_prf {
             Some(prf) => {
-                let words = prf.eval_wide(id >> 1);
-                let raw = words[(id & 1) as usize];
-                if self.modulus == 0 {
-                    raw
-                } else {
-                    raw % self.modulus
+                let mut blocks = [0u64; CHUNK];
+                let mut wide = [[0u64; 2]; CHUNK];
+                for (ids, out) in ids.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
+                    for (block, id) in blocks.iter_mut().zip(ids) {
+                        *block = id >> 1;
+                    }
+                    prf.eval_wide_each(&blocks[..ids.len()], &mut wide[..ids.len()]);
+                    for ((value, id), words) in out.iter_mut().zip(ids).zip(&wide) {
+                        *value = self.reduce_word(words[(id & 1) as usize]);
+                    }
                 }
             }
-            None => self.prf.eval(id, self.modulus),
+            None => {
+                for (value, &id) in out.iter_mut().zip(ids) {
+                    *value = self.prf.eval(id, self.modulus);
+                }
+            }
         }
     }
 
@@ -150,9 +170,18 @@ impl AsheScheme {
             prf.eval_wide_run(first_block, &mut wide[..nblocks]);
             for (i, value) in chunk.iter_mut().enumerate() {
                 let id = chunk_first + i as u64;
-                let raw = wide[((id >> 1) - first_block) as usize][(id & 1) as usize];
-                *value = if self.modulus == 0 { raw } else { raw % self.modulus };
+                *value = self.reduce_word(wide[((id >> 1) - first_block) as usize][(id & 1) as usize]);
             }
+        }
+    }
+
+    /// A 64-bit PRF word or plaintext as a group element.
+    #[inline]
+    fn reduce_word(&self, v: u64) -> u64 {
+        if self.modulus == 0 {
+            v
+        } else {
+            v % self.modulus
         }
     }
 
@@ -191,8 +220,7 @@ impl AsheScheme {
     pub fn encrypt(&self, m: u64, id: u64) -> AsheCiphertext {
         let mask_cur = self.mask(id);
         let mask_prev = self.mask(id.wrapping_sub(1));
-        let reduced_m = if self.modulus == 0 { m } else { m % self.modulus };
-        let value = self.add_group(self.sub_group(reduced_m, mask_cur), mask_prev);
+        let value = self.add_group(self.sub_group(self.reduce_word(m), mask_cur), mask_prev);
         AsheCiphertext {
             value,
             ids: IdSet::single(id),
@@ -201,31 +229,41 @@ impl AsheScheme {
 
     /// Encrypts a run of values under the consecutive (wrapping) identifiers
     /// `first_id, first_id + 1, …` — the layout Seabed's encryption module
-    /// produces — re-deriving each shared boundary mask once.
+    /// produces — writing only the masked words into `out`: the identifiers
+    /// are implicit in a stored column, so nothing else is materialised.
     ///
-    /// A run of N values needs the N+1 masks of identifiers
-    /// `first_id - 1 ..= first_id + N - 1`; with the packed AES PRF that is
-    /// ~(N+1)/2 batched block encryptions, where per-value
-    /// [`AsheScheme::encrypt`] calls would pay 2 unbatched blocks per value.
-    /// Ciphertexts are identical to the scalar path's.
-    pub fn encrypt_run(&self, values: &[u64], first_id: u64) -> Vec<AsheCiphertext> {
+    /// The run's masks are expanded straight into `out` through the batched
+    /// keystream kernel (~N/2 block encryptions with the packed AES PRF,
+    /// where per-value [`AsheScheme::encrypt`] calls would pay 2 unbatched
+    /// blocks each) and each is then replaced in place by its ciphertext
+    /// word, carrying the shared boundary mask forward. Words are identical
+    /// to the scalar path's.
+    pub fn encrypt_run_into(&self, values: &[u64], first_id: u64, out: &mut [u64]) {
+        assert_eq!(values.len(), out.len(), "one ciphertext word per value");
         if values.is_empty() {
-            return Vec::new();
+            return;
         }
-        let mut masks = vec![0u64; values.len() + 1];
-        self.mask_run(first_id.wrapping_sub(1), &mut masks);
-        values
-            .iter()
+        self.mask_run(first_id, out);
+        let mut mask_prev = self.mask(first_id.wrapping_sub(1));
+        for (&m, slot) in values.iter().zip(out.iter_mut()) {
+            let mask_cur = *slot;
+            *slot = self.add_group(self.sub_group(self.reduce_word(m), mask_cur), mask_prev);
+            mask_prev = mask_cur;
+        }
+    }
+
+    /// [`AsheScheme::encrypt_run_into`] with each word wrapped into a full
+    /// [`AsheCiphertext`] carrying its identifier — for callers that go on to
+    /// ⊕ the ciphertexts rather than store them as a column.
+    pub fn encrypt_run(&self, values: &[u64], first_id: u64) -> Vec<AsheCiphertext> {
+        let mut words = vec![0u64; values.len()];
+        self.encrypt_run_into(values, first_id, &mut words);
+        words
+            .into_iter()
             .enumerate()
-            .map(|(i, &m)| {
-                let id = first_id.wrapping_add(i as u64);
-                let reduced_m = if self.modulus == 0 { m } else { m % self.modulus };
-                // masks[i] = F(id - 1), masks[i + 1] = F(id)
-                let value = self.add_group(self.sub_group(reduced_m, masks[i + 1]), masks[i]);
-                AsheCiphertext {
-                    value,
-                    ids: IdSet::single(id),
-                }
+            .map(|(i, value)| AsheCiphertext {
+                value,
+                ids: IdSet::single(first_id.wrapping_add(i as u64)),
             })
             .collect()
     }
@@ -248,24 +286,46 @@ impl AsheScheme {
     /// Decrypts a ciphertext, re-deriving one pair of PRF masks per run of
     /// contiguous identifiers (§3.2's telescoping optimisation).
     ///
-    /// For an explicit modulus the boundary masks are accumulated at full
-    /// width in stack-allocated [`FixedUint`] sums — no per-term `u128`
-    /// reduction, no heap traffic — and reduced once at the end; the group
-    /// is commutative so the result matches the term-by-term reference.
+    /// The run boundaries are gathered and their masks evaluated through
+    /// [`AsheScheme::mask_each`], 32 runs per batched dispatch, instead of
+    /// two single-block PRF calls per run. For an explicit modulus the masks
+    /// are accumulated at full width in stack-allocated [`FixedUint`] sums —
+    /// no per-term `u128` reduction, no heap traffic — and reduced once at
+    /// the end; the group is commutative so the result matches the
+    /// term-by-term reference.
     pub fn decrypt(&self, c: &AsheCiphertext) -> u64 {
+        const RUNS: usize = 32;
+        // Per run: ids[2j] is the boundary whose mask is added, ids[2j + 1]
+        // the one whose mask is subtracted.
+        let mut ids = [0u64; 2 * RUNS];
+        let mut masks = [0u64; 2 * RUNS];
+        let mut wrapping = c.value;
+        let mut added = FixedUint::<2>::ZERO;
+        let mut subtracted = FixedUint::<2>::ZERO;
+        let mut boundaries = c.ids.boundary_pairs();
+        loop {
+            let mut n = 0;
+            for (end, before_start) in boundaries.by_ref().take(RUNS) {
+                ids[n] = end;
+                ids[n + 1] = before_start;
+                n += 2;
+            }
+            if n == 0 {
+                break;
+            }
+            self.mask_each(&ids[..n], &mut masks[..n]);
+            for pair in masks[..n].chunks_exact(2) {
+                if self.modulus == 0 {
+                    wrapping = wrapping.wrapping_add(pair[0]).wrapping_sub(pair[1]);
+                } else {
+                    added.add_assign_u64(pair[0]);
+                    subtracted.add_assign_u64(pair[1]);
+                }
+            }
+        }
         if self.modulus == 0 {
-            let mut acc = c.value;
-            for (end, before_start) in c.ids.boundary_pairs() {
-                acc = acc.wrapping_add(self.mask(end)).wrapping_sub(self.mask(before_start));
-            }
-            acc
+            wrapping
         } else {
-            let mut added = FixedUint::<2>::ZERO;
-            let mut subtracted = FixedUint::<2>::ZERO;
-            for (end, before_start) in c.ids.boundary_pairs() {
-                added.add_assign_u64(self.mask(end));
-                subtracted.add_assign_u64(self.mask(before_start));
-            }
             let delta = self.sub_group(added.rem_u64(self.modulus), subtracted.rem_u64(self.modulus));
             self.add_group(c.value, delta)
         }
@@ -438,6 +498,32 @@ mod tests {
                 s.mask_run(start, &mut run);
                 for (i, got) in run.iter().enumerate() {
                     assert_eq!(*got, s.mask(start.wrapping_add(i as u64)), "start={start} i={i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mask_each_matches_scalar_mask() {
+        let schemes = [
+            scheme(),
+            AsheScheme::with_options(&[5u8; 16], PrfKind::Aes, 1_000_003),
+            AsheScheme::with_options(&[5u8; 16], PrfKind::Hash, 97),
+        ];
+        // Scattered, repeated and extreme identifiers, across the 64-id chunk.
+        let ids: Vec<u64> = (0..150u64)
+            .map(|i| match i % 5 {
+                0 => u64::MAX - i,
+                1 => i / 5,
+                _ => i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            })
+            .collect();
+        for s in &schemes {
+            for len in [0usize, 1, 2, 63, 64, 65, 150] {
+                let mut out = vec![0u64; len];
+                s.mask_each(&ids[..len], &mut out);
+                for (got, &id) in out.iter().zip(&ids) {
+                    assert_eq!(*got, s.mask(id), "id={id}");
                 }
             }
         }

@@ -13,6 +13,8 @@
 //! machine-readable `BENCH_<name>.json` artifacts (default directory
 //! `bench_results/`) in `seabed_bench::metrics`.
 
+#![forbid(unsafe_code)]
+
 use seabed_bench::*;
 
 fn main() {

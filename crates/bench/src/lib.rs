@@ -14,6 +14,7 @@
 //! the crossovers are — are preserved.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod metrics;
 pub mod runner;
@@ -1999,7 +2000,9 @@ pub fn exp_crypto_throughput(scale: &Scale) -> Vec<Row> {
     use seabed_net::ServiceConfig;
     use seabed_query::Literal;
 
-    let mut out = Vec::new();
+    // Which AES kernel every row below ran on, as a row of its own so it is
+    // printed with the table as well as stamped in the artifact's `meta`.
+    let mut out = vec![Row::new(format!("aes backend: {}", seabed_crypto::aes_backend()))];
 
     // --- batched kernels vs their scalar references ------------------------
     // Throughput of `f` in operations/second: one warm-up pass, then the
@@ -2271,6 +2274,7 @@ mod tests {
     fn crypto_throughput_reports_kernels_and_cache_modes() {
         let rows = exp_crypto_throughput(&tiny_scale());
         let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels[0], format!("aes backend: {}", seabed_crypto::aes_backend()));
         for kernel in ["ashe_encrypt", "prf_eval", "ore_encrypt"] {
             let row = rows.iter().find(|r| r.label == kernel).expect(kernel);
             let x = row.value("batch_x").expect("batch_x");
@@ -2306,7 +2310,10 @@ mod tests {
         ];
         let json = rows_to_json("table1", &Scale::smoke(), &RunMeta::default(), &rows);
         assert!(json.contains("\"experiment\": \"table1\""));
-        assert!(json.contains("\"meta\": {\"unix_timestamp\": 0, \"git_commit\": \"unknown\"}"));
+        assert!(json.contains(&format!(
+            "\"meta\": {{\"unix_timestamp\": 0, \"git_commit\": \"unknown\", \"aes_backend\": \"{}\"}}",
+            seabed_crypto::aes_backend()
+        )));
         assert!(json.contains("\"row_divisor\": 20000"));
         assert!(json.contains("\"ASHE \\\"enc\\\"\""));
         assert!(json.contains("\"ns_per_op\": 42.5"));

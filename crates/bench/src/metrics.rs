@@ -68,6 +68,10 @@ pub struct RunMeta {
     /// `git rev-parse HEAD` of the tree that produced the numbers, or
     /// `"unknown"` when git or the repository is unavailable.
     pub git_commit: String,
+    /// [`seabed_crypto::aes_backend`] on the machine that ran: `"aes-ni"`
+    /// or `"portable"`. A runner that silently fell back to software AES
+    /// shows here instead of as an unexplained 50x in every crypto row.
+    pub aes_backend: &'static str,
 }
 
 impl Default for RunMeta {
@@ -75,6 +79,7 @@ impl Default for RunMeta {
         RunMeta {
             unix_timestamp: 0,
             git_commit: "unknown".to_string(),
+            aes_backend: seabed_crypto::aes_backend(),
         }
     }
 }
@@ -100,6 +105,7 @@ impl RunMeta {
         RunMeta {
             unix_timestamp,
             git_commit,
+            ..RunMeta::default()
         }
     }
 }
@@ -135,7 +141,7 @@ fn json_number(v: f64) -> String {
 /// ```json
 /// {
 ///   "experiment": "fig6",
-///   "meta": {"unix_timestamp": 1754600000, "git_commit": "abc123..."},
+///   "meta": {"unix_timestamp": 1754600000, "git_commit": "abc123...", "aes_backend": "aes-ni"},
 ///   "scale": {"row_divisor": 1000, "partitions": 64, ...},
 ///   "rows": [{"label": "...", "values": {"response_s": 1.25}}]
 /// }
@@ -149,9 +155,10 @@ pub fn rows_to_json(experiment: &str, scale: &Scale, meta: &RunMeta, rows: &[Row
     out.push_str("{\n");
     out.push_str(&format!("  \"experiment\": \"{}\",\n", json_escape(experiment)));
     out.push_str(&format!(
-        "  \"meta\": {{\"unix_timestamp\": {}, \"git_commit\": \"{}\"}},\n",
+        "  \"meta\": {{\"unix_timestamp\": {}, \"git_commit\": \"{}\", \"aes_backend\": \"{}\"}},\n",
         meta.unix_timestamp,
-        json_escape(&meta.git_commit)
+        json_escape(&meta.git_commit),
+        meta.aes_backend
     ));
     out.push_str(&format!(
         "  \"scale\": {{\"row_divisor\": {}, \"paillier_row_cap\": {}, \"paillier_bits\": {}, \"partitions\": {}, \"seed\": {}}},\n",

@@ -232,6 +232,7 @@ mod tests {
         let stamp = RunMeta {
             unix_timestamp: 1_754_600_000,
             git_commit: "deadbeef".to_string(),
+            ..RunMeta::default()
         };
         let mut runner = ExperimentRunner::new(ExperimentConfig::new(Scale::smoke()).json_dir(&dir).meta(stamp));
         runner.register("gamma", "Gamma", |_| vec![Row::new("g").with("v", 1.0)]);

@@ -29,6 +29,7 @@ use seabed_engine::{ColumnData, ColumnType, Schema, Table};
 use seabed_query::encnames;
 use seabed_query::planner::{EncryptionChoice, SchemaPlan};
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// An encrypted table plus the client-side state needed to use it.
 #[derive(Clone)]
@@ -117,7 +118,6 @@ pub fn encrypt_dataset<R: Rng + ?Sized>(
     num_partitions: usize,
     rng: &mut R,
 ) -> EncryptedTable {
-    let n = dataset.num_rows();
     let mut fields: Vec<(String, ColumnType)> = Vec::new();
     let mut columns: Vec<ColumnData> = Vec::new();
     let mut det_dictionary: HashMap<String, HashMap<u64, String>> = HashMap::new();
@@ -167,14 +167,10 @@ pub fn encrypt_dataset<R: Rng + ?Sized>(
             EncryptionChoice::Det => {
                 let det = DetScheme::new(&keys.det_key(&col_plan.name));
                 let physical = encnames::det(&col_plan.name);
-                let mut tags = Vec::with_capacity(n);
-                let mut dict = HashMap::new();
-                for i in 0..n {
-                    let text = source.text_at(i);
-                    let tag = det.tag64_of(text.as_bytes());
-                    dict.insert(tag, text);
-                    tags.push(tag);
-                }
+                let (tags, dict) = match source {
+                    PlainColumn::UInt(v) => det_column(&det, v.iter().copied(), |value| value.to_string()),
+                    PlainColumn::Text(v) => det_column(&det, v.iter().map(String::as_str), str::to_string),
+                };
                 det_dictionary.insert(physical.clone(), dict);
                 fields.push((physical, ColumnType::UInt64));
                 columns.push(ColumnData::UInt64(tags));
@@ -233,6 +229,30 @@ pub fn encrypt_dataset<R: Rng + ?Sized>(
         plan: plan.clone(),
         det_dictionary,
     }
+}
+
+/// DET tags of a column's rows plus the proxy's reverse dictionary, paying
+/// one HMAC, one text rendering and one dictionary entry per *distinct* value
+/// (a dimension column holds few) rather than per row. `text_of` renders a
+/// value in the canonical text form DET operates on.
+fn det_column<V: Copy + Eq + Hash>(
+    det: &DetScheme,
+    values: impl Iterator<Item = V>,
+    text_of: impl Fn(V) -> String,
+) -> (Vec<u64>, HashMap<u64, String>) {
+    let mut tag_of: HashMap<V, u64> = HashMap::new();
+    let mut dict = HashMap::new();
+    let tags = values
+        .map(|value| {
+            *tag_of.entry(value).or_insert_with(|| {
+                let text = text_of(value);
+                let tag = det.tag64_of(text.as_bytes());
+                dict.insert(tag, text);
+                tag
+            })
+        })
+        .collect();
+    (tags, dict)
 }
 
 fn numeric_values(source: &PlainColumn, name: &str) -> Vec<u64> {
@@ -327,10 +347,7 @@ fn splay_dimension<R: Rng + ?Sized>(
         let det = DetScheme::new(&keys.det_key(dimension));
         let physical = encnames::det(dimension);
         let tags: Vec<u64> = infrequent.iter().map(|v| det.tag64_of(v.as_bytes())).collect();
-        let mut dict: HashMap<u64, String> = infrequent
-            .iter()
-            .map(|v| (det.tag64_of(v.as_bytes()), v.clone()))
-            .collect();
+        let mut dict: HashMap<u64, String> = tags.iter().copied().zip(infrequent.iter().cloned()).collect();
         let mut det_column = vec![0u64; n];
         let mut counts = vec![0u64; infrequent.len()];
         let mut dummy_rows = Vec::new();
@@ -460,6 +477,46 @@ mod tests {
         let tags = enc.table.gather_u64("country__det").unwrap();
         for tag in tags {
             assert!(dict.contains_key(&tag), "tag {tag} missing from dictionary");
+        }
+    }
+
+    /// One tag per distinct value ≡ one tag per row: on columns full of
+    /// duplicates (text and numeric) the stored tags and the dictionary are
+    /// what the per-row loop would have produced.
+    #[test]
+    fn det_memo_matches_per_row_tags() {
+        let depts: Vec<String> = (0..200u64).map(|i| format!("dept-{}", (i * i + 3) % 7)).collect();
+        let codes: Vec<u64> = (0..200u64).map(|i| (i * 31) % 5 + 1_000).collect();
+        let ds = PlainDataset::new("staff")
+            .with_text_column("dept", depts)
+            .with_uint_column("code", codes)
+            .with_uint_column("pay", (0..200).collect());
+        let columns = vec![
+            ColumnSpec::sensitive("dept"),
+            ColumnSpec::sensitive("code"),
+            ColumnSpec::sensitive("pay"),
+        ];
+        let queries = vec![
+            parse("SELECT dept, SUM(pay) FROM staff GROUP BY dept").unwrap(),
+            parse("SELECT SUM(pay) FROM staff WHERE code = 1001").unwrap(),
+        ];
+        let plan = plan_schema(&columns, &queries, &PlannerConfig::default());
+        let keys = KeyStore::new(b"master");
+        let enc = encrypt_dataset(&ds, &plan, &keys, 2, &mut rand::rng());
+        for name in ["dept", "code"] {
+            let det = DetScheme::new(&keys.det_key(name));
+            let source = ds.column(name).unwrap();
+            let per_row: Vec<(u64, String)> = (0..ds.num_rows())
+                .map(|i| (det.tag64_of(source.text_at(i).as_bytes()), source.text_at(i)))
+                .collect();
+            let physical = encnames::det(name);
+            let stored = enc.table.gather_u64(&physical).unwrap();
+            assert_eq!(stored, per_row.iter().map(|(tag, _)| *tag).collect::<Vec<_>>());
+            assert_eq!(
+                enc.det_dictionary[&physical],
+                per_row.into_iter().collect::<HashMap<_, _>>()
+            );
+            assert!(enc.det_dictionary[&physical].len() <= 7, "one entry per distinct value");
         }
     }
 

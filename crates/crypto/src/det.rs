@@ -15,8 +15,8 @@
 //! body allows the proxy to recover the plaintext when a query projects the
 //! column.
 
-use crate::aes::AesCtr;
-use crate::sha256::hmac_sha256;
+use crate::aes::{Aes128, AesCtr};
+use crate::sha256::HmacSha256;
 
 /// A deterministic ciphertext.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -37,34 +37,49 @@ impl DetCiphertext {
     /// A compact 64-bit handle derived from the tag, convenient for storing
     /// DET values in fixed-width engine columns and for hash joins.
     pub fn tag64(&self) -> u64 {
-        u64::from_be_bytes(self.tag[..8].try_into().unwrap())
+        tag64(&self.tag)
     }
 }
 
+fn tag64(tag: &[u8; 16]) -> u64 {
+    u64::from_be_bytes(tag[..8].try_into().expect("8-byte tag half"))
+}
+
 /// Deterministic encryption scheme instance (one per column).
+///
+/// Both halves of the key are held in expanded form — the MAC key as the two
+/// HMAC pad midstates, the encryption key as AES round keys — so a value
+/// costs no key setup, and both wipe themselves when the scheme is dropped.
 #[derive(Clone)]
 pub struct DetScheme {
-    mac_key: Vec<u8>,
-    enc_key: [u8; 16],
+    mac: HmacSha256,
+    cipher: Aes128,
 }
 
 impl DetScheme {
     /// Creates a scheme from a 32-byte key (split into MAC and encryption halves).
     pub fn new(key: &[u8; 32]) -> Self {
         DetScheme {
-            mac_key: key[..16].to_vec(),
-            enc_key: key[16..].try_into().unwrap(),
+            mac: HmacSha256::new(&key[..16]),
+            cipher: Aes128::new(key[16..].try_into().expect("16-byte encryption half")),
         }
+    }
+
+    /// The 128-bit equality tag of `plaintext`.
+    fn tag_of(&self, plaintext: &[u8]) -> [u8; 16] {
+        self.mac.mac(plaintext)[..16].try_into().expect("16-byte tag")
+    }
+
+    /// The body keystream for a tag: AES-CTR with the tag's first half as nonce.
+    fn keystream(&self, tag: &[u8; 16]) -> AesCtr {
+        AesCtr::with_cipher(self.cipher.clone(), tag64(tag))
     }
 
     /// Encrypts an arbitrary byte string deterministically.
     pub fn encrypt(&self, plaintext: &[u8]) -> DetCiphertext {
-        let mac = hmac_sha256(&self.mac_key, plaintext);
-        let tag: [u8; 16] = mac[..16].try_into().unwrap();
-        let nonce = u64::from_be_bytes(tag[..8].try_into().unwrap());
-        let ctr = AesCtr::new(&self.enc_key, nonce);
+        let tag = self.tag_of(plaintext);
         let mut body = plaintext.to_vec();
-        ctr.xor_keystream(0, &mut body);
+        self.keystream(&tag).xor_keystream(0, &mut body);
         DetCiphertext { tag, body }
     }
 
@@ -79,25 +94,19 @@ impl DetScheme {
     }
 
     /// Returns only the 64-bit equality handle for a value — what the server
-    /// actually stores for fixed-width DET columns.
+    /// actually stores for fixed-width DET columns. One HMAC, no AES: equal
+    /// to `self.encrypt(plaintext).tag64()` without producing the body.
     pub fn tag64_of(&self, plaintext: &[u8]) -> u64 {
-        self.encrypt(plaintext).tag64()
+        tag64(&self.tag_of(plaintext))
     }
 
     /// Decrypts a ciphertext produced by this scheme, verifying the tag.
     ///
     /// Returns `None` if the tag does not match (wrong key or corrupted data).
     pub fn decrypt(&self, c: &DetCiphertext) -> Option<Vec<u8>> {
-        let nonce = u64::from_be_bytes(c.tag[..8].try_into().unwrap());
-        let ctr = AesCtr::new(&self.enc_key, nonce);
         let mut plain = c.body.clone();
-        ctr.xor_keystream(0, &mut plain);
-        let mac = hmac_sha256(&self.mac_key, &plain);
-        if mac[..16] == c.tag {
-            Some(plain)
-        } else {
-            None
-        }
+        self.keystream(&c.tag).xor_keystream(0, &mut plain);
+        (self.tag_of(&plain) == c.tag).then_some(plain)
     }
 
     /// Decrypts to a string.
@@ -168,6 +177,24 @@ mod tests {
         let s = scheme();
         assert_eq!(s.tag64_of(b"USA"), s.tag64_of(b"USA"));
         assert_ne!(s.tag64_of(b"USA"), s.tag64_of(b"Iraq"));
+    }
+
+    /// The tag-only path is the full encryption's tag, and the scheme is the
+    /// documented construction over the raw key halves.
+    #[test]
+    fn tag_only_path_matches_full_encryption_and_the_construction() {
+        let key: [u8; 32] = std::array::from_fn(|i| (i * 7 + 1) as u8);
+        let s = DetScheme::new(&key);
+        for len in [0usize, 1, 15, 16, 17, 55, 56, 64, 130, 300] {
+            let plaintext: Vec<u8> = (0..len).map(|i| (i * 3) as u8).collect();
+            let c = s.encrypt(&plaintext);
+            assert_eq!(s.tag64_of(&plaintext), c.tag64(), "len={len}");
+            let mac = crate::sha256::hmac_sha256(&key[..16], &plaintext);
+            assert_eq!(c.tag, mac[..16]);
+            let mut body = plaintext.clone();
+            AesCtr::new(key[16..].try_into().unwrap(), c.tag64()).xor_keystream(0, &mut body);
+            assert_eq!(c.body, body);
+        }
     }
 
     #[test]

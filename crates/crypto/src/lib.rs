@@ -3,7 +3,8 @@
 //! Cryptographic primitives for the Seabed encrypted-analytics system
 //! (Papadimitriou et al., OSDI 2016), implemented from scratch:
 //!
-//! * [`aes`] — software AES-128/256 and CTR mode (the PRF backbone);
+//! * [`aes`] — AES-128/256 and CTR mode (the PRF backbone): AES-NI where the
+//!   CPU has it, a portable software kernel elsewhere;
 //! * [`sha256`] — SHA-256, HMAC and key derivation;
 //! * [`prf`] — the keyed pseudo-random functions ASHE and ORE are built on;
 //! * [`bigint`] / [`prime`] — arbitrary-precision arithmetic and prime
@@ -18,6 +19,9 @@
 //! `seabed-splashe`; both consume the primitives defined here.
 
 #![warn(missing_docs)]
+// `unsafe` is confined to `aes::hw` (the AES-NI kernel and the volatile key
+// wipe), which opts back in; everything else in the crate is checked safe.
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn)]
 
 pub mod aes;
 pub mod bigint;
@@ -28,14 +32,14 @@ pub mod prf;
 pub mod prime;
 pub mod sha256;
 
-pub use aes::{Aes128, Aes256, AesCtr};
+pub use aes::{aes_backend, Aes128, Aes256, AesCtr};
 pub use bigint::fixed::FixedUint;
 pub use bigint::BigUint;
 pub use det::{DetCiphertext, DetScheme};
 pub use ore::{try_compare_symbols, OreCiphertext, OreScheme};
 pub use paillier::{PaillierCiphertext, PaillierKeypair, PaillierPrivateKey, PaillierPublicKey};
 pub use prf::{AesPrf, AnyPrf, HashPrf, Prf, PrfKind};
-pub use sha256::{derive_key_128, derive_key_256, hmac_sha256, Sha256};
+pub use sha256::{derive_key_128, derive_key_256, hmac_sha256, HmacSha256, Sha256};
 
 #[cfg(test)]
 mod proptests {

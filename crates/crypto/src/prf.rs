@@ -14,8 +14,8 @@
 //! Both produce values in `Z_n` for a caller-chosen modulus `n`; Seabed uses
 //! `n = 2^64` for 64-bit measures, in which case the reduction is free.
 
-use crate::aes::AesCtr;
-use crate::sha256::hmac_sha256;
+use crate::aes::{block_words, AesCtr};
+use crate::sha256::HmacSha256;
 
 /// A keyed pseudo-random function from 64-bit identifiers to `Z_n`.
 pub trait Prf: Send + Sync {
@@ -83,16 +83,42 @@ impl AesPrf {
     /// packed identifiers therefore costs ~N/2 block encryptions in a handful
     /// of dispatches rather than one dispatch per identifier.
     pub fn eval_wide_run(&self, first_block: u64, out: &mut [[u64; 2]]) {
+        self.expand(
+            out,
+            |offset, blocks| {
+                self.ctr
+                    .keystream_blocks(first_block.wrapping_add(offset as u64), blocks)
+            },
+            block_words,
+        );
+    }
+
+    /// [`AesPrf::eval_wide`] at arbitrary block counters — `out[i]` holds
+    /// both words of block `counters[i]` — issued through the batched AES
+    /// kernel. This is what lets ASHE decryption evaluate all of an ID set's
+    /// run boundaries in a few dispatches instead of one per boundary.
+    pub fn eval_wide_each(&self, counters: &[u64], out: &mut [[u64; 2]]) {
+        assert_eq!(counters.len(), out.len(), "one output pair per counter");
+        self.expand(
+            out,
+            |offset, blocks| {
+                self.ctr
+                    .keystream_blocks_at(&counters[offset..offset + blocks.len()], blocks)
+            },
+            block_words,
+        );
+    }
+
+    /// Fills `out` [`RUN_CHUNK`] keystream blocks per dispatch: `fill`
+    /// encrypts the blocks of output positions `offset..`, `convert` turns
+    /// each block into its output.
+    fn expand<T>(&self, out: &mut [T], fill: impl Fn(usize, &mut [[u8; 16]]), convert: impl Fn(&[u8; 16]) -> T) {
         let mut blocks = [[0u8; 16]; RUN_CHUNK];
         for (chunk_index, chunk) in out.chunks_mut(RUN_CHUNK).enumerate() {
-            let counter = first_block.wrapping_add((chunk_index * RUN_CHUNK) as u64);
             let blocks = &mut blocks[..chunk.len()];
-            self.ctr.keystream_blocks(counter, blocks);
-            for (words, block) in chunk.iter_mut().zip(blocks.iter()) {
-                *words = [
-                    u64::from_be_bytes(block[..8].try_into().unwrap()),
-                    u64::from_be_bytes(block[8..].try_into().unwrap()),
-                ];
+            fill(chunk_index * RUN_CHUNK, blocks);
+            for (value, block) in chunk.iter_mut().zip(blocks.iter()) {
+                *value = convert(block);
             }
         }
     }
@@ -107,15 +133,11 @@ impl Prf for AesPrf {
     }
 
     fn eval_run(&self, first_id: u64, modulus: u64, out: &mut [u64]) {
-        let mut blocks = [[0u8; 16]; RUN_CHUNK];
-        for (chunk_index, chunk) in out.chunks_mut(RUN_CHUNK).enumerate() {
-            let counter = first_id.wrapping_add((chunk_index * RUN_CHUNK) as u64);
-            let blocks = &mut blocks[..chunk.len()];
-            self.ctr.keystream_blocks(counter, blocks);
-            for (value, block) in chunk.iter_mut().zip(blocks.iter()) {
-                *value = reduce(u64::from_be_bytes(block[..8].try_into().unwrap()), modulus);
-            }
-        }
+        self.expand(
+            out,
+            |offset, blocks| self.ctr.keystream_blocks(first_id.wrapping_add(offset as u64), blocks),
+            |block| reduce(block_words(block)[0], modulus),
+        );
     }
 }
 
@@ -123,19 +145,21 @@ impl Prf for AesPrf {
 /// mod `n`. Slower than [`AesPrf`] but does not assume AES behaves as a PRP.
 #[derive(Clone)]
 pub struct HashPrf {
-    key: Vec<u8>,
+    mac: HmacSha256,
 }
 
 impl HashPrf {
     /// Creates the PRF from an arbitrary-length key.
     pub fn new(key: &[u8]) -> Self {
-        HashPrf { key: key.to_vec() }
+        HashPrf {
+            mac: HmacSha256::new(key),
+        }
     }
 }
 
 impl Prf for HashPrf {
     fn eval(&self, id: u64, modulus: u64) -> u64 {
-        let mac = hmac_sha256(&self.key, &id.to_be_bytes());
+        let mac = self.mac.mac(&id.to_be_bytes());
         reduce(u64::from_be_bytes(mac[..8].try_into().unwrap()), modulus)
     }
 }
@@ -281,6 +305,19 @@ mod tests {
             p.eval_wide_run(start, &mut run);
             for (i, got) in run.iter().enumerate() {
                 assert_eq!(*got, p.eval_wide(start.wrapping_add(i as u64)), "start={start} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn eval_wide_each_matches_eval_wide() {
+        let p = AesPrf::new(&[0x77; 16]);
+        let counters: Vec<u64> = (0..70u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        for len in [0usize, 1, 31, 32, 33, 70] {
+            let mut out = vec![[0u64; 2]; len];
+            p.eval_wide_each(&counters[..len], &mut out);
+            for (got, &counter) in out.iter().zip(&counters) {
+                assert_eq!(*got, p.eval_wide(counter), "counter={counter}");
             }
         }
     }

@@ -6,6 +6,8 @@
 //! the hash-based option plus HMAC, which is also used to derive per-column
 //! sub-keys from the tenant's master key.
 
+use crate::aes::hw::wipe;
+
 /// SHA-256 round constants.
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5, 0xd807aa98,
@@ -84,25 +86,28 @@ impl Sha256 {
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80 then zeros then 64-bit length.
-        self.update(&[0x80]);
-        // Undo the length accounting for padding bytes.
-        self.total_len = self.total_len.wrapping_sub(1);
-        while self.buffer_len != 56 {
-            let before = self.buffer_len;
-            self.update(&[0x00]);
-            self.total_len = self.total_len.wrapping_sub(1);
-            if self.buffer_len == before && before == 0 {
-                break;
-            }
+        // Padding: 0x80, zeros up to the last 8 bytes of a block, then the
+        // 64-bit message length — spilling into a second block if needed.
+        let mut block = self.buffer;
+        block[self.buffer_len] = 0x80;
+        block[self.buffer_len + 1..].fill(0);
+        if self.buffer_len + 1 > 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
+    }
+
+    /// Overwrites the chaining state and the buffered input.
+    fn wipe(&mut self) {
+        wipe(&mut self.state);
+        wipe(&mut self.buffer);
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
@@ -147,26 +152,57 @@ impl Sha256 {
     }
 }
 
-/// HMAC-SHA-256.
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
-    let mut key_block = [0u8; 64];
-    if key.len() > 64 {
-        let digest = Sha256::digest(key);
-        key_block[..32].copy_from_slice(&digest);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
+/// A keyed HMAC-SHA-256 instance: the key's inner and outer pads are hashed
+/// once, at construction, and each [`HmacSha256::mac`] resumes from those two
+/// midstates — two compressions saved per short message, no allocation. The
+/// midstates are as good as the key, so they are wiped on drop.
+#[derive(Clone)]
+pub struct HmacSha256 {
+    inner: Sha256,
+    outer: Sha256,
+}
 
-    let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+impl HmacSha256 {
+    /// Absorbs `key` (hashed first if longer than one block, per RFC 2104).
+    pub fn new(key: &[u8]) -> Self {
+        let mut pad = [0u8; 64];
+        if key.len() > 64 {
+            pad[..32].copy_from_slice(&Sha256::digest(key));
+        } else {
+            pad[..key.len()].copy_from_slice(key);
+        }
+        let mut mac = HmacSha256 {
+            inner: Sha256::new(),
+            outer: Sha256::new(),
+        };
+        pad.iter_mut().for_each(|b| *b ^= 0x36);
+        mac.inner.update(&pad);
+        pad.iter_mut().for_each(|b| *b ^= 0x36 ^ 0x5c);
+        mac.outer.update(&pad);
+        wipe(&mut pad);
+        mac
+    }
+
+    /// `HMAC(key, message)`.
+    pub fn mac(&self, message: &[u8]) -> [u8; 32] {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
+impl Drop for HmacSha256 {
+    fn drop(&mut self) {
+        self.inner.wipe();
+        self.outer.wipe();
+    }
+}
+
+/// One-shot HMAC-SHA-256.
+pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
+    HmacSha256::new(key).mac(message)
 }
 
 /// Derives a 16-byte sub-key from a master key and a label, via HMAC.
@@ -270,6 +306,33 @@ mod tests {
             hex(&hmac_sha256(&key, msg)),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    /// A keyed instance (pads hashed once, reused across messages) is RFC
+    /// 2104 spelled out, across the padding boundaries (55/56 and 63/64
+    /// message bytes) and the long-key rule.
+    #[test]
+    fn keyed_instance_matches_rfc2104_at_padding_boundaries() {
+        for key_len in [0usize, 16, 64, 65, 131] {
+            let key = vec![0x5a; key_len];
+            let mac = HmacSha256::new(&key);
+            for len in [0usize, 1, 54, 55, 56, 57, 63, 64, 65, 119, 120, 200] {
+                let message: Vec<u8> = (0..len).map(|i| i as u8).collect();
+                let mut pad = [0u8; 64];
+                if key_len > 64 {
+                    pad[..32].copy_from_slice(&Sha256::digest(&key));
+                } else {
+                    pad[..key_len].copy_from_slice(&key);
+                }
+                let mut inner = Sha256::new();
+                inner.update(&pad.map(|b| b ^ 0x36));
+                inner.update(&message);
+                let mut outer = Sha256::new();
+                outer.update(&pad.map(|b| b ^ 0x5c));
+                outer.update(&inner.finalize());
+                assert_eq!(mac.mac(&message), outer.finalize(), "key {key_len} message {len}");
+            }
+        }
     }
 
     #[test]

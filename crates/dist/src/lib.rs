@@ -48,6 +48,7 @@
 //! in-process server ([`seabed_core::QueryTarget`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod coordinator;

@@ -18,6 +18,7 @@
 //!   compressor, usable on their own.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bitio;
 pub mod bitmap;

@@ -27,6 +27,7 @@
 //!   binary serialization standing in for Protobuf-on-HDFS.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cluster;
 pub mod exec;

@@ -16,6 +16,7 @@
 //! ceremony.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::fmt;
 

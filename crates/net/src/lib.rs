@@ -32,6 +32,7 @@
 //! tags and ORE symbols cross the wire, in both directions.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod conn;

@@ -33,6 +33,7 @@
 //! scraped over the wire (`MetricsRequest`/`MetricsSnapshot` frames).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod events;
 mod metrics;

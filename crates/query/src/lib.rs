@@ -19,6 +19,7 @@
 //!   aggregate) that measured per-operator profiles annotate.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ast;
 pub mod parser;

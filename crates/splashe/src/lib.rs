@@ -17,6 +17,7 @@
 //!   DET leaks and what SPLASHE protects.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod attack;
 pub mod basic;

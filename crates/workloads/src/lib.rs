@@ -14,6 +14,7 @@
 //!   MDX function matrix of Table 6.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ad_analytics;
 pub mod bdb;

@@ -24,6 +24,7 @@
 //! * [`workloads`] — synthetic, BDB and Ad-Analytics workload generators.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use seabed_ashe as ashe;
 pub use seabed_core as core;

@@ -2,8 +2,8 @@
 //! scalar reference path.
 //!
 //! The batched hot paths (multi-block AES dispatch, PRF keystream runs, the
-//! packed ASHE mask runs, run-encryption, the batched ORE prefix encryption,
-//! and the fixed-width bigint accumulators) exist purely for throughput:
+//! packed ASHE mask runs, run-encryption, batched boundary decryption, the
+//! batched ORE prefix encryption, and the fixed-width bigint accumulators) exist purely for throughput:
 //! each must be *bit-identical* to the scalar path it replaces, over random
 //! key material, random values, random identifiers — including identifier
 //! runs that wrap `u64::MAX`, empty batches, and single-element batches.
@@ -12,16 +12,17 @@
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use seabed_ashe::{encrypt_column, encrypt_column_scalar, AsheScheme};
+use seabed_ashe::{encrypt_column, encrypt_column_scalar, AsheCiphertext, AsheScheme, IdSet};
 use seabed_crypto::prf::{AesPrf, AnyPrf, Prf, PrfKind};
 use seabed_crypto::{Aes128, Aes256, AesCtr, BigUint, FixedUint, OreScheme};
 
 /// Maps a raw draw onto a batch length, biased to the internal chunk
-/// boundaries (the AES kernel processes 4 lanes per dispatch, the PRF run
-/// evaluators 32 blocks, the packed mask runs 64 identifiers): empty,
-/// singleton, odd, and just past each boundary — plus arbitrary lengths.
+/// boundaries (the AES kernels process 4 lanes per sweep in software and 8 in
+/// hardware, the PRF run evaluators 32 blocks, the packed mask runs 64
+/// identifiers): empty, singleton, odd, and just before, at and past each
+/// boundary — plus arbitrary lengths.
 fn batch_len(raw: u64) -> usize {
-    const BOUNDARIES: [usize; 12] = [0, 1, 2, 3, 5, 31, 32, 33, 63, 64, 65, 129];
+    const BOUNDARIES: [usize; 18] = [0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 129];
     if raw & 1 == 0 {
         BOUNDARIES[(raw >> 1) as usize % BOUNDARIES.len()]
     } else {
@@ -194,15 +195,21 @@ proptest! {
         }
     }
 
-    /// The column front door: batched `encrypt_column` ≡ the retained scalar
-    /// reference, and both telescope back to the plaintext.
+    /// The column front door: batched `encrypt_column` (masks expanded
+    /// straight into the column's words) ≡ the retained scalar reference for
+    /// either PRF, any modulus and identifier runs that wrap `u64::MAX`, and
+    /// both telescope back to the plaintext.
     #[test]
     fn ashe_encrypt_column_matches_scalar_and_roundtrips(
         key in any::<[u8; 16]>(),
-        start in any::<u64>(),
+        aes in any::<bool>(),
+        raw_start in any::<u64>(),
         values in pvec(any::<u64>(), 0..100),
+        raw_mod in any::<u64>(),
     ) {
-        let scheme = AsheScheme::new(&key);
+        let kind = if aes { PrfKind::Aes } else { PrfKind::Hash };
+        let scheme = AsheScheme::with_options(&key, kind, pick_modulus(raw_mod));
+        let start = start_id(raw_start);
         let batched = encrypt_column(&scheme, &values, start);
         let scalar = encrypt_column_scalar(&scheme, &values, start);
         prop_assert_eq!(batched.len(), values.len());
@@ -211,8 +218,51 @@ proptest! {
             let s = scalar.ciphertext_at(i);
             prop_assert_eq!(b.value, s.value);
             prop_assert_eq!(&b.ids, &s.ids);
-            prop_assert_eq!(scheme.decrypt(&b), value);
+            prop_assert_eq!(b.ids.runs()[0].start, start.wrapping_add(i as u64));
+            let expected = if scheme.modulus() == 0 { value } else { value % scheme.modulus() };
+            prop_assert_eq!(scheme.decrypt(&b), expected);
         }
+    }
+
+    /// Batched decryption (all run boundaries gathered into a few PRF
+    /// dispatches) ≡ the naive per-identifier walk, over ID sets of up to
+    /// ~100 runs — past the 32-run dispatch size — that start at identifier 0
+    /// (whose predecessor mask wraps to `u64::MAX`), end at `u64::MAX`, or
+    /// sit anywhere, for either PRF and any modulus.
+    #[test]
+    fn ashe_batched_decrypt_matches_naive_walk(
+        key in any::<[u8; 16]>(),
+        aes in any::<bool>(),
+        raw_base in any::<u64>(),
+        gaps in pvec(1u64..4, 0..150),
+        value in any::<u64>(),
+        raw_mod in any::<u64>(),
+    ) {
+        let kind = if aes { PrfKind::Aes } else { PrfKind::Hash };
+        let scheme = AsheScheme::with_options(&key, kind, pick_modulus(raw_mod));
+        // Sorted identifiers: `base` plus the running sum of the gaps (a gap
+        // of 1 extends a run), anchored at 0, ending at u64::MAX, or anywhere.
+        let offsets: Vec<u64> = gaps
+            .iter()
+            .scan(0u64, |next, &gap| {
+                let offset = *next;
+                *next += gap;
+                Some(offset)
+            })
+            .collect();
+        let span = offsets.last().copied().unwrap_or(0);
+        let base = match raw_base % 3 {
+            0 => 0,
+            1 => u64::MAX - span,
+            _ => raw_base.min(u64::MAX - span),
+        };
+        let ids: Vec<u64> = offsets.iter().map(|offset| base + offset).collect();
+        let ciphertext = AsheCiphertext {
+            value: if scheme.modulus() == 0 { value } else { value % scheme.modulus() },
+            ids: IdSet::from_sorted_ids(&ids),
+        };
+        prop_assert_eq!(scheme.decrypt_prf_evals(&ciphertext), 2 * ciphertext.ids.run_count());
+        prop_assert_eq!(scheme.decrypt(&ciphertext), scheme.decrypt_without_telescoping(&ciphertext));
     }
 
     // ---------------------------------------------------------------

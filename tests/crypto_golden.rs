@@ -1,0 +1,140 @@
+//! Golden digests of the stored and wire formats of the crypto layer.
+//!
+//! The differential suites pin every fast path to a slow path *of the same
+//! commit*; they cannot see a change that moves both. This file pins the
+//! bytes themselves: SHA-256 of the serialized `encrypt_dataset` table, of
+//! the proxy's DET dictionaries and of one encrypted request frame, for a
+//! fixed dataset, master key and generator seed. The digests were recorded
+//! from the commit *before* the AES kernel was given a hardware backend and
+//! the column paths were rewritten (PR 13), so a green run proves that no
+//! ciphertext, tag or frame moved — on whichever AES backend this machine
+//! selects.
+
+use rand::SeedableRng;
+use seabed_core::{PlainDataset, SeabedClient};
+use seabed_crypto::sha256::digest_hex;
+use seabed_net::wire::{encode_frame, Frame};
+use seabed_query::{parse, ColumnSpec, PlannerConfig};
+
+const ROWS: u64 = 300;
+
+/// A fixed dataset touching every encryption choice: a skewed dimension
+/// (enhanced SPLASHE with a balanced DET column), a 16-value DET column full
+/// of duplicates, an ORE column, two ASHE measures (one with squares) and a
+/// public column.
+fn dataset() -> PlainDataset {
+    let mix = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(23);
+    let country = |i: u64| match i % 10 {
+        0..=4 => "USA",
+        5..=7 => "Canada",
+        8 => ["India", "Chile", "Japan"][(i / 10 % 3) as usize],
+        _ => ["India", "Chile", "Japan"][(i / 7 % 3) as usize],
+    };
+    PlainDataset::new("sales")
+        .with_text_column("country", (0..ROWS).map(|i| country(i).to_string()).collect())
+        .with_text_column("dept", (0..ROWS).map(|i| format!("d{:02}", mix(i) % 16)).collect())
+        .with_uint_column("ts", (0..ROWS).map(|i| 1_400_000_000 + mix(i) % 86_400).collect())
+        .with_uint_column("revenue", (0..ROWS).map(|i| mix(i) % 5_000 + 1).collect())
+        .with_uint_column("clicks", (0..ROWS).map(|i| mix(i + 7) % 9).collect())
+        .with_uint_column("hour", (0..ROWS).map(|i| i % 24).collect())
+}
+
+struct Digests {
+    table: String,
+    dictionary: String,
+    request: String,
+}
+
+fn digests() -> Digests {
+    let dataset = dataset();
+    let columns = [
+        ColumnSpec::sensitive_with_distribution("country", dataset.distribution("country").unwrap()),
+        ColumnSpec::sensitive("dept"),
+        ColumnSpec::sensitive("ts"),
+        ColumnSpec::sensitive("revenue"),
+        ColumnSpec::sensitive("clicks"),
+        ColumnSpec::public("hour"),
+    ];
+    let samples: Vec<_> = [
+        "SELECT SUM(revenue) FROM sales WHERE country = 'USA'",
+        "SELECT SUM(revenue) FROM sales WHERE dept = 'd03' AND ts >= 100 AND ts < 200",
+        "SELECT dept, SUM(revenue) FROM sales GROUP BY dept",
+        "SELECT VARIANCE(clicks) FROM sales",
+    ]
+    .iter()
+    .map(|sql| parse(sql).unwrap())
+    .collect();
+    let mut client = SeabedClient::create_plan(b"golden-master-key", &columns, &samples, &PlannerConfig::default());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eab_ed13);
+    let encrypted = client.encrypt_dataset(&dataset, 3, &mut rng);
+    // The plan must keep exercising every kind of encrypted column.
+    for kind in ["__ashe", "__ashe_sq", "__ope", "__ope_val", "__det", "__ind_", "__spl_"] {
+        let covered = encrypted.table.schema.fields.iter().any(|f| f.name.contains(kind));
+        assert!(covered, "golden table lost its {kind} column");
+    }
+
+    // Canonical form of the proxy-side dictionaries: sorted, length-prefixed.
+    let mut entries: Vec<(&String, u64, &String)> = encrypted
+        .det_dictionary
+        .iter()
+        .flat_map(|(column, dict)| dict.iter().map(move |(tag, text)| (column, *tag, text)))
+        .collect();
+    entries.sort();
+    let mut dictionary = Vec::new();
+    for (column, tag, text) in entries {
+        dictionary.extend_from_slice(&(column.len() as u32).to_le_bytes());
+        dictionary.extend_from_slice(column.as_bytes());
+        dictionary.extend_from_slice(&tag.to_le_bytes());
+        dictionary.extend_from_slice(&(text.len() as u32).to_le_bytes());
+        dictionary.extend_from_slice(text.as_bytes());
+    }
+
+    // One request carrying a DET tag and two ORE ciphertexts.
+    let (_, query, filters) = client
+        .prepare_with_schema(
+            &encrypted.table.schema,
+            "SELECT SUM(revenue), COUNT(*) FROM sales WHERE dept = 'd07' AND ts >= 1400010000 AND ts < 1400050000",
+        )
+        .unwrap();
+    assert_eq!(
+        filters.len(),
+        3,
+        "the golden request must carry the DET and both ORE filters"
+    );
+    let request = encode_frame(
+        &Frame::Request {
+            query,
+            filters,
+            trace_id: 0,
+            analyze: false,
+        },
+        u32::MAX,
+    )
+    .unwrap();
+
+    Digests {
+        table: digest_hex(&seabed_engine::storage::serialize_table(&encrypted.table)),
+        dictionary: digest_hex(&dictionary),
+        request: digest_hex(&request),
+    }
+}
+
+#[test]
+fn stored_table_dictionary_and_request_frame_did_not_move() {
+    let got = digests();
+    println!("table      {}", got.table);
+    println!("dictionary {}", got.dictionary);
+    println!("request    {}", got.request);
+    assert_eq!(
+        got.table, "34e5eee27dd13e12e7d303e2df2241b43a58065135da19722f37438b2952dcb2",
+        "serialized encrypt_dataset table"
+    );
+    assert_eq!(
+        got.dictionary, "9e340d77a7dfb7df5a05a158b7f174d0657a4b4c3a44440a20477014cec9cf67",
+        "DET dictionaries"
+    );
+    assert_eq!(
+        got.request, "03926db9d203a8f95038ed3fe625644ecfdd02e3df25c458bba5acaa14e52bea",
+        "encrypted request frame"
+    );
+}
