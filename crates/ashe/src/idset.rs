@@ -12,7 +12,7 @@
 //! operands (possible only with forged or duplicated partial results from an
 //! untrusted worker) coalesce canonically instead of panicking the merge.
 
-use seabed_encoding::{decode_runs, encode_runs, ids_to_runs, IdListEncoding, Run};
+use seabed_encoding::{decode_runs, encode_runs, encoded_size, ids_to_runs, IdListEncoding, Run};
 
 /// A set of row identifiers stored as sorted, non-overlapping, maximal runs.
 #[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -175,9 +175,11 @@ impl IdSet {
         })
     }
 
-    /// Size of the serialized representation, in bytes.
+    /// Size of the serialized representation, in bytes: exactly
+    /// `self.encode(encoding).len()`, computed without encoding wherever the
+    /// encoding allows (see [`seabed_encoding::encoded_size`]).
     pub fn encoded_size(&self, encoding: IdListEncoding) -> usize {
-        self.encode(encoding).len()
+        encoded_size(&self.runs, encoding)
     }
 }
 
@@ -277,6 +279,26 @@ mod tests {
         for enc in IdListEncoding::ALL {
             let data = s.encode(enc);
             assert_eq!(IdSet::decode(&data, enc).unwrap(), s, "{enc:?}");
+        }
+    }
+
+    #[test]
+    fn decode_rejects_a_forged_compressed_list() {
+        // A compressed block whose single token is a match with nothing
+        // before it to copy (see `seabed_encoding::deflate`): kind 1, three
+        // bytes declared, one token, one-bit codes for length symbol 256 and
+        // distance symbol 0, a zero bit stream. Decoding it used to panic.
+        let mut block = vec![1u8, 3, 0, 0, 0, 1, 0, 0, 0];
+        let mut tables = [0u8; 143 + 15];
+        tables[256 / 2] = 1;
+        tables[143] = 1;
+        block.extend_from_slice(&tables);
+        block.push(0);
+        for enc in [
+            IdListEncoding::RangesVbDiffDeflateFast,
+            IdListEncoding::RangesVbDiffDeflateCompact,
+        ] {
+            assert_eq!(IdSet::decode(&block, enc), None);
         }
     }
 

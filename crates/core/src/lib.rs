@@ -62,7 +62,7 @@ pub use encrypt::{encrypt_dataset, physical_ashe_keys, EncryptedTable};
 pub use keys::KeyStore;
 pub use server::{
     finalize_partials, EncryptedAggregate, GroupResult, PartialResponse, PhysicalFilter, QueryTarget, SeabedServer,
-    ServerResponse,
+    ServerResponse, PARTIAL_ID_ENCODING,
 };
 pub use session::{
     event_operators, fnv1a64, outcome_tag, validate_against_schema, Catalog, Explanation, PreparedQuery, SeabedSession,

@@ -527,9 +527,18 @@ fn finish_partial(state: PartialAggregate, encoding: IdListEncoding) -> Encrypte
     }
 }
 
-/// Compressed partial-result size in bytes: what this partition's worker
-/// would ship to the driver. Shared by both execution paths so the reported
-/// shuffle bytes cannot diverge between them.
+/// The encoding ID lists inside partial results travel under — range bounds
+/// in variable-byte form, whatever the query. A gather point (the
+/// `seabed-dist` coordinator) decodes them back into [`IdSet`]s for merging
+/// and re-encodes at finalization under the query's own encoding, so the
+/// final response is byte-identical to single-server execution. The scan's
+/// [`ExecStats::bytes_to_driver`] is accounted in it too: it has a closed
+/// form, so the scan measures its partials without encoding them.
+pub const PARTIAL_ID_ENCODING: IdListEncoding = IdListEncoding::RangesVb;
+
+/// Partial-result size in bytes with ID lists under `encoding`: what this
+/// partition's worker would ship to the driver. Shared by both execution
+/// paths so the reported shuffle bytes cannot diverge between them.
 fn partial_bytes(groups: &PartialGroups, encoding: IdListEncoding, group_columns: usize) -> usize {
     groups
         .values()
@@ -626,7 +635,6 @@ impl SeabedServer {
         // Degenerate cluster configurations (zero workers / zero local
         // threads) are rejected before any scan starts.
         self.cluster.config.validate()?;
-        let encoding = response_encoding(query);
 
         self.table.validate_layout()?;
         for filter in filters {
@@ -681,10 +689,7 @@ impl SeabedServer {
             };
             match scanned {
                 Ok(groups) => {
-                    // Workers compress their ID lists before shipping to the
-                    // driver: report the compressed partial-result size as
-                    // shuffle bytes.
-                    let bytes = partial_bytes(&groups, encoding, group_columns.len());
+                    let bytes = partial_bytes(&groups, PARTIAL_ID_ENCODING, group_columns.len());
                     TaskOutput::new(Ok((groups, sink.into_operators())), bytes)
                 }
                 Err(err) => TaskOutput::new(Err(err), 0),
@@ -801,7 +806,10 @@ pub struct PartialResponse {
 
 impl PartialResponse {
     /// Compressed size in bytes of these partials under the encoding `query`
-    /// would ship them with (what a worker→coordinator transfer costs).
+    /// answers with — entropy coding included, so this encodes every ID list
+    /// to measure it. The scan's own `stats.bytes_to_driver` is the cheap
+    /// figure (same partials under [`PARTIAL_ID_ENCODING`], sized
+    /// arithmetically); this is the exact one, computed on demand.
     pub fn shuffle_bytes(&self, query: &TranslatedQuery) -> usize {
         partial_bytes(&self.groups, response_encoding(query), query.group_by.len())
     }

@@ -66,7 +66,7 @@ use seabed_core::{
     ServerResponse,
 };
 use seabed_engine::merge::{merge_partial_groups, PartialGroups};
-use seabed_engine::{ExecStats, OperatorProfile, Schema, Table};
+use seabed_engine::{fan_out, ExecStats, OperatorProfile, Schema, Table};
 use seabed_error::SeabedError;
 use seabed_net::wire::{self, Frame, ShardExecConfig};
 use seabed_net::FrameConn;
@@ -81,7 +81,9 @@ use std::time::{Duration, Instant, SystemTime};
 /// How the coordinator walks the workers during a query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ScatterMode {
-    /// One thread per worker; shards of different workers run in parallel.
+    /// One lane per worker, run in parallel under the engine's fan-out rule:
+    /// the calling thread queries one lane itself and a helper thread is
+    /// spawned for each of the others.
     #[default]
     Concurrent,
     /// Workers are queried one after another. Useful when measuring
@@ -792,8 +794,12 @@ impl DistCoordinator {
         let started = self.obs.enabled().then(Instant::now);
         let outcome = self.execute_core(query, filters, cache_key, trace_id, analyze);
         if let Some(started) = started {
-            let mut statement_bytes = Vec::new();
-            wire::write_statement_payload(&mut statement_bytes, query);
+            // A prepared execute already hashed the statement for its cache key.
+            let statement_id = cache_key.map(|(statement, _)| statement).unwrap_or_else(|| {
+                let mut statement_bytes = Vec::new();
+                wire::write_statement_payload(&mut statement_bytes, query);
+                fnv1a64(&statement_bytes)
+            });
             let plan = if analyze {
                 self.analyzed
                     .lock()
@@ -806,7 +812,7 @@ impl DistCoordinator {
             };
             self.obs.record_event(QueryEvent {
                 trace_id,
-                statement_id: fnv1a64(&statement_bytes),
+                statement_id,
                 node: "coordinator".to_string(),
                 plan,
                 operators: event_operators(outcome.as_ref().map(|r| r.stats.operators.as_slice()).unwrap_or(&[])),
@@ -906,27 +912,11 @@ impl DistCoordinator {
                 }
             }
             ScatterMode::Concurrent => {
-                let assignment_ref = &assignment;
-                let outcomes: Vec<LaneOutcome> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = lanes
-                        .iter()
-                        .map(|(worker, shards)| {
-                            let worker = *worker;
-                            let shards = shards.as_slice();
-                            scope.spawn(move || self.query_lane(worker, shards, ctx, assignment_ref))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().unwrap_or_else(|_| {
-                                (
-                                    Vec::new(),
-                                    vec![(u32::MAX, SeabedError::dist("coordinator", "scatter thread panicked"))],
-                                )
-                            })
-                        })
-                        .collect()
+                // The engine's fan-out rule: this thread queries a lane
+                // itself, so a one-lane scatter spawns nothing.
+                let outcomes = fan_out(lanes.len(), lanes.len(), |lane| {
+                    let (worker, shards) = &lanes[lane];
+                    self.query_lane(*worker, shards, ctx, &assignment)
                 });
                 for (mut ok, mut bad) in outcomes {
                     runs.append(&mut ok);
@@ -941,10 +931,7 @@ impl DistCoordinator {
         // cache epoch — every partial cached before this recovery is fenced
         // at once — and reclaims the fenced entries (the dead workers'
         // first, so the purge is attributable).
-        if failed
-            .iter()
-            .any(|(shard, err)| *shard != u32::MAX && retry_elsewhere(err))
-        {
+        if failed.iter().any(|(_, err)| retry_elsewhere(err)) {
             let dead: Vec<usize> = workers
                 .iter()
                 .enumerate()
@@ -954,7 +941,7 @@ impl DistCoordinator {
             self.fence_cache(&dead);
         }
         for (shard, err) in failed {
-            if !retry_elsewhere(&err) || shard == u32::MAX {
+            if !retry_elsewhere(&err) {
                 return Err(err);
             }
             let run = self.redispatch(shard, ctx)?;

@@ -52,10 +52,18 @@ impl BitWriter {
 }
 
 /// Reads bits in the same order [`BitWriter`] produces them.
+///
+/// Unread bits sit in a 64-bit window that is topped up a byte at a time, so
+/// a Huffman decoder can look at a whole code's worth of bits at once
+/// ([`BitReader::peek_bits`]) and then consume only the length that matched.
 pub struct BitReader<'a> {
     data: &'a [u8],
-    byte_pos: usize,
-    bit_pos: u8,
+    /// Next byte of `data` to load into the window.
+    pos: usize,
+    /// Loaded but unread bits; the next bit of the stream is bit 0.
+    window: u64,
+    /// Number of valid bits in `window`.
+    held: u8,
 }
 
 impl<'a> BitReader<'a> {
@@ -63,30 +71,48 @@ impl<'a> BitReader<'a> {
     pub fn new(data: &'a [u8]) -> Self {
         BitReader {
             data,
-            byte_pos: 0,
-            bit_pos: 0,
+            pos: 0,
+            window: 0,
+            held: 0,
         }
+    }
+
+    /// The next `count` (at most 32) bits, LSB-first, without consuming them.
+    /// Positions past the end of input read as zero; [`BitReader::consume`]
+    /// is what refuses to go there.
+    pub fn peek_bits(&mut self, count: u8) -> u32 {
+        debug_assert!(count <= 32);
+        if self.held < count {
+            while self.held <= 56 && self.pos < self.data.len() {
+                self.window |= (self.data[self.pos] as u64) << self.held;
+                self.pos += 1;
+                self.held += 8;
+            }
+        }
+        (self.window & ((1u64 << count) - 1)) as u32
+    }
+
+    /// Consumes `count` bits that a [`BitReader::peek_bits`] of at least that
+    /// many has looked at; `None` if fewer remain in the input.
+    pub fn consume(&mut self, count: u8) -> Option<()> {
+        if count > self.held {
+            return None;
+        }
+        self.window >>= count;
+        self.held -= count;
+        Some(())
     }
 
     /// Reads a single bit; `None` at end of input.
     pub fn read_bit(&mut self) -> Option<u8> {
-        let byte = *self.data.get(self.byte_pos)?;
-        let bit = (byte >> self.bit_pos) & 1;
-        self.bit_pos += 1;
-        if self.bit_pos == 8 {
-            self.bit_pos = 0;
-            self.byte_pos += 1;
-        }
-        Some(bit)
+        self.read_bits(1).map(|bit| bit as u8)
     }
 
-    /// Reads `count` bits LSB-first.
+    /// Reads `count` (at most 32) bits LSB-first; `None` if fewer remain.
     pub fn read_bits(&mut self, count: u8) -> Option<u32> {
-        let mut out = 0u32;
-        for i in 0..count {
-            out |= (self.read_bit()? as u32) << i;
-        }
-        Some(out)
+        let bits = self.peek_bits(count);
+        self.consume(count)?;
+        Some(bits)
     }
 }
 
@@ -133,6 +159,36 @@ mod tests {
     fn reading_past_end_returns_none() {
         let mut r = BitReader::new(&[0xff]);
         assert_eq!(r.read_bits(8), Some(0xff));
+        assert_eq!(r.read_bit(), None);
+    }
+
+    #[test]
+    fn peeking_past_the_end_pads_with_zeros_but_cannot_be_consumed() {
+        let mut r = BitReader::new(&[0b1010_0101, 0b11]);
+        assert_eq!(r.read_bits(6), Some(0b10_0101));
+        // Ten bits remain; a fifteen-bit look sees them above zero padding.
+        assert_eq!(r.peek_bits(15), 0b11_10);
+        assert_eq!(r.consume(11), None);
+        assert_eq!(r.read_bits(10), Some(0b11_10));
+        assert_eq!(r.peek_bits(15), 0);
+        assert_eq!(r.consume(1), None);
+        assert_eq!(r.read_bits(0), Some(0));
+    }
+
+    #[test]
+    fn wide_reads_cross_window_refills() {
+        // 40 bytes read as 32-, 1- and 15-bit pieces: every refill boundary
+        // (the window holds 57 to 64 bits) is crossed at some alignment.
+        let data: Vec<u8> = (0..40u32).map(|i| (i.wrapping_mul(157) >> 2) as u8).collect();
+        let bit = |i: usize| (data[i / 8] >> (i % 8)) & 1;
+        let mut r = BitReader::new(&data);
+        let mut at = 0usize;
+        for count in [32u8, 1, 15, 32, 32, 7, 32, 32, 32, 15, 32, 32, 26] {
+            let expected = (0..count as usize).fold(0u32, |acc, i| acc | (bit(at + i) as u32) << i);
+            assert_eq!(r.read_bits(count), Some(expected), "{count} bits at {at}");
+            at += count as usize;
+        }
+        assert_eq!(at, data.len() * 8);
         assert_eq!(r.read_bit(), None);
     }
 }

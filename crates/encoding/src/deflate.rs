@@ -15,7 +15,7 @@
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{CodeBook, Decoder};
-use crate::lz77::{detokenize, tokenize, Profile, Token};
+use crate::lz77::{copy_match, tokenize, Profile, Token, MAX_MATCH};
 
 /// Compression level, mirroring the two configurations in Figure 8.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -205,7 +205,11 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
 }
 
 /// Decompresses data produced by [`compress`]. Returns `None` on malformed
-/// input.
+/// input — the bytes may come from an untrusted server, so nothing in them
+/// is believed before it is checked: a match may not reach back past the
+/// start of the output, the output may not outgrow the declared length, and
+/// the declared lengths are held against what the block could possibly carry
+/// before anything is allocated for them.
 pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
     let (&kind, rest) = data.split_first()?;
     match kind {
@@ -231,31 +235,38 @@ pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
             pos += used;
             let (dist_lengths, used) = unpack_lengths(&rest[pos..], DIST_CODES.len())?;
             pos += used;
-            let litlen_book = CodeBook::from_lengths(litlen_lengths)?;
-            let dist_book = CodeBook::from_lengths(dist_lengths)?;
-            let litlen_dec = Decoder::new(&litlen_book);
-            let dist_dec = Decoder::new(&dist_book);
+            let litlen = Decoder::from_lengths(&litlen_lengths)?;
+            let dist = Decoder::from_lengths(&dist_lengths)?;
 
-            let mut reader = BitReader::new(&rest[pos..]);
-            let mut tokens = Vec::with_capacity(n_tokens);
-            for _ in 0..n_tokens {
-                let sym = litlen_dec.decode_symbol(&mut reader)? as usize;
-                if sym < 256 {
-                    tokens.push(Token::Literal(sym as u8));
-                } else {
-                    let (base, extra) = LENGTH_CODES[sym - 256];
-                    let length = base + reader.read_bits(extra)? as u16;
-                    let dsym = dist_dec.decode_symbol(&mut reader)? as usize;
-                    let (dbase, dextra) = *DIST_CODES.get(dsym)?;
-                    let distance = dbase + reader.read_bits(dextra)? as u16;
-                    tokens.push(Token::Match { length, distance });
-                }
-            }
-            let out = detokenize(&tokens);
-            if out.len() != orig_len {
+            // Every token spends at least one bit of the stream and yields at
+            // most MAX_MATCH bytes: counts beyond that cannot be honest.
+            let stream = &rest[pos..];
+            if n_tokens > stream.len().saturating_mul(8) || orig_len > n_tokens.saturating_mul(MAX_MATCH) {
                 return None;
             }
-            Some(out)
+            let mut reader = BitReader::new(stream);
+            let mut out = Vec::with_capacity(orig_len);
+            for _ in 0..n_tokens {
+                let room = orig_len - out.len();
+                let sym = litlen.decode_symbol(&mut reader)? as usize;
+                if sym < 256 {
+                    if room == 0 {
+                        return None;
+                    }
+                    out.push(sym as u8);
+                } else {
+                    let (base, extra) = LENGTH_CODES[sym - 256];
+                    let length = base as usize + reader.read_bits(extra)? as usize;
+                    let dsym = dist.decode_symbol(&mut reader)? as usize;
+                    let (dbase, dextra) = DIST_CODES[dsym];
+                    let distance = dbase as usize + reader.read_bits(dextra)? as usize;
+                    if length > room {
+                        return None;
+                    }
+                    copy_match(&mut out, length, distance)?;
+                }
+            }
+            (out.len() == orig_len).then_some(out)
         }
         _ => None,
     }
@@ -267,9 +278,389 @@ pub fn compressed_len(data: &[u8], level: Level) -> usize {
     compress(data, level).len()
 }
 
+/// The decoder this module shipped before it decoded canonically, kept as the
+/// oracle the differential tests hold the new one against: a reader that
+/// moves one bit at a time, a Huffman decoder that binary-searches its
+/// (length, code) table after every bit, and tokens collected into a `Vec`
+/// before any output byte exists, then expanded byte by byte. It shares
+/// nothing with [`decompress`] but the block layout and the symbol tables.
+/// The one change: where the original panicked on a match reaching before
+/// the output, this one returns `None`.
 #[cfg(test)]
-mod tests {
+pub(crate) mod oracle {
+    use super::{unpack_lengths, BLOCK_COMPRESSED, BLOCK_STORED, DIST_CODES, LENGTH_CODES, LITLEN_SYMBOLS};
+    use crate::huffman::{CodeBook, MAX_CODE_LEN};
+    use crate::lz77::Token;
+
+    pub(crate) struct BitReader<'a> {
+        data: &'a [u8],
+        byte_pos: usize,
+        bit_pos: u8,
+    }
+
+    impl<'a> BitReader<'a> {
+        pub(crate) fn new(data: &'a [u8]) -> Self {
+            BitReader {
+                data,
+                byte_pos: 0,
+                bit_pos: 0,
+            }
+        }
+
+        pub(crate) fn read_bit(&mut self) -> Option<u8> {
+            let byte = *self.data.get(self.byte_pos)?;
+            let bit = (byte >> self.bit_pos) & 1;
+            self.bit_pos += 1;
+            if self.bit_pos == 8 {
+                self.bit_pos = 0;
+                self.byte_pos += 1;
+            }
+            Some(bit)
+        }
+
+        pub(crate) fn read_bits(&mut self, count: u8) -> Option<u32> {
+            let mut out = 0u32;
+            for i in 0..count {
+                out |= (self.read_bit()? as u32) << i;
+            }
+            Some(out)
+        }
+    }
+
+    pub(crate) struct Decoder {
+        /// (length, code) -> symbol, stored sparsely sorted by (length, code).
+        entries: Vec<(u8, u32, u16)>,
+    }
+
+    impl Decoder {
+        pub(crate) fn new(book: &CodeBook) -> Decoder {
+            let mut entries: Vec<(u8, u32, u16)> = book
+                .lengths
+                .iter()
+                .enumerate()
+                .filter(|(_, &l)| l > 0)
+                .map(|(s, &l)| (l, book.codes[s], s as u16))
+                .collect();
+            entries.sort();
+            Decoder { entries }
+        }
+
+        pub(crate) fn decode_symbol(&self, reader: &mut BitReader<'_>) -> Option<u16> {
+            let mut code: u32 = 0;
+            let mut len: u8 = 0;
+            loop {
+                code = (code << 1) | reader.read_bit()? as u32;
+                len += 1;
+                if len > MAX_CODE_LEN {
+                    return None;
+                }
+                if let Ok(idx) = self.entries.binary_search_by(|&(l, c, _)| (l, c).cmp(&(len, code))) {
+                    return Some(self.entries[idx].2);
+                }
+            }
+        }
+    }
+
+    pub(crate) fn decompress(data: &[u8]) -> Option<Vec<u8>> {
+        let (declared, out) = inflate(data)?;
+        (out.len() == declared).then_some(out)
+    }
+
+    /// The length a block declares and the bytes it really holds.
+    pub(crate) fn inflate(data: &[u8]) -> Option<(usize, Vec<u8>)> {
+        let (&kind, rest) = data.split_first()?;
+        match kind {
+            BLOCK_STORED => {
+                if rest.len() < 4 {
+                    return None;
+                }
+                let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+                Some((len, rest[4..].to_vec()))
+            }
+            BLOCK_COMPRESSED => {
+                if rest.len() < 8 {
+                    return None;
+                }
+                let orig_len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+                let n_tokens = u32::from_le_bytes(rest[4..8].try_into().unwrap()) as usize;
+                let mut pos = 8;
+                let (litlen_lengths, used) = unpack_lengths(&rest[pos..], LITLEN_SYMBOLS)?;
+                pos += used;
+                let (dist_lengths, used) = unpack_lengths(&rest[pos..], DIST_CODES.len())?;
+                pos += used;
+                let litlen_dec = Decoder::new(&CodeBook::from_lengths(litlen_lengths)?);
+                let dist_dec = Decoder::new(&CodeBook::from_lengths(dist_lengths)?);
+
+                let mut reader = BitReader::new(&rest[pos..]);
+                // (The original reserved `n_tokens` slots up front.)
+                let mut tokens = Vec::new();
+                for _ in 0..n_tokens {
+                    let sym = litlen_dec.decode_symbol(&mut reader)? as usize;
+                    if sym < 256 {
+                        tokens.push(Token::Literal(sym as u8));
+                    } else {
+                        let (base, extra) = LENGTH_CODES[sym - 256];
+                        let length = base + reader.read_bits(extra)? as u16;
+                        let dsym = dist_dec.decode_symbol(&mut reader)? as usize;
+                        let (dbase, dextra) = *DIST_CODES.get(dsym)?;
+                        let distance = dbase + reader.read_bits(dextra)? as u16;
+                        tokens.push(Token::Match { length, distance });
+                    }
+                }
+                let mut out: Vec<u8> = Vec::new();
+                for token in tokens {
+                    match token {
+                        Token::Literal(b) => out.push(b),
+                        Token::Match { length, distance } => {
+                            let start = out.len().checked_sub(distance as usize)?;
+                            for i in 0..length as usize {
+                                let b = out[start + i];
+                                out.push(b);
+                            }
+                        }
+                    }
+                }
+                Some((orig_len, out))
+            }
+            _ => None,
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+
+    /// A compressed block from its parts, with whatever counts the caller
+    /// claims — the forger's view of the format.
+    fn forge(orig_len: u32, n_tokens: u32, litlen: &[u8], dist: &[u8], stream: &[u8]) -> Vec<u8> {
+        assert_eq!((litlen.len(), dist.len()), (LITLEN_SYMBOLS, DIST_CODES.len()));
+        let mut block = vec![BLOCK_COMPRESSED];
+        block.extend_from_slice(&orig_len.to_le_bytes());
+        block.extend_from_slice(&n_tokens.to_le_bytes());
+        pack_lengths(litlen, &mut block);
+        pack_lengths(dist, &mut block);
+        block.extend_from_slice(stream);
+        block
+    }
+
+    /// The smallest forged block the original decoder died on: one token, a
+    /// match (length symbol 256, distance symbol 0, both 1-bit codes), with
+    /// no output yet to copy from. It panicked in `detokenize`.
+    pub(crate) fn match_before_start() -> Vec<u8> {
+        let mut litlen = vec![0u8; LITLEN_SYMBOLS];
+        litlen[256] = 1;
+        let mut dist = vec![0u8; DIST_CODES.len()];
+        dist[0] = 1;
+        forge(3, 1, &litlen, &dist, &[0])
+    }
+
+    #[test]
+    fn a_match_reaching_before_the_output_is_rejected() {
+        let block = match_before_start();
+        assert!(block.len() < 180, "a small forged block: {} bytes", block.len());
+        assert_eq!(decompress(&block), None);
+
+        // The same with real output in front of it: two literals, then a
+        // match at distance 3.
+        let mut litlen = vec![0u8; LITLEN_SYMBOLS];
+        litlen[b'a' as usize] = 1;
+        litlen[256] = 1;
+        let mut dist = vec![0u8; DIST_CODES.len()];
+        dist[2] = 1;
+        // 'a' = code 0, length-3 = code 1, distance-3 = code 0: bits 0,0,1,0.
+        assert_eq!(decompress(&forge(5, 3, &litlen, &dist, &[0b0100])), None);
+        // Distance 2 (symbol 1) is inside the output and decodes: "aa" + "aaa".
+        dist[2] = 0;
+        dist[1] = 1;
+        assert_eq!(
+            decompress(&forge(5, 3, &litlen, &dist, &[0b0100])).as_deref(),
+            Some(&b"aaaaa"[..])
+        );
+    }
+
+    #[test]
+    fn forged_counts_are_rejected_before_anything_is_allocated() {
+        let mut litlen = vec![0u8; LITLEN_SYMBOLS];
+        litlen[0] = 1;
+        let dist = vec![0u8; DIST_CODES.len()];
+        // 2^32 - 1 tokens and bytes claimed over a one-byte stream. The
+        // original reserved ~24 GiB for the tokens before reading one.
+        assert_eq!(decompress(&forge(u32::MAX, u32::MAX, &litlen, &dist, &[0])), None);
+        // More tokens than the stream has bits, by one.
+        assert_eq!(decompress(&forge(9, 9, &litlen, &dist, &[0])), None);
+        assert_eq!(decompress(&forge(8, 8, &litlen, &dist, &[0])), Some(vec![0; 8]));
+        // More bytes than that many tokens could produce.
+        assert_eq!(
+            decompress(&forge(8 * MAX_MATCH as u32 + 1, 8, &litlen, &dist, &[0])),
+            None
+        );
+        // Output running past the declared length, by literal and by match.
+        assert_eq!(decompress(&forge(7, 8, &litlen, &dist, &[0])), None);
+        litlen[256] = 1;
+        let mut dist = dist;
+        dist[0] = 1;
+        // literal 0, then a length-3 match at distance 1: four bytes.
+        assert_eq!(decompress(&forge(4, 2, &litlen, &dist, &[0b010])), Some(vec![0; 4]));
+        assert_eq!(decompress(&forge(3, 2, &litlen, &dist, &[0b010])), None);
+    }
+
+    /// Code lengths of a random shape: from a frequency table (complete),
+    /// with symbols knocked out (incomplete), or with codes shortened
+    /// (usually over-subscribed).
+    fn random_lengths(rng: &mut impl Rng, symbols: usize) -> Vec<u8> {
+        let used = rng.random_range(0..symbols + 1);
+        let freqs: Vec<u64> = (0..symbols)
+            .map(|s| {
+                if s < used {
+                    1 + (rng.random::<u64>() >> rng.random_range(40..64u32))
+                } else {
+                    0
+                }
+            })
+            .collect();
+        let mut lengths = CodeBook::from_frequencies(&freqs).lengths;
+        match rng.random_range(0..4u32) {
+            0 => {}
+            1 => {
+                for len in lengths.iter_mut() {
+                    if rng.random_range(0..4u32) == 0 {
+                        *len = 0;
+                    }
+                }
+            }
+            2 => {
+                for _ in 0..rng.random_range(1..4u32) {
+                    let s = rng.random_range(0..symbols);
+                    lengths[s] = rng.random_range(0..16u8);
+                }
+            }
+            _ => {
+                for len in lengths.iter_mut() {
+                    *len = rng.random_range(0..16u8);
+                }
+            }
+        }
+        lengths
+    }
+
+    /// New Huffman decoder ≡ the oracle's on random code-length tables:
+    /// the same tables are refused, and over random bits the same symbols
+    /// come out until both stop at the same place.
+    #[test]
+    fn canonical_decoder_matches_the_bit_by_bit_oracle() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xdec0de);
+        let (mut accepted, mut refused, mut symbols_checked) = (0, 0, 0);
+        for round in 0..600 {
+            let symbols = [2, 3, 30, 285][round % 4];
+            let lengths = random_lengths(&mut rng, symbols);
+            let book = CodeBook::from_lengths(lengths.clone());
+            let new = Decoder::from_lengths(&lengths);
+            assert_eq!(new.is_some(), book.is_some(), "acceptance of {lengths:?}");
+            let (Some(new), Some(book)) = (new, book) else {
+                refused += 1;
+                continue;
+            };
+            accepted += 1;
+            let old = oracle::Decoder::new(&book);
+            let bits: Vec<u8> = (0..rng.random_range(0..64u32)).map(|_| rng.random()).collect();
+            let (mut new_reader, mut old_reader) = (BitReader::new(&bits), oracle::BitReader::new(&bits));
+            loop {
+                let symbol = new.decode_symbol(&mut new_reader);
+                assert_eq!(symbol, old.decode_symbol(&mut old_reader), "lengths {lengths:?}");
+                if symbol.is_none() {
+                    break;
+                }
+                // The same position too: a few raw bits must agree. (A read
+                // that fails leaves the two readers in different places; the
+                // decoder gives up there, and so does this loop.)
+                let extra = rng.random_range(0..14u8);
+                let raw = new_reader.read_bits(extra);
+                assert_eq!(raw, old_reader.read_bits(extra));
+                if raw.is_none() {
+                    break;
+                }
+                symbols_checked += 1;
+            }
+        }
+        assert!(
+            accepted > 150 && refused > 100 && symbols_checked > 3_000,
+            "{accepted} {refused} {symbols_checked}"
+        );
+    }
+
+    /// `decompress` ≡ the oracle on whole blocks: honest ones, honest ones
+    /// with flipped bits, cut short or with edited counts, and blocks
+    /// assembled from random tables over random bits.
+    #[test]
+    fn decompress_matches_the_oracle_on_damaged_and_random_blocks() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0b10c);
+        // Returns whether the block was accepted (by both).
+        let check = |block: &[u8]| {
+            let new = decompress(block);
+            assert_eq!(new, oracle::decompress(block), "block {block:?}");
+            new.is_some()
+        };
+        let (mut damaged, mut damaged_accepted) = (0, 0);
+        for round in 0..300 {
+            // Compressible input: a few distinct deltas, as in an ID list.
+            let len = rng.random_range(800..2_400u32);
+            let data: Vec<u8> = (0..len)
+                .map(|_| [1u8, 1, 1, 2, 3, 0x81, 7][rng.random_range(0..7usize)])
+                .collect();
+            let level = if round % 2 == 0 { Level::Fast } else { Level::Compact };
+            let honest = compress(&data, level);
+            assert_eq!(honest[0], BLOCK_COMPRESSED);
+            assert!(check(&honest));
+            for _ in 0..6 {
+                let mut block = honest.clone();
+                match rng.random_range(0..4u32) {
+                    0 => {
+                        let bit = rng.random_range(0..block.len() * 8);
+                        block[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    1 => block.truncate(rng.random_range(0..block.len())),
+                    2 => {
+                        // orig_len or n_tokens, nudged.
+                        let at = 1 + 4 * rng.random_range(0..2usize);
+                        block[at] = block[at].wrapping_add(rng.random_range(1..4u8));
+                    }
+                    _ => {
+                        // Damage confined to the bit stream.
+                        let header = 9 + LITLEN_SYMBOLS.div_ceil(2) + DIST_CODES.len().div_ceil(2);
+                        let at = rng.random_range(header..block.len());
+                        block[at] = rng.random();
+                    }
+                }
+                damaged += 1;
+                damaged_accepted += check(&block) as usize;
+            }
+        }
+        let (mut random, mut random_accepted) = (0, 0);
+        for _ in 0..600 {
+            let litlen = random_lengths(&mut rng, LITLEN_SYMBOLS);
+            let dist = random_lengths(&mut rng, DIST_CODES.len());
+            let stream: Vec<u8> = (0..rng.random_range(0..40u32)).map(|_| rng.random()).collect();
+            let n_tokens = rng.random_range(0..(stream.len() as u32 * 3 + 2));
+            // Usually the length this token stream really has, if it decodes.
+            let orig_len = match oracle::inflate(&forge(0, n_tokens, &litlen, &dist, &stream)) {
+                Some((_, out)) if rng.random_range(0..4u32) > 0 => out.len() as u32,
+                _ => rng.random_range(0..2_000u32),
+            };
+            random += 1;
+            random_accepted += check(&forge(orig_len, n_tokens, &litlen, &dist, &stream)) as usize;
+        }
+        // Both verdicts were exercised on both kinds of block.
+        assert!(
+            damaged_accepted > 20 && damaged - damaged_accepted > 500,
+            "damaged: {damaged_accepted}/{damaged}"
+        );
+        assert!(
+            random_accepted > 20 && random - random_accepted > 100,
+            "random: {random_accepted}/{random}"
+        );
+    }
 
     fn roundtrip(data: &[u8]) {
         for level in [Level::Fast, Level::Compact] {

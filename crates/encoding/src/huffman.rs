@@ -66,41 +66,86 @@ impl CodeBook {
     }
 }
 
-/// A decoding table for a canonical code book.
+/// A decoder for a canonical code, built from the code-length table alone.
+///
+/// Canonical codes of one length are consecutive integers, so the table is
+/// three numbers per length — the first code, how many there are, and where
+/// their symbols start in the list of symbols sorted by (length, symbol) —
+/// and decoding walks the lengths with one subtraction and one comparison
+/// per bit. An incomplete code simply has bit patterns no length claims.
 pub struct Decoder {
-    /// (length, code) -> symbol, stored sparsely sorted by (length, code).
-    entries: Vec<(u8, u32, u16)>,
+    /// First canonical code of each length (index 0 unused).
+    first: [u32; MAX_CODE_LEN as usize + 1],
+    /// Number of codes of each length.
+    count: [u32; MAX_CODE_LEN as usize + 1],
+    /// Index into `symbols` of each length's first code.
+    offset: [u32; MAX_CODE_LEN as usize + 1],
+    /// Symbols that have a code, sorted by (length, symbol).
+    symbols: Vec<u16>,
+    /// Longest code length in use (0 when no symbol has a code).
+    max_len: u8,
 }
 
 impl Decoder {
-    /// Builds a decoder from a code book.
-    pub fn new(book: &CodeBook) -> Decoder {
-        let mut entries: Vec<(u8, u32, u16)> = book
-            .lengths
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l > 0)
-            .map(|(s, &l)| (l, book.codes[s], s as u16))
-            .collect();
-        entries.sort();
-        Decoder { entries }
-    }
-
-    /// Reads one symbol from the bit stream.
-    pub fn decode_symbol(&self, reader: &mut BitReader<'_>) -> Option<u16> {
-        let mut code: u32 = 0;
-        let mut len: u8 = 0;
-        loop {
-            code = (code << 1) | reader.read_bit()? as u32;
-            len += 1;
-            if len > MAX_CODE_LEN {
-                return None;
-            }
-            // Binary search over entries with this (len, code).
-            if let Ok(idx) = self.entries.binary_search_by(|&(l, c, _)| (l, c).cmp(&(len, code))) {
-                return Some(self.entries[idx].2);
+    /// Builds a decoder from per-symbol code lengths (0 = no code). Returns
+    /// `None` exactly when [`CodeBook::from_lengths`] does: a length above
+    /// [`MAX_CODE_LEN`] aside, when the lengths over-subscribe the code space.
+    pub fn from_lengths(lengths: &[u8]) -> Option<Decoder> {
+        let mut count = [0u32; MAX_CODE_LEN as usize + 1];
+        for &len in lengths {
+            *count.get_mut(len as usize)? += 1;
+        }
+        count[0] = 0;
+        let max_len = (1..=MAX_CODE_LEN)
+            .rev()
+            .find(|&len| count[len as usize] > 0)
+            .unwrap_or(0);
+        // Kraft inequality, in units of the longest code.
+        let kraft: u64 = (1..=max_len)
+            .map(|len| (count[len as usize] as u64) << (max_len - len))
+            .sum();
+        if kraft > 1u64 << max_len {
+            return None;
+        }
+        let mut first = [0u32; MAX_CODE_LEN as usize + 1];
+        let mut offset = [0u32; MAX_CODE_LEN as usize + 1];
+        for len in 1..=max_len as usize {
+            first[len] = (first[len - 1] + count[len - 1]) << 1;
+            offset[len] = offset[len - 1] + count[len - 1];
+        }
+        let mut next = offset;
+        let mut symbols = vec![0u16; (offset[max_len as usize] + count[max_len as usize]) as usize];
+        for (symbol, &len) in lengths.iter().enumerate() {
+            if len > 0 {
+                symbols[next[len as usize] as usize] = symbol as u16;
+                next[len as usize] += 1;
             }
         }
+        Some(Decoder {
+            first,
+            count,
+            offset,
+            symbols,
+            max_len,
+        })
+    }
+
+    /// Reads one symbol from the bit stream; `None` when the input ends
+    /// inside a code or the next bits are a pattern the code does not use.
+    pub fn decode_symbol(&self, reader: &mut BitReader<'_>) -> Option<u16> {
+        let bits = reader.peek_bits(MAX_CODE_LEN);
+        let mut code = 0u32;
+        for len in 1..=self.max_len as usize {
+            // Codes are written most-significant bit first.
+            code = (code << 1) | ((bits >> (len - 1)) & 1);
+            // No shorter length claimed the prefix, so `code >= first[len]`.
+            let index = code - self.first[len];
+            if index < self.count[len] {
+                reader.consume(len as u8)?;
+                return Some(self.symbols[(self.offset[len] + index) as usize]);
+            }
+        }
+        None
     }
 }
 
@@ -258,7 +303,7 @@ mod tests {
             book.encode_symbol(s, &mut w);
         }
         let bytes = w.finish();
-        let decoder = Decoder::new(&book);
+        let decoder = Decoder::from_lengths(&book.lengths).unwrap();
         let mut r = BitReader::new(&bytes);
         let decoded: Vec<usize> = (0..symbols.len())
             .map(|_| decoder.decode_symbol(&mut r).unwrap() as usize)

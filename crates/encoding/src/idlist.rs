@@ -227,9 +227,34 @@ pub fn decode_runs(data: &[u8], encoding: IdListEncoding) -> Option<Vec<Run>> {
     }
 }
 
-/// Encoded size in bytes for a run list under a given encoding.
+/// Encoded size in bytes for a run list under a given encoding: always
+/// exactly `encode_runs(runs, encoding).len()`.
+///
+/// The variable-byte encodings are sized arithmetically, without allocating;
+/// the DEFLATE and bitmap encodings have no closed form and are encoded to be
+/// measured.
 pub fn encoded_size(runs: &[Run], encoding: IdListEncoding) -> usize {
-    encode_runs(runs, encoding).len()
+    let vb = varint::encoded_len;
+    match encoding {
+        IdListEncoding::RangesVb => runs.iter().map(|r| vb(r.start) + vb(r.end)).sum(),
+        IdListEncoding::RangesVbDiff | IdListEncoding::VbDiff => {
+            // Both open a run with its distance from the previous run's end.
+            // The range form then stores the run's span; the per-ID form
+            // spends one byte — a delta of one — on every further ID.
+            let ranges = encoding == IdListEncoding::RangesVbDiff;
+            let mut prev = 0u64;
+            let mut size = 0;
+            for run in runs {
+                let span = run.end - run.start;
+                size += vb(run.start - prev) + if ranges { vb(span) } else { span as usize };
+                prev = run.end;
+            }
+            size
+        }
+        IdListEncoding::RangesVbDiffDeflateCompact
+        | IdListEncoding::RangesVbDiffDeflateFast
+        | IdListEncoding::Bitmap => encode_runs(runs, encoding).len(),
+    }
 }
 
 #[cfg(test)]
@@ -324,6 +349,61 @@ mod tests {
         let plain = encoded_size(&runs, IdListEncoding::RangesVbDiff);
         let deflated = encoded_size(&runs, IdListEncoding::RangesVbDiffDeflateFast);
         assert!(deflated < plain / 2, "deflated {deflated} vs plain {plain}");
+    }
+
+    #[test]
+    fn encoded_size_is_the_encoded_length_at_the_edges() {
+        let max = u64::MAX;
+        let short_lists: [&[Run]; 6] = [
+            &[],
+            &[Run::new(0, 0)],
+            &[Run::new(max, max)],
+            &[Run::new(0, 0), Run::new(max, max)],
+            &[Run::new(0, 127), Run::new(129, 16_383), Run::new(max - 5, max)],
+            &[Run::new(max - 300, max - 200), Run::new(max - 1, max)],
+        ];
+        for runs in short_lists {
+            for enc in IdListEncoding::ALL {
+                assert_eq!(
+                    encoded_size(runs, enc),
+                    encode_runs(runs, enc).len(),
+                    "{enc:?} of {runs:?}"
+                );
+            }
+        }
+        // Runs too long to walk ID by ID: the encodings that store bounds.
+        let wide_lists: [&[Run]; 3] = [
+            &[Run::new(0, max)],
+            &[Run::new(1, max - 1)],
+            &[Run::new(0, 1 << 40), Run::new(1 << 41, max)],
+        ];
+        for runs in wide_lists {
+            for enc in [
+                IdListEncoding::RangesVb,
+                IdListEncoding::RangesVbDiff,
+                IdListEncoding::RangesVbDiffDeflateCompact,
+                IdListEncoding::RangesVbDiffDeflateFast,
+            ] {
+                assert_eq!(
+                    encoded_size(runs, enc),
+                    encode_runs(runs, enc).len(),
+                    "{enc:?} of {runs:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn forged_deflate_lists_are_rejected_not_panicking() {
+        // A compressed block whose first token copies from before the start
+        // of the output: `decode_runs` used to panic inside `decompress`.
+        let block = deflate::tests::match_before_start();
+        for enc in [
+            IdListEncoding::RangesVbDiffDeflateFast,
+            IdListEncoding::RangesVbDiffDeflateCompact,
+        ] {
+            assert_eq!(decode_runs(&block, enc), None);
+        }
     }
 
     #[test]

@@ -69,6 +69,19 @@ mod proptests {
                 let c = compress(&data, level);
                 let d = decompress(&c);
                 prop_assert_eq!(d.as_deref(), Some(&data[..]));
+                prop_assert_eq!(deflate::oracle::decompress(&c), d);
+            }
+        }
+
+        #[test]
+        fn deflate_of_id_lists_matches_the_oracle(ids in sorted_ids()) {
+            // Random bytes mostly end up in stored blocks; encoded ID lists
+            // are what the entropy coder really sees.
+            let payload = encode_runs(&ids_to_runs(&ids), IdListEncoding::RangesVbDiff).repeat(3);
+            for level in [Level::Fast, Level::Compact] {
+                let c = compress(&payload, level);
+                prop_assert_eq!(decompress(&c), Some(payload.clone()));
+                prop_assert_eq!(deflate::oracle::decompress(&c), Some(payload.clone()));
             }
         }
 
@@ -88,7 +101,10 @@ mod proptests {
         }
 
         #[test]
-        fn encoded_size_is_positive_and_consistent(ids in sorted_ids()) {
+        fn encoded_size_is_positive_and_consistent(ids in sorted_ids(), at_the_top in any::<bool>()) {
+            // Anchored at 0, or shifted so the last possible ID is u64::MAX.
+            let shift = if at_the_top { u64::MAX - 4_999 } else { 0 };
+            let ids: Vec<u64> = ids.iter().map(|id| id + shift).collect();
             let runs = ids_to_runs(&ids);
             for enc in IdListEncoding::ALL {
                 let size = encoded_size(&runs, enc);

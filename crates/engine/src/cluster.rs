@@ -21,6 +21,7 @@ use crate::exec::{merge_operator_profiles, ExecMode, OperatorProfile};
 use crate::table::{Partition, Table};
 use rand::{Rng, SeedableRng};
 use seabed_error::SeabedError;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Configuration of the (simulated) cluster.
@@ -28,7 +29,8 @@ use std::time::{Duration, Instant};
 pub struct ClusterConfig {
     /// Number of simulated worker cores (the x-axis of Figure 7).
     pub workers: usize,
-    /// Number of OS threads used to actually execute tasks.
+    /// Number of OS threads used to actually execute tasks, the thread that
+    /// calls [`Cluster::run`] included: 1 means no thread is ever spawned.
     pub local_threads: usize,
     /// Fixed per-task scheduling/launch overhead (Spark task creation cost;
     /// this is what makes NoEnc latency flat at ~0.6 s in Figure 6).
@@ -135,8 +137,13 @@ pub struct ExecStats {
     /// Simulated makespan on `workers` slots including per-task overhead and
     /// stragglers: the "server-side latency" of Figures 6–9.
     pub simulated_server_time: Duration,
-    /// Bytes the tasks reported shipping to the driver (partial results /
-    /// shuffle output).
+    /// Bytes the tasks reported shipping to the driver: the sum of
+    /// [`TaskOutput::bytes`]. For a query scan that is the size of each
+    /// partition's partial with its ID lists as range bounds in variable-byte
+    /// form — the encoding partials cross the wire under, *before* any
+    /// entropy coding — computed arithmetically, so nothing is encoded to be
+    /// measured. The exact compressed figure is available on demand from
+    /// `seabed_core::PartialResponse::shuffle_bytes`.
     pub bytes_to_driver: usize,
     /// Wall-clock time the real execution took on the local thread pool.
     pub wall_time: Duration,
@@ -180,7 +187,10 @@ impl ExecStats {
 pub struct TaskOutput<R> {
     /// The task's partial result.
     pub value: R,
-    /// Serialized size of the partial result in bytes.
+    /// Size of the partial result in bytes, as the task accounts it. Summed
+    /// into [`ExecStats::bytes_to_driver`]; a task should *compute* this
+    /// (query scans report the pre-entropy-coding variable-byte size of
+    /// their ID lists), not serialize its result to find out.
     pub bytes: usize,
 }
 
@@ -189,6 +199,50 @@ impl<R> TaskOutput<R> {
     pub fn new(value: R, bytes: usize) -> Self {
         TaskOutput { value, bytes }
     }
+}
+
+/// The one fan-out rule of the answer path: runs `work(unit)` for every unit
+/// in `0..units` on at most `lanes` threads, **the calling thread among
+/// them**, and returns the results in unit order.
+///
+/// Only `min(lanes, units) - 1` helper threads are spawned, so one lane (a
+/// `local_threads = 1` scan, a one-worker scatter) or one unit of work runs
+/// entirely on the caller's thread and spawns nothing. Units are claimed from
+/// a shared counter, so a slow unit never holds back the lanes beside it. A
+/// panic in `work` reaches the caller once every lane has stopped, whichever
+/// thread it happened on.
+pub fn fan_out<R, F>(lanes: usize, units: usize, work: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter hands out indices and publishes nothing;
+            // results travel back through `join`.
+            let unit = next.fetch_add(1, Ordering::Relaxed);
+            if unit >= units {
+                return done;
+            }
+            done.push((unit, work(unit)));
+        }
+    };
+    let helpers = lanes.min(units).saturating_sub(1);
+    let mut done = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(drain)).collect();
+        let mut done = drain();
+        for handle in handles {
+            match handle.join() {
+                Ok(part) => done.extend(part),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|(unit, _)| *unit);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// A simulated cluster that executes partition tasks.
@@ -216,9 +270,9 @@ impl Cluster {
         Ok(Cluster { config })
     }
 
-    /// Runs `task` once per partition of `table`, in parallel on the local
-    /// thread pool, and returns the partial results in partition order along
-    /// with execution statistics.
+    /// Runs `task` once per partition of `table` on up to `local_threads`
+    /// threads — the caller's included, see [`fan_out`] — and returns the
+    /// partial results in partition order along with execution statistics.
     pub fn run<R, F>(&self, table: &Table, task: F) -> (Vec<R>, ExecStats)
     where
         R: Send,
@@ -226,43 +280,20 @@ impl Cluster {
     {
         let started = Instant::now();
         let n = table.partitions.len();
-        let mut results: Vec<Option<(R, usize, Duration)>> = (0..n).map(|_| None).collect();
-        let threads = self.config.local_threads.max(1).min(n.max(1));
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let results_cells: Vec<std::sync::Mutex<Option<(R, usize, Duration)>>> =
-            (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if idx >= n {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let out = task(&table.partitions[idx]);
-                    let elapsed = t0.elapsed();
-                    // Each cell is written exactly once by the thread that
-                    // claimed its index, so the lock never contends; poisoning
-                    // is recovered because the data is the write itself.
-                    *results_cells[idx].lock().unwrap_or_else(|p| p.into_inner()) =
-                        Some((out.value, out.bytes, elapsed));
-                });
-            }
+        let timed = fan_out(self.config.local_threads, n, |idx| {
+            let t0 = Instant::now();
+            let out = task(&table.partitions[idx]);
+            (out, t0.elapsed())
         });
-        for (slot, cell) in results.iter_mut().zip(results_cells) {
-            *slot = cell.into_inner().unwrap_or_else(|p| p.into_inner());
-        }
         let wall_time = started.elapsed();
 
         let mut task_times = Vec::with_capacity(n);
         let mut outputs = Vec::with_capacity(n);
         let mut bytes_to_driver = 0usize;
-        for slot in results {
-            let (value, bytes, elapsed) = slot.expect("task did not run");
+        for (out, elapsed) in timed {
             task_times.push(elapsed);
-            bytes_to_driver += bytes;
-            outputs.push(value);
+            bytes_to_driver += out.bytes;
+            outputs.push(out.value);
         }
         let stats = self.simulate(&task_times, bytes_to_driver, wall_time);
         (outputs, stats)
@@ -276,7 +307,9 @@ impl Cluster {
     /// with [`ClusterConfig::straggler_seed`], freshly per call, so the same
     /// config and task times always produce the same `simulated_server_time`.
     pub fn simulate(&self, task_times: &[Duration], bytes_to_driver: usize, wall_time: Duration) -> ExecStats {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.config.straggler_seed);
+        // Only a cluster that models stragglers ever draws from the generator.
+        let mut rng = (self.config.straggler_probability > 0.0)
+            .then(|| rand::rngs::StdRng::seed_from_u64(self.config.straggler_seed));
         let workers = self.config.workers.max(1);
         // Worker slots as accumulated busy time; tasks are list-scheduled in
         // submission order, which is how Spark assigns partitions to executors.
@@ -285,7 +318,10 @@ impl Cluster {
         let mut max_task = Duration::ZERO;
         for &t in task_times {
             let mut effective = t + self.config.task_overhead;
-            if self.config.straggler_probability > 0.0 && rng.random::<f64>() < self.config.straggler_probability {
+            let straggles = rng
+                .as_mut()
+                .is_some_and(|rng| rng.random::<f64>() < self.config.straggler_probability);
+            if straggles {
                 effective = Duration::from_secs_f64(effective.as_secs_f64() * self.config.straggler_factor);
             }
             total += t;
@@ -331,6 +367,89 @@ mod tests {
         assert_eq!(total, (0..1000u64).sum());
         assert_eq!(stats.tasks, 8);
         assert_eq!(stats.bytes_to_driver, 64);
+    }
+
+    /// The fan-out rule: whatever the lane count, results come back in unit
+    /// order and every unit runs exactly once.
+    #[test]
+    fn fan_out_places_results_in_unit_order_at_every_lane_count() {
+        let partitions = 7;
+        let t = table(700, partitions);
+        for threads in [1, 2, 3, partitions + 5] {
+            let cluster = Cluster::new(ClusterConfig::default().local_threads(threads));
+            let (results, stats) = cluster.run(&t, |p| TaskOutput::new(p.start_row, 3));
+            let expected: Vec<u64> = t.partitions.iter().map(|p| p.start_row).collect();
+            assert_eq!(results, expected, "local_threads = {threads}");
+            assert_eq!(stats.tasks, partitions);
+            assert_eq!(stats.bytes_to_driver, 3 * partitions);
+
+            let runs = AtomicUsize::new(0);
+            let squares = fan_out(threads, 20, |unit| {
+                runs.fetch_add(1, Ordering::Relaxed);
+                unit * unit
+            });
+            assert_eq!(squares, (0..20).map(|u| u * u).collect::<Vec<_>>(), "lanes = {threads}");
+            assert_eq!(runs.into_inner(), 20);
+        }
+        assert_eq!(fan_out(4, 0, |unit| unit), Vec::<usize>::new());
+        assert_eq!(
+            fan_out(0, 3, |unit| unit),
+            vec![0, 1, 2],
+            "zero lanes still means the caller"
+        );
+    }
+
+    /// One lane spawns nothing: every task runs on the thread that called
+    /// `run`. Pinned by thread identity, not by timing.
+    #[test]
+    fn one_lane_runs_every_task_on_the_calling_thread() {
+        let t = table(800, 8);
+        let caller = std::thread::current().id();
+        let cluster = Cluster::new(ClusterConfig::default().local_threads(1));
+        let (threads, _) = cluster.run(&t, |_| TaskOutput::new(std::thread::current().id(), 0));
+        assert_eq!(threads, vec![caller; 8]);
+        // One unit of work is the same however many lanes are on offer.
+        assert_eq!(fan_out(16, 1, |_| std::thread::current().id()), vec![caller]);
+        // And with helpers the caller still takes a lane of its own: two
+        // lanes that must both be inside `work` at once are caller + 1 helper.
+        let barrier = std::sync::Barrier::new(2);
+        let ids = fan_out(2, 2, |_| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert!(ids.contains(&caller), "the caller ran a lane");
+        assert_ne!(ids[0], ids[1]);
+    }
+
+    /// A panicking task reaches the caller as a panic — from a helper thread
+    /// or from the caller's own lane — after the other lanes have stopped.
+    #[test]
+    fn a_panicking_task_propagates_to_the_caller() {
+        let t = table(600, 6);
+        for threads in [1, 3] {
+            let cluster = Cluster::new(ClusterConfig::default().local_threads(threads));
+            let finished = AtomicUsize::new(0);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cluster.run(&t, |p| {
+                    if p.start_row == 300 {
+                        panic!("task 3 failed");
+                    }
+                    finished.fetch_add(1, Ordering::Relaxed);
+                    TaskOutput::new((), 0)
+                })
+            }));
+            let payload = outcome.expect_err("the panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"task 3 failed"),
+                "local_threads = {threads}"
+            );
+            // With one lane the panic cuts the loop short at task 3; with
+            // three, the surviving lanes drain the rest before the caller
+            // sees it.
+            let expected = if threads == 1 { 3 } else { 5 };
+            assert_eq!(finished.into_inner(), expected, "local_threads = {threads}");
+        }
     }
 
     #[test]

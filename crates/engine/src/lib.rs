@@ -36,7 +36,7 @@ pub mod netmodel;
 pub mod storage;
 pub mod table;
 
-pub use cluster::{Cluster, ClusterConfig, ExecStats, TaskOutput};
+pub use cluster::{fan_out, Cluster, ClusterConfig, ExecStats, TaskOutput};
 pub use exec::{merge_operator_profiles, ExecMode, OperatorProfile, ProfileSink, SelectionVector};
 pub use merge::{merge_partial_groups, ExtremeCandidate, PartialAggregate, PartialGroups};
 pub use netmodel::NetworkModel;

@@ -72,7 +72,9 @@
 //! that redaction for requests) is pinned by unit tests here and by the
 //! randomized suite in `tests/wire_robustness.rs`.
 
-use seabed_core::{EncryptedAggregate, GroupResult, PartialResponse, PhysicalFilter, ServerResponse};
+use seabed_core::{
+    EncryptedAggregate, GroupResult, PartialResponse, PhysicalFilter, ServerResponse, PARTIAL_ID_ENCODING,
+};
 use seabed_encoding::{varint, IdListEncoding};
 use seabed_engine::merge::{ExtremeCandidate, PartialAggregate, PartialGroups};
 use seabed_engine::{storage, ColumnType, ExecMode, ExecStats, OperatorProfile, Schema, Table};
@@ -1343,12 +1345,6 @@ fn read_server_response(r: &mut Reader<'_>) -> Result<ServerResponse, SeabedErro
 // ---------------------------------------------------------------------------
 // Mergeable partial results (the seabed-dist gather direction)
 // ---------------------------------------------------------------------------
-
-/// ID lists inside partial results travel under a fixed, query-independent
-/// encoding: the coordinator decodes them back into [`seabed_ashe::IdSet`]s
-/// for merging and re-encodes at finalization under the query's own encoding,
-/// so the final response is byte-identical to single-server execution.
-const PARTIAL_ID_ENCODING: IdListEncoding = IdListEncoding::RangesVb;
 
 fn write_id_set(out: &mut Vec<u8>, ids: &seabed_ashe::IdSet) {
     write_bytes(out, &ids.encode(PARTIAL_ID_ENCODING));

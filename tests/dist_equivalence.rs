@@ -8,19 +8,23 @@
 //! the sales fixture, the Ad-Analytics workload and the BDB tables.
 
 use seabed_core::{PlainDataset, ResultValue, SeabedClient, SeabedServer, ServerResponse};
-use seabed_dist::{spawn_worker, DistConfig, DistCoordinator};
-use seabed_engine::{Cluster, ClusterConfig, Table};
+use seabed_dist::{spawn_worker, DistConfig, DistCoordinator, ScatterMode};
+use seabed_engine::{Cluster, ClusterConfig, ExecMode, Table};
 use seabed_net::{NetServer, ServiceConfig};
 use seabed_query::{parse, ColumnSpec, PlannerConfig, Query};
 use seabed_workloads::{ad_analytics, bdb};
 
 /// Stands up `n` workers plus a coordinator over `table`.
 fn cluster_of(n: usize, table: Table) -> (Vec<NetServer>, DistCoordinator) {
+    cluster_with(n, table, DistConfig::default())
+}
+
+fn cluster_with(n: usize, table: Table, config: DistConfig) -> (Vec<NetServer>, DistCoordinator) {
     let workers: Vec<NetServer> = (0..n)
         .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker must start"))
         .collect();
     let addrs: Vec<_> = workers.iter().map(|w| w.local_addr()).collect();
-    let coordinator = DistCoordinator::connect(&addrs, table, DistConfig::default()).expect("coordinator must connect");
+    let coordinator = DistCoordinator::connect(&addrs, table, config).expect("coordinator must connect");
     (workers, coordinator)
 }
 
@@ -112,6 +116,77 @@ fn sales_fixture_is_byte_identical_across_three_workers() {
     assert!(summaries.iter().all(|s| s.alive && s.queries > 0), "{summaries:?}");
     for w in workers {
         w.shutdown();
+    }
+}
+
+const FAN_OUT_QUERIES: [&str; 6] = [
+    "SELECT SUM(revenue) FROM sales",
+    "SELECT SUM(revenue) FROM sales WHERE country = 'India'",
+    "SELECT COUNT(*) FROM sales WHERE ts < 4000",
+    "SELECT dept, SUM(revenue) FROM sales GROUP BY dept",
+    "SELECT MAX(ts) FROM sales",
+    "SELECT SUM(revenue) FROM sales WHERE ts >= 20000",
+];
+
+/// The fan-out rule only decides which thread runs a lane: with one, two or
+/// three lanes (one per worker), a `Concurrent` scatter — the caller's thread
+/// plus a helper per further lane — answers byte-for-byte what a `Sequential`
+/// walk of the same workers does, which is what the single server does.
+#[test]
+fn scatter_modes_are_byte_identical_at_one_two_and_three_lanes() {
+    let (client, server, _) = sales_fixture();
+    for lanes in 1..=3 {
+        let table = || server.table().clone();
+        let (seq_workers, sequential) =
+            cluster_with(lanes, table(), DistConfig::default().scatter(ScatterMode::Sequential));
+        let (con_workers, concurrent) =
+            cluster_with(lanes, table(), DistConfig::default().scatter(ScatterMode::Concurrent));
+        for sql in FAN_OUT_QUERIES {
+            let (_, translated, filters) = client.prepare(&server, sql).expect("prepare");
+            let a = sequential.execute(&translated, &filters).expect("sequential");
+            let b = concurrent.execute(&translated, &filters).expect("concurrent");
+            assert_eq!(a.groups, b.groups, "{lanes} lanes: groups diverged for {sql}");
+            assert_eq!(
+                a.result_bytes, b.result_bytes,
+                "{lanes} lanes: result bytes diverged for {sql}"
+            );
+            assert_eq!(a.stats.bytes_to_driver, b.stats.bytes_to_driver, "{lanes} lanes: {sql}");
+            assert_equivalent(&client, &server, &concurrent, sql);
+        }
+        assert!(concurrent.worker_summaries().iter().all(|s| s.alive && s.queries > 0));
+        for w in seq_workers.into_iter().chain(con_workers) {
+            w.shutdown();
+        }
+    }
+}
+
+/// `SeabedServer::execute` answers the same bytes whether its scan runs on
+/// the calling thread alone (`local_threads = 1`) or fans out to helpers, in
+/// both execution modes — and accounts the same bytes to the driver.
+#[test]
+fn server_responses_do_not_depend_on_local_threads() {
+    let (client, server, _) = sales_fixture();
+    for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
+        let with_threads = |threads: usize| {
+            let config = ClusterConfig::with_workers(8).local_threads(threads).exec_mode(mode);
+            SeabedServer::new(server.table().clone(), Cluster::new(config))
+        };
+        let on_the_caller = with_threads(1);
+        for threads in [2, 4] {
+            let fanned_out = with_threads(threads);
+            for sql in FAN_OUT_QUERIES {
+                let (_, translated, filters) = client.prepare(&server, sql).expect("prepare");
+                let a = on_the_caller.execute(&translated, &filters).expect("one thread");
+                let b = fanned_out.execute(&translated, &filters).expect("several threads");
+                assert_eq!(a.groups, b.groups, "{mode:?} x{threads}: groups diverged for {sql}");
+                assert_eq!(a.result_bytes, b.result_bytes, "{mode:?} x{threads}: {sql}");
+                assert_eq!(a.stats.tasks, b.stats.tasks);
+                assert_eq!(
+                    a.stats.bytes_to_driver, b.stats.bytes_to_driver,
+                    "{mode:?} x{threads}: {sql}"
+                );
+            }
+        }
     }
 }
 

@@ -643,3 +643,97 @@ fn live_server_survives_adversarial_volley() {
     assert_eq!(result.rows[0][0], seabed::core::ResultValue::UInt((0..200u64).sum()));
     net.shutdown();
 }
+
+/// A forged answer must not crash the proxy that holds the keys. A
+/// man-in-the-middle relays a real service's frames but swaps the ID list of
+/// the first `Response` for a ~170-byte compressed block whose only token is
+/// a match — a copy from before the start of the output. The inflater used to
+/// index out of bounds there and panic the session's thread; now the query
+/// fails with a typed error, and the same connection and session answer the
+/// next query correctly.
+#[test]
+fn forged_compressed_id_list_is_a_typed_error_and_the_session_lives() {
+    use seabed::core::{PlainDataset, ResultValue, SeabedClient, SeabedServer, SeabedSession};
+    use seabed::engine::{Cluster, ClusterConfig};
+    use seabed::net::{FrameConn, NetServer, Received, RemoteSeabedClient, ServiceConfig, Wait};
+    use seabed::query::{parse, ColumnSpec, PlannerConfig};
+    use std::time::Instant;
+
+    // Block kind 1 (compressed), 3 bytes declared, 1 token; literal/length
+    // symbol 256 (a length-3 match) and distance symbol 0 (distance 1) get
+    // the only codes, one bit each; the bit stream is a zero byte.
+    let mut forged_list = vec![1u8];
+    forged_list.extend_from_slice(&3u32.to_le_bytes());
+    forged_list.extend_from_slice(&1u32.to_le_bytes());
+    let mut litlen = [0u8; 143];
+    litlen[256 / 2] = 1;
+    let mut dist = [0u8; 15];
+    dist[0] = 1;
+    forged_list.extend_from_slice(&litlen);
+    forged_list.extend_from_slice(&dist);
+    forged_list.push(0);
+    assert!(forged_list.len() < 180);
+
+    let dataset = PlainDataset::new("t").with_uint_column("m", (0..200u64).collect());
+    let columns = vec![ColumnSpec::sensitive("m")];
+    let samples = vec![parse("SELECT SUM(m) FROM t").expect("parse")];
+    let mut client = SeabedClient::create_plan(b"forged", &columns, &samples, &PlannerConfig::default());
+    let encrypted = client.encrypt_dataset(&dataset, 4, &mut rand::rng());
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+    let net = NetServer::serve(server, "127.0.0.1:0", ServiceConfig::default()).expect("serve");
+    let upstream_addr = net.local_addr();
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let max = DEFAULT_MAX_FRAME_LEN;
+    let man_in_the_middle = std::thread::spawn(move || {
+        let patience = Duration::from_secs(10);
+        let (stream, _) = listener.accept().expect("accept");
+        let mut downstream = FrameConn::from_stream(stream, patience).expect("wrap");
+        let mut upstream = FrameConn::connect(upstream_addr, patience).expect("upstream");
+        let mut forged = 0;
+        loop {
+            let request = match downstream.recv(max, Wait::Until(Instant::now() + patience)) {
+                Ok(Received::Frame(frame)) => frame,
+                Ok(Received::Closed) => return forged,
+                other => panic!("relay: {other:?}"),
+            };
+            let mut reply = upstream.round_trip(&request, max, patience).expect("upstream reply");
+            if let Frame::Response(response) = &mut reply {
+                if forged == 0 {
+                    for aggregate in response.groups.iter_mut().flat_map(|g| g.aggregates.iter_mut()) {
+                        if let EncryptedAggregate::AsheSum { id_list, encoding, .. } = aggregate {
+                            assert_eq!(*encoding, IdListEncoding::RangesVbDiffDeflateFast);
+                            *id_list = forged_list.clone();
+                            forged += 1;
+                        }
+                    }
+                }
+            }
+            downstream.send(&reply, max).expect("relay reply");
+        }
+    });
+
+    let remote = RemoteSeabedClient::connect(addr, client.clone()).expect("connect through the relay");
+    let session = SeabedSession::single("t", client, &remote);
+    let sql = "SELECT SUM(m) FROM t";
+    let outcome = session.query(sql, &[]);
+    assert!(matches!(outcome, Err(SeabedError::Encoding(_))), "{outcome:?}");
+    // Same connection, same session, same (cached) statement: an honest answer.
+    let requests_before = remote.wire_stats().requests;
+    let result = session.query(sql, &[]).expect("query after the forged answer");
+    assert_eq!(result.rows[0][0], ResultValue::UInt((0..200u64).sum()));
+    assert!(
+        remote.wire_stats().requests > requests_before,
+        "answered over the same connection"
+    );
+
+    drop(session);
+    drop(remote);
+    assert_eq!(
+        man_in_the_middle.join().expect("relay thread"),
+        1,
+        "exactly one list was forged"
+    );
+    net.shutdown();
+}
