@@ -26,7 +26,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seabed_ashe::{AsheScheme, IdSet};
 use seabed_core::{
-    row_selected, NoEncSystem, PaillierSystem, PhysicalFilter, PlainDataset, SeabedClient, SeabedServer,
+    row_selected, ExecRequest, NoEncSystem, PaillierSystem, PhysicalFilter, PlainDataset, QueryTarget, SeabedClient,
+    SeabedServer,
 };
 use seabed_crypto::paillier::PaillierKeypair;
 use seabed_crypto::{AesCtr, BigUint};
@@ -1698,9 +1699,9 @@ pub fn exp_scaleout(scale: &Scale) -> Vec<Row> {
             })
             .collect();
         let addrs: Vec<_> = services.iter().map(|s| s.local_addr()).collect();
-        let coordinator = DistCoordinator::connect(
+        let coordinator = DistCoordinator::connect_tables(
             &addrs,
-            reference.table().clone(),
+            vec![("t".into(), reference.table().clone())],
             DistConfig::default().scatter(ScatterMode::Sequential),
         )
         .expect("scaleout coordinator must connect");
@@ -1719,7 +1720,9 @@ pub fn exp_scaleout(scale: &Scale) -> Vec<Row> {
             let mut best_wall = f64::MAX;
             let mut best_measured = f64::MAX;
             for _ in 0..3 {
-                let response = coordinator.execute(query, filters).expect("distributed execution");
+                let response = coordinator
+                    .execute_query(query, filters)
+                    .expect("distributed execution");
                 assert_eq!(
                     expected.groups, response.groups,
                     "distributed result diverged from single-server execution"
@@ -1796,9 +1799,9 @@ pub fn exp_scaleout(scale: &Scale) -> Vec<Row> {
         })
         .collect();
     let addrs: Vec<_> = services.iter().map(|s| s.local_addr()).collect();
-    let coordinator = DistCoordinator::connect(
+    let coordinator = DistCoordinator::connect_tables(
         &addrs,
-        base.table().clone(),
+        vec![("t".into(), base.table().clone())],
         DistConfig::default()
             .scatter(ScatterMode::Sequential)
             .hedge_after(Duration::from_millis(200)),
@@ -1817,7 +1820,7 @@ pub fn exp_scaleout(scale: &Scale) -> Vec<Row> {
             }
             let started = Instant::now();
             let response = coordinator
-                .execute(&sum_query, &sum_filters)
+                .execute_query(&sum_query, &sum_filters)
                 .expect("replicated execution must survive a worker kill");
             latencies.push(started.elapsed().as_secs_f64());
             assert_eq!(
@@ -1863,15 +1866,16 @@ pub fn exp_scaleout(scale: &Scale) -> Vec<Row> {
     // gather, merge. The plan is archived when `SEABED_EXPLAIN_PLAN` names a
     // path (CI uploads it as an artifact next to the bench JSON).
     {
-        use seabed_core::QueryTarget;
-        let analyzed = coordinator
-            .execute_query_analyzed(&sum_query, &sum_filters, seabed_obs::UNTRACED, true)
-            .expect("analyzed distributed execution");
+        let request = ExecRequest {
+            analyze: true,
+            ..ExecRequest::new(&sum_query, &sum_filters)
+        };
+        let analyzed = coordinator.run(&request).expect("analyzed distributed execution");
         assert_eq!(
-            expected.groups, analyzed.groups,
+            expected.groups, analyzed.response.groups,
             "EXPLAIN ANALYZE diverged from plain execution"
         );
-        let plan = coordinator.analyzed_plan().expect("analyzed plan recorded");
+        let plan = analyzed.plan.expect("an analyzed execution returns its plan");
         let shard_nodes = plan.children.iter().filter(|c| c.op == "shard").count();
         let operator_nodes: usize = plan
             .children
@@ -1904,15 +1908,13 @@ pub fn exp_scaleout(scale: &Scale) -> Vec<Row> {
 /// `EXPLAIN ANALYZE` overhead on the 1M-row single-filter SUM scan.
 ///
 /// Runs the same scan through [`SeabedServer`] twice per round — once plain,
-/// once with per-operator profiling on (`execute_query_analyzed(..,
-/// analyze=true)`) — interleaved so host noise hits both sides equally, and
+/// once with per-operator profiling on (an [`ExecRequest`] with
+/// `analyze` set) — interleaved so host noise hits both sides equally, and
 /// asserts the two responses byte-identical every round. The profiled side
 /// pays one `Instant::now` pair per operator per batch; the acceptance bar
 /// (recorded, not asserted: shared CI hosts are noisy) is `overhead_pct` ≤ 5
 /// on the stable CPU-time signal.
 pub fn exp_explain_overhead(scale: &Scale) -> Vec<Row> {
-    use seabed_core::QueryTarget;
-
     let rows = scale.rows(1000); // 1 M rows at the default scale
     let server = exec_bench_server(rows, 1, scale, ExecMode::Vectorized);
     let query = exec_bench_query(false);
@@ -1934,9 +1936,11 @@ pub fn exp_explain_overhead(scale: &Scale) -> Vec<Row> {
         best_plain_cpu = best_plain_cpu.min(plain.stats.total_task_time);
 
         let started = Instant::now();
-        let analyzed = server
-            .execute_query_analyzed(&query, &filters, seabed_obs::UNTRACED, true)
-            .expect("analyzed execution");
+        let request = ExecRequest {
+            analyze: true,
+            ..ExecRequest::new(&query, &filters)
+        };
+        let analyzed = server.run(&request).expect("analyzed execution").response;
         best_analyzed_wall = best_analyzed_wall.min(started.elapsed());
         best_analyzed_cpu = best_analyzed_cpu.min(analyzed.stats.total_task_time);
 
@@ -2106,7 +2110,8 @@ pub fn exp_crypto_throughput(scale: &Scale) -> Vec<Row> {
             .collect();
         let addrs: Vec<_> = services.iter().map(|s| s.local_addr()).collect();
         let coordinator =
-            DistCoordinator::connect(&addrs, encrypted.table.clone(), config).expect("cache bench coordinator");
+            DistCoordinator::connect_tables(&addrs, vec![("hot".into(), encrypted.table.clone())], config)
+                .expect("cache bench coordinator");
         let session = SeabedSession::single("hot", client.clone(), &coordinator);
         let prepared = session
             .prepare("SELECT SUM(m) FROM hot WHERE tag = ?")

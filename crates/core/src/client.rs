@@ -91,6 +91,11 @@ pub struct QueryResult {
     pub result_bytes: usize,
     /// Number of PRF (AES) evaluations the client performed during decryption.
     pub client_prf_evals: usize,
+    /// The trace id the execution ran under: a [`crate::SeabedSession`] mints
+    /// one per execution and records its spans (and the target's) under it;
+    /// [`seabed_obs::UNTRACED`] when its registry is disabled, or when no
+    /// session was involved.
+    pub trace_id: u64,
 }
 
 /// Pre-instantiated per-column filter-encryption schemes for one statement.
@@ -541,6 +546,7 @@ impl SeabedClient {
             server_stats: response.stats,
             result_bytes: response.result_bytes,
             client_prf_evals: prf_evals,
+            trace_id: seabed_obs::UNTRACED,
         })
     }
 

@@ -47,6 +47,7 @@ use seabed_engine::{
     Table, TaskOutput,
 };
 use seabed_error::SeabedError;
+use seabed_obs::UNTRACED;
 use seabed_query::{CompareOp, PlanNode, ServerAggregate, TranslatedQuery};
 use std::collections::HashMap;
 
@@ -207,7 +208,7 @@ impl PhysicalFilter {
     }
 
     /// Row predicate of the scalar path. Types were checked by
-    /// [`PhysicalFilter::validate`]; a (structurally impossible) mismatch
+    /// `PhysicalFilter::validate`; a (structurally impossible) mismatch
     /// deselects the row instead of panicking.
     pub fn matches(&self, partition: &Partition, row: usize) -> bool {
         match self {
@@ -815,6 +816,59 @@ impl PartialResponse {
     }
 }
 
+/// One execution, as a [`QueryTarget`] sees it: the plan, this execution's
+/// literal-encrypted filters, and what the caller wants done with them.
+#[derive(Clone, Copy, Debug)]
+pub struct ExecRequest<'a> {
+    /// The translated plan. For a prepared statement this is the *unbound*
+    /// plan, stable across executions — the server side only reads its shape
+    /// (aggregates, grouping, inflation).
+    pub plan: &'a TranslatedQuery,
+    /// The bound, literal-encrypted filters of this execution.
+    pub filters: &'a [PhysicalFilter],
+    /// `Some` for an execution of a prepared statement: the target may keep
+    /// per-statement state for `plan` (a server-side handle, cached shard
+    /// partials) and reuse it. `None` is a one-shot execution.
+    pub statement_id: Option<u64>,
+    /// Propagated trace id ([`UNTRACED`] for none): a target that crosses a
+    /// process boundary ships it with the query and records its spans under it.
+    pub trace_id: u64,
+    /// `EXPLAIN ANALYZE`: profile every operator into
+    /// `response.stats.operators` and return the target-side plan subtree.
+    pub analyze: bool,
+}
+
+impl<'a> ExecRequest<'a> {
+    /// A one-shot, untraced, unprofiled execution of `plan`.
+    pub fn new(plan: &'a TranslatedQuery, filters: &'a [PhysicalFilter]) -> ExecRequest<'a> {
+        ExecRequest {
+            plan,
+            filters,
+            statement_id: None,
+            trace_id: UNTRACED,
+            analyze: false,
+        }
+    }
+}
+
+/// What one [`QueryTarget::run`] produced.
+#[derive(Clone, Debug)]
+pub struct ExecOutcome {
+    /// The still-encrypted response.
+    pub response: ServerResponse,
+    /// The target-side plan subtree of *this* execution, when it was analyzed
+    /// and the target has stages of its own (a distributed coordinator's
+    /// scatter, per-shard runs, gather and merge). `None` for a target whose
+    /// whole execution the client-side plan already describes.
+    pub plan: Option<PlanNode>,
+}
+
+impl From<ServerResponse> for ExecOutcome {
+    fn from(response: ServerResponse) -> ExecOutcome {
+        ExecOutcome { response, plan: None }
+    }
+}
+
 /// Anything a [`crate::SeabedClient`] or [`crate::SeabedSession`] can point a
 /// query at: the in-process [`SeabedServer`], a `seabed-net` remote proxy, or
 /// a `seabed-dist` coordinator fanning the query out over sharded workers.
@@ -824,9 +878,9 @@ impl PartialResponse {
 ///
 /// Targets are addressed by *table*: `schema_of` resolves the table named in
 /// a query's `FROM`, so one target can host many encrypted tables (the
-/// multi-tenant `seabed-dist` coordinator does). A single-table target that
-/// was never told its table's name accepts any name — the catalog on the
-/// session side is then the authority on which names exist.
+/// `seabed-dist` coordinator does). A single-table target that is never told
+/// its table's name accepts any name — the catalog on the session side is
+/// then the authority on which names exist.
 pub trait QueryTarget {
     /// The schema of the named table, or a typed
     /// [`seabed_error::SchemaError::UnknownTable`] when this target does not
@@ -842,70 +896,33 @@ pub trait QueryTarget {
         false
     }
 
-    /// Executes a prepared (translated, literal-encrypted) query. Multi-table
-    /// targets route by `query.base_table`.
+    /// One-shot execution of a translated, literal-encrypted query — all a
+    /// minimal target has to provide. Multi-table targets route by
+    /// `query.base_table`.
     fn execute_query(&self, query: &TranslatedQuery, filters: &[PhysicalFilter])
         -> Result<ServerResponse, SeabedError>;
 
-    /// Executes a *prepared statement*: `statement` is the unbound translated
-    /// plan (stable across executions — the server side only reads its shape:
-    /// aggregates, grouping, inflation), `statement_id` a caller-stable cache
-    /// key for it, and `filters` the bound, literal-encrypted filters of this
-    /// execution. The default just executes the plan; remote targets override
-    /// this to register the statement once and ship only a handle plus the
-    /// bound filters on every execution.
+    /// The dispatch entry every session execution goes through. The default
+    /// answers with [`QueryTarget::execute_query`] and drops the extras — no
+    /// statement reuse, no spans, no operator rows; the three shipped targets
+    /// override it and honour the whole request.
+    fn run(&self, request: &ExecRequest<'_>) -> Result<ExecOutcome, SeabedError> {
+        self.execute_query(request.plan, request.filters).map(ExecOutcome::from)
+    }
+
+    /// [`QueryTarget::run`] of a prepared statement, untraced: `statement`
+    /// is the unbound plan, `statement_id` a caller-stable key for it.
     fn execute_prepared(
         &self,
         statement: &TranslatedQuery,
         statement_id: u64,
         filters: &[PhysicalFilter],
     ) -> Result<ServerResponse, SeabedError> {
-        let _ = statement_id;
-        self.execute_query(statement, filters)
-    }
-
-    /// [`QueryTarget::execute_prepared`] with a propagated trace id
-    /// ([`seabed_obs::UNTRACED`] for an untraced execution). Targets that
-    /// cross a process boundary (remote proxy, distributed coordinator)
-    /// override this to ship the id with the query and record their own
-    /// spans under it; the default simply drops the id — an in-process
-    /// target has no spans of its own to contribute.
-    fn execute_prepared_traced(
-        &self,
-        statement: &TranslatedQuery,
-        statement_id: u64,
-        filters: &[PhysicalFilter],
-        trace_id: u64,
-    ) -> Result<ServerResponse, SeabedError> {
-        let _ = trace_id;
-        self.execute_prepared(statement, statement_id, filters)
-    }
-
-    /// One-shot execution with an optional per-operator profiling pass: the
-    /// dispatch entry of `EXPLAIN ANALYZE`. With `analyze` set, the response's
-    /// `stats.operators` carries the measured per-operator breakdown (merged
-    /// across partitions, and across shards for a distributed target). The
-    /// default drops both extras and delegates to [`QueryTarget::execute_query`],
-    /// so targets without a profiled path keep working — they simply return
-    /// no operator rows.
-    fn execute_query_analyzed(
-        &self,
-        query: &TranslatedQuery,
-        filters: &[PhysicalFilter],
-        trace_id: u64,
-        analyze: bool,
-    ) -> Result<ServerResponse, SeabedError> {
-        let _ = (trace_id, analyze);
-        self.execute_query(query, filters)
-    }
-
-    /// The target-side plan subtree of the most recent analyzed execution on
-    /// this target — a distributed coordinator reports its scatter/gather/
-    /// merge stages and per-shard runs here so the session can stitch them
-    /// under the structural plan. `None` (the default) for targets whose
-    /// whole execution is already described by the client-side plan.
-    fn analyzed_plan(&self) -> Option<PlanNode> {
-        None
+        let request = ExecRequest {
+            statement_id: Some(statement_id),
+            ..ExecRequest::new(statement, filters)
+        };
+        Ok(self.run(&request)?.response)
     }
 }
 
@@ -924,14 +941,9 @@ impl QueryTarget for SeabedServer {
         self.execute(query, filters)
     }
 
-    fn execute_query_analyzed(
-        &self,
-        query: &TranslatedQuery,
-        filters: &[PhysicalFilter],
-        _trace_id: u64,
-        analyze: bool,
-    ) -> Result<ServerResponse, SeabedError> {
-        self.execute_analyzed(query, filters, analyze)
+    fn run(&self, request: &ExecRequest<'_>) -> Result<ExecOutcome, SeabedError> {
+        self.execute_analyzed(request.plan, request.filters, request.analyze)
+            .map(ExecOutcome::from)
     }
 }
 

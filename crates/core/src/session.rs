@@ -32,7 +32,7 @@
 //! this across all three execution targets.
 
 use crate::client::{FilterEncryptor, QueryResult, SeabedClient};
-use crate::server::{PhysicalFilter, QueryTarget, ServerResponse};
+use crate::server::{ExecOutcome, ExecRequest, PhysicalFilter, QueryTarget, ServerResponse};
 use seabed_engine::{ColumnType, OperatorProfile, Schema};
 use seabed_error::{SchemaError, SeabedError};
 use seabed_obs::{Counter, EventOperator, Histogram, QueryEvent, Registry, TraceBuilder, TraceId, UNTRACED};
@@ -40,6 +40,7 @@ use seabed_query::{
     parse, parse_statement, translate, ExplainMode, Literal, PlanNode, PlanProfile, Query, ServerFilter,
     TranslatedQuery,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -85,6 +86,16 @@ pub fn event_operators(operators: &[OperatorProfile]) -> Vec<EventOperator> {
             nanos: op.nanos,
         })
         .collect()
+}
+
+/// Converts one measured operator into the profile a [`PlanNode`] carries.
+pub fn plan_profile(op: &OperatorProfile) -> PlanProfile {
+    PlanProfile {
+        rows_in: op.rows_in,
+        rows_out: op.rows_out,
+        batches: op.batches,
+        nanos: op.nanos,
+    }
 }
 
 /// The outcome of [`SeabedSession::explain`]: the structural plan tree (with
@@ -560,159 +571,186 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
     /// changes the plan *shape* (aggregates, grouping, inflation, post
     /// steps), which is all decryption reads, so fully-bound statements pay
     /// no per-execute allocation or crypto at all.
-    pub fn execute(&self, prepared: &PreparedQuery, params: &[Literal]) -> Result<QueryResult, SeabedError> {
-        Ok(self.execute_traced(prepared, params)?.0)
-    }
-
-    /// [`SeabedSession::execute`] under a freshly minted [`TraceId`]: the
+    ///
+    /// Every execution runs under a freshly minted [`TraceId`], returned as
+    /// `result.trace_id` ([`UNTRACED`] when the registry is disabled): the
     /// session's `bind` / `dispatch` / `decrypt` spans land in its registry
-    /// under the returned id, and the id travels to the target (a
-    /// coordinator records its scatter/gather/merge spans under it, a remote
-    /// worker its shard-execute span). Returns [`UNTRACED`] when the
-    /// registry is disabled.
-    pub fn execute_traced(
-        &self,
-        prepared: &PreparedQuery,
-        params: &[Literal],
-    ) -> Result<(QueryResult, u64), SeabedError> {
-        let trace_id = self.mint_trace_id();
-        let mut tb = self.obs.trace_builder(trace_id, "session");
-        tb.set_statement_id(prepared.statement_id);
-        let result = self.execute_with(prepared, params, &tb, trace_id)?;
-        if let Some(trace) = tb.finish() {
-            self.obs.record_trace(trace);
-        }
-        Ok((result, trace_id))
+    /// under it, and it travels to the target (a coordinator records its
+    /// scatter/gather/merge spans under it, a remote worker its
+    /// shard-execute span).
+    pub fn execute(&self, prepared: &PreparedQuery, params: &[Literal]) -> Result<QueryResult, SeabedError> {
+        let (result, _) = self.traced(prepared.statement_id, |tb, trace_id| {
+            self.execute_with(prepared, params, false, tb, trace_id)
+        })?;
+        Ok(result)
     }
 
-    /// A fresh trace id, or [`UNTRACED`] when the registry is disabled (so
-    /// disabled sessions also skip the propagation work downstream).
-    fn mint_trace_id(&self) -> u64 {
-        if self.obs.enabled() {
+    /// Runs `body` under a fresh trace id ([`UNTRACED`] when the registry is
+    /// disabled, so disabled sessions also skip the propagation work
+    /// downstream) and records the spans it left on the builder.
+    fn traced<R>(
+        &self,
+        statement_id: u64,
+        body: impl FnOnce(&TraceBuilder, u64) -> Result<R, SeabedError>,
+    ) -> Result<R, SeabedError> {
+        let trace_id = if self.obs.enabled() {
             TraceId::mint().as_u64()
         } else {
             UNTRACED
+        };
+        let mut tb = self.obs.trace_builder(trace_id, "session");
+        tb.set_statement_id(statement_id);
+        let result = body(&tb, trace_id)?;
+        if let Some(trace) = tb.finish() {
+            self.obs.record_trace(trace);
         }
+        Ok(result)
     }
 
-    /// The shared execute body: dispatch, then decrypt (as a span on `tb`).
+    /// The proxy state of the table `prepared` reads.
+    fn client_of(&self, prepared: &PreparedQuery) -> Result<&SeabedClient, SeabedError> {
+        self.catalog
+            .client(&prepared.table)
+            .ok_or_else(|| SchemaError::UnknownTable(prepared.table.clone()).into())
+    }
+
+    /// The shared execute body of `execute`, `query` and `EXPLAIN ANALYZE`:
+    /// dispatch, decrypt (as a span on `tb`), count, and leave one
+    /// [`QueryEvent`]. With `analyze`, also returns the structural plan
+    /// annotated with the measured operators, the target's own subtree of
+    /// this execution hung under it.
     fn execute_with(
         &self,
         prepared: &PreparedQuery,
         params: &[Literal],
+        analyze: bool,
         tb: &TraceBuilder,
         trace_id: u64,
-    ) -> Result<QueryResult, SeabedError> {
+    ) -> Result<(QueryResult, Option<PlanNode>), SeabedError> {
         let execute_timer = self.metrics.execute_ns.start();
         let started = self.obs.enabled().then(Instant::now);
-        let client = self
-            .catalog
-            .client(&prepared.table)
-            .ok_or_else(|| SchemaError::UnknownTable(prepared.table.clone()))?;
-        let outcome = self
-            .dispatch(client, prepared, params, tb, trace_id)
-            .and_then(|(_, response)| {
-                let span = tb.start();
-                let result = client.decrypt_response(&prepared.query, &prepared.translated, response)?;
-                tb.end("decrypt", span);
-                Ok(result)
+        let outcome = self.client_of(prepared).and_then(|client| {
+            let (_, executed) = self.dispatch(client, prepared, params, analyze, tb, trace_id)?;
+            let span = tb.start();
+            let mut result = client.decrypt_response(&prepared.query, &prepared.translated, executed.response)?;
+            tb.end("decrypt", span);
+            result.trace_id = trace_id;
+            let plan = analyze.then(|| {
+                let mut plan = PlanNode::from_translated(&prepared.translated);
+                let operators = &result.server_stats.operators;
+                let profiles: Vec<_> = operators
+                    .iter()
+                    .map(|op| (op.label.clone(), plan_profile(op)))
+                    .collect();
+                plan.annotate(&profiles);
+                plan.children.extend(executed.plan);
+                plan
             });
-        // Every execute — traced or not, successful or not — lands in the
+            Ok((result, plan))
+        });
+        // Every execute — analyzed or not, successful or not — lands in the
         // slow-query event ring (when the registry is enabled). The plan is
-        // the translated plan's structural description; nothing in the event
-        // carries SQL text or literals.
+        // the analyzed tree, or the translated plan's structural description;
+        // nothing in the event carries SQL text or literals.
         if let Some(started) = started {
+            let (plan, operators) = match &outcome {
+                Ok((result, Some(plan))) => (plan.render(), event_operators(&result.server_stats.operators)),
+                _ => (prepared.translated.describe(), Vec::new()),
+            };
             self.obs.record_event(QueryEvent {
                 trace_id,
                 statement_id: prepared.statement_id,
                 node: "session".to_string(),
-                plan: prepared.translated.describe(),
-                operators: Vec::new(),
+                plan,
+                operators,
                 total_ns: started.elapsed().as_nanos() as u64,
                 slow: false,
                 outcome: outcome_tag(&outcome).to_string(),
             });
         }
-        let result = outcome?;
+        let executed = outcome?;
         self.metrics.execute_ns.stop(execute_timer);
         self.metrics.executes.incr();
-        Ok(result)
+        Ok(executed)
     }
 
-    /// The one bind-and-dispatch path both `execute` and `execute_encrypted`
-    /// share: binds the placeholders (arity/type checked), encrypts **only**
-    /// the placeholder positions (inline literals were encrypted at prepare;
-    /// fully-bound statements borrow their fixed filters with zero
-    /// per-execute crypto or allocation), and dispatches. Returns the bound
-    /// plan when the statement has placeholders (`None` for fully-bound
-    /// statements, whose plan *is* `prepared.translated`).
+    /// The one path to the target: binds, builds the [`ExecRequest`] and
+    /// runs it. Returns the bound plan when the statement has placeholders
+    /// (`None` for fully-bound statements, whose plan *is*
+    /// `prepared.translated`).
     fn dispatch(
         &self,
         client: &SeabedClient,
         prepared: &PreparedQuery,
         params: &[Literal],
+        analyze: bool,
         tb: &TraceBuilder,
         trace_id: u64,
-    ) -> Result<(Option<TranslatedQuery>, ServerResponse), SeabedError> {
-        match &prepared.filters {
-            PreparedFilters::Fixed(fixed) => {
-                // Arity is still checked: a fully-bound statement takes no
-                // parameters.
-                if !params.is_empty() {
-                    return Err(SchemaError::ParamCount {
-                        expected: 0,
-                        actual: params.len(),
-                    }
-                    .into());
+    ) -> Result<(Option<TranslatedQuery>, ExecOutcome), SeabedError> {
+        let (bound, filters) = self.bind(client, prepared, params, tb)?;
+        let span = tb.start();
+        let executed = self.target.run(&ExecRequest {
+            plan: &prepared.translated,
+            filters: &filters,
+            statement_id: Some(prepared.statement_id),
+            trace_id,
+            analyze,
+        })?;
+        tb.end("dispatch", span);
+        Ok((bound, executed))
+    }
+
+    /// The one bind step: checks arity and types, and encrypts **only** the
+    /// placeholder positions (inline literals were encrypted at prepare). A
+    /// fully-bound statement borrows its fixed filters — no per-execute
+    /// crypto, allocation or `bind` span.
+    fn bind<'p>(
+        &self,
+        client: &SeabedClient,
+        prepared: &'p PreparedQuery,
+        params: &[Literal],
+        tb: &TraceBuilder,
+    ) -> Result<(Option<TranslatedQuery>, Cow<'p, [PhysicalFilter]>), SeabedError> {
+        let template = match &prepared.filters {
+            // Arity is still checked: a fully-bound statement takes no
+            // parameters.
+            PreparedFilters::Fixed(_) if !params.is_empty() => {
+                return Err(SchemaError::ParamCount {
+                    expected: 0,
+                    actual: params.len(),
                 }
-                let span = tb.start();
-                let response = self.target.execute_prepared_traced(
-                    &prepared.translated,
-                    prepared.statement_id,
-                    fixed,
-                    trace_id,
-                )?;
-                tb.end("dispatch", span);
-                Ok((None, response))
+                .into());
             }
-            PreparedFilters::Template(template) => {
-                let bind_span = tb.start();
-                let bound = prepared.translated.bind(params)?;
-                let schema = self.target.schema_of(&prepared.table)?;
-                let mut filters = Vec::with_capacity(template.len());
-                for (i, slot) in template.iter().enumerate() {
-                    match slot {
-                        Some(fixed) => filters.push(fixed.clone()),
+            PreparedFilters::Fixed(fixed) => return Ok((None, Cow::Borrowed(fixed))),
+            PreparedFilters::Template(template) => template,
+        };
+        let span = tb.start();
+        let bound = prepared.translated.bind(params)?;
+        let schema = self.target.schema_of(&prepared.table)?;
+        let mut filters = Vec::with_capacity(template.len());
+        for (i, slot) in template.iter().enumerate() {
+            filters.push(match slot {
+                Some(fixed) => fixed.clone(),
+                None => {
+                    let filter = bound.filters.get(i).ok_or_else(|| {
+                        SeabedError::engine(format!("filter template position {i} exceeds the bound plan"))
+                    })?;
+                    // Deterministic encryption makes the memo sound: a
+                    // repeated binding reuses its ciphertext byte for byte,
+                    // so only first-seen literals pay AES.
+                    match prepared.memoized_bound_filter(i, filter) {
+                        Some(encrypted) => encrypted,
                         None => {
-                            let filter = bound.filters.get(i).ok_or_else(|| {
-                                SeabedError::engine(format!("filter template position {i} exceeds the bound plan"))
-                            })?;
-                            // Deterministic encryption makes the memo sound:
-                            // a repeated binding reuses its ciphertext byte
-                            // for byte, so only first-seen literals pay AES.
-                            match prepared.memoized_bound_filter(i, filter) {
-                                Some(encrypted) => filters.push(encrypted),
-                                None => {
-                                    let encrypted = client.encrypt_filter_with(&prepared.encryptor, schema, filter)?;
-                                    prepared.memoize_bound_filter(i, filter, &encrypted);
-                                    filters.push(encrypted);
-                                }
-                            }
+                            let encrypted = client.encrypt_filter_with(&prepared.encryptor, schema, filter)?;
+                            prepared.memoize_bound_filter(i, filter, &encrypted);
+                            encrypted
                         }
                     }
                 }
-                tb.end("bind", bind_span);
-                let span = tb.start();
-                let response = self.target.execute_prepared_traced(
-                    &prepared.translated,
-                    prepared.statement_id,
-                    &filters,
-                    trace_id,
-                )?;
-                tb.end("dispatch", span);
-                Ok((Some(bound), response))
-            }
+            });
         }
+        tb.end("bind", span);
+        Ok((Some(bound), Cow::Owned(filters)))
     }
 
     /// [`SeabedSession::execute`] up to (and including) server execution,
@@ -724,63 +762,10 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
         prepared: &PreparedQuery,
         params: &[Literal],
     ) -> Result<(TranslatedQuery, ServerResponse), SeabedError> {
-        let client = self
-            .catalog
-            .client(&prepared.table)
-            .ok_or_else(|| SchemaError::UnknownTable(prepared.table.clone()))?;
-        let (bound, response) = self.dispatch(client, prepared, params, &TraceBuilder::noop(), UNTRACED)?;
+        let client = self.client_of(prepared)?;
+        let (bound, executed) = self.dispatch(client, prepared, params, false, &TraceBuilder::noop(), UNTRACED)?;
         // Fully-bound statements' plan is already the bound plan.
-        Ok((bound.unwrap_or_else(|| prepared.translated.clone()), response))
-    }
-
-    /// Binds `params` and returns the complete encrypted filter list as an
-    /// owned vector (plus the bound plan when the statement has
-    /// placeholders). The explain path uses this instead of
-    /// [`SeabedSession::dispatch`] — explain is never hot, so the clone of a
-    /// fully-bound statement's fixed filters is acceptable there, and the
-    /// bind memo is shared with regular executes.
-    fn bound_filters(
-        &self,
-        client: &SeabedClient,
-        prepared: &PreparedQuery,
-        params: &[Literal],
-    ) -> Result<(Option<TranslatedQuery>, Vec<PhysicalFilter>), SeabedError> {
-        match &prepared.filters {
-            PreparedFilters::Fixed(fixed) => {
-                if !params.is_empty() {
-                    return Err(SchemaError::ParamCount {
-                        expected: 0,
-                        actual: params.len(),
-                    }
-                    .into());
-                }
-                Ok((None, fixed.clone()))
-            }
-            PreparedFilters::Template(template) => {
-                let bound = prepared.translated.bind(params)?;
-                let schema = self.target.schema_of(&prepared.table)?;
-                let mut filters = Vec::with_capacity(template.len());
-                for (i, slot) in template.iter().enumerate() {
-                    match slot {
-                        Some(fixed) => filters.push(fixed.clone()),
-                        None => {
-                            let filter = bound.filters.get(i).ok_or_else(|| {
-                                SeabedError::engine(format!("filter template position {i} exceeds the bound plan"))
-                            })?;
-                            match prepared.memoized_bound_filter(i, filter) {
-                                Some(encrypted) => filters.push(encrypted),
-                                None => {
-                                    let encrypted = client.encrypt_filter_with(&prepared.encryptor, schema, filter)?;
-                                    prepared.memoize_bound_filter(i, filter, &encrypted);
-                                    filters.push(encrypted);
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok((Some(bound), filters))
-            }
-        }
+        Ok((bound.unwrap_or_else(|| prepared.translated.clone()), executed.response))
     }
 
     /// `EXPLAIN` / `EXPLAIN ANALYZE`: returns the structural plan tree of
@@ -791,110 +776,54 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
     /// execution target beyond schema validation at prepare time — the plan
     /// is derived entirely from the client-side translated query, so nothing
     /// is dispatched, no shard traffic happens, and the call works even when
-    /// every worker is down. `EXPLAIN ANALYZE` executes the query through the
-    /// target's profiled path, annotates each plan node with the measured
-    /// rows/batches/nanos (merged across partitions and shards), appends the
-    /// target's own execution subtree when it has one (a distributed
-    /// coordinator contributes its scatter/gather/merge stages and per-shard
-    /// runs), and returns the decrypted result alongside the tree.
+    /// every worker is down. `EXPLAIN ANALYZE` *is* an execute — same bind,
+    /// same dispatch, same counters, trace and event as
+    /// [`SeabedSession::execute`] — with `analyze` set on its
+    /// [`ExecRequest`]: each plan node is annotated with the measured
+    /// rows/batches/nanos (merged across partitions and shards), the subtree
+    /// the target returned for this very execution is appended (a
+    /// distributed coordinator contributes its scatter/gather/merge stages
+    /// and per-shard runs), and the decrypted result comes back alongside the
+    /// tree.
     ///
     /// The returned plan is redacted by construction: operator classes and
     /// physical column names only — never predicate literals, parameter
     /// values, or SQL text. See [`PlanNode`].
     pub fn explain(&self, sql: &str, params: &[Literal]) -> Result<Explanation, SeabedError> {
         let statement = parse_statement(sql)?;
-        let analyze = statement.explain == ExplainMode::Analyze;
         // Prepare the *inner* query under its canonical rendering so an
         // explained statement shares its cache slot (and bind memo) with
         // plain executions of the same query.
-        let inner_sql = statement.query.to_sql();
-        let prepared = self.prepare(&inner_sql)?;
-        let mut plan = PlanNode::from_translated(&prepared.translated);
-        if !analyze {
+        let prepared = self.prepare(&statement.query.to_sql())?;
+        if statement.explain != ExplainMode::Analyze {
             return Ok(Explanation {
-                plan,
+                plan: PlanNode::from_translated(&prepared.translated),
                 analyzed: false,
                 result: None,
             });
         }
-
-        let client = self
-            .catalog
-            .client(&prepared.table)
-            .ok_or_else(|| SchemaError::UnknownTable(prepared.table.clone()))?;
-        let trace_id = self.mint_trace_id();
-        let started = Instant::now();
-        let (bound, filters) = self.bound_filters(client, &prepared, params)?;
-        let query_plan = bound.as_ref().unwrap_or(&prepared.translated);
-        let response = self
-            .target
-            .execute_query_analyzed(query_plan, &filters, trace_id, true)?;
-        let operators = response.stats.operators.clone();
-        let result = client.decrypt_response(&prepared.query, &prepared.translated, response)?;
-
-        let profiles: Vec<(String, PlanProfile)> = operators
-            .iter()
-            .map(|op| {
-                (
-                    op.label.clone(),
-                    PlanProfile {
-                        rows_in: op.rows_in,
-                        rows_out: op.rows_out,
-                        batches: op.batches,
-                        nanos: op.nanos,
-                    },
-                )
-            })
-            .collect();
-        plan.annotate(&profiles);
-        if let Some(subtree) = self.target.analyzed_plan() {
-            plan.children.push(subtree);
-        }
-
-        self.obs.record_event(QueryEvent {
-            trace_id,
-            statement_id: prepared.statement_id,
-            node: "session".to_string(),
-            plan: plan.render(),
-            operators: event_operators(&operators),
-            total_ns: started.elapsed().as_nanos() as u64,
-            slow: false,
-            outcome: "ok".to_string(),
-        });
+        let (result, plan) = self.traced(prepared.statement_id, |tb, trace_id| {
+            self.execute_with(&prepared, params, true, tb, trace_id)
+        })?;
         Ok(Explanation {
-            plan,
+            plan: plan.expect("an analyzed execution returns its plan"),
             analyzed: true,
             result: Some(result),
         })
     }
 
-    /// Prepare-and-execute in one call: the session-cached replacement for
-    /// `SeabedClient::query`. The statement cache makes repeated calls with
-    /// the same SQL skip parse/translate/validate entirely.
+    /// Prepare-and-execute in one call. The statement cache makes repeated
+    /// calls with the same SQL skip parse/translate/validate entirely; on a
+    /// miss the prepare spans (`parse`, `translate`, `encrypt-filters`) join
+    /// the execution's trace, so with a registry shared with the target (see
+    /// [`SeabedSession::with_obs`]) [`Registry::merged_trace`] of
+    /// `result.trace_id` stitches the whole timeline, parse to merge.
     pub fn query(&self, sql: &str, params: &[Literal]) -> Result<QueryResult, SeabedError> {
-        Ok(self.query_traced(sql, params)?.0)
-    }
-
-    /// [`SeabedSession::query`] with end-to-end tracing: one [`TraceId`] is
-    /// minted for the whole lifecycle, the session's prepare spans (`parse`,
-    /// `translate`, `encrypt-filters` — on a cache miss), `bind`,
-    /// `dispatch`, and `decrypt` spans are recorded into its registry under
-    /// that id, and the id is propagated to the execution target so its
-    /// spans (scatter/per-shard/gather/merge on a coordinator, shard
-    /// executes on remote workers) correlate. Returns the result and the
-    /// trace id; when the session and target share a registry (see
-    /// [`SeabedSession::with_obs`]), [`Registry::merged_trace`] stitches the
-    /// whole timeline.
-    pub fn query_traced(&self, sql: &str, params: &[Literal]) -> Result<(QueryResult, u64), SeabedError> {
-        let trace_id = self.mint_trace_id();
-        let mut tb = self.obs.trace_builder(trace_id, "session");
-        tb.set_statement_id(fnv1a64(sql.as_bytes()));
-        let prepared = self.prepare_traced(sql, &tb)?;
-        let result = self.execute_with(&prepared, params, &tb, trace_id)?;
-        if let Some(trace) = tb.finish() {
-            self.obs.record_trace(trace);
-        }
-        Ok((result, trace_id))
+        let (result, _) = self.traced(fnv1a64(sql.as_bytes()), |tb, trace_id| {
+            let prepared = self.prepare_traced(sql, tb)?;
+            self.execute_with(&prepared, params, false, tb, trace_id)
+        })?;
+        Ok(result)
     }
 }
 
@@ -1135,7 +1064,7 @@ mod tests {
         let (client, server, _) = fixture("sales", b"session-9");
         let session = SeabedSession::single("sales", client, &server);
         let sql = "SELECT SUM(revenue) FROM sales WHERE ts >= 100";
-        let (_, trace_id) = session.query_traced(sql, &[])?;
+        let trace_id = session.query(sql, &[])?.trace_id;
         assert_ne!(trace_id, UNTRACED);
         let trace = session.registry().merged_trace(trace_id).expect("trace recorded");
         assert_eq!(trace.statement_id, fnv1a64(sql.as_bytes()));
@@ -1152,7 +1081,7 @@ mod tests {
         assert!(snap.histogram("session_execute_ns").unwrap().count == 1);
 
         // A cache-hit execution has no prepare spans.
-        let (_, second_id) = session.query_traced(sql, &[])?;
+        let second_id = session.query(sql, &[])?.trace_id;
         let second = session.registry().merged_trace(second_id).expect("trace recorded");
         let names: Vec<&str> = second.spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["dispatch", "decrypt"]);
@@ -1161,7 +1090,7 @@ mod tests {
         // Disabled registry: untraced, timerless, but counters stay live.
         let (client, server, _) = fixture("sales", b"session-9");
         let session = SeabedSession::single("sales", client, &server).with_obs(Registry::disabled());
-        let (_, trace_id) = session.query_traced(sql, &[])?;
+        let trace_id = session.query(sql, &[])?.trace_id;
         assert_eq!(trace_id, UNTRACED);
         assert!(session.registry().recent_traces().is_empty());
         assert_eq!(session.stats().executes, 1);

@@ -1,11 +1,11 @@
 //! The scatter/gather coordinator.
 //!
-//! [`DistCoordinator::connect`] shards an encrypted [`Table`]'s partitions
+//! [`DistCoordinator::connect_tables`] shards each encrypted [`Table`]'s partitions
 //! across N workers (contiguous partition ranges, so per-worker ID lists stay
 //! run-compressed), announces a fresh **epoch** to every worker, and loads
 //! each shard onto its **replica set** — `replication` workers per shard
 //! (default 2), generalizing the old single-owner `(t + i) % N` placement to
-//! `{(t + i + k) % N : k < R}`. [`DistCoordinator::execute`] then scatters
+//! `{(t + i + k) % N : k < R}`. [`QueryTarget::run`] then scatters
 //! the translated query to every shard's *primary* (the first live member of
 //! its replica set) — concurrently over the persistent connections — and
 //! gathers the mergeable partial results into one [`ServerResponse`] via
@@ -62,15 +62,15 @@
 use crate::cache::{CacheStats, PartialCache, PartialKey};
 use rand::RngCore;
 use seabed_core::{
-    event_operators, finalize_partials, fnv1a64, outcome_tag, PartialResponse, PhysicalFilter, QueryTarget,
-    ServerResponse,
+    event_operators, finalize_partials, fnv1a64, outcome_tag, plan_profile, ExecOutcome, ExecRequest, PartialResponse,
+    PhysicalFilter, QueryTarget, ServerResponse,
 };
 use seabed_engine::merge::{merge_partial_groups, PartialGroups};
-use seabed_engine::{fan_out, ExecStats, OperatorProfile, Schema, Table};
+use seabed_engine::{fan_out, ExecStats, Schema, Table};
 use seabed_error::SeabedError;
 use seabed_net::wire::{self, Frame, ShardExecConfig};
 use seabed_net::FrameConn;
-use seabed_obs::{Counter, Gauge, Histogram, QueryEvent, Registry, UNTRACED};
+use seabed_obs::{Counter, Gauge, Histogram, QueryEvent, Registry};
 use seabed_query::{PlanNode, PlanProfile, TranslatedQuery};
 use std::net::ToSocketAddrs;
 use std::ops::ControlFlow;
@@ -391,15 +391,10 @@ fn initial_replica_set(table_id: usize, shard: usize, num_workers: usize, replic
 #[derive(Clone, Copy)]
 struct QueryContext<'a> {
     table_id: u32,
-    query: &'a TranslatedQuery,
-    filters: &'a [PhysicalFilter],
-    /// Propagated per-query trace id ([`UNTRACED`] for untraced queries),
-    /// shipped inside every `ShardQuery` frame so worker-side spans
-    /// correlate with the coordinator's.
-    trace_id: u64,
-    /// `EXPLAIN ANALYZE`: workers run their shard with per-operator
-    /// profiling on and ship the breakdown back inside the partial's stats.
-    analyze: bool,
+    /// Its `trace_id` and `analyze` flag ship inside every `ShardQuery`
+    /// frame: worker-side spans correlate with the coordinator's, and an
+    /// analyzed shard comes back with its per-operator breakdown.
+    request: ExecRequest<'a>,
 }
 
 /// The coordinator's registered instruments (`dist_*`). The counters mirror
@@ -447,9 +442,7 @@ impl DistMetrics {
 /// dead worker's shards can be re-loaded onto a survivor mid-query), its
 /// schema, and the standing shard → replica-set assignment.
 struct TableEntry {
-    /// `None` for the legacy single-table constructor, which accepts any
-    /// `FROM` name; named entries route strictly.
-    name: Option<String>,
+    name: String,
     schema: Schema,
     shards: Vec<Table>,
     /// `assignment[shard]` is the shard's replica set, primary first. Every
@@ -482,35 +475,17 @@ pub struct DistCoordinator {
     /// shared one so session- and coordinator-side spans merge.
     obs: Registry,
     metrics: DistMetrics,
-    /// The stitched scatter/gather/merge subtree of the most recent
-    /// `EXPLAIN ANALYZE` execution, served to the session through
-    /// [`QueryTarget::analyzed_plan`].
-    analyzed: Mutex<Option<PlanNode>>,
 }
 
 impl DistCoordinator {
-    /// Connects to `addrs` and hosts a single anonymous table: shards its
-    /// partitions across the workers (contiguous ranges, one shard per
-    /// worker; extra workers stay empty as hot spares for re-dispatch),
-    /// announces a fresh epoch, and loads every shard onto its replica set.
-    /// Workers keep their shards until a coordinator with a different epoch
-    /// claims them.
-    ///
-    /// Queries against this coordinator may use any `FROM` name; to host
-    /// several tables on one pool with strict name routing, use
-    /// [`DistCoordinator::connect_tables`].
-    pub fn connect<A: ToSocketAddrs>(
-        addrs: &[A],
-        table: Table,
-        config: DistConfig,
-    ) -> Result<DistCoordinator, SeabedError> {
-        DistCoordinator::connect_internal(addrs, vec![(None, table)], config)
-    }
-
     /// Connects to `addrs` and hosts every named table on the one worker
-    /// pool — the multi-tenant deployment shape: shard identifiers carry the
-    /// table id, queries route by their `FROM` name, and a query naming a
-    /// table this coordinator does not host fails with a typed
+    /// pool: shards each table's partitions across the workers (contiguous
+    /// ranges, one shard per worker; extra workers stay empty as hot spares
+    /// for re-dispatch), announces a fresh epoch, and loads every shard onto
+    /// its replica set. Workers keep their shards until a coordinator with a
+    /// different epoch claims them. Shard identifiers carry the table id,
+    /// queries route by their `FROM` name, and a query naming a table this
+    /// coordinator does not host fails with a typed
     /// [`seabed_error::SchemaError::UnknownTable`] before anything is
     /// scattered.
     pub fn connect_tables<A: ToSocketAddrs>(
@@ -529,18 +504,6 @@ impl DistCoordinator {
                 ));
             }
         }
-        DistCoordinator::connect_internal(
-            addrs,
-            tables.into_iter().map(|(name, table)| (Some(name), table)).collect(),
-            config,
-        )
-    }
-
-    fn connect_internal<A: ToSocketAddrs>(
-        addrs: &[A],
-        tables: Vec<(Option<String>, Table)>,
-        config: DistConfig,
-    ) -> Result<DistCoordinator, SeabedError> {
         if addrs.is_empty() {
             return Err(SeabedError::dist("coordinator", "no worker addresses given"));
         }
@@ -583,7 +546,6 @@ impl DistCoordinator {
             config,
             obs,
             metrics,
-            analyzed: Mutex::new(None),
         };
         // Initial placement: table t's shard i lives on the R consecutive
         // workers starting at (t + i) mod N, so several tables spread across
@@ -608,30 +570,19 @@ impl DistCoordinator {
         Ok(coordinator)
     }
 
-    /// Resolves a `FROM` name to a hosted table. The legacy single-table
-    /// coordinator accepts any name; named tables route strictly.
+    /// Resolves a `FROM` name to a hosted table.
     fn resolve(&self, table: &str) -> Result<(u32, &TableEntry), SeabedError> {
-        if self.tables.len() == 1 && self.tables[0].name.is_none() {
-            return Ok((0, &self.tables[0]));
-        }
         self.tables
             .iter()
             .enumerate()
-            .find(|(_, entry)| entry.name.as_deref() == Some(table))
+            .find(|(_, entry)| entry.name == table)
             .map(|(id, entry)| (id as u32, entry))
             .ok_or_else(|| seabed_error::SchemaError::UnknownTable(table.to_string()).into())
     }
 
-    /// The schema of the first hosted table (the single-table legacy
-    /// accessor; multi-table callers go through [`QueryTarget::schema_of`]).
-    pub fn schema(&self) -> &Schema {
-        &self.tables[0].schema
-    }
-
-    /// Names of the hosted tables (empty strings for the anonymous legacy
-    /// table), in registration order.
+    /// Names of the hosted tables, in registration order.
     pub fn table_names(&self) -> Vec<String> {
-        self.tables.iter().map(|t| t.name.clone().unwrap_or_default()).collect()
+        self.tables.iter().map(|t| t.name.clone()).collect()
     }
 
     /// Total number of shards across every hosted table.
@@ -665,7 +616,7 @@ impl DistCoordinator {
         self.cache.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
 
-    /// What the most recent `execute` did, shard by shard.
+    /// What the most recent execution did, shard by shard.
     pub fn last_report(&self) -> QueryReport {
         self.last_report.lock().unwrap_or_else(|p| p.into_inner()).clone()
     }
@@ -768,89 +719,32 @@ impl DistCoordinator {
         self.metrics.partial_cache_len.set(len as u64);
     }
 
-    /// Executes a translated query across every shard of the table it names
-    /// and merges the partial results into one response, byte-identical to
-    /// single-server execution. Slow primaries are hedged against replicas;
-    /// shards on a worker that died are re-dispatched (replicas first); the
-    /// call fails only when a shard cannot run anywhere or a worker reports
-    /// a deterministic query error.
-    pub fn execute(&self, query: &TranslatedQuery, filters: &[PhysicalFilter]) -> Result<ServerResponse, SeabedError> {
-        self.execute_internal(query, filters, None, UNTRACED, false)
-    }
-
-    /// Wraps [`DistCoordinator::execute_core`] with the coordinator's query
-    /// event: every execution — including failed ones — leaves one redacted
-    /// [`QueryEvent`] in the shared registry (node `coordinator`, carrying
-    /// the stitched plan when analyzed and the translated query's redacted
-    /// description otherwise, never SQL text or literals).
-    fn execute_internal(
+    /// The scatter/gather behind [`QueryTarget::run`]: executes the request
+    /// across every shard of the table it names and merges the partial
+    /// results into one response, byte-identical to single-server execution.
+    /// Slow primaries are hedged against replicas; shards on a worker that
+    /// died are re-dispatched (replicas first); the call fails only when a
+    /// shard cannot run anywhere or a worker reports a deterministic query
+    /// error. With `cache_key` (`(statement hash, filter hash)`) shards may
+    /// be answered from the partial cache and fresh partials go back into
+    /// it; without, the cache is not touched. An analyzed request asks every
+    /// worker for a per-operator profile and returns the stitched
+    /// scatter/gather/merge plan of this execution.
+    fn scatter_gather(
         &self,
-        query: &TranslatedQuery,
-        filters: &[PhysicalFilter],
+        request: &ExecRequest<'_>,
         cache_key: Option<(u64, u64)>,
-        trace_id: u64,
-        analyze: bool,
-    ) -> Result<ServerResponse, SeabedError> {
-        let started = self.obs.enabled().then(Instant::now);
-        let outcome = self.execute_core(query, filters, cache_key, trace_id, analyze);
-        if let Some(started) = started {
-            // A prepared execute already hashed the statement for its cache key.
-            let statement_id = cache_key.map(|(statement, _)| statement).unwrap_or_else(|| {
-                let mut statement_bytes = Vec::new();
-                wire::write_statement_payload(&mut statement_bytes, query);
-                fnv1a64(&statement_bytes)
-            });
-            let plan = if analyze {
-                self.analyzed
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .as_ref()
-                    .map(PlanNode::render)
-                    .unwrap_or_else(|| query.describe())
-            } else {
-                query.describe()
-            };
-            self.obs.record_event(QueryEvent {
-                trace_id,
-                statement_id,
-                node: "coordinator".to_string(),
-                plan,
-                operators: event_operators(outcome.as_ref().map(|r| r.stats.operators.as_slice()).unwrap_or(&[])),
-                total_ns: started.elapsed().as_nanos() as u64,
-                slow: false,
-                outcome: outcome_tag(&outcome).to_string(),
-            });
-        }
-        outcome
-    }
-
-    /// The scatter/gather behind both entry points. `cache_key` is
-    /// `Some((statement hash, filter hash))` for prepared executes, which may
-    /// answer shards from the partial cache and insert fresh partials back;
-    /// one-shot queries pass `None` and never touch the cache. With
-    /// `analyze` set, every `ShardQuery` asks its worker for a per-operator
-    /// profile and the stitched scatter/gather/merge plan of this execution
-    /// is left in [`DistCoordinator::analyzed`].
-    fn execute_core(
-        &self,
-        query: &TranslatedQuery,
-        filters: &[PhysicalFilter],
-        cache_key: Option<(u64, u64)>,
-        trace_id: u64,
-        analyze: bool,
-    ) -> Result<ServerResponse, SeabedError> {
+    ) -> Result<ExecOutcome, SeabedError> {
         let started = Instant::now();
-        let tb = self.obs.trace_builder(trace_id, "coordinator");
+        let query = request.plan;
+        let tb = self.obs.trace_builder(request.trace_id, "coordinator");
         let (table_id, entry) = self.resolve(&query.base_table)?;
         let assignment: Vec<Vec<usize>> = entry.assignment.lock().unwrap_or_else(|p| p.into_inner()).clone();
         let discarded_before = self.discarded_partials();
         let hedged_before = self.hedged.load(Ordering::Relaxed);
         let ctx = QueryContext {
             table_id,
-            query,
-            filters,
-            trace_id,
-            analyze,
+            request: *request,
         };
 
         // Probe: a prepared execute answers every shard it can from the
@@ -984,17 +878,6 @@ impl DistCoordinator {
         let gather_timer = self.metrics.gather_ns.start();
         let cache_hits = cached.len() as u64;
         let cache_misses = if cache_key.is_some() { missing.len() as u64 } else { 0 };
-        // `EXPLAIN ANALYZE`: keep the cached shards' identities (and any
-        // operator breakdowns their partials carried) before the gather
-        // consumes them, for the stitched plan's `(cached)` nodes.
-        let cached_nodes: Vec<(u32, Vec<OperatorProfile>)> = if analyze {
-            cached
-                .iter()
-                .map(|(shard, partial)| (*shard, partial.stats.operators.clone()))
-                .collect()
-        } else {
-            Vec::new()
-        };
         let mut partials: Vec<(u32, PartialResponse)> = cached;
         for run in &mut runs {
             let partial = std::mem::take(&mut run.partial);
@@ -1058,21 +941,30 @@ impl DistCoordinator {
         }
         // `EXPLAIN ANALYZE`: stitch this execution into the plan subtree the
         // session hangs under the structural plan — one node per coordinator
-        // stage and one per shard, hedged/redispatched/cached shards marked,
-        // each fresh shard carrying its worker's measured per-operator
-        // breakdown as children. Labels name workers and physical columns
-        // only, never predicate literals or SQL text.
-        if analyze {
+        // stage and one per shard, hedged/redispatched shards marked, each
+        // carrying its worker's measured per-operator breakdown as children.
+        // Labels name workers and physical columns only, never predicate
+        // literals or SQL text.
+        let plan = request.analyze.then(|| {
             let total_shards = assignment.len();
-            let operator_node = |op: &OperatorProfile| {
-                PlanNode::new("operator", op.label.clone()).with_profile(PlanProfile {
-                    rows_in: op.rows_in,
-                    rows_out: op.rows_out,
-                    batches: op.batches,
-                    nanos: op.nanos,
+            let stage = |op: &str, label: String, nanos: u64| {
+                PlanNode::new(op, label).with_profile(PlanProfile {
+                    nanos,
+                    ..PlanProfile::default()
                 })
             };
-            let mut shard_nodes: Vec<(u32, PlanNode)> = Vec::new();
+            let mut dist = stage(
+                "dist",
+                format!(
+                    "{} of {total_shards} shards scattered over {} lanes, {} cached",
+                    report.runs.len(),
+                    lanes.len(),
+                    report.cache_hits
+                ),
+                u64::try_from(report.wall_time.as_nanos()).unwrap_or(u64::MAX),
+            );
+            dist.children
+                .push(stage("scatter", format!("{} lanes", lanes.len()), scatter_ns));
             for run in &report.runs {
                 let mut marks = String::new();
                 if run.hedged {
@@ -1081,59 +973,28 @@ impl DistCoordinator {
                 if run.redispatched {
                     marks.push_str(", redispatched");
                 }
-                let mut node = PlanNode::new("shard", format!("{}/{total_shards} @{}{marks}", run.shard, run.worker))
-                    .with_profile(PlanProfile {
-                        nanos: u64::try_from(run.round_trip.as_nanos()).unwrap_or(u64::MAX),
-                        ..PlanProfile::default()
-                    });
-                node.children.extend(run.stats.operators.iter().map(operator_node));
-                shard_nodes.push((run.shard, node));
+                let mut node = stage(
+                    "shard",
+                    format!("{}/{total_shards} @{}{marks}", run.shard, run.worker),
+                    u64::try_from(run.round_trip.as_nanos()).unwrap_or(u64::MAX),
+                );
+                let operators = run.stats.operators.iter();
+                node.children.extend(
+                    operators.map(|op| PlanNode::new("operator", op.label.clone()).with_profile(plan_profile(op))),
+                );
+                dist.children.push(node);
             }
-            for (shard, operators) in &cached_nodes {
-                let mut node = PlanNode::new("shard", format!("{shard}/{total_shards} (cached)"));
-                node.children.extend(operators.iter().map(operator_node));
-                shard_nodes.push((*shard, node));
-            }
-            shard_nodes.sort_by_key(|(shard, _)| *shard);
-            let mut dist = PlanNode::new(
-                "dist",
-                format!(
-                    "{} of {total_shards} shards scattered over {} lanes, {} cached",
-                    report.runs.len(),
-                    lanes.len(),
-                    report.cache_hits
-                ),
-            )
-            .with_profile(PlanProfile {
-                nanos: u64::try_from(report.wall_time.as_nanos()).unwrap_or(u64::MAX),
-                ..PlanProfile::default()
-            });
-            dist.children.push(
-                PlanNode::new("scatter", format!("{} lanes", lanes.len())).with_profile(PlanProfile {
-                    nanos: scatter_ns,
-                    ..PlanProfile::default()
-                }),
-            );
-            dist.children.extend(shard_nodes.into_iter().map(|(_, node)| node));
-            dist.children.push(
-                PlanNode::new("gather", format!("{total_shards} partials")).with_profile(PlanProfile {
-                    nanos: gather_ns,
-                    ..PlanProfile::default()
-                }),
-            );
-            dist.children.push(
-                PlanNode::new("merge", format!("{} groups", response.groups.len())).with_profile(PlanProfile {
-                    nanos: merge_ns,
-                    ..PlanProfile::default()
-                }),
-            );
-            *self.analyzed.lock().unwrap_or_else(|p| p.into_inner()) = Some(dist);
-        }
+            dist.children
+                .push(stage("gather", format!("{total_shards} partials"), gather_ns));
+            dist.children
+                .push(stage("merge", format!("{} groups", response.groups.len()), merge_ns));
+            dist
+        });
         *self.last_report.lock().unwrap_or_else(|p| p.into_inner()) = report;
         if let Some(trace) = tb.finish() {
             self.obs.record_trace(trace);
         }
-        Ok(response)
+        Ok(ExecOutcome { response, plan })
     }
 
     /// Queries every shard in one worker's lane sequentially over its
@@ -1252,10 +1113,10 @@ impl DistCoordinator {
             table_id,
             shard,
             seq,
-            trace_id: ctx.trace_id,
-            analyze: ctx.analyze,
-            query: ctx.query.clone(),
-            filters: ctx.filters.to_vec(),
+            trace_id: ctx.request.trace_id,
+            analyze: ctx.request.analyze,
+            query: ctx.request.plan.clone(),
+            filters: ctx.request.filters.to_vec(),
         };
         let request_bytes = wire::encode_frame(&request, self.config.max_frame_len)?;
         let started = Instant::now();
@@ -1282,7 +1143,7 @@ impl DistCoordinator {
         // Shape-check before the partial may reach the merge: a forged or
         // buggy partial must be rejected here, never silently zip-truncated
         // by the fold.
-        if let Err(detail) = validate_partial(ctx.query, &partial) {
+        if let Err(detail) = validate_partial(ctx.request.plan, &partial) {
             return Err(link.poison(SeabedError::dist(&link.label, detail)));
         }
         link.queries.fetch_add(1, Ordering::Relaxed);
@@ -1629,15 +1490,21 @@ impl DistCoordinator {
     }
 }
 
+/// FNV-1a over a statement's wire payload: the content-derived identity of a
+/// plan in the partial cache and the event log.
+fn statement_hash(statement: &TranslatedQuery) -> u64 {
+    let mut bytes = Vec::new();
+    wire::write_statement_payload(&mut bytes, statement);
+    fnv1a64(&bytes)
+}
+
 impl QueryTarget for DistCoordinator {
     fn schema_of(&self, table: &str) -> Result<&Schema, SeabedError> {
         self.resolve(table).map(|(_, entry)| &entry.schema)
     }
 
     fn routes_by_table(&self) -> bool {
-        // Named tables route strictly; only the legacy anonymous single-table
-        // constructor accepts any name.
-        !(self.tables.len() == 1 && self.tables[0].name.is_none())
+        true
     }
 
     fn execute_query(
@@ -1645,64 +1512,47 @@ impl QueryTarget for DistCoordinator {
         query: &TranslatedQuery,
         filters: &[PhysicalFilter],
     ) -> Result<ServerResponse, SeabedError> {
-        self.execute(query, filters)
+        Ok(self.run(&ExecRequest::new(query, filters))?.response)
     }
 
-    /// Prepared executes route through the partial cache. The cache key is
+    /// Records coordinator-side spans (scatter, per-shard execute, gather,
+    /// merge) under the request's trace id and leaves one redacted
+    /// [`QueryEvent`] per execution — failed ones included — in the registry
+    /// (node `coordinator`, carrying this execution's stitched plan when
+    /// analyzed and the plan's redacted description otherwise).
+    ///
+    /// A prepared execute routes through the partial cache. The cache key is
     /// *content*-derived — FNV-1a over the statement's and the bound filters'
     /// wire payloads — not the session's `statement_id`, mirroring the net
     /// client's handle cache: two sessions preparing the same SQL and binding
-    /// the same literals share entries.
-    fn execute_prepared(
-        &self,
-        statement: &TranslatedQuery,
-        statement_id: u64,
-        filters: &[PhysicalFilter],
-    ) -> Result<ServerResponse, SeabedError> {
-        self.execute_prepared_traced(statement, statement_id, filters, UNTRACED)
-    }
-
-    /// The traced variant additionally records coordinator-side spans
-    /// (scatter, per-shard execute, gather, merge) under `trace_id` and
-    /// ships the id in every `ShardQuery` frame, so worker-side traces of
-    /// the same query are scrapeable under the same id.
-    fn execute_prepared_traced(
-        &self,
-        statement: &TranslatedQuery,
-        statement_id: u64,
-        filters: &[PhysicalFilter],
-        trace_id: u64,
-    ) -> Result<ServerResponse, SeabedError> {
-        let _ = statement_id;
-        let mut statement_bytes = Vec::new();
-        wire::write_statement_payload(&mut statement_bytes, statement);
-        let mut filter_bytes = Vec::new();
-        wire::write_filters_payload(&mut filter_bytes, filters);
-        self.execute_internal(
-            statement,
-            filters,
-            Some((fnv1a64(&statement_bytes), fnv1a64(&filter_bytes))),
-            trace_id,
-            false,
-        )
-    }
-
-    fn execute_query_analyzed(
-        &self,
-        query: &TranslatedQuery,
-        filters: &[PhysicalFilter],
-        trace_id: u64,
-        analyze: bool,
-    ) -> Result<ServerResponse, SeabedError> {
-        self.execute_internal(query, filters, None, trace_id, analyze)
-    }
-
-    /// The stitched scatter/gather/merge subtree of the most recent
-    /// `EXPLAIN ANALYZE` on this coordinator: one child per shard (worker,
-    /// hedged/redispatched/cached markers, per-operator breakdown) plus the
-    /// coordinator's own scatter, gather, and merge stages.
-    fn analyzed_plan(&self) -> Option<PlanNode> {
-        self.analyzed.lock().unwrap_or_else(|p| p.into_inner()).clone()
+    /// the same literals share entries. An analyzed request never probes or
+    /// fills the cache, whatever its `statement_id`: every shard node of its
+    /// plan is a shard that ran.
+    fn run(&self, request: &ExecRequest<'_>) -> Result<ExecOutcome, SeabedError> {
+        let cache_key = (request.statement_id.is_some() && !request.analyze).then(|| {
+            let mut filter_bytes = Vec::new();
+            wire::write_filters_payload(&mut filter_bytes, request.filters);
+            (statement_hash(request.plan), fnv1a64(&filter_bytes))
+        });
+        let started = self.obs.enabled().then(Instant::now);
+        let outcome = self.scatter_gather(request, cache_key);
+        if let Some(started) = started {
+            let executed = outcome.as_ref().ok();
+            self.obs.record_event(QueryEvent {
+                trace_id: request.trace_id,
+                // A cached execute already hashed the statement for its key.
+                statement_id: cache_key.map_or_else(|| statement_hash(request.plan), |(statement, _)| statement),
+                node: "coordinator".to_string(),
+                plan: executed
+                    .and_then(|e| e.plan.as_ref())
+                    .map_or_else(|| request.plan.describe(), PlanNode::render),
+                operators: event_operators(executed.map_or(&[], |e| &e.response.stats.operators)),
+                total_ns: started.elapsed().as_nanos() as u64,
+                slow: false,
+                outcome: outcome_tag(&outcome).to_string(),
+            });
+        }
+        outcome
     }
 }
 
@@ -1892,7 +1742,11 @@ mod tests {
 
     #[test]
     fn connecting_with_no_workers_is_a_dist_error() {
-        let outcome = DistCoordinator::connect::<std::net::SocketAddr>(&[], table(10, 2), DistConfig::default());
+        let outcome = DistCoordinator::connect_tables::<std::net::SocketAddr>(
+            &[],
+            vec![("t".to_string(), table(10, 2))],
+            DistConfig::default(),
+        );
         assert!(matches!(outcome, Err(SeabedError::Dist { .. })));
     }
 

@@ -1,6 +1,6 @@
-//! The remote Seabed client proxy: the in-process [`SeabedClient`] surface —
-//! `prepare` / `query` / `decrypt_response` — spoken over the wire protocol,
-//! so existing workloads run unchanged against a socket.
+//! The remote Seabed client proxy: a [`QueryTarget`] (and a one-shot
+//! [`RemoteSeabedClient::query`]) spoken over the wire protocol, so existing
+//! workloads run unchanged against a socket.
 //!
 //! On connect, the client performs the schema handshake (one
 //! `SchemaRequest`/`Schema` round trip) and thereafter prepares every query
@@ -18,11 +18,11 @@
 
 use crate::conn::{FrameConn, WireStats};
 use crate::wire::{self, Frame};
-use seabed_core::{PhysicalFilter, QueryResult, QueryTarget, SeabedClient, ServerResponse};
+use seabed_core::{ExecOutcome, ExecRequest, PhysicalFilter, QueryResult, QueryTarget, SeabedClient, ServerResponse};
 use seabed_engine::Schema;
 use seabed_error::SeabedError;
-use seabed_obs::{MetricsSnapshot, QueryEvent, QueryTrace, TraceId, UNTRACED};
-use seabed_query::{Query, TranslatedQuery};
+use seabed_obs::{MetricsSnapshot, QueryEvent, QueryTrace, TraceId};
+use seabed_query::TranslatedQuery;
 use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Mutex;
@@ -166,39 +166,6 @@ impl RemoteSeabedClient {
         }
     }
 
-    /// Translates a SQL string and encrypts its literals against the remote
-    /// schema — the wire twin of [`SeabedClient::prepare`].
-    pub fn prepare(&self, sql: &str) -> Result<(Query, TranslatedQuery, Vec<PhysicalFilter>), SeabedError> {
-        self.inner.prepare_with_schema(&self.schema, sql)
-    }
-
-    /// Ships a prepared query over the wire and returns the (still encrypted)
-    /// server response. A typed error frame from the server is surfaced as
-    /// the [`SeabedError`] it carries.
-    pub fn execute(&self, query: &TranslatedQuery, filters: &[PhysicalFilter]) -> Result<ServerResponse, SeabedError> {
-        Ok(self.execute_measured(query, filters, UNTRACED, false)?.0)
-    }
-
-    /// [`RemoteSeabedClient::execute`] plus the measured size of the response
-    /// frame. A non-zero `trace_id` travels in the request frame, so the
-    /// server records its execute span under the same id this client (or its
-    /// session) uses; `analyze` asks the server for the per-operator profile
-    /// (`EXPLAIN ANALYZE`).
-    fn execute_measured(
-        &self,
-        query: &TranslatedQuery,
-        filters: &[PhysicalFilter],
-        trace_id: u64,
-        analyze: bool,
-    ) -> Result<(ServerResponse, u64), SeabedError> {
-        self.round_trip_response(&Frame::Request {
-            query: query.clone(),
-            filters: filters.to_vec(),
-            trace_id,
-            analyze,
-        })
-    }
-
     /// Registers a statement's (unbound) plan on the server, returning the
     /// server-side handle. Identical plans map to identical handles.
     fn prepare_remote_statement(&self, statement: &TranslatedQuery) -> Result<u64, SeabedError> {
@@ -211,110 +178,80 @@ impl RemoteSeabedClient {
         }
     }
 
-    /// One `ExecuteStatement` round trip. A stale handle comes back as
-    /// `Err(StaleStatement)` for the caller to recover from.
-    fn execute_handle(
-        &self,
-        handle: u64,
-        filters: &[PhysicalFilter],
-        trace_id: u64,
-    ) -> Result<(ServerResponse, u64), SeabedError> {
-        self.round_trip_response(&Frame::ExecuteStatement {
-            handle,
-            trace_id,
-            filters: filters.to_vec(),
-        })
-    }
-
-    /// Executes a prepared statement over the wire: the plan is registered
-    /// once (per `statement_id`) and subsequent executions ship only the
-    /// 8-byte handle plus the bound filters — no SQL, no translated plan. A
-    /// [`SeabedError::StaleStatement`] from the server (evicted handle,
-    /// server restart) is recovered from by re-preparing once; a second
-    /// staleness in a row surfaces to the caller.
+    /// One execution over the wire: the (still encrypted) response plus the
+    /// measured size of its frame. A typed error frame from the server is
+    /// surfaced as the [`SeabedError`] it carries. A non-zero `trace_id`
+    /// travels in the frame, so the server records its execute span under
+    /// the id this client (or its session) uses.
     ///
-    /// This is [`QueryTarget::execute_prepared`], so a
-    /// [`seabed_core::SeabedSession`] over a remote client gets the
-    /// thin-wire path automatically.
-    pub fn execute_prepared_measured(
-        &self,
-        statement: &TranslatedQuery,
-        statement_id: u64,
-        filters: &[PhysicalFilter],
-    ) -> Result<(ServerResponse, u64), SeabedError> {
-        self.execute_prepared_measured_traced(statement, statement_id, filters, UNTRACED)
-    }
-
-    /// [`RemoteSeabedClient::execute_prepared_measured`] with a propagated
-    /// trace id: the server records its execute span under `trace_id`, so a
-    /// later metrics scrape can stitch the remote side into the session's
-    /// timeline.
-    pub fn execute_prepared_measured_traced(
-        &self,
-        statement: &TranslatedQuery,
-        statement_id: u64,
-        filters: &[PhysicalFilter],
-        trace_id: u64,
-    ) -> Result<(ServerResponse, u64), SeabedError> {
+    /// A one-shot or analyzed request ships the whole plan in a `Request`
+    /// frame (the only frame with an `analyze` flag). A prepared one
+    /// registers the plan once and thereafter ships only the 8-byte handle
+    /// plus the bound filters — no SQL, no translated plan; a
+    /// [`SeabedError::StaleStatement`] from the server (evicted handle,
+    /// server restart) is recovered from by re-preparing once, and a second
+    /// staleness in a row surfaces to the caller.
+    fn exchange(&self, request: &ExecRequest<'_>) -> Result<(ServerResponse, u64), SeabedError> {
+        let (statement, trace_id) = (request.plan, request.trace_id);
+        if request.statement_id.is_none() || request.analyze {
+            return self.round_trip_response(&Frame::Request {
+                query: statement.clone(),
+                filters: request.filters.to_vec(),
+                trace_id,
+                analyze: request.analyze,
+            });
+        }
+        let execute_handle = |handle: u64| {
+            self.round_trip_response(&Frame::ExecuteStatement {
+                handle,
+                trace_id,
+                filters: request.filters.to_vec(),
+            })
+        };
         // The handle cache is keyed by the statement's plan *content* (the
         // exact bytes the server hashes into the handle), not by
         // `statement_id`: a caller that re-prepares the same SQL text under
         // a new plan gets a fresh registration instead of the old plan's
         // handle.
-        let _ = statement_id;
         let mut payload = Vec::new();
         wire::write_statement_payload(&mut payload, statement);
         let content_key = seabed_core::fnv1a64(&payload);
+        let register = || -> Result<u64, SeabedError> {
+            let handle = self.prepare_remote_statement(statement)?;
+            self.handles
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .insert(content_key, handle);
+            Ok(handle)
+        };
         let cached = self.handles.lock().unwrap_or_else(|p| p.into_inner()).get(content_key);
         let handle = match cached {
             Some(handle) => handle,
-            None => {
-                let handle = self.prepare_remote_statement(statement)?;
-                self.handles
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .insert(content_key, handle);
-                handle
-            }
+            None => register()?,
         };
-        match self.execute_handle(handle, filters, trace_id) {
-            Err(SeabedError::StaleStatement(_)) => {
-                // The server forgot the statement (eviction or restart):
-                // re-prepare once and retry. A repeat staleness is surfaced.
-                let fresh = self.prepare_remote_statement(statement)?;
-                self.handles
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .insert(content_key, fresh);
-                self.execute_handle(fresh, filters, trace_id)
-            }
+        match execute_handle(handle) {
+            // The server forgot the statement (eviction or restart):
+            // re-prepare once and retry. A repeat staleness is surfaced.
+            Err(SeabedError::StaleStatement(_)) => execute_handle(register()?),
             outcome => outcome,
         }
     }
 
-    /// Decrypts a server response — the wire twin of
-    /// [`SeabedClient::decrypt_response`].
-    pub fn decrypt_response(
-        &self,
-        query: &Query,
-        translated: &TranslatedQuery,
-        response: ServerResponse,
-    ) -> Result<QueryResult, SeabedError> {
-        self.inner.decrypt_response(query, translated, response)
-    }
-
     /// Runs a SQL query end-to-end over the socket: translate and encrypt
-    /// literals, execute remotely, decrypt and post-process. Results are
-    /// byte-identical to the in-process [`SeabedClient::query`] path; the
-    /// network component of the timings is the client's
-    /// [`seabed_engine::NetworkModel`] applied to the *measured* size of the
-    /// response frame that actually crossed the wire.
+    /// literals against the handshake schema, execute remotely, decrypt and
+    /// post-process. Results are byte-identical to the in-process
+    /// [`SeabedClient::query`] path; the network component of the timings is
+    /// the client's [`seabed_engine::NetworkModel`] applied to the *measured*
+    /// size of the response frame that actually crossed the wire.
     pub fn query(&self, sql: &str) -> Result<QueryResult, SeabedError> {
-        let (query, translated, filters) = self.prepare(sql)?;
+        let (query, translated, filters) = self.inner.prepare_with_schema(&self.schema, sql)?;
         // A fresh id per query: the server's execute span lands in its trace
         // ring under this id, scrapeable via [`scrape_metrics`].
-        let trace_id = TraceId::mint().as_u64();
-        let (response, wire_response_bytes) = self.execute_measured(&translated, &filters, trace_id, false)?;
+        let request = ExecRequest {
+            trace_id: TraceId::mint().as_u64(),
+            ..ExecRequest::new(&translated, &filters)
+        };
+        let (response, wire_response_bytes) = self.exchange(&request)?;
         let mut result = self.inner.decrypt_response(&query, &translated, response)?;
         result.timings.network = self.inner.network.transfer_time(wire_response_bytes as usize);
         Ok(result)
@@ -365,38 +302,11 @@ impl QueryTarget for RemoteSeabedClient {
         query: &TranslatedQuery,
         filters: &[PhysicalFilter],
     ) -> Result<ServerResponse, SeabedError> {
-        self.execute(query, filters)
+        Ok(self.exchange(&ExecRequest::new(query, filters))?.0)
     }
 
-    fn execute_query_analyzed(
-        &self,
-        query: &TranslatedQuery,
-        filters: &[PhysicalFilter],
-        trace_id: u64,
-        analyze: bool,
-    ) -> Result<ServerResponse, SeabedError> {
-        Ok(self.execute_measured(query, filters, trace_id, analyze)?.0)
-    }
-
-    fn execute_prepared(
-        &self,
-        statement: &TranslatedQuery,
-        statement_id: u64,
-        filters: &[PhysicalFilter],
-    ) -> Result<ServerResponse, SeabedError> {
-        Ok(self.execute_prepared_measured(statement, statement_id, filters)?.0)
-    }
-
-    fn execute_prepared_traced(
-        &self,
-        statement: &TranslatedQuery,
-        statement_id: u64,
-        filters: &[PhysicalFilter],
-        trace_id: u64,
-    ) -> Result<ServerResponse, SeabedError> {
-        Ok(self
-            .execute_prepared_measured_traced(statement, statement_id, filters, trace_id)?
-            .0)
+    fn run(&self, request: &ExecRequest<'_>) -> Result<ExecOutcome, SeabedError> {
+        Ok(self.exchange(request)?.0.into())
     }
 }
 

@@ -20,13 +20,13 @@
 //! * [`server`] — [`NetServer`]: a `TcpListener` + worker-thread-pool
 //!   service hosting a [`seabed_core::SeabedServer`], with a max-frame-size
 //!   limit, typed error frames for malformed input, graceful shutdown, and
-//!   per-connection / aggregate byte accounting. The same service speaks the
+//!   aggregate byte accounting. The same service speaks the
 //!   `seabed-dist` worker protocol: it accepts shard assignments under a
 //!   coordinator's epoch and answers shard queries with *mergeable* partial
 //!   results;
-//! * [`client`] — [`RemoteSeabedClient`]: the in-process
-//!   `prepare`/`query`/`decrypt_response` surface spoken over the socket, so
-//!   every existing workload runs unchanged against the service.
+//! * [`client`] — [`RemoteSeabedClient`]: a [`seabed_core::QueryTarget`]
+//!   spoken over the socket, so every existing workload runs unchanged
+//!   against the service.
 //!
 //! Nothing about the trust model changes: only ciphertexts, deterministic
 //! tags and ORE symbols cross the wire, in both directions.
@@ -41,5 +41,5 @@ pub mod wire;
 
 pub use client::{scrape_metrics, RemoteSeabedClient};
 pub use conn::{FrameConn, Received, Wait, WireStats};
-pub use server::{ConnectionStats, NetServer, ServiceConfig, ServiceStats};
+pub use server::{NetServer, ServiceConfig, ServiceStats};
 pub use wire::{Frame, FrameKind, ShardExecConfig, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION};

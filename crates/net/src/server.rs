@@ -20,18 +20,18 @@
 //!   [`ServiceConfig::read_timeout`] of its first byte — stalled or trickled.
 //!
 //! The service keeps aggregate counters (connections, requests, error
-//! frames, bytes in/out) and a per-connection log, so benches and tests can
-//! account for every byte that really crossed the wire — the measured
-//! counterpart of [`seabed_engine::NetworkModel`]'s predictions.
+//! frames, bytes in/out), so benches and tests can account for every byte
+//! that really crossed the wire — the measured counterpart of
+//! [`seabed_engine::NetworkModel`]'s predictions.
 
-use crate::conn::{FrameConn, Received, Wait};
+use crate::conn::{FrameConn, Received, Wait, WireStats};
 use crate::wire::{self, Frame, FrameKind};
 use seabed_core::SeabedServer;
 use seabed_engine::{Cluster, ClusterConfig};
 use seabed_error::SeabedError;
 use seabed_obs::{Counter, Gauge, Histogram, ObsConfig, Registry};
 use seabed_query::TranslatedQuery;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -59,11 +59,6 @@ pub struct ServiceConfig {
     /// registration is evicted; clients executing an evicted handle receive
     /// a typed [`SeabedError::StaleStatement`] frame and re-prepare.
     pub statement_capacity: usize,
-    /// Capacity of the closed-connection log. The log is a ring: once full,
-    /// logging a newly closed connection evicts the oldest entry, so a
-    /// long-lived service churning short connections holds a bounded amount
-    /// of accounting, not one entry per connection ever served.
-    pub connection_log_capacity: usize,
     /// Observability configuration for the service's [`Registry`]
     /// (histogram timers and trace recording; counters always count).
     pub obs: ObsConfig,
@@ -80,7 +75,6 @@ impl Default for ServiceConfig {
             write_timeout: Duration::from_secs(10),
             max_frame_len: wire::DEFAULT_MAX_FRAME_LEN,
             statement_capacity: 1024,
-            connection_log_capacity: 1024,
             obs: ObsConfig::default(),
         }
     }
@@ -102,12 +96,6 @@ impl ServiceConfig {
     /// Returns the configuration with the statement-store capacity replaced.
     pub fn statement_capacity(mut self, capacity: usize) -> ServiceConfig {
         self.statement_capacity = capacity.max(1);
-        self
-    }
-
-    /// Returns the configuration with the connection-log capacity replaced.
-    pub fn connection_log_capacity(mut self, capacity: usize) -> ServiceConfig {
-        self.connection_log_capacity = capacity.max(1);
         self
     }
 
@@ -139,25 +127,9 @@ pub struct ServiceStats {
     pub statements_evicted: u64,
 }
 
-/// Final accounting of one closed connection.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ConnectionStats {
-    /// Connection sequence number (order of acceptance).
-    pub id: u64,
-    /// Request frames answered with a response frame.
-    pub requests_served: u64,
-    /// Error frames sent on this connection.
-    pub error_frames: u64,
-    /// Bytes read from this peer.
-    pub bytes_in: u64,
-    /// Bytes written to this peer.
-    pub bytes_out: u64,
-}
-
 /// The aggregate counters, held as [`Registry`] handles so the same numbers
 /// answer both the in-process [`NetServer::stats`] view and a remote
-/// metrics scrape. The closed-connection log rides along because it is
-/// flushed at the same point (connection teardown).
+/// metrics scrape.
 struct SharedStats {
     connections: Counter,
     requests_served: Counter,
@@ -166,7 +138,6 @@ struct SharedStats {
     bytes_out: Counter,
     statements_prepared: Counter,
     statements_evicted: Counter,
-    closed: Mutex<VecDeque<ConnectionStats>>,
 }
 
 impl SharedStats {
@@ -179,7 +150,6 @@ impl SharedStats {
             bytes_out: obs.counter("net_bytes_out"),
             statements_prepared: obs.counter("net_statements_prepared"),
             statements_evicted: obs.counter("net_statements_evicted"),
-            closed: Mutex::new(VecDeque::new()),
         }
     }
 }
@@ -429,7 +399,7 @@ impl NetServer {
             config,
             shutdown: AtomicBool::new(false),
         });
-        let (tx, rx) = mpsc::channel::<(u64, TcpStream)>();
+        let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Arc::new(Mutex::new(rx));
 
         let workers = (0..service.config.worker_threads.max(1))
@@ -444,7 +414,7 @@ impl NetServer {
                         guard.recv()
                     };
                     match conn {
-                        Ok((id, stream)) => handle_connection(id, stream, &service),
+                        Ok(stream) => handle_connection(stream, &service),
                         Err(_) => break, // acceptor gone: service is shutting down
                     }
                 })
@@ -460,11 +430,8 @@ impl NetServer {
                     }
                     match stream {
                         Ok(stream) => {
-                            // The pre-increment value is the connection's
-                            // sequence number; it travels with the stream so
-                            // the handling worker cannot race the counter.
-                            let id = service.stats.connections.fetch_incr();
-                            if tx.send((id, stream)).is_err() {
+                            service.stats.connections.incr();
+                            if tx.send(stream).is_err() {
                                 break;
                             }
                         }
@@ -514,13 +481,6 @@ impl NetServer {
         }
     }
 
-    /// Per-connection accounting of the most recently closed connections
-    /// (oldest first), bounded by [`ServiceConfig::connection_log_capacity`].
-    pub fn connection_log(&self) -> Vec<ConnectionStats> {
-        let closed = self.service.stats.closed.lock().unwrap_or_else(|p| p.into_inner());
-        closed.iter().copied().collect()
-    }
-
     /// Gracefully stops the service: stops accepting, lets every worker
     /// finish its in-flight request, closes the connections, joins all
     /// threads, and returns the final aggregate counters.
@@ -567,49 +527,32 @@ struct Service {
     shutdown: AtomicBool,
 }
 
-fn handle_connection(id: u64, stream: TcpStream, ctx: &Service) {
-    let mut log = ConnectionStats {
-        id,
-        ..ConnectionStats::default()
-    };
+fn handle_connection(stream: TcpStream, ctx: &Service) {
     // A socket whose timeouts cannot be set is dropped unserved: without
     // them a stalled peer would pin this worker and hang shutdown.
     if let Ok(mut conn) = FrameConn::from_stream(stream, ctx.config.write_timeout) {
-        serve_frames(&mut conn, ctx, &mut log);
+        let mut flushed = WireStats::default();
+        serve_frames(&mut conn, ctx, &mut flushed);
         // Pick up whatever the last partial frame accumulated after the final
         // per-frame flush (e.g. bytes read before an EOF).
-        flush_bytes(&ctx.stats, &conn, &mut log);
+        flush_bytes(&ctx.stats, &conn, &mut flushed);
     }
-    // The connection log is a bounded ring: evict the oldest entries rather
-    // than growing one entry per connection for the life of the service.
-    let mut closed = ctx.stats.closed.lock().unwrap_or_else(|p| p.into_inner());
-    while closed.len() >= ctx.config.connection_log_capacity.max(1) {
-        closed.pop_front();
-    }
-    closed.push_back(log);
 }
 
 /// Pushes what the connection's byte counter gained since the last call into
-/// the shared registry (`log` holds the totals already pushed). Called after
-/// every frame, not only at connection close, so a live scrape of a worker
-/// with long-lived coordinator connections sees its traffic, not zeros.
-fn flush_bytes(stats: &SharedStats, conn: &FrameConn, log: &mut ConnectionStats) {
+/// the shared registry (`flushed` holds the totals already pushed). Called
+/// after every frame, not only at connection close, so a live scrape of a
+/// worker with long-lived coordinator connections sees its traffic, not zeros.
+fn flush_bytes(stats: &SharedStats, conn: &FrameConn, flushed: &mut WireStats) {
     let wire = conn.stats();
-    stats.bytes_in.add(wire.bytes_received - log.bytes_in);
-    stats.bytes_out.add(wire.bytes_sent - log.bytes_out);
-    log.bytes_in = wire.bytes_received;
-    log.bytes_out = wire.bytes_sent;
-}
-
-/// Counts one error frame on the connection and, live, in the registry.
-fn count_error_frame(stats: &SharedStats, log: &mut ConnectionStats) {
-    log.error_frames += 1;
-    stats.error_frames.incr();
+    stats.bytes_in.add(wire.bytes_received - flushed.bytes_received);
+    stats.bytes_out.add(wire.bytes_sent - flushed.bytes_sent);
+    *flushed = wire;
 }
 
 /// Serves frames until the peer closes, the stream breaks, or the service
 /// shuts down with this connection idle.
-fn serve_frames(conn: &mut FrameConn, ctx: &Service, log: &mut ConnectionStats) {
+fn serve_frames(conn: &mut FrameConn, ctx: &Service, flushed: &mut WireStats) {
     let config = &ctx.config;
     let wait = Wait::Serve {
         stop: &ctx.shutdown,
@@ -625,7 +568,7 @@ fn serve_frames(conn: &mut FrameConn, ctx: &Service, log: &mut ConnectionStats) 
                 // the connection itself before it closed — this connection
                 // only, never the process.
                 if matches!(err, SeabedError::Wire(_)) {
-                    count_error_frame(&ctx.stats, log);
+                    ctx.stats.error_frames.incr();
                 }
                 return;
             }
@@ -655,14 +598,11 @@ fn serve_frames(conn: &mut FrameConn, ctx: &Service, log: &mut ConnectionStats) 
             Err(_) => return,
             // Counted off the frame that actually went out: a substituted
             // error frame must not count as served.
-            Ok(FrameKind::Response | FrameKind::ShardPartial) => {
-                log.requests_served += 1;
-                ctx.stats.requests_served.incr();
-            }
-            Ok(FrameKind::Error) => count_error_frame(&ctx.stats, log),
+            Ok(FrameKind::Response | FrameKind::ShardPartial) => ctx.stats.requests_served.incr(),
+            Ok(FrameKind::Error) => ctx.stats.error_frames.incr(),
             Ok(_) => {}
         }
-        flush_bytes(&ctx.stats, conn, log);
+        flush_bytes(&ctx.stats, conn, flushed);
     }
 }
 
@@ -1342,47 +1282,6 @@ mod tests {
         assert_eq!(stats.statements_prepared, 1, "the rejected plan must not count");
     }
 
-    /// Churning connections far past `connection_log_capacity` keeps the
-    /// closed-connection log at its cap, holding the newest entries — the
-    /// regression guard for the formerly unbounded log.
-    #[test]
-    fn connection_log_is_a_bounded_ring() {
-        // One worker serializes connections: each one is fully closed (and
-        // logged) before the next is served, so ids land in order.
-        let net = NetServer::serve(
-            test_server(),
-            "127.0.0.1:0",
-            ServiceConfig::default().worker_threads(1).connection_log_capacity(4),
-        )
-        .expect("serve");
-        for _ in 0..10 {
-            let mut stream = connect(&net);
-            assert!(matches!(
-                round_trip(&mut stream, &Frame::SchemaRequest),
-                Frame::Schema(_)
-            ));
-        }
-        // The last drop is observed asynchronously; poll for it, asserting
-        // the cap is never exceeded along the way.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let log = loop {
-            let log = net.connection_log();
-            assert!(log.len() <= 4, "log exceeded its capacity: {}", log.len());
-            if log.iter().any(|c| c.id == 9) {
-                break log;
-            }
-            assert!(Instant::now() < deadline, "server never logged the final close");
-            std::thread::sleep(Duration::from_millis(20));
-        };
-        let ids: Vec<u64> = log.iter().map(|c| c.id).collect();
-        assert_eq!(ids, vec![6, 7, 8, 9], "oldest entries must be evicted first");
-        let stats = net.shutdown();
-        assert_eq!(stats.connections, 10, "the aggregate count still sees every connection");
-    }
-
-    /// A `MetricsRequest` frame is answered with this service's live
-    /// registry snapshot, and a traced request leaves a scrapeable trace
-    /// under its propagated id — while an untraced one leaves none.
     #[test]
     fn metrics_scrape_returns_counters_histograms_and_traces() {
         let net = NetServer::serve(test_server(), "127.0.0.1:0", ServiceConfig::default()).expect("serve");

@@ -27,13 +27,6 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds one and returns the previous value — a cheap sequence source
-    /// for callers that need the count *and* a unique ordinal (e.g. a
-    /// connection id) from one atomic op.
-    pub fn fetch_incr(&self) -> u64 {
-        self.cell.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// The current value.
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)

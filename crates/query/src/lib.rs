@@ -10,7 +10,7 @@
 //! * [`planner`] — the data planner that classifies columns into dimensions
 //!   and measures from a sample query set and assigns each sensitive column an
 //!   encryption scheme (ASHE, SPLASHE, DET, OPE) under a storage budget;
-//! * [`translate`] — the query translator that rewrites plaintext queries into
+//! * [`mod@translate`] — the query translator that rewrites plaintext queries into
 //!   encrypted server plans plus client-side post-processing steps, preserving
 //!   row IDs through subqueries and applying the group-by inflation heuristic;
 //! * [`plan_node`] — structural plan trees for `EXPLAIN` / `EXPLAIN ANALYZE`:

@@ -2,7 +2,7 @@
 //!
 //! Naveed, Kamara and Wright showed that deterministically encrypted columns
 //! can be decoded by matching ciphertext frequencies against auxiliary
-//! plaintext statistics [36]. This module reproduces the rank-matching attack:
+//! plaintext statistics \[36\]. This module reproduces the rank-matching attack:
 //! the adversary sorts the observed ciphertext histogram and a public
 //! auxiliary distribution by frequency and pairs them up. Run against plain
 //! DET columns the attack recovers most values; run against enhanced-SPLASHE

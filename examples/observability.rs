@@ -4,10 +4,10 @@
 //! Demonstrates the `seabed-obs` layer across every component:
 //!
 //! 1. a [`seabed_core::SeabedSession`] sharing one registry with its
-//!    [`seabed_dist::DistCoordinator`], so `query_traced` yields a single
-//!    `TraceId` whose stitched spans cover parse → translate →
-//!    encrypt-filters → dispatch → scatter → shard-execute → gather →
-//!    merge → decrypt;
+//!    [`seabed_dist::DistCoordinator`], so every query runs under a single
+//!    `TraceId` (`result.trace_id`) whose stitched spans cover parse →
+//!    translate → encrypt-filters → dispatch → scatter → shard-execute →
+//!    gather → merge → decrypt;
 //! 2. a remote scrape ([`seabed_net::scrape_metrics`], wire kinds 17/18) of
 //!    a live worker: counters, log-bucket latency histograms with p50/p99,
 //!    and the worker's own trace ring carrying the propagated id;
@@ -60,8 +60,12 @@ fn main() {
         })
         .collect();
     let addrs: Vec<_> = workers.iter().map(|w| w.local_addr()).collect();
-    let coordinator =
-        DistCoordinator::connect(&addrs, encrypted.table.clone(), DistConfig::default()).expect("coordinator connects");
+    let coordinator = DistCoordinator::connect_tables(
+        &addrs,
+        vec![("sales".into(), encrypted.table.clone())],
+        DistConfig::default(),
+    )
+    .expect("coordinator connects");
     let session = SeabedSession::single("sales", client, &coordinator).with_obs(coordinator.registry());
 
     // 3. A few queries to warm the histograms, then one traced query.
@@ -71,7 +75,8 @@ fn main() {
             .expect("warm-up query");
     }
     let sql = "SELECT SUM(revenue) FROM sales WHERE country = 'USA'";
-    let (result, trace_id) = session.query_traced(sql, &[]).expect("traced query");
+    let result = session.query(sql, &[]).expect("traced query");
+    let trace_id = result.trace_id;
     println!("\n{sql}\n  -> {:?} (trace id {trace_id:#018x})", result.rows);
 
     // 3b. EXPLAIN ANALYZE the same query: the structural plan annotated with

@@ -48,8 +48,12 @@ fn spawn_pair() -> (Vec<NetServer>, Vec<SocketAddr>) {
 fn assert_warm_equals_cold(table_name: &str, client: &SeabedClient, table: &Table, cases: &[Case]) {
     // Cold reference: capacity 0 disables the cache entirely.
     let (workers, addrs) = spawn_pair();
-    let cold = DistCoordinator::connect(&addrs, table.clone(), DistConfig::default().partial_cache_capacity(0))
-        .expect("cold coordinator");
+    let cold = DistCoordinator::connect_tables(
+        &addrs,
+        vec![(table_name.into(), table.clone())],
+        DistConfig::default().partial_cache_capacity(0),
+    )
+    .expect("cold coordinator");
     let mut references: Vec<(ServerResponse, Vec<Vec<seabed_core::ResultValue>>)> = Vec::new();
     {
         let session = SeabedSession::single(table_name, client.clone(), &cold);
@@ -77,7 +81,9 @@ fn assert_warm_equals_cold(table_name: &str, client: &SeabedClient, table: &Tabl
 
     // Warm side: default config, cache enabled.
     let (workers, addrs) = spawn_pair();
-    let coordinator = DistCoordinator::connect(&addrs, table.clone(), DistConfig::default()).expect("warm coordinator");
+    let coordinator =
+        DistCoordinator::connect_tables(&addrs, vec![(table_name.into(), table.clone())], DistConfig::default())
+            .expect("warm coordinator");
     let session = SeabedSession::single(table_name, client.clone(), &coordinator);
     for (c, (cold_response, cold_rows)) in cases.iter().zip(&references) {
         let prepared = session
@@ -130,6 +136,33 @@ fn assert_warm_equals_cold(table_name: &str, client: &SeabedClient, table: &Tabl
                 c.sql
             );
         }
+
+        // An analyzed execute of the warm statement neither probes nor fills
+        // the cache: every shard runs and reports its operators.
+        let before = coordinator.cache_stats();
+        let explanation = session
+            .explain(&format!("EXPLAIN ANALYZE {}", c.sql), &c.params)
+            .unwrap_or_else(|e| panic!("explain analyze {}: {e}", c.sql));
+        assert_eq!(
+            coordinator.cache_stats(),
+            before,
+            "an analyzed execute touched the cache: {}",
+            c.sql
+        );
+        let report = coordinator.last_report();
+        assert_eq!((report.cache_hits, report.cache_misses), (0, 0), "{}", c.sql);
+        assert_eq!(report.runs.len(), coordinator.num_shards(), "{}", c.sql);
+        assert_eq!(&explanation.result.as_ref().expect("rows").rows, cold_rows, "{}", c.sql);
+        assert!(explanation.render().contains(", 0 cached"), "{}", explanation.render());
+        // ... and the next plain execute still answers from the cache, with
+        // no operator rows: nothing ran.
+        let (_, warm) = session
+            .execute_encrypted(&prepared, &c.params)
+            .unwrap_or_else(|e| panic!("warm execute after analyze {}: {e}", c.sql));
+        let report = coordinator.last_report();
+        assert!(report.cache_hits > 0 && report.cache_misses == 0, "{report:?}");
+        assert!(warm.stats.operators.is_empty(), "a cached answer carries no profile");
+        assert_eq!(warm.groups, cold_response.groups, "{}", c.sql);
     }
     let stats = coordinator.cache_stats();
     assert!(
@@ -193,7 +226,9 @@ fn sales_warm_cache_equals_cold_scatter() {
 fn distinct_bindings_key_the_cache_independently() {
     let (client, table) = sales_fixture();
     let (workers, addrs) = spawn_pair();
-    let coordinator = DistCoordinator::connect(&addrs, table.clone(), DistConfig::default()).expect("coordinator");
+    let coordinator =
+        DistCoordinator::connect_tables(&addrs, vec![("sales".into(), table.clone())], DistConfig::default())
+            .expect("coordinator");
     let session = SeabedSession::single("sales", client.clone(), &coordinator);
     let prepared = session
         .prepare("SELECT SUM(revenue) FROM sales WHERE dept = ?")

@@ -7,24 +7,25 @@
 //! winners, result-byte accounting — and the decrypted rows must match, on
 //! the sales fixture, the Ad-Analytics workload and the BDB tables.
 
-use seabed_core::{PlainDataset, ResultValue, SeabedClient, SeabedServer, ServerResponse};
+use seabed_core::{PlainDataset, QueryTarget, ResultValue, SeabedClient, SeabedServer, ServerResponse};
 use seabed_dist::{spawn_worker, DistConfig, DistCoordinator, ScatterMode};
 use seabed_engine::{Cluster, ClusterConfig, ExecMode, Table};
 use seabed_net::{NetServer, ServiceConfig};
 use seabed_query::{parse, ColumnSpec, PlannerConfig, Query};
 use seabed_workloads::{ad_analytics, bdb};
 
-/// Stands up `n` workers plus a coordinator over `table`.
-fn cluster_of(n: usize, table: Table) -> (Vec<NetServer>, DistCoordinator) {
-    cluster_with(n, table, DistConfig::default())
+/// Stands up `n` workers plus a coordinator hosting `table` as `name`.
+fn cluster_of(n: usize, name: &str, table: Table) -> (Vec<NetServer>, DistCoordinator) {
+    cluster_with(n, name, table, DistConfig::default())
 }
 
-fn cluster_with(n: usize, table: Table, config: DistConfig) -> (Vec<NetServer>, DistCoordinator) {
+fn cluster_with(n: usize, name: &str, table: Table, config: DistConfig) -> (Vec<NetServer>, DistCoordinator) {
     let workers: Vec<NetServer> = (0..n)
         .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker must start"))
         .collect();
     let addrs: Vec<_> = workers.iter().map(|w| w.local_addr()).collect();
-    let coordinator = DistCoordinator::connect(&addrs, table, config).expect("coordinator must connect");
+    let coordinator =
+        DistCoordinator::connect_tables(&addrs, vec![(name.into(), table)], config).expect("coordinator must connect");
     (workers, coordinator)
 }
 
@@ -39,13 +40,13 @@ fn assert_equivalent(client: &SeabedClient, server: &SeabedServer, coordinator: 
             // rejected identically by the distributed path — as the same
             // typed error, not a panic or a divergent answer.
             let dist_err = coordinator
-                .execute(&translated, &filters)
+                .execute_query(&translated, &filters)
                 .expect_err("local rejected the query; dist must too");
             assert_eq!(local_err, dist_err, "error divergence for {sql}");
             return;
         }
     };
-    let dist: ServerResponse = coordinator.execute(&translated, &filters).expect("dist execute");
+    let dist: ServerResponse = coordinator.execute_query(&translated, &filters).expect("dist execute");
     assert_eq!(local.groups, dist.groups, "encrypted groups diverged for {sql}");
     assert_eq!(local.result_bytes, dist.result_bytes, "result bytes diverged for {sql}");
 
@@ -96,7 +97,7 @@ fn sales_fixture() -> (SeabedClient, SeabedServer, PlainDataset) {
 #[test]
 fn sales_fixture_is_byte_identical_across_three_workers() {
     let (client, server, _) = sales_fixture();
-    let (workers, coordinator) = cluster_of(3, server.table().clone());
+    let (workers, coordinator) = cluster_of(3, "sales", server.table().clone());
     for sql in [
         "SELECT SUM(revenue) FROM sales",
         "SELECT SUM(revenue) FROM sales WHERE country = 'USA'",
@@ -137,14 +138,22 @@ fn scatter_modes_are_byte_identical_at_one_two_and_three_lanes() {
     let (client, server, _) = sales_fixture();
     for lanes in 1..=3 {
         let table = || server.table().clone();
-        let (seq_workers, sequential) =
-            cluster_with(lanes, table(), DistConfig::default().scatter(ScatterMode::Sequential));
-        let (con_workers, concurrent) =
-            cluster_with(lanes, table(), DistConfig::default().scatter(ScatterMode::Concurrent));
+        let (seq_workers, sequential) = cluster_with(
+            lanes,
+            "sales",
+            table(),
+            DistConfig::default().scatter(ScatterMode::Sequential),
+        );
+        let (con_workers, concurrent) = cluster_with(
+            lanes,
+            "sales",
+            table(),
+            DistConfig::default().scatter(ScatterMode::Concurrent),
+        );
         for sql in FAN_OUT_QUERIES {
             let (_, translated, filters) = client.prepare(&server, sql).expect("prepare");
-            let a = sequential.execute(&translated, &filters).expect("sequential");
-            let b = concurrent.execute(&translated, &filters).expect("concurrent");
+            let a = sequential.execute_query(&translated, &filters).expect("sequential");
+            let b = concurrent.execute_query(&translated, &filters).expect("concurrent");
             assert_eq!(a.groups, b.groups, "{lanes} lanes: groups diverged for {sql}");
             assert_eq!(
                 a.result_bytes, b.result_bytes,
@@ -204,8 +213,8 @@ fn always_hedged_execution_is_byte_identical() {
         .collect();
     let addrs: Vec<_> = workers.iter().map(|w| w.local_addr()).collect();
     let config = DistConfig::default().hedge_after(std::time::Duration::ZERO);
-    let coordinator =
-        DistCoordinator::connect(&addrs, server.table().clone(), config).expect("coordinator must connect");
+    let coordinator = DistCoordinator::connect_tables(&addrs, vec![("sales".into(), server.table().clone())], config)
+        .expect("coordinator must connect");
     let mut hedged_total = 0;
     for sql in [
         "SELECT SUM(revenue) FROM sales",
@@ -234,12 +243,12 @@ fn always_hedged_execution_is_byte_identical() {
 fn inflated_group_by_is_byte_identical() {
     let (mut client, server, dataset) = sales_fixture();
     client.translate_options.expected_groups = Some(1);
-    let (workers, coordinator) = cluster_of(2, server.table().clone());
+    let (workers, coordinator) = cluster_of(2, "sales", server.table().clone());
     let sql = "SELECT dept, SUM(revenue) FROM sales GROUP BY dept";
     let (query, translated, filters) = client.prepare(&server, sql).expect("prepare");
     assert!(translated.group_inflation > 1, "fixture must inflate groups");
     let local = server.execute(&translated, &filters).expect("local");
-    let dist = coordinator.execute(&translated, &filters).expect("dist");
+    let dist = coordinator.execute_query(&translated, &filters).expect("dist");
     assert_eq!(local.groups, dist.groups);
 
     // And the decrypted per-dept sums match a plaintext evaluation.
@@ -270,7 +279,7 @@ fn inflated_group_by_is_byte_identical() {
 #[test]
 fn seabed_client_targets_the_coordinator_directly() {
     let (client, server, dataset) = sales_fixture();
-    let (workers, coordinator) = cluster_of(2, server.table().clone());
+    let (workers, coordinator) = cluster_of(2, "sales", server.table().clone());
 
     let revenue = dataset.column("revenue").expect("revenue");
     let expected: u64 = (0..dataset.num_rows())
@@ -281,7 +290,7 @@ fn seabed_client_targets_the_coordinator_directly() {
         .query(&coordinator, "SELECT SUM(revenue) FROM sales")
         .expect("query via coordinator");
     assert_eq!(result.rows, vec![vec![ResultValue::UInt(expected)]]);
-    assert_eq!(coordinator.schema(), &server.table().schema);
+    assert_eq!(coordinator.schema_of("sales"), Ok(&server.table().schema));
     for w in workers {
         w.shutdown();
     }
@@ -307,7 +316,7 @@ fn ad_analytics_workload_is_byte_identical() {
     let mut client = SeabedClient::create_plan(b"dist-ada", &specs, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 8, &mut rng);
     let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
-    let (workers, coordinator) = cluster_of(4, encrypted.table.clone());
+    let (workers, coordinator) = cluster_of(4, "ad_analytics", encrypted.table.clone());
     for q in queries.iter().take(6) {
         assert_equivalent(&client, &server, &coordinator, &q.sql);
     }
@@ -346,7 +355,7 @@ fn bdb_workload_is_byte_identical() {
         let mut client = SeabedClient::create_plan(b"dist-bdb", &specs, &samples, &PlannerConfig::default());
         let encrypted = client.encrypt_dataset(dataset, 6, &mut rng);
         let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
-        let (workers, coordinator) = cluster_of(2, encrypted.table.clone());
+        let (workers, coordinator) = cluster_of(2, &dataset.name, encrypted.table.clone());
         for q in bdb::queries().iter().filter(|q| q.table == dataset.name) {
             // Scan queries (Q1*) have no aggregate; approximate as COUNT as
             // the bench harness does.

@@ -5,7 +5,7 @@
 //! before, during, and after a membership change stays byte-identical to
 //! single-server execution.
 
-use seabed_core::{SeabedServer, ServerResponse};
+use seabed_core::{QueryTarget, SeabedServer, ServerResponse};
 use seabed_dist::{spawn_worker, DistConfig, DistCoordinator};
 use seabed_engine::{Cluster, ClusterConfig, ColumnData, ColumnType, Schema, Table};
 use seabed_error::SeabedError;
@@ -74,9 +74,10 @@ fn joining_worker_takes_replica_slots_and_answers_identically() {
         .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker"))
         .collect();
     let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.local_addr()).collect();
-    let coordinator = DistCoordinator::connect(&addrs, table, DistConfig::default()).expect("connect");
+    let coordinator =
+        DistCoordinator::connect_tables(&addrs, vec![("t".into(), table)], DistConfig::default()).expect("connect");
 
-    let before = coordinator.execute(&query, &[]).expect("pre-join query");
+    let before = coordinator.execute_query(&query, &[]).expect("pre-join query");
     assert_eq!(expected.groups, before.groups);
     assert_eq!(expected.result_bytes, before.result_bytes);
     let cache_epoch_before = coordinator.cache_epoch();
@@ -103,7 +104,7 @@ fn joining_worker_takes_replica_slots_and_answers_identically() {
         "a membership change must fence the partial cache"
     );
 
-    let after = coordinator.execute(&query, &[]).expect("post-join query");
+    let after = coordinator.execute_query(&query, &[]).expect("post-join query");
     assert_eq!(expected.groups, after.groups);
     assert_eq!(expected.result_bytes, after.result_bytes);
     for w in workers {
@@ -125,9 +126,10 @@ fn leaving_worker_rehomes_replicas_and_stays_identical() {
         .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker"))
         .collect();
     let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.local_addr()).collect();
-    let coordinator = DistCoordinator::connect(&addrs, table, DistConfig::default()).expect("connect");
+    let coordinator =
+        DistCoordinator::connect_tables(&addrs, vec![("t".into(), table)], DistConfig::default()).expect("connect");
 
-    let before = coordinator.execute(&query, &[]).expect("pre-leave query");
+    let before = coordinator.execute_query(&query, &[]).expect("pre-leave query");
     assert_eq!(expected.groups, before.groups);
     let cache_epoch_before = coordinator.cache_epoch();
 
@@ -144,7 +146,7 @@ fn leaving_worker_rehomes_replicas_and_stays_identical() {
     assert_eq!(total_slots, 8, "{summaries:?}");
     assert!(coordinator.cache_epoch() > cache_epoch_before);
 
-    let after = coordinator.execute(&query, &[]).expect("post-leave query");
+    let after = coordinator.execute_query(&query, &[]).expect("post-leave query");
     assert_eq!(expected.groups, after.groups);
     assert_eq!(expected.result_bytes, after.result_bytes);
 
@@ -167,7 +169,8 @@ fn sole_replica_holder_cannot_leave() {
 
     let worker = spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker");
     let config = DistConfig::default().replication(1);
-    let coordinator = DistCoordinator::connect(&[worker.local_addr()], table, config).expect("connect");
+    let coordinator =
+        DistCoordinator::connect_tables(&[worker.local_addr()], vec![("t".into(), table)], config).expect("connect");
 
     let outcome = coordinator.leave_worker(0);
     assert!(matches!(outcome, Err(SeabedError::Dist { .. })), "{outcome:?}");
@@ -175,7 +178,9 @@ fn sole_replica_holder_cannot_leave() {
         coordinator.worker_summaries()[0].alive,
         "a refused departure must leave the worker in service"
     );
-    let response = coordinator.execute(&query, &[]).expect("query after refused leave");
+    let response = coordinator
+        .execute_query(&query, &[])
+        .expect("query after refused leave");
     assert_eq!(expected.groups, response.groups);
     worker.shutdown();
 }

@@ -3,7 +3,7 @@
 //! partial-response frames (typed errors, coordinator survives), and
 //! duplicate / late partial responses (discarded, never merged twice).
 
-use seabed_core::{SeabedServer, ServerResponse};
+use seabed_core::{QueryTarget, SeabedServer, ServerResponse};
 use seabed_dist::{spawn_worker, DistConfig, DistCoordinator};
 use seabed_engine::{Cluster, ClusterConfig, ColumnData, ColumnType, Schema, Table};
 use seabed_error::SeabedError;
@@ -306,7 +306,7 @@ fn mixed_cluster(
     let mut addrs: Vec<SocketAddr> = workers.iter().map(|w| w.local_addr()).collect();
     // The fake sits in the middle so it owns a real shard.
     addrs.insert(real / 2, fake_addr);
-    let coordinator = DistCoordinator::connect(&addrs, table, config).expect("connect");
+    let coordinator = DistCoordinator::connect_tables(&addrs, vec![("t".into(), table)], config).expect("connect");
     (workers, fake_handle, coordinator)
 }
 
@@ -324,7 +324,9 @@ fn worker_death_mid_query_redispatches_and_completes() {
     let expected = local_answer(&table, &query);
     let (workers, fake, coordinator) = mixed_cluster(2, Misbehavior::DieOnQuery, table, DistConfig::default());
 
-    let response = coordinator.execute(&query, &[]).expect("query must survive the death");
+    let response = coordinator
+        .execute_query(&query, &[])
+        .expect("query must survive the death");
     assert_eq!(expected.groups, response.groups);
     assert_eq!(expected.result_bytes, response.result_bytes);
     let report = coordinator.last_report();
@@ -338,7 +340,7 @@ fn worker_death_mid_query_redispatches_and_completes() {
     );
 
     // The coordinator survives and keeps answering (now without the corpse).
-    let again = coordinator.execute(&query, &[]).expect("follow-up query");
+    let again = coordinator.execute_query(&query, &[]).expect("follow-up query");
     assert_eq!(expected.groups, again.groups);
     assert!(coordinator.last_report().runs.iter().all(|r| !r.redispatched));
 
@@ -360,13 +362,14 @@ fn real_worker_shutdown_between_queries_is_survived() {
         .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker"))
         .collect();
     let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.local_addr()).collect();
-    let coordinator = DistCoordinator::connect(&addrs, table, DistConfig::default()).expect("connect");
-    let first = coordinator.execute(&query, &[]).expect("healthy query");
+    let coordinator =
+        DistCoordinator::connect_tables(&addrs, vec![("t".into(), table)], DistConfig::default()).expect("connect");
+    let first = coordinator.execute_query(&query, &[]).expect("healthy query");
     assert_eq!(expected.groups, first.groups);
 
     // Kill worker 1 for real.
     workers.remove(1).shutdown();
-    let response = coordinator.execute(&query, &[]).expect("query after the kill");
+    let response = coordinator.execute_query(&query, &[]).expect("query after the kill");
     assert_eq!(expected.groups, response.groups);
     assert!(coordinator.last_report().runs.iter().any(|r| r.redispatched));
     for w in workers {
@@ -384,7 +387,9 @@ fn stalled_worker_triggers_hedged_redispatch() {
     let config = DistConfig::default().read_timeout(Duration::from_millis(300));
     let (workers, fake, coordinator) = mixed_cluster(2, Misbehavior::StallOnQuery, table, config);
 
-    let response = coordinator.execute(&query, &[]).expect("query must survive the stall");
+    let response = coordinator
+        .execute_query(&query, &[])
+        .expect("query must survive the stall");
     assert_eq!(expected.groups, response.groups);
     assert!(coordinator.last_report().runs.iter().any(|r| r.redispatched));
 
@@ -410,7 +415,9 @@ fn garbage_partial_frames_are_survived_or_typed() {
     // With a survivor: correct result.
     let (workers, fake, coordinator) =
         mixed_cluster(1, Misbehavior::GarbageOnQuery, table.clone(), DistConfig::default());
-    let response = coordinator.execute(&query, &[]).expect("survivor must carry the query");
+    let response = coordinator
+        .execute_query(&query, &[])
+        .expect("survivor must carry the query");
     assert_eq!(expected.groups, response.groups);
     fake.join().expect("fake worker");
     for w in workers {
@@ -420,10 +427,11 @@ fn garbage_partial_frames_are_survived_or_typed() {
     // Without survivors: a typed Dist error, not a panic — and the
     // coordinator remains usable as an object (every call answers).
     let (fake_addr, fake_handle) = fake_worker(Misbehavior::GarbageOnQuery);
-    let coordinator = DistCoordinator::connect(&[fake_addr], table, DistConfig::default()).expect("connect");
-    let outcome = coordinator.execute(&query, &[]);
+    let coordinator = DistCoordinator::connect_tables(&[fake_addr], vec![("t".into(), table)], DistConfig::default())
+        .expect("connect");
+    let outcome = coordinator.execute_query(&query, &[]);
     assert!(matches!(outcome, Err(SeabedError::Dist { .. })), "{outcome:?}");
-    let again = coordinator.execute(&query, &[]);
+    let again = coordinator.execute_query(&query, &[]);
     assert!(matches!(again, Err(SeabedError::Dist { .. })), "{again:?}");
     fake_handle.join().expect("fake worker");
 }
@@ -437,7 +445,9 @@ fn truncated_partial_frames_are_survived() {
     let expected = local_answer(&table, &query);
     let config = DistConfig::default().read_timeout(Duration::from_millis(500));
     let (workers, fake, coordinator) = mixed_cluster(1, Misbehavior::TruncateOnQuery, table, config);
-    let response = coordinator.execute(&query, &[]).expect("survivor must carry the query");
+    let response = coordinator
+        .execute_query(&query, &[])
+        .expect("survivor must carry the query");
     assert_eq!(expected.groups, response.groups);
     assert!(coordinator.last_report().runs.iter().any(|r| r.redispatched));
     fake.join().expect("fake worker");
@@ -455,7 +465,9 @@ fn forged_short_partials_are_rejected_and_redispatched() {
     let query = sum_query(false); // two aggregates; the forger ships one
     let expected = local_answer(&table, &query);
     let (workers, fake, coordinator) = mixed_cluster(1, Misbehavior::ForgedShortPartial, table, DistConfig::default());
-    let response = coordinator.execute(&query, &[]).expect("survivor must carry the query");
+    let response = coordinator
+        .execute_query(&query, &[])
+        .expect("survivor must carry the query");
     assert_eq!(expected.groups, response.groups, "forged shape must never merge");
     assert!(coordinator.last_report().runs.iter().any(|r| r.redispatched));
     drop(coordinator);
@@ -476,7 +488,6 @@ fn forged_short_partials_are_rejected_and_redispatched() {
 /// reference byte for byte — then re-warms under the new epoch.
 #[test]
 fn worker_death_mid_sweep_fences_cached_partials() {
-    use seabed_core::QueryTarget;
     let table = test_table(2_000, 8);
     let stmt_a = sum_query(false);
     let stmt_b = sum_query(true);
@@ -487,7 +498,8 @@ fn worker_death_mid_sweep_fences_cached_partials() {
         .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker"))
         .collect();
     let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.local_addr()).collect();
-    let coordinator = DistCoordinator::connect(&addrs, table, DistConfig::default()).expect("connect");
+    let coordinator =
+        DistCoordinator::connect_tables(&addrs, vec![("t".into(), table)], DistConfig::default()).expect("connect");
 
     // Populate statement A (cold), then confirm it answers warm.
     let first = coordinator.execute_prepared(&stmt_a, 1, &[]).expect("populate");
@@ -561,7 +573,7 @@ fn duplicate_stale_partials_are_discarded_not_merged() {
     // Two queries: the fake duplicates on each, so by the second query the
     // stale seq of query 2 can also collide with in-flight expectations.
     for _ in 0..2 {
-        let response = coordinator.execute(&query, &[]).expect("query");
+        let response = coordinator.execute_query(&query, &[]).expect("query");
         assert_eq!(expected.groups, response.groups, "duplicate partial must not be merged");
     }
     let report = coordinator.last_report();
@@ -597,7 +609,7 @@ fn trickled_partials_exhaust_the_total_budget_not_per_chunk() {
 
     let started = std::time::Instant::now();
     let response = coordinator
-        .execute(&query, &[])
+        .execute_query(&query, &[])
         .expect("survivors must carry the query");
     let elapsed = started.elapsed();
     assert_eq!(expected.groups, response.groups);
@@ -633,7 +645,7 @@ fn hedged_reads_race_replicas_and_discard_the_loser_by_seq() {
 
     // First query: the fake sits on its shard for 700 ms, the coordinator
     // hedges at 150 ms, and a replica carries the shard.
-    let response = coordinator.execute(&query, &[]).expect("hedged query");
+    let response = coordinator.execute_query(&query, &[]).expect("hedged query");
     assert_eq!(expected.groups, response.groups);
     assert_eq!(expected.result_bytes, response.result_bytes);
     let report = coordinator.last_report();
@@ -653,7 +665,7 @@ fn hedged_reads_race_replicas_and_discard_the_loser_by_seq() {
 
     // Second query: the stale partial is drained and counted as discarded,
     // then the now-prompt worker answers — byte-identical again.
-    let again = coordinator.execute(&query, &[]).expect("follow-up query");
+    let again = coordinator.execute_query(&query, &[]).expect("follow-up query");
     assert_eq!(expected.groups, again.groups);
     assert_eq!(expected.result_bytes, again.result_bytes);
     let report = coordinator.last_report();
@@ -680,10 +692,10 @@ fn redispatch_with_no_live_worker_is_a_typed_error_not_a_hang() {
     let (f1, h1) = fake_worker(Misbehavior::DieOnQuery);
     let (f2, h2) = fake_worker(Misbehavior::DieOnQuery);
     let config = DistConfig::default().read_timeout(Duration::from_millis(500));
-    let coordinator = DistCoordinator::connect(&[f1, f2], table, config).expect("connect");
+    let coordinator = DistCoordinator::connect_tables(&[f1, f2], vec![("t".into(), table)], config).expect("connect");
 
     let started = std::time::Instant::now();
-    let outcome = coordinator.execute(&query, &[]);
+    let outcome = coordinator.execute_query(&query, &[]);
     assert!(matches!(outcome, Err(SeabedError::Dist { .. })), "{outcome:?}");
     assert!(
         started.elapsed() < Duration::from_secs(5),
@@ -695,7 +707,7 @@ fn redispatch_with_no_live_worker_is_a_typed_error_not_a_hang() {
     // Every worker is known dead now: a further execute fails typed and
     // near-instantly, without a single new round trip to a corpse.
     let started = std::time::Instant::now();
-    let again = coordinator.execute(&query, &[]);
+    let again = coordinator.execute_query(&query, &[]);
     assert!(matches!(again, Err(SeabedError::Dist { .. })), "{again:?}");
     assert!(
         started.elapsed() < Duration::from_secs(1),
@@ -735,22 +747,24 @@ fn racing_coordinators_get_distinct_epochs_and_the_loser_fails_typed() {
         .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker"))
         .collect();
     let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.local_addr()).collect();
-    let a = DistCoordinator::connect(&addrs, table_a, DistConfig::default()).expect("coordinator A");
-    let b = DistCoordinator::connect(&addrs, table_b, DistConfig::default()).expect("coordinator B");
+    let a = DistCoordinator::connect_tables(&addrs, vec![("t".into(), table_a)], DistConfig::default())
+        .expect("coordinator A");
+    let b = DistCoordinator::connect_tables(&addrs, vec![("t".into(), table_b)], DistConfig::default())
+        .expect("coordinator B");
     assert_ne!(a.epoch(), b.epoch(), "racing coordinators must never share an epoch");
 
     // B claimed the pool last: it answers correctly.
-    let rb = b.execute(&query, &[]).expect("the winning coordinator");
+    let rb = b.execute_query(&query, &[]).expect("the winning coordinator");
     assert_eq!(expected_b.groups, rb.groups);
     assert_eq!(expected_b.result_bytes, rb.result_bytes);
 
     // A's epoch is fenced on every worker: a typed Dist error, never B's
     // data and never a hang.
-    let ra = a.execute(&query, &[]);
+    let ra = a.execute_query(&query, &[]);
     assert!(matches!(ra, Err(SeabedError::Dist { .. })), "{ra:?}");
 
     // And B keeps working afterwards.
-    let rb = b.execute(&query, &[]).expect("the winner is unaffected");
+    let rb = b.execute_query(&query, &[]).expect("the winner is unaffected");
     assert_eq!(expected_b.groups, rb.groups);
     for w in workers {
         w.shutdown();

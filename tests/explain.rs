@@ -12,8 +12,14 @@
 //!    stitched plan must carry per-shard per-operator measurements).
 //! 3. **Redaction** — nothing an explanation or a captured query event
 //!    renders ever contains a predicate literal or raw SQL text.
+//! 4. **An analyzed plan is the plan of its own execution** — two sessions
+//!    explaining concurrently on one coordinator each get their own table's
+//!    stitched subtree, and `EXPLAIN ANALYZE` counts, traces and logs like
+//!    any other execute, failures included.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 use seabed_core::{
@@ -30,9 +36,14 @@ use seabed_query::{parse, ColumnSpec, PlanNode, PlannerConfig, TranslatedQuery};
 const SECRET_LITERAL: &str = "retail";
 
 fn sales_fixture() -> (SeabedClient, SeabedServer) {
+    fixture("sales", 6)
+}
+
+/// The sales columns as table `name`, stored in `partitions` partitions.
+fn fixture(name: &str, partitions: usize) -> (SeabedClient, SeabedServer) {
     let n = 1_200usize;
     let depts = ["retail", "wholesale", "online", "partner"];
-    let dataset = PlainDataset::new("sales")
+    let dataset = PlainDataset::new(name)
         .with_text_column("dept", (0..n).map(|i| depts[i % depts.len()].to_string()).collect())
         .with_uint_column("revenue", (0..n as u64).map(|i| (i * 13) % 500).collect())
         .with_uint_column("ts", (0..n as u64).map(|i| (i * 7) % 1000).collect());
@@ -42,17 +53,19 @@ fn sales_fixture() -> (SeabedClient, SeabedServer) {
         ColumnSpec::sensitive("ts"),
     ];
     let samples = vec![
-        parse("SELECT SUM(revenue) FROM sales WHERE dept = 'retail'").expect("sample"),
-        parse("SELECT SUM(revenue) FROM sales WHERE ts >= 100").expect("sample"),
+        parse(&format!("SELECT SUM(revenue) FROM {name} WHERE dept = 'retail'")).expect("sample"),
+        parse(&format!("SELECT SUM(revenue) FROM {name} WHERE ts >= 100")).expect("sample"),
     ];
     let mut client = SeabedClient::create_plan(b"explain-it", &columns, &samples, &PlannerConfig::default());
-    let encrypted = client.encrypt_dataset(&dataset, 6, &mut rand::rng());
+    let encrypted = client.encrypt_dataset(&dataset, partitions, &mut rand::rng());
     let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
     (client, server)
 }
 
 /// A query target that counts every execution reaching it, so a test can
-/// assert that `EXPLAIN` performed exactly zero of them.
+/// assert that `EXPLAIN` performed exactly zero of them. It provides only the
+/// two required methods: the default `QueryTarget::run` reaches it through
+/// `execute_query`.
 struct CountingTarget<'a> {
     inner: &'a SeabedServer,
     executes: AtomicU64,
@@ -70,17 +83,6 @@ impl QueryTarget for CountingTarget<'_> {
     ) -> Result<ServerResponse, SeabedError> {
         self.executes.fetch_add(1, Ordering::Relaxed);
         self.inner.execute_query(query, filters)
-    }
-
-    fn execute_query_analyzed(
-        &self,
-        query: &TranslatedQuery,
-        filters: &[PhysicalFilter],
-        trace_id: u64,
-        analyze: bool,
-    ) -> Result<ServerResponse, SeabedError> {
-        self.executes.fetch_add(1, Ordering::Relaxed);
-        self.inner.execute_query_analyzed(query, filters, trace_id, analyze)
     }
 }
 
@@ -191,8 +193,12 @@ fn distributed_explain_analyze_stitches_shard_profiles() {
         .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker must start"))
         .collect();
     let addrs: Vec<_> = workers.iter().map(|w| w.local_addr()).collect();
-    let coordinator =
-        DistCoordinator::connect(&addrs, server.table().clone(), DistConfig::default()).expect("coordinator connects");
+    let coordinator = DistCoordinator::connect_tables(
+        &addrs,
+        vec![("sales".into(), server.table().clone())],
+        DistConfig::default(),
+    )
+    .expect("coordinator connects");
     let session = SeabedSession::single("sales", client, &coordinator).with_obs(coordinator.registry());
 
     let sql = "SELECT SUM(revenue) FROM sales WHERE dept = 'retail' AND ts >= 100";
@@ -276,7 +282,112 @@ fn distributed_explain_analyze_stitches_shard_profiles() {
         assert!(!payload.contains("SELECT"), "explain surface leaked raw SQL: {payload}");
     }
 
-    drop(session);
+    // --- EXPLAIN ANALYZE is an execute: counted like one, and with every
+    // worker down it fails like one, leaving an error-tagged session event
+    // (plain EXPLAIN still answers: it never leaves the proxy). ---
+    assert_eq!(session.stats().executes, 2, "the plain query and the analyzed one");
+    for w in workers {
+        w.shutdown();
+    }
+    let failed = session.explain(&format!("EXPLAIN ANALYZE {sql}"), &[]);
+    assert!(matches!(failed, Err(SeabedError::Dist { .. })), "{failed:?}");
+    assert_eq!(session.stats().executes, 2, "a failed execute is not counted");
+    let events = session.registry().recent_events();
+    let event = events
+        .iter()
+        .rfind(|e| e.node == "session")
+        .expect("the failed analyzed execution must leave a session event");
+    assert_eq!(event.outcome, "dist-error");
+    assert!(!event.plan.contains(SECRET_LITERAL) && !event.plan.contains("SELECT"));
+    session
+        .explain(&format!("EXPLAIN {sql}"), &[])
+        .expect("EXPLAIN needs no worker");
+}
+
+/// Two sessions on one coordinator, each looping `EXPLAIN ANALYZE` on its own
+/// table, in lockstep so every pair of executions overlaps. The two tables
+/// have different shard counts, so a stitched plan or a coordinator event
+/// that belongs to the *other* session's execution shows at once. (The plan
+/// used to be read back from a "most recent analyzed execution" slot on the
+/// coordinator, which the other session could overwrite in between.)
+#[test]
+fn concurrent_explain_analyze_returns_each_executions_own_plan() {
+    const ROUNDS: usize = 300;
+    let (narrow_client, narrow) = fixture("narrow", 2);
+    let (wide_client, wide) = fixture("wide", 6);
+    let workers: Vec<_> = (0..3)
+        .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker must start"))
+        .collect();
+    let addrs: Vec<_> = workers.iter().map(|w| w.local_addr()).collect();
+    let coordinator = DistCoordinator::connect_tables(
+        &addrs,
+        vec![
+            ("narrow".into(), narrow.table().clone()),
+            ("wide".into(), wide.table().clone()),
+        ],
+        DistConfig::default(),
+    )
+    .expect("coordinator connects");
+
+    // Per session: every analyzed execution's trace id and rendered plan.
+    // Nothing in the loop may panic — the other session would wait at the
+    // barrier forever — so the plans are judged after both have finished.
+    let lockstep = Barrier::new(2);
+    let explain_loop = |table: &str, client: SeabedClient| -> Vec<Result<(u64, PlanNode), SeabedError>> {
+        let session = SeabedSession::single(table, client, &coordinator);
+        let sql = format!("EXPLAIN ANALYZE SELECT SUM(revenue) FROM {table} WHERE dept = 'retail'");
+        (0..ROUNDS)
+            .map(|_| {
+                lockstep.wait();
+                let explanation = session.explain(&sql, &[])?;
+                Ok((explanation.result.map_or(0, |r| r.trace_id), explanation.plan))
+            })
+            .collect()
+    };
+    let (narrow_plans, wide_plans) = std::thread::scope(|scope| {
+        let narrow = scope.spawn(|| explain_loop("narrow", narrow_client));
+        let wide = scope.spawn(|| explain_loop("wide", wide_client));
+        (
+            narrow.join().expect("narrow session"),
+            wide.join().expect("wide session"),
+        )
+    });
+
+    // The shard count each trace id's plan must show.
+    let mut expected: HashMap<u64, usize> = HashMap::new();
+    for (table, shards, plans) in [("narrow", 2usize, narrow_plans), ("wide", 3, wide_plans)] {
+        for (round, explained) in plans.into_iter().enumerate() {
+            let (trace_id, plan) = explained.expect("explain analyze");
+            let dist = plan
+                .children
+                .iter()
+                .find(|c| c.op == "dist")
+                .expect("a coordinator contributes its subtree");
+            assert_eq!(
+                dist.children.iter().filter(|c| c.op == "shard").count(),
+                shards,
+                "round {round}: {table} has {shards} shards, its plan shows another execution:\n{}",
+                plan.render()
+            );
+            assert!(dist.detail.contains(&format!("of {shards} shards")), "{}", dist.detail);
+            expected.insert(trace_id, shards);
+        }
+    }
+    assert_eq!(expected.len(), 2 * ROUNDS, "every execution ran under its own trace id");
+
+    // The coordinator's event for an analyzed execution renders the plan of
+    // that execution (the ring holds the most recent ones).
+    let events = coordinator.registry().recent_events();
+    assert!(!events.is_empty());
+    for event in &events {
+        let shards = expected[&event.trace_id];
+        assert!(
+            event.plan.starts_with("dist") && event.plan.contains(&format!("of {shards} shards")),
+            "the event of a {shards}-shard execution renders another one's plan:\n{}",
+            event.plan
+        );
+    }
+
     drop(coordinator);
     for w in workers {
         w.shutdown();

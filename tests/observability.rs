@@ -57,8 +57,12 @@ fn cluster_of(n: usize, server: &SeabedServer) -> (Vec<NetServer>, DistCoordinat
         .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker must start"))
         .collect();
     let addrs: Vec<_> = workers.iter().map(|w| w.local_addr()).collect();
-    let coordinator =
-        DistCoordinator::connect(&addrs, server.table().clone(), DistConfig::default()).expect("coordinator connects");
+    let coordinator = DistCoordinator::connect_tables(
+        &addrs,
+        vec![("sales".into(), server.table().clone())],
+        DistConfig::default(),
+    )
+    .expect("coordinator connects");
     (workers, coordinator)
 }
 
@@ -74,7 +78,8 @@ fn distributed_query_propagates_one_trace_id_from_parse_to_merge() {
     let session = SeabedSession::single("sales", client, &coordinator).with_obs(coordinator.registry());
 
     let sql = "SELECT SUM(revenue) FROM sales WHERE country = 'USA'";
-    let (result, trace_id) = session.query_traced(sql, &[]).expect("traced query");
+    let result = session.query(sql, &[]).expect("traced query");
+    let trace_id = result.trace_id;
     assert!(!result.rows.is_empty(), "query must return rows");
     assert_ne!(trace_id, UNTRACED, "an enabled session mints a real trace id");
 
@@ -210,15 +215,16 @@ fn instrumented_execution_is_byte_identical_and_overhead_bounded() {
     );
 
     // ...and of the decrypted results through the traced vs. untraced path.
-    let (traced, trace_id) = instrumented.query_traced(sql, &[]).expect("traced query");
+    let traced = instrumented.query(sql, &[]).expect("traced query");
     let untraced = disabled.query(sql, &[]).expect("untraced query");
-    assert_ne!(trace_id, UNTRACED);
+    assert_ne!(traced.trace_id, UNTRACED);
+    assert_eq!(untraced.trace_id, UNTRACED);
     assert_eq!(traced.rows, untraced.rows, "decrypted rows diverged");
     assert_eq!(traced.result_bytes, untraced.result_bytes);
 
     // The disabled session recorded nothing; the instrumented one did.
     assert!(disabled.registry().recent_traces().is_empty());
-    assert!(instrumented.registry().merged_trace(trace_id).is_some());
+    assert!(instrumented.registry().merged_trace(traced.trace_id).is_some());
 
     // Overhead guard: best-of-N prepared executes. The bound is deliberately
     // generous (3x + absolute slack) — this is a regression tripwire against

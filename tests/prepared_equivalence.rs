@@ -121,8 +121,12 @@ fn assert_cases_across_targets(table: &str, client: &SeabedClient, server: &Seab
         .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker must start"))
         .collect();
     let addrs: Vec<_> = workers.iter().map(|w| w.local_addr()).collect();
-    let coordinator =
-        DistCoordinator::connect(&addrs, server.table().clone(), DistConfig::default()).expect("coordinator");
+    let coordinator = DistCoordinator::connect_tables(
+        &addrs,
+        vec![(table.into(), server.table().clone())],
+        DistConfig::default(),
+    )
+    .expect("coordinator");
     for case in cases {
         assert_case(table, client, &coordinator, case, "dist");
     }

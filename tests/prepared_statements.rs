@@ -9,7 +9,7 @@
 //! through a `SeabedSession`.
 
 use seabed_core::{EncryptedAggregate, GroupResult, PlainDataset, SeabedClient, SeabedServer, SeabedSession};
-use seabed_core::{ResultValue, ServerResponse};
+use seabed_core::{QueryTarget, ResultValue, ServerResponse};
 use seabed_engine::{Cluster, ClusterConfig, ExecStats};
 use seabed_error::SeabedError;
 use seabed_net::wire::{self, Frame};
@@ -106,8 +106,8 @@ fn client_transparently_reprepares_once_on_stale_handle() {
     let remote = RemoteSeabedClient::connect(addr, trivial_client()).expect("connect");
     let statement = count_statement();
 
-    let (response, _) = remote
-        .execute_prepared_measured(&statement, 42, &[])
+    let response = remote
+        .execute_prepared(&statement, 42, &[])
         .expect("stale handle must be recovered transparently");
     assert_eq!(response, canned_response());
     // Sequence on the wire: PREPARE, EXECUTE (stale), PREPARE, EXECUTE (ok).
@@ -115,7 +115,7 @@ fn client_transparently_reprepares_once_on_stale_handle() {
     assert_eq!(counters.executes.load(Ordering::SeqCst), 2);
 
     // A later execution reuses the refreshed handle: no further prepares.
-    let (response, _) = remote.execute_prepared_measured(&statement, 42, &[]).expect("execute");
+    let response = remote.execute_prepared(&statement, 42, &[]).expect("execute");
     assert_eq!(response, canned_response());
     assert_eq!(counters.prepares.load(Ordering::SeqCst), 2);
     drop(remote);
@@ -130,7 +130,7 @@ fn repeated_staleness_surfaces_after_one_retry() {
     let remote = RemoteSeabedClient::connect(addr, trivial_client()).expect("connect");
     let statement = count_statement();
 
-    let outcome = remote.execute_prepared_measured(&statement, 7, &[]);
+    let outcome = remote.execute_prepared(&statement, 7, &[]);
     assert!(matches!(outcome, Err(SeabedError::StaleStatement(_))), "{outcome:?}");
     // Exactly one recovery attempt: PREPARE, EXECUTE, PREPARE, EXECUTE.
     assert_eq!(counters.prepares.load(Ordering::SeqCst), 2);
@@ -164,9 +164,7 @@ fn changed_plan_under_same_statement_id_registers_fresh() {
 
     // Same statement_id (99) for two different plans: each must execute its
     // own plan.
-    let (count_resp, _) = remote
-        .execute_prepared_measured(&count_plan, 99, &[])
-        .expect("count plan");
+    let count_resp = remote.execute_prepared(&count_plan, 99, &[]).expect("count plan");
     assert!(
         matches!(
             count_resp.groups[0].aggregates[0],
@@ -175,7 +173,9 @@ fn changed_plan_under_same_statement_id_registers_fresh() {
         "{:?}",
         count_resp.groups[0].aggregates[0]
     );
-    let (sum_resp, _) = remote.execute_prepared_measured(&sum_plan, 99, &[]).expect("sum plan");
+    let sum_resp = remote.execute_prepared(&sum_plan, 99, &[]).expect("sum plan");
+    // The frame that carried it is the connection's last measured response.
+    assert!(remote.wire_stats().last_response_bytes as usize > sum_resp.result_bytes);
     assert!(
         matches!(&sum_resp.groups[0].aggregates[0], EncryptedAggregate::AsheSum { .. }),
         "the second plan must run, not the cached first one: {:?}",

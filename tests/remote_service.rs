@@ -3,7 +3,7 @@
 //! the proxy talks to the server over a real TCP socket instead of an
 //! in-process call.
 
-use seabed::core::{PlainDataset, ResultValue, SeabedClient, SeabedServer};
+use seabed::core::{PlainDataset, QueryTarget, ResultValue, SeabedClient, SeabedServer};
 use seabed::engine::{Cluster, ClusterConfig, NetworkModel};
 use seabed::error::SeabedError;
 use seabed::net::{NetServer, RemoteSeabedClient, ServiceConfig};
@@ -198,14 +198,17 @@ fn query_errors_cross_the_wire_typed_and_do_not_kill_the_connection() {
     ));
     // A forged filter shipped straight to the server: engine error over the
     // wire, typed, connection still alive.
-    let (_, translated, _) = remote.prepare("SELECT SUM(revenue) FROM sales").expect("prepare");
+    let (_, translated, _) = remote
+        .client()
+        .prepare(&remote, "SELECT SUM(revenue) FROM sales")
+        .expect("prepare");
     let forged = vec![seabed::core::PhysicalFilter::PlainU64 {
         column: 9_999,
         op: seabed::query::CompareOp::Eq,
         value: 1,
     }];
     assert!(matches!(
-        remote.execute(&translated, &forged),
+        remote.execute_query(&translated, &forged),
         Err(SeabedError::Engine(_))
     ));
     // The same connection keeps serving.
