@@ -112,41 +112,6 @@ fn main() {
         "Figure 10(b): SPLASHE storage overhead (cumulative x)",
         exp_fig10b,
     );
-    runner.register(
-        "scan_throughput",
-        "Scan throughput vs selectivity: scalar vs vectorized single-filter SUM",
-        exp_scan_throughput,
-    );
-    runner.register(
-        "groupby_card",
-        "Group-by cardinality sweep: scalar vs vectorized",
-        exp_groupby_cardinality,
-    );
-    runner.register(
-        "net_qps",
-        "Service layer: QPS and latency vs concurrent TCP clients",
-        exp_net_qps,
-    );
-    runner.register(
-        "prepared_qps",
-        "Prepared statements: prepared-execute vs one-shot QPS over the TCP service",
-        exp_prepared_qps,
-    );
-    runner.register(
-        "crypto_throughput",
-        "Crypto hot path: batched vs scalar kernels; warm partial cache vs cold scatter",
-        exp_crypto_throughput,
-    );
-    runner.register(
-        "scaleout",
-        "Scale-out: distributed workers, measured vs Cluster::simulate-predicted",
-        exp_scaleout,
-    );
-    runner.register(
-        "explain_overhead",
-        "EXPLAIN ANALYZE: per-operator profiling overhead on the 1M-row scan",
-        exp_explain_overhead,
-    );
 
     let unknown = runner.unknown(&requested);
     if !unknown.is_empty() {

@@ -140,9 +140,8 @@ impl std::fmt::Debug for FilterEncryptor {
 /// The Seabed client proxy.
 ///
 /// `Clone` is cheap relative to the data it manages (keys, plan, DET
-/// dictionaries) and lets concurrent workloads — e.g. the `seabed-net` bench
-/// sweeping many simultaneous remote clients — hand each connection its own
-/// proxy without re-planning.
+/// dictionaries) and lets concurrent workloads — many simultaneous remote
+/// clients — hand each connection its own proxy without re-planning.
 #[derive(Clone)]
 pub struct SeabedClient {
     keys: KeyStore,
@@ -315,16 +314,8 @@ impl SeabedClient {
 
     /// Encrypts one fully-bound server filter into its physical form — the
     /// unit the session uses to re-encrypt *only* the placeholder positions
-    /// of a partially-bound statement per execution. Builds the column's
-    /// scheme from scratch; the hot path goes through
-    /// [`SeabedClient::encrypt_filter_with`] and a prepare-time
-    /// [`FilterEncryptor`] instead, with identical output.
-    pub fn encrypt_filter(&self, schema: &Schema, filter: &ServerFilter) -> Result<PhysicalFilter, SeabedError> {
-        self.encrypt_filter_with(&FilterEncryptor::default(), schema, filter)
-    }
-
-    /// Encrypts one fully-bound server filter using `encryptor`'s cached
-    /// per-column schemes, falling back to a freshly-built scheme for a
+    /// of a partially-bound statement per execution — using `encryptor`'s
+    /// cached per-column schemes, falling back to a freshly-built scheme for a
     /// column the encryptor does not cover (the schemes are deterministic
     /// per key, so the output is identical either way).
     pub fn encrypt_filter_with(

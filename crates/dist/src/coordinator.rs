@@ -75,23 +75,8 @@ use seabed_query::{PlanNode, PlanProfile, TranslatedQuery};
 use std::net::ToSocketAddrs;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::{Duration, Instant, SystemTime};
-
-/// How the coordinator walks the workers during a query.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScatterMode {
-    /// One lane per worker, run in parallel under the engine's fan-out rule:
-    /// the calling thread queries one lane itself and a helper thread is
-    /// spawned for each of the others.
-    #[default]
-    Concurrent,
-    /// Workers are queried one after another. Useful when measuring
-    /// per-worker scan times on an oversubscribed host (the `exp_scaleout`
-    /// bench), where concurrent workers would time-slice each other and
-    /// inflate every measurement.
-    Sequential,
-}
 
 /// Configuration of a [`DistCoordinator`].
 #[derive(Clone, Copy, Debug)]
@@ -107,8 +92,6 @@ pub struct DistConfig {
     /// Execution knobs fixed for every shard (worker-side scan threads and
     /// scalar/vectorized mode).
     pub exec: ShardExecConfig,
-    /// Scatter strategy.
-    pub scatter: ScatterMode,
     /// Entry bound of the statement-keyed partial-result cache serving
     /// prepared executes ([`crate::cache`]); `0` disables caching.
     pub partial_cache_capacity: usize,
@@ -131,7 +114,6 @@ impl Default for DistConfig {
                 local_threads: 1,
                 exec_mode: seabed_engine::ExecMode::Vectorized,
             },
-            scatter: ScatterMode::Concurrent,
             partial_cache_capacity: 1024,
             replication: 2,
             hedge_after: Duration::from_secs(2),
@@ -143,18 +125,6 @@ impl DistConfig {
     /// Returns the configuration with the stall timeout replaced.
     pub fn read_timeout(mut self, timeout: Duration) -> DistConfig {
         self.read_timeout = timeout;
-        self
-    }
-
-    /// Returns the configuration with the scatter mode replaced.
-    pub fn scatter(mut self, mode: ScatterMode) -> DistConfig {
-        self.scatter = mode;
-        self
-    }
-
-    /// Returns the configuration with the per-shard execution knobs replaced.
-    pub fn exec(mut self, exec: ShardExecConfig) -> DistConfig {
-        self.exec = exec;
         self
     }
 
@@ -178,8 +148,7 @@ impl DistConfig {
     }
 }
 
-/// One shard's execution record within a query (for observability and the
-/// scale-out bench's measured-vs-predicted comparison).
+/// One shard's execution record within a query.
 #[derive(Clone, Debug)]
 pub struct ShardRun {
     /// Table the shard belongs to.
@@ -260,9 +229,36 @@ struct WorkerLink {
     discarded: AtomicU64,
 }
 
+/// A [`WorkerLink`] with its connection lock held.
+struct LockedLink<'a> {
+    link: &'a WorkerLink,
+    conn: MutexGuard<'a, FrameConn>,
+}
+
 impl WorkerLink {
-    /// One request/reply exchange under this worker's connection lock and
-    /// one total `budget` — the only way the coordinator talks to a worker.
+    /// Takes this worker's connection lock. A caller that numbers its
+    /// request draws the number *under* the lock, so sequence numbers reach
+    /// the worker in the order they were drawn.
+    fn lock(&self) -> LockedLink<'_> {
+        LockedLink {
+            link: self,
+            conn: self.conn.lock().unwrap_or_else(|p| p.into_inner()),
+        }
+    }
+
+    /// Poisons the connection (see [`FrameConn::poison`]).
+    fn poison(&self, why: SeabedError) -> SeabedError {
+        self.lock().conn.poison(why)
+    }
+
+    fn alive(&self) -> bool {
+        !self.removed.load(Ordering::Acquire) && !self.lock().conn.is_poisoned()
+    }
+}
+
+impl LockedLink<'_> {
+    /// One request/reply exchange on this worker's connection under one
+    /// total `budget` — the only way the coordinator talks to a worker.
     /// Sends the pre-encoded `request` (encoded *before* the connection is
     /// involved: a request that cannot be framed is a local failure, not
     /// worker death), then receives until `accept` breaks with the expected
@@ -279,7 +275,7 @@ impl WorkerLink {
     /// budget that runs dry before any byte of the reply is `Ok(None)`,
     /// connection healthy; a mid-frame stall always poisons.
     fn exchange<T>(
-        &self,
+        &mut self,
         request: &[u8],
         budget: Duration,
         hedge: bool,
@@ -287,40 +283,31 @@ impl WorkerLink {
         expected: std::fmt::Arguments<'_>,
         mut accept: impl FnMut(Frame) -> ControlFlow<T, Frame>,
     ) -> Result<Option<T>, SeabedError> {
-        let mut conn = self.conn.lock().unwrap_or_else(|p| p.into_inner());
-        conn.send_encoded(request)?;
+        let link = self.link;
+        self.conn.send_encoded(request)?;
         let deadline = Instant::now() + budget;
         loop {
-            let Some(frame) = conn.recv_reply(self.max_frame_len, deadline, hedge)? else {
+            let Some(frame) = self.conn.recv_reply(link.max_frame_len, deadline, hedge)? else {
                 return Ok(None);
             };
             match accept(frame) {
                 ControlFlow::Break(echo) => return Ok(Some(echo)),
                 ControlFlow::Continue(Frame::ShardPartial { epoch, seq, .. })
-                    if epoch == self.epoch && seq < stale_below =>
+                    if epoch == link.epoch && seq < stale_below =>
                 {
-                    self.discarded.fetch_add(1, Ordering::Relaxed);
+                    link.discarded.fetch_add(1, Ordering::Relaxed);
                 }
                 ControlFlow::Continue(Frame::Error(reported)) => return Err(reported),
                 ControlFlow::Continue(other) => {
                     let violation = format!("expected {expected}, got {:?}", other.kind());
-                    return Err(conn.poison(SeabedError::dist(&self.label, violation)));
+                    return Err(self.conn.poison(SeabedError::dist(&link.label, violation)));
                 }
             }
         }
     }
-
-    /// Poisons the connection (see [`FrameConn::poison`]).
-    fn poison(&self, why: SeabedError) -> SeabedError {
-        self.conn.lock().unwrap_or_else(|p| p.into_inner()).poison(why)
-    }
-
-    fn alive(&self) -> bool {
-        !self.removed.load(Ordering::Acquire) && !self.conn.lock().unwrap_or_else(|p| p.into_inner()).is_poisoned()
-    }
 }
 
-/// Unwraps the reply of an un-hedged [`WorkerLink::exchange`], which runs to
+/// Unwraps the reply of an un-hedged [`LockedLink::exchange`], which runs to
 /// a reply or an error: only a hedged one abandons its wait.
 fn answered<T>(reply: Option<T>) -> T {
     reply.expect("only a hedged exchange abandons the wait")
@@ -797,26 +784,15 @@ impl DistCoordinator {
 
         let mut runs: Vec<LaneRun> = Vec::new();
         let mut failed: Vec<(u32, SeabedError)> = Vec::new();
-        match self.config.scatter {
-            ScatterMode::Sequential => {
-                for (worker, shards) in &lanes {
-                    let (mut ok, mut bad) = self.query_lane(*worker, shards, ctx, &assignment);
-                    runs.append(&mut ok);
-                    failed.append(&mut bad);
-                }
-            }
-            ScatterMode::Concurrent => {
-                // The engine's fan-out rule: this thread queries a lane
-                // itself, so a one-lane scatter spawns nothing.
-                let outcomes = fan_out(lanes.len(), lanes.len(), |lane| {
-                    let (worker, shards) = &lanes[lane];
-                    self.query_lane(*worker, shards, ctx, &assignment)
-                });
-                for (mut ok, mut bad) in outcomes {
-                    runs.append(&mut ok);
-                    failed.append(&mut bad);
-                }
-            }
+        // The engine's fan-out rule: one lane per worker, this thread queries
+        // a lane itself, so a one-lane scatter spawns nothing.
+        let outcomes = fan_out(lanes.len(), lanes.len(), |lane| {
+            let (worker, shards) = &lanes[lane];
+            self.query_lane(*worker, shards, ctx, &assignment)
+        });
+        for (mut ok, mut bad) in outcomes {
+            runs.append(&mut ok);
+            failed.append(&mut bad);
         }
 
         // Re-dispatch: transport/protocol casualties move to a live replica
@@ -1091,7 +1067,7 @@ impl DistCoordinator {
         self.query_shard_once(worker, shard, ctx, None).map(answered)
     }
 
-    /// One shard query on one worker: one [`WorkerLink::exchange`] accepting
+    /// One shard query on one worker: one [`LockedLink::exchange`] accepting
     /// the partial that echoes this request's `(epoch, table, shard, seq)`
     /// and shape-checks against the query (a malformed one poisons the
     /// connection). With `hedge_after`, a reply of which no byte arrived
@@ -1107,6 +1083,11 @@ impl DistCoordinator {
         let link = self.worker(worker)?;
         let table_id = ctx.table_id;
         let epoch = self.epoch;
+        // The sequence number is drawn under the link lock: a number drawn
+        // outside it could reach the worker after a later one, and the
+        // earlier request's hedge-abandoned partial — neither this request's
+        // echo nor below its `stale_below` — would poison a healthy link.
+        let mut locked = link.lock();
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let request = Frame::ShardQuery {
             epoch,
@@ -1120,7 +1101,7 @@ impl DistCoordinator {
         };
         let request_bytes = wire::encode_frame(&request, self.config.max_frame_len)?;
         let started = Instant::now();
-        let reply = link.exchange(
+        let reply = locked.exchange(
             &request_bytes,
             hedge_after.unwrap_or(self.config.read_timeout),
             hedge_after.is_some(),
@@ -1136,8 +1117,9 @@ impl DistCoordinator {
                 } if e == epoch && t == table_id && s == shard && q == seq => ControlFlow::Break(partial),
                 other => ControlFlow::Continue(other),
             },
-        )?;
-        let Some(partial) = reply else {
+        );
+        drop(locked);
+        let Some(partial) = reply? else {
             return Ok(None);
         };
         // Shape-check before the partial may reach the merge: a forged or
@@ -1178,7 +1160,7 @@ impl DistCoordinator {
         // A shard too large for the frame limit is a configuration problem,
         // reported as-is without condemning the worker.
         let frame_bytes = wire::encode_frame(&frame, self.config.max_frame_len)?;
-        let ack = link.exchange(
+        let ack = link.lock().exchange(
             &frame_bytes,
             self.config.read_timeout,
             false,
@@ -1205,7 +1187,7 @@ impl DistCoordinator {
         let epoch = self.epoch;
         let frame = Frame::UnloadShard { epoch, table_id, shard };
         let frame_bytes = wire::encode_frame(&frame, self.config.max_frame_len)?;
-        let ack = link.exchange(
+        let ack = link.lock().exchange(
             &frame_bytes,
             self.config.read_timeout,
             false,
@@ -1664,7 +1646,7 @@ fn connect_worker<A: ToSocketAddrs>(addr: &A, epoch: u64, config: &DistConfig) -
     };
     let hello = wire::encode_frame(&Frame::WorkerHandshake { epoch }, config.max_frame_len)?;
     // A fresh connection has no stale partials to drain.
-    link.exchange(
+    link.lock().exchange(
         &hello,
         config.read_timeout,
         false,

@@ -55,5 +55,5 @@ pub mod coordinator;
 pub mod worker;
 
 pub use cache::{CacheStats, PartialCache, PartialKey};
-pub use coordinator::{DistConfig, DistCoordinator, QueryReport, ScatterMode, ShardRun, WorkerSummary};
+pub use coordinator::{DistConfig, DistCoordinator, QueryReport, ShardRun, WorkerSummary};
 pub use worker::spawn_worker;

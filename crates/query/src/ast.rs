@@ -324,13 +324,6 @@ pub enum ExplainMode {
     Analyze,
 }
 
-impl ExplainMode {
-    /// True for either `EXPLAIN` form.
-    pub fn is_explain(&self) -> bool {
-        !matches!(self, ExplainMode::None)
-    }
-}
-
 /// A parsed top-level statement: an optional `EXPLAIN` / `EXPLAIN ANALYZE`
 /// prefix wrapped around a [`Query`]. The wrapper keeps the explain request
 /// out of [`Query`] itself — translation, planning and the wire protocol all

@@ -4,8 +4,8 @@
 //! (plus the implicit ID column for ASHE), 250 million to 1.75 billion rows,
 //! and a selectivity parameter that picks rows uniformly at random. This
 //! module generates the same structure at a configurable scale; the benchmark
-//! harness scales row counts down by a constant factor and reports the factor
-//! in EXPERIMENTS.md.
+//! harness scales row counts down by a constant factor and records the factor
+//! as `scale.row_divisor` in every artifact (`crates/bench/paper/`).
 
 use rand::Rng;
 

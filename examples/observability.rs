@@ -15,9 +15,6 @@
 //!    either ever contains a plaintext query literal.
 //!
 //! Run with: `cargo run --release --example observability`
-//!
-//! (CI archives a scraped snapshot the same way during the `--smoke net_qps`
-//! run — see `exp_net_qps` and `SEABED_METRICS_SNAPSHOT`.)
 
 use std::time::Duration;
 

@@ -8,7 +8,7 @@
 //! the sales fixture, the Ad-Analytics workload and the BDB tables.
 
 use seabed_core::{PlainDataset, QueryTarget, ResultValue, SeabedClient, SeabedServer, ServerResponse};
-use seabed_dist::{spawn_worker, DistConfig, DistCoordinator, ScatterMode};
+use seabed_dist::{spawn_worker, DistConfig, DistCoordinator};
 use seabed_engine::{Cluster, ClusterConfig, ExecMode, Table};
 use seabed_net::{NetServer, ServiceConfig};
 use seabed_query::{parse, ColumnSpec, PlannerConfig, Query};
@@ -130,40 +130,19 @@ const FAN_OUT_QUERIES: [&str; 6] = [
 ];
 
 /// The fan-out rule only decides which thread runs a lane: with one, two or
-/// three lanes (one per worker), a `Concurrent` scatter — the caller's thread
-/// plus a helper per further lane — answers byte-for-byte what a `Sequential`
-/// walk of the same workers does, which is what the single server does.
+/// three lanes (one per worker) the scatter — the caller's thread plus a
+/// helper per further lane — answers byte-for-byte what the single server
+/// does.
 #[test]
-fn scatter_modes_are_byte_identical_at_one_two_and_three_lanes() {
+fn scatter_is_byte_identical_at_one_two_and_three_lanes() {
     let (client, server, _) = sales_fixture();
     for lanes in 1..=3 {
-        let table = || server.table().clone();
-        let (seq_workers, sequential) = cluster_with(
-            lanes,
-            "sales",
-            table(),
-            DistConfig::default().scatter(ScatterMode::Sequential),
-        );
-        let (con_workers, concurrent) = cluster_with(
-            lanes,
-            "sales",
-            table(),
-            DistConfig::default().scatter(ScatterMode::Concurrent),
-        );
+        let (workers, coordinator) = cluster_of(lanes, "sales", server.table().clone());
         for sql in FAN_OUT_QUERIES {
-            let (_, translated, filters) = client.prepare(&server, sql).expect("prepare");
-            let a = sequential.execute_query(&translated, &filters).expect("sequential");
-            let b = concurrent.execute_query(&translated, &filters).expect("concurrent");
-            assert_eq!(a.groups, b.groups, "{lanes} lanes: groups diverged for {sql}");
-            assert_eq!(
-                a.result_bytes, b.result_bytes,
-                "{lanes} lanes: result bytes diverged for {sql}"
-            );
-            assert_eq!(a.stats.bytes_to_driver, b.stats.bytes_to_driver, "{lanes} lanes: {sql}");
-            assert_equivalent(&client, &server, &concurrent, sql);
+            assert_equivalent(&client, &server, &coordinator, sql);
         }
-        assert!(concurrent.worker_summaries().iter().all(|s| s.alive && s.queries > 0));
-        for w in seq_workers.into_iter().chain(con_workers) {
+        assert!(coordinator.worker_summaries().iter().all(|s| s.alive && s.queries > 0));
+        for w in workers {
             w.shutdown();
         }
     }
@@ -208,13 +187,8 @@ fn server_responses_do_not_depend_on_local_threads() {
 #[test]
 fn always_hedged_execution_is_byte_identical() {
     let (client, server, _) = sales_fixture();
-    let workers: Vec<NetServer> = (0..3)
-        .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker must start"))
-        .collect();
-    let addrs: Vec<_> = workers.iter().map(|w| w.local_addr()).collect();
     let config = DistConfig::default().hedge_after(std::time::Duration::ZERO);
-    let coordinator = DistCoordinator::connect_tables(&addrs, vec![("sales".into(), server.table().clone())], config)
-        .expect("coordinator must connect");
+    let (workers, coordinator) = cluster_with(3, "sales", server.table().clone(), config);
     let mut hedged_total = 0;
     for sql in [
         "SELECT SUM(revenue) FROM sales",

@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn test_table(rows: u64, partitions: usize) -> Table {
@@ -94,7 +95,12 @@ enum Misbehavior {
     /// later query promptly. The late reply is a hedge *loser*: a
     /// valid-looking partial under a stale sequence number.
     SlowPartialOnce,
+    /// No misbehavior: answer every shard query correctly and promptly.
+    Honest,
 }
+
+/// Every `ShardQuery.seq` a fake worker's connection delivered, in order.
+type SeenSeqs = Arc<Mutex<Vec<u64>>>;
 
 const MAX: u32 = wire::DEFAULT_MAX_FRAME_LEN;
 
@@ -114,6 +120,11 @@ fn next_frame(conn: &mut FrameConn) -> Option<Frame> {
 
 /// Spawns the fake worker; it serves exactly one coordinator connection.
 fn fake_worker(behavior: Misbehavior) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    recording_fake_worker(behavior, SeenSeqs::default())
+}
+
+/// [`fake_worker`], noting every shard query's sequence number in `seen`.
+fn recording_fake_worker(behavior: Misbehavior, seen: SeenSeqs) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let handle = std::thread::spawn(move || {
@@ -127,6 +138,9 @@ fn fake_worker(behavior: Misbehavior) -> (SocketAddr, std::thread::JoinHandle<()
         let mut shards: HashMap<u32, SeabedServer> = HashMap::new();
         let mut first_query = true;
         while let Some(frame) = next_frame(&mut conn) {
+            if let Frame::ShardQuery { seq, .. } = &frame {
+                seen.lock().expect("recorder").push(*seq);
+            }
             match frame {
                 Frame::WorkerHandshake { epoch } => {
                     let _ = conn.send(&Frame::WorkerReady { epoch, shards: 0 }, MAX);
@@ -234,8 +248,8 @@ fn fake_worker(behavior: Misbehavior) -> (SocketAddr, std::thread::JoinHandle<()
                         }
                         return;
                     }
-                    Misbehavior::SlowPartialOnce => {
-                        if first_query {
+                    Misbehavior::SlowPartialOnce | Misbehavior::Honest => {
+                        if behavior == Misbehavior::SlowPartialOnce && first_query {
                             first_query = false;
                             std::thread::sleep(Duration::from_millis(700));
                         }
@@ -679,6 +693,61 @@ fn hedged_reads_race_replicas_and_discard_the_loser_by_seq() {
     fake.join().expect("fake worker");
     for w in workers {
         w.shutdown();
+    }
+}
+
+/// Regression: `query_shard_once` used to draw its sequence number *before*
+/// taking the worker's link lock, so two threads could send on one link out
+/// of seq order; the earlier-sent, higher-numbered request's hedge-abandoned
+/// partial was then neither the echo of the later request nor below its
+/// `stale_below`, and poisoned a healthy link. With a zero hedge trigger
+/// (every primary abandoned) and concurrent callers, every link must see
+/// strictly increasing sequence numbers and stay alive, and every answer
+/// must be the single-server one.
+#[test]
+fn concurrent_hedged_queries_send_increasing_seqs_on_every_link() {
+    const CALLERS: usize = 4;
+    const QUERIES_PER_CALLER: usize = 100;
+    let table = test_table(1_200, 6);
+    let query = sum_query(true);
+    let expected = local_answer(&table, &query);
+    let seen = [SeenSeqs::default(), SeenSeqs::default()];
+    let (addrs, fakes): (Vec<_>, Vec<_>) = seen
+        .iter()
+        .map(|seen| recording_fake_worker(Misbehavior::Honest, seen.clone()))
+        .unzip();
+    let config = DistConfig::default().hedge_after(Duration::ZERO);
+    let coordinator = DistCoordinator::connect_tables(&addrs, vec![("t".into(), table)], config).expect("connect");
+
+    let start = std::sync::Barrier::new(CALLERS);
+    std::thread::scope(|scope| {
+        for _ in 0..CALLERS {
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..QUERIES_PER_CALLER {
+                    let response = coordinator.execute_query(&query, &[]).expect("hedged query");
+                    assert_eq!(expected.groups, response.groups);
+                }
+            });
+        }
+    });
+    assert!(
+        coordinator.worker_summaries().iter().all(|w| w.alive),
+        "an abandoned partial poisoned a healthy link: {:?}",
+        coordinator.worker_summaries()
+    );
+
+    drop(coordinator);
+    for (fake, seen) in fakes.into_iter().zip(seen) {
+        fake.join().expect("fake worker");
+        let seqs = seen.lock().expect("recorder");
+        assert!(
+            seqs.len() >= CALLERS * QUERIES_PER_CALLER,
+            "{} queries seen",
+            seqs.len()
+        );
+        let out_of_order = seqs.windows(2).find(|pair| pair[0] >= pair[1]);
+        assert_eq!(out_of_order, None, "a link saw sequence numbers out of order");
     }
 }
 
