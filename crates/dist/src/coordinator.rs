@@ -4,14 +4,19 @@
 //! across N workers (contiguous partition ranges, so per-worker ID lists stay
 //! run-compressed), announces a fresh **epoch** to every worker, and loads
 //! each shard onto its **replica set** — `replication` workers per shard
-//! (default 2), generalizing the old single-owner `(t + i) % N` placement to
-//! `{(t + i + k) % N : k < R}`. [`QueryTarget::run`] then scatters
-//! the translated query to every shard's *primary* (the first live member of
-//! its replica set) — concurrently over the persistent connections — and
-//! gathers the mergeable partial results into one [`ServerResponse`] via
-//! [`seabed_engine::merge`] + [`seabed_core::finalize_partials`]: the *same*
-//! two steps in-process execution runs, so the distributed answer is
-//! byte-identical by construction.
+//! (default 2). [`QueryTarget::run`] then scatters the translated query to
+//! every shard's *primary* (the first live member of its replica set) —
+//! concurrently over the persistent connections — and gathers the mergeable
+//! partial results into one [`ServerResponse`] via [`seabed_engine::merge`] +
+//! [`seabed_core::finalize_partials`]: the *same* two steps in-process
+//! execution runs, so the distributed answer is byte-identical by
+//! construction.
+//!
+//! This module owns the query path: probe, scatter, hedge, re-dispatch,
+//! gather. *Who holds shard s* is `crate::placement`'s and *is worker w
+//! alive* is `crate::link`'s — their module docs state the rules; *what did
+//! this query do* is a `Tally` its lanes fill and return, never a difference
+//! of process-wide counters.
 //!
 //! # Failure semantics
 //!
@@ -38,28 +43,23 @@
 //! stream is still frame-aligned; nothing of the reply has arrived) and
 //! re-issues the query to a replica under a fresh sequence number. The first
 //! valid `(epoch, shard, seq)` echo wins; the loser's partial, arriving later
-//! with an older seq, is discarded by the stale-seq rule below and can never
-//! be merged twice. Hedging never engages when `hedge_after >=`
+//! with an older seq, is discarded by the exchange's stale-seq rule and can
+//! never be merged twice. Hedging never engages when `hedge_after >=`
 //! [`DistConfig::read_timeout`] or no live replica is available.
 //!
 //! # Elastic membership
 //!
-//! [`DistCoordinator::join_worker`] connects a new worker under the *same*
-//! epoch and greedily rebalances replica slots onto it — moving only shards
-//! whose replica set changed (load onto the joiner, then unload from the
-//! donor). [`DistCoordinator::leave_worker`] re-homes every replica slot the
-//! leaver held onto the least-loaded survivors before dropping its
-//! connection, and refuses (typed error, membership unchanged) if a shard
-//! would lose its last copy. Both bump the partial cache's fencing epoch, so
-//! partials cached under the old membership can never answer a later probe.
-//!
-//! A worker's reply must echo the `(epoch, shard, seq)` triple of the
-//! in-flight request. Stale triples (a duplicate, a hedge loser, or a late
-//! answer to an earlier sequence number) are discarded and counted; anything
-//! else poisons the connection, reusing the `seabed-net` rule that a
-//! response can never be paired with the wrong request.
+//! [`DistCoordinator::join_worker`] and [`DistCoordinator::leave_worker`]
+//! change the pool under the *same* epoch. Each plans on a copy of the
+//! placement, runs the shard loads the plan needs, and commits the copy only
+//! if they went through — a refused leave changes nothing — and each bumps
+//! the partial cache's fencing epoch, so partials cached under the old
+//! membership can never answer a later probe.
 
 use crate::cache::{CacheStats, PartialCache, PartialKey};
+use crate::link::{answered, connect_worker, live, Tally, WorkerLink};
+use crate::lock;
+use crate::placement::{split_into_shards, Placement};
 use rand::RngCore;
 use seabed_core::{
     event_operators, finalize_partials, fnv1a64, outcome_tag, plan_profile, ExecOutcome, ExecRequest, PartialResponse,
@@ -69,13 +69,11 @@ use seabed_engine::merge::{merge_partial_groups, PartialGroups};
 use seabed_engine::{fan_out, ExecStats, Schema, Table};
 use seabed_error::SeabedError;
 use seabed_net::wire::{self, Frame, ShardExecConfig};
-use seabed_net::FrameConn;
 use seabed_obs::{Counter, Gauge, Histogram, QueryEvent, Registry};
 use seabed_query::{PlanNode, PlanProfile, TranslatedQuery};
 use std::net::ToSocketAddrs;
-use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Configuration of a [`DistCoordinator`].
@@ -210,109 +208,6 @@ pub struct WorkerSummary {
     pub bytes_received: u64,
 }
 
-/// One worker as the coordinator sees it.
-struct WorkerLink {
-    label: String,
-    /// Guarded per worker, so concurrent scatter threads to *different*
-    /// workers never contend. A poisoned connection is kept, not dropped: it
-    /// refuses all traffic (the coordinator reads that as worker death) while
-    /// the post-mortem summary still reports the bytes it really shipped.
-    conn: Mutex<FrameConn>,
-    /// The coordinator's shard epoch and frame limit, fixed for the link.
-    epoch: u64,
-    max_frame_len: u32,
-    /// Set by [`DistCoordinator::leave_worker`]; a removed worker is never
-    /// selected again (indices stay stable, the slot is retired in place).
-    removed: AtomicBool,
-    queries: AtomicU64,
-    /// Stale partials drained off this connection and thrown away.
-    discarded: AtomicU64,
-}
-
-/// A [`WorkerLink`] with its connection lock held.
-struct LockedLink<'a> {
-    link: &'a WorkerLink,
-    conn: MutexGuard<'a, FrameConn>,
-}
-
-impl WorkerLink {
-    /// Takes this worker's connection lock. A caller that numbers its
-    /// request draws the number *under* the lock, so sequence numbers reach
-    /// the worker in the order they were drawn.
-    fn lock(&self) -> LockedLink<'_> {
-        LockedLink {
-            link: self,
-            conn: self.conn.lock().unwrap_or_else(|p| p.into_inner()),
-        }
-    }
-
-    /// Poisons the connection (see [`FrameConn::poison`]).
-    fn poison(&self, why: SeabedError) -> SeabedError {
-        self.lock().conn.poison(why)
-    }
-
-    fn alive(&self) -> bool {
-        !self.removed.load(Ordering::Acquire) && !self.lock().conn.is_poisoned()
-    }
-}
-
-impl LockedLink<'_> {
-    /// One request/reply exchange on this worker's connection under one
-    /// total `budget` — the only way the coordinator talks to a worker.
-    /// Sends the pre-encoded `request` (encoded *before* the connection is
-    /// involved: a request that cannot be framed is a local failure, not
-    /// worker death), then receives until `accept` breaks with the expected
-    /// echo; a frame it hands back is not the echo. A partial of this epoch
-    /// with a sequence number below `stale_below` — a duplicate, a hedge
-    /// loser, a late answer — is counted and drained, never mistaken for the
-    /// reply.
-    ///
-    /// The two failure levels of the module docs are told apart here: the
-    /// exchange itself breaking (transport failure, desync, a stall past
-    /// `budget`, a frame neither echo nor stale) **poisons** the connection;
-    /// a well-framed error frame from the worker is returned as the error it
-    /// carries and leaves the healthy connection alone. With `hedge`, a
-    /// budget that runs dry before any byte of the reply is `Ok(None)`,
-    /// connection healthy; a mid-frame stall always poisons.
-    fn exchange<T>(
-        &mut self,
-        request: &[u8],
-        budget: Duration,
-        hedge: bool,
-        stale_below: u64,
-        expected: std::fmt::Arguments<'_>,
-        mut accept: impl FnMut(Frame) -> ControlFlow<T, Frame>,
-    ) -> Result<Option<T>, SeabedError> {
-        let link = self.link;
-        self.conn.send_encoded(request)?;
-        let deadline = Instant::now() + budget;
-        loop {
-            let Some(frame) = self.conn.recv_reply(link.max_frame_len, deadline, hedge)? else {
-                return Ok(None);
-            };
-            match accept(frame) {
-                ControlFlow::Break(echo) => return Ok(Some(echo)),
-                ControlFlow::Continue(Frame::ShardPartial { epoch, seq, .. })
-                    if epoch == link.epoch && seq < stale_below =>
-                {
-                    link.discarded.fetch_add(1, Ordering::Relaxed);
-                }
-                ControlFlow::Continue(Frame::Error(reported)) => return Err(reported),
-                ControlFlow::Continue(other) => {
-                    let violation = format!("expected {expected}, got {:?}", other.kind());
-                    return Err(self.conn.poison(SeabedError::dist(&link.label, violation)));
-                }
-            }
-        }
-    }
-}
-
-/// Unwraps the reply of an un-hedged [`LockedLink::exchange`], which runs to
-/// a reply or an error: only a hedged one abandons its wait.
-fn answered<T>(reply: Option<T>) -> T {
-    reply.expect("only a hedged exchange abandons the wait")
-}
-
 /// Whether a failed shard query is worth re-dispatching to another worker:
 /// transport and wire failures (this worker or its link misbehaved) and
 /// dist-protocol errors (e.g. "shard not resident" after a worker restart)
@@ -362,15 +257,6 @@ fn fresh_epoch_at(now: SystemTime) -> Result<u64, SeabedError> {
         .as_nanos() as u64;
     let salt = EPOCH_SALT.fetch_add(1, Ordering::Relaxed);
     Ok(mix_epoch(nanos, epoch_nonce(), salt))
-}
-
-/// The replica set of shard `shard` of table `table_id` at connect time:
-/// `R` consecutive workers starting at the old single-owner slot
-/// `(table_id + shard) % N`, so `replication = 1` reproduces the legacy
-/// placement exactly and the members are always distinct.
-fn initial_replica_set(table_id: usize, shard: usize, num_workers: usize, replication: usize) -> Vec<usize> {
-    let r = replication.clamp(1, num_workers);
-    (0..r).map(|k| (table_id + shard + k) % num_workers).collect()
 }
 
 /// The immutable per-query inputs threaded through scatter, hedge, and
@@ -425,30 +311,29 @@ impl DistMetrics {
     }
 }
 
-/// One encrypted table hosted by the coordinator: its shards (retained so a
-/// dead worker's shards can be re-loaded onto a survivor mid-query), its
-/// schema, and the standing shard → replica-set assignment.
+/// One encrypted table hosted by the coordinator: its shards (never fewer
+/// than one, each carrying the table's schema), retained so a dead worker's
+/// shards can be re-loaded onto a survivor mid-query.
 struct TableEntry {
     name: String,
-    schema: Schema,
     shards: Vec<Table>,
-    /// `assignment[shard]` is the shard's replica set, primary first. Every
-    /// member holds a loaded copy; queries go to the first live member.
-    assignment: Mutex<Vec<Vec<usize>>>,
 }
 
 /// The scatter/gather coordinator over N `seabed-net` workers, hosting one
 /// or many encrypted tables on the same worker pool.
 pub struct DistCoordinator {
     tables: Vec<TableEntry>,
+    /// Which workers hold which shard. The one placement lock: held for
+    /// reads and in-place edits only, never across I/O.
+    placement: Mutex<Placement>,
     /// Worker slots. Indices are stable for the coordinator's lifetime:
-    /// joiners append, leavers are retired in place (`removed` flag), so
-    /// replica sets and the partial cache's worker keys never dangle.
+    /// joiners append, leavers are retired in place (their link moves to
+    /// `Left`), so replica sets and the partial cache's worker keys never
+    /// dangle.
     workers: RwLock<Vec<Arc<WorkerLink>>>,
     epoch: u64,
     seq: AtomicU64,
     config: DistConfig,
-    hedged: AtomicU64,
     last_report: Mutex<QueryReport>,
     /// Statement-keyed partial-result cache serving prepared executes.
     cache: Mutex<PartialCache>,
@@ -497,13 +382,10 @@ impl DistCoordinator {
         let mut entries = Vec::with_capacity(tables.len());
         for (name, table) in tables {
             table.validate_layout()?;
-            let schema = table.schema.clone();
             let num_shards = addrs.len().min(table.partitions.len()).max(1);
             entries.push(TableEntry {
                 name,
-                schema,
                 shards: split_into_shards(table, num_shards),
-                assignment: Mutex::new(Vec::new()),
             });
         }
 
@@ -517,41 +399,30 @@ impl DistCoordinator {
         for addr in addrs {
             workers.push(Arc::new(connect_worker(addr, epoch, &config)?));
         }
-        let num_workers = workers.len();
+        let placement = Placement::initial(
+            entries.iter().map(|entry| entry.shards.len()),
+            workers.len(),
+            config.replication,
+        );
 
         let obs = Registry::default();
-        let metrics = DistMetrics::new(&obs);
         let coordinator = DistCoordinator {
             tables: entries,
+            placement: Mutex::new(placement.clone()),
             workers: RwLock::new(workers),
             epoch,
             seq: AtomicU64::new(0),
-            hedged: AtomicU64::new(0),
             last_report: Mutex::new(QueryReport::default()),
             cache: Mutex::new(PartialCache::new(config.partial_cache_capacity)),
             cache_epoch: AtomicU64::new(1),
             config,
+            metrics: DistMetrics::new(&obs),
             obs,
-            metrics,
         };
-        // Initial placement: table t's shard i lives on the R consecutive
-        // workers starting at (t + i) mod N, so several tables spread across
-        // the pool instead of piling their first shards onto worker 0, and
-        // every shard has a replica to hedge against or fail over to.
-        for table_id in 0..coordinator.tables.len() {
-            let shards = coordinator.tables[table_id].shards.len();
-            let mut assignment = Vec::with_capacity(shards);
-            for shard in 0..shards {
-                let set = initial_replica_set(table_id, shard, num_workers, config.replication);
-                for &worker in &set {
-                    coordinator.load_shard(table_id as u32, shard as u32, worker)?;
-                }
-                assignment.push(set);
+        for (table_id, shard, set) in placement.sets() {
+            for &worker in set {
+                coordinator.load_shard(table_id, shard, worker)?;
             }
-            *coordinator.tables[table_id]
-                .assignment
-                .lock()
-                .unwrap_or_else(|p| p.into_inner()) = assignment;
         }
         coordinator.publish_gauges();
         Ok(coordinator)
@@ -579,7 +450,7 @@ impl DistCoordinator {
 
     /// Number of worker slots, including retired ones (indices are stable).
     pub fn num_workers(&self) -> usize {
-        self.workers.read().unwrap_or_else(|p| p.into_inner()).len()
+        self.pool().len()
     }
 
     /// The shard epoch in force on every worker.
@@ -595,17 +466,17 @@ impl DistCoordinator {
 
     /// Lifetime counters of the partial cache.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().unwrap_or_else(|p| p.into_inner()).stats()
+        lock(&self.cache).stats()
     }
 
     /// Number of live entries in the partial cache.
     pub fn cache_len(&self) -> usize {
-        self.cache.lock().unwrap_or_else(|p| p.into_inner()).len()
+        lock(&self.cache).len()
     }
 
     /// What the most recent execution did, shard by shard.
     pub fn last_report(&self) -> QueryReport {
-        self.last_report.lock().unwrap_or_else(|p| p.into_inner()).clone()
+        lock(&self.last_report).clone()
     }
 
     /// The coordinator's metrics/trace registry (`dist_*` instruments plus
@@ -623,61 +494,34 @@ impl DistCoordinator {
         self
     }
 
+    fn pool(&self) -> RwLockReadGuard<'_, Vec<Arc<WorkerLink>>> {
+        self.workers.read().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn worker(&self, index: usize) -> Result<Arc<WorkerLink>, SeabedError> {
-        self.workers
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(index)
-            .cloned()
-            .ok_or_else(|| SeabedError::dist("coordinator", format!("worker index {index} is out of range")))
-    }
-
-    fn workers_snapshot(&self) -> Vec<Arc<WorkerLink>> {
-        self.workers.read().unwrap_or_else(|p| p.into_inner()).clone()
-    }
-
-    /// Stale partials drained and thrown away so far, over every worker.
-    fn discarded_partials(&self) -> u64 {
-        let workers = self.workers.read().unwrap_or_else(|p| p.into_inner());
-        workers.iter().map(|link| link.discarded.load(Ordering::Relaxed)).sum()
+        let link = self.pool().get(index).cloned();
+        link.ok_or_else(|| SeabedError::dist("coordinator", format!("worker index {index} is out of range")))
     }
 
     fn worker_alive(&self, index: usize) -> bool {
-        self.worker(index).is_ok_and(|link| link.alive())
+        live(&self.pool())(index)
     }
 
-    /// Health and traffic summaries, one per worker slot.
+    /// Health and traffic summaries, one per worker slot. Wait-free with
+    /// respect to the workers: liveness and byte totals are the values each
+    /// link published when its connection was last released.
     pub fn worker_summaries(&self) -> Vec<WorkerSummary> {
-        let assignments: Vec<Vec<Vec<usize>>> = self
-            .tables
-            .iter()
-            .map(|t| t.assignment.lock().unwrap_or_else(|p| p.into_inner()).clone())
-            .collect();
-        self.workers_snapshot()
-            .iter()
-            .enumerate()
-            .map(|(w, link)| {
-                let wire = link.conn.lock().unwrap_or_else(|p| p.into_inner()).stats();
-                WorkerSummary {
-                    label: link.label.clone(),
-                    alive: link.alive(),
-                    shards: assignments
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(table_id, assignment)| {
-                            assignment
-                                .iter()
-                                .enumerate()
-                                .filter(move |(_, set)| set.contains(&w))
-                                .map(move |(shard, _)| (table_id as u32, shard as u32))
-                        })
-                        .collect(),
-                    queries: link.queries.load(Ordering::Relaxed),
-                    bytes_sent: wire.bytes_sent,
-                    bytes_received: wire.bytes_received,
-                }
-            })
-            .collect()
+        let pool = self.pool().clone();
+        let placement = lock(&self.placement);
+        let summary = |(w, link): (usize, &Arc<WorkerLink>)| WorkerSummary {
+            label: link.label.clone(),
+            alive: link.alive(),
+            shards: placement.shards_of(w),
+            queries: link.queries.load(Ordering::Relaxed),
+            bytes_sent: link.bytes_sent.load(Ordering::Relaxed),
+            bytes_received: link.bytes_received.load(Ordering::Relaxed),
+        };
+        pool.iter().enumerate().map(summary).collect()
     }
 
     /// Bumps the cache fencing epoch and reclaims everything it fences
@@ -686,7 +530,7 @@ impl DistCoordinator {
     fn fence_cache(&self, dead: &[usize]) {
         let bumped = self.cache_epoch.fetch_add(1, Ordering::AcqRel) + 1;
         {
-            let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
+            let mut cache = lock(&self.cache);
             for &worker in dead {
                 cache.purge_worker(worker);
             }
@@ -700,204 +544,238 @@ impl DistCoordinator {
     /// every membership change and cache fence (and the cache-length half
     /// after inserts), so a scrape always sees the post-transition values.
     fn publish_gauges(&self) {
-        let live = self.workers_snapshot().iter().filter(|link| link.alive()).count();
+        let live = self.pool().iter().filter(|link| link.alive()).count();
         self.metrics.live_workers.set(live as u64);
-        let len = self.cache.lock().unwrap_or_else(|p| p.into_inner()).len();
+        let len = lock(&self.cache).len();
         self.metrics.partial_cache_len.set(len as u64);
     }
 
     /// The scatter/gather behind [`QueryTarget::run`]: executes the request
     /// across every shard of the table it names and merges the partial
-    /// results into one response, byte-identical to single-server execution.
-    /// Slow primaries are hedged against replicas; shards on a worker that
-    /// died are re-dispatched (replicas first); the call fails only when a
-    /// shard cannot run anywhere or a worker reports a deterministic query
-    /// error. With `cache_key` (`(statement hash, filter hash)`) shards may
-    /// be answered from the partial cache and fresh partials go back into
-    /// it; without, the cache is not touched. An analyzed request asks every
-    /// worker for a per-operator profile and returns the stitched
-    /// scatter/gather/merge plan of this execution.
+    /// results into one response, byte-identical to single-server execution;
+    /// it fails only when a shard cannot run anywhere or a worker reports a
+    /// deterministic query error. With `cache_key` (`(statement hash, filter
+    /// hash)`) shards may be answered from the partial cache and fresh
+    /// partials go back into it; without, the cache is not touched. An
+    /// analyzed request asks every worker for a per-operator profile and
+    /// returns the stitched plan of this execution.
     fn scatter_gather(
         &self,
         request: &ExecRequest<'_>,
         cache_key: Option<(u64, u64)>,
     ) -> Result<ExecOutcome, SeabedError> {
         let started = Instant::now();
-        let query = request.plan;
         let tb = self.obs.trace_builder(request.trace_id, "coordinator");
-        let (table_id, entry) = self.resolve(&query.base_table)?;
-        let assignment: Vec<Vec<usize>> = entry.assignment.lock().unwrap_or_else(|p| p.into_inner()).clone();
-        let discarded_before = self.discarded_partials();
-        let hedged_before = self.hedged.load(Ordering::Relaxed);
+        let (table_id, entry) = self.resolve(&request.plan.base_table)?;
+        let total_shards = entry.shards.len();
         let ctx = QueryContext {
             table_id,
             request: *request,
         };
 
-        // Probe: a prepared execute answers every shard it can from the
-        // cache and scatters only to the rest. The probe epoch is re-read
-        // under the lock so a concurrent bump can't resurrect fenced entries.
-        let mut cached: Vec<(u32, PartialResponse)> = Vec::new();
-        let mut missing: Vec<u32> = Vec::new();
-        match cache_key {
-            Some((statement, filter_hash)) => {
-                let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
-                let probe_epoch = self.cache_epoch.load(Ordering::Acquire);
-                for shard in 0..assignment.len() as u32 {
-                    let key = PartialKey {
-                        cache_epoch: probe_epoch,
-                        table_id,
-                        shard,
-                        statement,
-                        filters: filter_hash,
-                    };
-                    match cache.get(&key) {
-                        Some(partial) => cached.push((shard, partial.clone())),
-                        None => missing.push(shard),
-                    }
-                }
-            }
-            None => missing.extend(0..assignment.len() as u32),
-        }
-
-        // Scatter: group the uncached shards by *primary* (first live member
-        // of the replica set, falling back to the nominal head so a fully
-        // dead set still fails over through re-dispatch), one lane per
-        // worker.
+        let (cached, missing) = self.probe(table_id, total_shards as u32, cache_key);
         let scatter_timer = self.metrics.scatter_ns.start();
-        let workers = self.workers_snapshot();
-        let primary_of = |set: &[usize]| -> usize {
-            set.iter()
-                .copied()
-                .find(|&w| workers.get(w).map(|l| l.alive()).unwrap_or(false))
-                .or_else(|| set.first().copied())
-                .unwrap_or(0)
-        };
-        let mut lanes: Vec<(usize, Vec<u32>)> = Vec::new();
-        for &shard in &missing {
-            let worker = primary_of(&assignment[shard as usize]);
-            match lanes.iter_mut().find(|(w, _)| *w == worker) {
-                Some((_, shards)) => shards.push(shard),
-                None => lanes.push((worker, vec![shard])),
-            }
-        }
-
-        let mut runs: Vec<LaneRun> = Vec::new();
-        let mut failed: Vec<(u32, SeabedError)> = Vec::new();
-        // The engine's fan-out rule: one lane per worker, this thread queries
-        // a lane itself, so a one-lane scatter spawns nothing.
-        let outcomes = fan_out(lanes.len(), lanes.len(), |lane| {
-            let (worker, shards) = &lanes[lane];
-            self.query_lane(*worker, shards, ctx, &assignment)
-        });
-        for (mut ok, mut bad) in outcomes {
-            runs.append(&mut ok);
-            failed.append(&mut bad);
-        }
-
-        // Re-dispatch: transport/protocol casualties move to a live replica
-        // (or, failing that, any survivor); a deterministic query error
-        // fails the whole query immediately. A worker loss also bumps the
-        // cache epoch — every partial cached before this recovery is fenced
-        // at once — and reclaims the fenced entries (the dead workers'
-        // first, so the purge is attributable).
-        if failed.iter().any(|(_, err)| retry_elsewhere(err)) {
-            let dead: Vec<usize> = workers
-                .iter()
-                .enumerate()
-                .filter(|(_, link)| !link.alive())
-                .map(|(w, _)| w)
-                .collect();
-            self.fence_cache(&dead);
-        }
-        for (shard, err) in failed {
-            if !retry_elsewhere(&err) {
-                return Err(err);
-            }
-            let run = self.redispatch(shard, ctx)?;
-            runs.push(run);
-        }
+        let (lanes, results, mut tally) = self.scatter(ctx, &missing);
+        let fresh = self.recover(ctx, results, &mut tally)?;
         let scatter_ns = self.metrics.scatter_ns.stop(scatter_timer);
         tb.add_span_ns("scatter", scatter_ns);
-        for run in &runs {
-            tb.add_span_ns(
-                "shard-execute",
-                u64::try_from(run.round_trip.as_nanos()).unwrap_or(u64::MAX),
-            );
+        for (run, ..) in &fresh {
+            tb.add_span_ns("shard-execute", nanos(run.round_trip));
+        }
+        if let Some(key) = cache_key {
+            self.fill_cache(table_id, key, &fresh);
         }
 
-        // Fresh partials of a prepared execute go back into the cache under
-        // the *current* epoch — post-bump if this very query lost a worker,
-        // so a recovery never caches under a fenced generation.
-        if let Some((statement, filter_hash)) = cache_key {
-            let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
-            let insert_epoch = self.cache_epoch.load(Ordering::Acquire);
-            for run in &runs {
-                if let Some(partial) = &run.partial {
-                    let key = PartialKey {
-                        cache_epoch: insert_epoch,
-                        table_id,
-                        shard: run.shard,
-                        statement,
-                        filters: filter_hash,
-                    };
-                    cache.insert(key, run.worker_index, partial.clone());
-                }
-            }
-            self.metrics.partial_cache_len.set(cache.len() as u64);
-        }
-
-        // Gather: fold every shard's partial groups — cached and fresh — in
-        // shard order through the shared merge implementation, then finalize
-        // exactly as the in-process driver.
         let gather_started = Instant::now();
         let gather_timer = self.metrics.gather_ns.start();
         let cache_hits = cached.len() as u64;
         let cache_misses = if cache_key.is_some() { missing.len() as u64 } else { 0 };
-        let mut partials: Vec<(u32, PartialResponse)> = cached;
-        for run in &mut runs {
-            let partial = std::mem::take(&mut run.partial);
-            let Some(partial) = partial else {
-                return Err(SeabedError::dist(&run.worker, "shard partial vanished before gather"));
-            };
-            partials.push((run.shard, partial));
-        }
-        partials.sort_by_key(|(shard, _)| *shard);
-        let merge_timer = self.metrics.merge_ns.start();
-        let mut merged: PartialGroups = PartialGroups::new();
-        let mut stats = ExecStats::default();
-        for (_, partial) in partials {
-            stats = stats.merge(&partial.stats);
-            merge_partial_groups(&mut merged, partial.groups);
-        }
-        let merge_ns = self.metrics.merge_ns.stop(merge_timer);
-        runs.sort_by_key(|r| r.shard);
-        stats.wall_time = started.elapsed();
-        let response = finalize_partials(query, merged, stats);
+        let (response, runs, merge_ns) = self.gather(request.plan, cached, fresh, started);
         let gather_ns = self.metrics.gather_ns.stop(gather_timer);
         tb.add_span_ns("gather", gather_ns);
         tb.add_span_ns("merge", merge_ns);
 
         let report = QueryReport {
-            runs: runs
-                .into_iter()
-                .map(|r| ShardRun {
-                    table_id,
-                    shard: r.shard,
-                    worker: r.worker,
-                    stats: r.stats,
-                    round_trip: r.round_trip,
-                    redispatched: r.redispatched,
-                    hedged: r.hedged,
-                })
-                .collect(),
+            runs,
             gather_time: gather_started.elapsed(),
             wall_time: started.elapsed(),
-            discarded_partials: self.discarded_partials() - discarded_before,
+            discarded_partials: tally.discarded,
             cache_hits,
             cache_misses,
-            hedged_reads: self.hedged.load(Ordering::Relaxed) - hedged_before,
+            hedged_reads: tally.hedged,
         };
+        self.record(&report, cache_key.is_some());
+        let plan = request.analyze.then(|| {
+            let stage_ns = [scatter_ns, gather_ns, merge_ns];
+            stitch(&report, total_shards, lanes, response.groups.len(), stage_ns)
+        });
+        *lock(&self.last_report) = report;
+        if let Some(trace) = tb.finish() {
+            self.obs.record_trace(trace);
+        }
+        Ok(ExecOutcome { response, plan })
+    }
+
+    /// Probe: a prepared execute answers every shard it can from the cache
+    /// and leaves only the rest to the scatter; without a key every shard is
+    /// missing and the cache is not touched. The probe epoch is read under
+    /// the cache lock so a concurrent bump can't resurrect fenced entries.
+    fn probe(
+        &self,
+        table_id: u32,
+        shards: u32,
+        cache_key: Option<(u64, u64)>,
+    ) -> (Vec<(u32, PartialResponse)>, Vec<u32>) {
+        let Some((statement, filters)) = cache_key else {
+            return (Vec::new(), (0..shards).collect());
+        };
+        let mut cache = lock(&self.cache);
+        let cache_epoch = self.cache_epoch.load(Ordering::Acquire);
+        let (mut cached, mut missing) = (Vec::new(), Vec::new());
+        for shard in 0..shards {
+            let key = PartialKey {
+                cache_epoch,
+                table_id,
+                shard,
+                statement,
+                filters,
+            };
+            match cache.get(&key) {
+                Some(partial) => cached.push((shard, partial.clone())),
+                None => missing.push(shard),
+            }
+        }
+        (cached, missing)
+    }
+
+    /// Scatter: group the uncached shards by *primary*, one lane per worker,
+    /// each shard with the replica set a hedge may fall back on, and run the
+    /// lanes under the engine's fan-out rule: this thread queries a lane
+    /// itself, so a one-lane scatter spawns nothing. A lane asks its shards
+    /// in turn over the one connection; once that is gone the rest are
+    /// refused by the link without another round trip. Returns the lane
+    /// count, every shard's outcome, and the lanes' tallies summed.
+    fn scatter(&self, ctx: QueryContext<'_>, missing: &[u32]) -> (usize, Vec<ShardResult>, Tally) {
+        let mut lanes: Vec<Lane> = Vec::new();
+        {
+            let pool = self.pool().clone();
+            let placement = lock(&self.placement);
+            for &shard in missing {
+                let worker = placement.primary(ctx.table_id, shard, live(&pool));
+                let replicas = placement.replicas(ctx.table_id, shard).to_vec();
+                match lanes.iter_mut().find(|(w, _)| *w == worker) {
+                    Some((_, shards)) => shards.push((shard, replicas)),
+                    None => lanes.push((worker, vec![(shard, replicas)])),
+                }
+            }
+        }
+        let outcomes = fan_out(lanes.len(), lanes.len(), |lane| {
+            let (worker, shards) = &lanes[lane];
+            let (mut asked, mut tally) = (Vec::with_capacity(shards.len()), Tally::default());
+            for (shard, replicas) in shards {
+                let answer = self.query_shard_hedged(*shard, ctx, replicas, *worker, &mut tally);
+                asked.push((*shard, answer));
+            }
+            (asked, tally)
+        });
+        let mut tally = Tally::default();
+        let mut results = Vec::with_capacity(missing.len());
+        for (mut asked, lane) in outcomes {
+            results.append(&mut asked);
+            tally.hedged += lane.hedged;
+            tally.discarded += lane.discarded;
+        }
+        (lanes.len(), results, tally)
+    }
+
+    /// Recover: transport/protocol casualties of the scatter are
+    /// re-dispatched to a live replica (or, failing that, any survivor); a
+    /// deterministic query error fails the whole query immediately. A worker
+    /// loss also bumps the cache epoch — every partial cached before this
+    /// recovery is fenced at once — and reclaims the fenced entries (the
+    /// dead workers' first, so the purge is attributable). Returns every
+    /// scattered shard's answer.
+    fn recover(
+        &self,
+        ctx: QueryContext<'_>,
+        results: Vec<ShardResult>,
+        tally: &mut Tally,
+    ) -> Result<Vec<ShardAnswer>, SeabedError> {
+        if results
+            .iter()
+            .any(|(_, result)| result.as_ref().is_err_and(retry_elsewhere))
+        {
+            let pool = self.pool().clone();
+            let dead: Vec<usize> = (0..pool.len()).filter(|&w| !pool[w].alive()).collect();
+            self.fence_cache(&dead);
+        }
+        let mut fresh = Vec::with_capacity(results.len());
+        for (shard, result) in results {
+            fresh.push(match result {
+                Ok(answer) => answer,
+                Err(err) if retry_elsewhere(&err) => self.redispatch(shard, ctx, tally)?,
+                Err(err) => return Err(err),
+            });
+        }
+        Ok(fresh)
+    }
+
+    /// Fresh partials of a prepared execute go back into the cache under the
+    /// *current* epoch — post-bump if this very query lost a worker, so a
+    /// recovery never caches under a fenced generation.
+    fn fill_cache(&self, table_id: u32, (statement, filters): (u64, u64), fresh: &[ShardAnswer]) {
+        let mut cache = lock(&self.cache);
+        let cache_epoch = self.cache_epoch.load(Ordering::Acquire);
+        for (run, worker, partial) in fresh {
+            let key = PartialKey {
+                cache_epoch,
+                table_id,
+                shard: run.shard,
+                statement,
+                filters,
+            };
+            cache.insert(key, *worker, partial.clone());
+        }
+        self.metrics.partial_cache_len.set(cache.len() as u64);
+    }
+
+    /// Gather: fold every shard's partial groups — cached and fresh — in
+    /// shard order through the shared merge implementation, then finalize
+    /// exactly as the in-process driver. Each fresh partial's scan
+    /// statistics move into its shard's run once merged. Returns the
+    /// response, the runs in shard order, and the time the fold took.
+    fn gather(
+        &self,
+        query: &TranslatedQuery,
+        cached: Vec<(u32, PartialResponse)>,
+        fresh: Vec<ShardAnswer>,
+        started: Instant,
+    ) -> (ServerResponse, Vec<ShardRun>, u64) {
+        let cached = cached.into_iter().map(|(shard, partial)| (shard, partial, None));
+        let fresh = fresh
+            .into_iter()
+            .map(|(run, _, partial)| (run.shard, partial, Some(run)));
+        let mut pieces: Vec<(u32, PartialResponse, Option<ShardRun>)> = cached.chain(fresh).collect();
+        pieces.sort_by_key(|(shard, ..)| *shard);
+        let merge_timer = self.metrics.merge_ns.start();
+        let mut merged: PartialGroups = PartialGroups::new();
+        let mut stats = ExecStats::default();
+        let mut runs = Vec::new();
+        for (_, partial, run) in pieces {
+            stats = stats.merge(&partial.stats);
+            merge_partial_groups(&mut merged, partial.groups);
+            runs.extend(run.map(|run| ShardRun {
+                stats: partial.stats,
+                ..run
+            }));
+        }
+        let merge_ns = self.metrics.merge_ns.stop(merge_timer);
+        stats.wall_time = started.elapsed();
+        (finalize_partials(query, merged, stats), runs, merge_ns)
+    }
+
+    /// Adds one query's report to the registered `dist_*` instruments.
+    fn record(&self, report: &QueryReport, prepared: bool) {
         self.metrics.hedged_reads.add(report.hedged_reads);
         self.metrics.cache_hits.add(report.cache_hits);
         self.metrics.cache_misses.add(report.cache_misses);
@@ -907,179 +785,68 @@ impl DistCoordinator {
         // Latency split of prepared executes: a fully cached answer never
         // touched the network; anything that scattered lands in the miss
         // histogram. One-shot queries never probe and record neither.
-        if cache_key.is_some() {
-            let wall_ns = u64::try_from(report.wall_time.as_nanos()).unwrap_or(u64::MAX);
+        if prepared {
+            let wall_ns = nanos(report.wall_time);
             if report.cache_misses == 0 {
                 self.metrics.cache_hit_ns.record_ns(wall_ns);
             } else {
                 self.metrics.cache_miss_ns.record_ns(wall_ns);
             }
         }
-        // `EXPLAIN ANALYZE`: stitch this execution into the plan subtree the
-        // session hangs under the structural plan — one node per coordinator
-        // stage and one per shard, hedged/redispatched shards marked, each
-        // carrying its worker's measured per-operator breakdown as children.
-        // Labels name workers and physical columns only, never predicate
-        // literals or SQL text.
-        let plan = request.analyze.then(|| {
-            let total_shards = assignment.len();
-            let stage = |op: &str, label: String, nanos: u64| {
-                PlanNode::new(op, label).with_profile(PlanProfile {
-                    nanos,
-                    ..PlanProfile::default()
-                })
-            };
-            let mut dist = stage(
-                "dist",
-                format!(
-                    "{} of {total_shards} shards scattered over {} lanes, {} cached",
-                    report.runs.len(),
-                    lanes.len(),
-                    report.cache_hits
-                ),
-                u64::try_from(report.wall_time.as_nanos()).unwrap_or(u64::MAX),
-            );
-            dist.children
-                .push(stage("scatter", format!("{} lanes", lanes.len()), scatter_ns));
-            for run in &report.runs {
-                let mut marks = String::new();
-                if run.hedged {
-                    marks.push_str(", hedged");
-                }
-                if run.redispatched {
-                    marks.push_str(", redispatched");
-                }
-                let mut node = stage(
-                    "shard",
-                    format!("{}/{total_shards} @{}{marks}", run.shard, run.worker),
-                    u64::try_from(run.round_trip.as_nanos()).unwrap_or(u64::MAX),
-                );
-                let operators = run.stats.operators.iter();
-                node.children.extend(
-                    operators.map(|op| PlanNode::new("operator", op.label.clone()).with_profile(plan_profile(op))),
-                );
-                dist.children.push(node);
-            }
-            dist.children
-                .push(stage("gather", format!("{total_shards} partials"), gather_ns));
-            dist.children
-                .push(stage("merge", format!("{} groups", response.groups.len()), merge_ns));
-            dist
-        });
-        *self.last_report.lock().unwrap_or_else(|p| p.into_inner()) = report;
-        if let Some(trace) = tb.finish() {
-            self.obs.record_trace(trace);
-        }
-        Ok(ExecOutcome { response, plan })
     }
 
-    /// Queries every shard in one worker's lane sequentially over its
-    /// persistent connection, hedging slow shards against their replicas.
-    /// Once the lane's connection is actually gone (poisoned), the remaining
-    /// shards are failed without further round trips and handed to
-    /// re-dispatch — which tries their live replicas first.
-    fn query_lane(
-        &self,
-        worker: usize,
-        shards: &[u32],
-        ctx: QueryContext<'_>,
-        assignment: &[Vec<usize>],
-    ) -> LaneOutcome {
-        let mut ok = Vec::new();
-        let mut bad = Vec::new();
-        for (i, &shard) in shards.iter().enumerate() {
-            let set: &[usize] = assignment.get(shard as usize).map(|s| s.as_slice()).unwrap_or(&[]);
-            match self.query_shard_hedged(shard, ctx, set, worker) {
-                Ok(run) => ok.push(run),
-                Err(err) => {
-                    bad.push((shard, err));
-                    if !self.worker_alive(worker) {
-                        // The lane's connection is gone; every remaining
-                        // shard fails the same way without more round trips.
-                        let label = self
-                            .worker(worker)
-                            .map(|l| l.label.clone())
-                            .unwrap_or_else(|_| "coordinator".to_string());
-                        for &rest in &shards[i + 1..] {
-                            bad.push((rest, SeabedError::dist(&label, "lane lost before this shard ran")));
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        (ok, bad)
-    }
-
-    /// One shard query with hedging: the primary gets `hedge_after` to
-    /// answer; if the reply is still outstanding after that (and hedging is
-    /// enabled and a live replica exists), the primary's wait is abandoned
-    /// *without* poisoning its connection and the query is re-issued to each
-    /// live replica in turn under the full round-trip budget. The abandoned
-    /// primary's partial, if it ever lands, carries an older seq and is
-    /// discarded by the stale-seq rule. If every hedge fails, a retryable
-    /// error is returned so the shard flows into re-dispatch under a fresh
-    /// sequence number.
+    /// One shard query with hedging (module docs): if hedging is enabled and
+    /// a live replica exists, the primary gets `hedge_after` to answer, then
+    /// the query is re-issued to each live replica in turn under the full
+    /// round-trip budget. If every hedge fails, a retryable error is
+    /// returned so the shard flows into re-dispatch under a fresh sequence
+    /// number.
     fn query_shard_hedged(
         &self,
         shard: u32,
         ctx: QueryContext<'_>,
-        set: &[usize],
+        replicas: &[usize],
         primary: usize,
-    ) -> Result<LaneRun, SeabedError> {
-        let hedging = self.config.hedge_after < self.config.read_timeout
-            && set.iter().any(|&w| w != primary && self.worker_alive(w));
-        if !hedging {
-            return self.query_shard(primary, shard, ctx);
-        }
-        if let Some(run) = self.query_shard_once(primary, shard, ctx, Some(self.config.hedge_after))? {
-            return Ok(run);
+        tally: &mut Tally,
+    ) -> Result<ShardAnswer, SeabedError> {
+        let others = replicas.iter().filter(|&&w| w != primary && self.worker_alive(w));
+        let hedging = self.config.hedge_after < self.config.read_timeout && others.clone().next().is_some();
+        let hedge_after = hedging.then_some(self.config.hedge_after);
+        if let Some(answer) = self.query_shard(primary, shard, ctx, hedge_after, tally)? {
+            return Ok(answer);
         }
         // The primary is outstanding. Race a replica; first valid echo wins.
-        self.hedged.fetch_add(1, Ordering::Relaxed);
+        tally.hedged += 1;
         let mut last_err: Option<SeabedError> = None;
-        for &replica in set {
-            if replica == primary || !self.worker_alive(replica) {
-                continue;
-            }
-            match self.query_shard(replica, shard, ctx) {
-                Ok(mut run) => {
-                    run.hedged = true;
-                    return Ok(run);
+        for &replica in others {
+            match self.query_shard(replica, shard, ctx, None, tally).map(answered) {
+                Ok(mut answer) => {
+                    answer.0.hedged = true;
+                    return Ok(answer);
                 }
                 Err(err) if retry_elsewhere(&err) => last_err = Some(err),
                 Err(err) => return Err(err),
             }
         }
-        Err(last_err.unwrap_or_else(|| {
-            SeabedError::dist(
-                "coordinator",
-                format!(
-                    "hedged read of table {} shard {shard} found no live replica",
-                    ctx.table_id
-                ),
-            )
-        }))
+        let table_id = ctx.table_id;
+        let nobody = format!("hedged read of table {table_id} shard {shard} found no live replica");
+        Err(last_err.unwrap_or_else(|| SeabedError::dist("coordinator", nobody)))
     }
 
-    /// One plain (non-hedged) shard query under the full round-trip budget.
-    fn query_shard(&self, worker: usize, shard: u32, ctx: QueryContext<'_>) -> Result<LaneRun, SeabedError> {
-        self.query_shard_once(worker, shard, ctx, None).map(answered)
-    }
-
-    /// One shard query on one worker: one [`LockedLink::exchange`] accepting
-    /// the partial that echoes this request's `(epoch, table, shard, seq)`
-    /// and shape-checks against the query (a malformed one poisons the
+    /// One shard query on one worker: one exchange accepting the partial
+    /// that echoes this request's `(epoch, table, shard, seq)` and
+    /// shape-checks against the query (a malformed one poisons the
     /// connection). With `hedge_after`, a reply of which no byte arrived
     /// within it returns `Ok(None)`; without, the budget is the full
     /// `read_timeout` and the wait is never abandoned.
-    fn query_shard_once(
+    fn query_shard(
         &self,
         worker: usize,
         shard: u32,
         ctx: QueryContext<'_>,
         hedge_after: Option<Duration>,
-    ) -> Result<Option<LaneRun>, SeabedError> {
+        tally: &mut Tally,
+    ) -> Result<Option<ShardAnswer>, SeabedError> {
         let link = self.worker(worker)?;
         let table_id = ctx.table_id;
         let epoch = self.epoch;
@@ -1099,28 +866,16 @@ impl DistCoordinator {
             query: ctx.request.plan.clone(),
             filters: ctx.request.filters.to_vec(),
         };
-        let request_bytes = wire::encode_frame(&request, self.config.max_frame_len)?;
         let started = Instant::now();
-        let reply = locked.exchange(
-            &request_bytes,
-            hedge_after.unwrap_or(self.config.read_timeout),
-            hedge_after.is_some(),
-            seq,
-            format_args!("the partial for (table {table_id}, shard {shard}, seq {seq})"),
-            |frame| match frame {
-                Frame::ShardPartial {
-                    epoch: e,
-                    table_id: t,
-                    shard: s,
-                    seq: q,
-                    partial,
-                } if e == epoch && t == table_id && s == shard && q == seq => ControlFlow::Break(partial),
-                other => ControlFlow::Continue(other),
-            },
-        );
+        let reply = locked.exchange(&request, hedge_after, seq, tally, |frame| {
+            matches!(frame, Frame::ShardPartial { epoch: e, table_id: t, shard: s, seq: q, .. }
+                if (*e, *t, *s, *q) == (epoch, table_id, shard, seq))
+        });
         drop(locked);
-        let Some(partial) = reply? else {
-            return Ok(None);
+        let partial = match reply? {
+            Some(Frame::ShardPartial { partial, .. }) => partial,
+            // Abandoned for a hedge: nothing but the partial is the echo.
+            _ => return Ok(None),
         };
         // Shape-check before the partial may reach the merge: a forged or
         // buggy partial must be rejected here, never silently zip-truncated
@@ -1129,166 +884,85 @@ impl DistCoordinator {
             return Err(link.poison(SeabedError::dist(&link.label, detail)));
         }
         link.queries.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(LaneRun {
+        let run = ShardRun {
+            table_id,
             shard,
             worker: link.label.clone(),
-            worker_index: worker,
-            stats: partial.stats.clone(),
-            partial: Some(partial),
+            // Moved out of the partial by the gather, once it is merged.
+            stats: ExecStats::default(),
             round_trip: started.elapsed(),
             redispatched: false,
             hedged: false,
-        }))
+        };
+        Ok(Some((run, worker, partial)))
     }
 
     /// Loads shard `shard` of table `table_id` onto `worker` and verifies
-    /// the acknowledgement. Stale partials (e.g. a hedge-abandoned reply
-    /// landing between requests) are drained and counted, not mistaken for
-    /// a bad ack.
+    /// the acknowledgement.
     fn load_shard(&self, table_id: u32, shard: u32, worker: usize) -> Result<(), SeabedError> {
-        let link = self.worker(worker)?;
         let table = self.tables[table_id as usize].shards[shard as usize].clone();
-        let rows = table.num_rows() as u64;
-        let epoch = self.epoch;
-        let frame = Frame::LoadShard {
+        let (epoch, rows) = (self.epoch, table.num_rows() as u64);
+        let load = Frame::LoadShard {
             epoch,
             table_id,
             shard,
             exec: self.config.exec,
             table,
         };
-        // A shard too large for the frame limit is a configuration problem,
-        // reported as-is without condemning the worker.
-        let frame_bytes = wire::encode_frame(&frame, self.config.max_frame_len)?;
-        let ack = link.lock().exchange(
-            &frame_bytes,
-            self.config.read_timeout,
-            false,
-            u64::MAX,
-            format_args!("the load ack for table {table_id} shard {shard}"),
-            |frame| match frame {
-                Frame::ShardLoaded {
-                    epoch: e,
-                    table_id: t,
-                    shard: s,
-                    rows: r,
-                } if e == epoch && t == table_id && s == shard && r == rows => ControlFlow::Break(()),
-                other => ControlFlow::Continue(other),
-            },
-        );
-        ack.map(answered)
+        let ack = Frame::ShardLoaded {
+            epoch,
+            table_id,
+            shard,
+            rows,
+        };
+        self.worker(worker)?.command(&load, |frame| *frame == ack)
     }
 
     /// Asks `worker` to drop its copy of shard `shard` (after a rebalance
-    /// moved the replica elsewhere) and verifies the acknowledgement. Stale
-    /// partials are drained exactly as in [`DistCoordinator::load_shard`].
-    fn unload_shard(&self, table_id: u32, shard: u32, worker: usize) -> Result<u64, SeabedError> {
-        let link = self.worker(worker)?;
+    /// moved the replica elsewhere) and verifies the acknowledgement.
+    fn unload_shard(&self, table_id: u32, shard: u32, worker: usize) -> Result<(), SeabedError> {
         let epoch = self.epoch;
-        let frame = Frame::UnloadShard { epoch, table_id, shard };
-        let frame_bytes = wire::encode_frame(&frame, self.config.max_frame_len)?;
-        let ack = link.lock().exchange(
-            &frame_bytes,
-            self.config.read_timeout,
-            false,
-            u64::MAX,
-            format_args!("the unload ack for table {table_id} shard {shard}"),
-            |frame| match frame {
-                Frame::ShardUnloaded {
-                    epoch: e,
-                    table_id: t,
-                    shard: s,
-                    remaining,
-                } if e == epoch && t == table_id && s == shard => ControlFlow::Break(remaining),
-                other => ControlFlow::Continue(other),
-            },
-        );
-        ack.map(answered)
+        let unload = Frame::UnloadShard { epoch, table_id, shard };
+        self.worker(worker)?.command(&unload, |frame| {
+            matches!(frame, Frame::ShardUnloaded { epoch: e, table_id: t, shard: s, .. }
+                if (*e, *t, *s) == (epoch, table_id, shard))
+        })
     }
 
-    /// Moves `worker` to the front of the shard's replica set (it just
-    /// proved it can answer), evicting its old slot or the first dead
-    /// member so the set stays bounded. Liveness is snapshotted before the
-    /// assignment lock is taken — the two locks are never held together.
-    fn promote(&self, table_id: u32, shard: u32, worker: usize) {
-        let workers = self.workers_snapshot();
-        let alive = |w: usize| workers.get(w).map(|l| l.alive()).unwrap_or(false);
-        let mut assignment = self.tables[table_id as usize]
-            .assignment
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let Some(set) = assignment.get_mut(shard as usize) else {
-            return;
-        };
-        if let Some(pos) = set.iter().position(|&w| w == worker) {
-            set.remove(pos);
-        } else if let Some(pos) = set.iter().position(|&w| !alive(w)) {
-            set.remove(pos);
-        }
-        set.insert(0, worker);
-    }
-
-    /// Re-runs a failed shard query elsewhere: first on every live replica
-    /// that already holds the shard (query only — no re-transfer on the
-    /// critical path), then, only if no replica survives, on any other live
-    /// worker by re-loading the coordinator's retained copy. Dead workers
-    /// are never selected; success promotes the answering worker to primary
-    /// so later queries go straight there; when nothing live is left the
-    /// query fails with a typed [`SeabedError::Dist`] instead of hanging.
-    fn redispatch(&self, shard: u32, ctx: QueryContext<'_>) -> Result<LaneRun, SeabedError> {
+    /// Re-runs a failed shard query elsewhere, in the order of the module
+    /// docs: live replicas, then any other live worker behind a fresh load.
+    /// Dead workers are never selected; success promotes the answering
+    /// worker to primary so later queries go straight there; when nothing
+    /// live is left the query fails with a typed [`SeabedError::Dist`]
+    /// instead of hanging.
+    fn redispatch(&self, shard: u32, ctx: QueryContext<'_>, tally: &mut Tally) -> Result<ShardAnswer, SeabedError> {
         let table_id = ctx.table_id;
-        let set: Vec<usize> = self.tables[table_id as usize]
-            .assignment
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(shard as usize)
-            .cloned()
-            .unwrap_or_default();
-        let workers = self.workers_snapshot();
+        let replicas = lock(&self.placement).replicas(table_id, shard).to_vec();
+        let pool = self.pool().clone();
+        let alive = live(&pool);
+        // Liveness is read as each candidate's turn comes.
+        let holders = replicas.iter().map(|&w| (w, true));
+        let others = (0..pool.len()).filter(|w| !replicas.contains(w)).map(|w| (w, false));
         let mut last_err: Option<SeabedError> = None;
-
-        // Pass 1: live replicas already holding the shard.
-        for &replica in &set {
-            if !workers.get(replica).map(|l| l.alive()).unwrap_or(false) {
+        for (worker, holds_shard) in holders.chain(others) {
+            if !alive(worker) {
                 continue;
             }
-            match self.query_shard(replica, shard, ctx) {
-                Ok(mut run) => {
-                    run.redispatched = true;
-                    self.promote(table_id, shard, replica);
-                    return Ok(run);
+            let loaded = if holds_shard {
+                Ok(())
+            } else {
+                self.load_shard(table_id, shard, worker)
+            };
+            match loaded.and_then(|()| self.query_shard(worker, shard, ctx, None, tally).map(answered)) {
+                Ok(mut answer) => {
+                    answer.0.redispatched = true;
+                    lock(&self.placement).promote(table_id, shard, worker, &alive);
+                    return Ok(answer);
                 }
-                Err(err) => {
-                    // Deterministic query errors abort re-dispatch: another
-                    // worker would answer identically.
-                    if !retry_elsewhere(&err) {
-                        return Err(err);
-                    }
-                    last_err = Some(err);
-                }
-            }
-        }
-
-        // Pass 2: any other live worker takes a fresh copy.
-        for (worker, link) in workers.iter().enumerate() {
-            if set.contains(&worker) || !link.alive() {
-                continue;
-            }
-            let attempt = self
-                .load_shard(table_id, shard, worker)
-                .and_then(|()| self.query_shard(worker, shard, ctx));
-            match attempt {
-                Ok(mut run) => {
-                    run.redispatched = true;
-                    self.promote(table_id, shard, worker);
-                    return Ok(run);
-                }
-                Err(err) => {
-                    if !retry_elsewhere(&err) {
-                        return Err(err);
-                    }
-                    last_err = Some(err);
-                }
+                // Deterministic query errors abort re-dispatch: another
+                // worker would answer identically.
+                Err(err) if !retry_elsewhere(&err) => return Err(err),
+                Err(err) => last_err = Some(err),
             }
         }
         let detail = match last_err {
@@ -1299,177 +973,69 @@ impl DistCoordinator {
     }
 
     /// Connects a new worker under this coordinator's epoch, appends it to
-    /// the pool, and greedily rebalances replica slots onto it from the
-    /// most-loaded live workers — moving only shards whose replica set
-    /// changed (load onto the joiner, then unload from the donor). Bumps the
-    /// cache fencing epoch so partials cached under the old membership never
-    /// answer a later probe. Returns the joiner's stable worker index.
+    /// the pool, and rebalances replica slots onto it as `Placement::join`
+    /// plans: every moved shard is loaded onto the joiner, the plan is
+    /// committed, and only then do the donors unload (best effort: a failed
+    /// unload wastes memory on the donor but is otherwise harmless — no set
+    /// names it any more). A failed load fails the join with the placement
+    /// untouched. Returns the joiner's stable worker index.
     pub fn join_worker<A: ToSocketAddrs>(&self, addr: A) -> Result<usize, SeabedError> {
         let link = Arc::new(connect_worker(&addr, self.epoch, &self.config)?);
-        let index = {
+        let pool = {
             let mut workers = self.workers.write().unwrap_or_else(|p| p.into_inner());
             workers.push(link);
-            workers.len() - 1
+            workers.clone()
         };
-        self.rebalance_onto(index)?;
-        self.fence_cache(&[]);
-        Ok(index)
-    }
-
-    /// Greedily moves replica slots from the most-loaded live workers onto
-    /// `joiner` until it carries its fair share (⌊total slots / live
-    /// workers⌋) or no eligible donor remains. Each move is: load the shard
-    /// onto the joiner, swap the donor out of the replica set, then
-    /// best-effort unload the donor's copy (a failed unload wastes memory
-    /// on the donor but is otherwise harmless — the set no longer names it).
-    fn rebalance_onto(&self, joiner: usize) -> Result<(), SeabedError> {
-        loop {
-            let workers = self.workers_snapshot();
-            let alive = |w: usize| workers.get(w).map(|l| l.alive()).unwrap_or(false);
-            let live_count = workers.iter().filter(|l| l.alive()).count();
-            if live_count == 0 || !alive(joiner) {
-                return Err(SeabedError::dist("coordinator", "rebalance target is not alive"));
-            }
-            let mut counts = vec![0usize; workers.len()];
-            let mut slots: Vec<(u32, u32, Vec<usize>)> = Vec::new();
-            for (table_id, entry) in self.tables.iter().enumerate() {
-                let assignment = entry.assignment.lock().unwrap_or_else(|p| p.into_inner()).clone();
-                for (shard, set) in assignment.iter().enumerate() {
-                    for &w in set {
-                        if let Some(slot) = counts.get_mut(w) {
-                            *slot += 1;
-                        }
-                    }
-                    slots.push((table_id as u32, shard as u32, set.clone()));
-                }
-            }
-            let total: usize = counts.iter().sum();
-            let target = (total / live_count).max(1);
-            if counts[joiner] >= target {
-                return Ok(());
-            }
-            // Donor: the most-loaded live worker holding a shard whose set
-            // lacks the joiner.
-            let mut pick: Option<(u32, u32, usize)> = None;
-            for (t, s, set) in &slots {
-                if set.contains(&joiner) {
-                    continue;
-                }
-                for &w in set {
-                    if w == joiner || !alive(w) || counts[w] <= counts[joiner] {
-                        continue;
-                    }
-                    let better = match pick {
-                        Some((_, _, best)) => counts[w] > counts[best],
-                        None => true,
-                    };
-                    if better {
-                        pick = Some((*t, *s, w));
-                    }
-                }
-            }
-            let Some((t, s, donor)) = pick else {
-                return Ok(());
-            };
-            self.load_shard(t, s, joiner)?;
-            {
-                let mut assignment = self.tables[t as usize]
-                    .assignment
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner());
-                if let Some(set) = assignment.get_mut(s as usize) {
-                    if !set.contains(&joiner) {
-                        match set.iter().position(|&w| w == donor) {
-                            Some(pos) => set[pos] = joiner,
-                            None => set.push(joiner),
-                        }
-                    }
-                }
-            }
-            let _ = self.unload_shard(t, s, donor);
+        let joiner = pool.len() - 1;
+        let mut planned = lock(&self.placement).clone();
+        let moves = planned.join(joiner, pool.len(), live(&pool));
+        for &(table, shard, _) in &moves {
+            self.load_shard(table, shard, joiner)?;
         }
+        *lock(&self.placement) = planned;
+        for (table, shard, donor) in moves {
+            let _ = self.unload_shard(table, shard, donor);
+        }
+        self.fence_cache(&[]);
+        Ok(joiner)
     }
 
-    /// Retires `worker` from the cluster: every replica slot it held is
-    /// re-homed onto the least-loaded live worker outside the shard's set
-    /// (loading a fresh copy off the critical path), its connection is
-    /// dropped, and the cache fencing epoch is bumped. If a shard would lose
-    /// its *last* copy — the leaver is its only live replica and no other
-    /// live worker can take it — the call fails with a typed error and the
-    /// membership is unchanged. Leaving twice is an idempotent no-op.
+    /// Retires `worker` from the cluster as `Placement::leave` plans:
+    /// every replica slot it held is re-homed (a fresh copy loaded off the
+    /// critical path), the plan is committed, and its link moves to `Left`;
+    /// until then the leaver keeps serving. If a shard would lose its *last*
+    /// copy the call fails with a typed error, the copies it loaded
+    /// meanwhile are unloaded (best effort), and placement and link state
+    /// are what they were. Leaving twice is an idempotent no-op.
     pub fn leave_worker(&self, worker: usize) -> Result<(), SeabedError> {
         let link = self.worker(worker)?;
-        if link.removed.swap(true, Ordering::AcqRel) {
+        if link.has_left() {
             return Ok(());
         }
-        let workers = self.workers_snapshot();
-        let alive = |w: usize| workers.get(w).map(|l| l.alive()).unwrap_or(false);
-        let mut counts = vec![0usize; workers.len()];
-        let mut affected: Vec<(u32, u32, Vec<usize>)> = Vec::new();
-        for (table_id, entry) in self.tables.iter().enumerate() {
-            let assignment = entry.assignment.lock().unwrap_or_else(|p| p.into_inner()).clone();
-            for (shard, set) in assignment.iter().enumerate() {
-                for &w in set {
-                    if let Some(slot) = counts.get_mut(w) {
-                        *slot += 1;
-                    }
-                }
-                if set.contains(&worker) {
-                    affected.push((table_id as u32, shard as u32, set.clone()));
-                }
+        let pool = self.pool().clone();
+        let mut planned = lock(&self.placement).clone();
+        let mut loaded: Vec<(u32, u32, usize)> = Vec::new();
+        let rehomed = planned.leave(worker, pool.len(), live(&pool), |table, shard, to| {
+            self.load_shard(table, shard, to)?;
+            loaded.push((table, shard, to));
+            Ok::<(), SeabedError>(())
+        });
+        if let Err(refusal) = rehomed {
+            for (table, shard, to) in loaded {
+                let _ = self.unload_shard(table, shard, to);
             }
+            return Err(SeabedError::dist(&link.label, format!("cannot leave: {refusal}")));
         }
-        for (t, s, set) in affected {
-            let has_survivor = set.iter().any(|&w| w != worker && alive(w));
-            let candidate = workers
-                .iter()
-                .enumerate()
-                .filter(|(w, l)| l.alive() && !set.contains(w))
-                .min_by_key(|(w, _)| counts[*w])
-                .map(|(w, _)| w);
-            let replacement = match candidate {
-                Some(c) => match self.load_shard(t, s, c) {
-                    Ok(()) => {
-                        counts[c] += 1;
-                        Some(c)
-                    }
-                    // The shard still has a live copy: degrade below R
-                    // rather than blocking the departure.
-                    Err(_) if has_survivor => None,
-                    Err(err) => {
-                        link.removed.store(false, Ordering::Release);
-                        return Err(SeabedError::dist(
-                            &link.label,
-                            format!("cannot leave: table {t} shard {s} would lose its last copy ({err})"),
-                        ));
-                    }
-                },
-                None if has_survivor => None,
-                None => {
-                    link.removed.store(false, Ordering::Release);
-                    return Err(SeabedError::dist(
-                        &link.label,
-                        format!("cannot leave: table {t} shard {s} has no other live replica and no worker to take it"),
-                    ));
-                }
-            };
-            let mut assignment = self.tables[t as usize]
-                .assignment
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            if let Some(slot) = assignment.get_mut(s as usize) {
-                slot.retain(|&w| w != worker);
-                if let Some(r) = replacement {
-                    if !slot.contains(&r) {
-                        slot.push(r);
-                    }
-                }
-            }
-        }
-        let _ = link.poison(SeabedError::dist(&link.label, "worker left the cluster"));
+        *lock(&self.placement) = planned;
+        link.retire();
         self.fence_cache(&[worker]);
         Ok(())
     }
+}
+
+/// A duration as the nanosecond count spans and histograms take.
+fn nanos(duration: Duration) -> u64 {
+    u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// FNV-1a over a statement's wire payload: the content-derived identity of a
@@ -1480,9 +1046,62 @@ fn statement_hash(statement: &TranslatedQuery) -> u64 {
     fnv1a64(&bytes)
 }
 
+/// `EXPLAIN ANALYZE`: stitches one execution into the plan subtree the
+/// session hangs under the structural plan — one node per coordinator stage
+/// and one per shard, hedged/redispatched shards marked, each carrying its
+/// worker's measured per-operator breakdown as children. Labels name workers
+/// and physical columns only, never predicate literals or SQL text.
+fn stitch(
+    report: &QueryReport,
+    total_shards: usize,
+    lanes: usize,
+    groups: usize,
+    [scatter_ns, gather_ns, merge_ns]: [u64; 3],
+) -> PlanNode {
+    let stage = |op: &str, label: String, nanos: u64| {
+        PlanNode::new(op, label).with_profile(PlanProfile {
+            nanos,
+            ..PlanProfile::default()
+        })
+    };
+    let mut dist = stage(
+        "dist",
+        format!(
+            "{} of {total_shards} shards scattered over {lanes} lanes, {} cached",
+            report.runs.len(),
+            report.cache_hits
+        ),
+        nanos(report.wall_time),
+    );
+    dist.children
+        .push(stage("scatter", format!("{lanes} lanes"), scatter_ns));
+    for run in &report.runs {
+        let mut marks = String::new();
+        if run.hedged {
+            marks.push_str(", hedged");
+        }
+        if run.redispatched {
+            marks.push_str(", redispatched");
+        }
+        let mut node = stage(
+            "shard",
+            format!("{}/{total_shards} @{}{marks}", run.shard, run.worker),
+            nanos(run.round_trip),
+        );
+        let operators = run.stats.operators.iter();
+        node.children
+            .extend(operators.map(|op| PlanNode::new("operator", op.label.clone()).with_profile(plan_profile(op))));
+        dist.children.push(node);
+    }
+    dist.children
+        .push(stage("gather", format!("{total_shards} partials"), gather_ns));
+    dist.children.push(stage("merge", format!("{groups} groups"), merge_ns));
+    dist
+}
+
 impl QueryTarget for DistCoordinator {
     fn schema_of(&self, table: &str) -> Result<&Schema, SeabedError> {
-        self.resolve(table).map(|(_, entry)| &entry.schema)
+        self.resolve(table).map(|(_, entry)| &entry.shards[0].schema)
     }
 
     fn routes_by_table(&self) -> bool {
@@ -1538,54 +1157,17 @@ impl QueryTarget for DistCoordinator {
     }
 }
 
-/// What one worker lane produced: completed shard runs plus the shards that
-/// failed with the error that felled them.
-type LaneOutcome = (Vec<LaneRun>, Vec<(u32, SeabedError)>);
+/// One worker's share of a scatter: its index and the shards whose primary
+/// it is, each with the replica set a hedge may fall back on.
+type Lane = (usize, Vec<(u32, Vec<usize>)>);
 
-/// A [`ShardRun`] still carrying its mergeable partial.
-struct LaneRun {
-    shard: u32,
-    worker: String,
-    /// Index of the answering worker, recorded so a cached copy of the
-    /// partial can be purged if that worker later dies.
-    worker_index: usize,
-    stats: ExecStats,
-    partial: Option<PartialResponse>,
-    round_trip: Duration,
-    redispatched: bool,
-    hedged: bool,
-}
+/// One shard's answer as a lane hands it over: its run record, the index of
+/// the answering worker (recorded so a cached copy of the partial can be
+/// purged if that worker later dies) and the mergeable partial, by value.
+type ShardAnswer = (ShardRun, usize, PartialResponse);
 
-/// Splits a table's partitions into exactly `min(num_shards, partitions)`
-/// contiguous shard tables whose sizes differ by at most one partition (the
-/// first `len % shards` shards take the remainder), so no requested worker
-/// silently idles. Global row IDs travel with their partitions, so ASHE's
-/// telescoping decryption — and the exact de-inflated ID sets — are
-/// unchanged.
-fn split_into_shards(table: Table, num_shards: usize) -> Vec<Table> {
-    let schema = table.schema;
-    let partitions = table.partitions;
-    let total = partitions.len();
-    let shards_wanted = num_shards.max(1).min(total.max(1));
-    if total == 0 {
-        return vec![Table {
-            schema,
-            partitions: Vec::new(),
-        }];
-    }
-    let base = total / shards_wanted;
-    let remainder = total % shards_wanted;
-    let mut shards: Vec<Table> = Vec::with_capacity(shards_wanted);
-    let mut partitions = partitions.into_iter();
-    for shard in 0..shards_wanted {
-        let take = base + usize::from(shard < remainder);
-        shards.push(Table {
-            schema: schema.clone(),
-            partitions: partitions.by_ref().take(take).collect(),
-        });
-    }
-    shards
-}
+/// One scattered shard's outcome: its answer, or the error that felled it.
+type ShardResult = (u32, Result<ShardAnswer, SeabedError>);
 
 /// Shape-checks a worker's partial against the query before it may reach
 /// the merge: aggregate arity and kinds per group (including the MIN/MAX
@@ -1631,35 +1213,6 @@ fn validate_partial(query: &TranslatedQuery, partial: &PartialResponse) -> Resul
     Ok(())
 }
 
-/// Connects to one worker and performs the epoch handshake under the
-/// configured round-trip budget.
-fn connect_worker<A: ToSocketAddrs>(addr: &A, epoch: u64, config: &DistConfig) -> Result<WorkerLink, SeabedError> {
-    let conn = FrameConn::connect(addr, config.read_timeout)?;
-    let link = WorkerLink {
-        label: conn.peer_addr()?.to_string(),
-        conn: Mutex::new(conn),
-        epoch,
-        max_frame_len: config.max_frame_len,
-        removed: AtomicBool::new(false),
-        queries: AtomicU64::new(0),
-        discarded: AtomicU64::new(0),
-    };
-    let hello = wire::encode_frame(&Frame::WorkerHandshake { epoch }, config.max_frame_len)?;
-    // A fresh connection has no stale partials to drain.
-    link.lock().exchange(
-        &hello,
-        config.read_timeout,
-        false,
-        0,
-        format_args!("a handshake ack"),
-        |frame| match frame {
-            Frame::WorkerReady { epoch: e, .. } if e == epoch => ControlFlow::Break(()),
-            other => ControlFlow::Continue(other),
-        },
-    )?;
-    Ok(link)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1671,55 +1224,6 @@ mod tests {
             vec![ColumnData::UInt64((0..rows).collect())],
             partitions,
         )
-    }
-
-    #[test]
-    fn sharding_preserves_partitions_and_row_ids() {
-        let t = table(100, 8);
-        let shards = split_into_shards(t.clone(), 3);
-        assert_eq!(shards.len(), 3);
-        assert_eq!(shards.iter().map(|s| s.num_rows()).sum::<usize>(), 100);
-        // Partition start rows are preserved verbatim, in order.
-        let mut starts = Vec::new();
-        for shard in &shards {
-            assert!(shard.validate_layout().is_ok());
-            for p in &shard.partitions {
-                starts.push(p.start_row);
-            }
-        }
-        let original: Vec<u64> = t.partitions.iter().map(|p| p.start_row).collect();
-        assert_eq!(starts, original);
-    }
-
-    #[test]
-    fn sharding_degenerate_shapes() {
-        // More shards than partitions: capped by the caller, but the splitter
-        // itself never produces an empty shard unless the table is empty.
-        let shards = split_into_shards(table(10, 2), 2);
-        assert_eq!(shards.len(), 2);
-        let empty = split_into_shards(table(0, 4), 3);
-        assert_eq!(empty.iter().map(|s| s.num_rows()).sum::<usize>(), 0);
-        assert!(!empty.is_empty());
-    }
-
-    /// The splitter must produce exactly the requested shard count with
-    /// sizes differing by at most one partition — a greedy `div_ceil` chunking
-    /// would leave workers idle (4 partitions over 3 workers used to yield
-    /// shards of [2, 2] instead of [2, 1, 1]).
-    #[test]
-    fn sharding_spreads_the_remainder_instead_of_idling_workers() {
-        for (partitions, wanted) in [(4usize, 3usize), (5, 4), (10, 4), (7, 7), (9, 2)] {
-            let shards = split_into_shards(table(100, partitions), wanted);
-            assert_eq!(shards.len(), wanted.min(partitions), "{partitions} over {wanted}");
-            let sizes: Vec<usize> = shards.iter().map(|s| s.partitions.len()).collect();
-            let min = sizes.iter().min().copied().unwrap_or(0);
-            let max = sizes.iter().max().copied().unwrap_or(0);
-            assert!(max - min <= 1, "{partitions} over {wanted}: uneven sizes {sizes:?}");
-            assert_eq!(
-                sizes.iter().sum::<usize>(),
-                shards.iter().map(|s| s.partitions.len()).sum()
-            );
-        }
     }
 
     #[test]
@@ -1752,26 +1256,6 @@ mod tests {
     fn pre_unix_epoch_clock_is_a_typed_error() {
         let before = SystemTime::UNIX_EPOCH - Duration::from_secs(1);
         assert!(matches!(fresh_epoch_at(before), Err(SeabedError::Dist { .. })));
-    }
-
-    #[test]
-    fn replica_sets_are_distinct_clamped_and_legacy_compatible() {
-        // R = 1 reproduces the old single-owner placement.
-        assert_eq!(initial_replica_set(0, 1, 4, 1), vec![1]);
-        assert_eq!(initial_replica_set(2, 3, 4, 1), vec![1]);
-        // R = 2 adds the next worker around the ring.
-        assert_eq!(initial_replica_set(0, 1, 4, 2), vec![1, 2]);
-        assert_eq!(initial_replica_set(0, 3, 4, 2), vec![3, 0]);
-        // R is clamped to the pool size; members never repeat.
-        assert_eq!(initial_replica_set(0, 0, 1, 3), vec![0]);
-        for (t, s, n, r) in [(0usize, 0usize, 3usize, 5usize), (1, 2, 4, 4), (2, 7, 5, 3)] {
-            let set = initial_replica_set(t, s, n, r);
-            let mut dedup = set.clone();
-            dedup.sort_unstable();
-            dedup.dedup();
-            assert_eq!(dedup.len(), set.len(), "replica set {set:?} repeats a worker");
-            assert!(set.iter().all(|&w| w < n));
-        }
     }
 
     /// The epoch mix must not be degenerate: varying any single input

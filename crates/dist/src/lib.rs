@@ -11,35 +11,30 @@
 //!                  gather / merge ◄─────── mergeable PartialResponses
 //! ```
 //!
-//! * [`coordinator`] — [`DistCoordinator`]: splits a table's partitions into
-//!   shards, loads every shard onto its **replica set** (R workers, R = 2 by
-//!   default) under a fresh collision-resistant **epoch**, scatters
-//!   partition-scoped sub-queries concurrently over persistent connections,
-//!   and gathers the workers' *mergeable* partial results — ASHE partial
-//!   sums with ID lists, SPLASHE splayed counts, MIN/MAX ORE candidates,
-//!   group-by maps — folding them with [`seabed_engine::merge`], the same
-//!   implementation the in-process driver uses, so distributed responses are
-//!   byte-identical to single-server execution by construction.
+//! * [`coordinator`] — [`DistCoordinator`]: shards tables over the workers'
+//!   **replica sets** under a fresh **epoch**, scatters sub-queries over
+//!   persistent connections, and gathers the workers' *mergeable* partial
+//!   results — ASHE partial sums with ID lists, SPLASHE splayed counts,
+//!   MIN/MAX ORE candidates, group-by maps — folding them with
+//!   [`seabed_engine::merge`], the implementation the in-process driver
+//!   uses, so distributed responses are byte-identical by construction.
 //! * [`worker`] — a one-call helper standing up a shard-hosting
 //!   [`seabed_net::NetServer`]; the worker side of the protocol lives in
 //!   `seabed-net` itself (frame kinds 6–11 plus the 15/16 unload pair).
+//! * [`cache`] — the statement-keyed partial-result cache and its fence.
+//! * `placement` (private) — *who holds shard s*: the table → shard →
+//!   replica-set value and every rule that reads or edits it, socket-free.
+//! * `link` (private) — *is worker w alive*: a worker connection (the only
+//!   file that names the socket type), its forward-only state, the exchange.
 //!
-//! Resilience: a worker that leaves a shard query outstanding past the
-//! hedge trigger is raced against another replica — first valid
-//! `(epoch, shard, seq)` echo wins, the loser's late partial is discarded
-//! by its stale sequence number (the merge algebra is *not* idempotent, so
-//! seq-dedup is the only thing standing between a duplicated partial and a
-//! silently doubled sum). A worker that dies outright has its shards
-//! re-dispatched to the surviving replicas — or, if none remain live,
-//! re-loaded onto any surviving worker (the coordinator retains every
-//! shard); when no live worker is left the query fails with a typed
-//! [`seabed_error::SeabedError::Dist`] rather than hanging. Workers can
-//! also [join](coordinator::DistCoordinator::join_worker) or
-//! [leave](coordinator::DistCoordinator::leave_worker) a live cluster:
-//! rebalancing moves only shards whose replica set changed, and every
-//! membership change fences the partial cache so pre-change partials never
-//! answer again. Any transport or framing failure poisons the worker's
-//! connection rather than risking a desynchronized stream.
+//! Resilience, in [`coordinator`]'s module docs: slow workers are hedged
+//! against a replica and the loser's late partial is discarded by its stale
+//! sequence number; dead workers' shards are re-dispatched, and when no live
+//! worker is left the query fails with a typed
+//! [`seabed_error::SeabedError::Dist`] rather than hanging; workers can
+//! [join](coordinator::DistCoordinator::join_worker) or
+//! [leave](coordinator::DistCoordinator::leave_worker) a live cluster, each
+//! change fencing the partial cache.
 //!
 //! The trust model is unchanged from `seabed-net`: workers are untrusted and
 //! only ever see ciphertexts, deterministic tags and ORE symbols; all keys
@@ -52,8 +47,18 @@
 
 pub mod cache;
 pub mod coordinator;
+mod link;
+mod placement;
 pub mod worker;
 
 pub use cache::{CacheStats, PartialCache, PartialKey};
 pub use coordinator::{DistConfig, DistCoordinator, QueryReport, ShardRun, WorkerSummary};
 pub use worker::spawn_worker;
+
+/// Locks `mutex`, taking the guard over from a holder that panicked: every
+/// critical section in this crate leaves its data valid at each step (a set
+/// edit, a cache insert, a report or placement stored whole; a connection
+/// carries its own poison flag), so there is nothing a panic could tear.
+fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|p| p.into_inner())
+}

@@ -172,11 +172,23 @@ fn sole_replica_holder_cannot_leave() {
     let coordinator =
         DistCoordinator::connect_tables(&[worker.local_addr()], vec![("t".into(), table)], config).expect("connect");
 
+    let shards_of = |coordinator: &DistCoordinator| -> Vec<Vec<(u32, u32)>> {
+        let summaries = coordinator.worker_summaries();
+        summaries.into_iter().map(|w| w.shards).collect()
+    };
+    let held_before = shards_of(&coordinator);
+    assert_eq!(held_before[0].len(), 1, "one worker, one shard: {held_before:?}");
+
     let outcome = coordinator.leave_worker(0);
     assert!(matches!(outcome, Err(SeabedError::Dist { .. })), "{outcome:?}");
     assert!(
         coordinator.worker_summaries()[0].alive,
         "a refused departure must leave the worker in service"
+    );
+    assert_eq!(
+        shards_of(&coordinator),
+        held_before,
+        "a refused departure must leave the placement as it was"
     );
     let response = coordinator
         .execute_query(&query, &[])

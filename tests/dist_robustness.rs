@@ -413,6 +413,65 @@ fn stalled_worker_triggers_hedged_redispatch() {
     }
 }
 
+/// Regression: "is worker w alive" used to take that worker's connection
+/// mutex, so `worker_summaries()` — and every primary pick, hedge check and
+/// gauge publish — issued while an exchange was stalled on one worker waited
+/// out the rest of the stall (1.3 s of a 1.5 s read timeout). Liveness and
+/// byte totals are now published by the exchange as it releases the
+/// connection, and a health read touches no connection lock.
+#[test]
+fn health_reads_never_wait_behind_a_stalled_exchange() {
+    let table = test_table(1_200, 6);
+    let query = sum_query(false);
+    let expected = local_answer(&table, &query);
+    let workers: Vec<_> = (0..2)
+        .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker"))
+        .collect();
+    let stalled_saw = SeenSeqs::default();
+    let (fake_addr, fake) = recording_fake_worker(Misbehavior::StallOnQuery, stalled_saw.clone());
+    let addrs = [workers[0].local_addr(), fake_addr, workers[1].local_addr()];
+    // Hedging off: the stalled primary is waited out for the whole budget.
+    let read_timeout = Duration::from_millis(1_500);
+    let config = DistConfig::default()
+        .read_timeout(read_timeout)
+        .hedge_after(read_timeout);
+    let coordinator = DistCoordinator::connect_tables(&addrs, vec![("t".into(), table)], config).expect("connect");
+
+    std::thread::scope(|scope| {
+        let querying = scope.spawn(|| coordinator.execute_query(&query, &[]));
+        // Once the stalling worker has the shard query, the exchange that
+        // sent it is in flight and holds that worker's connection.
+        while stalled_saw.lock().expect("recorder").is_empty() {
+            assert!(!querying.is_finished(), "the query never reached the stalling worker");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::sleep(Duration::from_millis(200));
+        let asked = std::time::Instant::now();
+        let summaries = coordinator.worker_summaries();
+        let waited = asked.elapsed();
+        assert!(
+            !querying.is_finished(),
+            "the health read must overlap the stalled exchange"
+        );
+        assert_eq!(summaries.len(), 3, "{summaries:?}");
+        assert!(
+            waited < Duration::from_millis(500),
+            "worker_summaries() waited {waited:?} behind a stalled exchange"
+        );
+        let response = querying
+            .join()
+            .expect("query thread")
+            .expect("query must survive the stall");
+        assert_eq!(expected.groups, response.groups);
+    });
+    assert!(coordinator.last_report().runs.iter().any(|r| r.redispatched));
+
+    fake.join().expect("fake worker");
+    for w in workers {
+        w.shutdown();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Malformed partial-response frames
 // ---------------------------------------------------------------------------
@@ -704,6 +763,13 @@ fn hedged_reads_race_replicas_and_discard_the_loser_by_seq() {
 /// (every primary abandoned) and concurrent callers, every link must see
 /// strictly increasing sequence numbers and stay alive, and every answer
 /// must be the single-server one.
+///
+/// Regression, same run: a query's hedge count used to be the before/after
+/// delta of a process-wide counter, so every hedge was counted once by each
+/// query in flight around it and `dist_hedged_reads` read ≈ 3 150 for the 800
+/// hedges launched here. It is now the sum of the query's own lane tallies:
+/// with a zero trigger every shard query is abandoned and hedged exactly
+/// once, so the counter is half the `ShardQuery` frames the workers saw.
 #[test]
 fn concurrent_hedged_queries_send_increasing_seqs_on_every_link() {
     const CALLERS: usize = 4;
@@ -736,11 +802,14 @@ fn concurrent_hedged_queries_send_increasing_seqs_on_every_link() {
         "an abandoned partial poisoned a healthy link: {:?}",
         coordinator.worker_summaries()
     );
+    let hedged_reads = coordinator.registry().snapshot().counter("dist_hedged_reads");
 
     drop(coordinator);
+    let mut shard_queries = 0;
     for (fake, seen) in fakes.into_iter().zip(seen) {
         fake.join().expect("fake worker");
         let seqs = seen.lock().expect("recorder");
+        shard_queries += seqs.len() as u64;
         assert!(
             seqs.len() >= CALLERS * QUERIES_PER_CALLER,
             "{} queries seen",
@@ -749,6 +818,13 @@ fn concurrent_hedged_queries_send_increasing_seqs_on_every_link() {
         let out_of_order = seqs.windows(2).find(|pair| pair[0] >= pair[1]);
         assert_eq!(out_of_order, None, "a link saw sequence numbers out of order");
     }
+    // Two shards per query, each sent to its primary and once more as a hedge.
+    assert_eq!(shard_queries, (4 * CALLERS * QUERIES_PER_CALLER) as u64);
+    assert_eq!(
+        hedged_reads,
+        Some(shard_queries / 2),
+        "hedges must be counted per query, not per window: the workers saw {shard_queries} shard queries"
+    );
 }
 
 /// Regression: re-dispatch must never select a worker already marked dead,
