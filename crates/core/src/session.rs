@@ -587,7 +587,9 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
 
     /// Runs `body` under a fresh trace id ([`UNTRACED`] when the registry is
     /// disabled, so disabled sessions also skip the propagation work
-    /// downstream) and records the spans it left on the builder.
+    /// downstream) and records the spans it left on the builder — whatever
+    /// the outcome: the trace of a query that failed is the one an operator
+    /// goes looking for.
     fn traced<R>(
         &self,
         statement_id: u64,
@@ -600,11 +602,11 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
         };
         let mut tb = self.obs.trace_builder(trace_id, "session");
         tb.set_statement_id(statement_id);
-        let result = body(&tb, trace_id)?;
+        let result = body(&tb, trace_id);
         if let Some(trace) = tb.finish() {
             self.obs.record_trace(trace);
         }
-        Ok(result)
+        result
     }
 
     /// The proxy state of the table `prepared` reads.
@@ -695,9 +697,9 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
             statement_id: Some(prepared.statement_id),
             trace_id,
             analyze,
-        })?;
+        });
         tb.end("dispatch", span);
-        Ok((bound, executed))
+        Ok((bound, executed?))
     }
 
     /// The one bind step: checks arity and types, and encrypts **only** the

@@ -7,7 +7,7 @@
 //! heap layout of the columnar representation, which carries per-`Vec`
 //! overheads the way Spark's JVM objects do (at a smaller constant).
 
-use crate::table::{ColumnData, Partition, Table};
+use crate::table::{ColumnData, ColumnType, Partition, Schema, Table};
 
 /// Serialized (on-disk) size of a column, in bytes: a varint-free flat layout
 /// of fixed-width values and length-prefixed variable-width values.
@@ -63,12 +63,7 @@ pub fn serialize_table(table: &Table) -> Vec<u8> {
     write_u32(&mut out, table.schema.fields.len() as u32);
     for field in &table.schema.fields {
         write_str(&mut out, &field.name);
-        out.push(match field.ty {
-            crate::table::ColumnType::UInt64 => 0,
-            crate::table::ColumnType::Int64 => 1,
-            crate::table::ColumnType::Utf8 => 2,
-            crate::table::ColumnType::Bytes => 3,
-        });
+        out.push(type_tag(field.ty));
     }
     write_u32(&mut out, table.partitions.len() as u32);
     for partition in &table.partitions {
@@ -106,12 +101,35 @@ pub fn serialize_table(table: &Table) -> Vec<u8> {
     out
 }
 
-/// Caps a length prefix read from untrusted input: a forged count cannot ask
-/// for more elements than the remaining bytes could possibly encode (at
-/// `min_size` bytes each), so `Vec::with_capacity` on corrupt data cannot
-/// balloon into a multi-gigabyte allocation before the element reads fail.
-fn capped(len: usize, data: &[u8], pos: usize, min_size: usize) -> usize {
-    len.min(data.len().saturating_sub(pos) / min_size.max(1))
+/// The stored tag of each column type, stated once for both directions.
+macro_rules! column_type_tags {
+    ($($tag:literal => $variant:ident),+) => {
+        fn type_tag(ty: ColumnType) -> u8 {
+            match ty {
+                $(ColumnType::$variant => $tag,)+
+            }
+        }
+
+        fn type_of_tag(tag: u8) -> Option<ColumnType> {
+            match tag {
+                $($tag => Some(ColumnType::$variant),)+
+                _ => None,
+            }
+        }
+    };
+}
+column_type_tags!(0 => UInt64, 1 => Int64, 2 => Utf8, 3 => Bytes);
+
+/// The one reservation rule for a count read from untrusted input (the twin
+/// of `Vec<T>`'s decode in `seabed_net::wire`): the vector starts with room
+/// for at most as many elements as fit — at their size *in memory*, not the
+/// few bytes a cell takes in the file — in the bytes still unread, so a
+/// forged count never reserves more bytes than remain, and the element reads
+/// fail long before it is reached. An honest column whose cells are smaller
+/// stored than in memory just grows as its cells arrive.
+fn reserved<T>(len: usize, data: &[u8], pos: usize) -> Vec<T> {
+    let fit = data.len().saturating_sub(pos) / std::mem::size_of::<T>().max(1);
+    Vec::with_capacity(len.min(fit))
 }
 
 /// Deserializes a table produced by [`serialize_table`]; returns `None` on
@@ -120,51 +138,45 @@ fn capped(len: usize, data: &[u8], pos: usize, min_size: usize) -> usize {
 pub fn deserialize_table(data: &[u8]) -> Option<Table> {
     let mut pos = 0usize;
     let n_fields = read_u32(data, &mut pos)? as usize;
-    let mut fields = Vec::with_capacity(capped(n_fields, data, pos, 5));
+    let mut fields = reserved(n_fields, data, pos);
     for _ in 0..n_fields {
         let name = read_str(data, &mut pos)?;
-        let ty = match *data.get(pos)? {
-            0 => crate::table::ColumnType::UInt64,
-            1 => crate::table::ColumnType::Int64,
-            2 => crate::table::ColumnType::Utf8,
-            3 => crate::table::ColumnType::Bytes,
-            _ => return None,
-        };
+        let ty = type_of_tag(*data.get(pos)?)?;
         pos += 1;
         fields.push((name, ty));
     }
-    let schema = crate::table::Schema::new(fields);
+    let schema = Schema::new(fields);
     let n_partitions = read_u32(data, &mut pos)? as usize;
-    let mut partitions = Vec::with_capacity(capped(n_partitions, data, pos, 8));
+    let mut partitions = reserved(n_partitions, data, pos);
     for _ in 0..n_partitions {
         let start_row = read_u64(data, &mut pos)?;
         let mut columns = Vec::with_capacity(schema.fields.len());
         for field in &schema.fields {
             let len = read_u32(data, &mut pos)? as usize;
             let column = match field.ty {
-                crate::table::ColumnType::UInt64 => {
-                    let mut v = Vec::with_capacity(capped(len, data, pos, 8));
+                ColumnType::UInt64 => {
+                    let mut v = reserved(len, data, pos);
                     for _ in 0..len {
                         v.push(read_u64(data, &mut pos)?);
                     }
                     ColumnData::UInt64(v)
                 }
-                crate::table::ColumnType::Int64 => {
-                    let mut v = Vec::with_capacity(capped(len, data, pos, 8));
+                ColumnType::Int64 => {
+                    let mut v = reserved(len, data, pos);
                     for _ in 0..len {
                         v.push(read_u64(data, &mut pos)? as i64);
                     }
                     ColumnData::Int64(v)
                 }
-                crate::table::ColumnType::Utf8 => {
-                    let mut v = Vec::with_capacity(capped(len, data, pos, 4));
+                ColumnType::Utf8 => {
+                    let mut v = reserved(len, data, pos);
                     for _ in 0..len {
                         v.push(read_str(data, &mut pos)?);
                     }
                     ColumnData::Utf8(v)
                 }
-                crate::table::ColumnType::Bytes => {
-                    let mut v = Vec::with_capacity(capped(len, data, pos, 4));
+                ColumnType::Bytes => {
+                    let mut v = reserved(len, data, pos);
                     for _ in 0..len {
                         let blen = read_u32(data, &mut pos)? as usize;
                         let bytes = data.get(pos..pos + blen)?.to_vec();

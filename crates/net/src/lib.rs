@@ -10,9 +10,9 @@
 //!
 //! * [`wire`] — a versioned, length-prefixed binary frame format for
 //!   requests (`TranslatedQuery` + encrypted filters), responses
-//!   (`ServerResponse`), typed errors and the schema handshake, with every
-//!   length prefix capped by the bytes actually remaining (forged-prefix
-//!   hardening);
+//!   (`ServerResponse`), typed errors and the schema handshake; every type's
+//!   layout is one `impl Wire`, and a decoder never reserves more bytes than
+//!   remain unread in the frame (forged-count hardening);
 //! * [`conn`] — [`FrameConn`]: the one framed connection every socket in the
 //!   system goes through — one receive rule (a started frame must arrive
 //!   whole within one total budget), one poison flag, one byte counter, one

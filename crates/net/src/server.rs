@@ -170,7 +170,7 @@ struct NetMetrics {
 
 impl NetMetrics {
     fn new(obs: &Registry) -> NetMetrics {
-        let frames_by_kind = (0..=FrameKind::MetricsSnapshot as u8)
+        let frames_by_kind = (0..=FrameKind::ALL.iter().map(|&kind| kind as u8).max().unwrap_or(0))
             .map(|byte| match FrameKind::from_u8(byte) {
                 Some(kind) => obs.counter(&format!("net_frames_{}", kind_slug(kind))),
                 None => obs.counter("net_frames_unknown"),

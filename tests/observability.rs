@@ -245,3 +245,87 @@ fn instrumented_execution_is_byte_identical_and_overhead_bounded() {
         "instrumented execution too slow: {on:?} vs uninstrumented {off:?}"
     );
 }
+
+/// A target that answers like the server it wraps until it is told to fail,
+/// and then fails every execution the way a dead link does.
+struct FailsOnDemand<'a> {
+    server: &'a SeabedServer,
+    failing: std::sync::atomic::AtomicBool,
+}
+
+impl seabed_core::QueryTarget for FailsOnDemand<'_> {
+    fn schema_of(&self, table: &str) -> Result<&seabed_engine::Schema, seabed_error::SeabedError> {
+        self.server.schema_of(table)
+    }
+
+    fn execute_query(
+        &self,
+        query: &seabed_query::TranslatedQuery,
+        filters: &[seabed_core::PhysicalFilter],
+    ) -> Result<seabed_core::ServerResponse, seabed_error::SeabedError> {
+        if self.failing.load(std::sync::atomic::Ordering::SeqCst) {
+            return Err(seabed_error::SeabedError::net("connection reset by peer"));
+        }
+        self.server.execute_query(query, filters)
+    }
+}
+
+/// The query an operator most wants to look at is the one that failed: its
+/// trace must be recorded whatever the outcome. A dispatch that dies used to
+/// leave a `net-error` event and no trace at all.
+#[test]
+fn a_failed_execute_still_records_its_trace() {
+    use seabed_query::Literal;
+    use std::sync::atomic::Ordering;
+
+    let dataset = PlainDataset::new("sales")
+        .with_uint_column("ts", (0..400u64).collect())
+        .with_uint_column("revenue", (0..400u64).map(|i| (i * 13) % 500).collect());
+    let columns = vec![ColumnSpec::sensitive("ts"), ColumnSpec::sensitive("revenue")];
+    let samples = vec![parse("SELECT SUM(revenue) FROM sales WHERE ts >= 100").expect("sample")];
+    let mut client = SeabedClient::create_plan(b"obs-failed", &columns, &samples, &PlannerConfig::default());
+    let encrypted = client.encrypt_dataset(&dataset, 4, &mut rand::rng());
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(2)));
+    let target = FailsOnDemand {
+        server: &server,
+        failing: std::sync::atomic::AtomicBool::new(false),
+    };
+    let session = SeabedSession::single("sales", client, &target);
+    let registry = session.registry();
+    let sql = "SELECT SUM(revenue) FROM sales WHERE ts >= ?";
+
+    session
+        .query(sql, &[Literal::Integer(100)])
+        .expect("the honest execute");
+    let traces_before = registry.recent_traces().len();
+    let executes_before = registry.snapshot().counter("session_executes");
+    assert_eq!((traces_before, executes_before), (1, Some(1)));
+
+    target.failing.store(true, Ordering::SeqCst);
+    let outcome = session.query(sql, &[Literal::Integer(200)]);
+    assert!(matches!(outcome, Err(seabed_error::SeabedError::Net(_))), "{outcome:?}");
+
+    let events = registry.recent_events();
+    let failed = events.last().expect("the failed execute left its event");
+    assert_eq!(failed.outcome, "net-error");
+    assert_ne!(failed.trace_id, UNTRACED);
+    let traces = registry.recent_traces();
+    println!("traces = {}, events = {}", traces.len(), events.len());
+    assert_eq!(traces.len(), traces_before + 1, "the failed execute must leave a trace");
+    let trace = traces.last().expect("just counted");
+    assert_eq!(
+        trace.trace_id, failed.trace_id,
+        "the trace of the execution that failed"
+    );
+    let names: Vec<&str> = trace.spans.iter().map(|span| span.name.as_str()).collect();
+    assert_eq!(
+        names,
+        vec!["bind", "dispatch"],
+        "the spans it got through before it died"
+    );
+    assert_eq!(
+        registry.snapshot().counter("session_executes"),
+        executes_before,
+        "a failed execute is not counted as an execute"
+    );
+}

@@ -1,0 +1,223 @@
+//! The reservation bound of the wire decoder, measured.
+//!
+//! The rule (`seabed_net::wire`, `seabed_engine::storage`): a decoder never
+//! reserves more bytes than remain unread in the frame, whatever element
+//! count the frame claims. The forged-count cases in `wire_robustness` use
+//! frames under 100 bytes and can only see the typed error; this binary
+//! installs a counting allocator and decodes 1 MiB and 8 MiB frames whose one
+//! element count is forged to the maximum, and requires the largest single
+//! allocation the decode asked for to stay within 2× the frame. Before the
+//! rule counted the element's size in memory, the same frames asked for 24×
+//! (`Response` groups), 25.6× (`MetricsSnapshot` events) and 6× (a `LoadShard`
+//! table's `Utf8` rows) — 1.6 GB at the default 64 MiB frame limit, requested
+//! by the untrusted side of the link from the proxy that holds the keys.
+//!
+//! It is a binary of its own because a `#[global_allocator]` is per binary.
+
+use seabed::core::{PartialResponse, ServerResponse};
+use seabed::encoding::varint;
+use seabed::engine::merge::PartialGroups;
+use seabed::engine::{storage, ColumnData, ColumnType, ExecStats, Schema, Table};
+use seabed::error::SeabedError;
+use seabed::net::wire::{decode_frame, encode_frame, Frame, DEFAULT_MAX_FRAME_LEN, HEADER_LEN};
+use seabed::query::{ServerAggregate, SupportCategory, TranslatedQuery};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Largest single allocation this thread has requested since it last
+    /// reset the cell. Per thread, so tests running side by side (and the
+    /// harness's own threads) do not see each other's requests. `const`
+    /// initialised and without a destructor, so reading it never allocates.
+    static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, recording the size of every request first.
+struct Counting;
+
+impl Counting {
+    fn record(size: usize) {
+        // `try_with`: a thread may allocate while its locals are torn down.
+        let _ = LARGEST_REQUEST.try_with(|largest| largest.set(largest.get().max(size)));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; recording a size touches no allocation.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Counting::record(layout.size());
+        // SAFETY: the caller's contract for `alloc` is `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Counting::record(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Counting::record(new_size);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// A varint claiming `u64::MAX` elements.
+const FORGED_COUNT: [u8; 10] = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+
+const FRAME_LENS: [usize; 2] = [1 << 20, 8 << 20];
+
+/// Keeps the first `count_at` payload bytes of an honest frame, claims
+/// `u64::MAX` elements there, and fills the frame up to `frame_len` with
+/// `0xff` — which no element decoder accepts, so the decode fails on the
+/// first element and what is measured is the reservation alone.
+fn forge(honest: &[u8], count_at: usize, frame_len: usize) -> Vec<u8> {
+    let mut frame = honest[..HEADER_LEN + count_at].to_vec();
+    frame.extend_from_slice(&FORGED_COUNT);
+    frame.resize(frame_len, 0xff);
+    let payload_len = (frame_len - HEADER_LEN) as u32;
+    frame[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    frame
+}
+
+/// Decodes `frame`, requires a wire error, and returns the largest single
+/// allocation the decode requested as a multiple of the frame length.
+fn decode_and_measure(what: &str, frame: &[u8]) -> f64 {
+    LARGEST_REQUEST.with(|largest| largest.set(0));
+    let outcome = decode_frame(frame, DEFAULT_MAX_FRAME_LEN);
+    let largest = LARGEST_REQUEST.with(Cell::get);
+    assert!(
+        matches!(outcome, Err(SeabedError::Wire(_))),
+        "{what}: expected a wire error"
+    );
+    let ratio = largest as f64 / frame.len() as f64;
+    println!(
+        "{what}: a {}-byte frame asked for one allocation of {largest} bytes ({ratio:.1}x)",
+        frame.len()
+    );
+    ratio
+}
+
+fn assert_bounded(what: &str, honest: &Frame, count_at: impl Fn(&[u8]) -> usize) {
+    let honest = encode_frame(honest, DEFAULT_MAX_FRAME_LEN).expect("encode");
+    decode_frame(&honest, DEFAULT_MAX_FRAME_LEN).expect("the honest frame decodes");
+    let count_at = count_at(&honest[HEADER_LEN..]);
+    for frame_len in FRAME_LENS {
+        let ratio = decode_and_measure(what, &forge(&honest, count_at, frame_len));
+        assert!(
+            ratio <= 2.0,
+            "{what}: a forged count made the decoder reserve {ratio:.1}x the frame"
+        );
+    }
+}
+
+/// What the **proxy** decodes from the untrusted server: the group count is
+/// the first payload byte.
+#[test]
+fn response_with_a_forged_group_count() {
+    let honest = Frame::Response(ServerResponse {
+        groups: Vec::new(),
+        stats: ExecStats::default(),
+        result_bytes: 0,
+    });
+    assert_bounded("Response groups", &honest, |_| 0);
+}
+
+/// Events are the last vector of a snapshot: the count is the last byte.
+#[test]
+fn metrics_snapshot_with_a_forged_event_count() {
+    let honest = Frame::MetricsSnapshot {
+        metrics: seabed::obs::MetricsSnapshot::default(),
+        traces: Vec::new(),
+        events: Vec::new(),
+    };
+    assert_bounded("MetricsSnapshot events", &honest, |payload| payload.len() - 1);
+}
+
+/// The groups map follows the echoed `(epoch, table, shard, seq)`, one byte
+/// each at these values.
+#[test]
+fn shard_partial_with_a_forged_group_count() {
+    let honest = Frame::ShardPartial {
+        epoch: 1,
+        table_id: 0,
+        shard: 0,
+        seq: 1,
+        partial: PartialResponse {
+            groups: PartialGroups::new(),
+            stats: ExecStats::default(),
+        },
+    };
+    assert_bounded("ShardPartial groups", &honest, |_| 4);
+}
+
+/// What the **server** decodes from a client: the filter list closes a
+/// request, so its count is the last byte.
+#[test]
+fn request_with_a_forged_filter_count() {
+    let honest = Frame::Request {
+        query: TranslatedQuery {
+            base_table: "t".to_string(),
+            filters: Vec::new(),
+            aggregates: vec![ServerAggregate::CountRows],
+            group_by: Vec::new(),
+            group_inflation: 1,
+            client_post: Vec::new(),
+            preserve_row_ids: false,
+            category: SupportCategory::ServerOnly,
+            params: Vec::new(),
+        },
+        filters: Vec::new(),
+        trace_id: 0,
+        analyze: false,
+    };
+    assert_bounded("Request filters", &honest, |payload| payload.len() - 1);
+}
+
+/// The stored-table format inside a `LoadShard` has its own decoder
+/// (`storage::deserialize_table`) and the same rule: forge the row count of
+/// a `Utf8` column, whose cells are 24 bytes in memory and 4 on the wire.
+#[test]
+fn load_shard_with_a_forged_utf8_row_count() {
+    let table = Table::from_columns(
+        Schema::new([("s".to_string(), ColumnType::Utf8)]),
+        vec![ColumnData::Utf8(vec!["x".to_string()])],
+        1,
+    );
+    let honest = storage::serialize_table(&table);
+    // fields: count(4) + name len(4) + "s" + tag(1); partitions: count(4) +
+    // start_row(8); then the column's row count.
+    let rows_at = 4 + 4 + 1 + 1 + 4 + 8;
+    assert_eq!(honest[rows_at..rows_at + 4], 1u32.to_le_bytes());
+
+    for frame_len in FRAME_LENS {
+        let mut blob = honest[..rows_at].to_vec();
+        blob.extend_from_slice(&u32::MAX.to_le_bytes());
+        blob.resize(frame_len, 0xff);
+        // Header of kind 8, then epoch, table id, shard id, local threads and
+        // exec mode at one byte each, then the length-prefixed table.
+        let mut frame = encode_frame(&Frame::SchemaRequest, DEFAULT_MAX_FRAME_LEN).expect("encode");
+        frame[6] = 8;
+        frame.extend_from_slice(&[1, 0, 0, 1, 1]);
+        varint::encode_u64(blob.len() as u64, &mut frame);
+        frame.extend_from_slice(&blob);
+        let payload_len = (frame.len() - HEADER_LEN) as u32;
+        frame[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+
+        let ratio = decode_and_measure("LoadShard Utf8 rows", &frame);
+        assert!(
+            ratio <= 2.0,
+            "LoadShard: a forged row count made the table decoder reserve {ratio:.1}x the frame"
+        );
+    }
+}
