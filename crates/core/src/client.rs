@@ -1,5 +1,5 @@
 //! The Seabed client proxy: planning, encryption, query translation, literal
-//! encryption, and decryption / post-processing of results.
+//! encryption, and decryption of results.
 //!
 //! The proxy is the only trusted component besides the data source (Figure 5).
 //! It hides every cryptographic operation from the analyst: queries go in as
@@ -7,56 +7,48 @@
 //! server, network and client-side decryption components so the experiments of
 //! §6 can be reproduced.
 //!
-//! Every fallible step returns [`SeabedError`] and the response-decryption
-//! path is panic-free: the server is untrusted, so a response whose shape
-//! does not match the translated plan (missing aggregates, undecodable ID
-//! lists) is reported as an error instead of crashing the trusted proxy.
+//! This is the file that holds the keys, so it only *decrypts*: how a `SELECT`
+//! list expands into server aggregates and collapses back into a result row is
+//! `seabed_query::translate`'s business, in both directions.
+//! [`SeabedClient::decrypt_response`] is three passes over a response:
+//!
+//! 1. **resolve** — each plan aggregate once per response: the kind of answer
+//!    the plan asked for and the ASHE scheme (key schedule included) that
+//!    opens it;
+//! 2. **decode + fold** — each group's aggregates are checked against the
+//!    plan and decoded (every ID list exactly once); under group inflation the
+//!    sub-groups of a group are folded here, before anything is decrypted:
+//!    ASHE sums by adding words and uniting ID sets (which restores the runs
+//!    telescoping needs), counts by adding, MIN/MAX by decrypting each
+//!    candidate and comparing plaintexts;
+//! 3. **finish** — one decryption per folded sum, DET group keys through the
+//!    dictionary, the decrypted words through
+//!    [`TranslatedQuery::finish_aggregates`].
+//!
+//! Every fallible step returns [`SeabedError`] and the path is panic-free:
+//! the server is untrusted, so the second pass refuses — as a typed error,
+//! never a crash of the trusted proxy — a group whose key has the wrong
+//! number of words (one per group-by column, plus the inflation suffix), a
+//! group with more or fewer aggregates than the plan, an aggregate of another
+//! kind than the plan asked for at that position, and an undecodable ID list.
 
 use crate::dataset::PlainDataset;
 use crate::encrypt::{encrypt_dataset, physical_ashe_keys, EncryptedTable};
 use crate::keys::KeyStore;
-use crate::server::{EncryptedAggregate, PhysicalFilter, QueryTarget, ServerResponse};
+use crate::server::{
+    filter_column_type, require_column, EncryptedAggregate, PhysicalFilter, QueryTarget, ServerResponse,
+};
 use seabed_ashe::{AsheCiphertext, AsheScheme, IdSet};
 use seabed_crypto::{DetScheme, OreScheme};
-use seabed_engine::{ColumnType, ExecStats, NetworkModel, Schema};
+use seabed_engine::{ExecStats, NetworkModel, Schema};
 use seabed_error::SeabedError;
 use seabed_query::planner::{plan_schema, ColumnSpec, PlannerConfig, SchemaPlan};
+pub use seabed_query::ResultValue;
 use seabed_query::{
-    parse, translate, AggregateFunction, ClientPostStep, Query, SelectItem, ServerFilter, TranslateOptions,
-    TranslatedQuery,
+    encnames, parse, translate, AggregateInput, Query, ServerAggregate, ServerFilter, TranslateOptions, TranslatedQuery,
 };
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-
-/// A single output value of a query.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ResultValue {
-    /// An integer result (sums, counts, min/max).
-    UInt(u64),
-    /// A fractional result (averages, variances).
-    Float(f64),
-    /// A decrypted group key.
-    Text(String),
-}
-
-impl ResultValue {
-    /// Numeric view of the value (texts map to NaN).
-    pub fn as_f64(&self) -> f64 {
-        match self {
-            ResultValue::UInt(v) => *v as f64,
-            ResultValue::Float(f) => *f,
-            ResultValue::Text(_) => f64::NAN,
-        }
-    }
-
-    /// Integer view of the value if it is an integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            ResultValue::UInt(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
 
 /// Latency breakdown of one query, mirroring the decomposition reported in
 /// §6.2 (server compute, network transfer, client decryption).
@@ -303,13 +295,11 @@ impl SeabedClient {
     }
 
     fn det_scheme_for(&self, column: &str) -> DetScheme {
-        let logical = column.strip_suffix("__det").unwrap_or(column);
-        DetScheme::new(&self.keys.det_key(logical))
+        DetScheme::new(&self.keys.det_key(encnames::det_logical(column)))
     }
 
     fn ore_scheme_for(&self, column: &str) -> OreScheme {
-        let logical = column.strip_suffix("__ope").unwrap_or(column);
-        OreScheme::new(&self.keys.ope_key(logical))
+        OreScheme::new(&self.keys.ope_key(encnames::ope_logical(column)))
     }
 
     /// Encrypts one fully-bound server filter into its physical form — the
@@ -324,9 +314,9 @@ impl SeabedClient {
         schema: &Schema,
         filter: &ServerFilter,
     ) -> Result<PhysicalFilter, SeabedError> {
-        // One shared rule set (`filter_column_expectation`) decides which
-        // physical type each filter reads, so prepare-time validation and
-        // bind-time encryption cannot diverge.
+        // One shared rule (`require_filter_column`) decides which physical
+        // type each filter reads, so prepare-time validation and bind-time
+        // encryption cannot diverge.
         let idx = require_filter_column(schema, filter)?;
         Ok(match filter {
             ServerFilter::Plain(pred) => match &pred.value {
@@ -335,6 +325,14 @@ impl SeabedClient {
                     op: pred.op,
                     value: *v,
                 },
+                // The text class is string *equality*: any other operator
+                // would silently run as one.
+                seabed_query::Literal::Text(_) if pred.op != seabed_query::CompareOp::Eq => {
+                    return Err(SeabedError::Translate(format!(
+                        "only equality predicates are supported on the text column {}",
+                        pred.column
+                    )))
+                }
                 seabed_query::Literal::Text(s) => PhysicalFilter::PlainText {
                     column: idx,
                     value: s.clone(),
@@ -383,145 +381,92 @@ impl SeabedClient {
         self.decrypt_response(&query, &translated, response)
     }
 
-    /// Decrypts a server response and applies the client-side post-processing
-    /// steps. Public so benchmarks can time it separately from execution.
+    /// Decrypts a server response into the rows of the original `SELECT` —
+    /// the three passes of the [module docs](self). Public so benchmarks can
+    /// time it separately from execution.
+    ///
+    /// `translated` alone says how: its aggregates name what to decrypt, its
+    /// post steps how the decrypted words become result values (`_query` is
+    /// unused — kept for the callers that pass it until ROADMAP item C(a)
+    /// retires this signature).
     ///
     /// The response comes from the untrusted server, so shape mismatches
     /// (fewer aggregates than the plan requested, undecodable ID lists) are
     /// reported as errors rather than panicking the trusted proxy.
     pub fn decrypt_response(
         &self,
-        query: &Query,
+        _query: &Query,
         translated: &TranslatedQuery,
         response: ServerResponse,
     ) -> Result<QueryResult, SeabedError> {
         let started = Instant::now();
         let mut prf_evals = 0usize;
 
-        // Merge inflated groups back together first (strip the suffix key).
-        let merge_groups = translated
-            .client_post
-            .iter()
-            .any(|s| matches!(s, ClientPostStep::MergeInflatedGroups));
-        let mut groups: Vec<(Vec<u64>, Vec<EncryptedAggregate>)> = Vec::new();
-        if merge_groups && translated.group_inflation > 1 {
-            let mut merged: HashMap<Vec<u64>, Vec<EncryptedAggregate>> = HashMap::new();
-            for group in response.groups {
-                let mut key = group.key.clone();
-                key.pop(); // drop the inflation suffix
-                match merged.entry(key) {
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(group.aggregates);
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut slot) => {
-                        let existing = slot.get_mut();
-                        if existing.len() != group.aggregates.len() {
-                            return Err(SeabedError::engine(format!(
-                                "server returned {} aggregates for an inflated group that previously had {}",
-                                group.aggregates.len(),
-                                existing.len()
-                            )));
-                        }
-                        for (a, b) in existing.iter_mut().zip(group.aggregates) {
-                            merge_encrypted(a, b)?;
-                        }
-                    }
-                }
+        // Pass 1 — resolve: one scheme per plan aggregate per response.
+        let plan: Vec<Opener> = translated.aggregates.iter().map(|agg| self.opener(agg)).collect();
+
+        // Pass 2 — decode + fold. Inflation is decided here and only here:
+        // the server appended a suffix word to every group key, and the
+        // sub-groups that agree on the rest of the key are one group.
+        let inflated = translated.group_inflation > 1;
+        let key_words = translated.group_by.len() + usize::from(inflated);
+        let mut groups: Vec<(Vec<u64>, Vec<Folded>)> = Vec::with_capacity(response.groups.len());
+        let mut slot_of: HashMap<Vec<u64>, usize> = HashMap::new();
+        for group in response.groups {
+            let mut key = group.key;
+            if key.len() != key_words || group.aggregates.len() != plan.len() {
+                return Err(SeabedError::engine(format!(
+                    "server returned a group with {} key words and {} aggregates where the plan has {key_words} and \
+                     {}: response does not match the plan",
+                    key.len(),
+                    group.aggregates.len(),
+                    plan.len()
+                )));
             }
-            groups = merged.into_iter().collect();
-            groups.sort_by(|a, b| a.0.cmp(&b.0));
-        } else {
-            for group in response.groups {
-                groups.push((group.key, group.aggregates));
+            let slot = if inflated {
+                key.pop();
+                *slot_of.entry(key.clone()).or_insert(groups.len())
+            } else {
+                groups.len()
+            };
+            if slot == groups.len() {
+                groups.push((key, plan.iter().map(Opener::nothing_yet).collect()));
+            }
+            let asked = translated.aggregates.iter().zip(&plan);
+            for (((asked, opener), into), aggregate) in asked.zip(&mut groups[slot].1).zip(group.aggregates) {
+                opener.fold(asked, into, aggregate, &mut prf_evals)?;
             }
         }
+        if inflated {
+            groups.sort_by(|a, b| a.0.cmp(&b.0));
+        }
 
-        // Decrypt each group's aggregates and map them back onto the original
-        // SELECT list.
+        // Pass 3 — finish: group keys, then the SELECT list's values.
         let mut rows = Vec::with_capacity(groups.len());
-        for (key, aggregates) in &groups {
-            let mut row: Vec<ResultValue> = Vec::new();
-            // Group keys first (decrypted via the DET dictionary when needed).
-            for (i, group_col) in translated.group_by.iter().enumerate() {
-                let raw = key.get(i).copied().unwrap_or(0);
-                if group_col.encrypted {
+        let mut words = Vec::with_capacity(plan.len());
+        for (key, folded) in groups {
+            let mut row: Vec<ResultValue> = Vec::with_capacity(key.len() + folded.len());
+            for (group_col, raw) in translated.group_by.iter().zip(key) {
+                // Encrypted keys are decrypted via the DET dictionary.
+                row.push(if group_col.encrypted {
                     let text = self
                         .det_dictionary
                         .get(&group_col.physical_column)
                         .and_then(|d| d.get(&raw))
                         .cloned()
                         .unwrap_or_else(|| format!("<tag:{raw}>"));
-                    row.push(ResultValue::Text(text));
+                    ResultValue::Text(text)
                 } else {
-                    row.push(ResultValue::UInt(raw));
-                }
+                    ResultValue::UInt(raw)
+                });
             }
-            // Aggregates: walk the original select list, consuming server
-            // aggregates in the same order the translator emitted them.
-            let mut cursor = 0usize;
-            for item in &query.select {
-                let SelectItem::Aggregate { func, .. } = item else {
-                    continue;
-                };
-                match func {
-                    AggregateFunction::Sum | AggregateFunction::Count => {
-                        let value =
-                            self.decrypt_aggregate(translated, cursor, fetch(aggregates, cursor)?, &mut prf_evals)?;
-                        cursor += 1;
-                        row.push(ResultValue::UInt(value));
-                    }
-                    AggregateFunction::Avg => {
-                        let sum =
-                            self.decrypt_aggregate(translated, cursor, fetch(aggregates, cursor)?, &mut prf_evals)?;
-                        let count = self.decrypt_aggregate(
-                            translated,
-                            cursor + 1,
-                            fetch(aggregates, cursor + 1)?,
-                            &mut prf_evals,
-                        )?;
-                        cursor += 2;
-                        row.push(ResultValue::Float(if count == 0 {
-                            0.0
-                        } else {
-                            sum as f64 / count as f64
-                        }));
-                    }
-                    AggregateFunction::Min | AggregateFunction::Max => {
-                        let value =
-                            self.decrypt_aggregate(translated, cursor, fetch(aggregates, cursor)?, &mut prf_evals)?;
-                        cursor += 1;
-                        row.push(ResultValue::UInt(value));
-                    }
-                    AggregateFunction::Variance | AggregateFunction::Stddev => {
-                        let sum_sq =
-                            self.decrypt_aggregate(translated, cursor, fetch(aggregates, cursor)?, &mut prf_evals)?;
-                        let sum = self.decrypt_aggregate(
-                            translated,
-                            cursor + 1,
-                            fetch(aggregates, cursor + 1)?,
-                            &mut prf_evals,
-                        )?;
-                        let count = self.decrypt_aggregate(
-                            translated,
-                            cursor + 2,
-                            fetch(aggregates, cursor + 2)?,
-                            &mut prf_evals,
-                        )?;
-                        cursor += 3;
-                        let variance = if count == 0 {
-                            0.0
-                        } else {
-                            let mean = sum as f64 / count as f64;
-                            (sum_sq as f64 / count as f64) - mean * mean
-                        };
-                        row.push(ResultValue::Float(if *func == AggregateFunction::Stddev {
-                            variance.max(0.0).sqrt()
-                        } else {
-                            variance
-                        }));
-                    }
-                }
-            }
+            words.clear();
+            words.extend(
+                plan.iter()
+                    .zip(folded)
+                    .map(|(opener, folded)| opener.open(folded, &mut prf_evals)),
+            );
+            translated.finish_aggregates(&words, &mut row)?;
             rows.push(row);
         }
 
@@ -541,195 +486,146 @@ impl SeabedClient {
         })
     }
 
-    fn decrypt_aggregate(
-        &self,
-        translated: &TranslatedQuery,
-        aggregate_index: usize,
-        aggregate: &EncryptedAggregate,
-        prf_evals: &mut usize,
-    ) -> Result<u64, SeabedError> {
-        Ok(match aggregate {
-            EncryptedAggregate::Count { rows } => match translated.aggregates.get(aggregate_index) {
-                Some(seabed_query::ServerAggregate::CountRows) => *rows,
-                other => {
-                    return Err(SeabedError::engine(format!(
-                        "server returned a row count at index {aggregate_index} but the plan requested {other:?}"
-                    )))
-                }
-            },
-            EncryptedAggregate::AsheSum {
-                value,
-                id_list,
-                encoding,
-            } => {
-                // The server returns aggregates in the order the translator
-                // emitted them, so the physical column (and thus the key) is
-                // read off the translated plan at the same index. A response
-                // whose kind diverges from the plan at this index is
-                // malformed.
-                let column = match translated.aggregates.get(aggregate_index) {
-                    Some(seabed_query::ServerAggregate::AsheSum { column }) => column.clone(),
-                    other => {
-                        return Err(SeabedError::engine(format!(
-                            "server returned an ASHE sum at index {aggregate_index} but the plan requested {other:?}"
-                        )))
-                    }
-                };
-                self.decrypt_named_sum(&column, *value, id_list, *encoding, prf_evals)?
-            }
-            EncryptedAggregate::Extreme { value_word, row_id } => {
-                // Validate the response kind against the plan even for the
-                // empty-selection (row_id: None) case: an untrusted server
-                // must not be able to satisfy a SUM plan with an Extreme.
-                let column = match translated.aggregates.get(aggregate_index) {
-                    Some(seabed_query::ServerAggregate::OpeMin { column })
-                    | Some(seabed_query::ServerAggregate::OpeMax { column }) => column.clone(),
-                    other => {
-                        return Err(SeabedError::engine(format!(
-                        "server returned a MIN/MAX result at index {aggregate_index} but the plan requested {other:?}"
-                    )))
-                    }
-                };
-                match row_id {
-                    None => 0,
-                    Some(id) => {
-                        // The companion column is ASHE-encrypted under the
-                        // base column's key.
-                        let base = column.strip_suffix("__ope").unwrap_or(&column);
-                        let key = self
-                            .ashe_keys
-                            .get(&format!("{base}__ope_val"))
-                            .copied()
-                            .unwrap_or_else(|| self.keys.ashe_key(base));
-                        let scheme = AsheScheme::new(&key);
-                        *prf_evals += 2;
-                        scheme.decrypt(&AsheCiphertext {
-                            value: *value_word,
-                            ids: IdSet::single(*id),
-                        })
-                    }
-                }
-            }
-        })
-    }
-
-    /// Decrypts one ASHE aggregate given its physical column name.
-    fn decrypt_named_sum(
-        &self,
-        column: &str,
-        value: u64,
-        id_list: &[u8],
-        encoding: seabed_encoding::IdListEncoding,
-        prf_evals: &mut usize,
-    ) -> Result<u64, SeabedError> {
-        let Some(key) = self.ashe_keys.get(column) else {
-            // Plaintext column summed on the server (NoEnc-style pass-through).
-            return Ok(value);
+    /// Resolves one plan aggregate: the kind of answer it expects and, looked
+    /// up under the name of the physical column the words come from
+    /// ([`ServerAggregate::input`]), the ASHE scheme that unmasks them.
+    fn opener(&self, aggregate: &ServerAggregate) -> Opener {
+        let scheme = |words_of: &str| self.ashe_keys.get(words_of).map(AsheScheme::new);
+        let (answer, scheme) = match aggregate.input() {
+            AggregateInput::Words(column) => (Answer::Sum, scheme(column)),
+            AggregateInput::RowIds => (Answer::Count, None),
+            AggregateInput::Extreme { value, want_max, .. } => (Answer::Extreme { want_max }, scheme(&value)),
         };
-        let scheme = AsheScheme::new(key);
-        let ids = IdSet::decode(id_list, encoding)
-            .ok_or_else(|| SeabedError::encoding(format!("undecodable ID list for column {column}")))?;
-        *prf_evals += scheme.decrypt_prf_evals(&AsheCiphertext {
-            value,
-            ids: ids.clone(),
-        });
-        Ok(scheme.decrypt(&AsheCiphertext { value, ids }))
+        Opener { answer, scheme }
     }
 }
 
-/// The physical column a server filter reads and the type it must have —
-/// `None` for a plaintext filter whose literal is still an unbound
-/// placeholder (the column must exist, but its type is only checkable once a
-/// literal is bound). This is the single source of truth shared by
-/// prepare-time validation (`crate::session`) and bind-time encryption
-/// ([`SeabedClient::encrypt_filters`]), so the two can never disagree on the
-/// rules.
-pub(crate) fn filter_column_expectation(filter: &ServerFilter) -> (&str, Option<ColumnType>) {
-    match filter {
-        ServerFilter::Plain(pred) => (
-            &pred.column,
-            match &pred.value {
-                seabed_query::Literal::Integer(_) => Some(ColumnType::UInt64),
-                seabed_query::Literal::Text(_) => Some(ColumnType::Utf8),
-                seabed_query::Literal::Param(_) => None,
+/// One plan aggregate, resolved for one response: which kind of
+/// [`EncryptedAggregate`] answers it and how its words are unmasked.
+struct Opener {
+    answer: Answer,
+    /// `None` for a column the proxy holds no key for — a public column the
+    /// server read in the clear, whose words pass through — and for a count.
+    scheme: Option<AsheScheme>,
+}
+
+enum Answer {
+    Sum,
+    Count,
+    Extreme { want_max: bool },
+}
+
+/// One aggregate of one result group while its (sub-)groups are folded.
+enum Folded {
+    /// Still masked: the words added up and the rows whose masks they carry.
+    Sum { value: u64, ids: IdSet },
+    /// Rows counted so far.
+    Count(u64),
+    /// The best plaintext candidate so far; `None` while no row matched.
+    Extreme(Option<u64>),
+}
+
+/// Removes from `value` the masks of the rows in `ids`, telescoped per run.
+fn unmask(scheme: &Option<AsheScheme>, value: u64, ids: IdSet, prf_evals: &mut usize) -> u64 {
+    let Some(scheme) = scheme else {
+        return value;
+    };
+    let ciphertext = AsheCiphertext { value, ids };
+    *prf_evals += scheme.decrypt_prf_evals(&ciphertext);
+    scheme.decrypt(&ciphertext)
+}
+
+impl Opener {
+    /// The fold's identity: a group no sub-group has contributed to yet.
+    fn nothing_yet(&self) -> Folded {
+        match self.answer {
+            Answer::Sum => Folded::Sum {
+                value: 0,
+                ids: IdSet::new(),
             },
-        ),
-        ServerFilter::DetEquals { column, .. } => (column, Some(ColumnType::UInt64)),
-        ServerFilter::OpeCompare { column, .. } => (column, Some(ColumnType::Bytes)),
+            Answer::Count => Folded::Count(0),
+            Answer::Extreme { .. } => Folded::Extreme(None),
+        }
     }
-}
 
-/// Resolves a filter's column against `schema` and type-checks it per
-/// [`filter_column_expectation`]: unknown columns and physical-type
-/// mismatches are typed [`SeabedError::Schema`] errors at the proxy, never
-/// server-side failures.
-pub(crate) fn require_filter_column(schema: &Schema, filter: &ServerFilter) -> Result<usize, SeabedError> {
-    let (name, expected) = filter_column_expectation(filter);
-    let idx = schema
-        .index_of(name)
-        .ok_or_else(|| SeabedError::unknown_physical_column(name))?;
-    if let Some(expected) = expected {
-        let actual = schema.fields[idx].ty;
-        if actual != expected {
-            return Err(seabed_error::SchemaError::TypeMismatch {
-                column: name.to_string(),
-                expected: format!("{expected:?}"),
-                actual: format!("{actual:?}"),
+    /// Folds one aggregate of the response — the server's answer to the plan
+    /// aggregate `asked` — into `into`: the only place an answer's kind is held
+    /// against the plan's, and the only place an ID list is decoded.
+    fn fold(
+        &self,
+        asked: &ServerAggregate,
+        into: &mut Folded,
+        aggregate: EncryptedAggregate,
+        prf_evals: &mut usize,
+    ) -> Result<(), SeabedError> {
+        match (&self.answer, into, aggregate) {
+            (
+                Answer::Sum,
+                Folded::Sum { value, ids },
+                EncryptedAggregate::AsheSum {
+                    value: word,
+                    id_list,
+                    encoding,
+                },
+            ) => {
+                *value = value.wrapping_add(word);
+                if self.scheme.is_some() {
+                    let decoded = IdSet::decode(&id_list, encoding)
+                        .ok_or_else(|| SeabedError::encoding(format!("undecodable ID list for {asked:?}")))?;
+                    *ids = if ids.is_empty() { decoded } else { ids.union(&decoded) };
+                }
             }
-            .into());
+            (Answer::Count, Folded::Count(rows), EncryptedAggregate::Count { rows: more }) => {
+                *rows = rows.wrapping_add(more);
+            }
+            (
+                Answer::Extreme { want_max },
+                Folded::Extreme(best),
+                EncryptedAggregate::Extreme { value_word, row_id },
+            ) => {
+                // An ORE ciphertext only compares, so the server cannot rank
+                // winners of different sub-groups for us: each candidate is
+                // decrypted and the plaintexts compared.
+                if let Some(id) = row_id {
+                    let candidate = unmask(&self.scheme, value_word, IdSet::single(id), prf_evals);
+                    *best = Some(match *best {
+                        Some(best) if *want_max => best.max(candidate),
+                        Some(best) => best.min(candidate),
+                        None => candidate,
+                    });
+                }
+            }
+            _ => {
+                return Err(SeabedError::engine(format!(
+                    "the server answered {asked:?} with an aggregate of another kind: response does not match the plan"
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// The decrypted word of a completely folded aggregate (zero over an
+    /// empty selection).
+    fn open(&self, folded: Folded, prf_evals: &mut usize) -> u64 {
+        match folded {
+            Folded::Sum { value, ids } => unmask(&self.scheme, value, ids, prf_evals),
+            Folded::Count(rows) => rows,
+            Folded::Extreme(best) => best.unwrap_or(0),
         }
     }
-    Ok(idx)
 }
 
-/// Returns the aggregate at `index` or a [`SeabedError::Engine`] when the
-/// (untrusted) server shipped fewer aggregates than the plan requested.
-fn fetch(aggregates: &[EncryptedAggregate], index: usize) -> Result<&EncryptedAggregate, SeabedError> {
-    aggregates.get(index).ok_or_else(|| {
-        SeabedError::engine(format!(
-            "server response is missing aggregate {index}: response does not match the plan"
-        ))
-    })
-}
-
-/// Merges two encrypted aggregates of the same kind at the proxy (used when
-/// collapsing inflated group-by groups). Mismatched kinds mean the untrusted
-/// server shipped inconsistent groups and are reported as an error.
-fn merge_encrypted(a: &mut EncryptedAggregate, b: EncryptedAggregate) -> Result<(), SeabedError> {
-    match (a, b) {
-        (
-            EncryptedAggregate::AsheSum {
-                value,
-                id_list,
-                encoding,
-            },
-            EncryptedAggregate::AsheSum {
-                value: v2,
-                id_list: l2,
-                encoding: e2,
-            },
-        ) => {
-            let ids_a = IdSet::decode(id_list, *encoding)
-                .ok_or_else(|| SeabedError::encoding("undecodable ID list in group merge"))?;
-            let ids_b =
-                IdSet::decode(&l2, e2).ok_or_else(|| SeabedError::encoding("undecodable ID list in group merge"))?;
-            let merged = ids_a.union(&ids_b);
-            *value = value.wrapping_add(v2);
-            *id_list = merged.encode(*encoding);
-        }
-        (EncryptedAggregate::Count { rows }, EncryptedAggregate::Count { rows: r2 }) => {
-            *rows += r2;
-        }
-        (EncryptedAggregate::Extreme { .. }, EncryptedAggregate::Extreme { .. }) => {
-            // MIN/MAX never combines with group inflation in this dialect.
-        }
-        _ => {
-            return Err(SeabedError::engine(
-                "server returned aggregates of different kinds for the same group",
-            ))
-        }
-    }
-    Ok(())
+/// Resolves a filter's column against `schema` and type-checks it: the column
+/// must exist, and have the physical type its [`seabed_query::FilterClass`]
+/// reads ([`filter_column_type`]) — unless the filter is a plaintext predicate
+/// whose literal is still an unbound placeholder, whose class is only known
+/// once a literal is bound. Shared by prepare-time validation
+/// (`crate::session`) and bind-time encryption
+/// ([`SeabedClient::encrypt_filters`]), so the two can never disagree; unknown
+/// columns and mismatches are typed [`SeabedError::Schema`] errors at the
+/// proxy, never server-side failures.
+pub(crate) fn require_filter_column(schema: &Schema, filter: &ServerFilter) -> Result<usize, SeabedError> {
+    require_column(schema, filter.column(), filter.class().map(filter_column_type))
 }
 
 #[cfg(test)]
@@ -923,6 +819,52 @@ mod tests {
         };
         let outcome = client.decrypt_response(&query, &translated, forged);
         assert!(matches!(outcome, Err(SeabedError::Engine(_))), "{outcome:?}");
+        Ok(())
+    }
+
+    /// The two forged shapes only the fold can meet: sub-groups of one group
+    /// that disagree on an aggregate's kind, and an inflated group key too
+    /// short to carry the suffix (popping it used to strip a *group* word and
+    /// silently merge unrelated groups). Each is a typed error, and the proxy
+    /// answers the next honest query.
+    #[test]
+    fn inflated_groups_that_disagree_or_lack_the_suffix_are_rejected() -> Result<(), SeabedError> {
+        use crate::server::GroupResult;
+        let (mut client, server, _) = build_system()?;
+        client.translate_options.expected_groups = Some(1);
+        let sql = "SELECT dept, SUM(revenue) FROM sales GROUP BY dept";
+        let (query, translated, _) = client.prepare(&server, sql)?;
+        assert!(translated.group_inflation > 1, "fixture should inflate groups");
+        let sum = |value: u64| EncryptedAggregate::AsheSum {
+            value,
+            id_list: Vec::new(),
+            encoding: seabed_encoding::IdListEncoding::seabed_group_by(),
+        };
+        let forge = |groups: Vec<(Vec<u64>, EncryptedAggregate)>| ServerResponse {
+            groups: groups
+                .into_iter()
+                .map(|(key, aggregate)| GroupResult {
+                    key,
+                    aggregates: vec![aggregate],
+                })
+                .collect(),
+            stats: ExecStats::default(),
+            result_bytes: 16,
+        };
+        for forged in [
+            // Same group, second sub-group answers the SUM with a row count.
+            forge(vec![
+                (vec![5, 0], sum(1)),
+                (vec![5, 1], EncryptedAggregate::Count { rows: 3 }),
+            ]),
+            // Two different groups, neither key carries the inflation suffix.
+            forge(vec![(vec![5], sum(1)), (vec![6], sum(2))]),
+        ] {
+            let outcome = client.decrypt_response(&query, &translated, forged);
+            assert!(matches!(outcome, Err(SeabedError::Engine(_))), "{outcome:?}");
+        }
+        let honest = client.query(&server, sql)?;
+        assert_eq!(honest.rows.len(), 2);
         Ok(())
     }
 

@@ -66,7 +66,7 @@ pub fn physical_ashe_keys(plan: &SchemaPlan, keys: &KeyStore) -> HashMap<String,
                 }
             }
             EncryptionChoice::Ope => {
-                map.insert(format!("{}__ope_val", col.name), keys.ashe_key(&col.name));
+                map.insert(encnames::ope_value(&col.name), keys.ashe_key(&col.name));
             }
             EncryptionChoice::SplasheBasic { domain } => {
                 for (slot, _) in domain.iter().enumerate() {
@@ -184,7 +184,7 @@ pub fn encrypt_dataset<R: Rng + ?Sized>(
                 ));
                 // Companion ASHE column so MIN/MAX results can be decrypted.
                 let scheme = AsheScheme::new(&keys.ashe_key(&col_plan.name));
-                fields.push((format!("{}__ope_val", col_plan.name), ColumnType::UInt64));
+                fields.push((encnames::ope_value(&col_plan.name), ColumnType::UInt64));
                 columns.push(ColumnData::UInt64(
                     seabed_ashe::encrypt_column(&scheme, &values, 0).values,
                 ));

@@ -18,7 +18,7 @@
 //!   the accumulators one at a time.
 //! * **Vectorized** (default) — filters are evaluated *column at a time* via
 //!   [`PhysicalFilter::refine`], cheapest filter class first
-//!   ([`PhysicalFilter::cost_rank`]), each narrowing a shared
+//!   ([`FilterClass::cost_rank`]), each narrowing a shared
 //!   [`SelectionVector`] so more expensive filters (string equality, ORE
 //!   comparison) only touch surviving rows. Aggregation is then driven off
 //!   the final selection in batches; a single-`u64`-key group-by fast path
@@ -46,9 +46,9 @@ use seabed_engine::{
     merge_operator_profiles, Cluster, ColumnType, ExecMode, ExecStats, OperatorProfile, Partition, ProfileSink, Schema,
     Table, TaskOutput,
 };
-use seabed_error::SeabedError;
+use seabed_error::{SchemaError, SeabedError};
 use seabed_obs::UNTRACED;
-use seabed_query::{CompareOp, PlanNode, ServerAggregate, TranslatedQuery};
+use seabed_query::{AggregateInput, CompareOp, FilterClass, PlanNode, ServerAggregate, TranslatedQuery};
 use std::collections::HashMap;
 
 /// A filter with its literal already encrypted by the proxy.
@@ -169,16 +169,53 @@ macro_rules! dispatch_filter {
     };
 }
 
+/// The physical type of the column a filter of `class` reads: the one rule
+/// behind execute-time [`PhysicalFilter`] validation, prepare-time plan
+/// validation and bind-time literal encryption, so the three cannot disagree.
+pub(crate) fn filter_column_type(class: FilterClass) -> ColumnType {
+    match class {
+        FilterClass::PlainU64 | FilterClass::DetTag => ColumnType::UInt64,
+        FilterClass::PlainText => ColumnType::Utf8,
+        FilterClass::Ore => ColumnType::Bytes,
+    }
+}
+
+/// Index of the schema column `name`, which must have the physical type
+/// `expected` when one is given: an unknown column or a mismatch is a typed
+/// [`SeabedError::Schema`].
+pub(crate) fn require_column(schema: &Schema, name: &str, expected: Option<ColumnType>) -> Result<usize, SeabedError> {
+    let index = schema
+        .index_of(name)
+        .ok_or_else(|| SeabedError::unknown_physical_column(name))?;
+    let actual = schema.fields[index].ty;
+    match expected {
+        Some(expected) if actual != expected => Err(SchemaError::TypeMismatch {
+            column: name.to_string(),
+            expected: format!("{expected:?}"),
+            actual: format!("{actual:?}"),
+        }
+        .into()),
+        _ => Ok(index),
+    }
+}
+
 impl PhysicalFilter {
+    /// The filter's class (cost rank, label tag, column type — see
+    /// [`FilterClass`]) and the index of the column it reads.
+    pub fn class_and_column(&self) -> (FilterClass, usize) {
+        match self {
+            PhysicalFilter::PlainU64 { column, .. } => (FilterClass::PlainU64, *column),
+            PhysicalFilter::PlainText { column, .. } => (FilterClass::PlainText, *column),
+            PhysicalFilter::DetTag { column, .. } => (FilterClass::DetTag, *column),
+            PhysicalFilter::Ope { column, .. } => (FilterClass::Ore, *column),
+        }
+    }
+
     /// Checks that the filter's column exists with the physical type the
     /// filter reads, so the scan loop cannot fail.
     fn validate(&self, table: &Table) -> Result<(), SeabedError> {
-        let (index, expected) = match self {
-            PhysicalFilter::PlainU64 { column, .. } => (*column, ColumnType::UInt64),
-            PhysicalFilter::PlainText { column, .. } => (*column, ColumnType::Utf8),
-            PhysicalFilter::DetTag { column, .. } => (*column, ColumnType::UInt64),
-            PhysicalFilter::Ope { column, .. } => (*column, ColumnType::Bytes),
-        };
+        let (class, index) = self.class_and_column();
+        let expected = filter_column_type(class);
         let field = table
             .schema
             .fields
@@ -191,19 +228,6 @@ impl PhysicalFilter {
                 "filter column {} is {:?}, expected {expected:?}",
                 field.name, field.ty
             )))
-        }
-    }
-
-    /// Relative evaluation cost of the filter class. The vectorized scan
-    /// evaluates cheap filters first so the shrinking selection vector spares
-    /// the expensive ones most of their work: `u64` compares (plain and DET
-    /// tags) are a load and a branch, string equality touches heap data, and
-    /// an ORE comparison walks up to 64 PRF symbols per row.
-    pub fn cost_rank(&self) -> u8 {
-        match self {
-            PhysicalFilter::PlainU64 { .. } | PhysicalFilter::DetTag { .. } => 0,
-            PhysicalFilter::PlainText { .. } => 1,
-            PhysicalFilter::Ope { .. } => 2,
         }
     }
 
@@ -340,7 +364,7 @@ pub struct SeabedServer {
 /// type-checked against the table schema. Building one is the only fallible
 /// step; everything downstream (accumulate, merge, finish) is total.
 #[derive(Clone, Copy, Debug)]
-enum ResolvedAggregate {
+pub(crate) enum ResolvedAggregate {
     Sum {
         column: usize,
     },
@@ -353,20 +377,21 @@ enum ResolvedAggregate {
 }
 
 impl ResolvedAggregate {
-    fn resolve(agg: &ServerAggregate, table: &Table) -> Result<ResolvedAggregate, SeabedError> {
-        Ok(match agg {
-            ServerAggregate::AsheSum { column } => ResolvedAggregate::Sum {
-                column: table.require_typed_column(column, ColumnType::UInt64)?,
+    /// Resolves the columns `agg` reads ([`ServerAggregate::input`]) against
+    /// `schema`, each with the physical type the scan reads it as. Prepare-time
+    /// validation runs this very function, so a plan that prepares is a plan
+    /// whose aggregates resolve at execute.
+    pub(crate) fn resolve(agg: &ServerAggregate, schema: &Schema) -> Result<ResolvedAggregate, SeabedError> {
+        Ok(match agg.input() {
+            AggregateInput::Words(column) => ResolvedAggregate::Sum {
+                column: require_column(schema, column, Some(ColumnType::UInt64))?,
             },
-            ServerAggregate::CountRows => ResolvedAggregate::Count,
-            ServerAggregate::OpeMin { column } | ServerAggregate::OpeMax { column } => {
-                let base = column.strip_suffix("__ope").unwrap_or(column);
-                ResolvedAggregate::Extreme {
-                    ore_column: table.require_typed_column(column, ColumnType::Bytes)?,
-                    value_column: table.require_typed_column(&format!("{base}__ope_val"), ColumnType::UInt64)?,
-                    want_max: matches!(agg, ServerAggregate::OpeMax { .. }),
-                }
-            }
+            AggregateInput::RowIds => ResolvedAggregate::Count,
+            AggregateInput::Extreme { order, value, want_max } => ResolvedAggregate::Extreme {
+                ore_column: require_column(schema, order, Some(ColumnType::Bytes))?,
+                value_column: require_column(schema, &value, Some(ColumnType::UInt64))?,
+                want_max,
+            },
         })
     }
 
@@ -652,7 +677,7 @@ impl SeabedServer {
         let resolved: Vec<ResolvedAggregate> = query
             .aggregates
             .iter()
-            .map(|agg| ResolvedAggregate::resolve(agg, &self.table))
+            .map(|agg| ResolvedAggregate::resolve(agg, &self.table.schema))
             .collect::<Result<_, _>>()?;
 
         let inflation = query.group_inflation.max(1) as u64;
@@ -663,12 +688,17 @@ impl SeabedServer {
         // shrinking selection spares the expensive ones; the sort is stable,
         // and conjunction order cannot change the result either way.
         let mut ordered: Vec<&PhysicalFilter> = filters.iter().collect();
-        ordered.sort_by_key(|f| f.cost_rank());
-        // Operator labels are built once, outside the per-partition closure:
-        // a filter class plus the *physical* column name, never a literal —
-        // the same labels `query::plan_node` emits, so measured operators can
-        // be matched back onto structural plan nodes.
-        let filter_labels: Vec<String> = ordered.iter().map(|f| filter_label(f, &self.table.schema)).collect();
+        ordered.sort_by_key(|f| f.class_and_column().0.cost_rank());
+        // Operator labels — a filter class plus the *physical* column name,
+        // never a literal; `query::plan_node` matches measured operators back
+        // onto structural plan nodes by them — are built once, outside the
+        // per-partition closure, and only for an analyzed request: a disabled
+        // `ProfileSink` never reads one.
+        let filter_labels: Vec<String> = if analyze {
+            ordered.iter().map(|f| filter_label(f, &self.table.schema)).collect()
+        } else {
+            Vec::new()
+        };
 
         let (partials, mut stats) = self.cluster.run(table, |partition| {
             let mut sink = if analyze {
@@ -714,20 +744,11 @@ impl SeabedServer {
 }
 
 /// The structural operator label of a physical filter: its class plus the
-/// *physical* column name it reads. No literal (plaintext, tag or ORE
-/// ciphertext) ever appears in a label, so labels can cross the redacted
-/// observability surface unmodified. The format is shared with
-/// `seabed_query::plan_node`, which emits the same strings for its filter
-/// nodes so analyzed profiles can be matched back onto the plan.
+/// *physical* column name it reads ([`FilterClass::label`], the format
+/// `seabed_query::plan_node` matches analyzed profiles back onto the plan by).
 fn filter_label(filter: &PhysicalFilter, schema: &Schema) -> String {
-    let (class, column) = match filter {
-        PhysicalFilter::PlainU64 { column, .. } => ("plain", *column),
-        PhysicalFilter::PlainText { column, .. } => ("text", *column),
-        PhysicalFilter::DetTag { column, .. } => ("det", *column),
-        PhysicalFilter::Ope { column, .. } => ("ore", *column),
-    };
-    let name = schema.fields.get(column).map(|f| f.name.as_str()).unwrap_or("?");
-    format!("filter:{class}:{name}")
+    let (class, column) = filter.class_and_column();
+    class.label(schema.fields.get(column).map_or("?", |f| f.name.as_str()))
 }
 
 /// The ID-list encoding a query's response uses: aggregation queries use the
@@ -746,20 +767,13 @@ fn response_encoding(query: &TranslatedQuery) -> IdListEncoding {
 /// gather point that never saw the table (the `seabed-dist` coordinator) can
 /// still synthesize the empty global group.
 fn empty_state_of(agg: &ServerAggregate) -> PartialAggregate {
-    match agg {
-        ServerAggregate::AsheSum { .. } => PartialAggregate::Sum {
+    match agg.input() {
+        AggregateInput::Words(_) => PartialAggregate::Sum {
             value: 0,
             ids: IdSet::new(),
         },
-        ServerAggregate::CountRows => PartialAggregate::Count { ids: IdSet::new() },
-        ServerAggregate::OpeMin { .. } => PartialAggregate::Extreme {
-            best: None,
-            want_max: false,
-        },
-        ServerAggregate::OpeMax { .. } => PartialAggregate::Extreme {
-            best: None,
-            want_max: true,
-        },
+        AggregateInput::RowIds => PartialAggregate::Count { ids: IdSet::new() },
+        AggregateInput::Extreme { want_max, .. } => PartialAggregate::Extreme { best: None, want_max },
     }
 }
 
@@ -1362,7 +1376,7 @@ mod tests {
             value: 1,
         };
         let mut ordered = [&ope, &text, &plain];
-        ordered.sort_by_key(|f| f.cost_rank());
+        ordered.sort_by_key(|f| f.class_and_column().0.cost_rank());
         assert!(matches!(ordered[0], PhysicalFilter::PlainU64 { .. }));
         assert!(matches!(ordered[2], PhysicalFilter::Ope { .. }));
     }

@@ -31,8 +31,10 @@
 //! filter encryption is deterministic — `tests/prepared_equivalence.rs` pins
 //! this across all three execution targets.
 
-use crate::client::{FilterEncryptor, QueryResult, SeabedClient};
-use crate::server::{ExecOutcome, ExecRequest, PhysicalFilter, QueryTarget, ServerResponse};
+use crate::client::{require_filter_column, FilterEncryptor, QueryResult, SeabedClient};
+use crate::server::{
+    require_column, ExecOutcome, ExecRequest, PhysicalFilter, QueryTarget, ResolvedAggregate, ServerResponse,
+};
 use seabed_engine::{ColumnType, OperatorProfile, Schema};
 use seabed_error::{SchemaError, SeabedError};
 use seabed_obs::{Counter, EventOperator, Histogram, QueryEvent, Registry, TraceBuilder, TraceId, UNTRACED};
@@ -263,7 +265,7 @@ impl PreparedQuery {
         self.translated.params.len()
     }
 
-    /// The parsed query (the decryption side walks its `SELECT` list).
+    /// The parsed query.
     pub fn query(&self) -> &Query {
         &self.query
     }
@@ -632,13 +634,16 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
         let execute_timer = self.metrics.execute_ns.start();
         let started = self.obs.enabled().then(Instant::now);
         let outcome = self.client_of(prepared).and_then(|client| {
-            let (_, executed) = self.dispatch(client, prepared, params, analyze, tb, trace_id)?;
+            let (bound, executed) = self.dispatch(client, prepared, params, analyze, tb, trace_id)?;
             let span = tb.start();
             let mut result = client.decrypt_response(&prepared.query, &prepared.translated, executed.response)?;
             tb.end("decrypt", span);
             result.trace_id = trace_id;
             let plan = analyze.then(|| {
-                let mut plan = PlanNode::from_translated(&prepared.translated);
+                // The plan *that ran*: a filter's class — its place in the
+                // execution order and the label its measurements carry — is
+                // only a fact once its literal is bound.
+                let mut plan = PlanNode::from_translated(bound.as_ref().unwrap_or(&prepared.translated));
                 let operators = &result.server_stats.operators;
                 let profiles: Vec<_> = operators
                     .iter()
@@ -840,38 +845,19 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
 /// a remote PREPARE registers a plan against the hosted table, so a bad plan
 /// fails at registration with a typed error instead of at first EXECUTE.
 pub fn validate_against_schema(schema: &Schema, translated: &TranslatedQuery) -> Result<(), SeabedError> {
-    let require = |name: &str, expected: ColumnType| -> Result<(), SeabedError> {
-        let idx = schema
-            .index_of(name)
-            .ok_or_else(|| SeabedError::unknown_physical_column(name))?;
-        let actual = schema.fields[idx].ty;
-        if actual != expected {
-            return Err(SchemaError::TypeMismatch {
-                column: name.to_string(),
-                expected: format!("{expected:?}"),
-                actual: format!("{actual:?}"),
-            }
-            .into());
-        }
-        Ok(())
-    };
     for filter in &translated.filters {
         // Same rule set as bind-time encryption (an unbound placeholder only
         // needs existence here; its type is checked against the bound
         // literal at bind time).
-        crate::client::require_filter_column(schema, filter)?;
+        require_filter_column(schema, filter)?;
     }
-    for agg in &translated.aggregates {
-        match agg {
-            seabed_query::ServerAggregate::AsheSum { column } => require(column, ColumnType::UInt64)?,
-            seabed_query::ServerAggregate::CountRows => {}
-            seabed_query::ServerAggregate::OpeMin { column } | seabed_query::ServerAggregate::OpeMax { column } => {
-                require(column, ColumnType::Bytes)?
-            }
-        }
+    for aggregate in &translated.aggregates {
+        // The server's own column resolution, run early and discarded.
+        ResolvedAggregate::resolve(aggregate, schema)?;
     }
     for group in &translated.group_by {
-        require(&group.physical_column, ColumnType::UInt64)?;
+        // Group keys must be u64-backed (plaintext or DET tag).
+        require_column(schema, &group.physical_column, Some(ColumnType::UInt64))?;
     }
     Ok(())
 }

@@ -10,9 +10,11 @@
 //! * [`planner`] — the data planner that classifies columns into dimensions
 //!   and measures from a sample query set and assigns each sensitive column an
 //!   encryption scheme (ASHE, SPLASHE, DET, OPE) under a storage budget;
-//! * [`mod@translate`] — the query translator that rewrites plaintext queries into
-//!   encrypted server plans plus client-side post-processing steps, preserving
-//!   row IDs through subqueries and applying the group-by inflation heuristic;
+//! * [`mod@translate`] — the query translator, both directions: it rewrites
+//!   plaintext queries into encrypted server plans plus client-side
+//!   post-processing steps (preserving row IDs through subqueries, applying the
+//!   group-by inflation heuristic), and it runs those steps to turn a group's
+//!   decrypted server aggregates back into the `SELECT` list's values;
 //! * [`plan_node`] — structural plan trees for `EXPLAIN` / `EXPLAIN ANALYZE`:
 //!   redacted-by-construction operator nodes (scan, SPLASHE expansion,
 //!   class-labelled filters in execution order, inflation, group-by,
@@ -34,8 +36,8 @@ pub use planner::{
     classify_roles, plan_schema, ColumnPlan, ColumnRole, ColumnSpec, EncryptionChoice, PlannerConfig, SchemaPlan,
 };
 pub use translate::{
-    encnames, translate, ClientPostStep, GroupByColumn, ParamKind, ParamSlot, ServerAggregate, ServerFilter,
-    SupportCategory, TranslateError, TranslateOptions, TranslatedQuery,
+    encnames, translate, AggregateInput, ClientPostStep, FilterClass, GroupByColumn, ParamKind, ParamSlot, ResultValue,
+    ServerAggregate, ServerFilter, SupportCategory, TranslateError, TranslateOptions, TranslatedQuery,
 };
 
 #[cfg(test)]

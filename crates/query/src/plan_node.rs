@@ -2,9 +2,9 @@
 //!
 //! A [`PlanNode`] tree describes *what the server will do* for a translated
 //! query — scan, SPLASHE splay expansion, the filter chain in its chosen
-//! execution order (cheapest class first, mirroring
-//! `PhysicalFilter::cost_rank` on the server), group-by with its inflation
-//! step, and the aggregate root — without ever executing anything.
+//! execution order (cheapest [`FilterClass`] first — the same table the
+//! server's scan sorts by), group-by with its inflation step, and the
+//! aggregate root — without ever executing anything.
 //! `EXPLAIN` renders exactly this tree; `EXPLAIN ANALYZE` executes the query
 //! and annotates each node with its measured [`PlanProfile`] (rows in,
 //! selection survivors, batches, nanoseconds), matched back onto the tree by
@@ -20,13 +20,14 @@
 //! metrics scrapes, uploaded CI artifacts — without disclosing what was
 //! queried for, only how.
 //!
-//! The filter labels (`filter:det:dept__det`) are byte-identical to the ones
-//! the core execution layer records into its per-operator profiles, which is
-//! what lets `EXPLAIN ANALYZE` attach measured profiles to structural nodes
-//! without guessing.
+//! The filter labels (`filter:det:dept__det`) are the ones the core execution
+//! layer records into its per-operator profiles — both sides format them with
+//! [`FilterClass::label`] — which is what lets `EXPLAIN ANALYZE` attach
+//! measured profiles to structural nodes without guessing. A class is a fact
+//! of the *bound* plan (a plain `?` compares integers or strings depending on
+//! the literal), so an analyzed tree is built from the plan that ran.
 
-use crate::ast::Literal;
-use crate::translate::{ServerAggregate, ServerFilter, TranslatedQuery};
+use crate::translate::{encnames, FilterClass, ServerAggregate, ServerFilter, TranslatedQuery};
 use serde::{Deserialize, Serialize};
 
 /// Measured annotation of one plan node: the per-operator profile attached
@@ -61,35 +62,6 @@ pub struct PlanNode {
     pub children: Vec<PlanNode>,
     /// Measured profile, present only on `EXPLAIN ANALYZE` plans.
     pub profile: Option<PlanProfile>,
-}
-
-/// The execution-cost rank of a server filter, mirroring the server's
-/// `PhysicalFilter::cost_rank`: `u64` compares (plain numerics, DET tags)
-/// first, string equality next, ORE comparisons last. An unbound `?` in a
-/// plain predicate is ranked like a numeric compare (its class is only known
-/// at bind time).
-fn filter_rank(filter: &ServerFilter) -> u8 {
-    match filter {
-        ServerFilter::Plain(p) => match &p.value {
-            Literal::Text(_) => 1,
-            Literal::Integer(_) | Literal::Param(_) => 0,
-        },
-        ServerFilter::DetEquals { .. } => 0,
-        ServerFilter::OpeCompare { .. } => 2,
-    }
-}
-
-/// The filter's class tag and physical column, the two redacted facts a plan
-/// node (and an operator label) carries about it.
-fn filter_class_and_column(filter: &ServerFilter) -> (&'static str, &str) {
-    match filter {
-        ServerFilter::Plain(p) => match &p.value {
-            Literal::Text(_) => ("text", p.column.as_str()),
-            Literal::Integer(_) | Literal::Param(_) => ("plain", p.column.as_str()),
-        },
-        ServerFilter::DetEquals { column, .. } => ("det", column.as_str()),
-        ServerFilter::OpeCompare { column, .. } => ("ore", column.as_str()),
-    }
 }
 
 /// Redacted description of one server aggregate (the node detail fragment).
@@ -139,9 +111,7 @@ impl PlanNode {
             .aggregates
             .iter()
             .filter_map(|agg| match agg {
-                ServerAggregate::AsheSum { column } if column.contains("__spl_") || column.contains("__ind_") => {
-                    Some(column.as_str())
-                }
+                ServerAggregate::AsheSum { column } if encnames::is_splayed(column) => Some(column.as_str()),
                 _ => None,
             })
             .collect();
@@ -151,12 +121,14 @@ impl PlanNode {
 
         // Filters in execution order: a stable sort by class rank, exactly as
         // the vectorized scan orders its kernels. The first (cheapest) filter
-        // sits deepest, directly over the scan.
+        // sits deepest, directly over the scan. An unbound plain `?` has no
+        // class yet: it renders as `?:column`, after the filters whose place
+        // is known.
         let mut ordered: Vec<&ServerFilter> = translated.filters.iter().collect();
-        ordered.sort_by_key(|f| filter_rank(f));
+        ordered.sort_by_key(|f| f.class().map_or(u8::MAX, FilterClass::cost_rank));
         for filter in ordered {
-            let (class, column) = filter_class_and_column(filter);
-            node = PlanNode::new("filter", format!("{class}:{column}")).with_child(node);
+            let tag = filter.class().map_or("?", FilterClass::tag);
+            node = PlanNode::new("filter", format!("{tag}:{}", filter.column())).with_child(node);
         }
 
         if !translated.group_by.is_empty() {
@@ -298,7 +270,7 @@ fn push_json_string(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{CompareOp, Predicate};
+    use crate::ast::{CompareOp, Literal, Predicate};
     use crate::translate::{GroupByColumn, SupportCategory};
 
     fn translated() -> TranslatedQuery {
@@ -362,6 +334,29 @@ mod tests {
         assert!(scan.children.is_empty());
         // No node was annotated.
         assert!(plan.profile.is_none() && scan.profile.is_none());
+    }
+
+    /// A plain `?` has no class until a literal is bound — the class is not
+    /// guessed: the node says so and sits after the filters whose place in
+    /// the execution order is known.
+    #[test]
+    fn an_unbound_plain_placeholder_has_no_class_yet() {
+        let mut t = translated();
+        t.filters.insert(
+            0,
+            ServerFilter::Plain(Predicate {
+                column: "region".to_string(),
+                op: CompareOp::Eq,
+                value: Literal::Param(0),
+            }),
+        );
+        let plan = PlanNode::from_translated(&t);
+        let last_executed = &plan.children[0].children[0].children[0];
+        assert_eq!(
+            (last_executed.op.as_str(), last_executed.detail.as_str()),
+            ("filter", "?:region")
+        );
+        assert_eq!(last_executed.children[0].detail, "ore:ts__ope");
     }
 
     #[test]

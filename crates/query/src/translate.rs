@@ -1,27 +1,44 @@
-//! The query translator (§4.4, Table 2).
+//! The query translator (§4.4, Table 2) — both directions of the rewrite.
 //!
-//! The translator intercepts the client's unmodified query and rewrites it for
-//! the encrypted schema: constants are marked for encryption under the
-//! appropriate scheme, aggregation operators become ASHE folds, equality
-//! filters on splayed dimensions are absorbed into the choice of splayed
-//! column, the implicit row-ID column is preserved through subqueries, and
-//! group-by queries may have their group count artificially inflated to use
-//! more reducers (§4.5).
+//! **Forward** ([`translate`]): the client's unmodified query is rewritten for
+//! the encrypted schema. Constants are marked for encryption under the
+//! appropriate scheme, aggregation operators become ASHE folds (`AVG` becomes
+//! a sum and a count, `VARIANCE` becomes Σx², Σx and n), equality filters on
+//! splayed dimensions are absorbed into the choice of splayed column, the
+//! implicit row-ID column is preserved through subqueries, and group-by
+//! queries may have their group count artificially inflated to use more
+//! reducers (§4.5).
 //!
-//! Translation is key-free: literals stay in plaintext inside the
+//! **Inverse** ([`TranslatedQuery::finish_aggregates`]): the decrypted server
+//! aggregates of one group become the values of the original `SELECT` list.
+//! The plan's own [`ClientPostStep`]s are the program it runs, so `translate`
+//! is the only code that knows how an aggregate function expands and the
+//! inverse is the only code that knows how an expansion collapses — the proxy
+//! in `seabed-core` decrypts words and calls it.
+//!
+//! The vocabularies the two sides of the wire must agree on are stated here
+//! once as well: the physical column names ([`encnames`]), the filter classes
+//! with their cost ranks and label tags ([`FilterClass`]) and the physical
+//! columns an aggregate reads ([`ServerAggregate::input`]).
+//!
+//! Nothing in this crate touches a key: literals stay in plaintext inside the
 //! [`TranslatedQuery`] and are encrypted by the proxy (which owns the keys)
-//! just before the query ships to the server.
+//! just before the query ships to the server, and the inverse starts from
+//! words the proxy has already decrypted.
 
 use crate::ast::{AggregateFunction, CompareOp, Literal, Predicate, Query, SelectItem, TableRef};
 use crate::planner::{EncryptionChoice, SchemaPlan};
 use serde::{Deserialize, Serialize};
 
-/// Naming scheme of the encrypted physical columns. Core's encryption module
-/// and server use these helpers so that the translator and the data layout
-/// always agree.
+/// Naming scheme of the encrypted physical columns, in both directions
+/// (logical → physical and back). Core's encryption module, server and proxy
+/// use these helpers so that the translator and the data layout always agree.
 pub mod encnames {
     /// The implicit row-identifier column every encrypted table carries.
     pub const ROW_ID: &str = "__rid";
+
+    const DET_SUFFIX: &str = "__det";
+    const OPE_SUFFIX: &str = "__ope";
 
     /// ASHE ciphertext column for a measure.
     pub fn ashe(column: &str) -> String {
@@ -35,12 +52,31 @@ pub mod encnames {
 
     /// Deterministic-encryption tag column for a dimension.
     pub fn det(column: &str) -> String {
-        format!("{column}__det")
+        format!("{column}{DET_SUFFIX}")
+    }
+
+    /// The logical column a DET tag column encrypts — the name its key is
+    /// derived under. A name without the suffix stands for itself.
+    pub fn det_logical(physical: &str) -> &str {
+        physical.strip_suffix(DET_SUFFIX).unwrap_or(physical)
     }
 
     /// Order-revealing-encryption column.
     pub fn ope(column: &str) -> String {
-        format!("{column}__ope")
+        format!("{column}{OPE_SUFFIX}")
+    }
+
+    /// The logical column an ORE column encrypts — the name its key is
+    /// derived under. A name without the suffix stands for itself.
+    pub fn ope_logical(physical: &str) -> &str {
+        physical.strip_suffix(OPE_SUFFIX).unwrap_or(physical)
+    }
+
+    /// ASHE companion of an ORE column: row by row the same values, so the
+    /// word at the row a MIN/MAX picks can be decrypted (an ORE ciphertext
+    /// only compares).
+    pub fn ope_value(column: &str) -> String {
+        format!("{column}__ope_val")
     }
 
     /// Splayed measure column for a (dimension, frequent-value index) pair.
@@ -61,6 +97,11 @@ pub mod encnames {
     /// Splayed count-indicator "others" column.
     pub fn splashe_indicator_others(dimension: &str) -> String {
         format!("{dimension}__ind_others")
+    }
+
+    /// True for a splayed measure or indicator column.
+    pub fn is_splayed(physical: &str) -> bool {
+        physical.contains("__spl_") || physical.contains("__ind_")
     }
 }
 
@@ -88,6 +129,81 @@ pub enum ServerFilter {
     },
 }
 
+/// What kind of comparison a filter makes the server run per row. The one
+/// table of the filter classes: class → evaluation-cost rank → label tag.
+/// [`ServerFilter`] (the plan side) and `seabed-core`'s `PhysicalFilter` (the
+/// execution side) each map onto it, so the order `EXPLAIN` shows is the order
+/// the scan runs and a measured operator finds its plan node by label.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum FilterClass {
+    /// `u64` comparison against a plaintext integer column.
+    PlainU64,
+    /// String equality against a plaintext text column.
+    PlainText,
+    /// `u64` equality against a deterministic tag column.
+    DetTag,
+    /// ORE comparison against an order-encrypted column.
+    Ore,
+}
+
+impl FilterClass {
+    /// Relative evaluation cost. The vectorized scan evaluates cheap classes
+    /// first so the shrinking selection spares the expensive ones most of
+    /// their work: `u64` compares (plain and DET tags) are a load and a
+    /// branch, string equality touches heap data, and an ORE comparison walks
+    /// up to 64 PRF symbols per row.
+    pub fn cost_rank(self) -> u8 {
+        match self {
+            FilterClass::PlainU64 | FilterClass::DetTag => 0,
+            FilterClass::PlainText => 1,
+            FilterClass::Ore => 2,
+        }
+    }
+
+    /// The class tag operator labels and plan nodes carry.
+    pub fn tag(self) -> &'static str {
+        match self {
+            FilterClass::PlainU64 => "plain",
+            FilterClass::PlainText => "text",
+            FilterClass::DetTag => "det",
+            FilterClass::Ore => "ore",
+        }
+    }
+
+    /// The operator label of a filter of this class over the *physical*
+    /// column `column`: what a profiled scan records and what
+    /// [`crate::PlanNode::operator_label`] matches. Never a literal, so
+    /// labels cross the redacted observability surface unmodified.
+    pub fn label(self, column: &str) -> String {
+        format!("filter:{}:{column}", self.tag())
+    }
+}
+
+impl ServerFilter {
+    /// The filter's class — `None` for a plaintext predicate whose literal is
+    /// still an unbound `?`: whether it compares integers or strings is only
+    /// known once a literal is bound.
+    pub fn class(&self) -> Option<FilterClass> {
+        match self {
+            ServerFilter::Plain(pred) => match pred.value {
+                Literal::Integer(_) => Some(FilterClass::PlainU64),
+                Literal::Text(_) => Some(FilterClass::PlainText),
+                Literal::Param(_) => None,
+            },
+            ServerFilter::DetEquals { .. } => Some(FilterClass::DetTag),
+            ServerFilter::OpeCompare { .. } => Some(FilterClass::Ore),
+        }
+    }
+
+    /// The physical column the filter reads.
+    pub fn column(&self) -> &str {
+        match self {
+            ServerFilter::Plain(pred) => &pred.column,
+            ServerFilter::DetEquals { column, .. } | ServerFilter::OpeCompare { column, .. } => column,
+        }
+    }
+}
+
 /// An aggregate the server computes.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ServerAggregate {
@@ -111,18 +227,61 @@ pub enum ServerAggregate {
     },
 }
 
+/// The physical columns one [`ServerAggregate`] reads. Stated once: the
+/// server resolves them against its table, prepare-time validation checks them
+/// against the target's schema, and the proxy looks its decryption keys up
+/// under the same names.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum AggregateInput<'a> {
+    /// One `u64` word per selected row, added up: an ASHE (or splayed)
+    /// ciphertext column — or a public integer column, whose sum needs no key.
+    Words(&'a str),
+    /// Nothing but the row identifiers of the selection.
+    RowIds,
+    /// MIN/MAX: the ORE column the server orders the rows by, and the ASHE
+    /// companion column whose word at the winning row it returns.
+    Extreme {
+        /// The ORE ciphertext column (bytes).
+        order: &'a str,
+        /// The ASHE companion column ([`encnames::ope_value`], `u64` words).
+        value: String,
+        /// True for MAX, false for MIN.
+        want_max: bool,
+    },
+}
+
+impl ServerAggregate {
+    /// The physical columns this aggregate reads.
+    pub fn input(&self) -> AggregateInput<'_> {
+        match self {
+            ServerAggregate::AsheSum { column } => AggregateInput::Words(column),
+            ServerAggregate::CountRows => AggregateInput::RowIds,
+            ServerAggregate::OpeMin { column } | ServerAggregate::OpeMax { column } => AggregateInput::Extreme {
+                order: column,
+                value: encnames::ope_value(encnames::ope_logical(column)),
+                want_max: matches!(self, ServerAggregate::OpeMax { .. }),
+            },
+        }
+    }
+}
+
 /// Work the proxy performs on the decrypted partial results before returning
-/// the final answer to the analyst.
+/// the final answer to the analyst. [`translate`] emits the steps,
+/// [`TranslatedQuery::finish_aggregates`] executes them — once per result
+/// group, on the group's decrypted server aggregates — and nothing else
+/// interprets them (they travel in every plan frame, but the server side only
+/// reads a plan's shape).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ClientPostStep {
-    /// `result = aggregate[numerator] / aggregate[denominator]` (AVG).
+    /// `result = aggregate[numerator] / aggregate[denominator]` (AVG; `0.0`
+    /// over an empty selection).
     Divide {
         /// Index of the numerator in the server-aggregate list.
         numerator: usize,
         /// Index of the denominator in the server-aggregate list.
         denominator: usize,
     },
-    /// Population variance from Σx², Σx and n.
+    /// Population variance from Σx², Σx and n (`0.0` over an empty selection).
     Variance {
         /// Index of Σx² in the server-aggregate list.
         sum_squares: usize,
@@ -131,13 +290,16 @@ pub enum ClientPostStep {
         /// Index of the row count in the server-aggregate list.
         count: usize,
     },
-    /// Square root of a previously computed variance (STDDEV).
+    /// Square root of a previously computed variance (STDDEV): replaces that
+    /// step's value in the result row.
     SqrtOfVariance {
         /// Index of the variance step in the client-post list.
         variance_step: usize,
     },
     /// Merge inflated group-by groups back together (strip the appended
-    /// random suffix and re-aggregate at the proxy).
+    /// random suffix and re-aggregate at the proxy). A marker, not a per-group
+    /// computation: the proxy folds the sub-groups *before* it decrypts,
+    /// whenever [`TranslatedQuery::group_inflation`] is above one.
     MergeInflatedGroups,
 }
 
@@ -196,6 +358,36 @@ pub struct ParamSlot {
     pub kind: ParamKind,
 }
 
+/// A single output value of a query.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ResultValue {
+    /// An integer result (sums, counts, min/max).
+    UInt(u64),
+    /// A fractional result (averages, variances).
+    Float(f64),
+    /// A decrypted group key.
+    Text(String),
+}
+
+impl ResultValue {
+    /// Numeric view of the value (texts map to NaN).
+    pub fn as_f64(&self) -> f64 {
+        match self {
+            ResultValue::UInt(v) => *v as f64,
+            ResultValue::Float(f) => *f,
+            ResultValue::Text(_) => f64::NAN,
+        }
+    }
+
+    /// Integer view of the value if it is an integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            ResultValue::UInt(v) => Some(*v),
+            _ => None,
+        }
+    }
+}
+
 /// The rewritten query.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TranslatedQuery {
@@ -210,7 +402,10 @@ pub struct TranslatedQuery {
     /// Group-inflation factor (`1` = disabled); when `> 1` the server appends
     /// `row_id % factor` to the group key and the proxy merges groups back.
     pub group_inflation: u32,
-    /// Client-side post-processing steps.
+    /// Client-side post-processing steps, executed per result group by
+    /// [`TranslatedQuery::finish_aggregates`]. A server aggregate no step
+    /// reads is a result value as it stands; a step's value takes the place
+    /// of the first aggregate it reads.
     pub client_post: Vec<ClientPostStep>,
     /// Always true when any ASHE aggregate is present: the physical plan must
     /// carry the row-ID column through subqueries (Table 2, row 1).
@@ -287,6 +482,80 @@ impl TranslatedQuery {
         }
         bound.params.clear();
         Ok(bound)
+    }
+
+    /// The inverse of the `SELECT`-list expansion: turns one group's
+    /// decrypted server aggregates (`decrypted[i]` answers
+    /// `self.aggregates[i]`) into the aggregate values of the original
+    /// `SELECT` list, in `SELECT` order, appended to `row`.
+    ///
+    /// The plan is the program: every [`ClientPostStep`] is interpreted here
+    /// and nowhere else. An aggregate no step reads passes through as an
+    /// integer; a step's value takes the place of the first aggregate it
+    /// reads and the other aggregates it reads yield nothing. A value list
+    /// or a step that does not fit the plan is a typed
+    /// [`SeabedError::Engine`], never a panic.
+    pub fn finish_aggregates(&self, decrypted: &[u64], row: &mut Vec<ResultValue>) -> Result<(), SeabedError> {
+        if decrypted.len() != self.aggregates.len() {
+            return Err(SeabedError::engine(format!(
+                "{} decrypted values for a plan of {} server aggregates",
+                decrypted.len(),
+                self.aggregates.len()
+            )));
+        }
+        let malformed = |step: &ClientPostStep| SeabedError::engine(format!("{step:?} does not fit the plan"));
+        // slots[i]: what server aggregate i contributes to the row.
+        let mut slots: Vec<Option<ResultValue>> = decrypted.iter().map(|v| Some(ResultValue::UInt(*v))).collect();
+        // A step's value takes the place of the first aggregate it read.
+        fn place(slots: &mut [Option<ResultValue>], reads: &[usize], value: f64) -> Option<usize> {
+            let first = reads.iter().copied().min()?;
+            for &index in reads {
+                slots[index] = None;
+            }
+            slots[first] = Some(ResultValue::Float(value));
+            Some(first)
+        }
+        // placed[s]: the slot holding step s's value.
+        let mut placed: Vec<Option<usize>> = Vec::with_capacity(self.client_post.len());
+        for step in &self.client_post {
+            let read = |index: &usize| decrypted.get(*index).map(|v| *v as f64).ok_or_else(|| malformed(step));
+            placed.push(match step {
+                ClientPostStep::Divide { numerator, denominator } => {
+                    let (sum, n) = (read(numerator)?, read(denominator)?);
+                    place(
+                        &mut slots,
+                        &[*numerator, *denominator],
+                        if n == 0.0 { 0.0 } else { sum / n },
+                    )
+                }
+                ClientPostStep::Variance {
+                    sum_squares,
+                    sum,
+                    count,
+                } => {
+                    let (sum_sq, total, n) = (read(sum_squares)?, read(sum)?, read(count)?);
+                    let variance = if n == 0.0 {
+                        0.0
+                    } else {
+                        let mean = total / n;
+                        sum_sq / n - mean * mean
+                    };
+                    place(&mut slots, &[*sum_squares, *sum, *count], variance)
+                }
+                ClientPostStep::SqrtOfVariance { variance_step } => {
+                    let slot = placed.get(*variance_step).copied().flatten();
+                    match slot.and_then(|slot| slots[slot].as_mut()) {
+                        Some(ResultValue::Float(variance)) => *variance = variance.max(0.0).sqrt(),
+                        _ => return Err(malformed(step)),
+                    }
+                    None
+                }
+                // The sub-groups were folded before decryption.
+                ClientPostStep::MergeInflatedGroups => None,
+            });
+        }
+        row.extend(slots.into_iter().flatten());
+        Ok(())
     }
 
     /// Renders a human-readable description of the server-side plan, in the
@@ -468,6 +737,24 @@ pub fn translate(
         }
     }
 
+    // A SPLASHE equality is answered by *which column* the server sums, and
+    // only sums and counts have splayed columns: any other aggregate — and
+    // any equality past the first, which `splashe_filters.first()` below
+    // never reads — would silently cover rows the predicate excludes.
+    if let Some((dimension, _)) = splashe_filters.get(1) {
+        return Err(TranslateError::Unsupported(format!(
+            "a second equality filter on a splayed column ({dimension}): one SPLASHE equality per query"
+        )));
+    }
+    let reject_under_splashe = |func: &AggregateFunction, column: &str| match splashe_filters.first() {
+        Some((dimension, _)) => Err(TranslateError::Unsupported(format!(
+            "{}({column}) under an equality filter on the splayed column {dimension}: only SUM, COUNT and AVG \
+             have splayed columns",
+            func.name()
+        ))),
+        None => Ok(()),
+    };
+
     // Aggregates.
     let mut aggregates = Vec::new();
     let mut client_post = Vec::new();
@@ -495,17 +782,18 @@ pub fn translate(
                 let col_plan = plan
                     .column(column)
                     .ok_or_else(|| TranslateError::UnknownColumn(column.clone()))?;
-                if !matches!(col_plan.encryption, EncryptionChoice::Ope | EncryptionChoice::Plaintext) {
+                // The server picks the winning row by comparing ORE
+                // ciphertexts and answers with the ASHE companion's word, so
+                // nothing but an OPE column has the two physical columns a
+                // MIN/MAX reads — not even a public one.
+                if col_plan.encryption != EncryptionChoice::Ope {
                     return Err(TranslateError::Unsupported(format!(
-                        "{}({}) needs OPE or plaintext",
-                        func.name(),
-                        column
+                        "{}({column}): only OPE columns support MIN/MAX",
+                        func.name()
                     )));
                 }
-                let physical = match col_plan.encryption {
-                    EncryptionChoice::Plaintext => column.clone(),
-                    _ => encnames::ope(column),
-                };
+                reject_under_splashe(func, column)?;
+                let physical = encnames::ope(column);
                 aggregates.push(if *func == AggregateFunction::Min {
                     ServerAggregate::OpeMin { column: physical }
                 } else {
@@ -521,6 +809,7 @@ pub fn translate(
                         "variance over {column} requires an ASHE column with client-side squares"
                     )));
                 }
+                reject_under_splashe(func, column)?;
                 let sum_squares = aggregates.len();
                 aggregates.push(ServerAggregate::AsheSum {
                     column: encnames::ashe_squares(column),
@@ -677,9 +966,15 @@ fn sum_aggregate(
         .column(column)
         .ok_or_else(|| TranslateError::UnknownColumn(column.to_string()))?;
     match &col_plan.encryption {
-        EncryptionChoice::Plaintext => Ok(ServerAggregate::AsheSum {
-            column: column.to_string(),
-        }),
+        // A public column has no splayed copies.
+        EncryptionChoice::Plaintext => match splashe_filters.first() {
+            Some((dimension, _)) => Err(TranslateError::Unsupported(format!(
+                "SUM({column}) over a public column under an equality filter on the splayed column {dimension}"
+            ))),
+            None => Ok(ServerAggregate::AsheSum {
+                column: column.to_string(),
+            }),
+        },
         EncryptionChoice::Ashe { .. } => {
             // If a SPLASHE filter is active, the measure must be read from the
             // splayed column for the filtered value.
@@ -1087,6 +1382,169 @@ mod tests {
         // Hand-corrupt the ordinal; the parser never produces this.
         q.predicates[0].value = Literal::Param(3);
         assert!(translate(&q, &plan, &TranslateOptions::default()).is_err());
+        Ok(())
+    }
+
+    fn finished(t: &TranslatedQuery, decrypted: &[u64]) -> Result<Vec<ResultValue>, SeabedError> {
+        let mut row = Vec::new();
+        t.finish_aggregates(decrypted, &mut row)?;
+        Ok(row)
+    }
+
+    #[test]
+    fn the_inverse_rebuilds_the_select_list_from_decrypted_aggregates() -> Result<(), SeabedError> {
+        let plan = sample_plan()?;
+        let q = parse(
+            "SELECT SUM(salary), AVG(salary), MIN(ts), VARIANCE(bonus), STDDEV(bonus), COUNT(*), STDDEV(bonus) FROM emp",
+        )?;
+        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        assert_eq!(t.aggregates.len(), 1 + 2 + 1 + 3 + 3 + 1 + 3);
+        // bonus = {1, 2, 3, 6}: Σx² = 50, Σx = 12, n = 4, variance 3.5.
+        let decrypted = [100, 90, 4, 7, 50, 12, 4, 50, 12, 4, 4, 50, 12, 4];
+        assert_eq!(
+            finished(&t, &decrypted)?,
+            vec![
+                ResultValue::UInt(100),
+                ResultValue::Float(22.5),
+                ResultValue::UInt(7),
+                ResultValue::Float(3.5),
+                ResultValue::Float(3.5f64.sqrt()),
+                ResultValue::UInt(4),
+                ResultValue::Float(3.5f64.sqrt()),
+            ]
+        );
+        // Over an empty selection every value is zero, whatever its type.
+        let empty = finished(&t, &[0; 14])?;
+        assert_eq!(empty.len(), 7);
+        assert!(empty.iter().all(|v| v.as_f64() == 0.0), "{empty:?}");
+        // An existing row is appended to, not replaced.
+        let mut row = vec![ResultValue::Text("eng".into())];
+        t.finish_aggregates(&decrypted, &mut row)?;
+        assert_eq!(row.len(), 8);
+        assert_eq!(row[0], ResultValue::Text("eng".into()));
+        Ok(())
+    }
+
+    /// The plan is the program: the inverse reads the indices the steps
+    /// carry, so a plan that lists AVG's count before its sum finishes to the
+    /// same row — nothing is paired up by position or by convention.
+    #[test]
+    fn the_inverse_follows_the_plans_indices() -> Result<(), SeabedError> {
+        let plan = sample_plan()?;
+        let q = parse("SELECT COUNT(*), AVG(salary), SUM(salary) FROM emp")?;
+        let mut t = translate(&q, &plan, &TranslateOptions::default())?;
+        assert_eq!(
+            finished(&t, &[4, 90, 6, 100])?,
+            vec![ResultValue::UInt(4), ResultValue::Float(15.0), ResultValue::UInt(100)]
+        );
+        t.aggregates.swap(1, 2);
+        t.client_post = vec![ClientPostStep::Divide {
+            numerator: 2,
+            denominator: 1,
+        }];
+        assert_eq!(
+            finished(&t, &[4, 6, 90, 100])?,
+            vec![ResultValue::UInt(4), ResultValue::Float(15.0), ResultValue::UInt(100)]
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn values_or_steps_that_do_not_fit_the_plan_are_typed_errors() -> Result<(), SeabedError> {
+        let plan = sample_plan()?;
+        let q = parse("SELECT STDDEV(bonus) FROM emp")?;
+        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        // Too few and too many values.
+        for decrypted in [&[50, 12][..], &[50, 12, 4, 9][..]] {
+            assert!(matches!(finished(&t, decrypted), Err(SeabedError::Engine(_))));
+        }
+        // A step reading past the aggregate list, and a square root of a
+        // step that is not a variance.
+        for bad in [
+            ClientPostStep::Divide {
+                numerator: 0,
+                denominator: 3,
+            },
+            ClientPostStep::SqrtOfVariance { variance_step: 1 },
+            ClientPostStep::SqrtOfVariance { variance_step: 7 },
+        ] {
+            let mut forged = t.clone();
+            forged.client_post.push(bad);
+            let outcome = finished(&forged, &[50, 12, 4]);
+            assert!(matches!(outcome, Err(SeabedError::Engine(_))), "{outcome:?}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn filter_classes_and_aggregate_inputs_follow_the_physical_names() -> Result<(), SeabedError> {
+        let plan = sample_plan()?;
+        let q =
+            parse("SELECT MAX(ts) FROM emp WHERE dept = 'eng' AND ts >= 7 AND public_flag = ? AND public_flag = 1")?;
+        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let classes: Vec<_> = t.filters.iter().map(|f| (f.class(), f.column())).collect();
+        assert_eq!(
+            classes,
+            vec![
+                (Some(FilterClass::DetTag), "dept__det"),
+                (Some(FilterClass::Ore), "ts__ope"),
+                // An unbound plain `?` compares integers or strings depending
+                // on the literal: no class yet.
+                (None, "public_flag"),
+                (Some(FilterClass::PlainU64), "public_flag"),
+            ]
+        );
+        let bound = t.bind(&[Literal::Text("yes".into())])?;
+        assert_eq!(bound.filters[2].class(), Some(FilterClass::PlainText));
+        assert_eq!(FilterClass::Ore.label("ts__ope"), "filter:ore:ts__ope");
+        assert!(FilterClass::DetTag.cost_rank() < FilterClass::PlainText.cost_rank());
+        assert!(FilterClass::PlainText.cost_rank() < FilterClass::Ore.cost_rank());
+
+        assert_eq!(
+            t.aggregates[0].input(),
+            AggregateInput::Extreme {
+                order: "ts__ope",
+                value: "ts__ope_val".to_string(),
+                want_max: true
+            }
+        );
+        assert_eq!(ServerAggregate::CountRows.input(), AggregateInput::RowIds);
+        // Logical → physical → logical.
+        assert_eq!(encnames::det_logical(&encnames::det("dept")), "dept");
+        assert_eq!(encnames::ope_logical(&encnames::ope("ts")), "ts");
+        assert_eq!(encnames::ope_logical("ts"), "ts");
+        assert!(encnames::is_splayed(&encnames::splashe_measure("country", "salary", 0)));
+        assert!(encnames::is_splayed(&encnames::splashe_indicator_others("country")));
+        assert!(!encnames::is_splayed(&encnames::ashe("salary")));
+        Ok(())
+    }
+
+    /// An equality on a splayed column is answered by *which column* the
+    /// server sums; an aggregate without a splayed column would silently cover
+    /// rows the predicate excludes, so it is refused.
+    #[test]
+    fn aggregates_without_splayed_columns_are_refused_under_a_splashe_equality() -> Result<(), SeabedError> {
+        let plan = sample_plan()?;
+        for sql in [
+            "SELECT VARIANCE(bonus) FROM emp WHERE country = 'USA'",
+            "SELECT STDDEV(bonus) FROM emp WHERE country = 'India'",
+            "SELECT MIN(ts) FROM emp WHERE country = 'USA'",
+            "SELECT SUM(public_flag) FROM emp WHERE country = 'USA'",
+            "SELECT SUM(salary) FROM emp WHERE country = 'USA' AND country = 'India'",
+        ] {
+            let outcome = translate(&parse(sql)?, &plan, &TranslateOptions::default());
+            assert!(
+                matches!(&outcome, Err(TranslateError::Unsupported(msg)) if msg.contains("country")),
+                "{sql}: {outcome:?}"
+            );
+        }
+        // SUM, COUNT and AVG have splayed columns.
+        let q = parse("SELECT SUM(salary), COUNT(*), AVG(salary) FROM emp WHERE country = 'USA' AND ts >= 3")?;
+        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        assert!(t
+            .aggregates
+            .iter()
+            .all(|a| matches!(a, ServerAggregate::AsheSum { column } if encnames::is_splayed(column))));
         Ok(())
     }
 

@@ -6,8 +6,10 @@
 # nothing. Comments and blank lines count: a target met by deleting reasons or
 # by denser formatting is not met.
 #
-#   scripts/nontest-lines.sh          # core, net, dist and their total
-#   scripts/nontest-lines.sh -v dist  # per file, for the named crates
+#   scripts/nontest-lines.sh                      # core, net, dist and their total
+#   scripts/nontest-lines.sh core net dist query  # what CI prints: query rides
+#                                                 # along, code moves between it and core
+#   scripts/nontest-lines.sh -v dist              # per file, for the named crates
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -247,6 +247,59 @@ fn inflated_group_by_is_byte_identical() {
     }
 }
 
+/// MIN/MAX on the inflated fixture: every sub-group ships its own winner, and
+/// the proxy — not a server, ORE ciphertexts of different sub-groups never
+/// meet — picks among them. Through the coordinator and on the single server
+/// the decrypted rows must equal the un-inflated ones and a plaintext
+/// evaluation (the proxy used to answer with the first sub-group's winner).
+#[test]
+fn inflated_min_max_decrypt_to_the_plaintext_extremes() {
+    let (client, server, dataset) = sales_fixture();
+    let mut inflating = client.clone();
+    inflating.translate_options.expected_groups = Some(1);
+    let (workers, coordinator) = cluster_of(2, "sales", server.table().clone());
+    let sql = "SELECT dept, MIN(ts), SUM(revenue), MAX(ts) FROM sales GROUP BY dept";
+    let (query, translated, filters) = inflating.prepare(&server, sql).expect("prepare");
+    assert!(translated.group_inflation > 1, "fixture must inflate groups");
+    let local = server.execute(&translated, &filters).expect("local");
+    let dist = coordinator.execute_query(&translated, &filters).expect("dist");
+    assert_eq!(local.groups, dist.groups);
+
+    let uninflated = client.query(&server, sql).expect("un-inflated").rows;
+    let (dept, ts, revenue) = (
+        dataset.column("dept").expect("dept"),
+        dataset.column("ts").expect("ts"),
+        dataset.column("revenue").expect("revenue"),
+    );
+    for response in [local, dist] {
+        let rows = inflating
+            .decrypt_response(&query, &translated, response)
+            .expect("decrypt")
+            .rows;
+        assert_eq!(rows, uninflated);
+        for row in rows {
+            let ResultValue::Text(key) = &row[0] else {
+                panic!("expected a decrypted dept key, got {row:?}");
+            };
+            let of_dept = |column: &seabed_core::PlainColumn| -> Vec<u64> {
+                (0..dataset.num_rows())
+                    .filter(|&i| dept.text_at(i) == key.as_str())
+                    .map(|i| column.u64_at(i).unwrap_or_default())
+                    .collect()
+            };
+            let expected = [
+                of_dept(ts).into_iter().min().unwrap_or_default(),
+                of_dept(revenue).into_iter().sum(),
+                of_dept(ts).into_iter().max().unwrap_or_default(),
+            ];
+            assert_eq!(row[1..], expected.map(ResultValue::UInt), "dept {key}");
+        }
+    }
+    for w in workers {
+        w.shutdown();
+    }
+}
+
 /// The proxy's `prepare`/`query`/`decrypt_response` surface works unchanged
 /// against the coordinator (`QueryTarget`), end to end through real
 /// encryption.

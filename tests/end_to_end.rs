@@ -150,3 +150,103 @@ fn timings_are_populated() {
         "at least one telescoped run must be decrypted"
     );
 }
+
+/// 200 rows in two contiguous departments (`a`: rows 0–99, `b`: rows
+/// 100–199), an OPE timestamp that is not monotonic in the row order, and an
+/// ASHE measure. Returns the proxy, the same proxy hinted to expect 2 groups
+/// (inflation factor 50 on the default 100 workers), the server and the data.
+fn two_dept_world() -> (SeabedClient, SeabedClient, SeabedServer, PlainDataset) {
+    let rows = 200u64;
+    let dataset = PlainDataset::new("sales")
+        .with_text_column(
+            "dept",
+            (0..rows).map(|i| if i < 100 { "a" } else { "b" }.to_string()).collect(),
+        )
+        .with_uint_column("ts", (0..rows).map(|i| (i * 7919) % 1000).collect())
+        .with_uint_column("revenue", (0..rows).map(|i| (i * 13) % 500 + 1).collect());
+    let columns = vec![
+        ColumnSpec::sensitive("dept"),
+        ColumnSpec::sensitive("ts"),
+        ColumnSpec::sensitive("revenue"),
+    ];
+    let samples: Vec<_> = [
+        "SELECT dept, SUM(revenue) FROM sales GROUP BY dept",
+        "SELECT MIN(ts) FROM sales",
+    ]
+    .iter()
+    .map(|s| parse(s).unwrap())
+    .collect();
+    let mut client = SeabedClient::create_plan(b"inflate", &columns, &samples, &PlannerConfig::default());
+    let encrypted = client.encrypt_dataset(&dataset, 8, &mut rand::rng());
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(16)));
+    let mut inflating = client.clone();
+    inflating.translate_options.expected_groups = Some(2);
+    (client, inflating, server, dataset)
+}
+
+/// MIN/MAX under group inflation. The proxy used to keep the *first*
+/// sub-group's winner of each group ("MIN/MAX never combines with group
+/// inflation in this dialect" — which nothing enforced) and answer with it,
+/// no error. Inflated rows must equal un-inflated rows must equal plaintext,
+/// for MIN, MAX and a list mixing them with SUM / COUNT / AVG.
+#[test]
+fn inflated_min_max_match_uninflated_and_plaintext() {
+    let (client, inflating, server, ds) = two_dept_world();
+    let dept = ds.column("dept").unwrap();
+    let column = |name: &str, key: &str| -> Vec<u64> {
+        (0..ds.num_rows())
+            .filter(|&i| dept.text_at(i) == key)
+            .map(|i| ds.column(name).unwrap().u64_at(i).unwrap())
+            .collect()
+    };
+    // Per SELECT item: its plaintext value over the rows of one department.
+    type Item = (&'static str, fn(&[u64], &[u64]) -> ResultValue);
+    let items: [Item; 5] = [
+        ("MIN(ts)", |ts, _| ResultValue::UInt(*ts.iter().min().unwrap())),
+        ("MAX(ts)", |ts, _| ResultValue::UInt(*ts.iter().max().unwrap())),
+        ("SUM(revenue)", |_, revenue| ResultValue::UInt(revenue.iter().sum())),
+        ("COUNT(*)", |ts, _| ResultValue::UInt(ts.len() as u64)),
+        ("AVG(revenue)", |_, revenue| {
+            ResultValue::Float(revenue.iter().sum::<u64>() as f64 / revenue.len() as f64)
+        }),
+    ];
+    for list in [vec![0], vec![1], vec![0, 1], vec![2, 0, 3, 4, 1]] {
+        let select: Vec<&str> = list.iter().map(|&i| items[i].0).collect();
+        let sql = format!("SELECT dept, {} FROM sales GROUP BY dept", select.join(", "));
+        let (_, translated, _) = inflating.prepare(&server, &sql).unwrap();
+        assert_eq!(translated.group_inflation, 50, "the hinted proxy must inflate {sql}");
+
+        let plaintext: Vec<Vec<ResultValue>> = ["a", "b"]
+            .iter()
+            .map(|key| {
+                let (ts, revenue) = (column("ts", key), column("revenue", key));
+                let mut row = vec![ResultValue::Text(key.to_string())];
+                row.extend(list.iter().map(|&i| items[i].1(&ts, &revenue)));
+                row
+            })
+            .collect();
+        let by_dept = |mut rows: Vec<Vec<ResultValue>>| {
+            rows.sort_by_key(|row| format!("{:?}", row[0]));
+            rows
+        };
+        let flat = by_dept(client.query(&server, &sql).unwrap().rows);
+        let inflated = by_dept(inflating.query(&server, &sql).unwrap().rows);
+        assert_eq!(flat, plaintext, "un-inflated {sql}");
+        assert_eq!(inflated, plaintext, "inflated {sql}");
+    }
+}
+
+/// Inflation scatters each department's contiguous rows over 50 sub-groups;
+/// the proxy unites their ID sets *before* the one decryption, so the runs
+/// telescoping needs are whole again and an inflated SUM costs the proxy the
+/// PRF evaluations of the un-inflated one: two per department.
+#[test]
+fn inflation_costs_the_proxy_no_extra_prf_evaluations() {
+    let (client, inflating, server, _) = two_dept_world();
+    let sql = "SELECT dept, SUM(revenue) FROM sales GROUP BY dept";
+    let flat = client.query(&server, sql).unwrap();
+    let inflated = inflating.query(&server, sql).unwrap();
+    assert_eq!(inflated.rows, flat.rows);
+    assert_eq!(flat.client_prf_evals, 4);
+    assert_eq!(inflated.client_prf_evals, 4);
+}

@@ -107,6 +107,116 @@ fn unsupported_operations_return_translate_error() -> Result<(), SeabedError> {
     Ok(())
 }
 
+/// Statements that used to translate and then either could never run or ran
+/// and answered something else: each is refused up front, as a typed
+/// `Translate` error that names what is unsupported — never a physical type
+/// the analyst did not choose, never a silently different answer.
+#[test]
+fn statements_the_encrypted_schema_cannot_answer_are_refused_up_front() -> Result<(), SeabedError> {
+    let n = 40usize;
+    let countries = ["USA", "USA", "USA", "Canada", "Canada", "USA", "India", "Chile"];
+    let dataset = PlainDataset::new("sales")
+        .with_text_column(
+            "country",
+            (0..n).map(|i| countries[i % countries.len()].to_string()).collect(),
+        )
+        .with_uint_column("revenue", (0..n as u64).collect())
+        .with_uint_column("ts", (0..n as u64).collect())
+        .with_uint_column("hour", (0..n as u64).map(|i| i % 24).collect())
+        .with_text_column("region", (0..n).map(|i| format!("r{}", i % 3)).collect());
+    let distribution = dataset
+        .distribution("country")
+        .ok_or_else(|| SeabedError::engine("fixture is missing the country column"))?;
+    let columns = vec![
+        ColumnSpec::sensitive_with_distribution("country", distribution),
+        ColumnSpec::sensitive("revenue"),
+        ColumnSpec::sensitive("ts"),
+        ColumnSpec::public("hour"),
+        ColumnSpec::public("region"),
+    ];
+    let mut samples = Vec::new();
+    for sql in [
+        "SELECT VARIANCE(revenue) FROM sales WHERE country = 'USA'",
+        "SELECT MIN(ts) FROM sales WHERE ts >= 2",
+    ] {
+        samples.push(parse(sql)?);
+    }
+    let mut client = SeabedClient::create_plan(b"err-master", &columns, &samples, &PlannerConfig::default());
+    let encrypted = client.encrypt_dataset(&dataset, 2, &mut rand::rng());
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+
+    for (bad, names) in [
+        // MIN/MAX read an ORE column and its ASHE companion; a public column
+        // has neither (this used to fail at prepare with
+        // `TypeMismatch { column: "hour", expected: "Bytes", .. }`).
+        (
+            "SELECT MIN(hour) FROM sales",
+            vec!["MIN", "hour", "only OPE columns support MIN/MAX"],
+        ),
+        (
+            "SELECT MAX(hour) FROM sales",
+            vec!["MAX", "hour", "only OPE columns support MIN/MAX"],
+        ),
+        // An equality on a splayed column is answered by which column the
+        // server sums; these have no splayed column and used to aggregate
+        // rows the predicate excludes.
+        (
+            "SELECT VARIANCE(revenue) FROM sales WHERE country = 'USA'",
+            vec!["VARIANCE", "country"],
+        ),
+        (
+            "SELECT STDDEV(revenue) FROM sales WHERE country = 'India'",
+            vec!["STDDEV", "country"],
+        ),
+        (
+            "SELECT MIN(ts) FROM sales WHERE country = 'USA'",
+            vec!["MIN", "country"],
+        ),
+        (
+            "SELECT SUM(hour) FROM sales WHERE country = 'USA'",
+            vec!["SUM(hour)", "country"],
+        ),
+        // Only the first splayed equality ever selected a column.
+        (
+            "SELECT SUM(revenue) FROM sales WHERE country = 'USA' AND country = 'Chile'",
+            vec!["country"],
+        ),
+        // The text filter class is string equality; these used to run as `=`.
+        (
+            "SELECT COUNT(*) FROM sales WHERE region != 'r1'",
+            vec!["equality", "region"],
+        ),
+        (
+            "SELECT COUNT(*) FROM sales WHERE region > 'r1'",
+            vec!["equality", "region"],
+        ),
+    ] {
+        let outcome = client.query(&server, bad);
+        assert!(
+            matches!(&outcome, Err(SeabedError::Translate(msg)) if names.iter().all(|name| msg.contains(name))),
+            "{bad:?} should be a translate error naming {names:?}, got {outcome:?}"
+        );
+    }
+    // What the same shapes *can* answer still answers.
+    for (good, expected) in [
+        ("SELECT MIN(ts) FROM sales WHERE hour = 3", 3),
+        (
+            "SELECT COUNT(*) FROM sales WHERE region = 'r1' AND country = 'USA'",
+            (0..n)
+                .filter(|i| i % 3 == 1 && countries[i % countries.len()] == "USA")
+                .count() as u64,
+        ),
+        (
+            "SELECT SUM(hour) FROM sales WHERE region = 'r0'",
+            (0..40u64).filter(|i| i % 3 == 0).map(|i| i % 24).sum(),
+        ),
+    ] {
+        let result = client.query(&server, good)?;
+        assert_eq!(result.rows[0][0].as_u64(), Some(expected), "{good}");
+    }
+    Ok(())
+}
+
 #[test]
 fn server_rejects_plans_for_foreign_schemas() -> Result<(), SeabedError> {
     // A plan translated against one schema executed against a server that

@@ -181,6 +181,118 @@ fn explain_analyze_rows_match_plain_execution_on_ad_analytics() {
     }
 }
 
+/// `EXPLAIN ANALYZE` of a statement with placeholders explains the plan *that
+/// ran*. A filter's class — where it sits in the execution order, the label
+/// its measurements come back under — is a fact of the bound plan: the session
+/// used to annotate the unbound one, whose plain `?` was guessed to be an
+/// integer compare, so `region = ?` bound to a string rendered an unmeasured
+/// `filter plain:region` and hung `operator filter:text:region` off the root.
+/// One case per placeholder class: the tree must equal, op for op, detail for
+/// detail and row count for row count, that of the same statement with its
+/// literals inline.
+#[test]
+fn explain_analyze_with_placeholders_renders_the_inline_statements_tree() {
+    use seabed_query::Literal;
+    let n = 1_200usize;
+    let depts = ["retail", "wholesale", "online", "partner"];
+    let dataset = PlainDataset::new("sales")
+        .with_text_column("dept", (0..n).map(|i| depts[i % depts.len()].to_string()).collect())
+        .with_uint_column("revenue", (0..n as u64).map(|i| (i * 13) % 500).collect())
+        .with_uint_column("ts", (0..n as u64).map(|i| (i * 7) % 1000).collect())
+        .with_uint_column("hour", (0..n as u64).map(|i| i % 24).collect())
+        .with_text_column("region", (0..n).map(|i| format!("r{}", i % 3)).collect());
+    let columns = vec![
+        ColumnSpec::sensitive("dept"),
+        ColumnSpec::sensitive("revenue"),
+        ColumnSpec::sensitive("ts"),
+        ColumnSpec::public("hour"),
+        ColumnSpec::public("region"),
+    ];
+    let samples = vec![
+        parse("SELECT SUM(revenue) FROM sales WHERE dept = 'retail'").expect("sample"),
+        parse("SELECT SUM(revenue) FROM sales WHERE ts >= 100").expect("sample"),
+    ];
+    let mut client = SeabedClient::create_plan(b"explain-params", &columns, &samples, &PlannerConfig::default());
+    let encrypted = client.encrypt_dataset(&dataset, 6, &mut rand::rng());
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+    let session = SeabedSession::single("sales", client, &server);
+
+    // Pre-order (op, detail, rows in and out) of every node.
+    type Shape = Vec<(String, String, Option<(u64, u64)>)>;
+    fn shape(node: &PlanNode, out: &mut Shape) {
+        let rows = node.profile.map(|p| (p.rows_in, p.rows_out));
+        out.push((node.op.clone(), node.detail.clone(), rows));
+        node.children.iter().for_each(|child| shape(child, out));
+    }
+    let text = |s: &str| Literal::Text(s.to_string());
+    for (class, bound, params, inline) in [
+        (
+            "public integer",
+            "hour = ? AND ts >= 100",
+            vec![Literal::Integer(5)],
+            "hour = 5 AND ts >= 100",
+        ),
+        (
+            "public text",
+            "region = ? AND ts >= ?",
+            vec![text("r1"), Literal::Integer(100)],
+            "region = 'r1' AND ts >= 100",
+        ),
+        (
+            "DET",
+            "dept = ? AND region = 'r0'",
+            vec![text("retail")],
+            "dept = 'retail' AND region = 'r0'",
+        ),
+        (
+            "ORE",
+            "ts >= ? AND hour < 12",
+            vec![Literal::Integer(100)],
+            "ts >= 100 AND hour < 12",
+        ),
+    ] {
+        let explain = |predicates: &str, params: &[Literal]| {
+            let sql = format!("EXPLAIN ANALYZE SELECT SUM(revenue) FROM sales WHERE {predicates}");
+            session.explain(&sql, params).expect("explain analyze")
+        };
+        let with_params = explain(bound, &params);
+        let with_literals = explain(inline, &[]);
+        let rendered = with_params.render();
+
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        shape(&with_params.plan, &mut got);
+        shape(&with_literals.plan, &mut want);
+        assert_eq!(
+            got, want,
+            "{class}: the bound statement's tree is not the inline statement's:\n{rendered}"
+        );
+        assert_eq!(
+            with_params.result.expect("rows").rows,
+            with_literals.result.expect("rows").rows,
+            "{class}"
+        );
+
+        // And, spelled out: every filter measured, the deepest one fed the
+        // whole table, nothing left over at the root.
+        let filters: Vec<_> = got.iter().filter(|(op, ..)| op == "filter").collect();
+        assert_eq!(filters.len(), 2, "{class}:\n{rendered}");
+        assert!(
+            filters.iter().all(|(.., rows)| rows.is_some()),
+            "{class}: unmeasured filter:\n{rendered}"
+        );
+        let deepest = filters.last().expect("two filters");
+        assert_eq!(
+            deepest.2.map(|(rows_in, _)| rows_in),
+            Some(n as u64),
+            "{class}:\n{rendered}"
+        );
+        assert!(
+            with_params.plan.children.iter().all(|child| child.op != "operator"),
+            "{class}: a measurement matched no plan node:\n{rendered}"
+        );
+    }
+}
+
 /// The distributed acceptance criterion: one `EXPLAIN ANALYZE` through a
 /// coordinator returns the whole cluster's stitched plan — coordinator
 /// scatter/gather/merge stages plus one node per shard with its worker and

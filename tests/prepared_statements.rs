@@ -233,3 +233,72 @@ fn eviction_on_a_real_server_is_recovered_through_the_session() {
     assert!(stats.statements_evicted >= 2);
     assert_eq!(stats.requests_served, 3);
 }
+
+/// "Fails at prepare, never at execute" for the second column a MIN/MAX
+/// reads. The plan names only `ts__ope`; the server also reads the ASHE
+/// companion `ts__ope_val` at the winning row. Prepare-time validation used to
+/// check the first and forget the second, so a target without the companion
+/// prepared fine and failed at its first execute. Both the session (locally)
+/// and a `NetServer` (on `PrepareStatement`) now resolve an aggregate's
+/// columns with the server's own rule.
+#[test]
+fn a_missing_ope_companion_column_is_refused_at_prepare() {
+    use seabed_error::SchemaError;
+    let n = 60u64;
+    let dataset = PlainDataset::new("sales")
+        .with_uint_column("revenue", (0..n).collect())
+        .with_uint_column("ts", (0..n).map(|i| (i * 7) % 50).collect());
+    let columns = vec![ColumnSpec::sensitive("revenue"), ColumnSpec::sensitive("ts")];
+    let samples = vec![parse("SELECT MIN(ts) FROM sales WHERE ts >= 10").expect("sample")];
+    let mut client = SeabedClient::create_plan(b"companion", &columns, &samples, &PlannerConfig::default());
+    let mut table = client.encrypt_dataset(&dataset, 3, &mut rand::rng()).table;
+
+    let companion = seabed_query::encnames::ope_value("ts");
+    let dropped = table
+        .schema
+        .index_of(&companion)
+        .expect("an OPE column has its companion");
+    assert!(table.schema.index_of(&seabed_query::encnames::ope("ts")).is_some());
+    table.schema.fields.remove(dropped);
+    for partition in &mut table.partitions {
+        partition.columns.remove(dropped);
+    }
+    let server = SeabedServer::new(table, Cluster::new(ClusterConfig::with_workers(2)));
+    let refused = |outcome: Result<(), SeabedError>, at: &str| {
+        assert!(
+            matches!(&outcome, Err(SeabedError::Schema(SchemaError::UnknownPhysicalColumn(c))) if *c == companion),
+            "{at}: {outcome:?}"
+        );
+    };
+
+    // Locally: the session's prepare.
+    let sql = "SELECT MAX(ts) FROM sales";
+    let session = SeabedSession::single("sales", client.clone(), &server);
+    refused(session.prepare(sql).map(|_| ()), "session prepare");
+    // A plan that does not read the companion still prepares and runs.
+    let count = session
+        .query("SELECT COUNT(*) FROM sales WHERE ts >= 10", &[])
+        .expect("count");
+    assert_eq!(
+        count.rows,
+        vec![vec![ResultValue::UInt(
+            (0..n).filter(|i| (i * 7) % 50 >= 10).count() as u64
+        )]]
+    );
+
+    // On the wire: PREPARE is refused, so nothing is registered and nothing
+    // ever executes.
+    let plan = seabed_query::translate(
+        &parse(sql).expect("parse"),
+        client.plan(),
+        &seabed_query::TranslateOptions::default(),
+    )
+    .expect("translate");
+    let net = NetServer::serve(server, "127.0.0.1:0", ServiceConfig::default()).expect("serve");
+    let remote = RemoteSeabedClient::connect(net.local_addr(), client).expect("connect");
+    refused(remote.execute_prepared(&plan, 7, &[]).map(|_| ()), "PrepareStatement");
+    drop(remote);
+    let stats = net.shutdown();
+    assert_eq!(stats.statements_prepared, 0);
+    assert_eq!(stats.requests_served, 0, "refused at PREPARE, not at first EXECUTE");
+}

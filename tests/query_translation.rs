@@ -114,3 +114,39 @@ fn unsupported_operations_error_cleanly() {
         );
     }
 }
+
+/// MIN/MAX read an ORE column plus its ASHE companion, which only an OPE
+/// column has. Over a public column the query used to translate ("needs OPE
+/// or plaintext") and then fail everywhere it was prepared with
+/// `TypeMismatch { column: "pub", expected: "Bytes", .. }` — a physical type
+/// the analyst never chose.
+#[test]
+fn min_max_over_a_public_column_is_refused_by_the_translator() {
+    let p = plan();
+    for (sql, func) in [("SELECT MIN(pub) FROM t", "MIN"), ("SELECT MAX(pub) FROM t", "MAX")] {
+        let outcome = translate(&parse(sql).unwrap(), &p, &TranslateOptions::default());
+        assert!(
+            matches!(&outcome, Err(seabed_query::TranslateError::Unsupported(msg))
+                if msg.contains(func) && msg.contains("pub") && msg.contains("only OPE columns support MIN/MAX")),
+            "{sql}: {outcome:?}"
+        );
+    }
+    // Over the OPE column the same functions still translate.
+    let t = translate(
+        &parse("SELECT MIN(b), MAX(b) FROM t").unwrap(),
+        &p,
+        &TranslateOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(
+        t.aggregates,
+        vec![
+            ServerAggregate::OpeMin {
+                column: encnames::ope("b")
+            },
+            ServerAggregate::OpeMax {
+                column: encnames::ope("b")
+            }
+        ]
+    );
+}
