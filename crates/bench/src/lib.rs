@@ -623,7 +623,7 @@ pub fn exp_fig8c(scale: &Scale) -> Vec<SelectivityPoint> {
     let scheme = AsheScheme::new(&[5u8; 16]);
     let encrypted = seabed_ashe::encrypt_column(&scheme, &ds.values, 0);
     let ore = seabed_crypto::OreScheme::new(&[8u8; 16]);
-    let ore_cts: Vec<Vec<u8>> = ope_values.iter().map(|&v| ore.encrypt(v).symbols).collect();
+    let ore_cts: seabed_engine::BytesColumn = ope_values.iter().map(|&v| ore.encrypt(v).symbols).collect();
     let table = seabed_engine::Table::from_columns(
         seabed_engine::Schema::new([
             ("m__ashe".to_string(), seabed_engine::ColumnType::UInt64),

@@ -15,7 +15,7 @@
 
 use seabed_crypto::paillier::{PaillierCiphertext, PaillierKeypair};
 use seabed_crypto::BigUint;
-use seabed_engine::{Cluster, ColumnData, ColumnType, ExecStats, Schema, Table, TaskOutput};
+use seabed_engine::{BytesColumn, Cluster, ColumnData, ColumnType, ExecStats, Schema, Table, TaskOutput};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -171,7 +171,7 @@ impl PaillierSystem {
         keypair: PaillierKeypair,
         rng: &mut R,
     ) -> PaillierSystem {
-        let ciphertexts: Vec<Vec<u8>> = values
+        let ciphertexts: BytesColumn = values
             .iter()
             .map(|&v| keypair.public.encrypt_u64(rng, v).0.to_bytes_be())
             .collect();

@@ -24,8 +24,9 @@ use crate::keys::KeyStore;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use seabed_ashe::AsheScheme;
+use seabed_crypto::ore::ORE_BITS;
 use seabed_crypto::{DetScheme, OreScheme};
-use seabed_engine::{ColumnData, ColumnType, Schema, Table};
+use seabed_engine::{BytesColumn, ColumnData, ColumnType, Schema, Table};
 use seabed_query::encnames;
 use seabed_query::planner::{EncryptionChoice, SchemaPlan};
 use std::collections::HashMap;
@@ -179,9 +180,13 @@ pub fn encrypt_dataset<R: Rng + ?Sized>(
                 let values = numeric_values(source, &col_plan.name);
                 let ore = OreScheme::new(&keys.ope_key(&col_plan.name));
                 fields.push((encnames::ope(&col_plan.name), ColumnType::Bytes));
-                columns.push(ColumnData::Bytes(
-                    values.iter().map(|&v| ore.encrypt(v).symbols).collect(),
-                ));
+                let mut cells = BytesColumn::with_capacity(values.len(), values.len() * ORE_BITS);
+                let mut symbols = [0u8; ORE_BITS];
+                for &v in &values {
+                    ore.encrypt_into(v, &mut symbols);
+                    cells.push(&symbols);
+                }
+                columns.push(ColumnData::Bytes(cells));
                 // Companion ASHE column so MIN/MAX results can be decrypted.
                 let scheme = AsheScheme::new(&keys.ashe_key(&col_plan.name));
                 fields.push((encnames::ope_value(&col_plan.name), ColumnType::UInt64));

@@ -49,6 +49,7 @@ use seabed_engine::{
 use seabed_error::{SchemaError, SeabedError};
 use seabed_obs::UNTRACED;
 use seabed_query::{AggregateInput, CompareOp, FilterClass, PlanNode, ServerAggregate, TranslatedQuery};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// A filter with its literal already encrypted by the proxy.
@@ -156,12 +157,15 @@ macro_rules! dispatch_filter {
                 $row_kernel
             }
             PhysicalFilter::Ope { column, op, ciphertext } => {
-                let col = typed_slice!($partition, *column, bytes_slice, "Bytes")?;
+                let col = typed_slice!($partition, *column, bytes_column, "Bytes")?;
                 let literal = ciphertext.symbols.as_slice();
+                // The operator, resolved once: what it says to each of the
+                // three orderings, indexed by `Ordering as i8 + 1`.
+                let accepts = [Ordering::Less, Ordering::Equal, Ordering::Greater].map(|ord| op.eval_ordering(ord));
                 let $rpred = |row: usize| {
                     col.get(row)
                         .and_then(|cell| try_compare_symbols(cell, literal))
-                        .is_some_and(|ord| op.eval_ordering(ord))
+                        .is_some_and(|ord| accepts[(ord as i8 + 1) as usize])
                 };
                 $row_kernel
             }
@@ -1502,7 +1506,10 @@ mod tests {
         ]);
         let table = Table::from_columns(
             schema,
-            vec![ColumnData::Bytes(cells), ColumnData::UInt64((1000..1040u64).collect())],
+            vec![
+                ColumnData::Bytes(cells.iter().collect()),
+                ColumnData::UInt64((1000..1040u64).collect()),
+            ],
             4,
         );
         let expected_min_row = (1..40).min_by_key(|&i| plain[i]).expect("non-empty") as u64;

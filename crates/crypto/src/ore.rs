@@ -17,6 +17,25 @@
 //! difference is `+1` or `+2` (mod 3) reveals which plaintext is larger. The
 //! leakage is exactly the order plus the index of the most significant
 //! differing bit — nothing else.
+//!
+//! # What is stored
+//!
+//! A ciphertext is stored, shipped and compared as **one byte per symbol**:
+//! [`ORE_BITS`] = 64 bytes per cell, behind a 4-byte length in a serialized
+//! table — 68 of the 108 stored bytes of a row with one ORE column, and what
+//! `engine::storage::column_disk_size` charges. A symbol only needs 2 bits;
+//! packing four to a byte would store 4 + 16 bytes per cell and take the same
+//! 48 bytes per row off every shard-load frame. It is not done here because it
+//! changes [`OreCiphertext`], every stored table and every frame that carries
+//! one, so it waits for the next protocol version bump rather than forcing one.
+//!
+//! # Comparison
+//!
+//! [`try_compare_symbols`] is the one body that compares two symbol strings;
+//! [`OreCiphertext::compare`], the server's range filters and the MIN/MAX fold
+//! all reach it. It compares eight symbols at a time: real dimension values
+//! (timestamps) are small, so two ciphertexts of one column agree on most of
+//! their leading symbols and the first difference sits in the last words.
 
 use crate::aes::Aes128;
 use std::cmp::Ordering;
@@ -25,10 +44,8 @@ use std::cmp::Ordering;
 /// at most 64-bit integers.
 pub const ORE_BITS: usize = 64;
 
-/// An ORE ciphertext: one mod-3 symbol per plaintext bit.
-///
-/// Each symbol is stored in a byte for simplicity; the packed form used for
-/// storage accounting is 2 bits per symbol (see [`OreCiphertext::packed_len`]).
+/// An ORE ciphertext: one mod-3 symbol per plaintext bit, one byte per symbol
+/// (see the module docs for what that costs in storage).
 #[derive(Clone, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct OreCiphertext {
     /// The `u_i` symbols, most-significant bit first.
@@ -36,11 +53,6 @@ pub struct OreCiphertext {
 }
 
 impl OreCiphertext {
-    /// Length of the packed representation in bytes (2 bits per symbol).
-    pub fn packed_len(&self) -> usize {
-        self.symbols.len().div_ceil(4)
-    }
-
     /// Compares two ciphertexts, returning the ordering of the underlying
     /// plaintexts. Panics if the ciphertexts have different lengths (they were
     /// produced by different schemes).
@@ -56,19 +68,57 @@ impl OreCiphertext {
     }
 }
 
+/// What the first differing symbol pair says about the plaintexts: `x` is one
+/// ahead of `y` (mod 3) exactly when `x`'s plaintext has the 1 bit there.
+/// Wrapping add: symbols are mod-3 in well-formed ciphertexts, but corrupt
+/// cells may hold any byte and must not overflow-panic; the ordering of such a
+/// pair is arbitrary but fixed.
+#[inline]
+fn symbol_order(x: u8, y: u8) -> Ordering {
+    if x == y.wrapping_add(1) % 3 {
+        Ordering::Greater
+    } else {
+        Ordering::Less
+    }
+}
+
 /// Total, allocation-free comparison of two ORE symbol strings (the stored
 /// form of [`OreCiphertext`]). Returns `None` when the widths differ — a
 /// corrupt cell or a ciphertext from a different scheme — so scan loops can
 /// treat such rows as non-matching instead of panicking or cloning each cell
 /// into an [`OreCiphertext`] first.
+///
+/// Eight symbols are compared per step: the XOR of two little-endian words is
+/// zero while they agree, and its lowest set bit lies in the first differing
+/// byte (`from_le_bytes` puts byte 0 lowest on every host). Widths that are
+/// not a multiple of eight finish byte by byte.
 pub fn try_compare_symbols(a: &[u8], b: &[u8]) -> Option<Ordering> {
+    if a.len() != b.len() {
+        return None;
+    }
+    let (a_words, a_tail) = a.as_chunks::<8>();
+    let (b_words, b_tail) = b.as_chunks::<8>();
+    for (x, y) in a_words.iter().zip(b_words) {
+        let (x, y) = (u64::from_le_bytes(*x), u64::from_le_bytes(*y));
+        let diff = x ^ y;
+        if diff != 0 {
+            let shift = diff.trailing_zeros() / 8 * 8;
+            return Some(symbol_order((x >> shift) as u8, (y >> shift) as u8));
+        }
+    }
+    let first_diff = a_tail.iter().zip(b_tail).find(|(x, y)| x != y);
+    Some(first_diff.map_or(Ordering::Equal, |(x, y)| symbol_order(*x, *y)))
+}
+
+/// The byte-at-a-time comparison [`try_compare_symbols`] replaced, kept as the
+/// oracle the word-at-a-time one is pinned against.
+#[cfg(test)]
+fn compare_symbols_bytewise(a: &[u8], b: &[u8]) -> Option<Ordering> {
     if a.len() != b.len() {
         return None;
     }
     for (x, y) in a.iter().zip(b.iter()) {
         if x != y {
-            // Wrapping add: symbols are mod-3 in well-formed ciphertexts, but
-            // corrupt cells may hold any byte and must not overflow-panic.
             return Some(if *x == y.wrapping_add(1) % 3 {
                 Ordering::Greater
             } else {
@@ -106,13 +156,24 @@ impl OreScheme {
 
     /// Encrypts a 64-bit value.
     ///
+    /// Output is identical to [`OreScheme::encrypt_scalar`], the per-bit
+    /// reference path.
+    pub fn encrypt(&self, m: u64) -> OreCiphertext {
+        let mut symbols = [0u8; ORE_BITS];
+        self.encrypt_into(m, &mut symbols);
+        OreCiphertext {
+            symbols: symbols.to_vec(),
+        }
+    }
+
+    /// Encrypts a 64-bit value into a caller-provided symbol buffer, without
+    /// allocating — what a bulk load appends to its column per row.
+    ///
     /// Every bit's PRF input depends only on `m` itself (`prefix_i` is `m`
     /// with all bits below position `i` zeroed), so all [`ORE_BITS`] AES
     /// blocks are materialised up front and encrypted in a single batched
     /// kernel dispatch instead of one [`Aes128::encrypt_block`] call per bit.
-    /// Output is identical to [`OreScheme::encrypt_scalar`], the per-bit
-    /// reference path.
-    pub fn encrypt(&self, m: u64) -> OreCiphertext {
+    pub fn encrypt_into(&self, m: u64, symbols: &mut [u8; ORE_BITS]) {
         let mut blocks = [[0u8; 16]; ORE_BITS];
         for (i, block) in blocks.iter_mut().enumerate() {
             // prefix holds bits b_1..b_{i-1} left-aligned, remaining bits zero.
@@ -121,13 +182,11 @@ impl OreScheme {
             block[8..].copy_from_slice(&prefix.to_be_bytes());
         }
         self.cipher.encrypt_blocks(&mut blocks);
-        let mut symbols = Vec::with_capacity(ORE_BITS);
-        for (i, block) in blocks.iter().enumerate() {
+        for (i, (symbol, block)) in symbols.iter_mut().zip(&blocks).enumerate() {
             let bit = ((m >> (ORE_BITS - 1 - i)) & 1) as u8;
             let prf = (u64::from_be_bytes(block[..8].try_into().unwrap()) % 3) as u8;
-            symbols.push((prf + bit) % 3);
+            *symbol = (prf + bit) % 3;
         }
-        OreCiphertext { symbols }
     }
 
     /// Per-bit scalar reference implementation of [`OreScheme::encrypt`]:
@@ -201,6 +260,131 @@ mod tests {
         assert!(try_compare_symbols(&a.symbols, &forged).is_some());
     }
 
+    /// Both directions of the oracle check, so a test names each pair once.
+    fn assert_matches_oracle(a: &[u8], b: &[u8]) {
+        assert_eq!(
+            try_compare_symbols(a, b),
+            compare_symbols_bytewise(a, b),
+            "{a:?} vs {b:?}"
+        );
+        assert_eq!(
+            try_compare_symbols(b, a),
+            compare_symbols_bytewise(b, a),
+            "{b:?} vs {a:?}"
+        );
+    }
+
+    #[test]
+    fn word_compare_matches_bytewise_at_every_bit_position() {
+        let s = scheme();
+        let mut state = 0x5EED_u64;
+        for bit in 0..ORE_BITS {
+            // Two plaintexts that agree above `bit`, differ at it, and are
+            // unrelated below: the first differing symbol is 63 - bit.
+            let base = splitmix(&mut state);
+            let below = (1u64 << bit) - 1;
+            let lo = (base & !(1 << bit) & !below) | (splitmix(&mut state) & below);
+            let hi = (base | (1 << bit)) & !below | (splitmix(&mut state) & below);
+            let (a, b) = (s.encrypt(lo), s.encrypt(hi));
+            assert_eq!(a.diff_index(&b), Some(ORE_BITS - 1 - bit));
+            assert_matches_oracle(&a.symbols, &b.symbols);
+            assert_eq!(
+                try_compare_symbols(&a.symbols, &b.symbols),
+                Some(Ordering::Less),
+                "bit {bit}"
+            );
+            assert_eq!(
+                try_compare_symbols(&b.symbols, &a.symbols),
+                Some(Ordering::Greater),
+                "bit {bit}"
+            );
+            assert_matches_oracle(&a.symbols, &a.symbols);
+            assert_eq!(try_compare_symbols(&b.symbols, &b.symbols), Some(Ordering::Equal));
+        }
+    }
+
+    #[test]
+    fn word_compare_matches_bytewise_at_every_length() {
+        // Symbol strings that differ only in their last byte, so every
+        // whole-word prefix and every 1..=7-byte tail has to be walked.
+        for len_a in 0..=80usize {
+            for len_b in 0..=80usize {
+                let a: Vec<u8> = (0..len_a).map(|i| (i % 3) as u8).collect();
+                let mut b: Vec<u8> = (0..len_b).map(|i| (i % 3) as u8).collect();
+                assert_matches_oracle(&a, &b);
+                assert_eq!(try_compare_symbols(&a, &b).is_none(), len_a != len_b);
+                if let Some(last) = len_b.checked_sub(1) {
+                    for _ in 0..2 {
+                        b[last] = (b[last] + 1) % 3;
+                        assert_matches_oracle(&a, &b);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_compare_matches_bytewise_on_out_of_domain_bytes() {
+        let s = scheme();
+        let (a, b) = (s.encrypt(0x1234_5678_9ABC), s.encrypt(0x1234_5678_9ABD));
+        for width in [ORE_BITS, 67] {
+            let pad = |ct: &OreCiphertext| {
+                ct.symbols
+                    .iter()
+                    .copied()
+                    .chain([1, 2, 0])
+                    .take(width)
+                    .collect::<Vec<u8>>()
+            };
+            let (a, b) = (pad(&a), pad(&b));
+            for at in 0..width {
+                for byte in [3u8, 0x80, 0xFF] {
+                    let mut forged = a.clone();
+                    forged[at] = byte;
+                    assert_matches_oracle(&forged, &a);
+                    assert_matches_oracle(&forged, &b);
+                    // Corrupt on both sides, at the same and at another position.
+                    let mut other = b.clone();
+                    other[at] = byte.wrapping_add(1);
+                    assert_matches_oracle(&forged, &other);
+                    other[width - 1 - at] = byte;
+                    assert_matches_oracle(&forged, &other);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_compare_matches_bytewise_on_a_random_sweep() {
+        let s = scheme();
+        let mut state = 20u64;
+        for i in 0..10_000 {
+            let x = splitmix(&mut state);
+            // Half the pairs share a long prefix, as one column's values do.
+            let y = if i % 2 == 0 {
+                splitmix(&mut state)
+            } else {
+                x ^ (splitmix(&mut state) >> (i % 64))
+            };
+            let (a, b) = (s.encrypt(x), s.encrypt(y));
+            assert_matches_oracle(&a.symbols, &b.symbols);
+            assert_eq!(
+                try_compare_symbols(&a.symbols, &b.symbols),
+                Some(x.cmp(&y)),
+                "{x} vs {y}"
+            );
+        }
+    }
+
+    /// SplitMix64: a seeded stream for the sweeps above.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
     #[test]
     fn equal_plaintexts_compare_equal() {
         let s = scheme();
@@ -213,9 +397,13 @@ mod tests {
     fn batched_encrypt_matches_scalar_reference() {
         let s = scheme();
         let other = OreScheme::new(&[0xC3u8; 16]);
+        // A dirty buffer: `encrypt_into` must overwrite every symbol.
+        let mut into = [0xAAu8; ORE_BITS];
         for m in [0u64, 1, 2, 0b1011, 12345, 1 << 40, u64::MAX - 1, u64::MAX] {
             assert_eq!(s.encrypt(m), s.encrypt_scalar(m), "m={m}");
             assert_eq!(other.encrypt(m), other.encrypt_scalar(m), "m={m}");
+            s.encrypt_into(m, &mut into);
+            assert_eq!(into.as_slice(), s.encrypt_scalar(m).symbols, "m={m}");
         }
     }
 
@@ -264,12 +452,6 @@ mod tests {
                 assert_eq!(cts[i].compare(&cts[j]), i.cmp(&j), "{i} vs {j}");
             }
         }
-    }
-
-    #[test]
-    fn packed_len_is_sixteen_bytes_for_u64() {
-        let s = scheme();
-        assert_eq!(s.encrypt(42).packed_len(), 16);
     }
 
     #[test]

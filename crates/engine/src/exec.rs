@@ -29,8 +29,15 @@
 //!
 //! The kernels themselves are deliberately tiny and generic over a predicate:
 //! callers hoist the per-filter dispatch (which comparison operator, which
-//! literal) *out* of the loop so each call monomorphizes into a tight,
-//! branch-predictable scan over one column slice.
+//! literal) *out* of the loop so each call monomorphizes into a tight scan
+//! over one column. There are two loops, [`select_rows`] (dense: every row of
+//! the partition into a fresh selection) and [`refine_rows`] (compact an
+//! existing selection in place); the `u64` forms are the same loops with the
+//! cell read folded into the predicate. Neither branches on the predicate:
+//! a range filter keeps about half its rows in no pattern a predictor can
+//! learn, so a conditional `push` would mispredict on every other row. Each
+//! row is instead written at the cursor unconditionally and the cursor
+//! advances by `usize::from(pred)`.
 
 use std::time::Instant;
 
@@ -242,41 +249,48 @@ impl ProfileSink {
 
 /// Dense first-filter kernel: selects the rows of an `n`-row partition whose
 /// offset satisfies `pred`, without materialising an all-rows selection.
+///
+/// The append is branch-free: every row is written at the cursor and the
+/// cursor advances only when it matched, so a predicate that holds for half
+/// the rows costs no mispredicted branch. The price is one `n`-sized buffer
+/// per call, whatever the selectivity.
 pub fn select_rows(n: usize, mut pred: impl FnMut(usize) -> bool) -> SelectionVector {
     debug_assert!(n <= MAX_PARTITION_ROWS);
-    let mut rows = Vec::new();
+    let mut rows = vec![0u32; n];
+    let mut kept = 0usize;
     for row in 0..n {
-        if pred(row) {
-            rows.push(row as u32);
-        }
+        rows[kept] = row as u32;
+        kept += usize::from(pred(row));
     }
+    rows.truncate(kept);
     SelectionVector { rows }
 }
 
 /// Dense first-filter kernel over a `u64` column: one tight pass, no per-row
 /// accessor indirection. The predicate sees the cell value.
 pub fn select_u64(col: &[u64], mut pred: impl FnMut(u64) -> bool) -> SelectionVector {
-    debug_assert!(col.len() <= MAX_PARTITION_ROWS);
-    let mut rows = Vec::new();
-    for (row, &v) in col.iter().enumerate() {
-        if pred(v) {
-            rows.push(row as u32);
-        }
-    }
-    SelectionVector { rows }
+    select_rows(col.len(), |row| pred(col[row]))
 }
 
 /// Refinement kernel over a `u64` column: keeps the already-selected rows
 /// whose cell satisfies `pred`. Rows past the end of `col` (corrupt
 /// partitions; callers validate lengths up front) are deselected.
 pub fn refine_u64(sel: &mut SelectionVector, col: &[u64], mut pred: impl FnMut(u64) -> bool) {
-    sel.rows.retain(|&row| col.get(row as usize).is_some_and(|&v| pred(v)));
+    refine_rows(sel, |row| col.get(row).is_some_and(|&v| pred(v)));
 }
 
 /// Refinement kernel with a row-offset predicate, for columns whose cells are
-/// not plain `u64`s (strings, ORE ciphertext bytes).
+/// not plain `u64`s (strings, ORE ciphertext bytes). Compacts the selection in
+/// place, branch-free like [`select_rows`]: the write cursor never passes the
+/// read cursor, so survivors keep their ascending order.
 pub fn refine_rows(sel: &mut SelectionVector, mut pred: impl FnMut(usize) -> bool) {
-    sel.rows.retain(|&row| pred(row as usize));
+    let mut kept = 0usize;
+    for at in 0..sel.rows.len() {
+        let row = sel.rows[at];
+        sel.rows[kept] = row;
+        kept += usize::from(pred(row as usize));
+    }
+    sel.rows.truncate(kept);
 }
 
 #[cfg(test)]
@@ -320,6 +334,49 @@ mod tests {
         let short_col = vec![1u64; 6];
         refine_u64(&mut sel, &short_col, |_| true);
         assert_eq!(sel.rows(), &[0, 5], "row 9 is past the column end");
+    }
+
+    /// The branch-free kernels against `Vec::retain`, the obvious way to
+    /// write them: same survivors, same order, at every selectivity.
+    #[test]
+    fn kernels_match_retain_at_every_selectivity() {
+        let mut state = 7u64;
+        let mut coin = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 63 == 1
+        };
+        let n = 2 * BATCH_ROWS + 3;
+        let patterns: Vec<(&str, Vec<bool>)> = vec![
+            ("none", vec![false; n]),
+            ("all", vec![true; n]),
+            ("alternating", (0..n).map(|i| i % 2 == 0).collect()),
+            ("random", (0..n).map(|_| coin()).collect()),
+            ("first only", (0..n).map(|i| i == 0).collect()),
+            ("last only", (0..n).map(|i| i == n - 1).collect()),
+            ("empty input", Vec::new()),
+        ];
+        for (name, keep) in &patterns {
+            let n = keep.len();
+            let col: Vec<u64> = keep.iter().map(|&k| u64::from(k)).collect();
+            let mut expected: Vec<u32> = (0..n as u32).collect();
+            expected.retain(|&row| keep[row as usize]);
+
+            assert_eq!(select_rows(n, |row| keep[row]).rows(), expected, "select_rows, {name}");
+            assert_eq!(select_u64(&col, |v| v == 1).rows(), expected, "select_u64, {name}");
+
+            // Refine a selection that already skips every third row.
+            let start: Vec<u32> = (0..n as u32).filter(|row| row % 3 != 0).collect();
+            let mut expected = start.clone();
+            expected.retain(|&row| keep[row as usize]);
+            let mut sel = SelectionVector::from_sorted_rows(start.clone());
+            refine_rows(&mut sel, |row| keep[row]);
+            assert_eq!(sel.rows(), expected, "refine_rows, {name}");
+            let mut sel = SelectionVector::from_sorted_rows(start);
+            refine_u64(&mut sel, &col, |v| v == 1);
+            assert_eq!(sel.rows(), expected, "refine_u64, {name}");
+        }
     }
 
     #[test]

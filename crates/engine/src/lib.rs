@@ -41,7 +41,7 @@ pub use exec::{merge_operator_profiles, ExecMode, OperatorProfile, ProfileSink, 
 pub use merge::{merge_partial_groups, ExtremeCandidate, PartialAggregate, PartialGroups};
 pub use netmodel::NetworkModel;
 pub use storage::{table_disk_size, table_memory_size};
-pub use table::{ColumnData, ColumnType, Field, Partition, Schema, Table};
+pub use table::{BytesColumn, ColumnData, ColumnType, Field, Partition, Schema, Table};
 
 #[cfg(test)]
 mod proptests {

@@ -7,7 +7,7 @@
 //! heap layout of the columnar representation, which carries per-`Vec`
 //! overheads the way Spark's JVM objects do (at a smaller constant).
 
-use crate::table::{ColumnData, ColumnType, Partition, Schema, Table};
+use crate::table::{BytesColumn, ColumnData, ColumnType, Partition, Schema, Table};
 
 /// Serialized (on-disk) size of a column, in bytes: a varint-free flat layout
 /// of fixed-width values and length-prefixed variable-width values.
@@ -16,12 +16,12 @@ pub fn column_disk_size(column: &ColumnData) -> usize {
         ColumnData::UInt64(v) => v.len() * 8,
         ColumnData::Int64(v) => v.len() * 8,
         ColumnData::Utf8(v) => v.iter().map(|s| 4 + s.len()).sum(),
-        ColumnData::Bytes(v) => v.iter().map(|b| 4 + b.len()).sum(),
+        ColumnData::Bytes(v) => 4 * v.len() + v.data_len(),
     }
 }
 
 /// In-memory (heap) size of a column, in bytes, including per-element
-/// allocation overhead for variable-width types.
+/// allocation overhead for strings (byte cells share two buffers).
 pub fn column_memory_size(column: &ColumnData) -> usize {
     const VEC_OVERHEAD: usize = 24;
     match column {
@@ -30,9 +30,7 @@ pub fn column_memory_size(column: &ColumnData) -> usize {
         ColumnData::Utf8(v) => {
             VEC_OVERHEAD + v.capacity() * std::mem::size_of::<String>() + v.iter().map(|s| s.capacity()).sum::<usize>()
         }
-        ColumnData::Bytes(v) => {
-            VEC_OVERHEAD + v.capacity() * std::mem::size_of::<Vec<u8>>() + v.iter().map(|b| b.capacity()).sum::<usize>()
-        }
+        ColumnData::Bytes(v) => 2 * VEC_OVERHEAD + v.heap_size(),
     }
 }
 
@@ -90,7 +88,7 @@ pub fn serialize_table(table: &Table) -> Vec<u8> {
                 }
                 ColumnData::Bytes(v) => {
                     write_u32(&mut out, v.len() as u32);
-                    for b in v {
+                    for b in v.iter() {
                         write_u32(&mut out, b.len() as u32);
                         out.extend_from_slice(b);
                     }
@@ -130,6 +128,22 @@ column_type_tags!(0 => UInt64, 1 => Int64, 2 => Utf8, 3 => Bytes);
 fn reserved<T>(len: usize, data: &[u8], pos: usize) -> Vec<T> {
     let fit = data.len().saturating_sub(pos) / std::mem::size_of::<T>().max(1);
     Vec::with_capacity(len.min(fit))
+}
+
+/// Total bytes of the `len` length-prefixed cells stored at `pos`, or `None`
+/// if they run past the end of `data`. A [`BytesColumn`] is sized from this
+/// walk over the cells' own prefixes, before anything is reserved: a forged
+/// count or cell length fails here having allocated nothing, and a count that
+/// passes is backed by at least four stored bytes per cell, so the column is
+/// allocated once, at its exact size.
+fn cells_extent(len: usize, data: &[u8], mut pos: usize) -> Option<usize> {
+    let mut total = 0usize;
+    for _ in 0..len {
+        let cell = read_u32(data, &mut pos)? as usize;
+        pos = pos.checked_add(cell).filter(|&end| end <= data.len())?;
+        total += cell;
+    }
+    Some(total)
 }
 
 /// Deserializes a table produced by [`serialize_table`]; returns `None` on
@@ -176,12 +190,11 @@ pub fn deserialize_table(data: &[u8]) -> Option<Table> {
                     ColumnData::Utf8(v)
                 }
                 ColumnType::Bytes => {
-                    let mut v = reserved(len, data, pos);
+                    let mut v = BytesColumn::with_capacity(len, cells_extent(len, data, pos)?);
                     for _ in 0..len {
-                        let blen = read_u32(data, &mut pos)? as usize;
-                        let bytes = data.get(pos..pos + blen)?.to_vec();
-                        pos += blen;
-                        v.push(bytes);
+                        let cell = read_u32(data, &mut pos)? as usize;
+                        v.push(data.get(pos..pos + cell)?);
+                        pos += cell;
                     }
                     ColumnData::Bytes(v)
                 }
@@ -321,6 +334,110 @@ mod tests {
         assert!(deserialize_table(&data).is_none());
     }
 
+    /// The stored form of a `Bytes` column is the one the engine wrote when a
+    /// column was a `Vec<Vec<u8>>`: a `u32` cell count, then a `u32` length and
+    /// the bytes of each cell. Written out by hand here so the flat in-memory
+    /// layout cannot move a stored byte.
+    #[test]
+    fn bytes_column_is_stored_as_length_prefixed_cells() {
+        let ragged: Vec<Vec<u8>> = vec![vec![7, 8, 9], vec![], vec![1], vec![0xFF; 5]];
+        let ore: Vec<Vec<u8>> = (0..3u8).map(|row| (0..64u8).map(|i| (i + row) % 3).collect()).collect();
+        let table = Table {
+            schema: Schema::new([
+                ("r".to_string(), ColumnType::Bytes),
+                ("o".to_string(), ColumnType::Bytes),
+            ]),
+            partitions: vec![
+                Partition {
+                    start_row: 0,
+                    columns: vec![
+                        ColumnData::Bytes(ragged.iter().collect()),
+                        ColumnData::Bytes(ore.iter().chain(&ragged[..1]).collect()),
+                    ],
+                },
+                Partition {
+                    start_row: 4,
+                    columns: vec![
+                        ColumnData::Bytes(BytesColumn::new()),
+                        ColumnData::Bytes(BytesColumn::new()),
+                    ],
+                },
+            ],
+        };
+
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&2u32.to_le_bytes());
+        for name in ["r", "o"] {
+            expected.extend_from_slice(&1u32.to_le_bytes());
+            expected.extend_from_slice(name.as_bytes());
+            expected.push(3);
+        }
+        expected.extend_from_slice(&2u32.to_le_bytes());
+        let cells = |expected: &mut Vec<u8>, cells: &[&Vec<u8>]| {
+            expected.extend_from_slice(&(cells.len() as u32).to_le_bytes());
+            for cell in cells {
+                expected.extend_from_slice(&(cell.len() as u32).to_le_bytes());
+                expected.extend_from_slice(cell);
+            }
+        };
+        expected.extend_from_slice(&0u64.to_le_bytes());
+        cells(&mut expected, &ragged.iter().collect::<Vec<_>>());
+        cells(&mut expected, &ore.iter().chain(&ragged[..1]).collect::<Vec<_>>());
+        expected.extend_from_slice(&4u64.to_le_bytes());
+        cells(&mut expected, &[]);
+        cells(&mut expected, &[]);
+
+        let data = serialize_table(&table);
+        assert_eq!(data, expected);
+        assert_eq!(deserialize_table(&data), Some(table.clone()));
+        let (r, o) = (&table.partitions[0].columns[0], &table.partitions[0].columns[1]);
+        assert_eq!(column_disk_size(r), (4 + 3) + 4 + (4 + 1) + (4 + 5));
+        assert_eq!(column_disk_size(o), 3 * (4 + 64) + (4 + 3));
+        assert_eq!(column_disk_size(&table.partitions[1].columns[0]), 0);
+        // A loaded column holds exactly its cells: nothing was over-reserved.
+        let loaded = deserialize_table(&data).unwrap();
+        assert_eq!(
+            column_memory_size(&loaded.partitions[0].columns[1]),
+            48 + (3 * 64 + 3) + 5 * std::mem::size_of::<usize>()
+        );
+    }
+
+    /// A forged cell count or cell length on a `Bytes` column is found by
+    /// walking the length prefixes, before either buffer is reserved.
+    #[test]
+    fn forged_bytes_cells_are_rejected_before_reserving() {
+        let table = Table::from_columns(
+            Schema::new([("b".to_string(), ColumnType::Bytes)]),
+            vec![ColumnData::Bytes(BytesColumn::from_iter([[1u8, 2], [3, 4], [5, 6]]))],
+            1,
+        );
+        let honest = serialize_table(&table);
+        // fields: count(4) + name len(4) + "b" + tag(1); partitions: count(4)
+        // + start_row(8); then the cell count and the first cell's length.
+        let count_at = 4 + 4 + 1 + 1 + 4 + 8;
+        assert_eq!(honest[count_at..count_at + 8], [3, 0, 0, 0, 2, 0, 0, 0]);
+        let cells_at = count_at + 4;
+        assert_eq!(cells_extent(3, &honest, cells_at), Some(6));
+        assert_eq!(
+            6 + 3 * 4,
+            honest.len() - cells_at,
+            "with their prefixes, exactly the bytes unread"
+        );
+
+        for forged_count in [4u32, 1 << 20, u32::MAX] {
+            let mut data = honest.clone();
+            data[count_at..count_at + 4].copy_from_slice(&forged_count.to_le_bytes());
+            assert_eq!(cells_extent(forged_count as usize, &data, cells_at), None);
+            assert_eq!(deserialize_table(&data), None);
+        }
+        for forged_len in [7u32, 1 << 30, u32::MAX] {
+            let mut data = honest.clone();
+            data[cells_at..cells_at + 4].copy_from_slice(&forged_len.to_le_bytes());
+            assert_eq!(cells_extent(3, &data, cells_at), None);
+            assert_eq!(deserialize_table(&data), None);
+        }
+    }
+
     #[test]
     fn invalid_type_tag_is_rejected() {
         let t = sample_table();
@@ -359,7 +476,7 @@ mod tests {
         );
         let wide = Table::from_columns(
             Schema::new([("v".to_string(), ColumnType::Bytes)]),
-            vec![ColumnData::Bytes(vec![vec![0u8; 256]; rows])],
+            vec![ColumnData::Bytes(BytesColumn::from_iter(vec![vec![0u8; 256]; rows]))],
             1,
         );
         // 256-byte Paillier ciphertexts cost ~32x more than 8-byte words.

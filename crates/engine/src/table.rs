@@ -33,7 +33,103 @@ pub enum ColumnData {
     /// Strings.
     Utf8(Vec<String>),
     /// Byte strings.
-    Bytes(Vec<Vec<u8>>),
+    Bytes(BytesColumn),
+}
+
+/// A column of variable-width byte cells in one contiguous buffer (the shape
+/// of Arrow's variable-size binary array): cell `i` is
+/// `data[offsets[i]..offsets[i + 1]]`. A scan walks one allocation instead of
+/// chasing one heap pointer per row, and cells of any width stay
+/// representable — a corrupt-width ORE cell is still a row that does not
+/// match, not a load error. Build one by collecting byte cells or with
+/// [`BytesColumn::push`].
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct BytesColumn {
+    data: Vec<u8>,
+    /// One more entry than there are cells: starts at 0, never decreases,
+    /// ends at `data.len()`.
+    offsets: Vec<usize>,
+}
+
+impl BytesColumn {
+    /// An empty column.
+    pub fn new() -> BytesColumn {
+        BytesColumn::with_capacity(0, 0)
+    }
+
+    /// An empty column with room for `cells` cells totalling `bytes` bytes.
+    pub fn with_capacity(cells: usize, bytes: usize) -> BytesColumn {
+        let mut offsets = Vec::with_capacity(cells + 1);
+        offsets.push(0);
+        BytesColumn {
+            data: Vec::with_capacity(bytes),
+            offsets,
+        }
+    }
+
+    /// Appends one cell.
+    pub fn push(&mut self, cell: &[u8]) {
+        self.data.extend_from_slice(cell);
+        self.offsets.push(self.data.len());
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True if the column has no cells.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Cell `row`, or `None` past the end.
+    #[inline]
+    pub fn get(&self, row: usize) -> Option<&[u8]> {
+        let end = *self.offsets.get(row.checked_add(1)?)?;
+        self.data.get(self.offsets[row]..end)
+    }
+
+    /// The cells in row order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> {
+        self.offsets.windows(2).map(|w| &self.data[w[0]..w[1]])
+    }
+
+    /// Total bytes of all cells.
+    pub fn data_len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Heap bytes the column holds: the capacities of its two buffers.
+    pub fn heap_size(&self) -> usize {
+        self.data.capacity() + self.offsets.capacity() * std::mem::size_of::<usize>()
+    }
+
+    /// Copies cells `[from, to)` into a new column.
+    pub fn slice(&self, from: usize, to: usize) -> BytesColumn {
+        let base = self.offsets[from];
+        BytesColumn {
+            data: self.data[base..self.offsets[to]].to_vec(),
+            offsets: self.offsets[from..=to].iter().map(|&end| end - base).collect(),
+        }
+    }
+}
+
+impl Default for BytesColumn {
+    fn default() -> BytesColumn {
+        BytesColumn::new()
+    }
+}
+
+impl<C: AsRef<[u8]>> FromIterator<C> for BytesColumn {
+    fn from_iter<I: IntoIterator<Item = C>>(cells: I) -> BytesColumn {
+        let cells = cells.into_iter();
+        let mut column = BytesColumn::with_capacity(cells.size_hint().0, 0);
+        for cell in cells {
+            column.push(cell.as_ref());
+        }
+        column
+    }
 }
 
 impl ColumnData {
@@ -68,7 +164,7 @@ impl ColumnData {
             ColumnType::UInt64 => ColumnData::UInt64(Vec::new()),
             ColumnType::Int64 => ColumnData::Int64(Vec::new()),
             ColumnType::Utf8 => ColumnData::Utf8(Vec::new()),
-            ColumnType::Bytes => ColumnData::Bytes(Vec::new()),
+            ColumnType::Bytes => ColumnData::Bytes(BytesColumn::new()),
         }
     }
 
@@ -110,7 +206,7 @@ impl ColumnData {
     }
 
     /// Borrows the whole bytes column, or `None` on type mismatch.
-    pub fn bytes_slice(&self) -> Option<&[Vec<u8>]> {
+    pub fn bytes_column(&self) -> Option<&BytesColumn> {
         match self {
             ColumnData::Bytes(v) => Some(v),
             _ => None,
@@ -128,7 +224,7 @@ impl ColumnData {
     /// Total variant of [`ColumnData::bytes_at`].
     pub fn bytes_get(&self, row: usize) -> Option<&[u8]> {
         match self {
-            ColumnData::Bytes(v) => v.get(row).map(|b| b.as_slice()),
+            ColumnData::Bytes(v) => v.get(row),
             _ => None,
         }
     }
@@ -152,7 +248,7 @@ impl ColumnData {
     /// Accesses a bytes cell; panics if the column has a different type.
     pub fn bytes_at(&self, row: usize) -> &[u8] {
         match self {
-            ColumnData::Bytes(v) => &v[row],
+            ColumnData::Bytes(v) => v.get(row).expect("row out of range"),
             other => panic!("column is {:?}, not Bytes", other.column_type()),
         }
     }
@@ -171,7 +267,7 @@ impl ColumnData {
             ColumnData::UInt64(v) => ColumnData::UInt64(v[from..to].to_vec()),
             ColumnData::Int64(v) => ColumnData::Int64(v[from..to].to_vec()),
             ColumnData::Utf8(v) => ColumnData::Utf8(v[from..to].to_vec()),
-            ColumnData::Bytes(v) => ColumnData::Bytes(v[from..to].to_vec()),
+            ColumnData::Bytes(v) => ColumnData::Bytes(v.slice(from, to)),
         }
     }
 }
@@ -482,9 +578,46 @@ mod tests {
         assert_eq!(p.column(2).str_slice().unwrap()[2], "row2");
         assert!(p.column(2).u64_slice().is_none());
         assert!(p.column(0).str_slice().is_none());
-        assert!(p.column(0).bytes_slice().is_none());
-        let b = ColumnData::Bytes(vec![vec![1u8], vec![2, 3]]);
-        assert_eq!(b.bytes_slice().unwrap().len(), 2);
+        assert!(p.column(0).bytes_column().is_none());
+        let b = ColumnData::Bytes(BytesColumn::from_iter([vec![1u8], vec![2, 3]]));
+        assert_eq!(b.bytes_column().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn bytes_column_holds_ragged_cells_in_one_buffer() {
+        let cells: Vec<Vec<u8>> = vec![vec![1, 2, 3], vec![], vec![4], vec![5; 70], vec![]];
+        let col: BytesColumn = cells.iter().collect();
+        assert_eq!((col.len(), col.data_len()), (5, 74));
+        assert_eq!(col.iter().collect::<Vec<_>>(), cells);
+        for (row, cell) in cells.iter().enumerate() {
+            assert_eq!(col.get(row), Some(cell.as_slice()));
+        }
+        assert_eq!(col.get(5), None);
+        assert_eq!(col.get(usize::MAX), None);
+
+        // Pushed, collected and sliced columns with the same cells are equal.
+        let mut pushed = BytesColumn::new();
+        cells.iter().for_each(|cell| pushed.push(cell));
+        assert_eq!(pushed, col);
+        assert_eq!(col.slice(0, 5), col);
+        assert_eq!(col.slice(1, 4), cells[1..4].iter().collect());
+        assert_eq!(col.slice(5, 5), BytesColumn::new());
+        assert!(BytesColumn::default().is_empty());
+
+        // Partitioning slices the buffer by cell range.
+        let table = Table::from_columns(
+            Schema::new([("b".to_string(), ColumnType::Bytes)]),
+            vec![ColumnData::Bytes(col)],
+            2,
+        );
+        assert!(table.validate_layout().is_ok());
+        let parts: Vec<Vec<&[u8]>> = table
+            .partitions
+            .iter()
+            .map(|p| p.column(0).bytes_column().unwrap().iter().collect())
+            .collect();
+        assert_eq!(parts.concat(), cells);
+        assert_eq!(table.partitions[1].column(0).bytes_get(0), Some(&cells[3][..]));
     }
 
     #[test]
@@ -531,7 +664,7 @@ mod tests {
         assert_eq!(c.slice(1, 3), ColumnData::Int64(vec![0, 5]));
         assert_eq!(c.column_type(), ColumnType::Int64);
         assert_eq!(c.i64_at(0), -5);
-        let b = ColumnData::Bytes(vec![vec![1, 2], vec![3]]);
+        let b = ColumnData::Bytes(BytesColumn::from_iter([vec![1, 2], vec![3]]));
         assert_eq!(b.bytes_at(1), &[3]);
         assert_eq!(ColumnData::empty(ColumnType::Utf8).len(), 0);
     }

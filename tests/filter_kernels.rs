@@ -9,6 +9,8 @@
 //! intersection.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use seabed_core::PhysicalFilter;
 use seabed_crypto::OreScheme;
 use seabed_engine::{ColumnData, ColumnType, Partition, Schema, SelectionVector, Table};
@@ -48,7 +50,7 @@ fn partition(u64s: Vec<u64>, texts: Vec<String>, bytes: Vec<Vec<u8>>) -> Partiti
         vec![
             ColumnData::UInt64(u64s),
             ColumnData::Utf8(texts),
-            ColumnData::Bytes(bytes),
+            ColumnData::Bytes(bytes.iter().collect()),
         ],
         1,
     );
@@ -67,6 +69,14 @@ fn assert_kernel_matches_scalar(filter: &PhysicalFilter, p: &Partition) -> Resul
         .map(|row| row as u32)
         .collect();
     prop_assert_eq!(sel.rows(), expected.as_slice());
+    match filter.select_dense(p) {
+        Ok(dense) => prop_assert_eq!(dense.rows(), expected.as_slice()),
+        Err(e) => {
+            return Err(TestCaseError::Fail(format!(
+                "dense kernel failed on valid partition: {e}"
+            )))
+        }
+    }
 
     // Refinement from a narrowed selection is intersection: keep every third
     // row, then refine.
@@ -148,6 +158,70 @@ proptest! {
         };
         assert_kernel_matches_scalar(&filter, &p)?;
     }
+}
+
+/// What the `0..16` domain above never reaches: ciphertexts that first differ
+/// in any of the eight words (including the very first and the very last
+/// symbol), and cells that are not 64 symbols wide or hold bytes no honest
+/// symbol has. Such a cell compares as `None`, or arbitrarily but the same
+/// way in all three kernels, and is a row that does not match.
+#[test]
+fn ope_kernels_agree_over_the_full_range_and_on_corrupt_cells() {
+    let scheme = OreScheme::new(&[9u8; 16]);
+    let mut rng = StdRng::seed_from_u64(0xDA7A);
+    let mut next = move || rng.random::<u64>();
+    let pivot = next();
+    let mut values = vec![0, 1, u64::MAX, u64::MAX - 1, pivot, pivot ^ 1, pivot ^ (1 << 63)];
+    // Neighbours of the pivot that first differ from it at every bit.
+    values.extend((0..64).map(|bit| pivot ^ (1 << bit) ^ (next() & ((1 << bit) - 1))));
+    values.extend((0..64).map(|_| next()));
+    let mut cells: Vec<Vec<u8>> = values.iter().map(|&v| scheme.encrypt(v).symbols).collect();
+
+    let honest = cells.len();
+    let wide = &cells[4];
+    let corrupt: Vec<Vec<u8>> = vec![
+        Vec::new(),
+        wide[..63].to_vec(),
+        wide.iter().copied().chain([1]).collect(),
+        wide.iter().map(|s| s + 3).collect(),
+        wide.iter()
+            .enumerate()
+            .map(|(i, &s)| if i == 40 { 0xFF } else { s })
+            .collect(),
+        vec![0x80; 64],
+        wide[..8].to_vec(),
+    ];
+    // Interleave the corrupt cells with the honest ones.
+    for (i, cell) in corrupt.into_iter().enumerate() {
+        cells.insert(i * 17, cell);
+    }
+    let n = cells.len();
+    let p = partition(vec![0; n], texts_of(&vec![0; n]), cells);
+
+    let mut selected = 0usize;
+    for literal in [
+        pivot,
+        pivot ^ 1,
+        pivot ^ (1 << 63),
+        0,
+        u64::MAX,
+        values[70],
+        values[100],
+    ] {
+        for opc in 0..6 {
+            let filter = PhysicalFilter::Ope {
+                column: 2,
+                op: op_of(opc),
+                ciphertext: scheme.encrypt(literal),
+            };
+            assert_kernel_matches_scalar(&filter, &p).unwrap_or_else(|e| panic!("{literal} {:?}: {e:?}", op_of(opc)));
+            selected += filter.select_dense(&p).expect("valid").len();
+        }
+    }
+    // A 64-wide cell, honest or not, has some ordering against the literal and
+    // so satisfies exactly three of the six operators; the four cells of
+    // another width satisfy none.
+    assert_eq!(selected, 7 * 3 * (honest + 3));
 }
 
 #[test]

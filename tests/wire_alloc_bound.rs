@@ -194,9 +194,28 @@ fn load_shard_with_a_forged_utf8_row_count() {
         vec![ColumnData::Utf8(vec!["x".to_string()])],
         1,
     );
-    let honest = storage::serialize_table(&table);
-    // fields: count(4) + name len(4) + "s" + tag(1); partitions: count(4) +
-    // start_row(8); then the column's row count.
+    assert_load_shard_bounded("LoadShard Utf8 rows", &table);
+}
+
+/// A `Bytes` column is one flat buffer plus an offset per cell, both sized
+/// from the cells' own length prefixes: a forged count (and, with the `0xff`
+/// fill, a forged first cell length) must fail before either is reserved.
+#[test]
+fn load_shard_with_a_forged_bytes_cell_count() {
+    let table = Table::from_columns(
+        Schema::new([("b".to_string(), ColumnType::Bytes)]),
+        vec![ColumnData::Bytes([[7u8; 64]].iter().collect())],
+        1,
+    );
+    assert_load_shard_bounded("LoadShard Bytes cells", &table);
+}
+
+/// Forges the row count of the one-row, one-column `table` (its column name
+/// one byte long) inside a `LoadShard` frame.
+fn assert_load_shard_bounded(what: &str, table: &Table) {
+    let honest = storage::serialize_table(table);
+    // fields: count(4) + name len(4) + name(1) + tag(1); partitions: count(4)
+    // + start_row(8); then the column's row count.
     let rows_at = 4 + 4 + 1 + 1 + 4 + 8;
     assert_eq!(honest[rows_at..rows_at + 4], 1u32.to_le_bytes());
 
@@ -214,10 +233,10 @@ fn load_shard_with_a_forged_utf8_row_count() {
         let payload_len = (frame.len() - HEADER_LEN) as u32;
         frame[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
 
-        let ratio = decode_and_measure("LoadShard Utf8 rows", &frame);
+        let ratio = decode_and_measure(what, &frame);
         assert!(
             ratio <= 2.0,
-            "LoadShard: a forged row count made the table decoder reserve {ratio:.1}x the frame"
+            "{what}: a forged row count made the table decoder reserve {ratio:.1}x the frame"
         );
     }
 }
