@@ -16,21 +16,23 @@
 //!    the plan asked for and the ASHE scheme (key schedule included) that
 //!    opens it;
 //! 2. **decode + fold** — each group's aggregates are checked against the
-//!    plan and decoded (every ID list exactly once); under group inflation the
-//!    sub-groups of a group are folded here, before anything is decrypted:
-//!    ASHE sums by adding words and uniting ID sets (which restores the runs
-//!    telescoping needs), counts by adding, MIN/MAX by decrypting each
-//!    candidate and comparing plaintexts;
-//! 3. **finish** — one decryption per folded sum, DET group keys through the
-//!    dictionary, the decrypted words through
-//!    [`TranslatedQuery::finish_aggregates`].
+//!    plan and its ID list — one per group, whatever the number of sums over
+//!    it — decoded exactly once; under group inflation the sub-groups of a
+//!    group are folded here, before anything is decrypted: their ID sets
+//!    united (which restores the runs telescoping needs), ASHE sums by adding
+//!    words, counts by adding, MIN/MAX by decrypting each candidate and
+//!    comparing plaintexts;
+//! 3. **finish** — one decryption per folded sum (all the sums of a group
+//!    over its one ID set), DET group keys through the dictionary, the
+//!    decrypted words through [`TranslatedQuery::finish_aggregates`].
 //!
 //! Every fallible step returns [`SeabedError`] and the path is panic-free:
 //! the server is untrusted, so the second pass refuses — as a typed error,
 //! never a crash of the trusted proxy — a group whose key has the wrong
 //! number of words (one per group-by column, plus the inflation suffix), a
 //! group with more or fewer aggregates than the plan, an aggregate of another
-//! kind than the plan asked for at that position, and an undecodable ID list.
+//! kind than the plan asked for at that position, a masked sum in a group
+//! without an ID list, and an undecodable ID list.
 
 use crate::dataset::PlainDataset;
 use crate::encrypt::{encrypt_dataset, physical_ashe_keys, EncryptedTable};
@@ -410,7 +412,10 @@ impl SeabedClient {
         // sub-groups that agree on the rest of the key are one group.
         let inflated = translated.group_inflation > 1;
         let key_words = translated.group_by.len() + usize::from(inflated);
-        let mut groups: Vec<(Vec<u64>, Vec<Folded>)> = Vec::with_capacity(response.groups.len());
+        let unmasks = plan
+            .iter()
+            .any(|opener| matches!(opener.answer, Answer::Sum) && opener.scheme.is_some());
+        let mut groups: Vec<(Vec<u64>, AsheCiphertext, Vec<Folded>)> = Vec::with_capacity(response.groups.len());
         let mut slot_of: HashMap<Vec<u64>, usize> = HashMap::new();
         for group in response.groups {
             let mut key = group.key;
@@ -430,10 +435,29 @@ impl SeabedClient {
                 groups.len()
             };
             if slot == groups.len() {
-                groups.push((key, plan.iter().map(Opener::nothing_yet).collect()));
+                groups.push((
+                    key,
+                    AsheCiphertext::zero(),
+                    plan.iter().map(Opener::nothing_yet).collect(),
+                ));
+            }
+            let (_, selected, folded) = &mut groups[slot];
+            // The group's ID list, decoded once for all the sums over it — and
+            // not at all when no sum of the plan has a mask to remove.
+            if unmasks {
+                let ids = group.ids.ok_or_else(|| {
+                    SeabedError::engine("server returned a group without the ID list its sums are masked under")
+                })?;
+                let decoded = IdSet::decode(&ids.id_list, ids.encoding)
+                    .ok_or_else(|| SeabedError::encoding("undecodable ID list in a response group"))?;
+                selected.ids = if selected.ids.is_empty() {
+                    decoded
+                } else {
+                    selected.ids.union(&decoded)
+                };
             }
             let asked = translated.aggregates.iter().zip(&plan);
-            for (((asked, opener), into), aggregate) in asked.zip(&mut groups[slot].1).zip(group.aggregates) {
+            for (((asked, opener), into), aggregate) in asked.zip(folded).zip(group.aggregates) {
                 opener.fold(asked, into, aggregate, &mut prf_evals)?;
             }
         }
@@ -444,7 +468,7 @@ impl SeabedClient {
         // Pass 3 — finish: group keys, then the SELECT list's values.
         let mut rows = Vec::with_capacity(groups.len());
         let mut words = Vec::with_capacity(plan.len());
-        for (key, folded) in groups {
+        for (key, mut selected, folded) in groups {
             let mut row: Vec<ResultValue> = Vec::with_capacity(key.len() + folded.len());
             for (group_col, raw) in translated.group_by.iter().zip(key) {
                 // Encrypted keys are decrypted via the DET dictionary.
@@ -464,7 +488,7 @@ impl SeabedClient {
             words.extend(
                 plan.iter()
                     .zip(folded)
-                    .map(|(opener, folded)| opener.open(folded, &mut prf_evals)),
+                    .map(|(opener, folded)| opener.open(folded, &mut selected, &mut prf_evals)),
             );
             translated.finish_aggregates(&words, &mut row)?;
             rows.push(row);
@@ -517,32 +541,30 @@ enum Answer {
 
 /// One aggregate of one result group while its (sub-)groups are folded.
 enum Folded {
-    /// Still masked: the words added up and the rows whose masks they carry.
-    Sum { value: u64, ids: IdSet },
+    /// Still masked: the words added up (the rows whose masks they carry are
+    /// the group's).
+    Sum(u64),
     /// Rows counted so far.
     Count(u64),
     /// The best plaintext candidate so far; `None` while no row matched.
     Extreme(Option<u64>),
 }
 
-/// Removes from `value` the masks of the rows in `ids`, telescoped per run.
-fn unmask(scheme: &Option<AsheScheme>, value: u64, ids: IdSet, prf_evals: &mut usize) -> u64 {
+/// Removes from `masked.value` the masks of the rows in `masked.ids`,
+/// telescoped per run.
+fn unmask(scheme: &Option<AsheScheme>, masked: &AsheCiphertext, prf_evals: &mut usize) -> u64 {
     let Some(scheme) = scheme else {
-        return value;
+        return masked.value;
     };
-    let ciphertext = AsheCiphertext { value, ids };
-    *prf_evals += scheme.decrypt_prf_evals(&ciphertext);
-    scheme.decrypt(&ciphertext)
+    *prf_evals += scheme.decrypt_prf_evals(masked);
+    scheme.decrypt(masked)
 }
 
 impl Opener {
     /// The fold's identity: a group no sub-group has contributed to yet.
     fn nothing_yet(&self) -> Folded {
         match self.answer {
-            Answer::Sum => Folded::Sum {
-                value: 0,
-                ids: IdSet::new(),
-            },
+            Answer::Sum => Folded::Sum(0),
             Answer::Count => Folded::Count(0),
             Answer::Extreme { .. } => Folded::Extreme(None),
         }
@@ -550,7 +572,7 @@ impl Opener {
 
     /// Folds one aggregate of the response — the server's answer to the plan
     /// aggregate `asked` — into `into`: the only place an answer's kind is held
-    /// against the plan's, and the only place an ID list is decoded.
+    /// against the plan's.
     fn fold(
         &self,
         asked: &ServerAggregate,
@@ -559,21 +581,8 @@ impl Opener {
         prf_evals: &mut usize,
     ) -> Result<(), SeabedError> {
         match (&self.answer, into, aggregate) {
-            (
-                Answer::Sum,
-                Folded::Sum { value, ids },
-                EncryptedAggregate::AsheSum {
-                    value: word,
-                    id_list,
-                    encoding,
-                },
-            ) => {
+            (Answer::Sum, Folded::Sum(value), EncryptedAggregate::AsheSum { value: word }) => {
                 *value = value.wrapping_add(word);
-                if self.scheme.is_some() {
-                    let decoded = IdSet::decode(&id_list, encoding)
-                        .ok_or_else(|| SeabedError::encoding(format!("undecodable ID list for {asked:?}")))?;
-                    *ids = if ids.is_empty() { decoded } else { ids.union(&decoded) };
-                }
             }
             (Answer::Count, Folded::Count(rows), EncryptedAggregate::Count { rows: more }) => {
                 *rows = rows.wrapping_add(more);
@@ -587,7 +596,11 @@ impl Opener {
                 // winners of different sub-groups for us: each candidate is
                 // decrypted and the plaintexts compared.
                 if let Some(id) = row_id {
-                    let candidate = unmask(&self.scheme, value_word, IdSet::single(id), prf_evals);
+                    let row = AsheCiphertext {
+                        value: value_word,
+                        ids: IdSet::single(id),
+                    };
+                    let candidate = unmask(&self.scheme, &row, prf_evals);
                     *best = Some(match *best {
                         Some(best) if *want_max => best.max(candidate),
                         Some(best) => best.min(candidate),
@@ -605,10 +618,15 @@ impl Opener {
     }
 
     /// The decrypted word of a completely folded aggregate (zero over an
-    /// empty selection).
-    fn open(&self, folded: Folded, prf_evals: &mut usize) -> u64 {
+    /// empty selection). `selected` holds the group's ID set, as a ciphertext
+    /// whose word is swapped in per sum: the sums of a group share the set
+    /// without copying it.
+    fn open(&self, folded: Folded, selected: &mut AsheCiphertext, prf_evals: &mut usize) -> u64 {
         match folded {
-            Folded::Sum { value, ids } => unmask(&self.scheme, value, ids, prf_evals),
+            Folded::Sum(value) => {
+                selected.value = value;
+                unmask(&self.scheme, selected, prf_evals)
+            }
             Folded::Count(rows) => rows,
             Folded::Extreme(best) => best.unwrap_or(0),
         }
@@ -758,48 +776,65 @@ mod tests {
 
     #[test]
     fn forged_response_kind_is_rejected() -> Result<(), SeabedError> {
-        use crate::server::GroupResult;
+        use crate::server::{GroupIds, GroupResult};
         let (client, server, _) = build_system()?;
         let (query, translated, _) = client.prepare(&server, "SELECT SUM(revenue) FROM sales")?;
-        let forge = |aggregates: Vec<EncryptedAggregate>| ServerResponse {
-            groups: vec![GroupResult {
-                key: vec![],
-                aggregates,
-            }],
-            stats: ExecStats::default(),
-            result_bytes: 8,
+        let no_rows = || {
+            Some(GroupIds {
+                id_list: Vec::new(),
+                encoding: seabed_encoding::IdListEncoding::seabed_group_by(),
+            })
+        };
+        // Each forgery must fail at the check it is written for, so each names
+        // that check's message: two of them are `Engine` errors a few lines apart.
+        let refused = |ids: Option<GroupIds>, aggregates: Vec<EncryptedAggregate>, check: &str| {
+            let forged = ServerResponse {
+                groups: vec![GroupResult {
+                    key: vec![],
+                    ids,
+                    aggregates,
+                }],
+                stats: ExecStats::default(),
+                result_bytes: 8,
+            };
+            let outcome = client.decrypt_response(&query, &translated, forged);
+            assert!(
+                matches!(&outcome, Err(SeabedError::Engine(msg)) if msg.contains(check)),
+                "expected the {check:?} check, got {outcome:?}"
+            );
         };
         // A row count answering an ASHE-sum plan must not decrypt to Ok.
-        let outcome = client.decrypt_response(&query, &translated, forge(vec![EncryptedAggregate::Count { rows: 7 }]));
-        assert!(matches!(outcome, Err(SeabedError::Engine(_))), "{outcome:?}");
+        refused(no_rows(), vec![EncryptedAggregate::Count { rows: 7 }], "another kind");
         // Same for a MIN/MAX result, even the empty-selection form.
-        let outcome = client.decrypt_response(
-            &query,
-            &translated,
-            forge(vec![EncryptedAggregate::Extreme {
-                value_word: 0,
-                row_id: None,
-            }]),
-        );
-        assert!(matches!(outcome, Err(SeabedError::Engine(_))), "{outcome:?}");
+        let extreme = EncryptedAggregate::Extreme {
+            value_word: 0,
+            row_id: None,
+        };
+        refused(no_rows(), vec![extreme], "another kind");
         // And for a response that ships fewer aggregates than the plan asked.
-        let outcome = client.decrypt_response(&query, &translated, forge(vec![]));
-        assert!(matches!(outcome, Err(SeabedError::Engine(_))), "{outcome:?}");
+        refused(no_rows(), vec![], "0 aggregates");
+        // And for a sum whose group ships no ID list: with no rows to unmask
+        // the masked word itself would come back as the answer.
+        refused(
+            None,
+            vec![EncryptedAggregate::AsheSum { value: 7 }],
+            "without the ID list",
+        );
         Ok(())
     }
 
     #[test]
     fn inflated_groups_with_mismatched_aggregate_counts_are_rejected() -> Result<(), SeabedError> {
-        use crate::server::GroupResult;
+        use crate::server::{GroupIds, GroupResult};
         let (mut client, server, _) = build_system()?;
         client.translate_options.expected_groups = Some(1);
         let (query, translated, _) = client.prepare(&server, "SELECT dept, SUM(revenue) FROM sales GROUP BY dept")?;
         assert!(translated.group_inflation > 1, "fixture should inflate groups");
-        let encoding = seabed_encoding::IdListEncoding::seabed_group_by();
-        let sum = |value: u64| EncryptedAggregate::AsheSum {
-            value,
-            id_list: Vec::new(),
-            encoding,
+        let no_rows = || {
+            Some(GroupIds {
+                id_list: Vec::new(),
+                encoding: seabed_encoding::IdListEncoding::seabed_group_by(),
+            })
         };
         // Two inflated shards of the same logical group, one shipping a
         // truncated aggregate list: must error, not silently drop data.
@@ -807,10 +842,12 @@ mod tests {
             groups: vec![
                 GroupResult {
                     key: vec![5, 0],
-                    aggregates: vec![sum(1)],
+                    ids: no_rows(),
+                    aggregates: vec![EncryptedAggregate::AsheSum { value: 1 }],
                 },
                 GroupResult {
                     key: vec![5, 1],
+                    ids: no_rows(),
                     aggregates: vec![],
                 },
             ],
@@ -829,22 +866,22 @@ mod tests {
     /// answers the next honest query.
     #[test]
     fn inflated_groups_that_disagree_or_lack_the_suffix_are_rejected() -> Result<(), SeabedError> {
-        use crate::server::GroupResult;
+        use crate::server::{GroupIds, GroupResult};
         let (mut client, server, _) = build_system()?;
         client.translate_options.expected_groups = Some(1);
         let sql = "SELECT dept, SUM(revenue) FROM sales GROUP BY dept";
         let (query, translated, _) = client.prepare(&server, sql)?;
         assert!(translated.group_inflation > 1, "fixture should inflate groups");
-        let sum = |value: u64| EncryptedAggregate::AsheSum {
-            value,
-            id_list: Vec::new(),
-            encoding: seabed_encoding::IdListEncoding::seabed_group_by(),
-        };
+        let sum = |value: u64| EncryptedAggregate::AsheSum { value };
         let forge = |groups: Vec<(Vec<u64>, EncryptedAggregate)>| ServerResponse {
             groups: groups
                 .into_iter()
                 .map(|(key, aggregate)| GroupResult {
                     key,
+                    ids: Some(GroupIds {
+                        id_list: Vec::new(),
+                        encoding: seabed_encoding::IdListEncoding::seabed_group_by(),
+                    }),
                     aggregates: vec![aggregate],
                 })
                 .collect(),

@@ -24,7 +24,7 @@ use crate::keys::KeyStore;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use seabed_ashe::AsheScheme;
-use seabed_crypto::ore::ORE_BITS;
+use seabed_crypto::ore::ORE_CELL_BYTES;
 use seabed_crypto::{DetScheme, OreScheme};
 use seabed_engine::{BytesColumn, ColumnData, ColumnType, Schema, Table};
 use seabed_query::encnames;
@@ -180,11 +180,11 @@ pub fn encrypt_dataset<R: Rng + ?Sized>(
                 let values = numeric_values(source, &col_plan.name);
                 let ore = OreScheme::new(&keys.ope_key(&col_plan.name));
                 fields.push((encnames::ope(&col_plan.name), ColumnType::Bytes));
-                let mut cells = BytesColumn::with_capacity(values.len(), values.len() * ORE_BITS);
-                let mut symbols = [0u8; ORE_BITS];
+                let mut cells = BytesColumn::with_capacity(values.len(), values.len() * ORE_CELL_BYTES);
+                let mut cell = [0u8; ORE_CELL_BYTES];
                 for &v in &values {
-                    ore.encrypt_into(v, &mut symbols);
-                    cells.push(&symbols);
+                    ore.encrypt_into(v, &mut cell);
+                    cells.push(&cell);
                 }
                 columns.push(ColumnData::Bytes(cells));
                 // Companion ASHE column so MIN/MAX results can be decrypted.

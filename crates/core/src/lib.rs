@@ -61,8 +61,8 @@ pub use dataset::{PlainColumn, PlainDataset};
 pub use encrypt::{encrypt_dataset, physical_ashe_keys, EncryptedTable};
 pub use keys::KeyStore;
 pub use server::{
-    finalize_partials, EncryptedAggregate, ExecOutcome, ExecRequest, GroupResult, PartialResponse, PhysicalFilter,
-    QueryTarget, SeabedServer, ServerResponse, PARTIAL_ID_ENCODING,
+    finalize_partials, EncryptedAggregate, ExecOutcome, ExecRequest, GroupIds, GroupResult, PartialResponse,
+    PhysicalFilter, QueryTarget, SeabedServer, ServerResponse, PARTIAL_ID_ENCODING,
 };
 pub use session::{
     event_operators, fnv1a64, outcome_tag, plan_profile, validate_against_schema, Catalog, Explanation, PreparedQuery,

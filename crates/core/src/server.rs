@@ -4,7 +4,8 @@
 //! The server is untrusted: it only ever sees ciphertexts, deterministic tags,
 //! ORE ciphertexts and plaintext non-sensitive columns. Its job per query is
 //! the map/reduce pipeline of Table 2: scan partitions in parallel, apply the
-//! encrypted filters, fold ASHE words and ID lists (optionally per group),
+//! encrypted filters, fold ASHE words and the selected rows' ID list
+//! (optionally per group; one list per group, however many sums share it),
 //! compress the ID lists at the workers (§4.5), and concatenate partials at
 //! the driver.
 //!
@@ -38,10 +39,12 @@
 //! (or, via a poisoned response, the proxy) down.
 
 use seabed_ashe::IdSet;
-use seabed_crypto::ore::{try_compare_symbols, OreCiphertext};
+use seabed_crypto::ore::{try_compare_symbols, OreCiphertext, ORE_CELL_BYTES};
 use seabed_encoding::IdListEncoding;
 use seabed_engine::exec::{self, SelectionVector};
-use seabed_engine::merge::{extreme_replaces, merge_partial_groups, ExtremeCandidate, PartialAggregate, PartialGroups};
+use seabed_engine::merge::{
+    extreme_replaces, merge_partial_groups, ExtremeCandidate, PartialAggregate, PartialGroup, PartialGroups,
+};
 use seabed_engine::{
     merge_operator_profiles, Cluster, ColumnType, ExecMode, ExecStats, OperatorProfile, Partition, ProfileSink, Schema,
     Table, TaskOutput,
@@ -216,7 +219,9 @@ impl PhysicalFilter {
     }
 
     /// Checks that the filter's column exists with the physical type the
-    /// filter reads, so the scan loop cannot fail.
+    /// filter reads, so the scan loop cannot fail, and that an ORE literal is
+    /// one cell wide: a literal of any other width compares with no stored
+    /// cell, and the query would answer "no rows" instead of failing.
     fn validate(&self, table: &Table) -> Result<(), SeabedError> {
         let (class, index) = self.class_and_column();
         let expected = filter_column_type(class);
@@ -225,13 +230,21 @@ impl PhysicalFilter {
             .fields
             .get(index)
             .ok_or_else(|| SeabedError::engine(format!("filter column index {index} out of range")))?;
-        if field.ty == expected {
-            Ok(())
-        } else {
-            Err(SeabedError::engine(format!(
+        if field.ty != expected {
+            return Err(SeabedError::engine(format!(
                 "filter column {} is {:?}, expected {expected:?}",
                 field.name, field.ty
-            )))
+            )));
+        }
+        match self {
+            PhysicalFilter::Ope { ciphertext, .. } if ciphertext.symbols.len() != ORE_CELL_BYTES => {
+                Err(SeabedError::engine(format!(
+                    "ORE literal for column {} is {} bytes wide, a cell is {ORE_CELL_BYTES}",
+                    field.name,
+                    ciphertext.symbols.len()
+                )))
+            }
+            _ => Ok(()),
         }
     }
 
@@ -292,14 +305,11 @@ impl PhysicalFilter {
 /// What the server computes for one aggregate of one group.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EncryptedAggregate {
-    /// An ASHE partial sum: the masked group element plus the encoded ID list.
+    /// An ASHE partial sum: the masked group element. The rows whose masks it
+    /// carries are the group's ([`GroupResult::ids`]).
     AsheSum {
         /// Masked (wrapping) sum of the selected rows' ciphertext words.
         value: u64,
-        /// Encoded ID list of the selected rows.
-        id_list: Vec<u8>,
-        /// Encoding used for the ID list.
-        encoding: IdListEncoding,
     },
     /// A row count (derived from the ID list; returned explicitly so count-only
     /// queries need no ASHE column).
@@ -318,14 +328,23 @@ pub enum EncryptedAggregate {
 }
 
 impl EncryptedAggregate {
-    /// Serialized size in bytes (what travels from driver to client).
+    /// Serialized size in bytes (what travels from driver to client), beside
+    /// the group's ID list.
     pub fn byte_len(&self) -> usize {
         match self {
-            EncryptedAggregate::AsheSum { id_list, .. } => 8 + id_list.len(),
-            EncryptedAggregate::Count { .. } => 8,
+            EncryptedAggregate::AsheSum { .. } | EncryptedAggregate::Count { .. } => 8,
             EncryptedAggregate::Extreme { .. } => 16,
         }
     }
+}
+
+/// The identifiers of a result group's rows, as they travel to the proxy.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GroupIds {
+    /// Encoded ID list of the group's selected rows.
+    pub id_list: Vec<u8>,
+    /// Encoding used for the ID list.
+    pub encoding: IdListEncoding,
 }
 
 /// One group of the result (global aggregates use a single group with an empty
@@ -335,8 +354,22 @@ pub struct GroupResult {
     /// The group key as stored on the server (plaintext values or DET tags),
     /// including the inflation suffix when group inflation is active.
     pub key: Vec<u64>,
+    /// The group's selected rows — once, whatever the number of ASHE sums
+    /// over them: an ID list is a property of the row set, not of the column
+    /// summed. `None` when no aggregate is an ASHE sum.
+    pub ids: Option<GroupIds>,
     /// One aggregate per requested server aggregate.
     pub aggregates: Vec<EncryptedAggregate>,
+}
+
+impl GroupResult {
+    /// Serialized size in bytes: the key words, the ID list once, and each
+    /// aggregate's [`EncryptedAggregate::byte_len`].
+    pub fn byte_len(&self) -> usize {
+        self.key.len() * 8
+            + self.ids.as_ref().map_or(0, |ids| ids.id_list.len())
+            + self.aggregates.iter().map(EncryptedAggregate::byte_len).sum::<usize>()
+    }
 }
 
 /// The server's response to one query.
@@ -404,31 +437,26 @@ impl ResolvedAggregate {
     /// the `seabed-dist` coordinator gather share one implementation.
     fn empty_state(&self) -> PartialAggregate {
         match *self {
-            ResolvedAggregate::Sum { .. } => PartialAggregate::Sum {
-                value: 0,
-                ids: IdSet::new(),
-            },
-            ResolvedAggregate::Count => PartialAggregate::Count { ids: IdSet::new() },
+            ResolvedAggregate::Sum { .. } => PartialAggregate::Sum { value: 0 },
+            ResolvedAggregate::Count => PartialAggregate::Count,
             ResolvedAggregate::Extreme { want_max, .. } => PartialAggregate::Extreme { best: None, want_max },
         }
     }
 
-    /// Folds one selected row into `state`. The state vectors are always
+    /// Folds one selected row into `state` (the row's identifier goes to the
+    /// group, once: [`Accumulator::observe`]). The state vectors are always
     /// built from the same resolved-aggregate list this spec came from, so
     /// the kinds line up; a (structurally impossible) mismatch leaves the
     /// state unchanged rather than panicking.
     fn observe(&self, state: &mut PartialAggregate, partition: &Partition, row: usize) {
-        let row_id = partition.row_id(row);
         match (*self, state) {
-            (ResolvedAggregate::Sum { column }, PartialAggregate::Sum { value, ids }) => {
+            (ResolvedAggregate::Sum { column }, PartialAggregate::Sum { value }) => {
                 let cell = partition
                     .column_get(column)
                     .and_then(|c| c.u64_get(row))
                     .unwrap_or_default();
                 *value = value.wrapping_add(cell);
-                ids.push_ordered(row_id);
             }
-            (ResolvedAggregate::Count, PartialAggregate::Count { ids }) => ids.push_ordered(row_id),
             (
                 ResolvedAggregate::Extreme {
                     ore_column,
@@ -455,7 +483,7 @@ impl ResolvedAggregate {
                             symbols: symbols.to_vec(),
                         },
                         value_word: word,
-                        row_id,
+                        row_id: partition.row_id(row),
                     });
                 }
             }
@@ -463,97 +491,122 @@ impl ResolvedAggregate {
         }
     }
 
-    /// Batched accumulation over a selection vector (the vectorized path):
-    /// the needed column is resolved to a slice once, then consumed in
-    /// [`exec::BATCH_ROWS`]-row batches in ascending row order — the same
-    /// visit order as the scalar path, so ID lists come out identical.
+    /// Column-at-a-time accumulation (the vectorized path's global group): the
+    /// needed column is resolved to a slice once, then streamed — the whole of
+    /// it when no filter narrowed the partition (`sel` is `None`; no selection
+    /// vector is materialised at all), else the selected rows in
+    /// [`exec::BATCH_ROWS`]-row batches, in ascending row order like the
+    /// scalar path.
     fn accumulate(
         &self,
         state: &mut PartialAggregate,
         partition: &Partition,
-        sel: &SelectionVector,
+        sel: Option<&SelectionVector>,
     ) -> Result<(), SeabedError> {
         match (*self, state) {
-            (ResolvedAggregate::Sum { column }, PartialAggregate::Sum { value, ids }) => {
-                let col = typed_slice!(partition, column, u64_slice, "UInt64")?;
-                for batch in sel.batches() {
-                    for &row in batch {
-                        *value = value.wrapping_add(col.get(row as usize).copied().unwrap_or_default());
-                        ids.push_ordered(partition.row_id(row as usize));
-                    }
-                }
-            }
-            (ResolvedAggregate::Count, PartialAggregate::Count { ids }) => {
-                for batch in sel.batches() {
-                    for &row in batch {
-                        ids.push_ordered(partition.row_id(row as usize));
-                    }
-                }
-            }
-            (_, state) => {
-                for batch in sel.batches() {
-                    for &row in batch {
-                        self.observe(state, partition, row as usize);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Dense accumulation of an entire partition (the no-filter vectorized
-    /// path): no selection vector is materialised at all — sums stream over
-    /// the column slice and the ID lists collapse into one contiguous run.
-    fn accumulate_dense(&self, state: &mut PartialAggregate, partition: &Partition) -> Result<(), SeabedError> {
-        let n = partition.num_rows();
-        if n == 0 {
-            return Ok(());
-        }
-        let full_range = IdSet::range(partition.row_id(0), partition.row_id(n - 1));
-        match (*self, state) {
-            (ResolvedAggregate::Sum { column }, PartialAggregate::Sum { value, ids }) => {
+            (ResolvedAggregate::Sum { column }, PartialAggregate::Sum { value }) => {
                 let col = typed_slice!(partition, column, u64_slice, "UInt64")?;
                 let mut acc = 0u64;
-                for &cell in col {
-                    acc = acc.wrapping_add(cell);
+                match sel {
+                    None => col.iter().for_each(|&cell| acc = acc.wrapping_add(cell)),
+                    Some(sel) => sel.batches().flatten().for_each(|&row| {
+                        acc = acc.wrapping_add(col.get(row as usize).copied().unwrap_or_default());
+                    }),
                 }
                 *value = value.wrapping_add(acc);
-                *ids = ids.union(&full_range);
             }
-            (ResolvedAggregate::Count, PartialAggregate::Count { ids }) => {
-                *ids = ids.union(&full_range);
-            }
-            (_, state) => {
-                for row in 0..n {
-                    self.observe(state, partition, row);
-                }
-            }
+            (ResolvedAggregate::Count, PartialAggregate::Count) => {}
+            (_, state) => for_each_selected(sel, partition.num_rows(), |row| {
+                self.observe(state, partition, row);
+                Ok(())
+            })?,
         }
         Ok(())
     }
 }
 
-/// Finalizes one merged partial into the client-facing aggregate: IDs are
-/// encoded (sums) or counted (counts), and MIN/MAX candidates drop their ORE
-/// ciphertext, keeping only the winning value word and row identifier.
-fn finish_partial(state: PartialAggregate, encoding: IdListEncoding) -> EncryptedAggregate {
-    match state {
-        PartialAggregate::Sum { value, ids } => EncryptedAggregate::AsheSum {
-            value,
-            id_list: ids.encode(encoding),
+/// What one partition scan folds its selected rows with: the resolved
+/// aggregates, the empty group they start from, and whether any of them reads
+/// the group's ID set (a MIN/MAX-only scan collects no identifiers).
+struct Accumulator<'a> {
+    resolved: &'a [ResolvedAggregate],
+    empty: PartialGroup,
+    collect_ids: bool,
+}
+
+impl<'a> Accumulator<'a> {
+    fn new(resolved: &'a [ResolvedAggregate]) -> Accumulator<'a> {
+        let empty = PartialGroup::new(resolved.iter().map(|r| r.empty_state()).collect());
+        let collect_ids = empty.aggregates.iter().any(PartialAggregate::reads_ids);
+        Accumulator {
+            resolved,
+            empty,
+            collect_ids,
+        }
+    }
+
+    /// Folds one selected row into `group`: its identifier once, then every
+    /// aggregate. Rows arrive in ascending order on both scan paths, so the
+    /// ID lists come out identical.
+    fn observe(&self, group: &mut PartialGroup, partition: &Partition, row: usize) {
+        if self.collect_ids {
+            group.ids.push_ordered(partition.row_id(row));
+        }
+        for (spec, state) in self.resolved.iter().zip(group.aggregates.iter_mut()) {
+            spec.observe(state, partition, row);
+        }
+    }
+
+    /// The one group of a global aggregation, column at a time: the whole
+    /// partition when `sel` is `None` (its identifiers are one run), else the
+    /// selected rows.
+    fn global(&self, partition: &Partition, sel: Option<&SelectionVector>) -> Result<PartialGroup, SeabedError> {
+        let mut group = self.empty.clone();
+        let rows = partition.num_rows();
+        if self.collect_ids && rows > 0 {
+            match sel {
+                None => group.ids = IdSet::range(partition.row_id(0), partition.row_id(rows - 1)),
+                Some(sel) => sel
+                    .batches()
+                    .flatten()
+                    .for_each(|&row| group.ids.push_ordered(partition.row_id(row as usize))),
+            }
+        }
+        for (spec, state) in self.resolved.iter().zip(group.aggregates.iter_mut()) {
+            spec.accumulate(state, partition, sel)?;
+        }
+        Ok(group)
+    }
+}
+
+/// Finalizes one merged group into the client-facing one: the IDs are encoded
+/// once if an ASHE sum needs them and counted for the counts, and MIN/MAX
+/// candidates drop their ORE ciphertext, keeping only the winning value word
+/// and row identifier.
+fn finish_group(key: Vec<u64>, group: PartialGroup, encoding: IdListEncoding) -> GroupResult {
+    let summed = group
+        .aggregates
+        .iter()
+        .any(|state| matches!(state, PartialAggregate::Sum { .. }));
+    let rows = group.ids.count();
+    GroupResult {
+        key,
+        ids: summed.then(|| GroupIds {
+            id_list: group.ids.encode(encoding),
             encoding,
-        },
-        PartialAggregate::Count { ids } => EncryptedAggregate::Count { rows: ids.count() },
-        PartialAggregate::Extreme { best, .. } => match best {
-            Some(candidate) => EncryptedAggregate::Extreme {
-                value_word: candidate.value_word,
-                row_id: Some(candidate.row_id),
-            },
-            None => EncryptedAggregate::Extreme {
-                value_word: 0,
-                row_id: None,
-            },
-        },
+        }),
+        aggregates: group
+            .aggregates
+            .into_iter()
+            .map(|state| match state {
+                PartialAggregate::Sum { value } => EncryptedAggregate::AsheSum { value },
+                PartialAggregate::Count => EncryptedAggregate::Count { rows },
+                PartialAggregate::Extreme { best, .. } => EncryptedAggregate::Extreme {
+                    value_word: best.as_ref().map_or(0, |candidate| candidate.value_word),
+                    row_id: best.map(|candidate| candidate.row_id),
+                },
+            })
+            .collect(),
     }
 }
 
@@ -569,14 +622,24 @@ pub const PARTIAL_ID_ENCODING: IdListEncoding = IdListEncoding::RangesVb;
 /// Partial-result size in bytes with ID lists under `encoding`: what this
 /// partition's worker would ship to the driver. Shared by both execution
 /// paths so the reported shuffle bytes cannot diverge between them.
+///
+/// A group's ID list is charged once, however many aggregates read it; a
+/// count adds nothing of its own (it is the size of that list).
 fn partial_bytes(groups: &PartialGroups, encoding: IdListEncoding, group_columns: usize) -> usize {
     groups
         .values()
-        .flat_map(|partials| partials.iter())
-        .map(|partial| match partial {
-            PartialAggregate::Sum { ids, .. } => 8 + ids.encoded_size(encoding),
-            PartialAggregate::Count { ids } => 8 + ids.encoded_size(encoding),
-            PartialAggregate::Extreme { .. } => 16,
+        .map(|group| {
+            let ids = if group.aggregates.iter().any(PartialAggregate::reads_ids) {
+                group.ids.encoded_size(encoding)
+            } else {
+                0
+            };
+            let words = group.aggregates.iter().map(|partial| match partial {
+                PartialAggregate::Sum { .. } => 8,
+                PartialAggregate::Count => 0,
+                PartialAggregate::Extreme { .. } => 16,
+            });
+            ids + words.sum::<usize>()
         })
         .sum::<usize>()
         + groups.len() * 8 * group_columns.max(1)
@@ -772,11 +835,8 @@ fn response_encoding(query: &TranslatedQuery) -> IdListEncoding {
 /// still synthesize the empty global group.
 fn empty_state_of(agg: &ServerAggregate) -> PartialAggregate {
     match agg.input() {
-        AggregateInput::Words(_) => PartialAggregate::Sum {
-            value: 0,
-            ids: IdSet::new(),
-        },
-        AggregateInput::RowIds => PartialAggregate::Count { ids: IdSet::new() },
+        AggregateInput::Words(_) => PartialAggregate::Sum { value: 0 },
+        AggregateInput::RowIds => PartialAggregate::Count,
         AggregateInput::Extreme { want_max, .. } => PartialAggregate::Extreme { best: None, want_max },
     }
 }
@@ -790,20 +850,15 @@ pub fn finalize_partials(query: &TranslatedQuery, mut merged: PartialGroups, sta
     let encoding = response_encoding(query);
     // Global aggregates with no matching rows still return one empty group.
     if merged.is_empty() && query.group_by.is_empty() {
-        merged.insert(Vec::new(), query.aggregates.iter().map(empty_state_of).collect());
+        let empty = PartialGroup::new(query.aggregates.iter().map(empty_state_of).collect());
+        merged.insert(Vec::new(), empty);
     }
     let mut groups: Vec<GroupResult> = merged
         .into_iter()
-        .map(|(key, partials)| GroupResult {
-            key,
-            aggregates: partials.into_iter().map(|p| finish_partial(p, encoding)).collect(),
-        })
+        .map(|(key, group)| finish_group(key, group, encoding))
         .collect();
     groups.sort_by(|a, b| a.key.cmp(&b.key));
-    let result_bytes: usize = groups
-        .iter()
-        .map(|g| g.key.len() * 8 + g.aggregates.iter().map(|a| a.byte_len()).sum::<usize>())
-        .sum();
+    let result_bytes: usize = groups.iter().map(GroupResult::byte_len).sum();
     ServerResponse {
         groups,
         stats,
@@ -812,8 +867,9 @@ pub fn finalize_partials(query: &TranslatedQuery, mut merged: PartialGroups, sta
 }
 
 /// A still-mergeable query result: per (possibly inflated) group key, one
-/// [`PartialAggregate`] per requested aggregate, plus the execution
-/// statistics of the scan that produced it. What a `seabed-dist` worker ships
+/// [`PartialGroup`] — the group's ID set and one [`PartialAggregate`] per
+/// requested aggregate — plus the execution statistics of the scan that
+/// produced it. What a `seabed-dist` worker ships
 /// to the coordinator.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PartialResponse {
@@ -978,6 +1034,7 @@ fn scan_scalar(
     sink: &mut ProfileSink,
 ) -> Result<PartialGroups, SeabedError> {
     let started = sink.begin();
+    let accumulator = Accumulator::new(resolved);
     let mut groups: PartialGroups = HashMap::new();
     let n = partition.num_rows();
     let mut matched = 0u64;
@@ -1005,12 +1062,8 @@ fn scan_scalar(
             // group value.
             key.push(splitmix64(partition.row_id(row)) % inflation);
         }
-        let entry = groups
-            .entry(key)
-            .or_insert_with(|| resolved.iter().map(|r| r.empty_state()).collect());
-        for (spec, state) in resolved.iter().zip(entry.iter_mut()) {
-            spec.observe(state, partition, row);
-        }
+        let group = groups.entry(key).or_insert_with(|| accumulator.empty.clone());
+        accumulator.observe(group, partition, row);
     }
     sink.finish(started, "scan:scalar", n as u64, matched, 1);
     Ok(groups)
@@ -1120,23 +1173,17 @@ fn scan_vectorized(
         return Ok(groups);
     }
     let agg_started = sink.begin();
+    let accumulator = Accumulator::new(resolved);
 
     if group_columns.is_empty() {
-        // Global aggregation: one partial-state vector, no per-row key
-        // hashing at all; the unfiltered case collapses ID lists into one run.
-        let mut states: Vec<PartialAggregate> = resolved.iter().map(|r| r.empty_state()).collect();
-        for (spec, state) in resolved.iter().zip(states.iter_mut()) {
-            match &sel {
-                None => spec.accumulate_dense(state, partition)?,
-                Some(sel) => spec.accumulate(state, partition, sel)?,
-            }
-        }
-        groups.insert(Vec::new(), states);
+        // Global aggregation: one group, no per-row key hashing at all; the
+        // unfiltered case collapses the ID list into one run.
+        groups.insert(Vec::new(), accumulator.global(partition, sel.as_ref())?);
     } else if group_columns.len() == 1 && inflation == 1 {
         // Single-u64-key fast path: hash a bare u64 per row instead of
         // allocating and hashing a Vec<u64> key.
         let keys = typed_slice!(partition, group_columns[0], u64_slice, "UInt64")?;
-        let mut fast: HashMap<u64, Vec<PartialAggregate>> = HashMap::new();
+        let mut fast: HashMap<u64, PartialGroup> = HashMap::new();
         for_each_selected(sel.as_ref(), n, |row| {
             let Some(&key) = keys.get(row) else {
                 return Err(SeabedError::engine(format!(
@@ -1144,15 +1191,11 @@ fn scan_vectorized(
                     group_columns[0]
                 )));
             };
-            let entry = fast
-                .entry(key)
-                .or_insert_with(|| resolved.iter().map(|r| r.empty_state()).collect());
-            for (spec, state) in resolved.iter().zip(entry.iter_mut()) {
-                spec.observe(state, partition, row);
-            }
+            let group = fast.entry(key).or_insert_with(|| accumulator.empty.clone());
+            accumulator.observe(group, partition, row);
             Ok(())
         })?;
-        groups.extend(fast.into_iter().map(|(k, states)| (vec![k], states)));
+        groups.extend(fast.into_iter().map(|(k, group)| (vec![k], group)));
     } else {
         // General composite-key path (multiple group columns and/or an
         // inflation suffix): key columns are resolved to slices once, the
@@ -1172,12 +1215,8 @@ fn scan_vectorized(
             if inflation > 1 {
                 key.push(splitmix64(partition.row_id(row)) % inflation);
             }
-            let entry = groups
-                .entry(key)
-                .or_insert_with(|| resolved.iter().map(|r| r.empty_state()).collect());
-            for (spec, state) in resolved.iter().zip(entry.iter_mut()) {
-                spec.observe(state, partition, row);
-            }
+            let group = groups.entry(key).or_insert_with(|| accumulator.empty.clone());
+            accumulator.observe(group, partition, row);
             Ok(())
         })?;
     }
@@ -1260,19 +1299,13 @@ mod tests {
             let s = server_with_mode(1000, mode);
             let resp = s.execute(&sum_query(vec![], 1), &[])?;
             assert_eq!(resp.groups.len(), 1);
-            let EncryptedAggregate::AsheSum {
-                value,
-                id_list,
-                encoding,
-            } = &resp.groups[0].aggregates[0]
+            let (EncryptedAggregate::AsheSum { value }, Some(ids)) =
+                (&resp.groups[0].aggregates[0], &resp.groups[0].ids)
             else {
-                return Err(SeabedError::engine(format!(
-                    "unexpected aggregate {:?}",
-                    resp.groups[0].aggregates[0]
-                )));
+                return Err(SeabedError::engine(format!("unexpected group {:?}", resp.groups[0])));
             };
             assert_eq!(*value, (1..=1000u64).sum::<u64>());
-            let ids = IdSet::decode(id_list, *encoding).unwrap_or_default();
+            let ids = IdSet::decode(&ids.id_list, ids.encoding).unwrap_or_default();
             assert_eq!(ids.count(), 1000);
             assert_eq!(ids.run_count(), 1, "contiguous selection is one run");
             assert!(
@@ -1368,7 +1401,9 @@ mod tests {
         let ope = PhysicalFilter::Ope {
             column: 0,
             op: CompareOp::Lt,
-            ciphertext: OreCiphertext { symbols: vec![0; 64] },
+            ciphertext: OreCiphertext {
+                symbols: vec![0; ORE_CELL_BYTES],
+            },
         };
         let text = PhysicalFilter::PlainText {
             column: 0,
@@ -1532,6 +1567,136 @@ mod tests {
                 "{mode:?}: corrupt cell must not win: {:?}",
                 resp.groups[0].aggregates[0]
             );
+        }
+        Ok(())
+    }
+
+    /// An ORE literal that is not one cell wide compares with no stored cell:
+    /// every row would be "non-matching" and the query would answer an empty
+    /// selection. It is refused before the scan instead, in both modes — while
+    /// a corrupt-width *stored* cell stays a non-matching row
+    /// (`tests/filter_kernels.rs`).
+    #[test]
+    fn malformed_ore_literal_is_an_error_not_an_empty_answer() -> Result<(), SeabedError> {
+        use seabed_crypto::OreScheme;
+        let ore = OreScheme::new(&[3u8; 16]);
+        let schema = Schema::new([
+            ("o__ope".to_string(), ColumnType::Bytes),
+            ("m__ashe".to_string(), ColumnType::UInt64),
+        ]);
+        let table = Table::from_columns(
+            schema,
+            vec![
+                ColumnData::Bytes((0..40u64).map(|v| ore.encrypt(v).symbols).collect()),
+                ColumnData::UInt64((0..40u64).collect()),
+            ],
+            4,
+        );
+        let filter = |symbols: Vec<u8>| PhysicalFilter::Ope {
+            column: 0,
+            op: CompareOp::Lt,
+            ciphertext: OreCiphertext { symbols },
+        };
+        for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
+            let s = SeabedServer::new(
+                table.clone(),
+                Cluster::new(ClusterConfig::with_workers(4).exec_mode(mode)),
+            );
+            let honest = s.execute(&sum_query(vec![], 1), &[filter(ore.encrypt(10).symbols)])?;
+            assert!(
+                matches!(&honest.groups[0].aggregates[1], EncryptedAggregate::Count { rows: 10 }),
+                "{mode:?}: {:?}",
+                honest.groups[0]
+            );
+            // Empty, truncated, one byte over, and the one-byte-per-symbol width.
+            for width in [0, ORE_CELL_BYTES - 1, ORE_CELL_BYTES + 1, 4 * ORE_CELL_BYTES] {
+                let outcome = s.execute(&sum_query(vec![], 1), &[filter(vec![0; width])]);
+                assert!(
+                    matches!(&outcome, Err(SeabedError::Engine(message)) if message.contains("ORE literal")),
+                    "{mode:?}, width {width}: {outcome:?}"
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// A group's ID list is built, shipped and charged once: adding a second
+    /// sum and a count over the same selection adds one word each, not a
+    /// second and third copy of the list.
+    #[test]
+    fn a_group_charges_its_id_list_once() -> Result<(), SeabedError> {
+        let filters = vec![PhysicalFilter::PlainU64 {
+            column: 0,
+            op: CompareOp::Eq,
+            value: 1,
+        }];
+        let sum = |column: &str| ServerAggregate::AsheSum {
+            column: column.to_string(),
+        };
+        for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
+            for group_by in [vec![], group_by_g()] {
+                let s = server_with_mode(1000, mode);
+                let mut one = sum_query(group_by, 1);
+                one.aggregates = vec![sum("m__ashe")];
+                let mut three = one.clone();
+                three.aggregates = vec![sum("m__ashe"), sum("g__det"), ServerAggregate::CountRows];
+
+                let (one_resp, three_resp) = (s.execute(&one, &filters)?, s.execute(&three, &filters)?);
+                let groups = one_resp.groups.len();
+                assert_eq!(three_resp.result_bytes, one_resp.result_bytes + 16 * groups);
+                for (a, b) in one_resp.groups.iter().zip(&three_resp.groups) {
+                    assert!(a.ids.is_some() && a.ids == b.ids, "the same list, once");
+                    assert_eq!(b.byte_len(), a.byte_len() + 16);
+                }
+
+                let (one_part, three_part) = (s.execute_partial(&one, &filters)?, s.execute_partial(&three, &filters)?);
+                assert_eq!(
+                    three_part.shuffle_bytes(&three),
+                    one_part.shuffle_bytes(&one) + 8 * groups
+                );
+                // One more word per (partition, group) — every group has rows
+                // in each of the four partitions; a count adds none.
+                assert_eq!(
+                    three_part.stats.bytes_to_driver,
+                    one_part.stats.bytes_to_driver + 8 * 4 * groups
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// A MIN/MAX-only scan collects no identifiers and its response carries
+    /// no ID list.
+    #[test]
+    fn extreme_only_groups_carry_no_id_list() -> Result<(), SeabedError> {
+        use seabed_crypto::OreScheme;
+        let ore = OreScheme::new(&[3u8; 16]);
+        let table = Table::from_columns(
+            Schema::new([
+                ("o__ope".to_string(), ColumnType::Bytes),
+                ("o__ope_val".to_string(), ColumnType::UInt64),
+            ]),
+            vec![
+                ColumnData::Bytes((0..40u64).map(|v| ore.encrypt(v * 7 % 40).symbols).collect()),
+                ColumnData::UInt64((0..40u64).collect()),
+            ],
+            4,
+        );
+        for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
+            let s = SeabedServer::new(
+                table.clone(),
+                Cluster::new(ClusterConfig::with_workers(4).exec_mode(mode)),
+            );
+            let mut q = sum_query(vec![], 1);
+            q.aggregates = vec![ServerAggregate::OpeMax {
+                column: "o__ope".to_string(),
+            }];
+            let partial = s.execute_partial(&q, &[])?;
+            assert!(partial.groups.values().all(|group| group.ids.is_empty()), "{mode:?}");
+            assert_eq!(partial.shuffle_bytes(&q), 16 + 8);
+            let resp = s.execute(&q, &[])?;
+            assert_eq!(resp.groups[0].ids, None);
+            assert_eq!(resp.result_bytes, 16);
         }
         Ok(())
     }

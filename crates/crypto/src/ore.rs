@@ -20,22 +20,23 @@
 //!
 //! # What is stored
 //!
-//! A ciphertext is stored, shipped and compared as **one byte per symbol**:
-//! [`ORE_BITS`] = 64 bytes per cell, behind a 4-byte length in a serialized
-//! table — 68 of the 108 stored bytes of a row with one ORE column, and what
-//! `engine::storage::column_disk_size` charges. A symbol only needs 2 bits;
-//! packing four to a byte would store 4 + 16 bytes per cell and take the same
-//! 48 bytes per row off every shard-load frame. It is not done here because it
-//! changes [`OreCiphertext`], every stored table and every frame that carries
-//! one, so it waits for the next protocol version bump rather than forcing one.
+//! A symbol is one of `0, 1, 2`, so it is stored, shipped and compared in
+//! **two bits**, four symbols to a byte, the most significant symbol in the
+//! top two bits of the first byte: [`ORE_CELL_BYTES`] = 16 bytes per cell,
+//! behind a 4-byte length in a serialized table — 20 of the 60 stored bytes of
+//! a row with one ORE column, and what `engine::storage::column_disk_size`
+//! charges. The paper's ciphertext is `n · log₂ 3 ≈ 1.6 n` bits; two bits a
+//! symbol is its byte-aligned form (the lane value `3` is never written), and
+//! the form a word compare can read without decoding.
 //!
 //! # Comparison
 //!
-//! [`try_compare_symbols`] is the one body that compares two symbol strings;
+//! [`try_compare_symbols`] is the one body that compares two packed cells;
 //! [`OreCiphertext::compare`], the server's range filters and the MIN/MAX fold
-//! all reach it. It compares eight symbols at a time: real dimension values
-//! (timestamps) are small, so two ciphertexts of one column agree on most of
-//! their leading symbols and the first difference sits in the last words.
+//! all reach it. It compares thirty-two symbols at a time: real dimension
+//! values (timestamps) are small, so two ciphertexts of one column agree on
+//! most of their leading symbols and the first difference sits in the last
+//! word.
 
 use crate::aes::Aes128;
 use std::cmp::Ordering;
@@ -44,11 +45,14 @@ use std::cmp::Ordering;
 /// at most 64-bit integers.
 pub const ORE_BITS: usize = 64;
 
-/// An ORE ciphertext: one mod-3 symbol per plaintext bit, one byte per symbol
-/// (see the module docs for what that costs in storage).
+/// Bytes of one stored ciphertext: [`ORE_BITS`] symbols, four to a byte.
+pub const ORE_CELL_BYTES: usize = ORE_BITS / 4;
+
+/// An ORE ciphertext: one mod-3 symbol per plaintext bit, packed four to a
+/// byte (see the module docs).
 #[derive(Clone, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct OreCiphertext {
-    /// The `u_i` symbols, most-significant bit first.
+    /// The `u_i` symbols, two bits each, most-significant bit's symbol first.
     pub symbols: Vec<u8>,
 }
 
@@ -64,66 +68,85 @@ impl OreCiphertext {
     /// underlying plaintexts, or `None` if they are equal. This is exactly the
     /// scheme's defined leakage (`inddiff` in the paper's Appendix A.3).
     pub fn diff_index(&self, other: &Self) -> Option<usize> {
-        self.symbols.iter().zip(other.symbols.iter()).position(|(a, b)| a != b)
+        let differing = self.symbols.iter().zip(&other.symbols).map(|(a, b)| a ^ b);
+        differing
+            .enumerate()
+            .find(|(_, diff)| *diff != 0)
+            .map(|(byte, diff)| byte * 4 + diff.leading_zeros() as usize / 2)
     }
 }
 
 /// What the first differing symbol pair says about the plaintexts: `x` is one
 /// ahead of `y` (mod 3) exactly when `x`'s plaintext has the 1 bit there.
-/// Wrapping add: symbols are mod-3 in well-formed ciphertexts, but corrupt
-/// cells may hold any byte and must not overflow-panic; the ordering of such a
-/// pair is arbitrary but fixed.
+/// A two-bit lane of a corrupt cell may hold `3`; the ordering of such a pair
+/// is arbitrary but fixed.
 #[inline]
 fn symbol_order(x: u8, y: u8) -> Ordering {
-    if x == y.wrapping_add(1) % 3 {
+    if x == (y + 1) % 3 {
         Ordering::Greater
     } else {
         Ordering::Less
     }
 }
 
-/// Total, allocation-free comparison of two ORE symbol strings (the stored
-/// form of [`OreCiphertext`]). Returns `None` when the widths differ — a
-/// corrupt cell or a ciphertext from a different scheme — so scan loops can
-/// treat such rows as non-matching instead of panicking or cloning each cell
-/// into an [`OreCiphertext`] first.
+/// Total, allocation-free comparison of two packed ORE cells (the stored form
+/// of [`OreCiphertext`]). Returns `None` when the widths differ — a corrupt
+/// cell or a ciphertext from a different scheme — so scan loops can treat such
+/// rows as non-matching instead of panicking or cloning each cell into an
+/// [`OreCiphertext`] first.
 ///
-/// Eight symbols are compared per step: the XOR of two little-endian words is
-/// zero while they agree, and its lowest set bit lies in the first differing
-/// byte (`from_le_bytes` puts byte 0 lowest on every host). Widths that are
-/// not a multiple of eight finish byte by byte.
+/// Thirty-two symbols are compared per step: the XOR of two big-endian words
+/// is zero while they agree, and its highest set bit lies in the first
+/// differing two-bit lane (`from_be_bytes` puts byte 0 highest on every host).
+/// A 64-symbol cell is two words; a width that is not a multiple of eight
+/// bytes ends in a zero-padded word.
 pub fn try_compare_symbols(a: &[u8], b: &[u8]) -> Option<Ordering> {
     if a.len() != b.len() {
         return None;
     }
+    // `x != y`: the symbols of their first differing lane, ordered.
+    let first_difference = |x: u64, y: u64| {
+        let shift = 62 - (x ^ y).leading_zeros() / 2 * 2;
+        symbol_order((x >> shift) as u8 & 3, (y >> shift) as u8 & 3)
+    };
     let (a_words, a_tail) = a.as_chunks::<8>();
     let (b_words, b_tail) = b.as_chunks::<8>();
     for (x, y) in a_words.iter().zip(b_words) {
-        let (x, y) = (u64::from_le_bytes(*x), u64::from_le_bytes(*y));
-        let diff = x ^ y;
-        if diff != 0 {
-            let shift = diff.trailing_zeros() / 8 * 8;
-            return Some(symbol_order((x >> shift) as u8, (y >> shift) as u8));
+        let (x, y) = (u64::from_be_bytes(*x), u64::from_be_bytes(*y));
+        if x != y {
+            return Some(first_difference(x, y));
         }
     }
-    let first_diff = a_tail.iter().zip(b_tail).find(|(x, y)| x != y);
-    Some(first_diff.map_or(Ordering::Equal, |(x, y)| symbol_order(*x, *y)))
+    let padded = |tail: &[u8]| {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        u64::from_be_bytes(word)
+    };
+    let (x, y) = (padded(a_tail), padded(b_tail));
+    Some(if x == y {
+        Ordering::Equal
+    } else {
+        first_difference(x, y)
+    })
 }
 
-/// The byte-at-a-time comparison [`try_compare_symbols`] replaced, kept as the
-/// oracle the word-at-a-time one is pinned against.
+/// The lane-at-a-time comparison, kept as the oracle the word-at-a-time one is
+/// pinned against.
 #[cfg(test)]
 fn compare_symbols_bytewise(a: &[u8], b: &[u8]) -> Option<Ordering> {
     if a.len() != b.len() {
         return None;
     }
     for (x, y) in a.iter().zip(b.iter()) {
-        if x != y {
-            return Some(if *x == y.wrapping_add(1) % 3 {
-                Ordering::Greater
-            } else {
-                Ordering::Less
-            });
+        for lane in 0..4 {
+            let (x, y) = ((x >> (6 - 2 * lane)) & 3, (y >> (6 - 2 * lane)) & 3);
+            if x != y {
+                return Some(if x == (y + 1) % 3 {
+                    Ordering::Greater
+                } else {
+                    Ordering::Less
+                });
+            }
         }
     }
     Some(Ordering::Equal)
@@ -159,21 +182,19 @@ impl OreScheme {
     /// Output is identical to [`OreScheme::encrypt_scalar`], the per-bit
     /// reference path.
     pub fn encrypt(&self, m: u64) -> OreCiphertext {
-        let mut symbols = [0u8; ORE_BITS];
-        self.encrypt_into(m, &mut symbols);
-        OreCiphertext {
-            symbols: symbols.to_vec(),
-        }
+        let mut cell = [0u8; ORE_CELL_BYTES];
+        self.encrypt_into(m, &mut cell);
+        OreCiphertext { symbols: cell.to_vec() }
     }
 
-    /// Encrypts a 64-bit value into a caller-provided symbol buffer, without
+    /// Encrypts a 64-bit value into a caller-provided cell, without
     /// allocating — what a bulk load appends to its column per row.
     ///
     /// Every bit's PRF input depends only on `m` itself (`prefix_i` is `m`
     /// with all bits below position `i` zeroed), so all [`ORE_BITS`] AES
     /// blocks are materialised up front and encrypted in a single batched
     /// kernel dispatch instead of one [`Aes128::encrypt_block`] call per bit.
-    pub fn encrypt_into(&self, m: u64, symbols: &mut [u8; ORE_BITS]) {
+    pub fn encrypt_into(&self, m: u64, cell: &mut [u8; ORE_CELL_BYTES]) {
         let mut blocks = [[0u8; 16]; ORE_BITS];
         for (i, block) in blocks.iter_mut().enumerate() {
             // prefix holds bits b_1..b_{i-1} left-aligned, remaining bits zero.
@@ -182,10 +203,13 @@ impl OreScheme {
             block[8..].copy_from_slice(&prefix.to_be_bytes());
         }
         self.cipher.encrypt_blocks(&mut blocks);
-        for (i, (symbol, block)) in symbols.iter_mut().zip(&blocks).enumerate() {
-            let bit = ((m >> (ORE_BITS - 1 - i)) & 1) as u8;
-            let prf = (u64::from_be_bytes(block[..8].try_into().unwrap()) % 3) as u8;
-            *symbol = (prf + bit) % 3;
+        for (byte, (packed, quad)) in cell.iter_mut().zip(blocks.chunks_exact(4)).enumerate() {
+            *packed = 0;
+            for (lane, block) in quad.iter().enumerate() {
+                let bit = ((m >> (ORE_BITS - 1 - (4 * byte + lane))) & 1) as u8;
+                let prf = (u64::from_be_bytes(block[..8].try_into().unwrap()) % 3) as u8;
+                *packed = (*packed << 2) | ((prf + bit) % 3);
+            }
         }
     }
 
@@ -193,12 +217,12 @@ impl OreScheme {
     /// one PRF call (and one AES dispatch) per plaintext bit. Kept as the
     /// differential oracle the batched path is pinned against.
     pub fn encrypt_scalar(&self, m: u64) -> OreCiphertext {
-        let mut symbols = Vec::with_capacity(ORE_BITS);
+        let mut symbols = vec![0u8; ORE_CELL_BYTES];
         let mut prefix: u64 = 0;
         for i in 0..ORE_BITS {
             let bit = ((m >> (ORE_BITS - 1 - i)) & 1) as u8;
             let u = (self.prf_mod3(i, prefix) + bit) % 3;
-            symbols.push(u);
+            symbols[i / 4] |= u << (6 - 2 * (i % 4));
             prefix |= (bit as u64) << (ORE_BITS - 1 - i);
         }
         OreCiphertext { symbols }
@@ -247,17 +271,54 @@ mod tests {
         let s = scheme();
         let a = s.encrypt(10);
         let b = s.encrypt(20);
+        assert_eq!(a.symbols.len(), ORE_CELL_BYTES);
         assert_eq!(try_compare_symbols(&a.symbols, &b.symbols), Some(Ordering::Less));
         assert_eq!(try_compare_symbols(&a.symbols, &a.symbols), Some(Ordering::Equal));
         // Width mismatch (corrupt cell) is None, not a panic.
         assert_eq!(try_compare_symbols(&a.symbols, &a.symbols[..10]), None);
         assert_eq!(try_compare_symbols(&[], &a.symbols), None);
-        // Out-of-domain symbol bytes (corrupt cells) must not panic either,
-        // even with overflow checks on; the ordering itself is arbitrary.
+        // Out-of-domain lanes (corrupt cells) must not panic either, even
+        // with overflow checks on; the ordering itself is arbitrary.
         let mut forged = a.symbols.clone();
         forged[0] = 255;
         assert!(try_compare_symbols(&forged, &a.symbols).is_some());
         assert!(try_compare_symbols(&a.symbols, &forged).is_some());
+    }
+
+    /// Packs one-symbol-per-byte test input the way a cell stores it: four
+    /// symbols to a byte, first symbol highest, a short last byte zero-padded.
+    fn pack(symbols: &[u8]) -> Vec<u8> {
+        symbols
+            .chunks(4)
+            .map(|quad| {
+                let byte = quad.iter().fold(0u8, |byte, symbol| byte << 2 | (symbol & 3));
+                byte << (2 * (4 - quad.len()))
+            })
+            .collect()
+    }
+
+    /// The symbol at `index` of a packed cell.
+    fn symbol_at(cell: &[u8], index: usize) -> u8 {
+        (cell[index / 4] >> (6 - 2 * (index % 4))) & 3
+    }
+
+    #[test]
+    fn stored_symbols_are_mod_three_and_most_significant_first() {
+        let s = scheme();
+        assert_eq!(pack(&[1, 2, 0, 1, 2]), vec![0b01_10_00_01, 0b10_00_00_00]);
+        for m in [0u64, 1, 0xDEAD_BEEF, 1 << 63, u64::MAX] {
+            let cell = s.encrypt(m).symbols;
+            let mut prefix = 0u64;
+            for i in 0..ORE_BITS {
+                let bit = (m >> (ORE_BITS - 1 - i)) & 1;
+                assert_eq!(
+                    symbol_at(&cell, i),
+                    (s.prf_mod3(i, prefix) + bit as u8) % 3,
+                    "m={m} symbol {i}"
+                );
+                prefix |= bit << (ORE_BITS - 1 - i);
+            }
+        }
     }
 
     /// Both directions of the oracle check, so a test names each pair once.
@@ -265,17 +326,17 @@ mod tests {
         assert_eq!(
             try_compare_symbols(a, b),
             compare_symbols_bytewise(a, b),
-            "{a:?} vs {b:?}"
+            "{a:02x?} vs {b:02x?}"
         );
         assert_eq!(
             try_compare_symbols(b, a),
             compare_symbols_bytewise(b, a),
-            "{b:?} vs {a:?}"
+            "{b:02x?} vs {a:02x?}"
         );
     }
 
     #[test]
-    fn word_compare_matches_bytewise_at_every_bit_position() {
+    fn word_compare_matches_lanewise_at_every_bit_position() {
         let s = scheme();
         let mut state = 0x5EED_u64;
         for bit in 0..ORE_BITS {
@@ -286,7 +347,12 @@ mod tests {
             let lo = (base & !(1 << bit) & !below) | (splitmix(&mut state) & below);
             let hi = (base | (1 << bit)) & !below | (splitmix(&mut state) & below);
             let (a, b) = (s.encrypt(lo), s.encrypt(hi));
-            assert_eq!(a.diff_index(&b), Some(ORE_BITS - 1 - bit));
+            assert_eq!(
+                a.diff_index(&b),
+                Some(ORE_BITS - 1 - bit),
+                "the symbol index, not the byte"
+            );
+            assert_eq!(b.diff_index(&a), Some(ORE_BITS - 1 - bit));
             assert_matches_oracle(&a.symbols, &b.symbols);
             assert_eq!(
                 try_compare_symbols(&a.symbols, &b.symbols),
@@ -304,19 +370,27 @@ mod tests {
     }
 
     #[test]
-    fn word_compare_matches_bytewise_at_every_length() {
-        // Symbol strings that differ only in their last byte, so every
-        // whole-word prefix and every 1..=7-byte tail has to be walked.
-        for len_a in 0..=80usize {
-            for len_b in 0..=80usize {
-                let a: Vec<u8> = (0..len_a).map(|i| (i % 3) as u8).collect();
-                let mut b: Vec<u8> = (0..len_b).map(|i| (i % 3) as u8).collect();
+    fn word_compare_matches_lanewise_at_every_length() {
+        // Packed strings that differ only in one lane of their last byte, so
+        // every whole-word prefix and every 1..=7-byte tail has to be walked.
+        for len_a in 0..=20usize {
+            for len_b in 0..=20usize {
+                let a: Vec<u8> = pack(&(0..4 * len_a).map(|i| (i % 3) as u8).collect::<Vec<u8>>());
+                let b: Vec<u8> = pack(&(0..4 * len_b).map(|i| (i % 3) as u8).collect::<Vec<u8>>());
+                assert_eq!((a.len(), b.len()), (len_a, len_b));
                 assert_matches_oracle(&a, &b);
                 assert_eq!(try_compare_symbols(&a, &b).is_none(), len_a != len_b);
-                if let Some(last) = len_b.checked_sub(1) {
-                    for _ in 0..2 {
-                        b[last] = (b[last] + 1) % 3;
+                let Some(last) = len_b.checked_sub(1) else { continue };
+                for lane in 0..4 {
+                    for bump in 1..=2u8 {
+                        let mut b = b.clone();
+                        let shift = 6 - 2 * lane;
+                        let symbol = (((b[last] >> shift) & 3) + bump) % 3;
+                        b[last] = b[last] & !(3 << shift) | symbol << shift;
                         assert_matches_oracle(&a, &b);
+                        if len_a == len_b {
+                            assert!(try_compare_symbols(&a, &b).is_some_and(|ord| ord != Ordering::Equal));
+                        }
                     }
                 }
             }
@@ -324,30 +398,39 @@ mod tests {
     }
 
     #[test]
-    fn word_compare_matches_bytewise_on_out_of_domain_bytes() {
+    fn word_compare_matches_lanewise_on_out_of_domain_lanes() {
         let s = scheme();
         let (a, b) = (s.encrypt(0x1234_5678_9ABC), s.encrypt(0x1234_5678_9ABD));
         for width in [ORE_BITS, 67] {
+            // 64 symbols is two whole words; 67 adds a byte-wise tail whose
+            // last byte is one padding lane short of full.
             let pad = |ct: &OreCiphertext| {
-                ct.symbols
-                    .iter()
-                    .copied()
-                    .chain([1, 2, 0])
-                    .take(width)
-                    .collect::<Vec<u8>>()
+                let symbols = (0..ORE_BITS).map(|i| symbol_at(&ct.symbols, i));
+                pack(&symbols.chain([1, 2, 0]).take(width).collect::<Vec<u8>>())
             };
             let (a, b) = (pad(&a), pad(&b));
             for at in 0..width {
-                for byte in [3u8, 0x80, 0xFF] {
+                let shift = 6 - 2 * (at % 4);
+                // The lane value a well-formed cell never holds, alone...
+                let mut lane3 = a.clone();
+                lane3[at / 4] |= 3 << shift;
+                assert_matches_oracle(&lane3, &a);
+                assert_matches_oracle(&lane3, &b);
+                let mut both = b.clone();
+                both[at / 4] |= 3 << shift;
+                assert_matches_oracle(&lane3, &both);
+                // ...and whole corrupt bytes around it.
+                for byte in [0x80u8, 0xFF] {
                     let mut forged = a.clone();
-                    forged[at] = byte;
+                    forged[at / 4] = byte;
                     assert_matches_oracle(&forged, &a);
                     assert_matches_oracle(&forged, &b);
+                    assert_matches_oracle(&forged, &lane3);
                     // Corrupt on both sides, at the same and at another position.
                     let mut other = b.clone();
-                    other[at] = byte.wrapping_add(1);
+                    other[at / 4] = byte.wrapping_add(1);
                     assert_matches_oracle(&forged, &other);
-                    other[width - 1 - at] = byte;
+                    other[(width - 1 - at) / 4] = byte;
                     assert_matches_oracle(&forged, &other);
                 }
             }
@@ -355,18 +438,21 @@ mod tests {
     }
 
     #[test]
-    fn word_compare_matches_bytewise_on_a_random_sweep() {
+    fn word_compare_matches_lanewise_on_a_random_sweep() {
         let s = scheme();
         let mut state = 20u64;
         for i in 0..10_000 {
             let x = splitmix(&mut state);
-            // Half the pairs share a long prefix, as one column's values do.
+            // Half the pairs share their first 44 symbols or more, as one
+            // column's values (timestamps below 2^20) do: the difference is
+            // then in the second word.
             let y = if i % 2 == 0 {
                 splitmix(&mut state)
             } else {
-                x ^ (splitmix(&mut state) >> (i % 64))
+                x ^ (splitmix(&mut state) >> (44 + i % 20))
             };
             let (a, b) = (s.encrypt(x), s.encrypt(y));
+            assert!(i % 2 == 0 || a.diff_index(&b).is_none_or(|at| at >= 44));
             assert_matches_oracle(&a.symbols, &b.symbols);
             assert_eq!(
                 try_compare_symbols(&a.symbols, &b.symbols),
@@ -397,8 +483,8 @@ mod tests {
     fn batched_encrypt_matches_scalar_reference() {
         let s = scheme();
         let other = OreScheme::new(&[0xC3u8; 16]);
-        // A dirty buffer: `encrypt_into` must overwrite every symbol.
-        let mut into = [0xAAu8; ORE_BITS];
+        // A dirty buffer: `encrypt_into` must overwrite every lane.
+        let mut into = [0xAAu8; ORE_CELL_BYTES];
         for m in [0u64, 1, 2, 0b1011, 12345, 1 << 40, u64::MAX - 1, u64::MAX] {
             assert_eq!(s.encrypt(m), s.encrypt_scalar(m), "m={m}");
             assert_eq!(other.encrypt(m), other.encrypt_scalar(m), "m={m}");

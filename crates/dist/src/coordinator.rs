@@ -1183,7 +1183,8 @@ fn validate_partial(query: &TranslatedQuery, partial: &PartialResponse) -> Resul
     } else {
         query.group_by.len() + usize::from(query.group_inflation > 1)
     };
-    for (key, partials) in &partial.groups {
+    for (key, group) in &partial.groups {
+        let partials = &group.aggregates;
         if key.len() != expected_key_len {
             return Err(format!(
                 "partial group key has {} component(s), the query expects {expected_key_len}",
@@ -1200,7 +1201,7 @@ fn validate_partial(query: &TranslatedQuery, partial: &PartialResponse) -> Resul
         for (agg, state) in query.aggregates.iter().zip(partials) {
             let matches_plan = match (agg, state) {
                 (ServerAggregate::AsheSum { .. }, PartialAggregate::Sum { .. })
-                | (ServerAggregate::CountRows, PartialAggregate::Count { .. }) => true,
+                | (ServerAggregate::CountRows, PartialAggregate::Count) => true,
                 (ServerAggregate::OpeMin { .. }, PartialAggregate::Extreme { want_max, .. }) => !want_max,
                 (ServerAggregate::OpeMax { .. }, PartialAggregate::Extreme { want_max, .. }) => *want_max,
                 _ => false,

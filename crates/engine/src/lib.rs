@@ -38,7 +38,7 @@ pub mod table;
 
 pub use cluster::{fan_out, Cluster, ClusterConfig, ExecStats, TaskOutput};
 pub use exec::{merge_operator_profiles, ExecMode, OperatorProfile, ProfileSink, SelectionVector};
-pub use merge::{merge_partial_groups, ExtremeCandidate, PartialAggregate, PartialGroups};
+pub use merge::{merge_partial_groups, ExtremeCandidate, PartialAggregate, PartialGroup, PartialGroups};
 pub use netmodel::NetworkModel;
 pub use storage::{table_disk_size, table_memory_size};
 pub use table::{BytesColumn, ColumnData, ColumnType, Field, Partition, Schema, Table};

@@ -1,14 +1,20 @@
 //! The partial-aggregate merge algebra shared by every gather point.
 //!
 //! Seabed's reduce step is *additive*: each partition task produces, per
-//! (possibly inflated) group key, one partial state per requested aggregate —
-//! an ASHE partial sum with its ID list, a count's ID list, or a MIN/MAX ORE
-//! candidate — and the driver folds partials pairwise. With `seabed-dist`,
-//! the exact same fold happens one level up: workers fold their partitions'
-//! partials locally, and the coordinator folds the per-worker partials it
-//! gathered over the network. Both folds MUST be the same implementation, or
-//! a distributed query could silently diverge from the single-server answer;
-//! this module is that single implementation.
+//! (possibly inflated) group key, one [`PartialGroup`] — the identifiers of
+//! the rows it selected, held **once**, plus one partial state per requested
+//! aggregate: an ASHE partial sum, a count, or a MIN/MAX ORE candidate — and
+//! the driver folds groups pairwise. With `seabed-dist`, the exact same fold
+//! happens one level up: workers fold their partitions' partials locally, and
+//! the coordinator folds the per-worker partials it gathered over the
+//! network. Both folds MUST be the same implementation, or a distributed
+//! query could silently diverge from the single-server answer; this module is
+//! that single implementation.
+//!
+//! The ID set belongs to the group, not to an aggregate: ASHE's ID list names
+//! the rows whose masks a sum carries, and every aggregate of one group was
+//! folded over the same selected rows — `SUM(a), SUM(b), COUNT(*)` build,
+//! union, ship and decode one set, not three.
 //!
 //! The algebra is **associative**, **commutative**, and **order-invariant**:
 //! any bracketing of any permutation of the same set of partials folds to the
@@ -16,17 +22,18 @@
 //! ASHE/SPLASHE pipelines), so shard gather order, straggler arrival order
 //! and re-dispatch cannot change results.
 //!
+//! * the group's IDs — set union, a commutative monoid;
 //! * `Sum` — ASHE words add with wrapping arithmetic (the masked group is
-//!   `(Z/2^64, +)`), ID lists union; both operations are commutative
-//!   monoids.
-//! * `Count` — ID-list union only (the count is derived at finalization).
+//!   `(Z/2^64, +)`), a commutative monoid;
+//! * `Count` — nothing of its own (the count is the size of the group's ID
+//!   set, derived at finalization);
 //! * `Extreme` — the ORE-greater (or -smaller) candidate wins; ORE exposes a
 //!   total order over well-formed ciphertexts, and corrupt-width candidates
 //!   are incomparable, never displace a well-formed one, and never panic the
 //!   fold.
 
 use seabed_ashe::IdSet;
-use seabed_crypto::ore::{try_compare_symbols, OreCiphertext};
+use seabed_crypto::ore::{try_compare_symbols, OreCiphertext, ORE_CELL_BYTES};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -43,7 +50,8 @@ pub struct ExtremeCandidate {
     pub row_id: u64,
 }
 
-/// The mergeable state of one aggregate of one group.
+/// The mergeable state of one aggregate of one group, beside the group's ID
+/// set ([`PartialGroup::ids`]).
 ///
 /// This is what partition tasks accumulate into, what crosses the wire from
 /// `seabed-dist` workers to the coordinator, and what both the driver and the
@@ -52,18 +60,13 @@ pub struct ExtremeCandidate {
 /// ciphertext) happens once, at whichever node answers the query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PartialAggregate {
-    /// An ASHE partial sum: masked wrapping sum plus the selected IDs.
+    /// An ASHE partial sum over the group's rows.
     Sum {
         /// Wrapping sum of the selected rows' ASHE ciphertext words.
         value: u64,
-        /// Selected row identifiers.
-        ids: IdSet,
     },
-    /// A row count, kept as the ID set it is derived from.
-    Count {
-        /// Selected row identifiers.
-        ids: IdSet,
-    },
+    /// A row count: the size of the group's ID set.
+    Count,
     /// A MIN/MAX candidate under the ORE order.
     Extreme {
         /// Best candidate seen so far (`None` when no row matched).
@@ -74,6 +77,12 @@ pub enum PartialAggregate {
 }
 
 impl PartialAggregate {
+    /// Whether this aggregate reads the group's ID set: a scan whose
+    /// aggregates are all MIN/MAX collects no identifiers.
+    pub fn reads_ids(&self) -> bool {
+        !matches!(self, PartialAggregate::Extreme { .. })
+    }
+
     /// Folds `other` into `self`.
     ///
     /// All partial vectors for one query are built from the same aggregate
@@ -84,12 +93,8 @@ impl PartialAggregate {
     /// panicking.
     pub fn merge(&mut self, other: PartialAggregate) {
         match (self, other) {
-            (PartialAggregate::Sum { value, ids }, PartialAggregate::Sum { value: v2, ids: i2 }) => {
+            (PartialAggregate::Sum { value }, PartialAggregate::Sum { value: v2 }) => {
                 *value = value.wrapping_add(v2);
-                *ids = ids.union(&i2);
-            }
-            (PartialAggregate::Count { ids }, PartialAggregate::Count { ids: i2 }) => {
-                *ids = ids.union(&i2);
             }
             (
                 PartialAggregate::Extreme { best, want_max },
@@ -102,16 +107,6 @@ impl PartialAggregate {
             _ => {}
         }
     }
-
-    /// True when this partial reflects zero matched rows (the identity of the
-    /// merge for its kind).
-    pub fn is_empty(&self) -> bool {
-        match self {
-            PartialAggregate::Sum { value, ids } => *value == 0 && ids.is_empty(),
-            PartialAggregate::Count { ids } => ids.is_empty(),
-            PartialAggregate::Extreme { best, .. } => best.is_none(),
-        }
-    }
 }
 
 /// Whether a candidate with the given ORE symbols displaces `best` under the
@@ -120,7 +115,7 @@ impl PartialAggregate {
 /// replace anything — not even an empty `best`, where an incomparable
 /// squatter would otherwise block every honest later candidate.
 pub fn extreme_replaces(best: Option<&ExtremeCandidate>, candidate_symbols: &[u8], want_max: bool) -> bool {
-    if candidate_symbols.len() != seabed_crypto::ore::ORE_BITS {
+    if candidate_symbols.len() != ORE_CELL_BYTES {
         return false;
     }
     match best {
@@ -135,25 +130,50 @@ pub fn extreme_replaces(best: Option<&ExtremeCandidate>, candidate_symbols: &[u8
     }
 }
 
+/// One group of one scan unit: the identifiers of the rows the scan selected
+/// into it and, folded over exactly those rows, one partial per aggregate.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PartialGroup {
+    /// Selected row identifiers (left empty when no aggregate reads them).
+    pub ids: IdSet,
+    /// One partial per requested aggregate, in plan order.
+    pub aggregates: Vec<PartialAggregate>,
+}
+
+impl PartialGroup {
+    /// A group no row has been folded into yet.
+    pub fn new(aggregates: Vec<PartialAggregate>) -> PartialGroup {
+        PartialGroup {
+            ids: IdSet::new(),
+            aggregates,
+        }
+    }
+
+    /// Folds `other` into `self`: the ID sets union once, the aggregates
+    /// merge pairwise.
+    pub fn merge(&mut self, other: PartialGroup) {
+        self.ids = self.ids.union(&other.ids);
+        for (a, b) in self.aggregates.iter_mut().zip(other.aggregates) {
+            a.merge(b);
+        }
+    }
+}
+
 /// Partial results of one scan unit (a partition, a worker shard, or a whole
-/// server): per (possibly inflated) group key, one partial per aggregate.
-pub type PartialGroups = HashMap<Vec<u64>, Vec<PartialAggregate>>;
+/// server), by (possibly inflated) group key.
+pub type PartialGroups = HashMap<Vec<u64>, PartialGroup>;
 
 /// Folds `from` into `into`, group by group. Vacant keys move over wholesale;
-/// occupied keys merge aggregate-by-aggregate via [`PartialAggregate::merge`].
-/// This is the single gather implementation shared by the in-process driver
-/// merge and the `seabed-dist` coordinator merge.
+/// occupied keys merge via [`PartialGroup::merge`]. This is the single gather
+/// implementation shared by the in-process driver merge and the `seabed-dist`
+/// coordinator merge.
 pub fn merge_partial_groups(into: &mut PartialGroups, from: PartialGroups) {
-    for (key, partials) in from {
+    for (key, group) in from {
         match into.entry(key) {
             std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(partials);
+                slot.insert(group);
             }
-            std::collections::hash_map::Entry::Occupied(mut slot) => {
-                for (a, b) in slot.get_mut().iter_mut().zip(partials) {
-                    a.merge(b);
-                }
-            }
+            std::collections::hash_map::Entry::Occupied(mut slot) => slot.get_mut().merge(group),
         }
     }
 }
@@ -162,18 +182,19 @@ pub fn merge_partial_groups(into: &mut PartialGroups, from: PartialGroups) {
 mod tests {
     use super::*;
 
-    fn sum(value: u64, ids: &[u64]) -> PartialAggregate {
-        PartialAggregate::Sum {
-            value,
+    /// A one-aggregate group: an ASHE partial sum over `ids`.
+    fn sum(value: u64, ids: &[u64]) -> PartialGroup {
+        PartialGroup {
             ids: IdSet::from_sorted_ids(ids),
+            aggregates: vec![PartialAggregate::Sum { value }],
         }
     }
 
-    fn extreme(bits: u8, value_word: u64, row_id: u64, want_max: bool) -> PartialAggregate {
+    fn extreme(lanes: u8, value_word: u64, row_id: u64, want_max: bool) -> PartialAggregate {
         PartialAggregate::Extreme {
             best: Some(ExtremeCandidate {
                 ciphertext: OreCiphertext {
-                    symbols: vec![bits; seabed_crypto::ore::ORE_BITS],
+                    symbols: vec![lanes; ORE_CELL_BYTES],
                 },
                 value_word,
                 row_id,
@@ -186,11 +207,28 @@ mod tests {
     fn sums_add_and_ids_union() {
         let mut a = sum(10, &[1, 2]);
         a.merge(sum(u64::MAX, &[2, 7]));
-        let PartialAggregate::Sum { value, ids } = &a else {
-            panic!("kind changed");
+        assert_eq!(a.aggregates, vec![PartialAggregate::Sum { value: 9 }], "wrapping add");
+        assert_eq!(a.ids.iter().collect::<Vec<_>>(), vec![1, 2, 7]);
+    }
+
+    /// The ID set is the group's: every aggregate of a group merges beside
+    /// one union, and the count is that set's size.
+    #[test]
+    fn a_group_unions_its_ids_once_for_all_its_aggregates() {
+        let group = |a: u64, b: u64, ids: &[u64]| PartialGroup {
+            ids: IdSet::from_sorted_ids(ids),
+            aggregates: vec![
+                PartialAggregate::Sum { value: a },
+                PartialAggregate::Sum { value: b },
+                PartialAggregate::Count,
+            ],
         };
-        assert_eq!(*value, 9, "wrapping add");
-        assert_eq!(ids.iter().collect::<Vec<_>>(), vec![1, 2, 7]);
+        let mut merged = group(1, 10, &[0, 1]);
+        merged.merge(group(2, 20, &[1, 5]));
+        assert_eq!(merged, group(3, 30, &[0, 1, 5]));
+        assert_eq!(merged.ids.count(), 3);
+        assert!(merged.aggregates.iter().all(PartialAggregate::reads_ids));
+        assert!(!extreme(0, 0, 0, true).reads_ids());
     }
 
     #[test]
@@ -211,9 +249,9 @@ mod tests {
 
     #[test]
     fn extreme_picks_ore_winner_regardless_of_order() {
-        // All-zero symbols < all-one symbols under the prefix compare.
-        let lo = extreme(0, 100, 1, true);
-        let hi = extreme(1, 200, 2, true);
+        // All-zero lanes < all-one lanes under the prefix compare.
+        let lo = extreme(0b00_00_00_00, 100, 1, true);
+        let hi = extreme(0b01_01_01_01, 200, 2, true);
         let mut a = lo.clone();
         a.merge(hi.clone());
         let mut b = hi.clone();
@@ -231,8 +269,8 @@ mod tests {
             best: None,
             want_max: false,
         };
-        c.merge(extreme(1, 200, 2, false));
-        c.merge(extreme(0, 100, 1, false));
+        c.merge(extreme(0b01_01_01_01, 200, 2, false));
+        c.merge(extreme(0b00_00_00_00, 100, 1, false));
         assert!(matches!(
             c,
             PartialAggregate::Extreme {
@@ -244,58 +282,65 @@ mod tests {
 
     #[test]
     fn corrupt_width_candidate_never_wins_or_panics() {
-        let corrupt = PartialAggregate::Extreme {
-            best: Some(ExtremeCandidate {
-                ciphertext: OreCiphertext { symbols: vec![9; 3] },
-                value_word: 999,
-                row_id: 99,
-            }),
-            want_max: true,
-        };
-        let mut a = extreme(1, 200, 2, true);
-        a.merge(corrupt.clone());
-        assert!(matches!(
-            &a,
-            PartialAggregate::Extreme {
-                best: Some(ExtremeCandidate { value_word: 200, .. }),
-                ..
-            }
-        ));
-        // Nor may it squat on an empty best, where it would be incomparable
-        // with (and thus block) every honest later candidate.
-        let mut b = PartialAggregate::Extreme {
-            best: None,
-            want_max: true,
-        };
-        b.merge(corrupt);
-        b.merge(extreme(1, 200, 2, true));
-        assert!(matches!(
-            &b,
-            PartialAggregate::Extreme {
-                best: Some(ExtremeCandidate { value_word: 200, .. }),
-                ..
-            }
-        ));
+        // Neither a short cell nor one of the old one-byte-per-symbol width.
+        for width in [3, 4 * ORE_CELL_BYTES] {
+            let corrupt = PartialAggregate::Extreme {
+                best: Some(ExtremeCandidate {
+                    ciphertext: OreCiphertext {
+                        symbols: vec![9; width],
+                    },
+                    value_word: 999,
+                    row_id: 99,
+                }),
+                want_max: true,
+            };
+            let mut a = extreme(1, 200, 2, true);
+            a.merge(corrupt.clone());
+            assert!(matches!(
+                &a,
+                PartialAggregate::Extreme {
+                    best: Some(ExtremeCandidate { value_word: 200, .. }),
+                    ..
+                }
+            ));
+            // Nor may it squat on an empty best, where it would be incomparable
+            // with (and thus block) every honest later candidate.
+            let mut b = PartialAggregate::Extreme {
+                best: None,
+                want_max: true,
+            };
+            b.merge(corrupt);
+            b.merge(extreme(1, 200, 2, true));
+            assert!(matches!(
+                &b,
+                PartialAggregate::Extreme {
+                    best: Some(ExtremeCandidate { value_word: 200, .. }),
+                    ..
+                }
+            ));
+        }
     }
 
     #[test]
     fn mismatched_kinds_leave_self_unchanged() {
-        let mut a = sum(5, &[1]);
-        a.merge(PartialAggregate::Count { ids: IdSet::single(3) });
-        assert_eq!(a, sum(5, &[1]));
+        let mut a = PartialAggregate::Sum { value: 5 };
+        a.merge(PartialAggregate::Count);
+        assert_eq!(a, PartialAggregate::Sum { value: 5 });
+        a.merge(extreme(1, 200, 2, true));
+        assert_eq!(a, PartialAggregate::Sum { value: 5 });
     }
 
     #[test]
     fn group_maps_merge_by_key() {
         let mut into: PartialGroups = HashMap::new();
-        into.insert(vec![1], vec![sum(10, &[0])]);
+        into.insert(vec![1], sum(10, &[0]));
         let mut from: PartialGroups = HashMap::new();
-        from.insert(vec![1], vec![sum(5, &[3])]);
-        from.insert(vec![2], vec![sum(7, &[4])]);
+        from.insert(vec![1], sum(5, &[3]));
+        from.insert(vec![2], sum(7, &[4]));
         merge_partial_groups(&mut into, from);
         assert_eq!(into.len(), 2);
-        assert_eq!(into[&vec![1u64]], vec![sum(15, &[0, 3])]);
-        assert_eq!(into[&vec![2u64]], vec![sum(7, &[4])]);
+        assert_eq!(into[&vec![1u64]], sum(15, &[0, 3]));
+        assert_eq!(into[&vec![2u64]], sum(7, &[4]));
     }
 
     /// The algebra is deliberately NOT idempotent: folding the same Sum
@@ -312,17 +357,14 @@ mod tests {
         once.merge(part.clone());
         let mut twice = once.clone();
         twice.merge(part);
-        let PartialAggregate::Sum { value: v1, ids: i1 } = &once else {
-            panic!("kind changed");
-        };
-        let PartialAggregate::Sum { value: v2, ids: i2 } = &twice else {
-            panic!("kind changed");
-        };
-        assert_eq!(*v1, 21);
-        assert_eq!(*v2, 42, "the masked sum silently double-counts");
+        assert_eq!(once.aggregates, vec![PartialAggregate::Sum { value: 21 }]);
         assert_eq!(
-            i1.iter().collect::<Vec<_>>(),
-            i2.iter().collect::<Vec<_>>(),
+            twice.aggregates,
+            vec![PartialAggregate::Sum { value: 42 }],
+            "the masked sum silently double-counts"
+        );
+        assert_eq!(
+            once.ids, twice.ids,
             "the ID union hides the duplication — the state stays plausible"
         );
     }
@@ -334,16 +376,16 @@ mod tests {
     fn replaying_a_shard_partial_corrupts_group_sums() {
         let shard = || {
             let mut groups: PartialGroups = HashMap::new();
-            groups.insert(vec![1], vec![sum(10, &[0, 2])]);
-            groups.insert(vec![2], vec![sum(7, &[5])]);
+            groups.insert(vec![1], sum(10, &[0, 2]));
+            groups.insert(vec![2], sum(7, &[5]));
             groups
         };
         let mut merged: PartialGroups = HashMap::new();
         merge_partial_groups(&mut merged, shard());
         let mut replayed = merged.clone();
         merge_partial_groups(&mut replayed, shard());
-        assert_eq!(replayed[&vec![1u64]], vec![sum(20, &[0, 2])]);
-        assert_eq!(replayed[&vec![2u64]], vec![sum(14, &[5])]);
+        assert_eq!(replayed[&vec![1u64]], sum(20, &[0, 2]));
+        assert_eq!(replayed[&vec![2u64]], sum(14, &[5]));
         assert_ne!(
             merged, replayed,
             "a replayed partial must change the fold — it can only be stopped by seq"
@@ -352,16 +394,20 @@ mod tests {
 
     #[test]
     fn empty_identity() {
-        assert!(sum(0, &[]).is_empty());
-        assert!(!sum(0, &[1]).is_empty());
-        assert!(PartialAggregate::Count { ids: IdSet::new() }.is_empty());
-        assert!(PartialAggregate::Extreme {
-            best: None,
-            want_max: true
-        }
-        .is_empty());
         let mut a = sum(42, &[1, 2]);
         a.merge(sum(0, &[]));
         assert_eq!(a, sum(42, &[1, 2]), "empty partial is the identity");
+        let mut b = sum(0, &[]);
+        b.merge(sum(42, &[1, 2]));
+        assert_eq!(b, sum(42, &[1, 2]));
+        let mut none = PartialAggregate::Extreme {
+            best: None,
+            want_max: true,
+        };
+        none.merge(PartialAggregate::Extreme {
+            best: None,
+            want_max: true,
+        });
+        assert!(matches!(none, PartialAggregate::Extreme { best: None, .. }));
     }
 }

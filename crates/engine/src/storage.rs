@@ -341,7 +341,14 @@ mod tests {
     #[test]
     fn bytes_column_is_stored_as_length_prefixed_cells() {
         let ragged: Vec<Vec<u8>> = vec![vec![7, 8, 9], vec![], vec![1], vec![0xFF; 5]];
-        let ore: Vec<Vec<u8>> = (0..3u8).map(|row| (0..64u8).map(|i| (i + row) % 3).collect()).collect();
+        // Three cells at the ORE stride: 16 bytes, four two-bit symbols each.
+        let ore: Vec<Vec<u8>> = (0..3u8)
+            .map(|row| {
+                (0..16u8)
+                    .map(|i| [0b00_01_10_00, 0b10_00_01_01, 0b01_10_10_00][usize::from((i + row) % 3)])
+                    .collect()
+            })
+            .collect();
         let table = Table {
             schema: Schema::new([
                 ("r".to_string(), ColumnType::Bytes),
@@ -392,14 +399,51 @@ mod tests {
         assert_eq!(deserialize_table(&data), Some(table.clone()));
         let (r, o) = (&table.partitions[0].columns[0], &table.partitions[0].columns[1]);
         assert_eq!(column_disk_size(r), (4 + 3) + 4 + (4 + 1) + (4 + 5));
-        assert_eq!(column_disk_size(o), 3 * (4 + 64) + (4 + 3));
+        assert_eq!(column_disk_size(o), 3 * (4 + 16) + (4 + 3));
         assert_eq!(column_disk_size(&table.partitions[1].columns[0]), 0);
         // A loaded column holds exactly its cells: nothing was over-reserved.
         let loaded = deserialize_table(&data).unwrap();
         assert_eq!(
             column_memory_size(&loaded.partitions[0].columns[1]),
-            48 + (3 * 64 + 3) + 5 * std::mem::size_of::<usize>()
+            48 + (3 * 16 + 3) + 5 * std::mem::size_of::<usize>()
         );
+    }
+
+    /// A table of the benchmark's shape — one public column, one DET tag, one
+    /// ORE cell with its ASHE companion, two ASHE measures — stores 60 bytes a
+    /// row: 4 + 16 for the ORE cell, 8 for each of the five words.
+    #[test]
+    fn a_benchmark_shaped_row_is_sixty_stored_bytes() {
+        let rows = 1_000u64;
+        let word = |salt: u64| {
+            ColumnData::UInt64(
+                (0..rows)
+                    .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt)
+                    .collect(),
+            )
+        };
+        let ore = seabed_crypto::OreScheme::new(&[0x5e; 16]);
+        let table = Table::from_columns(
+            Schema::new([
+                ("hour".to_string(), ColumnType::UInt64),
+                ("tag__det".to_string(), ColumnType::UInt64),
+                ("ts__ope".to_string(), ColumnType::Bytes),
+                ("ts__ope_val".to_string(), ColumnType::UInt64),
+                ("m0__ashe".to_string(), ColumnType::UInt64),
+                ("m1__ashe".to_string(), ColumnType::UInt64),
+            ]),
+            vec![
+                ColumnData::UInt64((0..rows).map(|i| i % 24).collect()),
+                word(1),
+                ColumnData::Bytes((0..rows).map(|i| ore.encrypt(i * 977 % (1 << 20)).symbols).collect()),
+                word(2),
+                word(3),
+                word(4),
+            ],
+            8,
+        );
+        assert_eq!(table_disk_size(&table), rows as usize * 60);
+        assert_eq!(deserialize_table(&serialize_table(&table)), Some(table));
     }
 
     /// A forged cell count or cell length on a `Bytes` column is found by

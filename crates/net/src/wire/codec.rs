@@ -242,7 +242,9 @@ impl<K: Wire + Ord + Hash, V: Wire> Wire for HashMap<K, V> {
 }
 
 /// One field of a layout table: `name` is any [`Wire`] type, `name: bytes` a
-/// `Vec<u8>` that travels as a length-prefixed byte string.
+/// `Vec<u8>` that travels as a length-prefixed byte string, and `name: unsent`
+/// a field that stays with the sender — nothing is written for it (its value
+/// is never read) and the receiver holds the type's default.
 macro_rules! wire_field {
     (put $out:ident, $field:expr) => {
         Wire::encode($field, $out)
@@ -250,11 +252,17 @@ macro_rules! wire_field {
     (put $out:ident, $field:expr, bytes) => {
         put_bytes($out, $field)
     };
+    (put $out:ident, $field:expr, unsent) => {
+        let _ = $field;
+    };
     (get $r:ident) => {
         $r.get()?
     };
     (get $r:ident, bytes) => {
         $r.bytes()?.to_vec()
+    };
+    (get $r:ident, unsent) => {
+        Default::default()
     };
 }
 

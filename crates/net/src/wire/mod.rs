@@ -51,18 +51,18 @@
 //!
 //! | kind | direction       | payload                                        |
 //! |------|-----------------|------------------------------------------------|
-//! | 1    | client → server | request: `TranslatedQuery` + `Vec<PhysicalFilter>` |
-//! | 2    | server → client | response: `ServerResponse`                     |
+//! | 1    | client → server | request: the server's half of a `TranslatedQuery` + `Vec<PhysicalFilter>` (an ORE literal is 16 bytes) |
+//! | 2    | server → client | response: `ServerResponse` — per group its key, its ID list once (absent without an ASHE sum), one word per sum / count, two per MIN/MAX |
 //! | 3    | server → client | typed error: `SeabedError`                     |
 //! | 4    | client → server | schema request (empty payload)                 |
 //! | 5    | server → client | schema: `seabed_engine::Schema`                |
 //! | 6    | coord → worker  | worker handshake: shard epoch                  |
 //! | 7    | worker → coord  | handshake ack: epoch + resident shard count    |
-//! | 8    | coord → worker  | shard assignment: epoch, (table id, shard id), exec config, serialized `Table` |
+//! | 8    | coord → worker  | shard assignment: epoch, (table id, shard id), exec config, serialized `Table` (an ORE cell is 4 + 16 bytes) |
 //! | 9    | worker → coord  | shard loaded: epoch, (table id, shard id), row count |
-//! | 10   | coord → worker  | shard query: epoch, (table id, shard id), sequence number, `TranslatedQuery` + filters |
-//! | 11   | worker → coord  | shard partial: echoed (epoch, table, shard, seq) + mergeable `PartialResponse` |
-//! | 12   | client → server | prepare statement: unbound `TranslatedQuery`   |
+//! | 10   | coord → worker  | shard query: epoch, (table id, shard id), sequence number, the server's half of a `TranslatedQuery` + filters |
+//! | 11   | worker → coord  | shard partial: echoed (epoch, table, shard, seq) + mergeable `PartialResponse` — per group its key, its ID set once, one partial per aggregate |
+//! | 12   | client → server | prepare statement: the server's half of an unbound `TranslatedQuery` |
 //! | 13   | server → client | statement handle: u64                          |
 //! | 14   | client → server | execute statement: handle + bound `PhysicalFilter`s |
 //! | 15   | coord → worker  | unload shard: epoch, (table id, shard id)      |
@@ -75,8 +75,8 @@
 //! a coordinator can never pair a late or duplicated partial with the wrong
 //! in-flight request; shard identifiers carry the **table id**, so one
 //! worker pool hosts shards of many encrypted tables under one epoch;
-//! partials carry *mergeable* state (ASHE partial sums with ID lists, MIN/MAX
-//! ORE candidates) rather than finalized aggregates, so the coordinator's
+//! partials carry *mergeable* state (per group one ID set, ASHE partial sums,
+//! MIN/MAX ORE candidates) rather than finalized aggregates, so the coordinator's
 //! gather is the same [`seabed_engine::merge`] fold the in-process driver
 //! runs. Kinds 15–16 move a shard *off* a worker: a replica rebalance (a
 //! worker joining or leaving the pool) unloads the shards whose replica set
@@ -91,8 +91,10 @@
 //! client transparently re-prepares once.
 //!
 //! Request frames never carry the plaintext predicate literals of DET/OPE
-//! filters — those are redacted structurally at encode time (see
-//! [`redact_query`]); the server only ever reads the proxy-encrypted
+//! filters, nor anything else of a plan that only the key holder reads (its
+//! post-processing steps, its support category, logical column names) — those
+//! are redacted structurally at encode time (see [`redact_query`]); the server
+//! only ever reads the physical plan and the proxy-encrypted
 //! `PhysicalFilter`s. Round-trip fidelity (`decode(encode(x)) == x`, modulo
 //! that redaction for requests), rejection of every strict prefix, of a
 //! trailing byte and of a forged count are checked for **every** `Wire` type
@@ -135,7 +137,21 @@ pub const MAGIC: [u8; 4] = *b"SBWF";
 /// metrics-scrape frames additionally negotiate the slow-query event ring
 /// (`include_events` on the request, `events` on the snapshot). Layout
 /// changes to existing kinds again force the version bump.
-pub const PROTOCOL_VERSION: u16 = 4;
+///
+/// Version 5: four layouts changed at once, so that the bump is spent once.
+/// ORE ciphertexts — filter literals, MIN/MAX candidates, the cells of a
+/// shipped table — are 16 bytes, two bits a symbol, where they were 64. A
+/// result group (kind 2) and a partial group (kind 11) carry their ID list
+/// once, beside one word per ASHE sum, where every sum and count carried its
+/// own copy. A translated query (kinds 1, 10, 12) is the half of the plan the
+/// server executes: `client_post`, `category`, `preserve_row_ids` and the
+/// logical column names of group keys and placeholders no longer travel. And,
+/// a fourth change of its own in the same kinds: a redacted DET or OPE
+/// literal, which version 4 marked with an empty string or a zero, is no
+/// longer marked at all (one byte per such filter).
+/// There is no version-4 decoder: a version-4 peer is refused by
+/// [`decode_header`] with the typed version error, like any other.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 11;
@@ -766,9 +782,16 @@ pub fn decode_frame(data: &[u8], max_frame_len: u32) -> Result<Frame, SeabedErro
 /// predicates target public columns whose literals already travel in the
 /// clear inside `PhysicalFilter::PlainU64`/`PlainText`, so they are kept.
 ///
-/// [`encode_frame`] applies this structurally — `ServerFilter`'s encoder
-/// never reads the secret fields — so `decode(encode(request))` yields the
-/// *redacted* query; this helper states the expected round-trip image.
+/// The same goes for everything in a plan that only the key holder reads: the
+/// client-side post-processing steps, the support category, the row-ID flag,
+/// and the *logical* column names of group keys and `?` placeholders (the
+/// server groups and filters on physical columns). Those come back empty.
+///
+/// [`encode_frame`] applies this structurally — the layout tables of
+/// `ServerFilter`, `TranslatedQuery`, `GroupByColumn` and `ParamSlot` mark
+/// those fields `unsent`, so no encoder reads them — and
+/// `decode(encode(request))` yields the *redacted* query; this helper states
+/// the expected round-trip image.
 pub fn redact_query(query: &TranslatedQuery) -> TranslatedQuery {
     let mut query = query.clone();
     for filter in &mut query.filters {
@@ -778,5 +801,14 @@ pub fn redact_query(query: &TranslatedQuery) -> TranslatedQuery {
             ServerFilter::OpeCompare { value, .. } => *value = 0,
         }
     }
+    for group in &mut query.group_by {
+        group.column.clear();
+    }
+    for param in &mut query.params {
+        param.column.clear();
+    }
+    query.client_post.clear();
+    query.preserve_row_ids = false;
+    query.category = Default::default();
     query
 }

@@ -7,10 +7,10 @@
 use super::codec::{invalid_tag, Reader, Wire};
 use super::*;
 use seabed_ashe::IdSet;
-use seabed_core::{EncryptedAggregate, GroupResult};
+use seabed_core::{EncryptedAggregate, GroupIds, GroupResult};
 use seabed_crypto::OreCiphertext;
 use seabed_encoding::{varint, IdListEncoding};
-use seabed_engine::merge::{ExtremeCandidate, PartialAggregate, PartialGroups};
+use seabed_engine::merge::{ExtremeCandidate, PartialAggregate, PartialGroup, PartialGroups};
 use seabed_engine::{ColumnData, ColumnType, ExecStats, Field, OperatorProfile};
 use seabed_error::{ParseError, SchemaError};
 use seabed_obs::{EventOperator, HistogramSnapshot, MetricsSnapshot, QueryEvent, QueryTrace, TraceSpan};
@@ -203,7 +203,7 @@ fn sample_filters() -> Vec<PhysicalFilter> {
             column: 4,
             op: CompareOp::Lt,
             ciphertext: OreCiphertext {
-                symbols: (0..64u8).collect(),
+                symbols: (0..16u8).map(|i| i.wrapping_mul(0x25)).collect(),
             },
         },
     ]
@@ -211,11 +211,8 @@ fn sample_filters() -> Vec<PhysicalFilter> {
 
 fn sample_encrypted_aggregates() -> Vec<EncryptedAggregate> {
     vec![
-        EncryptedAggregate::AsheSum {
-            value: u64::MAX,
-            id_list: vec![1, 2, 3, 0x80, 0xff],
-            encoding: IdListEncoding::RangesVbDiffDeflateFast,
-        },
+        EncryptedAggregate::AsheSum { value: u64::MAX },
+        EncryptedAggregate::AsheSum { value: 7 },
         EncryptedAggregate::Count { rows: 42 },
         EncryptedAggregate::Extreme {
             value_word: 9,
@@ -250,13 +247,19 @@ fn sample_response() -> ServerResponse {
     let aggregates = sample_encrypted_aggregates();
     ServerResponse {
         groups: vec![
+            // Two sums and a count over one selection: one ID list.
             GroupResult {
                 key: vec![],
-                aggregates: aggregates[..2].to_vec(),
+                ids: Some(GroupIds {
+                    id_list: vec![1, 2, 3, 0x80, 0xff],
+                    encoding: IdListEncoding::RangesVbDiffDeflateFast,
+                }),
+                aggregates: aggregates[..3].to_vec(),
             },
             GroupResult {
                 key: vec![5, 0, u64::MAX],
-                aggregates: aggregates[2..].to_vec(),
+                ids: None,
+                aggregates: aggregates[3..].to_vec(),
             },
         ],
         stats: sample_stats(),
@@ -266,17 +269,13 @@ fn sample_response() -> ServerResponse {
 
 fn sample_partial_aggregates() -> Vec<PartialAggregate> {
     vec![
-        PartialAggregate::Sum {
-            value: u64::MAX,
-            ids: IdSet::from_sorted_ids(&[1, 2, 3, 900]),
-        },
-        PartialAggregate::Count {
-            ids: IdSet::range(5, 10),
-        },
+        PartialAggregate::Sum { value: u64::MAX },
+        PartialAggregate::Sum { value: 7 },
+        PartialAggregate::Count,
         PartialAggregate::Extreme {
             best: Some(ExtremeCandidate {
                 ciphertext: OreCiphertext {
-                    symbols: (0..64u8).map(|i| i % 3).collect(),
+                    symbols: vec![0b00_01_10_00; 16],
                 },
                 value_word: 42,
                 row_id: 17,
@@ -293,8 +292,14 @@ fn sample_partial_aggregates() -> Vec<PartialAggregate> {
 fn sample_partial() -> PartialResponse {
     let partials = sample_partial_aggregates();
     let mut groups = PartialGroups::new();
-    groups.insert(vec![], partials[..2].to_vec());
-    groups.insert(vec![7, u64::MAX], partials[2..].to_vec());
+    groups.insert(
+        vec![],
+        PartialGroup {
+            ids: IdSet::from_sorted_ids(&[1, 2, 3, 900]),
+            aggregates: partials[..3].to_vec(),
+        },
+    );
+    groups.insert(vec![7, u64::MAX], PartialGroup::new(partials[3..].to_vec()));
     PartialResponse {
         groups,
         stats: sample_stats(),
@@ -550,20 +555,13 @@ fn query_layer_types_obey_the_wire_contract() {
     check_wire(&redacted.filters);
     check_wire(&sample_aggregates());
     check_wire(&redacted.group_by);
-    check_wire(&sample_post_steps());
-    check_wire(&[
-        SupportCategory::ServerOnly,
-        SupportCategory::ClientPreProcessing,
-        SupportCategory::ClientPostProcessing,
-        SupportCategory::TwoRoundTrips,
-    ]);
     check_wire(&[ParamKind::Plain, ParamKind::Det, ParamKind::Ope]);
     check_wire(&redacted.params);
     check_wire(&[redacted]);
     check_wire(&[
         OreCiphertext { symbols: vec![] },
         OreCiphertext {
-            symbols: (0..64u8).collect(),
+            symbols: (0..16u8).map(|i| i.wrapping_mul(0x25)).collect(),
         },
     ]);
     check_wire(&sample_filters());
@@ -582,6 +580,7 @@ fn result_layer_types_obey_the_wire_contract() {
     ]);
     check_wire(&sample_encrypted_aggregates());
     let response = sample_response();
+    check_carrier(&[response.groups[0].ids.clone(), None]);
     check_wire(&response.groups);
     check_carrier(std::slice::from_ref(&response.groups));
     check_wire(&response.stats.operators);
@@ -598,13 +597,14 @@ fn partial_result_types_obey_the_wire_contract() {
     ]);
     check_wire(&[ExtremeCandidate {
         ciphertext: OreCiphertext {
-            symbols: (0..64u8).map(|i| i % 3).collect(),
+            symbols: vec![0b00_01_10_00; 16],
         },
         value_word: 42,
         row_id: 17,
     }]);
     check_wire(&sample_partial_aggregates());
     let partial = sample_partial();
+    check_wire(&partial.groups.values().cloned().collect::<Vec<PartialGroup>>());
     check_carrier(&[partial.groups.clone(), PartialGroups::new()]);
     check_wire(&[partial]);
 }
@@ -710,11 +710,22 @@ fn request_frame_roundtrips_with_literals_redacted() {
 }
 
 /// The untrusted server must never see the plaintext literal of a DET or
-/// OPE predicate: only the proxy-encrypted `PhysicalFilter` carries the
-/// (encrypted) value.
+/// OPE predicate — only the proxy-encrypted `PhysicalFilter` carries the
+/// (encrypted) value — nor anything of the plan that only the key holder
+/// reads: a logical column name, a post-processing step. Byte-scanned in
+/// every frame kind that carries a plan.
 #[test]
 fn request_frames_do_not_leak_det_or_ope_literals() {
+    fn varint_of(value: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        varint::encode_u64(value, &mut out);
+        out
+    }
     let secret = "SECRET-DET-LITERAL";
+    // Logical names no physical column name contains, and step operands whose
+    // varints appear nowhere else in the plan.
+    let (group_name, param_name) = ("LOGICAL-GROUP-NAME", "LOGICAL-PARAM-NAME");
+    let (step_a, step_b) = (0x5ea_bed0_0000_0001u64, 0x5ea_bed0_0000_0002u64);
     let query = TranslatedQuery {
         base_table: "t".to_string(),
         filters: vec![
@@ -728,34 +739,106 @@ fn request_frames_do_not_leak_det_or_ope_literals() {
                 value: 0xfeed_beef_cafe_f00d,
             },
         ],
-        aggregates: vec![ServerAggregate::CountRows],
-        group_by: vec![],
-        group_inflation: 1,
-        client_post: vec![],
+        aggregates: vec![
+            ServerAggregate::AsheSum {
+                column: "m__ashe".to_string(),
+            },
+            ServerAggregate::CountRows,
+        ],
+        group_by: vec![GroupByColumn {
+            column: group_name.to_string(),
+            physical_column: "dept__det".to_string(),
+            encrypted: true,
+        }],
+        group_inflation: 3,
+        client_post: vec![
+            ClientPostStep::Divide {
+                numerator: step_a as usize,
+                denominator: step_b as usize,
+            },
+            ClientPostStep::MergeInflatedGroups,
+        ],
         preserve_row_ids: true,
-        category: SupportCategory::ServerOnly,
-        params: vec![],
+        category: SupportCategory::ClientPostProcessing,
+        params: vec![ParamSlot {
+            filter_index: 0,
+            column: param_name.to_string(),
+            kind: ParamKind::Det,
+        }],
     };
-    let bytes = encode_frame(
-        &Frame::Request {
-            query,
+    let frames = [
+        Frame::Request {
+            query: query.clone(),
             filters: vec![],
             trace_id: 0,
             analyze: false,
         },
-        DEFAULT_MAX_FRAME_LEN,
-    )
-    .unwrap();
-    assert!(
-        !bytes.windows(secret.len()).any(|w| w == secret.as_bytes()),
-        "DET literal leaked into the request frame"
+        Frame::PrepareStatement { query: query.clone() },
+        Frame::ShardQuery {
+            epoch: 1,
+            table_id: 0,
+            shard: 0,
+            seq: 1,
+            query: query.clone(),
+            filters: vec![],
+            trace_id: 0,
+            analyze: false,
+        },
+    ];
+    let mut statement = Vec::new();
+    write_statement_payload(&mut statement, &query);
+    let carriers = frames
+        .iter()
+        .map(|frame| {
+            (
+                format!("{:?}", frame.kind()),
+                encode_frame(frame, DEFAULT_MAX_FRAME_LEN).unwrap(),
+            )
+        })
+        .chain([("statement payload".to_string(), statement.clone())]);
+    for (what, bytes) in carriers {
+        let found = |needle: &[u8]| bytes.windows(needle.len()).any(|w| w == needle);
+        assert!(!found(secret.as_bytes()), "{what}: DET literal leaked");
+        assert!(!found(&varint_of(0xfeed_beef_cafe_f00d)), "{what}: OPE literal leaked");
+        assert!(!found(group_name.as_bytes()), "{what}: logical group-by name leaked");
+        assert!(!found(param_name.as_bytes()), "{what}: logical placeholder name leaked");
+        assert!(
+            !found(&varint_of(step_a)) && !found(&varint_of(step_b)),
+            "{what}: a client post-processing step leaked"
+        );
+        // What the server does execute is there.
+        assert!(
+            found(b"dept__det") && found(b"country__det") && found(b"m__ashe"),
+            "{what}"
+        );
+    }
+    // The plan travels as the bytes of its redacted image, which is what the
+    // statement handle and the coordinator's cache key hash.
+    let mut redacted = Vec::new();
+    write_statement_payload(&mut redacted, &redact_query(&query));
+    assert_eq!(statement, redacted);
+    assert_eq!(
+        decode_all::<TranslatedQuery>(&statement).as_ref(),
+        Ok(&redact_query(&query))
     );
-    let mut ope_literal = Vec::new();
-    varint::encode_u64(0xfeed_beef_cafe_f00d, &mut ope_literal);
-    assert!(
-        !bytes.windows(ope_literal.len()).any(|w| w == ope_literal.as_slice()),
-        "OPE literal leaked into the request frame"
-    );
+}
+
+/// Protocol version 4 is gone, not kept beside version 5: a frame whose
+/// header says 4 is refused with the typed error naming both versions,
+/// whatever it carries.
+#[test]
+fn a_version_four_frame_is_refused_naming_both_versions() {
+    assert_eq!(PROTOCOL_VERSION, 5);
+    for frame in [Frame::SchemaRequest, Frame::Response(sample_response())] {
+        let mut bytes = encode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
+        bytes[4..6].copy_from_slice(&4u16.to_le_bytes());
+        let outcome = decode_frame(&bytes, DEFAULT_MAX_FRAME_LEN);
+        assert!(
+            matches!(&outcome, Err(SeabedError::Wire(message))
+                if message == "unsupported protocol version 4 (this side speaks 5)"),
+            "{outcome:?}"
+        );
+    }
 }
 
 #[test]

@@ -6,19 +6,18 @@
 use super::codec::{invalid_tag, put_bytes, Reader, Wire};
 use seabed_ashe::IdSet;
 use seabed_core::{
-    EncryptedAggregate, GroupResult, PartialResponse, PhysicalFilter, ServerResponse, PARTIAL_ID_ENCODING,
+    EncryptedAggregate, GroupIds, GroupResult, PartialResponse, PhysicalFilter, ServerResponse, PARTIAL_ID_ENCODING,
 };
 use seabed_crypto::OreCiphertext;
 use seabed_encoding::IdListEncoding;
-use seabed_engine::merge::{ExtremeCandidate, PartialAggregate};
+use seabed_engine::merge::{ExtremeCandidate, PartialAggregate, PartialGroup};
 use seabed_engine::{storage, ColumnType, ExecMode, ExecStats, Field, OperatorProfile, Schema, Table};
 use seabed_error::{ParseError, SchemaError, SeabedError};
 use seabed_obs::{
     EventOperator, HistogramSnapshot, MetricsSnapshot, QueryEvent, QueryTrace, TraceSpan, HISTOGRAM_BUCKETS,
 };
 use seabed_query::{
-    ClientPostStep, CompareOp, GroupByColumn, Literal, ParamKind, ParamSlot, Predicate, ServerAggregate, ServerFilter,
-    SupportCategory, TranslatedQuery,
+    CompareOp, GroupByColumn, Literal, ParamKind, ParamSlot, Predicate, ServerAggregate, ServerFilter, TranslatedQuery,
 };
 
 // ---------------------------------------------------------------------------
@@ -29,49 +28,18 @@ wire_enum!(CompareOp as "comparison operator" { 0 => Eq, 1 => NotEq, 2 => Lt, 3 
 wire_enum!(Literal as "literal" { 0 => Integer(value), 1 => Text(text), 2 => Param(ordinal) });
 wire_struct!(Predicate { column, op, value });
 
-/// The one layout written per direction, because the directions differ: the
-/// plaintext literals of DET and OPE filters are **never written** — `encode`
-/// does not read them, which is what makes the redaction structural (see
-/// [`super::redact_query`] for why) — while `decode` reads the empty
-/// placeholders back into the fields the type has.
-impl Wire for ServerFilter {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ServerFilter::Plain(predicate) => {
-                out.push(0);
-                predicate.encode(out);
-            }
-            ServerFilter::DetEquals { column, .. } => {
-                out.push(1);
-                column.encode(out);
-                put_bytes(out, b"");
-            }
-            ServerFilter::OpeCompare { column, op, .. } => {
-                out.push(2);
-                column.encode(out);
-                op.encode(out);
-                0u64.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<ServerFilter, SeabedError> {
-        Ok(match r.u8()? {
-            0 => ServerFilter::Plain(r.get()?),
-            1 => ServerFilter::DetEquals {
-                column: r.get()?,
-                value: r.get()?,
-            },
-            2 => ServerFilter::OpeCompare {
-                column: r.get()?,
-                op: r.get()?,
-                value: r.get()?,
-            },
-            other => return Err(invalid_tag("server-filter", other)),
-        })
-    }
-}
-
+// A plan travels as the half of it the server executes. What only the key
+// holder reads is `unsent`, so no request, prepare or shard-query frame can
+// carry it and `decode` yields the plan [`super::redact_query`] states: the
+// plaintext literals of DET and OPE filters (the proxy encrypts them into the
+// `PhysicalFilter`s beside the plan), the post-processing steps, the support
+// category, the row-ID flag, and the *logical* column names of group keys and
+// placeholders.
+wire_enum!(ServerFilter as "server-filter" {
+    0 => Plain(predicate),
+    1 => DetEquals { column, value: unsent },
+    2 => OpeCompare { column, op, value: unsent },
+});
 wire_enum!(ServerAggregate as "server-aggregate" {
     0 => AsheSum { column },
     1 => CountRows,
@@ -79,26 +47,14 @@ wire_enum!(ServerAggregate as "server-aggregate" {
     3 => OpeMax { column },
 });
 wire_struct!(GroupByColumn {
-    column,
+    column: unsent,
     physical_column,
     encrypted
-});
-wire_enum!(ClientPostStep as "client-post-step" {
-    0 => Divide { numerator, denominator },
-    1 => Variance { sum_squares, sum, count },
-    2 => SqrtOfVariance { variance_step },
-    3 => MergeInflatedGroups,
-});
-wire_enum!(SupportCategory as "support-category" {
-    0 => ServerOnly,
-    1 => ClientPreProcessing,
-    2 => ClientPostProcessing,
-    3 => TwoRoundTrips,
 });
 wire_enum!(ParamKind as "param-kind" { 0 => Plain, 1 => Det, 2 => Ope });
 wire_struct!(ParamSlot {
     filter_index,
-    column,
+    column: unsent,
     kind
 });
 wire_struct!(TranslatedQuery {
@@ -107,15 +63,16 @@ wire_struct!(TranslatedQuery {
     aggregates,
     group_by,
     group_inflation,
-    client_post,
-    preserve_row_ids,
-    category,
+    client_post: unsent,
+    preserve_row_ids: unsent,
+    category: unsent,
     params,
 });
 
-// The symbol width of an ORE ciphertext is not checked here: the server's
-// scan kernels treat a corrupt width as non-matching and the merge algebra
-// rejects a corrupt-width candidate; the wire ships the bytes verbatim.
+// The width of an ORE ciphertext is not checked here: the server refuses a
+// filter literal that is not one cell wide before it scans and the merge
+// algebra rejects a corrupt-width candidate; the wire ships the packed bytes
+// verbatim.
 wire_struct!(OreCiphertext { symbols: bytes });
 wire_enum!(PhysicalFilter as "physical-filter" {
     0 => PlainU64 { column, op, value },
@@ -137,11 +94,15 @@ wire_enum!(IdListEncoding as "ID-list encoding" {
     5 => Bitmap,
 });
 wire_enum!(EncryptedAggregate as "encrypted-aggregate" {
-    0 => AsheSum { value, id_list: bytes, encoding },
+    0 => AsheSum { value },
     1 => Count { rows },
     2 => Extreme { value_word, row_id },
 });
-wire_struct!(GroupResult { key, aggregates });
+wire_struct!(GroupIds {
+    id_list: bytes,
+    encoding
+});
+wire_struct!(GroupResult { key, ids, aggregates });
 wire_struct!(OperatorProfile {
     label,
     rows_in,
@@ -187,10 +148,11 @@ wire_struct!(ExtremeCandidate {
     row_id
 });
 wire_enum!(PartialAggregate as "partial-aggregate" {
-    0 => Sum { value, ids },
-    1 => Count { ids },
+    0 => Sum { value },
+    1 => Count,
     2 => Extreme { want_max, best },
 });
+wire_struct!(PartialGroup { ids, aggregates });
 wire_struct!(PartialResponse { groups, stats });
 
 // ---------------------------------------------------------------------------

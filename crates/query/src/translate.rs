@@ -305,9 +305,10 @@ pub enum ClientPostStep {
 
 /// Which of the paper's four support categories the query falls into
 /// (Table 4 / Table 6).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SupportCategory {
     /// Fully evaluated on the server.
+    #[default]
     ServerOnly,
     /// Needs client pre-processing at upload time (e.g. squared columns).
     ClientPreProcessing,

@@ -8,11 +8,15 @@
 //! from the commit *before* the AES kernel was given a hardware backend and
 //! the column paths were rewritten (PR 13), so a green run proves that no
 //! ciphertext, tag or frame moved — on whichever AES backend this machine
-//! selects.
+//! selects. Protocol version 5 re-recorded the table and the request, each
+//! with its reason beside it; the table's PR 13 digest is still re-derived
+//! (by spreading every ORE cell back to a byte a symbol), so "only the
+//! packing moved" is checked, not claimed.
 
 use rand::SeedableRng;
 use seabed_core::{PlainDataset, SeabedClient};
 use seabed_crypto::sha256::digest_hex;
+use seabed_engine::ColumnData;
 use seabed_net::wire::{encode_frame, Frame};
 use seabed_query::{parse, ColumnSpec, PlannerConfig};
 
@@ -41,6 +45,8 @@ fn dataset() -> PlainDataset {
 
 struct Digests {
     table: String,
+    /// The table with every ORE cell spread back to one byte per symbol.
+    table_a_byte_a_symbol: String,
     dictionary: String,
     request: String,
 }
@@ -112,8 +118,25 @@ fn digests() -> Digests {
     )
     .unwrap();
 
+    let mut spread = encrypted.table.clone();
+    for column in spread.partitions.iter_mut().flat_map(|p| p.columns.iter_mut()) {
+        if let ColumnData::Bytes(cells) = column {
+            *cells = cells
+                .iter()
+                .map(|cell| {
+                    assert_eq!(cell.len(), 16, "an ORE cell is 64 symbols at two bits each");
+                    let lanes = cell
+                        .iter()
+                        .flat_map(|byte| [byte >> 6, byte >> 4 & 3, byte >> 2 & 3, byte & 3]);
+                    lanes.collect::<Vec<u8>>()
+                })
+                .collect();
+        }
+    }
+
     Digests {
         table: digest_hex(&seabed_engine::storage::serialize_table(&encrypted.table)),
+        table_a_byte_a_symbol: digest_hex(&seabed_engine::storage::serialize_table(&spread)),
         dictionary: digest_hex(&dictionary),
         request: digest_hex(&request),
     }
@@ -125,16 +148,26 @@ fn stored_table_dictionary_and_request_frame_did_not_move() {
     println!("table      {}", got.table);
     println!("dictionary {}", got.dictionary);
     println!("request    {}", got.request);
+    // Moved by (b): the `ts__ope` cells are 16 packed bytes, not 64 — and by
+    // nothing else: a byte a symbol, it is the table recorded before PR 13.
     assert_eq!(
-        got.table, "34e5eee27dd13e12e7d303e2df2241b43a58065135da19722f37438b2952dcb2",
+        got.table, "674b43aba5bd73e0a989175a06a77c32d9228503f4a94cf94f42962356770c8a",
         "serialized encrypt_dataset table"
+    );
+    assert_eq!(
+        got.table_a_byte_a_symbol, "34e5eee27dd13e12e7d303e2df2241b43a58065135da19722f37438b2952dcb2",
+        "the symbols themselves moved, not only their packing"
     );
     assert_eq!(
         got.dictionary, "9e340d77a7dfb7df5a05a158b7f174d0657a4b4c3a44440a20477014cec9cf67",
         "DET dictionaries"
     );
+    // Moved by the header's version field, by (a) — the plan travels without
+    // `client_post`, `category`, `preserve_row_ids` and the empty placeholders
+    // of its three redacted literals — and by (b): its two ORE literals are 16
+    // bytes each.
     assert_eq!(
-        got.request, "03926db9d203a8f95038ed3fe625644ecfdd02e3df25c458bba5acaa14e52bea",
+        got.request, "5128f0a476bf78d04d701a0fc257bb594e380a6ca5c69eac1ff997ad02663412",
         "encrypted request frame"
     );
 }

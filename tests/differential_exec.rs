@@ -262,16 +262,18 @@ fn deflate(
             ids: Vec::new(),
             extreme: None,
         });
+        // The group's rows: one list, whatever the number of sums over them.
+        if let Some(ids) = &group.ids {
+            let ids = IdSet::decode(&ids.id_list, ids.encoding).ok_or("undecodable ID list")?;
+            entry.ids.extend(ids.iter());
+        }
         for agg in &group.aggregates {
             match agg {
-                EncryptedAggregate::AsheSum {
-                    value,
-                    id_list,
-                    encoding,
-                } => {
+                EncryptedAggregate::AsheSum { value } => {
+                    if group.ids.is_none() {
+                        return Err("an ASHE sum in a group without an ID list".to_string());
+                    }
                     entry.sum = entry.sum.wrapping_add(*value);
-                    let ids = IdSet::decode(id_list, *encoding).ok_or("undecodable ID list")?;
-                    entry.ids.extend(ids.iter());
                 }
                 EncryptedAggregate::Count { rows } => entry.count += rows,
                 EncryptedAggregate::Extreme { value_word, row_id } => {

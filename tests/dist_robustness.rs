@@ -204,7 +204,7 @@ fn recording_fake_worker(behavior: Misbehavior, seen: SeenSeqs) -> (SocketAddr, 
                             .execute_partial(&query, &filters)
                             .expect("shard execution");
                         for states in partial.groups.values_mut() {
-                            states.truncate(1);
+                            states.aggregates.truncate(1);
                         }
                         let _ = conn.send(
                             &Frame::ShardPartial {

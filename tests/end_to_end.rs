@@ -250,3 +250,79 @@ fn inflation_costs_the_proxy_no_extra_prf_evaluations() {
     assert_eq!(flat.client_prf_evals, 4);
     assert_eq!(inflated.client_prf_evals, 4);
 }
+
+/// The byte accounting follows the layout: a group's ID list is built, charged
+/// and encoded once, so a second sum and a count over one (fragmented)
+/// selection cost a word each — `SUM(a)`'s bytes plus 16 — not a second and a
+/// third copy of the list, in the response, in its frame and in the partials.
+#[test]
+fn a_second_sum_and_a_count_cost_sixteen_bytes_not_another_id_list() {
+    use seabed_net::wire::{encode_frame, Frame};
+    let rows = 2_000u64;
+    let mix = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
+    let dataset = PlainDataset::new("t")
+        .with_uint_column("a", (0..rows).map(|i| mix(i) % 1_000).collect())
+        .with_uint_column("b", (0..rows).map(|i| mix(i + 1) % 1_000).collect())
+        .with_text_column("dept", (0..rows).map(|i| format!("d{}", mix(i + 2) % 4)).collect());
+    let columns = ["a", "b", "dept"].map(ColumnSpec::sensitive);
+    let samples = [parse("SELECT SUM(a), SUM(b) FROM t WHERE dept = 'd1'").unwrap()];
+    let mut client = SeabedClient::create_plan(b"bytes", &columns, &samples, &PlannerConfig::default());
+    let encrypted = client.encrypt_dataset(&dataset, 4, &mut rand::rng());
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+
+    let run = |sql: &str| {
+        let (_, plan, filters) = client.prepare(&server, sql).unwrap();
+        let response = server.execute(&plan, &filters).unwrap();
+        let partial = server.execute_partial(&plan, &filters).unwrap();
+        let frame = encode_frame(&Frame::Response(response.clone()), u32::MAX)
+            .unwrap()
+            .len();
+        // Varint-sized measured durations and counters travel in the frame
+        // too; they are the same few fields on both sides.
+        let stats = encode_frame(
+            &Frame::Response(seabed_core::ServerResponse {
+                groups: Vec::new(),
+                ..response.clone()
+            }),
+            u32::MAX,
+        )
+        .unwrap()
+        .len();
+        (
+            response,
+            frame - stats,
+            partial.stats.bytes_to_driver,
+            partial.shuffle_bytes(&plan),
+        )
+    };
+    let (one, one_frame, one_to_driver, one_shuffle) = run("SELECT SUM(a) FROM t WHERE dept = 'd1'");
+    let (three, three_frame, three_to_driver, three_shuffle) =
+        run("SELECT SUM(a), SUM(b), COUNT(*) FROM t WHERE dept = 'd1'");
+
+    let list = one.groups[0].ids.as_ref().expect("a sum ships its rows").id_list.len();
+    assert!(list > 100, "the selection must be fragmented for this to bite: {list}");
+    assert_eq!(one.result_bytes, 8 + list);
+    assert_eq!(three.result_bytes, one.result_bytes + 16);
+    assert_eq!(three.groups[0].ids, one.groups[0].ids);
+    // On the wire the two extra aggregates are a tag and a varint each.
+    assert!(
+        three_frame > one_frame && three_frame <= one_frame + 2 * 11,
+        "{three_frame} vs {one_frame}"
+    );
+    // Per (partition, group) partial: one more word, and nothing for the count.
+    assert_eq!(three_to_driver, one_to_driver + 4 * 8);
+    assert_eq!(three_shuffle, one_shuffle + 8);
+
+    let answer = client
+        .query(&server, "SELECT SUM(a), SUM(b), COUNT(*) FROM t WHERE dept = 'd1'")
+        .unwrap();
+    let selected: Vec<u64> = (0..rows).filter(|i| mix(i + 2) % 4 == 1).collect();
+    assert_eq!(
+        answer.rows,
+        vec![vec![
+            ResultValue::UInt(selected.iter().map(|i| mix(*i) % 1_000).sum()),
+            ResultValue::UInt(selected.iter().map(|i| mix(i + 1) % 1_000).sum()),
+            ResultValue::UInt(selected.len() as u64),
+        ]]
+    );
+}

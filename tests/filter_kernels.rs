@@ -161,8 +161,8 @@ proptest! {
 }
 
 /// What the `0..16` domain above never reaches: ciphertexts that first differ
-/// in any of the eight words (including the very first and the very last
-/// symbol), and cells that are not 64 symbols wide or hold bytes no honest
+/// in either word (including the very first and the very last symbol), and
+/// cells that are not 16 packed bytes wide or hold a two-bit lane no honest
 /// symbol has. Such a cell compares as `None`, or arbitrarily but the same
 /// way in all three kernels, and is a row that does not match.
 #[test]
@@ -179,17 +179,20 @@ fn ope_kernels_agree_over_the_full_range_and_on_corrupt_cells() {
 
     let honest = cells.len();
     let wide = &cells[4];
+    assert_eq!(wide.len(), 16);
     let corrupt: Vec<Vec<u8>> = vec![
+        // Widths 0, 15, 17 and 2: no ordering against a 16-byte literal.
         Vec::new(),
-        wide[..63].to_vec(),
+        wide[..15].to_vec(),
         wide.iter().copied().chain([1]).collect(),
-        wide.iter().map(|s| s + 3).collect(),
+        // 16 wide, with lanes holding `3`: some ordering, the same everywhere.
+        wide.iter().map(|byte| byte | 0b11_00_11_00).collect(),
         wide.iter()
             .enumerate()
-            .map(|(i, &s)| if i == 40 { 0xFF } else { s })
+            .map(|(i, &byte)| if i == 10 { 0xFF } else { byte })
             .collect(),
-        vec![0x80; 64],
-        wide[..8].to_vec(),
+        vec![0x80; 16],
+        wide[..2].to_vec(),
     ];
     // Interleave the corrupt cells with the honest ones.
     for (i, cell) in corrupt.into_iter().enumerate() {
@@ -218,7 +221,7 @@ fn ope_kernels_agree_over_the_full_range_and_on_corrupt_cells() {
             selected += filter.select_dense(&p).expect("valid").len();
         }
     }
-    // A 64-wide cell, honest or not, has some ordering against the literal and
+    // A 16-byte cell, honest or not, has some ordering against the literal and
     // so satisfies exactly three of the six operators; the four cells of
     // another width satisfy none.
     assert_eq!(selected, 7 * 3 * (honest + 3));

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use seabed_ashe::IdSet;
 use seabed_core::{finalize_partials, PlainDataset, SeabedClient, SeabedServer};
 use seabed_crypto::OreScheme;
-use seabed_engine::merge::{merge_partial_groups, ExtremeCandidate, PartialAggregate, PartialGroups};
+use seabed_engine::merge::{merge_partial_groups, ExtremeCandidate, PartialAggregate, PartialGroup, PartialGroups};
 use seabed_engine::{Cluster, ClusterConfig, ExecStats, Table};
 use seabed_query::{parse, ColumnSpec, PlannerConfig, Query};
 
@@ -26,8 +26,9 @@ fn mix(seed: u64, a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Builds `n` random Sum partials over disjoint ID ranges.
-fn random_sums(seed: u64, n: usize) -> Vec<PartialAggregate> {
+/// Builds `n` random partials of one `SUM, SUM, COUNT` group over disjoint ID
+/// ranges: two sums and a count beside the one ID set they share.
+fn random_sums(seed: u64, n: usize) -> Vec<PartialGroup> {
     let mut out = Vec::with_capacity(n);
     let mut next_id = 0u64;
     for i in 0..n as u64 {
@@ -38,19 +39,32 @@ fn random_sums(seed: u64, n: usize) -> Vec<PartialAggregate> {
             IdSet::range(next_id, next_id + span - 1)
         };
         next_id += span + (mix(seed, i, 2) % 3);
-        out.push(PartialAggregate::Sum {
-            value: mix(seed, i, 3),
+        out.push(PartialGroup {
             ids,
+            aggregates: vec![
+                PartialAggregate::Sum { value: mix(seed, i, 3) },
+                PartialAggregate::Sum { value: mix(seed, i, 4) },
+                PartialAggregate::Count,
+            ],
         });
     }
     out
 }
 
-/// Folds partials left-to-right in the given order.
-fn fold(parts: &[PartialAggregate], order: &[usize], empty: PartialAggregate) -> PartialAggregate {
+/// The empty `SUM, SUM, COUNT` group.
+fn no_rows() -> PartialGroup {
+    PartialGroup::new(vec![
+        PartialAggregate::Sum { value: 0 },
+        PartialAggregate::Sum { value: 0 },
+        PartialAggregate::Count,
+    ])
+}
+
+/// Folds partials left-to-right in the given order, by `merge`.
+fn fold<T: Clone>(parts: &[T], order: &[usize], empty: T, merge: impl Fn(&mut T, T)) -> T {
     let mut acc = empty;
     for &i in order {
-        acc.merge(parts[i].clone());
+        merge(&mut acc, parts[i].clone());
     }
     acc
 }
@@ -68,9 +82,10 @@ fn permutation(seed: u64, n: usize) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Sum partials: any permutation folds to the same state, and any
+    /// Groups of sums: any permutation folds to the same state, and any
     /// bracketing (fold a random prefix first, then the rest) agrees —
-    /// associativity + commutativity on real wrapping sums and ID unions.
+    /// associativity + commutativity on real wrapping sums and the group's one
+    /// ID union — and the fold is not idempotent.
     #[test]
     fn sum_merge_is_permutation_and_bracketing_invariant(
         seed in any::<u64>(),
@@ -78,20 +93,33 @@ proptest! {
         split in 0usize..12,
     ) {
         let parts = random_sums(seed, n);
-        let empty = PartialAggregate::Sum { value: 0, ids: IdSet::new() };
         let identity: Vec<usize> = (0..n).collect();
-        let reference = fold(&parts, &identity, empty.clone());
+        let reference = fold(&parts, &identity, no_rows(), PartialGroup::merge);
+        prop_assert_eq!(
+            reference.ids.count(),
+            parts.iter().map(|part| part.ids.count()).sum::<u64>(),
+            "disjoint ranges union to their total"
+        );
 
         // Permutation invariance.
         let order = permutation(seed ^ 0xabcd, n);
-        prop_assert_eq!(fold(&parts, &order, empty.clone()), reference.clone());
+        prop_assert_eq!(fold(&parts, &order, no_rows(), PartialGroup::merge), reference.clone());
 
         // Bracketing invariance: (prefix fold) merge (suffix fold).
         let split = split.min(n);
-        let mut left = fold(&parts, &identity[..split], empty.clone());
-        let right = fold(&parts, &identity[split..], empty);
+        let mut left = fold(&parts, &identity[..split], no_rows(), PartialGroup::merge);
+        let right = fold(&parts, &identity[split..], no_rows(), PartialGroup::merge);
         left.merge(right);
-        prop_assert_eq!(left, reference);
+        prop_assert_eq!(&left, &reference);
+
+        // Not idempotent: a partial folded twice doubles its words while the
+        // one ID union absorbs it — which is why gather points dedup by seq.
+        let mut replayed = reference.clone();
+        replayed.merge(parts[0].clone());
+        prop_assert_eq!(&replayed.ids, &reference.ids);
+        let PartialAggregate::Sum { value: once } = reference.aggregates[0] else { unreachable!() };
+        let PartialAggregate::Sum { value: again } = parts[0].aggregates[0] else { unreachable!() };
+        prop_assert_eq!(&replayed.aggregates[0], &PartialAggregate::Sum { value: once.wrapping_add(again) });
     }
 
     /// MIN/MAX candidates through the real ORE scheme: the winner is the
@@ -124,7 +152,7 @@ proptest! {
         let empty = PartialAggregate::Extreme { best: None, want_max };
         for variant in 0..3u64 {
             let order = permutation(seed ^ variant, n);
-            let folded = fold(&parts, &order, empty.clone());
+            let folded = fold(&parts, &order, empty.clone(), PartialAggregate::merge);
             prop_assert!(matches!(
                 &folded,
                 PartialAggregate::Extreme { best: Some(c), .. } if c.value_word == winner
@@ -148,10 +176,12 @@ proptest! {
                     }
                     g.insert(
                         vec![k],
-                        vec![PartialAggregate::Sum {
-                            value: mix(seed, m, k + 100),
+                        PartialGroup {
                             ids: IdSet::range(m * 1_000 + k * 10, m * 1_000 + k * 10 + 3),
-                        }],
+                            aggregates: vec![PartialAggregate::Sum {
+                                value: mix(seed, m, k + 100),
+                            }],
+                        },
                     );
                 }
                 g

@@ -129,6 +129,7 @@ fn client_fails_a_trickled_reply_within_the_budget_and_poisons() {
         let response = Frame::Response(ServerResponse {
             groups: vec![GroupResult {
                 key: vec![],
+                ids: None,
                 aggregates: vec![EncryptedAggregate::Count { rows: 7 }],
             }],
             stats: ExecStats::default(),
@@ -165,4 +166,62 @@ fn client_fails_a_trickled_reply_within_the_budget_and_poisons() {
     }
     drop(remote);
     fake_server.join().expect("fake server");
+}
+
+/// Protocol version 4 is not kept beside version 5: a peer whose frame header
+/// says 4 is told why — the typed version error naming both versions, under a
+/// header it cannot misread as its own — and dropped, by `decode_frame` and by
+/// both ends of a real `FrameConn`; the next version-5 peer is served.
+#[test]
+fn a_version_four_peer_is_refused_with_the_typed_version_error() {
+    assert_eq!(wire::PROTOCOL_VERSION, 5);
+    let refusal = "unsupported protocol version 4 (this side speaks 5)";
+    let mut version_4 = wire::encode_frame(&Frame::SchemaRequest, MAX).expect("encode");
+    version_4[4..6].copy_from_slice(&4u16.to_le_bytes());
+    let outcome = wire::decode_frame(&version_4, MAX);
+    assert!(
+        matches!(&outcome, Err(SeabedError::Wire(message)) if message == refusal),
+        "{outcome:?}"
+    );
+
+    // A service receiving it: an error frame comes back, then the hang-up.
+    let net = NetServer::serve(tiny_server(), "127.0.0.1:0", ServiceConfig::default()).expect("serve");
+    let mut old_client = TcpStream::connect(net.local_addr()).expect("connect");
+    old_client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    old_client.write_all(&version_4).expect("send");
+    let mut reply = Vec::new();
+    old_client
+        .read_to_end(&mut reply)
+        .expect("the service hangs up after answering");
+    let reply = wire::decode_frame(&reply, MAX);
+    assert!(
+        matches!(&reply, Ok(Frame::Error(SeabedError::Wire(message))) if message == refusal),
+        "{reply:?}"
+    );
+    let mut current = FrameConn::connect(net.local_addr(), Duration::from_secs(10)).expect("connect");
+    let served = current.round_trip(&Frame::SchemaRequest, MAX, Duration::from_secs(10));
+    assert!(matches!(served, Ok(Frame::Schema(_))), "{served:?}");
+    net.shutdown();
+
+    // A client receiving it from an old server: the call fails with the same
+    // typed error.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let old_server = std::thread::spawn(move || {
+        let (mut raw, _) = listener.accept().expect("accept");
+        let mut request = [0u8; wire::HEADER_LEN];
+        raw.read_exact(&mut request).expect("the schema request");
+        let mut schema = wire::encode_frame(&Frame::Schema(Schema::new([])), MAX).expect("encode");
+        schema[4..6].copy_from_slice(&4u16.to_le_bytes());
+        raw.write_all(&schema).expect("reply");
+    });
+    let mut conn = FrameConn::connect(addr, Duration::from_secs(10)).expect("connect");
+    let outcome = conn.round_trip(&Frame::SchemaRequest, MAX, Duration::from_secs(10));
+    assert!(
+        matches!(&outcome, Err(SeabedError::Wire(message)) if message == refusal),
+        "{outcome:?}"
+    );
+    old_server.join().expect("old server");
 }

@@ -26,6 +26,7 @@ fn canned_response() -> ServerResponse {
     ServerResponse {
         groups: vec![GroupResult {
             key: vec![],
+            ids: None,
             aggregates: vec![EncryptedAggregate::Count { rows: 7 }],
         }],
         stats: ExecStats::default(),

@@ -37,9 +37,11 @@ use seabed_core::{PlainColumn, PlainDataset, ResultValue, SeabedClient, SeabedSe
 use seabed_dist::{spawn_worker, DistConfig, DistCoordinator};
 use seabed_engine::{Cluster, ClusterConfig};
 use seabed_error::SeabedError;
+use seabed_net::wire::{decode_frame, encode_frame, redact_query, write_statement_payload, Frame};
 use seabed_net::ServiceConfig;
 use seabed_query::{
-    parse, AggregateFunction, ColumnSpec, CompareOp, Literal, PlannerConfig, Predicate, Query, SelectItem,
+    parse, translate, AggregateFunction, ColumnSpec, CompareOp, Literal, PlannerConfig, Predicate, Query, SelectItem,
+    SupportCategory, TranslatedQuery,
 };
 use std::collections::BTreeMap;
 
@@ -477,5 +479,68 @@ fn decrypted_rows_equal_a_plaintext_evaluation_of_the_sql() {
         failures.len(),
         failures.len().min(8),
         failures[..failures.len().min(8)].join("\n")
+    );
+}
+
+/// The same generator over the wire format of a plan: what travels is the
+/// server's half. For every generated statement (inline and with
+/// placeholders) the plan encodes to the bytes of the plan with its
+/// client-only fields cleared — so the statement handle and the coordinator's
+/// cache key, which hash those bytes, cannot depend on them — and decodes to
+/// exactly `redact_query(plan)`.
+#[test]
+fn every_generated_plan_travels_as_its_server_half() {
+    let (client, _, _) = fixture();
+    let statement_bytes = |plan: &TranslatedQuery| {
+        let mut out = Vec::new();
+        write_statement_payload(&mut out, plan);
+        out
+    };
+    let (mut plans, mut with_post_steps, mut with_group_names, mut with_param_names) = (0, 0, 0, 0);
+    for seed in 0..CASES {
+        let case = generate(seed);
+        let mut proxy = client.clone();
+        proxy.translate_options.expected_groups = case.expected_groups;
+        for sql in [&case.inline_sql, &case.prepared_sql] {
+            let parsed = parse(sql).expect("generated SQL parses");
+            let Ok(plan) = translate(&parsed, proxy.plan(), &proxy.translate_options) else {
+                continue; // a refused statement has no plan to ship
+            };
+            plans += 1;
+            with_post_steps += usize::from(!plan.client_post.is_empty());
+            with_group_names += usize::from(!plan.group_by.is_empty());
+            with_param_names += usize::from(!plan.params.is_empty());
+
+            // Cleared by hand, not by `redact_query`: the filter literals stay,
+            // so this also holds that they never reach the bytes.
+            let mut cleared = plan.clone();
+            cleared.client_post.clear();
+            cleared.preserve_row_ids = false;
+            cleared.category = SupportCategory::ServerOnly;
+            cleared.group_by.iter_mut().for_each(|group| group.column.clear());
+            cleared.params.iter_mut().for_each(|param| param.column.clear());
+            assert_eq!(statement_bytes(&plan), statement_bytes(&cleared), "seed {seed}: {sql}");
+
+            let frame = Frame::PrepareStatement { query: plan.clone() };
+            let bytes = encode_frame(&frame, u32::MAX).expect("encode");
+            let image = Frame::PrepareStatement {
+                query: redact_query(&plan),
+            };
+            assert_eq!(
+                decode_frame(&bytes, u32::MAX).as_ref(),
+                Ok(&image),
+                "seed {seed}: {sql}"
+            );
+            assert_eq!(
+                encode_frame(&image, u32::MAX).expect("encode"),
+                bytes,
+                "seed {seed}: {sql}"
+            );
+        }
+    }
+    assert!(
+        plans >= 400 && with_post_steps >= 100 && with_group_names >= 100 && with_param_names >= 60,
+        "thin coverage: {plans} plans, {with_post_steps} with post steps, {with_group_names} grouped, \
+         {with_param_names} with placeholders"
     );
 }

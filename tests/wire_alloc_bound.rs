@@ -14,9 +14,10 @@
 //!
 //! It is a binary of its own because a `#[global_allocator]` is per binary.
 
-use seabed::core::{PartialResponse, ServerResponse};
+use seabed::core::{EncryptedAggregate, GroupIds, GroupResult, PartialResponse, ServerResponse};
 use seabed::encoding::varint;
-use seabed::engine::merge::PartialGroups;
+use seabed::encoding::IdListEncoding;
+use seabed::engine::merge::{PartialAggregate, PartialGroup, PartialGroups};
 use seabed::engine::{storage, ColumnData, ColumnType, ExecStats, Schema, Table};
 use seabed::error::SeabedError;
 use seabed::net::wire::{decode_frame, encode_frame, Frame, DEFAULT_MAX_FRAME_LEN, HEADER_LEN};
@@ -133,6 +134,38 @@ fn response_with_a_forged_group_count() {
     assert_bounded("Response groups", &honest, |_| 0);
 }
 
+/// A result group carries its ID list once, as a length-prefixed byte string
+/// behind the (empty) key and the option tag: a forged length buys nothing —
+/// the list is a slice of the frame until it is parsed — and neither does a
+/// forged aggregate count behind an absent list.
+#[test]
+fn response_group_with_a_forged_id_list_length_or_aggregate_count() {
+    let group = |ids: Option<GroupIds>| {
+        Frame::Response(ServerResponse {
+            groups: vec![GroupResult {
+                key: Vec::new(),
+                ids,
+                aggregates: vec![EncryptedAggregate::AsheSum { value: 1 }],
+            }],
+            stats: ExecStats::default(),
+            result_bytes: 0,
+        })
+    };
+    let listed = group(Some(GroupIds {
+        id_list: vec![1, 2],
+        encoding: IdListEncoding::RangesVb,
+    }));
+    // group count, key count, option tag, then the list's length.
+    assert_bounded("Response group ID-list length", &listed, |payload| {
+        assert_eq!(payload[..6], [1, 0, 1, 2, 1, 2]);
+        3
+    });
+    assert_bounded("Response group aggregates", &group(None), |payload| {
+        assert_eq!(payload[..4], [1, 0, 0, 1]);
+        3
+    });
+}
+
 /// Events are the last vector of a snapshot: the count is the last byte.
 #[test]
 fn metrics_snapshot_with_a_forged_event_count() {
@@ -161,11 +194,40 @@ fn shard_partial_with_a_forged_group_count() {
     assert_bounded("ShardPartial groups", &honest, |_| 4);
 }
 
-/// What the **server** decodes from a client: the filter list closes a
-/// request, so its count is the last byte.
+/// A partial group is its ID set — a length-prefixed ID list — then its
+/// aggregates: forge the list's length, then the aggregate count behind it.
 #[test]
-fn request_with_a_forged_filter_count() {
-    let honest = Frame::Request {
+fn shard_partial_group_with_a_forged_id_list_length_or_aggregate_count() {
+    let mut groups = PartialGroups::new();
+    groups.insert(
+        Vec::new(),
+        PartialGroup {
+            ids: seabed::ashe::IdSet::range(3, 9),
+            aggregates: vec![PartialAggregate::Sum { value: 1 }, PartialAggregate::Count],
+        },
+    );
+    let honest = Frame::ShardPartial {
+        epoch: 1,
+        table_id: 0,
+        shard: 0,
+        seq: 1,
+        partial: PartialResponse {
+            groups,
+            stats: ExecStats::default(),
+        },
+    };
+    // (epoch, table, shard, seq), group count, key count, then the ID list
+    // (two one-byte bounds) and the aggregate count.
+    assert_bounded("ShardPartial group ID-list length", &honest, |payload| {
+        assert_eq!(payload[4..10], [1, 0, 2, 3, 9, 2]);
+        6
+    });
+    assert_bounded("ShardPartial group aggregates", &honest, |_| 9);
+}
+
+/// A one-aggregate request with nothing else in it.
+fn bare_request() -> Frame {
+    Frame::Request {
         query: TranslatedQuery {
             base_table: "t".to_string(),
             filters: Vec::new(),
@@ -180,8 +242,26 @@ fn request_with_a_forged_filter_count() {
         filters: Vec::new(),
         trace_id: 0,
         analyze: false,
-    };
-    assert_bounded("Request filters", &honest, |payload| payload.len() - 1);
+    }
+}
+
+/// What the **server** decodes from a client: the filter list closes a
+/// request, so its count is the last byte.
+#[test]
+fn request_with_a_forged_filter_count() {
+    assert_bounded("Request filters", &bare_request(), |payload| payload.len() - 1);
+}
+
+/// The plan inside a request is the server's half of it: trace id, analyze,
+/// "t", no plan filters, one aggregate; then the group-by count, the inflation
+/// factor and the placeholder count.
+#[test]
+fn request_plan_with_a_forged_group_by_or_param_count() {
+    assert_bounded("Request plan group-by", &bare_request(), |payload| {
+        assert_eq!(payload[..11], [0, 0, 1, b't', 0, 1, 1, 0, 1, 0, 0]);
+        7
+    });
+    assert_bounded("Request plan placeholders", &bare_request(), |_| 9);
 }
 
 /// The stored-table format inside a `LoadShard` has its own decoder
@@ -204,7 +284,7 @@ fn load_shard_with_a_forged_utf8_row_count() {
 fn load_shard_with_a_forged_bytes_cell_count() {
     let table = Table::from_columns(
         Schema::new([("b".to_string(), ColumnType::Bytes)]),
-        vec![ColumnData::Bytes([[7u8; 64]].iter().collect())],
+        vec![ColumnData::Bytes([[7u8; 16]].iter().collect())],
         1,
     );
     assert_load_shard_bounded("LoadShard Bytes cells", &table);

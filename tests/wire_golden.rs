@@ -9,21 +9,28 @@
 //! `ColumnType` arm, both `Option` states, a two-partition `LoadShard` table,
 //! a metrics snapshot with traces and events — plus the two payload writers
 //! other crates hash (`write_statement_payload`, `write_filters_payload`),
-//! each compared to a SHA-256 digest recorded at the commit *before* the
-//! codec was rewritten behind one `Wire` trait (PR 18). If it fails a wire
-//! layout moved: fix the code, don't re-record, unless the PR's purpose is a
+//! each compared to a recorded SHA-256 digest. If it fails a wire layout
+//! moved: fix the code, don't re-record, unless the PR's purpose is a
 //! protocol change (and then `PROTOCOL_VERSION` moves with it).
+//!
+//! The digests were first recorded at the commit *before* the codec was
+//! rewritten behind one `Wire` trait (PR 18) and re-recorded once, for
+//! protocol version 5, each with the reason it moved ([`RECORDED`]). A kind
+//! whose payload did not move keeps its version-4 digest beside the new one,
+//! and the test re-derives it by writing `4` back into the header — so "only
+//! the version field moved" is checked, not claimed.
 
 use seabed::ashe::IdSet;
-use seabed::core::{EncryptedAggregate, GroupResult, PartialResponse, PhysicalFilter, ServerResponse};
+use seabed::core::{EncryptedAggregate, GroupIds, GroupResult, PartialResponse, PhysicalFilter, ServerResponse};
 use seabed::crypto::sha256::digest_hex;
 use seabed::crypto::OreCiphertext;
 use seabed::encoding::IdListEncoding;
-use seabed::engine::merge::{ExtremeCandidate, PartialAggregate, PartialGroups};
+use seabed::engine::merge::{ExtremeCandidate, PartialAggregate, PartialGroup, PartialGroups};
 use seabed::engine::{ColumnData, ColumnType, ExecMode, ExecStats, OperatorProfile, Schema, Table};
 use seabed::error::{ParseError, SchemaError, SeabedError};
 use seabed::net::wire::{
-    decode_frame, encode_frame, write_filters_payload, write_statement_payload, Frame, ShardExecConfig,
+    decode_frame, encode_frame, redact_query, write_filters_payload, write_statement_payload, Frame, ShardExecConfig,
+    PROTOCOL_VERSION,
 };
 use seabed::obs::{EventOperator, HistogramSnapshot, MetricsSnapshot, QueryEvent, QueryTrace, TraceSpan};
 use seabed::query::{
@@ -33,9 +40,11 @@ use seabed::query::{
 use std::time::Duration;
 
 /// Every `ServerFilter` / `Literal` / `CompareOp` / `ServerAggregate` /
-/// `ClientPostStep` / `ParamKind` arm. The DET and OPE literals are set on
-/// purpose: the frame must not contain them (structural redaction), so the
-/// digest also pins that they stay out.
+/// `ParamKind` arm. The DET and OPE literals, the post-processing steps, the
+/// category and the logical column names are set on purpose: the frame must
+/// not contain them (structural redaction), so the digest also pins that they
+/// stay out — `12 prepare statement` and `statement payload` hash plans that
+/// differ in nothing else.
 fn query(category: SupportCategory) -> TranslatedQuery {
     let plain = |column: &str, op, value| {
         ServerFilter::Plain(Predicate {
@@ -126,6 +135,17 @@ fn query(category: SupportCategory) -> TranslatedQuery {
     }
 }
 
+/// A well-formed ORE cell: 64 symbols `0, 1, 2, 0, …`, two bits each.
+fn ore_cell() -> OreCiphertext {
+    let symbols: Vec<u8> = (0..64u8).map(|i| i % 3).collect();
+    OreCiphertext {
+        symbols: symbols
+            .chunks(4)
+            .map(|quad| quad.iter().fold(0, |byte, symbol| byte << 2 | symbol))
+            .collect(),
+    }
+}
+
 /// Every `PhysicalFilter` arm.
 fn filters() -> Vec<PhysicalFilter> {
     vec![
@@ -145,9 +165,7 @@ fn filters() -> Vec<PhysicalFilter> {
         PhysicalFilter::Ope {
             column: 300,
             op: CompareOp::Lt,
-            ciphertext: OreCiphertext {
-                symbols: (0..64u8).map(|i| i % 3).collect(),
-            },
+            ciphertext: ore_cell(),
         },
     ]
 }
@@ -180,7 +198,8 @@ fn stats() -> ExecStats {
 }
 
 /// Every `EncryptedAggregate` arm, every `IdListEncoding`, both states of
-/// the optional row id, an empty and a three-word group key.
+/// the optional ID list and of the optional row id, an empty and a three-word
+/// group key, and a group whose two sums and count share one ID list.
 fn response() -> ServerResponse {
     let encodings = [
         IdListEncoding::RangesVb,
@@ -190,24 +209,31 @@ fn response() -> ServerResponse {
         IdListEncoding::VbDiff,
         IdListEncoding::Bitmap,
     ];
-    let mut sums: Vec<EncryptedAggregate> = encodings
+    let mut groups: Vec<GroupResult> = encodings
         .iter()
         .enumerate()
-        .map(|(i, &encoding)| EncryptedAggregate::AsheSum {
-            value: u64::MAX - i as u64,
-            id_list: (0..(i as u8 * 40)).map(|b| b.wrapping_mul(37)).collect(),
-            encoding,
+        .map(|(i, &encoding)| GroupResult {
+            key: vec![i as u64],
+            ids: Some(GroupIds {
+                id_list: (0..(i as u8 * 40)).map(|b| b.wrapping_mul(37)).collect(),
+                encoding,
+            }),
+            aggregates: vec![
+                EncryptedAggregate::AsheSum {
+                    value: u64::MAX - i as u64,
+                },
+                EncryptedAggregate::AsheSum { value: i as u64 },
+                EncryptedAggregate::Count { rows: 42 },
+            ],
         })
         .collect();
-    sums.push(EncryptedAggregate::Count { rows: 42 });
+    groups[0].key.clear();
     ServerResponse {
-        groups: vec![
-            GroupResult {
-                key: vec![],
-                aggregates: sums,
-            },
-            GroupResult {
+        groups: groups
+            .into_iter()
+            .chain([GroupResult {
                 key: vec![5, 0, u64::MAX],
+                ids: None,
                 aggregates: vec![
                     EncryptedAggregate::Extreme {
                         value_word: 9,
@@ -218,8 +244,8 @@ fn response() -> ServerResponse {
                         row_id: None,
                     },
                 ],
-            },
-        ],
+            }])
+            .collect(),
         stats: stats(),
         result_bytes: 123_456,
     }
@@ -231,12 +257,10 @@ fn partial() -> PartialResponse {
     let mut groups = PartialGroups::new();
     groups.insert(
         vec![7, u64::MAX],
-        vec![
+        PartialGroup::new(vec![
             PartialAggregate::Extreme {
                 best: Some(ExtremeCandidate {
-                    ciphertext: OreCiphertext {
-                        symbols: (0..64u8).map(|i| i % 3).collect(),
-                    },
+                    ciphertext: ore_cell(),
                     value_word: 42,
                     row_id: 17,
                 }),
@@ -246,25 +270,25 @@ fn partial() -> PartialResponse {
                 best: None,
                 want_max: false,
             },
-        ],
+        ]),
     );
     groups.insert(
         vec![],
-        vec![
-            PartialAggregate::Sum {
-                value: u64::MAX,
-                ids: IdSet::from_sorted_ids(&[1, 2, 3, 900, 901, 40_000]),
-            },
-            PartialAggregate::Count {
-                ids: IdSet::range(5, 10),
-            },
-        ],
+        PartialGroup {
+            ids: IdSet::from_sorted_ids(&[1, 2, 3, 900, 901, 40_000]),
+            aggregates: vec![
+                PartialAggregate::Sum { value: u64::MAX },
+                PartialAggregate::Sum { value: 7 },
+                PartialAggregate::Count,
+            ],
+        },
     );
     groups.insert(
         vec![7, 3],
-        vec![PartialAggregate::Count {
-            ids: IdSet::from_sorted_ids(&[]),
-        }],
+        PartialGroup {
+            ids: IdSet::range(5, 10),
+            aggregates: vec![PartialAggregate::Count],
+        },
     );
     PartialResponse { groups, stats: stats() }
 }
@@ -547,67 +571,190 @@ fn frames() -> Vec<(&'static str, Vec<Frame>)> {
     ]
 }
 
-/// `(name, SHA-256 of the bytes)`, in a fixed order.
-fn digests() -> Vec<(&'static str, String)> {
+/// `(name, SHA-256 of the bytes, SHA-256 of the bytes under a version-4
+/// header)`, in a fixed order. The payload writers have no header, so their
+/// two digests are one.
+fn digests() -> Vec<(&'static str, String, String)> {
     let mut out = Vec::new();
     for (index, (name, frames)) in frames().into_iter().enumerate() {
-        let mut bytes = Vec::new();
+        let (mut bytes, mut as_version_4) = (Vec::new(), Vec::new());
         for frame in &frames {
             assert_eq!(
                 frame.kind() as usize,
                 index + 1,
                 "{name}: sample sits under the wrong kind"
             );
-            let encoded = encode_frame(frame, u32::MAX).expect("encode");
+            let mut encoded = encode_frame(frame, u32::MAX).expect("encode");
             // The decoder reads exactly what the pinned encoder wrote.
             let decoded = decode_frame(&encoded, u32::MAX).expect("decode");
             assert_eq!(encode_frame(&decoded, u32::MAX).expect("re-encode"), encoded, "{name}");
             bytes.extend_from_slice(&encoded);
+            assert_eq!(encoded[4..6], PROTOCOL_VERSION.to_le_bytes());
+            encoded[4..6].copy_from_slice(&4u16.to_le_bytes());
+            as_version_4.extend_from_slice(&encoded);
         }
-        out.push((name, digest_hex(&bytes)));
+        out.push((name, digest_hex(&bytes), digest_hex(&as_version_4)));
     }
     let mut statement = Vec::new();
     write_statement_payload(&mut statement, &query(SupportCategory::ClientPostProcessing));
-    out.push(("statement payload", digest_hex(&statement)));
+    out.push(("statement payload", digest_hex(&statement), digest_hex(&statement)));
     let mut filter_bytes = Vec::new();
     write_filters_payload(&mut filter_bytes, &filters());
-    out.push(("filters payload", digest_hex(&filter_bytes)));
+    out.push(("filters payload", digest_hex(&filter_bytes), digest_hex(&filter_bytes)));
     out
 }
 
-/// Recorded at 8b7e7b3 (the parent of PR 18), before the codec moved; in the
-/// order of [`digests`].
-const RECORDED: [&str; 20] = [
-    "482c51583763e96070919c76c059462d429cd66cd78ddb6be4e40aa8c97075bb", // 01 request
-    "e5959616e5c53c1a2e263adf7c932e419d1a17a313458e03fbe352d02da09fc0", // 02 response
-    "1f60b780bf8b187fb57347ed8f69948923e4884e9f16e57c94cad9e7e4cb9ea3", // 03 error
-    "1192852d58927a32a52326c1936582d4e304ae1fecc65d6c03a4ec173aa81a80", // 04 schema request
-    "43236a9bd76ddb5c26c6f460a4c2cb5781139a6241dc59d802ffa2170d670936", // 05 schema
-    "ccaaecf476e184a43c3dafcd42ee9a5b41e6430ff3b166b6446ef5a191c35dfd", // 06 worker handshake
-    "e4c2b997771d3e4110dbdc25c829bf33b457b2f3f792eec838b4be17dff445af", // 07 worker ready
-    "ee9cd096a27122944739c1ddda27dd2601909822dc7b73350dee098ca96475e1", // 08 load shard
-    "f2366797be40dda52098b86c0b448ada3c0fce6b722698d4b3bd0b50a98bd6a7", // 09 shard loaded
-    "48a2abafca8893409ee8eab70d5ad8b07997e40fb7925d814c5f4a1a5fca6a66", // 10 shard query
-    "d456ca630bff2aad6c5fcf8289bc9471f2987444843b9817fb588535c1f540b9", // 11 shard partial
-    "4e4e95e31cc2af002be211b09a261c4a4561670f1c05104045c462b92957e79b", // 12 prepare statement
-    "bd096e5673f410b5143b45e4ee36409e18ad3109b83a4cf2029231c41c202814", // 13 statement prepared
-    "ae309c7694a1e9248d9f9617c2d37ae87e01206cb3b2dfcc4093b1d7348aec88", // 14 execute statement
-    "b79e738bd916dc06b8958c76fc2dd6be8b4f7da8cca133734974e11123473f43", // 15 unload shard
-    "9b416b8c3e0f0a21f17f6294345e4d6223a7e1e6d34ce96273356ad8bbaa2191", // 16 shard unloaded
-    "7704fe4c80f4e2b50c1013162ff5eaaa1209e53a3e28735bcae3b3663e4e9253", // 17 metrics request
-    "7523006d1832d84d46c0176a91d3d618c6513ed495622dec147af2f87264c3d9", // 18 metrics snapshot
-    "c5391425bedbb1fd0625dc2d85b232bcaaa0727b4ee69d34600e93fed57bd598", // statement payload
-    "8ac7fa1afb7e2594b444c05cc02d6d0f1b54093b79f581a703929e1e1ceafae8", // filters payload
+/// Why a digest differs from the one recorded for protocol version 4.
+enum Moved {
+    /// Only the header's version field: the bytes under a version-4 header
+    /// still hash to the digest recorded at 8b7e7b3 (the parent of PR 18).
+    VersionOnly(&'static str),
+    /// Two reasons, which every plan-carrying sample meets together. (a) The
+    /// plan travels as the server's half of it: no `client_post`, `category`,
+    /// `preserve_row_ids`, no logical group-by or placeholder name. And, not
+    /// one of the issue's three — the redacted-literal placeholders: nothing
+    /// is written where a DET or OPE literal was redacted (version 4 wrote an
+    /// empty string and a zero, one byte per such filter of the sample plan).
+    Plan,
+    /// (b) an ORE ciphertext is 16 packed bytes, not 64.
+    Ore,
+    /// (a) and (b): a plan and ORE filter literals in one frame.
+    PlanAndOre,
+    /// (c) a group carries its ID list once, beside one word per ASHE sum —
+    /// the sample grew a second sum per group to show it.
+    GroupIds,
+    /// (b) and (c): a partial group's ID set and a MIN/MAX candidate's cell.
+    GroupIdsAndOre,
+}
+use Moved::*;
+
+/// Recorded once for protocol version 5, in the order of [`digests`], each
+/// with what moved it.
+const RECORDED: [(&str, Moved); 20] = [
+    // 01 request
+    (
+        "2ed3c2ce754350b241955b7fab2a8ef60efc552cd1352710f71dc760f137f598",
+        PlanAndOre,
+    ),
+    // 02 response
+    (
+        "ba5071b5f3323a3e32422ed0d1d0c7ba2d7c6b8be7ff6e3ad94ede8d29b577eb",
+        GroupIds,
+    ),
+    // 03 error
+    (
+        "3d1a9ed167c427cd1491cd2b7e040675cfe79ab17e9c34d40aebd2a964cbbf68",
+        VersionOnly("1f60b780bf8b187fb57347ed8f69948923e4884e9f16e57c94cad9e7e4cb9ea3"),
+    ),
+    // 04 schema request
+    (
+        "5ee6881384e5b342957eef4347525e3d465bdd75a74204ee047674b0ac288479",
+        VersionOnly("1192852d58927a32a52326c1936582d4e304ae1fecc65d6c03a4ec173aa81a80"),
+    ),
+    // 05 schema
+    (
+        "bd363a2f8676b2dcff44f0a46a7b9fbb87db7175cf2110385a357f16127c591e",
+        VersionOnly("43236a9bd76ddb5c26c6f460a4c2cb5781139a6241dc59d802ffa2170d670936"),
+    ),
+    // 06 worker handshake
+    (
+        "9660bd4fc55f720aece8494b7d95716d8f1a917f92e1fb695b494013c5918026",
+        VersionOnly("ccaaecf476e184a43c3dafcd42ee9a5b41e6430ff3b166b6446ef5a191c35dfd"),
+    ),
+    // 07 worker ready
+    (
+        "61e70d1872c839f5349e892d58ff44593d58a0c93868f112383930fe65778141",
+        VersionOnly("e4c2b997771d3e4110dbdc25c829bf33b457b2f3f792eec838b4be17dff445af"),
+    ),
+    // 08 load shard: the stored-table format did not move (a shipped ORE
+    // column is narrower because its cells are, which `crypto_golden` pins).
+    (
+        "dff972dc543be7a9637ae546fb805034c04ee2a1aacdbdbc5f4f06e23f9c5d9d",
+        VersionOnly("ee9cd096a27122944739c1ddda27dd2601909822dc7b73350dee098ca96475e1"),
+    ),
+    // 09 shard loaded
+    (
+        "b36e5480c31dd4c1dfc6a87dee0b95fe64e6dde0ca7a1a2ca5d4b949db3ec8c1",
+        VersionOnly("f2366797be40dda52098b86c0b448ada3c0fce6b722698d4b3bd0b50a98bd6a7"),
+    ),
+    // 10 shard query
+    (
+        "c0e28e3871998ebc017bb32fe18311b6eebac00aca3940b7ae600ff87312287c",
+        PlanAndOre,
+    ),
+    // 11 shard partial
+    (
+        "47310aec71bc3be369269250d6027a9e709ed3a3c10efd36d069372619b57d79",
+        GroupIdsAndOre,
+    ),
+    // 12 prepare statement
+    ("6e2227d518330f602b011234e34e2a1f96c56057ff927b9f61acce3b30fb9b48", Plan),
+    // 13 statement prepared
+    (
+        "c6cc263981d4d3f0ff570ed5484ff86a2aa152b5570fdb6c3569c835057121ac",
+        VersionOnly("bd096e5673f410b5143b45e4ee36409e18ad3109b83a4cf2029231c41c202814"),
+    ),
+    // 14 execute statement
+    ("e9bb6d7f125faed042e42b872f9d79cf2aafbd8a69c16796e3a1552e4fc3d8e7", Ore),
+    // 15 unload shard
+    (
+        "3f7a42ea604dde5631ab26d3e9f28b1b32ddc78146fff42c66436d920f0ded08",
+        VersionOnly("b79e738bd916dc06b8958c76fc2dd6be8b4f7da8cca133734974e11123473f43"),
+    ),
+    // 16 shard unloaded
+    (
+        "61a6cbabe3ac62b5c1c1bd6a8731f100b56b10c98631748754721c7c07426f86",
+        VersionOnly("9b416b8c3e0f0a21f17f6294345e4d6223a7e1e6d34ce96273356ad8bbaa2191"),
+    ),
+    // 17 metrics request
+    (
+        "da97c9d556a7b5805c9b66b341e713415f52109d36cdccacd7f16f326c6d1176",
+        VersionOnly("7704fe4c80f4e2b50c1013162ff5eaaa1209e53a3e28735bcae3b3663e4e9253"),
+    ),
+    // 18 metrics snapshot
+    (
+        "208473ab76c787535d2cd7ce6b97f4a8750d85172da9990c7440c765ff4e5ef2",
+        VersionOnly("7523006d1832d84d46c0176a91d3d618c6513ed495622dec147af2f87264c3d9"),
+    ),
+    // statement payload
+    ("425f68b4226b44f7cb828e7dee53d304a8d1737326ebd41e4c2e65b2b908fb21", Plan),
+    // filters payload
+    ("f47b31e8ee10d41fcd15863c07c500c4031ea847a1cbc5fc8de7365815911132", Ore),
 ];
 
 #[test]
 fn every_frame_kind_encodes_to_its_recorded_bytes() {
     let got = digests();
-    for (name, digest) in &got {
+    for (name, digest, _) in &got {
         println!("    \"{digest}\", // {name}");
     }
     assert_eq!(got.len(), RECORDED.len());
-    for ((name, digest), recorded) in got.iter().zip(RECORDED) {
+    for ((name, digest, as_version_4), (recorded, moved)) in got.iter().zip(RECORDED) {
         assert_eq!(digest, recorded, "{name}: the encoded bytes moved");
+        if let VersionOnly(version_4) = moved {
+            assert_eq!(as_version_4, version_4, "{name}: more than the version field moved");
+        }
     }
+}
+
+/// The client-only half of a plan is not in the hashed statement bytes, so
+/// plans that differ only there share a statement handle and a cache key.
+#[test]
+fn plans_that_differ_only_in_what_stays_with_the_key_holder_encode_alike() {
+    let bytes_of = |plan: &TranslatedQuery| {
+        let mut out = Vec::new();
+        write_statement_payload(&mut out, plan);
+        out
+    };
+    let full = query(SupportCategory::ClientPostProcessing);
+    let mut bare = query(SupportCategory::ServerOnly);
+    bare.client_post.clear();
+    bare.preserve_row_ids = false;
+    bare.group_by.iter_mut().for_each(|g| g.column.clear());
+    bare.params.iter_mut().for_each(|p| p.column.clear());
+    assert_eq!(bytes_of(&full), bytes_of(&bare));
+    assert_eq!(redact_query(&full), redact_query(&bare));
+    let mut other = full.clone();
+    other.group_by[0].physical_column.push('x');
+    assert_ne!(bytes_of(&full), bytes_of(&other));
 }

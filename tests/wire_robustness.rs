@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seabed::core::{EncryptedAggregate, GroupResult, PhysicalFilter, ServerResponse};
+use seabed::core::{EncryptedAggregate, GroupIds, GroupResult, PhysicalFilter, ServerResponse};
 use seabed::encoding::IdListEncoding;
 use seabed::engine::{ExecStats, OperatorProfile};
 use seabed::error::SeabedError;
@@ -187,18 +187,20 @@ fn random_response(rng: &mut StdRng) -> ServerResponse {
     let groups = (0..rng.random_range(0..5usize))
         .map(|_| {
             let key = (0..rng.random_range(0..3usize)).map(|_| rng.random::<u64>()).collect();
+            let ids = (rng.random_range(0..2u64) == 0).then(|| {
+                let len = rng.random_range(0..64usize);
+                let mut id_list = vec![0u8; len];
+                rng.fill(&mut id_list);
+                GroupIds {
+                    id_list,
+                    encoding: encodings[rng.random_range(0..encodings.len() as u64) as usize],
+                }
+            });
             let aggregates = (0..rng.random_range(0..4usize))
                 .map(|_| match rng.random_range(0..3u64) {
-                    0 => {
-                        let len = rng.random_range(0..64usize);
-                        let mut id_list = vec![0u8; len];
-                        rng.fill(&mut id_list);
-                        EncryptedAggregate::AsheSum {
-                            value: rng.random::<u64>(),
-                            id_list,
-                            encoding: encodings[rng.random_range(0..encodings.len() as u64) as usize],
-                        }
-                    }
+                    0 => EncryptedAggregate::AsheSum {
+                        value: rng.random::<u64>(),
+                    },
                     1 => EncryptedAggregate::Count {
                         rows: rng.random::<u64>(),
                     },
@@ -212,7 +214,7 @@ fn random_response(rng: &mut StdRng) -> ServerResponse {
                     },
                 })
                 .collect();
-            GroupResult { key, aggregates }
+            GroupResult { key, ids, aggregates }
         })
         .collect();
     ServerResponse {
@@ -463,6 +465,7 @@ fn forged_interior_counts_are_rejected() {
     let response = Frame::Response(ServerResponse {
         groups: vec![GroupResult {
             key: vec![1, 2, 3],
+            ids: None,
             aggregates: vec![EncryptedAggregate::Count { rows: 9 }],
         }],
         stats: ExecStats::default(),
@@ -535,20 +538,23 @@ fn forged_operator_and_event_counts_are_rejected() {
     ));
 }
 
-/// The analyze flag and the profile/event payloads are a breaking layout
-/// change, so they came with a protocol version bump: this build speaks v4,
-/// and a frame stamped with the previous version is refused at the header.
+/// The analyze flag and the profile/event payloads were a breaking layout
+/// change, so they came with a protocol version bump (to 4), as the packed ORE
+/// cells, the per-group ID list and the server's half of the plan did (to 5):
+/// a frame stamped with either earlier version is refused at the header.
 #[test]
 fn analyze_extensions_bumped_the_protocol_version() {
     use seabed::net::wire::PROTOCOL_VERSION;
-    assert_eq!(PROTOCOL_VERSION, 4, "v4 added analyze flags, operator profiles, events");
+    assert_eq!(PROTOCOL_VERSION, 5, "one bump for three layout changes");
     let good = encode_frame(&Frame::SchemaRequest, DEFAULT_MAX_FRAME_LEN).expect("encode");
-    let mut v3 = good.clone();
-    v3[4..6].copy_from_slice(&3u16.to_le_bytes());
-    assert!(matches!(
-        decode_frame(&v3, DEFAULT_MAX_FRAME_LEN),
-        Err(SeabedError::Wire(_))
-    ));
+    for earlier in [3u16, 4] {
+        let mut stamped = good.clone();
+        stamped[4..6].copy_from_slice(&earlier.to_le_bytes());
+        assert!(matches!(
+            decode_frame(&stamped, DEFAULT_MAX_FRAME_LEN),
+            Err(SeabedError::Wire(_))
+        ));
+    }
 }
 
 /// Unknown protocol versions and unknown frame kinds yield typed errors.
@@ -701,12 +707,10 @@ fn forged_compressed_id_list_is_a_typed_error_and_the_session_lives() {
             let mut reply = upstream.round_trip(&request, max, patience).expect("upstream reply");
             if let Frame::Response(response) = &mut reply {
                 if forged == 0 {
-                    for aggregate in response.groups.iter_mut().flat_map(|g| g.aggregates.iter_mut()) {
-                        if let EncryptedAggregate::AsheSum { id_list, encoding, .. } = aggregate {
-                            assert_eq!(*encoding, IdListEncoding::RangesVbDiffDeflateFast);
-                            *id_list = forged_list.clone();
-                            forged += 1;
-                        }
+                    for ids in response.groups.iter_mut().filter_map(|g| g.ids.as_mut()) {
+                        assert_eq!(ids.encoding, IdListEncoding::RangesVbDiffDeflateFast);
+                        ids.id_list = forged_list.clone();
+                        forged += 1;
                     }
                 }
             }
