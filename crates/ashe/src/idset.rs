@@ -123,31 +123,53 @@ impl IdSet {
         if other.is_empty() {
             return self.clone();
         }
-        let mut merged: Vec<Run> = Vec::with_capacity(self.runs.len() + other.runs.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        let push = |run: Run, merged: &mut Vec<Run>| match merged.last_mut() {
-            // Overlapping or adjacent (watch the u64::MAX edge): coalesce.
-            Some(last) if run.start <= last.end.saturating_add(1) => {
-                last.end = last.end.max(run.end);
-            }
-            _ => merged.push(run),
+        IdSet {
+            runs: union_runs(&self.runs, &other.runs),
+        }
+    }
+
+    /// Folds `other` into `self`: [`IdSet::union`], consuming the operand —
+    /// see [`IdSet::merge_runs`].
+    pub fn merge(&mut self, other: IdSet) {
+        if self.runs.is_empty() {
+            self.runs = other.runs;
+        } else {
+            self.merge_runs(&other.runs);
+        }
+    }
+
+    /// Folds the set `runs` spells (sorted, non-overlapping, maximal —
+    /// checked in debug builds, as for [`IdSet::from_runs`]) into `self`.
+    ///
+    /// Partitions and shards are merged in row order, so the operand nearly
+    /// always lies wholly above `self`: its runs are then appended in place,
+    /// the first coalescing with `self`'s last when the two are adjacent,
+    /// instead of both operands being copied into a third list. Any other
+    /// operand — interleaved, overlapping, below — takes the total union.
+    pub fn merge_runs(&mut self, runs: &[Run]) {
+        debug_assert!(
+            runs.windows(2)
+                .all(|w| w[0].end < w[1].start && w[1].start - w[0].end > 1),
+            "runs must be sorted, disjoint and non-adjacent"
+        );
+        let (Some(last), Some(first)) = (self.runs.last_mut(), runs.first()) else {
+            self.runs.extend_from_slice(runs);
+            return;
         };
-        while i < self.runs.len() && j < other.runs.len() {
-            if self.runs[i].start <= other.runs[j].start {
-                push(self.runs[i], &mut merged);
-                i += 1;
-            } else {
-                push(other.runs[j], &mut merged);
-                j += 1;
-            }
+        if first.start <= last.end {
+            self.runs = union_runs(&self.runs, runs);
+            return;
         }
-        for &run in &self.runs[i..] {
-            push(run, &mut merged);
+        let seam = usize::from(first.start - 1 == last.end);
+        if seam == 1 {
+            last.end = first.end;
         }
-        for &run in &other.runs[j..] {
-            push(run, &mut merged);
-        }
-        IdSet { runs: merged }
+        self.runs.extend_from_slice(&runs[seam..]);
+    }
+
+    /// Makes room for exactly `additional` more runs.
+    pub fn reserve(&mut self, additional: usize) {
+        self.runs.reserve_exact(additional);
     }
 
     /// Iterates over every identifier (use sparingly; the whole point of runs
@@ -181,6 +203,35 @@ impl IdSet {
     pub fn encoded_size(&self, encoding: IdListEncoding) -> usize {
         encoded_size(&self.runs, encoding)
     }
+}
+
+/// The union of two canonical run lists, canonical: a two-way merge in which
+/// overlapping or adjacent runs coalesce (watch the `u64::MAX` edge).
+fn union_runs(a: &[Run], b: &[Run]) -> Vec<Run> {
+    let mut merged: Vec<Run> = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0usize, 0usize);
+    let push = |run: Run, merged: &mut Vec<Run>| match merged.last_mut() {
+        Some(last) if run.start <= last.end.saturating_add(1) => {
+            last.end = last.end.max(run.end);
+        }
+        _ => merged.push(run),
+    };
+    while i < a.len() && j < b.len() {
+        if a[i].start <= b[j].start {
+            push(a[i], &mut merged);
+            i += 1;
+        } else {
+            push(b[j], &mut merged);
+            j += 1;
+        }
+    }
+    for &run in &a[i..] {
+        push(run, &mut merged);
+    }
+    for &run in &b[j..] {
+        push(run, &mut merged);
+    }
+    merged
 }
 
 #[cfg(test)]
@@ -261,6 +312,81 @@ mod tests {
         assert_eq!(a.union(&a), a);
         let top = IdSet::range(u64::MAX - 1, u64::MAX);
         assert_eq!(top.union(&top), top);
+    }
+
+    /// Consuming merge ≡ `union`, whatever the operands: above, adjacent,
+    /// interleaved, overlapping, below, empty on either side, and up against
+    /// `u64::MAX`.
+    #[test]
+    fn merge_equals_union_over_seeded_operand_pairs() {
+        // SplitMix64: a stream of operand shapes from one seed.
+        let mut state = 0x5eab_ed00_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        // A canonical set of up to `runs` runs starting at or after `from`.
+        let set_from = |from: u64, runs: u64, next: &mut dyn FnMut() -> u64| {
+            let mut out = Vec::new();
+            let mut at = from;
+            for _ in 0..runs {
+                let Some(start) = at.checked_add(next() % 5) else { break };
+                let end = start.saturating_add(next() % 4);
+                out.push(Run::new(start, end));
+                let Some(after) = end.checked_add(2) else { break };
+                at = after;
+            }
+            IdSet::from_runs(out)
+        };
+        let mut shapes = [0usize; 6];
+        for round in 0..6_000u64 {
+            let base = if round % 3 == 0 { u64::MAX - 60 } else { next() % 100 };
+            let a = set_from(base, next() % 6, &mut next);
+            let shape = (round % 6) as usize;
+            let b = match (shape, a.runs().last()) {
+                // Wholly above, at a gap.
+                (0, Some(last)) if last.end < u64::MAX - 3 => {
+                    set_from(last.end + 2 + next() % 3, 1 + next() % 5, &mut next)
+                }
+                // Adjacent: starts right after `a` ends.
+                (1, Some(last)) if last.end < u64::MAX => {
+                    set_from(last.end + 1, 1 + next() % 5, &mut next).union(&IdSet::single(last.end + 1))
+                }
+                // Interleaved or overlapping: drawn from the same range.
+                (2 | 3, _) => set_from(base, next() % 6, &mut next),
+                // Below.
+                (4, _) => set_from(base.saturating_sub(30), next() % 4, &mut next),
+                // Empty (and whatever the guards above let through).
+                _ => IdSet::new(),
+            };
+            shapes[shape] += usize::from(!b.is_empty());
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let mut merged = x.clone();
+                merged.merge(y.clone());
+                assert_eq!(merged, x.union(y), "{x:?} merge {y:?}");
+                assert!(
+                    merged
+                        .runs()
+                        .windows(2)
+                        .all(|w| w[0].end < w[1].start && w[1].start - w[0].end > 1),
+                    "not canonical: {merged:?}"
+                );
+            }
+        }
+        assert!(shapes[..5].iter().all(|&n| n > 300), "{shapes:?}");
+
+        // The seam coalesces, and only the seam.
+        let mut seam = IdSet::from_runs(vec![Run::new(1, 3), Run::new(7, 9)]);
+        seam.merge(IdSet::from_runs(vec![Run::new(10, 12), Run::new(20, 20)]));
+        assert_eq!(seam.runs(), &[Run::new(1, 3), Run::new(7, 12), Run::new(20, 20)]);
+        let mut top = IdSet::range(5, u64::MAX - 1);
+        top.merge(IdSet::single(u64::MAX));
+        assert_eq!(top, IdSet::range(5, u64::MAX));
+        top.merge(IdSet::single(u64::MAX));
+        assert_eq!(top, IdSet::range(5, u64::MAX));
     }
 
     #[test]

@@ -29,6 +29,8 @@ pub use batch::{
 };
 pub use idset::IdSet;
 pub use scheme::{AsheCiphertext, AsheScheme};
+/// The run type [`IdSet`] is built from and spelled in.
+pub use seabed_encoding::Run;
 
 #[cfg(test)]
 mod proptests {

@@ -450,11 +450,7 @@ impl SeabedClient {
                 })?;
                 let decoded = IdSet::decode(&ids.id_list, ids.encoding)
                     .ok_or_else(|| SeabedError::encoding("undecodable ID list in a response group"))?;
-                selected.ids = if selected.ids.is_empty() {
-                    decoded
-                } else {
-                    selected.ids.union(&decoded)
-                };
+                selected.ids.merge(decoded);
             }
             let asked = translated.aggregates.iter().zip(&plan);
             for (((asked, opener), into), aggregate) in asked.zip(folded).zip(group.aggregates) {

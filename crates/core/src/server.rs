@@ -9,26 +9,34 @@
 //! compress the ID lists at the workers (§4.5), and concatenate partials at
 //! the driver.
 //!
-//! # Scalar and vectorized scans
+//! # What a partition returns and where it is folded
 //!
-//! Each partition scan runs in one of two modes, selected by
-//! [`seabed_engine::ExecMode`] on the cluster configuration:
+//! Each partition scan narrows a [`SelectionVector`] with the filters, column
+//! at a time ([`PhysicalFilter::refine`], cheapest class first:
+//! [`FilterClass::cost_rank`]), then folds the selected rows into one *flat*
+//! partial ([`FlatPartial`]): [`group_rows`] numbers the distinct group keys
+//! it meets (any number of `UInt64` group columns plus the inflation suffix)
+//! through a small open-addressed index and counting-sorts the rows by that
+//! number, and from each group's ascending slice come its maximal ID runs,
+//! its words and its MIN/MAX candidates — four vectors per partition, however
+//! many groups, at work proportional to rows and runs. A global aggregate is
+//! the one-group case and builds its runs straight off the selection. The
+//! driver folds the flat partials **in partition order** into the one
+//! [`PartialGroups`] a query returns ([`fold_flat_partials`]): one key lookup
+//! per (partition, group), runs appended in place into lists reserved once,
+//! words added. [`PartialGroups`] stays the exchange type — what
+//! [`SeabedServer::execute_partial`] answers, a `seabed-dist` worker ships
+//! and the coordinator merges.
 //!
-//! * **Scalar** — the reference path: per row, every filter is re-evaluated
-//!   through [`PhysicalFilter::matches`] and matching rows are pushed through
-//!   the accumulators one at a time.
-//! * **Vectorized** (default) — filters are evaluated *column at a time* via
-//!   [`PhysicalFilter::refine`], cheapest filter class first
-//!   ([`FilterClass::cost_rank`]), each narrowing a shared
-//!   [`SelectionVector`] so more expensive filters (string equality, ORE
-//!   comparison) only touch surviving rows. Aggregation is then driven off
-//!   the final selection in batches; a single-`u64`-key group-by fast path
-//!   avoids the per-row `Vec<u64>` key allocation of the general composite
-//!   path.
-//!
-//! The two paths are differentially tested against each other and against the
-//! plaintext baseline (`tests/differential_exec.rs`), and must stay
-//! result-identical — including group-inflation suffixes and ID-list order.
+//! [`seabed_engine::ExecMode::Scalar`] selects the reference scan instead:
+//! per row, every filter is re-evaluated through [`PhysicalFilter::matches`]
+//! and the row is pushed into a per-partition `HashMap` of groups, which then
+//! feeds the same driver fold. The two are differentially tested against each
+//! other and against a plaintext evaluation (`tests/differential_exec.rs`),
+//! and must stay result-identical — including group-inflation suffixes,
+//! ID-list bytes and the shuffle-byte accounting; the structural claim (a
+//! `GROUP BY` allocates per partition and per result group, never per
+//! (partition, group)) is held by `tests/wire_alloc_bound.rs`.
 //!
 //! Execution is panic-free by construction: every column reference in the
 //! plan and in the filters is resolved and type-checked against the schema
@@ -38,12 +46,11 @@
 //! partition therefore yields a [`SeabedError`] instead of taking the server
 //! (or, via a poisoned response, the proxy) down.
 
-use seabed_ashe::IdSet;
 use seabed_crypto::ore::{try_compare_symbols, OreCiphertext, ORE_CELL_BYTES};
-use seabed_encoding::IdListEncoding;
-use seabed_engine::exec::{self, SelectionVector};
+use seabed_encoding::{append_offset_runs, encoded_size, IdListEncoding, Run};
+use seabed_engine::exec::{self, group_rows, GroupedRows, SelectionVector};
 use seabed_engine::merge::{
-    extreme_replaces, merge_partial_groups, ExtremeCandidate, PartialAggregate, PartialGroup, PartialGroups,
+    extreme_replaces, fold_flat_partials, ExtremeCandidate, FlatPartial, PartialAggregate, PartialGroup, PartialGroups,
 };
 use seabed_engine::{
     merge_operator_profiles, Cluster, ColumnType, ExecMode, ExecStats, OperatorProfile, Partition, ProfileSink, Schema,
@@ -406,10 +413,11 @@ pub(crate) enum ResolvedAggregate {
         column: usize,
     },
     Count,
+    /// MIN or MAX: which one is the state's to know
+    /// ([`PartialAggregate::Extreme`]).
     Extreme {
         ore_column: usize,
         value_column: usize,
-        want_max: bool,
     },
 }
 
@@ -424,27 +432,15 @@ impl ResolvedAggregate {
                 column: require_column(schema, column, Some(ColumnType::UInt64))?,
             },
             AggregateInput::RowIds => ResolvedAggregate::Count,
-            AggregateInput::Extreme { order, value, want_max } => ResolvedAggregate::Extreme {
+            AggregateInput::Extreme { order, value, .. } => ResolvedAggregate::Extreme {
                 ore_column: require_column(schema, order, Some(ColumnType::Bytes))?,
                 value_column: require_column(schema, &value, Some(ColumnType::UInt64))?,
-                want_max,
             },
         })
     }
 
-    /// The empty (identity) merge state for this aggregate. The mergeable
-    /// state type lives in [`seabed_engine::merge`], so the driver merge and
-    /// the `seabed-dist` coordinator gather share one implementation.
-    fn empty_state(&self) -> PartialAggregate {
-        match *self {
-            ResolvedAggregate::Sum { .. } => PartialAggregate::Sum { value: 0 },
-            ResolvedAggregate::Count => PartialAggregate::Count,
-            ResolvedAggregate::Extreme { want_max, .. } => PartialAggregate::Extreme { best: None, want_max },
-        }
-    }
-
     /// Folds one selected row into `state` (the row's identifier goes to the
-    /// group, once: [`Accumulator::observe`]). The state vectors are always
+    /// group, once: [`Fold::observe`]). The state vectors are always
     /// built from the same resolved-aggregate list this spec came from, so
     /// the kinds line up; a (structurally impossible) mismatch leaves the
     /// state unchanged rather than panicking.
@@ -461,7 +457,6 @@ impl ResolvedAggregate {
                 ResolvedAggregate::Extreme {
                     ore_column,
                     value_column,
-                    ..
                 },
                 PartialAggregate::Extreme { best, want_max },
             ) => {
@@ -490,64 +485,42 @@ impl ResolvedAggregate {
             _ => {}
         }
     }
-
-    /// Column-at-a-time accumulation (the vectorized path's global group): the
-    /// needed column is resolved to a slice once, then streamed — the whole of
-    /// it when no filter narrowed the partition (`sel` is `None`; no selection
-    /// vector is materialised at all), else the selected rows in
-    /// [`exec::BATCH_ROWS`]-row batches, in ascending row order like the
-    /// scalar path.
-    fn accumulate(
-        &self,
-        state: &mut PartialAggregate,
-        partition: &Partition,
-        sel: Option<&SelectionVector>,
-    ) -> Result<(), SeabedError> {
-        match (*self, state) {
-            (ResolvedAggregate::Sum { column }, PartialAggregate::Sum { value }) => {
-                let col = typed_slice!(partition, column, u64_slice, "UInt64")?;
-                let mut acc = 0u64;
-                match sel {
-                    None => col.iter().for_each(|&cell| acc = acc.wrapping_add(cell)),
-                    Some(sel) => sel.batches().flatten().for_each(|&row| {
-                        acc = acc.wrapping_add(col.get(row as usize).copied().unwrap_or_default());
-                    }),
-                }
-                *value = value.wrapping_add(acc);
-            }
-            (ResolvedAggregate::Count, PartialAggregate::Count) => {}
-            (_, state) => for_each_selected(sel, partition.num_rows(), |row| {
-                self.observe(state, partition, row);
-                Ok(())
-            })?,
-        }
-        Ok(())
-    }
 }
 
-/// What one partition scan folds its selected rows with: the resolved
-/// aggregates, the empty group they start from, and whether any of them reads
-/// the group's ID set (a MIN/MAX-only scan collects no identifiers).
-struct Accumulator<'a> {
+/// What a partition scan folds its selected rows by and into: the query's
+/// grouping and its aggregates, resolved once per query.
+struct Fold<'a> {
+    /// Group column indices (`UInt64`: plaintext values or DET tags) in the
+    /// encrypted schema; none for a global aggregate.
+    group_columns: &'a [usize],
+    /// Group-inflation factor; 1 — no suffix on the key — unless the query
+    /// groups *and* inflates (a global aggregate has no key to suffix).
+    inflation: u64,
     resolved: &'a [ResolvedAggregate],
+    /// The group no row has been folded into yet.
     empty: PartialGroup,
+    /// Whether any aggregate reads the group's ID set (a MIN/MAX-only scan
+    /// collects no identifiers).
     collect_ids: bool,
 }
 
-impl<'a> Accumulator<'a> {
-    fn new(resolved: &'a [ResolvedAggregate]) -> Accumulator<'a> {
-        let empty = PartialGroup::new(resolved.iter().map(|r| r.empty_state()).collect());
-        let collect_ids = empty.aggregates.iter().any(PartialAggregate::reads_ids);
-        Accumulator {
-            resolved,
-            empty,
-            collect_ids,
-        }
+impl Fold<'_> {
+    /// Words per group key.
+    fn key_width(&self) -> usize {
+        self.group_columns.len() + usize::from(self.inflation > 1)
     }
 
-    /// Folds one selected row into `group`: its identifier once, then every
-    /// aggregate. Rows arrive in ascending order on both scan paths, so the
-    /// ID lists come out identical.
+    /// The suffix of a row's key: the paper appends a pseudo-random
+    /// identifier in `[0, factor)` to the group key (§4.5); hashing the row
+    /// id keeps the assignment deterministic without correlating with the
+    /// group value.
+    fn suffix(&self, row_id: u64) -> u64 {
+        splitmix64(row_id) % self.inflation
+    }
+
+    /// Folds one selected row into `group`, the scalar path's way: its
+    /// identifier once, then every aggregate. Rows arrive in ascending order
+    /// on both scan paths, so the ID lists come out identical.
     fn observe(&self, group: &mut PartialGroup, partition: &Partition, row: usize) {
         if self.collect_ids {
             group.ids.push_ordered(partition.row_id(row));
@@ -555,27 +528,6 @@ impl<'a> Accumulator<'a> {
         for (spec, state) in self.resolved.iter().zip(group.aggregates.iter_mut()) {
             spec.observe(state, partition, row);
         }
-    }
-
-    /// The one group of a global aggregation, column at a time: the whole
-    /// partition when `sel` is `None` (its identifiers are one run), else the
-    /// selected rows.
-    fn global(&self, partition: &Partition, sel: Option<&SelectionVector>) -> Result<PartialGroup, SeabedError> {
-        let mut group = self.empty.clone();
-        let rows = partition.num_rows();
-        if self.collect_ids && rows > 0 {
-            match sel {
-                None => group.ids = IdSet::range(partition.row_id(0), partition.row_id(rows - 1)),
-                Some(sel) => sel
-                    .batches()
-                    .flatten()
-                    .for_each(|&row| group.ids.push_ordered(partition.row_id(row as usize))),
-            }
-        }
-        for (spec, state) in self.resolved.iter().zip(group.aggregates.iter_mut()) {
-            spec.accumulate(state, partition, sel)?;
-        }
-        Ok(group)
     }
 }
 
@@ -612,19 +564,42 @@ fn finish_group(key: Vec<u64>, group: PartialGroup, encoding: IdListEncoding) ->
 
 /// The encoding ID lists inside partial results travel under — range bounds
 /// in variable-byte form, whatever the query. A gather point (the
-/// `seabed-dist` coordinator) decodes them back into [`IdSet`]s for merging
+/// `seabed-dist` coordinator) decodes them back into [`seabed_ashe::IdSet`]s for merging
 /// and re-encodes at finalization under the query's own encoding, so the
 /// final response is byte-identical to single-server execution. The scan's
 /// [`ExecStats::bytes_to_driver`] is accounted in it too: it has a closed
 /// form, so the scan measures its partials without encoding them.
 pub const PARTIAL_ID_ENCODING: IdListEncoding = IdListEncoding::RangesVb;
 
-/// Partial-result size in bytes with ID lists under `encoding`: what this
-/// partition's worker would ship to the driver. Shared by both execution
-/// paths so the reported shuffle bytes cannot diverge between them.
+/// Bytes a partial group's aggregates take beside its key and its ID list: a
+/// word per sum, two per MIN/MAX candidate; a count adds nothing of its own
+/// (it is the size of that list).
+fn aggregate_words(aggregates: &[PartialAggregate]) -> usize {
+    aggregates
+        .iter()
+        .map(|partial| match partial {
+            PartialAggregate::Sum { .. } => 8,
+            PartialAggregate::Count => 0,
+            PartialAggregate::Extreme { .. } => 16,
+        })
+        .sum()
+}
+
+/// Size in bytes of a partition's flat partial with its ID lists under
+/// `encoding`: what the partition's worker would ship to the driver — the
+/// rule of [`partial_bytes`], sized arithmetically off the same run slices
+/// the fold appends.
+fn flat_partial_bytes(partial: &FlatPartial, fold: &Fold<'_>, encoding: IdListEncoding) -> usize {
+    let ids: usize = (0..partial.groups())
+        .map(|group| encoded_size(partial.runs_of(group), encoding))
+        .sum();
+    ids + partial.groups() * (aggregate_words(&fold.empty.aggregates) + 8 * fold.group_columns.len().max(1))
+}
+
+/// Partial-result size in bytes with ID lists under `encoding`: what a worker
+/// would ship to the driver.
 ///
-/// A group's ID list is charged once, however many aggregates read it; a
-/// count adds nothing of its own (it is the size of that list).
+/// A group's ID list is charged once, however many aggregates read it.
 fn partial_bytes(groups: &PartialGroups, encoding: IdListEncoding, group_columns: usize) -> usize {
     groups
         .values()
@@ -634,12 +609,7 @@ fn partial_bytes(groups: &PartialGroups, encoding: IdListEncoding, group_columns
             } else {
                 0
             };
-            let words = group.aggregates.iter().map(|partial| match partial {
-                PartialAggregate::Sum { .. } => 8,
-                PartialAggregate::Count => 0,
-                PartialAggregate::Extreme { .. } => 16,
-            });
-            ids + words.sum::<usize>()
+            ids + aggregate_words(&group.aggregates)
         })
         .sum::<usize>()
         + groups.len() * 8 * group_columns.max(1)
@@ -747,7 +717,6 @@ impl SeabedServer {
             .map(|agg| ResolvedAggregate::resolve(agg, &self.table.schema))
             .collect::<Result<_, _>>()?;
 
-        let inflation = query.group_inflation.max(1) as u64;
         let mode = self.cluster.config.exec_mode;
         let table = &self.table;
 
@@ -767,6 +736,18 @@ impl SeabedServer {
             Vec::new()
         };
 
+        let empty = PartialGroup::new(query.aggregates.iter().map(empty_state_of).collect());
+        let fold = Fold {
+            group_columns: &group_columns,
+            inflation: if group_columns.is_empty() {
+                1
+            } else {
+                query.group_inflation.max(1) as u64
+            },
+            resolved: &resolved,
+            collect_ids: empty.aggregates.iter().any(PartialAggregate::reads_ids),
+            empty,
+        };
         let (partials, mut stats) = self.cluster.run(table, |partition| {
             let mut sink = if analyze {
                 ProfileSink::enabled()
@@ -774,39 +755,34 @@ impl SeabedServer {
                 ProfileSink::disabled()
             };
             let scanned = match mode {
-                ExecMode::Scalar => scan_scalar(partition, filters, &group_columns, &resolved, inflation, &mut sink),
-                ExecMode::Vectorized => scan_vectorized(
-                    partition,
-                    &ordered,
-                    &filter_labels,
-                    &group_columns,
-                    &resolved,
-                    inflation,
-                    &mut sink,
-                ),
+                ExecMode::Scalar => scan_scalar(partition, filters, &fold, &mut sink),
+                ExecMode::Vectorized => scan_vectorized(partition, &ordered, &filter_labels, &fold, &mut sink),
             };
             match scanned {
-                Ok(groups) => {
-                    let bytes = partial_bytes(&groups, PARTIAL_ID_ENCODING, group_columns.len());
-                    TaskOutput::new(Ok((groups, sink.into_operators())), bytes)
+                Ok(partial) => {
+                    let bytes = flat_partial_bytes(&partial, &fold, PARTIAL_ID_ENCODING);
+                    TaskOutput::new(Ok((partial, sink.into_operators())), bytes)
                 }
                 Err(err) => TaskOutput::new(Err(err), 0),
             }
         });
 
-        // Driver: merge partial groups (propagating any partition failure)
-        // through the shared merge implementation; per-partition operator
-        // profiles merge element-wise — every partition records the same
-        // operator sequence, including zeroed slots past an empty selection.
-        let mut merged: PartialGroups = HashMap::new();
+        // Driver: fold the partitions' partials (propagating any partition
+        // failure); per-partition operator profiles merge element-wise —
+        // every partition records the same operator sequence, including
+        // zeroed slots past an empty selection.
+        let mut flats: Vec<FlatPartial> = Vec::with_capacity(partials.len());
         let mut operators: Vec<OperatorProfile> = Vec::new();
         for partial in partials {
-            let (groups, partition_ops) = partial?;
-            merge_partial_groups(&mut merged, groups);
+            let (flat, partition_ops) = partial?;
+            flats.push(flat);
             operators = merge_operator_profiles(&operators, &partition_ops);
         }
         stats.operators = operators;
-        Ok(PartialResponse { groups: merged, stats })
+        Ok(PartialResponse {
+            groups: fold_flat_partials(flats, fold.key_width(), resolved.len()),
+            stats,
+        })
     }
 }
 
@@ -828,11 +804,10 @@ fn response_encoding(query: &TranslatedQuery) -> IdListEncoding {
     }
 }
 
-/// The empty (identity) merge state for a logical server aggregate, without
-/// needing a table to resolve columns against. Matches
-/// `ResolvedAggregate::empty_state` for every resolvable aggregate, so a
-/// gather point that never saw the table (the `seabed-dist` coordinator) can
-/// still synthesize the empty global group.
+/// The empty (identity) merge state for a logical server aggregate: what a
+/// scan's groups start from and — no table needed to resolve columns against
+/// — what a gather point that never saw one (the `seabed-dist` coordinator)
+/// synthesizes the empty global group from.
 fn empty_state_of(agg: &ServerAggregate) -> PartialAggregate {
     match agg.input() {
         AggregateInput::Words(_) => PartialAggregate::Sum { value: 0 },
@@ -1021,20 +996,20 @@ impl QueryTarget for SeabedServer {
     }
 }
 
-/// Reference row-at-a-time partition scan. The scalar loop interleaves
-/// filtering and accumulation per row, so it profiles as one fused
-/// `scan:scalar` operator rather than a per-filter breakdown (which is a
-/// vectorized concept).
+/// Reference row-at-a-time partition scan: the oracle the vectorized scan is
+/// held against (`tests/differential_exec.rs`). It probes a `HashMap` with a
+/// freshly built key and pushes one identifier per row, shares none of the
+/// flat scan's machinery, and hands its groups to the same driver fold. The
+/// loop interleaves filtering and accumulation per row, so it profiles as one
+/// fused `scan:scalar` operator rather than a per-filter breakdown (which is
+/// a vectorized concept).
 fn scan_scalar(
     partition: &Partition,
     filters: &[PhysicalFilter],
-    group_columns: &[usize],
-    resolved: &[ResolvedAggregate],
-    inflation: u64,
+    fold: &Fold<'_>,
     sink: &mut ProfileSink,
-) -> Result<PartialGroups, SeabedError> {
+) -> Result<FlatPartial, SeabedError> {
     let started = sink.begin();
-    let accumulator = Accumulator::new(resolved);
     let mut groups: PartialGroups = HashMap::new();
     let n = partition.num_rows();
     let mut matched = 0u64;
@@ -1043,8 +1018,8 @@ fn scan_scalar(
             continue;
         }
         matched += 1;
-        let mut key: Vec<u64> = Vec::with_capacity(group_columns.len() + usize::from(inflation > 1));
-        for &c in group_columns {
+        let mut key: Vec<u64> = Vec::with_capacity(fold.key_width());
+        for &c in fold.group_columns {
             // A missing or mistyped group column must fail loudly: defaulting
             // here would silently fold the row into group key 0.
             let cell = partition
@@ -1055,58 +1030,26 @@ fn scan_scalar(
                 })?;
             key.push(cell);
         }
-        if !group_columns.is_empty() && inflation > 1 {
-            // The paper appends a pseudo-random identifier in [0, factor)
-            // to the group key (§4.5); hashing the row id keeps the
-            // assignment deterministic without correlating with the
-            // group value.
-            key.push(splitmix64(partition.row_id(row)) % inflation);
+        if fold.inflation > 1 {
+            key.push(fold.suffix(partition.row_id(row)));
         }
-        let group = groups.entry(key).or_insert_with(|| accumulator.empty.clone());
-        accumulator.observe(group, partition, row);
+        let group = groups.entry(key).or_insert_with(|| fold.empty.clone());
+        fold.observe(group, partition, row);
     }
     sink.finish(started, "scan:scalar", n as u64, matched, 1);
-    Ok(groups)
-}
-
-/// Drives `body` once per selected row, in ascending order: densely over the
-/// whole partition when no filter narrowed it (`sel` is `None` — no all-rows
-/// selection is ever materialised), otherwise off the selection vector in
-/// batches. Monomorphizes per call site, so the grouped hot loops stay tight.
-fn for_each_selected(
-    sel: Option<&SelectionVector>,
-    n: usize,
-    mut body: impl FnMut(usize) -> Result<(), SeabedError>,
-) -> Result<(), SeabedError> {
-    match sel {
-        None => {
-            for row in 0..n {
-                body(row)?;
-            }
-        }
-        Some(sel) => {
-            for batch in sel.batches() {
-                for &row in batch {
-                    body(row as usize)?;
-                }
-            }
-        }
-    }
-    Ok(())
+    Ok(FlatPartial::from_groups(groups, fold.key_width()))
 }
 
 /// Vectorized partition scan: filters narrow a selection vector column at a
-/// time, then aggregation runs off the selection in batches (or streams the
-/// partition densely when there are no filters).
+/// time, then [`aggregate`] folds the selection (or, with no filter, the
+/// whole partition) into a flat partial.
 fn scan_vectorized(
     partition: &Partition,
     ordered_filters: &[&PhysicalFilter],
     filter_labels: &[String],
-    group_columns: &[usize],
-    resolved: &[ResolvedAggregate],
-    inflation: u64,
+    fold: &Fold<'_>,
     sink: &mut ProfileSink,
-) -> Result<PartialGroups, SeabedError> {
+) -> Result<FlatPartial, SeabedError> {
     let n = partition.num_rows();
     if n > exec::MAX_PARTITION_ROWS {
         return Err(SeabedError::engine(format!(
@@ -1160,79 +1103,126 @@ fn scan_vectorized(
         }
     };
 
-    let mut groups: PartialGroups = HashMap::new();
+    // A partition that selects nothing returns no group; its aggregate slot
+    // stays in the sequence so shapes stay stable.
     let selected_rows = sel.as_ref().map_or(n, |s| s.len());
-    let agg_batches = (selected_rows as u64).div_ceil(exec::BATCH_ROWS as u64);
-    if selected_rows == 0 {
-        // Keep the aggregate slot in the sequence so shapes stay stable.
-        sink.record(OperatorProfile {
-            label: "aggregate".to_string(),
-            batches: agg_batches,
-            ..OperatorProfile::default()
-        });
-        return Ok(groups);
-    }
     let agg_started = sink.begin();
-    let accumulator = Accumulator::new(resolved);
-
-    if group_columns.is_empty() {
-        // Global aggregation: one group, no per-row key hashing at all; the
-        // unfiltered case collapses the ID list into one run.
-        groups.insert(Vec::new(), accumulator.global(partition, sel.as_ref())?);
-    } else if group_columns.len() == 1 && inflation == 1 {
-        // Single-u64-key fast path: hash a bare u64 per row instead of
-        // allocating and hashing a Vec<u64> key.
-        let keys = typed_slice!(partition, group_columns[0], u64_slice, "UInt64")?;
-        let mut fast: HashMap<u64, PartialGroup> = HashMap::new();
-        for_each_selected(sel.as_ref(), n, |row| {
-            let Some(&key) = keys.get(row) else {
-                return Err(SeabedError::engine(format!(
-                    "group column {} shorter than partition",
-                    group_columns[0]
-                )));
-            };
-            let group = fast.entry(key).or_insert_with(|| accumulator.empty.clone());
-            accumulator.observe(group, partition, row);
-            Ok(())
-        })?;
-        groups.extend(fast.into_iter().map(|(k, group)| (vec![k], group)));
-    } else {
-        // General composite-key path (multiple group columns and/or an
-        // inflation suffix): key columns are resolved to slices once, the
-        // per-row Vec<u64> key remains inherent to composite keys.
-        let key_cols: Vec<&[u64]> = group_columns
-            .iter()
-            .map(|&c| typed_slice!(partition, c, u64_slice, "UInt64"))
-            .collect::<Result<_, _>>()?;
-        for_each_selected(sel.as_ref(), n, |row| {
-            let mut key: Vec<u64> = Vec::with_capacity(key_cols.len() + usize::from(inflation > 1));
-            for col in &key_cols {
-                let Some(&cell) = col.get(row) else {
-                    return Err(SeabedError::engine("group column shorter than partition"));
-                };
-                key.push(cell);
-            }
-            if inflation > 1 {
-                key.push(splitmix64(partition.row_id(row)) % inflation);
-            }
-            let group = groups.entry(key).or_insert_with(|| accumulator.empty.clone());
-            accumulator.observe(group, partition, row);
-            Ok(())
-        })?;
-    }
+    let partial = match selected_rows {
+        0 => FlatPartial::default(),
+        _ => aggregate(partition, sel.as_ref().map(SelectionVector::rows), fold)?,
+    };
+    let passes = u64::from(selected_rows > 0);
     sink.finish(
         agg_started,
         "aggregate",
         selected_rows as u64,
-        groups.len() as u64,
-        agg_batches,
+        partial.groups() as u64,
+        passes,
     );
-    Ok(groups)
+    Ok(partial)
+}
+
+/// Folds the selected rows of a partition — `rows` ascending, `None` for
+/// every row; at least one — into a flat partial, at work proportional to
+/// rows and runs.
+///
+/// [`group_rows`] numbers each row's group key (any number of `UInt64` group
+/// columns, resolved to slices once, plus the inflation suffix, which is
+/// arithmetic on the row id) and lays the rows out group after group,
+/// ascending within each, so a group's ID runs, words and MIN/MAX candidates
+/// are each one pass over its slice. A global aggregate is the one-group case
+/// and skips the sort: its slice is the selection itself.
+fn aggregate(partition: &Partition, rows: Option<&[u32]>, fold: &Fold<'_>) -> Result<FlatPartial, SeabedError> {
+    let n = partition.num_rows();
+    let key_width = fold.key_width();
+    let grouped = if key_width == 0 {
+        None
+    } else {
+        let key_cols: Vec<&[u64]> = fold
+            .group_columns
+            .iter()
+            .map(|&c| match typed_slice!(partition, c, u64_slice, "UInt64") {
+                Ok(col) if col.len() < n => {
+                    Err(SeabedError::engine(format!("group column {c} shorter than partition")))
+                }
+                other => other,
+            })
+            .collect::<Result<_, _>>()?;
+        Some(group_rows(rows, n, key_width, |row, key| {
+            for (word, col) in key.iter_mut().zip(&key_cols) {
+                *word = col[row];
+            }
+            if fold.inflation > 1 {
+                key[key_width - 1] = fold.suffix(partition.row_id(row));
+            }
+        }))
+    };
+    let groups = grouped.as_ref().map_or(1, GroupedRows::groups);
+    // `None`: the whole partition, densely (the unfiltered global aggregate).
+    let slice_of = |group: usize| match &grouped {
+        None => rows,
+        Some(grouped) => Some(grouped.rows_of(group)),
+    };
+
+    let mut runs: Vec<Run> = Vec::new();
+    let mut run_ends: Vec<usize> = Vec::with_capacity(groups);
+    for group in 0..groups {
+        match slice_of(group) {
+            _ if !fold.collect_ids => {}
+            None => runs.push(Run::new(partition.row_id(0), partition.row_id(n - 1))),
+            Some(slice) => append_offset_runs(slice, partition.start_row, &mut runs),
+        }
+        run_ends.push(runs.len());
+    }
+
+    // Aggregate by aggregate, so each column is resolved to a slice once and
+    // streamed group after group, every group's rows ascending as the scalar
+    // path sees them.
+    let aggs = fold.resolved.len();
+    let mut states: Vec<PartialAggregate> = Vec::with_capacity(groups * aggs);
+    for _ in 0..groups {
+        states.extend_from_slice(&fold.empty.aggregates);
+    }
+    for (a, spec) in fold.resolved.iter().enumerate() {
+        match *spec {
+            ResolvedAggregate::Sum { column } => {
+                let col = typed_slice!(partition, column, u64_slice, "UInt64")?;
+                let cell = |&row: &u32| col.get(row as usize).copied().unwrap_or_default();
+                for group in 0..groups {
+                    let value = match slice_of(group) {
+                        None => col.iter().copied().fold(0, u64::wrapping_add),
+                        Some(slice) => slice.iter().map(cell).fold(0, u64::wrapping_add),
+                    };
+                    states[group * aggs + a] = PartialAggregate::Sum { value };
+                }
+            }
+            ResolvedAggregate::Count => {}
+            ResolvedAggregate::Extreme { .. } => {
+                for group in 0..groups {
+                    let state = &mut states[group * aggs + a];
+                    match slice_of(group) {
+                        None => (0..n).for_each(|row| spec.observe(state, partition, row)),
+                        Some(slice) => slice
+                            .iter()
+                            .for_each(|&row| spec.observe(state, partition, row as usize)),
+                    }
+                }
+            }
+        }
+    }
+    Ok(FlatPartial {
+        key_width,
+        keys: grouped.map(|grouped| grouped.keys).unwrap_or_default(),
+        states,
+        runs,
+        run_ends,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seabed_ashe::IdSet;
     use seabed_engine::{ClusterConfig, ColumnData, Schema};
     use seabed_error::SchemaError;
     use seabed_query::{GroupByColumn, SupportCategory};

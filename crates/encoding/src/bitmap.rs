@@ -123,7 +123,7 @@ impl Bitmap {
             for offset in container.iter_offsets() {
                 let id = (key << CHUNK_BITS) | offset as u64;
                 match runs.last_mut() {
-                    Some(run) if id == run.end + 1 => run.end = id,
+                    Some(run) if id.checked_sub(1) == Some(run.end) => run.end = id,
                     Some(run) if id <= run.end => {}
                     _ => runs.push(Run::new(id, id)),
                 }
@@ -202,6 +202,20 @@ impl Bitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A forged bitmap may put anything after the last identifier; `to_runs`
+    /// used to overflow looking for its successor (a panic in debug builds).
+    #[test]
+    fn forged_chunk_after_the_last_identifier_is_ignored() {
+        let forged = Bitmap {
+            chunks: vec![
+                (u64::MAX >> CHUNK_BITS, Container::Array(vec![u16::MAX])),
+                (0, Container::Array(vec![0])),
+            ],
+        };
+        let reread = Bitmap::deserialize(&forged.serialize()).unwrap();
+        assert_eq!(reread.to_runs(), vec![Run::new(u64::MAX, u64::MAX)]);
+    }
 
     #[test]
     fn insert_and_cardinality() {

@@ -14,8 +14,8 @@
 //! the raw bytes whenever compression would not help.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::huffman::{CodeBook, Decoder};
-use crate::lz77::{copy_match, tokenize, Profile, Token, MAX_MATCH};
+use crate::huffman::{self, CodeBook, Decoder};
+use crate::lz77::{copy_match, tokenize, Profile, Token, MAX_MATCH, MIN_MATCH};
 
 /// Compression level, mirroring the two configurations in Figure 8.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -108,22 +108,47 @@ const DIST_CODES: [(u16, u8); 30] = [
 /// Number of literal/length symbols: 256 literals + 29 length codes.
 const LITLEN_SYMBOLS: usize = 256 + LENGTH_CODES.len();
 
-fn length_to_symbol(len: u16) -> (usize, u8, u32) {
-    for (i, &(base, extra)) in LENGTH_CODES.iter().enumerate().rev() {
-        if len >= base {
-            return (256 + i, extra, (len - base) as u32);
+/// Bytes of a compressed block before its bit stream: the kind, the two
+/// counts and the two packed code-length tables.
+const COMPRESSED_HEADER_LEN: usize = 9 + LITLEN_SYMBOLS.div_ceil(2) + DIST_CODES.len().div_ceil(2);
+
+/// Index into [`LENGTH_CODES`] of every match length, by `length - MIN_MATCH`.
+const LENGTH_SYMBOLS: [u8; MAX_MATCH - MIN_MATCH + 1] = {
+    let mut table = [0u8; MAX_MATCH - MIN_MATCH + 1];
+    let mut code = 0;
+    let mut at = 0;
+    while at < table.len() {
+        if code + 1 < LENGTH_CODES.len() && LENGTH_CODES[code + 1].0 as usize <= at + MIN_MATCH {
+            code += 1;
         }
+        table[at] = code as u8;
+        at += 1;
     }
-    unreachable!("length below MIN_MATCH")
+    table
+};
+
+/// The literal/length symbol of a match length, the number of extra bits
+/// after its code and their value.
+fn length_to_symbol(len: u16) -> (usize, u8, u32) {
+    let code = LENGTH_SYMBOLS[len as usize - MIN_MATCH] as usize;
+    let (base, extra) = LENGTH_CODES[code];
+    (256 + code, extra, (len - base) as u32)
 }
 
+/// The distance symbol of a match distance, the number of extra bits after
+/// its code and their value. Past the first four, every power of two starts
+/// two symbols: the symbol is the position of `distance - 1`'s top bit,
+/// doubled, plus the bit below it.
 fn dist_to_symbol(dist: u16) -> (usize, u8, u32) {
-    for (i, &(base, extra)) in DIST_CODES.iter().enumerate().rev() {
-        if dist >= base {
-            return (i, extra, (dist - base) as u32);
-        }
-    }
-    unreachable!("distance below 1")
+    let below = dist as u32 - 1;
+    let code = if below < 4 {
+        below as usize
+    } else {
+        let top = 31 - below.leading_zeros();
+        (2 * top + ((below >> (top - 1)) & 1)) as usize
+    };
+    let (base, extra) = DIST_CODES[code];
+    (code, extra, (dist - base) as u32)
 }
 
 fn pack_lengths(lengths: &[u8], out: &mut Vec<u8>) {
@@ -149,13 +174,31 @@ fn unpack_lengths(data: &[u8], count: usize) -> Option<(Vec<u8>, usize)> {
     Some((out, bytes_needed))
 }
 
+fn stored_block(data: &[u8]) -> Vec<u8> {
+    let mut stored = Vec::with_capacity(data.len() + 5);
+    stored.push(BLOCK_STORED);
+    stored.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    stored.extend_from_slice(data);
+    stored
+}
+
 /// Compresses `data` at the given level.
+///
+/// A compressed block is kept only when it is no longer than the input, and
+/// its length is known before it is written — the header's fixed size plus
+/// each symbol's frequency times its code length and extra bits — so an
+/// input that ends up stored costs the match search and the two tables of
+/// code lengths, never the codes or a bit stream.
 pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
+    if data.len() <= COMPRESSED_HEADER_LEN {
+        // The header alone is as long, and any token adds to it.
+        return stored_block(data);
+    }
     let tokens = tokenize(data, &level.profile());
 
     // Gather symbol frequencies.
-    let mut litlen_freq = vec![0u64; LITLEN_SYMBOLS];
-    let mut dist_freq = vec![0u64; DIST_CODES.len()];
+    let mut litlen_freq = [0u64; LITLEN_SYMBOLS];
+    let mut dist_freq = [0u64; DIST_CODES.len()];
     for t in &tokens {
         match *t {
             Token::Literal(b) => litlen_freq[b as usize] += 1,
@@ -165,10 +208,26 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
             }
         }
     }
-    let litlen_book = CodeBook::from_frequencies(&litlen_freq);
-    let dist_book = CodeBook::from_frequencies(&dist_freq);
+    let litlen_lengths = huffman::code_lengths(&litlen_freq);
+    let dist_lengths = huffman::code_lengths(&dist_freq);
 
-    let mut out = Vec::with_capacity(data.len() / 2 + 64);
+    let extra_bits_of = |freqs: &[u64], codes: &[(u16, u8)]| -> u64 {
+        freqs.iter().zip(codes).map(|(&f, &(_, extra))| f * extra as u64).sum()
+    };
+    let stream_bits = huffman::encoded_bits(&litlen_lengths, &litlen_freq)
+        + huffman::encoded_bits(&dist_lengths, &dist_freq)
+        + extra_bits_of(&litlen_freq[256..], &LENGTH_CODES)
+        + extra_bits_of(&dist_freq, &DIST_CODES);
+    let stream_len = stream_bits.div_ceil(8) as usize;
+    if COMPRESSED_HEADER_LEN + stream_len > data.len() {
+        // Compression did not pay off; emit a stored block.
+        return stored_block(data);
+    }
+    let prefix_code = "Huffman code lengths describe a prefix code";
+    let litlen_book = CodeBook::from_lengths(litlen_lengths).expect(prefix_code);
+    let dist_book = CodeBook::from_lengths(dist_lengths).expect(prefix_code);
+
+    let mut out = Vec::with_capacity(COMPRESSED_HEADER_LEN + stream_len);
     out.push(BLOCK_COMPRESSED);
     // Original length and token count as little-endian u32 (ID lists and
     // serialized results are far below 4 GiB per block).
@@ -177,7 +236,7 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
     pack_lengths(&litlen_book.lengths, &mut out);
     pack_lengths(&dist_book.lengths, &mut out);
 
-    let mut writer = BitWriter::new();
+    let mut writer = BitWriter::with_capacity(stream_len);
     for t in &tokens {
         match *t {
             Token::Literal(b) => litlen_book.encode_symbol(b as usize, &mut writer),
@@ -191,16 +250,8 @@ pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
             }
         }
     }
+    debug_assert_eq!(writer.bit_len() as u64, stream_bits);
     out.extend_from_slice(&writer.finish());
-
-    if out.len() > data.len() {
-        // Compression did not pay off; emit a stored block.
-        let mut stored = Vec::with_capacity(data.len() + 5);
-        stored.push(BLOCK_STORED);
-        stored.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        stored.extend_from_slice(data);
-        return stored;
-    }
     out
 }
 
@@ -454,6 +505,76 @@ pub(crate) mod tests {
         let mut dist = vec![0u8; DIST_CODES.len()];
         dist[0] = 1;
         forge(3, 1, &litlen, &dist, &[0])
+    }
+
+    /// Table and `leading_zeros` symbols ≡ the backwards scan of the code
+    /// tables they replaced, for every match length and every distance.
+    #[test]
+    fn length_and_distance_symbols_match_the_table_scan() {
+        let scan = |codes: &[(u16, u8)], value: u16| {
+            let (i, &(base, extra)) = codes
+                .iter()
+                .enumerate()
+                .rev()
+                .find(|(_, &(base, _))| value >= base)
+                .expect("value below the first base");
+            (i, extra, (value - base) as u32)
+        };
+        for len in MIN_MATCH as u16..=MAX_MATCH as u16 {
+            let (i, extra, bits) = scan(&LENGTH_CODES, len);
+            assert_eq!(length_to_symbol(len), (256 + i, extra, bits), "length {len}");
+            assert!(bits < 1 << extra || extra == 0 && bits == 0);
+        }
+        for dist in 1..=crate::lz77::WINDOW_SIZE as u16 {
+            let (i, extra, bits) = scan(&DIST_CODES, dist);
+            assert_eq!(dist_to_symbol(dist), (i, extra, bits), "distance {dist}");
+            assert!(bits < 1 << extra || extra == 0 && bits == 0);
+        }
+    }
+
+    /// A block is stored exactly when the compressed one would be longer —
+    /// decided from the frequencies, so pinned here around the boundary: the
+    /// shortest inputs that can compress at all, and bodies that do by a
+    /// byte or fail to by a byte.
+    #[test]
+    fn the_stored_or_compressed_decision_is_the_written_size() {
+        assert_eq!(COMPRESSED_HEADER_LEN, 167);
+        for level in [Level::Fast, Level::Compact] {
+            // One symbol repeated: a literal and one match, a bit for each
+            // code and five of length — a one-byte stream, a 168-byte block.
+            for len in [0usize, 1, 166, 167] {
+                assert_eq!(compress(&vec![7u8; len], level)[0], BLOCK_STORED, "{len} bytes");
+            }
+            for len in [168usize, 169, 200] {
+                let block = compress(&vec![7u8; len], level);
+                assert_eq!((block[0], block.len()), (BLOCK_COMPRESSED, 168), "{len} bytes");
+                assert_eq!(decompress(&block), Some(vec![7u8; len]));
+            }
+            // Eight-bit noise never compresses; two-symbol noise always does
+            // once the header is paid for; in between the decision flips,
+            // and the output is never longer than the stored form.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x570aed);
+            let (mut stored, mut compressed) = (0, 0);
+            for round in 0..400u32 {
+                let len = rng.random_range(160..700usize);
+                let alphabet = 2 + round % 60;
+                let data: Vec<u8> = (0..len).map(|_| rng.random_range(0..alphabet) as u8).collect();
+                let block = compress(&data, level);
+                assert!(block.len() <= data.len() + 5);
+                match block[0] {
+                    BLOCK_STORED => stored += 1,
+                    _ => {
+                        assert!(block.len() <= data.len(), "kept a block longer than its input");
+                        compressed += 1;
+                    }
+                }
+                assert_eq!(decompress(&block), Some(data));
+            }
+            assert!(
+                stored > 50 && compressed > 50,
+                "{stored} stored, {compressed} compressed"
+            );
+        }
     }
 
     #[test]

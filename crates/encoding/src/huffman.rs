@@ -20,27 +20,12 @@ pub struct CodeBook {
 }
 
 impl CodeBook {
-    /// Builds a code book from symbol frequencies.
-    ///
-    /// Symbols with zero frequency get length 0. If only one distinct symbol
-    /// occurs, it is assigned a 1-bit code so the stream remains decodable.
+    /// Builds a code book from symbol frequencies: [`code_lengths`], then the
+    /// canonical codes of those lengths.
     pub fn from_frequencies(freqs: &[u64]) -> CodeBook {
-        let n = freqs.len();
-        let mut lengths = compute_code_lengths(freqs);
-        // Enforce the length cap by flattening any over-long code; with the
-        // package-merge-free heuristic below this is rare and handled by
-        // recomputing with scaled frequencies.
-        let mut scale = 1u64;
-        while lengths.iter().any(|&l| l > MAX_CODE_LEN) {
-            scale *= 2;
-            let scaled: Vec<u64> = freqs.iter().map(|&f| if f == 0 { 0 } else { f / scale + 1 }).collect();
-            lengths = compute_code_lengths(&scaled);
-        }
-        let codes = canonical_codes(&lengths);
-        CodeBook {
-            lengths,
-            codes: codes.unwrap_or_else(|| vec![0; n]),
-        }
+        let lengths = code_lengths(freqs);
+        let codes = canonical_codes(&lengths).unwrap_or_else(|| vec![0; freqs.len()]);
+        CodeBook { lengths, codes }
     }
 
     /// Rebuilds a code book from a serialized length table.
@@ -58,12 +43,34 @@ impl CodeBook {
 
     /// Expected encoded size in bits for the given frequencies.
     pub fn encoded_bits(&self, freqs: &[u64]) -> u64 {
-        freqs
-            .iter()
-            .enumerate()
-            .map(|(s, &f)| f * self.lengths.get(s).copied().unwrap_or(0) as u64)
-            .sum()
+        encoded_bits(&self.lengths, freqs)
     }
+}
+
+/// Huffman code lengths, at most [`MAX_CODE_LEN`], for symbol frequencies —
+/// all a compressor needs to know how long its output will be; the codes
+/// themselves ([`CodeBook::from_lengths`]) follow from them.
+///
+/// Symbols with zero frequency get length 0. If only one distinct symbol
+/// occurs, it is assigned a 1-bit code so the stream remains decodable.
+pub fn code_lengths(freqs: &[u64]) -> Vec<u8> {
+    let mut lengths = compute_code_lengths(freqs);
+    // Enforce the length cap by flattening any over-long code; with the
+    // package-merge-free construction below this is rare and handled by
+    // recomputing with scaled frequencies.
+    let mut scale = 1u64;
+    while lengths.iter().any(|&l| l > MAX_CODE_LEN) {
+        scale *= 2;
+        let scaled: Vec<u64> = freqs.iter().map(|&f| if f == 0 { 0 } else { f / scale + 1 }).collect();
+        lengths = compute_code_lengths(&scaled);
+    }
+    lengths
+}
+
+/// Bits symbols of the given frequencies take under codes of the given
+/// lengths (a symbol past the end of `lengths` has no code and counts zero).
+pub fn encoded_bits(lengths: &[u8], freqs: &[u64]) -> u64 {
+    freqs.iter().zip(lengths).map(|(&f, &len)| f * len as u64).sum()
 }
 
 /// A decoder for a canonical code, built from the code-length table alone.
@@ -149,68 +156,62 @@ impl Decoder {
     }
 }
 
-/// Computes Huffman code lengths from frequencies using the classic two-queue
-/// tree construction.
+/// Computes Huffman code lengths from frequencies: the leaves sorted by
+/// weight, then the classic two-queue merge — the next lightest node is at
+/// the head of either the sorted leaves or the internal nodes made so far,
+/// whose weights come out non-decreasing.
+///
+/// Which tree comes out of equal weights is part of the compressed format
+/// (the lengths are written into every block): at equal weight a leaf goes
+/// before an internal node, a leaf of a smaller symbol before a larger one,
+/// an earlier internal node before a later one — the order a min-heap keyed
+/// by (weight, node number) pops them in, leaves numbered first.
 fn compute_code_lengths(freqs: &[u64]) -> Vec<u8> {
-    #[derive(Clone)]
-    struct Node {
-        freq: u64,
-        left: Option<usize>,
-        right: Option<usize>,
-        symbol: Option<usize>,
-    }
-
-    let mut nodes: Vec<Node> = Vec::new();
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> = std::collections::BinaryHeap::new();
-    for (s, &f) in freqs.iter().enumerate() {
-        if f > 0 {
-            nodes.push(Node {
-                freq: f,
-                left: None,
-                right: None,
-                symbol: Some(s),
-            });
-            heap.push(std::cmp::Reverse((f, nodes.len() - 1)));
-        }
-    }
     let mut lengths = vec![0u8; freqs.len()];
-    match heap.len() {
-        0 => return lengths,
-        1 => {
-            let std::cmp::Reverse((_, idx)) = heap.pop().unwrap();
-            lengths[nodes[idx].symbol.unwrap()] = 1;
-            return lengths;
+    // (weight, symbol), ascending; the sort is by the pair, so equal weights
+    // stay in symbol order.
+    let mut leaves: Vec<(u64, u32)> = freqs
+        .iter()
+        .enumerate()
+        .filter(|(_, &f)| f > 0)
+        .map(|(s, &f)| (f, s as u32))
+        .collect();
+    leaves.sort_unstable();
+    let n = leaves.len();
+    if n < 2 {
+        if let Some(&(_, s)) = leaves.first() {
+            lengths[s as usize] = 1;
         }
-        _ => {}
+        return lengths;
     }
-    while heap.len() > 1 {
-        let std::cmp::Reverse((f1, n1)) = heap.pop().unwrap();
-        let std::cmp::Reverse((f2, n2)) = heap.pop().unwrap();
-        nodes.push(Node {
-            freq: f1 + f2,
-            left: Some(n1),
-            right: Some(n2),
-            symbol: None,
-        });
-        heap.push(std::cmp::Reverse((f1 + f2, nodes.len() - 1)));
+    // Nodes are numbered leaves first (in sorted order), then internal nodes
+    // in the order they are made; the root is the last.
+    let mut weight: Vec<u64> = leaves.iter().map(|&(f, _)| f).collect();
+    weight.reserve(n - 1);
+    // Each node's parent, then — once the tree is whole — its depth.
+    let mut link = vec![0u32; 2 * n - 1];
+    let (mut next_leaf, mut next_internal) = (0usize, n);
+    for made in n..2 * n - 1 {
+        let mut take = || {
+            let leaf = next_leaf < n && (next_internal >= made || weight[next_leaf] <= weight[next_internal]);
+            let node = if leaf { &mut next_leaf } else { &mut next_internal };
+            *node += 1;
+            *node - 1
+        };
+        let (a, b) = (take(), take());
+        link[a] = made as u32;
+        link[b] = made as u32;
+        weight.push(weight[a] + weight[b]);
     }
-    // Walk the tree assigning depths.
-    let root = heap.pop().unwrap().0 .1;
-    let mut stack = vec![(root, 0u8)];
-    while let Some((idx, depth)) = stack.pop() {
-        let node = nodes[idx].clone();
-        if let Some(s) = node.symbol {
-            lengths[s] = depth.max(1);
-        } else {
-            if let Some(l) = node.left {
-                stack.push((l, depth + 1));
-            }
-            if let Some(r) = node.right {
-                stack.push((r, depth + 1));
-            }
-        }
+    // A parent is made after its children, so walking the numbers downwards
+    // meets every node after its parent's link has become a depth.
+    link[2 * n - 2] = 0;
+    for node in (0..2 * n - 2).rev() {
+        link[node] = link[link[node] as usize] + 1;
     }
-    let _ = nodes.last().map(|n| n.freq); // silence dead-field lint paths
+    for (node, &(_, s)) in leaves.iter().enumerate() {
+        lengths[s as usize] = link[node].min(u8::MAX as u32) as u8;
+    }
     lengths
 }
 
@@ -241,13 +242,13 @@ fn canonical_codes(lengths: &[u8]) -> Option<Vec<u32>> {
         code = (code + bl_count[bits - 1]) << 1;
         next_code[bits] = code;
     }
+    // Codes of one length are handed out in symbol order.
     let mut codes = vec![0u32; lengths.len()];
-    let mut ordered: Vec<usize> = (0..lengths.len()).filter(|&s| lengths[s] > 0).collect();
-    ordered.sort_by_key(|&s| (lengths[s], s));
-    for s in ordered {
-        let l = lengths[s] as usize;
-        codes[s] = next_code[l];
-        next_code[l] += 1;
+    for (s, &l) in lengths.iter().enumerate() {
+        if l > 0 {
+            codes[s] = next_code[l as usize];
+            next_code[l as usize] += 1;
+        }
     }
     Some(codes)
 }
@@ -255,6 +256,131 @@ fn canonical_codes(lengths: &[u8]) -> Option<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+
+    /// The construction this module shipped before the two-queue merge — a
+    /// binary heap of (weight, node number) and a depth-first walk — kept as
+    /// the oracle for [`compute_code_lengths`]: the tie order it happens to
+    /// have is the format's.
+    fn heap_code_lengths(freqs: &[u64]) -> Vec<u8> {
+        use std::cmp::Reverse;
+        // (left, right) children; `None` for a leaf, whose symbol is kept.
+        let mut nodes: Vec<(Option<(usize, usize)>, usize)> = Vec::new();
+        let mut heap = std::collections::BinaryHeap::new();
+        for (s, &f) in freqs.iter().enumerate() {
+            if f > 0 {
+                nodes.push((None, s));
+                heap.push(Reverse((f, nodes.len() - 1)));
+            }
+        }
+        let mut lengths = vec![0u8; freqs.len()];
+        if heap.len() == 1 {
+            lengths[nodes[0].1] = 1;
+            return lengths;
+        }
+        while heap.len() > 1 {
+            let Reverse((f1, n1)) = heap.pop().unwrap();
+            let Reverse((f2, n2)) = heap.pop().unwrap();
+            nodes.push((Some((n1, n2)), 0));
+            heap.push(Reverse((f1 + f2, nodes.len() - 1)));
+        }
+        let mut stack: Vec<(usize, u8)> = heap.pop().map(|Reverse((_, root))| (root, 0)).into_iter().collect();
+        while let Some((idx, depth)) = stack.pop() {
+            match nodes[idx] {
+                (None, s) => lengths[s] = depth.max(1),
+                (Some((l, r)), _) => stack.extend([(l, depth + 1), (r, depth + 1)]),
+            }
+        }
+        lengths
+    }
+
+    /// The scaling loop of [`CodeBook::from_frequencies`] over the oracle.
+    fn heap_book_lengths(freqs: &[u64]) -> Vec<u8> {
+        let mut lengths = heap_code_lengths(freqs);
+        let mut scale = 1u64;
+        while lengths.iter().any(|&l| l > MAX_CODE_LEN) {
+            scale *= 2;
+            let scaled: Vec<u64> = freqs.iter().map(|&f| if f == 0 { 0 } else { f / scale + 1 }).collect();
+            lengths = heap_code_lengths(&scaled);
+        }
+        lengths
+    }
+
+    /// Two-queue code lengths ≡ heap code lengths, ties included: no, one,
+    /// two and many symbols, all-equal weights, few distinct weights (ties
+    /// between leaves and internal nodes at every level), and Fibonacci
+    /// weights deep enough that [`MAX_CODE_LEN`] forces the rescaling loop.
+    #[test]
+    fn two_queue_code_lengths_match_the_heap_oracle() {
+        let check = |freqs: &[u64]| {
+            assert_eq!(compute_code_lengths(freqs), heap_code_lengths(freqs), "{freqs:?}");
+            let book = CodeBook::from_frequencies(freqs);
+            assert_eq!(book.lengths, heap_book_lengths(freqs), "{freqs:?}");
+            assert!(book.lengths.iter().all(|&l| l <= MAX_CODE_LEN));
+        };
+        check(&[]);
+        check(&[0, 0, 0]);
+        check(&[0, 7, 0]);
+        check(&[3, 0, 3]);
+        check(&[1, 2]);
+        for n in [3, 4, 5, 7, 8, 9, 30, 64, 285] {
+            check(&vec![1; n]);
+            check(&vec![1 << 40; n]);
+        }
+        let mut fib = vec![1u64, 1];
+        while fib.len() < 40 {
+            fib.push(fib[fib.len() - 1] + fib[fib.len() - 2]);
+        }
+        for take in [3, 10, 16, 17, 18, 25, 40] {
+            check(&fib[..take]);
+            let reversed: Vec<u64> = fib[..take].iter().rev().copied().collect();
+            check(&reversed);
+        }
+        assert!(
+            compute_code_lengths(&fib).iter().any(|&l| l > MAX_CODE_LEN),
+            "the Fibonacci table must reach the rescaling loop"
+        );
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4c454e);
+        for round in 0..3_000u32 {
+            let symbols = [2usize, 3, 30, 285][round as usize % 4];
+            let used = rng.random_range(0..symbols + 1);
+            // Weights from a few values (ties everywhere) up to wide ones.
+            let spread = [1u64, 2, 4, 50, 1 << 20][rng.random_range(0..5usize)];
+            let freqs: Vec<u64> = (0..symbols)
+                .map(|_| {
+                    if rng.random_range(0..symbols) < used {
+                        1 + rng.random_range(0..spread)
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            check(&freqs);
+        }
+    }
+
+    /// Canonical codes by counting ≡ the definition: the symbols sorted by
+    /// (length, symbol) take consecutive codes, shifted left at each longer
+    /// length.
+    #[test]
+    fn canonical_codes_follow_length_then_symbol_order() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xc0de5);
+        for _ in 0..300 {
+            let freqs: Vec<u64> = (0..rng.random_range(1..80usize))
+                .map(|_| rng.random_range(0..20u64))
+                .collect();
+            let book = CodeBook::from_frequencies(&freqs);
+            let mut ordered: Vec<usize> = (0..freqs.len()).filter(|&s| book.lengths[s] > 0).collect();
+            ordered.sort_by_key(|&s| (book.lengths[s], s));
+            let (mut code, mut len) = (0u32, 0u8);
+            for (i, &s) in ordered.iter().enumerate() {
+                code = (code + u32::from(i > 0)) << (book.lengths[s] - len);
+                len = book.lengths[s];
+                assert_eq!(book.codes[s], code, "symbol {s} of {:?}", book.lengths);
+            }
+        }
+    }
 
     #[test]
     fn single_symbol_gets_one_bit() {

@@ -11,6 +11,11 @@
 //! 3. **variable-byte encoding** — small numbers use few bytes;
 //! 4. an optional DEFLATE pass (fast or compact profile).
 //!
+//! Encoded lists come back from an untrusted server (and, between a worker
+//! and its coordinator, from an untrusted peer), so [`decode_runs`] answers
+//! with a *canonical* run list — strictly ascending, disjoint, maximal — or
+//! not at all: every consumer may rely on that form without re-checking it.
+//!
 //! The paper also evaluates bitmap encodings and finds them unattractive for
 //! this workload; [`IdListEncoding::Bitmap`] is kept so the Figure 8 ablation
 //! can reproduce that comparison.
@@ -57,6 +62,27 @@ pub fn ids_to_runs(ids: &[u64]) -> Vec<Run> {
         }
     }
     runs
+}
+
+/// Appends to `runs` the maximal runs of the identifiers `base + offset`
+/// for ascending, deduplicated `offsets` — a selection vector's rows, with
+/// `base` the partition's first row identifier: one pass to count the runs
+/// (no branch per offset) and make room, one to write them.
+pub fn append_offset_runs(offsets: &[u32], base: u64, runs: &mut Vec<Run>) {
+    let Some((&first, rest)) = offsets.split_first() else {
+        return;
+    };
+    let breaks: usize = offsets.windows(2).map(|w| usize::from(w[1] != w[0] + 1)).sum();
+    runs.reserve(breaks + 1);
+    let (mut start, mut end) = (first, first);
+    for &offset in rest {
+        if offset != end + 1 {
+            runs.push(Run::new(base + start as u64, base + end as u64));
+            start = offset;
+        }
+        end = offset;
+    }
+    runs.push(Run::new(base + start as u64, base + end as u64));
 }
 
 /// Expands runs back into the individual identifiers.
@@ -125,61 +151,79 @@ impl IdListEncoding {
 
 fn encode_ranges_vb(runs: &[Run]) -> Vec<u8> {
     // Raw bounds: start_1, end_1, start_2, end_2, ...
-    let mut values = Vec::with_capacity(runs.len() * 2);
+    let mut out = Vec::with_capacity(runs.len() * 4);
     for run in runs {
-        values.push(run.start);
-        values.push(run.end);
+        varint::encode_u64(run.start, &mut out);
+        varint::encode_u64(run.end, &mut out);
     }
-    varint::encode_all(&values)
+    out
+}
+
+/// Appends `[start, end]` to a canonical run list being decoded: `None`
+/// unless it lies wholly above the last run. A run that begins right after
+/// the last one ends extends it — the two name each identifier once, so the
+/// set is not in doubt, only its spelling, and the result is the maximal-run
+/// form either way.
+fn push_decoded(runs: &mut Vec<Run>, start: u64, end: u64) -> Option<()> {
+    if end < start {
+        return None;
+    }
+    match runs.last_mut() {
+        Some(last) if start <= last.end => return None,
+        Some(last) if start - 1 == last.end => last.end = end,
+        _ => runs.push(Run { start, end }),
+    }
+    Some(())
+}
+
+/// Reads `data` as pairs of variable-byte integers, handing each to `pair`;
+/// `None` on a malformed integer, an odd count or a pair `pair` refuses.
+fn decode_pairs(data: &[u8], mut pair: impl FnMut(u64, u64) -> Option<()>) -> Option<()> {
+    let mut pos = 0;
+    while pos < data.len() {
+        let (first, next) = varint::decode_u64(data, pos)?;
+        let (second, next) = varint::decode_u64(data, next)?;
+        pair(first, second)?;
+        pos = next;
+    }
+    Some(())
 }
 
 fn decode_ranges_vb(data: &[u8]) -> Option<Vec<Run>> {
-    let values = varint::decode_all(data)?;
-    if values.len() % 2 != 0 {
-        return None;
-    }
-    let mut runs = Vec::with_capacity(values.len() / 2);
-    for pair in values.chunks(2) {
-        if pair[1] < pair[0] {
-            return None;
-        }
-        runs.push(Run::new(pair[0], pair[1]));
-    }
+    // Two bounds of at least a byte each per run.
+    let mut runs = Vec::with_capacity(data.len() / 2);
+    decode_pairs(data, |start, end| push_decoded(&mut runs, start, end))?;
     Some(runs)
 }
 
 fn encode_ranges_vb_diff(runs: &[Run]) -> Vec<u8> {
     // Differential bounds: start_1, end_1 - start_1, start_2 - end_1, ...
     // This is the "Combination" row of Table 3.
-    let mut values = Vec::with_capacity(runs.len() * 2);
+    let mut out = Vec::with_capacity(runs.len() * 4);
     let mut prev = 0u64;
     for run in runs {
-        values.push(run.start - prev);
-        values.push(run.end - run.start);
+        varint::encode_u64(run.start - prev, &mut out);
+        varint::encode_u64(run.end - run.start, &mut out);
         prev = run.end;
     }
-    varint::encode_all(&values)
+    out
 }
 
 fn decode_ranges_vb_diff(data: &[u8]) -> Option<Vec<Run>> {
-    let values = varint::decode_all(data)?;
-    if values.len() % 2 != 0 {
-        return None;
-    }
-    let mut runs = Vec::with_capacity(values.len() / 2);
+    let mut runs = Vec::with_capacity(data.len() / 2);
     let mut prev = 0u64;
-    for pair in values.chunks(2) {
-        let start = prev.checked_add(pair[0])?;
-        let end = start.checked_add(pair[1])?;
-        runs.push(Run::new(start, end));
-        prev = end;
-    }
+    decode_pairs(data, |gap, span| {
+        let start = prev.checked_add(gap)?;
+        prev = start.checked_add(span)?;
+        push_decoded(&mut runs, start, prev)
+    })?;
     Some(runs)
 }
 
 fn encode_vb_diff(runs: &[Run]) -> Vec<u8> {
-    // Per-ID deltas (no range structure), as used for group-by results.
-    let mut out = Vec::new();
+    // Per-ID deltas (no range structure), as used for group-by results,
+    // whose runs are mostly single rows a one- or two-byte gap apart.
+    let mut out = Vec::with_capacity(runs.len() * 2);
     let mut prev = 0u64;
     for run in runs {
         for id in run.start..=run.end {
@@ -191,15 +235,15 @@ fn encode_vb_diff(runs: &[Run]) -> Vec<u8> {
 }
 
 fn decode_vb_diff(data: &[u8]) -> Option<Vec<Run>> {
-    let deltas = varint::decode_all(data)?;
-    let mut ids = Vec::with_capacity(deltas.len());
-    let mut prev = 0u64;
-    for (i, &d) in deltas.iter().enumerate() {
-        let id = if i == 0 { d } else { prev.checked_add(d)? };
-        ids.push(id);
-        prev = id;
+    let mut runs = Vec::new();
+    let (mut prev, mut pos) = (0u64, 0);
+    while pos < data.len() {
+        let (delta, next) = varint::decode_u64(data, pos)?;
+        prev = prev.checked_add(delta)?;
+        push_decoded(&mut runs, prev, prev)?;
+        pos = next;
     }
-    Some(ids_to_runs(&ids))
+    Some(runs)
 }
 
 /// Encodes a run list with the chosen encoding.
@@ -215,6 +259,15 @@ pub fn encode_runs(runs: &[Run], encoding: IdListEncoding) -> Vec<u8> {
 }
 
 /// Decodes a run list. Returns `None` on malformed input.
+///
+/// What comes back is always *canonical* — runs strictly ascending, disjoint
+/// and maximal, the form [`ids_to_runs`] builds and every consumer (set
+/// union, `run.start - prev` in the encoders, one PRF boundary pair per run)
+/// takes for granted — whatever the bytes say, since they may come from an
+/// untrusted peer. A list that names an identifier twice or out of order is
+/// refused: runs that overlap or step backwards, a repeated identifier in
+/// the per-ID form. Two *adjacent* runs (`[1, 3], [4, 6]`) name each
+/// identifier once and are coalesced into one, as a set union would.
 pub fn decode_runs(data: &[u8], encoding: IdListEncoding) -> Option<Vec<Run>> {
     match encoding {
         IdListEncoding::RangesVb => decode_ranges_vb(data),
@@ -320,6 +373,20 @@ mod tests {
     }
 
     #[test]
+    fn offset_runs_are_the_runs_of_the_identifiers() {
+        let selections: [&[u32]; 6] = [&[], &[0], &[5], &[0, 1, 2, 3], &[0, 2, 3, 4, 9, 10, 12], &[7, 9, 11]];
+        for offsets in selections {
+            for base in [0u64, 1_000, u64::MAX - 12] {
+                let ids: Vec<u64> = offsets.iter().map(|&o| base + o as u64).collect();
+                let mut runs = vec![Run::new(0, 0)];
+                append_offset_runs(offsets, base, &mut runs);
+                assert_eq!(runs[0], Run::new(0, 0), "appends, does not overwrite");
+                assert_eq!(&runs[1..], &ids_to_runs(&ids)[..], "{offsets:?} at {base}");
+            }
+        }
+    }
+
+    #[test]
     fn contiguous_selection_is_constant_size() {
         // Selectivity 100%: one run regardless of how many rows — range
         // encoding keeps the list tiny (the paper's best case).
@@ -391,6 +458,99 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Only canonical run lists come out of `decode_runs`. Each forged list
+    /// here used to decode: the first into an unsorted set whose union with
+    /// anything dropped `1–3` and whose `RangesVbDiff` encoding underflowed,
+    /// the second into overlapping runs counting sixteen IDs for fifteen.
+    #[test]
+    fn decode_runs_refuses_lists_that_are_not_ascending_and_disjoint() {
+        use IdListEncoding::*;
+        let vb = |values: &[u64]| varint::encode_all(values);
+        let deflated = |body: &[u8]| deflate::compress(body, Level::Fast);
+
+        assert_eq!(decode_runs(&vb(&[10, 12, 1, 3]), RangesVb), None, "descending runs");
+        assert_eq!(decode_runs(&vb(&[1, 9, 0, 5]), RangesVbDiff), None, "overlapping runs");
+        assert_eq!(
+            decode_runs(&deflated(&vb(&[1, 9, 0, 5])), RangesVbDiffDeflateFast),
+            None
+        );
+        assert_eq!(
+            decode_runs(&deflated(&vb(&[1, 9, 0, 5])), RangesVbDiffDeflateCompact),
+            None
+        );
+        assert_eq!(decode_runs(&vb(&[1, 5, 5, 9]), RangesVb), None, "a shared bound");
+        assert_eq!(decode_runs(&vb(&[1, 5, 3, 4]), RangesVb), None, "a run inside another");
+        assert_eq!(
+            decode_runs(&vb(&[4, 2]), RangesVb),
+            None,
+            "a run that ends before it starts"
+        );
+        assert_eq!(decode_runs(&vb(&[5, 0]), VbDiff), None, "an identifier twice");
+        assert_eq!(
+            decode_runs(&vb(&[7, u64::MAX]), VbDiff),
+            None,
+            "past the last identifier"
+        );
+
+        // Adjacent runs name each identifier once: coalesced, not refused.
+        let joined = Some(vec![Run::new(1, 6)]);
+        assert_eq!(decode_runs(&vb(&[1, 3, 4, 6]), RangesVb), joined);
+        assert_eq!(decode_runs(&vb(&[1, 2, 1, 2]), RangesVbDiff), joined);
+        assert_eq!(
+            decode_runs(&deflated(&vb(&[1, 2, 1, 2])), RangesVbDiffDeflateFast),
+            joined
+        );
+        // A first run may start at zero, and the last identifier is one.
+        assert_eq!(
+            decode_runs(&vb(&[0, 0, 2, 0]), RangesVbDiff),
+            Some(vec![Run::new(0, 0), Run::new(2, 2)])
+        );
+        let top = Some(vec![Run::new(u64::MAX - 1, u64::MAX)]);
+        assert_eq!(decode_runs(&vb(&[u64::MAX - 1, u64::MAX]), RangesVb), top);
+        assert_eq!(decode_runs(&vb(&[u64::MAX - 1, 1]), VbDiff), top);
+    }
+
+    /// Whatever bytes arrive, a list that decodes is canonical and encodes
+    /// back (the subtraction in the differential encoders cannot underflow).
+    #[test]
+    fn whatever_decodes_is_canonical() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1d5e7);
+        let (mut accepted, mut refused) = (0, 0);
+        for round in 0..4_000u32 {
+            // Small values, so that a good share of the streams is ascending.
+            let values: Vec<u64> = (0..rng.random_range(0..12u32))
+                .map(|_| rng.random_range(0..1 + (round as u64 % 40)))
+                .collect();
+            let mut body = varint::encode_all(&values);
+            if round % 5 == 0 {
+                body.push(0x80 | rng.random::<u8>());
+            }
+            for enc in IdListEncoding::ALL {
+                let data = match enc {
+                    IdListEncoding::RangesVbDiffDeflateFast => deflate::compress(&body, Level::Fast),
+                    IdListEncoding::RangesVbDiffDeflateCompact => deflate::compress(&body, Level::Compact),
+                    _ => body.clone(),
+                };
+                let Some(runs) = decode_runs(&data, enc) else {
+                    refused += 1;
+                    continue;
+                };
+                accepted += 1;
+                assert!(
+                    runs.windows(2)
+                        .all(|w| w[0].end < w[1].start && w[1].start - w[0].end > 1),
+                    "{enc:?} of {values:?}: {runs:?}"
+                );
+                assert_eq!(decode_runs(&encode_runs(&runs, enc), enc), Some(runs));
+            }
+        }
+        assert!(
+            accepted > 2_000 && refused > 2_000,
+            "{accepted} accepted, {refused} refused"
+        );
     }
 
     #[test]

@@ -30,7 +30,9 @@ pub mod varint;
 
 pub use bitmap::Bitmap;
 pub use deflate::{compress, decompress, Level};
-pub use idlist::{decode_runs, encode_runs, encoded_size, ids_to_runs, runs_to_ids, IdListEncoding, Run};
+pub use idlist::{
+    append_offset_runs, decode_runs, encode_runs, encoded_size, ids_to_runs, runs_to_ids, IdListEncoding, Run,
+};
 
 #[cfg(test)]
 mod proptests {

@@ -4,6 +4,13 @@
 //! "Deflate (compact)" configurations compared in Figure 8 of the paper:
 //! the fast profile bounds the number of hash-chain probes per position, the
 //! compact profile searches much deeper and enables lazy matching.
+//!
+//! Most inputs are the few-hundred-byte ID lists of selective queries, so
+//! what a call touches is sized to its input: the chain heads (`Heads`) in
+//! a table of about two slots per input byte, the `prev` links in a
+//! per-thread buffer that only ever grows. Which matches are found does not
+//! depend on either — the tests hold the tokens to those of a fresh 32 Ki-slot
+//! direct table.
 
 /// Size of the sliding window (32 KiB, as in DEFLATE).
 pub const WINDOW_SIZE: usize = 32 * 1024;
@@ -53,93 +60,121 @@ impl Profile {
     };
 }
 
-fn hash3(data: &[u8], pos: usize) -> usize {
-    let a = data[pos] as u32;
-    let b = data[pos + 1] as u32;
-    let c = data[pos + 2] as u32;
-    (((a << 16) ^ (b << 8) ^ c).wrapping_mul(2654435761) >> 17) as usize & (HASH_SIZE - 1)
-}
-
-const HASH_SIZE: usize = 1 << 15;
+const HASH_BITS: u32 = 15;
+const HASH_SIZE: usize = 1 << HASH_BITS;
 /// "No position" in the hash chains; block positions stay below it.
 const NO_POS: u32 = u32::MAX;
 
-/// The heads of the hash chains, kept per thread from one [`tokenize`] call
-/// to the next. A slot belongs to the running call only if it carries that
-/// call's epoch, so starting a call costs an increment rather than a refill
-/// of all 32 Ki slots — which would outweigh the matching itself on the
-/// hundred-byte ID lists most queries answer with. Stale slots read as empty,
-/// so every match decision is what a freshly cleared table would give.
+fn hash3(data: &[u8], pos: usize) -> u32 {
+    let a = data[pos] as u32;
+    let b = data[pos + 1] as u32;
+    let c = data[pos + 2] as u32;
+    ((a << 16) ^ (b << 8) ^ c).wrapping_mul(2654435761) >> (32 - HASH_BITS)
+}
+
+/// What the match finder asks of the heads of its hash chains: the latest
+/// position inserted under each hash, [`NO_POS`] for a hash not seen yet.
+trait ChainHeads {
+    /// The latest position inserted under `hash`.
+    fn get(&self, hash: u32) -> u32;
+    /// Makes `pos` the latest position under `hash`; returns the one before.
+    fn replace(&mut self, hash: u32, pos: u32) -> u32;
+}
+
+/// The heads of the hash chains, in a table sized to the input and cleared
+/// at the start of every [`tokenize`] call: open addressing with linear
+/// probing, keyed by the whole 15-bit hash, so it answers exactly what a
+/// direct table of all 32 Ki hashes would. An input of `n` bytes inserts at
+/// most `n` hashes into `clamp(next_pow2(2n), 64, 32 Ki)` slots — at most half
+/// full, and at 32 Ki slots every hash has its own slot and no probe ever
+/// moves, which *is* the direct table. The hundred-byte ID lists most queries
+/// answer with therefore touch a few KB that stay in L1, where a 256 KB table
+/// was evicted by every scan between two calls and missed on every probe.
+#[derive(Default)]
 struct Heads {
-    epoch: u32,
-    /// (epoch the slot was written in, position).
+    /// (hash, position); an empty slot holds [`NO_POS`].
     slots: Vec<(u32, u32)>,
 }
 
 impl Heads {
-    const fn new() -> Heads {
-        Heads {
-            epoch: 0,
-            slots: Vec::new(),
-        }
+    /// Starts a call over `len` bytes of input: every hash reads as unseen.
+    fn begin(&mut self, len: usize) {
+        let slots = len.saturating_mul(2).next_power_of_two().clamp(64, HASH_SIZE);
+        self.slots.clear();
+        self.slots.resize(slots, (0, NO_POS));
     }
 
-    /// Starts a call: after this, every slot reads as empty.
-    fn begin(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 || self.slots.is_empty() {
-            // First use on this thread, or the epochs wrapped around and a
-            // slot from 2^32 calls ago could pass for current.
-            self.slots.clear();
-            self.slots.resize(HASH_SIZE, (0, 0));
-            self.epoch = 1;
+    /// The slot `hash` lives in, or the empty one it would take.
+    fn slot_of(&self, hash: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        while self.slots[at].1 != NO_POS && self.slots[at].0 != hash {
+            at = (at + 1) & mask;
         }
-    }
-
-    fn get(&self, hash: usize) -> u32 {
-        let (epoch, pos) = self.slots[hash];
-        if epoch == self.epoch {
-            pos
-        } else {
-            NO_POS
-        }
-    }
-
-    fn set(&mut self, hash: usize, pos: u32) {
-        self.slots[hash] = (self.epoch, pos);
+        at
     }
 }
 
-thread_local! {
-    static HEADS: std::cell::RefCell<Heads> = const { std::cell::RefCell::new(Heads::new()) };
+impl ChainHeads for Heads {
+    fn get(&self, hash: u32) -> u32 {
+        self.slots[self.slot_of(hash)].1
+    }
+
+    fn replace(&mut self, hash: u32, pos: u32) -> u32 {
+        let at = self.slot_of(hash);
+        std::mem::replace(&mut self.slots[at], (hash, pos)).1
+    }
 }
 
-struct Matcher<'a> {
-    data: &'a [u8],
-    heads: &'a mut Heads,
+/// The match finder's tables, kept per thread from one [`tokenize`] call to
+/// the next so that a call allocates nothing but its tokens.
+struct Scratch {
+    heads: Heads,
     /// Previous position with the same hash. Only ever read at positions
     /// `insert` has written, so it needs no particular initial value.
     prev: Vec<u32>,
 }
 
-impl<'a> Matcher<'a> {
-    fn new(data: &'a [u8], heads: &'a mut Heads) -> Self {
-        assert!(data.len() < NO_POS as usize, "a block holds less than 4 GiB");
-        heads.begin();
-        Matcher {
-            data,
-            heads,
-            prev: vec![0; data.len()],
-        }
-    }
+thread_local! {
+    static SCRATCH: std::cell::RefCell<Scratch> = const {
+        std::cell::RefCell::new(Scratch {
+            heads: Heads { slots: Vec::new() },
+            prev: Vec::new(),
+        })
+    };
+}
 
+/// Length of the common prefix of `data[a..]` and `data[b..]`, at most
+/// `max_len` (`a < b` and `b + max_len <= data.len()`), eight bytes at a time.
+fn common_prefix(data: &[u8], a: usize, b: usize, max_len: usize) -> usize {
+    let (x, y) = (&data[a..a + max_len], &data[b..b + max_len]);
+    let mut len = 0usize;
+    for (cx, cy) in x.chunks_exact(8).zip(y.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(cx.try_into().expect("8-byte chunk"))
+            ^ u64::from_le_bytes(cy.try_into().expect("8-byte chunk"));
+        if diff != 0 {
+            return len + diff.trailing_zeros() as usize / 8;
+        }
+        len += 8;
+    }
+    while len < max_len && x[len] == y[len] {
+        len += 1;
+    }
+    len
+}
+
+struct Matcher<'a, H> {
+    data: &'a [u8],
+    heads: &'a mut H,
+    prev: &'a mut [u32],
+}
+
+impl<H: ChainHeads> Matcher<'_, H> {
     fn insert(&mut self, pos: usize) {
         if pos + MIN_MATCH > self.data.len() {
             return;
         }
-        let h = hash3(self.data, pos);
-        self.prev[pos] = self.heads.get(h);
-        self.heads.set(h, pos as u32);
+        self.prev[pos] = self.heads.replace(hash3(self.data, pos), pos as u32);
     }
 
     /// Finds the longest match for the data at `pos`, returning (length, distance).
@@ -147,8 +182,7 @@ impl<'a> Matcher<'a> {
         if pos + MIN_MATCH > self.data.len() {
             return None;
         }
-        let h = hash3(self.data, pos);
-        let mut candidate = self.heads.get(h);
+        let mut candidate = self.heads.get(hash3(self.data, pos));
         let mut best_len = MIN_MATCH - 1;
         let mut best_dist = 0usize;
         let max_len = MAX_MATCH.min(self.data.len() - pos);
@@ -158,15 +192,14 @@ impl<'a> Matcher<'a> {
             if pos - cand > WINDOW_SIZE {
                 break;
             }
-            if cand < pos {
-                let mut len = 0usize;
-                while len < max_len && self.data[cand + len] == self.data[pos + len] {
-                    len += 1;
-                }
+            // Only a candidate that also matches one byte past the best
+            // so far can beat it.
+            if cand < pos && self.data[cand + best_len] == self.data[pos + best_len] {
+                let len = common_prefix(self.data, cand, pos, max_len);
                 if len > best_len {
                     best_len = len;
                     best_dist = pos - cand;
-                    if len >= profile.good_match {
+                    if len >= profile.good_match || len == max_len {
                         break;
                     }
                 }
@@ -184,12 +217,25 @@ impl<'a> Matcher<'a> {
 
 /// Tokenizes `data` into LZ77 literals and matches.
 pub fn tokenize(data: &[u8], profile: &Profile) -> Vec<Token> {
-    HEADS.with(|heads| tokenize_with(data, profile, &mut heads.borrow_mut()))
+    SCRATCH.with(|scratch| {
+        let Scratch { heads, prev } = &mut *scratch.borrow_mut();
+        heads.begin(data.len());
+        tokenize_with(data, profile, heads, prev)
+    })
 }
 
-fn tokenize_with(data: &[u8], profile: &Profile, heads: &mut Heads) -> Vec<Token> {
+/// [`tokenize`] over the given (cleared) chain heads and `prev` scratch.
+fn tokenize_with<H: ChainHeads>(data: &[u8], profile: &Profile, heads: &mut H, prev: &mut Vec<u32>) -> Vec<Token> {
+    assert!(data.len() < NO_POS as usize, "a block holds less than 4 GiB");
+    if prev.len() < data.len() {
+        prev.resize(data.len(), 0);
+    }
     let mut tokens = Vec::with_capacity(data.len() / 2 + 16);
-    let mut matcher = Matcher::new(data, heads);
+    let mut matcher = Matcher {
+        data,
+        heads,
+        prev: &mut prev[..data.len()],
+    };
     let mut pos = 0usize;
     while pos < data.len() {
         let current = matcher.find_match(pos, profile);
@@ -342,9 +388,112 @@ mod tests {
         assert_eq!(detokenize(&compact).as_deref(), Some(&data[..]));
     }
 
-    /// The per-thread head table changes nothing a freshly cleared one would
-    /// decide: not after other inputs went through it, not across the epoch
-    /// wrap-around, not from one thread to another.
+    /// The table this module shipped before the heads were sized to the
+    /// input: one slot for each of the 32 Ki hashes, kept as the oracle.
+    struct DirectHeads(Vec<u32>);
+
+    impl DirectHeads {
+        fn new() -> DirectHeads {
+            DirectHeads(vec![NO_POS; HASH_SIZE])
+        }
+    }
+
+    impl ChainHeads for DirectHeads {
+        fn get(&self, hash: u32) -> u32 {
+            self.0[hash as usize]
+        }
+
+        fn replace(&mut self, hash: u32, pos: u32) -> u32 {
+            std::mem::replace(&mut self.0[hash as usize], pos)
+        }
+    }
+
+    /// The tokens a fresh direct table and a fresh `prev` give.
+    fn tokenize_direct(data: &[u8], profile: &Profile) -> Vec<Token> {
+        tokenize_with(data, profile, &mut DirectHeads::new(), &mut Vec::new())
+    }
+
+    /// Sized heads ≡ the direct 32 Ki table, token for token, at both
+    /// profiles: lengths from nothing to past the window (so every table
+    /// size from 64 slots to the full 32 Ki is met, growing and shrinking
+    /// from one call to the next on this thread's scratch), alphabets from
+    /// one symbol (one hash, long chains) to 200, and the `gap, 0, gap, 0`
+    /// shape of a `RangesVbDiff` body of single-row runs.
+    #[test]
+    fn sized_heads_make_the_decisions_of_the_direct_table() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1277);
+        let mut sizes_seen = std::collections::BTreeSet::new();
+        for round in 0..3_200u32 {
+            // Mostly short (the ID lists of selective queries), sometimes long.
+            let len = match round % 64 {
+                0 => rng.random_range(0..40_000usize),
+                1..=6 => rng.random_range(0..5_000usize),
+                _ => rng.random_range(0..400usize),
+            };
+            let alphabet = rng.random_range(1..201u32);
+            let data: Vec<u8> = if round % 3 == 0 {
+                // Gaps between selected rows, each followed by a zero span;
+                // a gap over 127 takes two bytes.
+                let mut body = Vec::with_capacity(len + 2);
+                while body.len() < len {
+                    crate::varint::encode_u64(1 + rng.random_range(0..alphabet as u64 * 2), &mut body);
+                    body.push(0);
+                }
+                body.truncate(len);
+                body
+            } else {
+                (0..len).map(|_| rng.random_range(0..alphabet) as u8).collect()
+            };
+            let mut heads = Heads::default();
+            heads.begin(data.len());
+            sizes_seen.insert(heads.slots.len());
+            for profile in [Profile::FAST, Profile::COMPACT] {
+                let expected = tokenize_direct(&data, &profile);
+                assert_eq!(
+                    tokenize(&data, &profile),
+                    expected,
+                    "round {round}: {len} bytes of {alphabet}"
+                );
+                assert_eq!(detokenize(&expected).as_deref(), Some(&data[..]));
+            }
+        }
+        let expected_sizes: Vec<usize> = (6..=HASH_BITS).map(|bits| 1 << bits).collect();
+        assert_eq!(sizes_seen.into_iter().collect::<Vec<_>>(), expected_sizes);
+    }
+
+    /// The word-at-a-time prefix length ≡ the byte loop it replaced, at
+    /// every offset of the first difference against every limit.
+    #[test]
+    fn common_prefix_matches_the_byte_loop() {
+        let bytewise = |data: &[u8], a: usize, b: usize, max_len: usize| {
+            let mut len = 0usize;
+            while len < max_len && data[a + len] == data[b + len] {
+                len += 1;
+            }
+            len
+        };
+        for same in 0..40usize {
+            for gap in [1usize, 2, 7, 8, 9] {
+                // Two copies of a pattern `gap` apart, differing after `same` bytes.
+                let mut data: Vec<u8> = (0..gap + 48).map(|i| (i % gap) as u8).collect();
+                if gap + same < data.len() {
+                    data[gap + same] ^= 0x40;
+                }
+                for max_len in 0..=data.len() - gap {
+                    assert_eq!(
+                        common_prefix(&data, 0, gap, max_len),
+                        bytewise(&data, 0, gap, max_len),
+                        "same {same}, gap {gap}, limit {max_len}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The per-thread scratch changes nothing a fresh table would decide:
+    /// not after other (longer and shorter) inputs went through it, not from
+    /// one thread to another.
     #[test]
     fn reused_head_table_makes_the_decisions_of_a_fresh_one() {
         let a: Vec<u8> = (0..6000u32).map(|i| (i.wrapping_mul(2654435761) >> 29) as u8).collect();
@@ -352,23 +501,13 @@ mod tests {
             .map(|i| ((i / 3).wrapping_mul(40503) >> 13) as u8 & 7)
             .collect();
         for profile in [Profile::FAST, Profile::COMPACT] {
-            let fresh = tokenize_with(&b, &profile, &mut Heads::new());
+            let fresh = tokenize_direct(&b, &profile);
             assert!(fresh.iter().any(|t| matches!(t, Token::Match { .. })));
 
-            let mut heads = Heads::new();
-            tokenize_with(&a, &profile, &mut heads);
-            assert_eq!(tokenize_with(&b, &profile, &mut heads), fresh, "after another input");
-            // Slots stamped 1 and 2 are in the table; run the epoch over the
-            // top so those numbers come round again.
-            heads.epoch = u32::MAX - 1;
-            tokenize_with(&a, &profile, &mut heads);
-            assert_eq!(heads.epoch, u32::MAX);
-            assert_eq!(tokenize_with(&b, &profile, &mut heads), fresh, "across the wrap");
-            assert_eq!(heads.epoch, 1);
-            assert_eq!(tokenize_with(&b, &profile, &mut heads), fresh, "after the wrap");
-
             tokenize(&a, &profile);
-            assert_eq!(tokenize(&b, &profile), fresh, "this thread's table");
+            assert_eq!(tokenize(&b, &profile), fresh, "after a longer input");
+            tokenize(&b[..100], &profile);
+            assert_eq!(tokenize(&b, &profile), fresh, "after a shorter input");
             let b = b.clone();
             let elsewhere = std::thread::spawn(move || tokenize(&b, &profile)).join().unwrap();
             assert_eq!(elsewhere, fresh, "another thread's table");

@@ -12,9 +12,9 @@
 //! * **Vectorized** — the fast path: filters run *column at a time* over a
 //!   shrinking [`SelectionVector`], cheapest filter first, so each subsequent
 //!   (more expensive) filter only touches the rows that survived the earlier
-//!   ones. Aggregation is then driven off the final selection vector in
-//!   batches of [`BATCH_ROWS`] rows, reading each needed column as a
-//!   contiguous slice instead of through per-row dynamic accessors.
+//!   ones. Aggregation is then driven off the final selection vector,
+//!   reading each needed column as a contiguous slice instead of through
+//!   per-row dynamic accessors.
 //!
 //! # Selection-vector representation
 //!
@@ -23,9 +23,11 @@
 //! horizontal partition of a sharded table never approaches). A sorted index
 //! list was chosen over a bitmap because Seabed's filters are usually
 //! selective and its aggregates must visit selected rows in ascending order
-//! anyway — ASHE ID lists are run-length encoded, so ordered iteration keeps
-//! `IdSet::push_ordered` O(1) per row. All kernels preserve the ordering
-//! invariant: refinement only removes elements.
+//! anyway — ASHE ID lists are run-length encoded, and an ascending selection
+//! is one pass away from its maximal runs (consecutive offsets extend a run),
+//! for the whole selection or, after a stable counting sort, for each
+//! group's slice of it. All kernels preserve the ordering invariant:
+//! refinement only removes elements.
 //!
 //! The kernels themselves are deliberately tiny and generic over a predicate:
 //! callers hoist the per-filter dispatch (which comparison operator, which
@@ -50,10 +52,6 @@ pub enum ExecMode {
     #[default]
     Vectorized,
 }
-
-/// Rows per aggregation batch on the vectorized path. One batch of `u32`
-/// offsets (4 KiB) plus the touched column stripe stays comfortably inside L1.
-pub const BATCH_ROWS: usize = 1024;
 
 /// Maximum number of rows a single partition may hold for vectorized
 /// execution (`u32` row offsets).
@@ -102,12 +100,6 @@ impl SelectionVector {
     /// The selected row offsets, ascending.
     pub fn rows(&self) -> &[u32] {
         &self.rows
-    }
-
-    /// The selection in batches of at most [`BATCH_ROWS`] rows, for
-    /// cache-friendly aggregation loops.
-    pub fn batches(&self) -> impl Iterator<Item = &[u32]> {
-        self.rows.chunks(BATCH_ROWS)
     }
 }
 
@@ -293,9 +285,227 @@ pub fn refine_rows(sel: &mut SelectionVector, mut pred: impl FnMut(usize) -> boo
     sel.rows.truncate(kept);
 }
 
+/// Maps distinct group keys — `width` words each — to small integers, first
+/// seen first: open addressing over a power-of-two table at most half full, a
+/// multiply-shift hash of the key words. A partition scan numbers its rows'
+/// groups with one ([`group_rows`]), the driver the partitions' groups. The
+/// keys are a stored column's cells (DET tags, public values) plus the
+/// inflation suffix, not something a peer sends with a query, so the hash is
+/// not keyed; the data's owner could at worst slow down scans of their own
+/// table.
+#[derive(Clone, Debug)]
+pub struct GroupIndex {
+    width: usize,
+    /// The distinct keys, `width` words each, in first-seen order.
+    keys: Vec<u64>,
+    /// How many keys there are (`keys.len() / width`, but for `width` 0).
+    groups: usize,
+    /// Group number plus one; zero marks an empty slot.
+    slots: Vec<u32>,
+}
+
+impl GroupIndex {
+    /// An empty index over keys of `width` words (none for the one group of
+    /// a global aggregate).
+    pub fn new(width: usize) -> GroupIndex {
+        GroupIndex {
+            width,
+            keys: Vec::new(),
+            groups: 0,
+            slots: vec![0; 64],
+        }
+    }
+
+    /// Number of distinct keys seen.
+    pub fn groups(&self) -> usize {
+        self.groups
+    }
+
+    /// The key of group `group`.
+    pub fn key(&self, group: usize) -> &[u64] {
+        &self.keys[group * self.width..][..self.width]
+    }
+
+    /// The slot `key` starts probing at: the top bits of a multiply-shift
+    /// hash, which every bit of every word reaches.
+    fn home(&self, key: &[u64]) -> usize {
+        let hash = key.iter().fold(0u64, |h, &word| {
+            (h.rotate_left(29) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        });
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The number of `key`'s group, a new one if it has not been seen.
+    pub fn group_of(&mut self, key: &[u64]) -> u32 {
+        debug_assert_eq!(key.len(), self.width);
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(key);
+        while let Some(group) = self.slots[at].checked_sub(1) {
+            if self.key(group as usize) == key {
+                return group;
+            }
+            at = (at + 1) & mask;
+        }
+        let group = self.groups as u32;
+        self.keys.extend_from_slice(key);
+        self.groups += 1;
+        self.slots[at] = group + 1;
+        if self.groups * 2 > self.slots.len() {
+            self.grow();
+        }
+        group
+    }
+
+    /// Doubles the table and re-seats every group.
+    fn grow(&mut self) {
+        let doubled = self.slots.len() * 2;
+        self.slots.clear();
+        self.slots.resize(doubled, 0);
+        for group in 0..self.groups {
+            let mut at = self.home(self.key(group));
+            while self.slots[at] != 0 {
+                at = (at + 1) & (doubled - 1);
+            }
+            self.slots[at] = group as u32 + 1;
+        }
+    }
+}
+
+/// The selected rows of a partition laid out group after group
+/// ([`group_rows`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GroupedRows {
+    /// The distinct group keys in first-seen order, `key_width` words each.
+    pub keys: Vec<u64>,
+    /// The selected row offsets, sorted by group and ascending within each.
+    pub rows: Vec<u32>,
+    /// Group `g`'s rows are `rows[starts[g]..starts[g + 1]]`: one entry more
+    /// than there are groups.
+    pub starts: Vec<usize>,
+}
+
+impl GroupedRows {
+    /// Number of groups.
+    pub fn groups(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The rows of group `group`, ascending.
+    pub fn rows_of(&self, group: usize) -> &[u32] {
+        &self.rows[self.starts[group]..self.starts[group + 1]]
+    }
+}
+
+/// Group-by kernel: numbers the group of every selected row — `rows`
+/// ascending, `None` for all `n` rows of the partition — through a
+/// [`GroupIndex`], then lays the rows out group after group with a stable
+/// counting sort, so each group's slice stays ascending. `key_of` writes the
+/// `key_width`-word group key of a row offset into the buffer it is handed;
+/// no key is allocated per row and nothing is hashed twice.
+pub fn group_rows(
+    rows: Option<&[u32]>,
+    n: usize,
+    key_width: usize,
+    mut key_of: impl FnMut(usize, &mut [u64]),
+) -> GroupedRows {
+    debug_assert!(n <= MAX_PARTITION_ROWS);
+    let mut index = GroupIndex::new(key_width);
+    let mut key = vec![0u64; key_width];
+    let mut group_of = |row: u32| {
+        key_of(row as usize, &mut key);
+        index.group_of(&key)
+    };
+    let groups_of_rows: Vec<u32> = match rows {
+        None => (0..n as u32).map(&mut group_of).collect(),
+        Some(rows) => rows.iter().map(|&row| group_of(row)).collect(),
+    };
+    let mut starts = vec![0usize; index.groups + 1];
+    for &group in &groups_of_rows {
+        starts[group as usize + 1] += 1;
+    }
+    for group in 0..index.groups {
+        starts[group + 1] += starts[group];
+    }
+    let mut cursors = starts.clone();
+    let mut sorted = vec![0u32; groups_of_rows.len()];
+    for (at, &group) in groups_of_rows.iter().enumerate() {
+        sorted[cursors[group as usize]] = rows.map_or(at as u32, |rows| rows[at]);
+        cursors[group as usize] += 1;
+    }
+    GroupedRows {
+        keys: index.keys,
+        rows: sorted,
+        starts,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The index numbers keys in first-seen order through every growth step,
+    /// whatever half of the word they differ in, at any width.
+    #[test]
+    fn group_index_numbers_keys_in_first_seen_order() {
+        type KeyFamily = (&'static str, fn(u64) -> u64);
+        let families: [KeyFamily; 4] = [
+            ("dense", |i| i),
+            ("high half", |i| i << 32 | 0xdead_beef),
+            ("low half", |i| 0xabcd_0000_0000_0000 | i),
+            ("multiples of 2^40", |i| i << 40),
+        ];
+        for (name, key) in families {
+            for width in [1usize, 2] {
+                let mut index = GroupIndex::new(width);
+                let full = |i: u64| if width == 1 { vec![key(i)] } else { vec![7, key(i)] };
+                for round in 0..2 {
+                    for i in 0..1_000u64 {
+                        assert_eq!(
+                            index.group_of(&full(i)),
+                            i as u32,
+                            "{name}, width {width}, round {round}"
+                        );
+                    }
+                }
+                assert_eq!(index.groups(), 1_000);
+                assert_eq!(index.key(999), &full(999)[..]);
+                assert!(index.slots.len() >= 2_000, "at most half full");
+            }
+        }
+        // No key words: the one group of a global aggregate.
+        let mut global = GroupIndex::new(0);
+        assert_eq!((global.group_of(&[]), global.group_of(&[])), (0, 0));
+        assert_eq!((global.groups(), global.key(0)), (1, &[][..]));
+    }
+
+    /// `group_rows` ≡ the obvious stable grouping, over a selection and over
+    /// the whole partition.
+    #[test]
+    fn group_rows_is_a_stable_grouping_by_key() {
+        let n = 5_000usize;
+        let col: Vec<u64> = (0..n as u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 55)
+            .collect();
+        let selection: Vec<u32> = (0..n as u32).filter(|row| row % 3 != 1).collect();
+        for rows in [None, Some(&selection[..])] {
+            let grouped = group_rows(rows, n, 1, |row, key| key[0] = col[row]);
+            let all: Vec<u32> = (0..n as u32).collect();
+            let mut expected: Vec<(u64, Vec<u32>)> = Vec::new();
+            for &row in rows.unwrap_or(&all) {
+                match expected.iter_mut().find(|(key, _)| *key == col[row as usize]) {
+                    Some((_, members)) => members.push(row),
+                    None => expected.push((col[row as usize], vec![row])),
+                }
+            }
+            assert_eq!(grouped.groups(), expected.len());
+            assert!(grouped.groups() > 300, "the index grew: {} groups", grouped.groups());
+            for (group, (key, members)) in expected.iter().enumerate() {
+                assert_eq!(grouped.keys[group], *key);
+                assert_eq!(grouped.rows_of(group), &members[..], "group {group}");
+            }
+        }
+        assert_eq!(group_rows(Some(&[]), n, 1, |_, _| unreachable!()).groups(), 0);
+    }
 
     #[test]
     fn all_and_len() {
@@ -347,7 +557,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 63 == 1
         };
-        let n = 2 * BATCH_ROWS + 3;
+        let n = 2 * 1024 + 3;
         let patterns: Vec<(&str, Vec<bool>)> = vec![
             ("none", vec![false; n]),
             ("all", vec![true; n]),
@@ -377,17 +587,6 @@ mod tests {
             refine_u64(&mut sel, &col, |v| v == 1);
             assert_eq!(sel.rows(), expected, "refine_u64, {name}");
         }
-    }
-
-    #[test]
-    fn batches_cover_everything_once() {
-        let sel = SelectionVector::all(BATCH_ROWS * 2 + 17);
-        let mut seen = 0usize;
-        for batch in sel.batches() {
-            assert!(batch.len() <= BATCH_ROWS);
-            seen += batch.len();
-        }
-        assert_eq!(seen, sel.len());
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   overhead, stragglers) so the core-count sweeps of Figure 7 can be
 //!   reproduced on a laptop;
 //! * [`exec`] — vectorized execution primitives: selection vectors, batched
-//!   filter/aggregation kernels, and the [`ExecMode`] knob that switches the
+//!   filter kernels, the group-by kernel ([`GroupIndex`], [`group_rows`]),
+//!   and the [`ExecMode`] knob that switches the
 //!   scan between the row-at-a-time reference path and the column-at-a-time
 //!   fast path;
 //! * [`merge`] — the partial-aggregate merge algebra (ASHE partial sums,
@@ -37,8 +38,14 @@ pub mod storage;
 pub mod table;
 
 pub use cluster::{fan_out, Cluster, ClusterConfig, ExecStats, TaskOutput};
-pub use exec::{merge_operator_profiles, ExecMode, OperatorProfile, ProfileSink, SelectionVector};
-pub use merge::{merge_partial_groups, ExtremeCandidate, PartialAggregate, PartialGroup, PartialGroups};
+pub use exec::{
+    group_rows, merge_operator_profiles, ExecMode, GroupIndex, GroupedRows, OperatorProfile, ProfileSink,
+    SelectionVector,
+};
+pub use merge::{
+    fold_flat_partials, merge_partial_groups, ExtremeCandidate, FlatPartial, PartialAggregate, PartialGroup,
+    PartialGroups,
+};
 pub use netmodel::NetworkModel;
 pub use storage::{table_disk_size, table_memory_size};
 pub use table::{BytesColumn, ColumnData, ColumnType, Field, Partition, Schema, Table};

@@ -9,7 +9,11 @@
 //! the coordinator folds the per-worker partials it gathered over the
 //! network. Both folds MUST be the same implementation, or a distributed
 //! query could silently diverge from the single-server answer; this module is
-//! that single implementation.
+//! that single implementation. Below a server, partitions hand their groups
+//! over *flat* ([`FlatPartial`]) and the driver folds them in partition order
+//! ([`fold_flat_partials`]) — the same algebra at a cost per row and run
+//! rather than per (partition, group), held to the keyed merge by this
+//! module's tests.
 //!
 //! The ID set belongs to the group, not to an aggregate: ASHE's ID list names
 //! the rows whose masks a sum carries, and every aggregate of one group was
@@ -32,7 +36,8 @@
 //!   are incomparable, never displace a well-formed one, and never panic the
 //!   fold.
 
-use seabed_ashe::IdSet;
+use crate::exec::GroupIndex;
+use seabed_ashe::{IdSet, Run};
 use seabed_crypto::ore::{try_compare_symbols, OreCiphertext, ORE_CELL_BYTES};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -149,10 +154,11 @@ impl PartialGroup {
         }
     }
 
-    /// Folds `other` into `self`: the ID sets union once, the aggregates
-    /// merge pairwise.
+    /// Folds `other` into `self`: the ID sets union once ([`IdSet::merge`]:
+    /// appended in place when `other` covers later rows, as every in-order
+    /// partition and shard merge does), the aggregates merge pairwise.
     pub fn merge(&mut self, other: PartialGroup) {
-        self.ids = self.ids.union(&other.ids);
+        self.ids.merge(other.ids);
         for (a, b) in self.aggregates.iter_mut().zip(other.aggregates) {
             a.merge(b);
         }
@@ -178,9 +184,157 @@ pub fn merge_partial_groups(into: &mut PartialGroups, from: PartialGroups) {
     }
 }
 
+/// Partial results of one partition scan, flat: every group it met in four
+/// vectors, however many groups. Group `g`'s key is `keys[g·key_width..]`,
+/// its state for aggregate `a` is `states[g·aggs + a]`, and its ID runs are
+/// `runs[run_ends[g-1]..run_ends[g]]`. The driver folds these, in partition
+/// order, into the one [`PartialGroups`] a query returns
+/// ([`fold_flat_partials`]); a scan builds one at work proportional to rows
+/// and runs, with no key, aggregate vector or run list of its own per group.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FlatPartial {
+    /// Words per group key (none for the one group of a global aggregate).
+    pub key_width: usize,
+    /// The groups' keys, `key_width` words each; distinct.
+    pub keys: Vec<u64>,
+    /// The groups' aggregate states, in plan order within each group.
+    pub states: Vec<PartialAggregate>,
+    /// The groups' ID runs, group after group, canonical within each.
+    pub runs: Vec<Run>,
+    /// Where each group's runs end in `runs`; one entry per group.
+    pub run_ends: Vec<usize>,
+}
+
+impl FlatPartial {
+    /// Number of groups.
+    pub fn groups(&self) -> usize {
+        self.run_ends.len()
+    }
+
+    /// The key of group `group`.
+    pub fn key_of(&self, group: usize) -> &[u64] {
+        &self.keys[group * self.key_width..][..self.key_width]
+    }
+
+    /// The ID runs of group `group`.
+    pub fn runs_of(&self, group: usize) -> &[Run] {
+        let start = group.checked_sub(1).map_or(0, |before| self.run_ends[before]);
+        &self.runs[start..self.run_ends[group]]
+    }
+
+    /// The flat form of keyed groups: how a row-at-a-time scan (the scalar
+    /// oracle) feeds the same fold as a flat one.
+    pub fn from_groups(groups: PartialGroups, key_width: usize) -> FlatPartial {
+        let mut flat = FlatPartial {
+            key_width,
+            ..FlatPartial::default()
+        };
+        for (key, group) in groups {
+            flat.keys.extend_from_slice(&key);
+            flat.runs.extend_from_slice(group.ids.runs());
+            flat.run_ends.push(flat.runs.len());
+            flat.states.extend(group.aggregates);
+        }
+        flat
+    }
+}
+
+/// The driver's fold: the partitions' flat partials (keys `key_width` words,
+/// `aggs` states a group), in partition order, into the one [`PartialGroups`]
+/// a query returns — what folding each partition's groups with
+/// [`merge_partial_groups`] gives, at one key lookup per (partition, group)
+/// through a [`GroupIndex`] and one ID list, one aggregate vector and one key
+/// allocated per *result* group. A first pass numbers each (partition,
+/// group)'s result group and adds up the runs bound for it, so the second
+/// appends into lists reserved once ([`IdSet::merge_runs`]: in place when
+/// partitions come in row order, the total union otherwise) and merges the
+/// states.
+pub fn fold_flat_partials(partials: Vec<FlatPartial>, key_width: usize, aggs: usize) -> PartialGroups {
+    let mut index = GroupIndex::new(key_width);
+    let mut slots: Vec<usize> = Vec::with_capacity(partials.iter().map(FlatPartial::groups).sum());
+    let mut run_totals: Vec<usize> = Vec::new();
+    for partial in &partials {
+        for group in 0..partial.groups() {
+            let slot = index.group_of(partial.key_of(group)) as usize;
+            if slot == run_totals.len() {
+                run_totals.push(0);
+            }
+            run_totals[slot] += partial.runs_of(group).len();
+            slots.push(slot);
+        }
+    }
+
+    let mut merged = vec![PartialGroup::new(Vec::new()); run_totals.len()];
+    let mut slots = slots.into_iter();
+    for mut partial in partials {
+        let mut states = std::mem::take(&mut partial.states).into_iter();
+        for (group, slot) in (0..partial.groups()).zip(&mut slots) {
+            let into = &mut merged[slot];
+            let of_group = states.by_ref().take(aggs);
+            if into.aggregates.is_empty() {
+                into.ids.reserve(run_totals[slot]);
+                into.aggregates.extend(of_group);
+            } else {
+                into.aggregates
+                    .iter_mut()
+                    .zip(of_group)
+                    .for_each(|(state, other)| state.merge(other));
+            }
+            into.ids.merge_runs(partial.runs_of(group));
+        }
+    }
+    merged
+        .into_iter()
+        .enumerate()
+        .map(|(slot, group)| (index.key(slot).to_vec(), group))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The flat fold ≡ [`merge_partial_groups`] of the same partials, in
+    /// partition order and out of it (where ID runs interleave and the
+    /// append gives way to the union), for global and keyed groups.
+    #[test]
+    fn flat_fold_equals_the_keyed_merge() {
+        // Partition `p` selects every third of its 40 rows starting at
+        // `p % 3`, keyed by row % 4 (or not at all), summing the row ids.
+        let partial = |p: u64, keyed: bool| {
+            let mut groups = PartialGroups::new();
+            for id in (p * 40..p * 40 + 40).filter(|id| id % 3 == p % 3) {
+                let key = if keyed { vec![id % 4, 9] } else { Vec::new() };
+                let group = groups.entry(key).or_insert_with(|| sum(0, &[]));
+                group.merge(sum(id, &[id]));
+            }
+            groups
+        };
+        for keyed in [false, true] {
+            for order in [[0u64, 1, 2, 3], [2, 0, 3, 1]] {
+                let mut expected = PartialGroups::new();
+                for p in order {
+                    merge_partial_groups(&mut expected, partial(p, keyed));
+                }
+                let key_width = if keyed { 2 } else { 0 };
+                let flats = order
+                    .iter()
+                    .map(|&p| FlatPartial::from_groups(partial(p, keyed), key_width))
+                    .collect();
+                assert_eq!(
+                    fold_flat_partials(flats, key_width, 1),
+                    expected,
+                    "keyed {keyed}, {order:?}"
+                );
+                assert_eq!(expected.len(), if keyed { 4 } else { 1 });
+            }
+        }
+        assert_eq!(fold_flat_partials(Vec::new(), 1, 1), PartialGroups::new());
+        assert_eq!(
+            fold_flat_partials(vec![FlatPartial::default()], 0, 2),
+            PartialGroups::new()
+        );
+    }
 
     /// A one-aggregate group: an ASHE partial sum over `ids`.
     fn sum(value: u64, ids: &[u64]) -> PartialGroup {

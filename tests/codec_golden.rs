@@ -9,6 +9,12 @@
 //! decoder its canonical tables (PR 14), so a green run proves that no
 //! compressed byte moved — and, since every block is also decompressed here,
 //! that the new decoder reads the old format.
+//!
+//! The `selection-*` and `boundary-*` rows were added with PR 22 (the encoder
+//! rebuilt piece by piece: accumulator bit writer, two-queue code lengths,
+//! table symbols, chain heads sized to the input, blocks sized before they are
+//! written); their digests were recorded by running these cases on PR 22's
+//! *parent* commit, whose encoder was still the one of the older rows.
 
 use seabed_crypto::sha256::digest_hex;
 use seabed_encoding::{compress, decompress, encode_runs, ids_to_runs, IdListEncoding, Level, Run};
@@ -34,7 +40,34 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     let mut big = diff(&runs);
     assert!(big.len() >= 64 * 1024);
     big.truncate(64 * 1024);
+    // What `scan_adhoc`-shaped queries answer with: a seeded selection of
+    // 12 288 shuffled rows, mostly single-row runs (`gap, 0, gap, 0, …`).
+    // (`mix` alone will not do: multiples of the golden ratio fall into
+    // three distinct gaps, and such a list compresses like no real one.)
+    let selection = |percent: u64| {
+        let scrambled = |i: u64| {
+            let z = (mix(i + percent) ^ (i >> 7)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (z ^ (z >> 29)) % 100
+        };
+        let ids: Vec<u64> = (0..12_288u64).filter(|&i| scrambled(i) < percent).collect();
+        diff(&ids_to_runs(&ids))
+    };
+    // A compressed block's header is 167 bytes, so a 167-byte body is stored
+    // whatever it holds; this one compresses into a two-byte stream, so at 168
+    // bytes it is still stored and at 169 it comes back compressed.
+    let boundary = |len: usize| {
+        let mut body = diff(&ids_to_runs(&(0..200u64).map(|i| i * 2).collect::<Vec<_>>()));
+        body.truncate(len);
+        assert_eq!(body.len(), len);
+        body
+    };
     vec![
+        ("selection-1%", selection(1)),
+        ("selection-10%", selection(10)),
+        ("selection-50%", selection(50)),
+        ("boundary-167", boundary(167)),
+        ("boundary-168", boundary(168)),
+        ("boundary-169", boundary(169)),
         ("fragmented", diff(&ids_to_runs(&fragmented))),
         ("contiguous", diff(&[Run::new(0, 4_095), Run::new(8_192, 1_000_000)])),
         ("empty", Vec::new()),
@@ -48,7 +81,37 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
-const GOLDEN: [(&str, &str, &str); 6] = [
+const GOLDEN: [(&str, &str, &str); 12] = [
+    (
+        "selection-1%",
+        "c3b2229ccc9265f521158368c8b8e0d717fdd349ceaddcba1fce21a19951b46f",
+        "c3b2229ccc9265f521158368c8b8e0d717fdd349ceaddcba1fce21a19951b46f",
+    ),
+    (
+        "selection-10%",
+        "edc7f09600005318638895c10d339175d523768915f5e0c88e642739cf25712e",
+        "547d74cb3e7037dad226ec72034b6f50d532f49bcf480ded9346c6420df2eda7",
+    ),
+    (
+        "selection-50%",
+        "a922e425280246729b969b593c321bef46c2b8be3db86f772bcd1baa278b3c5e",
+        "9f2c797008104b51eb90b391241a630d02eabc5c4fc778efc49b48247d00cad3",
+    ),
+    (
+        "boundary-167",
+        "16748eb9f9238fc1f04d39a19f32c3fcac613efad892e16eb7a65f60801e935d",
+        "16748eb9f9238fc1f04d39a19f32c3fcac613efad892e16eb7a65f60801e935d",
+    ),
+    (
+        "boundary-168",
+        "83f4d1d5d77297f4224241063cd8bce07962b84f93c6db4e4be800f7df1087b4",
+        "83f4d1d5d77297f4224241063cd8bce07962b84f93c6db4e4be800f7df1087b4",
+    ),
+    (
+        "boundary-169",
+        "93b05239e4d1b29b7ec7d77f1df0d759dd7fbff1c6ef990078e755ea6cf5792d",
+        "93b05239e4d1b29b7ec7d77f1df0d759dd7fbff1c6ef990078e755ea6cf5792d",
+    ),
     (
         "fragmented",
         "b73edffb4c318f390b95f9cd5facd41f2e8f6a002632d1e13922173206da1758",

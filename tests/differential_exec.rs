@@ -11,9 +11,13 @@
 //!    operators, string equality, DET tags, ORE range predicates), SUM /
 //!    COUNT / MIN / MAX aggregates, 0–2 group-by columns and group inflation.
 //!    The scalar and vectorized responses must be *identical* (keys,
-//!    aggregate values, ID lists, byte accounting), and after de-inflation
+//!    aggregate values, ID lists, result and shuffle byte accounting), and
+//!    after de-inflation
 //!    they must match an independent plaintext evaluation (sums, group keys,
 //!    group counts, exact selected-row ID sets, MIN/MAX winners).
+//!    `flat_fold_matches_the_row_at_a_time_oracle_on_the_hard_shapes` runs
+//!    the same check over the shapes a per-partition group index and an
+//!    in-order driver fold can get wrong and random small tables never reach.
 //! 2. `server_matches_noenc_baseline` — pins both modes against
 //!    `seabed_core::baseline::NoEncSystem` for global and group-by sums.
 //! 3. `full_pipeline_modes_match_plaintext` — end-to-end through
@@ -74,14 +78,22 @@ struct FuzzTable {
 
 impl FuzzTable {
     fn generate(seed: u64, rows: usize, partitions: usize) -> FuzzTable {
-        let words: Vec<u64> = (0..rows as u64).map(|i| mix(seed, i, 1)).collect();
         let fvals: Vec<u64> = (0..rows as u64).map(|i| mix(seed, i, 2) % 16).collect();
+        let gvals: Vec<u64> = (0..rows as u64).map(|i| mix(seed, i, 6) % 6).collect();
+        FuzzTable::with_columns(seed, partitions, fvals, gvals)
+    }
+
+    /// A table whose plain filter column `f` and first group column `g` are
+    /// given (one cell per row); every other column is drawn from `seed`.
+    fn with_columns(seed: u64, partitions: usize, fvals: Vec<u64>, gvals: Vec<u64>) -> FuzzTable {
+        let rows = fvals.len();
+        assert_eq!(gvals.len(), rows);
+        let words: Vec<u64> = (0..rows as u64).map(|i| mix(seed, i, 1)).collect();
         let svals: Vec<String> = (0..rows as u64)
             .map(|i| TEXTS[(mix(seed, i, 3) % TEXTS.len() as u64) as usize].to_string())
             .collect();
         let dvals: Vec<u64> = (0..rows as u64).map(|i| mix(seed, i, 4) % 8).collect();
         let ovals: Vec<u64> = (0..rows as u64).map(|i| mix(seed, i, 5) % OPE_DOMAIN).collect();
-        let gvals: Vec<u64> = (0..rows as u64).map(|i| mix(seed, i, 6) % 6).collect();
         let hvals: Vec<u64> = (0..rows as u64).map(|i| mix(seed, i, 7) % 4).collect();
         let ope_words: Vec<u64> = (0..rows as u64).map(|i| mix(seed, i, 8)).collect();
         let schema = Schema::new([
@@ -311,6 +323,107 @@ fn deflate(
     Ok(out)
 }
 
+/// One differential case: scalar ≡ vectorized (groups, result bytes and the
+/// scan's shuffle bytes) ≡ a plaintext evaluation of the same filters, keys
+/// and aggregates. `group_mode` is the number of group columns (`g`, then
+/// `h`). Returns the response for shape-specific assertions.
+fn check_case(
+    t: &FuzzTable,
+    fuzz_filters: &[FuzzFilter],
+    group_mode: u8,
+    inflation: u32,
+    extreme: Option<bool>,
+) -> Result<ServerResponse, TestCaseError> {
+    let filters: Vec<PhysicalFilter> = fuzz_filters.iter().map(|f| f.physical()).collect();
+    let group_cols: &[&str] = match group_mode {
+        0 => &[],
+        1 => &["g"],
+        _ => &["g", "h"],
+    };
+    let want_max = extreme.unwrap_or(false);
+    let q = query(group_cols, inflation, extreme);
+
+    // 1. The two execution modes must agree exactly.
+    let scalar = server(&t.table, ExecMode::Scalar).execute(&q, &filters);
+    let vectorized = server(&t.table, ExecMode::Vectorized).execute(&q, &filters);
+    let (scalar, vectorized) = match (scalar, vectorized) {
+        (Ok(s), Ok(v)) => (s, v),
+        (s, v) => {
+            prop_assert!(false, "execution failed: scalar {s:?} vectorized {v:?}");
+            unreachable!()
+        }
+    };
+    prop_assert_eq!(&scalar.groups, &vectorized.groups);
+    prop_assert_eq!(scalar.result_bytes, vectorized.result_bytes);
+    prop_assert_eq!(scalar.stats.bytes_to_driver, vectorized.stats.bytes_to_driver);
+
+    // 2. Plaintext reference evaluation (independent of the engine).
+    let selected: Vec<usize> = (0..t.rows)
+        .filter(|&row| fuzz_filters.iter().all(|f| reference_matches(t, row, f)))
+        .collect();
+    let mut reference: HashMap<Vec<u64>, RefGroup> = HashMap::new();
+    for &row in &selected {
+        let key: Vec<u64> = match group_mode {
+            0 => vec![],
+            1 => vec![t.gvals[row]],
+            _ => vec![t.gvals[row], t.hvals[row]],
+        };
+        let entry = reference.entry(key).or_default();
+        entry.sum = entry.sum.wrapping_add(t.words[row]);
+        entry.ids.push(row as u64);
+        let v = t.ovals[row];
+        entry.extreme = Some(match entry.extreme {
+            None => v,
+            Some(cur) => {
+                if want_max {
+                    cur.max(v)
+                } else {
+                    cur.min(v)
+                }
+            }
+        });
+    }
+    if group_mode == 0 {
+        // Global aggregation always reports exactly one (possibly empty)
+        // group.
+        reference.entry(vec![]).or_default();
+    }
+
+    // 3. De-inflate the server response and compare.
+    let strip = group_mode > 0 && inflation > 1;
+    let deflated = match deflate(t, &scalar, strip, want_max) {
+        Ok(d) => d,
+        Err(msg) => {
+            prop_assert!(false, "{}", msg);
+            unreachable!()
+        }
+    };
+    prop_assert_eq!(deflated.len(), reference.len(), "group key sets differ");
+    for (key, expected) in &reference {
+        let Some(actual) = deflated.get(key) else {
+            prop_assert!(false, "server is missing group {key:?}");
+            unreachable!()
+        };
+        prop_assert_eq!(actual.sum, expected.sum, "sum mismatch for group {:?}", key);
+        prop_assert_eq!(
+            actual.count,
+            expected.ids.len() as u64,
+            "count mismatch for group {:?}",
+            key
+        );
+        prop_assert_eq!(&actual.ids, &expected.ids, "ID set mismatch for group {:?}", key);
+        if extreme.is_some() {
+            prop_assert_eq!(
+                actual.extreme.map(|(v, _)| v),
+                expected.extreme,
+                "MIN/MAX winner mismatch for group {:?}",
+                key
+            );
+        }
+    }
+    Ok(scalar)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -350,88 +463,87 @@ proptest! {
         if filter_mask & 8 != 0 {
             fuzz_filters.push(FuzzFilter::Ope(op_of(op2), ov));
         }
-        let filters: Vec<PhysicalFilter> = fuzz_filters.iter().map(|f| f.physical()).collect();
-
-        let group_cols: &[&str] = match group_mode {
-            0 => &[],
-            1 => &["g"],
-            _ => &["g", "h"],
-        };
         let inflation = [1u32, 2, 5][inflation_pick as usize];
-        let q = query(group_cols, inflation, extreme_on.then_some(want_max));
+        check_case(&t, &fuzz_filters, group_mode, inflation, extreme_on.then_some(want_max))?;
+    }
+}
 
-        // 1. The two execution modes must agree exactly.
-        let scalar = server(&t.table, ExecMode::Scalar).execute(&q, &filters);
-        let vectorized = server(&t.table, ExecMode::Vectorized).execute(&q, &filters);
-        let (scalar, vectorized) = match (scalar, vectorized) {
-            (Ok(s), Ok(v)) => (s, v),
-            (s, v) => {
-                prop_assert!(false, "execution failed: scalar {s:?} vectorized {v:?}");
-                unreachable!()
-            }
-        };
-        prop_assert_eq!(&scalar.groups, &vectorized.groups);
-        prop_assert_eq!(scalar.result_bytes, vectorized.result_bytes);
+/// The shapes the flat per-partition fold can get wrong and the random cases
+/// above (six values of `g`, at most 220 rows) never reach: a group index that
+/// has to grow, keys that collide or differ in one half of the word only,
+/// composite inflated keys, MIN/MAX states beside sums under GROUP BY,
+/// partitions that select nothing or one row, and a run of selected rows
+/// running across a partition boundary.
+#[test]
+fn flat_fold_matches_the_row_at_a_time_oracle_on_the_hard_shapes() {
+    let check = |name: &str, t: &FuzzTable, filters: &[FuzzFilter], group_mode, inflation, extreme| match check_case(
+        t, filters, group_mode, inflation, extreme,
+    ) {
+        Ok(response) => response,
+        Err(TestCaseError::Fail(message)) => panic!("{name}: {message}"),
+        Err(TestCaseError::Reject(message)) => panic!("{name}: rejected: {message}"),
+    };
+    let unfiltered = |rows: usize| vec![0u64; rows];
 
-        // 2. Plaintext reference evaluation (independent of the engine).
-        let selected: Vec<usize> = (0..t.rows)
-            .filter(|&row| fuzz_filters.iter().all(|f| reference_matches(&t, row, f)))
-            .collect();
-        let mut reference: HashMap<Vec<u64>, RefGroup> = HashMap::new();
-        for &row in &selected {
-            let key: Vec<u64> = match group_mode {
-                0 => vec![],
-                1 => vec![t.gvals[row]],
-                _ => vec![t.gvals[row], t.hvals[row]],
-            };
-            let entry = reference.entry(key).or_default();
-            entry.sum = entry.sum.wrapping_add(t.words[row]);
-            entry.ids.push(row as u64);
-            let v = t.ovals[row];
-            entry.extreme = Some(match entry.extreme {
-                None => v,
-                Some(cur) => {
-                    if want_max {
-                        cur.max(v)
-                    } else {
-                        cur.min(v)
-                    }
-                }
-            });
-        }
-        if group_mode == 0 {
-            // Global aggregation always reports exactly one (possibly empty)
-            // group.
-            reference.entry(vec![]).or_default();
-        }
+    // More than 300 distinct keys in each partition: the index doubles its
+    // table three times over. With and without the inflation suffix.
+    let many = FuzzTable::with_columns(1, 2, unfiltered(700), (0..700u64).map(|i| i % 331).collect());
+    for inflation in [1, 5] {
+        let response = check("many keys", &many, &[], 1, inflation, None);
+        assert!(response.groups.len() >= 331, "{} groups", response.groups.len());
+    }
 
-        // 3. De-inflate the server response and compare.
-        let strip = group_mode > 0 && inflation > 1;
-        let deflated = match deflate(&t, &scalar, strip, want_max) {
-            Ok(d) => d,
-            Err(msg) => {
-                prop_assert!(false, "{}", msg);
-                unreachable!()
-            }
-        };
-        prop_assert_eq!(deflated.len(), reference.len(), "group key sets differ");
-        for (key, expected) in &reference {
-            let Some(actual) = deflated.get(key) else {
-                prop_assert!(false, "server is missing group {key:?}");
-                unreachable!()
-            };
-            prop_assert_eq!(actual.sum, expected.sum, "sum mismatch for group {:?}", key);
-            prop_assert_eq!(actual.count, expected.ids.len() as u64, "count mismatch for group {:?}", key);
-            prop_assert_eq!(&actual.ids, &expected.ids, "ID set mismatch for group {:?}", key);
-            if extreme_on {
-                prop_assert_eq!(
-                    actual.extreme.map(|(v, _)| v),
-                    expected.extreme,
-                    "MIN/MAX winner mismatch for group {:?}",
-                    key
-                );
-            }
+    // Keys equal in their low 32 bits, keys differing only there, and both.
+    type KeyFamily = (&'static str, fn(u64) -> u64);
+    let halves: [KeyFamily; 3] = [
+        ("high halves differ", |i| (i % 7) << 32 | 0xdead_beef),
+        ("low halves differ", |i| 0xabcd_0000_0000_0000 | (i % 7)),
+        ("both halves", |i| (i % 5) << 32 | (i % 3)),
+    ];
+    for (name, key) in halves {
+        let t = FuzzTable::with_columns(2, 3, unfiltered(300), (0..300u64).map(key).collect());
+        let response = check(name, &t, &[], 1, 1, None);
+        let expected = if name == "both halves" { 15 } else { 7 };
+        assert_eq!(response.groups.len(), expected, "{name}");
+        check(name, &t, &[FuzzFilter::Ope(CompareOp::Lt, 20)], 1, 2, Some(true));
+    }
+
+    // Two group columns with inflation 5, filtered and not; MIN and MAX
+    // beside SUM and COUNT under one and two group columns.
+    let t = FuzzTable::generate(3, 400, 5);
+    for filters in [vec![], vec![FuzzFilter::PlainU64(CompareOp::GtEq, 4)]] {
+        check("two columns, inflation 5", &t, &filters, 2, 5, None);
+        for want_max in [false, true] {
+            check("extremes under GROUP BY", &t, &filters, 1, 1, Some(want_max));
+            check("extremes under GROUP BY", &t, &filters, 2, 5, Some(want_max));
         }
+    }
+
+    // Four partitions of 20 rows selecting none, one, none and three rows.
+    let picked = |rows: &[u64]| (0..80u64).map(|i| u64::from(rows.contains(&i))).collect::<Vec<u64>>();
+    let selected = [FuzzFilter::PlainU64(CompareOp::Eq, 1)];
+    let sparse = FuzzTable::with_columns(4, 4, picked(&[25, 60, 61, 62]), (0..80u64).map(|i| i % 3).collect());
+    for (group_mode, inflation) in [(0, 1), (1, 1), (2, 5)] {
+        check(
+            "sparse partitions",
+            &sparse,
+            &selected,
+            group_mode,
+            inflation,
+            Some(true),
+        );
+    }
+
+    // Rows 15 to 24 of 20-row partitions: one run across the boundary, and
+    // the response's list is that one run.
+    let across: Vec<u64> = (15..25).collect();
+    let spanning = FuzzTable::with_columns(5, 4, picked(&across), vec![9; 80]);
+    for group_mode in [0, 1] {
+        let response = check("spanning run", &spanning, &selected, group_mode, 1, None);
+        assert_eq!(response.groups.len(), 1);
+        let ids = response.groups[0].ids.as_ref().expect("a sum carries its ID list");
+        let decoded = IdSet::decode(&ids.id_list, ids.encoding).expect("decodable");
+        assert_eq!(decoded, IdSet::range(15, 24), "group_mode {group_mode}");
     }
 }
 

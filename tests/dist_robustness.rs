@@ -86,6 +86,9 @@ enum Misbehavior {
     /// Answer with a well-framed partial whose groups carry fewer aggregates
     /// than the query requested (a forged/buggy shape).
     ForgedShortPartial,
+    /// Answer with a well-framed partial of the right shape whose ID list
+    /// spells its runs out of order (`[10–12, 1–3]`).
+    ForgedUnsortedIds,
     /// Answer correctly but trickle the frame one byte at a time, each byte
     /// well inside a per-chunk timeout — only a *total* round-trip budget
     /// catches this.
@@ -216,6 +219,47 @@ fn recording_fake_worker(behavior: Misbehavior, seen: SeenSeqs) -> (SocketAddr, 
                             },
                             MAX,
                         );
+                    }
+                    Misbehavior::ForgedUnsortedIds => {
+                        // An honest frame over the rows {1–3, 10–12}, then the
+                        // two runs of its ID list (length 4, `RangesVb`
+                        // bounds) swapped in the encoded bytes.
+                        let mut groups = seabed_engine::merge::PartialGroups::new();
+                        groups.insert(
+                            Vec::new(),
+                            seabed_engine::merge::PartialGroup {
+                                ids: seabed_ashe::IdSet::from_sorted_ids(&[1, 2, 3, 10, 11, 12]),
+                                aggregates: vec![
+                                    seabed_engine::merge::PartialAggregate::Sum { value: 7 },
+                                    seabed_engine::merge::PartialAggregate::Count,
+                                ],
+                            },
+                        );
+                        let stats = shards
+                            .get(&shard)
+                            .expect("shard resident")
+                            .execute_partial(&query, &filters)
+                            .expect("shard execution")
+                            .stats;
+                        let partial = seabed_core::PartialResponse { groups, stats };
+                        let mut bytes = wire::encode_frame(
+                            &Frame::ShardPartial {
+                                epoch,
+                                table_id,
+                                shard,
+                                seq,
+                                partial,
+                            },
+                            MAX,
+                        )
+                        .expect("encode");
+                        let honest = [4u8, 1, 3, 10, 12];
+                        let at = bytes
+                            .windows(honest.len())
+                            .position(|window| window == honest)
+                            .expect("the ID list is in the frame");
+                        bytes[at..at + honest.len()].copy_from_slice(&[4, 10, 12, 1, 3]);
+                        let _ = stream.write_all(&bytes);
                     }
                     Misbehavior::TrickleOnQuery => {
                         let partial = shards
@@ -548,6 +592,45 @@ fn forged_short_partials_are_rejected_and_redispatched() {
     for w in workers {
         w.shutdown();
     }
+}
+
+/// A well-framed partial whose ID list names its runs out of order is
+/// refused where it is decoded: the frame is undecodable, so the worker is
+/// condemned like any other that breaks the protocol and the shard is
+/// re-dispatched. It used to decode into a non-canonical set that the merge
+/// folded in — a response with the forger's sum and count and an ID list
+/// missing rows, no error — and that, folded in another order, finalization
+/// would encode with `run.start - prev`: an overflow panic on the
+/// coordinator's thread in a debug build.
+#[test]
+fn forged_unsorted_id_lists_are_refused_at_decode_and_redispatched() {
+    let table = test_table(1_000, 4);
+    let query = sum_query(false);
+    let expected = local_answer(&table, &query);
+    let (workers, fake, coordinator) =
+        mixed_cluster(1, Misbehavior::ForgedUnsortedIds, table.clone(), DistConfig::default());
+    let response = coordinator
+        .execute_query(&query, &[])
+        .expect("survivor must carry the query");
+    assert_eq!(expected.groups, response.groups, "a forged ID list must never merge");
+    assert!(coordinator.last_report().runs.iter().any(|r| r.redispatched));
+    drop(coordinator);
+    fake.join().expect("fake worker");
+    for w in workers {
+        w.shutdown();
+    }
+
+    // A one-worker cluster has nobody to re-dispatch to: a typed error, and
+    // the coordinator goes on answering (typed) instead of having panicked.
+    let (fake_addr, fake_handle) = fake_worker(Misbehavior::ForgedUnsortedIds);
+    let coordinator = DistCoordinator::connect_tables(&[fake_addr], vec![("t".into(), table)], DistConfig::default())
+        .expect("connect");
+    let outcome = coordinator.execute_query(&query, &[]);
+    assert!(matches!(outcome, Err(SeabedError::Dist { .. })), "{outcome:?}");
+    let again = coordinator.execute_query(&query, &[]);
+    assert!(matches!(again, Err(SeabedError::Dist { .. })), "{again:?}");
+    drop(coordinator);
+    fake_handle.join().expect("fake worker");
 }
 
 // ---------------------------------------------------------------------------

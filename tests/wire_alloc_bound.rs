@@ -12,16 +12,22 @@
 //! table's `Utf8` rows) — 1.6 GB at the default 64 MiB frame limit, requested
 //! by the untrusted side of the link from the proxy that holds the keys.
 //!
-//! It is a binary of its own because a `#[global_allocator]` is per binary.
+//! It is a binary of its own because a `#[global_allocator]` is per binary —
+//! and the one binary that has one, so the other allocation bound the suite
+//! holds lives here too: a `GROUP BY` execute allocates per partition and per
+//! result group, never per (partition, group)
+//! (`group_by_allocations_grow_with_partitions_not_partitions_times_groups`).
 
-use seabed::core::{EncryptedAggregate, GroupIds, GroupResult, PartialResponse, ServerResponse};
+use seabed::core::{
+    EncryptedAggregate, GroupIds, GroupResult, PartialResponse, PhysicalFilter, SeabedServer, ServerResponse,
+};
 use seabed::encoding::varint;
 use seabed::encoding::IdListEncoding;
 use seabed::engine::merge::{PartialAggregate, PartialGroup, PartialGroups};
-use seabed::engine::{storage, ColumnData, ColumnType, ExecStats, Schema, Table};
+use seabed::engine::{storage, Cluster, ClusterConfig, ColumnData, ColumnType, ExecStats, Schema, Table};
 use seabed::error::SeabedError;
 use seabed::net::wire::{decode_frame, encode_frame, Frame, DEFAULT_MAX_FRAME_LEN, HEADER_LEN};
-use seabed::query::{ServerAggregate, SupportCategory, TranslatedQuery};
+use seabed::query::{CompareOp, GroupByColumn, ServerAggregate, SupportCategory, TranslatedQuery};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -31,6 +37,8 @@ thread_local! {
     /// harness's own threads) do not see each other's requests. `const`
     /// initialised and without a destructor, so reading it never allocates.
     static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+    /// Number of allocations (and reallocations) this thread has requested.
+    static REQUESTS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// The system allocator, recording the size of every request first.
@@ -40,6 +48,7 @@ impl Counting {
     fn record(size: usize) {
         // `try_with`: a thread may allocate while its locals are torn down.
         let _ = LARGEST_REQUEST.try_with(|largest| largest.set(largest.get().max(size)));
+        let _ = REQUESTS.try_with(|requests| requests.set(requests.get() + 1));
     }
 }
 
@@ -319,4 +328,96 @@ fn assert_load_shard_bounded(what: &str, table: &Table) {
             "{what}: a forged row count made the table decoder reserve {ratio:.1}x the frame"
         );
     }
+}
+
+/// Allocations of one `GROUP BY g` execute (a sum and a count under a filter
+/// that keeps every other row, so ID lists are fragmented) over `rows` rows
+/// in `partitions` partitions, every partition meeting every one of `groups`
+/// group keys. The scan runs on this thread, whose requests are the ones
+/// counted.
+fn group_by_allocations(rows: u64, partitions: usize, groups: u64) -> usize {
+    let table = Table::from_columns(
+        Schema::new([
+            ("f".to_string(), ColumnType::UInt64),
+            ("g".to_string(), ColumnType::UInt64),
+            ("m__ashe".to_string(), ColumnType::UInt64),
+        ]),
+        vec![
+            ColumnData::UInt64((0..rows).map(|i| (i / 3) % 2).collect()),
+            ColumnData::UInt64(
+                (0..rows)
+                    .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % groups)
+                    .collect(),
+            ),
+            ColumnData::UInt64((0..rows).collect()),
+        ],
+        partitions,
+    );
+    let server = SeabedServer::new(table, Cluster::new(ClusterConfig::default().local_threads(1)));
+    let query = TranslatedQuery {
+        base_table: "t".to_string(),
+        filters: Vec::new(),
+        aggregates: vec![
+            ServerAggregate::AsheSum {
+                column: "m__ashe".to_string(),
+            },
+            ServerAggregate::CountRows,
+        ],
+        group_by: vec![GroupByColumn {
+            column: "g".to_string(),
+            physical_column: "g".to_string(),
+            encrypted: false,
+        }],
+        group_inflation: 1,
+        client_post: Vec::new(),
+        preserve_row_ids: true,
+        category: SupportCategory::ServerOnly,
+        params: Vec::new(),
+    };
+    let filters = [PhysicalFilter::PlainU64 {
+        column: 0,
+        op: CompareOp::Eq,
+        value: 1,
+    }];
+    // Once to warm anything lazy, then the measured execute.
+    let warm = server.execute(&query, &filters).expect("execute");
+    assert_eq!(warm.groups.len() as u64, groups);
+    let before = REQUESTS.with(Cell::get);
+    let response = server.execute(&query, &filters).expect("execute");
+    let requests = REQUESTS.with(Cell::get) - before;
+    assert_eq!(response.groups, warm.groups);
+    requests
+}
+
+/// The structural property of the flat per-partition partial and the driver's
+/// fold: what eight partitions allocate beyond one is a constant per
+/// partition (its selection, its group index, its five flat vectors), not a
+/// key, an aggregate vector and a growing run list per (partition, group).
+/// The per-row `HashMap` build and pairwise merge this replaced asked for
+/// about seven allocations per (partition, group): 1 154 more at 8 × 24,
+/// where this asks for 141.
+#[test]
+fn group_by_allocations_grow_with_partitions_not_partitions_times_groups() {
+    const PARTITIONS: usize = 8;
+    /// Per partition: about 20 at 24 groups; the group index doubles its
+    /// table twice more and its key list four times more on the way to 96.
+    const PER_PARTITION: usize = 32;
+    let mut extras = Vec::new();
+    for groups in [24u64, 96] {
+        let one = group_by_allocations(9_600, 1, groups);
+        let many = group_by_allocations(9_600, PARTITIONS, groups);
+        println!("{groups} groups: {one} allocations over 1 partition, {many} over {PARTITIONS}");
+        let extra = many.saturating_sub(one);
+        assert!(
+            extra <= PARTITIONS * PER_PARTITION,
+            "{groups} groups: {PARTITIONS} partitions cost {extra} allocations more than one"
+        );
+        extras.push(extra);
+    }
+    // Four times the groups: four times the (partition, group) pairs, and
+    // only the index's growth steps more per partition.
+    assert!(
+        extras[1] <= extras[0] + PARTITIONS * 8,
+        "allocations beyond one partition grew with the groups: {extras:?}"
+    );
 }

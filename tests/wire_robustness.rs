@@ -659,12 +659,6 @@ fn live_server_survives_adversarial_volley() {
 /// next query correctly.
 #[test]
 fn forged_compressed_id_list_is_a_typed_error_and_the_session_lives() {
-    use seabed::core::{PlainDataset, ResultValue, SeabedClient, SeabedServer, SeabedSession};
-    use seabed::engine::{Cluster, ClusterConfig};
-    use seabed::net::{FrameConn, NetServer, Received, RemoteSeabedClient, ServiceConfig, Wait};
-    use seabed::query::{parse, ColumnSpec, PlannerConfig};
-    use std::time::Instant;
-
     // Block kind 1 (compressed), 3 bytes declared, 1 token; literal/length
     // symbol 256 (a length-3 match) and distance symbol 0 (distance 1) get
     // the only codes, one bit each; the bit stream is a zero byte.
@@ -679,6 +673,31 @@ fn forged_compressed_id_list_is_a_typed_error_and_the_session_lives() {
     forged_list.extend_from_slice(&dist);
     forged_list.push(0);
     assert!(forged_list.len() < 180);
+    assert_a_forged_id_list_is_a_typed_error_and_the_session_lives(forged_list);
+}
+
+/// The same for a list that is well-formed as bytes but names rows twice: a
+/// stored block whose body is the `RangesVbDiff` pairs `(1, 9), (0, 5)` — the
+/// runs 1–10 and 10–15. It used to decode into overlapping runs, and the
+/// proxy removed the masks of sixteen rows from a sum over whichever rows the
+/// server had really folded: a wrong number, no error.
+#[test]
+fn forged_overlapping_id_list_is_a_typed_error_and_the_session_lives() {
+    let mut forged_list = vec![0u8];
+    forged_list.extend_from_slice(&4u32.to_le_bytes());
+    forged_list.extend_from_slice(&[1, 9, 0, 5]);
+    assert_a_forged_id_list_is_a_typed_error_and_the_session_lives(forged_list);
+}
+
+/// Relays one session through a man in the middle that replaces the ID list
+/// of the first response with `forged_list`: that query must fail with a
+/// typed encoding error, and the next one on the same connection succeed.
+fn assert_a_forged_id_list_is_a_typed_error_and_the_session_lives(forged_list: Vec<u8>) {
+    use seabed::core::{PlainDataset, ResultValue, SeabedClient, SeabedServer, SeabedSession};
+    use seabed::engine::{Cluster, ClusterConfig};
+    use seabed::net::{FrameConn, NetServer, Received, RemoteSeabedClient, ServiceConfig, Wait};
+    use seabed::query::{parse, ColumnSpec, PlannerConfig};
+    use std::time::Instant;
 
     let dataset = PlainDataset::new("t").with_uint_column("m", (0..200u64).collect());
     let columns = vec![ColumnSpec::sensitive("m")];
