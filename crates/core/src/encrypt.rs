@@ -8,7 +8,13 @@
 //! * ASHE measures become a `u64` column of masked words (plus an optional
 //!   squares column for variance queries), keyed per column;
 //! * OPE columns store the ORE ciphertext bytes plus an ASHE-encrypted
-//!   companion value so MIN/MAX results can be decrypted;
+//!   companion value so MIN/MAX results can be decrypted. One
+//!   [`seabed_crypto::OreCursor`] runs down the column, so a row pays
+//!   for the PRF levels it does not share with the row before it (`63 - lcp`
+//!   AES blocks, not 64 — about 15 for shuffled seconds-of-a-day); the cells
+//!   are what per-value encryption writes, and
+//!   `tests/crypto_batch_differential.rs::ore_cursor_sequences_are_pinned`
+//!   holds both the cells and the count;
 //! * DET dimensions store 64-bit equality tags; the proxy keeps the reverse
 //!   dictionary so group keys can be decrypted;
 //! * SPLASHE dimensions are splayed into indicator and per-measure columns,
@@ -151,18 +157,12 @@ pub fn encrypt_dataset<R: Rng + ?Sized>(
             },
             EncryptionChoice::Ashe { with_squares } => {
                 let values = numeric_values(source, &col_plan.name);
-                let scheme = AsheScheme::new(&keys.ashe_key(&col_plan.name));
                 fields.push((encnames::ashe(&col_plan.name), ColumnType::UInt64));
-                columns.push(ColumnData::UInt64(
-                    seabed_ashe::encrypt_column(&scheme, &values, 0).values,
-                ));
+                columns.push(ashe_column(keys.ashe_key(&col_plan.name), &values));
                 if *with_squares {
-                    let sq_scheme = AsheScheme::new(&keys.ashe_key(&format!("{}^2", col_plan.name)));
                     let squares: Vec<u64> = values.iter().map(|&v| v.wrapping_mul(v)).collect();
                     fields.push((encnames::ashe_squares(&col_plan.name), ColumnType::UInt64));
-                    columns.push(ColumnData::UInt64(
-                        seabed_ashe::encrypt_column(&sq_scheme, &squares, 0).values,
-                    ));
+                    columns.push(ashe_column(keys.ashe_key(&format!("{}^2", col_plan.name)), &squares));
                 }
             }
             EncryptionChoice::Det => {
@@ -181,18 +181,14 @@ pub fn encrypt_dataset<R: Rng + ?Sized>(
                 let ore = OreScheme::new(&keys.ope_key(&col_plan.name));
                 fields.push((encnames::ope(&col_plan.name), ColumnType::Bytes));
                 let mut cells = BytesColumn::with_capacity(values.len(), values.len() * ORE_CELL_BYTES);
-                let mut cell = [0u8; ORE_CELL_BYTES];
+                let mut cursor = ore.cursor();
                 for &v in &values {
-                    ore.encrypt_into(v, &mut cell);
-                    cells.push(&cell);
+                    cells.push(&cursor.encrypt(v));
                 }
                 columns.push(ColumnData::Bytes(cells));
                 // Companion ASHE column so MIN/MAX results can be decrypted.
-                let scheme = AsheScheme::new(&keys.ashe_key(&col_plan.name));
                 fields.push((encnames::ope_value(&col_plan.name), ColumnType::UInt64));
-                columns.push(ColumnData::UInt64(
-                    seabed_ashe::encrypt_column(&scheme, &values, 0).values,
-                ));
+                columns.push(ashe_column(keys.ashe_key(&col_plan.name), &values));
             }
             EncryptionChoice::SplasheBasic { domain } => {
                 splay_dimension(
@@ -260,6 +256,12 @@ fn det_column<V: Copy + Eq + Hash>(
     (tags, dict)
 }
 
+/// `values` ASHE-encrypted under `key` as one physical column, row `i` under
+/// identifier `i`.
+fn ashe_column(key: [u8; 16], values: &[u64]) -> ColumnData {
+    ColumnData::UInt64(seabed_ashe::encrypt_column(&AsheScheme::new(&key), values, 0).values)
+}
+
 fn numeric_values(source: &PlainColumn, name: &str) -> Vec<u64> {
     match source {
         PlainColumn::UInt(v) => v.clone(),
@@ -309,16 +311,13 @@ fn splay_dimension<R: Rng + ?Sized>(
     // Indicator columns.
     for slot in 0..slots {
         let plain: Vec<u64> = row_slot.iter().map(|&s| u64::from(s == slot)).collect();
-        let scheme = AsheScheme::new(&keys.splashe_indicator_key(dimension, slot));
         let name = if enhanced && slot == k {
             encnames::splashe_indicator_others(dimension)
         } else {
             encnames::splashe_indicator(dimension, slot)
         };
         fields.push((name, ColumnType::UInt64));
-        columns.push(ColumnData::UInt64(
-            seabed_ashe::encrypt_column(&scheme, &plain, 0).values,
-        ));
+        columns.push(ashe_column(keys.splashe_indicator_key(dimension, slot), &plain));
     }
 
     // Splayed measure columns.
@@ -333,16 +332,13 @@ fn splay_dimension<R: Rng + ?Sized>(
                 .zip(values.iter())
                 .map(|(&s, &v)| if s == slot { v } else { 0 })
                 .collect();
-            let scheme = AsheScheme::new(&keys.splashe_measure_key(dimension, measure, slot));
             let name = if enhanced && slot == k {
                 encnames::splashe_measure_others(dimension, measure)
             } else {
                 encnames::splashe_measure(dimension, measure, slot)
             };
             fields.push((name, ColumnType::UInt64));
-            columns.push(ColumnData::UInt64(
-                seabed_ashe::encrypt_column(&scheme, &plain, 0).values,
-            ));
+            columns.push(ashe_column(keys.splashe_measure_key(dimension, measure, slot), &plain));
         }
     }
 

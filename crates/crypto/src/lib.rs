@@ -36,7 +36,7 @@ pub use aes::{aes_backend, Aes128, Aes256, AesCtr};
 pub use bigint::fixed::FixedUint;
 pub use bigint::BigUint;
 pub use det::{DetCiphertext, DetScheme};
-pub use ore::{try_compare_symbols, OreCiphertext, OreScheme};
+pub use ore::{try_compare_symbols, OreCiphertext, OreCursor, OreScheme};
 pub use paillier::{PaillierCiphertext, PaillierKeypair, PaillierPrivateKey, PaillierPublicKey};
 pub use prf::{AesPrf, AnyPrf, HashPrf, Prf, PrfKind};
 pub use sha256::{derive_key_128, derive_key_256, hmac_sha256, HmacSha256, Sha256};

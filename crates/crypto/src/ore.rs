@@ -37,8 +37,38 @@
 //! values (timestamps) are small, so two ciphertexts of one column agree on
 //! most of their leading symbols and the first difference sits in the last
 //! word.
+//!
+//! # Encryption
+//!
+//! [`OreCursor::encrypt`] is the one body that encrypts a cell;
+//! [`OreScheme::encrypt`], [`OreScheme::encrypt_into`] and
+//! [`OreScheme::encrypt_i64`] are a fresh cursor's first step, and a bulk load
+//! drives one cursor down its column. The PRF input of level `i` is
+//! `(i, prefix_i(m))`, so two values whose top `k` bits agree share the PRF
+//! outputs of levels `0..=k` — and those do not depend on anything else. The
+//! cursor keeps the previous value and its 64 `F mod 3` outputs (two bits a
+//! level, laid out like a cell), takes `lcp = (m ^ prev).leading_zeros()`,
+//! evaluates only levels `lcp + 1 ..` in one batched AES dispatch and patches
+//! them in; the cell is then `F + bit (mod 3)` on all 64 lanes at once. Every
+//! output is the function of `(key, m)` the formula above states — a kept
+//! output is the output that would have been recomputed — so the ciphertext is
+//! [`OreScheme::encrypt_scalar`]'s bit for bit, whatever came before.
+//!
+//! A row costs `63 - lcp` PRF blocks: 64 for a cursor's first value, 0 for a
+//! repeat of the value before it, about 15 for shuffled seconds-of-a-day
+//! (`< 86 400`: 47 leading zero bits in common, then one more shared level per
+//! coin flip). [`OreCursor::prf_blocks`] counts them.
+//!
+//! **What timing reveals.** The time to encrypt a column varies with the
+//! first differing bit of *adjacent* rows. That index is the scheme's defined
+//! leakage (`inddiff`, [`OreCiphertext::diff_index`]), and the server that
+//! receives the cells computes it for any pair it likes: an observer of the
+//! proxy's timing learns nothing the stored column does not already disclose.
+//! The cursor's state is another matter — `prev` is a plaintext and the PRF
+//! words subtracted from a cell give back its bits — so both are wiped when the
+//! cursor is dropped, like the round keys beside them.
 
-use crate::aes::Aes128;
+use crate::aes::{block_words, hw, Aes128};
 use std::cmp::Ordering;
 
 /// Number of plaintext bits handled by [`OreScheme`]; Seabed's dimensions are
@@ -177,39 +207,33 @@ impl OreScheme {
         (u64::from_be_bytes(out[..8].try_into().unwrap()) % 3) as u8
     }
 
-    /// Encrypts a 64-bit value.
+    /// Encrypts a 64-bit value: the first step of a fresh [`OreCursor`].
     ///
     /// Output is identical to [`OreScheme::encrypt_scalar`], the per-bit
     /// reference path.
     pub fn encrypt(&self, m: u64) -> OreCiphertext {
-        let mut cell = [0u8; ORE_CELL_BYTES];
-        self.encrypt_into(m, &mut cell);
-        OreCiphertext { symbols: cell.to_vec() }
+        OreCiphertext {
+            symbols: self.cursor().encrypt(m).to_vec(),
+        }
     }
 
     /// Encrypts a 64-bit value into a caller-provided cell, without
-    /// allocating — what a bulk load appends to its column per row.
-    ///
-    /// Every bit's PRF input depends only on `m` itself (`prefix_i` is `m`
-    /// with all bits below position `i` zeroed), so all [`ORE_BITS`] AES
-    /// blocks are materialised up front and encrypted in a single batched
-    /// kernel dispatch instead of one [`Aes128::encrypt_block`] call per bit.
+    /// allocating. A column of values goes through one [`OreScheme::cursor`]
+    /// instead, which pays only for what a value does not share with the one
+    /// before it.
     pub fn encrypt_into(&self, m: u64, cell: &mut [u8; ORE_CELL_BYTES]) {
-        let mut blocks = [[0u8; 16]; ORE_BITS];
-        for (i, block) in blocks.iter_mut().enumerate() {
-            // prefix holds bits b_1..b_{i-1} left-aligned, remaining bits zero.
-            let prefix = if i == 0 { 0 } else { m & !(u64::MAX >> i) };
-            block[..8].copy_from_slice(&(i as u64).to_be_bytes());
-            block[8..].copy_from_slice(&prefix.to_be_bytes());
-        }
-        self.cipher.encrypt_blocks(&mut blocks);
-        for (byte, (packed, quad)) in cell.iter_mut().zip(blocks.chunks_exact(4)).enumerate() {
-            *packed = 0;
-            for (lane, block) in quad.iter().enumerate() {
-                let bit = ((m >> (ORE_BITS - 1 - (4 * byte + lane))) & 1) as u8;
-                let prf = (u64::from_be_bytes(block[..8].try_into().unwrap()) % 3) as u8;
-                *packed = (*packed << 2) | ((prf + bit) % 3);
-            }
+        *cell = self.cursor().encrypt(m);
+    }
+
+    /// A cursor for encrypting a sequence of values — a column, in row order —
+    /// under this scheme (see the module docs, "Encryption").
+    pub fn cursor(&self) -> OreCursor<'_> {
+        OreCursor {
+            cipher: &self.cipher,
+            prev: 0,
+            primed: false,
+            prf: [0; 2],
+            prf_blocks: 0,
         }
     }
 
@@ -237,6 +261,110 @@ impl OreScheme {
     /// Convenience comparison of two plaintexts through their encryptions.
     pub fn compare_plain(&self, a: u64, b: u64) -> Ordering {
         self.encrypt(a).compare(&self.encrypt(b))
+    }
+}
+
+/// Encrypts a sequence of values under one [`OreScheme`], reusing the PRF
+/// outputs each value shares with the one before it (module docs,
+/// "Encryption"). The ciphertexts do not depend on the sequence; the work does.
+pub struct OreCursor<'a> {
+    cipher: &'a Aes128,
+    /// The value encrypted last, once `primed` by a first one.
+    prev: u64,
+    primed: bool,
+    /// `F(k, (i, prefix_i(prev))) mod 3` for all 64 levels, two bits a level,
+    /// laid out like the cell: level 0 in the top bits of word 0.
+    prf: [u64; 2],
+    /// PRF blocks evaluated so far: `63 - lcp` a value, 64 for the first.
+    pub prf_blocks: u64,
+}
+
+/// The low bit of every two-bit lane of a word.
+const LANE_LOW_BITS: u64 = 0x5555_5555_5555_5555;
+
+/// Spreads the 32 bits of `half` to the even bit positions of a word: bit `k`
+/// lands on bit `2k`, the low bit of the lane that holds its level's symbol.
+#[inline]
+fn spread_bits(half: u32) -> u64 {
+    let mut x = u64::from(half);
+    x = (x | x << 16) & 0x0000_FFFF_0000_FFFF;
+    x = (x | x << 8) & 0x00FF_00FF_00FF_00FF;
+    x = (x | x << 4) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | x << 2) & 0x3333_3333_3333_3333;
+    (x | x << 1) & LANE_LOW_BITS
+}
+
+/// `(F + bit) mod 3` on all 64 lanes: `prf` holds `F mod 3` per level and `m`
+/// the plaintext bits. A lane sum is at most 3, so no lane carries into its
+/// neighbour, and the lanes that reached 3 (both bits set) are cleared to 0.
+#[inline]
+fn assemble_cell(prf: [u64; 2], m: u64) -> [u8; ORE_CELL_BYTES] {
+    let mut cell = [0u8; ORE_CELL_BYTES];
+    let halves = [(m >> 32) as u32, m as u32];
+    for ((out, prf), half) in cell.chunks_exact_mut(8).zip(prf).zip(halves) {
+        let sum = prf + spread_bits(half);
+        let threes = sum & (sum >> 1) & LANE_LOW_BITS;
+        out.copy_from_slice(&(sum ^ (threes * 3)).to_be_bytes());
+    }
+    cell
+}
+
+/// The lane-at-a-time assembly, kept as the oracle [`assemble_cell`] is pinned
+/// against.
+#[cfg(test)]
+fn assemble_cell_lanewise(prf: [u64; 2], m: u64) -> [u8; ORE_CELL_BYTES] {
+    let mut cell = [0u8; ORE_CELL_BYTES];
+    for level in 0..ORE_BITS {
+        let f = (prf[level / 32] >> (62 - 2 * (level % 32))) as u8 & 3;
+        let bit = ((m >> (ORE_BITS - 1 - level)) & 1) as u8;
+        cell[level / 4] |= ((f + bit) % 3) << (6 - 2 * (level % 4));
+    }
+    cell
+}
+
+impl OreCursor<'_> {
+    /// Encrypts the next value of the sequence; returns its cell.
+    pub fn encrypt(&mut self, m: u64) -> [u8; ORE_CELL_BYTES] {
+        // Levels `0..=lcp` read only bits the two values have in common.
+        let first_new = if self.primed {
+            ((m ^ self.prev).leading_zeros() as usize + 1).min(ORE_BITS)
+        } else {
+            0
+        };
+        let mut blocks = [[0u8; 16]; ORE_BITS];
+        let new_blocks = &mut blocks[..ORE_BITS - first_new];
+        for (level, block) in (first_new..ORE_BITS).zip(new_blocks.iter_mut()) {
+            // The prefix holds bits b_1..b_{level-1} left-aligned, the rest zero.
+            block[..8].copy_from_slice(&(level as u64).to_be_bytes());
+            block[8..].copy_from_slice(&(m & !(u64::MAX >> level)).to_be_bytes());
+        }
+        // One dispatch whatever the count: a first value's 64 blocks go
+        // through the kernel's wide path together.
+        self.cipher.encrypt_blocks(new_blocks);
+        for (word, prf) in self.prf.iter_mut().enumerate() {
+            // The new levels of this word run to its end, so shifting them in
+            // one lane at a time leaves each in its place.
+            let (first, end) = (first_new.max(32 * word), 32 * (word + 1));
+            if first < end {
+                let mut fresh = 0u64;
+                for block in &new_blocks[first - first_new..end - first_new] {
+                    // Use 64 bits of the output; the bias of reducing a uniform
+                    // 64-bit value mod 3 is negligible (< 2^-62).
+                    fresh = fresh << 2 | (block_words(block)[0] % 3);
+                }
+                *prf = *prf & !(u64::MAX >> (2 * (first % 32))) | fresh;
+            }
+        }
+        self.prf_blocks += new_blocks.len() as u64;
+        (self.prev, self.primed) = (m, true);
+        assemble_cell(self.prf, m)
+    }
+}
+
+impl Drop for OreCursor<'_> {
+    fn drop(&mut self) {
+        hw::wipe(std::slice::from_mut(&mut self.prev));
+        hw::wipe(&mut self.prf);
     }
 }
 
@@ -490,6 +618,130 @@ mod tests {
             assert_eq!(other.encrypt(m), other.encrypt_scalar(m), "m={m}");
             s.encrypt_into(m, &mut into);
             assert_eq!(into.as_slice(), s.encrypt_scalar(m).symbols, "m={m}");
+        }
+    }
+
+    /// Drives one cursor down `values` and holds every cell against the
+    /// per-bit oracle; returns the PRF blocks each value cost.
+    fn cursor_costs(s: &OreScheme, values: &[u64]) -> Vec<u64> {
+        let mut cursor = s.cursor();
+        let mut costs = Vec::with_capacity(values.len());
+        for (row, &m) in values.iter().enumerate() {
+            let before = cursor.prf_blocks;
+            let cell = cursor.encrypt(m);
+            assert_eq!(cell.as_slice(), s.encrypt_scalar(m).symbols, "row {row}, m={m:#x}");
+            costs.push(cursor.prf_blocks - before);
+        }
+        costs
+    }
+
+    #[test]
+    fn cursor_matches_scalar_at_every_first_differing_bit() {
+        let s = scheme();
+        let mut state = 0xC0FFEE_u64;
+        for bit in 0..ORE_BITS {
+            // Neighbours that agree above `bit`, differ at it, and are
+            // unrelated below — in both orders, then the first one again.
+            let below = (1u64 << bit) - 1;
+            let base = splitmix(&mut state) & !below;
+            let lo = base & !(1 << bit) | splitmix(&mut state) & below;
+            let hi = base | 1 << bit | splitmix(&mut state) & below;
+            // Levels 0..=lcp are shared, lcp = 63 - bit: `bit` new blocks.
+            assert_eq!(cursor_costs(&s, &[lo, hi, lo]), [64, bit as u64, bit as u64]);
+            assert_eq!(cursor_costs(&s, &[hi, lo]), [64, bit as u64]);
+        }
+    }
+
+    #[test]
+    fn cursor_pays_nothing_for_a_repeat_and_everything_for_a_first_value() {
+        let s = scheme();
+        for m in [0u64, 1, 86_399, 1 << 63, u64::MAX] {
+            assert_eq!(cursor_costs(&s, &[m, m, m]), [64, 0, 0], "m={m}");
+            // A fresh cursor's first cell is `encrypt`.
+            assert_eq!(s.cursor().encrypt(m).as_slice(), s.encrypt(m).symbols);
+        }
+        assert_eq!(cursor_costs(&s, &[u64::MAX, 0, u64::MAX]), [64, 63, 63]);
+    }
+
+    #[test]
+    fn cursor_matches_scalar_over_runs_and_random_sequences() {
+        let s = scheme();
+        let ascending: Vec<u64> = (0..300u64).map(|i| i * i * 7).collect();
+        let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+        cursor_costs(&s, &ascending);
+        cursor_costs(&s, &descending);
+        // `encrypt_i64`'s mapping, walked across the sign boundary.
+        let signed: Vec<u64> = [-3i64, -2, -1, 0, 1, 2, i64::MIN, i64::MAX, -1, 0]
+            .iter()
+            .map(|&v| (v as u64) ^ (1 << 63))
+            .collect();
+        cursor_costs(&s, &signed);
+        for (&v, plain) in signed.iter().zip([-3i64, -2, -1, 0, 1, 2, i64::MIN, i64::MAX, -1, 0]) {
+            assert_eq!(s.encrypt_i64(plain), s.encrypt_scalar(v));
+        }
+        let mut state = 7u64;
+        let full_width: Vec<u64> = (0..2_000).map(|_| splitmix(&mut state)).collect();
+        let costs = cursor_costs(&s, &full_width);
+        assert!(costs[1..].iter().all(|&c| c <= 63));
+        assert!(
+            costs.iter().sum::<u64>() > 61 * 2_000,
+            "unrelated values share a level or two"
+        );
+    }
+
+    /// The structural claim: a column of small values (the benchmark's
+    /// seconds-of-a-day and seconds-of-a-week timestamps, shuffled) costs a
+    /// fraction of 64 blocks a row, and exactly what the common prefixes say.
+    #[test]
+    fn cursor_counts_prf_blocks_by_common_prefix() {
+        let s = scheme();
+        for (below, at_most_per_row) in [(86_400u64, 20), (604_800, 20)] {
+            let mut state = below;
+            let values: Vec<u64> = (0..5_000).map(|_| splitmix(&mut state) % below).collect();
+            let costs = cursor_costs(&s, &values);
+            assert_eq!(costs[0], 64);
+            for (pair, &cost) in values.windows(2).zip(&costs[1..]) {
+                assert_eq!(
+                    cost,
+                    63u64.saturating_sub(u64::from((pair[0] ^ pair[1]).leading_zeros()))
+                );
+            }
+            let total: u64 = costs.iter().sum();
+            assert!(
+                total <= at_most_per_row * 5_000,
+                "{total} blocks for 5 000 values below {below}"
+            );
+        }
+    }
+
+    #[test]
+    fn swar_assembly_matches_the_lane_loop_for_every_lane_pair_at_every_lane() {
+        for level in 0..ORE_BITS {
+            let shift = 62 - 2 * (level % 32);
+            for f in 0..3u64 {
+                for bit in 0..2u64 {
+                    // The lane under test on a background of every other
+                    // (f, bit) pair, so a carry out of a neighbour shows.
+                    for (background_f, background_m) in
+                        [(0u64, 0u64), (LANE_LOW_BITS * 2, u64::MAX), (LANE_LOW_BITS, 0)]
+                    {
+                        let mut prf = [background_f; 2];
+                        prf[level / 32] = prf[level / 32] & !(3 << shift) | f << shift;
+                        let at = ORE_BITS - 1 - level;
+                        let m = background_m & !(1 << at) | bit << at;
+                        let cell = assemble_cell(prf, m);
+                        assert_eq!(cell, assemble_cell_lanewise(prf, m), "level {level} f={f} bit={bit}");
+                        assert_eq!(symbol_at(&cell, level), ((f + bit) % 3) as u8);
+                    }
+                }
+            }
+        }
+        let mut state = 99u64;
+        for _ in 0..5_000 {
+            // Random in-domain PRF words: clear the lanes that drew a 3.
+            let prf = [splitmix(&mut state), splitmix(&mut state)].map(|w| w & !((w & w >> 1 & LANE_LOW_BITS) * 3));
+            let m = splitmix(&mut state);
+            assert_eq!(assemble_cell(prf, m), assemble_cell_lanewise(prf, m));
         }
     }
 

@@ -4,7 +4,7 @@
 //! across N workers (contiguous partition ranges, so per-worker ID lists stay
 //! run-compressed), announces a fresh **epoch** to every worker, and loads
 //! each shard onto its **replica set** — `replication` workers per shard
-//! (default 2). [`QueryTarget::run`] then scatters the translated query to
+//! (default 2), one encoded load frame per shard whatever the set's size. [`QueryTarget::run`] then scatters the translated query to
 //! every shard's *primary* (the first live member of its replica set) —
 //! concurrently over the persistent connections — and gathers the mergeable
 //! partial results into one [`ServerResponse`] via [`seabed_engine::merge`] +
@@ -68,7 +68,7 @@ use seabed_core::{
 use seabed_engine::merge::{merge_partial_groups, PartialGroups};
 use seabed_engine::{fan_out, ExecStats, Schema, Table};
 use seabed_error::SeabedError;
-use seabed_net::wire::{self, Frame, ShardExecConfig};
+use seabed_net::wire::{self, Frame, LoadShardRef, ShardExecConfig};
 use seabed_obs::{Counter, Gauge, Histogram, QueryEvent, Registry};
 use seabed_query::{PlanNode, PlanProfile, TranslatedQuery};
 use std::net::ToSocketAddrs;
@@ -420,9 +420,7 @@ impl DistCoordinator {
             obs,
         };
         for (table_id, shard, set) in placement.sets() {
-            for &worker in set {
-                coordinator.load_shard(table_id, shard, worker)?;
-            }
+            coordinator.load_shard(table_id, shard, set)?;
         }
         coordinator.publish_gauges();
         Ok(coordinator)
@@ -856,7 +854,7 @@ impl DistCoordinator {
         // echo nor below its `stale_below` — would poison a healthy link.
         let mut locked = link.lock();
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let request = Frame::ShardQuery {
+        let request = link.encode(&Frame::ShardQuery {
             epoch,
             table_id,
             shard,
@@ -865,7 +863,7 @@ impl DistCoordinator {
             analyze: ctx.request.analyze,
             query: ctx.request.plan.clone(),
             filters: ctx.request.filters.to_vec(),
-        };
+        })?;
         let started = Instant::now();
         let reply = locked.exchange(&request, hedge_after, seq, tally, |frame| {
             matches!(frame, Frame::ShardPartial { epoch: e, table_id: t, shard: s, seq: q, .. }
@@ -897,33 +895,40 @@ impl DistCoordinator {
         Ok(Some((run, worker, partial)))
     }
 
-    /// Loads shard `shard` of table `table_id` onto `worker` and verifies
-    /// the acknowledgement.
-    fn load_shard(&self, table_id: u32, shard: u32, worker: usize) -> Result<(), SeabedError> {
-        let table = self.tables[table_id as usize].shards[shard as usize].clone();
-        let (epoch, rows) = (self.epoch, table.num_rows() as u64);
-        let load = Frame::LoadShard {
+    /// Loads shard `shard` of table `table_id` onto each of `workers` in turn
+    /// and verifies every acknowledgement. The frame is encoded once, from
+    /// the retained table where it lies, and the same bytes go to every
+    /// worker named: a replica set costs one encode, not one clone and one
+    /// encode per member.
+    fn load_shard(&self, table_id: u32, shard: u32, workers: &[usize]) -> Result<(), SeabedError> {
+        let table = &self.tables[table_id as usize].shards[shard as usize];
+        let epoch = self.epoch;
+        let load = LoadShardRef {
             epoch,
             table_id,
             shard,
             exec: self.config.exec,
             table,
-        };
+        }
+        .encode(self.config.max_frame_len)?;
         let ack = Frame::ShardLoaded {
             epoch,
             table_id,
             shard,
-            rows,
+            rows: table.num_rows() as u64,
         };
-        self.worker(worker)?.command(&load, |frame| *frame == ack)
+        workers
+            .iter()
+            .try_for_each(|&worker| self.worker(worker)?.command(&load, |frame| *frame == ack))
     }
 
     /// Asks `worker` to drop its copy of shard `shard` (after a rebalance
     /// moved the replica elsewhere) and verifies the acknowledgement.
     fn unload_shard(&self, table_id: u32, shard: u32, worker: usize) -> Result<(), SeabedError> {
         let epoch = self.epoch;
-        let unload = Frame::UnloadShard { epoch, table_id, shard };
-        self.worker(worker)?.command(&unload, |frame| {
+        let link = self.worker(worker)?;
+        let unload = link.encode(&Frame::UnloadShard { epoch, table_id, shard })?;
+        link.command(&unload, |frame| {
             matches!(frame, Frame::ShardUnloaded { epoch: e, table_id: t, shard: s, .. }
                 if (*e, *t, *s) == (epoch, table_id, shard))
         })
@@ -951,7 +956,7 @@ impl DistCoordinator {
             let loaded = if holds_shard {
                 Ok(())
             } else {
-                self.load_shard(table_id, shard, worker)
+                self.load_shard(table_id, shard, &[worker])
             };
             match loaded.and_then(|()| self.query_shard(worker, shard, ctx, None, tally).map(answered)) {
                 Ok(mut answer) => {
@@ -990,7 +995,7 @@ impl DistCoordinator {
         let mut planned = lock(&self.placement).clone();
         let moves = planned.join(joiner, pool.len(), live(&pool));
         for &(table, shard, _) in &moves {
-            self.load_shard(table, shard, joiner)?;
+            self.load_shard(table, shard, &[joiner])?;
         }
         *lock(&self.placement) = planned;
         for (table, shard, donor) in moves {
@@ -1016,7 +1021,7 @@ impl DistCoordinator {
         let mut planned = lock(&self.placement).clone();
         let mut loaded: Vec<(u32, u32, usize)> = Vec::new();
         let rehomed = planned.leave(worker, pool.len(), live(&pool), |table, shard, to| {
-            self.load_shard(table, shard, to)?;
+            self.load_shard(table, shard, &[to])?;
             loaded.push((table, shard, to));
             Ok::<(), SeabedError>(())
         });

@@ -18,6 +18,11 @@
 //!   leaver's re-homing. Nothing moves a link back; a worker that returns
 //!   does so through `join_worker`, as a new slot.
 //!
+//! A link sends **bytes**: [`WorkerLink::encode`] (or, for a shard load, the
+//! coordinator's borrowed encoder) makes the frame, [`LockedLink::exchange`]
+//! writes it and runs the one receive loop. That is what lets a shard's load
+//! be encoded once and handed to every member of its replica set.
+//!
 //! A reply must echo the `(epoch, shard, seq)` of the request in flight — the
 //! `seabed-net` rule that a response can never be paired with the wrong
 //! request. The merge algebra is *not* idempotent, so discarding stale
@@ -26,7 +31,7 @@
 
 use crate::coordinator::DistConfig;
 use seabed_error::SeabedError;
-use seabed_net::wire::Frame;
+use seabed_net::wire::{self, Frame};
 use seabed_net::FrameConn;
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -127,11 +132,18 @@ impl WorkerLink {
         self.lock().conn.poison(why)
     }
 
-    /// An un-hedged command outside any query — handshake, load, unload —
-    /// that `is_ack` recognises the acknowledgement of. A stale partial (say
-    /// a hedge-abandoned reply landing between requests) is drained, not
-    /// mistaken for a bad ack, and belongs to no query's tally.
-    pub(crate) fn command(&self, command: &Frame, is_ack: impl Fn(&Frame) -> bool) -> Result<(), SeabedError> {
+    /// Encodes `frame` under this link's frame limit. One too large is a
+    /// local failure: nothing is written and the worker is not condemned.
+    pub(crate) fn encode(&self, frame: &Frame) -> Result<Vec<u8>, SeabedError> {
+        wire::encode_frame(frame, self.max_frame_len)
+    }
+
+    /// An un-hedged, already encoded command outside any query — handshake,
+    /// load, unload — that `is_ack` recognises the acknowledgement of. A
+    /// stale partial (say a hedge-abandoned reply landing between requests)
+    /// is drained, not mistaken for a bad ack, and belongs to no query's
+    /// tally.
+    pub(crate) fn command(&self, command: &[u8], is_ack: impl Fn(&Frame) -> bool) -> Result<(), SeabedError> {
         let mut locked = self.lock();
         let ack = locked.exchange(command, None, u64::MAX, &mut Tally::default(), is_ack);
         ack.map(|_| ())
@@ -146,9 +158,8 @@ impl WorkerLink {
 
 impl LockedLink<'_> {
     /// One request/reply exchange on this worker's connection under one
-    /// total budget — the only way the coordinator talks to a worker. Sends
-    /// `request` (one too large for the frame limit is a local failure:
-    /// nothing is written and the worker is not condemned), then receives
+    /// total budget — the only way the coordinator talks to a worker. Writes
+    /// `request`, one encoded frame ([`WorkerLink::encode`]), then receives
     /// until a frame `is_echo` and returns it. A partial of this epoch with
     /// a sequence number below `stale_below` — a duplicate, a hedge loser, a
     /// late answer — is drained and counted in `tally`, never mistaken for
@@ -164,14 +175,14 @@ impl LockedLink<'_> {
     /// connection healthy; a mid-frame stall always poisons.
     pub(crate) fn exchange(
         &mut self,
-        request: &Frame,
+        request: &[u8],
         hedge_after: Option<Duration>,
         stale_below: u64,
         tally: &mut Tally,
         is_echo: impl Fn(&Frame) -> bool,
     ) -> Result<Option<Frame>, SeabedError> {
         let link = self.link;
-        self.conn.send(request, link.max_frame_len)?;
+        self.conn.send_encoded(request)?;
         let deadline = Instant::now() + hedge_after.unwrap_or(link.read_timeout);
         loop {
             let reply = self
@@ -185,7 +196,8 @@ impl LockedLink<'_> {
                 }
                 Some(Frame::Error(reported)) => return Err(reported),
                 Some(other) => {
-                    let violation = format!("expected the reply to {:?}, got {:?}", request.kind(), other.kind());
+                    let asked = wire::encoded_kind(request);
+                    let violation = format!("expected the reply to {asked:?}, got {:?}", other.kind());
                     return Err(self.conn.poison(SeabedError::dist(&link.label, violation)));
                 }
             }
@@ -225,7 +237,7 @@ pub(crate) fn connect_worker<A: ToSocketAddrs>(
         bytes_received: AtomicU64::new(0),
     };
     let ready = |frame: &Frame| matches!(frame, Frame::WorkerReady { epoch: e, .. } if *e == epoch);
-    link.command(&Frame::WorkerHandshake { epoch }, ready)?;
+    link.command(&link.encode(&Frame::WorkerHandshake { epoch })?, ready)?;
     Ok(link)
 }
 
@@ -281,6 +293,39 @@ mod tests {
         conn.send(&ack, MAX).expect("ack");
     }
 
+    /// A command that does not fit the link's frame limit fails where it is
+    /// encoded — a typed `Wire` error, before the connection is touched:
+    /// nothing is written, the link stays `Live`, and the next command goes
+    /// through.
+    #[test]
+    fn an_over_limit_command_fails_at_encode_and_leaves_the_link_healthy() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut conn = FrameConn::from_stream(stream, Duration::from_secs(10)).expect("wrap");
+            for shards in 0..2 {
+                assert!(matches!(next(&mut conn), Frame::WorkerHandshake { epoch: EPOCH }));
+                let ready = Frame::WorkerReady { epoch: EPOCH, shards };
+                conn.send(&ready, MAX).expect("ready");
+            }
+        });
+        let mut config = DistConfig::default().read_timeout(Duration::from_secs(5));
+        config.max_frame_len = 32;
+        let link = connect_worker(&addr, EPOCH, &config).expect("handshake");
+        let sent = link.bytes_sent.load(Ordering::Relaxed);
+
+        let big = Frame::Error(SeabedError::wire("x".repeat(100)));
+        assert!(matches!(link.encode(&big), Err(SeabedError::Wire(_))));
+        assert!(link.alive());
+        assert_eq!(link.lock().conn.stats().bytes_sent, sent, "nothing was written");
+
+        let again = link.encode(&Frame::WorkerHandshake { epoch: EPOCH }).expect("fits");
+        let ready = |frame: &Frame| matches!(frame, Frame::WorkerReady { shards: 1, .. });
+        link.command(&again, ready).expect("the link still works");
+        peer.join().expect("peer");
+    }
+
     /// An unload through the bare exchange, so the test owns the tally.
     fn unload(link: &WorkerLink, tally: &mut Tally) -> Result<(), SeabedError> {
         let frame = Frame::UnloadShard {
@@ -289,7 +334,9 @@ mod tests {
             shard: 0,
         };
         let is_ack = |frame: &Frame| matches!(frame, Frame::ShardUnloaded { remaining: 0, .. });
-        let ack = link.lock().exchange(&frame, None, u64::MAX, tally, is_ack)?;
+        let ack = link
+            .lock()
+            .exchange(&link.encode(&frame)?, None, u64::MAX, tally, is_ack)?;
         assert!(ack.is_some(), "an un-hedged exchange runs to a reply or an error");
         Ok(())
     }

@@ -40,8 +40,8 @@
 //! one `match` arm per kind each way. To add a frame kind: one line in the
 //! kind list below (the byte appears nowhere else — [`FrameKind::from_u8`],
 //! [`FrameKind::ALL`] and the server's per-kind counters are generated from
-//! it), one [`Frame`] variant, its [`Frame::kind`] arm, and one arm in each
-//! of `encode_payload` / `decode_payload`; a new type inside it is one
+//! it, and [`Frame::kind`]), one [`Frame`] variant of the same name, and one
+//! arm in each of `encode_payload` / `decode_payload`; a new type inside it is one
 //! `wire_struct!` / `wire_enum!` line. Adding a kind is compatible within a
 //! protocol version (an older receiver answers a typed unknown-kind error);
 //! moving any existing byte is not, and `tests/wire_golden.rs` — SHA-256 of a
@@ -161,7 +161,8 @@ pub const HEADER_LEN: usize = 11;
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 64 << 20;
 
 /// The kind list: each kind's name, byte and meaning, stated here and nowhere
-/// else. [`FrameKind`], [`FrameKind::from_u8`] and [`FrameKind::ALL`] are all
+/// else. [`FrameKind`], [`FrameKind::from_u8`], [`FrameKind::ALL`] and
+/// [`Frame::kind`] (a [`Frame`] variant carries its kind's name) are all
 /// generated from it, so they cannot disagree.
 macro_rules! frame_kinds {
     ($($(#[$doc:meta])* $name:ident = $byte:literal,)+) => {
@@ -181,6 +182,16 @@ macro_rules! frame_kinds {
                 match byte {
                     $($byte => Some(FrameKind::$name),)+
                     _ => None,
+                }
+            }
+        }
+
+        impl Frame {
+            /// The kind byte this frame serializes under: the kind of its
+            /// variant's name.
+            pub fn kind(&self) -> FrameKind {
+                match self {
+                    $(Frame::$name { .. } => FrameKind::$name,)+
                 }
             }
         }
@@ -436,32 +447,6 @@ pub enum Frame {
     },
 }
 
-impl Frame {
-    /// The kind byte this frame serializes under.
-    pub fn kind(&self) -> FrameKind {
-        match self {
-            Frame::Request { .. } => FrameKind::Request,
-            Frame::Response(_) => FrameKind::Response,
-            Frame::Error(_) => FrameKind::Error,
-            Frame::SchemaRequest => FrameKind::SchemaRequest,
-            Frame::Schema(_) => FrameKind::Schema,
-            Frame::WorkerHandshake { .. } => FrameKind::WorkerHandshake,
-            Frame::WorkerReady { .. } => FrameKind::WorkerReady,
-            Frame::LoadShard { .. } => FrameKind::LoadShard,
-            Frame::ShardLoaded { .. } => FrameKind::ShardLoaded,
-            Frame::ShardQuery { .. } => FrameKind::ShardQuery,
-            Frame::ShardPartial { .. } => FrameKind::ShardPartial,
-            Frame::PrepareStatement { .. } => FrameKind::PrepareStatement,
-            Frame::StatementPrepared { .. } => FrameKind::StatementPrepared,
-            Frame::ExecuteStatement { .. } => FrameKind::ExecuteStatement,
-            Frame::UnloadShard { .. } => FrameKind::UnloadShard,
-            Frame::ShardUnloaded { .. } => FrameKind::ShardUnloaded,
-            Frame::MetricsRequest { .. } => FrameKind::MetricsRequest,
-            Frame::MetricsSnapshot { .. } => FrameKind::MetricsSnapshot,
-        }
-    }
-}
-
 /// A decoded frame header (the payload has not been read yet).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameHeader {
@@ -477,20 +462,76 @@ pub struct FrameHeader {
 /// the length is patched in. Fails with [`SeabedError::Wire`] if the payload
 /// would exceed `max_frame_len`.
 pub fn encode_frame(frame: &Frame, max_frame_len: u32) -> Result<Vec<u8>, SeabedError> {
+    frame_of(frame.kind(), max_frame_len, |out| frame.encode_payload(out))
+}
+
+/// A [`Frame::LoadShard`] over a table it borrows: what a coordinator encodes
+/// a shard's load from, once, for every member of the shard's replica set,
+/// without first cloning the retained table into an owned frame. The fields
+/// are the variant's; the bytes are the variant's too — both go through
+/// `load_shard_payload`, the one statement of the layout.
+#[derive(Clone, Copy, Debug)]
+pub struct LoadShardRef<'a> {
+    /// Shard epoch the assignment belongs to.
+    pub epoch: u64,
+    /// Coordinator-assigned table identifier.
+    pub table_id: u32,
+    /// Coordinator-assigned shard identifier within the table.
+    pub shard: u32,
+    /// Execution knobs for this shard's scans.
+    pub exec: ShardExecConfig,
+    /// The shard's partitions.
+    pub table: &'a Table,
+}
+
+impl LoadShardRef<'_> {
+    /// The frame, byte for byte what [`encode_frame`] makes of the owned
+    /// variant; over `max_frame_len` it is the same typed error.
+    ///
+    /// The buffer grows as the payload is written, as every frame's does. It
+    /// is deliberately not reserved up front, although the size is knowable:
+    /// one request of a shard's size (150 KB in the ingest benchmark) crosses
+    /// the allocator's mmap threshold, after which glibc keeps the heap top
+    /// padded — with the reservation seabench's `ingest_load` read 11.0 MB
+    /// peak RSS where it reads 9.0 without, and no time to show for it.
+    pub fn encode(&self, max_frame_len: u32) -> Result<Vec<u8>, SeabedError> {
+        let addr = ShardAddr(self.epoch, self.table_id, self.shard);
+        frame_of(FrameKind::LoadShard, max_frame_len, |out| {
+            load_shard_payload(out, addr, &self.exec, self.table)
+        })
+    }
+}
+
+/// The payload of a `LoadShard` frame, owned or borrowed.
+fn load_shard_payload(out: &mut Vec<u8>, addr: ShardAddr, exec: &ShardExecConfig, table: &Table) {
+    addr.encode(out);
+    exec.encode(out);
+    table.encode(out);
+}
+
+/// A payload length as the header carries it, or the typed error of one over
+/// `max_frame_len` — on the way out before anything is written, on the way in
+/// before anything is allocated.
+fn within_limit(payload_len: usize, max_frame_len: u32) -> Result<u32, SeabedError> {
+    let fits = u32::try_from(payload_len).ok().filter(|len| *len <= max_frame_len);
+    fits.ok_or_else(|| {
+        SeabedError::wire(format!(
+            "frame payload of {payload_len} bytes exceeds the {max_frame_len}-byte limit"
+        ))
+    })
+}
+
+/// The framing of every encoder: header, `payload` written in place behind
+/// it, the limit checked, the length patched in.
+fn frame_of(kind: FrameKind, max_frame_len: u32, payload: impl FnOnce(&mut Vec<u8>)) -> Result<Vec<u8>, SeabedError> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    out.push(frame.kind() as u8);
+    out.push(kind as u8);
     out.extend_from_slice(&[0; 4]);
-    frame.encode_payload(&mut out);
-    let payload_len = out.len() - HEADER_LEN;
-    if payload_len > max_frame_len as usize {
-        return Err(SeabedError::wire(format!(
-            "frame payload of {payload_len} bytes exceeds the {max_frame_len}-byte limit"
-        )));
-    }
-    // Within the limit, so within `u32`.
-    out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    payload(&mut out);
+    let payload_len = within_limit(out.len() - HEADER_LEN, max_frame_len)?;
+    out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
     Ok(out)
 }
 
@@ -508,15 +549,17 @@ pub fn decode_header(bytes: &[u8; HEADER_LEN], max_frame_len: u32) -> Result<Fra
         )));
     }
     let payload_len = u32::from_le_bytes([bytes[7], bytes[8], bytes[9], bytes[10]]);
-    if payload_len > max_frame_len {
-        return Err(SeabedError::wire(format!(
-            "frame payload of {payload_len} bytes exceeds the {max_frame_len}-byte limit"
-        )));
-    }
+    let payload_len = within_limit(payload_len as usize, max_frame_len)?;
     Ok(FrameHeader {
         kind: bytes[6],
         payload_len,
     })
+}
+
+/// The kind of a frame [`encode_frame`] wrote, read back off its header; `None`
+/// for bytes too short to hold one or a kind this version does not know.
+pub fn encoded_kind(frame: &[u8]) -> Option<FrameKind> {
+    frame.get(6).and_then(|&kind| FrameKind::from_u8(kind))
 }
 
 /// Decodes a frame payload of known kind. The payload must be consumed
@@ -560,11 +603,7 @@ impl Frame {
                 shard,
                 exec,
                 table,
-            } => {
-                ShardAddr(*epoch, *table_id, *shard).encode(out);
-                exec.encode(out);
-                table.encode(out);
-            }
+            } => load_shard_payload(out, ShardAddr(*epoch, *table_id, *shard), exec, table),
             Frame::ShardLoaded {
                 epoch,
                 table_id,

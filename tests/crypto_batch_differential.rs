@@ -3,7 +3,8 @@
 //!
 //! The batched hot paths (multi-block AES dispatch, PRF keystream runs, the
 //! packed ASHE mask runs, run-encryption, batched boundary decryption, the
-//! batched ORE prefix encryption, and the fixed-width bigint accumulators) exist purely for throughput:
+//! batched ORE prefix encryption and its column cursor, and the fixed-width
+//! bigint accumulators) exist purely for throughput:
 //! each must be *bit-identical* to the scalar path it replaces, over random
 //! key material, random values, random identifiers — including identifier
 //! runs that wrap `u64::MAX`, empty batches, and single-element batches.
@@ -283,6 +284,39 @@ proptest! {
         }
     }
 
+    /// A column cursor's cells do not depend on what came before them: each
+    /// is the per-bit oracle's, over sequences whose neighbours share every
+    /// prefix length (a step keeps the bits above a drawn position, flips it
+    /// and redraws the ones below; position 64 repeats the value), and each
+    /// costs the PRF blocks its common prefix with its predecessor leaves.
+    #[test]
+    fn ore_cursor_matches_scalar_over_sequences(
+        key in any::<[u8; 16]>(),
+        first in any::<u64>(),
+        steps in pvec(any::<u64>(), 0..40),
+    ) {
+        let ore = OreScheme::new(&key);
+        let mut values = vec![first];
+        for &raw in &steps {
+            let prev = *values.last().expect("starts non-empty");
+            let noise = raw.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            values.push(match raw % 65 {
+                64 => prev,
+                bit => (prev ^ 1 << bit) & !((1 << bit) - 1) | noise & ((1 << bit) - 1),
+            });
+        }
+        let mut cursor = ore.cursor();
+        for (row, &m) in values.iter().enumerate() {
+            let before = cursor.prf_blocks;
+            prop_assert_eq!(cursor.encrypt(m).to_vec(), ore.encrypt_scalar(m).symbols, "row {}", row);
+            let expected = match row.checked_sub(1) {
+                None => 64,
+                Some(prev) => 63u64.saturating_sub(u64::from((values[prev] ^ m).leading_zeros())),
+            };
+            prop_assert_eq!(cursor.prf_blocks - before, expected, "row {}", row);
+        }
+    }
+
     // ---------------------------------------------------------------
     // FixedUint: the allocation-free accumulator ≡ BigUint, wrapping at
     // 2^(64 * LIMBS).
@@ -311,6 +345,66 @@ proptest! {
 
         prop_assert_eq!(fa.rem_u64(m), ba.rem(&BigUint::from_u64(m)).to_u64_truncated());
         prop_assert_eq!(fa.to_u128_truncated(), a);
+    }
+}
+
+/// SplitMix64: a seeded stream for the pinned sequences below.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// One cursor down `values`, every cell held against the per-bit oracle;
+/// returns the PRF blocks the column cost.
+fn ore_column_blocks(ore: &OreScheme, values: &[u64]) -> u64 {
+    let mut cursor = ore.cursor();
+    for (row, &m) in values.iter().enumerate() {
+        let cell = cursor.encrypt(m);
+        assert_eq!(cell.as_slice(), ore.encrypt_scalar(m).symbols, "row {row}, m={m:#x}");
+    }
+    cursor.prf_blocks
+}
+
+/// The sequences an ingest produces, pinned by name: the order of a column
+/// decides what the cursor evaluates, never what it writes — and the count of
+/// PRF blocks is the write path's structural claim (64 a row if nothing were
+/// shared): the benchmark's 5 000 shuffled seconds-of-a-day cost at most 20 a
+/// row on average.
+#[test]
+fn ore_cursor_sequences_are_pinned() {
+    let ore = OreScheme::new(&[0x5a; 16]);
+    assert_eq!(ore_column_blocks(&ore, &[7]), 64, "a first value pays for every level");
+    assert_eq!(ore_column_blocks(&ore, &[7, 7, 7]), 64, "a repeat pays nothing");
+    assert_eq!(ore_column_blocks(&ore, &[u64::MAX, 0, u64::MAX]), 64 + 63 + 63);
+    let ascending: Vec<u64> = (0..2_000u64).map(|i| i * 43).collect();
+    let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+    assert!(ore_column_blocks(&ore, &ascending) < 64 + 17 * 2_000);
+    assert!(ore_column_blocks(&ore, &descending) < 64 + 17 * 2_000);
+    // `encrypt_i64`'s order-preserving image, walked across the sign boundary.
+    let signed = [-2i64, -1, 0, 1, i64::MIN, i64::MAX, -1, 0];
+    let image: Vec<u64> = signed.iter().map(|&v| (v as u64) ^ (1 << 63)).collect();
+    ore_column_blocks(&ore, &image);
+    for (&v, &m) in signed.iter().zip(&image) {
+        assert_eq!(ore.encrypt_i64(v), ore.encrypt_scalar(m));
+    }
+    let mut state = 1u64;
+    let full_width: Vec<u64> = (0..5_000).map(|_| splitmix(&mut state)).collect();
+    assert!(ore_column_blocks(&ore, &full_width) > 61 * 5_000, "nothing to share");
+    for (below, at_most_per_row) in [(86_400u64, 20u64), (604_800, 20)] {
+        let values: Vec<u64> = (0..5_000).map(|_| splitmix(&mut state) % below).collect();
+        let blocks = ore_column_blocks(&ore, &values);
+        assert!(
+            blocks <= at_most_per_row * 5_000,
+            "{blocks} PRF blocks for 5 000 values below {below}"
+        );
+        // A fresh cursor's first cell is `encrypt`, wherever the column starts.
+        assert_eq!(
+            ore.cursor().encrypt(values[0]).as_slice(),
+            ore.encrypt(values[0]).symbols
+        );
     }
 }
 
