@@ -26,11 +26,13 @@ pub use runner::{ExperimentConfig, ExperimentReport, ExperimentRunner};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seabed_ashe::{AsheScheme, IdSet};
-use seabed_core::{row_selected, NoEncSystem, PaillierSystem, PlainDataset, SeabedClient, SeabedServer};
+use seabed_core::{
+    row_selected, NoEncSystem, PaillierSystem, PlainDataset, QueryResult, SeabedClient, SeabedServer, SeabedSession,
+};
 use seabed_crypto::paillier::PaillierKeypair;
 use seabed_crypto::{AesCtr, BigUint};
 use seabed_encoding::IdListEncoding;
-use seabed_engine::{table_disk_size, table_memory_size, Cluster, ClusterConfig, TaskOutput};
+use seabed_engine::{table_disk_size, table_memory_size, Cluster, ClusterConfig, NetworkModel, TaskOutput};
 use seabed_query::{parse, ColumnSpec, PlannerConfig, TranslateOptions};
 use seabed_workloads::{ad_analytics, bdb, classify, synthetic};
 use std::collections::BTreeMap;
@@ -891,12 +893,17 @@ pub fn exp_fig9bc(scale: &Scale) -> Vec<BdbPoint> {
     );
     let (rank_noenc_client, rank_noenc_server) = build_noenc(&tables.rankings, &mut rng);
     let (uv_noenc_client, uv_noenc_server) = build_noenc(&tables.uservisits, &mut rng);
+    let (rankings, uservisits) = (&tables.rankings.name, &tables.uservisits.name);
+    let rank = SeabedSession::single(rankings, rank_client, &rank_server);
+    let uv = SeabedSession::single(uservisits, uv_client, &uv_server);
+    let rank_noenc = SeabedSession::single(rankings, rank_noenc_client, &rank_noenc_server);
+    let uv_noenc = SeabedSession::single(uservisits, uv_noenc_client, &uv_noenc_server);
 
     for query in bdb::queries() {
-        let (seabed_client, seabed_server, noenc_client, noenc_server) = if query.table == "rankings" {
-            (&rank_client, &rank_server, &rank_noenc_client, &rank_noenc_server)
+        let (seabed, noenc) = if query.table == *rankings {
+            (&rank, &rank_noenc)
         } else {
-            (&uv_client, &uv_server, &uv_noenc_client, &uv_noenc_server)
+            (&uv, &uv_noenc)
         };
         // Scan queries (Q1*) have no aggregate; approximate them as COUNT
         // scans so both systems do equivalent filter work (the paper also
@@ -906,11 +913,8 @@ pub fn exp_fig9bc(scale: &Scale) -> Vec<BdbPoint> {
         } else {
             query.sql.clone()
         };
-        for (label, client, server) in [
-            ("NoEnc", noenc_client, noenc_server),
-            ("Seabed", seabed_client, seabed_server),
-        ] {
-            match client.query(server, &sql) {
+        for (label, session) in [("NoEnc", noenc), ("Seabed", seabed)] {
+            match session.query(&sql, &[]) {
                 Ok(result) => points.push(BdbPoint {
                     query: query.name.to_string(),
                     system: label.to_string(),
@@ -1006,20 +1010,27 @@ pub fn exp_fig10a(scale: &Scale) -> Vec<AdaPoint> {
         std::hint::black_box(kp.public.add(&c, &c));
     });
 
+    // End to end as §6.6 has it: server and proxy compute plus the result's
+    // transfer over the datacenter link, modelled from its size.
+    let link = NetworkModel::datacenter();
+    let end_to_end = |result: &QueryResult| result.timings.total() + link.transfer_time(result.result_bytes);
+    let table = &dataset.name;
+    let noenc = SeabedSession::single(table, noenc_client, &noenc_server);
+    let seabed = SeabedSession::single(table, seabed_client, &seabed_server);
     let mut points = Vec::new();
     for q in &queries {
-        if let Ok(result) = noenc_client.query(&noenc_server, &q.sql) {
+        if let Ok(result) = noenc.query(&q.sql, &[]) {
             points.push(AdaPoint {
                 system: "NoEnc".into(),
                 groups: q.groups,
-                response: result.timings.total(),
+                response: end_to_end(&result),
             });
         }
-        if let Ok(result) = seabed_client.query(&seabed_server, &q.sql) {
+        if let Ok(result) = seabed.query(&q.sql, &[]) {
             points.push(AdaPoint {
                 system: "Seabed".into(),
                 groups: q.groups,
-                response: result.timings.total(),
+                response: end_to_end(&result),
             });
             // Paillier estimate: same selected rows, per-row ciphertext
             // multiplication instead of wrapping addition.
@@ -1029,7 +1040,7 @@ pub fn exp_fig10a(scale: &Scale) -> Vec<AdaPoint> {
             points.push(AdaPoint {
                 system: "Paillier (estimated)".into(),
                 groups: q.groups,
-                response: result.timings.total() + est,
+                response: end_to_end(&result) + est,
             });
         }
     }

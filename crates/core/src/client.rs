@@ -3,9 +3,18 @@
 //!
 //! The proxy is the only trusted component besides the data source (Figure 5).
 //! It hides every cryptographic operation from the analyst: queries go in as
-//! plain SQL and come back as plaintext rows, with timing broken down into
-//! server, network and client-side decryption components so the experiments of
-//! §6 can be reproduced.
+//! plain SQL and come back as plaintext rows. A [`SeabedClient`] is the keys'
+//! half of that — plan, dataset encryption, literal encryption, decryption —
+//! and nothing else: SQL is turned into rows by a [`crate::SeabedSession`]
+//! over it, the one path that is cached, traced and measured.
+//!
+//! **Key material exists once per proxy.** "A different secret key for each
+//! column" (§4.2) is a per-column cost paid before the data flows:
+//! [`SeabedClient::create_plan`] derives every column key and expands it into
+//! its scheme (AES round keys, HMAC midstates) once, into one value that
+//! clones of the client share. Literal encryption and decryption borrow from
+//! it; a literal for a column it holds no scheme for is a typed error, never
+//! a ciphertext under a key made up on the spot.
 //!
 //! This is the file that holds the keys, so it only *decrypts*: how a `SELECT`
 //! list expands into server aggregates and collapses back into a result row is
@@ -13,8 +22,8 @@
 //! [`SeabedClient::decrypt_response`] is three passes over a response:
 //!
 //! 1. **resolve** — each plan aggregate once per response: the kind of answer
-//!    the plan asked for and the ASHE scheme (key schedule included) that
-//!    opens it;
+//!    the plan asked for and, borrowed from the schemes the proxy built with
+//!    its plan, the ASHE scheme that opens it;
 //! 2. **decode + fold** — each group's aggregates are checked against the
 //!    plan and its ID list — one per group, whatever the number of sums over
 //!    it — decoded exactly once; under group inflation the sub-groups of a
@@ -37,37 +46,34 @@
 use crate::dataset::PlainDataset;
 use crate::encrypt::{encrypt_dataset, physical_ashe_keys, EncryptedTable};
 use crate::keys::KeyStore;
-use crate::server::{
-    filter_column_type, require_column, EncryptedAggregate, PhysicalFilter, QueryTarget, ServerResponse,
-};
+use crate::server::{filter_column_type, require_column, EncryptedAggregate, PhysicalFilter, ServerResponse};
 use seabed_ashe::{AsheCiphertext, AsheScheme, IdSet};
 use seabed_crypto::{DetScheme, OreScheme};
-use seabed_engine::{ExecStats, NetworkModel, Schema};
+use seabed_engine::{ExecStats, Schema};
 use seabed_error::SeabedError;
-use seabed_query::planner::{plan_schema, ColumnSpec, PlannerConfig, SchemaPlan};
+use seabed_query::planner::{plan_schema, ColumnSpec, EncryptionChoice, PlannerConfig, SchemaPlan};
 pub use seabed_query::ResultValue;
-use seabed_query::{
-    encnames, parse, translate, AggregateInput, Query, ServerAggregate, ServerFilter, TranslateOptions, TranslatedQuery,
-};
+use seabed_query::{encnames, AggregateInput, Query, ServerAggregate, ServerFilter, TranslateOptions, TranslatedQuery};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Latency breakdown of one query, mirroring the decomposition reported in
-/// §6.2 (server compute, network transfer, client decryption).
+/// Latency breakdown of one query: the two compute components of §6.2's
+/// decomposition. Time on the link is measured, not modelled — by the spans
+/// of the execution's trace; the paper harness models a link from
+/// [`QueryResult::result_bytes`] where it reproduces §6.6.
 #[derive(Clone, Debug, Default)]
 pub struct QueryTimings {
     /// Simulated server-side latency.
     pub server: Duration,
-    /// Modeled network transfer time of the result.
-    pub network: Duration,
     /// Measured client-side decryption / post-processing time.
     pub client: Duration,
 }
 
 impl QueryTimings {
-    /// End-to-end latency.
+    /// Server plus client compute.
     pub fn total(&self) -> Duration {
-        self.server + self.network + self.client
+        self.server + self.client
     }
 }
 
@@ -92,65 +98,68 @@ pub struct QueryResult {
     pub trace_id: u64,
 }
 
-/// Pre-instantiated per-column filter-encryption schemes for one statement.
-///
-/// Constructing a [`DetScheme`] or [`OreScheme`] pays an AES key schedule
-/// (DET also splits an HMAC key); on the prepared hot path that cost used to
-/// be paid once per execute per bound literal. A `FilterEncryptor` is built
-/// once — by [`SeabedClient::filter_encryptor`] at statement-prepare time —
-/// and shared by every subsequent execute, so binding K literals performs
-/// zero key schedules. The schemes are deterministic per key, making
-/// encryptor-based and from-scratch encryption byte-identical.
-#[derive(Clone, Default)]
-pub struct FilterEncryptor {
-    /// DET schemes keyed by *physical* column name (e.g. `dept__det`).
+/// Every scheme this proxy's keys open, each keyed by the *physical* column it
+/// reads or writes: an [`AsheScheme`] per ASHE-masked column (measures, their
+/// squares, OPE companions, every splayed SPLASHE column), a [`DetScheme`]
+/// per DET-tagged column and an [`OreScheme`] per order-encrypted one. Built
+/// once, by [`SeabedClient::create_plan`]; nothing else in the query path
+/// derives a key or expands one.
+struct ColumnSchemes {
+    ashe: HashMap<String, AsheScheme>,
     det: HashMap<String, DetScheme>,
-    /// ORE schemes keyed by physical column name (e.g. `ts__ope`).
     ore: HashMap<String, OreScheme>,
 }
 
-impl FilterEncryptor {
-    /// Number of cached per-column schemes (DET + ORE).
-    pub fn len(&self) -> usize {
-        self.det.len() + self.ore.len()
-    }
-
-    /// True when no scheme is cached (every filter falls back to a fresh
-    /// key schedule).
-    pub fn is_empty(&self) -> bool {
-        self.det.is_empty() && self.ore.is_empty()
+impl ColumnSchemes {
+    fn build(plan: &SchemaPlan, keys: &KeyStore) -> ColumnSchemes {
+        let ashe = physical_ashe_keys(plan, keys)
+            .into_iter()
+            .map(|(column, key)| (column, AsheScheme::new(&key)))
+            .collect();
+        let (mut det, mut ore) = (HashMap::new(), HashMap::new());
+        for column in &plan.columns {
+            match column.encryption {
+                EncryptionChoice::Det | EncryptionChoice::SplasheEnhanced { .. } => {
+                    det.insert(encnames::det(&column.name), DetScheme::new(&keys.det_key(&column.name)));
+                }
+                EncryptionChoice::Ope => {
+                    ore.insert(encnames::ope(&column.name), OreScheme::new(&keys.ope_key(&column.name)));
+                }
+                _ => {}
+            }
+        }
+        ColumnSchemes { ashe, det, ore }
     }
 }
 
-impl std::fmt::Debug for FilterEncryptor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FilterEncryptor")
-            .field("det_columns", &self.det.keys().collect::<Vec<_>>())
-            .field("ore_columns", &self.ore.keys().collect::<Vec<_>>())
-            .finish()
-    }
+/// The error of a literal for a column this proxy holds no scheme for: the
+/// plan was translated under another proxy's schema plan.
+fn no_scheme(kind: &str, column: &str) -> SeabedError {
+    SeabedError::Translate(format!(
+        "this proxy holds no {kind} key for the physical column {column}: it is not a {kind} column of its schema plan"
+    ))
 }
 
 /// The Seabed client proxy.
 ///
-/// `Clone` is cheap relative to the data it manages (keys, plan, DET
-/// dictionaries) and lets concurrent workloads — many simultaneous remote
-/// clients — hand each connection its own proxy without re-planning.
+/// `Clone` copies the plan and the DET dictionaries and *shares* the schemes
+/// (no round key is copied), so concurrent workloads — many simultaneous
+/// sessions or remote clients — hand each its own proxy without re-planning
+/// or re-deriving a key.
 #[derive(Clone)]
 pub struct SeabedClient {
     keys: KeyStore,
     plan: SchemaPlan,
     det_dictionary: HashMap<String, HashMap<u64, String>>,
-    ashe_keys: HashMap<String, [u8; 16]>,
-    /// Network link between server and proxy.
-    pub network: NetworkModel,
+    schemes: Arc<ColumnSchemes>,
     /// Translation options (worker count for group inflation, expected groups).
     pub translate_options: TranslateOptions,
 }
 
 impl SeabedClient {
     /// Runs the planner over the plaintext schema and sample queries and
-    /// builds a proxy around the resulting plan ("Create Plan" in §4.1).
+    /// builds a proxy around the resulting plan ("Create Plan" in §4.1),
+    /// deriving and expanding every column key the plan calls for.
     pub fn create_plan(
         master_key: &[u8],
         columns: &[ColumnSpec],
@@ -159,13 +168,12 @@ impl SeabedClient {
     ) -> SeabedClient {
         let plan = plan_schema(columns, sample_queries, config);
         let keys = KeyStore::new(master_key);
-        let ashe_keys = physical_ashe_keys(&plan, &keys);
+        let schemes = Arc::new(ColumnSchemes::build(&plan, &keys));
         SeabedClient {
             keys,
             plan,
             det_dictionary: HashMap::new(),
-            ashe_keys,
-            network: NetworkModel::datacenter(),
+            schemes,
             translate_options: TranslateOptions::default(),
         }
     }
@@ -193,129 +201,31 @@ impl SeabedClient {
         encrypted
     }
 
-    /// Translates a SQL string and encrypts its literals against a target's
-    /// schema, producing everything needed to execute the query remotely.
-    /// Exposed so benchmarks can time translation, execution and decryption
-    /// separately.
-    ///
-    /// This is the *one-shot* path: every literal must be inline in the SQL
-    /// (a `?` placeholder is a typed error — prepare parameterized statements
-    /// through [`crate::SeabedSession`] instead, which binds and encrypts
-    /// only the bound literals per execution).
-    ///
-    /// `target` is anything implementing [`QueryTarget`]: the in-process
-    /// [`crate::SeabedServer`], a `seabed-net` remote proxy, or a
-    /// `seabed-dist` coordinator fanning the query out across sharded
-    /// workers — the proxy surface is identical.
-    pub fn prepare(
-        &self,
-        target: &impl QueryTarget,
-        sql: &str,
-    ) -> Result<(Query, TranslatedQuery, Vec<PhysicalFilter>), SeabedError> {
-        let query = parse(sql)?;
-        let schema = target.schema_of(query.from.base_table())?;
-        self.prepare_parsed(schema, query)
-    }
-
-    /// Like [`SeabedClient::prepare`], but resolves filter columns against a
-    /// bare [`Schema`] instead of an in-process server. This is the entry
-    /// point remote deployments use: `seabed_net::RemoteSeabedClient` fetches
-    /// the schema over the wire at connect time and prepares every query
-    /// against it, so the proxy never needs a reference to the server object.
-    pub fn prepare_with_schema(
-        &self,
-        schema: &Schema,
-        sql: &str,
-    ) -> Result<(Query, TranslatedQuery, Vec<PhysicalFilter>), SeabedError> {
-        self.prepare_parsed(schema, parse(sql)?)
-    }
-
-    fn prepare_parsed(
-        &self,
-        schema: &Schema,
-        query: Query,
-    ) -> Result<(Query, TranslatedQuery, Vec<PhysicalFilter>), SeabedError> {
-        let translated = translate(&query, &self.plan, &self.translate_options)?;
-        if !translated.is_bound() {
-            return Err(SeabedError::Translate(format!(
-                "query has {} unbound placeholder(s): prepare it through a SeabedSession and bind parameters at \
-                 execute time",
-                translated.params.len()
-            )));
-        }
-        let filters = self.encrypt_filters(schema, &translated)?;
-        Ok((query, translated, filters))
-    }
-
     /// Encrypts the literals of a fully-bound translated query into the
     /// [`PhysicalFilter`]s the server evaluates: DET literals become tags,
     /// OPE literals become ORE ciphertexts, plaintext literals pass through.
     /// Every filter column is resolved against `schema` and type-checked
     /// *here*, at the proxy — a mismatch is a typed [`SeabedError::Schema`]
-    /// at bind time, never a server-side execution failure.
-    ///
-    /// One [`FilterEncryptor`] is built for the whole call, so repeated
-    /// filters on the same column share a single key schedule.
+    /// at bind time, never a server-side execution failure — and a DET or OPE
+    /// literal for a column this proxy holds no scheme for (a plan translated
+    /// under another proxy's schema plan) is a typed
+    /// [`SeabedError::Translate`], not a filter that can match nothing.
     pub fn encrypt_filters(
         &self,
         schema: &Schema,
         translated: &TranslatedQuery,
     ) -> Result<Vec<PhysicalFilter>, SeabedError> {
-        let encryptor = self.filter_encryptor(translated);
         translated
             .filters
             .iter()
-            .map(|filter| self.encrypt_filter_with(&encryptor, schema, filter))
+            .map(|filter| self.encrypt_filter(schema, filter))
             .collect()
-    }
-
-    /// Builds the per-statement [`FilterEncryptor`]: one DET/ORE scheme
-    /// instance per distinct filter column of `translated`, each paying its
-    /// AES key schedule exactly once. Placeholder positions carry their
-    /// column name even before binding, so the encryptor built at prepare
-    /// time covers every literal a later bind can produce.
-    pub fn filter_encryptor(&self, translated: &TranslatedQuery) -> FilterEncryptor {
-        let mut encryptor = FilterEncryptor::default();
-        for filter in &translated.filters {
-            match filter {
-                ServerFilter::Plain(_) => {}
-                ServerFilter::DetEquals { column, .. } => {
-                    encryptor
-                        .det
-                        .entry(column.clone())
-                        .or_insert_with(|| self.det_scheme_for(column));
-                }
-                ServerFilter::OpeCompare { column, .. } => {
-                    encryptor
-                        .ore
-                        .entry(column.clone())
-                        .or_insert_with(|| self.ore_scheme_for(column));
-                }
-            }
-        }
-        encryptor
-    }
-
-    fn det_scheme_for(&self, column: &str) -> DetScheme {
-        DetScheme::new(&self.keys.det_key(encnames::det_logical(column)))
-    }
-
-    fn ore_scheme_for(&self, column: &str) -> OreScheme {
-        OreScheme::new(&self.keys.ope_key(encnames::ope_logical(column)))
     }
 
     /// Encrypts one fully-bound server filter into its physical form — the
     /// unit the session uses to re-encrypt *only* the placeholder positions
-    /// of a partially-bound statement per execution — using `encryptor`'s
-    /// cached per-column schemes, falling back to a freshly-built scheme for a
-    /// column the encryptor does not cover (the schemes are deterministic
-    /// per key, so the output is identical either way).
-    pub fn encrypt_filter_with(
-        &self,
-        encryptor: &FilterEncryptor,
-        schema: &Schema,
-        filter: &ServerFilter,
-    ) -> Result<PhysicalFilter, SeabedError> {
+    /// of a partially-bound statement per execution.
+    pub(crate) fn encrypt_filter(&self, schema: &Schema, filter: &ServerFilter) -> Result<PhysicalFilter, SeabedError> {
         // One shared rule (`require_filter_column`) decides which physical
         // type each filter reads, so prepare-time validation and bind-time
         // encryption cannot diverge.
@@ -347,40 +257,21 @@ impl SeabedClient {
                 }
             },
             ServerFilter::DetEquals { column, value } => {
-                let tag = match encryptor.det.get(column) {
-                    Some(det) => det.tag64_of(value.as_bytes()),
-                    None => self.det_scheme_for(column).tag64_of(value.as_bytes()),
-                };
-                PhysicalFilter::DetTag { column: idx, tag }
+                let det = self.schemes.det.get(column).ok_or_else(|| no_scheme("DET", column))?;
+                PhysicalFilter::DetTag {
+                    column: idx,
+                    tag: det.tag64_of(value.as_bytes()),
+                }
             }
             ServerFilter::OpeCompare { column, op, value } => {
-                let ciphertext = match encryptor.ore.get(column) {
-                    Some(ore) => ore.encrypt(*value),
-                    None => self.ore_scheme_for(column).encrypt(*value),
-                };
+                let ore = self.schemes.ore.get(column).ok_or_else(|| no_scheme("OPE", column))?;
                 PhysicalFilter::Ope {
                     column: idx,
                     op: *op,
-                    ciphertext,
+                    ciphertext: ore.encrypt(*value),
                 }
             }
         })
-    }
-
-    /// Runs a SQL query end-to-end against a query target ("Query Data" in
-    /// §4.1): translate, encrypt literals, execute remotely, decrypt and
-    /// post-process. The target may be the in-process [`crate::SeabedServer`]
-    /// or a `seabed-dist` coordinator — same surface either way.
-    ///
-    /// Every layer reports through [`SeabedError`]: malformed SQL surfaces as
-    /// [`SeabedError::Parse`], references to unknown columns as
-    /// [`SeabedError::Schema`], unsupported operations as
-    /// [`SeabedError::Translate`], and a server response that does not match
-    /// the plan as [`SeabedError::Engine`] / [`SeabedError::Encoding`].
-    pub fn query(&self, target: &impl QueryTarget, sql: &str) -> Result<QueryResult, SeabedError> {
-        let (query, translated, filters) = self.prepare(target, sql)?;
-        let response = target.execute_query(&translated, &filters)?;
-        self.decrypt_response(&query, &translated, response)
     }
 
     /// Decrypts a server response into the rows of the original `SELECT` —
@@ -404,8 +295,8 @@ impl SeabedClient {
         let started = Instant::now();
         let mut prf_evals = 0usize;
 
-        // Pass 1 — resolve: one scheme per plan aggregate per response.
-        let plan: Vec<Opener> = translated.aggregates.iter().map(|agg| self.opener(agg)).collect();
+        // Pass 1 — resolve: each plan aggregate to the scheme that opens it.
+        let plan: Vec<Opener<'_>> = translated.aggregates.iter().map(|agg| self.opener(agg)).collect();
 
         // Pass 2 — decode + fold. Inflation is decided here and only here:
         // the server appended a suffix word to every group key, and the
@@ -490,14 +381,11 @@ impl SeabedClient {
             rows.push(row);
         }
 
-        let client = started.elapsed();
-        let network = self.network.transfer_time(response.result_bytes);
         Ok(QueryResult {
             rows,
             timings: QueryTimings {
                 server: response.stats.simulated_server_time,
-                network,
-                client,
+                client: started.elapsed(),
             },
             server_stats: response.stats,
             result_bytes: response.result_bytes,
@@ -509,8 +397,8 @@ impl SeabedClient {
     /// Resolves one plan aggregate: the kind of answer it expects and, looked
     /// up under the name of the physical column the words come from
     /// ([`ServerAggregate::input`]), the ASHE scheme that unmasks them.
-    fn opener(&self, aggregate: &ServerAggregate) -> Opener {
-        let scheme = |words_of: &str| self.ashe_keys.get(words_of).map(AsheScheme::new);
+    fn opener(&self, aggregate: &ServerAggregate) -> Opener<'_> {
+        let scheme = |words_of: &str| self.schemes.ashe.get(words_of);
         let (answer, scheme) = match aggregate.input() {
             AggregateInput::Words(column) => (Answer::Sum, scheme(column)),
             AggregateInput::RowIds => (Answer::Count, None),
@@ -522,11 +410,11 @@ impl SeabedClient {
 
 /// One plan aggregate, resolved for one response: which kind of
 /// [`EncryptedAggregate`] answers it and how its words are unmasked.
-struct Opener {
+struct Opener<'a> {
     answer: Answer,
     /// `None` for a column the proxy holds no key for — a public column the
     /// server read in the clear, whose words pass through — and for a count.
-    scheme: Option<AsheScheme>,
+    scheme: Option<&'a AsheScheme>,
 }
 
 enum Answer {
@@ -548,7 +436,7 @@ enum Folded {
 
 /// Removes from `masked.value` the masks of the rows in `masked.ids`,
 /// telescoped per run.
-fn unmask(scheme: &Option<AsheScheme>, masked: &AsheCiphertext, prf_evals: &mut usize) -> u64 {
+fn unmask(scheme: Option<&AsheScheme>, masked: &AsheCiphertext, prf_evals: &mut usize) -> u64 {
     let Some(scheme) = scheme else {
         return masked.value;
     };
@@ -556,7 +444,7 @@ fn unmask(scheme: &Option<AsheScheme>, masked: &AsheCiphertext, prf_evals: &mut 
     scheme.decrypt(masked)
 }
 
-impl Opener {
+impl Opener<'_> {
     /// The fold's identity: a group no sub-group has contributed to yet.
     fn nothing_yet(&self) -> Folded {
         match self.answer {
@@ -596,7 +484,7 @@ impl Opener {
                         value: value_word,
                         ids: IdSet::single(id),
                     };
-                    let candidate = unmask(&self.scheme, &row, prf_evals);
+                    let candidate = unmask(self.scheme, &row, prf_evals);
                     *best = Some(match *best {
                         Some(best) if *want_max => best.max(candidate),
                         Some(best) => best.min(candidate),
@@ -621,7 +509,7 @@ impl Opener {
         match folded {
             Folded::Sum(value) => {
                 selected.value = value;
-                unmask(&self.scheme, selected, prf_evals)
+                unmask(self.scheme, selected, prf_evals)
             }
             Folded::Count(rows) => rows,
             Folded::Extreme(best) => best.unwrap_or(0),
@@ -646,7 +534,14 @@ pub(crate) fn require_filter_column(schema: &Schema, filter: &ServerFilter) -> R
 mod tests {
     use super::*;
     use crate::server::SeabedServer;
+    use crate::session::SeabedSession;
     use seabed_engine::{Cluster, ClusterConfig};
+    use seabed_query::parse;
+
+    /// SQL in, rows out: the one path, over a fresh single-table session.
+    fn run(client: &SeabedClient, server: &SeabedServer, sql: &str) -> Result<QueryResult, SeabedError> {
+        SeabedSession::single("sales", client.clone(), server).query(sql, &[])
+    }
 
     fn build_system() -> Result<(SeabedClient, SeabedServer, PlainDataset), SeabedError> {
         let countries = [
@@ -690,7 +585,7 @@ mod tests {
     #[test]
     fn end_to_end_global_sum() -> Result<(), SeabedError> {
         let (client, server, _) = build_system()?;
-        let result = client.query(&server, "SELECT SUM(revenue) FROM sales")?;
+        let result = run(&client, &server, "SELECT SUM(revenue) FROM sales")?;
         assert_eq!(result.rows, vec![vec![ResultValue::UInt(550)]]);
         assert!(result.timings.total() > Duration::ZERO);
         Ok(())
@@ -700,7 +595,7 @@ mod tests {
     fn end_to_end_splashe_filter() -> Result<(), SeabedError> {
         let (client, server, dataset) = build_system()?;
         // USA is frequent -> dedicated splayed column.
-        let result = client.query(&server, "SELECT SUM(revenue) FROM sales WHERE country = 'USA'")?;
+        let result = run(&client, &server, "SELECT SUM(revenue) FROM sales WHERE country = 'USA'")?;
         let country = dataset
             .column("country")
             .ok_or_else(|| SeabedError::engine("missing country column"))?;
@@ -713,7 +608,11 @@ mod tests {
             .sum();
         assert_eq!(result.rows[0][0], ResultValue::UInt(expected));
         // India is infrequent -> others column + DET-filtered rows.
-        let result = client.query(&server, "SELECT SUM(revenue) FROM sales WHERE country = 'India'")?;
+        let result = run(
+            &client,
+            &server,
+            "SELECT SUM(revenue) FROM sales WHERE country = 'India'",
+        )?;
         assert_eq!(result.rows[0][0], ResultValue::UInt(60 + 80));
         Ok(())
     }
@@ -721,9 +620,9 @@ mod tests {
     #[test]
     fn end_to_end_ope_range_filter() -> Result<(), SeabedError> {
         let (client, server, _) = build_system()?;
-        let result = client.query(&server, "SELECT SUM(revenue) FROM sales WHERE ts >= 6")?;
+        let result = run(&client, &server, "SELECT SUM(revenue) FROM sales WHERE ts >= 6")?;
         assert_eq!(result.rows[0][0], ResultValue::UInt(60 + 70 + 80 + 90 + 100));
-        let result = client.query(&server, "SELECT COUNT(*) FROM sales WHERE ts < 4")?;
+        let result = run(&client, &server, "SELECT COUNT(*) FROM sales WHERE ts < 4")?;
         assert_eq!(result.rows[0][0], ResultValue::UInt(3));
         Ok(())
     }
@@ -731,7 +630,7 @@ mod tests {
     #[test]
     fn end_to_end_group_by_with_key_decryption() -> Result<(), SeabedError> {
         let (client, server, _) = build_system()?;
-        let result = client.query(&server, "SELECT dept, SUM(revenue) FROM sales GROUP BY dept")?;
+        let result = run(&client, &server, "SELECT dept, SUM(revenue) FROM sales GROUP BY dept")?;
         assert_eq!(result.rows.len(), 2);
         let mut by_key: HashMap<String, u64> = HashMap::new();
         for row in &result.rows {
@@ -748,9 +647,9 @@ mod tests {
     #[test]
     fn end_to_end_avg_and_variance() -> Result<(), SeabedError> {
         let (client, server, _) = build_system()?;
-        let avg = client.query(&server, "SELECT AVG(revenue) FROM sales")?;
+        let avg = run(&client, &server, "SELECT AVG(revenue) FROM sales")?;
         assert_eq!(avg.rows[0][0], ResultValue::Float(55.0));
-        let var = client.query(&server, "SELECT VARIANCE(revenue) FROM sales")?;
+        let var = run(&client, &server, "SELECT VARIANCE(revenue) FROM sales")?;
         // Population variance of 10..100 step 10 is 825.
         assert!(
             matches!(var.rows[0][0], ResultValue::Float(v) if (v - 825.0).abs() < 1e-9),
@@ -763,10 +662,8 @@ mod tests {
     #[test]
     fn unsupported_query_reports_error() -> Result<(), SeabedError> {
         let (client, server, _) = build_system()?;
-        assert!(client
-            .query(&server, "SELECT SUM(revenue) FROM sales WHERE revenue = 10")
-            .is_err());
-        assert!(client.query(&server, "not sql at all").is_err());
+        assert!(run(&client, &server, "SELECT SUM(revenue) FROM sales WHERE revenue = 10").is_err());
+        assert!(run(&client, &server, "not sql at all").is_err());
         Ok(())
     }
 
@@ -774,7 +671,9 @@ mod tests {
     fn forged_response_kind_is_rejected() -> Result<(), SeabedError> {
         use crate::server::{GroupIds, GroupResult};
         let (client, server, _) = build_system()?;
-        let (query, translated, _) = client.prepare(&server, "SELECT SUM(revenue) FROM sales")?;
+        let prepared =
+            SeabedSession::single("sales", client.clone(), &server).prepare("SELECT SUM(revenue) FROM sales")?;
+        let (query, translated) = (prepared.query(), prepared.translated());
         let no_rows = || {
             Some(GroupIds {
                 id_list: Vec::new(),
@@ -793,7 +692,7 @@ mod tests {
                 stats: ExecStats::default(),
                 result_bytes: 8,
             };
-            let outcome = client.decrypt_response(&query, &translated, forged);
+            let outcome = client.decrypt_response(query, translated, forged);
             assert!(
                 matches!(&outcome, Err(SeabedError::Engine(msg)) if msg.contains(check)),
                 "expected the {check:?} check, got {outcome:?}"
@@ -824,7 +723,9 @@ mod tests {
         use crate::server::{GroupIds, GroupResult};
         let (mut client, server, _) = build_system()?;
         client.translate_options.expected_groups = Some(1);
-        let (query, translated, _) = client.prepare(&server, "SELECT dept, SUM(revenue) FROM sales GROUP BY dept")?;
+        let prepared = SeabedSession::single("sales", client.clone(), &server)
+            .prepare("SELECT dept, SUM(revenue) FROM sales GROUP BY dept")?;
+        let (query, translated) = (prepared.query(), prepared.translated());
         assert!(translated.group_inflation > 1, "fixture should inflate groups");
         let no_rows = || {
             Some(GroupIds {
@@ -850,7 +751,7 @@ mod tests {
             stats: ExecStats::default(),
             result_bytes: 16,
         };
-        let outcome = client.decrypt_response(&query, &translated, forged);
+        let outcome = client.decrypt_response(query, translated, forged);
         assert!(matches!(outcome, Err(SeabedError::Engine(_))), "{outcome:?}");
         Ok(())
     }
@@ -866,7 +767,8 @@ mod tests {
         let (mut client, server, _) = build_system()?;
         client.translate_options.expected_groups = Some(1);
         let sql = "SELECT dept, SUM(revenue) FROM sales GROUP BY dept";
-        let (query, translated, _) = client.prepare(&server, sql)?;
+        let prepared = SeabedSession::single("sales", client.clone(), &server).prepare(sql)?;
+        let (query, translated) = (prepared.query(), prepared.translated());
         assert!(translated.group_inflation > 1, "fixture should inflate groups");
         let sum = |value: u64| EncryptedAggregate::AsheSum { value };
         let forge = |groups: Vec<(Vec<u64>, EncryptedAggregate)>| ServerResponse {
@@ -893,11 +795,67 @@ mod tests {
             // Two different groups, neither key carries the inflation suffix.
             forge(vec![(vec![5], sum(1)), (vec![6], sum(2))]),
         ] {
-            let outcome = client.decrypt_response(&query, &translated, forged);
+            let outcome = client.decrypt_response(query, translated, forged);
             assert!(matches!(outcome, Err(SeabedError::Engine(_))), "{outcome:?}");
         }
-        let honest = client.query(&server, sql)?;
+        let honest = run(&client, &server, sql)?;
         assert_eq!(honest.rows.len(), 2);
+        Ok(())
+    }
+
+    /// The schemes are built once and shared: a clone of the proxy holds the
+    /// same value, not a copy of its round keys.
+    #[test]
+    fn cloning_the_proxy_shares_its_schemes() -> Result<(), SeabedError> {
+        let (client, _, _) = build_system()?;
+        assert_eq!(Arc::strong_count(&client.schemes), 1);
+        let clone = client.clone();
+        assert_eq!(Arc::strong_count(&client.schemes), 2);
+        assert!(Arc::ptr_eq(&client.schemes, &clone.schemes));
+        // One scheme per physical column of the plan, whatever a query names.
+        assert!(client.schemes.det.contains_key("dept__det") && client.schemes.det.contains_key("country__det"));
+        assert_eq!(client.schemes.ore.keys().collect::<Vec<_>>(), ["ts__ope"]);
+        assert!(["revenue__ashe", "revenue__ashe_sq", "ts__ope_val"]
+            .iter()
+            .all(|column| client.schemes.ashe.contains_key(*column)));
+        Ok(())
+    }
+
+    /// A literal for a column this proxy holds no key for is a typed error.
+    /// `encrypt_filters` used to derive a key for it on the spot — from this
+    /// proxy's master and the column's name — tag the literal under it and
+    /// ship a filter that can match nothing: a silently empty answer.
+    #[test]
+    fn a_plan_translated_under_another_proxys_schema_plan_is_refused() -> Result<(), SeabedError> {
+        let (owner, server, _) = build_system()?;
+        let sql = "SELECT SUM(revenue) FROM sales WHERE dept = 'b' AND ts >= 6";
+        let plan = seabed_query::translate(&parse(sql)?, owner.plan(), &owner.translate_options)?;
+
+        // Another tenant's proxy over the same stored schema: its plan keeps
+        // `dept` and `ts` in the clear, so it holds no DET or OPE key at all.
+        let columns = ["country", "dept", "ts"]
+            .map(ColumnSpec::public)
+            .into_iter()
+            .chain([ColumnSpec::sensitive("revenue")])
+            .collect::<Vec<_>>();
+        let stranger = SeabedClient::create_plan(b"other-master", &columns, &[parse(sql)?], &PlannerConfig::default());
+        let outcome = stranger.encrypt_filters(server.schema(), &plan);
+        assert!(
+            matches!(&outcome, Err(SeabedError::Translate(msg)) if msg.contains("dept__det")),
+            "{outcome:?}"
+        );
+
+        // Through its own proxy the same plan encrypts to the bytes it always did.
+        let filters = owner.encrypt_filters(server.schema(), &plan)?;
+        let [PhysicalFilter::DetTag { tag, .. }, PhysicalFilter::Ope { ciphertext, .. }] = &filters[..] else {
+            return Err(SeabedError::engine(format!("unexpected filters {filters:?}")));
+        };
+        // Recorded at the parent of the change that built the schemes once.
+        assert_eq!(*tag, 0xda2f_7c1d_9e69_bc4b);
+        assert_eq!(
+            ciphertext.symbols,
+            [6, 132, 84, 137, 164, 170, 8, 133, 166, 69, 34, 22, 40, 96, 166, 152]
+        );
         Ok(())
     }
 
@@ -906,17 +864,17 @@ mod tests {
         let (client, server, _) = build_system()?;
         // Malformed SQL -> Parse.
         assert!(matches!(
-            client.query(&server, "SELECT FROM WHERE"),
+            run(&client, &server, "SELECT FROM WHERE"),
             Err(SeabedError::Parse(_))
         ));
         // Unknown column -> Schema.
         assert!(matches!(
-            client.query(&server, "SELECT SUM(no_such_column) FROM sales"),
+            run(&client, &server, "SELECT SUM(no_such_column) FROM sales"),
             Err(SeabedError::Schema(_))
         ));
         // Unsupported operation (filter on an ASHE measure) -> Translate.
         assert!(matches!(
-            client.query(&server, "SELECT COUNT(*) FROM sales WHERE revenue = 10"),
+            run(&client, &server, "SELECT COUNT(*) FROM sales WHERE revenue = 10"),
             Err(SeabedError::Translate(_))
         ));
         Ok(())

@@ -53,7 +53,7 @@ pub struct EncryptedTable {
 
 /// Returns the ASHE key for a physical (encrypted) column name, consistent
 /// between the encryption module and the decryption module.
-pub fn physical_ashe_keys(plan: &SchemaPlan, keys: &KeyStore) -> HashMap<String, [u8; 16]> {
+pub(crate) fn physical_ashe_keys(plan: &SchemaPlan, keys: &KeyStore) -> HashMap<String, [u8; 16]> {
     let mut map = HashMap::new();
     let measures: Vec<&str> = plan
         .columns

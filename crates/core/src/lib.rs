@@ -11,13 +11,17 @@
 //!   encrypted physical schema (ASHE, SPLASHE, DET, OPE columns);
 //! * [`server`] — the untrusted Seabed server executing translated queries
 //!   over the partitioned encrypted table;
-//! * [`client`] — the trusted client proxy: planning, query translation,
-//!   literal encryption, result decryption and post-processing;
+//! * [`client`] — the trusted client proxy of one table: its plan, its keys
+//!   (every column's scheme, built once), literal encryption and result
+//!   decryption;
+//! * [`session`] — the one way from SQL text to decrypted rows: a catalog of
+//!   proxies over one execution target, with a statement cache, traces and
+//!   metrics;
 //! * [`baseline`] — the NoEnc and Paillier reference pipelines every
 //!   experiment compares against.
 //!
 //! ```
-//! use seabed_core::{PlainDataset, SeabedClient, SeabedServer};
+//! use seabed_core::{PlainDataset, SeabedClient, SeabedServer, SeabedSession};
 //! use seabed_core::ResultValue;
 //! use seabed_query::{parse, ColumnSpec, PlannerConfig};
 //! use seabed_engine::{Cluster, ClusterConfig};
@@ -39,8 +43,9 @@
 //! let encrypted = client.encrypt_dataset(&data, 2, &mut rand::rng());
 //! let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
 //!
-//! // 4. Query through the proxy; results come back decrypted.
-//! let result = client.query(&server, "SELECT SUM(revenue) FROM sales WHERE country = 'US'").unwrap();
+//! // 4. Query through a session over the proxy; results come back decrypted.
+//! let session = SeabedSession::single("sales", client, &server);
+//! let result = session.query("SELECT SUM(revenue) FROM sales WHERE country = 'US'", &[]).unwrap();
 //! assert_eq!(result.rows[0][0], ResultValue::UInt(30));
 //! ```
 
@@ -51,14 +56,16 @@ pub mod baseline;
 pub mod client;
 pub mod dataset;
 pub mod encrypt;
+pub mod fifo;
 pub mod keys;
 pub mod server;
 pub mod session;
 
 pub use baseline::{row_selected, BaselineResult, NoEncSystem, PaillierSystem};
-pub use client::{FilterEncryptor, QueryResult, QueryTimings, ResultValue, SeabedClient};
+pub use client::{QueryResult, QueryTimings, ResultValue, SeabedClient};
 pub use dataset::{PlainColumn, PlainDataset};
-pub use encrypt::{encrypt_dataset, physical_ashe_keys, EncryptedTable};
+pub use encrypt::{encrypt_dataset, EncryptedTable};
+pub use fifo::FifoMap;
 pub use keys::KeyStore;
 pub use server::{
     finalize_partials, EncryptedAggregate, ExecOutcome, ExecRequest, GroupIds, GroupResult, PartialResponse,

@@ -918,8 +918,7 @@ impl From<ServerResponse> for ExecOutcome {
     }
 }
 
-/// Anything a [`crate::SeabedClient`] or [`crate::SeabedSession`] can point a
-/// query at: the in-process [`SeabedServer`], a `seabed-net` remote proxy, or
+/// Anything a [`crate::SeabedSession`] can point a query at: the in-process [`SeabedServer`], a `seabed-net` remote proxy, or
 /// a `seabed-dist` coordinator fanning the query out over sharded workers.
 /// The proxy only needs a schema to prepare against and an execution entry
 /// point; planning, literal encryption and response decryption stay in the

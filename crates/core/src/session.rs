@@ -1,10 +1,11 @@
 //! The session-oriented query surface: [`Catalog`], [`SeabedSession`] and
 //! [`PreparedQuery`].
 //!
-//! [`SeabedClient::query`] is a *one-shot* pipeline: every call re-parses,
-//! re-plans, re-translates and re-encrypts the SQL string, and each client is
-//! bound to a single table. A [`SeabedSession`] amortizes all of that across
-//! executions and across tables:
+//! A [`SeabedSession`] is the one way from SQL text to decrypted rows: a
+//! [`SeabedClient`] holds one table's keys and plan and never sees SQL; the
+//! session parses, translates, binds, dispatches and decrypts, and amortizes
+//! all of it across executions and across tables
+//! ([`SeabedSession::single`] is the one-table form):
 //!
 //! ```text
 //!   Catalog ──────────── N × (table name → SeabedClient: plan + keys + dicts)
@@ -25,13 +26,15 @@
 //! whose plan shape depends on the value (SPLASHE dimensions, `LIMIT`) is
 //! rejected at parse/translate time. The server never sees any of them.
 //!
-//! Prepared execution is byte-identical to one-shot execution by
-//! construction: the server side of a plan only reads its *shape*
-//! (aggregates, grouping, inflation), which binding never changes, and
-//! filter encryption is deterministic — `tests/prepared_equivalence.rs` pins
-//! this across all three execution targets.
+//! A statement with bound `?` literals executes byte-identically to the same
+//! statement with the literals inline, by construction: the server side of a
+//! plan only reads its *shape* (aggregates, grouping, inflation), which
+//! binding never changes, and filter encryption is deterministic —
+//! `tests/prepared_equivalence.rs` pins this across all three execution
+//! targets.
 
-use crate::client::{require_filter_column, FilterEncryptor, QueryResult, SeabedClient};
+use crate::client::{require_filter_column, QueryResult, SeabedClient};
+use crate::fifo::FifoMap;
 use crate::server::{
     require_column, ExecOutcome, ExecRequest, PhysicalFilter, QueryTarget, ResolvedAggregate, ServerResponse,
 };
@@ -189,9 +192,6 @@ pub struct PreparedQuery {
     query: Query,
     translated: TranslatedQuery,
     filters: PreparedFilters,
-    /// Per-column DET/ORE schemes instantiated at prepare time, so an
-    /// execute binding K literals performs zero AES key schedules.
-    encryptor: Arc<FilterEncryptor>,
     /// Bound-literal ciphertext memo, one slot per placeholder position.
     /// DET tags and ORE ciphertexts are deterministic per key, so re-binding
     /// a literal this statement has seen before reuses the ciphertext byte
@@ -274,12 +274,6 @@ impl PreparedQuery {
     pub fn translated(&self) -> &TranslatedQuery {
         &self.translated
     }
-
-    /// The prepare-time filter encryptor (cached per-column DET/ORE
-    /// schemes) every execute of this statement shares.
-    pub fn encryptor(&self) -> &Arc<FilterEncryptor> {
-        &self.encryptor
-    }
 }
 
 /// Counters of one session's lifecycle activity — a thin snapshot view over
@@ -333,45 +327,12 @@ impl SessionMetrics {
 pub struct SeabedSession<'t, T: QueryTarget + ?Sized> {
     catalog: Catalog,
     target: &'t T,
-    cache: Mutex<StatementCache>,
+    /// SQL hash → statement, bounded (FIFO; re-preparing refreshes), so
+    /// workloads that interpolate literals into distinct SQL strings cannot
+    /// grow it without limit.
+    cache: Mutex<FifoMap<u64, Arc<PreparedQuery>>>,
     obs: Registry,
     metrics: SessionMetrics,
-}
-
-/// The session's bounded statement cache: FIFO eviction beyond `capacity`
-/// (re-preparing refreshes a statement's position), so workloads that
-/// interpolate literals into distinct SQL strings cannot grow it without
-/// limit. Mirrors the server-side statement store's policy.
-struct StatementCache {
-    statements: HashMap<u64, Arc<PreparedQuery>>,
-    order: std::collections::VecDeque<u64>,
-    capacity: usize,
-}
-
-impl StatementCache {
-    fn new(capacity: usize) -> StatementCache {
-        StatementCache {
-            statements: HashMap::new(),
-            order: std::collections::VecDeque::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn insert(&mut self, id: u64, prepared: Arc<PreparedQuery>) {
-        self.order.retain(|&h| h != id);
-        self.order.push_back(id);
-        self.statements.insert(id, prepared);
-        while self.order.len() > self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.statements.remove(&old);
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        self.statements.clear();
-        self.order.clear();
-    }
 }
 
 /// Default capacity of a session's statement cache.
@@ -386,7 +347,7 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
         SeabedSession {
             catalog,
             target,
-            cache: Mutex::new(StatementCache::new(DEFAULT_STATEMENT_CAPACITY)),
+            cache: Mutex::new(FifoMap::new(DEFAULT_STATEMENT_CAPACITY)),
             obs,
             metrics,
         }
@@ -394,7 +355,7 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
 
     /// Replaces the statement-cache capacity (FIFO eviction beyond it).
     pub fn with_statement_capacity(mut self, capacity: usize) -> SeabedSession<'t, T> {
-        self.cache = Mutex::new(StatementCache::new(capacity));
+        self.cache = Mutex::new(FifoMap::new(capacity));
         self
     }
 
@@ -415,8 +376,8 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
         self.obs.clone()
     }
 
-    /// Convenience constructor for the single-table case — what the legacy
-    /// `SeabedClient::query` shim amounts to, with the table given a name.
+    /// A session over one table: `client`'s plan and keys under the name
+    /// queries put in `FROM`.
     pub fn single(table: impl Into<String>, client: SeabedClient, target: &'t T) -> SeabedSession<'t, T> {
         SeabedSession::new(Catalog::new().with_table(table, client), target)
     }
@@ -468,13 +429,7 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
     /// spans — nothing was parsed or encrypted.
     fn prepare_traced(&self, sql: &str, tb: &TraceBuilder) -> Result<Arc<PreparedQuery>, SeabedError> {
         let statement_id = fnv1a64(sql.as_bytes());
-        if let Some(cached) = self
-            .cache
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .statements
-            .get(&statement_id)
-        {
+        if let Some(cached) = self.cache.lock().unwrap_or_else(|p| p.into_inner()).get(&statement_id) {
             // Guard against (astronomically unlikely) hash collisions: a hit
             // only counts when the SQL text matches.
             if cached.sql == sql {
@@ -509,19 +464,10 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
         validate_against_schema(schema, &translated)?;
         tb.end("translate", span);
         let span = tb.start();
-        // Build the per-column DET/ORE schemes once; every execute (and the
-        // inline-literal encryption below) shares them.
-        let encryptor = Arc::new(client.filter_encryptor(&translated));
         // Encrypt every inline literal now; placeholder positions stay open
         // until bind time.
         let filters = if translated.is_bound() {
-            PreparedFilters::Fixed(
-                translated
-                    .filters
-                    .iter()
-                    .map(|filter| client.encrypt_filter_with(&encryptor, schema, filter))
-                    .collect::<Result<Vec<_>, SeabedError>>()?,
-            )
+            PreparedFilters::Fixed(client.encrypt_filters(schema, &translated)?)
         } else {
             let param_positions: std::collections::HashSet<usize> =
                 translated.params.iter().map(|slot| slot.filter_index).collect();
@@ -533,7 +479,7 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
                     if param_positions.contains(&i) {
                         Ok(None)
                     } else {
-                        client.encrypt_filter_with(&encryptor, schema, filter).map(Some)
+                        client.encrypt_filter(schema, filter).map(Some)
                     }
                 })
                 .collect::<Result<Vec<_>, SeabedError>>()?;
@@ -548,7 +494,6 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
             query,
             translated,
             filters,
-            encryptor,
             bind_memo: Mutex::new(HashMap::new()),
         });
         self.metrics.statements_prepared.incr();
@@ -562,7 +507,7 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
 
     /// Number of statements currently held by the cache.
     pub fn cached_statements(&self) -> usize {
-        self.cache.lock().unwrap_or_else(|p| p.into_inner()).statements.len()
+        self.cache.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
 
     /// Executes a prepared statement with `params` bound to its `?`
@@ -748,7 +693,7 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
                     match prepared.memoized_bound_filter(i, filter) {
                         Some(encrypted) => encrypted,
                         None => {
-                            let encrypted = client.encrypt_filter_with(&prepared.encryptor, schema, filter)?;
+                            let encrypted = client.encrypt_filter(schema, filter)?;
                             prepared.memoize_bound_filter(i, filter, &encrypted);
                             encrypted
                         }
@@ -762,8 +707,8 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
 
     /// [`SeabedSession::execute`] up to (and including) server execution,
     /// without decryption: returns the bound plan and the still-encrypted
-    /// response. The equivalence suite uses this to compare prepared
-    /// execution byte-for-byte against the one-shot path.
+    /// response. The equivalence suites use this to compare executions byte
+    /// for byte: bound against inline literals, one target against another.
     pub fn execute_encrypted(
         &self,
         prepared: &PreparedQuery,
@@ -1007,19 +952,9 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_client_rejects_unbound_placeholders() {
-        let (client, server, _) = fixture("sales", b"session-6");
-        let outcome = client.query(&server, "SELECT SUM(revenue) FROM sales WHERE ts >= ?");
-        assert!(
-            matches!(outcome, Err(SeabedError::Translate(ref msg)) if msg.contains("placeholder")),
-            "{outcome:?}"
-        );
-    }
-
-    #[test]
-    fn prepared_equals_one_shot_in_process() -> Result<(), SeabedError> {
+    fn bound_equals_inline_in_process() -> Result<(), SeabedError> {
         let (client, server, _) = fixture("sales", b"session-7");
-        let session = SeabedSession::single("sales", client.clone(), &server);
+        let session = SeabedSession::single("sales", client, &server);
         for (parameterized, params, inline) in [
             (
                 "SELECT SUM(revenue) FROM sales WHERE dept = ? AND ts >= ?",
@@ -1033,13 +968,13 @@ mod tests {
             ),
         ] {
             let prepared = session.prepare(parameterized)?;
-            let (_, prepared_response) = session.execute_encrypted(&prepared, &params)?;
-            let (_, translated, filters) = client.prepare(&server, inline)?;
-            let one_shot_response = server.execute(&translated, &filters)?;
+            let (_, bound_response) = session.execute_encrypted(&prepared, &params)?;
+            let inline = session.prepare(inline)?;
+            let (_, inline_response) = session.execute_encrypted(&inline, &[])?;
             // Byte-identical payload; stats carry measured wall times and are
             // expected to differ run to run.
-            assert_eq!(prepared_response.groups, one_shot_response.groups, "{parameterized}");
-            assert_eq!(prepared_response.result_bytes, one_shot_response.result_bytes);
+            assert_eq!(bound_response.groups, inline_response.groups, "{parameterized}");
+            assert_eq!(bound_response.result_bytes, inline_response.result_bytes);
         }
         Ok(())
     }

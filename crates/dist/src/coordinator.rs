@@ -1043,14 +1043,6 @@ fn nanos(duration: Duration) -> u64 {
     u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// FNV-1a over a statement's wire payload: the content-derived identity of a
-/// plan in the partial cache and the event log.
-fn statement_hash(statement: &TranslatedQuery) -> u64 {
-    let mut bytes = Vec::new();
-    wire::write_statement_payload(&mut bytes, statement);
-    fnv1a64(&bytes)
-}
-
 /// `EXPLAIN ANALYZE`: stitches one execution into the plan subtree the
 /// session hangs under the structural plan — one node per coordinator stage
 /// and one per shard, hedged/redispatched shards marked, each carrying its
@@ -1138,7 +1130,7 @@ impl QueryTarget for DistCoordinator {
         let cache_key = (request.statement_id.is_some() && !request.analyze).then(|| {
             let mut filter_bytes = Vec::new();
             wire::write_filters_payload(&mut filter_bytes, request.filters);
-            (statement_hash(request.plan), fnv1a64(&filter_bytes))
+            (wire::statement_hash(request.plan), fnv1a64(&filter_bytes))
         });
         let started = self.obs.enabled().then(Instant::now);
         let outcome = self.scatter_gather(request, cache_key);
@@ -1147,7 +1139,7 @@ impl QueryTarget for DistCoordinator {
             self.obs.record_event(QueryEvent {
                 trace_id: request.trace_id,
                 // A cached execute already hashed the statement for its key.
-                statement_id: cache_key.map_or_else(|| statement_hash(request.plan), |(statement, _)| statement),
+                statement_id: cache_key.map_or_else(|| wire::statement_hash(request.plan), |(statement, _)| statement),
                 node: "coordinator".to_string(),
                 plan: executed
                     .and_then(|e| e.plan.as_ref())

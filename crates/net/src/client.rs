@@ -1,29 +1,27 @@
-//! The remote Seabed client proxy: a [`QueryTarget`] (and a one-shot
-//! [`RemoteSeabedClient::query`]) spoken over the wire protocol, so existing
-//! workloads run unchanged against a socket.
+//! The remote Seabed client proxy: a [`QueryTarget`] spoken over the wire
+//! protocol, so a [`seabed_core::SeabedSession`] — and with it every
+//! workload — runs unchanged against a socket.
 //!
 //! On connect, the client performs the schema handshake (one
-//! `SchemaRequest`/`Schema` round trip) and thereafter prepares every query
-//! against that schema — exactly what the in-process path does with
-//! `server.table().schema`, minus the shared address space. All cryptography
-//! stays inside the wrapped [`SeabedClient`]: literals are encrypted before a
-//! request frame is built, responses are decrypted after the frame is
-//! decoded, and the server side of the socket only ever sees ciphertexts.
+//! `SchemaRequest`/`Schema` round trip); a session over it validates and
+//! binds every statement against that schema — exactly what the in-process
+//! path does with `server.table().schema`, minus the shared address space.
+//! All cryptography stays with the session's [`SeabedClient`]: literals are
+//! encrypted before a request frame is built, responses are decrypted after
+//! the frame is decoded, and the server side of the socket only ever sees
+//! ciphertexts.
 //!
 //! The connection counts the bytes it really puts on / takes off the wire
-//! ([`RemoteSeabedClient::wire_stats`]), and the per-query network timing is
-//! the [`seabed_engine::NetworkModel`] prediction applied to those *measured*
-//! response bytes — the point where the modeled and the real network paths
-//! meet (§6.6).
+//! ([`RemoteSeabedClient::wire_stats`]); time on the link is what the
+//! session's `dispatch` span measured, never a model's prediction.
 
 use crate::conn::{FrameConn, WireStats};
 use crate::wire::{self, Frame};
-use seabed_core::{ExecOutcome, ExecRequest, PhysicalFilter, QueryResult, QueryTarget, SeabedClient, ServerResponse};
+use seabed_core::{ExecOutcome, ExecRequest, FifoMap, PhysicalFilter, QueryTarget, SeabedClient, ServerResponse};
 use seabed_engine::Schema;
 use seabed_error::SeabedError;
-use seabed_obs::{MetricsSnapshot, QueryEvent, QueryTrace, TraceId};
+use seabed_obs::{MetricsSnapshot, QueryEvent, QueryTrace};
 use seabed_query::TranslatedQuery;
-use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -56,47 +54,17 @@ pub struct RemoteSeabedClient {
     /// cache is capacity-bounded (FIFO), mirroring the server store, so a
     /// long-lived client with many distinct statements cannot grow it
     /// without limit.
-    handles: Mutex<HandleCache>,
-}
-
-/// Bounded (FIFO) map of plan-content hash → server statement handle.
-struct HandleCache {
-    handles: HashMap<u64, u64>,
-    order: std::collections::VecDeque<u64>,
+    handles: Mutex<FifoMap<u64, u64>>,
 }
 
 /// Capacity of the client-side handle cache; matches the server statement
 /// store's default so the two stay roughly in step.
 const HANDLE_CACHE_CAPACITY: usize = 1024;
 
-impl HandleCache {
-    fn new() -> HandleCache {
-        HandleCache {
-            handles: HashMap::new(),
-            order: std::collections::VecDeque::new(),
-        }
-    }
-
-    fn get(&self, key: u64) -> Option<u64> {
-        self.handles.get(&key).copied()
-    }
-
-    fn insert(&mut self, key: u64, handle: u64) {
-        self.order.retain(|&k| k != key);
-        self.order.push_back(key);
-        self.handles.insert(key, handle);
-        while self.order.len() > HANDLE_CACHE_CAPACITY {
-            if let Some(old) = self.order.pop_front() {
-                self.handles.remove(&old);
-            }
-        }
-    }
-}
-
 impl RemoteSeabedClient {
     /// Connects to a Seabed service, performs the schema handshake, and wraps
     /// `client` (which holds the keys, plan and DET dictionaries) into a
-    /// remote proxy with the same query surface.
+    /// remote execution target.
     pub fn connect(addr: impl ToSocketAddrs, client: SeabedClient) -> Result<RemoteSeabedClient, SeabedError> {
         RemoteSeabedClient::connect_with(addr, client, wire::DEFAULT_MAX_FRAME_LEN, Duration::from_secs(30))
     }
@@ -123,11 +91,11 @@ impl RemoteSeabedClient {
             max_frame_len,
             read_timeout,
             conn: Mutex::new(conn),
-            handles: Mutex::new(HandleCache::new()),
+            handles: Mutex::new(FifoMap::new(HANDLE_CACHE_CAPACITY)),
         })
     }
 
-    /// The wrapped in-process proxy (keys, plan, network model).
+    /// The proxy this client was connected for (keys, plan, dictionaries).
     pub fn client(&self) -> &SeabedClient {
         &self.inner
     }
@@ -148,21 +116,17 @@ impl RemoteSeabedClient {
     }
 
     /// One round trip on the shared connection under the [`FrameConn`] rules
-    /// (any transport or framing failure poisons it). Returns the reply and
-    /// the size of its frame on the wire, read inside the connection lock so
-    /// concurrent queries on a shared client cannot attribute each other's
-    /// frames.
-    fn round_trip(&self, frame: &Frame) -> Result<(Frame, u64), SeabedError> {
+    /// (any transport or framing failure poisons it).
+    fn round_trip(&self, frame: &Frame) -> Result<Frame, SeabedError> {
         let mut conn = self.conn.lock().unwrap_or_else(|p| p.into_inner());
-        let reply = conn.round_trip(frame, self.max_frame_len, self.read_timeout)?;
-        Ok((reply, conn.stats().last_response_bytes))
+        conn.round_trip(frame, self.max_frame_len, self.read_timeout)
     }
 
     /// A round trip whose reply must be a `Response` frame.
-    fn round_trip_response(&self, frame: &Frame) -> Result<(ServerResponse, u64), SeabedError> {
+    fn round_trip_response(&self, frame: &Frame) -> Result<ServerResponse, SeabedError> {
         match self.round_trip(frame)? {
-            (Frame::Response(response), frame_bytes) => Ok((response, frame_bytes)),
-            (other, _) => Err(unexpected(other, "a response frame")),
+            Frame::Response(response) => Ok(response),
+            other => Err(unexpected(other, "a response frame")),
         }
     }
 
@@ -172,26 +136,26 @@ impl RemoteSeabedClient {
         let frame = Frame::PrepareStatement {
             query: statement.clone(),
         };
-        match self.round_trip(&frame)?.0 {
+        match self.round_trip(&frame)? {
             Frame::StatementPrepared { handle } => Ok(handle),
             other => Err(unexpected(other, "a statement handle")),
         }
     }
 
-    /// One execution over the wire: the (still encrypted) response plus the
-    /// measured size of its frame. A typed error frame from the server is
-    /// surfaced as the [`SeabedError`] it carries. A non-zero `trace_id`
-    /// travels in the frame, so the server records its execute span under
-    /// the id this client (or its session) uses.
+    /// One execution over the wire: the (still encrypted) response. A typed
+    /// error frame from the server is surfaced as the [`SeabedError`] it
+    /// carries. A non-zero `trace_id` travels in the frame, so the server
+    /// records its execute span under the id the session uses.
     ///
-    /// A one-shot or analyzed request ships the whole plan in a `Request`
-    /// frame (the only frame with an `analyze` flag). A prepared one
+    /// A request without a statement id, or an analyzed one, ships the whole
+    /// plan in a `Request` frame (the only frame with an `analyze` flag). A
+    /// prepared one
     /// registers the plan once and thereafter ships only the 8-byte handle
     /// plus the bound filters — no SQL, no translated plan; a
     /// [`SeabedError::StaleStatement`] from the server (evicted handle,
     /// server restart) is recovered from by re-preparing once, and a second
     /// staleness in a row surfaces to the caller.
-    fn exchange(&self, request: &ExecRequest<'_>) -> Result<(ServerResponse, u64), SeabedError> {
+    fn exchange(&self, request: &ExecRequest<'_>) -> Result<ServerResponse, SeabedError> {
         let (statement, trace_id) = (request.plan, request.trace_id);
         if request.statement_id.is_none() || request.analyze {
             return self.round_trip_response(&Frame::Request {
@@ -213,9 +177,7 @@ impl RemoteSeabedClient {
         // `statement_id`: a caller that re-prepares the same SQL text under
         // a new plan gets a fresh registration instead of the old plan's
         // handle.
-        let mut payload = Vec::new();
-        wire::write_statement_payload(&mut payload, statement);
-        let content_key = seabed_core::fnv1a64(&payload);
+        let content_key = wire::statement_hash(statement);
         let register = || -> Result<u64, SeabedError> {
             let handle = self.prepare_remote_statement(statement)?;
             self.handles
@@ -224,7 +186,12 @@ impl RemoteSeabedClient {
                 .insert(content_key, handle);
             Ok(handle)
         };
-        let cached = self.handles.lock().unwrap_or_else(|p| p.into_inner()).get(content_key);
+        let cached = self
+            .handles
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .get(&content_key)
+            .copied();
         let handle = match cached {
             Some(handle) => handle,
             None => register()?,
@@ -235,26 +202,6 @@ impl RemoteSeabedClient {
             Err(SeabedError::StaleStatement(_)) => execute_handle(register()?),
             outcome => outcome,
         }
-    }
-
-    /// Runs a SQL query end-to-end over the socket: translate and encrypt
-    /// literals against the handshake schema, execute remotely, decrypt and
-    /// post-process. Results are byte-identical to the in-process
-    /// [`SeabedClient::query`] path; the network component of the timings is
-    /// the client's [`seabed_engine::NetworkModel`] applied to the *measured*
-    /// size of the response frame that actually crossed the wire.
-    pub fn query(&self, sql: &str) -> Result<QueryResult, SeabedError> {
-        let (query, translated, filters) = self.inner.prepare_with_schema(&self.schema, sql)?;
-        // A fresh id per query: the server's execute span lands in its trace
-        // ring under this id, scrapeable via [`scrape_metrics`].
-        let request = ExecRequest {
-            trace_id: TraceId::mint().as_u64(),
-            ..ExecRequest::new(&translated, &filters)
-        };
-        let (response, wire_response_bytes) = self.exchange(&request)?;
-        let mut result = self.inner.decrypt_response(&query, &translated, response)?;
-        result.timings.network = self.inner.network.transfer_time(wire_response_bytes as usize);
-        Ok(result)
     }
 }
 
@@ -286,10 +233,9 @@ pub fn scrape_metrics(
     }
 }
 
-/// A remote client is itself a [`QueryTarget`], so a
-/// [`seabed_core::SeabedSession`] can sit on top of it: one-shot executions
-/// go out as full request frames, prepared executions as statement handles
-/// plus bound filters.
+/// What a [`seabed_core::SeabedSession`] sits on: an execution without a
+/// statement id (or an analyzed one) goes out as a full request frame, a
+/// prepared one as a statement handle plus bound filters.
 impl QueryTarget for RemoteSeabedClient {
     fn schema_of(&self, _table: &str) -> Result<&Schema, SeabedError> {
         // The remote service hosts one (anonymous) table; the session's
@@ -302,11 +248,11 @@ impl QueryTarget for RemoteSeabedClient {
         query: &TranslatedQuery,
         filters: &[PhysicalFilter],
     ) -> Result<ServerResponse, SeabedError> {
-        Ok(self.exchange(&ExecRequest::new(query, filters))?.0)
+        self.exchange(&ExecRequest::new(query, filters))
     }
 
     fn run(&self, request: &ExecRequest<'_>) -> Result<ExecOutcome, SeabedError> {
-        Ok(self.exchange(request)?.0.into())
+        Ok(self.exchange(request)?.into())
     }
 }
 

@@ -21,12 +21,11 @@
 //!
 //! The service keeps aggregate counters (connections, requests, error
 //! frames, bytes in/out), so benches and tests can account for every byte
-//! that really crossed the wire — the measured counterpart of
-//! [`seabed_engine::NetworkModel`]'s predictions.
+//! that really crossed the wire.
 
 use crate::conn::{FrameConn, Received, Wait, WireStats};
 use crate::wire::{self, Frame, FrameKind};
-use seabed_core::SeabedServer;
+use seabed_core::{FifoMap, SeabedServer};
 use seabed_engine::{Cluster, ClusterConfig};
 use seabed_error::SeabedError;
 use seabed_obs::{Counter, Gauge, Histogram, ObsConfig, Registry};
@@ -314,52 +313,24 @@ impl ShardStore {
 /// never-registered handle yields a typed [`SeabedError::StaleStatement`]
 /// frame, which clients recover from by re-preparing; the `seabed-net`
 /// client does so transparently, once.
-struct StatementStore {
-    inner: Mutex<StatementsInner>,
-    capacity: usize,
-}
-
-#[derive(Default)]
-struct StatementsInner {
-    statements: HashMap<u64, Arc<TranslatedQuery>>,
-    /// Insertion order for FIFO eviction.
-    order: std::collections::VecDeque<u64>,
-}
+struct StatementStore(Mutex<FifoMap<u64, Arc<TranslatedQuery>>>);
 
 impl StatementStore {
     fn new(capacity: usize) -> StatementStore {
-        StatementStore {
-            inner: Mutex::new(StatementsInner::default()),
-            capacity: capacity.max(1),
-        }
+        StatementStore(Mutex::new(FifoMap::new(capacity)))
     }
 
     /// Registers `query`, returning its handle and how many statements were
     /// evicted to make room.
     fn prepare(&self, query: TranslatedQuery) -> (u64, u64) {
-        let mut payload = Vec::new();
-        wire::write_statement_payload(&mut payload, &query);
-        let handle = seabed_core::fnv1a64(&payload);
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        // Re-preparing refreshes the statement's eviction position.
-        inner.order.retain(|&h| h != handle);
-        inner.order.push_back(handle);
-        inner.statements.insert(handle, Arc::new(query));
-        let mut evicted = 0u64;
-        while inner.order.len() > self.capacity {
-            if let Some(old) = inner.order.pop_front() {
-                inner.statements.remove(&old);
-                evicted += 1;
-            }
-        }
-        (handle, evicted)
+        let handle = wire::statement_hash(&query);
+        let mut statements = self.0.lock().unwrap_or_else(|p| p.into_inner());
+        (handle, statements.insert(handle, Arc::new(query)))
     }
 
     fn get(&self, handle: u64) -> Result<Arc<TranslatedQuery>, SeabedError> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .statements
+        let statements = self.0.lock().unwrap_or_else(|p| p.into_inner());
+        statements
             .get(&handle)
             .cloned()
             .ok_or(SeabedError::StaleStatement(handle))
@@ -633,13 +604,7 @@ fn execute_observed(
         ctx.obs.record_trace(trace);
     }
     if let Some(started) = started {
-        let statement_id = handle.unwrap_or_else(|| {
-            let mut payload = Vec::new();
-            if let Some(plan) = plan {
-                wire::write_statement_payload(&mut payload, plan);
-            }
-            seabed_core::fnv1a64(&payload)
-        });
+        let statement_id = handle.or_else(|| plan.map(wire::statement_hash)).unwrap_or_default();
         ctx.obs.record_event(seabed_obs::QueryEvent {
             trace_id,
             statement_id,
@@ -1234,11 +1199,7 @@ mod tests {
         bad.aggregates = vec![ServerAggregate::AsheSum {
             column: "no_such__ashe".to_string(),
         }];
-        let bad_handle = {
-            let mut payload = Vec::new();
-            wire::write_statement_payload(&mut payload, &bad);
-            seabed_core::fnv1a64(&payload)
-        };
+        let bad_handle = wire::statement_hash(&bad);
         let reply = round_trip(&mut stream, &Frame::PrepareStatement { query: bad });
         assert!(
             matches!(reply, Frame::Error(SeabedError::Schema(_))),

@@ -36,16 +36,17 @@
 //! Once. Every type that crosses the link has one `impl Wire` (`codec.rs`
 //! has the trait, the primitives and the containers; `types.rs` one impl per
 //! type, most of them a one-line field or tag table that serves both
-//! directions), and this file has the frames: the kind list, [`Frame`], and
-//! one `match` arm per kind each way. To add a frame kind: one line in the
-//! kind list below (the byte appears nowhere else — [`FrameKind::from_u8`],
-//! [`FrameKind::ALL`] and the server's per-kind counters are generated from
-//! it, and [`Frame::kind`]), one [`Frame`] variant of the same name, and one
-//! arm in each of `encode_payload` / `decode_payload`; a new type inside it is one
-//! `wire_struct!` / `wire_enum!` line. Adding a kind is compatible within a
-//! protocol version (an older receiver answers a typed unknown-kind error);
-//! moving any existing byte is not, and `tests/wire_golden.rs` — SHA-256 of a
-//! fully populated sample of every kind — fails when one does.
+//! directions), and this file has the frames: [`Frame`], and the kind table —
+//! one row per kind giving its byte, its name and its fields in wire order.
+//! To add a frame kind: one [`Frame`] variant and one row of the table below
+//! (the byte appears nowhere else — [`FrameKind`], [`FrameKind::from_u8`],
+//! [`FrameKind::ALL`], the server's per-kind counters, [`Frame::kind`] and
+//! both directions of the payload codec are generated from the row); a new
+//! type inside it is one `wire_struct!` / `wire_enum!` line. Adding a kind is
+//! compatible within a protocol version (an older receiver answers a typed
+//! unknown-kind error); moving any existing byte is not, and
+//! `tests/wire_golden.rs` — SHA-256 of a fully populated sample of every kind
+//! — fails when one does.
 //!
 //! # Frame kinds
 //!
@@ -160,12 +161,20 @@ pub const HEADER_LEN: usize = 11;
 /// larger length prefixes before allocating anything.
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 64 << 20;
 
-/// The kind list: each kind's name, byte and meaning, stated here and nowhere
-/// else. [`FrameKind`], [`FrameKind::from_u8`], [`FrameKind::ALL`] and
-/// [`Frame::kind`] (a [`Frame`] variant carries its kind's name) are all
-/// generated from it, so they cannot disagree.
+/// The kind table: one row per frame kind — its byte, its name (the name of
+/// its [`Frame`] variant) and the variant's fields in wire order, in the arm
+/// shapes of `wire_enum!` (unit, tuple, struct). [`FrameKind`],
+/// [`FrameKind::from_u8`], [`FrameKind::ALL`], [`Frame::kind`] and the payload
+/// codec of both directions are generated from it, so they cannot disagree —
+/// and every generated `match` is exhaustive over [`Frame`] or names the
+/// variant it builds, so a row without a variant, a variant without a row, or
+/// a row that misses or misnames a field does not compile. A row marked
+/// `also Borrowed` gives the named struct of the same fields the same encoder.
 macro_rules! frame_kinds {
-    ($($(#[$doc:meta])* $name:ident = $byte:literal,)+) => {
+    ($($(#[$doc:meta])* $byte:literal => $name:ident
+        $({ $($field:ident),+ } $(also $borrowed:ident)?)?
+        $(( $($item:ident),+ ))?
+    ,)+) => {
         /// The kind byte of a frame.
         #[derive(Clone, Copy, Debug, PartialEq, Eq)]
         #[repr(u8)]
@@ -174,7 +183,7 @@ macro_rules! frame_kinds {
         }
 
         impl FrameKind {
-            /// Every kind this version knows, in the order of the list.
+            /// Every kind this version knows, in the order of the table.
             pub const ALL: &'static [FrameKind] = &[$(FrameKind::$name),+];
 
             /// Decodes a kind byte; `None` for kinds this version does not know.
@@ -194,48 +203,79 @@ macro_rules! frame_kinds {
                     $(Frame::$name { .. } => FrameKind::$name,)+
                 }
             }
+
+            fn encode_payload(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Frame::$name $({ $($field),+ })? $(( $($item),+ ))? => {
+                        $($(wire_field!(put out, $field);)+)?
+                        $($(wire_field!(put out, $item);)+)?
+                    })+
+                }
+            }
+
+            fn decode_payload(kind: FrameKind, r: &mut Reader<'_>) -> Result<Frame, SeabedError> {
+                Ok(match kind {
+                    $(FrameKind::$name => {
+                        $($(let $field = wire_field!(get r);)+)?
+                        $($(let $item = wire_field!(get r);)+)?
+                        Frame::$name $({ $($field),+ })? $(( $($item),+ ))?
+                    })+
+                })
+            }
+        }
+
+        $($(frame_kinds!(@borrowed $($borrowed)? { $($field),+ });)?)+
+    };
+    (@borrowed { $($field:ident),+ }) => {};
+    (@borrowed $borrowed:ident { $($field:ident),+ }) => {
+        impl $borrowed<'_> {
+            fn encode_payload(&self, out: &mut Vec<u8>) {
+                // Method syntax on purpose: where the variant owns a `T` the
+                // twin may hold a `&T`, and auto-ref finds `T: Wire` for both.
+                $(self.$field.encode(out);)+
+            }
         }
     };
 }
 
 frame_kinds! {
     /// Client → server: execute a translated query.
-    Request = 1,
+    1 => Request { trace_id, analyze, query, filters },
     /// Server → client: the query's result.
-    Response = 2,
+    2 => Response(response),
     /// Server → client: a typed error (the request failed, the connection
     /// survives).
-    Error = 3,
+    3 => Error(error),
     /// Client → server: send me the table schema.
-    SchemaRequest = 4,
+    4 => SchemaRequest,
     /// Server → client: the table schema.
-    Schema = 5,
+    5 => Schema(schema),
     /// Coordinator → worker: announce the shard epoch.
-    WorkerHandshake = 6,
+    6 => WorkerHandshake { epoch },
     /// Worker → coordinator: handshake acknowledgement.
-    WorkerReady = 7,
+    7 => WorkerReady { epoch, shards },
     /// Coordinator → worker: load a shard of the table.
-    LoadShard = 8,
+    8 => LoadShard { epoch, table_id, shard, exec, table } also LoadShardRef,
     /// Worker → coordinator: shard-assignment acknowledgement.
-    ShardLoaded = 9,
+    9 => ShardLoaded { epoch, table_id, shard, rows },
     /// Coordinator → worker: execute a query over one resident shard.
-    ShardQuery = 10,
+    10 => ShardQuery { epoch, table_id, shard, seq, trace_id, analyze, query, filters },
     /// Worker → coordinator: the mergeable partial result of a shard query.
-    ShardPartial = 11,
+    11 => ShardPartial { epoch, table_id, shard, seq, partial },
     /// Client → server: register a statement's unbound plan, get a handle.
-    PrepareStatement = 12,
+    12 => PrepareStatement { query },
     /// Server → client: the statement handle.
-    StatementPrepared = 13,
+    13 => StatementPrepared { handle },
     /// Client → server: execute a registered statement with bound filters.
-    ExecuteStatement = 14,
+    14 => ExecuteStatement { handle, trace_id, filters },
     /// Coordinator → worker: drop one resident shard (replica rebalance).
-    UnloadShard = 15,
+    15 => UnloadShard { epoch, table_id, shard },
     /// Worker → coordinator: shard-unload acknowledgement.
-    ShardUnloaded = 16,
+    16 => ShardUnloaded { epoch, table_id, shard, remaining },
     /// Client → server: scrape the live metrics registry.
-    MetricsRequest = 17,
+    17 => MetricsRequest { include_traces, include_events },
     /// Server → client: a point-in-time metrics snapshot (+ recent traces).
-    MetricsSnapshot = 18,
+    18 => MetricsSnapshot { metrics, traces, events },
 }
 
 /// Execution knobs a coordinator fixes for every shard it assigns, so result
@@ -253,23 +293,6 @@ wire_struct!(ShardExecConfig {
     local_threads,
     exec_mode
 });
-
-/// The `(epoch, table id, shard id)` address every shard-scoped frame leads
-/// with: its layout, for all six kinds and both directions.
-#[cfg_attr(test, derive(Debug, PartialEq))]
-struct ShardAddr(u64, u32, u32);
-
-impl Wire for ShardAddr {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-        self.1.encode(out);
-        self.2.encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<ShardAddr, SeabedError> {
-        Ok(ShardAddr(r.get()?, r.get()?, r.get()?))
-    }
-}
 
 /// One decoded wire frame.
 #[derive(Clone, Debug, PartialEq)]
@@ -468,8 +491,9 @@ pub fn encode_frame(frame: &Frame, max_frame_len: u32) -> Result<Vec<u8>, Seabed
 /// A [`Frame::LoadShard`] over a table it borrows: what a coordinator encodes
 /// a shard's load from, once, for every member of the shard's replica set,
 /// without first cloning the retained table into an owned frame. The fields
-/// are the variant's; the bytes are the variant's too — both go through
-/// `load_shard_payload`, the one statement of the layout.
+/// are the variant's; the bytes are the variant's too — both encoders are
+/// generated from the `LoadShard` row of the kind table, the one statement of
+/// the layout.
 #[derive(Clone, Copy, Debug)]
 pub struct LoadShardRef<'a> {
     /// Shard epoch the assignment belongs to.
@@ -495,18 +519,8 @@ impl LoadShardRef<'_> {
     /// padded — with the reservation seabench's `ingest_load` read 11.0 MB
     /// peak RSS where it reads 9.0 without, and no time to show for it.
     pub fn encode(&self, max_frame_len: u32) -> Result<Vec<u8>, SeabedError> {
-        let addr = ShardAddr(self.epoch, self.table_id, self.shard);
-        frame_of(FrameKind::LoadShard, max_frame_len, |out| {
-            load_shard_payload(out, addr, &self.exec, self.table)
-        })
+        frame_of(FrameKind::LoadShard, max_frame_len, |out| self.encode_payload(out))
     }
-}
-
-/// The payload of a `LoadShard` frame, owned or borrowed.
-fn load_shard_payload(out: &mut Vec<u8>, addr: ShardAddr, exec: &ShardExecConfig, table: &Table) {
-    addr.encode(out);
-    exec.encode(out);
-    table.encode(out);
 }
 
 /// A payload length as the header carries it, or the typed error of one over
@@ -572,209 +586,6 @@ pub fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, SeabedError> {
     Ok(frame)
 }
 
-impl Frame {
-    /// The payload layout of every kind, encode side: the fields in wire
-    /// order (which is not always declaration order).
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        match self {
-            Frame::Request {
-                query,
-                filters,
-                trace_id,
-                analyze,
-            } => {
-                trace_id.encode(out);
-                analyze.encode(out);
-                query.encode(out);
-                filters.encode(out);
-            }
-            Frame::Response(response) => response.encode(out),
-            Frame::Error(error) => error.encode(out),
-            Frame::SchemaRequest => {}
-            Frame::Schema(schema) => schema.encode(out),
-            Frame::WorkerHandshake { epoch } => epoch.encode(out),
-            Frame::WorkerReady { epoch, shards } => {
-                epoch.encode(out);
-                shards.encode(out);
-            }
-            Frame::LoadShard {
-                epoch,
-                table_id,
-                shard,
-                exec,
-                table,
-            } => load_shard_payload(out, ShardAddr(*epoch, *table_id, *shard), exec, table),
-            Frame::ShardLoaded {
-                epoch,
-                table_id,
-                shard,
-                rows,
-            } => {
-                ShardAddr(*epoch, *table_id, *shard).encode(out);
-                rows.encode(out);
-            }
-            Frame::ShardQuery {
-                epoch,
-                table_id,
-                shard,
-                seq,
-                query,
-                filters,
-                trace_id,
-                analyze,
-            } => {
-                ShardAddr(*epoch, *table_id, *shard).encode(out);
-                seq.encode(out);
-                trace_id.encode(out);
-                analyze.encode(out);
-                query.encode(out);
-                filters.encode(out);
-            }
-            Frame::ShardPartial {
-                epoch,
-                table_id,
-                shard,
-                seq,
-                partial,
-            } => {
-                ShardAddr(*epoch, *table_id, *shard).encode(out);
-                seq.encode(out);
-                partial.encode(out);
-            }
-            Frame::PrepareStatement { query } => query.encode(out),
-            Frame::StatementPrepared { handle } => handle.encode(out),
-            Frame::ExecuteStatement {
-                handle,
-                filters,
-                trace_id,
-            } => {
-                handle.encode(out);
-                trace_id.encode(out);
-                filters.encode(out);
-            }
-            Frame::UnloadShard { epoch, table_id, shard } => ShardAddr(*epoch, *table_id, *shard).encode(out),
-            Frame::ShardUnloaded {
-                epoch,
-                table_id,
-                shard,
-                remaining,
-            } => {
-                ShardAddr(*epoch, *table_id, *shard).encode(out);
-                remaining.encode(out);
-            }
-            Frame::MetricsRequest {
-                include_traces,
-                include_events,
-            } => {
-                include_traces.encode(out);
-                include_events.encode(out);
-            }
-            Frame::MetricsSnapshot {
-                metrics,
-                traces,
-                events,
-            } => {
-                metrics.encode(out);
-                traces.encode(out);
-                events.encode(out);
-            }
-        }
-    }
-
-    /// The payload layout of every kind, decode side: struct fields are
-    /// evaluated top to bottom, so their order below is the wire order.
-    fn decode_payload(kind: FrameKind, r: &mut Reader<'_>) -> Result<Frame, SeabedError> {
-        Ok(match kind {
-            FrameKind::Request => Frame::Request {
-                trace_id: r.get()?,
-                analyze: r.get()?,
-                query: r.get()?,
-                filters: r.get()?,
-            },
-            FrameKind::Response => Frame::Response(r.get()?),
-            FrameKind::Error => Frame::Error(r.get()?),
-            FrameKind::SchemaRequest => Frame::SchemaRequest,
-            FrameKind::Schema => Frame::Schema(r.get()?),
-            FrameKind::WorkerHandshake => Frame::WorkerHandshake { epoch: r.get()? },
-            FrameKind::WorkerReady => Frame::WorkerReady {
-                epoch: r.get()?,
-                shards: r.get()?,
-            },
-            FrameKind::LoadShard => {
-                let ShardAddr(epoch, table_id, shard) = r.get()?;
-                Frame::LoadShard {
-                    epoch,
-                    table_id,
-                    shard,
-                    exec: r.get()?,
-                    table: r.get()?,
-                }
-            }
-            FrameKind::ShardLoaded => {
-                let ShardAddr(epoch, table_id, shard) = r.get()?;
-                Frame::ShardLoaded {
-                    epoch,
-                    table_id,
-                    shard,
-                    rows: r.get()?,
-                }
-            }
-            FrameKind::ShardQuery => {
-                let ShardAddr(epoch, table_id, shard) = r.get()?;
-                Frame::ShardQuery {
-                    epoch,
-                    table_id,
-                    shard,
-                    seq: r.get()?,
-                    trace_id: r.get()?,
-                    analyze: r.get()?,
-                    query: r.get()?,
-                    filters: r.get()?,
-                }
-            }
-            FrameKind::ShardPartial => {
-                let ShardAddr(epoch, table_id, shard) = r.get()?;
-                Frame::ShardPartial {
-                    epoch,
-                    table_id,
-                    shard,
-                    seq: r.get()?,
-                    partial: r.get()?,
-                }
-            }
-            FrameKind::PrepareStatement => Frame::PrepareStatement { query: r.get()? },
-            FrameKind::StatementPrepared => Frame::StatementPrepared { handle: r.get()? },
-            FrameKind::ExecuteStatement => Frame::ExecuteStatement {
-                handle: r.get()?,
-                trace_id: r.get()?,
-                filters: r.get()?,
-            },
-            FrameKind::UnloadShard => {
-                let ShardAddr(epoch, table_id, shard) = r.get()?;
-                Frame::UnloadShard { epoch, table_id, shard }
-            }
-            FrameKind::ShardUnloaded => {
-                let ShardAddr(epoch, table_id, shard) = r.get()?;
-                Frame::ShardUnloaded {
-                    epoch,
-                    table_id,
-                    shard,
-                    remaining: r.get()?,
-                }
-            }
-            FrameKind::MetricsRequest => Frame::MetricsRequest {
-                include_traces: r.get()?,
-                include_events: r.get()?,
-            },
-            FrameKind::MetricsSnapshot => Frame::MetricsSnapshot {
-                metrics: r.get()?,
-                traces: r.get()?,
-                events: r.get()?,
-            },
-        })
-    }
-}
-
 /// Serializes a translated query exactly as it travels inside frames
 /// (DET/OPE literals structurally redacted). The server's statement store
 /// hashes these bytes into the statement handle, so identical plans map to
@@ -784,6 +595,17 @@ impl Frame {
 /// which do differ — travel with every execution.
 pub fn write_statement_payload(out: &mut Vec<u8>, query: &TranslatedQuery) {
     query.encode(out);
+}
+
+/// The content-derived identity of a plan: FNV-1a over its statement payload.
+/// It is the handle a server registers a prepared statement under, the key of
+/// the client's handle cache, the statement half of the coordinator's
+/// partial-cache key, and the statement id of a server- or coordinator-side
+/// event — one function, so the four cannot drift apart.
+pub fn statement_hash(query: &TranslatedQuery) -> u64 {
+    let mut payload = Vec::new();
+    write_statement_payload(&mut payload, query);
+    seabed_core::fnv1a64(&payload)
 }
 
 /// Serializes a bound filter list exactly as it travels inside frames. The

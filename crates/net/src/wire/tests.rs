@@ -653,7 +653,6 @@ fn schema_shard_and_error_types_obey_the_wire_contract() {
             exec_mode: ExecMode::Vectorized,
         },
     ]);
-    check_wire(&[ShardAddr(7, 1, 2), ShardAddr(u64::MAX, u32::MAX, u32::MAX)]);
     check_wire(&[table]);
     check_wire(&[ParseError {
         message: "bad token".to_string(),
@@ -687,6 +686,21 @@ fn every_frame_kind_obeys_the_wire_contract() {
 // ---------------------------------------------------------------------------
 // What is about one type's meaning, not its round trip
 // ---------------------------------------------------------------------------
+
+/// The one plan-content hash is FNV-1a over the statement payload, and the
+/// handle it gives the sample plan is the one recorded before its four
+/// spelled-out copies (server store, event id, client handle cache,
+/// coordinator cache key) became this function.
+#[test]
+fn statement_hash_is_the_recorded_handle() {
+    let query = sample_query();
+    let mut payload = Vec::new();
+    write_statement_payload(&mut payload, &query);
+    assert_eq!(statement_hash(&query), seabed_core::fnv1a64(&payload));
+    assert_eq!(statement_hash(&query), 0xf880_193e_5b31_ac2c);
+    // What stays with the key holder never reaches the hash.
+    assert_eq!(statement_hash(&redact_query(&query)), statement_hash(&query));
+}
 
 #[test]
 fn request_frame_roundtrips_with_literals_redacted() {

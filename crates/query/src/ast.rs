@@ -130,8 +130,8 @@ pub enum Literal {
     /// An unbound `?` placeholder, carrying its zero-based ordinal in
     /// left-to-right source order. Placeholders survive parsing and
     /// translation ([`crate::TranslatedQuery::bind`] substitutes real
-    /// literals at execute time) but are rejected by one-shot execution
-    /// paths, which have no parameters to bind.
+    /// literals at execute time); executing with fewer parameters than
+    /// placeholders is a typed `ParamCount` error at bind.
     Param(usize),
 }
 

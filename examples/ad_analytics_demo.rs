@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run -p seabed-core --release --example ad_analytics_demo`
 
-use seabed_core::{SeabedClient, SeabedServer};
+use seabed_core::{SeabedClient, SeabedServer, SeabedSession};
 use seabed_engine::{Cluster, ClusterConfig};
 use seabed_query::{parse, ColumnSpec, PlannerConfig};
 use seabed_workloads::ad_analytics;
@@ -40,10 +40,12 @@ fn main() {
     let encrypted = client.encrypt_dataset(&dataset, 32, &mut rng);
     let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(64)));
 
+    let session = SeabedSession::single("ad_analytics", client, &server);
+
     println!("Running the 15-query performance set:\n");
     let mut latencies: Vec<f64> = Vec::new();
     for q in &queries {
-        let result = client.query(&server, &q.sql).expect("query failed");
+        let result = session.query(&q.sql, &[]).expect("query failed");
         let total = result.timings.total().as_secs_f64();
         latencies.push(total);
         println!(

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run -p seabed-core --release --example bdb_demo`
 
-use seabed_core::{SeabedClient, SeabedServer};
+use seabed_core::{SeabedClient, SeabedServer, SeabedSession};
 use seabed_engine::{Cluster, ClusterConfig};
 use seabed_query::{parse, ColumnSpec, PlannerConfig};
 use seabed_workloads::bdb;
@@ -53,11 +53,14 @@ fn main() {
         &mut rng,
     );
 
+    let rankings = SeabedSession::single("rankings", rank_client, &rank_server);
+    let uservisits = SeabedSession::single("uservisits", uv_client, &uv_server);
+
     for query in bdb::queries() {
-        let (client, server) = if query.table == "rankings" {
-            (&rank_client, &rank_server)
+        let session = if query.table == "rankings" {
+            &rankings
         } else {
-            (&uv_client, &uv_server)
+            &uservisits
         };
         // Scan queries are measured as count-scans (server-side work only).
         let sql = if query.name.starts_with("Q1") {
@@ -65,7 +68,7 @@ fn main() {
         } else {
             query.sql.clone()
         };
-        match client.query(server, &sql) {
+        match session.query(&sql, &[]) {
             Ok(result) => println!(
                 "{:<4} groups={:<6} total={:>8.4}s   [{}]",
                 query.name,

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example remote_service`
 
-use seabed_core::{PlainDataset, SeabedClient, SeabedServer};
+use seabed_core::{PlainDataset, SeabedClient, SeabedServer, SeabedSession};
 use seabed_engine::{Cluster, ClusterConfig};
 use seabed_net::{NetServer, RemoteSeabedClient, ServiceConfig};
 use seabed_query::{parse, ColumnSpec, PlannerConfig};
@@ -55,9 +55,10 @@ fn main() {
         for worker in 0..4 {
             let proxy = client.clone();
             scope.spawn(move || {
-                let remote = RemoteSeabedClient::connect(addr, proxy).expect("connect");
+                let remote = RemoteSeabedClient::connect(addr, proxy.clone()).expect("connect");
+                let session = SeabedSession::single("sales", proxy, &remote);
                 for (i, sql) in queries.iter().enumerate() {
-                    let result = remote.query(sql).expect("remote query");
+                    let result = session.query(sql, &[]).expect("remote query");
                     if worker == 0 {
                         println!("\n{sql}\n  -> {:?}", result.rows);
                     }

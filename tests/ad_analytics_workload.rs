@@ -1,7 +1,7 @@
 //! Integration test: the Ad-Analytics style workload (hour-of-day group-by
 //! aggregations) over an encrypted fact table.
 
-use seabed_core::{ResultValue, SeabedClient, SeabedServer};
+use seabed_core::{ResultValue, SeabedClient, SeabedServer, SeabedSession};
 use seabed_engine::{Cluster, ClusterConfig};
 use seabed_query::{parse, ColumnSpec, PlannerConfig};
 use seabed_workloads::ad_analytics;
@@ -30,9 +30,10 @@ fn hourly_aggregations_match_plaintext() {
     let encrypted = client.encrypt_dataset(&dataset, 8, &mut rng);
     let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(16)));
 
+    let session = SeabedSession::single("ad_analytics", client, &server);
     let hour = dataset.column("hour").unwrap();
     for q in queries.iter().take(6) {
-        let result = client.query(&server, &q.sql).expect("query failed");
+        let result = session.query(&q.sql, &[]).expect("query failed");
         // Reconstruct the measure name and hour window from the SQL.
         let measure_name = q
             .sql
@@ -126,7 +127,9 @@ fn hour_group_keys_round_trip_as_values() {
     let mut client = SeabedClient::create_plan(b"ada-it2", &specs, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 4, &mut rng);
     let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
-    let result = client.query(&server, sql).unwrap();
+    let result = SeabedSession::single("ad_analytics", client, &server)
+        .query(sql, &[])
+        .unwrap();
     assert_eq!(result.rows.len(), 24);
     for row in &result.rows {
         assert!(

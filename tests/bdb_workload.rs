@@ -1,11 +1,19 @@
 //! Integration test: the Big Data Benchmark queries run end-to-end over
 //! encrypted tables and produce the same answers as a plaintext evaluation.
 
-use seabed_core::{PlainDataset, ResultValue, SeabedClient, SeabedServer};
+use seabed_core::{PlainDataset, QueryResult, ResultValue, SeabedClient, SeabedServer, SeabedSession};
 use seabed_engine::{Cluster, ClusterConfig};
 use seabed_query::{parse, ColumnSpec, PlannerConfig};
 use seabed_workloads::bdb;
 use std::collections::HashMap;
+
+/// SQL text in, decrypted rows out: a one-table session over `server`.
+fn query(client: &SeabedClient, server: &SeabedServer, sql: &str) -> QueryResult {
+    let table = parse(sql).unwrap().from.base_table().to_string();
+    SeabedSession::single(table, client.clone(), server)
+        .query(sql, &[])
+        .expect("query failed")
+}
 
 fn build(dataset: &PlainDataset, sensitive: &[&str]) -> (SeabedClient, SeabedServer) {
     let specs: Vec<ColumnSpec> = dataset
@@ -39,12 +47,11 @@ fn q1_scan_counts_match_plaintext() {
         let expected = (0..rankings.num_rows())
             .filter(|&i| rank.u64_at(i).unwrap() > threshold)
             .count() as u64;
-        let result = client
-            .query(
-                &server,
-                &format!("SELECT COUNT(*) FROM rankings WHERE pageRank > {threshold}"),
-            )
-            .unwrap();
+        let result = query(
+            &client,
+            &server,
+            &format!("SELECT COUNT(*) FROM rankings WHERE pageRank > {threshold}"),
+        );
         assert_eq!(result.rows[0][0], ResultValue::UInt(expected), "threshold {threshold}");
     }
 }
@@ -53,12 +60,11 @@ fn q1_scan_counts_match_plaintext() {
 fn q2_prefix_aggregation_matches_plaintext() {
     let uservisits = bdb::uservisits(&mut rand::rng(), 3_000, 500);
     let (client, server) = build(&uservisits, &["adRevenue", "duration", "visitDate", "ipPrefix"]);
-    let result = client
-        .query(
-            &server,
-            "SELECT ipPrefix, SUM(adRevenue) FROM uservisits GROUP BY ipPrefix",
-        )
-        .unwrap();
+    let result = query(
+        &client,
+        &server,
+        "SELECT ipPrefix, SUM(adRevenue) FROM uservisits GROUP BY ipPrefix",
+    );
     let prefix = uservisits.column("ipPrefix").unwrap();
     let revenue = uservisits.column("adRevenue").unwrap();
     let mut expected: HashMap<String, u64> = HashMap::new();
@@ -78,12 +84,11 @@ fn q2_prefix_aggregation_matches_plaintext() {
 fn q3_date_filtered_join_side_matches_plaintext() {
     let uservisits = bdb::uservisits(&mut rand::rng(), 3_000, 200);
     let (client, server) = build(&uservisits, &["adRevenue", "visitDate", "destURL"]);
-    let result = client
-        .query(
-            &server,
-            "SELECT destURL, SUM(adRevenue) FROM uservisits WHERE visitDate >= 1000 AND visitDate < 4000 GROUP BY destURL",
-        )
-        .unwrap();
+    let result = query(
+        &client,
+        &server,
+        "SELECT destURL, SUM(adRevenue) FROM uservisits WHERE visitDate >= 1000 AND visitDate < 4000 GROUP BY destURL",
+    );
     let url = uservisits.column("destURL").unwrap();
     let date = uservisits.column("visitDate").unwrap();
     let revenue = uservisits.column("adRevenue").unwrap();
@@ -103,12 +108,11 @@ fn q3_date_filtered_join_side_matches_plaintext() {
 fn q4_country_counts_match_plaintext() {
     let uservisits = bdb::uservisits(&mut rand::rng(), 2_000, 100);
     let (client, server) = build(&uservisits, &["adRevenue", "countryCode"]);
-    let result = client
-        .query(
-            &server,
-            "SELECT countryCode, COUNT(*) FROM uservisits GROUP BY countryCode",
-        )
-        .unwrap();
+    let result = query(
+        &client,
+        &server,
+        "SELECT countryCode, COUNT(*) FROM uservisits GROUP BY countryCode",
+    );
     let country = uservisits.column("countryCode").unwrap();
     let mut expected: HashMap<String, u64> = HashMap::new();
     for i in 0..uservisits.num_rows() {

@@ -14,9 +14,9 @@
 //! packing moved" is checked, not claimed.
 
 use rand::SeedableRng;
-use seabed_core::{PlainDataset, SeabedClient};
+use seabed_core::{PlainDataset, SeabedClient, SeabedServer, SeabedSession};
 use seabed_crypto::sha256::digest_hex;
-use seabed_engine::ColumnData;
+use seabed_engine::{Cluster, ClusterConfig, ColumnData};
 use seabed_net::wire::{encode_frame, Frame};
 use seabed_query::{parse, ColumnSpec, PlannerConfig};
 
@@ -96,12 +96,12 @@ fn digests() -> Digests {
     }
 
     // One request carrying a DET tag and two ORE ciphertexts.
-    let (_, query, filters) = client
-        .prepare_with_schema(
-            &encrypted.table.schema,
-            "SELECT SUM(revenue), COUNT(*) FROM sales WHERE dept = 'd07' AND ts >= 1400010000 AND ts < 1400050000",
-        )
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(2)));
+    let prepared = SeabedSession::single("sales", client.clone(), &server)
+        .prepare("SELECT SUM(revenue), COUNT(*) FROM sales WHERE dept = 'd07' AND ts >= 1400010000 AND ts < 1400050000")
         .unwrap();
+    let query = prepared.translated().clone();
+    let filters = client.encrypt_filters(&encrypted.table.schema, &query).unwrap();
     assert_eq!(
         filters.len(),
         3,

@@ -28,7 +28,7 @@ use proptest::prelude::*;
 use seabed_ashe::IdSet;
 use seabed_core::{
     EncryptedAggregate, NoEncSystem, PhysicalFilter, PlainDataset, ResultValue, SeabedClient, SeabedServer,
-    ServerResponse,
+    SeabedSession, ServerResponse,
 };
 use seabed_crypto::{OreCiphertext, OreScheme};
 use seabed_engine::{Cluster, ClusterConfig, ColumnData, ColumnType, ExecMode, Schema, Table};
@@ -721,7 +721,7 @@ proptest! {
                 encrypted.table.clone(),
                 Cluster::new(ClusterConfig::with_workers(4).exec_mode(mode)),
             );
-            let result = match client.query(&srv, &sql) {
+            let result = match SeabedSession::single("sales", client.clone(), &srv).query(&sql, &[]) {
                 Ok(r) => r,
                 Err(e) => {
                     prop_assert!(false, "{mode:?}: query '{sql}' failed: {e}");

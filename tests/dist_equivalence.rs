@@ -7,12 +7,16 @@
 //! winners, result-byte accounting — and the decrypted rows must match, on
 //! the sales fixture, the Ad-Analytics workload and the BDB tables.
 
-use seabed_core::{PlainDataset, QueryTarget, ResultValue, SeabedClient, SeabedServer, ServerResponse};
+use seabed_core::{
+    PlainDataset, PreparedQuery, QueryTarget, ResultValue, SeabedClient, SeabedServer, SeabedSession, ServerResponse,
+};
 use seabed_dist::{spawn_worker, DistConfig, DistCoordinator};
 use seabed_engine::{Cluster, ClusterConfig, ExecMode, Table};
+use seabed_error::SeabedError;
 use seabed_net::{NetServer, ServiceConfig};
 use seabed_query::{parse, ColumnSpec, PlannerConfig, Query};
 use seabed_workloads::{ad_analytics, bdb};
+use std::sync::Arc;
 
 /// Stands up `n` workers plus a coordinator hosting `table` as `name`.
 fn cluster_of(n: usize, name: &str, table: Table) -> (Vec<NetServer>, DistCoordinator) {
@@ -29,36 +33,51 @@ fn cluster_with(n: usize, name: &str, table: Table, config: DistConfig) -> (Vec<
     (workers, coordinator)
 }
 
+/// `sql` through a one-table session over `target`, up to and including the
+/// execution: the prepared statement and the still-encrypted response.
+fn run_encrypted(
+    client: &SeabedClient,
+    target: &impl QueryTarget,
+    sql: &str,
+) -> Result<(Arc<PreparedQuery>, ServerResponse), SeabedError> {
+    let table = parse(sql)?.from.base_table().to_string();
+    let session = SeabedSession::single(table, client.clone(), target);
+    let prepared = session.prepare(sql)?;
+    let (_, response) = session.execute_encrypted(&prepared, &[])?;
+    Ok((prepared, response))
+}
+
+fn decrypted(client: &SeabedClient, prepared: &PreparedQuery, response: ServerResponse) -> Vec<Vec<ResultValue>> {
+    client
+        .decrypt_response(prepared.query(), prepared.translated(), response)
+        .expect("decrypt")
+        .rows
+}
+
 /// Runs `sql` against both targets and asserts encrypted responses and
 /// decrypted rows are identical.
 fn assert_equivalent(client: &SeabedClient, server: &SeabedServer, coordinator: &DistCoordinator, sql: &str) {
-    let (query, translated, filters) = client.prepare(server, sql).expect("prepare");
-    let local: ServerResponse = match server.execute(&translated, &filters) {
-        Ok(response) => response,
+    let (prepared, local) = match run_encrypted(client, server, sql) {
+        Ok(executed) => executed,
         Err(local_err) => {
             // A query the engine rejects (e.g. a non-u64 group key) must be
             // rejected identically by the distributed path — as the same
             // typed error, not a panic or a divergent answer.
-            let dist_err = coordinator
-                .execute_query(&translated, &filters)
+            let dist_err = run_encrypted(client, coordinator, sql)
+                .map(|_| ())
                 .expect_err("local rejected the query; dist must too");
             assert_eq!(local_err, dist_err, "error divergence for {sql}");
             return;
         }
     };
-    let dist: ServerResponse = coordinator.execute_query(&translated, &filters).expect("dist execute");
+    let (_, dist) = run_encrypted(client, coordinator, sql).expect("dist execute");
     assert_eq!(local.groups, dist.groups, "encrypted groups diverged for {sql}");
     assert_eq!(local.result_bytes, dist.result_bytes, "result bytes diverged for {sql}");
-
-    let local_rows = client
-        .decrypt_response(&query, &translated, local)
-        .expect("decrypt local")
-        .rows;
-    let dist_rows = client
-        .decrypt_response(&query, &translated, dist)
-        .expect("decrypt dist")
-        .rows;
-    assert_eq!(local_rows, dist_rows, "decrypted rows diverged for {sql}");
+    assert_eq!(
+        decrypted(client, &prepared, local),
+        decrypted(client, &prepared, dist),
+        "decrypted rows diverged for {sql}"
+    );
 }
 
 fn sales_fixture() -> (SeabedClient, SeabedServer, PlainDataset) {
@@ -163,9 +182,8 @@ fn server_responses_do_not_depend_on_local_threads() {
         for threads in [2, 4] {
             let fanned_out = with_threads(threads);
             for sql in FAN_OUT_QUERIES {
-                let (_, translated, filters) = client.prepare(&server, sql).expect("prepare");
-                let a = on_the_caller.execute(&translated, &filters).expect("one thread");
-                let b = fanned_out.execute(&translated, &filters).expect("several threads");
+                let (_, a) = run_encrypted(&client, &on_the_caller, sql).expect("one thread");
+                let (_, b) = run_encrypted(&client, &fanned_out, sql).expect("several threads");
                 assert_eq!(a.groups, b.groups, "{mode:?} x{threads}: groups diverged for {sql}");
                 assert_eq!(a.result_bytes, b.result_bytes, "{mode:?} x{threads}: {sql}");
                 assert_eq!(a.stats.tasks, b.stats.tasks);
@@ -219,17 +237,13 @@ fn inflated_group_by_is_byte_identical() {
     client.translate_options.expected_groups = Some(1);
     let (workers, coordinator) = cluster_of(2, "sales", server.table().clone());
     let sql = "SELECT dept, SUM(revenue) FROM sales GROUP BY dept";
-    let (query, translated, filters) = client.prepare(&server, sql).expect("prepare");
-    assert!(translated.group_inflation > 1, "fixture must inflate groups");
-    let local = server.execute(&translated, &filters).expect("local");
-    let dist = coordinator.execute_query(&translated, &filters).expect("dist");
+    let (prepared, local) = run_encrypted(&client, &server, sql).expect("local");
+    assert!(prepared.translated().group_inflation > 1, "fixture must inflate groups");
+    let (_, dist) = run_encrypted(&client, &coordinator, sql).expect("dist");
     assert_eq!(local.groups, dist.groups);
 
     // And the decrypted per-dept sums match a plaintext evaluation.
-    let rows = client
-        .decrypt_response(&query, &translated, dist)
-        .expect("decrypt")
-        .rows;
+    let rows = decrypted(&client, &prepared, dist);
     let dept = dataset.column("dept").expect("dept");
     let revenue = dataset.column("revenue").expect("revenue");
     for row in rows {
@@ -259,23 +273,20 @@ fn inflated_min_max_decrypt_to_the_plaintext_extremes() {
     inflating.translate_options.expected_groups = Some(1);
     let (workers, coordinator) = cluster_of(2, "sales", server.table().clone());
     let sql = "SELECT dept, MIN(ts), SUM(revenue), MAX(ts) FROM sales GROUP BY dept";
-    let (query, translated, filters) = inflating.prepare(&server, sql).expect("prepare");
-    assert!(translated.group_inflation > 1, "fixture must inflate groups");
-    let local = server.execute(&translated, &filters).expect("local");
-    let dist = coordinator.execute_query(&translated, &filters).expect("dist");
+    let (prepared, local) = run_encrypted(&inflating, &server, sql).expect("local");
+    assert!(prepared.translated().group_inflation > 1, "fixture must inflate groups");
+    let (_, dist) = run_encrypted(&inflating, &coordinator, sql).expect("dist");
     assert_eq!(local.groups, dist.groups);
 
-    let uninflated = client.query(&server, sql).expect("un-inflated").rows;
+    let (flat, uninflated) = run_encrypted(&client, &server, sql).expect("un-inflated");
+    let uninflated = decrypted(&client, &flat, uninflated);
     let (dept, ts, revenue) = (
         dataset.column("dept").expect("dept"),
         dataset.column("ts").expect("ts"),
         dataset.column("revenue").expect("revenue"),
     );
     for response in [local, dist] {
-        let rows = inflating
-            .decrypt_response(&query, &translated, response)
-            .expect("decrypt")
-            .rows;
+        let rows = decrypted(&inflating, &prepared, response);
         assert_eq!(rows, uninflated);
         for row in rows {
             let ResultValue::Text(key) = &row[0] else {
@@ -300,9 +311,8 @@ fn inflated_min_max_decrypt_to_the_plaintext_extremes() {
     }
 }
 
-/// The proxy's `prepare`/`query`/`decrypt_response` surface works unchanged
-/// against the coordinator (`QueryTarget`), end to end through real
-/// encryption.
+/// A session works unchanged over the coordinator (`QueryTarget`), end to end
+/// through real encryption.
 #[test]
 fn seabed_client_targets_the_coordinator_directly() {
     let (client, server, dataset) = sales_fixture();
@@ -313,8 +323,8 @@ fn seabed_client_targets_the_coordinator_directly() {
         .map(|i| revenue.u64_at(i).unwrap_or_default())
         .sum();
     // Same call shape as against an in-process server.
-    let result = client
-        .query(&coordinator, "SELECT SUM(revenue) FROM sales")
+    let result = SeabedSession::single("sales", client, &coordinator)
+        .query("SELECT SUM(revenue) FROM sales", &[])
         .expect("query via coordinator");
     assert_eq!(result.rows, vec![vec![ResultValue::UInt(expected)]]);
     assert_eq!(coordinator.schema_of("sales"), Ok(&server.table().schema));
@@ -391,8 +401,10 @@ fn bdb_workload_is_byte_identical() {
             } else {
                 q.sql.clone()
             };
-            let prepared = client.prepare(&server, &sql);
-            if prepared.is_err() {
+            if SeabedSession::single(&dataset.name, client.clone(), &server)
+                .prepare(&sql)
+                .is_err()
+            {
                 continue; // unsupported under this plan, same on both paths
             }
             assert_equivalent(&client, &server, &coordinator, &sql);

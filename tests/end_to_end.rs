@@ -1,9 +1,17 @@
 //! End-to-end integration test: plan -> encrypt -> query across all schemes.
 
-use seabed_core::{PlainDataset, ResultValue, SeabedClient, SeabedServer};
+use seabed_core::{PlainDataset, QueryResult, ResultValue, SeabedClient, SeabedServer, SeabedSession};
 use seabed_engine::{Cluster, ClusterConfig};
 use seabed_query::{parse, ColumnSpec, PlannerConfig};
 use std::collections::HashMap;
+
+/// SQL text in, decrypted rows out: a one-table session over `server`.
+fn query(client: &SeabedClient, server: &SeabedServer, sql: &str) -> QueryResult {
+    let table = parse(sql).unwrap().from.base_table().to_string();
+    SeabedSession::single(table, client.clone(), server)
+        .query(sql, &[])
+        .unwrap()
+}
 
 fn build_world(rows: usize) -> (SeabedClient, SeabedServer, PlainDataset) {
     let countries = ["USA", "Canada", "India", "Chile", "Japan"];
@@ -58,13 +66,13 @@ fn plain_sum<F: Fn(usize) -> bool>(ds: &PlainDataset, measure: &str, pred: F) ->
 #[test]
 fn global_and_filtered_sums_match_plaintext() {
     let (client, server, ds) = build_world(2000);
-    let total = client.query(&server, "SELECT SUM(revenue) FROM sales").unwrap();
+    let total = query(&client, &server, "SELECT SUM(revenue) FROM sales");
     assert_eq!(total.rows[0][0], ResultValue::UInt(plain_sum(&ds, "revenue", |_| true)));
 
     let country = ds.column("country").unwrap();
     for value in ["USA", "Canada", "India", "Chile", "Japan"] {
         let sql = format!("SELECT SUM(revenue) FROM sales WHERE country = '{value}'");
-        let result = client.query(&server, &sql).unwrap();
+        let result = query(&client, &server, &sql);
         let expected = plain_sum(&ds, "revenue", |i| country.text_at(i) == value);
         assert_eq!(result.rows[0][0], ResultValue::UInt(expected), "country {value}");
     }
@@ -74,24 +82,18 @@ fn global_and_filtered_sums_match_plaintext() {
 fn range_filters_and_counts_match_plaintext() {
     let (client, server, ds) = build_world(1500);
     let ts = ds.column("ts").unwrap();
-    let result = client
-        .query(&server, "SELECT SUM(revenue) FROM sales WHERE ts >= 700")
-        .unwrap();
+    let result = query(&client, &server, "SELECT SUM(revenue) FROM sales WHERE ts >= 700");
     let expected = plain_sum(&ds, "revenue", |i| ts.u64_at(i).unwrap() >= 700);
     assert_eq!(result.rows[0][0], ResultValue::UInt(expected));
 
-    let count = client
-        .query(&server, "SELECT COUNT(*) FROM sales WHERE ts < 300")
-        .unwrap();
+    let count = query(&client, &server, "SELECT COUNT(*) FROM sales WHERE ts < 300");
     assert_eq!(count.rows[0][0], ResultValue::UInt(300));
 }
 
 #[test]
 fn group_by_matches_plaintext_per_group() {
     let (client, server, ds) = build_world(1200);
-    let result = client
-        .query(&server, "SELECT dept, SUM(revenue) FROM sales GROUP BY dept")
-        .unwrap();
+    let result = query(&client, &server, "SELECT dept, SUM(revenue) FROM sales GROUP BY dept");
     assert_eq!(result.rows.len(), 4);
     let dept = ds.column("dept").unwrap();
     let mut expected: HashMap<String, u64> = HashMap::new();
@@ -113,7 +115,7 @@ fn avg_and_variance_match_plaintext() {
         .map(|i| ds.column("revenue").unwrap().u64_at(i).unwrap() as f64)
         .collect();
     let mean = revenue.iter().sum::<f64>() / revenue.len() as f64;
-    let avg = client.query(&server, "SELECT AVG(revenue) FROM sales").unwrap();
+    let avg = query(&client, &server, "SELECT AVG(revenue) FROM sales");
     assert!((avg.rows[0][0].as_f64() - mean).abs() < 1e-9);
 
     let clicks: Vec<f64> = (0..ds.num_rows())
@@ -121,7 +123,7 @@ fn avg_and_variance_match_plaintext() {
         .collect();
     let cmean = clicks.iter().sum::<f64>() / clicks.len() as f64;
     let cvar = clicks.iter().map(|v| (v - cmean) * (v - cmean)).sum::<f64>() / clicks.len() as f64;
-    let var = client.query(&server, "SELECT VARIANCE(clicks) FROM sales").unwrap();
+    let var = query(&client, &server, "SELECT VARIANCE(clicks) FROM sales");
     assert!(
         (var.rows[0][0].as_f64() - cvar).abs() < 1e-6,
         "variance {} vs {}",
@@ -142,7 +144,7 @@ fn server_never_sees_plaintext_columns() {
 #[test]
 fn timings_are_populated() {
     let (client, server, _) = build_world(800);
-    let result = client.query(&server, "SELECT SUM(revenue) FROM sales").unwrap();
+    let result = query(&client, &server, "SELECT SUM(revenue) FROM sales");
     assert!(result.timings.server > std::time::Duration::ZERO);
     assert!(result.result_bytes > 0);
     assert!(
@@ -213,8 +215,14 @@ fn inflated_min_max_match_uninflated_and_plaintext() {
     for list in [vec![0], vec![1], vec![0, 1], vec![2, 0, 3, 4, 1]] {
         let select: Vec<&str> = list.iter().map(|&i| items[i].0).collect();
         let sql = format!("SELECT dept, {} FROM sales GROUP BY dept", select.join(", "));
-        let (_, translated, _) = inflating.prepare(&server, &sql).unwrap();
-        assert_eq!(translated.group_inflation, 50, "the hinted proxy must inflate {sql}");
+        let prepared = SeabedSession::single("sales", inflating.clone(), &server)
+            .prepare(&sql)
+            .unwrap();
+        assert_eq!(
+            prepared.translated().group_inflation,
+            50,
+            "the hinted proxy must inflate {sql}"
+        );
 
         let plaintext: Vec<Vec<ResultValue>> = ["a", "b"]
             .iter()
@@ -229,8 +237,8 @@ fn inflated_min_max_match_uninflated_and_plaintext() {
             rows.sort_by_key(|row| format!("{:?}", row[0]));
             rows
         };
-        let flat = by_dept(client.query(&server, &sql).unwrap().rows);
-        let inflated = by_dept(inflating.query(&server, &sql).unwrap().rows);
+        let flat = by_dept(query(&client, &server, &sql).rows);
+        let inflated = by_dept(query(&inflating, &server, &sql).rows);
         assert_eq!(flat, plaintext, "un-inflated {sql}");
         assert_eq!(inflated, plaintext, "inflated {sql}");
     }
@@ -244,8 +252,8 @@ fn inflated_min_max_match_uninflated_and_plaintext() {
 fn inflation_costs_the_proxy_no_extra_prf_evaluations() {
     let (client, inflating, server, _) = two_dept_world();
     let sql = "SELECT dept, SUM(revenue) FROM sales GROUP BY dept";
-    let flat = client.query(&server, sql).unwrap();
-    let inflated = inflating.query(&server, sql).unwrap();
+    let flat = query(&client, &server, sql);
+    let inflated = query(&inflating, &server, sql);
     assert_eq!(inflated.rows, flat.rows);
     assert_eq!(flat.client_prf_evals, 4);
     assert_eq!(inflated.client_prf_evals, 4);
@@ -270,9 +278,11 @@ fn a_second_sum_and_a_count_cost_sixteen_bytes_not_another_id_list() {
     let encrypted = client.encrypt_dataset(&dataset, 4, &mut rand::rng());
     let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
 
+    let session = SeabedSession::single("t", client.clone(), &server);
     let run = |sql: &str| {
-        let (_, plan, filters) = client.prepare(&server, sql).unwrap();
-        let response = server.execute(&plan, &filters).unwrap();
+        let prepared = session.prepare(sql).unwrap();
+        let (plan, response) = session.execute_encrypted(&prepared, &[]).unwrap();
+        let filters = client.encrypt_filters(server.schema(), &plan).unwrap();
         let partial = server.execute_partial(&plan, &filters).unwrap();
         let frame = encode_frame(&Frame::Response(response.clone()), u32::MAX)
             .unwrap()
@@ -313,9 +323,11 @@ fn a_second_sum_and_a_count_cost_sixteen_bytes_not_another_id_list() {
     assert_eq!(three_to_driver, one_to_driver + 4 * 8);
     assert_eq!(three_shuffle, one_shuffle + 8);
 
-    let answer = client
-        .query(&server, "SELECT SUM(a), SUM(b), COUNT(*) FROM t WHERE dept = 'd1'")
-        .unwrap();
+    let answer = query(
+        &client,
+        &server,
+        "SELECT SUM(a), SUM(b), COUNT(*) FROM t WHERE dept = 'd1'",
+    );
     let selected: Vec<u64> = (0..rows).filter(|i| mix(i + 2) % 4 == 1).collect();
     assert_eq!(
         answer.rows,

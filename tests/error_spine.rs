@@ -1,11 +1,17 @@
 //! Negative-path integration tests for the `SeabedError` spine: malformed or
-//! unsupported queries must surface as typed errors from `SeabedClient::query`
+//! unsupported queries must surface as typed errors from `SeabedSession::query`
 //! — never as panics — with the variant naming the layer that failed.
 
-use seabed_core::{PlainDataset, SeabedClient, SeabedServer};
+use seabed_core::{PlainDataset, QueryResult, SeabedClient, SeabedServer, SeabedSession};
 use seabed_engine::{Cluster, ClusterConfig};
 use seabed_error::{SchemaError, SeabedError};
 use seabed_query::{parse, ColumnSpec, PlannerConfig};
+
+/// SQL text in, decrypted rows or a typed error out: a `sales` session over
+/// `server`.
+fn query(client: &SeabedClient, server: &SeabedServer, sql: &str) -> Result<QueryResult, SeabedError> {
+    SeabedSession::single("sales", client.clone(), server).query(sql, &[])
+}
 
 fn build_world() -> Result<(SeabedClient, SeabedServer), SeabedError> {
     let dataset = PlainDataset::new("sales")
@@ -50,7 +56,7 @@ fn malformed_sql_returns_parse_error() -> Result<(), SeabedError> {
         "SELECT SUM(revenue) FROM sales WHERE ts >",
         "SELECT SUM(revenue) FROM sales trailing ~ garbage",
     ] {
-        let outcome = client.query(&server, bad);
+        let outcome = query(&client, &server, bad);
         assert!(
             matches!(outcome, Err(SeabedError::Parse(_))),
             "{bad:?} should be a parse error, got {outcome:?}"
@@ -62,7 +68,7 @@ fn malformed_sql_returns_parse_error() -> Result<(), SeabedError> {
 #[test]
 fn parse_errors_carry_position_and_message() -> Result<(), SeabedError> {
     let (client, server) = build_world()?;
-    let Err(SeabedError::Parse(err)) = client.query(&server, "SELECT SUM(revenue) FROM sales WHERE ts @ 3") else {
+    let Err(SeabedError::Parse(err)) = query(&client, &server, "SELECT SUM(revenue) FROM sales WHERE ts @ 3") else {
         return Err(SeabedError::engine("expected a parse error"));
     };
     assert!(err.message.contains("unexpected character"), "{err}");
@@ -78,7 +84,7 @@ fn unknown_column_returns_schema_error() -> Result<(), SeabedError> {
         "SELECT COUNT(*) FROM sales WHERE no_such_dim = 3",
         "SELECT no_such_key, SUM(revenue) FROM sales GROUP BY no_such_key",
     ] {
-        let outcome = client.query(&server, bad);
+        let outcome = query(&client, &server, bad);
         assert!(
             matches!(&outcome, Err(SeabedError::Schema(SchemaError::UnknownColumn(c))) if bad.contains(c.as_str())),
             "{bad:?} should be an unknown-column schema error, got {outcome:?}"
@@ -98,7 +104,7 @@ fn unsupported_operations_return_translate_error() -> Result<(), SeabedError> {
         // MIN over an ASHE (not OPE) column.
         "SELECT MIN(revenue) FROM sales",
     ] {
-        let outcome = client.query(&server, bad);
+        let outcome = query(&client, &server, bad);
         assert!(
             matches!(outcome, Err(SeabedError::Translate(_))),
             "{bad:?} should be a translate error, got {outcome:?}"
@@ -191,7 +197,7 @@ fn statements_the_encrypted_schema_cannot_answer_are_refused_up_front() -> Resul
             vec!["equality", "region"],
         ),
     ] {
-        let outcome = client.query(&server, bad);
+        let outcome = query(&client, &server, bad);
         assert!(
             matches!(&outcome, Err(SeabedError::Translate(msg)) if names.iter().all(|name| msg.contains(name))),
             "{bad:?} should be a translate error naming {names:?}, got {outcome:?}"
@@ -211,7 +217,7 @@ fn statements_the_encrypted_schema_cannot_answer_are_refused_up_front() -> Resul
             (0..40u64).filter(|i| i % 3 == 0).map(|i| i % 24).sum(),
         ),
     ] {
-        let result = client.query(&server, good)?;
+        let result = query(&client, &server, good)?;
         assert_eq!(result.rows[0][0].as_u64(), Some(expected), "{good}");
     }
     Ok(())
@@ -223,7 +229,7 @@ fn server_rejects_plans_for_foreign_schemas() -> Result<(), SeabedError> {
     // never stored those columns: the untrusted boundary must answer with a
     // typed error, not a panic.
     let (client, server) = build_world()?;
-    let (_, translated, _) = client.prepare(&server, "SELECT SUM(revenue) FROM sales")?;
+    let prepared = SeabedSession::single("sales", client, &server).prepare("SELECT SUM(revenue) FROM sales")?;
 
     let other = PlainDataset::new("other").with_uint_column("x", vec![1, 2, 3]);
     let columns = vec![ColumnSpec::sensitive("x")];
@@ -235,7 +241,7 @@ fn server_rejects_plans_for_foreign_schemas() -> Result<(), SeabedError> {
         Cluster::new(ClusterConfig::with_workers(2)),
     );
 
-    let outcome = other_server.execute(&translated, &[]);
+    let outcome = other_server.execute(prepared.translated(), &[]);
     assert!(
         matches!(outcome, Err(SeabedError::Schema(_))),
         "foreign plan should fail with a schema error, got {:?}",
@@ -247,13 +253,14 @@ fn server_rejects_plans_for_foreign_schemas() -> Result<(), SeabedError> {
 #[test]
 fn errors_format_with_layer_prefix() -> Result<(), SeabedError> {
     let (client, server) = build_world()?;
-    let parse_err = client.query(&server, "garbage").map(|_| ()).map_err(|e| e.to_string());
+    let parse_err = query(&client, &server, "garbage")
+        .map(|_| ())
+        .map_err(|e| e.to_string());
     assert!(
         parse_err.as_ref().is_err_and(|m| m.starts_with("parse: ")),
         "{parse_err:?}"
     );
-    let schema_err = client
-        .query(&server, "SELECT SUM(missing) FROM sales")
+    let schema_err = query(&client, &server, "SELECT SUM(missing) FROM sales")
         .map(|_| ())
         .map_err(|e| e.to_string());
     assert!(

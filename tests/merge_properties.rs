@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seabed_ashe::IdSet;
-use seabed_core::{finalize_partials, PlainDataset, SeabedClient, SeabedServer};
+use seabed_core::{finalize_partials, PlainDataset, SeabedClient, SeabedServer, SeabedSession};
 use seabed_crypto::OreScheme;
 use seabed_engine::merge::{merge_partial_groups, ExtremeCandidate, PartialAggregate, PartialGroup, PartialGroups};
 use seabed_engine::{Cluster, ClusterConfig, ExecStats, Table};
@@ -283,14 +283,17 @@ proptest! {
             "SELECT MIN(ts) FROM sales",
             "SELECT MAX(ts) FROM sales",
         ] {
-            let (query, translated, filters) = match client.prepare(&full_server, sql) {
-                Ok(p) => p,
-                Err(e) => { prop_assert!(false, "prepare {sql}: {e}"); unreachable!() }
-            };
-            let single = match full_server.execute(&translated, &filters) {
-                Ok(r) => r,
+            let session = SeabedSession::single("sales", client.clone(), &full_server);
+            let executed = session.prepare(sql).and_then(|prepared| {
+                let (translated, single) = session.execute_encrypted(&prepared, &[])?;
+                let filters = client.encrypt_filters(full_server.schema(), &translated)?;
+                Ok((prepared, translated, filters, single))
+            });
+            let (prepared, translated, filters, single) = match executed {
+                Ok(executed) => executed,
                 Err(e) => { prop_assert!(false, "single-pass {sql}: {e}"); unreachable!() }
             };
+            let query = prepared.query();
 
             // Execute each split separately, then merge in a random order.
             let mut partials = Vec::new();
@@ -312,11 +315,11 @@ proptest! {
 
             // And the decrypted answers agree (exact de-inflated ID sets are
             // implied: ASHE decryption fails loudly on a wrong ID set).
-            let a = match client.decrypt_response(&query, &translated, single) {
+            let a = match client.decrypt_response(query, &translated, single) {
                 Ok(r) => r.rows,
                 Err(e) => { prop_assert!(false, "decrypt single {sql}: {e}"); unreachable!() }
             };
-            let b = match client.decrypt_response(&query, &translated, reassembled) {
+            let b = match client.decrypt_response(query, &translated, reassembled) {
                 Ok(r) => r.rows,
                 Err(e) => { prop_assert!(false, "decrypt merged {sql}: {e}"); unreachable!() }
             };

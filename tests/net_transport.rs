@@ -6,7 +6,9 @@
 //! and starve the connections queued behind it) and on the client (where it
 //! would otherwise hang a query for `interval × frame length`).
 
-use seabed_core::{EncryptedAggregate, GroupResult, QueryTarget, SeabedClient, SeabedServer, ServerResponse};
+use seabed_core::{
+    EncryptedAggregate, GroupResult, QueryTarget, SeabedClient, SeabedServer, SeabedSession, ServerResponse,
+};
 use seabed_engine::{Cluster, ClusterConfig, ColumnData, ColumnType, ExecStats, Schema, Table};
 use seabed_error::SeabedError;
 use seabed_net::wire::{self, Frame};
@@ -147,20 +149,19 @@ fn client_fails_a_trickled_reply_within_the_budget_and_poisons() {
     let samples = vec![parse("SELECT COUNT(*) FROM t").expect("sample")];
     let client = SeabedClient::create_plan(b"trickle", &columns, &samples, &PlannerConfig::default());
     let remote = RemoteSeabedClient::connect_with(addr, client, MAX, read_timeout).expect("connect");
-    let (_, translated, filters) = remote
-        .client()
-        .prepare(&remote, "SELECT COUNT(*) FROM t")
+    let prepared = SeabedSession::single("t", remote.client().clone(), &remote)
+        .prepare("SELECT COUNT(*) FROM t")
         .expect("prepare");
 
     let started = Instant::now();
-    let outcome = remote.execute_query(&translated, &filters);
+    let outcome = remote.execute_query(prepared.translated(), &[]);
     let elapsed = started.elapsed();
     assert!(matches!(outcome, Err(SeabedError::Net(_))), "{outcome:?}");
     assert!(
         elapsed < read_timeout * 2,
         "a trickled reply held the call for {elapsed:?}, past 2x the {read_timeout:?} read timeout"
     );
-    match remote.execute_query(&translated, &filters) {
+    match remote.execute_query(prepared.translated(), &[]) {
         Err(SeabedError::Net(msg)) => assert!(msg.contains("poisoned"), "{msg}"),
         other => panic!("expected a poisoned-connection error, got {other:?}"),
     }

@@ -1,10 +1,10 @@
-//! Prepared ≡ one-shot equivalence, across all three execution targets.
+//! Bound ≡ inline equivalence, across all three execution targets.
 //!
-//! Every query here runs twice per target: once through the legacy one-shot
-//! path (`SeabedClient::prepare` + execute — parse/translate/encrypt per
-//! call, literals inline in the SQL) and once through a [`SeabedSession`]
-//! prepared statement with the literals bound as `?` parameters at execute
-//! time. The *encrypted* responses must be byte-identical — group keys, ASHE
+//! Every query here runs twice per target through one [`SeabedSession`]: once
+//! as a statement with its literals inline in the SQL (encrypted at prepare)
+//! and once as a prepared statement with the literals bound as `?` parameters
+//! at execute time (encrypted at bind, through the memo). The *encrypted*
+//! responses must be byte-identical — group keys, ASHE
 //! sums, exact encoded ID lists, result-byte accounting — and the decrypted
 //! rows must match, on the sales fixture, the Ad-Analytics workload and the
 //! BDB tables, against an in-process `SeabedServer`, a
@@ -12,7 +12,7 @@
 //! only the statement handle plus bound filters), and a `DistCoordinator`
 //! over real workers. Group-by inflation is exercised explicitly.
 
-use seabed_core::{Catalog, PlainDataset, SeabedClient, SeabedServer, SeabedSession, ServerResponse};
+use seabed_core::{Catalog, PlainDataset, SeabedClient, SeabedServer, SeabedSession};
 use seabed_dist::{spawn_worker, DistConfig, DistCoordinator};
 use seabed_engine::{Cluster, ClusterConfig};
 use seabed_net::{NetServer, RemoteSeabedClient, ServiceConfig};
@@ -35,8 +35,9 @@ fn case(parameterized: &'static str, params: Vec<Literal>, inline: impl Into<Str
     }
 }
 
-/// Asserts that session-prepared execution and one-shot execution produce
-/// byte-identical encrypted payloads and identical decrypted rows on `target`.
+/// Asserts that executing with bound parameters and executing the inline
+/// statement produce byte-identical encrypted payloads and identical
+/// decrypted rows on `target`.
 fn assert_case(table: &str, client: &SeabedClient, target: &impl seabed_core::QueryTarget, case: &Case, label: &str) {
     let session = SeabedSession::single(table, client.clone(), target);
     let prepared = session
@@ -46,12 +47,12 @@ fn assert_case(table: &str, client: &SeabedClient, target: &impl seabed_core::Qu
         .execute_encrypted(&prepared, &case.params)
         .unwrap_or_else(|e| panic!("{label}: execute {}: {e}", case.parameterized));
 
-    let (query, translated, filters) = client
-        .prepare(target, &case.inline)
-        .unwrap_or_else(|e| panic!("{label}: one-shot prepare {}: {e}", case.inline));
-    let one_shot: ServerResponse = target
-        .execute_query(&translated, &filters)
-        .unwrap_or_else(|e| panic!("{label}: one-shot execute {}: {e}", case.inline));
+    let inline = session
+        .prepare(&case.inline)
+        .unwrap_or_else(|e| panic!("{label}: inline prepare {}: {e}", case.inline));
+    let (translated, one_shot) = session
+        .execute_encrypted(&inline, &[])
+        .unwrap_or_else(|e| panic!("{label}: inline execute {}: {e}", case.inline));
 
     // Byte-identical encrypted payload (stats carry measured wall times and
     // may differ).
@@ -66,14 +67,14 @@ fn assert_case(table: &str, client: &SeabedClient, target: &impl seabed_core::Qu
         case.parameterized
     );
 
-    // The bound plan decrypts to the same rows the one-shot plan does.
+    // The bound plan decrypts to the same rows the inline plan does.
     let prepared_rows = client
         .decrypt_response(prepared.query(), &bound, prepared_response)
         .unwrap_or_else(|e| panic!("{label}: decrypt prepared: {e}"))
         .rows;
     let one_shot_rows = client
-        .decrypt_response(&query, &translated, one_shot)
-        .unwrap_or_else(|e| panic!("{label}: decrypt one-shot: {e}"))
+        .decrypt_response(inline.query(), &translated, one_shot)
+        .unwrap_or_else(|e| panic!("{label}: decrypt inline: {e}"))
         .rows;
     assert_eq!(
         prepared_rows, one_shot_rows,
@@ -208,10 +209,10 @@ fn inflated_group_by_prepared_equals_one_shot() {
     let (mut client, server, _) = sales_fixture();
     client.translate_options.expected_groups = Some(1);
     // Confirm the fixture really inflates.
-    let (_, translated, _) = client
-        .prepare(&server, "SELECT dept, SUM(revenue) FROM sales GROUP BY dept")
+    let prepared = SeabedSession::single("sales", client.clone(), &server)
+        .prepare("SELECT dept, SUM(revenue) FROM sales GROUP BY dept")
         .expect("prepare");
-    assert!(translated.group_inflation > 1, "fixture must inflate groups");
+    assert!(prepared.translated().group_inflation > 1, "fixture must inflate groups");
     let cases = vec![
         case(
             "SELECT dept, SUM(revenue) FROM sales GROUP BY dept",
@@ -362,4 +363,89 @@ fn unknown_tables_fail_at_prepare_on_every_target() {
         Err(SeabedError::Schema(SchemaError::UnknownTable(_)))
     ));
     net.shutdown();
+}
+
+/// A target that records the filters of every execution before handing it to
+/// the server behind it.
+struct Recording<'s> {
+    server: &'s SeabedServer,
+    filters: std::sync::Mutex<Vec<Vec<seabed_core::PhysicalFilter>>>,
+}
+
+impl seabed_core::QueryTarget for Recording<'_> {
+    fn schema_of(&self, _table: &str) -> Result<&seabed_engine::Schema, seabed_error::SeabedError> {
+        Ok(self.server.schema())
+    }
+
+    fn execute_query(
+        &self,
+        query: &seabed_query::TranslatedQuery,
+        filters: &[seabed_core::PhysicalFilter],
+    ) -> Result<seabed_core::ServerResponse, seabed_error::SeabedError> {
+        self.filters.lock().unwrap().push(filters.to_vec());
+        self.server.execute(query, filters)
+    }
+}
+
+/// The proxy's schemes are one value shared by every clone of it, and nothing
+/// around them holds a lock. Eight threads, each with its own session over
+/// its own clone of one proxy and all over one server, prepare two
+/// statements, bind 200 seeded literals and decrypt — released together by a
+/// barrier, so the binds overlap. Every encrypted filter that reached the
+/// server and every decrypted row must equal the single-threaded run's.
+#[test]
+fn eight_threads_over_one_proxys_schemes_encrypt_and_decrypt_like_one() {
+    let (client, server, _) = sales_fixture();
+    let bindings: Vec<(String, u64)> = (0..200u64)
+        .map(|i| {
+            let mixed = i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17);
+            (format!("d{}", mixed % 5), mixed % 10_000)
+        })
+        .collect();
+    let run = |proxy: SeabedClient| {
+        let target = Recording {
+            server: &server,
+            filters: Default::default(),
+        };
+        let session = SeabedSession::single("sales", proxy, &target);
+        let filtered = session
+            .prepare("SELECT SUM(revenue), COUNT(*) FROM sales WHERE dept = ? AND ts >= ?")
+            .expect("prepare");
+        let grouped = session
+            .prepare("SELECT dept, SUM(revenue), MIN(ts) FROM sales WHERE ts < ? GROUP BY dept")
+            .expect("prepare");
+        let mut rows = Vec::new();
+        for (dept, ts) in &bindings {
+            let params = [Literal::Text(dept.clone()), Literal::Integer(*ts)];
+            rows.push(session.execute(&filtered, &params).expect("execute").rows);
+            rows.push(session.execute(&grouped, &params[1..]).expect("execute").rows);
+        }
+        drop(session);
+        (target.filters.into_inner().unwrap(), rows)
+    };
+    let alone = run(client.clone());
+    assert_eq!(alone.0.len(), 2 * bindings.len());
+    assert!(
+        alone.1.iter().any(|rows| rows.len() == 5),
+        "a group-by answered every dept"
+    );
+
+    let threads = 8;
+    let barrier = std::sync::Barrier::new(threads);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let proxy = client.clone();
+                scope.spawn(|| {
+                    barrier.wait();
+                    run(proxy)
+                })
+            })
+            .collect();
+        for (thread, handle) in handles.into_iter().enumerate() {
+            let together = handle.join().expect("session thread panicked");
+            assert_eq!(together.0, alone.0, "thread {thread}: encrypted filters diverged");
+            assert_eq!(together.1, alone.1, "thread {thread}: decrypted rows diverged");
+        }
+    });
 }

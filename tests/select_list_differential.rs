@@ -5,10 +5,9 @@
 //! generator draws SELECT lists of 1–4 items from every aggregate function
 //! (repeats allowed), a grouping (global / a DET dimension / a public
 //! column), a group-inflation hint and up to two filters of every class, and
-//! runs each case through the one-shot proxy (`SeabedClient::query`, inline
-//! literals) **and** through a session (`prepare` + `execute`, placeholders)
-//! on one `SeabedServer` — a handful also through a two-worker
-//! `DistCoordinator`. Every answer must equal a plaintext evaluation of the
+//! runs each case through a session twice — with its literals inline
+//! (`query`) **and** as placeholders (`prepare` + `execute`) — on one
+//! `SeabedServer`, a handful also over a two-worker `DistCoordinator`. Every answer must equal a plaintext evaluation of the
 //! parsed query over the plaintext dataset, order-insensitively and within
 //! 1e-9 on floats.
 //!
@@ -429,6 +428,10 @@ fn decrypted_rows_equal_a_plaintext_evaluation_of_the_sql() {
         .iter()
         .map(|proxy| SeabedSession::single("sales", proxy.clone(), &server))
         .collect();
+    let dist_sessions: Vec<_> = proxies
+        .iter()
+        .map(|proxy| SeabedSession::single("sales", proxy.clone(), &coordinator))
+        .collect();
 
     let mut failures: Vec<String> = Vec::new();
     // What the seeds actually exercised, so a change to the generator cannot
@@ -441,7 +444,7 @@ fn decrypted_rows_equal_a_plaintext_evaluation_of_the_sql() {
             Some(1) => 1,
             _ => 2,
         };
-        let (proxy, session) = (&proxies[which], &sessions[which]);
+        let session = &sessions[which];
         let expected = expectation(&data, &case);
         let sql = &case.inline_sql;
         match expected {
@@ -453,18 +456,21 @@ fn decrypted_rows_equal_a_plaintext_evaluation_of_the_sql() {
         }
         bound_params += case.params.len();
 
-        let one_shot = proxy.query(&server, &case.inline_sql).map(|result| result.rows);
-        failures.extend(check("one-shot", &case, seed, &expected, one_shot));
+        let inline = session.query(&case.inline_sql, &[]).map(|result| result.rows);
+        failures.extend(check("inline", &case, seed, &expected, inline));
         let prepared = session
             .prepare(&case.prepared_sql)
             .and_then(|prepared| session.execute(&prepared, &case.params))
             .map(|result| result.rows);
         failures.extend(check("prepared", &case, seed, &expected, prepared));
         if seed % DIST_EVERY == 0 {
-            let dist = proxy.query(&coordinator, &case.inline_sql).map(|result| result.rows);
+            let dist = dist_sessions[which]
+                .query(&case.inline_sql, &[])
+                .map(|result| result.rows);
             failures.extend(check("dist", &case, seed, &expected, dist));
         }
     }
+    drop(dist_sessions);
     drop(coordinator);
     for w in workers {
         w.shutdown();

@@ -1,7 +1,7 @@
 //! Integration tests for the SPLASHE pipeline: planner decisions, the
 //! flattened histogram the server sees, and attack resistance.
 
-use seabed_core::{PlainDataset, SeabedClient, SeabedServer};
+use seabed_core::{PlainDataset, SeabedClient, SeabedServer, SeabedSession};
 use seabed_engine::{Cluster, ClusterConfig};
 use seabed_query::{parse, ColumnSpec, PlannerConfig};
 use seabed_splashe::{frequency_attack, AuxiliaryDistribution};
@@ -38,6 +38,7 @@ fn build(rows: usize) -> (SeabedClient, SeabedServer, PlainDataset) {
 #[test]
 fn sums_are_correct_for_every_country() {
     let (client, server, ds) = build(3000);
+    let session = SeabedSession::single("t", client, &server);
     let country = ds.column("country").unwrap();
     let salary = ds.column("salary").unwrap();
     for value in ["USA", "Canada", "India", "Chile", "Iraq"] {
@@ -45,8 +46,8 @@ fn sums_are_correct_for_every_country() {
             .filter(|&i| country.text_at(i) == value)
             .map(|i| salary.u64_at(i).unwrap())
             .sum();
-        let result = client
-            .query(&server, &format!("SELECT SUM(salary) FROM t WHERE country = '{value}'"))
+        let result = session
+            .query(&format!("SELECT SUM(salary) FROM t WHERE country = '{value}'"), &[])
             .unwrap();
         assert_eq!(result.rows[0][0].as_u64(), Some(expected), "country {value}");
     }

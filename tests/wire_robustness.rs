@@ -644,8 +644,10 @@ fn live_server_survives_adversarial_volley() {
     }
 
     // The service still answers a real client, end to end.
-    let remote = RemoteSeabedClient::connect(net.local_addr(), client).expect("connect after volley");
-    let result = remote.query("SELECT SUM(m) FROM t").expect("query after volley");
+    let remote = RemoteSeabedClient::connect(net.local_addr(), client.clone()).expect("connect after volley");
+    let result = seabed::core::SeabedSession::single("t", client, &remote)
+        .query("SELECT SUM(m) FROM t", &[])
+        .expect("query after volley");
     assert_eq!(result.rows[0][0], seabed::core::ResultValue::UInt((0..200u64).sum()));
     net.shutdown();
 }
