@@ -27,13 +27,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seabed_ashe::{AsheScheme, IdSet};
 use seabed_core::{
-    row_selected, NoEncSystem, PaillierSystem, PlainDataset, QueryResult, SeabedClient, SeabedServer, SeabedSession,
+    row_selected, NoEncSystem, PaillierSystem, PhysicalFilter, PlainDataset, QueryResult, SeabedClient, SeabedServer,
+    SeabedSession,
 };
 use seabed_crypto::paillier::PaillierKeypair;
 use seabed_crypto::{AesCtr, BigUint};
 use seabed_encoding::IdListEncoding;
 use seabed_engine::{table_disk_size, table_memory_size, Cluster, ClusterConfig, NetworkModel, TaskOutput};
-use seabed_query::{parse, ColumnSpec, PlannerConfig, TranslateOptions};
+use seabed_query::{parse, ColumnSpec, CompareOp, PlannerConfig, TranslateOptions};
 use seabed_workloads::{ad_analytics, bdb, classify, synthetic};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -654,20 +655,21 @@ pub fn exp_fig8c(scale: &Scale) -> Vec<SelectivityPoint> {
             result_bytes: bytes,
             response: server + client,
         });
-        // Aggregation with an OPE range predicate of the same selectivity.
-        let threshold = ore.encrypt((selectivity * u32::MAX as f64) as u64);
+        // Aggregation with an OPE range predicate of the same selectivity,
+        // through the server's range kernel.
+        let filter = PhysicalFilter::Ope {
+            column: 1,
+            op: CompareOp::Lt,
+            ciphertext: ore.encrypt((selectivity * u32::MAX as f64) as u64),
+        };
         let (partials, stats) = cluster.run(&table, |p| {
             let words = p.column(0).as_u64();
+            let selected = filter.select_dense(p).expect("column 1 is the ORE column");
             let mut sum = 0u64;
             let mut ids = IdSet::new();
-            for (i, &word) in words.iter().enumerate() {
-                let ct = seabed_crypto::OreCiphertext {
-                    symbols: p.column(1).bytes_at(i).to_vec(),
-                };
-                if ct.compare(&threshold) == std::cmp::Ordering::Less {
-                    sum = sum.wrapping_add(word);
-                    ids.push_ordered(p.row_id(i));
-                }
+            for &row in selected.rows() {
+                sum = sum.wrapping_add(words[row as usize]);
+                ids.push_ordered(p.row_id(row as usize));
             }
             let bytes = ids.encoded_size(IdListEncoding::seabed_default()) + 8;
             TaskOutput::new((sum, ids), bytes)

@@ -180,7 +180,7 @@ pub fn encrypt_dataset<R: Rng + ?Sized>(
                 let values = numeric_values(source, &col_plan.name);
                 let ore = OreScheme::new(&keys.ope_key(&col_plan.name));
                 fields.push((encnames::ope(&col_plan.name), ColumnType::Bytes));
-                let mut cells = BytesColumn::with_capacity(values.len(), values.len() * ORE_CELL_BYTES);
+                let mut cells = BytesColumn::with_capacity(values.len() * ORE_CELL_BYTES);
                 let mut cursor = ore.cursor();
                 for &v in &values {
                     cells.push(&cursor.encrypt(v));

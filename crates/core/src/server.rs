@@ -46,7 +46,7 @@
 //! partition therefore yields a [`SeabedError`] instead of taking the server
 //! (or, via a poisoned response, the proxy) down.
 
-use seabed_crypto::ore::{try_compare_symbols, OreCiphertext, ORE_CELL_BYTES};
+use seabed_crypto::ore::{accepted_pairs, cell_words, first_difference, OreCiphertext, ORE_CELL_BYTES};
 use seabed_encoding::{append_offset_runs, encoded_size, IdListEncoding, Run};
 use seabed_engine::exec::{self, group_rows, GroupedRows, SelectionVector};
 use seabed_engine::merge::{
@@ -59,7 +59,6 @@ use seabed_engine::{
 use seabed_error::{SchemaError, SeabedError};
 use seabed_obs::UNTRACED;
 use seabed_query::{AggregateInput, CompareOp, FilterClass, PlanNode, ServerAggregate, TranslatedQuery};
-use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// A filter with its literal already encrypted by the proxy.
@@ -116,6 +115,45 @@ macro_rules! typed_slice {
     };
 }
 
+/// An ORE filter resolved for a scan: the literal decoded to its two words
+/// once, and the operator folded into the table of the first-difference
+/// symbol pairs it accepts ([`accepted_pairs`]). A literal that is not one
+/// cell wide accepts nothing — `PhysicalFilter::validate` refuses it before a
+/// scan.
+#[derive(Clone, Copy)]
+struct OreTest {
+    literal: [u64; 2],
+    pairs: u16,
+}
+
+impl OreTest {
+    fn new(op: CompareOp, ciphertext: &OreCiphertext) -> OreTest {
+        match <&[u8; ORE_CELL_BYTES]>::try_from(ciphertext.symbols.as_slice()) {
+            Ok(literal) => OreTest {
+                literal: cell_words(literal),
+                pairs: accepted_pairs(|ord| op.eval_ordering(ord)),
+            },
+            Err(_) => OreTest {
+                literal: [0; 2],
+                pairs: 0,
+            },
+        }
+    }
+
+    /// Whether a 16-byte cell satisfies the filter.
+    #[inline]
+    fn accepts(self, cell: &[u8; ORE_CELL_BYTES]) -> bool {
+        self.pairs >> first_difference(cell_words(cell), self.literal) & 1 != 0
+    }
+
+    /// Whether a cell of any width satisfies the filter: one of another width
+    /// (a corrupt cell) has no ordering against the literal and never does.
+    #[inline]
+    fn accepts_bytes(self, cell: &[u8]) -> bool {
+        cell.try_into().is_ok_and(|cell| self.accepts(cell))
+    }
+}
+
 /// Single source of truth for the per-variant filter predicates of the
 /// vectorized kernels. The caller supplies two kernel templates — one driven
 /// by a `u64` cell predicate (`pred`), one by a row-offset predicate
@@ -168,16 +206,20 @@ macro_rules! dispatch_filter {
             }
             PhysicalFilter::Ope { column, op, ciphertext } => {
                 let col = typed_slice!($partition, *column, bytes_column, "Bytes")?;
-                let literal = ciphertext.symbols.as_slice();
-                // The operator, resolved once: what it says to each of the
-                // three orderings, indexed by `Ordering as i8 + 1`.
-                let accepts = [Ordering::Less, Ordering::Equal, Ordering::Greater].map(|ord| op.eval_ordering(ord));
-                let $rpred = |row: usize| {
-                    col.get(row)
-                        .and_then(|cell| try_compare_symbols(cell, literal))
-                        .is_some_and(|ord| accepts[(ord as i8 + 1) as usize])
-                };
-                $row_kernel
+                let test = OreTest::new(*op, ciphertext);
+                // The column's layout picks the cell accessor: a column of
+                // 16-byte cells is read as arrays, a ragged one (forged
+                // widths) cell by cell; both feed the same compare.
+                match col.fixed_cells::<ORE_CELL_BYTES>() {
+                    Some(cells) => {
+                        let $rpred = |row: usize| cells.get(row).is_some_and(|cell| test.accepts(cell));
+                        $row_kernel
+                    }
+                    None => {
+                        let $rpred = |row: usize| col.get(row).is_some_and(|cell| test.accepts_bytes(cell));
+                        $row_kernel
+                    }
+                }
             }
         }
     };
@@ -275,8 +317,7 @@ impl PhysicalFilter {
             PhysicalFilter::Ope { column, op, ciphertext } => partition
                 .column_get(*column)
                 .and_then(|c| c.bytes_get(row))
-                .and_then(|cell| try_compare_symbols(cell, &ciphertext.symbols))
-                .is_some_and(|ord| op.eval_ordering(ord)),
+                .is_some_and(|cell| OreTest::new(*op, ciphertext).accepts_bytes(cell)),
         }
     }
 

@@ -31,11 +31,25 @@
 //!
 //! # Comparison
 //!
-//! [`try_compare_symbols`] is the one body that compares two packed cells;
-//! [`OreCiphertext::compare`], the server's range filters and the MIN/MAX fold
-//! all reach it. It compares thirty-two symbols at a time: real dimension
-//! values (timestamps) are small, so two ciphertexts of one column agree on
-//! most of their leading symbols and the first difference sits in the last
+//! [`first_difference`] is the one body that compares two 16-byte cells, each
+//! as two big-endian words ([`cell_words`]): it picks the first word pair that
+//! differs with a select, not a loop, finds the first differing two-bit lane
+//! with `leading_zeros`, and returns that lane's symbol pair `(x, y)` as a
+//! four-bit index `4x + y`. What a pair says is one 16-entry bit table,
+//! `GREATER`. The server's range filters fold their operator into the table of
+//! the pairs it accepts ([`accepted_pairs`]) once and read one bit of it per
+//! cell; [`try_compare_symbols`] — and through it [`OreCiphertext::compare`]
+//! and the MIN/MAX fold — turns the pair into an [`Ordering`]. The order is
+//! never branched on: a scan that keeps about half its rows, in no pattern a
+//! predictor learns, pays no misprediction, where the `if x == (y + 1) % 3`
+//! this replaced mispredicted on about every other row. (LLVM may still lower
+//! the word select to a branch — it does in the dense select kernel — but which
+//! word differs follows a cell's top 32 plaintext bits against the literal's,
+//! not its order, and the cells of one column mostly agree on them.) The table
+//! has an entry for lane value `3`, which only a corrupt cell holds, so every
+//! input is ordered as the lanewise oracle orders it. Real dimension values
+//! (timestamps) are small, so two ciphertexts of one column agree on most of
+//! their leading symbols and the first difference usually sits in the second
 //! word.
 //!
 //! # Encryption
@@ -106,17 +120,68 @@ impl OreCiphertext {
     }
 }
 
-/// What the first differing symbol pair says about the plaintexts: `x` is one
-/// ahead of `y` (mod 3) exactly when `x`'s plaintext has the 1 bit there.
-/// A two-bit lane of a corrupt cell may hold `3`; the ordering of such a pair
-/// is arbitrary but fixed.
+/// The order rule, stated once: bit `4x + y` is set when `x == (y + 1) % 3` —
+/// the first differing symbol pair `(x, y)` has `x` one ahead of `y` (mod 3),
+/// so `x`'s plaintext has the 1 bit there and is the greater. It has an entry
+/// for every pair of two-bit lanes because a corrupt cell's lane may hold `3`:
+/// built over honest symbols only it would be `0x214`, which orders the pair
+/// `(1, 3)` unlike the lanewise rule. Equal symbols have a clear bit.
+const GREATER: u16 = 0x294;
+
+/// The first differing two-bit lane of words `x` and `y` (32 lanes each, the
+/// first symbol in the top bits), as the index `4x + y` of its symbol pair in
+/// [`GREATER`]. Branch-free: the XOR of the words is zero while they agree and
+/// its highest set bit lies in the first differing lane, which a shift brings
+/// to the top; equal words shift by nothing and give a pair of equal symbols,
+/// which unequal words never do.
 #[inline]
-fn symbol_order(x: u8, y: u8) -> Ordering {
-    if x == (y + 1) % 3 {
-        Ordering::Greater
-    } else {
-        Ordering::Less
+fn word_pair(x: u64, y: u64) -> usize {
+    let lane = (x ^ y).leading_zeros() & !1;
+    (x.wrapping_shl(lane) >> 60 & 0b1100 | y.wrapping_shl(lane) >> 62) as usize
+}
+
+/// What each first-difference pair ([`first_difference`]) says about the first
+/// cell's plaintext against the second's: [`GREATER`] read at every pair, and
+/// a pair of equal symbols — which only equal cells give — is `Equal`.
+const PAIR_ORDERINGS: [Ordering; 16] = {
+    let mut orderings = [Ordering::Less; 16];
+    let mut pair = 0;
+    while pair < 16 {
+        if pair >> 2 == pair & 3 {
+            orderings[pair] = Ordering::Equal;
+        } else if GREATER >> pair & 1 == 1 {
+            orderings[pair] = Ordering::Greater;
+        }
+        pair += 1;
     }
+    orderings
+};
+
+/// The 16-entry bit table of the first-difference pairs
+/// ([`first_difference`]) whose ordering `accepts`: a filter folds its
+/// operator into one once and reads one bit of it per cell.
+pub fn accepted_pairs(accepts: impl Fn(Ordering) -> bool) -> u16 {
+    (0..16)
+        .filter(|&pair| accepts(PAIR_ORDERINGS[pair]))
+        .fold(0, |table, pair| table | 1 << pair)
+}
+
+/// A 16-byte cell as the two big-endian words [`first_difference`] compares
+/// (`from_be_bytes` puts byte 0 highest on every host).
+#[inline]
+pub fn cell_words(cell: &[u8; ORE_CELL_BYTES]) -> [u64; 2] {
+    let (words, _) = cell.as_chunks::<8>();
+    [u64::from_be_bytes(words[0]), u64::from_be_bytes(words[1])]
+}
+
+/// The symbol pair `(x, y)` of the first lane where cells `a` and `b` (as
+/// [`cell_words`]) differ, as the index `4x + y` of a 16-entry table — a pair
+/// of equal symbols when the cells are equal. The word is picked by a select,
+/// not a loop, and the lane is found without a branch.
+#[inline]
+pub fn first_difference(a: [u64; 2], b: [u64; 2]) -> usize {
+    let word = usize::from(a[0] == b[0]);
+    word_pair(a[word], b[word])
 }
 
 /// Total, allocation-free comparison of two packed ORE cells (the stored form
@@ -125,39 +190,32 @@ fn symbol_order(x: u8, y: u8) -> Ordering {
 /// rows as non-matching instead of panicking or cloning each cell into an
 /// [`OreCiphertext`] first.
 ///
-/// Thirty-two symbols are compared per step: the XOR of two big-endian words
-/// is zero while they agree, and its highest set bit lies in the first
-/// differing two-bit lane (`from_be_bytes` puts byte 0 highest on every host).
-/// A 64-symbol cell is two words; a width that is not a multiple of eight
-/// bytes ends in a zero-padded word.
+/// A 16-byte cell is [`first_difference`]'s two words. Other widths are
+/// compared thirty-two symbols at a time up to the first differing word — a
+/// width that is not a multiple of eight bytes ends in a zero-padded word —
+/// whose first differing lane is then read the same way.
 pub fn try_compare_symbols(a: &[u8], b: &[u8]) -> Option<Ordering> {
     if a.len() != b.len() {
         return None;
     }
-    // `x != y`: the symbols of their first differing lane, ordered.
-    let first_difference = |x: u64, y: u64| {
-        let shift = 62 - (x ^ y).leading_zeros() / 2 * 2;
-        symbol_order((x >> shift) as u8 & 3, (y >> shift) as u8 & 3)
-    };
-    let (a_words, a_tail) = a.as_chunks::<8>();
-    let (b_words, b_tail) = b.as_chunks::<8>();
-    for (x, y) in a_words.iter().zip(b_words) {
-        let (x, y) = (u64::from_be_bytes(*x), u64::from_be_bytes(*y));
-        if x != y {
-            return Some(first_difference(x, y));
-        }
+    if let (Ok(a), Ok(b)) = (a.try_into(), b.try_into()) {
+        return Some(PAIR_ORDERINGS[first_difference(cell_words(a), cell_words(b))]);
     }
     let padded = |tail: &[u8]| {
         let mut word = [0u8; 8];
         word[..tail.len()].copy_from_slice(tail);
         u64::from_be_bytes(word)
     };
-    let (x, y) = (padded(a_tail), padded(b_tail));
-    Some(if x == y {
-        Ordering::Equal
-    } else {
-        first_difference(x, y)
-    })
+    let (a_words, a_tail) = a.as_chunks::<8>();
+    let (b_words, b_tail) = b.as_chunks::<8>();
+    let (x, y) = a_words
+        .iter()
+        .zip(b_words)
+        .map(|(x, y)| (u64::from_be_bytes(*x), u64::from_be_bytes(*y)))
+        .chain([(padded(a_tail), padded(b_tail))])
+        .find(|(x, y)| x != y)
+        .unwrap_or_default();
+    Some(PAIR_ORDERINGS[word_pair(x, y)])
 }
 
 /// The lane-at-a-time comparison, kept as the oracle the word-at-a-time one is
@@ -494,6 +552,31 @@ mod tests {
             );
             assert_matches_oracle(&a.symbols, &a.symbols);
             assert_eq!(try_compare_symbols(&b.symbols, &b.symbols), Some(Ordering::Equal));
+        }
+    }
+
+    /// Every pair of two-bit lanes, `3` included, at every lane of either
+    /// word: the table is the mod-3 rule, and a pair's ordering is the oracle's.
+    #[test]
+    fn order_table_is_the_mod_three_rule_on_every_lane_pair() {
+        for x in 0..4u16 {
+            for y in 0..4u16 {
+                assert_eq!(GREATER >> (4 * x + y) & 1 == 1, x == (y + 1) % 3, "({x}, {y})");
+                for lane in 0..ORE_BITS {
+                    let (word, shift) = (lane / 32, 62 - 2 * (lane % 32));
+                    let (mut a, mut b) = ([0x1B1B_1B1B_1B1B_1B1B_u64; 2], [0x1B1B_1B1B_1B1B_1B1B_u64; 2]);
+                    a[word] = a[word] & !(3 << shift) | u64::from(x) << shift;
+                    b[word] = b[word] & !(3 << shift) | u64::from(y) << shift;
+                    let cells = [a, b].map(|words| [words[0].to_be_bytes(), words[1].to_be_bytes()].concat());
+                    assert_eq!(cell_words(cells[0].as_slice().try_into().unwrap()), a);
+                    let pair = first_difference(a, b);
+                    let oracle = compare_symbols_bytewise(&cells[0], &cells[1]).unwrap();
+                    assert_eq!(PAIR_ORDERINGS[pair], oracle, "({x}, {y}) at lane {lane}");
+                    for ord in [Ordering::Less, Ordering::Equal, Ordering::Greater] {
+                        assert_eq!(accepted_pairs(|o| o == ord) >> pair & 1 == 1, ord == oracle);
+                    }
+                }
+            }
         }
     }
 

@@ -21,7 +21,8 @@ pub fn column_disk_size(column: &ColumnData) -> usize {
 }
 
 /// In-memory (heap) size of a column, in bytes, including per-element
-/// allocation overhead for strings (byte cells share two buffers).
+/// allocation overhead for strings (byte cells share one buffer, plus an
+/// offset per cell when their widths differ).
 pub fn column_memory_size(column: &ColumnData) -> usize {
     const VEC_OVERHEAD: usize = 24;
     match column {
@@ -134,8 +135,8 @@ fn reserved<T>(len: usize, data: &[u8], pos: usize) -> Vec<T> {
 /// if they run past the end of `data`. A [`BytesColumn`] is sized from this
 /// walk over the cells' own prefixes, before anything is reserved: a forged
 /// count or cell length fails here having allocated nothing, and a count that
-/// passes is backed by at least four stored bytes per cell, so the column is
-/// allocated once, at its exact size.
+/// passes is backed by at least four stored bytes per cell, so the column's
+/// buffer is allocated once, at its exact size.
 fn cells_extent(len: usize, data: &[u8], mut pos: usize) -> Option<usize> {
     let mut total = 0usize;
     for _ in 0..len {
@@ -190,7 +191,7 @@ pub fn deserialize_table(data: &[u8]) -> Option<Table> {
                     ColumnData::Utf8(v)
                 }
                 ColumnType::Bytes => {
-                    let mut v = BytesColumn::with_capacity(len, cells_extent(len, data, pos)?);
+                    let mut v = BytesColumn::with_capacity(cells_extent(len, data, pos)?);
                     for _ in 0..len {
                         let cell = read_u32(data, &mut pos)? as usize;
                         v.push(data.get(pos..pos + cell)?);
@@ -407,6 +408,14 @@ mod tests {
             column_memory_size(&loaded.partitions[0].columns[1]),
             48 + (3 * 16 + 3) + 5 * std::mem::size_of::<usize>()
         );
+        // The ORE cells alone are one width: no offsets term.
+        let uniform = Table::from_columns(
+            Schema::new([("o".to_string(), ColumnType::Bytes)]),
+            vec![ColumnData::Bytes(ore.iter().collect())],
+            1,
+        );
+        let loaded = deserialize_table(&serialize_table(&uniform)).unwrap();
+        assert_eq!(column_memory_size(&loaded.partitions[0].columns[0]), 48 + 3 * 16);
     }
 
     /// A table of the benchmark's shape — one public column, one DET tag, one

@@ -37,45 +37,71 @@ pub enum ColumnData {
 }
 
 /// A column of variable-width byte cells in one contiguous buffer (the shape
-/// of Arrow's variable-size binary array): cell `i` is
-/// `data[offsets[i]..offsets[i + 1]]`. A scan walks one allocation instead of
-/// chasing one heap pointer per row, and cells of any width stay
+/// of Arrow's variable-size binary array). A scan walks one allocation instead
+/// of chasing one heap pointer per row, and cells of any width stay
 /// representable — a corrupt-width ORE cell is still a row that does not
-/// match, not a load error. Build one by collecting byte cells or with
+/// match, not a load error. While every cell has one width — an ORE column's
+/// 16 bytes — the column stores no offsets and [`BytesColumn::fixed_cells`]
+/// hands the cells out as arrays; the first cell of another width turns it
+/// into an offset per cell. Build one by collecting byte cells or with
 /// [`BytesColumn::push`].
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BytesColumn {
     data: Vec<u8>,
-    /// One more entry than there are cells: starts at 0, never decreases,
-    /// ends at `data.len()`.
-    offsets: Vec<usize>,
+    layout: Layout,
+}
+
+/// Where a [`BytesColumn`]'s cells lie in its buffer. It is a function of the
+/// cell widths alone — one width is `Uniform`, more than one is `Offsets` — so
+/// columns holding the same cells are equal, however they were built.
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+enum Layout {
+    /// Cell `i` is `data[i * width..(i + 1) * width]`; `width` is 0 while
+    /// there are no cells.
+    Uniform { width: usize, cells: usize },
+    /// Cell `i` is `data[offsets[i]..offsets[i + 1]]`: one more entry than
+    /// there are cells, from 0 up to `data.len()`.
+    Offsets(Vec<usize>),
 }
 
 impl BytesColumn {
     /// An empty column.
     pub fn new() -> BytesColumn {
-        BytesColumn::with_capacity(0, 0)
+        BytesColumn::with_capacity(0)
     }
 
-    /// An empty column with room for `cells` cells totalling `bytes` bytes.
-    pub fn with_capacity(cells: usize, bytes: usize) -> BytesColumn {
-        let mut offsets = Vec::with_capacity(cells + 1);
-        offsets.push(0);
+    /// An empty column with room for cells totalling `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> BytesColumn {
         BytesColumn {
             data: Vec::with_capacity(bytes),
-            offsets,
+            layout: Layout::Uniform { width: 0, cells: 0 },
         }
     }
 
     /// Appends one cell.
     pub fn push(&mut self, cell: &[u8]) {
+        match &mut self.layout {
+            Layout::Uniform { width, cells } if *cells == 0 || *width == cell.len() => {
+                (*width, *cells) = (cell.len(), *cells + 1);
+            }
+            &mut Layout::Uniform { width, cells } => {
+                // Reserved exactly: the cells so far and this one.
+                let mut offsets = Vec::with_capacity(cells + 2);
+                offsets.extend((0..=cells).map(|row| row * width));
+                offsets.push(self.data.len() + cell.len());
+                self.layout = Layout::Offsets(offsets);
+            }
+            Layout::Offsets(offsets) => offsets.push(self.data.len() + cell.len()),
+        }
         self.data.extend_from_slice(cell);
-        self.offsets.push(self.data.len());
     }
 
     /// Number of cells.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        match &self.layout {
+            Layout::Uniform { cells, .. } => *cells,
+            Layout::Offsets(offsets) => offsets.len() - 1,
+        }
     }
 
     /// True if the column has no cells.
@@ -83,16 +109,37 @@ impl BytesColumn {
         self.len() == 0
     }
 
+    /// Where cell `row < len()` lies in `data`.
+    #[inline]
+    fn span(&self, row: usize) -> std::ops::Range<usize> {
+        match &self.layout {
+            Layout::Uniform { width, .. } => row * width..(row + 1) * width,
+            Layout::Offsets(offsets) => offsets[row]..offsets[row + 1],
+        }
+    }
+
     /// Cell `row`, or `None` past the end.
     #[inline]
     pub fn get(&self, row: usize) -> Option<&[u8]> {
-        let end = *self.offsets.get(row.checked_add(1)?)?;
-        self.data.get(self.offsets[row]..end)
+        if row >= self.len() {
+            return None;
+        }
+        self.data.get(self.span(row))
     }
 
     /// The cells in row order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> {
-        self.offsets.windows(2).map(|w| &self.data[w[0]..w[1]])
+        (0..self.len()).map(|row| &self.data[self.span(row)])
+    }
+
+    /// The cells as `N`-byte arrays (`N > 0`), or `None` unless every cell is
+    /// `N` bytes wide: a scan over a column of one width reads its cells with
+    /// no offset load and no length check.
+    pub fn fixed_cells<const N: usize>(&self) -> Option<&[[u8; N]]> {
+        match self.layout {
+            Layout::Uniform { width, cells } if width == N || cells == 0 => Some(self.data.as_chunks::<N>().0),
+            _ => None,
+        }
     }
 
     /// Total bytes of all cells.
@@ -100,17 +147,28 @@ impl BytesColumn {
         self.data.len()
     }
 
-    /// Heap bytes the column holds: the capacities of its two buffers.
+    /// Heap bytes the column holds: the capacity of its buffer, and of its
+    /// offsets if it has cells of more than one width.
     pub fn heap_size(&self) -> usize {
-        self.data.capacity() + self.offsets.capacity() * std::mem::size_of::<usize>()
+        let offsets = match &self.layout {
+            Layout::Uniform { .. } => 0,
+            Layout::Offsets(offsets) => offsets.capacity(),
+        };
+        self.data.capacity() + offsets * std::mem::size_of::<usize>()
     }
 
     /// Copies cells `[from, to)` into a new column.
     pub fn slice(&self, from: usize, to: usize) -> BytesColumn {
-        let base = self.offsets[from];
-        BytesColumn {
-            data: self.data[base..self.offsets[to]].to_vec(),
-            offsets: self.offsets[from..=to].iter().map(|&end| end - base).collect(),
+        match self.layout {
+            Layout::Uniform { width, .. } => BytesColumn {
+                data: self.data[from * width..to * width].to_vec(),
+                layout: Layout::Uniform {
+                    width: if to > from { width } else { 0 },
+                    cells: to - from,
+                },
+            },
+            // Pushed, so a run of one width comes out uniform.
+            Layout::Offsets(_) => (from..to).map(|row| &self.data[self.span(row)]).collect(),
         }
     }
 }
@@ -123,8 +181,7 @@ impl Default for BytesColumn {
 
 impl<C: AsRef<[u8]>> FromIterator<C> for BytesColumn {
     fn from_iter<I: IntoIterator<Item = C>>(cells: I) -> BytesColumn {
-        let cells = cells.into_iter();
-        let mut column = BytesColumn::with_capacity(cells.size_hint().0, 0);
+        let mut column = BytesColumn::new();
         for cell in cells {
             column.push(cell.as_ref());
         }
@@ -483,6 +540,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::{prop_assert, prop_assert_eq, TestCaseError};
 
     fn sample_table(rows: usize, partitions: usize) -> Table {
         let schema = Schema::new([
@@ -618,6 +676,95 @@ mod tests {
             .collect();
         assert_eq!(parts.concat(), cells);
         assert_eq!(table.partitions[1].column(0).bytes_get(0), Some(&cells[3][..]));
+    }
+
+    /// Cell `row` of `widths`: `widths[row]` bytes, each `row`.
+    fn cells_of(widths: &[usize]) -> Vec<Vec<u8>> {
+        widths
+            .iter()
+            .enumerate()
+            .map(|(row, &width)| vec![row as u8; width])
+            .collect()
+    }
+
+    /// `fixed_cells::<N>` is `Some` exactly when every cell is `N` bytes, and
+    /// then holds the cells.
+    fn assert_fixed_cells<const N: usize>(column: &BytesColumn, cells: &[Vec<u8>]) -> Result<(), TestCaseError> {
+        let fixed = column.fixed_cells::<N>();
+        prop_assert_eq!(fixed.is_some(), cells.iter().all(|cell| cell.len() == N));
+        if let Some(fixed) = fixed {
+            prop_assert!(fixed
+                .iter()
+                .map(|cell| cell.as_slice())
+                .eq(cells.iter().map(Vec::as_slice)));
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Whatever builds a `BytesColumn` — pushes, `collect`, `slice`,
+        /// partitioning, a load — it holds its cells, and its layout (offsets
+        /// or none) follows from their widths alone, so equal cells make
+        /// equal columns.
+        #[test]
+        fn bytes_column_layout_is_a_function_of_its_cell_widths(
+            cells in 0usize..24,
+            shape in 0u8..6,
+            odd in 0usize..20,
+            seed in proptest::prelude::any::<u64>(),
+            partitions in 1usize..5,
+        ) {
+            // One width throughout (16, or 0: all-empty cells), one odd cell
+            // first, in the middle or last, or random widths in 0..4.
+            let mut widths = vec![if shape == 4 { 0 } else { 16 }; cells];
+            match (shape, cells) {
+                (_, 0) => {}
+                (1, _) => widths[0] = odd,
+                (2, _) => widths[cells / 2] = odd,
+                (3, _) => widths[cells - 1] = odd,
+                (5, _) => widths.iter_mut().enumerate().for_each(|(i, w)| *w = (seed >> (2 * (i % 32))) as usize & 3),
+                _ => {}
+            }
+            let cells = cells_of(&widths);
+            let mut pushed = BytesColumn::new();
+            cells.iter().for_each(|cell| pushed.push(cell));
+            let collected: BytesColumn = cells.iter().collect();
+            prop_assert_eq!(&pushed, &collected);
+            prop_assert_eq!(pushed.len(), cells.len());
+            prop_assert_eq!(pushed.data_len(), widths.iter().sum::<usize>());
+            prop_assert!(pushed.iter().eq(cells.iter().map(Vec::as_slice)));
+            for (row, cell) in cells.iter().enumerate() {
+                prop_assert_eq!(pushed.get(row), Some(cell.as_slice()));
+            }
+            prop_assert_eq!(pushed.get(cells.len()), None);
+            assert_fixed_cells::<16>(&pushed, &cells)?;
+            assert_fixed_cells::<1>(&pushed, &cells)?;
+            assert_fixed_cells::<3>(&pushed, &cells)?;
+
+            for from in 0..=cells.len() {
+                for to in from..=cells.len() {
+                    let expected: BytesColumn = cells[from..to].iter().collect();
+                    prop_assert_eq!(pushed.slice(from, to), expected);
+                }
+            }
+
+            let table = Table::from_columns(
+                Schema::new([("b".to_string(), ColumnType::Bytes)]),
+                vec![ColumnData::Bytes(pushed)],
+                partitions,
+            );
+            let mut start = 0;
+            for partition in &table.partitions {
+                let end = start + partition.num_rows();
+                let expected: BytesColumn = cells[start..end].iter().collect();
+                prop_assert_eq!(partition.column(0).bytes_column(), Some(&expected));
+                start = end;
+            }
+            let loaded = crate::storage::deserialize_table(&crate::storage::serialize_table(&table));
+            prop_assert_eq!(loaded, Some(table));
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use seabed_core::PhysicalFilter;
 use seabed_crypto::OreScheme;
 use seabed_engine::{ColumnData, ColumnType, Partition, Schema, SelectionVector, Table};
 use seabed_query::CompareOp;
+use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 const ORE_DOMAIN: u64 = 16;
@@ -225,6 +226,92 @@ fn ope_kernels_agree_over_the_full_range_and_on_corrupt_cells() {
     // so satisfies exactly three of the six operators; the four cells of
     // another width satisfy none.
     assert_eq!(selected, 7 * 3 * (honest + 3));
+}
+
+/// The lane-at-a-time ORE rule — the first differing symbol pair `(x, y)`
+/// orders `x` greater exactly when `x == (y + 1) % 3` — restated here as the
+/// verdict every kernel must reach, forged lanes included.
+fn lanewise_order(a: &[u8], b: &[u8]) -> Ordering {
+    for (x, y) in a.iter().zip(b) {
+        for shift in [6, 4, 2, 0] {
+            let (x, y) = ((x >> shift) & 3, (y >> shift) & 3);
+            if x != y {
+                return if x == (y + 1) % 3 {
+                    Ordering::Greater
+                } else {
+                    Ordering::Less
+                };
+            }
+        }
+    }
+    Ordering::Equal
+}
+
+/// The test above interleaves cells of other widths, so its column is ragged
+/// and the kernels read it cell by cell. Here the column holds *only* 16-byte
+/// cells — honest ones, and the forgeries that keep the width (a lane holding
+/// `3`, a `0xFF` byte, a `0x80` byte, at every byte position) — so the kernels
+/// read it as arrays (`BytesColumn::fixed_cells`); the same cells plus one of
+/// another width are ragged again. Both accessors must agree with `matches()`,
+/// and `matches()` with the lanewise rule.
+#[test]
+fn ope_kernels_agree_on_a_column_of_only_sixteen_byte_cells() {
+    let scheme = OreScheme::new(&[9u8; 16]);
+    let mut rng = StdRng::seed_from_u64(0x16B);
+    let mut next = move || rng.random::<u64>();
+    let pivot = next();
+    let mut values = vec![0, 1, u64::MAX, pivot, pivot ^ 1];
+    values.extend((0..64).map(|bit| pivot ^ (1 << bit)));
+    // Timestamp-like values share the whole first word with one another.
+    values.extend((0..64).map(|_| next() % (1 << 20)));
+    let honest: Vec<Vec<u8>> = values.iter().map(|&v| scheme.encrypt(v).symbols).collect();
+    let mut cells = honest.clone();
+    let forgeries: [fn(u8, usize) -> u8; 3] = [|byte, at| byte | 0b11 << (2 * (at % 4)), |_, _| 0xFF, |_, _| 0x80];
+    for (at, cell) in honest.iter().enumerate().take(16) {
+        for forge in forgeries {
+            let mut forged = cell.clone();
+            forged[at] = forge(forged[at], at);
+            cells.push(forged);
+        }
+    }
+    cells.extend([vec![0x80; 16], vec![0xFF; 16]]);
+    let n = cells.len();
+    let uniform = partition(vec![0; n], texts_of(&vec![0; n]), cells.clone());
+    let ragged_cells: Vec<Vec<u8>> = cells.iter().cloned().chain([honest[0][..15].to_vec()]).collect();
+    let ragged = partition(vec![0; n + 1], texts_of(&vec![0; n + 1]), ragged_cells);
+    let reads_arrays = |p: &Partition| {
+        let column = p.column(2).bytes_column().expect("a Bytes column");
+        column.fixed_cells::<16>().is_some()
+    };
+    assert!(reads_arrays(&uniform));
+    assert!(!reads_arrays(&ragged));
+
+    let mut selected = 0usize;
+    for literal in [pivot, pivot ^ 1, 0, u64::MAX, values[40], values[100]] {
+        let ciphertext = scheme.encrypt(literal);
+        for opc in 0..6 {
+            let op = op_of(opc);
+            let filter = PhysicalFilter::Ope {
+                column: 2,
+                op,
+                ciphertext: ciphertext.clone(),
+            };
+            for p in [&uniform, &ragged] {
+                assert_kernel_matches_scalar(&filter, p).unwrap_or_else(|e| panic!("{literal} {op:?}: {e:?}"));
+            }
+            for (row, cell) in cells.iter().enumerate() {
+                let verdict = op.eval_ordering(lanewise_order(cell, &ciphertext.symbols));
+                assert_eq!(filter.matches(&uniform, row), verdict, "{literal} {op:?} row {row}");
+            }
+            let dense = filter.select_dense(&uniform).expect("valid");
+            let ragged_dense = filter.select_dense(&ragged).expect("valid");
+            assert_eq!(dense.rows(), ragged_dense.rows(), "{literal} {op:?}");
+            selected += dense.len();
+        }
+    }
+    // Every 16-byte cell, honest or forged, has an ordering against the
+    // literal, and so satisfies exactly three of the six operators.
+    assert_eq!(selected, 6 * 3 * n);
 }
 
 #[test]
