@@ -8,15 +8,18 @@
 //! * ASHE measures become a `u64` column of masked words (plus an optional
 //!   squares column for variance queries), keyed per column;
 //! * OPE columns store the ORE ciphertext bytes plus an ASHE-encrypted
-//!   companion value so MIN/MAX results can be decrypted. One
-//!   [`seabed_crypto::OreCursor`] runs down the column, so a row pays
-//!   for the PRF levels it does not share with the row before it (`63 - lcp`
-//!   AES blocks, not 64 — about 15 for shuffled seconds-of-a-day); the cells
-//!   are what per-value encryption writes, and
-//!   `tests/crypto_batch_differential.rs::ore_cursor_sequences_are_pinned`
-//!   holds both the cells and the count;
+//!   companion value so MIN/MAX results can be decrypted. The column is one
+//!   run of one [`seabed_crypto::OreCursor`]: a row pays for the PRF levels it
+//!   does not share with the row before it (`63 - lcp` AES blocks, not 64 —
+//!   about 15 for shuffled seconds-of-a-day, about 5 for a time-ordered
+//!   batch), and the new levels of [`seabed_crypto::OreCursor::RUN_ROWS`]
+//!   rows at a time go through one AES dispatch. The cells are what
+//!   per-value encryption writes, and
+//!   `tests/crypto_batch_differential.rs` holds both the cells and the count
+//!   (`ore_cursor_sequences_are_pinned`, `ore_time_ordered_column_is_pinned`);
 //! * DET dimensions store 64-bit equality tags; the proxy keeps the reverse
-//!   dictionary so group keys can be decrypted;
+//!   dictionary so group keys can be decrypted. A tag is computed once per
+//!   distinct value, and a row repeating the value before it costs no lookup;
 //! * SPLASHE dimensions are splayed into indicator and per-measure columns,
 //!   with the enhanced variant adding a frequency-balanced DET column;
 //! * non-sensitive columns pass through unchanged.
@@ -27,6 +30,7 @@
 
 use crate::dataset::{PlainColumn, PlainDataset};
 use crate::keys::KeyStore;
+use crate::session::Fnv1a;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use seabed_ashe::AsheScheme;
@@ -36,7 +40,7 @@ use seabed_engine::{BytesColumn, ColumnData, ColumnType, Schema, Table};
 use seabed_query::encnames;
 use seabed_query::planner::{EncryptionChoice, SchemaPlan};
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash};
 
 /// An encrypted table plus the client-side state needed to use it.
 #[derive(Clone)]
@@ -181,10 +185,7 @@ pub fn encrypt_dataset<R: Rng + ?Sized>(
                 let ore = OreScheme::new(&keys.ope_key(&col_plan.name));
                 fields.push((encnames::ope(&col_plan.name), ColumnType::Bytes));
                 let mut cells = BytesColumn::with_capacity(values.len() * ORE_CELL_BYTES);
-                let mut cursor = ore.cursor();
-                for &v in &values {
-                    cells.push(&cursor.encrypt(v));
-                }
+                ore.cursor().encrypt_run(&values, |cell| cells.push(&cell));
                 columns.push(ColumnData::Bytes(cells));
                 // Companion ASHE column so MIN/MAX results can be decrypted.
                 fields.push((encnames::ope_value(&col_plan.name), ColumnType::UInt64));
@@ -236,21 +237,34 @@ pub fn encrypt_dataset<R: Rng + ?Sized>(
 /// one HMAC, one text rendering and one dictionary entry per *distinct* value
 /// (a dimension column holds few) rather than per row. `text_of` renders a
 /// value in the canonical text form DET operates on.
+///
+/// A row that repeats the value before it reuses that row's tag; any other
+/// looks its value up in a memo hashed with [`crate::fnv1a64`], not the
+/// default keyed SipHash. An unkeyed hash is fine here: a keyed one defends a
+/// map against keys an adversary picks to collide, and this memo's keys are
+/// the uploader's own plaintexts, hashed by the key holder, in a map that
+/// lives for one column of one upload and is never seen by anyone else.
 fn det_column<V: Copy + Eq + Hash>(
     det: &DetScheme,
     values: impl Iterator<Item = V>,
     text_of: impl Fn(V) -> String,
 ) -> (Vec<u64>, HashMap<u64, String>) {
-    let mut tag_of: HashMap<V, u64> = HashMap::new();
+    let mut tag_of: HashMap<V, u64, BuildHasherDefault<Fnv1a>> = HashMap::default();
     let mut dict = HashMap::new();
+    let mut last: Option<(V, u64)> = None;
     let tags = values
-        .map(|value| {
-            *tag_of.entry(value).or_insert_with(|| {
-                let text = text_of(value);
-                let tag = det.tag64_of(text.as_bytes());
-                dict.insert(tag, text);
+        .map(|value| match last {
+            Some((previous, tag)) if previous == value => tag,
+            _ => {
+                let tag = *tag_of.entry(value).or_insert_with(|| {
+                    let text = text_of(value);
+                    let tag = det.tag64_of(text.as_bytes());
+                    dict.insert(tag, text);
+                    tag
+                });
+                last = Some((value, tag));
                 tag
-            })
+            }
         })
         .collect();
     (tags, dict)

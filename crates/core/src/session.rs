@@ -47,6 +47,7 @@ use seabed_query::{
 };
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -54,12 +55,32 @@ use std::time::Instant;
 /// `seabed-net` statement handles reuse it on the server side), no
 /// dependencies, and good enough dispersion for a cache keyed by SQL text.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
+    let mut hasher = Fnv1a::default();
+    hasher.write(bytes);
+    hasher.finish()
+}
+
+/// [`fnv1a64`] as a [`Hasher`]: the hash of every byte written to it, in
+/// order. Unkeyed, so only for maps whose keys no one else chooses.
+pub(crate) struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The static outcome tag a [`QueryEvent`] records for a query execution.

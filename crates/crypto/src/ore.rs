@@ -54,35 +54,42 @@
 //!
 //! # Encryption
 //!
-//! [`OreCursor::encrypt`] is the one body that encrypts a cell;
-//! [`OreScheme::encrypt`], [`OreScheme::encrypt_into`] and
-//! [`OreScheme::encrypt_i64`] are a fresh cursor's first step, and a bulk load
-//! drives one cursor down its column. The PRF input of level `i` is
-//! `(i, prefix_i(m))`, so two values whose top `k` bits agree share the PRF
-//! outputs of levels `0..=k` — and those do not depend on anything else. The
-//! cursor keeps the previous value and its 64 `F mod 3` outputs (two bits a
-//! level, laid out like a cell), takes `lcp = (m ^ prev).leading_zeros()`,
-//! evaluates only levels `lcp + 1 ..` in one batched AES dispatch and patches
-//! them in; the cell is then `F + bit (mod 3)` on all 64 lanes at once. Every
-//! output is the function of `(key, m)` the formula above states — a kept
-//! output is the output that would have been recomputed — so the ciphertext is
-//! [`OreScheme::encrypt_scalar`]'s bit for bit, whatever came before.
+//! [`OreCursor::encrypt_run`] is the one body that encrypts cells;
+//! [`OreCursor::encrypt`] is a run of one, [`OreScheme::encrypt`],
+//! [`OreScheme::encrypt_into`] and [`OreScheme::encrypt_i64`] are a fresh
+//! cursor's first step, and a bulk load drives one cursor down its column as
+//! one run. The PRF input of level `i` is `(i, prefix_i(m))`, so two values
+//! whose top `k` bits agree share the PRF outputs of levels `0..=k` — and
+//! those do not depend on anything else. The cursor keeps the previous value
+//! and its 64 `F mod 3` outputs (two bits a level, laid out like a cell),
+//! takes `lcp = (m ^ prev).leading_zeros()`, evaluates only levels `lcp + 1 ..`
+//! and patches them in; the cell is then `F + bit (mod 3)` on all 64 lanes at
+//! once. Every output is the function of `(key, m)` the formula above states —
+//! a kept output is the output that would have been recomputed — so the
+//! ciphertext is [`OreScheme::encrypt_scalar`]'s bit for bit, whatever came
+//! before.
 //!
 //! A row costs `63 - lcp` PRF blocks: 64 for a cursor's first value, 0 for a
 //! repeat of the value before it, about 15 for shuffled seconds-of-a-day
 //! (`< 86 400`: 47 leading zero bits in common, then one more shared level per
-//! coin flip). [`OreCursor::prf_blocks`] counts them.
+//! coin flip) and about 5 for the same values time-ordered (5 000 a day, ≈ 17 s
+//! apart: only the low bits move). [`OreCursor::prf_blocks`] counts them. A
+//! row's handful of blocks would pay an AES dispatch's latency floor — a call
+//! of one to eight blocks costs about what eight do — so a run gathers the new
+//! levels of up to [`OreCursor::RUN_ROWS`] rows, encrypts them in one
+//! dispatch, and then patches them in row by row.
 //!
 //! **What timing reveals.** The time to encrypt a column varies with the
 //! first differing bit of *adjacent* rows. That index is the scheme's defined
 //! leakage (`inddiff`, [`OreCiphertext::diff_index`]), and the server that
 //! receives the cells computes it for any pair it likes: an observer of the
 //! proxy's timing learns nothing the stored column does not already disclose.
-//! The cursor's state is another matter — `prev` is a plaintext and the PRF
-//! words subtracted from a cell give back its bits — so both are wiped when the
+//! The cursor's state is another matter — `prev` is a plaintext, the PRF
+//! words subtracted from a cell give back its bits, and the dispatch buffer
+//! holds plaintext prefixes and PRF outputs — so all three are wiped when the
 //! cursor is dropped, like the round keys beside them.
 
-use crate::aes::{block_words, hw, Aes128};
+use crate::aes::{hw, Aes128};
 use std::cmp::Ordering;
 
 /// Number of plaintext bits handled by [`OreScheme`]; Seabed's dimensions are
@@ -291,6 +298,7 @@ impl OreScheme {
             prev: 0,
             primed: false,
             prf: [0; 2],
+            blocks: Vec::new(),
             prf_blocks: 0,
         }
     }
@@ -333,6 +341,10 @@ pub struct OreCursor<'a> {
     /// `F(k, (i, prefix_i(prev))) mod 3` for all 64 levels, two bits a level,
     /// laid out like the cell: level 0 in the top bits of word 0.
     prf: [u64; 2],
+    /// One dispatch's PRF inputs, encrypted in place into its outputs. It
+    /// grows to the most blocks a dispatch has needed and is overwritten, not
+    /// cleared, so everything ever written to it lies within its length.
+    blocks: Vec<[u8; 16]>,
     /// PRF blocks evaluated so far: `63 - lcp` a value, 64 for the first.
     pub prf_blocks: u64,
 }
@@ -380,42 +392,85 @@ fn assemble_cell_lanewise(prf: [u64; 2], m: u64) -> [u8; ORE_CELL_BYTES] {
     cell
 }
 
-impl OreCursor<'_> {
-    /// Encrypts the next value of the sequence; returns its cell.
-    pub fn encrypt(&mut self, m: u64) -> [u8; ORE_CELL_BYTES] {
-        // Levels `0..=lcp` read only bits the two values have in common.
-        let first_new = if self.primed {
-            ((m ^ self.prev).leading_zeros() as usize + 1).min(ORE_BITS)
-        } else {
-            0
-        };
-        let mut blocks = [[0u8; 16]; ORE_BITS];
-        let new_blocks = &mut blocks[..ORE_BITS - first_new];
-        for (level, block) in (first_new..ORE_BITS).zip(new_blocks.iter_mut()) {
-            // The prefix holds bits b_1..b_{level-1} left-aligned, the rest zero.
-            block[..8].copy_from_slice(&(level as u64).to_be_bytes());
-            block[8..].copy_from_slice(&(m & !(u64::MAX >> level)).to_be_bytes());
-        }
-        // One dispatch whatever the count: a first value's 64 blocks go
-        // through the kernel's wide path together.
-        self.cipher.encrypt_blocks(new_blocks);
-        for (word, prf) in self.prf.iter_mut().enumerate() {
-            // The new levels of this word run to its end, so shifting them in
-            // one lane at a time leaves each in its place.
-            let (first, end) = (first_new.max(32 * word), 32 * (word + 1));
-            if first < end {
-                let mut fresh = 0u64;
-                for block in &new_blocks[first - first_new..end - first_new] {
-                    // Use 64 bits of the output; the bias of reducing a uniform
-                    // 64-bit value mod 3 is negligible (< 2^-62).
-                    fresh = fresh << 2 | (block_words(block)[0] % 3);
-                }
-                *prf = *prf & !(u64::MAX >> (2 * (first % 32))) | fresh;
+/// Patches the PRF outputs of levels `first_new..` — one output block per
+/// level, in level order — into `prf` as `F mod 3`. Inline, word read and all:
+/// [`OreCursor::encrypt_run`] is compiled in its caller's crate, and a call
+/// per row or per block there costs more than the patch.
+#[inline]
+fn patch_levels(prf: &mut [u64; 2], first_new: usize, outputs: &[[u8; 16]]) {
+    for (word, prf) in prf.iter_mut().enumerate() {
+        // The new levels of this word run to its end, so shifting them in one
+        // lane at a time leaves each in its place.
+        let (first, end) = (first_new.max(32 * word), 32 * (word + 1));
+        if first < end {
+            let mut fresh = 0u64;
+            for block in &outputs[first - first_new..end - first_new] {
+                // Use the output's first 64 bits, big-endian; the bias of
+                // reducing a uniform 64-bit value mod 3 is negligible (< 2^-62).
+                let high = block.first_chunk::<8>().expect("a block is 16 bytes");
+                fresh = fresh << 2 | (u64::from_be_bytes(*high) % 3);
             }
+            *prf = *prf & !(u64::MAX >> (2 * (first % 32))) | fresh;
         }
-        self.prf_blocks += new_blocks.len() as u64;
-        (self.prev, self.primed) = (m, true);
-        assemble_cell(self.prf, m)
+    }
+}
+
+impl OreCursor<'_> {
+    /// Rows whose new PRF levels share one AES dispatch in
+    /// [`OreCursor::encrypt_run`]. A constant: it bounds the dispatch buffer
+    /// (64 blocks a row at most) and is enough rows for a time-ordered column's
+    /// ≈ 5 blocks a row to fill the kernel's wide path several times over.
+    pub const RUN_ROWS: usize = 32;
+
+    /// Encrypts the next value of the sequence; returns its cell. A run of one.
+    pub fn encrypt(&mut self, m: u64) -> [u8; ORE_CELL_BYTES] {
+        let mut cell = [0; ORE_CELL_BYTES];
+        self.encrypt_run(&[m], |out| cell = out);
+        cell
+    }
+
+    /// Encrypts the next `values` of the sequence, handing each one's cell to
+    /// `cell` in order. The new levels of up to [`OreCursor::RUN_ROWS`] rows
+    /// are gathered and encrypted in one dispatch, then patched in row by row;
+    /// the cells and [`OreCursor::prf_blocks`] are what one value at a time
+    /// gives.
+    pub fn encrypt_run(&mut self, values: &[u64], mut cell: impl FnMut([u8; ORE_CELL_BYTES])) {
+        for rows in values.chunks(Self::RUN_ROWS) {
+            // Levels `0..=lcp` read only bits a row shares with the one before.
+            let mut first_new = [0usize; Self::RUN_ROWS];
+            let mut prev = self.primed.then_some(self.prev);
+            for (first, &m) in first_new.iter_mut().zip(rows) {
+                *first = prev.map_or(0, |prev| ((m ^ prev).leading_zeros() as usize + 1).min(ORE_BITS));
+                prev = Some(m);
+            }
+            let first_new = &first_new[..rows.len()];
+            let total: usize = first_new.iter().map(|first| ORE_BITS - first).sum();
+            if self.blocks.len() < total {
+                self.blocks.resize(total, [0; 16]);
+            }
+            let blocks = &mut self.blocks[..total];
+            let mut unfilled = &mut blocks[..];
+            for (&first, &m) in first_new.iter().zip(rows) {
+                let (row, rest) = unfilled.split_at_mut(ORE_BITS - first);
+                for (level, block) in (first..ORE_BITS).zip(row) {
+                    // The prefix holds bits b_1..b_{level-1} left-aligned, the
+                    // rest zero.
+                    block[..8].copy_from_slice(&(level as u64).to_be_bytes());
+                    block[8..].copy_from_slice(&(m & !(u64::MAX >> level)).to_be_bytes());
+                }
+                unfilled = rest;
+            }
+            self.cipher.encrypt_blocks(blocks);
+            let mut outputs = &blocks[..];
+            for (&first, &m) in first_new.iter().zip(rows) {
+                let (row, rest) = outputs.split_at(ORE_BITS - first);
+                patch_levels(&mut self.prf, first, row);
+                outputs = rest;
+                (self.prev, self.primed) = (m, true);
+                cell(assemble_cell(self.prf, m));
+            }
+            self.prf_blocks += total as u64;
+        }
     }
 }
 
@@ -423,6 +478,7 @@ impl Drop for OreCursor<'_> {
     fn drop(&mut self) {
         hw::wipe(std::slice::from_mut(&mut self.prev));
         hw::wipe(&mut self.prf);
+        hw::wipe(&mut self.blocks);
     }
 }
 
@@ -795,6 +851,86 @@ mod tests {
                 "{total} blocks for 5 000 values below {below}"
             );
         }
+    }
+
+    /// The PRF blocks a cursor owes `values`: 64 for the first, `63 - lcp`
+    /// with its predecessor for each after.
+    fn owed_blocks(values: &[u64]) -> u64 {
+        let later = values
+            .windows(2)
+            .map(|pair| 63u64.saturating_sub(u64::from((pair[0] ^ pair[1]).leading_zeros())));
+        values.first().map_or(0, |_| 64 + later.sum::<u64>())
+    }
+
+    /// One fresh cursor's run over `values`, every cell held against the
+    /// per-bit oracle and the blocks against the common prefixes; returns the
+    /// cells.
+    fn run_matches_oracle(s: &OreScheme, values: &[u64]) -> Vec<[u8; ORE_CELL_BYTES]> {
+        let mut cursor = s.cursor();
+        let mut cells = Vec::new();
+        cursor.encrypt_run(values, |cell| cells.push(cell));
+        assert_eq!(cells.len(), values.len());
+        for (row, (cell, &m)) in cells.iter().zip(values).enumerate() {
+            assert_eq!(cell.as_slice(), s.encrypt_scalar(m).symbols, "row {row}, m={m:#x}");
+        }
+        assert_eq!(cursor.prf_blocks, owed_blocks(values), "{} values", values.len());
+        cells
+    }
+
+    #[test]
+    fn encrypt_run_matches_scalar_at_every_batch_boundary() {
+        let s = scheme();
+        let b = OreCursor::RUN_ROWS;
+        let mut state = 0xBA7C4_u64;
+        for len in [0, 1, b - 1, b, b + 1, 2 * b + 1, 5_000] {
+            let signed: Vec<i64> = (0..len as i64).map(|i| i - len as i64 / 2).collect();
+            let sequences: [Vec<u64>; 5] = [
+                // Repeats: each value three times over.
+                (0..len as u64).map(|i| i / 3 * 977).collect(),
+                // One value all along: 64 blocks, then none.
+                vec![86_399; len],
+                // Full-width values share a level or two.
+                (0..len).map(|_| splitmix(&mut state)).collect(),
+                // The top bit flips on every row: 63 blocks a row.
+                (0..len as u64).map(|i| ((i % 2) << 63) | i).collect(),
+                // `encrypt_i64`'s image, walked across the sign boundary.
+                signed.iter().map(|&v| (v as u64) ^ (1 << 63)).collect(),
+            ];
+            for values in &sequences {
+                let cells = run_matches_oracle(&s, values);
+                // Split into runs of every boundary length on one cursor, the
+                // sequence comes out the same.
+                let mut cursor = s.cursor();
+                let mut split = Vec::new();
+                let mut rest = values.as_slice();
+                for take in [0, 1, b - 1, b, b + 1, 2 * b + 1].iter().cycle().take(64) {
+                    let (run, tail) = rest.split_at((*take).min(rest.len()));
+                    cursor.encrypt_run(run, |cell| split.push(cell));
+                    rest = tail;
+                }
+                cursor.encrypt_run(rest, |cell| split.push(cell));
+                assert_eq!(split, cells);
+                assert_eq!(cursor.prf_blocks, owed_blocks(values));
+            }
+            let image_cells = run_matches_oracle(&s, &sequences[4]);
+            for (&v, cell) in signed.iter().zip(&image_cells) {
+                assert_eq!(s.encrypt_i64(v).symbols, cell.as_slice(), "{v}");
+            }
+        }
+    }
+
+    /// The benchmark's ingest batches are time-ordered: 5 000 ascending
+    /// seconds-of-a-day about 17 apart share all but their low levels with the
+    /// row before, so the column costs at most 6 blocks a row.
+    #[test]
+    fn a_time_ordered_column_costs_at_most_six_blocks_a_row() {
+        let s = scheme();
+        let mut state = 17u64;
+        let values: Vec<u64> = (0..5_000u64).map(|i| i * 17 + splitmix(&mut state) % 17).collect();
+        assert!(values.windows(2).all(|pair| pair[0] <= pair[1]));
+        run_matches_oracle(&s, &values);
+        let blocks = owed_blocks(&values);
+        assert!(blocks <= 6 * 5_000, "{blocks} blocks for 5 000 time-ordered values");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! overheads the way Spark's JVM objects do (at a smaller constant).
 
 use crate::table::{BytesColumn, ColumnData, ColumnType, Partition, Schema, Table};
+use seabed_crypto::ore::ORE_CELL_BYTES;
 
 /// Serialized (on-disk) size of a column, in bytes: a varint-free flat layout
 /// of fixed-width values and length-prefixed variable-width values.
@@ -58,46 +59,82 @@ pub fn table_memory_size(table: &Table) -> usize {
 /// data). The format is only consumed by [`deserialize_table`]; it stands in
 /// for the Protobuf/HDFS layer of the prototype.
 pub fn serialize_table(table: &Table) -> Vec<u8> {
-    let mut out = Vec::with_capacity(table_disk_size(table) + 256);
-    write_u32(&mut out, table.schema.fields.len() as u32);
+    let mut out = Vec::with_capacity(serialized_len(table));
+    serialize_table_into(table, &mut out);
+    out
+}
+
+/// The exact length of [`serialize_table`]'s output, computed without writing
+/// it: the schema and partition headers plus [`column_disk_size`] and a count
+/// per column. A frame that carries a table behind its length writes this
+/// first and then the table straight in ([`serialize_table_into`]).
+pub fn serialized_len(table: &Table) -> usize {
+    let fields: usize = table.schema.fields.iter().map(|field| 4 + field.name.len() + 1).sum();
+    let partitions: usize = table
+        .partitions
+        .iter()
+        .map(|partition| 8 + partition.columns.iter().map(|c| 4 + column_disk_size(c)).sum::<usize>())
+        .sum();
+    4 + fields + 4 + partitions
+}
+
+/// Appends [`serialize_table`]'s bytes to `out` — exactly
+/// [`serialized_len`] of them. A column of words, and a `Bytes` column of one
+/// cell width, claims its bytes at once and fills them in one pass.
+pub fn serialize_table_into(table: &Table, out: &mut Vec<u8>) {
+    write_u32(out, table.schema.fields.len() as u32);
     for field in &table.schema.fields {
-        write_str(&mut out, &field.name);
+        write_str(out, &field.name);
         out.push(type_tag(field.ty));
     }
-    write_u32(&mut out, table.partitions.len() as u32);
+    write_u32(out, table.partitions.len() as u32);
     for partition in &table.partitions {
-        write_u64(&mut out, partition.start_row);
+        write_u64(out, partition.start_row);
         for column in &partition.columns {
+            write_u32(out, column.len() as u32);
             match column {
-                ColumnData::UInt64(v) => {
-                    write_u32(&mut out, v.len() as u32);
-                    for &x in v {
-                        write_u64(&mut out, x);
-                    }
-                }
-                ColumnData::Int64(v) => {
-                    write_u32(&mut out, v.len() as u32);
-                    for &x in v {
-                        write_u64(&mut out, x as u64);
-                    }
-                }
+                ColumnData::UInt64(v) => put_words(out, v.iter().copied()),
+                ColumnData::Int64(v) => put_words(out, v.iter().map(|&x| x as u64)),
                 ColumnData::Utf8(v) => {
-                    write_u32(&mut out, v.len() as u32);
                     for s in v {
-                        write_str(&mut out, s);
+                        write_str(out, s);
                     }
                 }
-                ColumnData::Bytes(v) => {
-                    write_u32(&mut out, v.len() as u32);
-                    for b in v.iter() {
-                        write_u32(&mut out, b.len() as u32);
-                        out.extend_from_slice(b);
+                ColumnData::Bytes(v) => match v.uniform_cells() {
+                    Some((width, data)) if width > 0 => put_cells(out, width, data),
+                    _ => {
+                        for b in v.iter() {
+                            write_u32(out, b.len() as u32);
+                            out.extend_from_slice(b);
+                        }
                     }
-                }
+                },
             }
         }
     }
-    out
+}
+
+/// Appends `words`, eight little-endian bytes each, in one pass over bytes
+/// claimed at once.
+fn put_words(out: &mut Vec<u8>, words: impl ExactSizeIterator<Item = u64>) {
+    let start = out.len();
+    out.resize(start + 8 * words.len(), 0);
+    for (slot, word) in out[start..].as_chunks_mut::<8>().0.iter_mut().zip(words) {
+        *slot = word.to_le_bytes();
+    }
+}
+
+/// Appends the cells of `data`, each `width > 0` bytes, each behind its
+/// length, in one pass over bytes claimed at once.
+fn put_cells(out: &mut Vec<u8>, width: usize, data: &[u8]) {
+    let prefix = (width as u32).to_le_bytes();
+    let start = out.len();
+    out.resize(start + data.len() / width * (4 + width), 0);
+    for (slot, cell) in out[start..].chunks_exact_mut(4 + width).zip(data.chunks_exact(width)) {
+        let (len, bytes) = slot.split_at_mut(4);
+        len.copy_from_slice(&prefix);
+        bytes.copy_from_slice(cell);
+    }
 }
 
 /// The stored tag of each column type, stated once for both directions.
@@ -169,20 +206,8 @@ pub fn deserialize_table(data: &[u8]) -> Option<Table> {
         for field in &schema.fields {
             let len = read_u32(data, &mut pos)? as usize;
             let column = match field.ty {
-                ColumnType::UInt64 => {
-                    let mut v = reserved(len, data, pos);
-                    for _ in 0..len {
-                        v.push(read_u64(data, &mut pos)?);
-                    }
-                    ColumnData::UInt64(v)
-                }
-                ColumnType::Int64 => {
-                    let mut v = reserved(len, data, pos);
-                    for _ in 0..len {
-                        v.push(read_u64(data, &mut pos)? as i64);
-                    }
-                    ColumnData::Int64(v)
-                }
+                ColumnType::UInt64 => ColumnData::UInt64(read_words(len, data, &mut pos)?.collect()),
+                ColumnType::Int64 => ColumnData::Int64(read_words(len, data, &mut pos)?.map(|x| x as i64).collect()),
                 ColumnType::Utf8 => {
                     let mut v = reserved(len, data, pos);
                     for _ in 0..len {
@@ -190,21 +215,72 @@ pub fn deserialize_table(data: &[u8]) -> Option<Table> {
                     }
                     ColumnData::Utf8(v)
                 }
-                ColumnType::Bytes => {
-                    let mut v = BytesColumn::with_capacity(cells_extent(len, data, pos)?);
-                    for _ in 0..len {
-                        let cell = read_u32(data, &mut pos)? as usize;
-                        v.push(data.get(pos..pos + cell)?);
-                        pos += cell;
-                    }
-                    ColumnData::Bytes(v)
-                }
+                ColumnType::Bytes => ColumnData::Bytes(read_bytes_column(len, data, &mut pos)?),
             };
             columns.push(column);
         }
         partitions.push(Partition { start_row, columns });
     }
     Some(Table { schema, partitions })
+}
+
+/// The `len` little-endian words stored at `pos`, after one extent check: a
+/// forged count fails it having reserved nothing, and an honest column is
+/// collected at its exact size.
+fn read_words<'a>(len: usize, data: &'a [u8], pos: &mut usize) -> Option<impl ExactSizeIterator<Item = u64> + 'a> {
+    let bytes = read_bytes(data, pos, len.checked_mul(8)?)?;
+    Some(bytes.as_chunks::<8>().0.iter().map(|word| u64::from_le_bytes(*word)))
+}
+
+/// The `len` length-prefixed cells stored at `pos`: in bulk when they are all
+/// one width (an ORE column), cell by cell otherwise.
+fn read_bytes_column(len: usize, data: &[u8], pos: &mut usize) -> Option<BytesColumn> {
+    read_uniform_cells(len, data, pos).or_else(|| read_cells(len, data, pos))
+}
+
+/// The `len` length-prefixed cells stored at `pos` as one column, if every
+/// prefix is the same: the extent is checked, the prefixes compared in one
+/// pass, and the cells copied into a buffer reserved once, at its size, then
+/// behind the check. `None` — nothing read — for any other column, which
+/// [`read_cells`] loads or rejects. No cells is the empty column.
+fn read_uniform_cells(len: usize, data: &[u8], pos: &mut usize) -> Option<BytesColumn> {
+    if len == 0 {
+        return Some(BytesColumn::new());
+    }
+    let prefix = *data.get(*pos..)?.first_chunk::<4>()?;
+    let width = u32::from_le_bytes(prefix) as usize;
+    let stride = width.checked_add(4)?;
+    let stored = data.get(*pos..pos.checked_add(len.checked_mul(stride)?)?)?;
+    if !stored.chunks_exact(stride).all(|cell| cell[..4] == prefix) {
+        return None;
+    }
+    let gather = |width: usize| {
+        let mut cells = Vec::with_capacity(len * width);
+        for cell in stored.chunks_exact(4 + width) {
+            cells.extend_from_slice(&cell[4..]);
+        }
+        cells
+    };
+    // An ORE column's width, the one the bulk columns of a shard frame have,
+    // as a constant: a cell's copy is then a few moves, not a `memcpy` call.
+    let cells = if width == ORE_CELL_BYTES {
+        gather(ORE_CELL_BYTES)
+    } else {
+        gather(width)
+    };
+    *pos += stored.len();
+    Some(BytesColumn::uniform(width, len, cells))
+}
+
+/// The `len` length-prefixed cells stored at `pos`, cell by cell: the column's
+/// buffer is sized by [`cells_extent`] before anything is reserved.
+fn read_cells(len: usize, data: &[u8], pos: &mut usize) -> Option<BytesColumn> {
+    let mut v = BytesColumn::with_capacity(cells_extent(len, data, *pos)?);
+    for _ in 0..len {
+        let cell = read_u32(data, pos)? as usize;
+        v.push(read_bytes(data, pos, cell)?);
+    }
+    Some(v)
 }
 
 fn write_u32(out: &mut Vec<u8>, v: u32) {
@@ -220,23 +296,24 @@ fn write_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// The `len` bytes at `pos`, or `None` if they run past the end of `data`.
+fn read_bytes<'a>(data: &'a [u8], pos: &mut usize, len: usize) -> Option<&'a [u8]> {
+    let bytes = data.get(*pos..pos.checked_add(len)?)?;
+    *pos += len;
+    Some(bytes)
+}
+
 fn read_u32(data: &[u8], pos: &mut usize) -> Option<u32> {
-    let bytes = data.get(*pos..*pos + 4)?;
-    *pos += 4;
-    Some(u32::from_le_bytes(bytes.try_into().unwrap()))
+    Some(u32::from_le_bytes(*read_bytes(data, pos, 4)?.first_chunk()?))
 }
 
 fn read_u64(data: &[u8], pos: &mut usize) -> Option<u64> {
-    let bytes = data.get(*pos..*pos + 8)?;
-    *pos += 8;
-    Some(u64::from_le_bytes(bytes.try_into().unwrap()))
+    Some(u64::from_le_bytes(*read_bytes(data, pos, 8)?.first_chunk()?))
 }
 
 fn read_str(data: &[u8], pos: &mut usize) -> Option<String> {
     let len = read_u32(data, pos)? as usize;
-    let bytes = data.get(*pos..*pos + len)?;
-    *pos += len;
-    String::from_utf8(bytes.to_vec()).ok()
+    String::from_utf8(read_bytes(data, pos, len)?.to_vec()).ok()
 }
 
 #[cfg(test)]
@@ -489,6 +566,140 @@ mod tests {
             assert_eq!(cells_extent(3, &data, cells_at), None);
             assert_eq!(deserialize_table(&data), None);
         }
+    }
+
+    /// A one-`Bytes`-column table of `rows` 16-byte cells, and where its cells
+    /// start in the stored form (behind the cell count).
+    fn ore_shaped(rows: u8) -> (Table, usize) {
+        let table = Table::from_columns(
+            Schema::new([("o".to_string(), ColumnType::Bytes)]),
+            vec![ColumnData::Bytes((0..rows).map(|i| [i; 16]).collect())],
+            1,
+        );
+        // fields: count(4) + name len(4) + "o" + tag(1); partitions: count(4)
+        // + start_row(8); then the cell count.
+        (table, 4 + 4 + 1 + 1 + 4 + 8 + 4)
+    }
+
+    /// One forged length prefix — first, middle or last — takes a 16-byte
+    /// column off the one-width path, and what it then loads (or refuses) is
+    /// what the cell-by-cell decoder makes of the same bytes, up to where it
+    /// stops reading.
+    #[test]
+    fn a_forged_prefix_falls_back_to_the_cell_by_cell_load() {
+        let (table, cells_at) = ore_shaped(40);
+        let honest = serialize_table(&table);
+        let mut pos = cells_at;
+        let bulk = read_uniform_cells(40, &honest, &mut pos).expect("one width");
+        assert_eq!(pos, honest.len());
+        assert_eq!(bulk.fixed_cells::<16>().map(<[_]>::len), Some(40));
+        let mut fallbacks = 0;
+        for row in [0, 20, 39] {
+            for forged in [0u32, 1, 15, 17, 20, 36, u32::MAX] {
+                let mut data = honest.clone();
+                let at = cells_at + row * 20;
+                data[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+                let mut untouched = cells_at;
+                assert_eq!(
+                    read_uniform_cells(40, &data, &mut untouched),
+                    None,
+                    "row {row}, {forged}"
+                );
+                assert_eq!(untouched, cells_at, "nothing read");
+                let (mut loaded_at, mut oracle_at) = (cells_at, cells_at);
+                let loaded = read_bytes_column(40, &data, &mut loaded_at);
+                let oracle = read_cells(40, &data, &mut oracle_at);
+                assert_eq!(loaded, oracle, "row {row}, prefix {forged}");
+                assert_eq!(loaded_at, oracle_at, "row {row}, prefix {forged}");
+                fallbacks += usize::from(loaded.is_some());
+            }
+        }
+        assert!(fallbacks > 0, "some forgeries still parse, as ragged columns");
+    }
+
+    /// Every strict prefix of a table whose `Bytes` columns take the one-width
+    /// path is refused, as the cell-by-cell path refuses them.
+    #[test]
+    fn every_truncation_of_a_uniform_ore_table_is_rejected() {
+        let ore = seabed_crypto::OreScheme::new(&[0x0e; 16]);
+        let rows = 6u64;
+        let table = Table::from_columns(
+            Schema::new([
+                ("ts__ope".to_string(), ColumnType::Bytes),
+                ("w".to_string(), ColumnType::UInt64),
+                ("d".to_string(), ColumnType::Int64),
+                ("zero".to_string(), ColumnType::Bytes),
+            ]),
+            vec![
+                ColumnData::Bytes((0..rows).map(|i| ore.encrypt(i * 977).symbols).collect()),
+                ColumnData::UInt64((0..rows).map(|i| i << 40).collect()),
+                ColumnData::Int64((0..rows as i64).map(|i| -i).collect()),
+                ColumnData::Bytes((0..rows).map(|_| []).collect::<BytesColumn>()),
+            ],
+            3,
+        );
+        let data = serialize_table(&table);
+        assert_eq!(data.len(), serialized_len(&table));
+        assert_eq!(deserialize_table(&data), Some(table));
+        for cut in 0..data.len() {
+            assert!(
+                deserialize_table(&data[..cut]).is_none(),
+                "prefix of {cut}/{} bytes",
+                data.len()
+            );
+        }
+    }
+
+    /// An empty `Bytes` column loads as the column `BytesColumn::new()` is —
+    /// width 0, no cells — whatever bytes follow its count; a column of
+    /// zero-width cells loads as pushing them builds it.
+    #[test]
+    fn an_empty_bytes_column_loads_in_the_canonical_empty_layout() {
+        let empty = || ColumnData::Bytes(BytesColumn::new());
+        let table = Table {
+            schema: Schema::new([
+                ("a".to_string(), ColumnType::Bytes),
+                ("b".to_string(), ColumnType::Bytes),
+            ]),
+            partitions: vec![
+                Partition {
+                    start_row: 0,
+                    columns: vec![
+                        ColumnData::Bytes([[0u8; 0]; 2].iter().collect()),
+                        ColumnData::Bytes([[0xee_u8; 16]; 2].iter().collect()),
+                    ],
+                },
+                // The second count is followed by the next partition's
+                // `start_row`, 2: read as a cell width it would be one.
+                Partition {
+                    start_row: 2,
+                    columns: vec![empty(), empty()],
+                },
+                Partition {
+                    start_row: 2,
+                    columns: vec![
+                        ColumnData::Bytes([[0u8; 0]; 1].iter().collect()),
+                        ColumnData::Bytes([[0xdd_u8; 16]; 1].iter().collect()),
+                    ],
+                },
+                // Nothing follows these counts.
+                Partition {
+                    start_row: 3,
+                    columns: vec![empty(), empty()],
+                },
+            ],
+        };
+        let loaded = deserialize_table(&serialize_table(&table)).expect("loads");
+        assert_eq!(loaded, table);
+        for partition in [1, 3] {
+            for column in &loaded.partitions[partition].columns {
+                let column = column.bytes_column().expect("bytes");
+                assert_eq!(column, &BytesColumn::new());
+                assert_eq!(column.uniform_cells(), Some((0, &[][..])));
+            }
+        }
+        let zero_width = loaded.partitions[0].columns[0].bytes_column().expect("bytes");
+        assert_eq!((zero_width.len(), zero_width.uniform_cells()), (2, Some((0, &[][..]))));
     }
 
     #[test]

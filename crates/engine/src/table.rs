@@ -142,6 +142,26 @@ impl BytesColumn {
         }
     }
 
+    /// A column of `cells` cells of `width` bytes each, held back to back in
+    /// `data`: the column pushing those cells one by one builds.
+    pub(crate) fn uniform(width: usize, cells: usize, data: Vec<u8>) -> BytesColumn {
+        debug_assert_eq!(data.len(), width * cells);
+        let width = if cells == 0 { 0 } else { width };
+        BytesColumn {
+            data,
+            layout: Layout::Uniform { width, cells },
+        }
+    }
+
+    /// The cell width and the buffer of a column whose cells all have one
+    /// width (an empty column's width is 0), or `None` once two widths occur.
+    pub(crate) fn uniform_cells(&self) -> Option<(usize, &[u8])> {
+        match self.layout {
+            Layout::Uniform { width, .. } => Some((width, &self.data)),
+            Layout::Offsets(_) => None,
+        }
+    }
+
     /// Total bytes of all cells.
     pub fn data_len(&self) -> usize {
         self.data.len()

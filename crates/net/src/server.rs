@@ -1,10 +1,14 @@
 //! The concurrent TCP service hosting a [`SeabedServer`].
 //!
 //! An acceptor thread listens on a [`std::net::TcpListener`] and hands
-//! accepted connections to a fixed pool of worker threads over a channel; a
-//! worker owns its connection until the peer disconnects (size the pool to
-//! the expected number of simultaneous connections — queued connections wait
-//! for a free worker, they are never dropped). Each worker serves its
+//! accepted connections to connection threads over a channel; a thread owns
+//! its connection until the peer disconnects, then waits for the next one. A
+//! thread is spawned when a connection arrives and none is idle, up to
+//! [`ServiceConfig::worker_threads`] — the cap on simultaneously served
+//! connections; past it, queued connections wait for a free thread, they are
+//! never dropped. A worker that one coordinator link talks to runs one
+//! connection thread, however many cores the host has; the
+//! `net_connection_threads` gauge counts them. Each thread serves its
 //! connection through a [`FrameConn`] (the one framing rule, stated in
 //! [`crate::conn`]):
 //!
@@ -32,7 +36,7 @@ use seabed_obs::{Counter, Gauge, Histogram, ObsConfig, Registry};
 use seabed_query::TranslatedQuery;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -40,10 +44,11 @@ use std::time::{Duration, Instant};
 /// Configuration of the TCP service.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Number of connection-handling worker threads. A worker owns its
-    /// connection until the peer disconnects, so this bounds the number of
+    /// The most connection threads the service runs. A thread is spawned
+    /// when a connection arrives and none is idle, and owns its connection
+    /// until the peer disconnects, so this caps the number of
     /// *simultaneously served* connections; further accepted connections
-    /// queue until a worker frees up.
+    /// queue until a thread frees up.
     pub worker_threads: usize,
     /// Total time a frame may take from its first byte to its last before
     /// the connection is closed. Idle connections (no frame started) are not
@@ -80,7 +85,7 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Returns the configuration with the worker count replaced.
+    /// Returns the configuration with the connection-thread cap replaced.
     pub fn worker_threads(mut self, workers: usize) -> ServiceConfig {
         self.worker_threads = workers.max(1);
         self
@@ -162,6 +167,8 @@ struct NetMetrics {
     shard_execute_ns: Histogram,
     /// Shards currently resident in the shard store.
     shard_store_size: Gauge,
+    /// Connection threads spawned so far (they live until shutdown).
+    connection_threads: Gauge,
     /// Ingress frame counters indexed by the wire kind byte
     /// (`net_frames_<kind>`); index 0 is never hit (kind bytes start at 1).
     frames_by_kind: Vec<Counter>,
@@ -179,6 +186,7 @@ impl NetMetrics {
             request_ns: obs.histogram("net_request_ns"),
             shard_execute_ns: obs.histogram("shard_execute_ns"),
             shard_store_size: obs.gauge("shard_store_size"),
+            connection_threads: obs.gauge("net_connection_threads"),
             frames_by_kind,
         }
     }
@@ -344,15 +352,15 @@ impl StatementStore {
 pub struct NetServer {
     local_addr: SocketAddr,
     service: Arc<Service>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Returns the connection threads it spawned when it stops.
+    acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl NetServer {
-    /// Binds `addr` (use port 0 for an ephemeral port), spawns the acceptor
-    /// and worker pool, and starts serving `server` — which only ever sees
-    /// ciphertexts, so hosting it on a socket does not change the trust
-    /// boundary, it just makes it real.
+    /// Binds `addr` (use port 0 for an ephemeral port), spawns the acceptor,
+    /// and starts serving `server` — which only ever sees ciphertexts, so
+    /// hosting it on a socket does not change the trust boundary, it just
+    /// makes it real. Connection threads start as connections arrive.
     pub fn serve(server: SeabedServer, addr: &str, config: ServiceConfig) -> Result<NetServer, SeabedError> {
         let listener = TcpListener::bind(addr).map_err(|e| SeabedError::net(format!("bind {addr}: {e}")))?;
         let local_addr = listener
@@ -369,59 +377,16 @@ impl NetServer {
             obs,
             config,
             shutdown: AtomicBool::new(false),
+            spare_threads: AtomicIsize::new(0),
         });
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-
-        let workers = (0..service.config.worker_threads.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let service = Arc::clone(&service);
-                std::thread::spawn(move || loop {
-                    // Holding the lock only for the recv keeps the pool
-                    // honest: one queued connection wakes exactly one worker.
-                    let conn = {
-                        let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
-                        guard.recv()
-                    };
-                    match conn {
-                        Ok(stream) => handle_connection(stream, &service),
-                        Err(_) => break, // acceptor gone: service is shutting down
-                    }
-                })
-            })
-            .collect();
-
         let acceptor = {
             let service = Arc::clone(&service);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if service.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match stream {
-                        Ok(stream) => {
-                            service.stats.connections.incr();
-                            if tx.send(stream).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => {
-                            // Transient accept errors (e.g. aborted handshakes)
-                            // must not kill the service.
-                            continue;
-                        }
-                    }
-                }
-                // Dropping `tx` here closes the queue and releases the pool.
-            })
+            std::thread::spawn(move || accept_connections(&listener, &service))
         };
-
         Ok(NetServer {
             local_addr,
             service,
             acceptor: Some(acceptor),
-            workers,
         })
     }
 
@@ -467,12 +432,65 @@ impl NetServer {
         // Unblock the acceptor's blocking accept() with a throwaway
         // connection to ourselves; it observes the flag and exits.
         let _ = TcpStream::connect(self.local_addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        if let Some(Ok(threads)) = self.acceptor.take().map(JoinHandle::join) {
+            for thread in threads {
+                let _ = thread.join();
+            }
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+    }
+}
+
+/// The acceptor: counts each connection and queues it for a connection
+/// thread, spawning one first when none is spare and the cap allows. Returns
+/// the threads it spawned once the service stops; dropping the queue's sender
+/// on the way out lets each of them finish its connection and exit.
+fn accept_connections(listener: &TcpListener, service: &Arc<Service>) -> Vec<JoinHandle<()>> {
+    let (tx, rx) = mpsc::channel::<TcpStream>();
+    let rx = Arc::new(Mutex::new(rx));
+    let mut threads = Vec::new();
+    for stream in listener.incoming() {
+        if service.shutdown.load(Ordering::SeqCst) {
+            break;
         }
+        // Transient accept errors (e.g. aborted handshakes) must not kill the
+        // service.
+        let Ok(stream) = stream else { continue };
+        service.stats.connections.incr();
+        // This connection takes a spare thread if there is one; otherwise a
+        // new thread is its spare, or — at the cap — it waits in the queue.
+        let cap = service.config.worker_threads.max(1);
+        if service.spare_threads.fetch_sub(1, Ordering::SeqCst) <= 0 && threads.len() < cap {
+            let (rx, shared) = (Arc::clone(&rx), Arc::clone(service));
+            // A thread that cannot be spawned leaves the connection queued for
+            // the threads there are.
+            if let Ok(thread) = std::thread::Builder::new().spawn(move || serve_connections(&rx, &shared)) {
+                service.spare_threads.fetch_add(1, Ordering::SeqCst);
+                threads.push(thread);
+                service.metrics.connection_threads.set(threads.len() as u64);
+            }
+        }
+        if tx.send(stream).is_err() {
+            break;
+        }
+    }
+    threads
+}
+
+/// A connection thread: serves one queued connection after another, then
+/// counts itself spare again, until the acceptor stops.
+fn serve_connections(queue: &Mutex<mpsc::Receiver<TcpStream>>, service: &Service) {
+    loop {
+        // Holding the lock only for the recv: one queued connection wakes
+        // exactly one thread.
+        let next = queue.lock().unwrap_or_else(|p| p.into_inner()).recv();
+        let Ok(stream) = next else {
+            break; // acceptor gone: the service is shutting down
+        };
+        let served = handle_connection(stream, service);
+        // Spare again before the peer sees its connection close, so a peer
+        // that reconnects once it has finds this thread free.
+        service.spare_threads.fetch_add(1, Ordering::SeqCst);
+        drop(served);
     }
 }
 
@@ -496,18 +514,24 @@ struct Service {
     obs: Registry,
     metrics: NetMetrics,
     shutdown: AtomicBool,
+    /// Connection threads free for a connection, less connections queued
+    /// for one: the acceptor spawns a thread when a connection would take
+    /// this below zero.
+    spare_threads: AtomicIsize,
 }
 
-fn handle_connection(stream: TcpStream, ctx: &Service) {
+/// Serves one connection to its end and hands it back still open, for the
+/// caller to close.
+fn handle_connection(stream: TcpStream, ctx: &Service) -> Option<FrameConn> {
     // A socket whose timeouts cannot be set is dropped unserved: without
-    // them a stalled peer would pin this worker and hang shutdown.
-    if let Ok(mut conn) = FrameConn::from_stream(stream, ctx.config.write_timeout) {
-        let mut flushed = WireStats::default();
-        serve_frames(&mut conn, ctx, &mut flushed);
-        // Pick up whatever the last partial frame accumulated after the final
-        // per-frame flush (e.g. bytes read before an EOF).
-        flush_bytes(&ctx.stats, &conn, &mut flushed);
-    }
+    // them a stalled peer would pin this thread and hang shutdown.
+    let mut conn = FrameConn::from_stream(stream, ctx.config.write_timeout).ok()?;
+    let mut flushed = WireStats::default();
+    serve_frames(&mut conn, ctx, &mut flushed);
+    // Pick up whatever the last partial frame accumulated after the final
+    // per-frame flush (e.g. bytes read before an EOF).
+    flush_bytes(&ctx.stats, &conn, &mut flushed);
+    Some(conn)
 }
 
 /// Pushes what the connection's byte counter gained since the last call into

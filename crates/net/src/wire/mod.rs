@@ -510,14 +510,16 @@ pub struct LoadShardRef<'a> {
 
 impl LoadShardRef<'_> {
     /// The frame, byte for byte what [`encode_frame`] makes of the owned
-    /// variant; over `max_frame_len` it is the same typed error.
+    /// variant; over `max_frame_len` it is the same typed error. The table is
+    /// written once, straight into the frame behind its length, which
+    /// [`seabed_engine::storage::serialized_len`] computes without writing it.
     ///
     /// The buffer grows as the payload is written, as every frame's does. It
     /// is deliberately not reserved up front, although the size is knowable:
     /// one request of a shard's size (150 KB in the ingest benchmark) crosses
     /// the allocator's mmap threshold, after which glibc keeps the heap top
     /// padded — with the reservation seabench's `ingest_load` read 11.0 MB
-    /// peak RSS where it reads 9.0 without, and no time to show for it.
+    /// peak RSS where it read 9.0 without, and no time to show for it.
     pub fn encode(&self, max_frame_len: u32) -> Result<Vec<u8>, SeabedError> {
         frame_of(FrameKind::LoadShard, max_frame_len, |out| self.encode_payload(out))
     }

@@ -228,13 +228,20 @@ wire_struct!(Schema { fields });
 wire_enum!(ExecMode as "exec-mode" { 0 => Scalar, 1 => Vectorized });
 
 /// A shard's table travels in the stored-table format of
-/// [`seabed_engine::storage`] as one byte string, and is parsed straight out
-/// of the frame. (Encoding still builds the serialized table before copying
-/// it in: the length goes first, and a second statement of the storage
-/// layout here would cost more than the copy.)
+/// [`seabed_engine::storage`] as one byte string: written straight into the
+/// frame behind its length, which the storage layer computes exactly, and
+/// parsed straight out of it.
 impl Wire for Table {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_bytes(out, &storage::serialize_table(self));
+        let len = storage::serialized_len(self);
+        len.encode(out);
+        let start = out.len();
+        storage::serialize_table_into(self, out);
+        debug_assert_eq!(
+            out.len() - start,
+            len,
+            "serialized_len is the length serialize_table_into writes"
+        );
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Table, SeabedError> {

@@ -371,8 +371,9 @@ fn ore_column_blocks(ore: &OreScheme, values: &[u64]) -> u64 {
 /// The sequences an ingest produces, pinned by name: the order of a column
 /// decides what the cursor evaluates, never what it writes — and the count of
 /// PRF blocks is the write path's structural claim (64 a row if nothing were
-/// shared): the benchmark's 5 000 shuffled seconds-of-a-day cost at most 20 a
-/// row on average.
+/// shared): 5 000 shuffled seconds-of-a-day or -week cost at most 20 a row on
+/// average. (The benchmark's ingest batches are time-ordered, which costs
+/// less: `ore_time_ordered_column_is_pinned`.)
 #[test]
 fn ore_cursor_sequences_are_pinned() {
     let ore = OreScheme::new(&[0x5a; 16]);
@@ -426,4 +427,110 @@ fn tiny_bind_batches_are_pinned() {
     let mut out = [0u64; 1];
     prf.eval_run(u64::MAX, 0, &mut out);
     assert_eq!(out[0], prf.eval(u64::MAX, 0));
+}
+
+/// The PRF blocks a cursor owes `values`: 64 for the first, `63 - lcp` with
+/// its predecessor for each after.
+fn owed_ore_blocks(values: &[u64]) -> u64 {
+    let later = values
+        .windows(2)
+        .map(|pair| 63u64.saturating_sub(u64::from((pair[0] ^ pair[1]).leading_zeros())));
+    values.first().map_or(0, |_| 64 + later.sum::<u64>())
+}
+
+/// `values` through one cursor in runs of the given lengths (the rest as a
+/// last run): every cell the per-bit oracle's, and the PRF blocks exactly what
+/// the common prefixes leave.
+fn ore_runs_match_oracle(ore: &OreScheme, values: &[u64], runs: &[usize]) {
+    let mut cursor = ore.cursor();
+    let mut cells = Vec::with_capacity(values.len());
+    let mut rest = values;
+    for &len in runs {
+        let (run, tail) = rest.split_at(len.min(rest.len()));
+        cursor.encrypt_run(run, |cell| cells.push(cell));
+        rest = tail;
+    }
+    cursor.encrypt_run(rest, |cell| cells.push(cell));
+    assert_eq!(cells.len(), values.len());
+    for (row, (cell, &m)) in cells.iter().zip(values).enumerate() {
+        assert_eq!(cell.as_slice(), ore.encrypt_scalar(m).symbols, "row {row}, m={m:#x}");
+    }
+    assert_eq!(
+        cursor.prf_blocks,
+        owed_ore_blocks(values),
+        "{} values in runs {runs:?}",
+        values.len()
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A column's cells and PRF blocks do not depend on where its runs are
+    /// cut: any split of a sequence whose neighbours share every prefix length
+    /// (as in `ore_cursor_matches_scalar_over_sequences`) is the oracle's.
+    #[test]
+    fn ore_encrypt_run_matches_scalar_however_the_column_is_cut(
+        key in any::<[u8; 16]>(),
+        first in any::<u64>(),
+        steps in pvec(any::<u64>(), 0..120),
+        cuts in pvec(0usize..70, 0..6),
+    ) {
+        let ore = OreScheme::new(&key);
+        let mut values = vec![first];
+        for &raw in &steps {
+            let prev = *values.last().expect("starts non-empty");
+            let noise = raw.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            values.push(match raw % 65 {
+                64 => prev,
+                bit => (prev ^ 1 << bit) & !((1 << bit) - 1) | noise & ((1 << bit) - 1),
+            });
+        }
+        ore_runs_match_oracle(&ore, &values, &cuts);
+    }
+}
+
+/// Every run length around the dispatch size `B` — 0, 1, B − 1, B, B + 1,
+/// 2B + 1 and 5 000 — over repeats, one value throughout, full-width values, a
+/// top bit that flips every row, and `encrypt_i64`'s image across the sign
+/// boundary, as one run and cut at every boundary length.
+#[test]
+fn ore_encrypt_run_is_pinned_at_every_batch_boundary() {
+    let ore = OreScheme::new(&[0xb7; 16]);
+    let b = seabed_crypto::OreCursor::RUN_ROWS;
+    let boundaries = [0, 1, b - 1, b, b + 1, 2 * b + 1];
+    let mut state = 3u64;
+    for len in boundaries.into_iter().chain([5_000]) {
+        let signed: Vec<i64> = (0..len as i64).map(|i| i - len as i64 / 2).collect();
+        let image: Vec<u64> = signed.iter().map(|&v| (v as u64) ^ (1 << 63)).collect();
+        let sequences = [
+            (0..len as u64).map(|i| i / 4 * 31).collect::<Vec<u64>>(),
+            vec![7; len],
+            (0..len).map(|_| splitmix(&mut state)).collect(),
+            (0..len as u64).map(|i| ((i % 2) << 63) | (i * 3)).collect(),
+            image.clone(),
+        ];
+        for values in &sequences {
+            ore_runs_match_oracle(&ore, values, &[]);
+            ore_runs_match_oracle(&ore, values, &boundaries.repeat(8));
+        }
+        for (&v, &m) in signed.iter().zip(&image) {
+            assert_eq!(ore.encrypt_i64(v), ore.encrypt_scalar(m));
+        }
+    }
+}
+
+/// The sequence the benchmark's ingest encrypts: 5 000 ascending
+/// seconds-of-a-day, ≈ 17 apart. A row shares all but its low levels with the
+/// one before, so the column costs at most 6 PRF blocks a row — about 5 —
+/// where shuffled it costs about 15.
+#[test]
+fn ore_time_ordered_column_is_pinned() {
+    let ore = OreScheme::new(&[0x5a; 16]);
+    let mut state = 1u64;
+    let values: Vec<u64> = (0..5_000u64).map(|i| i * 17 + splitmix(&mut state) % 17).collect();
+    assert!(values.windows(2).all(|pair| pair[0] <= pair[1]));
+    ore_runs_match_oracle(&ore, &values, &[]);
+    let blocks = owed_ore_blocks(&values);
+    assert!(blocks <= 6 * 5_000, "{blocks} PRF blocks for 5 000 time-ordered values");
 }

@@ -15,7 +15,7 @@ use seabed_net::wire::{self, Frame};
 use seabed_net::{FrameConn, NetServer, Received, RemoteSeabedClient, ServiceConfig, Wait};
 use seabed_query::{parse, ColumnSpec, PlannerConfig};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 const MAX: u32 = wire::DEFAULT_MAX_FRAME_LEN;
@@ -225,4 +225,95 @@ fn a_version_four_peer_is_refused_with_the_typed_version_error() {
         "{outcome:?}"
     );
     old_server.join().expect("old server");
+}
+
+const PATIENCE: Duration = Duration::from_secs(10);
+
+/// The service's `net_connection_threads` gauge.
+fn connection_threads(net: &NetServer) -> Option<u64> {
+    net.registry().snapshot().gauge("net_connection_threads")
+}
+
+/// One schema request on a fresh connection, whose sending half is then
+/// closed, read until the service hangs up. The thread that served it counts
+/// itself free before the hang-up, so once this returns it is idle.
+fn one_request_then_hang_up(net: &NetServer) {
+    let mut raw = TcpStream::connect(net.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(PATIENCE)).expect("timeout");
+    let request = wire::encode_frame(&Frame::SchemaRequest, MAX).expect("encode");
+    raw.write_all(&request).expect("send");
+    raw.shutdown(Shutdown::Write).expect("half-close");
+    let mut reply = Vec::new();
+    raw.read_to_end(&mut reply).expect("the service answers, then hangs up");
+    let reply = wire::decode_frame(&reply, MAX);
+    assert!(matches!(reply, Ok(Frame::Schema(_))), "{reply:?}");
+}
+
+/// Connection threads start with connections, not with the service: none
+/// after `serve`, one for a first peer, and that same one for a peer that
+/// connects after the first has gone.
+#[test]
+fn a_connection_thread_starts_with_a_connection_and_serves_the_next() {
+    let net = NetServer::serve(tiny_server(), "127.0.0.1:0", ServiceConfig::default()).expect("serve");
+    assert_eq!(connection_threads(&net), Some(0));
+    one_request_then_hang_up(&net);
+    assert_eq!(connection_threads(&net), Some(1));
+    one_request_then_hang_up(&net);
+    assert_eq!(
+        connection_threads(&net),
+        Some(1),
+        "a peer that reconnects reuses the idle thread"
+    );
+    net.shutdown();
+}
+
+/// Peers served at once hold a thread each, up to `worker_threads`; a peer
+/// past the cap waits in the queue for a thread to free up instead of getting
+/// one of its own.
+#[test]
+fn concurrent_peers_get_a_thread_each_up_to_the_cap() {
+    const CAP: usize = 3;
+    let config = ServiceConfig::default().worker_threads(CAP);
+    let net = NetServer::serve(tiny_server(), "127.0.0.1:0", config).expect("serve");
+    let mut peers = Vec::new();
+    for served in 1..=CAP as u64 {
+        let mut peer = FrameConn::connect(net.local_addr(), PATIENCE).expect("connect");
+        let reply = peer.round_trip(&Frame::SchemaRequest, MAX, PATIENCE);
+        assert!(matches!(reply, Ok(Frame::Schema(_))), "{reply:?}");
+        peers.push(peer);
+        assert_eq!(connection_threads(&net), Some(served));
+    }
+    let mut late = FrameConn::connect(net.local_addr(), PATIENCE).expect("connect");
+    late.send(&Frame::SchemaRequest, MAX).expect("send");
+    let waiting = late.recv(MAX, Wait::Until(Instant::now() + Duration::from_millis(200)));
+    assert!(
+        matches!(waiting, Ok(Received::Idle)),
+        "a peer past the cap was served: {waiting:?}"
+    );
+    drop(peers.remove(0));
+    let reply = late.recv_reply(MAX, Instant::now() + PATIENCE, false);
+    assert!(matches!(reply, Ok(Some(Frame::Schema(_)))), "{reply:?}");
+    assert_eq!(connection_threads(&net), Some(CAP as u64));
+    net.shutdown();
+}
+
+/// `shutdown` does not wait for a connected peer to leave: the thread
+/// serving an idle connection notices the stop within a poll tick, and
+/// `shutdown` joins it.
+#[test]
+fn shutdown_returns_with_an_idle_peer_still_connected() {
+    let net = NetServer::serve(tiny_server(), "127.0.0.1:0", ServiceConfig::default()).expect("serve");
+    let mut idle = FrameConn::connect(net.local_addr(), PATIENCE).expect("connect");
+    let reply = idle.round_trip(&Frame::SchemaRequest, MAX, PATIENCE);
+    assert!(matches!(reply, Ok(Frame::Schema(_))), "{reply:?}");
+    assert_eq!(connection_threads(&net), Some(1));
+    let started = Instant::now();
+    net.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "shutdown waited {:?} on an idle peer",
+        started.elapsed()
+    );
+    let after = idle.recv(MAX, Wait::Until(Instant::now() + PATIENCE));
+    assert!(matches!(after, Ok(Received::Closed)), "{after:?}");
 }

@@ -24,9 +24,9 @@ use seabed::core::{
 use seabed::encoding::varint;
 use seabed::encoding::IdListEncoding;
 use seabed::engine::merge::{PartialAggregate, PartialGroup, PartialGroups};
-use seabed::engine::{storage, Cluster, ClusterConfig, ColumnData, ColumnType, ExecStats, Schema, Table};
+use seabed::engine::{storage, Cluster, ClusterConfig, ColumnData, ColumnType, ExecMode, ExecStats, Schema, Table};
 use seabed::error::SeabedError;
-use seabed::net::wire::{decode_frame, encode_frame, Frame, DEFAULT_MAX_FRAME_LEN, HEADER_LEN};
+use seabed::net::wire::{decode_frame, encode_frame, Frame, ShardExecConfig, DEFAULT_MAX_FRAME_LEN, HEADER_LEN};
 use seabed::query::{CompareOp, GroupByColumn, ServerAggregate, SupportCategory, TranslatedQuery};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -297,6 +297,50 @@ fn load_shard_with_a_forged_bytes_cell_count() {
         1,
     );
     assert_load_shard_bounded("LoadShard Bytes cells", &table);
+}
+
+/// A `Bytes` column of one cell width loads in bulk: one extent check, then
+/// its buffer reserved once. Forge the cell count of an honest 16-byte column
+/// that fills the frame — to one more cell than it holds, and to `u32::MAX` —
+/// and the bulk path's extent check fails, the cell-by-cell walk behind it runs
+/// off the end, and the decode fails having reserved nothing beyond the bytes
+/// left.
+#[test]
+fn load_shard_with_a_forged_count_on_a_uniform_column() {
+    for frame_len in FRAME_LENS {
+        let cells = (frame_len - 64) / 20;
+        let table = Table::from_columns(
+            Schema::new([("o".to_string(), ColumnType::Bytes)]),
+            vec![ColumnData::Bytes((0..cells).map(|i| [i as u8; 16]).collect())],
+            1,
+        );
+        let table_len = storage::serialized_len(&table);
+        let load = Frame::LoadShard {
+            epoch: 1,
+            table_id: 0,
+            shard: 0,
+            exec: ShardExecConfig {
+                local_threads: 1,
+                exec_mode: ExecMode::Vectorized,
+            },
+            table,
+        };
+        let honest = encode_frame(&load, DEFAULT_MAX_FRAME_LEN).expect("encode");
+        decode_frame(&honest, DEFAULT_MAX_FRAME_LEN).expect("the honest frame decodes");
+        // The table closes the frame; its cell count follows the schema
+        // (count, name length, "o", tag), the partition count and start_row.
+        let count_at = honest.len() - table_len + 4 + 4 + 1 + 1 + 4 + 8;
+        assert_eq!(honest[count_at..count_at + 4], (cells as u32).to_le_bytes());
+        for forged in [cells as u32 + 1, u32::MAX] {
+            let mut frame = honest.clone();
+            frame[count_at..count_at + 4].copy_from_slice(&forged.to_le_bytes());
+            let ratio = decode_and_measure("LoadShard uniform Bytes cells", &frame);
+            assert!(
+                ratio <= 1.0,
+                "a forged count of {forged} on a one-width column reserved {ratio:.2}x the frame"
+            );
+        }
+    }
 }
 
 /// Forges the row count of the one-row, one-column `table` (its column name
