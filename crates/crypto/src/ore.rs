@@ -87,7 +87,9 @@
 //! The cursor's state is another matter — `prev` is a plaintext, the PRF
 //! words subtracted from a cell give back its bits, and the dispatch buffer
 //! holds plaintext prefixes and PRF outputs — so all three are wiped when the
-//! cursor is dropped, like the round keys beside them.
+//! cursor is dropped, like the round keys beside them. A dispatch of at most
+//! one value's 64 blocks (a bind-time literal's, a fresh cursor's first
+//! value) runs on the stack instead, and is wiped as soon as it is patched in.
 
 use crate::aes::{hw, Aes128};
 use std::cmp::Ordering;
@@ -283,9 +285,9 @@ impl OreScheme {
     }
 
     /// Encrypts a 64-bit value into a caller-provided cell, without
-    /// allocating. A column of values goes through one [`OreScheme::cursor`]
-    /// instead, which pays only for what a value does not share with the one
-    /// before it.
+    /// allocating: one value's dispatch runs on the stack. A column of values
+    /// goes through one [`OreScheme::cursor`] instead, which pays only for
+    /// what a value does not share with the one before it.
     pub fn encrypt_into(&self, m: u64, cell: &mut [u8; ORE_CELL_BYTES]) {
         *cell = self.cursor().encrypt(m);
     }
@@ -341,9 +343,10 @@ pub struct OreCursor<'a> {
     /// `F(k, (i, prefix_i(prev))) mod 3` for all 64 levels, two bits a level,
     /// laid out like the cell: level 0 in the top bits of word 0.
     prf: [u64; 2],
-    /// One dispatch's PRF inputs, encrypted in place into its outputs. It
-    /// grows to the most blocks a dispatch has needed and is overwritten, not
-    /// cleared, so everything ever written to it lies within its length.
+    /// One dispatch's PRF inputs, encrypted in place into its outputs, once
+    /// they outgrow one value's 64. It grows to the most blocks a dispatch
+    /// has needed and is overwritten, not cleared, so everything ever written
+    /// to it lies within its length.
     blocks: Vec<[u8; 16]>,
     /// PRF blocks evaluated so far: `63 - lcp` a value, 64 for the first.
     pub prf_blocks: u64,
@@ -445,10 +448,19 @@ impl OreCursor<'_> {
             }
             let first_new = &first_new[..rows.len()];
             let total: usize = first_new.iter().map(|first| ORE_BITS - first).sum();
-            if self.blocks.len() < total {
-                self.blocks.resize(total, [0; 16]);
-            }
-            let blocks = &mut self.blocks[..total];
+            // One value's levels — all a bind-time literal ever needs — fit on
+            // the stack, wiped below; larger dispatches use the cursor's
+            // buffer, wiped on drop.
+            let mut one_value: [[u8; 16]; ORE_BITS];
+            let blocks = if total <= ORE_BITS {
+                one_value = [[0; 16]; ORE_BITS];
+                &mut one_value[..total]
+            } else {
+                if self.blocks.len() < total {
+                    self.blocks.resize(total, [0; 16]);
+                }
+                &mut self.blocks[..total]
+            };
             let mut unfilled = &mut blocks[..];
             for (&first, &m) in first_new.iter().zip(rows) {
                 let (row, rest) = unfilled.split_at_mut(ORE_BITS - first);
@@ -468,6 +480,9 @@ impl OreCursor<'_> {
                 outputs = rest;
                 (self.prev, self.primed) = (m, true);
                 cell(assemble_cell(self.prf, m));
+            }
+            if total <= ORE_BITS {
+                hw::wipe(blocks);
             }
             self.prf_blocks += total as u64;
         }

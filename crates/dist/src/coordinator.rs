@@ -4,10 +4,11 @@
 //! across N workers (contiguous partition ranges, so per-worker ID lists stay
 //! run-compressed), announces a fresh **epoch** to every worker, and loads
 //! each shard onto its **replica set** — `replication` workers per shard
-//! (default 2), one encoded load frame per shard whatever the set's size. [`QueryTarget::run`] then scatters the translated query to
-//! every shard's *primary* (the first live member of its replica set) —
-//! concurrently over the persistent connections — and gathers the mergeable
-//! partial results into one [`ServerResponse`] via [`seabed_engine::merge`] +
+//! (default 2), one encoded load frame per shard whatever the set's size.
+//! [`QueryTarget::run`] then scatters the translated query to every shard's
+//! *primary* (the first live member of its replica set) over the persistent
+//! connections and gathers the mergeable partial results into one
+//! [`ServerResponse`] via [`seabed_engine::merge`] +
 //! [`seabed_core::finalize_partials`]: the *same* two steps in-process
 //! execution runs, so the distributed answer is byte-identical by
 //! construction.
@@ -15,8 +16,42 @@
 //! This module owns the query path: probe, scatter, hedge, re-dispatch,
 //! gather. *Who holds shard s* is `crate::placement`'s and *is worker w
 //! alive* is `crate::link`'s — their module docs state the rules; *what did
-//! this query do* is a `Tally` its lanes fill and return, never a difference
-//! of process-wide counters.
+//! this query do* is a `Tally` the query fills, never a difference of
+//! process-wide counters.
+//!
+//! # The scatter
+//!
+//! The scatter only waits on sockets, so it runs on the calling thread and
+//! spawns nothing. The shards to ask are grouped into one *lane* per primary,
+//! and the lanes are ordered by worker index. In the **send phase** each
+//! lane's link is locked and its shard query written, in that order, so
+//! every worker scans while the coordinator waits; in the **receive phase**
+//! the replies are read in the same order, each link released once its reply
+//! is in. Only after that are the abandoned shards hedged: a hedge usually
+//! targets another lane's primary, and hedging while still holding a round's
+//! locks could deadlock against a concurrent query. A scatter round is the
+//! only holder of several links at once, and it takes their locks in
+//! ascending worker order, so two queries whose lanes meet the same workers
+//! in opposite shard order cannot deadlock. What that costs, against a thread
+//! per lane:
+//!
+//! * a link's lock is held from its send until its own reply is read — through
+//!   the receives of the lanes before it — where a lane used to hold it only
+//!   for its own round trip;
+//! * a lane whose hedge deadline (counted from its own send) passes while an
+//!   earlier lane's receive is stalled is hedged too, although its reply may
+//!   be waiting. That can only happen once some primary has already exceeded
+//!   `hedge_after`, and the hedge is safe: the stale-seq rule discards the
+//!   loser;
+//! * an un-hedged lane's budget is counted from the start of its own
+//!   receive, because running out condemns the worker and a reply that waited
+//!   behind another lane's stall is not its worker's fault. So k stalled
+//!   un-hedged primaries cost up to k budgets, where concurrent lanes cost
+//!   one.
+//!
+//! A pool of lane threads would keep the old overlap of stalls; it is a
+//! second lifetime to manage and a size to choose, for a coordinator that
+//! only waits.
 //!
 //! # Failure semantics
 //!
@@ -57,7 +92,7 @@
 //! membership can never answer a later probe.
 
 use crate::cache::{CacheStats, PartialCache, PartialKey};
-use crate::link::{answered, connect_worker, live, Tally, WorkerLink};
+use crate::link::{answered, connect_worker, live, LockedLink, Tally, WorkerLink};
 use crate::lock;
 use crate::placement::{split_into_shards, Placement};
 use rand::RngCore;
@@ -66,9 +101,9 @@ use seabed_core::{
     PhysicalFilter, QueryTarget, ServerResponse,
 };
 use seabed_engine::merge::{merge_partial_groups, PartialGroups};
-use seabed_engine::{fan_out, ExecStats, Schema, Table};
+use seabed_engine::{ExecStats, Schema, Table};
 use seabed_error::SeabedError;
-use seabed_net::wire::{self, Frame, LoadShardRef, ShardExecConfig};
+use seabed_net::wire::{self, Frame, LoadShardRef, ShardExecConfig, ShardQueryRef};
 use seabed_obs::{Counter, Gauge, Histogram, QueryEvent, Registry};
 use seabed_query::{PlanNode, PlanProfile, TranslatedQuery};
 use std::net::ToSocketAddrs;
@@ -497,8 +532,7 @@ impl DistCoordinator {
     }
 
     fn worker(&self, index: usize) -> Result<Arc<WorkerLink>, SeabedError> {
-        let link = self.pool().get(index).cloned();
-        link.ok_or_else(|| SeabedError::dist("coordinator", format!("worker index {index} is out of range")))
+        link_at(&self.pool(), index).cloned()
     }
 
     fn worker_alive(&self, index: usize) -> bool {
@@ -646,20 +680,31 @@ impl DistCoordinator {
         (cached, missing)
     }
 
-    /// Scatter: group the uncached shards by *primary*, one lane per worker,
-    /// each shard with the replica set a hedge may fall back on, and run the
-    /// lanes under the engine's fan-out rule: this thread queries a lane
-    /// itself, so a one-lane scatter spawns nothing. A lane asks its shards
-    /// in turn over the one connection; once that is gone the rest are
-    /// refused by the link without another round trip. Returns the lane
-    /// count, every shard's outcome, and the lanes' tallies summed.
+    /// Scatter (module docs): group the uncached shards by *primary*, one
+    /// lane per worker, each shard with the replica set a hedge may fall back
+    /// on, and order the lanes by worker index. Round `r` asks the `r`-th
+    /// shard of every lane that has one — a lane has a second only after a
+    /// re-dispatch promoted its worker — on the calling thread:
+    ///
+    /// 1. **send**: in worker order, each lane's link is locked and its shard
+    ///    query written, so every worker is scanning before any reply is read;
+    /// 2. **receive**: in the same order, each reply is read and its link
+    ///    released;
+    /// 3. **hedge**: only then, with no link of the round held, each abandoned
+    ///    shard is raced against its live replicas — often another lane's
+    ///    primary, whose lock this query held a moment ago.
+    ///
+    /// A lane whose connection is gone has the rest of its shards refused by
+    /// the link without another round trip. Returns the lane count, every
+    /// shard's outcome, and the query's tally.
     fn scatter(&self, ctx: QueryContext<'_>, missing: &[u32]) -> (usize, Vec<ShardResult>, Tally) {
+        let pool = self.pool().clone();
+        let alive = live(&pool);
         let mut lanes: Vec<Lane> = Vec::new();
         {
-            let pool = self.pool().clone();
             let placement = lock(&self.placement);
             for &shard in missing {
-                let worker = placement.primary(ctx.table_id, shard, live(&pool));
+                let worker = placement.primary(ctx.table_id, shard, &alive);
                 let replicas = placement.replicas(ctx.table_id, shard).to_vec();
                 match lanes.iter_mut().find(|(w, _)| *w == worker) {
                     Some((_, shards)) => shards.push((shard, replicas)),
@@ -667,21 +712,47 @@ impl DistCoordinator {
                 }
             }
         }
-        let outcomes = fan_out(lanes.len(), lanes.len(), |lane| {
-            let (worker, shards) = &lanes[lane];
-            let (mut asked, mut tally) = (Vec::with_capacity(shards.len()), Tally::default());
-            for (shard, replicas) in shards {
-                let answer = self.query_shard_hedged(*shard, ctx, replicas, *worker, &mut tally);
-                asked.push((*shard, answer));
+        lanes.sort_unstable_by_key(|(worker, _)| *worker);
+        let (mut tally, mut results) = (Tally::default(), Vec::with_capacity(missing.len()));
+        let rounds = lanes.iter().map(|(_, shards)| shards.len()).max().unwrap_or(0);
+        for round in 0..rounds {
+            let asked = lanes
+                .iter()
+                .filter_map(|(worker, shards)| Some((*worker, shards.get(round)?)));
+            let mut in_flight = Vec::with_capacity(lanes.len());
+            for (worker, (shard, replicas)) in asked {
+                let hedge_after = self.hedge_trigger(worker, replicas, &alive);
+                let sent = link_at(&pool, worker).and_then(|link| {
+                    let mut locked = link.lock();
+                    let (seq, request) = self.shard_query(*shard, ctx)?;
+                    locked.send(&request)?;
+                    Ok((locked, seq, request, Instant::now()))
+                });
+                in_flight.push((worker, *shard, replicas, hedge_after, sent));
             }
-            (asked, tally)
-        });
-        let mut tally = Tally::default();
-        let mut results = Vec::with_capacity(missing.len());
-        for (mut asked, lane) in outcomes {
-            results.append(&mut asked);
-            tally.hedged += lane.hedged;
-            tally.discarded += lane.discarded;
+            let mut abandoned = Vec::new();
+            for (worker, shard, replicas, hedge_after, sent) in in_flight {
+                let answer = sent.and_then(|(mut locked, seq, request, sent)| {
+                    // A hedge deadline runs from the lane's own send: expiring
+                    // behind a stalled lane only hedges, which is safe. A plain
+                    // budget runs from now, as expiring condemns the worker.
+                    let deadline = match hedge_after {
+                        Some(after) => sent + after,
+                        None => Instant::now() + self.config.read_timeout,
+                    };
+                    let echo = echoes(self.epoch, ctx.table_id, shard, seq);
+                    let reply = locked.receive(&request, deadline, hedge_after.is_some(), seq, &mut tally, echo)?;
+                    self.accept_partial(&mut locked, worker, shard, ctx, reply, sent)
+                });
+                match answer {
+                    Ok(Some(answer)) => results.push((shard, Ok(answer))),
+                    Ok(None) => abandoned.push((worker, shard, replicas)),
+                    Err(err) => results.push((shard, Err(err))),
+                }
+            }
+            for (primary, shard, replicas) in abandoned {
+                results.push((shard, self.hedge(shard, ctx, replicas, primary, &mut tally)));
+            }
         }
         (lanes.len(), results, tally)
     }
@@ -793,13 +864,21 @@ impl DistCoordinator {
         }
     }
 
-    /// One shard query with hedging (module docs): if hedging is enabled and
-    /// a live replica exists, the primary gets `hedge_after` to answer, then
-    /// the query is re-issued to each live replica in turn under the full
-    /// round-trip budget. If every hedge fails, a retryable error is
-    /// returned so the shard flows into re-dispatch under a fresh sequence
-    /// number.
-    fn query_shard_hedged(
+    /// The hedge trigger of a shard query to `primary` (module docs): the
+    /// configured `hedge_after` when it undercuts the read timeout and a live
+    /// replica other than the primary exists to race; otherwise none, and the
+    /// primary gets the whole budget.
+    fn hedge_trigger(&self, primary: usize, replicas: &[usize], alive: impl Fn(usize) -> bool) -> Option<Duration> {
+        let replica = replicas.iter().any(|&w| w != primary && alive(w));
+        (self.config.hedge_after < self.config.read_timeout && replica).then_some(self.config.hedge_after)
+    }
+
+    /// Hedges a shard whose primary left its query outstanding past the
+    /// trigger: the query is re-issued to each live replica in turn under the
+    /// full round-trip budget, and the first valid echo wins. If every hedge
+    /// fails, a retryable error is returned so the shard flows into
+    /// re-dispatch under a fresh sequence number.
+    fn hedge(
         &self,
         shard: u32,
         ctx: QueryContext<'_>,
@@ -807,17 +886,11 @@ impl DistCoordinator {
         primary: usize,
         tally: &mut Tally,
     ) -> Result<ShardAnswer, SeabedError> {
-        let others = replicas.iter().filter(|&&w| w != primary && self.worker_alive(w));
-        let hedging = self.config.hedge_after < self.config.read_timeout && others.clone().next().is_some();
-        let hedge_after = hedging.then_some(self.config.hedge_after);
-        if let Some(answer) = self.query_shard(primary, shard, ctx, hedge_after, tally)? {
-            return Ok(answer);
-        }
-        // The primary is outstanding. Race a replica; first valid echo wins.
         tally.hedged += 1;
         let mut last_err: Option<SeabedError> = None;
-        for &replica in others {
-            match self.query_shard(replica, shard, ctx, None, tally).map(answered) {
+        // Liveness is read as each replica's turn comes.
+        for &replica in replicas.iter().filter(|&&w| w != primary && self.worker_alive(w)) {
+            match self.query_shard(replica, shard, ctx, tally) {
                 Ok(mut answer) => {
                     answer.0.hedged = true;
                     return Ok(answer);
@@ -831,59 +904,71 @@ impl DistCoordinator {
         Err(last_err.unwrap_or_else(|| SeabedError::dist("coordinator", nobody)))
     }
 
-    /// One shard query on one worker: one exchange accepting the partial
-    /// that echoes this request's `(epoch, table, shard, seq)` and
-    /// shape-checks against the query (a malformed one poisons the
-    /// connection). With `hedge_after`, a reply of which no byte arrived
-    /// within it returns `Ok(None)`; without, the budget is the full
-    /// `read_timeout` and the wait is never abandoned.
+    /// Shard `shard`'s query under a fresh sequence number, encoded from the
+    /// request's borrowed plan and filters. Called with the target link
+    /// locked: a number drawn outside the lock could reach the worker after a
+    /// later one, and the earlier request's hedge-abandoned partial — neither
+    /// this request's echo nor below its `stale_below` — would poison a
+    /// healthy link.
+    fn shard_query(&self, shard: u32, ctx: QueryContext<'_>) -> Result<(u64, Vec<u8>), SeabedError> {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let request = ShardQueryRef {
+            epoch: self.epoch,
+            table_id: ctx.table_id,
+            shard,
+            seq,
+            trace_id: ctx.request.trace_id,
+            analyze: ctx.request.analyze,
+            query: ctx.request.plan,
+            filters: ctx.request.filters,
+        };
+        Ok((seq, request.encode(self.config.max_frame_len)?))
+    }
+
+    /// One un-hedged shard query on one worker — a hedge or a re-dispatch:
+    /// one exchange under the full `read_timeout`, its reply accepted as
+    /// `accept_partial` states.
     fn query_shard(
         &self,
         worker: usize,
         shard: u32,
         ctx: QueryContext<'_>,
-        hedge_after: Option<Duration>,
         tally: &mut Tally,
-    ) -> Result<Option<ShardAnswer>, SeabedError> {
+    ) -> Result<ShardAnswer, SeabedError> {
         let link = self.worker(worker)?;
-        let table_id = ctx.table_id;
-        let epoch = self.epoch;
-        // The sequence number is drawn under the link lock: a number drawn
-        // outside it could reach the worker after a later one, and the
-        // earlier request's hedge-abandoned partial — neither this request's
-        // echo nor below its `stale_below` — would poison a healthy link.
         let mut locked = link.lock();
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let request = link.encode(&Frame::ShardQuery {
-            epoch,
-            table_id,
-            shard,
-            seq,
-            trace_id: ctx.request.trace_id,
-            analyze: ctx.request.analyze,
-            query: ctx.request.plan.clone(),
-            filters: ctx.request.filters.to_vec(),
-        })?;
+        let (seq, request) = self.shard_query(shard, ctx)?;
         let started = Instant::now();
-        let reply = locked.exchange(&request, hedge_after, seq, tally, |frame| {
-            matches!(frame, Frame::ShardPartial { epoch: e, table_id: t, shard: s, seq: q, .. }
-                if (*e, *t, *s, *q) == (epoch, table_id, shard, seq))
-        });
-        drop(locked);
-        let partial = match reply? {
-            Some(Frame::ShardPartial { partial, .. }) => partial,
-            // Abandoned for a hedge: nothing but the partial is the echo.
-            _ => return Ok(None),
+        let echo = echoes(self.epoch, ctx.table_id, shard, seq);
+        let reply = locked.exchange(&request, None, seq, tally, echo)?;
+        let answer = self.accept_partial(&mut locked, worker, shard, ctx, reply, started)?;
+        Ok(answered(answer))
+    }
+
+    /// Accepts a shard query's reply from the held link: the partial that
+    /// echoed the request (`None` when the wait was abandoned for a hedge),
+    /// shape-checked against the query before it may reach the merge — a
+    /// forged or buggy partial poisons the connection here, never silently
+    /// zip-truncated by the fold.
+    fn accept_partial(
+        &self,
+        locked: &mut LockedLink<'_>,
+        worker: usize,
+        shard: u32,
+        ctx: QueryContext<'_>,
+        reply: Option<Frame>,
+        started: Instant,
+    ) -> Result<Option<ShardAnswer>, SeabedError> {
+        let Some(Frame::ShardPartial { partial, .. }) = reply else {
+            return Ok(None);
         };
-        // Shape-check before the partial may reach the merge: a forged or
-        // buggy partial must be rejected here, never silently zip-truncated
-        // by the fold.
+        let link = locked.link();
         if let Err(detail) = validate_partial(ctx.request.plan, &partial) {
-            return Err(link.poison(SeabedError::dist(&link.label, detail)));
+            return Err(locked.poison(SeabedError::dist(&link.label, detail)));
         }
         link.queries.fetch_add(1, Ordering::Relaxed);
         let run = ShardRun {
-            table_id,
+            table_id: ctx.table_id,
             shard,
             worker: link.label.clone(),
             // Moved out of the partial by the gather, once it is merged.
@@ -958,7 +1043,7 @@ impl DistCoordinator {
             } else {
                 self.load_shard(table_id, shard, &[worker])
             };
-            match loaded.and_then(|()| self.query_shard(worker, shard, ctx, None, tally).map(answered)) {
+            match loaded.and_then(|()| self.query_shard(worker, shard, ctx, tally)) {
                 Ok(mut answer) => {
                     answer.0.redispatched = true;
                     lock(&self.placement).promote(table_id, shard, worker, &alive);
@@ -1035,6 +1120,21 @@ impl DistCoordinator {
         link.retire();
         self.fence_cache(&[worker]);
         Ok(())
+    }
+}
+
+/// The link in slot `index` of a snapshot of the pool.
+fn link_at(pool: &[Arc<WorkerLink>], index: usize) -> Result<&Arc<WorkerLink>, SeabedError> {
+    let link = pool.get(index);
+    link.ok_or_else(|| SeabedError::dist("coordinator", format!("worker index {index} is out of range")))
+}
+
+/// Recognises the reply to one shard query: the partial that echoes its
+/// `(epoch, table, shard, seq)`.
+fn echoes(epoch: u64, table_id: u32, shard: u32, seq: u64) -> impl Fn(&Frame) -> bool {
+    move |frame| {
+        matches!(frame, Frame::ShardPartial { epoch: e, table_id: t, shard: s, seq: q, .. }
+            if (*e, *t, *s, *q) == (epoch, table_id, shard, seq))
     }
 }
 

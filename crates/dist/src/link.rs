@@ -18,10 +18,13 @@
 //!   leaver's re-homing. Nothing moves a link back; a worker that returns
 //!   does so through `join_worker`, as a new slot.
 //!
-//! A link sends **bytes**: [`WorkerLink::encode`] (or, for a shard load, the
-//! coordinator's borrowed encoder) makes the frame, [`LockedLink::exchange`]
-//! writes it and runs the one receive loop. That is what lets a shard's load
-//! be encoded once and handed to every member of its replica set.
+//! A link sends **bytes**: [`WorkerLink::encode`] (or, for a shard load or a
+//! shard query, the coordinator's borrowed encoders) makes the frame,
+//! [`LockedLink::send`] writes it and [`LockedLink::receive`] runs the one
+//! receive loop; [`LockedLink::exchange`] is the two back to back. Split, they
+//! let the coordinator's scatter write a query on every link before it reads
+//! any reply, so the workers overlap without a thread per link; it locks the
+//! links in ascending worker order.
 //!
 //! A reply must echo the `(epoch, shard, seq)` of the request in flight — the
 //! `seabed-net` rule that a response can never be paired with the wrong
@@ -48,8 +51,8 @@ enum LinkState {
     Left,
 }
 
-/// What one query did on the links it used: filled by [`LockedLink::exchange`]
-/// and the hedge path, returned by each lane, summed into the query's report.
+/// What one query did on the links it used: filled by [`LockedLink::receive`]
+/// and the hedge path of that query alone, and reported as its own.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Tally {
     /// Hedged reads launched (slow primaries raced against a replica).
@@ -63,8 +66,7 @@ pub(crate) struct Tally {
 pub(crate) struct WorkerLink {
     /// Resolved address of the worker.
     pub(crate) label: String,
-    /// Guarded per worker, so concurrent lanes to *different* workers never
-    /// contend.
+    /// Guarded per worker, so requests to *different* workers never contend.
     conn: Mutex<FrameConn>,
     /// The coordinator's shard epoch, frame limit and round-trip budget,
     /// fixed for the link.
@@ -129,7 +131,7 @@ impl WorkerLink {
     /// Poisons the connection over a violation only the caller can see (a
     /// well-framed reply of the wrong shape), handing `why` back.
     pub(crate) fn poison(&self, why: SeabedError) -> SeabedError {
-        self.lock().conn.poison(why)
+        self.lock().poison(why)
     }
 
     /// Encodes `frame` under this link's frame limit. One too large is a
@@ -156,38 +158,39 @@ impl WorkerLink {
     }
 }
 
-impl LockedLink<'_> {
-    /// One request/reply exchange on this worker's connection under one
-    /// total budget — the only way the coordinator talks to a worker. Writes
-    /// `request`, one encoded frame ([`WorkerLink::encode`]), then receives
-    /// until a frame `is_echo` and returns it. A partial of this epoch with
-    /// a sequence number below `stale_below` — a duplicate, a hedge loser, a
-    /// late answer — is drained and counted in `tally`, never mistaken for
-    /// the reply.
+impl<'a> LockedLink<'a> {
+    /// Writes `request`, one encoded frame ([`WorkerLink::encode`]), on this
+    /// worker's connection; a failed write poisons it.
+    pub(crate) fn send(&mut self, request: &[u8]) -> Result<(), SeabedError> {
+        self.conn.send_encoded(request)
+    }
+
+    /// Receives the reply to `request`, the frame last [`send`](Self::send)
+    /// wrote, all of it by `deadline`: receives until a frame `is_echo` and
+    /// returns it. A partial of this epoch with a sequence number below
+    /// `stale_below` — a duplicate, a hedge loser, a late answer — is drained
+    /// and counted in `tally`, never mistaken for the reply.
     ///
     /// The two failure levels of the coordinator's module docs are told
     /// apart here: the exchange itself breaking (transport failure, desync,
-    /// a stall past the budget, a frame neither echo nor stale) **poisons**
+    /// a stall past the deadline, a frame neither echo nor stale) **poisons**
     /// the connection; a well-framed error frame from the worker is returned
-    /// as the error it carries and leaves the healthy connection alone. The
-    /// budget is the link's `read_timeout` unless `hedge_after` undercuts
-    /// it, and then running dry before any byte of the reply is `Ok(None)`,
-    /// connection healthy; a mid-frame stall always poisons.
-    pub(crate) fn exchange(
+    /// as the error it carries and leaves the healthy connection alone. With
+    /// `hedge`, running dry before any byte of the reply is `Ok(None)`,
+    /// connection healthy — at once, without a read, when the deadline has
+    /// already passed; a mid-frame stall always poisons.
+    pub(crate) fn receive(
         &mut self,
         request: &[u8],
-        hedge_after: Option<Duration>,
+        deadline: Instant,
+        hedge: bool,
         stale_below: u64,
         tally: &mut Tally,
         is_echo: impl Fn(&Frame) -> bool,
     ) -> Result<Option<Frame>, SeabedError> {
         let link = self.link;
-        self.conn.send_encoded(request)?;
-        let deadline = Instant::now() + hedge_after.unwrap_or(link.read_timeout);
         loop {
-            let reply = self
-                .conn
-                .recv_reply(link.max_frame_len, deadline, hedge_after.is_some())?;
+            let reply = self.conn.recv_reply(link.max_frame_len, deadline, hedge)?;
             match reply {
                 None => return Ok(None),
                 Some(echo) if is_echo(&echo) => return Ok(Some(echo)),
@@ -198,17 +201,44 @@ impl LockedLink<'_> {
                 Some(other) => {
                     let asked = wire::encoded_kind(request);
                     let violation = format!("expected the reply to {asked:?}, got {:?}", other.kind());
-                    return Err(self.conn.poison(SeabedError::dist(&link.label, violation)));
+                    return Err(self.poison(SeabedError::dist(&link.label, violation)));
                 }
             }
         }
     }
+
+    /// One request/reply exchange: [`send`](Self::send), then
+    /// [`receive`](Self::receive) under one budget — the link's
+    /// `read_timeout`, unless `hedge_after` undercuts it and arms the hedge.
+    pub(crate) fn exchange(
+        &mut self,
+        request: &[u8],
+        hedge_after: Option<Duration>,
+        stale_below: u64,
+        tally: &mut Tally,
+        is_echo: impl Fn(&Frame) -> bool,
+    ) -> Result<Option<Frame>, SeabedError> {
+        self.send(request)?;
+        let deadline = Instant::now() + hedge_after.unwrap_or(self.link.read_timeout);
+        self.receive(request, deadline, hedge_after.is_some(), stale_below, tally, is_echo)
+    }
+
+    /// Poisons the held connection over a violation only the caller can see
+    /// (a well-framed reply of the wrong shape), handing `why` back.
+    pub(crate) fn poison(&mut self, why: SeabedError) -> SeabedError {
+        self.conn.poison(why)
+    }
+
+    /// The link whose connection is held.
+    pub(crate) fn link(&self) -> &'a WorkerLink {
+        self.link
+    }
 }
 
-/// Unwraps the reply of an un-hedged [`LockedLink::exchange`], which runs to
-/// a reply or an error: only a hedged one abandons its wait.
+/// Unwraps the reply of an un-hedged [`LockedLink::receive`], which runs to a
+/// reply or an error: only a hedged one abandons its wait.
 pub(crate) fn answered<T>(reply: Option<T>) -> T {
-    reply.expect("only a hedged exchange abandons the wait")
+    reply.expect("only a hedged receive abandons the wait")
 }
 
 /// Liveness by worker index over a snapshot of the pool (an index outside it

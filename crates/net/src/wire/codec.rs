@@ -92,6 +92,25 @@ pub(super) fn put_seq<T: Wire>(out: &mut Vec<u8>, items: &[T]) {
     }
 }
 
+/// What a borrowed frame twin writes a field with: any [`Wire`] value, and a
+/// slice the way `Vec<T>` writes itself, so a twin may borrow `&[T]` where
+/// its variant owns a `Vec<T>`.
+pub(super) trait Put {
+    fn put(&self, out: &mut Vec<u8>);
+}
+
+impl<T: Wire> Put for T {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.encode(out);
+    }
+}
+
+impl<T: Wire> Put for [T] {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_seq(out, self);
+    }
+}
+
 /// The error every tag table reports for a byte it does not list.
 pub(super) fn invalid_tag(what: &str, tag: u8) -> SeabedError {
     SeabedError::wire(format!("invalid {what} tag {tag}"))

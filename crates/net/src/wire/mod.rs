@@ -107,7 +107,7 @@ mod codec;
 mod tests;
 mod types;
 
-use codec::{put_seq, Reader, Wire};
+use codec::{put_seq, Put, Reader, Wire};
 use seabed_core::{PartialResponse, PhysicalFilter, ServerResponse};
 use seabed_engine::{ExecMode, Schema, Table};
 use seabed_error::SeabedError;
@@ -224,15 +224,20 @@ macro_rules! frame_kinds {
             }
         }
 
-        $($(frame_kinds!(@borrowed $($borrowed)? { $($field),+ });)?)+
+        $($(frame_kinds!(@borrowed $name $($borrowed)? { $($field),+ });)?)+
     };
-    (@borrowed { $($field:ident),+ }) => {};
-    (@borrowed $borrowed:ident { $($field:ident),+ }) => {
+    (@borrowed $name:ident { $($field:ident),+ }) => {};
+    (@borrowed $name:ident $borrowed:ident { $($field:ident),+ }) => {
         impl $borrowed<'_> {
-            fn encode_payload(&self, out: &mut Vec<u8>) {
-                // Method syntax on purpose: where the variant owns a `T` the
-                // twin may hold a `&T`, and auto-ref finds `T: Wire` for both.
-                $(self.$field.encode(out);)+
+            /// The frame, byte for byte what [`encode_frame`] makes of the
+            /// owned variant; over `max_frame_len` it is the same typed error.
+            pub fn encode(&self, max_frame_len: u32) -> Result<Vec<u8>, SeabedError> {
+                frame_of(FrameKind::$name, max_frame_len, |out| {
+                    // Method syntax on purpose: where the variant owns a `T`
+                    // the twin may hold a `&T` (a `&[T]` for a `Vec<T>`), and
+                    // auto-deref finds `Put` for both.
+                    $(self.$field.put(out);)+
+                })
             }
         }
     };
@@ -259,7 +264,7 @@ frame_kinds! {
     /// Worker → coordinator: shard-assignment acknowledgement.
     9 => ShardLoaded { epoch, table_id, shard, rows },
     /// Coordinator → worker: execute a query over one resident shard.
-    10 => ShardQuery { epoch, table_id, shard, seq, trace_id, analyze, query, filters },
+    10 => ShardQuery { epoch, table_id, shard, seq, trace_id, analyze, query, filters } also ShardQueryRef,
     /// Worker → coordinator: the mergeable partial result of a shard query.
     11 => ShardPartial { epoch, table_id, shard, seq, partial },
     /// Client → server: register a statement's unbound plan, get a handle.
@@ -494,6 +499,15 @@ pub fn encode_frame(frame: &Frame, max_frame_len: u32) -> Result<Vec<u8>, Seabed
 /// are the variant's; the bytes are the variant's too — both encoders are
 /// generated from the `LoadShard` row of the kind table, the one statement of
 /// the layout.
+///
+/// The table is written once, straight into the frame behind its length,
+/// which [`seabed_engine::storage::serialized_len`] computes without writing
+/// it. The buffer grows as the payload is written, as every frame's does. It
+/// is deliberately not reserved up front, although the size is knowable: one
+/// request of a shard's size (150 KB in the ingest benchmark) crosses the
+/// allocator's mmap threshold, after which glibc keeps the heap top padded —
+/// with the reservation seabench's `ingest_load` read 11.0 MB peak RSS where
+/// it read 9.0 without, and no time to show for it.
 #[derive(Clone, Copy, Debug)]
 pub struct LoadShardRef<'a> {
     /// Shard epoch the assignment belongs to.
@@ -508,21 +522,28 @@ pub struct LoadShardRef<'a> {
     pub table: &'a Table,
 }
 
-impl LoadShardRef<'_> {
-    /// The frame, byte for byte what [`encode_frame`] makes of the owned
-    /// variant; over `max_frame_len` it is the same typed error. The table is
-    /// written once, straight into the frame behind its length, which
-    /// [`seabed_engine::storage::serialized_len`] computes without writing it.
-    ///
-    /// The buffer grows as the payload is written, as every frame's does. It
-    /// is deliberately not reserved up front, although the size is knowable:
-    /// one request of a shard's size (150 KB in the ingest benchmark) crosses
-    /// the allocator's mmap threshold, after which glibc keeps the heap top
-    /// padded — with the reservation seabench's `ingest_load` read 11.0 MB
-    /// peak RSS where it read 9.0 without, and no time to show for it.
-    pub fn encode(&self, max_frame_len: u32) -> Result<Vec<u8>, SeabedError> {
-        frame_of(FrameKind::LoadShard, max_frame_len, |out| self.encode_payload(out))
-    }
+/// A [`Frame::ShardQuery`] over a plan and filters it borrows: what a
+/// coordinator encodes every shard query, hedge and re-dispatch from, without
+/// first cloning the plan and the filters into an owned frame. Generated from
+/// the `ShardQuery` row of the kind table, like [`LoadShardRef`] from its own.
+#[derive(Clone, Copy, Debug)]
+pub struct ShardQueryRef<'a> {
+    /// Shard epoch the query belongs to.
+    pub epoch: u64,
+    /// Target table.
+    pub table_id: u32,
+    /// Target shard within the table.
+    pub shard: u32,
+    /// Coordinator-assigned sequence number, echoed in the partial.
+    pub seq: u64,
+    /// Propagated per-query trace id (0 = untraced).
+    pub trace_id: u64,
+    /// When true, the partial carries the shard's per-operator profile.
+    pub analyze: bool,
+    /// The translated query (DET/OPE literals redacted on encode).
+    pub query: &'a TranslatedQuery,
+    /// Proxy-encrypted physical filters.
+    pub filters: &'a [PhysicalFilter],
 }
 
 /// A payload length as the header carries it, or the typed error of one over

@@ -100,6 +100,9 @@ enum Misbehavior {
     SlowPartialOnce,
     /// No misbehavior: answer every shard query correctly and promptly.
     Honest,
+    /// Answer correctly, but only once the shared recorder holds two shard
+    /// queries — the other worker's has arrived too — or after 5 s.
+    AwaitPeer,
 }
 
 /// Every `ShardQuery.seq` a fake worker's connection delivered, in order.
@@ -292,10 +295,17 @@ fn recording_fake_worker(behavior: Misbehavior, seen: SeenSeqs) -> (SocketAddr, 
                         }
                         return;
                     }
-                    Misbehavior::SlowPartialOnce | Misbehavior::Honest => {
+                    Misbehavior::SlowPartialOnce | Misbehavior::Honest | Misbehavior::AwaitPeer => {
                         if behavior == Misbehavior::SlowPartialOnce && first_query {
                             first_query = false;
                             std::thread::sleep(Duration::from_millis(700));
+                        }
+                        let patience = std::time::Instant::now() + Duration::from_secs(5);
+                        while behavior == Misbehavior::AwaitPeer
+                            && seen.lock().expect("recorder").len() < 2
+                            && std::time::Instant::now() < patience
+                        {
+                            std::thread::sleep(Duration::from_millis(1));
                         }
                         let partial = shards
                             .get(&shard)
@@ -994,6 +1004,117 @@ fn racing_coordinators_get_distinct_epochs_and_the_loser_fails_typed() {
     // And B keeps working afterwards.
     let rb = b.execute_query(&query, &[]).expect("the winner is unaffected");
     assert_eq!(expected_b.groups, rb.groups);
+    for w in workers {
+        w.shutdown();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The scatter on the calling thread
+// ---------------------------------------------------------------------------
+
+/// The scatter spawns no thread, yet its lanes overlap: each of two workers
+/// withholds its partial until the other has received its shard query, so a
+/// scatter that sent and received one lane at a time would sit out the 2 s
+/// hedge trigger (or the 5 s budget) on the first. Every shard query is
+/// written before any reply is read: no hedge, no re-dispatch.
+#[test]
+fn lanes_overlap_without_a_thread() {
+    let table = test_table(1_200, 4);
+    let query = sum_query(true);
+    let expected = local_answer(&table, &query);
+    let seen = SeenSeqs::default();
+    let (addrs, fakes): (Vec<_>, Vec<_>) = (0..2)
+        .map(|_| recording_fake_worker(Misbehavior::AwaitPeer, seen.clone()))
+        .unzip();
+    let config = DistConfig::default().read_timeout(Duration::from_secs(5));
+    let coordinator = DistCoordinator::connect_tables(&addrs, vec![("t".into(), table)], config).expect("connect");
+
+    let started = std::time::Instant::now();
+    let response = coordinator.execute_query(&query, &[]).expect("query");
+    let elapsed = started.elapsed();
+    assert_eq!(expected.groups, response.groups);
+    assert_eq!(expected.result_bytes, response.result_bytes);
+    let report = coordinator.last_report();
+    assert_eq!(report.hedged_reads, 0, "{report:?}");
+    assert_eq!(report.runs.len(), 2, "{report:?}");
+    assert!(report.runs.iter().all(|r| !r.redispatched && !r.hedged), "{report:?}");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "the lanes ran one after the other: {elapsed:?}"
+    );
+    assert_eq!(seen.lock().expect("recorder").len(), 2);
+
+    drop(coordinator);
+    for fake in fakes {
+        fake.join().expect("fake worker");
+    }
+}
+
+/// Hedges run only after the round has released its links, and a hedge often
+/// targets a worker whose link this same query held a moment before: the
+/// stalled primary's replica is the next lane's primary. With a 150 ms
+/// trigger the stalled shard — and any lane read after the trigger passed —
+/// is hedged, the answer is byte-identical, and no shard is hedged twice.
+#[test]
+fn a_hedge_after_the_round_reaches_a_link_the_query_held() {
+    let table = test_table(1_500, 6);
+    let query = sum_query(false);
+    let expected = local_answer(&table, &query);
+    let config = DistConfig::default().hedge_after(Duration::from_millis(150));
+    let (workers, fake, coordinator) = mixed_cluster(2, Misbehavior::StallOnQuery, table, config);
+
+    let response = coordinator.execute_query(&query, &[]).expect("hedged query");
+    assert_eq!(expected.groups, response.groups);
+    assert_eq!(expected.result_bytes, response.result_bytes);
+    let report = coordinator.last_report();
+    let lanes = 3;
+    assert!(
+        (1..=lanes).contains(&report.hedged_reads),
+        "the stalled shard is hedged, no shard twice: {report:?}"
+    );
+    assert!(report.runs.iter().any(|r| r.hedged), "{report:?}");
+    assert!(report.runs.iter().all(|r| !r.redispatched), "{report:?}");
+
+    drop(coordinator);
+    fake.join().expect("fake worker");
+    for w in workers {
+        w.shutdown();
+    }
+}
+
+/// Without a hedge, running out of budget condemns the worker, so a lane's
+/// budget must be its own: a healthy worker whose reply waited behind a
+/// stalled lane's receive is read, not poisoned. With one replica there is
+/// nothing to hedge against; the stalled worker alone is condemned, its shard
+/// is re-loaded onto the survivor, and the survivor — now primary of both
+/// shards, one lane asked in two rounds — answers the next query alone.
+#[test]
+fn an_unhedged_stall_condemns_only_the_stalled_worker() {
+    let table = test_table(1_000, 4);
+    let query = sum_query(true);
+    let expected = local_answer(&table, &query);
+    let config = DistConfig::default()
+        .replication(1)
+        .read_timeout(Duration::from_millis(400));
+    let (workers, fake, coordinator) = mixed_cluster(1, Misbehavior::StallOnQuery, table, config);
+
+    let response = coordinator
+        .execute_query(&query, &[])
+        .expect("query must survive the stall");
+    assert_eq!(expected.groups, response.groups);
+    assert!(coordinator.last_report().runs.iter().any(|r| r.redispatched));
+    let alive: Vec<bool> = coordinator.worker_summaries().iter().map(|w| w.alive).collect();
+    assert_eq!(alive, [false, true], "only the stalled worker may be condemned");
+
+    let again = coordinator.execute_query(&query, &[]).expect("follow-up query");
+    assert_eq!(expected.groups, again.groups);
+    assert_eq!(expected.result_bytes, again.result_bytes);
+    let report = coordinator.last_report();
+    assert_eq!(report.runs.len(), 2, "{report:?}");
+    assert!(report.runs.iter().all(|r| !r.redispatched && !r.hedged), "{report:?}");
+
+    fake.join().expect("fake worker");
     for w in workers {
         w.shutdown();
     }

@@ -8,16 +8,21 @@
 //! seeded table of every column type — and a replicated connect against
 //! scripted workers delivers byte-identical payloads to both replicas of a
 //! shard, each acknowledgement still checked against `(epoch, table, shard,
-//! rows)`, a stale partial landing before one still drained.
+//! rows)`, a stale partial landing before one still drained. Shard queries
+//! are encoded from a borrow the same way (`wire::ShardQueryRef`), to the
+//! owned variant's bytes.
 
-use seabed_core::PartialResponse;
-use seabed_crypto::Sha256;
+use seabed_core::{PartialResponse, PhysicalFilter};
+use seabed_crypto::{OreScheme, Sha256};
 use seabed_dist::{DistConfig, DistCoordinator};
 use seabed_engine::merge::PartialGroups;
 use seabed_engine::{ColumnData, ColumnType, ExecMode, ExecStats, Schema, Table};
 use seabed_error::SeabedError;
-use seabed_net::wire::{self, encode_frame, Frame, FrameKind, LoadShardRef, ShardExecConfig, HEADER_LEN};
+use seabed_net::wire::{
+    self, encode_frame, Frame, FrameKind, LoadShardRef, ShardExecConfig, ShardQueryRef, HEADER_LEN,
+};
 use seabed_net::{FrameConn, Received, Wait};
+use seabed_query::{CompareOp, GroupByColumn, ServerAggregate, ServerFilter, SupportCategory, TranslatedQuery};
 use std::net::{SocketAddr, TcpListener};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -145,6 +150,125 @@ fn a_borrowed_shard_encodes_to_the_owned_frames_bytes() {
         let payload_len = (encoded.len() - HEADER_LEN) as u32;
         assert_eq!(load.encode(payload_len).expect("at the limit"), encoded);
         let over = load.encode(payload_len - 1).expect_err("one byte over the limit");
+        assert!(matches!(over, SeabedError::Wire(_)), "{over:?}");
+        assert_eq!(Err(over), encode_frame(&frame, payload_len - 1));
+    }
+}
+
+/// A seeded shard query's plan and bound filters: every filter class, a
+/// group-by (encrypted and public keys) and literals drawn from `seed`.
+fn seeded_plan(seed: u64) -> (TranslatedQuery, Vec<PhysicalFilter>) {
+    let mut state = seed;
+    let mut draw = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        (state ^ state >> 29).wrapping_mul(0xbf58_476d_1ce4_e5b9)
+    };
+    let ops = [
+        CompareOp::Lt,
+        CompareOp::LtEq,
+        CompareOp::Gt,
+        CompareOp::GtEq,
+        CompareOp::Eq,
+    ];
+    let ore = OreScheme::new(&draw().to_le_bytes().repeat(2).try_into().expect("16 bytes"));
+    let plan = TranslatedQuery {
+        base_table: format!("t{}", draw() % 100),
+        filters: vec![
+            ServerFilter::DetEquals {
+                column: "tag__det".to_string(),
+                value: format!("secret {}", draw()),
+            },
+            ServerFilter::OpeCompare {
+                column: "ts__ope".to_string(),
+                op: ops[(draw() % 5) as usize],
+                value: draw(),
+            },
+        ],
+        aggregates: vec![
+            ServerAggregate::AsheSum {
+                column: "m0__ashe".to_string(),
+            },
+            ServerAggregate::CountRows,
+            ServerAggregate::OpeMax {
+                column: "ts__ope".to_string(),
+            },
+        ],
+        group_by: vec![
+            GroupByColumn {
+                column: "tag".to_string(),
+                physical_column: "tag__det".to_string(),
+                encrypted: true,
+            },
+            GroupByColumn {
+                column: "hour".to_string(),
+                physical_column: "hour".to_string(),
+                encrypted: false,
+            },
+        ],
+        group_inflation: 1 + (draw() % 4) as u32,
+        client_post: Vec::new(),
+        preserve_row_ids: true,
+        category: SupportCategory::ServerOnly,
+        params: Vec::new(),
+    };
+    let filters = vec![
+        PhysicalFilter::DetTag { column: 3, tag: draw() },
+        PhysicalFilter::Ope {
+            column: 1,
+            op: ops[(draw() % 5) as usize],
+            ciphertext: ore.encrypt(draw()),
+        },
+        PhysicalFilter::PlainU64 {
+            column: 0,
+            op: ops[(draw() % 5) as usize],
+            value: draw(),
+        },
+        PhysicalFilter::PlainText {
+            column: 2,
+            value: format!("t{:02}", draw() % 16),
+        },
+    ];
+    (plan, filters)
+}
+
+/// Every shard query, hedge and re-dispatch is encoded from a borrow of the
+/// request's plan and filters (`wire::ShardQueryRef`): the owned variant's
+/// bytes, its decode (the redacted plan) and its frame limit, to the byte.
+/// `tests/wire_golden.rs` holds the `10 shard query` sample through it.
+#[test]
+fn a_borrowed_shard_query_encodes_to_the_owned_frames_bytes() {
+    for seed in 1..=8u64 {
+        let (plan, filters) = seeded_plan(seed);
+        let query = ShardQueryRef {
+            epoch: seed << 40 | 3,
+            table_id: seed as u32,
+            shard: (seed % 3) as u32,
+            seq: seed * 1_000_003,
+            trace_id: seed.wrapping_mul(0x9e37_79b9),
+            analyze: seed % 2 == 0,
+            query: &plan,
+            filters: &filters,
+        };
+        let encoded = query.encode(MAX).expect("encode");
+        let frame = Frame::ShardQuery {
+            epoch: query.epoch,
+            table_id: query.table_id,
+            shard: query.shard,
+            seq: query.seq,
+            trace_id: query.trace_id,
+            analyze: query.analyze,
+            query: plan.clone(),
+            filters: filters.clone(),
+        };
+        assert_eq!(encoded, encode_frame(&frame, MAX).expect("encode owned"), "seed {seed}");
+        let Frame::ShardQuery { query: decoded, .. } = wire::decode_frame(&encoded, MAX).expect("decode") else {
+            panic!("seed {seed}: not a shard query");
+        };
+        assert_eq!(decoded, wire::redact_query(&plan), "seed {seed}");
+
+        let payload_len = (encoded.len() - HEADER_LEN) as u32;
+        assert_eq!(query.encode(payload_len).expect("at the limit"), encoded);
+        let over = query.encode(payload_len - 1).expect_err("one byte over the limit");
         assert!(matches!(over, SeabedError::Wire(_)), "{over:?}");
         assert_eq!(Err(over), encode_frame(&frame, payload_len - 1));
     }

@@ -12,6 +12,7 @@ use seabed_engine::{Cluster, ClusterConfig};
 use seabed_error::{SchemaError, SeabedError};
 use seabed_net::{NetServer, ServiceConfig};
 use seabed_query::{parse, ColumnSpec, Literal, PlannerConfig, Query};
+use std::time::Duration;
 
 /// Builds a (client, single server) pair for a table of `n` rows whose
 /// values are derived from `salt`, so the two tables hold different data.
@@ -241,4 +242,77 @@ fn duplicate_table_names_are_rejected() {
         outcome.err()
     );
     worker.shutdown();
+}
+
+/// Two tables on two workers: the placement rotation puts `sales`' shard 0
+/// on worker 0 and `ads`' shard 0 on worker 1, so their scatters meet the two
+/// links in opposite shard order. A scatter holds the links of a round at
+/// once, which would deadlock two such queries unless every scatter locks
+/// its links in worker order. The cache is off, so every execute scatters; a
+/// watchdog ends the binary after 60 s rather than let a deadlock hang it.
+#[test]
+fn opposite_primaries_under_concurrent_cold_queries_never_deadlock() {
+    const EXECUTES: usize = 200;
+    let (sales_client, sales_server, _) = fixture("sales", 2_000, 1);
+    let (ads_client, ads_server, _) = fixture("ads", 1_400, 1_000_003);
+    let services: Vec<NetServer> = (0..2)
+        .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker must start"))
+        .collect();
+    let addrs: Vec<_> = services.iter().map(|w| w.local_addr()).collect();
+    let coordinator = DistCoordinator::connect_tables(
+        &addrs,
+        vec![
+            ("sales".to_string(), sales_server.table().clone()),
+            ("ads".to_string(), ads_server.table().clone()),
+        ],
+        DistConfig::default().partial_cache_capacity(0),
+    )
+    .expect("coordinator must connect");
+
+    let tenants = [
+        ("sales", &sales_client, &sales_server),
+        ("ads", &ads_client, &ads_server),
+    ];
+    let mut expected = Vec::new();
+    for (first_worker, (table, client, server)) in tenants.iter().enumerate() {
+        let sql = format!("SELECT dept, SUM(revenue) FROM {table} GROUP BY dept");
+        let reference = SeabedSession::single(*table, (*client).clone(), *server);
+        let rows = reference.query(&sql, &[]).expect("reference query").rows;
+        let via_dist = SeabedSession::single(*table, (*client).clone(), &coordinator);
+        assert_eq!(via_dist.query(&sql, &[]).expect("dist query").rows, rows);
+        let mut runs = coordinator.last_report().runs;
+        runs.sort_by_key(|run| run.shard);
+        let primaries: Vec<String> = runs.iter().map(|run| run.worker.clone()).collect();
+        let rotated = [first_worker, 1 - first_worker].map(|w| addrs[w].to_string());
+        assert_eq!(primaries, rotated, "{table}: the placement rotation moved");
+        expected.push((sql, rows));
+    }
+
+    let (done, finished) = std::sync::mpsc::channel::<()>();
+    let watchdog = std::thread::spawn(move || {
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(60)) {
+            eprintln!("opposite_primaries_under_concurrent_cold_queries_never_deadlock: no progress in 60 s");
+            std::process::exit(1);
+        }
+    });
+    let start = std::sync::Barrier::new(tenants.len());
+    std::thread::scope(|scope| {
+        for ((table, client, _), (sql, rows)) in tenants.iter().zip(&expected) {
+            let (coordinator, start) = (&coordinator, &start);
+            scope.spawn(move || {
+                let session = SeabedSession::single(*table, (*client).clone(), coordinator);
+                let prepared = session.prepare(sql).expect("prepare");
+                start.wait();
+                for _ in 0..EXECUTES {
+                    assert_eq!(&session.execute(&prepared, &[]).expect("execute").rows, rows, "{table}");
+                }
+            });
+        }
+    });
+    drop(done);
+    watchdog.join().expect("watchdog");
+    assert_eq!(coordinator.cache_len(), 0, "every execute scattered");
+    for w in services {
+        w.shutdown();
+    }
 }

@@ -16,11 +16,15 @@
 //! and the one binary that has one, so the other allocation bound the suite
 //! holds lives here too: a `GROUP BY` execute allocates per partition and per
 //! result group, never per (partition, group)
-//! (`group_by_allocations_grow_with_partitions_not_partitions_times_groups`).
+//! (`group_by_allocations_grow_with_partitions_not_partitions_times_groups`),
+//! and one ORE literal allocates nothing but its ciphertext
+//! (`one_ore_literal_allocates_nothing_but_its_ciphertext`).
 
 use seabed::core::{
     EncryptedAggregate, GroupIds, GroupResult, PartialResponse, PhysicalFilter, SeabedServer, ServerResponse,
 };
+use seabed::crypto::ore::ORE_CELL_BYTES;
+use seabed::crypto::OreScheme;
 use seabed::encoding::varint;
 use seabed::encoding::IdListEncoding;
 use seabed::engine::merge::{PartialAggregate, PartialGroup, PartialGroups};
@@ -464,4 +468,29 @@ fn group_by_allocations_grow_with_partitions_not_partitions_times_groups() {
         extras[1] <= extras[0] + PARTITIONS * 8,
         "allocations beyond one partition grew with the groups: {extras:?}"
     );
+}
+
+/// A bind-time ORE literal: `encrypt_into` one value, on a fresh cursor each
+/// time, asks the allocator for nothing — its 64 PRF blocks go through one
+/// dispatch on the stack — and `encrypt` for the one 16-byte symbol vector
+/// it returns. Both went through a heap dispatch buffer before, one more
+/// allocation a literal.
+#[test]
+fn one_ore_literal_allocates_nothing_but_its_ciphertext() {
+    let ore = OreScheme::new(&[7; 16]);
+    let values: Vec<u64> = (0..64u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+    let mut cell = [0u8; ORE_CELL_BYTES];
+    let before = REQUESTS.with(Cell::get);
+    for &value in &values {
+        ore.encrypt_into(value, &mut cell);
+    }
+    assert_eq!(REQUESTS.with(Cell::get) - before, 0, "encrypt_into allocated");
+    assert_eq!(cell.as_slice(), ore.encrypt_scalar(values[63]).symbols);
+
+    let before = REQUESTS.with(Cell::get);
+    let ciphertexts: Vec<_> = values.iter().map(|&value| ore.encrypt(value)).collect();
+    let requests = REQUESTS.with(Cell::get) - before;
+    // One for the collected vector, one symbol vector a value.
+    assert_eq!(requests, 1 + values.len(), "encrypt allocated beyond its ciphertext");
+    assert!(ciphertexts.iter().all(|ct| ct.symbols.len() == ORE_CELL_BYTES));
 }

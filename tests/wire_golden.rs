@@ -30,7 +30,7 @@ use seabed::engine::{ColumnData, ColumnType, ExecMode, ExecStats, OperatorProfil
 use seabed::error::{ParseError, SchemaError, SeabedError};
 use seabed::net::wire::{
     decode_frame, encode_frame, redact_query, write_filters_payload, write_statement_payload, Frame, ShardExecConfig,
-    PROTOCOL_VERSION,
+    ShardQueryRef, PROTOCOL_VERSION,
 };
 use seabed::obs::{EventOperator, HistogramSnapshot, MetricsSnapshot, QueryEvent, QueryTrace, TraceSpan};
 use seabed::query::{
@@ -757,4 +757,30 @@ fn plans_that_differ_only_in_what_stays_with_the_key_holder_encode_alike() {
     let mut other = full.clone();
     other.group_by[0].physical_column.push('x');
     assert_ne!(bytes_of(&full), bytes_of(&other));
+}
+
+/// The coordinator encodes every shard query through the borrowed twin
+/// (`wire::ShardQueryRef`, generated from the same kind-table row): the
+/// `10 shard query` sample through it is the recorded digest.
+#[test]
+fn a_borrowed_shard_query_encodes_to_its_recorded_bytes() {
+    let (plan, filters) = (query(SupportCategory::TwoRoundTrips), filters());
+    let borrowed = ShardQueryRef {
+        epoch: 0xe9_0c4,
+        table_id: 1,
+        shard: 2,
+        seq: 99,
+        trace_id: 0xabad_1dea,
+        analyze: false,
+        query: &plan,
+        filters: &filters,
+    };
+    let encoded = borrowed.encode(u32::MAX).expect("encode");
+    let (name, recorded) = (frames()[9].0, RECORDED[9].0);
+    assert_eq!(name, "10 shard query");
+    assert_eq!(
+        digest_hex(&encoded),
+        recorded,
+        "{name}: the borrowed encoder moved a byte"
+    );
 }
