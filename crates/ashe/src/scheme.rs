@@ -24,7 +24,7 @@
 
 use crate::idset::IdSet;
 use seabed_crypto::prf::{AnyPrf, Prf, PrfKind};
-use seabed_crypto::{AesPrf, FixedUint};
+use seabed_crypto::AesPrf;
 
 /// An ASHE ciphertext: a masked group element plus the identifiers whose masks
 /// it carries.
@@ -289,10 +289,10 @@ impl AsheScheme {
     /// The run boundaries are gathered and their masks evaluated through
     /// [`AsheScheme::mask_each`], 32 runs per batched dispatch, instead of
     /// two single-block PRF calls per run. For an explicit modulus the masks
-    /// are accumulated at full width in stack-allocated [`FixedUint`] sums —
-    /// no per-term `u128` reduction, no heap traffic — and reduced once at
-    /// the end; the group is commutative so the result matches the
-    /// term-by-term reference.
+    /// are accumulated in two `u128` sums — no per-term reduction; each term
+    /// is below 2^64, so a sum cannot overflow short of 2^64 runs — and
+    /// reduced once at the end; the group is commutative so the result
+    /// matches the term-by-term reference.
     pub fn decrypt(&self, c: &AsheCiphertext) -> u64 {
         const RUNS: usize = 32;
         // Per run: ids[2j] is the boundary whose mask is added, ids[2j + 1]
@@ -300,8 +300,7 @@ impl AsheScheme {
         let mut ids = [0u64; 2 * RUNS];
         let mut masks = [0u64; 2 * RUNS];
         let mut wrapping = c.value;
-        let mut added = FixedUint::<2>::ZERO;
-        let mut subtracted = FixedUint::<2>::ZERO;
+        let (mut added, mut subtracted) = (0u128, 0u128);
         let mut boundaries = c.ids.boundary_pairs();
         loop {
             let mut n = 0;
@@ -318,15 +317,15 @@ impl AsheScheme {
                 if self.modulus == 0 {
                     wrapping = wrapping.wrapping_add(pair[0]).wrapping_sub(pair[1]);
                 } else {
-                    added.add_assign_u64(pair[0]);
-                    subtracted.add_assign_u64(pair[1]);
+                    added += pair[0] as u128;
+                    subtracted += pair[1] as u128;
                 }
             }
         }
         if self.modulus == 0 {
             wrapping
         } else {
-            let delta = self.sub_group(added.rem_u64(self.modulus), subtracted.rem_u64(self.modulus));
+            let delta = self.sub_group(self.reduce(added), self.reduce(subtracted));
             self.add_group(c.value, delta)
         }
     }

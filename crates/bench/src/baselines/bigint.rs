@@ -6,7 +6,8 @@
 //! type ([`BigUint`]) with the operations Paillier requires: addition,
 //! subtraction, multiplication, division with remainder, modular
 //! exponentiation, modular inverse, gcd/lcm and random / prime generation
-//! support (see [`crate::prime`]).
+//! support (see [`super::prime`]). Only the harness's Paillier baseline uses
+//! it; nothing the proxy runs does.
 //!
 //! Limbs are stored little-endian as `u32`, which keeps the schoolbook
 //! multiplication and Knuth Algorithm D division simple (intermediate products
@@ -125,15 +126,6 @@ impl BigUint {
         let lo = *self.limbs.first().unwrap_or(&0) as u64;
         let hi = *self.limbs.get(1).unwrap_or(&0) as u64;
         lo | (hi << 32)
-    }
-
-    /// Converts to `u64` if the value fits, otherwise returns `None`.
-    pub fn to_u64(&self) -> Option<u64> {
-        if self.limbs.len() > 2 {
-            None
-        } else {
-            Some(self.to_u64_truncated())
-        }
     }
 
     /// Converts to `u128`, truncating higher limbs if present.
@@ -293,24 +285,6 @@ impl BigUint {
         Self::normalize(out)
     }
 
-    /// Multiplication by a small value.
-    pub fn mul_u32(&self, m: u32) -> Self {
-        if m == 0 || self.is_zero() {
-            return Self::zero();
-        }
-        let mut out = Vec::with_capacity(self.limbs.len() + 1);
-        let mut carry: u64 = 0;
-        for &a in &self.limbs {
-            let cur = a as u64 * m as u64 + carry;
-            out.push((cur & 0xffff_ffff) as u32);
-            carry = cur >> 32;
-        }
-        if carry > 0 {
-            out.push(carry as u32);
-        }
-        Self::normalize(out)
-    }
-
     /// Left shift by `n` bits.
     pub fn shl(&self, n: usize) -> Self {
         if self.is_zero() {
@@ -454,11 +428,6 @@ impl BigUint {
         self.divrem(m).1
     }
 
-    /// Modular addition.
-    pub fn add_mod(&self, other: &Self, m: &Self) -> Self {
-        self.add(other).rem(m)
-    }
-
     /// Modular multiplication.
     pub fn mul_mod(&self, other: &Self, m: &Self) -> Self {
         self.mul(other).rem(m)
@@ -585,173 +554,6 @@ impl BigUint {
     }
 }
 
-/// Allocation-free fixed-width unsigned arithmetic for hot-path accumulation.
-///
-/// [`BigUint`] allocates a `Vec` per operation, which is fine for key
-/// generation and Paillier but far too slow for the ASHE telescoping sums
-/// that run once per decrypted row group. [`fixed::FixedUint`] keeps its
-/// limbs on the stack (`[u64; LIMBS]`) so adds, multiplies and small-modulus
-/// reductions compile down to straight-line carry chains with no heap
-/// traffic. The differential proptests in this crate pin every operation
-/// against the [`BigUint`] reference implementation.
-pub mod fixed {
-    use super::BigUint;
-
-    /// A stack-allocated little-endian unsigned integer with `LIMBS` 64-bit
-    /// limbs, wrapping at `2^(64 * LIMBS)`.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct FixedUint<const LIMBS: usize> {
-        /// Little-endian 64-bit limbs.
-        pub limbs: [u64; LIMBS],
-    }
-
-    impl<const LIMBS: usize> Default for FixedUint<LIMBS> {
-        fn default() -> Self {
-            Self::ZERO
-        }
-    }
-
-    impl<const LIMBS: usize> FixedUint<LIMBS> {
-        /// The zero value.
-        pub const ZERO: Self = FixedUint { limbs: [0; LIMBS] };
-
-        /// Builds the value from a `u64`.
-        #[inline]
-        pub fn from_u64(v: u64) -> Self {
-            let mut limbs = [0u64; LIMBS];
-            limbs[0] = v;
-            FixedUint { limbs }
-        }
-
-        /// Builds the value from a `u128` (low limbs first; panics if the
-        /// width cannot hold it, i.e. `LIMBS == 1` and the high word is set).
-        #[inline]
-        pub fn from_u128(v: u128) -> Self {
-            let mut limbs = [0u64; LIMBS];
-            limbs[0] = v as u64;
-            let high = (v >> 64) as u64;
-            if high != 0 {
-                assert!(LIMBS >= 2, "u128 value does not fit in {LIMBS} limb(s)");
-                limbs[1] = high;
-            }
-            FixedUint { limbs }
-        }
-
-        /// True if every limb is zero.
-        #[inline]
-        pub fn is_zero(&self) -> bool {
-            self.limbs.iter().all(|&l| l == 0)
-        }
-
-        /// Adds `other` in place, returning the carry out of the top limb
-        /// (`1` on wrap-around, else `0`).
-        #[inline]
-        pub fn add_assign(&mut self, other: &Self) -> u64 {
-            let mut carry = 0u64;
-            for i in 0..LIMBS {
-                let (s1, c1) = self.limbs[i].overflowing_add(other.limbs[i]);
-                let (s2, c2) = s1.overflowing_add(carry);
-                self.limbs[i] = s2;
-                carry = (c1 as u64) + (c2 as u64);
-            }
-            carry
-        }
-
-        /// Adds a `u64` in place, returning the carry out of the top limb.
-        #[inline]
-        pub fn add_assign_u64(&mut self, v: u64) -> u64 {
-            let mut carry = v;
-            for limb in self.limbs.iter_mut() {
-                if carry == 0 {
-                    return 0;
-                }
-                let (s, c) = limb.overflowing_add(carry);
-                *limb = s;
-                carry = c as u64;
-            }
-            carry
-        }
-
-        /// Subtracts `other` in place (wrapping), returning the borrow out of
-        /// the top limb (`1` if `other > self`, else `0`).
-        #[inline]
-        pub fn sub_assign(&mut self, other: &Self) -> u64 {
-            let mut borrow = 0u64;
-            for i in 0..LIMBS {
-                let (d1, b1) = self.limbs[i].overflowing_sub(other.limbs[i]);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                self.limbs[i] = d2;
-                borrow = (b1 as u64) + (b2 as u64);
-            }
-            borrow
-        }
-
-        /// Multiplies by a `u64` in place, returning the carry out of the top
-        /// limb (`0` when the product fits the width).
-        #[inline]
-        pub fn mul_u64(&mut self, v: u64) -> u64 {
-            let mut carry = 0u64;
-            for limb in self.limbs.iter_mut() {
-                let prod = (*limb as u128) * (v as u128) + carry as u128;
-                *limb = prod as u64;
-                carry = (prod >> 64) as u64;
-            }
-            carry
-        }
-
-        /// Full schoolbook product, returned as `(low, high)` halves each of
-        /// `LIMBS` limbs — no truncation, no allocation.
-        #[inline]
-        pub fn mul(&self, other: &Self) -> (Self, Self) {
-            let mut wide = [0u64; 64]; // supports LIMBS <= 32
-            assert!(2 * LIMBS <= wide.len(), "FixedUint::mul supports at most 32 limbs");
-            for i in 0..LIMBS {
-                let mut carry = 0u128;
-                for j in 0..LIMBS {
-                    let idx = i + j;
-                    let cur = wide[idx] as u128 + (self.limbs[i] as u128) * (other.limbs[j] as u128) + carry;
-                    wide[idx] = cur as u64;
-                    carry = cur >> 64;
-                }
-                wide[i + LIMBS] = wide[i + LIMBS].wrapping_add(carry as u64);
-            }
-            let mut lo = [0u64; LIMBS];
-            let mut hi = [0u64; LIMBS];
-            lo.copy_from_slice(&wide[..LIMBS]);
-            hi.copy_from_slice(&wide[LIMBS..2 * LIMBS]);
-            (FixedUint { limbs: lo }, FixedUint { limbs: hi })
-        }
-
-        /// Computes `self mod m` for a non-zero `u64` modulus.
-        #[inline]
-        pub fn rem_u64(&self, m: u64) -> u64 {
-            assert!(m != 0);
-            let mut rem: u128 = 0;
-            for &limb in self.limbs.iter().rev() {
-                rem = ((rem << 64) | limb as u128) % m as u128;
-            }
-            rem as u64
-        }
-
-        /// Truncates to the low 128 bits.
-        #[inline]
-        pub fn to_u128_truncated(&self) -> u128 {
-            let lo = self.limbs[0] as u128;
-            let hi = if LIMBS >= 2 { self.limbs[1] as u128 } else { 0 };
-            lo | (hi << 64)
-        }
-
-        /// Converts to the heap-allocated reference representation.
-        pub fn to_biguint(&self) -> BigUint {
-            let mut bytes = Vec::with_capacity(LIMBS * 8);
-            for limb in self.limbs.iter().rev() {
-                bytes.extend_from_slice(&limb.to_be_bytes());
-            }
-            BigUint::from_bytes_be(&bytes)
-        }
-    }
-}
-
 /// Computes a - b where a and b are signed magnitudes, returning a signed
 /// magnitude. Used only by the extended Euclidean algorithm.
 fn signed_sub(a: (bool, BigUint), b: (bool, BigUint)) -> (bool, BigUint) {
@@ -794,6 +596,8 @@ impl Ord for BigUint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn big(v: u64) -> BigUint {
         BigUint::from_u64(v)
@@ -897,54 +701,82 @@ mod tests {
     fn rem_u64_matches_divrem() {
         let a = BigUint::from_hex("abcdef0123456789abcdef0123456789").unwrap();
         let m = 1_000_000_007u64;
-        assert_eq!(a.rem_u64(m), a.rem(&big(m)).to_u64().unwrap());
+        assert_eq!(a.rem_u64(m), a.rem(&big(m)).to_u64_truncated());
+    }
+
+    /// Seeded draws for the round-trip tests below: 256 of each.
+    fn draws<T>(seed: u64, mut draw: impl FnMut(&mut StdRng) -> T) -> Vec<T> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..256).map(|_| draw(&mut rng)).collect()
     }
 
     #[test]
-    fn fixed_uint_matches_biguint_reference() {
-        use super::fixed::FixedUint;
-        let samples: [u128; 6] = [
-            0,
-            1,
-            u64::MAX as u128,
-            (u64::MAX as u128) + 1,
-            0xdead_beef_cafe_f00d_1234_5678_9abc_def0,
-            u128::MAX,
-        ];
-        for &a in &samples {
-            for &b in &samples {
-                let (mut fa, fb) = (FixedUint::<2>::from_u128(a), FixedUint::<2>::from_u128(b));
-                assert_eq!(fa.to_biguint(), BigUint::from_u128(a));
-                let carry = fa.add_assign(&fb);
-                let wide = a.wrapping_add(b);
-                assert_eq!(fa.to_u128_truncated(), wide, "add {a} {b}");
-                assert_eq!(carry == 1, a.checked_add(b).is_none(), "carry {a} {b}");
-                let mut fs = FixedUint::<2>::from_u128(a);
-                let borrow = fs.sub_assign(&fb);
-                assert_eq!(fs.to_u128_truncated(), a.wrapping_sub(b), "sub {a} {b}");
-                assert_eq!(borrow == 1, b > a, "borrow {a} {b}");
-                let (lo, hi) = FixedUint::<2>::from_u128(a).mul(&fb);
-                let reference = BigUint::from_u128(a).mul(&BigUint::from_u128(b));
-                let mut got = hi.to_biguint().shl(128);
-                got = got.add(&lo.to_biguint());
-                assert_eq!(got, reference, "mul {a} {b}");
-            }
-            let m = 1_000_000_007u64;
-            assert_eq!(
-                FixedUint::<2>::from_u128(a).rem_u64(m),
-                BigUint::from_u128(a).rem_u64(m),
-                "rem {a}"
-            );
+    fn add_sub_and_mul_divrem_roundtrip() {
+        for (a, b) in draws(1, |rng| (rng.random::<u128>(), rng.random::<u128>().max(1))) {
+            let (big_a, big_b) = (BigUint::from_u128(a), BigUint::from_u128(b));
+            assert_eq!(big_a.add(&big_b).sub(&big_b), big_a);
+            let (q, r) = big_a.divrem(&big_b);
+            assert_eq!(q.mul(&big_b).add(&r), big_a);
+            assert!(r < big_b);
         }
-        let mut f = FixedUint::<3>::from_u64(u64::MAX);
-        assert_eq!(f.mul_u64(u64::MAX), 0);
-        assert_eq!(
-            f.to_biguint(),
-            BigUint::from_u64(u64::MAX).mul(&BigUint::from_u64(u64::MAX))
-        );
-        assert_eq!(f.add_assign_u64(1), 0);
-        assert!(!f.is_zero());
-        assert!(FixedUint::<2>::ZERO.is_zero());
+    }
+
+    #[test]
+    fn matches_native_u64_arithmetic() {
+        for (a, b) in draws(2, |rng| (rng.random::<u64>(), rng.random::<u64>())) {
+            let (big_a, big_b) = (big(a), big(b));
+            assert_eq!(big_a.add(&big_b).to_u128_truncated(), a as u128 + b as u128);
+            assert_eq!(big_a.mul(&big_b).to_u128_truncated(), a as u128 * b as u128);
+            if let (Some(q), Some(r)) = (a.checked_div(b), a.checked_rem(b)) {
+                assert_eq!(big_a.divrem(&big_b).0.to_u64_truncated(), q);
+                assert_eq!(big_a.divrem(&big_b).1.to_u64_truncated(), r);
+            }
+        }
+    }
+
+    #[test]
+    fn hex_and_bytes_roundtrip() {
+        for a in draws(3, |rng| rng.random::<u128>()) {
+            let value = BigUint::from_u128(a);
+            assert_eq!(BigUint::from_hex(&value.to_hex()).unwrap(), value);
+        }
+        for bytes in draws(4, |rng| {
+            let mut bytes = vec![0u8; rng.random_range(0..64)];
+            rng.fill(&mut bytes);
+            bytes
+        }) {
+            // Leading zeros are not preserved, so compare by value.
+            let value = BigUint::from_bytes_be(&bytes);
+            assert_eq!(BigUint::from_bytes_be(&value.to_bytes_be()), value);
+        }
+    }
+
+    #[test]
+    fn mod_pow_matches_naive() {
+        let cases = draws(5, |rng| {
+            (
+                rng.random_range(0..10_000u64),
+                rng.random_range(0..64u64),
+                rng.random_range(2..100_000u64),
+            )
+        });
+        for (base, exp, modulus) in cases {
+            let expected = (0..exp).fold(1u128, |acc, _| acc * base as u128 % modulus as u128) as u64;
+            assert_eq!(big(base).mod_pow(&big(exp), &big(modulus)).to_u64_truncated(), expected);
+        }
+    }
+
+    #[test]
+    fn mod_inverse_is_an_inverse() {
+        for (a, m) in draws(6, |rng| {
+            (rng.random_range(1..1_000_000u64), rng.random_range(2..1_000_000u64))
+        }) {
+            match big(a).mod_inverse(&big(m)) {
+                Some(inv) => assert_eq!(big(a).mul_mod(&inv, &big(m)), BigUint::one()),
+                // No inverse implies a nontrivial gcd.
+                None => assert!(!big(a).gcd(&big(m)).is_one()),
+            }
+        }
     }
 
     #[test]

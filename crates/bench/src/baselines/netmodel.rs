@@ -3,7 +3,7 @@
 //! The paper's end-to-end numbers place the client in the same datacenter
 //! (2 Gbps TCP), then §6.6 artificially degrades the link to 100 Mbps/10 ms
 //! and 10 Mbps/100 ms with `tc` to show that Seabed's compressed ID lists keep
-//! the WAN penalty small. The engine reproduces this with a simple
+//! the WAN penalty small. The harness reproduces this with a simple
 //! bandwidth + RTT model applied to the measured result size.
 
 use std::time::Duration;

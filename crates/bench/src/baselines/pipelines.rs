@@ -2,9 +2,9 @@
 //!
 //! * **NoEnc** — plain Spark over plaintext data. Reproduced by running the
 //!   same engine over unencrypted columns. For full SQL queries the simplest
-//!   way to get a NoEnc pipeline is to build a [`crate::SeabedClient`] whose
-//!   plan marks every column as non-sensitive; this module additionally offers
-//!   a light-weight direct API for the synthetic microbenchmarks.
+//!   way to get a NoEnc pipeline is to build a [`seabed_core::SeabedClient`]
+//!   whose plan marks every column as non-sensitive; this module additionally
+//!   offers a light-weight direct API for the synthetic microbenchmarks.
 //! * **Paillier** — the CryptDB/Monomi configuration: measures encrypted with
 //!   Paillier, dimensions with DET/OPE. Aggregation multiplies ciphertexts
 //!   modulo `n²` at the workers and the driver; the client performs a single
@@ -13,8 +13,8 @@
 //! Both systems share the engine's cluster model so that their simulated
 //! latencies are directly comparable with Seabed's (Figures 6, 7, 9, 10).
 
-use seabed_crypto::paillier::{PaillierCiphertext, PaillierKeypair};
-use seabed_crypto::BigUint;
+use super::bigint::BigUint;
+use super::paillier::{PaillierCiphertext, PaillierKeypair};
 use seabed_engine::{BytesColumn, Cluster, ColumnData, ColumnType, ExecStats, Schema, Table, TaskOutput};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};

@@ -5,7 +5,7 @@
 //! the standard construction; the number of Miller–Rabin rounds is chosen so
 //! the error probability is below 2^-80 for the key sizes the benchmarks use.
 
-use crate::bigint::BigUint;
+use super::bigint::BigUint;
 use rand::Rng;
 
 /// Small primes used for trial division before running Miller–Rabin.

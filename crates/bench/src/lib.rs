@@ -13,27 +13,29 @@
 //! wins, by roughly what factor, where the crossovers are — are preserved.
 //! One default-scale run (`harness --json-dir=crates/bench/paper all`) is
 //! committed under `crates/bench/paper/`.
+//!
+//! The systems Seabed is compared against — NoEnc, Paillier with its
+//! big-integer arithmetic, and the §6.6 link model — live here too, in
+//! [`baselines`]: no proxy, server or worker runs them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod baselines;
 pub mod metrics;
 pub mod runner;
 
 pub use metrics::{format_rows, rows_to_json, write_bench_json, Row, RunMeta};
 pub use runner::{ExperimentConfig, ExperimentReport, ExperimentRunner};
 
+use baselines::{row_selected, BigUint, NetworkModel, NoEncSystem, PaillierKeypair, PaillierSystem};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seabed_ashe::{AsheScheme, IdSet};
-use seabed_core::{
-    row_selected, NoEncSystem, PaillierSystem, PhysicalFilter, PlainDataset, QueryResult, SeabedClient, SeabedServer,
-    SeabedSession,
-};
-use seabed_crypto::paillier::PaillierKeypair;
-use seabed_crypto::{AesCtr, BigUint};
+use seabed_core::{PhysicalFilter, PlainDataset, QueryResult, SeabedClient, SeabedServer, SeabedSession};
+use seabed_crypto::AesCtr;
 use seabed_encoding::IdListEncoding;
-use seabed_engine::{table_disk_size, table_memory_size, Cluster, ClusterConfig, NetworkModel, TaskOutput};
+use seabed_engine::{table_disk_size, table_memory_size, Cluster, ClusterConfig, TaskOutput};
 use seabed_query::{parse, ColumnSpec, CompareOp, PlannerConfig, TranslateOptions};
 use seabed_workloads::{ad_analytics, bdb, classify, synthetic};
 use std::collections::BTreeMap;

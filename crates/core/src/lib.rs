@@ -16,9 +16,10 @@
 //!   decryption;
 //! * [`session`] — the one way from SQL text to decrypted rows: a catalog of
 //!   proxies over one execution target, with a statement cache, traces and
-//!   metrics;
-//! * [`baseline`] — the NoEnc and Paillier reference pipelines every
-//!   experiment compares against.
+//!   metrics.
+//!
+//! The NoEnc and Paillier pipelines the paper compares against are not part
+//! of the system; they live with the experiments in `seabed-bench`.
 //!
 //! ```
 //! use seabed_core::{PlainDataset, SeabedClient, SeabedServer, SeabedSession};
@@ -52,7 +53,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod client;
 pub mod dataset;
 pub mod encrypt;
@@ -61,7 +61,6 @@ pub mod keys;
 pub mod server;
 pub mod session;
 
-pub use baseline::{row_selected, BaselineResult, NoEncSystem, PaillierSystem};
 pub use client::{QueryResult, QueryTimings, ResultValue, SeabedClient};
 pub use dataset::{PlainColumn, PlainDataset};
 pub use encrypt::{encrypt_dataset, EncryptedTable};

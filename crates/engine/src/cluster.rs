@@ -9,17 +9,15 @@
 //!   its CPU time is measured;
 //! * the *simulated* server-side latency is then computed by list-scheduling
 //!   the measured task durations onto `workers` parallel slots, adding the
-//!   per-task scheduling overhead and (optionally) garbage-collection-style
-//!   stragglers the paper describes in §6.2.
+//!   per-task scheduling overhead.
 //!
 //! This reproduces the shapes of Figures 6, 7 and 9 — linear growth with data
-//! size, saturation once per-task overhead dominates, straggler sensitivity —
-//! while remaining faithful to the real per-row computation costs, which are
-//! measured rather than modeled.
+//! size, saturation once per-task overhead dominates — while remaining
+//! faithful to the real per-row computation costs, which are measured rather
+//! than modeled.
 
 use crate::exec::{merge_operator_profiles, ExecMode, OperatorProfile};
 use crate::table::{Partition, Table};
-use rand::{Rng, SeedableRng};
 use seabed_error::SeabedError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -35,17 +33,6 @@ pub struct ClusterConfig {
     /// Fixed per-task scheduling/launch overhead (Spark task creation cost;
     /// this is what makes NoEnc latency flat at ~0.6 s in Figure 6).
     pub task_overhead: Duration,
-    /// Probability that a task becomes a straggler (§6.2 attributes these to
-    /// garbage collection).
-    pub straggler_probability: f64,
-    /// Multiplicative slowdown applied to straggler tasks.
-    pub straggler_factor: f64,
-    /// Seed of the straggler RNG. The cost model draws its straggler
-    /// decisions from a generator seeded with this value (fresh per query),
-    /// so simulated cluster results — and the bench JSON derived from them —
-    /// are reproducible across runs instead of depending on an ambient
-    /// thread-local RNG.
-    pub straggler_seed: u64,
     /// How partition scans are executed (scalar reference path or vectorized
     /// fast path). Defaults to [`ExecMode::Vectorized`].
     pub exec_mode: ExecMode,
@@ -57,9 +44,6 @@ impl Default for ClusterConfig {
             workers: 100,
             local_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
             task_overhead: Duration::from_millis(5),
-            straggler_probability: 0.0,
-            straggler_factor: 4.0,
-            straggler_seed: 0x5eabed,
             exec_mode: ExecMode::default(),
         }
     }
@@ -80,12 +64,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Returns the configuration with the straggler RNG seed replaced.
-    pub fn straggler_seed(mut self, seed: u64) -> ClusterConfig {
-        self.straggler_seed = seed;
-        self
-    }
-
     /// Returns the configuration with the local thread count replaced.
     pub fn local_threads(mut self, threads: usize) -> ClusterConfig {
         self.local_threads = threads;
@@ -93,9 +71,8 @@ impl ClusterConfig {
     }
 
     /// Checks the configuration for degenerate values that would make the
-    /// execution or cost model meaningless: zero simulated workers, zero
-    /// local threads, or non-finite straggler parameters. Rejected with a
-    /// typed [`SeabedError`] here — at construction via [`Cluster::try_new`]
+    /// execution or cost model meaningless: zero simulated workers or zero
+    /// local threads. Rejected with a typed [`SeabedError`] here — at construction via [`Cluster::try_new`]
     /// and again at the top of query execution — instead of being silently
     /// clamped somewhere down the execution path.
     pub fn validate(&self) -> Result<(), SeabedError> {
@@ -108,18 +85,6 @@ impl ClusterConfig {
             return Err(SeabedError::engine(
                 "cluster config is degenerate: local_threads must be at least 1",
             ));
-        }
-        if !self.straggler_probability.is_finite() || !(0.0..=1.0).contains(&self.straggler_probability) {
-            return Err(SeabedError::engine(format!(
-                "cluster config is degenerate: straggler_probability {} is not a probability",
-                self.straggler_probability
-            )));
-        }
-        if !self.straggler_factor.is_finite() || self.straggler_factor < 1.0 {
-            return Err(SeabedError::engine(format!(
-                "cluster config is degenerate: straggler_factor {} must be a finite slowdown >= 1",
-                self.straggler_factor
-            )));
         }
         Ok(())
     }
@@ -134,8 +99,8 @@ pub struct ExecStats {
     pub total_task_time: Duration,
     /// Longest single task.
     pub max_task_time: Duration,
-    /// Simulated makespan on `workers` slots including per-task overhead and
-    /// stragglers: the "server-side latency" of Figures 6–9.
+    /// Simulated makespan on `workers` slots including per-task overhead:
+    /// the "server-side latency" of Figures 6–9.
     pub simulated_server_time: Duration,
     /// Bytes the tasks reported shipping to the driver: the sum of
     /// [`TaskOutput::bytes`]. For a query scan that is the size of each
@@ -300,16 +265,10 @@ impl Cluster {
     }
 
     /// Computes the simulated makespan for a set of measured task durations:
-    /// the cost model behind [`Cluster::run`], exposed so the straggler model
-    /// can be exercised (and pinned) with fixed task times.
-    ///
-    /// Deterministic: straggler decisions are drawn from a generator seeded
-    /// with [`ClusterConfig::straggler_seed`], freshly per call, so the same
-    /// config and task times always produce the same `simulated_server_time`.
+    /// the cost model behind [`Cluster::run`], exposed so it can be
+    /// exercised with fixed task times. A pure function of the config and
+    /// the task times.
     pub fn simulate(&self, task_times: &[Duration], bytes_to_driver: usize, wall_time: Duration) -> ExecStats {
-        // Only a cluster that models stragglers ever draws from the generator.
-        let mut rng = (self.config.straggler_probability > 0.0)
-            .then(|| rand::rngs::StdRng::seed_from_u64(self.config.straggler_seed));
         let workers = self.config.workers.max(1);
         // Worker slots as accumulated busy time; tasks are list-scheduled in
         // submission order, which is how Spark assigns partitions to executors.
@@ -317,18 +276,11 @@ impl Cluster {
         let mut total = Duration::ZERO;
         let mut max_task = Duration::ZERO;
         for &t in task_times {
-            let mut effective = t + self.config.task_overhead;
-            let straggles = rng
-                .as_mut()
-                .is_some_and(|rng| rng.random::<f64>() < self.config.straggler_probability);
-            if straggles {
-                effective = Duration::from_secs_f64(effective.as_secs_f64() * self.config.straggler_factor);
-            }
             total += t;
             max_task = max_task.max(t);
             // Assign to the least-loaded slot.
             let slot = slots.iter_mut().min_by_key(|d| **d).expect("at least one worker");
-            *slot += effective;
+            *slot += t + self.config.task_overhead;
         }
         let makespan = slots.into_iter().max().unwrap_or(Duration::ZERO);
         ExecStats {
@@ -486,53 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn stragglers_inflate_makespan() {
-        let t = table(1000, 20);
-        let base = {
-            let mut c = ClusterConfig::with_workers(20);
-            c.task_overhead = Duration::from_millis(10);
-            c.straggler_probability = 0.0;
-            Cluster::new(c)
-        };
-        let strag = {
-            let mut c = ClusterConfig::with_workers(20);
-            c.task_overhead = Duration::from_millis(10);
-            c.straggler_probability = 1.0;
-            c.straggler_factor = 5.0;
-            Cluster::new(c)
-        };
-        let (_, s1) = base.run(&t, |_| TaskOutput::new((), 0));
-        let (_, s2) = strag.run(&t, |_| TaskOutput::new((), 0));
-        assert!(s2.simulated_server_time > s1.simulated_server_time);
-    }
-
-    /// Regression test for the ambient-RNG cost model: with a fixed
-    /// `straggler_seed`, two simulations of the same task times must produce
-    /// identical `simulated_server_time` (previously every query drew from a
-    /// fresh `rand::rng()`, so straggler placement — and thus bench JSON —
-    /// changed between runs).
-    #[test]
-    fn straggler_simulation_is_deterministic_per_seed() {
-        let task_times: Vec<Duration> = (1..=40u64).map(Duration::from_millis).collect();
-        let cluster_with_seed = |seed: u64| {
-            let mut c = ClusterConfig::with_workers(8).straggler_seed(seed);
-            c.task_overhead = Duration::from_millis(3);
-            c.straggler_probability = 0.3;
-            c.straggler_factor = 6.0;
-            Cluster::new(c)
-        };
-        let a = cluster_with_seed(42).simulate(&task_times, 0, Duration::ZERO);
-        let b = cluster_with_seed(42).simulate(&task_times, 0, Duration::ZERO);
-        assert_eq!(a.simulated_server_time, b.simulated_server_time);
-        assert_eq!(a, b);
-        // Different seeds place stragglers differently (with 40 tasks at 30%
-        // probability, a collision of every placement is astronomically
-        // unlikely for this seed pair — pinned here so the seed is known-live).
-        let c = cluster_with_seed(43).simulate(&task_times, 0, Duration::ZERO);
-        assert_ne!(a.simulated_server_time, c.simulated_server_time);
-    }
-
-    #[test]
     fn stats_merge_adds_up() {
         let op = |rows_in: u64| OperatorProfile {
             label: "filter:plain:v".to_string(),
@@ -590,14 +495,6 @@ mod tests {
         let zero_threads = ClusterConfig::with_workers(4).local_threads(0);
         assert!(matches!(zero_threads.validate(), Err(SeabedError::Engine(_))));
         assert!(matches!(Cluster::try_new(zero_threads), Err(SeabedError::Engine(_))));
-
-        let mut bad_probability = ClusterConfig::with_workers(4);
-        bad_probability.straggler_probability = 1.5;
-        assert!(matches!(bad_probability.validate(), Err(SeabedError::Engine(_))));
-
-        let mut bad_factor = ClusterConfig::with_workers(4);
-        bad_factor.straggler_factor = f64::NAN;
-        assert!(matches!(Cluster::try_new(bad_factor), Err(SeabedError::Engine(_))));
 
         // Well-formed configurations pass and construct.
         let good = ClusterConfig::with_workers(4).local_threads(2);

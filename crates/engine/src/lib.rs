@@ -11,8 +11,8 @@
 //!   exactly this property);
 //! * [`cluster`] — parallel execution of per-partition tasks with measured
 //!   task times and a simulated cluster cost model (worker count, per-task
-//!   overhead, stragglers) so the core-count sweeps of Figure 7 can be
-//!   reproduced on a laptop;
+//!   overhead) so the core-count sweeps of Figure 7 can be reproduced on a
+//!   laptop;
 //! * [`exec`] — vectorized execution primitives: selection vectors, batched
 //!   filter kernels, the group-by kernel ([`GroupIndex`], [`group_rows`]),
 //!   and the [`ExecMode`] knob that switches the
@@ -22,8 +22,6 @@
 //!   ID-list unions, MIN/MAX ORE candidates) shared by the in-process driver
 //!   merge and the `seabed-dist` coordinator gather, so the two can never
 //!   diverge;
-//! * [`netmodel`] — the server→client bandwidth/RTT model used for the WAN
-//!   experiments of §6.6;
 //! * [`storage`] — on-disk / in-memory size accounting (Table 5) and a flat
 //!   binary serialization standing in for Protobuf-on-HDFS.
 
@@ -33,7 +31,6 @@
 pub mod cluster;
 pub mod exec;
 pub mod merge;
-pub mod netmodel;
 pub mod storage;
 pub mod table;
 
@@ -46,7 +43,6 @@ pub use merge::{
     fold_flat_partials, merge_partial_groups, ExtremeCandidate, FlatPartial, PartialAggregate, PartialGroup,
     PartialGroups,
 };
-pub use netmodel::NetworkModel;
 pub use storage::{table_disk_size, table_memory_size};
 pub use table::{BytesColumn, ColumnData, ColumnType, Field, Partition, Schema, Table};
 

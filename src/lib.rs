@@ -7,13 +7,13 @@
 //! The layers, bottom to top:
 //!
 //! * [`error`] — the unified [`error::SeabedError`] spine;
-//! * [`crypto`] — AES, SHA-256/HMAC, Paillier, DET, ORE, big integers;
+//! * [`crypto`] — AES, SHA-256/HMAC, DET, ORE and the PRFs;
 //! * [`encoding`] — ID-list encodings, bitmaps, DEFLATE;
 //! * [`ashe`] — the additively symmetric homomorphic encryption scheme;
 //! * [`splashe`] — splayed aggregation over low-cardinality dimensions;
 //! * [`engine`] — the partitioned columnar engine and cluster cost model;
 //! * [`query`] — SQL dialect, data planner, query translator;
-//! * [`core`] — client proxy, untrusted server, baselines;
+//! * [`core`] — client proxy, untrusted server, sessions;
 //! * [`obs`] — unified metrics registry (counters, gauges, log-bucket
 //!   latency histograms) and end-to-end query tracing;
 //! * [`net`] — wire protocol + concurrent TCP service layer (the proxy ↔
@@ -22,6 +22,11 @@
 //!   encrypted queries out across networked workers and merging their
 //!   partial results;
 //! * [`workloads`] — synthetic, BDB and Ad-Analytics workload generators.
+//!
+//! The paper's baselines — the NoEnc and Paillier pipelines, Paillier's
+//! big-integer arithmetic and the §6.6 link model — are not a layer: no
+//! proxy, server or worker runs them, so they live in the harness crate,
+//! `seabed-bench`, which the tests reach as a dev-dependency.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

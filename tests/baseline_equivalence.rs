@@ -3,7 +3,7 @@
 //! have the shape the paper reports.
 
 use seabed_ashe::{AsheScheme, IdSet};
-use seabed_core::{row_selected, NoEncSystem, PaillierSystem};
+use seabed_bench::baselines::{row_selected, NoEncSystem, PaillierSystem};
 use seabed_engine::{Cluster, ClusterConfig};
 
 fn values(n: u64) -> Vec<u64> {

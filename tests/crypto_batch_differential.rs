@@ -3,8 +3,8 @@
 //!
 //! The batched hot paths (multi-block AES dispatch, PRF keystream runs, the
 //! packed ASHE mask runs, run-encryption, batched boundary decryption, the
-//! batched ORE prefix encryption and its column cursor, and the fixed-width
-//! bigint accumulators) exist purely for throughput:
+//! batched ORE prefix encryption and its column cursor, and ASHE's
+//! once-reduced `u128` mask sums) exist purely for throughput:
 //! each must be *bit-identical* to the scalar path it replaces, over random
 //! key material, random values, random identifiers — including identifier
 //! runs that wrap `u64::MAX`, empty batches, and single-element batches.
@@ -15,7 +15,7 @@ use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use seabed_ashe::{encrypt_column, encrypt_column_scalar, AsheCiphertext, AsheScheme, IdSet};
 use seabed_crypto::prf::{AesPrf, AnyPrf, Prf, PrfKind};
-use seabed_crypto::{Aes128, Aes256, AesCtr, BigUint, FixedUint, OreScheme};
+use seabed_crypto::{Aes128, Aes256, AesCtr, OreScheme};
 
 /// Maps a raw draw onto a batch length, biased to the internal chunk
 /// boundaries (the AES kernels process 4 lanes per sweep in software and 8 in
@@ -316,35 +316,49 @@ proptest! {
             prop_assert_eq!(cursor.prf_blocks - before, expected, "row {}", row);
         }
     }
+}
 
-    // ---------------------------------------------------------------
-    // FixedUint: the allocation-free accumulator ≡ BigUint, wrapping at
-    // 2^(64 * LIMBS).
-    // ---------------------------------------------------------------
-
-    #[test]
-    fn fixed_uint_arithmetic_matches_biguint(a in any::<u128>(), b in any::<u128>(), raw_m in any::<u64>()) {
-        let m = raw_m.max(1);
-        let width = BigUint::one().shl(128); // 2^(64 * LIMBS) for LIMBS = 2
-        let fa = FixedUint::<2>::from_u128(a);
-        let fb = FixedUint::<2>::from_u128(b);
-        let ba = BigUint::from_u128(a);
-        let bb = BigUint::from_u128(b);
-
-        let mut sum = fa;
-        sum.add_assign(&fb);
-        prop_assert_eq!(sum.to_biguint(), ba.add(&bb).rem(&width));
-
-        let mut diff = fa;
-        diff.sub_assign(&fb);
-        prop_assert_eq!(diff.to_biguint(), ba.add(&width).sub(&bb).rem(&width));
-
-        let mut scaled = fa;
-        scaled.mul_u64(m);
-        prop_assert_eq!(scaled.to_biguint(), ba.mul(&BigUint::from_u64(m)).rem(&width));
-
-        prop_assert_eq!(fa.rem_u64(m), ba.rem(&BigUint::from_u64(m)).to_u64_truncated());
-        prop_assert_eq!(fa.to_u128_truncated(), a);
+/// ASHE's explicit-modulus decryption sums the masks it adds and the masks
+/// it subtracts in two `u128`s and reduces each once. With a modulus within
+/// 64 of `u64::MAX` every mask is near 2^64, so 40 runs — past the 32-run
+/// dispatch — carry both sums far past 2^64, a different number of times
+/// each: an accumulator that wrapped at 2^64 would lose `2^64 mod m` per
+/// wrap, and the two losses would not cancel. The batched decryption must
+/// still be the naive per-identifier walk's, for either PRF.
+#[test]
+fn ashe_decrypt_carries_mask_sums_past_two_to_the_64() {
+    // 40 runs of three identifiers, two apart, so each run is its own pair of
+    // boundaries.
+    let ids: Vec<u64> = (0..40u64)
+        .flat_map(|run| (0..3).map(move |i| 1_000 + run * 5 + i))
+        .collect();
+    for (kind, modulus) in [(PrfKind::Aes, u64::MAX - 58), (PrfKind::Hash, u64::MAX - 63)] {
+        let scheme = AsheScheme::with_options(&[0x3c; 16], kind, modulus);
+        let ciphertext = AsheCiphertext {
+            value: 0x0123_4567_89ab_cdef,
+            ids: IdSet::from_sorted_ids(&ids),
+        };
+        assert_eq!(ciphertext.ids.run_count(), 40);
+        let (added, subtracted) =
+            ciphertext
+                .ids
+                .boundary_pairs()
+                .fold((0u128, 0u128), |(added, subtracted), (end, before_start)| {
+                    (
+                        added + scheme.mask(end) as u128,
+                        subtracted + scheme.mask(before_start) as u128,
+                    )
+                });
+        assert!(
+            added >> 64 > 0 && subtracted >> 64 > 0,
+            "{kind:?}: both sums exceed 2^64"
+        );
+        assert_ne!(added >> 64, subtracted >> 64, "{kind:?}: the sums wrap 2^64 unequally");
+        assert_eq!(
+            scheme.decrypt(&ciphertext),
+            scheme.decrypt_without_telescoping(&ciphertext),
+            "{kind:?}, modulus {modulus}"
+        );
     }
 }
 

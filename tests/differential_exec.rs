@@ -19,16 +19,17 @@
 //!    the same check over the shapes a per-partition group index and an
 //!    in-order driver fold can get wrong and random small tables never reach.
 //! 2. `server_matches_noenc_baseline` — pins both modes against
-//!    `seabed_core::baseline::NoEncSystem` for global and group-by sums.
+//!    `seabed_bench::baselines::NoEncSystem` for global and group-by sums.
 //! 3. `full_pipeline_modes_match_plaintext` — end-to-end through
 //!    `SeabedClient` with real ASHE/SPLASHE/DET/ORE encryption: the decrypted
 //!    answers of both modes must equal a plaintext evaluation of the SQL.
 
 use proptest::prelude::*;
 use seabed_ashe::IdSet;
+use seabed_bench::baselines::NoEncSystem;
 use seabed_core::{
-    EncryptedAggregate, NoEncSystem, PhysicalFilter, PlainDataset, ResultValue, SeabedClient, SeabedServer,
-    SeabedSession, ServerResponse,
+    EncryptedAggregate, PhysicalFilter, PlainDataset, ResultValue, SeabedClient, SeabedServer, SeabedSession,
+    ServerResponse,
 };
 use seabed_crypto::{OreCiphertext, OreScheme};
 use seabed_engine::{Cluster, ClusterConfig, ColumnData, ColumnType, ExecMode, Schema, Table};

@@ -4,11 +4,12 @@
 //! in-process call.
 
 use seabed::core::{PlainDataset, QueryTarget, ResultValue, SeabedClient, SeabedServer, SeabedSession};
-use seabed::engine::{Cluster, ClusterConfig, NetworkModel};
+use seabed::engine::{Cluster, ClusterConfig};
 use seabed::error::SeabedError;
 use seabed::net::{NetServer, RemoteSeabedClient, ServiceConfig};
 use seabed::query::{parse, ColumnSpec, PlannerConfig, Query};
 use seabed::workloads::ad_analytics;
+use seabed_bench::baselines::NetworkModel;
 
 /// The rich-filter fixture of the core client tests: SPLASHE country, OPE
 /// timestamp, DET group-by department — every `ServerFilter` variant crosses
@@ -229,7 +230,7 @@ fn query_errors_cross_the_wire_typed_and_do_not_kill_the_connection() {
 }
 
 /// §6.6 unification: the byte counts the TCP layer *measures* feed the
-/// [`NetworkModel`] the engine previously only simulated with. Compressed ID
+/// [`NetworkModel`] the paper harness simulates with. Compressed ID
 /// lists keep the response frame so small that even the 10 Mbps WAN link's
 /// serialization cost stays negligible next to its RTT — the paper's claim,
 /// reproduced with real bytes on a real wire.
