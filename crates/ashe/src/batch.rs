@@ -3,8 +3,8 @@
 //! Seabed's encryption module uploads whole columns at a time and §4.3 calls
 //! out two client-side optimisations: packing several pseudo-random values
 //! into one AES operation (handled inside [`AsheScheme::mask`]) and running
-//! encryption/decryption across multiple threads, which is trivially possible
-//! because every row's mask only depends on its identifier.
+//! encryption across multiple threads. Only the first is done here: the
+//! batched run kernel already keeps one core's AES units busy.
 
 use crate::scheme::{AsheCiphertext, AsheScheme};
 
@@ -66,24 +66,6 @@ pub fn encrypt_column_scalar(scheme: &AsheScheme, values: &[u64], start_id: u64)
     EncryptedColumn { start_id, values: out }
 }
 
-/// Encrypts a column using `threads` worker threads (§4.3's multi-threaded
-/// encryption). Falls back to the sequential path for small inputs.
-pub fn encrypt_column_parallel(scheme: &AsheScheme, values: &[u64], start_id: u64, threads: usize) -> EncryptedColumn {
-    let threads = threads.max(1);
-    if threads == 1 || values.len() < 4096 {
-        return encrypt_column(scheme, values, start_id);
-    }
-    let chunk_size = values.len().div_ceil(threads);
-    let mut out = vec![0u64; values.len()];
-    std::thread::scope(|scope| {
-        for (chunk_idx, (input, output)) in values.chunks(chunk_size).zip(out.chunks_mut(chunk_size)).enumerate() {
-            let chunk_start = start_id.wrapping_add((chunk_idx * chunk_size) as u64);
-            scope.spawn(move || scheme.encrypt_run_into(input, chunk_start, output));
-        }
-    });
-    EncryptedColumn { start_id, values: out }
-}
-
 /// Decrypts a whole encrypted column back to plaintext (used by tests and by
 /// the proxy when a query projects raw measure values).
 pub fn decrypt_column(scheme: &AsheScheme, column: &EncryptedColumn) -> Vec<u64> {
@@ -102,22 +84,13 @@ pub fn decrypt_column(scheme: &AsheScheme, column: &EncryptedColumn) -> Vec<u64>
 
 /// Server-side aggregation over an encrypted column: sums the rows whose
 /// zero-based index satisfies `select`, producing a single ciphertext. This is
-/// the inner loop every Seabed worker runs.
-pub fn aggregate_where<F: Fn(usize) -> bool>(
-    scheme: &AsheScheme,
-    column: &EncryptedColumn,
-    select: F,
-) -> AsheCiphertext {
+/// the inner loop every Seabed worker runs, and it needs no key.
+pub fn aggregate_where<F: Fn(usize) -> bool>(column: &EncryptedColumn, select: F) -> AsheCiphertext {
     let mut value_acc: u64 = 0;
     let mut ids = crate::idset::IdSet::new();
-    let modulus = scheme.modulus();
     for (i, &v) in column.values.iter().enumerate() {
         if select(i) {
-            value_acc = if modulus == 0 {
-                value_acc.wrapping_add(v)
-            } else {
-                ((value_acc as u128 + v as u128) % modulus as u128) as u64
-            };
+            value_acc = value_acc.wrapping_add(v);
             ids.push_ordered(column.id_of(i));
         }
     }
@@ -154,30 +127,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let s = scheme();
-        let values: Vec<u64> = (0..10_000).map(|i| i ^ 0xdead).collect();
-        let seq = encrypt_column(&s, &values, 0);
-        let par = encrypt_column_parallel(&s, &values, 0, 4);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn parallel_small_input_falls_back() {
-        let s = scheme();
-        let values = vec![1u64, 2, 3];
-        assert_eq!(
-            encrypt_column_parallel(&s, &values, 7, 8),
-            encrypt_column(&s, &values, 7)
-        );
-    }
-
-    #[test]
     fn aggregate_full_column() {
         let s = scheme();
         let values: Vec<u64> = (0..2000).collect();
         let col = encrypt_column(&s, &values, 0);
-        let agg = aggregate_where(&s, &col, |_| true);
+        let agg = aggregate_where(&col, |_| true);
         assert_eq!(agg.ids.run_count(), 1);
         assert_eq!(s.decrypt(&agg), values.iter().sum::<u64>());
     }
@@ -187,7 +141,7 @@ mod tests {
         let s = scheme();
         let values: Vec<u64> = (0..2000).collect();
         let col = encrypt_column(&s, &values, 500);
-        let agg = aggregate_where(&s, &col, |i| i % 2 == 0);
+        let agg = aggregate_where(&col, |i| i % 2 == 0);
         let expected: u64 = values
             .iter()
             .enumerate()
@@ -202,7 +156,7 @@ mod tests {
     fn aggregate_empty_selection_is_zero() {
         let s = scheme();
         let col = encrypt_column(&s, &[5, 6, 7], 0);
-        let agg = aggregate_where(&s, &col, |_| false);
+        let agg = aggregate_where(&col, |_| false);
         assert_eq!(s.decrypt(&agg), 0);
         assert!(agg.ids.is_empty());
     }
@@ -223,8 +177,8 @@ mod tests {
         let values: Vec<u64> = (0..1000).map(|i| i + 1).collect();
         let col_a = encrypt_column(&s, &values[..600], 0);
         let col_b = encrypt_column(&s, &values[600..], 600);
-        let part_a = aggregate_where(&s, &col_a, |_| true);
-        let part_b = aggregate_where(&s, &col_b, |_| true);
+        let part_a = aggregate_where(&col_a, |_| true);
+        let part_b = aggregate_where(&col_b, |_| true);
         let total = s.add(&part_a, &part_b);
         assert_eq!(total.ids.run_count(), 1, "adjacent partitions merge into one run");
         assert_eq!(s.decrypt(&total), values.iter().sum::<u64>());

@@ -10,12 +10,13 @@
 //!   modulo `n²` at the workers and the driver; the client performs a single
 //!   (expensive) Paillier decryption.
 //!
-//! Both systems share the engine's cluster model so that their simulated
-//! latencies are directly comparable with Seabed's (Figures 6, 7, 9, 10).
+//! Both systems run on a [`ClusterModel`], as Seabed's microbenchmarks do, so
+//! that their modelled latencies are directly comparable (Figures 6, 7, 9a).
 
 use super::bigint::BigUint;
+use super::cluster_model::ClusterModel;
 use super::paillier::{PaillierCiphertext, PaillierKeypair};
-use seabed_engine::{BytesColumn, Cluster, ColumnData, ColumnType, ExecStats, Schema, Table, TaskOutput};
+use seabed_engine::{BytesColumn, ColumnData, ColumnType, ExecStats, Schema, Table, TaskOutput};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -56,7 +57,7 @@ pub struct BaselineResult {
 /// The unencrypted baseline ("NoEnc").
 pub struct NoEncSystem {
     table: Table,
-    cluster: Cluster,
+    cluster: ClusterModel,
     measure_index: usize,
     group_index: Option<usize>,
 }
@@ -64,7 +65,7 @@ pub struct NoEncSystem {
 impl NoEncSystem {
     /// Builds the baseline from a single plaintext measure column and an
     /// optional grouping column.
-    pub fn new(values: &[u64], group_keys: Option<&[u64]>, partitions: usize, cluster: Cluster) -> NoEncSystem {
+    pub fn new(values: &[u64], group_keys: Option<&[u64]>, partitions: usize, cluster: ClusterModel) -> NoEncSystem {
         let mut fields = vec![("value".to_string(), ColumnType::UInt64)];
         let mut columns = vec![ColumnData::UInt64(values.to_vec())];
         if let Some(keys) = group_keys {
@@ -141,7 +142,7 @@ impl NoEncSystem {
 /// The Paillier baseline (CryptDB/Monomi-style encrypted aggregation).
 pub struct PaillierSystem {
     table: Table,
-    cluster: Cluster,
+    cluster: ClusterModel,
     keypair: PaillierKeypair,
     group_index: Option<usize>,
 }
@@ -153,7 +154,7 @@ impl PaillierSystem {
         values: &[u64],
         group_keys: Option<&[u64]>,
         partitions: usize,
-        cluster: Cluster,
+        cluster: ClusterModel,
         modulus_bits: usize,
         rng: &mut R,
     ) -> PaillierSystem {
@@ -167,7 +168,7 @@ impl PaillierSystem {
         values: &[u64],
         group_keys: Option<&[u64]>,
         partitions: usize,
-        cluster: Cluster,
+        cluster: ClusterModel,
         keypair: PaillierKeypair,
         rng: &mut R,
     ) -> PaillierSystem {
@@ -269,7 +270,6 @@ impl PaillierSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seabed_engine::ClusterConfig;
 
     fn values(n: u64) -> Vec<u64> {
         (0..n).map(|i| i % 1000).collect()
@@ -290,7 +290,7 @@ mod tests {
     #[test]
     fn noenc_sum_matches_plain_iteration() {
         let vals = values(5000);
-        let system = NoEncSystem::new(&vals, None, 4, Cluster::new(ClusterConfig::with_workers(8)));
+        let system = NoEncSystem::new(&vals, None, 4, ClusterModel::new(8));
         let full = system.sum(1.0);
         assert_eq!(full.sum, vals.iter().sum::<u64>());
         assert_eq!(full.rows, 5000);
@@ -308,7 +308,7 @@ mod tests {
     fn noenc_group_by_matches() {
         let vals = values(1000);
         let groups: Vec<u64> = (0..1000u64).map(|i| i % 7).collect();
-        let system = NoEncSystem::new(&vals, Some(&groups), 4, Cluster::new(ClusterConfig::with_workers(8)));
+        let system = NoEncSystem::new(&vals, Some(&groups), 4, ClusterModel::new(8));
         let (result, _) = system.group_by_sum(1.0);
         assert_eq!(result.len(), 7);
         for (k, sum) in &result {
@@ -320,9 +320,9 @@ mod tests {
     #[test]
     fn paillier_sum_matches_noenc() {
         let vals = values(300);
-        let cluster = Cluster::new(ClusterConfig::with_workers(4));
+        let cluster = ClusterModel::new(4);
         let mut rng = rand::rng();
-        let system = PaillierSystem::new(&vals, None, 3, cluster.clone(), 128, &mut rng);
+        let system = PaillierSystem::new(&vals, None, 3, cluster, 128, &mut rng);
         let result = system.sum(1.0);
         assert_eq!(result.sum, vals.iter().sum::<u64>());
         assert!(result.client_time > Duration::ZERO);
@@ -334,14 +334,7 @@ mod tests {
         let vals = values(200);
         let groups: Vec<u64> = (0..200u64).map(|i| i % 4).collect();
         let mut rng = rand::rng();
-        let system = PaillierSystem::new(
-            &vals,
-            Some(&groups),
-            2,
-            Cluster::new(ClusterConfig::with_workers(4)),
-            128,
-            &mut rng,
-        );
+        let system = PaillierSystem::new(&vals, Some(&groups), 2, ClusterModel::new(4), 128, &mut rng);
         let (result, _, _) = system.group_by_sum(1.0);
         assert_eq!(result.len(), 4);
         let expected: u64 = vals.iter().sum();
@@ -352,8 +345,8 @@ mod tests {
     fn paillier_storage_is_much_larger_than_plaintext() {
         let vals = values(200);
         let mut rng = rand::rng();
-        let cluster = Cluster::new(ClusterConfig::with_workers(4));
-        let noenc = NoEncSystem::new(&vals, None, 1, cluster.clone());
+        let cluster = ClusterModel::new(4);
+        let noenc = NoEncSystem::new(&vals, None, 1, cluster);
         let paillier = PaillierSystem::new(&vals, None, 1, cluster, 256, &mut rng);
         let plain_size = seabed_engine::table_disk_size(noenc.table());
         let paillier_size = seabed_engine::table_disk_size(paillier.table());

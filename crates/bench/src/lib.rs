@@ -15,8 +15,10 @@
 //! committed under `crates/bench/paper/`.
 //!
 //! The systems Seabed is compared against — NoEnc, Paillier with its
-//! big-integer arithmetic, and the §6.6 link model — live here too, in
-//! [`baselines`]: no proxy, server or worker runs them.
+//! big-integer arithmetic — and the paper's models of its 100-core cluster
+//! and of the §6.6 link live here too, in [`baselines`]: no proxy, server or
+//! worker runs them. Figures 9b/c and 10a run the product itself, so they
+//! report the server time it measured.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,14 +30,15 @@ pub mod runner;
 pub use metrics::{format_rows, rows_to_json, write_bench_json, Row, RunMeta};
 pub use runner::{ExperimentConfig, ExperimentReport, ExperimentRunner};
 
-use baselines::{row_selected, BigUint, NetworkModel, NoEncSystem, PaillierKeypair, PaillierSystem};
+use baselines::cluster_model::TASK_OVERHEAD;
+use baselines::{row_selected, BigUint, ClusterModel, NetworkModel, NoEncSystem, PaillierKeypair, PaillierSystem};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seabed_ashe::{AsheScheme, IdSet};
 use seabed_core::{PhysicalFilter, PlainDataset, QueryResult, SeabedClient, SeabedServer, SeabedSession};
 use seabed_crypto::AesCtr;
 use seabed_encoding::IdListEncoding;
-use seabed_engine::{table_disk_size, table_memory_size, Cluster, ClusterConfig, TaskOutput};
+use seabed_engine::{table_disk_size, table_memory_size, Cluster, TaskOutput};
 use seabed_query::{parse, ColumnSpec, CompareOp, PlannerConfig, TranslateOptions};
 use seabed_workloads::{ad_analytics, bdb, classify, synthetic};
 use std::collections::BTreeMap;
@@ -283,7 +286,7 @@ pub fn exp_table5(scale: &Scale) -> Vec<Row> {
     for (label, paper_millions) in [("Synthetic-Large", 1750u64), ("Synthetic-Small", 250u64)] {
         let n = scale.rows(paper_millions);
         let ds = synthetic::aggregation_dataset(&mut rng, n);
-        let noenc = NoEncSystem::new(&ds.values, None, scale.partitions, Cluster::default());
+        let noenc = NoEncSystem::new(&ds.values, None, scale.partitions, ClusterModel::new(100));
         // Seabed: one ASHE word plus an explicit ID column per row, as in the
         // prototype's synthetic dataset (Table 5 note in §6.1).
         let ashe = AsheScheme::new(&[1u8; 16]);
@@ -415,7 +418,7 @@ fn ashe_selectivity_run(
         vec![seabed_engine::ColumnData::UInt64(encrypted.values)],
         partitions,
     );
-    let cluster = Cluster::new(ClusterConfig::with_workers(workers));
+    let cluster = ClusterModel::new(workers);
     let (partials, stats) = cluster.run(&table, |p| {
         let col = p.column(0).as_u64();
         let mut sum = 0u64;
@@ -456,12 +459,7 @@ pub fn exp_fig6(scale: &Scale) -> Vec<LatencyPoint> {
         let ds = synthetic::aggregation_dataset(&mut rng, rows);
 
         // NoEnc.
-        let noenc = NoEncSystem::new(
-            &ds.values,
-            None,
-            scale.partitions,
-            Cluster::new(ClusterConfig::with_workers(100)),
-        );
+        let noenc = NoEncSystem::new(&ds.values, None, scale.partitions, ClusterModel::new(100));
         let r = noenc.sum(1.0);
         points.push(LatencyPoint {
             system: "NoEnc".into(),
@@ -492,7 +490,7 @@ pub fn exp_fig6(scale: &Scale) -> Vec<LatencyPoint> {
             &ds.values[..paillier_rows],
             None,
             scale.partitions,
-            Cluster::new(ClusterConfig::with_workers(100)),
+            ClusterModel::new(100),
             keypair.clone(),
             &mut rng,
         );
@@ -519,12 +517,7 @@ pub fn exp_fig7(scale: &Scale) -> Vec<LatencyPoint> {
     let keypair = PaillierKeypair::generate(&mut rng, scale.paillier_bits);
     let mut points = Vec::new();
     for &workers in &synthetic::FIG7_WORKERS {
-        let noenc = NoEncSystem::new(
-            &ds.values,
-            None,
-            scale.partitions,
-            Cluster::new(ClusterConfig::with_workers(workers)),
-        );
+        let noenc = NoEncSystem::new(&ds.values, None, scale.partitions, ClusterModel::new(workers));
         let r = noenc.sum(1.0);
         points.push(LatencyPoint {
             system: "NoEnc".into(),
@@ -556,7 +549,7 @@ pub fn exp_fig7(scale: &Scale) -> Vec<LatencyPoint> {
             &ds.values[..paillier_rows],
             None,
             scale.partitions,
-            Cluster::new(ClusterConfig::with_workers(workers)),
+            ClusterModel::new(workers),
             keypair.clone(),
             &mut rng,
         );
@@ -640,7 +633,7 @@ pub fn exp_fig8c(scale: &Scale) -> Vec<SelectivityPoint> {
         ],
         scale.partitions,
     );
-    let cluster = Cluster::new(ClusterConfig::with_workers(100));
+    let cluster = ClusterModel::new(100);
     let mut points = Vec::new();
     for &selectivity in &synthetic::FIG8_SELECTIVITIES {
         // Plain aggregation at this selectivity (the "Aggregation" line).
@@ -726,12 +719,7 @@ pub fn exp_fig9a(scale: &Scale) -> Vec<GroupByPoint> {
         let keys = ds.groups.clone().unwrap();
 
         // NoEnc.
-        let noenc = NoEncSystem::new(
-            &ds.values,
-            Some(&keys),
-            scale.partitions,
-            Cluster::new(ClusterConfig::with_workers(workers)),
-        );
+        let noenc = NoEncSystem::new(&ds.values, Some(&keys), scale.partitions, ClusterModel::new(workers));
         let (_, stats) = noenc.group_by_sum(1.0);
         points.push(GroupByPoint {
             system: "NoEnc".into(),
@@ -758,7 +746,7 @@ pub fn exp_fig9a(scale: &Scale) -> Vec<GroupByPoint> {
                 ],
                 scale.partitions,
             );
-            let cluster = Cluster::new(ClusterConfig::with_workers(workers));
+            let cluster = ClusterModel::new(workers);
             let encoding = IdListEncoding::seabed_group_by();
             let (partials, stats) = cluster.run(&table, |p| {
                 let words = p.column(0).as_u64();
@@ -806,7 +794,7 @@ pub fn exp_fig9a(scale: &Scale) -> Vec<GroupByPoint> {
             &ds.values[..paillier_rows],
             Some(&keys[..paillier_rows]),
             scale.partitions,
-            Cluster::new(ClusterConfig::with_workers(workers)),
+            ClusterModel::new(workers),
             keypair.clone(),
             &mut rng,
         );
@@ -864,10 +852,7 @@ pub fn exp_fig9bc(scale: &Scale) -> Vec<BdbPoint> {
             .collect();
         let mut client = SeabedClient::create_plan(b"bdb", &specs, &samples, &PlannerConfig::default());
         let encrypted = client.encrypt_dataset(dataset, scale.partitions, rng);
-        let server = SeabedServer::new(
-            encrypted.table.clone(),
-            Cluster::new(ClusterConfig::with_workers(workers)),
-        );
+        let server = SeabedServer::new(encrypted.table.clone(), Cluster::default());
         (client, server)
     };
     let build_noenc = |dataset: &PlainDataset, rng: &mut StdRng| {
@@ -875,10 +860,7 @@ pub fn exp_fig9bc(scale: &Scale) -> Vec<BdbPoint> {
         let samples = vec![parse("SELECT COUNT(*) FROM t").unwrap()];
         let mut client = SeabedClient::create_plan(b"noenc", &specs, &samples, &PlannerConfig::default());
         let encrypted = client.encrypt_dataset(dataset, scale.partitions, rng);
-        let server = SeabedServer::new(
-            encrypted.table.clone(),
-            Cluster::new(ClusterConfig::with_workers(workers)),
-        );
+        let server = SeabedServer::new(encrypted.table.clone(), Cluster::default());
         (client, server)
     };
 
@@ -994,18 +976,12 @@ pub fn exp_fig10a(scale: &Scale) -> Vec<AdaPoint> {
     let samples: Vec<_> = queries.iter().map(|q| parse(&q.sql).unwrap()).collect();
     let mut seabed_client = SeabedClient::create_plan(b"ada", &specs, &samples, &PlannerConfig::default());
     let seabed_table = seabed_client.encrypt_dataset(&dataset, scale.partitions, &mut rng);
-    let seabed_server = SeabedServer::new(
-        seabed_table.table.clone(),
-        Cluster::new(ClusterConfig::with_workers(workers)),
-    );
+    let seabed_server = SeabedServer::new(seabed_table.table.clone(), Cluster::default());
 
     let noenc_specs: Vec<ColumnSpec> = dataset.columns.iter().map(|(n, _)| ColumnSpec::public(n)).collect();
     let mut noenc_client = SeabedClient::create_plan(b"ada-noenc", &noenc_specs, &samples, &PlannerConfig::default());
     let noenc_table = noenc_client.encrypt_dataset(&dataset, scale.partitions, &mut rng);
-    let noenc_server = SeabedServer::new(
-        noenc_table.table.clone(),
-        Cluster::new(ClusterConfig::with_workers(workers)),
-    );
+    let noenc_server = SeabedServer::new(noenc_table.table.clone(), Cluster::default());
 
     // Per-row Paillier addition cost for the estimate.
     let kp = PaillierKeypair::generate(&mut rng, scale.paillier_bits);
@@ -1039,8 +1015,7 @@ pub fn exp_fig10a(scale: &Scale) -> Vec<AdaPoint> {
             // Paillier estimate: same selected rows, per-row ciphertext
             // multiplication instead of wrapping addition.
             let selected_rows = rows as f64 * (q.groups as f64 / 24.0);
-            let est =
-                Duration::from_secs_f64(per_add_ns * 1e-9 * selected_rows / workers as f64) + Duration::from_millis(5);
+            let est = Duration::from_secs_f64(per_add_ns * 1e-9 * selected_rows / workers as f64) + TASK_OVERHEAD;
             points.push(AdaPoint {
                 system: "Paillier (estimated)".into(),
                 groups: q.groups,

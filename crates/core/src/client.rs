@@ -64,7 +64,9 @@ use std::time::{Duration, Instant};
 /// [`QueryResult::result_bytes`] where it reproduces §6.6.
 #[derive(Clone, Debug, Default)]
 pub struct QueryTimings {
-    /// Simulated server-side latency.
+    /// Server-side latency as the server measured it:
+    /// [`ExecStats::wall_time`] of its execution (the coordinator's whole
+    /// scatter and gather, for a distributed table).
     pub server: Duration,
     /// Measured client-side decryption / post-processing time.
     pub client: Duration,
@@ -384,7 +386,7 @@ impl SeabedClient {
         Ok(QueryResult {
             rows,
             timings: QueryTimings {
-                server: response.stats.simulated_server_time,
+                server: response.stats.wall_time,
                 client: started.elapsed(),
             },
             server_stats: response.stats,
@@ -578,7 +580,7 @@ mod tests {
         }
         let mut client = SeabedClient::create_plan(b"master", &columns, &queries, &PlannerConfig::default());
         let encrypted = client.encrypt_dataset(&dataset, 3, &mut rand::rng());
-        let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+        let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
         Ok((client, server, dataset))
     }
 

@@ -42,7 +42,7 @@
 //!
 //! // 3. Encrypt and "upload" the data, then stand up a server over it.
 //! let encrypted = client.encrypt_dataset(&data, 2, &mut rand::rng());
-//! let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+//! let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
 //!
 //! // 4. Query through a session over the proxy; results come back decrypted.
 //! let session = SeabedSession::single("sales", client, &server);

@@ -425,7 +425,7 @@ impl GroupResult {
 pub struct ServerResponse {
     /// Result groups.
     pub groups: Vec<GroupResult>,
-    /// Execution statistics (simulated server latency, bytes, tasks).
+    /// Execution statistics (measured server time, bytes, tasks).
     pub stats: ExecStats,
     /// Total serialized size of the result shipped to the client.
     pub result_bytes: usize,
@@ -672,11 +672,6 @@ impl SeabedServer {
         &self.table.schema
     }
 
-    /// The execution mode partition scans run under.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.cluster.config.exec_mode
-    }
-
     /// Executes a translated query whose literals have been encrypted into
     /// `filters` by the proxy.
     ///
@@ -736,8 +731,8 @@ impl SeabedServer {
         filters: &[PhysicalFilter],
         analyze: bool,
     ) -> Result<PartialResponse, SeabedError> {
-        // Degenerate cluster configurations (zero workers / zero local
-        // threads) are rejected before any scan starts.
+        // A degenerate cluster configuration (zero local threads) is rejected
+        // before any scan starts.
         self.cluster.config.validate()?;
 
         self.table.validate_layout()?;
@@ -1288,7 +1283,7 @@ mod tests {
     }
 
     fn server_with_mode(rows: u64, mode: ExecMode) -> SeabedServer {
-        let config = ClusterConfig::with_workers(8).exec_mode(mode);
+        let config = ClusterConfig::default().exec_mode(mode);
         SeabedServer::new(test_table(rows), Cluster::new(config))
     }
 
@@ -1489,21 +1484,17 @@ mod tests {
         Ok(())
     }
 
-    /// Degenerate cluster configurations (zero workers / zero local threads)
-    /// used to reach the execution path unchecked; they are now rejected with
-    /// a typed error before any scan starts.
+    /// A degenerate cluster configuration (zero local threads) used to reach
+    /// the execution path unchecked; it is now rejected with a typed error
+    /// before any scan starts.
     #[test]
     fn degenerate_cluster_config_is_rejected_at_execution() {
-        for config in [
-            ClusterConfig::with_workers(0),
-            ClusterConfig::with_workers(8).local_threads(0),
-        ] {
-            let s = SeabedServer::new(test_table(10), Cluster::new(config));
-            assert!(matches!(
-                s.execute(&sum_query(vec![], 1), &[]),
-                Err(SeabedError::Engine(_))
-            ));
-        }
+        let config = ClusterConfig::default().local_threads(0);
+        let s = SeabedServer::new(test_table(10), Cluster::new(config));
+        assert!(matches!(
+            s.execute(&sum_query(vec![], 1), &[]),
+            Err(SeabedError::Engine(_))
+        ));
     }
 
     #[test]
@@ -1540,7 +1531,7 @@ mod tests {
             let mut table = test_table(100);
             let n = table.partitions[1].num_rows();
             table.partitions[1].columns[2] = ColumnData::Utf8(vec!["oops".to_string(); n]);
-            let s = SeabedServer::new(table, Cluster::new(ClusterConfig::with_workers(4).exec_mode(mode)));
+            let s = SeabedServer::new(table, Cluster::new(ClusterConfig::default().exec_mode(mode)));
             let outcome = s.execute(&sum_query(group_by_g(), 1), &[]);
             assert!(
                 matches!(
@@ -1579,10 +1570,7 @@ mod tests {
         );
         let expected_min_row = (1..40).min_by_key(|&i| plain[i]).expect("non-empty") as u64;
         for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
-            let s = SeabedServer::new(
-                table.clone(),
-                Cluster::new(ClusterConfig::with_workers(4).exec_mode(mode)),
-            );
+            let s = SeabedServer::new(table.clone(), Cluster::new(ClusterConfig::default().exec_mode(mode)));
             let mut q = sum_query(vec![], 1);
             q.aggregates = vec![ServerAggregate::OpeMin {
                 column: "o__ope".to_string(),
@@ -1628,10 +1616,7 @@ mod tests {
             ciphertext: OreCiphertext { symbols },
         };
         for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
-            let s = SeabedServer::new(
-                table.clone(),
-                Cluster::new(ClusterConfig::with_workers(4).exec_mode(mode)),
-            );
+            let s = SeabedServer::new(table.clone(), Cluster::new(ClusterConfig::default().exec_mode(mode)));
             let honest = s.execute(&sum_query(vec![], 1), &[filter(ore.encrypt(10).symbols)])?;
             assert!(
                 matches!(&honest.groups[0].aggregates[1], EncryptedAggregate::Count { rows: 10 }),
@@ -1713,10 +1698,7 @@ mod tests {
             4,
         );
         for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
-            let s = SeabedServer::new(
-                table.clone(),
-                Cluster::new(ClusterConfig::with_workers(4).exec_mode(mode)),
-            );
+            let s = SeabedServer::new(table.clone(), Cluster::new(ClusterConfig::default().exec_mode(mode)));
             let mut q = sum_query(vec![], 1);
             q.aggregates = vec![ServerAggregate::OpeMax {
                 column: "o__ope".to_string(),
@@ -1737,7 +1719,7 @@ mod tests {
         for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
             let mut table = test_table(100);
             table.partitions[0].columns[2] = ColumnData::UInt64(vec![5]);
-            let s = SeabedServer::new(table, Cluster::new(ClusterConfig::with_workers(4).exec_mode(mode)));
+            let s = SeabedServer::new(table, Cluster::new(ClusterConfig::default().exec_mode(mode)));
             assert!(
                 matches!(
                     s.execute(&sum_query(group_by_g(), 1), &[]),

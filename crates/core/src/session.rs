@@ -855,7 +855,7 @@ mod tests {
         ];
         let mut client = SeabedClient::create_plan(seed, &columns, &samples, &PlannerConfig::default());
         let encrypted = client.encrypt_dataset(&dataset, 4, &mut rand::rng());
-        let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+        let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
         (client, server, dataset)
     }
 

@@ -150,7 +150,7 @@ pub(crate) mod hw {
     /// Overwrites `secret` with default (zero) values using volatile writes
     /// the optimizer may not elide, then fences so they are not reordered
     /// past the end of the owner's `Drop`.
-    pub(crate) fn wipe<T: Copy + Default>(secret: &mut [T]) {
+    pub fn wipe<T: Copy + Default>(secret: &mut [T]) {
         for item in secret.iter_mut() {
             // SAFETY: `item` is a valid, aligned, exclusive reference, and
             // `T: Copy` has no drop glue for the overwritten value to skip.

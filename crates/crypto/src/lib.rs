@@ -6,7 +6,7 @@
 //! * [`aes`] — AES-128/256 and CTR mode (the PRF backbone): AES-NI where the
 //!   CPU has it, a portable software kernel elsewhere;
 //! * [`sha256`] — SHA-256, HMAC and key derivation;
-//! * [`prf`] — the keyed pseudo-random functions ASHE and ORE are built on;
+//! * [`prf`] — the keyed pseudo-random function ASHE and ORE are built on;
 //! * [`det`] — deterministic encryption for joins and non-splayed dimensions;
 //! * [`ore`] — the Chenette et al. order-revealing encryption used for range
 //!   predicates.
@@ -27,10 +27,10 @@ pub mod ore;
 pub mod prf;
 pub mod sha256;
 
-pub use aes::{aes_backend, Aes128, Aes256, AesCtr};
+pub use aes::{aes_backend, hw::wipe, Aes128, Aes256, AesCtr};
 pub use det::{DetCiphertext, DetScheme};
 pub use ore::{try_compare_symbols, OreCiphertext, OreCursor, OreScheme};
-pub use prf::{AesPrf, AnyPrf, HashPrf, Prf, PrfKind};
+pub use prf::{AesPrf, Prf};
 pub use sha256::{derive_key_128, derive_key_256, hmac_sha256, HmacSha256, Sha256};
 
 #[cfg(test)]
@@ -64,11 +64,9 @@ mod proptests {
         }
 
         #[test]
-        fn prf_kinds_are_deterministic(key in any::<[u8; 16]>(), id in any::<u64>()) {
-            for kind in [PrfKind::Aes, PrfKind::Hash] {
-                let prf = AnyPrf::new(kind, &key);
-                prop_assert_eq!(prf.eval(id, 0), prf.eval(id, 0));
-            }
+        fn prf_is_deterministic(key in any::<[u8; 16]>(), id in any::<u64>()) {
+            let prf = AesPrf::new(&key);
+            prop_assert_eq!(prf.eval(id, 0), prf.eval(id, 0));
         }
     }
 }

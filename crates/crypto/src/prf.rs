@@ -1,21 +1,13 @@
-//! Pseudo-random functions used by ASHE, SPLASHE and ORE.
+//! The pseudo-random function ASHE, SPLASHE and ORE are built on.
 //!
 //! ASHE needs a keyed function `F_k : I -> Z_n` mapping row identifiers to
-//! pseudo-random group elements (§3.1). The paper proposes two
-//! instantiations:
-//!
-//! * a cryptographic hash, `F_k(i) = H(i || k) mod n`, modeled as a random
-//!   oracle ([`HashPrf`]);
-//! * AES used as a pseudo-random permutation ([`AesPrf`]), which is the one
-//!   the prototype uses because it benefits from AES-NI and because one AES
-//!   operation yields two 64-bit (or four 32-bit) pseudo-random values
-//!   (§4.3).
-//!
-//! Both produce values in `Z_n` for a caller-chosen modulus `n`; Seabed uses
-//! `n = 2^64` for 64-bit measures, in which case the reduction is free.
+//! pseudo-random group elements (§3.1). The paper allows a hash or AES; its
+//! prototype uses AES as a pseudo-random permutation ([`AesPrf`]), because it
+//! benefits from AES-NI and because one AES operation yields two 64-bit
+//! pseudo-random values (§4.3). Seabed's group is `Z_{2^64}`, where the
+//! reduction is free.
 
 use crate::aes::{block_words, AesCtr};
-use crate::sha256::HmacSha256;
 
 /// A keyed pseudo-random function from 64-bit identifiers to `Z_n`.
 pub trait Prf: Send + Sync {
@@ -23,29 +15,18 @@ pub trait Prf: Send + Sync {
     /// (the natural wrap-around group used for 64-bit measures).
     fn eval(&self, id: u64, modulus: u64) -> u64;
 
-    /// Evaluates the PRF at `id` and `id - 1` (wrapping), the pair ASHE needs
-    /// for a single encryption; implementations may share work between the
-    /// two evaluations.
-    fn eval_pair(&self, id: u64, modulus: u64) -> (u64, u64) {
-        (self.eval(id, modulus), self.eval(id.wrapping_sub(1), modulus))
-    }
-
     /// Evaluates the PRF over the run of consecutive (wrapping) identifiers
     /// `first_id, first_id + 1, …`, one output per element of `out`.
     ///
-    /// Semantically identical to calling [`Prf::eval`] per identifier; batch
-    /// implementations amortise their keystream setup and cipher dispatch
-    /// across the whole run (§4.3), which is what makes bind-batch encryption
-    /// pay one stream expansion instead of one per literal.
-    fn eval_run(&self, first_id: u64, modulus: u64, out: &mut [u64]) {
-        for (i, value) in out.iter_mut().enumerate() {
-            *value = self.eval(first_id.wrapping_add(i as u64), modulus);
-        }
-    }
+    /// Semantically identical to calling [`Prf::eval`] per identifier, but
+    /// the keystream setup and cipher dispatch are amortised across the whole
+    /// run (§4.3), which is what makes bind-batch encryption pay one stream
+    /// expansion instead of one per literal.
+    fn eval_run(&self, first_id: u64, modulus: u64, out: &mut [u64]);
 }
 
 #[inline]
-pub(crate) fn reduce(value: u64, modulus: u64) -> u64 {
+fn reduce(value: u64, modulus: u64) -> u64 {
     if modulus == 0 {
         value
     } else {
@@ -141,81 +122,6 @@ impl Prf for AesPrf {
     }
 }
 
-/// Hash-based PRF: `F_k(i) = HMAC-SHA256_k(i)` truncated to 64 bits, reduced
-/// mod `n`. Slower than [`AesPrf`] but does not assume AES behaves as a PRP.
-#[derive(Clone)]
-pub struct HashPrf {
-    mac: HmacSha256,
-}
-
-impl HashPrf {
-    /// Creates the PRF from an arbitrary-length key.
-    pub fn new(key: &[u8]) -> Self {
-        HashPrf {
-            mac: HmacSha256::new(key),
-        }
-    }
-}
-
-impl Prf for HashPrf {
-    fn eval(&self, id: u64, modulus: u64) -> u64 {
-        let mac = self.mac.mac(&id.to_be_bytes());
-        reduce(u64::from_be_bytes(mac[..8].try_into().unwrap()), modulus)
-    }
-}
-
-/// The PRF family Seabed selects per column.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum PrfKind {
-    /// AES-128 in counter mode (default; matches the paper's prototype).
-    Aes,
-    /// HMAC-SHA-256 based PRF (the `H(i || k) mod n` instantiation).
-    Hash,
-}
-
-/// A PRF instance dispatching on [`PrfKind`].
-#[derive(Clone)]
-pub enum AnyPrf {
-    /// AES-backed instance.
-    Aes(AesPrf),
-    /// Hash-backed instance.
-    Hash(HashPrf),
-}
-
-impl AnyPrf {
-    /// Builds a PRF of the requested kind from a 16-byte key.
-    pub fn new(kind: PrfKind, key: &[u8; 16]) -> Self {
-        match kind {
-            PrfKind::Aes => AnyPrf::Aes(AesPrf::new(key)),
-            PrfKind::Hash => AnyPrf::Hash(HashPrf::new(key)),
-        }
-    }
-
-    /// Returns which family this instance belongs to.
-    pub fn kind(&self) -> PrfKind {
-        match self {
-            AnyPrf::Aes(_) => PrfKind::Aes,
-            AnyPrf::Hash(_) => PrfKind::Hash,
-        }
-    }
-}
-
-impl Prf for AnyPrf {
-    fn eval(&self, id: u64, modulus: u64) -> u64 {
-        match self {
-            AnyPrf::Aes(p) => p.eval(id, modulus),
-            AnyPrf::Hash(p) => p.eval(id, modulus),
-        }
-    }
-
-    fn eval_run(&self, first_id: u64, modulus: u64, out: &mut [u64]) {
-        match self {
-            AnyPrf::Aes(p) => p.eval_run(first_id, modulus, out),
-            AnyPrf::Hash(p) => p.eval_run(first_id, modulus, out),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,13 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_prf_deterministic() {
-        let p = HashPrf::new(b"column-key");
-        assert_eq!(p.eval(0, 0), p.eval(0, 0));
-        assert_ne!(p.eval(0, 0), p.eval(1, 0));
-    }
-
-    #[test]
     fn modulus_reduction_applies() {
         let p = AesPrf::new(&[9u8; 16]);
         for id in 0..100 {
@@ -249,17 +148,6 @@ mod tests {
         }
         // modulus 0 means the full 2^64 group
         assert_eq!(p.eval(5, 0), p.eval_wide(5)[0]);
-    }
-
-    #[test]
-    fn eval_pair_matches_individual_calls() {
-        let p = AnyPrf::new(PrfKind::Aes, &[3u8; 16]);
-        let (a, b) = p.eval_pair(10, 0);
-        assert_eq!(a, p.eval(10, 0));
-        assert_eq!(b, p.eval(9, 0));
-        // wrapping at id 0 uses id u64::MAX
-        let (_, prev) = p.eval_pair(0, 0);
-        assert_eq!(prev, p.eval(u64::MAX, 0));
     }
 
     #[test]
@@ -271,21 +159,18 @@ mod tests {
 
     #[test]
     fn eval_run_matches_eval_per_id() {
-        let aes = AnyPrf::new(PrfKind::Aes, &[0x42; 16]);
-        let hash = AnyPrf::new(PrfKind::Hash, &[0x42; 16]);
-        for prf in [&aes, &hash] {
-            for modulus in [0u64, 1000, u64::MAX] {
-                // lengths covering empty, single, partial and multi chunk
-                for (start, len) in [(0u64, 0usize), (7, 1), (100, 5), (3, 31), (9, 32), (11, 33), (5, 97)] {
-                    let mut run = vec![0u64; len];
-                    prf.eval_run(start, modulus, &mut run);
-                    for (i, got) in run.iter().enumerate() {
-                        assert_eq!(
-                            *got,
-                            prf.eval(start.wrapping_add(i as u64), modulus),
-                            "start={start} i={i}"
-                        );
-                    }
+        let aes = AesPrf::new(&[0x42; 16]);
+        for modulus in [0u64, 1000, u64::MAX] {
+            // lengths covering empty, single, partial and multi chunk
+            for (start, len) in [(0u64, 0usize), (7, 1), (100, 5), (3, 31), (9, 32), (11, 33), (5, 97)] {
+                let mut run = vec![0u64; len];
+                aes.eval_run(start, modulus, &mut run);
+                for (i, got) in run.iter().enumerate() {
+                    assert_eq!(
+                        *got,
+                        aes.eval(start.wrapping_add(i as u64), modulus),
+                        "start={start} i={i}"
+                    );
                 }
             }
         }

@@ -14,7 +14,7 @@
 //! coordinator is refused with a typed error.
 
 use seabed_core::SeabedServer;
-use seabed_engine::{Cluster, ClusterConfig, Schema, Table};
+use seabed_engine::{Cluster, ClusterConfig, ExecMode, Schema, Table};
 use seabed_error::SeabedError;
 use seabed_net::{NetServer, ServiceConfig};
 
@@ -23,6 +23,10 @@ use seabed_net::{NetServer, ServiceConfig};
 /// assignments from a coordinator.
 pub fn spawn_worker(addr: &str, config: ServiceConfig) -> Result<NetServer, SeabedError> {
     let empty = Table::from_columns(Schema::new([]), Vec::new(), 1);
-    let cluster = Cluster::try_new(ClusterConfig::with_workers(1).local_threads(1))?;
+    // A literal, not `default()`, which asks the OS for its parallelism.
+    let cluster = Cluster::new(ClusterConfig {
+        local_threads: 1,
+        exec_mode: ExecMode::default(),
+    });
     NetServer::serve(SeabedServer::new(empty, cluster), addr, config)
 }

@@ -1,20 +1,10 @@
-//! Cluster execution model: real parallel execution plus a simulated-cluster
-//! cost model.
+//! Partition-parallel execution: every partition task runs on a local thread
+//! pool, the caller's thread among them, and what it cost is measured.
 //!
-//! The paper runs Seabed on an Azure HDInsight cluster and sweeps the number
-//! of cores from 10 to 100 (Figure 7). This environment does not have 100
-//! cores, so the engine separates *doing the work* from *costing the work*:
-//!
-//! * every partition task is actually executed, on a local thread pool, and
-//!   its CPU time is measured;
-//! * the *simulated* server-side latency is then computed by list-scheduling
-//!   the measured task durations onto `workers` parallel slots, adding the
-//!   per-task scheduling overhead.
-//!
-//! This reproduces the shapes of Figures 6, 7 and 9 — linear growth with data
-//! size, saturation once per-task overhead dominates — while remaining
-//! faithful to the real per-row computation costs, which are measured rather
-//! than modeled.
+//! The paper's latencies come from a 100-core HDInsight cluster (§6). The
+//! harness models that cluster from these measurements
+//! (`seabed_bench::baselines::ClusterModel`); the product reports only what
+//! it measured.
 
 use crate::exec::{merge_operator_profiles, ExecMode, OperatorProfile};
 use crate::table::{Partition, Table};
@@ -22,17 +12,12 @@ use seabed_error::SeabedError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// Configuration of the (simulated) cluster.
+/// Configuration of a [`Cluster`].
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
-    /// Number of simulated worker cores (the x-axis of Figure 7).
-    pub workers: usize,
-    /// Number of OS threads used to actually execute tasks, the thread that
-    /// calls [`Cluster::run`] included: 1 means no thread is ever spawned.
+    /// Number of OS threads used to execute tasks, the thread that calls
+    /// [`Cluster::run`] included: 1 means no thread is ever spawned.
     pub local_threads: usize,
-    /// Fixed per-task scheduling/launch overhead (Spark task creation cost;
-    /// this is what makes NoEnc latency flat at ~0.6 s in Figure 6).
-    pub task_overhead: Duration,
     /// How partition scans are executed (scalar reference path or vectorized
     /// fast path). Defaults to [`ExecMode::Vectorized`].
     pub exec_mode: ExecMode,
@@ -41,23 +26,13 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
-            workers: 100,
             local_threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-            task_overhead: Duration::from_millis(5),
             exec_mode: ExecMode::default(),
         }
     }
 }
 
 impl ClusterConfig {
-    /// A convenience constructor fixing the simulated worker count.
-    pub fn with_workers(workers: usize) -> ClusterConfig {
-        ClusterConfig {
-            workers,
-            ..ClusterConfig::default()
-        }
-    }
-
     /// Returns the configuration with the execution mode replaced.
     pub fn exec_mode(mut self, mode: ExecMode) -> ClusterConfig {
         self.exec_mode = mode;
@@ -70,17 +45,11 @@ impl ClusterConfig {
         self
     }
 
-    /// Checks the configuration for degenerate values that would make the
-    /// execution or cost model meaningless: zero simulated workers or zero
-    /// local threads. Rejected with a typed [`SeabedError`] here — at construction via [`Cluster::try_new`]
-    /// and again at the top of query execution — instead of being silently
-    /// clamped somewhere down the execution path.
+    /// Checks the configuration for a degenerate value: zero local threads.
+    /// Rejected with a typed [`SeabedError`] here — at construction via
+    /// [`Cluster::try_new`] and again at the top of query execution — instead
+    /// of being silently clamped somewhere down the execution path.
     pub fn validate(&self) -> Result<(), SeabedError> {
-        if self.workers == 0 {
-            return Err(SeabedError::engine(
-                "cluster config is degenerate: workers must be at least 1",
-            ));
-        }
         if self.local_threads == 0 {
             return Err(SeabedError::engine(
                 "cluster config is degenerate: local_threads must be at least 1",
@@ -99,8 +68,9 @@ pub struct ExecStats {
     pub total_task_time: Duration,
     /// Longest single task.
     pub max_task_time: Duration,
-    /// Simulated makespan on `workers` slots including per-task overhead:
-    /// the "server-side latency" of Figures 6–9.
+    /// Kept for the wire layout of protocol version 5: [`Cluster::run`]
+    /// writes its measured `wall_time` here, and merges sum it. The paper
+    /// harness writes its cluster model's makespan here.
     pub simulated_server_time: Duration,
     /// Bytes the tasks reported shipping to the driver: the sum of
     /// [`TaskOutput::bytes`]. For a query scan that is the size of each
@@ -210,7 +180,7 @@ where
     done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// A simulated cluster that executes partition tasks.
+/// Executes partition tasks on local threads.
 #[derive(Clone, Debug, Default)]
 pub struct Cluster {
     /// The cluster configuration.
@@ -228,8 +198,8 @@ impl Cluster {
         Cluster { config }
     }
 
-    /// Creates a cluster, rejecting degenerate configurations — zero workers
-    /// or zero local threads — with a typed [`SeabedError`] at construction.
+    /// Creates a cluster, rejecting a degenerate configuration — zero local
+    /// threads — with a typed [`SeabedError`] at construction.
     pub fn try_new(config: ClusterConfig) -> Result<Cluster, SeabedError> {
         config.validate()?;
         Ok(Cluster { config })
@@ -252,46 +222,20 @@ impl Cluster {
         });
         let wall_time = started.elapsed();
 
-        let mut task_times = Vec::with_capacity(n);
+        let mut stats = ExecStats {
+            tasks: n,
+            simulated_server_time: wall_time,
+            wall_time,
+            ..ExecStats::default()
+        };
         let mut outputs = Vec::with_capacity(n);
-        let mut bytes_to_driver = 0usize;
         for (out, elapsed) in timed {
-            task_times.push(elapsed);
-            bytes_to_driver += out.bytes;
+            stats.total_task_time += elapsed;
+            stats.max_task_time = stats.max_task_time.max(elapsed);
+            stats.bytes_to_driver += out.bytes;
             outputs.push(out.value);
         }
-        let stats = self.simulate(&task_times, bytes_to_driver, wall_time);
         (outputs, stats)
-    }
-
-    /// Computes the simulated makespan for a set of measured task durations:
-    /// the cost model behind [`Cluster::run`], exposed so it can be
-    /// exercised with fixed task times. A pure function of the config and
-    /// the task times.
-    pub fn simulate(&self, task_times: &[Duration], bytes_to_driver: usize, wall_time: Duration) -> ExecStats {
-        let workers = self.config.workers.max(1);
-        // Worker slots as accumulated busy time; tasks are list-scheduled in
-        // submission order, which is how Spark assigns partitions to executors.
-        let mut slots = vec![Duration::ZERO; workers];
-        let mut total = Duration::ZERO;
-        let mut max_task = Duration::ZERO;
-        for &t in task_times {
-            total += t;
-            max_task = max_task.max(t);
-            // Assign to the least-loaded slot.
-            let slot = slots.iter_mut().min_by_key(|d| **d).expect("at least one worker");
-            *slot += t + self.config.task_overhead;
-        }
-        let makespan = slots.into_iter().max().unwrap_or(Duration::ZERO);
-        ExecStats {
-            tasks: task_times.len(),
-            total_task_time: total,
-            max_task_time: max_task,
-            simulated_server_time: makespan,
-            bytes_to_driver,
-            wall_time,
-            operators: Vec::new(),
-        }
     }
 }
 
@@ -319,6 +263,10 @@ mod tests {
         assert_eq!(total, (0..1000u64).sum());
         assert_eq!(stats.tasks, 8);
         assert_eq!(stats.bytes_to_driver, 64);
+        assert_eq!(
+            stats.simulated_server_time, stats.wall_time,
+            "the product reports what it measured"
+        );
     }
 
     /// The fan-out rule: whatever the lane count, results come back in unit
@@ -405,39 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn simulated_time_includes_task_overhead() {
-        let t = table(100, 10);
-        let mut config = ClusterConfig::with_workers(1);
-        config.task_overhead = Duration::from_millis(50);
-        let cluster = Cluster::new(config);
-        let (_, stats) = cluster.run(&t, |_| TaskOutput::new((), 0));
-        // 10 tasks on 1 worker, each with 50 ms overhead -> at least 500 ms.
-        assert!(stats.simulated_server_time >= Duration::from_millis(500));
-    }
-
-    #[test]
-    fn more_workers_reduce_simulated_time() {
-        let t = table(200_000, 64);
-        let run_with = |workers: usize| {
-            let mut config = ClusterConfig::with_workers(workers);
-            config.task_overhead = Duration::from_millis(2);
-            let cluster = Cluster::new(config);
-            let (_, stats) = cluster.run(&t, |p| {
-                // Do genuine work so task durations are non-trivial.
-                let mut acc = 0u64;
-                for &v in p.column(0).as_u64() {
-                    acc = acc.wrapping_add(v.wrapping_mul(2654435761));
-                }
-                TaskOutput::new(acc, 8)
-            });
-            stats.simulated_server_time
-        };
-        let slow = run_with(2);
-        let fast = run_with(32);
-        assert!(fast < slow, "32 workers ({fast:?}) should beat 2 workers ({slow:?})");
-    }
-
-    #[test]
     fn stats_merge_adds_up() {
         let op = |rows_in: u64| OperatorProfile {
             label: "filter:plain:v".to_string(),
@@ -481,23 +396,18 @@ mod tests {
         assert_eq!(m.operators[0].nanos, 10);
     }
 
-    /// Regression tests for degenerate configurations: `with_workers(0)` and
-    /// `local_threads(0)` used to flow into the execution path unchecked
-    /// (silently clamped deep inside `run`/`simulate`); they are now rejected
-    /// with a typed error at construction via `try_new` and by
+    /// Regression test for a degenerate configuration: `local_threads(0)`
+    /// used to flow into the execution path unchecked; it is rejected with a
+    /// typed error at construction via `try_new` and by
     /// `ClusterConfig::validate` on the execution path.
     #[test]
     fn degenerate_configs_are_rejected_with_typed_errors() {
-        let zero_workers = ClusterConfig::with_workers(0);
-        assert!(matches!(zero_workers.validate(), Err(SeabedError::Engine(_))));
-        assert!(matches!(Cluster::try_new(zero_workers), Err(SeabedError::Engine(_))));
-
-        let zero_threads = ClusterConfig::with_workers(4).local_threads(0);
+        let zero_threads = ClusterConfig::default().local_threads(0);
         assert!(matches!(zero_threads.validate(), Err(SeabedError::Engine(_))));
         assert!(matches!(Cluster::try_new(zero_threads), Err(SeabedError::Engine(_))));
 
         // Well-formed configurations pass and construct.
-        let good = ClusterConfig::with_workers(4).local_threads(2);
+        let good = ClusterConfig::default().local_threads(2);
         assert!(good.validate().is_ok());
         assert!(Cluster::try_new(good).is_ok());
     }

@@ -676,9 +676,10 @@ fn dispatch_frame(frame: Frame, ctx: &Service) -> Frame {
             // Validate the shard's cluster configuration and physical layout
             // *now*, so a bad assignment fails its load instead of every
             // later query.
-            let config = ClusterConfig::with_workers((exec.local_threads as usize).max(1))
-                .local_threads(exec.local_threads as usize)
-                .exec_mode(exec.exec_mode);
+            let config = ClusterConfig {
+                local_threads: exec.local_threads as usize,
+                exec_mode: exec.exec_mode,
+            };
             let loaded = Cluster::try_new(config)
                 .and_then(|cluster| table.validate_layout().map(|()| cluster))
                 .and_then(|cluster| {
@@ -819,7 +820,7 @@ mod tests {
             ],
             4,
         );
-        SeabedServer::new(table, Cluster::new(ClusterConfig::with_workers(4).local_threads(1)))
+        SeabedServer::new(table, Cluster::new(ClusterConfig::default().local_threads(1)))
     }
 
     fn sum_query() -> TranslatedQuery {
@@ -952,7 +953,7 @@ mod tests {
             (0..columns).map(|_| ColumnData::UInt64(vec![1, 2, 3])).collect(),
             1,
         );
-        let server = SeabedServer::new(wide, Cluster::new(ClusterConfig::with_workers(1).local_threads(1)));
+        let server = SeabedServer::new(wide, Cluster::new(ClusterConfig::default().local_threads(1)));
         let net = NetServer::serve(server, "127.0.0.1:0", ServiceConfig::default().max_frame_len(128)).expect("serve");
         let mut stream = connect(&net);
         for _ in 0..2 {

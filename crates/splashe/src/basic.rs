@@ -125,14 +125,14 @@ impl BasicSplashe {
     /// Answers `SELECT COUNT(*) WHERE dim = value` over the splayed columns.
     pub fn count_where(&self, cols: &BasicSplayedColumns, value: &str) -> Option<u64> {
         let j = cols.column_of(value)?;
-        let agg = seabed_ashe::aggregate_where(self.indicator_scheme(j), &cols.indicator[j], |_| true);
+        let agg = seabed_ashe::aggregate_where(&cols.indicator[j], |_| true);
         Some(self.indicator_scheme(j).decrypt(&agg))
     }
 
     /// Answers `SELECT SUM(measure) WHERE dim = value` over the splayed columns.
     pub fn sum_where(&self, cols: &BasicSplayedColumns, value: &str) -> Option<u64> {
         let j = cols.column_of(value)?;
-        let agg = seabed_ashe::aggregate_where(self.measure_scheme(j), &cols.measure[j], |_| true);
+        let agg = seabed_ashe::aggregate_where(&cols.measure[j], |_| true);
         Some(self.measure_scheme(j).decrypt(&agg))
     }
 }

@@ -236,15 +236,13 @@ impl EnhancedSplashe {
     pub fn sum_where(&self, cols: &EnhancedSplayedColumns, value: &str) -> Option<u64> {
         let k = self.plan.k();
         if let Some(j) = self.plan.frequent.iter().position(|v| v == value) {
-            let scheme = &self.measure_schemes[j];
-            let agg = seabed_ashe::aggregate_where(scheme, &cols.measures[j], |_| true);
-            return Some(scheme.decrypt(&agg));
+            let agg = seabed_ashe::aggregate_where(&cols.measures[j], |_| true);
+            return Some(self.measure_schemes[j].decrypt(&agg));
         }
         if self.plan.infrequent.iter().any(|v| v == value) {
             let tag = self.det.tag64_of(value.as_bytes());
-            let scheme = &self.measure_schemes[k];
-            let agg = seabed_ashe::aggregate_where(scheme, &cols.measures[k], |i| cols.det_column[i] == tag);
-            return Some(scheme.decrypt(&agg));
+            let agg = seabed_ashe::aggregate_where(&cols.measures[k], |i| cols.det_column[i] == tag);
+            return Some(self.measure_schemes[k].decrypt(&agg));
         }
         None
     }
@@ -252,10 +250,7 @@ impl EnhancedSplashe {
     /// Answers `SELECT SUM(measure)` with no dimension predicate (all rows).
     pub fn sum_all(&self, cols: &EnhancedSplayedColumns) -> u64 {
         (0..=self.plan.k())
-            .map(|col| {
-                let scheme = &self.measure_schemes[col];
-                scheme.decrypt(&seabed_ashe::aggregate_where(scheme, &cols.measures[col], |_| true))
-            })
+            .map(|col| self.measure_schemes[col].decrypt(&seabed_ashe::aggregate_where(&cols.measures[col], |_| true)))
             .fold(0u64, |a, b| a.wrapping_add(b))
     }
 }

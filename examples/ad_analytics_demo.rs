@@ -38,7 +38,7 @@ fn main() {
 
     println!("Encrypting and uploading...");
     let encrypted = client.encrypt_dataset(&dataset, 32, &mut rng);
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(64)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
 
     let session = SeabedSession::single("ad_analytics", client, &server);
 

@@ -36,7 +36,7 @@ fn main() {
             .collect();
         let mut client = SeabedClient::create_plan(b"bdb-master", &specs, &samples, &PlannerConfig::default());
         let encrypted = client.encrypt_dataset(dataset, 16, rng);
-        let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(32)));
+        let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
         (client, server)
     };
     let (rank_client, rank_server) = build(&tables.rankings, &["pageRank", "avgDuration"], &mut rng);

@@ -45,7 +45,7 @@ fn main() {
     for field in &encrypted.table.schema.fields {
         println!("  {}", field.name);
     }
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
 
     // 4. Open a session: the catalog registers the table's proxy state (plan,
     //    keys, DET dictionaries) under its name; the session resolves every

@@ -38,7 +38,7 @@ fn main() {
     // 2. Host the untrusted server behind a TCP socket. Port 0 picks an
     //    ephemeral port; a connection thread starts with each connection
     //    that finds none idle, and worker_threads caps how many run at once.
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     let net = NetServer::serve(server, "127.0.0.1:0", ServiceConfig::default().worker_threads(8)).expect("serve");
     println!("Seabed service listening on {}", net.local_addr());
 

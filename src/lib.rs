@@ -11,7 +11,7 @@
 //! * [`encoding`] — ID-list encodings, bitmaps, DEFLATE;
 //! * [`ashe`] — the additively symmetric homomorphic encryption scheme;
 //! * [`splashe`] — splayed aggregation over low-cardinality dimensions;
-//! * [`engine`] — the partitioned columnar engine and cluster cost model;
+//! * [`engine`] — the partitioned columnar engine and its measured parallel execution;
 //! * [`query`] — SQL dialect, data planner, query translator;
 //! * [`core`] — client proxy, untrusted server, sessions;
 //! * [`obs`] — unified metrics registry (counters, gauges, log-bucket

@@ -28,7 +28,7 @@ fn hourly_aggregations_match_plaintext() {
     let samples: Vec<_> = queries.iter().map(|q| parse(&q.sql).unwrap()).collect();
     let mut client = SeabedClient::create_plan(b"ada-it", &specs, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 8, &mut rng);
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(16)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
 
     let session = SeabedSession::single("ad_analytics", client, &server);
     let hour = dataset.column("hour").unwrap();
@@ -126,7 +126,7 @@ fn hour_group_keys_round_trip_as_values() {
     let samples = vec![parse(sql).unwrap()];
     let mut client = SeabedClient::create_plan(b"ada-it2", &specs, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 4, &mut rng);
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     let result = SeabedSession::single("ad_analytics", client, &server)
         .query(sql, &[])
         .unwrap();

@@ -3,8 +3,7 @@
 //! have the shape the paper reports.
 
 use seabed_ashe::{AsheScheme, IdSet};
-use seabed_bench::baselines::{row_selected, NoEncSystem, PaillierSystem};
-use seabed_engine::{Cluster, ClusterConfig};
+use seabed_bench::baselines::{row_selected, ClusterModel, NoEncSystem, PaillierSystem};
 
 fn values(n: u64) -> Vec<u64> {
     (0..n).map(|i| (i * 31 + 7) % 10_000).collect()
@@ -13,10 +12,10 @@ fn values(n: u64) -> Vec<u64> {
 #[test]
 fn all_three_systems_agree_on_sums() {
     let vals = values(4_000);
-    let cluster = Cluster::new(ClusterConfig::with_workers(16));
-    let noenc = NoEncSystem::new(&vals, None, 8, cluster.clone());
+    let cluster = ClusterModel::new(16);
+    let noenc = NoEncSystem::new(&vals, None, 8, cluster);
     let mut rng = rand::rng();
-    let paillier = PaillierSystem::new(&vals[..1_000], None, 4, cluster.clone(), 128, &mut rng);
+    let paillier = PaillierSystem::new(&vals[..1_000], None, 4, cluster, 128, &mut rng);
     let ashe = AsheScheme::new(&[1u8; 16]);
     let encrypted = seabed_ashe::encrypt_column(&ashe, &vals, 0);
 
@@ -29,7 +28,7 @@ fn all_three_systems_agree_on_sums() {
             .sum();
         assert_eq!(noenc.sum(selectivity).sum, expected, "NoEnc at {selectivity}");
 
-        let agg = seabed_ashe::aggregate_where(&ashe, &encrypted, |i| row_selected(i as u64, selectivity));
+        let agg = seabed_ashe::aggregate_where(&encrypted, |i| row_selected(i as u64, selectivity));
         assert_eq!(ashe.decrypt(&agg), expected, "ASHE at {selectivity}");
     }
     // Paillier checked on its (smaller) prefix.
@@ -55,14 +54,14 @@ fn ashe_result_size_is_constant_for_full_scans() {
 #[test]
 fn paillier_is_much_slower_per_row_than_ashe() {
     let vals = values(2_000);
-    let cluster = Cluster::new(ClusterConfig::with_workers(4));
+    let cluster = ClusterModel::new(4);
     let mut rng = rand::rng();
-    let paillier = PaillierSystem::new(&vals, None, 4, cluster.clone(), 128, &mut rng);
+    let paillier = PaillierSystem::new(&vals, None, 4, cluster, 128, &mut rng);
 
     let ashe = AsheScheme::new(&[1u8; 16]);
     let encrypted = seabed_ashe::encrypt_column(&ashe, &vals, 0);
     let start = std::time::Instant::now();
-    let agg = seabed_ashe::aggregate_where(&ashe, &encrypted, |_| true);
+    let agg = seabed_ashe::aggregate_where(&encrypted, |_| true);
     let _ = ashe.decrypt(&agg);
     let ashe_time = start.elapsed();
 
@@ -78,8 +77,8 @@ fn paillier_is_much_slower_per_row_than_ashe() {
 fn group_by_results_agree() {
     let vals = values(3_000);
     let groups: Vec<u64> = (0..3_000u64).map(|i| i % 12).collect();
-    let cluster = Cluster::new(ClusterConfig::with_workers(8));
-    let noenc = NoEncSystem::new(&vals, Some(&groups), 6, cluster.clone());
+    let cluster = ClusterModel::new(8);
+    let noenc = NoEncSystem::new(&vals, Some(&groups), 6, cluster);
     let (plain, _) = noenc.group_by_sum(1.0);
     let mut rng = rand::rng();
     let paillier = PaillierSystem::new(&vals, Some(&groups), 6, cluster, 128, &mut rng);

@@ -34,7 +34,7 @@ fn build(dataset: &PlainDataset, sensitive: &[&str]) -> (SeabedClient, SeabedSer
         .collect();
     let mut client = SeabedClient::create_plan(b"bdb-it", &specs, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(dataset, 4, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     (client, server)
 }
 

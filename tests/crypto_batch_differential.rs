@@ -3,8 +3,8 @@
 //!
 //! The batched hot paths (multi-block AES dispatch, PRF keystream runs, the
 //! packed ASHE mask runs, run-encryption, batched boundary decryption, the
-//! batched ORE prefix encryption and its column cursor, and ASHE's
-//! once-reduced `u128` mask sums) exist purely for throughput:
+//! batched ORE prefix encryption and its column cursor) exist purely for
+//! throughput:
 //! each must be *bit-identical* to the scalar path it replaces, over random
 //! key material, random values, random identifiers — including identifier
 //! runs that wrap `u64::MAX`, empty batches, and single-element batches.
@@ -14,7 +14,7 @@
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use seabed_ashe::{encrypt_column, encrypt_column_scalar, AsheCiphertext, AsheScheme, IdSet};
-use seabed_crypto::prf::{AesPrf, AnyPrf, Prf, PrfKind};
+use seabed_crypto::prf::{AesPrf, Prf};
 use seabed_crypto::{Aes128, Aes256, AesCtr, OreScheme};
 
 /// Maps a raw draw onto a batch length, biased to the internal chunk
@@ -42,8 +42,8 @@ fn start_id(raw: u64) -> u64 {
     }
 }
 
-/// Maps a raw draw onto a PRF / ASHE group modulus: 0 (the free `2^64`
-/// wrap-around group) a quarter of the time, otherwise arbitrary non-zero.
+/// Maps a raw draw onto a PRF modulus: 0 (the free `2^64` wrap-around group)
+/// a quarter of the time, otherwise arbitrary non-zero.
 fn pick_modulus(raw: u64) -> u64 {
     match raw & 3 {
         0 => 0,
@@ -129,25 +129,6 @@ proptest! {
         }
     }
 
-    /// The `AnyPrf` dispatch must route runs to the batched kernel (AES) or
-    /// the default per-id loop (hash) without changing a single output.
-    #[test]
-    fn any_prf_eval_run_matches_eval(
-        key in any::<[u8; 16]>(),
-        aes in any::<bool>(),
-        raw_start in any::<u64>(),
-        raw_len in any::<u64>(),
-        raw_mod in any::<u64>(),
-    ) {
-        let prf = AnyPrf::new(if aes { PrfKind::Aes } else { PrfKind::Hash }, &key);
-        let (start, modulus) = (start_id(raw_start), pick_modulus(raw_mod));
-        let mut run = vec![0u64; batch_len(raw_len)];
-        prf.eval_run(start, modulus, &mut run);
-        for (i, &value) in run.iter().enumerate() {
-            prop_assert_eq!(value, prf.eval(start.wrapping_add(i as u64), modulus));
-        }
-    }
-
     // ---------------------------------------------------------------
     // ASHE: packed mask runs and run-encryption ≡ the scalar scheme.
     // ---------------------------------------------------------------
@@ -155,13 +136,10 @@ proptest! {
     #[test]
     fn ashe_mask_run_matches_mask(
         key in any::<[u8; 16]>(),
-        aes in any::<bool>(),
         raw_start in any::<u64>(),
         raw_len in any::<u64>(),
-        raw_mod in any::<u64>(),
     ) {
-        let kind = if aes { PrfKind::Aes } else { PrfKind::Hash };
-        let scheme = AsheScheme::with_options(&key, kind, pick_modulus(raw_mod));
+        let scheme = AsheScheme::new(&key);
         let start = start_id(raw_start);
         let mut run = vec![0u64; batch_len(raw_len)];
         scheme.mask_run(start, &mut run);
@@ -179,13 +157,10 @@ proptest! {
     #[test]
     fn ashe_encrypt_run_matches_encrypt(
         key in any::<[u8; 16]>(),
-        aes in any::<bool>(),
         raw_start in any::<u64>(),
         values in pvec(any::<u64>(), 0..130),
-        raw_mod in any::<u64>(),
     ) {
-        let kind = if aes { PrfKind::Aes } else { PrfKind::Hash };
-        let scheme = AsheScheme::with_options(&key, kind, pick_modulus(raw_mod));
+        let scheme = AsheScheme::new(&key);
         let start = start_id(raw_start);
         let run = scheme.encrypt_run(&values, start);
         prop_assert_eq!(run.len(), values.len());
@@ -198,18 +173,15 @@ proptest! {
 
     /// The column front door: batched `encrypt_column` (masks expanded
     /// straight into the column's words) ≡ the retained scalar reference for
-    /// either PRF, any modulus and identifier runs that wrap `u64::MAX`, and
+    /// identifier runs anywhere, including ones that wrap `u64::MAX`, and
     /// both telescope back to the plaintext.
     #[test]
     fn ashe_encrypt_column_matches_scalar_and_roundtrips(
         key in any::<[u8; 16]>(),
-        aes in any::<bool>(),
         raw_start in any::<u64>(),
         values in pvec(any::<u64>(), 0..100),
-        raw_mod in any::<u64>(),
     ) {
-        let kind = if aes { PrfKind::Aes } else { PrfKind::Hash };
-        let scheme = AsheScheme::with_options(&key, kind, pick_modulus(raw_mod));
+        let scheme = AsheScheme::new(&key);
         let start = start_id(raw_start);
         let batched = encrypt_column(&scheme, &values, start);
         let scalar = encrypt_column_scalar(&scheme, &values, start);
@@ -220,8 +192,7 @@ proptest! {
             prop_assert_eq!(b.value, s.value);
             prop_assert_eq!(&b.ids, &s.ids);
             prop_assert_eq!(b.ids.runs()[0].start, start.wrapping_add(i as u64));
-            let expected = if scheme.modulus() == 0 { value } else { value % scheme.modulus() };
-            prop_assert_eq!(scheme.decrypt(&b), expected);
+            prop_assert_eq!(scheme.decrypt(&b), value);
         }
     }
 
@@ -229,18 +200,15 @@ proptest! {
     /// dispatches) ≡ the naive per-identifier walk, over ID sets of up to
     /// ~100 runs — past the 32-run dispatch size — that start at identifier 0
     /// (whose predecessor mask wraps to `u64::MAX`), end at `u64::MAX`, or
-    /// sit anywhere, for either PRF and any modulus.
+    /// sit anywhere.
     #[test]
     fn ashe_batched_decrypt_matches_naive_walk(
         key in any::<[u8; 16]>(),
-        aes in any::<bool>(),
         raw_base in any::<u64>(),
         gaps in pvec(1u64..4, 0..150),
         value in any::<u64>(),
-        raw_mod in any::<u64>(),
     ) {
-        let kind = if aes { PrfKind::Aes } else { PrfKind::Hash };
-        let scheme = AsheScheme::with_options(&key, kind, pick_modulus(raw_mod));
+        let scheme = AsheScheme::new(&key);
         // Sorted identifiers: `base` plus the running sum of the gaps (a gap
         // of 1 extends a run), anchored at 0, ending at u64::MAX, or anywhere.
         let offsets: Vec<u64> = gaps
@@ -259,7 +227,7 @@ proptest! {
         };
         let ids: Vec<u64> = offsets.iter().map(|offset| base + offset).collect();
         let ciphertext = AsheCiphertext {
-            value: if scheme.modulus() == 0 { value } else { value % scheme.modulus() },
+            value,
             ids: IdSet::from_sorted_ids(&ids),
         };
         prop_assert_eq!(scheme.decrypt_prf_evals(&ciphertext), 2 * ciphertext.ids.run_count());
@@ -318,48 +286,47 @@ proptest! {
     }
 }
 
-/// ASHE's explicit-modulus decryption sums the masks it adds and the masks
-/// it subtracts in two `u128`s and reduces each once. With a modulus within
-/// 64 of `u64::MAX` every mask is near 2^64, so 40 runs — past the 32-run
-/// dispatch — carry both sums far past 2^64, a different number of times
-/// each: an accumulator that wrapped at 2^64 would lose `2^64 mod m` per
-/// wrap, and the two losses would not cancel. The batched decryption must
-/// still be the naive per-identifier walk's, for either PRF.
+/// ASHE's group is `Z_{2^64}`: decryption adds and subtracts boundary masks
+/// with wrapping `u64` arithmetic, 32 runs per batched dispatch. 40 runs —
+/// past one dispatch — of values near 2^63 carry the plaintext sum and both
+/// boundary-mask sums past 2^64, several times each. The batched decryption
+/// must still be the naive per-identifier walk's and the wrapping sum of the
+/// plaintexts.
 #[test]
-fn ashe_decrypt_carries_mask_sums_past_two_to_the_64() {
+fn ashe_decrypt_wraps_sums_past_two_to_the_64() {
+    let scheme = AsheScheme::new(&[0x3c; 16]);
     // 40 runs of three identifiers, two apart, so each run is its own pair of
     // boundaries.
     let ids: Vec<u64> = (0..40u64)
         .flat_map(|run| (0..3).map(move |i| 1_000 + run * 5 + i))
         .collect();
-    for (kind, modulus) in [(PrfKind::Aes, u64::MAX - 58), (PrfKind::Hash, u64::MAX - 63)] {
-        let scheme = AsheScheme::with_options(&[0x3c; 16], kind, modulus);
-        let ciphertext = AsheCiphertext {
-            value: 0x0123_4567_89ab_cdef,
-            ids: IdSet::from_sorted_ids(&ids),
-        };
-        assert_eq!(ciphertext.ids.run_count(), 40);
-        let (added, subtracted) =
-            ciphertext
-                .ids
-                .boundary_pairs()
-                .fold((0u128, 0u128), |(added, subtracted), (end, before_start)| {
-                    (
-                        added + scheme.mask(end) as u128,
-                        subtracted + scheme.mask(before_start) as u128,
-                    )
-                });
-        assert!(
-            added >> 64 > 0 && subtracted >> 64 > 0,
-            "{kind:?}: both sums exceed 2^64"
-        );
-        assert_ne!(added >> 64, subtracted >> 64, "{kind:?}: the sums wrap 2^64 unequally");
-        assert_eq!(
-            scheme.decrypt(&ciphertext),
-            scheme.decrypt_without_telescoping(&ciphertext),
-            "{kind:?}, modulus {modulus}"
-        );
-    }
+    let values: Vec<u64> = (0..ids.len() as u64).map(|i| (1 << 63) + i * 0x9e37_79b9).collect();
+    let ciphertext = scheme.sum(
+        ids.iter()
+            .zip(&values)
+            .map(|(&id, &value)| scheme.encrypt(value, id))
+            .collect::<Vec<_>>()
+            .iter(),
+    );
+    assert_eq!(ciphertext.ids.run_count(), 40);
+    let plain: u128 = values.iter().map(|&v| u128::from(v)).sum();
+    assert!(plain >> 64 > 1, "the plaintext sum passes 2^64");
+    let (added, subtracted) =
+        ciphertext
+            .ids
+            .boundary_pairs()
+            .fold((0u128, 0u128), |(added, subtracted), (end, before_start)| {
+                (
+                    added + u128::from(scheme.mask(end)),
+                    subtracted + u128::from(scheme.mask(before_start)),
+                )
+            });
+    assert!(added >> 64 > 1 && subtracted >> 64 > 1, "both mask sums pass 2^64");
+    assert_eq!(scheme.decrypt(&ciphertext), plain as u64);
+    assert_eq!(
+        scheme.decrypt(&ciphertext),
+        scheme.decrypt_without_telescoping(&ciphertext)
+    );
 }
 
 /// SplitMix64: a seeded stream for the pinned sequences below.

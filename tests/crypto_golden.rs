@@ -96,7 +96,7 @@ fn digests() -> Digests {
     }
 
     // One request carrying a DET tag and two ORE ciphertexts.
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(2)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     let prepared = SeabedSession::single("sales", client.clone(), &server)
         .prepare("SELECT SUM(revenue), COUNT(*) FROM sales WHERE dept = 'd07' AND ts >= 1400010000 AND ts < 1400050000")
         .unwrap();

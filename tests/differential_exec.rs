@@ -26,7 +26,7 @@
 
 use proptest::prelude::*;
 use seabed_ashe::IdSet;
-use seabed_bench::baselines::NoEncSystem;
+use seabed_bench::baselines::{ClusterModel, NoEncSystem};
 use seabed_core::{
     EncryptedAggregate, PhysicalFilter, PlainDataset, ResultValue, SeabedClient, SeabedServer, SeabedSession,
     ServerResponse,
@@ -231,10 +231,7 @@ fn query(group_cols: &[&str], inflation: u32, extreme: Option<bool>) -> Translat
 }
 
 fn server(table: &Table, mode: ExecMode) -> SeabedServer {
-    SeabedServer::new(
-        table.clone(),
-        Cluster::new(ClusterConfig::with_workers(4).exec_mode(mode)),
-    )
+    SeabedServer::new(table.clone(), Cluster::new(ClusterConfig::default().exec_mode(mode)))
 }
 
 /// Per-group reference aggregate: wrapping sum, selected row IDs, and the
@@ -563,7 +560,7 @@ proptest! {
     ) {
         let values: Vec<u64> = (0..rows as u64).map(|i| mix(seed, i, 1) % 1_000_000).collect();
         let keys: Vec<u64> = (0..rows as u64).map(|i| mix(seed, i, 2) % groups).collect();
-        let noenc = NoEncSystem::new(&values, Some(&keys), partitions, Cluster::new(ClusterConfig::with_workers(4)));
+        let noenc = NoEncSystem::new(&values, Some(&keys), partitions, ClusterModel::new(4));
         let expected_sum = noenc.sum(1.0);
         let (expected_groups, _) = noenc.group_by_sum(1.0);
 
@@ -720,7 +717,7 @@ proptest! {
         for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
             let srv = SeabedServer::new(
                 encrypted.table.clone(),
-                Cluster::new(ClusterConfig::with_workers(4).exec_mode(mode)),
+                Cluster::new(ClusterConfig::default().exec_mode(mode)),
             );
             let result = match SeabedSession::single("sales", client.clone(), &srv).query(&sql, &[]) {
                 Ok(r) => r,

@@ -109,7 +109,7 @@ fn sales_fixture() -> (SeabedClient, SeabedServer, PlainDataset) {
     .collect();
     let mut client = SeabedClient::create_plan(b"dist-eq", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 12, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     (client, server, dataset)
 }
 
@@ -175,7 +175,7 @@ fn server_responses_do_not_depend_on_local_threads() {
     let (client, server, _) = sales_fixture();
     for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
         let with_threads = |threads: usize| {
-            let config = ClusterConfig::with_workers(8).local_threads(threads).exec_mode(mode);
+            let config = ClusterConfig::default().local_threads(threads).exec_mode(mode);
             SeabedServer::new(server.table().clone(), Cluster::new(config))
         };
         let on_the_caller = with_threads(1);
@@ -327,6 +327,9 @@ fn seabed_client_targets_the_coordinator_directly() {
         .query("SELECT SUM(revenue) FROM sales", &[])
         .expect("query via coordinator");
     assert_eq!(result.rows, vec![vec![ResultValue::UInt(expected)]]);
+    // The server's time is the coordinator's measured scatter and gather.
+    assert!(result.timings.server > std::time::Duration::ZERO);
+    assert_eq!(result.timings.server, result.server_stats.wall_time);
     assert_eq!(coordinator.schema_of("sales"), Ok(&server.table().schema));
     for w in workers {
         w.shutdown();
@@ -352,7 +355,7 @@ fn ad_analytics_workload_is_byte_identical() {
     let samples: Vec<Query> = queries.iter().map(|q| parse(&q.sql).expect("sample")).collect();
     let mut client = SeabedClient::create_plan(b"dist-ada", &specs, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 8, &mut rng);
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     let (workers, coordinator) = cluster_of(4, "ad_analytics", encrypted.table.clone());
     for q in queries.iter().take(6) {
         assert_equivalent(&client, &server, &coordinator, &q.sql);
@@ -391,7 +394,7 @@ fn bdb_workload_is_byte_identical() {
             .collect();
         let mut client = SeabedClient::create_plan(b"dist-bdb", &specs, &samples, &PlannerConfig::default());
         let encrypted = client.encrypt_dataset(dataset, 6, &mut rng);
-        let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
+        let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
         let (workers, coordinator) = cluster_of(2, &dataset.name, encrypted.table.clone());
         for q in bdb::queries().iter().filter(|q| q.table == dataset.name) {
             // Scan queries (Q1*) have no aggregate; approximate as COUNT as

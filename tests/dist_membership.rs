@@ -55,7 +55,7 @@ fn sum_query(group_by: bool) -> TranslatedQuery {
 }
 
 fn local_answer(table: &Table, query: &TranslatedQuery) -> ServerResponse {
-    SeabedServer::new(table.clone(), Cluster::new(ClusterConfig::with_workers(4)))
+    SeabedServer::new(table.clone(), Cluster::new(ClusterConfig::default()))
         .execute(query, &[])
         .expect("local execution")
 }

@@ -59,7 +59,7 @@ fn sum_query(group_by: bool) -> TranslatedQuery {
 }
 
 fn local_answer(table: &Table, query: &TranslatedQuery) -> ServerResponse {
-    SeabedServer::new(table.clone(), Cluster::new(ClusterConfig::with_workers(4)))
+    SeabedServer::new(table.clone(), Cluster::new(ClusterConfig::default()))
         .execute(query, &[])
         .expect("local execution")
 }
@@ -161,7 +161,7 @@ fn recording_fake_worker(behavior: Misbehavior, seen: SeenSeqs) -> (SocketAddr, 
                     let rows = table.num_rows() as u64;
                     shards.insert(
                         shard,
-                        SeabedServer::new(table, Cluster::new(ClusterConfig::with_workers(1).local_threads(1))),
+                        SeabedServer::new(table, Cluster::new(ClusterConfig::default().local_threads(1))),
                     );
                     let _ = conn.send(
                         &Frame::ShardLoaded {

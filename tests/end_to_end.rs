@@ -51,7 +51,7 @@ fn build_world(rows: usize) -> (SeabedClient, SeabedServer, PlainDataset) {
     .collect();
     let mut client = SeabedClient::create_plan(b"it-master", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 8, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(16)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     (client, server, dataset)
 }
 
@@ -146,6 +146,8 @@ fn timings_are_populated() {
     let (client, server, _) = build_world(800);
     let result = query(&client, &server, "SELECT SUM(revenue) FROM sales");
     assert!(result.timings.server > std::time::Duration::ZERO);
+    // The server's time is the one it measured, not a model of another cluster.
+    assert_eq!(result.timings.server, result.server_stats.wall_time);
     assert!(result.result_bytes > 0);
     assert!(
         result.client_prf_evals >= 2,
@@ -180,7 +182,7 @@ fn two_dept_world() -> (SeabedClient, SeabedClient, SeabedServer, PlainDataset) 
     .collect();
     let mut client = SeabedClient::create_plan(b"inflate", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 8, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(16)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     let mut inflating = client.clone();
     inflating.translate_options.expected_groups = Some(2);
     (client, inflating, server, dataset)
@@ -276,7 +278,7 @@ fn a_second_sum_and_a_count_cost_sixteen_bytes_not_another_id_list() {
     let samples = [parse("SELECT SUM(a), SUM(b) FROM t WHERE dept = 'd1'").unwrap()];
     let mut client = SeabedClient::create_plan(b"bytes", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 4, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
 
     let session = SeabedSession::single("t", client.clone(), &server);
     let run = |sql: &str| {

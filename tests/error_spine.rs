@@ -41,7 +41,7 @@ fn build_world() -> Result<(SeabedClient, SeabedServer), SeabedError> {
     }
     let mut client = SeabedClient::create_plan(b"err-master", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 2, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     Ok((client, server))
 }
 
@@ -149,7 +149,7 @@ fn statements_the_encrypted_schema_cannot_answer_are_refused_up_front() -> Resul
     }
     let mut client = SeabedClient::create_plan(b"err-master", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 2, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
 
     for (bad, names) in [
         // MIN/MAX read an ORE column and its ASHE companion; a public column
@@ -236,10 +236,7 @@ fn server_rejects_plans_for_foreign_schemas() -> Result<(), SeabedError> {
     let samples = vec![parse("SELECT SUM(x) FROM other")?];
     let mut other_client = SeabedClient::create_plan(b"other", &columns, &samples, &PlannerConfig::default());
     let other_encrypted = other_client.encrypt_dataset(&other, 1, &mut rand::rng());
-    let other_server = SeabedServer::new(
-        other_encrypted.table.clone(),
-        Cluster::new(ClusterConfig::with_workers(2)),
-    );
+    let other_server = SeabedServer::new(other_encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
 
     let outcome = other_server.execute(prepared.translated(), &[]);
     assert!(

@@ -58,7 +58,7 @@ fn fixture(name: &str, partitions: usize) -> (SeabedClient, SeabedServer) {
     ];
     let mut client = SeabedClient::create_plan(b"explain-it", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, partitions, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     (client, server)
 }
 
@@ -168,7 +168,7 @@ fn explain_analyze_rows_match_plain_execution_on_ad_analytics() {
     let samples: Vec<_> = queries.iter().map(|q| parse(&q.sql).expect("sample")).collect();
     let mut client = SeabedClient::create_plan(b"explain-ada", &specs, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 8, &mut rng);
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     let session = SeabedSession::single("ad_analytics", client, &server);
 
     for q in queries.iter().take(4) {
@@ -214,7 +214,7 @@ fn explain_analyze_with_placeholders_renders_the_inline_statements_tree() {
     ];
     let mut client = SeabedClient::create_plan(b"explain-params", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 6, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     let session = SeabedSession::single("sales", client, &server);
 
     // Pre-order (op, detail, rows in and out) of every node.

@@ -272,7 +272,7 @@ proptest! {
         let mut client = SeabedClient::create_plan(b"merge-prop", &columns, &samples, &PlannerConfig::default());
         let encrypted = client.encrypt_dataset(&dataset, partitions, &mut rng);
 
-        let full_server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+        let full_server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
         let splits = random_split(&encrypted.table, seed ^ 0x77);
 
         for sql in [
@@ -298,7 +298,7 @@ proptest! {
             // Execute each split separately, then merge in a random order.
             let mut partials = Vec::new();
             for split in &splits {
-                let split_server = SeabedServer::new(split.clone(), Cluster::new(ClusterConfig::with_workers(2)));
+                let split_server = SeabedServer::new(split.clone(), Cluster::new(ClusterConfig::default()));
                 match split_server.execute_partial(&translated, &filters) {
                     Ok(p) => partials.push(p),
                     Err(e) => { prop_assert!(false, "split {sql}: {e}"); unreachable!() }

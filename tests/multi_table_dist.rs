@@ -36,7 +36,7 @@ fn fixture(name: &str, n: usize, salt: u64) -> (SeabedClient, SeabedServer, Plai
     .collect();
     let mut client = SeabedClient::create_plan(name.as_bytes(), &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 9, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     (client, server, dataset)
 }
 

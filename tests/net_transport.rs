@@ -26,7 +26,7 @@ fn tiny_server() -> SeabedServer {
         vec![ColumnData::UInt64((0..10).collect())],
         1,
     );
-    SeabedServer::new(table, Cluster::new(ClusterConfig::with_workers(1).local_threads(1)))
+    SeabedServer::new(table, Cluster::new(ClusterConfig::default().local_threads(1)))
 }
 
 /// A single-worker service; peer A sends a valid header promising 1 000

@@ -48,7 +48,7 @@ fn sales_fixture() -> (SeabedClient, SeabedServer) {
         .collect();
     let mut client = SeabedClient::create_plan(b"obs-e2e", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 6, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     (client, server)
 }
 
@@ -192,7 +192,7 @@ fn instrumented_execution_is_byte_identical_and_overhead_bounded() {
     let samples = vec![parse("SELECT SUM(v) FROM big").expect("sample")];
     let mut client = SeabedClient::create_plan(b"obs-overhead", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 8, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
 
     // Two sessions over the same server: one fully instrumented (the
     // default), one with observability switched off.
@@ -285,7 +285,7 @@ fn a_failed_execute_still_records_its_trace() {
     let samples = vec![parse("SELECT SUM(revenue) FROM sales WHERE ts >= 100").expect("sample")];
     let mut client = SeabedClient::create_plan(b"obs-failed", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 4, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(2)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     let target = FailsOnDemand {
         server: &server,
         failing: std::sync::atomic::AtomicBool::new(false),

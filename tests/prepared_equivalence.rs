@@ -102,7 +102,7 @@ fn assert_cases_across_targets(table: &str, client: &SeabedClient, server: &Seab
     // Target 2: RemoteSeabedClient over a NetServer (prepared executions go
     // out as statement handles + bound filters).
     let net = NetServer::serve(
-        SeabedServer::new(server.table().clone(), Cluster::new(ClusterConfig::with_workers(4))),
+        SeabedServer::new(server.table().clone(), Cluster::new(ClusterConfig::default())),
         "127.0.0.1:0",
         ServiceConfig::default(),
     )
@@ -160,7 +160,7 @@ fn sales_fixture() -> (SeabedClient, SeabedServer, PlainDataset) {
     .collect();
     let mut client = SeabedClient::create_plan(b"prep-eq", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 8, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     (client, server, dataset)
 }
 
@@ -247,7 +247,7 @@ fn ad_analytics_prepared_equals_one_shot_on_all_targets() {
     let samples: Vec<Query> = queries.iter().map(|q| parse(&q.sql).expect("sample")).collect();
     let mut client = SeabedClient::create_plan(b"prep-ada", &specs, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 6, &mut rng);
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     // The hourly aggregation with the window as bound parameters.
     let cases = vec![
         case(
@@ -287,7 +287,7 @@ fn bdb_prepared_equals_one_shot_on_all_targets() {
         .collect();
     let mut client = SeabedClient::create_plan(b"prep-bdb", &specs, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(dataset, 6, &mut rng);
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     let cases = vec![
         case(
             "SELECT SUM(avgDuration) FROM rankings WHERE pageRank > ?",
@@ -310,7 +310,7 @@ fn bdb_prepared_equals_one_shot_on_all_targets() {
 fn remote_prepared_statements_ship_only_bound_filters() {
     let (client, server, _) = sales_fixture();
     let net = NetServer::serve(
-        SeabedServer::new(server.table().clone(), Cluster::new(ClusterConfig::with_workers(4))),
+        SeabedServer::new(server.table().clone(), Cluster::new(ClusterConfig::default())),
         "127.0.0.1:0",
         ServiceConfig::default(),
     )
@@ -351,7 +351,7 @@ fn unknown_tables_fail_at_prepare_on_every_target() {
     ));
 
     let net = NetServer::serve(
-        SeabedServer::new(server.table().clone(), Cluster::new(ClusterConfig::with_workers(4))),
+        SeabedServer::new(server.table().clone(), Cluster::new(ClusterConfig::default())),
         "127.0.0.1:0",
         ServiceConfig::default(),
     )

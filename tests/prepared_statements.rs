@@ -152,7 +152,7 @@ fn changed_plan_under_same_statement_id_registers_fresh() {
     let samples = vec![parse("SELECT SUM(m) FROM t").expect("sample")];
     let mut client = SeabedClient::create_plan(b"replan", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 4, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     let net = NetServer::serve(server, "127.0.0.1:0", ServiceConfig::default()).expect("serve");
     let remote = RemoteSeabedClient::connect(net.local_addr(), client.clone()).expect("connect");
 
@@ -203,7 +203,7 @@ fn eviction_on_a_real_server_is_recovered_through_the_session() {
     ];
     let mut client = SeabedClient::create_plan(b"evict", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 4, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     let expected_sum = |min_ts: u64| -> u64 { (0..n as u64).filter(|&i| i >= min_ts).map(|i| i % 100).sum() };
 
     let net = NetServer::serve(server, "127.0.0.1:0", ServiceConfig::default().statement_capacity(1)).expect("serve");
@@ -264,7 +264,7 @@ fn a_missing_ope_companion_column_is_refused_at_prepare() {
     for partition in &mut table.partitions {
         partition.columns.remove(dropped);
     }
-    let server = SeabedServer::new(table, Cluster::new(ClusterConfig::with_workers(2)));
+    let server = SeabedServer::new(table, Cluster::new(ClusterConfig::default()));
     let refused = |outcome: Result<(), SeabedError>, at: &str| {
         assert!(
             matches!(&outcome, Err(SeabedError::Schema(SchemaError::UnknownPhysicalColumn(c))) if *c == companion),

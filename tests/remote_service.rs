@@ -50,7 +50,7 @@ fn sales_fixture() -> (SeabedClient, seabed::core::EncryptedTable) {
 }
 
 fn local_server(encrypted: &seabed::core::EncryptedTable) -> SeabedServer {
-    SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)))
+    SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()))
 }
 
 const SALES_QUERIES: [&str; 8] = [

@@ -100,7 +100,7 @@ fn fixture() -> (SeabedClient, SeabedServer, PlainDataset) {
     .collect();
     let mut client = SeabedClient::create_plan(b"select-list", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 5, &mut StdRng::seed_from_u64(7));
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     (client, server, dataset)
 }
 

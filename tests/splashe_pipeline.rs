@@ -31,7 +31,7 @@ fn build(rows: usize) -> (SeabedClient, SeabedServer, PlainDataset) {
     let samples = vec![parse("SELECT SUM(salary) FROM t WHERE country = 'USA'").unwrap()];
     let mut client = SeabedClient::create_plan(b"splashe-it", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&ds, 4, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(8)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     (client, server, ds)
 }
 

@@ -622,7 +622,7 @@ fn live_server_survives_adversarial_volley() {
     let samples = vec![parse("SELECT SUM(m) FROM t").expect("parse")];
     let mut client = SeabedClient::create_plan(b"volley", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 4, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     let net = NetServer::serve(server, "127.0.0.1:0", ServiceConfig::default()).expect("serve");
 
     let mut rng = StdRng::seed_from_u64(77);
@@ -706,7 +706,7 @@ fn assert_a_forged_id_list_is_a_typed_error_and_the_session_lives(forged_list: V
     let samples = vec![parse("SELECT SUM(m) FROM t").expect("parse")];
     let mut client = SeabedClient::create_plan(b"forged", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 4, &mut rand::rng());
-    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::with_workers(4)));
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
     let net = NetServer::serve(server, "127.0.0.1:0", ServiceConfig::default()).expect("serve");
     let upstream_addr = net.local_addr();
 
