@@ -904,7 +904,7 @@ pub fn exp_fig9bc(scale: &Scale) -> Vec<BdbPoint> {
                 Ok(result) => points.push(BdbPoint {
                     query: query.name.to_string(),
                     system: label.to_string(),
-                    response: result.timings.server + result.timings.client,
+                    response: result.server_stats.wall_time + result.client_time,
                 }),
                 Err(err) => {
                     points.push(BdbPoint {
@@ -993,7 +993,9 @@ pub fn exp_fig10a(scale: &Scale) -> Vec<AdaPoint> {
     // End to end as §6.6 has it: server and proxy compute plus the result's
     // transfer over the datacenter link, modelled from its size.
     let link = NetworkModel::datacenter();
-    let end_to_end = |result: &QueryResult| result.timings.total() + link.transfer_time(result.result_bytes);
+    let end_to_end = |result: &QueryResult| {
+        result.server_stats.wall_time + result.client_time + link.transfer_time(result.result_bytes)
+    };
     let table = &dataset.name;
     let noenc = SeabedSession::single(table, noenc_client, &noenc_server);
     let seabed = SeabedSession::single(table, seabed_client, &seabed_server);

@@ -58,36 +58,22 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Latency breakdown of one query: the two compute components of §6.2's
-/// decomposition. Time on the link is measured, not modelled — by the spans
-/// of the execution's trace; the paper harness models a link from
-/// [`QueryResult::result_bytes`] where it reproduces §6.6.
-#[derive(Clone, Debug, Default)]
-pub struct QueryTimings {
-    /// Server-side latency as the server measured it:
-    /// [`ExecStats::wall_time`] of its execution (the coordinator's whole
-    /// scatter and gather, for a distributed table).
-    pub server: Duration,
-    /// Measured client-side decryption / post-processing time.
-    pub client: Duration,
-}
-
-impl QueryTimings {
-    /// Server plus client compute.
-    pub fn total(&self) -> Duration {
-        self.server + self.client
-    }
-}
-
 /// The plaintext result of a query.
+///
+/// Its two compute times are §6.2's decomposition: the server's is
+/// `server_stats.wall_time`, as the server measured it (the coordinator's
+/// whole scatter and gather, for a distributed table), and the proxy's is
+/// `client_time`. Time on the link is measured by the spans of the
+/// execution's trace; the paper harness models a link from
+/// [`QueryResult::result_bytes`] where it reproduces §6.6.
 #[derive(Clone, Debug)]
 pub struct QueryResult {
     /// One row per group: group-key values followed by aggregate values, in
     /// the order of the original `SELECT` list.
     pub rows: Vec<Vec<ResultValue>>,
-    /// Latency breakdown.
-    pub timings: QueryTimings,
-    /// Raw server statistics.
+    /// Measured client-side decryption / post-processing time.
+    pub client_time: Duration,
+    /// Raw server statistics, its measured `wall_time` included.
     pub server_stats: ExecStats,
     /// Size of the encrypted result shipped from server to client.
     pub result_bytes: usize,
@@ -144,15 +130,15 @@ fn no_scheme(kind: &str, column: &str) -> SeabedError {
 
 /// The Seabed client proxy.
 ///
-/// `Clone` copies the plan and the DET dictionaries and *shares* the schemes
-/// (no round key is copied), so concurrent workloads — many simultaneous
-/// sessions or remote clients — hand each its own proxy without re-planning
-/// or re-deriving a key.
+/// `Clone` copies the plan and *shares* the schemes (no round key is copied)
+/// and the DET dictionaries, so concurrent workloads — many simultaneous
+/// sessions or remote clients — hand each its own proxy without re-planning,
+/// re-deriving a key or copying a dictionary.
 #[derive(Clone)]
 pub struct SeabedClient {
     keys: KeyStore,
     plan: SchemaPlan,
-    det_dictionary: HashMap<String, HashMap<u64, String>>,
+    det_dictionary: Arc<HashMap<String, HashMap<u64, String>>>,
     schemes: Arc<ColumnSchemes>,
     /// Translation options (worker count for group inflation, expected groups).
     pub translate_options: TranslateOptions,
@@ -174,7 +160,7 @@ impl SeabedClient {
         SeabedClient {
             keys,
             plan,
-            det_dictionary: HashMap::new(),
+            det_dictionary: Arc::default(),
             schemes,
             translate_options: TranslateOptions::default(),
         }
@@ -186,7 +172,8 @@ impl SeabedClient {
     }
 
     /// Encrypts a dataset for upload ("Upload Data" in §4.1), retaining the
-    /// DET dictionaries needed to decrypt group keys later.
+    /// DET dictionaries needed to decrypt group keys later. Clones made before
+    /// keep the dictionaries they shared.
     pub fn encrypt_dataset<R: rand::Rng + ?Sized>(
         &mut self,
         dataset: &PlainDataset,
@@ -194,8 +181,9 @@ impl SeabedClient {
         rng: &mut R,
     ) -> EncryptedTable {
         let encrypted = encrypt_dataset(dataset, &self.plan, &self.keys, num_partitions, rng);
+        let dictionaries = Arc::make_mut(&mut self.det_dictionary);
         for (col, dict) in &encrypted.det_dictionary {
-            self.det_dictionary
+            dictionaries
                 .entry(col.clone())
                 .or_default()
                 .extend(dict.iter().map(|(k, v)| (*k, v.clone())));
@@ -385,10 +373,7 @@ impl SeabedClient {
 
         Ok(QueryResult {
             rows,
-            timings: QueryTimings {
-                server: response.stats.wall_time,
-                client: started.elapsed(),
-            },
+            client_time: started.elapsed(),
             server_stats: response.stats,
             result_bytes: response.result_bytes,
             client_prf_evals: prf_evals,
@@ -589,7 +574,7 @@ mod tests {
         let (client, server, _) = build_system()?;
         let result = run(&client, &server, "SELECT SUM(revenue) FROM sales")?;
         assert_eq!(result.rows, vec![vec![ResultValue::UInt(550)]]);
-        assert!(result.timings.total() > Duration::ZERO);
+        assert!(result.server_stats.wall_time + result.client_time > Duration::ZERO);
         Ok(())
     }
 
@@ -820,6 +805,26 @@ mod tests {
         assert!(["revenue__ashe", "revenue__ashe_sq", "ts__ope_val"]
             .iter()
             .all(|column| client.schemes.ashe.contains_key(*column)));
+        Ok(())
+    }
+
+    /// A clone shares the DET dictionaries too, and encrypting another dataset
+    /// on one side leaves the other side's dictionaries as they were.
+    #[test]
+    fn clones_share_the_det_dictionaries_until_one_encrypts() -> Result<(), SeabedError> {
+        let (mut client, _, _) = build_system()?;
+        let clone = client.clone();
+        assert!(Arc::ptr_eq(&client.det_dictionary, &clone.det_dictionary));
+        let before = clone.det_dictionary["dept__det"].clone();
+        let more = PlainDataset::new("sales")
+            .with_text_column("country", vec!["India".to_string()])
+            .with_uint_column("revenue", vec![5])
+            .with_uint_column("ts", vec![11])
+            .with_text_column("dept", vec!["c".to_string()]);
+        client.encrypt_dataset(&more, 1, &mut rand::rng());
+        assert!(!Arc::ptr_eq(&client.det_dictionary, &clone.det_dictionary));
+        assert_eq!(clone.det_dictionary["dept__det"], before);
+        assert_eq!(client.det_dictionary["dept__det"].len(), before.len() + 1);
         Ok(())
     }
 

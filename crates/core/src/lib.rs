@@ -61,7 +61,7 @@ pub mod keys;
 pub mod server;
 pub mod session;
 
-pub use client::{QueryResult, QueryTimings, ResultValue, SeabedClient};
+pub use client::{QueryResult, ResultValue, SeabedClient};
 pub use dataset::{PlainColumn, PlainDataset};
 pub use encrypt::{encrypt_dataset, EncryptedTable};
 pub use fifo::FifoMap;

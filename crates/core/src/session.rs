@@ -597,13 +597,11 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
         tb: &TraceBuilder,
         trace_id: u64,
     ) -> Result<(QueryResult, Option<PlanNode>), SeabedError> {
-        let execute_timer = self.metrics.execute_ns.start();
         let started = self.obs.enabled().then(Instant::now);
         let outcome = self.client_of(prepared).and_then(|client| {
             let (bound, executed) = self.dispatch(client, prepared, params, analyze, tb, trace_id)?;
-            let span = tb.start();
             let mut result = client.decrypt_response(&prepared.query, &prepared.translated, executed.response)?;
-            tb.end("decrypt", span);
+            tb.add_span_ns("decrypt", result.client_time.as_nanos() as u64);
             result.trace_id = trace_id;
             let plan = analyze.then(|| {
                 // The plan *that ran*: a filter's class — its place in the
@@ -622,10 +620,15 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
             Ok((result, plan))
         });
         // Every execute — analyzed or not, successful or not — lands in the
-        // slow-query event ring (when the registry is enabled). The plan is
-        // the analyzed tree, or the translated plan's structural description;
-        // nothing in the event carries SQL text or literals.
-        if let Some(started) = started {
+        // slow-query event ring (when the registry is enabled), and a
+        // successful one in the latency histogram, both with its one measured
+        // time. The plan is the analyzed tree, or the translated plan's
+        // structural description; nothing in the event carries SQL text or
+        // literals.
+        if let Some(total_ns) = started.map(|started| started.elapsed().as_nanos() as u64) {
+            if outcome.is_ok() {
+                self.metrics.execute_ns.record_ns(total_ns);
+            }
             let (plan, operators) = match &outcome {
                 Ok((result, Some(plan))) => (plan.render(), event_operators(&result.server_stats.operators)),
                 _ => (prepared.translated.describe(), Vec::new()),
@@ -636,13 +639,12 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
                 node: "session".to_string(),
                 plan,
                 operators,
-                total_ns: started.elapsed().as_nanos() as u64,
+                total_ns,
                 slow: false,
                 outcome: outcome_tag(&outcome).to_string(),
             });
         }
         let executed = outcome?;
-        self.metrics.execute_ns.stop(execute_timer);
         self.metrics.executes.incr();
         Ok(executed)
     }
@@ -1002,7 +1004,7 @@ mod tests {
 
     /// One traced query records the whole session-side lifecycle under one
     /// minted id — and a disabled registry runs the same query untraced,
-    /// with the legacy counters still live.
+    /// with the session counters still live.
     #[test]
     fn traced_query_records_session_spans_and_metrics() -> Result<(), SeabedError> {
         let (client, server, _) = fixture("sales", b"session-9");

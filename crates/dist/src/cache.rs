@@ -21,6 +21,10 @@
 //! Entries record the worker that produced them, so a dead worker's entries
 //! are additionally purged (reclaiming space; the epoch bump already fenced
 //! them). Capacity is LRU-bounded; `capacity = 0` disables caching entirely.
+//!
+//! The cache counts nothing itself: `insert` and the purges return how many
+//! entries they dropped, and the coordinator counts every probe, insertion,
+//! eviction and invalidation into its registry's `dist_cache_*` counters.
 
 use seabed_core::PartialResponse;
 use std::collections::HashMap;
@@ -40,21 +44,6 @@ pub struct PartialKey {
     pub filters: u64,
 }
 
-/// Counters of one cache's lifetime activity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Probes answered from the cache.
-    pub hits: u64,
-    /// Probes that missed (and caused a shard scatter).
-    pub misses: u64,
-    /// Entries inserted.
-    pub insertions: u64,
-    /// Entries evicted by the LRU capacity bound.
-    pub evictions: u64,
-    /// Entries purged by worker-death invalidation.
-    pub invalidated: u64,
-}
-
 struct CacheEntry {
     partial: PartialResponse,
     /// Worker index that produced the partial (purged if it dies).
@@ -69,43 +58,31 @@ pub struct PartialCache {
     entries: HashMap<PartialKey, CacheEntry>,
     capacity: usize,
     tick: u64,
-    stats: CacheStats,
 }
 
 impl PartialCache {
     /// Creates a cache bounded to `capacity` entries (`0` disables caching:
-    /// every probe misses and inserts are dropped).
+    /// every probe misses and every insert is evicted at once).
     pub fn new(capacity: usize) -> PartialCache {
         PartialCache {
             entries: HashMap::new(),
             capacity,
             tick: 0,
-            stats: CacheStats::default(),
         }
     }
 
     /// Probes for a cached partial, bumping its LRU position on a hit.
     pub fn get(&mut self, key: &PartialKey) -> Option<&PartialResponse> {
         self.tick += 1;
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = self.tick;
-                self.stats.hits += 1;
-                Some(&entry.partial)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let entry = self.entries.get_mut(key)?;
+        entry.last_used = self.tick;
+        Some(&entry.partial)
     }
 
     /// Inserts (or replaces) a partial, evicting the least-recently-used
-    /// entry when the capacity bound is exceeded.
-    pub fn insert(&mut self, key: PartialKey, worker: usize, partial: PartialResponse) {
-        if self.capacity == 0 {
-            return;
-        }
+    /// entry when the capacity bound is exceeded; returns how many entries
+    /// were evicted.
+    pub fn insert(&mut self, key: PartialKey, worker: usize, partial: PartialResponse) -> u64 {
         self.tick += 1;
         self.entries.insert(
             key,
@@ -115,7 +92,7 @@ impl PartialCache {
                 last_used: self.tick,
             },
         );
-        self.stats.insertions += 1;
+        let mut evicted = 0;
         while self.entries.len() > self.capacity {
             // O(n) eviction scan; the capacity bound keeps n small and
             // insertion is already a scatter's worth of work away from hot.
@@ -123,39 +100,31 @@ impl PartialCache {
                 break;
             };
             self.entries.remove(&oldest);
-            self.stats.evictions += 1;
+            evicted += 1;
         }
+        evicted
     }
 
     /// Purges every entry produced by `worker` (after its death; the epoch
-    /// bump has already fenced them, this reclaims the space).
-    pub fn purge_worker(&mut self, worker: usize) {
+    /// bump has already fenced them, this reclaims the space); returns how
+    /// many were dropped.
+    pub fn purge_worker(&mut self, worker: usize) -> u64 {
         let before = self.entries.len();
         self.entries.retain(|_, e| e.worker != worker);
-        self.stats.invalidated += (before - self.entries.len()) as u64;
+        (before - self.entries.len()) as u64
     }
 
     /// Purges every entry of a cache epoch older than `current` (fenced and
-    /// unreachable; this reclaims the space).
-    pub fn purge_stale_epochs(&mut self, current: u64) {
+    /// unreachable; this reclaims the space); returns how many were dropped.
+    pub fn purge_stale_epochs(&mut self, current: u64) -> u64 {
         let before = self.entries.len();
         self.entries.retain(|k, _| k.cache_epoch == current);
-        self.stats.invalidated += (before - self.entries.len()) as u64;
+        (before - self.entries.len()) as u64
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// A snapshot of the lifetime counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 }
 
@@ -189,12 +158,10 @@ mod tests {
     fn hit_after_insert_miss_after_epoch_bump() {
         let mut cache = PartialCache::new(8);
         assert!(cache.get(&key(1, 0, 42)).is_none());
-        cache.insert(key(1, 0, 42), 0, partial(5));
+        assert_eq!(cache.insert(key(1, 0, 42), 0, partial(5)), 0);
         assert_eq!(cache.get(&key(1, 0, 42)).unwrap().stats.tasks, 5);
         // A bumped epoch is a different key: the old entry is unreachable.
         assert!(cache.get(&key(2, 0, 42)).is_none());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 2, 1));
     }
 
     #[test]
@@ -203,12 +170,11 @@ mod tests {
         cache.insert(key(1, 0, 1), 0, partial(0));
         cache.insert(key(1, 1, 1), 0, partial(1));
         assert!(cache.get(&key(1, 0, 1)).is_some()); // touch shard 0
-        cache.insert(key(1, 2, 1), 0, partial(2)); // evicts shard 1
+        assert_eq!(cache.insert(key(1, 2, 1), 0, partial(2)), 1); // evicts shard 1
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&key(1, 1, 1)).is_none());
         assert!(cache.get(&key(1, 0, 1)).is_some());
         assert!(cache.get(&key(1, 2, 1)).is_some());
-        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
@@ -217,19 +183,18 @@ mod tests {
         cache.insert(key(1, 0, 1), 0, partial(0));
         cache.insert(key(1, 1, 1), 1, partial(1));
         cache.insert(key(2, 2, 1), 1, partial(2));
-        cache.purge_worker(1);
+        assert_eq!(cache.purge_worker(1), 2);
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&key(1, 0, 1)).is_some());
-        cache.purge_stale_epochs(2);
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().invalidated, 3);
+        assert_eq!(cache.purge_stale_epochs(2), 1);
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut cache = PartialCache::new(0);
-        cache.insert(key(1, 0, 1), 0, partial(0));
-        assert!(cache.is_empty());
+        assert_eq!(cache.insert(key(1, 0, 1), 0, partial(0)), 1);
+        assert_eq!(cache.len(), 0);
         assert!(cache.get(&key(1, 0, 1)).is_none());
     }
 }

@@ -91,7 +91,7 @@
 //! the partial cache's fencing epoch, so partials cached under the old
 //! membership can never answer a later probe.
 
-use crate::cache::{CacheStats, PartialCache, PartialKey};
+use crate::cache::{PartialCache, PartialKey};
 use crate::link::{answered, connect_worker, live, LockedLink, Tally, WorkerLink};
 use crate::lock;
 use crate::placement::{split_into_shards, Placement};
@@ -104,7 +104,7 @@ use seabed_engine::merge::{merge_partial_groups, PartialGroups};
 use seabed_engine::{ExecStats, Schema, Table};
 use seabed_error::SeabedError;
 use seabed_net::wire::{self, Frame, LoadShardRef, ShardExecConfig, ShardQueryRef};
-use seabed_obs::{Counter, Gauge, Histogram, QueryEvent, Registry};
+use seabed_obs::{Counter, Gauge, Histogram, QueryEvent, Registry, TraceBuilder};
 use seabed_query::{PlanNode, PlanProfile, TranslatedQuery};
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,7 +126,7 @@ pub struct DistConfig {
     /// scalar/vectorized mode).
     pub exec: ShardExecConfig,
     /// Entry bound of the statement-keyed partial-result cache serving
-    /// prepared executes ([`crate::cache`]); `0` disables caching.
+    /// prepared executes; `0` disables caching.
     pub partial_cache_capacity: usize,
     /// Replicas per shard. Clamped to `1..=N` at connect time; `1` restores
     /// the old single-owner placement (and disables hedging for lack of a
@@ -207,10 +207,10 @@ pub struct ShardRun {
 pub struct QueryReport {
     /// Per-shard execution records.
     pub runs: Vec<ShardRun>,
-    /// Time spent merging partials and finalizing at the coordinator.
+    /// Time spent merging partials and finalizing at the coordinator. The
+    /// whole scatter/gather's wall time is the response's
+    /// `stats.wall_time`.
     pub gather_time: Duration,
-    /// End-to-end wall time of the scatter/gather.
-    pub wall_time: Duration,
     /// Stale (duplicate, hedge-loser, or late) partials discarded during
     /// this query.
     pub discarded_partials: u64,
@@ -222,6 +222,22 @@ pub struct QueryReport {
     /// Hedged reads launched during this query (slow primaries raced
     /// against a replica).
     pub hedged_reads: u64,
+}
+
+/// The partial cache's lifetime counters: a view over the coordinator
+/// registry's `dist_cache_*` counters, their only home.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Shard probes answered from the cache (`dist_cache_hits`).
+    pub hits: u64,
+    /// Shard probes that missed and were scattered (`dist_cache_misses`).
+    pub misses: u64,
+    /// Partials inserted (`dist_cache_insertions`).
+    pub insertions: u64,
+    /// Entries evicted by the capacity bound (`dist_cache_evictions`).
+    pub evictions: u64,
+    /// Entries purged by a fence (`dist_cache_invalidated`).
+    pub invalidated: u64,
 }
 
 /// Health and traffic summary of one worker.
@@ -305,16 +321,18 @@ struct QueryContext<'a> {
     request: ExecRequest<'a>,
 }
 
-/// The coordinator's registered instruments (`dist_*`). The counters mirror
-/// the lifetime totals behind [`QueryReport`] and
-/// [`CacheStats`](crate::cache::CacheStats) — those structs stay the
-/// per-query/per-cache snapshot views — while the histograms accumulate the
-/// phase latencies a single report only shows once.
+/// The coordinator's registered instruments (`dist_*`): the lifetime
+/// counters, whose only home they are ([`CacheStats`] is a view over the
+/// `dist_cache_*` ones; a [`QueryReport`] holds one query's figures), and the
+/// histograms of each stage's one measured latency.
 struct DistMetrics {
     hedged_reads: Counter,
     redispatches: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
+    cache_insertions: Counter,
+    cache_evictions: Counter,
+    cache_invalidated: Counter,
     scatter_ns: Histogram,
     gather_ns: Histogram,
     merge_ns: Histogram,
@@ -335,6 +353,9 @@ impl DistMetrics {
             redispatches: obs.counter("dist_redispatches"),
             cache_hits: obs.counter("dist_cache_hits"),
             cache_misses: obs.counter("dist_cache_misses"),
+            cache_insertions: obs.counter("dist_cache_insertions"),
+            cache_evictions: obs.counter("dist_cache_evictions"),
+            cache_invalidated: obs.counter("dist_cache_invalidated"),
             scatter_ns: obs.histogram("dist_scatter_ns"),
             gather_ns: obs.histogram("dist_gather_ns"),
             merge_ns: obs.histogram("dist_merge_ns"),
@@ -497,9 +518,16 @@ impl DistCoordinator {
         self.cache_epoch.load(Ordering::Acquire)
     }
 
-    /// Lifetime counters of the partial cache.
+    /// Lifetime counters of the partial cache, read from the registry.
     pub fn cache_stats(&self) -> CacheStats {
-        lock(&self.cache).stats()
+        let metrics = &self.metrics;
+        CacheStats {
+            hits: metrics.cache_hits.get(),
+            misses: metrics.cache_misses.get(),
+            insertions: metrics.cache_insertions.get(),
+            evictions: metrics.cache_evictions.get(),
+            invalidated: metrics.cache_invalidated.get(),
+        }
     }
 
     /// Number of live entries in the partial cache.
@@ -563,10 +591,10 @@ impl DistCoordinator {
         let bumped = self.cache_epoch.fetch_add(1, Ordering::AcqRel) + 1;
         {
             let mut cache = lock(&self.cache);
-            for &worker in dead {
-                cache.purge_worker(worker);
-            }
-            cache.purge_stale_epochs(bumped);
+            let purged: u64 = dead.iter().map(|&worker| cache.purge_worker(worker)).sum();
+            self.metrics
+                .cache_invalidated
+                .add(purged + cache.purge_stale_epochs(bumped));
         }
         self.publish_gauges();
     }
@@ -590,13 +618,14 @@ impl DistCoordinator {
     /// hash)`) shards may be answered from the partial cache and fresh
     /// partials go back into it; without, the cache is not touched. An
     /// analyzed request asks every worker for a per-operator profile and
-    /// returns the stitched plan of this execution.
+    /// returns the stitched plan of this execution. The response's
+    /// `stats.wall_time` is the time since `started`.
     fn scatter_gather(
         &self,
         request: &ExecRequest<'_>,
         cache_key: Option<(u64, u64)>,
+        started: Instant,
     ) -> Result<ExecOutcome, SeabedError> {
-        let started = Instant::now();
         let tb = self.obs.trace_builder(request.trace_id, "coordinator");
         let (table_id, entry) = self.resolve(&request.plan.base_table)?;
         let total_shards = entry.shards.len();
@@ -606,11 +635,10 @@ impl DistCoordinator {
         };
 
         let (cached, missing) = self.probe(table_id, total_shards as u32, cache_key);
-        let scatter_timer = self.metrics.scatter_ns.start();
+        let scatter_started = Instant::now();
         let (lanes, results, mut tally) = self.scatter(ctx, &missing);
         let fresh = self.recover(ctx, results, &mut tally)?;
-        let scatter_ns = self.metrics.scatter_ns.stop(scatter_timer);
-        tb.add_span_ns("scatter", scatter_ns);
+        let scatter_ns = record_stage(&self.metrics.scatter_ns, &tb, "scatter", scatter_started.elapsed());
         for (run, ..) in &fresh {
             tb.add_span_ns("shard-execute", nanos(run.round_trip));
         }
@@ -618,28 +646,37 @@ impl DistCoordinator {
             self.fill_cache(table_id, key, &fresh);
         }
 
-        let gather_started = Instant::now();
-        let gather_timer = self.metrics.gather_ns.start();
         let cache_hits = cached.len() as u64;
-        let cache_misses = if cache_key.is_some() { missing.len() as u64 } else { 0 };
-        let (response, runs, merge_ns) = self.gather(request.plan, cached, fresh, started);
-        let gather_ns = self.metrics.gather_ns.stop(gather_timer);
-        tb.add_span_ns("gather", gather_ns);
-        tb.add_span_ns("merge", merge_ns);
+        let gather_started = Instant::now();
+        let (mut response, runs, merge_time) = self.gather(request.plan, cached, fresh);
+        let gather_time = gather_started.elapsed();
+        let gather_ns = record_stage(&self.metrics.gather_ns, &tb, "gather", gather_time);
+        let merge_ns = record_stage(&self.metrics.merge_ns, &tb, "merge", merge_time);
+        response.stats.wall_time = started.elapsed();
 
         let report = QueryReport {
             runs,
-            gather_time: gather_started.elapsed(),
-            wall_time: started.elapsed(),
+            gather_time,
             discarded_partials: tally.discarded,
             cache_hits,
-            cache_misses,
+            cache_misses: if cache_key.is_some() { missing.len() as u64 } else { 0 },
             hedged_reads: tally.hedged,
         };
-        self.record(&report, cache_key.is_some());
+        // Latency split of prepared executes: a fully cached answer never
+        // touched the network; anything that scattered lands in the miss
+        // histogram. One-shot queries never probe and record neither.
+        if cache_key.is_some() {
+            let metrics = &self.metrics;
+            let split = if missing.is_empty() {
+                &metrics.cache_hit_ns
+            } else {
+                &metrics.cache_miss_ns
+            };
+            split.record_ns(nanos(response.stats.wall_time));
+        }
         let plan = request.analyze.then(|| {
             let stage_ns = [scatter_ns, gather_ns, merge_ns];
-            stitch(&report, total_shards, lanes, response.groups.len(), stage_ns)
+            stitch(&report, total_shards, lanes, &response, stage_ns)
         });
         *lock(&self.last_report) = report;
         if let Some(trace) = tb.finish() {
@@ -649,9 +686,10 @@ impl DistCoordinator {
     }
 
     /// Probe: a prepared execute answers every shard it can from the cache
-    /// and leaves only the rest to the scatter; without a key every shard is
-    /// missing and the cache is not touched. The probe epoch is read under
-    /// the cache lock so a concurrent bump can't resurrect fenced entries.
+    /// and leaves only the rest to the scatter, counting each shard a hit or
+    /// a miss; without a key every shard is missing and nothing is touched or
+    /// counted. The probe epoch is read under the cache lock so a concurrent
+    /// bump can't resurrect fenced entries.
     fn probe(
         &self,
         table_id: u32,
@@ -677,6 +715,8 @@ impl DistCoordinator {
                 None => missing.push(shard),
             }
         }
+        self.metrics.cache_hits.add(cached.len() as u64);
+        self.metrics.cache_misses.add(missing.len() as u64);
         (cached, missing)
     }
 
@@ -791,7 +831,8 @@ impl DistCoordinator {
 
     /// Fresh partials of a prepared execute go back into the cache under the
     /// *current* epoch — post-bump if this very query lost a worker, so a
-    /// recovery never caches under a fenced generation.
+    /// recovery never caches under a fenced generation — each counted as an
+    /// insertion, with whatever the capacity bound evicts for it.
     fn fill_cache(&self, table_id: u32, (statement, filters): (u64, u64), fresh: &[ShardAnswer]) {
         let mut cache = lock(&self.cache);
         let cache_epoch = self.cache_epoch.load(Ordering::Acquire);
@@ -803,8 +844,10 @@ impl DistCoordinator {
                 statement,
                 filters,
             };
-            cache.insert(key, *worker, partial.clone());
+            let evicted = cache.insert(key, *worker, partial.clone());
+            self.metrics.cache_evictions.add(evicted);
         }
+        self.metrics.cache_insertions.add(fresh.len() as u64);
         self.metrics.partial_cache_len.set(cache.len() as u64);
     }
 
@@ -818,15 +861,14 @@ impl DistCoordinator {
         query: &TranslatedQuery,
         cached: Vec<(u32, PartialResponse)>,
         fresh: Vec<ShardAnswer>,
-        started: Instant,
-    ) -> (ServerResponse, Vec<ShardRun>, u64) {
+    ) -> (ServerResponse, Vec<ShardRun>, Duration) {
         let cached = cached.into_iter().map(|(shard, partial)| (shard, partial, None));
         let fresh = fresh
             .into_iter()
             .map(|(run, _, partial)| (run.shard, partial, Some(run)));
         let mut pieces: Vec<(u32, PartialResponse, Option<ShardRun>)> = cached.chain(fresh).collect();
         pieces.sort_by_key(|(shard, ..)| *shard);
-        let merge_timer = self.metrics.merge_ns.start();
+        let merge_started = Instant::now();
         let mut merged: PartialGroups = PartialGroups::new();
         let mut stats = ExecStats::default();
         let mut runs = Vec::new();
@@ -838,30 +880,8 @@ impl DistCoordinator {
                 ..run
             }));
         }
-        let merge_ns = self.metrics.merge_ns.stop(merge_timer);
-        stats.wall_time = started.elapsed();
-        (finalize_partials(query, merged, stats), runs, merge_ns)
-    }
-
-    /// Adds one query's report to the registered `dist_*` instruments.
-    fn record(&self, report: &QueryReport, prepared: bool) {
-        self.metrics.hedged_reads.add(report.hedged_reads);
-        self.metrics.cache_hits.add(report.cache_hits);
-        self.metrics.cache_misses.add(report.cache_misses);
-        self.metrics
-            .redispatches
-            .add(report.runs.iter().filter(|r| r.redispatched).count() as u64);
-        // Latency split of prepared executes: a fully cached answer never
-        // touched the network; anything that scattered lands in the miss
-        // histogram. One-shot queries never probe and record neither.
-        if prepared {
-            let wall_ns = nanos(report.wall_time);
-            if report.cache_misses == 0 {
-                self.metrics.cache_hit_ns.record_ns(wall_ns);
-            } else {
-                self.metrics.cache_miss_ns.record_ns(wall_ns);
-            }
-        }
+        let merge_time = merge_started.elapsed();
+        (finalize_partials(query, merged, stats), runs, merge_time)
     }
 
     /// The hedge trigger of a shard query to `primary` (module docs): the
@@ -887,6 +907,7 @@ impl DistCoordinator {
         tally: &mut Tally,
     ) -> Result<ShardAnswer, SeabedError> {
         tally.hedged += 1;
+        self.metrics.hedged_reads.incr();
         let mut last_err: Option<SeabedError> = None;
         // Liveness is read as each replica's turn comes.
         for &replica in replicas.iter().filter(|&&w| w != primary && self.worker_alive(w)) {
@@ -1046,6 +1067,7 @@ impl DistCoordinator {
             match loaded.and_then(|()| self.query_shard(worker, shard, ctx, tally)) {
                 Ok(mut answer) => {
                     answer.0.redispatched = true;
+                    self.metrics.redispatches.incr();
                     lock(&self.placement).promote(table_id, shard, worker, &alive);
                     return Ok(answer);
                 }
@@ -1143,6 +1165,16 @@ fn nanos(duration: Duration) -> u64 {
     u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// Records one coordinator stage's one measurement into its histogram and
+/// the query's trace, and returns it for the stitched plan: every reader of a
+/// stage's time reads this figure, with the registry on or off.
+fn record_stage(histogram: &Histogram, tb: &TraceBuilder, name: &str, time: Duration) -> u64 {
+    let ns = nanos(time);
+    histogram.record_ns(ns);
+    tb.add_span_ns(name, ns);
+    ns
+}
+
 /// `EXPLAIN ANALYZE`: stitches one execution into the plan subtree the
 /// session hangs under the structural plan — one node per coordinator stage
 /// and one per shard, hedged/redispatched shards marked, each carrying its
@@ -1152,7 +1184,7 @@ fn stitch(
     report: &QueryReport,
     total_shards: usize,
     lanes: usize,
-    groups: usize,
+    response: &ServerResponse,
     [scatter_ns, gather_ns, merge_ns]: [u64; 3],
 ) -> PlanNode {
     let stage = |op: &str, label: String, nanos: u64| {
@@ -1168,7 +1200,7 @@ fn stitch(
             report.runs.len(),
             report.cache_hits
         ),
-        nanos(report.wall_time),
+        nanos(response.stats.wall_time),
     );
     dist.children
         .push(stage("scatter", format!("{lanes} lanes"), scatter_ns));
@@ -1192,6 +1224,7 @@ fn stitch(
     }
     dist.children
         .push(stage("gather", format!("{total_shards} partials"), gather_ns));
+    let groups = response.groups.len();
     dist.children.push(stage("merge", format!("{groups} groups"), merge_ns));
     dist
 }
@@ -1232,10 +1265,12 @@ impl QueryTarget for DistCoordinator {
             wire::write_filters_payload(&mut filter_bytes, request.filters);
             (wire::statement_hash(request.plan), fnv1a64(&filter_bytes))
         });
-        let started = self.obs.enabled().then(Instant::now);
-        let outcome = self.scatter_gather(request, cache_key);
-        if let Some(started) = started {
+        let started = Instant::now();
+        let outcome = self.scatter_gather(request, cache_key, started);
+        if self.obs.enabled() {
             let executed = outcome.as_ref().ok();
+            // An answered query's time is its response's wall time.
+            let total = executed.map_or_else(|| started.elapsed(), |e| e.response.stats.wall_time);
             self.obs.record_event(QueryEvent {
                 trace_id: request.trace_id,
                 // A cached execute already hashed the statement for its key.
@@ -1245,7 +1280,7 @@ impl QueryTarget for DistCoordinator {
                     .and_then(|e| e.plan.as_ref())
                     .map_or_else(|| request.plan.describe(), PlanNode::render),
                 operators: event_operators(executed.map_or(&[], |e| &e.response.stats.operators)),
-                total_ns: started.elapsed().as_nanos() as u64,
+                total_ns: nanos(total),
                 slow: false,
                 outcome: outcome_tag(&outcome).to_string(),
             });

@@ -21,7 +21,8 @@
 //! * [`worker`] — a one-call helper standing up a shard-hosting
 //!   [`seabed_net::NetServer`]; the worker side of the protocol lives in
 //!   `seabed-net` itself (frame kinds 6–11 plus the 15/16 unload pair).
-//! * [`cache`] — the statement-keyed partial-result cache and its fence.
+//! * `cache` (private) — the statement-keyed partial-result cache and its
+//!   fence; it stores partials, the coordinator counts what happens to them.
 //! * `placement` (private) — *who holds shard s*: the table → shard →
 //!   replica-set value and every rule that reads or edits it, socket-free.
 //! * `link` (private) — *is worker w alive*: a worker connection (the only
@@ -45,14 +46,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cache;
+mod cache;
 pub mod coordinator;
 mod link;
 mod placement;
 pub mod worker;
 
-pub use cache::{CacheStats, PartialCache, PartialKey};
-pub use coordinator::{DistConfig, DistCoordinator, QueryReport, ShardRun, WorkerSummary};
+pub use coordinator::{CacheStats, DistConfig, DistCoordinator, QueryReport, ShardRun, WorkerSummary};
 pub use worker::spawn_worker;
 
 /// Locks `mutex`, taking the guard over from a holder that panicked: every

@@ -20,7 +20,7 @@
 //! * [`server`] — [`NetServer`]: a `TcpListener` + worker-thread-pool
 //!   service hosting a [`seabed_core::SeabedServer`], with a max-frame-size
 //!   limit, typed error frames for malformed input, graceful shutdown, and
-//!   aggregate byte accounting. The same service speaks the
+//!   byte accounting in its metrics registry. The same service speaks the
 //!   `seabed-dist` worker protocol: it accepts shard assignments under a
 //!   coordinator's epoch and answers shard queries with *mergeable* partial
 //!   results;
@@ -41,5 +41,5 @@ pub mod wire;
 
 pub use client::{scrape_metrics, RemoteSeabedClient};
 pub use conn::{FrameConn, Received, Wait, WireStats};
-pub use server::{NetServer, ServiceConfig, ServiceStats};
+pub use server::{NetServer, ServiceConfig};
 pub use wire::{Frame, FrameKind, ShardExecConfig, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION};

@@ -23,16 +23,19 @@
 //!   noticed within a poll tick), but a frame must arrive whole within
 //!   [`ServiceConfig::read_timeout`] of its first byte — stalled or trickled.
 //!
-//! The service keeps aggregate counters (connections, requests, error
-//! frames, bytes in/out), so benches and tests can account for every byte
-//! that really crossed the wire.
+//! The service's lifetime counters (connections, requests, error frames,
+//! bytes in/out, statements) live in its [`Registry`] and nowhere else:
+//! [`NetServer::registry`] reads them live, a metrics scrape reads them
+//! remotely, and [`NetServer::shutdown`] returns their final snapshot — so
+//! benches and tests account for every byte that really crossed the wire
+//! under the names a scrape shows (`net_bytes_in`, `net_requests_served`, …).
 
 use crate::conn::{FrameConn, Received, Wait, WireStats};
 use crate::wire::{self, Frame, FrameKind};
 use seabed_core::{FifoMap, SeabedServer};
 use seabed_engine::{Cluster, ClusterConfig};
 use seabed_error::SeabedError;
-use seabed_obs::{Counter, Gauge, Histogram, ObsConfig, Registry};
+use seabed_obs::{Counter, Gauge, Histogram, MetricsSnapshot, ObsConfig, Registry};
 use seabed_query::TranslatedQuery;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -110,57 +113,26 @@ impl ServiceConfig {
     }
 }
 
-/// Aggregate service counters (monotonic over the server's lifetime).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServiceStats {
+/// The service's instrument handles, registered once at serve time so
+/// recording never touches the registry's maps. The counters are the
+/// service's lifetime totals; they have no other home.
+struct NetMetrics {
     /// Connections accepted.
-    pub connections: u64,
+    connections: Counter,
     /// Request frames answered with a response frame.
-    pub requests_served: u64,
+    requests_served: Counter,
     /// Error frames sent (malformed input, failed queries, protocol misuse).
-    pub error_frames: u64,
+    error_frames: Counter,
     /// Bytes read off all sockets.
-    pub bytes_in: u64,
+    bytes_in: Counter,
     /// Bytes written to all sockets.
-    pub bytes_out: u64,
+    bytes_out: Counter,
     /// Statements registered through `PrepareStatement` frames (re-preparing
     /// an identical statement counts again but reuses the handle).
-    pub statements_prepared: u64,
+    statements_prepared: Counter,
     /// Statements evicted from the store to make room (executions of their
     /// handles come back as typed `StaleStatement` frames).
-    pub statements_evicted: u64,
-}
-
-/// The aggregate counters, held as [`Registry`] handles so the same numbers
-/// answer both the in-process [`NetServer::stats`] view and a remote
-/// metrics scrape.
-struct SharedStats {
-    connections: Counter,
-    requests_served: Counter,
-    error_frames: Counter,
-    bytes_in: Counter,
-    bytes_out: Counter,
-    statements_prepared: Counter,
     statements_evicted: Counter,
-}
-
-impl SharedStats {
-    fn new(obs: &Registry) -> SharedStats {
-        SharedStats {
-            connections: obs.counter("net_connections"),
-            requests_served: obs.counter("net_requests_served"),
-            error_frames: obs.counter("net_error_frames"),
-            bytes_in: obs.counter("net_bytes_in"),
-            bytes_out: obs.counter("net_bytes_out"),
-            statements_prepared: obs.counter("net_statements_prepared"),
-            statements_evicted: obs.counter("net_statements_evicted"),
-        }
-    }
-}
-
-/// Pre-registered instrument handles for the request hot path — looked up
-/// once at serve time so recording never touches the registry's maps.
-struct NetMetrics {
     /// Wall time from a complete frame payload to its computed reply.
     request_ns: Histogram,
     /// Shard-scan execute time on this worker (successful scans only).
@@ -183,6 +155,13 @@ impl NetMetrics {
             })
             .collect();
         NetMetrics {
+            connections: obs.counter("net_connections"),
+            requests_served: obs.counter("net_requests_served"),
+            error_frames: obs.counter("net_error_frames"),
+            bytes_in: obs.counter("net_bytes_in"),
+            bytes_out: obs.counter("net_bytes_out"),
+            statements_prepared: obs.counter("net_statements_prepared"),
+            statements_evicted: obs.counter("net_statements_evicted"),
             request_ns: obs.histogram("net_request_ns"),
             shard_execute_ns: obs.histogram("shard_execute_ns"),
             shard_store_size: obs.gauge("shard_store_size"),
@@ -372,7 +351,6 @@ impl NetServer {
             shards: ShardStore::default(),
             statements: StatementStore::new(config.statement_capacity),
             identity: local_addr.to_string(),
-            stats: SharedStats::new(&obs),
             metrics: NetMetrics::new(&obs),
             obs,
             config,
@@ -402,27 +380,13 @@ impl NetServer {
         self.service.obs.clone()
     }
 
-    /// A snapshot of the aggregate counters — a thin view over the
-    /// registry's `net_*` counters.
-    pub fn stats(&self) -> ServiceStats {
-        let stats = &self.service.stats;
-        ServiceStats {
-            connections: stats.connections.get(),
-            requests_served: stats.requests_served.get(),
-            error_frames: stats.error_frames.get(),
-            bytes_in: stats.bytes_in.get(),
-            bytes_out: stats.bytes_out.get(),
-            statements_prepared: stats.statements_prepared.get(),
-            statements_evicted: stats.statements_evicted.get(),
-        }
-    }
-
     /// Gracefully stops the service: stops accepting, lets every worker
     /// finish its in-flight request, closes the connections, joins all
-    /// threads, and returns the final aggregate counters.
-    pub fn shutdown(mut self) -> ServiceStats {
+    /// threads, and returns the registry's final snapshot (`net_requests_served`,
+    /// `net_bytes_in` and the other `net_*` counters).
+    pub fn shutdown(mut self) -> MetricsSnapshot {
         self.stop_and_join();
-        self.stats()
+        self.service.obs.snapshot()
     }
 
     fn stop_and_join(&mut self) {
@@ -455,7 +419,7 @@ fn accept_connections(listener: &TcpListener, service: &Arc<Service>) -> Vec<Joi
         // Transient accept errors (e.g. aborted handshakes) must not kill the
         // service.
         let Ok(stream) = stream else { continue };
-        service.stats.connections.incr();
+        service.metrics.connections.incr();
         // This connection takes a spare thread if there is one; otherwise a
         // new thread is its spare, or — at the cap — it waits in the queue.
         let cap = service.config.worker_threads.max(1);
@@ -510,7 +474,6 @@ struct Service {
     /// coordinator log names the node that failed.
     identity: String,
     config: ServiceConfig,
-    stats: SharedStats,
     obs: Registry,
     metrics: NetMetrics,
     shutdown: AtomicBool,
@@ -530,7 +493,7 @@ fn handle_connection(stream: TcpStream, ctx: &Service) -> Option<FrameConn> {
     serve_frames(&mut conn, ctx, &mut flushed);
     // Pick up whatever the last partial frame accumulated after the final
     // per-frame flush (e.g. bytes read before an EOF).
-    flush_bytes(&ctx.stats, &conn, &mut flushed);
+    flush_bytes(&ctx.metrics, &conn, &mut flushed);
     Some(conn)
 }
 
@@ -538,10 +501,10 @@ fn handle_connection(stream: TcpStream, ctx: &Service) -> Option<FrameConn> {
 /// the shared registry (`flushed` holds the totals already pushed). Called
 /// after every frame, not only at connection close, so a live scrape of a
 /// worker with long-lived coordinator connections sees its traffic, not zeros.
-fn flush_bytes(stats: &SharedStats, conn: &FrameConn, flushed: &mut WireStats) {
+fn flush_bytes(metrics: &NetMetrics, conn: &FrameConn, flushed: &mut WireStats) {
     let wire = conn.stats();
-    stats.bytes_in.add(wire.bytes_received - flushed.bytes_received);
-    stats.bytes_out.add(wire.bytes_sent - flushed.bytes_sent);
+    metrics.bytes_in.add(wire.bytes_received - flushed.bytes_received);
+    metrics.bytes_out.add(wire.bytes_sent - flushed.bytes_sent);
     *flushed = wire;
 }
 
@@ -563,7 +526,7 @@ fn serve_frames(conn: &mut FrameConn, ctx: &Service, flushed: &mut WireStats) {
                 // the connection itself before it closed — this connection
                 // only, never the process.
                 if matches!(err, SeabedError::Wire(_)) {
-                    ctx.stats.error_frames.incr();
+                    ctx.metrics.error_frames.incr();
                 }
                 return;
             }
@@ -593,11 +556,11 @@ fn serve_frames(conn: &mut FrameConn, ctx: &Service, flushed: &mut WireStats) {
             Err(_) => return,
             // Counted off the frame that actually went out: a substituted
             // error frame must not count as served.
-            Ok(FrameKind::Response | FrameKind::ShardPartial) => ctx.stats.requests_served.incr(),
-            Ok(FrameKind::Error) => ctx.stats.error_frames.incr(),
+            Ok(FrameKind::Response | FrameKind::ShardPartial) => ctx.metrics.requests_served.incr(),
+            Ok(FrameKind::Error) => ctx.metrics.error_frames.incr(),
             Ok(_) => {}
         }
-        flush_bytes(&ctx.stats, conn, flushed);
+        flush_bytes(&ctx.metrics, conn, flushed);
     }
 }
 
@@ -616,18 +579,18 @@ fn execute_observed(
     trace_id: u64,
     run: impl FnOnce() -> Result<seabed_core::ServerResponse, SeabedError>,
 ) -> Frame {
-    let mut tb = ctx.obs.trace_builder(trace_id, &ctx.identity);
-    if let Some(handle) = handle {
-        tb.set_statement_id(handle);
-    }
     let started = ctx.obs.enabled().then(Instant::now);
-    let span = tb.start();
     let outcome = run();
-    tb.end("server-execute", span);
-    if let Some(trace) = tb.finish() {
-        ctx.obs.record_trace(trace);
-    }
-    if let Some(started) = started {
+    // One measurement of the execution feeds its span and its event.
+    if let Some(total_ns) = started.map(|started| started.elapsed().as_nanos() as u64) {
+        let mut tb = ctx.obs.trace_builder(trace_id, &ctx.identity);
+        if let Some(handle) = handle {
+            tb.set_statement_id(handle);
+        }
+        tb.add_span_ns("server-execute", total_ns);
+        if let Some(trace) = tb.finish() {
+            ctx.obs.record_trace(trace);
+        }
         let statement_id = handle.or_else(|| plan.map(wire::statement_hash)).unwrap_or_default();
         ctx.obs.record_event(seabed_obs::QueryEvent {
             trace_id,
@@ -637,7 +600,7 @@ fn execute_observed(
             operators: seabed_core::event_operators(
                 outcome.as_ref().map(|r| r.stats.operators.as_slice()).unwrap_or(&[]),
             ),
-            total_ns: started.elapsed().as_nanos() as u64,
+            total_ns,
             slow: false,
             outcome: seabed_core::outcome_tag(&outcome).to_string(),
         });
@@ -709,9 +672,6 @@ fn dispatch_frame(frame: Frame, ctx: &Service) -> Frame {
             filters,
             analyze,
         } => {
-            let tb = ctx.obs.trace_builder(trace_id, &ctx.identity);
-            let span = tb.start();
-            let timer = ctx.metrics.shard_execute_ns.start();
             match ctx
                 .shards
                 .get(&ctx.identity, epoch, table_id, shard)
@@ -720,9 +680,12 @@ fn dispatch_frame(frame: Frame, ctx: &Service) -> Frame {
             {
                 Ok(partial) => {
                     // Only successful scans feed the execute histogram and
-                    // the trace — a stale-epoch rejection is not a scan.
-                    ctx.metrics.shard_execute_ns.stop(timer);
-                    tb.end("shard-execute", span);
+                    // the trace — a stale-epoch rejection is not a scan —
+                    // and both take the scan's own measured wall time.
+                    let scan_ns = u64::try_from(partial.stats.wall_time.as_nanos()).unwrap_or(u64::MAX);
+                    ctx.metrics.shard_execute_ns.record_ns(scan_ns);
+                    let tb = ctx.obs.trace_builder(trace_id, &ctx.identity);
+                    tb.add_span_ns("shard-execute", scan_ns);
                     if let Some(trace) = tb.finish() {
                         ctx.obs.record_trace(trace);
                     }
@@ -762,8 +725,8 @@ fn dispatch_frame(frame: Frame, ctx: &Service) -> Frame {
                 return Frame::Error(err);
             }
             let (handle, evicted) = ctx.statements.prepare(query);
-            ctx.stats.statements_prepared.incr();
-            ctx.stats.statements_evicted.add(evicted);
+            ctx.metrics.statements_prepared.incr();
+            ctx.metrics.statements_evicted.add(evicted);
             Frame::StatementPrepared { handle }
         }
         Frame::ExecuteStatement {
@@ -905,11 +868,11 @@ mod tests {
         );
         assert!(matches!(reply, Frame::Response(_)));
 
-        let stats = net.shutdown();
-        assert_eq!(stats.connections, 1);
-        assert_eq!(stats.requests_served, 2);
-        assert_eq!(stats.error_frames, 1);
-        assert!(stats.bytes_in > 0 && stats.bytes_out > 0);
+        let counters = net.shutdown();
+        assert_eq!(counters.counter("net_connections"), Some(1));
+        assert_eq!(counters.counter("net_requests_served"), Some(2));
+        assert_eq!(counters.counter("net_error_frames"), Some(1));
+        assert!(counters.counter("net_bytes_in") > Some(0) && counters.counter("net_bytes_out") > Some(0));
     }
 
     #[test]
@@ -965,8 +928,9 @@ mod tests {
                 other => panic!("expected the typed substitute, got {other:?}"),
             }
         }
-        let stats = net.shutdown();
-        assert_eq!((stats.error_frames, stats.requests_served), (2, 0));
+        let counters = net.shutdown();
+        assert_eq!(counters.counter("net_error_frames"), Some(2));
+        assert_eq!(counters.counter("net_requests_served"), Some(0));
     }
 
     /// The worker side of the seabed-dist protocol on one connection:
@@ -1206,9 +1170,9 @@ mod tests {
             "{reply:?}"
         );
 
-        let stats = net.shutdown();
-        assert_eq!(stats.statements_prepared, 3);
-        assert!(stats.statements_evicted >= 1);
+        let counters = net.shutdown();
+        assert_eq!(counters.counter("net_statements_prepared"), Some(3));
+        assert!(counters.counter("net_statements_evicted") >= Some(1));
     }
 
     /// PREPARE resolves the plan against the hosted table: a statement whose
@@ -1261,8 +1225,12 @@ mod tests {
         );
         assert!(matches!(reply, Frame::Response(_)), "{reply:?}");
 
-        let stats = net.shutdown();
-        assert_eq!(stats.statements_prepared, 1, "the rejected plan must not count");
+        let counters = net.shutdown();
+        assert_eq!(
+            counters.counter("net_statements_prepared"),
+            Some(1),
+            "the rejected plan must not count"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! 2. **Zero overhead when off.** A registry built from
 //!    [`ObsConfig::disabled`] turns histogram timers and trace recording
 //!    into no-ops (no `Instant::now`, no allocation); counters and gauges
-//!    stay live because the legacy stats views are built on them.
+//!    stay live because they are each component's only lifetime totals.
 //! 3. **Nothing sensitive.** Metric names are static identifiers; traces
 //!    carry span names, durations, and statement *hashes* — never SQL text
 //!    or plaintext literals. This is the same redaction rule the wire layer
@@ -52,7 +52,7 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug)]
 pub struct ObsConfig {
     /// When false, histogram timers and trace recording are no-ops.
-    /// Counters and gauges always count (they back the legacy stats views).
+    /// Counters and gauges always count (they are the only lifetime totals).
     pub enabled: bool,
     /// Capacity of the recent-trace ring buffer (oldest evicted first).
     pub trace_capacity: usize,

@@ -347,6 +347,9 @@ fn metric_help(name: &str, fallback: &'static str) -> &'static str {
         "dist_redispatches" => "Shard queries re-dispatched after a worker failure",
         "dist_cache_hits" => "Shards answered from the coordinator's partial-result cache",
         "dist_cache_misses" => "Shards that had to be scattered to a worker",
+        "dist_cache_insertions" => "Partials inserted into the coordinator's partial-result cache",
+        "dist_cache_evictions" => "Partial-result cache entries evicted by its capacity bound",
+        "dist_cache_invalidated" => "Partial-result cache entries purged by a fence",
         "dist_partial_cache_len" => "Entries currently resident in the coordinator's partial-result cache",
         "dist_live_workers" => "Workers currently alive in the coordinator's pool",
         "dist_scatter_ns" => "Coordinator scatter-phase latency in nanoseconds",

@@ -46,15 +46,16 @@ fn main() {
     let mut latencies: Vec<f64> = Vec::new();
     for q in &queries {
         let result = session.query(&q.sql, &[]).expect("query failed");
-        let total = result.timings.total().as_secs_f64();
+        let (server, client) = (result.server_stats.wall_time, result.client_time);
+        let total = (server + client).as_secs_f64();
         latencies.push(total);
         println!(
             "  groups={:<2} rows_out={:<3} total={:>8.4}s (server {:>8.4}s, client {:>8.4}s, {} bytes)",
             q.groups,
             result.rows.len(),
             total,
-            result.timings.server.as_secs_f64(),
-            result.timings.client.as_secs_f64(),
+            server.as_secs_f64(),
+            client.as_secs_f64(),
             result.result_bytes
         );
     }

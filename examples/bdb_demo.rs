@@ -73,7 +73,7 @@ fn main() {
                 "{:<4} groups={:<6} total={:>8.4}s   [{}]",
                 query.name,
                 result.rows.len(),
-                result.timings.total().as_secs_f64(),
+                (result.server_stats.wall_time + result.client_time).as_secs_f64(),
                 query.notes
             ),
             Err(err) => println!("{:<4} unsupported: {err}", query.name),

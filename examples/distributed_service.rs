@@ -99,7 +99,7 @@ fn main() {
         println!(
             "  -> {} group(s), scatter/gather {:.2} ms over {} shard quer{}",
             result.rows.len(),
-            report.wall_time.as_secs_f64() * 1e3,
+            result.server_stats.wall_time.as_secs_f64() * 1e3,
             report.runs.len(),
             if report.runs.len() == 1 { "y" } else { "ies" }
         );
@@ -140,10 +140,14 @@ fn main() {
     drop(session);
     drop(coordinator);
     for w in workers {
-        let stats = w.shutdown();
+        let totals = w.shutdown();
+        let count = |name: &str| totals.counter(name).unwrap_or(0);
         println!(
             "worker closed: {} connections, {} requests, {} B in, {} B out",
-            stats.connections, stats.requests_served, stats.bytes_in, stats.bytes_out
+            count("net_connections"),
+            count("net_requests_served"),
+            count("net_bytes_in"),
+            count("net_bytes_out")
         );
     }
 }

@@ -63,7 +63,7 @@ fn main() {
         let result = session.query(sql, &[]).expect("query failed");
         println!(
             "\n{sql}\n  -> {:?}  (server {:?}, client {:?})",
-            result.rows, result.timings.server, result.timings.client
+            result.rows, result.server_stats.wall_time, result.client_time
         );
     }
 

@@ -74,10 +74,14 @@ fn main() {
         }
     });
 
-    // 4. Graceful shutdown returns the aggregate service accounting.
-    let stats = net.shutdown();
+    // 4. Graceful shutdown returns the service registry's final counters.
+    let totals = net.shutdown();
+    let count = |name: &str| totals.counter(name).unwrap_or(0);
     println!(
         "\nservice totals: {} connections, {} requests, {} B in, {} B out",
-        stats.connections, stats.requests_served, stats.bytes_in, stats.bytes_out
+        count("net_connections"),
+        count("net_requests_served"),
+        count("net_bytes_in"),
+        count("net_bytes_out")
     );
 }

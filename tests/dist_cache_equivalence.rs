@@ -332,3 +332,65 @@ fn bdb_warm_cache_equals_cold_scatter() {
     ];
     assert_warm_equals_cold("rankings", &client, &encrypted.table, &cases);
 }
+
+/// The partial cache's counters have one home, the coordinator's registry:
+/// `cache_stats()` equals its `dist_cache_*` counters, field by field,
+/// through a hit, an eviction (capacity 1), and a miss that fails once every
+/// worker is gone and fences the cache. A probe counts when it happens, so a
+/// query that then fails still counts its misses, and a scrape shows the
+/// evictions and invalidations.
+#[test]
+fn cache_counters_have_one_home_in_the_registry() {
+    let (client, table) = sales_fixture();
+    let (workers, addrs) = spawn_pair();
+    let coordinator = DistCoordinator::connect_tables(
+        &addrs,
+        vec![("sales".into(), table)],
+        DistConfig::default().partial_cache_capacity(1),
+    )
+    .expect("coordinator");
+    assert_eq!(coordinator.num_shards(), 2);
+    let session = SeabedSession::single("sales", client, &coordinator);
+    let prepared = session
+        .prepare("SELECT SUM(revenue) FROM sales WHERE dept = ?")
+        .expect("prepare");
+    let bind = |dept: &str| [Literal::Text(dept.to_string())];
+
+    // Cold: two misses, two insertions, the first evicted by the second.
+    session.execute_encrypted(&prepared, &bind("d0")).expect("cold execute");
+    // Warm: the one resident shard hits, the other misses and is re-inserted.
+    session.execute_encrypted(&prepared, &bind("d0")).expect("warm execute");
+    let report = coordinator.last_report();
+    assert_eq!((report.cache_hits, report.cache_misses), (1, 1), "{report:?}");
+    // A new binding misses both shards, and with every worker gone the
+    // scatter fails, fencing the one resident entry.
+    for w in workers {
+        w.shutdown();
+    }
+    let failed = session.execute_encrypted(&prepared, &bind("d1"));
+    assert!(failed.is_err(), "no worker is left to answer: {failed:?}");
+
+    let stats = coordinator.cache_stats();
+    let snapshot = coordinator.registry().snapshot();
+    for (field, value, counter) in [
+        ("hits", stats.hits, "dist_cache_hits"),
+        ("misses", stats.misses, "dist_cache_misses"),
+        ("insertions", stats.insertions, "dist_cache_insertions"),
+        ("evictions", stats.evictions, "dist_cache_evictions"),
+        ("invalidated", stats.invalidated, "dist_cache_invalidated"),
+    ] {
+        assert_eq!(
+            snapshot.counter(counter),
+            Some(value),
+            "cache_stats().{field} disagrees with the registry's {counter}"
+        );
+    }
+    let counted = (
+        stats.hits,
+        stats.misses,
+        stats.insertions,
+        stats.evictions,
+        stats.invalidated,
+    );
+    assert_eq!(counted, (1, 5, 3, 2, 1), "{stats:?}");
+}

@@ -327,9 +327,11 @@ fn seabed_client_targets_the_coordinator_directly() {
         .query("SELECT SUM(revenue) FROM sales", &[])
         .expect("query via coordinator");
     assert_eq!(result.rows, vec![vec![ResultValue::UInt(expected)]]);
-    // The server's time is the coordinator's measured scatter and gather.
-    assert!(result.timings.server > std::time::Duration::ZERO);
-    assert_eq!(result.timings.server, result.server_stats.wall_time);
+    // The server's time is the coordinator's measured scatter and gather,
+    // the gather included.
+    let gather_time = coordinator.last_report().gather_time;
+    assert!(gather_time > std::time::Duration::ZERO);
+    assert!(result.server_stats.wall_time > gather_time);
     assert_eq!(coordinator.schema_of("sales"), Ok(&server.table().schema));
     for w in workers {
         w.shutdown();

@@ -145,9 +145,10 @@ fn server_never_sees_plaintext_columns() {
 fn timings_are_populated() {
     let (client, server, _) = build_world(800);
     let result = query(&client, &server, "SELECT SUM(revenue) FROM sales");
-    assert!(result.timings.server > std::time::Duration::ZERO);
-    // The server's time is the one it measured, not a model of another cluster.
-    assert_eq!(result.timings.server, result.server_stats.wall_time);
+    // The server's time is the one it measured, not a model of another
+    // cluster; the proxy's is its own decryption.
+    assert!(result.server_stats.wall_time > std::time::Duration::ZERO);
+    assert!(result.client_time > std::time::Duration::ZERO);
     assert!(result.result_bytes > 0);
     assert!(
         result.client_prf_evals >= 2,

@@ -416,6 +416,52 @@ fn distributed_explain_analyze_stitches_shard_profiles() {
         .expect("EXPLAIN needs no worker");
 }
 
+/// A coordinator whose registry is disabled still times its stages: each
+/// stage is measured once, whether or not its histogram records, and the
+/// stitched plan reads that measurement, so the stages are non-zero and fit
+/// inside the `dist` node.
+#[test]
+fn a_disabled_registry_still_times_the_coordinators_stages() {
+    let (client, server) = sales_fixture();
+    let workers: Vec<_> = (0..2)
+        .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker must start"))
+        .collect();
+    let addrs: Vec<_> = workers.iter().map(|w| w.local_addr()).collect();
+    let coordinator = DistCoordinator::connect_tables(
+        &addrs,
+        vec![("sales".into(), server.table().clone())],
+        DistConfig::default(),
+    )
+    .expect("coordinator connects")
+    .with_obs(seabed_obs::Registry::disabled());
+    let session = SeabedSession::single("sales", client, &coordinator);
+
+    let sql = "EXPLAIN ANALYZE SELECT SUM(revenue) FROM sales WHERE dept = 'retail' AND ts >= 100";
+    let explanation = session.explain(sql, &[]).expect("explain analyze");
+    let rendered = explanation.render();
+    let dist = explanation
+        .plan
+        .children
+        .iter()
+        .find(|c| c.op == "dist")
+        .expect("a coordinator contributes its subtree");
+    let nanos = |node: &PlanNode| node.profile.map_or(0, |p| p.nanos);
+    let stage = |op: &str| {
+        let node = dist.children.iter().find(|c| c.op == op);
+        nanos(node.unwrap_or_else(|| panic!("no {op} stage:\n{rendered}")))
+    };
+    let (scatter, gather, merge) = (stage("scatter"), stage("gather"), stage("merge"));
+    assert!(scatter > 0 && gather > 0, "untimed stage:\n{rendered}");
+    assert!(merge <= gather, "the merge is part of the gather:\n{rendered}");
+    assert!(scatter + gather <= nanos(dist), "stages outlast the query:\n{rendered}");
+
+    drop(session);
+    drop(coordinator);
+    for w in workers {
+        w.shutdown();
+    }
+}
+
 /// Two sessions on one coordinator, each looping `EXPLAIN ANALYZE` on its own
 /// table, in lockstep so every pair of executions overlaps. The two tables
 /// have different shard counts, so a stitched plan or a coordinator event

@@ -111,9 +111,9 @@ fn assert_cases_across_targets(table: &str, client: &SeabedClient, server: &Seab
     for case in cases {
         assert_case(table, client, &remote, case, "remote");
     }
-    let stats = net.shutdown();
+    let counters = net.shutdown();
     assert!(
-        stats.statements_prepared > 0,
+        counters.counter("net_statements_prepared") > Some(0),
         "prepared executions must register statements on the wire"
     );
 
@@ -329,9 +329,9 @@ fn remote_prepared_statements_ship_only_bound_filters() {
     let after = remote.wire_stats();
     // 4 executions + exactly 1 statement registration crossed the wire.
     assert_eq!(after.requests - baseline.requests, 5);
-    let stats = net.shutdown();
-    assert_eq!(stats.statements_prepared, 1);
-    assert_eq!(stats.requests_served, 4);
+    let counters = net.shutdown();
+    assert_eq!(counters.counter("net_statements_prepared"), Some(1));
+    assert_eq!(counters.counter("net_requests_served"), Some(4));
     assert_eq!(session.stats().executes, 4);
     assert_eq!(session.stats().statements_prepared, 1);
 }

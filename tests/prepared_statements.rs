@@ -183,8 +183,12 @@ fn changed_plan_under_same_statement_id_registers_fresh() {
         sum_resp.groups[0].aggregates[0]
     );
 
-    let stats = net.shutdown();
-    assert_eq!(stats.statements_prepared, 2, "each distinct plan registers once");
+    let counters = net.shutdown();
+    assert_eq!(
+        counters.counter("net_statements_prepared"),
+        Some(2),
+        "each distinct plan registers once"
+    );
 }
 
 /// End to end against a real server with a capacity-1 statement store:
@@ -228,11 +232,11 @@ fn eviction_on_a_real_server_is_recovered_through_the_session() {
         .expect("evicted handle must be recovered transparently");
     assert_eq!(r.rows, vec![vec![ResultValue::UInt(expected_sum(250))]]);
 
-    let stats = net.shutdown();
+    let counters = net.shutdown();
     // Three registrations: sum, count, and the transparent re-prepare of sum.
-    assert_eq!(stats.statements_prepared, 3);
-    assert!(stats.statements_evicted >= 2);
-    assert_eq!(stats.requests_served, 3);
+    assert_eq!(counters.counter("net_statements_prepared"), Some(3));
+    assert!(counters.counter("net_statements_evicted") >= Some(2));
+    assert_eq!(counters.counter("net_requests_served"), Some(3));
 }
 
 /// "Fails at prepare, never at execute" for the second column a MIN/MAX
@@ -299,7 +303,11 @@ fn a_missing_ope_companion_column_is_refused_at_prepare() {
     let remote = RemoteSeabedClient::connect(net.local_addr(), client).expect("connect");
     refused(remote.execute_prepared(&plan, 7, &[]).map(|_| ()), "PrepareStatement");
     drop(remote);
-    let stats = net.shutdown();
-    assert_eq!(stats.statements_prepared, 0);
-    assert_eq!(stats.requests_served, 0, "refused at PREPARE, not at first EXECUTE");
+    let counters = net.shutdown();
+    assert_eq!(counters.counter("net_statements_prepared"), Some(0));
+    assert_eq!(
+        counters.counter("net_requests_served"),
+        Some(0),
+        "refused at PREPARE, not at first EXECUTE"
+    );
 }

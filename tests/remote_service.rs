@@ -87,9 +87,12 @@ fn remote_results_are_identical_to_in_process_results() {
         );
     }
 
-    let stats = net.shutdown();
-    assert_eq!(stats.requests_served, SALES_QUERIES.len() as u64);
-    assert_eq!(stats.error_frames, 0);
+    let counters = net.shutdown();
+    assert_eq!(
+        counters.counter("net_requests_served"),
+        Some(SALES_QUERIES.len() as u64)
+    );
+    assert_eq!(counters.counter("net_error_frames"), Some(0));
 }
 
 #[test]
@@ -178,11 +181,14 @@ fn concurrent_clients_all_get_correct_results() {
         }
     });
 
-    let stats = net.shutdown();
-    assert_eq!(stats.connections, clients as u64);
-    assert_eq!(stats.requests_served, (clients * SALES_QUERIES.len() * 2) as u64);
-    assert_eq!(stats.error_frames, 0);
-    assert!(stats.bytes_in > 0 && stats.bytes_out > 0);
+    let counters = net.shutdown();
+    assert_eq!(counters.counter("net_connections"), Some(clients as u64));
+    assert_eq!(
+        counters.counter("net_requests_served"),
+        Some((clients * SALES_QUERIES.len() * 2) as u64)
+    );
+    assert_eq!(counters.counter("net_error_frames"), Some(0));
+    assert!(counters.counter("net_bytes_in") > Some(0) && counters.counter("net_bytes_out") > Some(0));
 }
 
 #[test]
@@ -225,8 +231,11 @@ fn query_errors_cross_the_wire_typed_and_do_not_kill_the_connection() {
         .expect("follow-up query");
     assert_eq!(result.rows.len(), 1);
 
-    let stats = net.shutdown();
-    assert!(stats.error_frames >= 1, "typed error frames must be accounted");
+    let counters = net.shutdown();
+    assert!(
+        counters.counter("net_error_frames") >= Some(1),
+        "typed error frames must be accounted"
+    );
 }
 
 /// §6.6 unification: the byte counts the TCP layer *measures* feed the
