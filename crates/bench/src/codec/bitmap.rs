@@ -8,7 +8,7 @@
 //! stores either a sorted array of 16-bit offsets (sparse) or a packed bit set
 //! (dense), following the Roaring design.
 
-use crate::idlist::Run;
+use seabed_encoding::Run;
 
 const CHUNK_BITS: u64 = 16;
 const CHUNK_SIZE: u64 = 1 << CHUNK_BITS;
@@ -135,13 +135,13 @@ impl Bitmap {
     /// Serializes the bitmap.
     pub fn serialize(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        crate::varint::encode_u64(self.chunks.len() as u64, &mut out);
+        seabed_encoding::varint::encode_u64(self.chunks.len() as u64, &mut out);
         for (key, container) in &self.chunks {
-            crate::varint::encode_u64(*key, &mut out);
+            seabed_encoding::varint::encode_u64(*key, &mut out);
             match container {
                 Container::Array(v) => {
                     out.push(0u8);
-                    crate::varint::encode_u64(v.len() as u64, &mut out);
+                    seabed_encoding::varint::encode_u64(v.len() as u64, &mut out);
                     for &offset in v {
                         out.extend_from_slice(&offset.to_le_bytes());
                     }
@@ -159,16 +159,16 @@ impl Bitmap {
 
     /// Deserializes a bitmap; returns `None` on malformed input.
     pub fn deserialize(data: &[u8]) -> Option<Bitmap> {
-        let (n_chunks, mut pos) = crate::varint::decode_u64(data, 0)?;
+        let (n_chunks, mut pos) = seabed_encoding::varint::decode_u64(data, 0)?;
         let mut chunks = Vec::new();
         for _ in 0..n_chunks {
-            let (key, next) = crate::varint::decode_u64(data, pos)?;
+            let (key, next) = seabed_encoding::varint::decode_u64(data, pos)?;
             pos = next;
             let kind = *data.get(pos)?;
             pos += 1;
             match kind {
                 0 => {
-                    let (len, next) = crate::varint::decode_u64(data, pos)?;
+                    let (len, next) = seabed_encoding::varint::decode_u64(data, pos)?;
                     pos = next;
                     let mut v = Vec::with_capacity((len as usize).min(1 << 16));
                     for _ in 0..len {
@@ -281,7 +281,7 @@ mod tests {
         // 2 integers under range encoding but ~1 bit per row under bitmaps.
         let runs = vec![Run::new(0, 1_000_000)];
         let bm_size = Bitmap::from_runs(&runs).serialized_size();
-        let range_size = crate::idlist::encoded_size(&runs, crate::idlist::IdListEncoding::RangesVbDiff);
+        let range_size = seabed_encoding::encoded_size(&runs, seabed_encoding::IdListEncoding::RangesVbDiff);
         assert!(bm_size > 50 * range_size, "bitmap {bm_size} vs ranges {range_size}");
     }
 }

@@ -13,9 +13,9 @@
 //! tables followed by the token bit stream, and a stored block falls back to
 //! the raw bytes whenever compression would not help.
 
-use crate::bitio::{BitReader, BitWriter};
-use crate::huffman::{self, CodeBook, Decoder};
-use crate::lz77::{copy_match, tokenize, Profile, Token, MAX_MATCH, MIN_MATCH};
+use crate::codec::bitio::{BitReader, BitWriter};
+use crate::codec::huffman::{self, CodeBook, Decoder};
+use crate::codec::lz77::{copy_match, tokenize, Profile, Token, MAX_MATCH, MIN_MATCH};
 
 /// Compression level, mirroring the two configurations in Figure 8.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -340,8 +340,8 @@ pub fn compressed_len(data: &[u8], level: Level) -> usize {
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::{unpack_lengths, BLOCK_COMPRESSED, BLOCK_STORED, DIST_CODES, LENGTH_CODES, LITLEN_SYMBOLS};
-    use crate::huffman::{CodeBook, MAX_CODE_LEN};
-    use crate::lz77::Token;
+    use crate::codec::huffman::{CodeBook, MAX_CODE_LEN};
+    use crate::codec::lz77::Token;
 
     pub(crate) struct BitReader<'a> {
         data: &'a [u8],
@@ -525,7 +525,7 @@ pub(crate) mod tests {
             assert_eq!(length_to_symbol(len), (256 + i, extra, bits), "length {len}");
             assert!(bits < 1 << extra || extra == 0 && bits == 0);
         }
-        for dist in 1..=crate::lz77::WINDOW_SIZE as u16 {
+        for dist in 1..=crate::codec::lz77::WINDOW_SIZE as u16 {
             let (i, extra, bits) = scan(&DIST_CODES, dist);
             assert_eq!(dist_to_symbol(dist), (i, extra, bits), "distance {dist}");
             assert!(bits < 1 << extra || extra == 0 && bits == 0);
@@ -861,7 +861,7 @@ pub(crate) mod tests {
         // Simulates the actual Seabed payload: VB+diff encoded ID lists with
         // mostly-small deltas compress further under deflate.
         let deltas: Vec<u64> = (0..20_000).map(|i| if i % 100 == 0 { 1000 } else { 1 }).collect();
-        let payload = crate::varint::encode_all(&deltas);
+        let payload = seabed_encoding::varint::encode_all(&deltas);
         let c = compress(&payload, Level::Fast);
         assert!(c.len() < payload.len());
         assert_eq!(decompress(&c).unwrap(), payload);

@@ -5,7 +5,7 @@
 //! This module builds length-limited codes from symbol frequencies, serializes
 //! the code-length table, and provides encode/decode over the bit stream.
 
-use crate::bitio::{BitReader, BitWriter};
+use crate::codec::bitio::{BitReader, BitWriter};
 
 /// Maximum code length; 15 matches DEFLATE and keeps the decode table small.
 pub const MAX_CODE_LEN: u8 = 15;

@@ -437,7 +437,7 @@ mod tests {
                 // a gap over 127 takes two bytes.
                 let mut body = Vec::with_capacity(len + 2);
                 while body.len() < len {
-                    crate::varint::encode_u64(1 + rng.random_range(0..alphabet as u64 * 2), &mut body);
+                    seabed_encoding::varint::encode_u64(1 + rng.random_range(0..alphabet as u64 * 2), &mut body);
                     body.push(0);
                 }
                 body.truncate(len);

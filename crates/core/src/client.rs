@@ -664,7 +664,7 @@ mod tests {
         let no_rows = || {
             Some(GroupIds {
                 id_list: Vec::new(),
-                encoding: seabed_encoding::IdListEncoding::seabed_group_by(),
+                encoding: seabed_encoding::IdListEncoding::RangesVbDiff,
             })
         };
         // Each forgery must fail at the check it is written for, so each names
@@ -717,7 +717,7 @@ mod tests {
         let no_rows = || {
             Some(GroupIds {
                 id_list: Vec::new(),
-                encoding: seabed_encoding::IdListEncoding::seabed_group_by(),
+                encoding: seabed_encoding::IdListEncoding::RangesVbDiff,
             })
         };
         // Two inflated shards of the same logical group, one shipping a
@@ -765,7 +765,7 @@ mod tests {
                     key,
                     ids: Some(GroupIds {
                         id_list: Vec::new(),
-                        encoding: seabed_encoding::IdListEncoding::seabed_group_by(),
+                        encoding: seabed_encoding::IdListEncoding::RangesVbDiff,
                     }),
                     aggregates: vec![aggregate],
                 })

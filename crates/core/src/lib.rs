@@ -68,7 +68,7 @@ pub use fifo::FifoMap;
 pub use keys::KeyStore;
 pub use server::{
     finalize_partials, EncryptedAggregate, ExecOutcome, ExecRequest, GroupIds, GroupResult, PartialResponse,
-    PhysicalFilter, QueryTarget, SeabedServer, ServerResponse, PARTIAL_ID_ENCODING,
+    PhysicalFilter, QueryTarget, SeabedServer, ServerResponse,
 };
 pub use session::{
     event_operators, fnv1a64, outcome_tag, plan_profile, validate_against_schema, Catalog, Explanation, PreparedQuery,

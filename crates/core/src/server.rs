@@ -6,8 +6,8 @@
 //! the map/reduce pipeline of Table 2: scan partitions in parallel, apply the
 //! encrypted filters, fold ASHE words and the selected rows' ID list
 //! (optionally per group; one list per group, however many sums share it),
-//! compress the ID lists at the workers (§4.5), and concatenate partials at
-//! the driver.
+//! send each ID list in its smallest closed-form container (§4.5), and
+//! concatenate partials at the driver.
 //!
 //! # What a partition returns and where it is folded
 //!
@@ -47,7 +47,7 @@
 //! (or, via a poisoned response, the proxy) down.
 
 use seabed_crypto::ore::{accepted_pairs, cell_words, first_difference, OreCiphertext, ORE_CELL_BYTES};
-use seabed_encoding::{append_offset_runs, encoded_size, IdListEncoding, Run};
+use seabed_encoding::{append_offset_runs, smallest_encoding, IdListEncoding, Run};
 use seabed_engine::exec::{self, group_rows, GroupedRows, SelectionVector};
 use seabed_engine::merge::{
     extreme_replaces, fold_flat_partials, ExtremeCandidate, FlatPartial, PartialAggregate, PartialGroup, PartialGroups,
@@ -391,7 +391,8 @@ impl EncryptedAggregate {
 pub struct GroupIds {
     /// Encoded ID list of the group's selected rows.
     pub id_list: Vec<u8>,
-    /// Encoding used for the ID list.
+    /// The container of the ID list: the smallest for this list
+    /// ([`seabed_encoding::smallest_encoding`]).
     pub encoding: IdListEncoding,
 }
 
@@ -573,10 +574,10 @@ impl Fold<'_> {
 }
 
 /// Finalizes one merged group into the client-facing one: the IDs are encoded
-/// once if an ASHE sum needs them and counted for the counts, and MIN/MAX
-/// candidates drop their ORE ciphertext, keeping only the winning value word
-/// and row identifier.
-fn finish_group(key: Vec<u64>, group: PartialGroup, encoding: IdListEncoding) -> GroupResult {
+/// once, in their smallest container, if an ASHE sum needs them and counted
+/// for the counts, and MIN/MAX candidates drop their ORE ciphertext, keeping
+/// only the winning value word and row identifier.
+fn finish_group(key: Vec<u64>, group: PartialGroup) -> GroupResult {
     let summed = group
         .aggregates
         .iter()
@@ -584,9 +585,12 @@ fn finish_group(key: Vec<u64>, group: PartialGroup, encoding: IdListEncoding) ->
     let rows = group.ids.count();
     GroupResult {
         key,
-        ids: summed.then(|| GroupIds {
-            id_list: group.ids.encode(encoding),
-            encoding,
+        ids: summed.then(|| {
+            let (encoding, _) = group.ids.smallest_encoding();
+            GroupIds {
+                id_list: group.ids.encode(encoding),
+                encoding,
+            }
         }),
         aggregates: group
             .aggregates
@@ -603,15 +607,6 @@ fn finish_group(key: Vec<u64>, group: PartialGroup, encoding: IdListEncoding) ->
     }
 }
 
-/// The encoding ID lists inside partial results travel under — range bounds
-/// in variable-byte form, whatever the query. A gather point (the
-/// `seabed-dist` coordinator) decodes them back into [`seabed_ashe::IdSet`]s for merging
-/// and re-encodes at finalization under the query's own encoding, so the
-/// final response is byte-identical to single-server execution. The scan's
-/// [`ExecStats::bytes_to_driver`] is accounted in it too: it has a closed
-/// form, so the scan measures its partials without encoding them.
-pub const PARTIAL_ID_ENCODING: IdListEncoding = IdListEncoding::RangesVb;
-
 /// Bytes a partial group's aggregates take beside its key and its ID list: a
 /// word per sum, two per MIN/MAX candidate; a count adds nothing of its own
 /// (it is the size of that list).
@@ -626,27 +621,27 @@ fn aggregate_words(aggregates: &[PartialAggregate]) -> usize {
         .sum()
 }
 
-/// Size in bytes of a partition's flat partial with its ID lists under
-/// `encoding`: what the partition's worker would ship to the driver — the
-/// rule of [`partial_bytes`], sized arithmetically off the same run slices
+/// Size in bytes of a partition's flat partial, each ID list in its smallest
+/// container: what the partition's worker would ship to the driver — the
+/// rule of [`partial_bytes`], sized in closed form off the same run slices
 /// the fold appends.
-fn flat_partial_bytes(partial: &FlatPartial, fold: &Fold<'_>, encoding: IdListEncoding) -> usize {
+fn flat_partial_bytes(partial: &FlatPartial, fold: &Fold<'_>) -> usize {
     let ids: usize = (0..partial.groups())
-        .map(|group| encoded_size(partial.runs_of(group), encoding))
+        .map(|group| smallest_encoding(partial.runs_of(group)).1)
         .sum();
     ids + partial.groups() * (aggregate_words(&fold.empty.aggregates) + 8 * fold.group_columns.len().max(1))
 }
 
-/// Partial-result size in bytes with ID lists under `encoding`: what a worker
-/// would ship to the driver.
+/// Partial-result size in bytes, each ID list in its smallest container:
+/// what a worker ships to the driver.
 ///
 /// A group's ID list is charged once, however many aggregates read it.
-fn partial_bytes(groups: &PartialGroups, encoding: IdListEncoding, group_columns: usize) -> usize {
+fn partial_bytes(groups: &PartialGroups, group_columns: usize) -> usize {
     groups
         .values()
         .map(|group| {
             let ids = if group.aggregates.iter().any(PartialAggregate::reads_ids) {
-                group.ids.encoded_size(encoding)
+                group.ids.smallest_encoding().1
             } else {
                 0
             };
@@ -796,7 +791,7 @@ impl SeabedServer {
             };
             match scanned {
                 Ok(partial) => {
-                    let bytes = flat_partial_bytes(&partial, &fold, PARTIAL_ID_ENCODING);
+                    let bytes = flat_partial_bytes(&partial, &fold);
                     TaskOutput::new(Ok((partial, sink.into_operators())), bytes)
                 }
                 Err(err) => TaskOutput::new(Err(err), 0),
@@ -830,16 +825,6 @@ fn filter_label(filter: &PhysicalFilter, schema: &Schema) -> String {
     class.label(schema.fields.get(column).map_or("?", |f| f.name.as_str()))
 }
 
-/// The ID-list encoding a query's response uses: aggregation queries use the
-/// range-friendly encoding; group-by queries use per-ID diff encoding (§4.5).
-fn response_encoding(query: &TranslatedQuery) -> IdListEncoding {
-    if query.group_by.is_empty() {
-        IdListEncoding::seabed_default()
-    } else {
-        IdListEncoding::seabed_group_by()
-    }
-}
-
 /// The empty (identity) merge state for a logical server aggregate: what a
 /// scan's groups start from and — no table needed to resolve columns against
 /// — what a gather point that never saw one (the `seabed-dist` coordinator)
@@ -858,7 +843,6 @@ fn empty_state_of(agg: &ServerAggregate) -> PartialAggregate {
 /// matching rows, finalizes every partial, sorts groups by key, and accounts
 /// the serialized result size.
 pub fn finalize_partials(query: &TranslatedQuery, mut merged: PartialGroups, stats: ExecStats) -> ServerResponse {
-    let encoding = response_encoding(query);
     // Global aggregates with no matching rows still return one empty group.
     if merged.is_empty() && query.group_by.is_empty() {
         let empty = PartialGroup::new(query.aggregates.iter().map(empty_state_of).collect());
@@ -866,7 +850,7 @@ pub fn finalize_partials(query: &TranslatedQuery, mut merged: PartialGroups, sta
     }
     let mut groups: Vec<GroupResult> = merged
         .into_iter()
-        .map(|(key, group)| finish_group(key, group, encoding))
+        .map(|(key, group)| finish_group(key, group))
         .collect();
     groups.sort_by(|a, b| a.key.cmp(&b.key));
     let result_bytes: usize = groups.iter().map(GroupResult::byte_len).sum();
@@ -891,13 +875,12 @@ pub struct PartialResponse {
 }
 
 impl PartialResponse {
-    /// Compressed size in bytes of these partials under the encoding `query`
-    /// answers with — entropy coding included, so this encodes every ID list
-    /// to measure it. The scan's own `stats.bytes_to_driver` is the cheap
-    /// figure (same partials under [`PARTIAL_ID_ENCODING`], sized
-    /// arithmetically); this is the exact one, computed on demand.
+    /// Size in bytes of these merged partials, each ID list in its smallest
+    /// container, in closed form: what a worker ships to its coordinator.
+    /// The scan's own `stats.bytes_to_driver` is the same rule summed over
+    /// the partitions' partials before they merge.
     pub fn shuffle_bytes(&self, query: &TranslatedQuery) -> usize {
-        partial_bytes(&self.groups, response_encoding(query), query.group_by.len())
+        partial_bytes(&self.groups, query.group_by.len())
     }
 }
 

@@ -1,27 +1,31 @@
-//! ID-list encodings (Table 3 of the paper).
+//! ID-list containers (Table 3 of the paper), and the rule that picks one.
 //!
-//! Every ASHE aggregate carries the multiset of row identifiers that were
-//! folded into it. Seabed keeps these lists compact by combining
+//! Every ASHE aggregate carries the set of row identifiers that were folded
+//! into it. Seabed keeps these lists compact by combining range encoding
+//! (contiguous identifiers `[a … b]` become one pair, which is what Seabed's
+//! consecutive row IDs make effective), differential encoding (values become
+//! deltas to their predecessor) and variable-byte encoding (small numbers take
+//! few bytes). Three containers come out of those pieces:
 //!
-//! 1. **range encoding** — contiguous identifiers `[a … b]` become the pair
-//!    `(a, b)`, which is extremely effective because Seabed uploads rows with
-//!    consecutive IDs;
-//! 2. **differential encoding** — values are replaced by deltas to their
-//!    predecessor;
-//! 3. **variable-byte encoding** — small numbers use few bytes;
-//! 4. an optional DEFLATE pass (fast or compact profile).
+//! * [`IdListEncoding::RangesVbDiff`] — one `(gap, span)` pair per run, the
+//!   "Combination" row of Table 3;
+//! * [`IdListEncoding::VbDiff`] — one delta per identifier, which wins when
+//!   runs are single rows a byte's gap apart;
+//! * [`IdListEncoding::SpanBitmap`] — a bit per identifier between the first
+//!   and the last, which wins when about half of a span is selected: such a
+//!   list is already at its entropy as a bitmap.
+//!
+//! The paper picks one encoding per query class and adds a DEFLATE pass; here
+//! each list is sent in the smallest of the three ([`smallest_encoding`]),
+//! sized in closed form, so nothing is encoded to be measured and no entropy
+//! coder sits on the answer path. On the paper's consecutive-ID workload the
+//! rule picks ranges, the paper's own choice.
 //!
 //! Encoded lists come back from an untrusted server (and, between a worker
 //! and its coordinator, from an untrusted peer), so [`decode_runs`] answers
 //! with a *canonical* run list — strictly ascending, disjoint, maximal — or
 //! not at all: every consumer may rely on that form without re-checking it.
-//!
-//! The paper also evaluates bitmap encodings and finds them unattractive for
-//! this workload; [`IdListEncoding::Bitmap`] is kept so the Figure 8 ablation
-//! can reproduce that comparison.
 
-use crate::bitmap::Bitmap;
-use crate::deflate::{self, Level};
 use crate::varint;
 
 /// An inclusive run of row identifiers `[start, end]`.
@@ -94,67 +98,123 @@ pub fn runs_to_ids(runs: &[Run]) -> Vec<u64> {
     ids
 }
 
-/// The encodings compared in Figure 8 (plus the group-by variant of §4.5).
+/// The containers an ID list travels in. The discriminant is the container's
+/// index in [`IdListEncoding::ALL`], which is also the tie order of
+/// [`smallest_encoding`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum IdListEncoding {
-    /// Range bounds, variable-byte encoded ("Ranges & VB").
-    RangesVb,
-    /// Range bounds with differential encoding, variable-byte encoded ("+Diff").
+    /// Run bounds, differential and variable-byte: the gap from the previous
+    /// run's end to this run's start, then the run's span (Table 3's
+    /// "Combination" row).
     RangesVbDiff,
-    /// `RangesVbDiff` followed by the compact DEFLATE profile ("+Deflate(Compact)").
-    RangesVbDiffDeflateCompact,
-    /// `RangesVbDiff` followed by the fast DEFLATE profile ("+Deflate(Fast)").
-    ///
-    /// This is the combination Seabed selects for aggregation queries.
-    RangesVbDiffDeflateFast,
-    /// Plain per-ID differential + variable-byte encoding, no ranges — the
-    /// configuration Seabed uses for group-by queries, whose per-group lists
-    /// are sparse (§4.5).
+    /// One variable-byte delta per identifier, no run structure.
     VbDiff,
-    /// Chunked bitmap encoding; evaluated and rejected by the paper.
-    Bitmap,
+    /// A variable-byte first identifier, a variable-byte span (the number of
+    /// bits), then ⌈span/8⌉ bytes in which bit `i` (least significant first)
+    /// stands for identifier `first + i`.
+    SpanBitmap,
 }
 
 impl IdListEncoding {
-    /// All encodings, in the order Figure 8 plots them.
-    pub const ALL: [IdListEncoding; 6] = [
-        IdListEncoding::RangesVb,
+    /// Every container, in tie order.
+    pub const ALL: [IdListEncoding; 3] = [
         IdListEncoding::RangesVbDiff,
-        IdListEncoding::RangesVbDiffDeflateCompact,
-        IdListEncoding::RangesVbDiffDeflateFast,
         IdListEncoding::VbDiff,
-        IdListEncoding::Bitmap,
+        IdListEncoding::SpanBitmap,
     ];
 
-    /// Human-readable label matching the figure legend.
-    pub fn label(&self) -> &'static str {
-        match self {
-            IdListEncoding::RangesVb => "Ranges & VB",
-            IdListEncoding::RangesVbDiff => "+Diff",
-            IdListEncoding::RangesVbDiffDeflateCompact => "+Deflate(Compact)",
-            IdListEncoding::RangesVbDiffDeflateFast => "+Deflate(Fast)",
-            IdListEncoding::VbDiff => "VB & Diff (group-by)",
-            IdListEncoding::Bitmap => "Bitmap",
-        }
-    }
-
-    /// The encoding Seabed uses for plain aggregation queries.
+    /// The container the paper's consecutive-ID aggregation lists take: one
+    /// run is two small varints, which no other container beats.
     pub fn seabed_default() -> IdListEncoding {
-        IdListEncoding::RangesVbDiffDeflateFast
-    }
-
-    /// The encoding Seabed uses for group-by queries.
-    pub fn seabed_group_by() -> IdListEncoding {
-        IdListEncoding::VbDiff
+        IdListEncoding::RangesVbDiff
     }
 }
 
-fn encode_ranges_vb(runs: &[Run]) -> Vec<u8> {
-    // Raw bounds: start_1, end_1, start_2, end_2, ...
-    let mut out = Vec::with_capacity(runs.len() * 4);
+/// The container [`encode_runs`] would write smallest for `runs`, and that
+/// size in bytes — ties go to the earlier container of
+/// [`IdListEncoding::ALL`]. Computed in one pass over the runs, without
+/// encoding anything.
+pub fn smallest_encoding(runs: &[Run]) -> (IdListEncoding, usize) {
+    let sizes = encoded_sizes(runs);
+    let best = (1..sizes.len()).fold(0, |best, i| if sizes[i] < sizes[best] { i } else { best });
+    (IdListEncoding::ALL[best], sizes[best])
+}
+
+/// Encoded size in bytes for a run list under a given encoding: exactly
+/// `encode_runs(runs, encoding).len()`, in closed form. A size past
+/// `usize::MAX` (a per-ID list or a bitmap over most of the identifier space)
+/// saturates there, so [`smallest_encoding`] never picks it.
+pub fn encoded_size(runs: &[Run], encoding: IdListEncoding) -> usize {
+    encoded_sizes(runs)[encoding as usize]
+}
+
+/// The three closed forms, in the order of [`IdListEncoding::ALL`]. The two
+/// differential forms open a run with its distance from the previous run's
+/// end; the range form then stores the run's span, the per-ID form one byte —
+/// a delta of one — per further identifier.
+fn encoded_sizes(runs: &[Run]) -> [usize; 3] {
+    let vb = varint::encoded_len;
+    let (mut ranges, mut per_id, mut prev) = (0usize, 0usize, 0u64);
     for run in runs {
-        varint::encode_u64(run.start, &mut out);
-        varint::encode_u64(run.end, &mut out);
+        let (gap, span) = (vb(run.start - prev), run.end - run.start);
+        ranges += gap + vb(span);
+        per_id = per_id.saturating_add(gap).saturating_add(saturate(span));
+        prev = run.end;
+    }
+    let bitmap = match bitmap_span(runs) {
+        Some((first, bits)) => saturate(bits.div_ceil(8)).saturating_add(vb(first) + vb(bits)),
+        None => usize::MAX,
+    };
+    [ranges, per_id, bitmap]
+}
+
+fn saturate(value: u64) -> usize {
+    usize::try_from(value).unwrap_or(usize::MAX)
+}
+
+/// A bitmap's first identifier and its number of bits — `(0, 0)` for the
+/// empty set — or `None` when the span is the whole identifier space and its
+/// bit count does not fit a `u64`.
+fn bitmap_span(runs: &[Run]) -> Option<(u64, u64)> {
+    match (runs.first(), runs.last()) {
+        (Some(first), Some(last)) => Some((first.start, (last.end - first.start).checked_add(1)?)),
+        _ => Some((0, 0)),
+    }
+}
+
+/// Encodes a run list in the chosen container.
+///
+/// Panics on a [`IdListEncoding::SpanBitmap`] of a set holding both `0` and
+/// `u64::MAX`, whose span has no `u64` bit count; [`smallest_encoding`]
+/// never picks it.
+pub fn encode_runs(runs: &[Run], encoding: IdListEncoding) -> Vec<u8> {
+    let mut out = Vec::with_capacity(runs.len() * 2);
+    let mut prev = 0u64;
+    match encoding {
+        IdListEncoding::RangesVbDiff => {
+            for run in runs {
+                varint::encode_u64(run.start - prev, &mut out);
+                varint::encode_u64(run.end - run.start, &mut out);
+                prev = run.end;
+            }
+        }
+        IdListEncoding::VbDiff => {
+            for run in runs {
+                varint::encode_u64(run.start - prev, &mut out);
+                out.resize(out.len() + saturate(run.end - run.start), 1);
+                prev = run.end;
+            }
+        }
+        IdListEncoding::SpanBitmap => {
+            let (first, bits) = bitmap_span(runs).expect("a bitmap's span fits a u64");
+            varint::encode_u64(first, &mut out);
+            varint::encode_u64(bits, &mut out);
+            let at = out.len();
+            out.resize(at + saturate(bits.div_ceil(8)), 0);
+            for id in runs.iter().flat_map(|run| run.start - first..=run.end - first) {
+                out[at + (id / 8) as usize] |= 1 << (id % 8);
+            }
+        }
     }
     out
 }
@@ -165,97 +225,12 @@ fn encode_ranges_vb(runs: &[Run]) -> Vec<u8> {
 /// set is not in doubt, only its spelling, and the result is the maximal-run
 /// form either way.
 fn push_decoded(runs: &mut Vec<Run>, start: u64, end: u64) -> Option<()> {
-    if end < start {
-        return None;
-    }
     match runs.last_mut() {
         Some(last) if start <= last.end => return None,
         Some(last) if start - 1 == last.end => last.end = end,
         _ => runs.push(Run { start, end }),
     }
     Some(())
-}
-
-/// Reads `data` as pairs of variable-byte integers, handing each to `pair`;
-/// `None` on a malformed integer, an odd count or a pair `pair` refuses.
-fn decode_pairs(data: &[u8], mut pair: impl FnMut(u64, u64) -> Option<()>) -> Option<()> {
-    let mut pos = 0;
-    while pos < data.len() {
-        let (first, next) = varint::decode_u64(data, pos)?;
-        let (second, next) = varint::decode_u64(data, next)?;
-        pair(first, second)?;
-        pos = next;
-    }
-    Some(())
-}
-
-fn decode_ranges_vb(data: &[u8]) -> Option<Vec<Run>> {
-    // Two bounds of at least a byte each per run.
-    let mut runs = Vec::with_capacity(data.len() / 2);
-    decode_pairs(data, |start, end| push_decoded(&mut runs, start, end))?;
-    Some(runs)
-}
-
-fn encode_ranges_vb_diff(runs: &[Run]) -> Vec<u8> {
-    // Differential bounds: start_1, end_1 - start_1, start_2 - end_1, ...
-    // This is the "Combination" row of Table 3.
-    let mut out = Vec::with_capacity(runs.len() * 4);
-    let mut prev = 0u64;
-    for run in runs {
-        varint::encode_u64(run.start - prev, &mut out);
-        varint::encode_u64(run.end - run.start, &mut out);
-        prev = run.end;
-    }
-    out
-}
-
-fn decode_ranges_vb_diff(data: &[u8]) -> Option<Vec<Run>> {
-    let mut runs = Vec::with_capacity(data.len() / 2);
-    let mut prev = 0u64;
-    decode_pairs(data, |gap, span| {
-        let start = prev.checked_add(gap)?;
-        prev = start.checked_add(span)?;
-        push_decoded(&mut runs, start, prev)
-    })?;
-    Some(runs)
-}
-
-fn encode_vb_diff(runs: &[Run]) -> Vec<u8> {
-    // Per-ID deltas (no range structure), as used for group-by results,
-    // whose runs are mostly single rows a one- or two-byte gap apart.
-    let mut out = Vec::with_capacity(runs.len() * 2);
-    let mut prev = 0u64;
-    for run in runs {
-        for id in run.start..=run.end {
-            varint::encode_u64(id - prev, &mut out);
-            prev = id;
-        }
-    }
-    out
-}
-
-fn decode_vb_diff(data: &[u8]) -> Option<Vec<Run>> {
-    let mut runs = Vec::new();
-    let (mut prev, mut pos) = (0u64, 0);
-    while pos < data.len() {
-        let (delta, next) = varint::decode_u64(data, pos)?;
-        prev = prev.checked_add(delta)?;
-        push_decoded(&mut runs, prev, prev)?;
-        pos = next;
-    }
-    Some(runs)
-}
-
-/// Encodes a run list with the chosen encoding.
-pub fn encode_runs(runs: &[Run], encoding: IdListEncoding) -> Vec<u8> {
-    match encoding {
-        IdListEncoding::RangesVb => encode_ranges_vb(runs),
-        IdListEncoding::RangesVbDiff => encode_ranges_vb_diff(runs),
-        IdListEncoding::RangesVbDiffDeflateCompact => deflate::compress(&encode_ranges_vb_diff(runs), Level::Compact),
-        IdListEncoding::RangesVbDiffDeflateFast => deflate::compress(&encode_ranges_vb_diff(runs), Level::Fast),
-        IdListEncoding::VbDiff => encode_vb_diff(runs),
-        IdListEncoding::Bitmap => Bitmap::from_runs(runs).serialize(),
-    }
 }
 
 /// Decodes a run list. Returns `None` on malformed input.
@@ -265,75 +240,94 @@ pub fn encode_runs(runs: &[Run], encoding: IdListEncoding) -> Vec<u8> {
 /// union, `run.start - prev` in the encoders, one PRF boundary pair per run)
 /// takes for granted — whatever the bytes say, since they may come from an
 /// untrusted peer. A list that names an identifier twice or out of order is
-/// refused: runs that overlap or step backwards, a repeated identifier in
-/// the per-ID form. Two *adjacent* runs (`[1, 3], [4, 6]`) name each
-/// identifier once and are coalesced into one, as a set union would.
+/// refused: runs that overlap, a repeated identifier in the per-ID form.
+/// Two *adjacent* runs (`[1, 3], [4, 6]`) name each identifier once and are
+/// coalesced into one, as a set union would. A bitmap is refused, before
+/// anything is allocated, unless its body is exactly ⌈span/8⌉ bytes, its last
+/// identifier fits a `u64` and the padding bits past the span are clear.
 pub fn decode_runs(data: &[u8], encoding: IdListEncoding) -> Option<Vec<Run>> {
     match encoding {
-        IdListEncoding::RangesVb => decode_ranges_vb(data),
-        IdListEncoding::RangesVbDiff => decode_ranges_vb_diff(data),
-        IdListEncoding::RangesVbDiffDeflateCompact | IdListEncoding::RangesVbDiffDeflateFast => {
-            decode_ranges_vb_diff(&deflate::decompress(data)?)
+        IdListEncoding::RangesVbDiff => {
+            // Two bounds of at least a byte each per run.
+            let mut runs = Vec::with_capacity(data.len() / 2);
+            let (mut prev, mut pos) = (0u64, 0);
+            while pos < data.len() {
+                let (gap, next) = varint::decode_u64(data, pos)?;
+                let (span, next) = varint::decode_u64(data, next)?;
+                let start = prev.checked_add(gap)?;
+                prev = start.checked_add(span)?;
+                push_decoded(&mut runs, start, prev)?;
+                pos = next;
+            }
+            Some(runs)
         }
-        IdListEncoding::VbDiff => decode_vb_diff(data),
-        IdListEncoding::Bitmap => Bitmap::deserialize(data).map(|b| b.to_runs()),
+        IdListEncoding::VbDiff => {
+            let mut runs = Vec::new();
+            let (mut prev, mut pos) = (0u64, 0);
+            while pos < data.len() {
+                let (delta, next) = varint::decode_u64(data, pos)?;
+                prev = prev.checked_add(delta)?;
+                push_decoded(&mut runs, prev, prev)?;
+                pos = next;
+            }
+            Some(runs)
+        }
+        IdListEncoding::SpanBitmap => decode_span_bitmap(data),
     }
 }
 
-/// Encoded size in bytes for a run list under a given encoding: always
-/// exactly `encode_runs(runs, encoding).len()`.
-///
-/// The variable-byte encodings are sized arithmetically, without allocating;
-/// the DEFLATE and bitmap encodings have no closed form and are encoded to be
-/// measured.
-pub fn encoded_size(runs: &[Run], encoding: IdListEncoding) -> usize {
-    let vb = varint::encoded_len;
-    match encoding {
-        IdListEncoding::RangesVb => runs.iter().map(|r| vb(r.start) + vb(r.end)).sum(),
-        IdListEncoding::RangesVbDiff | IdListEncoding::VbDiff => {
-            // Both open a run with its distance from the previous run's end.
-            // The range form then stores the run's span; the per-ID form
-            // spends one byte — a delta of one — on every further ID.
-            let ranges = encoding == IdListEncoding::RangesVbDiff;
-            let mut prev = 0u64;
-            let mut size = 0;
-            for run in runs {
-                let span = run.end - run.start;
-                size += vb(run.start - prev) + if ranges { vb(span) } else { span as usize };
-                prev = run.end;
-            }
-            size
-        }
-        IdListEncoding::RangesVbDiffDeflateCompact
-        | IdListEncoding::RangesVbDiffDeflateFast
-        | IdListEncoding::Bitmap => encode_runs(runs, encoding).len(),
+fn decode_span_bitmap(data: &[u8]) -> Option<Vec<Run>> {
+    let (first, pos) = varint::decode_u64(data, 0)?;
+    let (bits, pos) = varint::decode_u64(data, pos)?;
+    let body = &data[pos..];
+    if body.len() as u64 != bits.div_ceil(8) || (bits > 0 && first.checked_add(bits - 1).is_none()) {
+        return None;
     }
+    if bits % 8 != 0 && body.last().is_some_and(|&last| last >> (bits % 8) != 0) {
+        return None;
+    }
+    // Offsets from `first`: every set bit lies below `bits`, so each run's
+    // bounds, shifted by `first`, stay within the checked last identifier.
+    let mut runs = Vec::new();
+    let mut open: Option<u64> = None;
+    for (i, &byte) in body.iter().enumerate() {
+        if (byte == 0 && open.is_none()) || (byte == 0xff && open.is_some()) {
+            continue;
+        }
+        let at = 8 * i as u64;
+        for bit in 0..8 {
+            match (byte >> bit & 1 == 1, open) {
+                (true, None) => open = Some(at + bit),
+                (false, Some(start)) => {
+                    runs.push(Run::new(first + start, first + (at + bit - 1)));
+                    open = None;
+                }
+                _ => {}
+            }
+        }
+    }
+    if let Some(start) = open {
+        runs.push(Run::new(first + start, first + (bits - 1)));
+    }
+    Some(runs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use IdListEncoding::*;
 
     fn sample_runs() -> Vec<Run> {
         vec![Run::new(2, 14), Run::new(19, 23), Run::new(40, 40), Run::new(100, 1000)]
     }
 
     #[test]
-    fn table3_example_range_encoding() {
-        // [2..14, 19..23] -> [2-14, 19-23]: four VB integers.
-        let runs = vec![Run::new(2, 14), Run::new(19, 23)];
-        let data = encode_runs(&runs, IdListEncoding::RangesVb);
-        assert_eq!(varint::decode_all(&data).unwrap(), vec![2, 14, 19, 23]);
-        assert_eq!(decode_runs(&data, IdListEncoding::RangesVb).unwrap(), runs);
-    }
-
-    #[test]
     fn table3_example_combination_encoding() {
         // [2..14, 19..23] -> Combination [2-12, 5-4].
         let runs = vec![Run::new(2, 14), Run::new(19, 23)];
-        let data = encode_runs(&runs, IdListEncoding::RangesVbDiff);
+        let data = encode_runs(&runs, RangesVbDiff);
         assert_eq!(varint::decode_all(&data).unwrap(), vec![2, 12, 5, 4]);
-        assert_eq!(decode_runs(&data, IdListEncoding::RangesVbDiff).unwrap(), runs);
+        assert_eq!(decode_runs(&data, RangesVbDiff).unwrap(), runs);
     }
 
     #[test]
@@ -341,25 +335,29 @@ mod tests {
         // [2,3,4,9,23] -> diffs [2,1,1,5,14].
         let ids = vec![2u64, 3, 4, 9, 23];
         let runs = ids_to_runs(&ids);
-        let data = encode_runs(&runs, IdListEncoding::VbDiff);
+        let data = encode_runs(&runs, VbDiff);
         assert_eq!(varint::decode_all(&data).unwrap(), vec![2, 1, 1, 5, 14]);
-        assert_eq!(runs_to_ids(&decode_runs(&data, IdListEncoding::VbDiff).unwrap()), ids);
+        assert_eq!(runs_to_ids(&decode_runs(&data, VbDiff).unwrap()), ids);
+    }
+
+    #[test]
+    fn span_bitmap_layout() {
+        // First 2, 22 bits, bit i for identifier 2 + i: 2–14 and 19–23 set.
+        let runs = vec![Run::new(2, 14), Run::new(19, 23)];
+        let data = encode_runs(&runs, SpanBitmap);
+        assert_eq!(data, vec![2, 22, 0xff, 0x1f, 0x3e]);
+        assert_eq!(decode_runs(&data, SpanBitmap).unwrap(), runs);
+        assert_eq!(encode_runs(&[], SpanBitmap), vec![0, 0]);
     }
 
     #[test]
     fn all_encodings_roundtrip() {
-        let runs = sample_runs();
-        for enc in IdListEncoding::ALL {
-            let data = encode_runs(&runs, enc);
-            assert_eq!(decode_runs(&data, enc).unwrap(), runs, "{enc:?}");
-        }
-    }
-
-    #[test]
-    fn empty_list_roundtrips() {
-        for enc in IdListEncoding::ALL {
-            let data = encode_runs(&[], enc);
-            assert_eq!(decode_runs(&data, enc).unwrap(), vec![], "{enc:?}");
+        for runs in [sample_runs(), Vec::new(), vec![Run::new(u64::MAX - 9, u64::MAX)]] {
+            for enc in IdListEncoding::ALL {
+                let data = encode_runs(&runs, enc);
+                assert_eq!(decode_runs(&data, enc).unwrap(), runs, "{enc:?}");
+                assert_eq!(encoded_size(&runs, enc), data.len(), "{enc:?}");
+            }
         }
     }
 
@@ -387,105 +385,36 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_selection_is_constant_size() {
-        // Selectivity 100%: one run regardless of how many rows — range
-        // encoding keeps the list tiny (the paper's best case).
-        let small = vec![Run::new(0, 999)];
-        let large = vec![Run::new(0, 999_999)];
-        let enc = IdListEncoding::RangesVbDiff;
-        assert!(encoded_size(&large, enc) <= encoded_size(&small, enc) + 2);
-    }
-
-    #[test]
-    fn sparse_lists_favor_vbdiff_over_ranges() {
-        // 50% selectivity worst case: every other ID. Range encoding doubles
-        // the entries; per-ID diff encoding stays at one small delta per ID.
-        let ids: Vec<u64> = (0..10_000u64).map(|i| i * 2).collect();
-        let runs = ids_to_runs(&ids);
-        let ranges = encoded_size(&runs, IdListEncoding::RangesVb);
-        let vbdiff = encoded_size(&runs, IdListEncoding::VbDiff);
-        assert!(vbdiff < ranges);
-    }
-
-    #[test]
-    fn deflate_helps_on_regular_gaps() {
-        // Alternating IDs produce highly regular diff streams that deflate
-        // compresses well — the observation at the end of §6.1.
-        let ids: Vec<u64> = (0..50_000u64).map(|i| i * 2).collect();
-        let runs = ids_to_runs(&ids);
-        let plain = encoded_size(&runs, IdListEncoding::RangesVbDiff);
-        let deflated = encoded_size(&runs, IdListEncoding::RangesVbDiffDeflateFast);
-        assert!(deflated < plain / 2, "deflated {deflated} vs plain {plain}");
-    }
-
-    #[test]
-    fn encoded_size_is_the_encoded_length_at_the_edges() {
-        let max = u64::MAX;
-        let short_lists: [&[Run]; 6] = [
-            &[],
-            &[Run::new(0, 0)],
-            &[Run::new(max, max)],
-            &[Run::new(0, 0), Run::new(max, max)],
-            &[Run::new(0, 127), Run::new(129, 16_383), Run::new(max - 5, max)],
-            &[Run::new(max - 300, max - 200), Run::new(max - 1, max)],
-        ];
-        for runs in short_lists {
-            for enc in IdListEncoding::ALL {
-                assert_eq!(
-                    encoded_size(runs, enc),
-                    encode_runs(runs, enc).len(),
-                    "{enc:?} of {runs:?}"
-                );
-            }
-        }
-        // Runs too long to walk ID by ID: the encodings that store bounds.
-        let wide_lists: [&[Run]; 3] = [
-            &[Run::new(0, max)],
-            &[Run::new(1, max - 1)],
-            &[Run::new(0, 1 << 40), Run::new(1 << 41, max)],
-        ];
-        for runs in wide_lists {
-            for enc in [
-                IdListEncoding::RangesVb,
-                IdListEncoding::RangesVbDiff,
-                IdListEncoding::RangesVbDiffDeflateCompact,
-                IdListEncoding::RangesVbDiffDeflateFast,
-            ] {
-                assert_eq!(
-                    encoded_size(runs, enc),
-                    encode_runs(runs, enc).len(),
-                    "{enc:?} of {runs:?}"
-                );
-            }
-        }
+    fn each_container_wins_its_shape() {
+        // Selectivity 100%: one run regardless of how many rows.
+        let contiguous = vec![Run::new(0, 999_999)];
+        assert_eq!(smallest_encoding(&contiguous), (RangesVbDiff, 1 + 3));
+        // Single rows a byte's gap apart: a delta each.
+        let sparse = ids_to_runs(&(0..1_000u64).map(|i| i * 20).collect::<Vec<_>>());
+        assert_eq!(smallest_encoding(&sparse), (VbDiff, 1_000));
+        // Every other row: a bit each.
+        let alternating = ids_to_runs(&(0..1_000u64).map(|i| i * 2).collect::<Vec<_>>());
+        assert_eq!(smallest_encoding(&alternating), (SpanBitmap, 1 + 2 + 250));
+        // The whole identifier space: a bitmap would need 2^64 bits.
+        let everything = vec![Run::new(0, u64::MAX)];
+        assert_eq!(encoded_size(&everything, SpanBitmap), usize::MAX);
+        assert_eq!(encoded_size(&everything, VbDiff), usize::MAX);
+        assert_eq!(smallest_encoding(&everything), (RangesVbDiff, 1 + 10));
+        // The empty set: nothing beats zero bytes.
+        assert_eq!(smallest_encoding(&[]), (RangesVbDiff, 0));
     }
 
     /// Only canonical run lists come out of `decode_runs`. Each forged list
-    /// here used to decode: the first into an unsorted set whose union with
-    /// anything dropped `1–3` and whose `RangesVbDiff` encoding underflowed,
-    /// the second into overlapping runs counting sixteen IDs for fifteen.
+    /// here used to decode into a set whose `RangesVbDiff` encoding
+    /// underflowed or that counted an identifier twice.
     #[test]
     fn decode_runs_refuses_lists_that_are_not_ascending_and_disjoint() {
-        use IdListEncoding::*;
         let vb = |values: &[u64]| varint::encode_all(values);
-        let deflated = |body: &[u8]| deflate::compress(body, Level::Fast);
-
-        assert_eq!(decode_runs(&vb(&[10, 12, 1, 3]), RangesVb), None, "descending runs");
         assert_eq!(decode_runs(&vb(&[1, 9, 0, 5]), RangesVbDiff), None, "overlapping runs");
         assert_eq!(
-            decode_runs(&deflated(&vb(&[1, 9, 0, 5])), RangesVbDiffDeflateFast),
-            None
-        );
-        assert_eq!(
-            decode_runs(&deflated(&vb(&[1, 9, 0, 5])), RangesVbDiffDeflateCompact),
-            None
-        );
-        assert_eq!(decode_runs(&vb(&[1, 5, 5, 9]), RangesVb), None, "a shared bound");
-        assert_eq!(decode_runs(&vb(&[1, 5, 3, 4]), RangesVb), None, "a run inside another");
-        assert_eq!(
-            decode_runs(&vb(&[4, 2]), RangesVb),
+            decode_runs(&vb(&[u64::MAX, 1]), RangesVbDiff),
             None,
-            "a run that ends before it starts"
+            "past the last identifier"
         );
         assert_eq!(decode_runs(&vb(&[5, 0]), VbDiff), None, "an identifier twice");
         assert_eq!(
@@ -495,12 +424,9 @@ mod tests {
         );
 
         // Adjacent runs name each identifier once: coalesced, not refused.
-        let joined = Some(vec![Run::new(1, 6)]);
-        assert_eq!(decode_runs(&vb(&[1, 3, 4, 6]), RangesVb), joined);
-        assert_eq!(decode_runs(&vb(&[1, 2, 1, 2]), RangesVbDiff), joined);
         assert_eq!(
-            decode_runs(&deflated(&vb(&[1, 2, 1, 2])), RangesVbDiffDeflateFast),
-            joined
+            decode_runs(&vb(&[1, 2, 1, 2]), RangesVbDiff),
+            Some(vec![Run::new(1, 6)])
         );
         // A first run may start at zero, and the last identifier is one.
         assert_eq!(
@@ -508,8 +434,33 @@ mod tests {
             Some(vec![Run::new(0, 0), Run::new(2, 2)])
         );
         let top = Some(vec![Run::new(u64::MAX - 1, u64::MAX)]);
-        assert_eq!(decode_runs(&vb(&[u64::MAX - 1, u64::MAX]), RangesVb), top);
+        assert_eq!(decode_runs(&vb(&[u64::MAX - 1, 1]), RangesVbDiff), top);
         assert_eq!(decode_runs(&vb(&[u64::MAX - 1, 1]), VbDiff), top);
+    }
+
+    #[test]
+    fn forged_bitmaps_are_refused() {
+        let bitmap = |first: u64, bits: u64, body: &[u8]| {
+            let mut data = varint::encode_all(&[first, bits]);
+            data.extend_from_slice(body);
+            decode_runs(&data, SpanBitmap)
+        };
+        assert_eq!(bitmap(0, 1 << 40, &[0xff]), None, "a span longer than the body");
+        assert_eq!(
+            bitmap(u64::MAX - 2, 16, &[0xff, 0xff]),
+            None,
+            "a last identifier past u64::MAX"
+        );
+        assert_eq!(bitmap(5, 17, &[0xff, 0xff]), None, "a body one byte short");
+        assert_eq!(bitmap(5, 8, &[0xff, 0xff]), None, "a body one byte long");
+        assert_eq!(bitmap(5, 4, &[0x10]), None, "a padding bit set");
+        assert_eq!(decode_runs(&[0x80], SpanBitmap), None, "a truncated header");
+        // The top of the identifier space is reachable, exactly.
+        assert_eq!(
+            bitmap(u64::MAX - 2, 3, &[0x05]),
+            Some(vec![Run::new(u64::MAX - 2, u64::MAX - 2), Run::new(u64::MAX, u64::MAX)])
+        );
+        assert_eq!(bitmap(9, 0, &[]), Some(vec![]));
     }
 
     /// Whatever bytes arrive, a list that decodes is canonical and encodes
@@ -529,12 +480,7 @@ mod tests {
                 body.push(0x80 | rng.random::<u8>());
             }
             for enc in IdListEncoding::ALL {
-                let data = match enc {
-                    IdListEncoding::RangesVbDiffDeflateFast => deflate::compress(&body, Level::Fast),
-                    IdListEncoding::RangesVbDiffDeflateCompact => deflate::compress(&body, Level::Compact),
-                    _ => body.clone(),
-                };
-                let Some(runs) = decode_runs(&data, enc) else {
+                let Some(runs) = decode_runs(&body, enc) else {
                     refused += 1;
                     continue;
                 };
@@ -551,28 +497,6 @@ mod tests {
             accepted > 2_000 && refused > 2_000,
             "{accepted} accepted, {refused} refused"
         );
-    }
-
-    #[test]
-    fn forged_deflate_lists_are_rejected_not_panicking() {
-        // A compressed block whose first token copies from before the start
-        // of the output: `decode_runs` used to panic inside `decompress`.
-        let block = deflate::tests::match_before_start();
-        for enc in [
-            IdListEncoding::RangesVbDiffDeflateFast,
-            IdListEncoding::RangesVbDiffDeflateCompact,
-        ] {
-            assert_eq!(decode_runs(&block, enc), None);
-        }
-    }
-
-    #[test]
-    fn malformed_inputs_do_not_panic() {
-        for enc in IdListEncoding::ALL {
-            // Arbitrary garbage either fails cleanly or decodes to something.
-            let _ = decode_runs(&[0xff, 0xff, 0xff], enc);
-        }
-        assert!(decode_runs(&[0x01], IdListEncoding::RangesVb).is_none());
     }
 
     #[test]

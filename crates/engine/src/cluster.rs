@@ -73,12 +73,12 @@ pub struct ExecStats {
     /// harness writes its cluster model's makespan here.
     pub simulated_server_time: Duration,
     /// Bytes the tasks reported shipping to the driver: the sum of
-    /// [`TaskOutput::bytes`]. For a query scan that is the size of each
-    /// partition's partial with its ID lists as range bounds in variable-byte
-    /// form — the encoding partials cross the wire under, *before* any
-    /// entropy coding — computed arithmetically, so nothing is encoded to be
-    /// measured. The exact compressed figure is available on demand from
-    /// `seabed_core::PartialResponse::shuffle_bytes`.
+    /// [`TaskOutput::bytes`]. For a query scan that is the exact size of each
+    /// partition's partial — key and aggregate words, and each ID list in
+    /// the smallest of its three containers, the one it crosses the wire in
+    /// — computed in closed form, so nothing is encoded to be measured.
+    /// `seabed_core::PartialResponse::shuffle_bytes` sizes the merged
+    /// partials by the same rule.
     pub bytes_to_driver: usize,
     /// Wall-clock time the real execution took on the local thread pool.
     pub wall_time: Duration,
@@ -124,8 +124,8 @@ pub struct TaskOutput<R> {
     pub value: R,
     /// Size of the partial result in bytes, as the task accounts it. Summed
     /// into [`ExecStats::bytes_to_driver`]; a task should *compute* this
-    /// (query scans report the pre-entropy-coding variable-byte size of
-    /// their ID lists), not serialize its result to find out.
+    /// (query scans size their ID lists in closed form), not serialize its
+    /// result to find out.
     pub bytes: usize,
 }
 

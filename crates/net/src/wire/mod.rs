@@ -150,9 +150,15 @@ pub const MAGIC: [u8; 4] = *b"SBWF";
 /// a fourth change of its own in the same kinds: a redacted DET or OPE
 /// literal, which version 4 marked with an empty string or a zero, is no
 /// longer marked at all (one byte per such filter).
-/// There is no version-4 decoder: a version-4 peer is refused by
+///
+/// Version 6: every ID list — a result group's (kind 2) and a partial group's
+/// (kind 11) — travels in the smallest of three containers, `RangesVbDiff`,
+/// `VbDiff` or `SpanBitmap`, behind its one-byte tag; the `IdListEncoding`
+/// tags are those three, where version 5 listed six encodings, DEFLATE among
+/// them, and a partial's list was bare range bounds.
+/// There is no decoder for an older version: such a peer is refused by
 /// [`decode_header`] with the typed version error, like any other.
-pub const PROTOCOL_VERSION: u16 = 5;
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 11;

@@ -252,7 +252,7 @@ fn sample_response() -> ServerResponse {
                 key: vec![],
                 ids: Some(GroupIds {
                     id_list: vec![1, 2, 3, 0x80, 0xff],
-                    encoding: IdListEncoding::RangesVbDiffDeflateFast,
+                    encoding: IdListEncoding::SpanBitmap,
                 }),
                 aggregates: aggregates[..3].to_vec(),
             },
@@ -570,14 +570,7 @@ fn query_layer_types_obey_the_wire_contract() {
 
 #[test]
 fn result_layer_types_obey_the_wire_contract() {
-    check_wire(&[
-        IdListEncoding::RangesVb,
-        IdListEncoding::RangesVbDiff,
-        IdListEncoding::RangesVbDiffDeflateCompact,
-        IdListEncoding::RangesVbDiffDeflateFast,
-        IdListEncoding::VbDiff,
-        IdListEncoding::Bitmap,
-    ]);
+    check_wire(&IdListEncoding::ALL);
     check_wire(&sample_encrypted_aggregates());
     let response = sample_response();
     check_carrier(&[response.groups[0].ids.clone(), None]);
@@ -590,11 +583,19 @@ fn result_layer_types_obey_the_wire_contract() {
 
 #[test]
 fn partial_result_types_obey_the_wire_contract() {
-    check_wire(&[
-        IdSet::from_sorted_ids(&[]),
-        IdSet::from_sorted_ids(&[1, 2, 3, 900]),
+    // Sets whose smallest containers are, in turn, each of the three.
+    let every = |step: u64| IdSet::from_sorted_ids(&(0..40).map(|i| i * step).collect::<Vec<_>>());
+    let sets = [
+        IdSet::new(),
         IdSet::range(5, 10),
-    ]);
+        every(20),
+        every(2),
+        IdSet::range(0, u64::MAX),
+    ];
+    let containers: Vec<IdListEncoding> = sets.iter().map(|set| set.smallest_encoding().0).collect();
+    let [ranges, per_id, bitmap] = IdListEncoding::ALL;
+    assert_eq!(containers, [ranges, ranges, per_id, bitmap, ranges]);
+    check_carrier(&sets);
     check_wire(&[ExtremeCandidate {
         ciphertext: OreCiphertext {
             symbols: vec![0b00_01_10_00; 16],
@@ -837,21 +838,23 @@ fn request_frames_do_not_leak_det_or_ope_literals() {
     );
 }
 
-/// Protocol version 4 is gone, not kept beside version 5: a frame whose
-/// header says 4 is refused with the typed error naming both versions,
-/// whatever it carries.
+/// Protocol versions 4 and 5 are gone, not kept beside version 6: a frame
+/// whose header says either is refused with the typed error naming both
+/// versions, whatever it carries.
 #[test]
-fn a_version_four_frame_is_refused_naming_both_versions() {
-    assert_eq!(PROTOCOL_VERSION, 5);
-    for frame in [Frame::SchemaRequest, Frame::Response(sample_response())] {
-        let mut bytes = encode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
-        bytes[4..6].copy_from_slice(&4u16.to_le_bytes());
-        let outcome = decode_frame(&bytes, DEFAULT_MAX_FRAME_LEN);
-        assert!(
-            matches!(&outcome, Err(SeabedError::Wire(message))
-                if message == "unsupported protocol version 4 (this side speaks 5)"),
-            "{outcome:?}"
-        );
+fn an_older_version_frame_is_refused_naming_both_versions() {
+    assert_eq!(PROTOCOL_VERSION, 6);
+    for old in [4u16, 5] {
+        for frame in [Frame::SchemaRequest, Frame::Response(sample_response())] {
+            let mut bytes = encode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
+            bytes[4..6].copy_from_slice(&old.to_le_bytes());
+            let outcome = decode_frame(&bytes, DEFAULT_MAX_FRAME_LEN);
+            let expected = format!("unsupported protocol version {old} (this side speaks 6)");
+            assert!(
+                matches!(&outcome, Err(SeabedError::Wire(message)) if *message == expected),
+                "{outcome:?}"
+            );
+        }
     }
 }
 

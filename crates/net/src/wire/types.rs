@@ -5,9 +5,7 @@
 
 use super::codec::{invalid_tag, put_bytes, Reader, Wire};
 use seabed_ashe::IdSet;
-use seabed_core::{
-    EncryptedAggregate, GroupIds, GroupResult, PartialResponse, PhysicalFilter, ServerResponse, PARTIAL_ID_ENCODING,
-};
+use seabed_core::{EncryptedAggregate, GroupIds, GroupResult, PartialResponse, PhysicalFilter, ServerResponse};
 use seabed_crypto::OreCiphertext;
 use seabed_encoding::IdListEncoding;
 use seabed_engine::merge::{ExtremeCandidate, PartialAggregate, PartialGroup};
@@ -85,14 +83,7 @@ wire_enum!(PhysicalFilter as "physical-filter" {
 // Result-layer types (response direction)
 // ---------------------------------------------------------------------------
 
-wire_enum!(IdListEncoding as "ID-list encoding" {
-    0 => RangesVb,
-    1 => RangesVbDiff,
-    2 => RangesVbDiffDeflateCompact,
-    3 => RangesVbDiffDeflateFast,
-    4 => VbDiff,
-    5 => Bitmap,
-});
+wire_enum!(IdListEncoding as "ID-list encoding" { 0 => RangesVbDiff, 1 => VbDiff, 2 => SpanBitmap });
 wire_enum!(EncryptedAggregate as "encrypted-aggregate" {
     0 => AsheSum { value },
     1 => Count { rows },
@@ -129,16 +120,18 @@ wire_struct!(ServerResponse {
 // Mergeable partial results (the seabed-dist gather direction)
 // ---------------------------------------------------------------------------
 
-/// An ID set travels as its compressed ID list and is parsed straight out of
-/// the frame.
+/// An ID set travels as a response group's list does: the tag of its
+/// smallest container, then the list in it, parsed straight out of the frame.
 impl Wire for IdSet {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_bytes(out, &IdSet::encode(self, PARTIAL_ID_ENCODING));
+        let (encoding, _) = self.smallest_encoding();
+        encoding.encode(out);
+        put_bytes(out, &IdSet::encode(self, encoding));
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<IdSet, SeabedError> {
-        IdSet::decode(r.bytes()?, PARTIAL_ID_ENCODING)
-            .ok_or_else(|| SeabedError::wire("undecodable ID set in partial result"))
+        let encoding: IdListEncoding = r.get()?;
+        IdSet::decode(r.bytes()?, encoding).ok_or_else(|| SeabedError::wire("undecodable ID set in partial result"))
     }
 }
 

@@ -1,4 +1,5 @@
-//! Golden digests of the DEFLATE-style container `seabed_encoding` writes.
+//! Golden digests of the DEFLATE-style container the paper harness writes
+//! (`seabed_bench::codec`).
 //!
 //! The in-crate differential suite pins the decoder to the bit-by-bit oracle
 //! *of the same commit*, and round-trip tests cannot see a compressor change
@@ -16,8 +17,9 @@
 //! written); their digests were recorded by running these cases on PR 22's
 //! *parent* commit, whose encoder was still the one of the older rows.
 
+use seabed_bench::codec::{compress, decompress, Level};
 use seabed_crypto::sha256::digest_hex;
-use seabed_encoding::{compress, decompress, encode_runs, ids_to_runs, IdListEncoding, Level, Run};
+use seabed_encoding::{encode_runs, ids_to_runs, IdListEncoding, Run};
 
 fn mix(i: u64) -> u64 {
     i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(23)

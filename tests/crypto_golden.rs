@@ -11,7 +11,9 @@
 //! selects. Protocol version 5 re-recorded the table and the request, each
 //! with its reason beside it; the table's PR 13 digest is still re-derived
 //! (by spreading every ORE cell back to a byte a symbol), so "only the
-//! packing moved" is checked, not claimed.
+//! packing moved" is checked, not claimed. Protocol version 6 re-recorded
+//! the request, whose version-5 digest is re-derived the same way: by
+//! writing `5` back into its header.
 
 use rand::SeedableRng;
 use seabed_core::{PlainDataset, SeabedClient, SeabedServer, SeabedSession};
@@ -49,6 +51,8 @@ struct Digests {
     table_a_byte_a_symbol: String,
     dictionary: String,
     request: String,
+    /// The request under a version-5 header.
+    request_as_version_5: String,
 }
 
 fn digests() -> Digests {
@@ -117,6 +121,8 @@ fn digests() -> Digests {
         u32::MAX,
     )
     .unwrap();
+    let mut as_version_5 = request.clone();
+    as_version_5[4..6].copy_from_slice(&5u16.to_le_bytes());
 
     let mut spread = encrypted.table.clone();
     for column in spread.partitions.iter_mut().flat_map(|p| p.columns.iter_mut()) {
@@ -139,6 +145,7 @@ fn digests() -> Digests {
         table_a_byte_a_symbol: digest_hex(&seabed_engine::storage::serialize_table(&spread)),
         dictionary: digest_hex(&dictionary),
         request: digest_hex(&request),
+        request_as_version_5: digest_hex(&as_version_5),
     }
 }
 
@@ -162,12 +169,18 @@ fn stored_table_dictionary_and_request_frame_did_not_move() {
         got.dictionary, "9e340d77a7dfb7df5a05a158b7f174d0657a4b4c3a44440a20477014cec9cf67",
         "DET dictionaries"
     );
-    // Moved by the header's version field, by (a) — the plan travels without
+    // Moved by the header's version field, 6, and by nothing else: under a
+    // version-5 header it is the frame recorded for version 5. That one was
+    // moved by the version field, by (a) — the plan travels without
     // `client_post`, `category`, `preserve_row_ids` and the empty placeholders
     // of its three redacted literals — and by (b): its two ORE literals are 16
     // bytes each.
     assert_eq!(
-        got.request, "5128f0a476bf78d04d701a0fc257bb594e380a6ca5c69eac1ff997ad02663412",
+        got.request, "ee12c85c3d0626fa8c0c048ba9554e09e519106ca8cdcbb68741bc24052b4f2a",
         "encrypted request frame"
+    );
+    assert_eq!(
+        got.request_as_version_5, "5128f0a476bf78d04d701a0fc257bb594e380a6ca5c69eac1ff997ad02663412",
+        "more than the version field of the request frame moved"
     );
 }

@@ -87,8 +87,8 @@ enum Misbehavior {
     /// than the query requested (a forged/buggy shape).
     ForgedShortPartial,
     /// Answer with a well-framed partial of the right shape whose ID list
-    /// spells its runs out of order (`[10–12, 1–3]`).
-    ForgedUnsortedIds,
+    /// is forged as the [`IdForgery`] says.
+    ForgedIds(IdForgery),
     /// Answer correctly but trickle the frame one byte at a time, each byte
     /// well inside a per-chunk timeout — only a *total* round-trip budget
     /// catches this.
@@ -103,6 +103,32 @@ enum Misbehavior {
     /// Answer correctly, but only once the shared recorder holds two shard
     /// queries — the other worker's has arrived too — or after 5 s.
     AwaitPeer,
+}
+
+/// How [`Misbehavior::ForgedIds`] forges the ID list of an honest partial
+/// over the rows {1–3, 10–12}, which travels as `RangesVbDiff`'s tag 0, the
+/// length 4, then the gaps and spans `1, 2, 7, 2`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum IdForgery {
+    /// Gap 0 before the second run: it starts at 3, inside the first — the
+    /// only way a differential list can step backwards.
+    Overlapping,
+    /// A container tag no table lists.
+    BadTag,
+    /// A `SpanBitmap` from 1 of 20 bits, with a body of two bytes, not three.
+    ShortBitmap,
+}
+
+impl IdForgery {
+    const HONEST: [u8; 6] = [0, 4, 1, 2, 7, 2];
+
+    fn bytes(self) -> [u8; 6] {
+        match self {
+            IdForgery::Overlapping => [0, 4, 1, 2, 0, 2],
+            IdForgery::BadTag => [9, 4, 1, 2, 7, 2],
+            IdForgery::ShortBitmap => [2, 4, 1, 20, 0xff, 0xff],
+        }
+    }
 }
 
 /// Every `ShardQuery.seq` a fake worker's connection delivered, in order.
@@ -223,10 +249,9 @@ fn recording_fake_worker(behavior: Misbehavior, seen: SeenSeqs) -> (SocketAddr, 
                             MAX,
                         );
                     }
-                    Misbehavior::ForgedUnsortedIds => {
-                        // An honest frame over the rows {1–3, 10–12}, then the
-                        // two runs of its ID list (length 4, `RangesVb`
-                        // bounds) swapped in the encoded bytes.
+                    Misbehavior::ForgedIds(forgery) => {
+                        // An honest frame over the rows {1–3, 10–12}, then its
+                        // ID list forged in the encoded bytes.
                         let mut groups = seabed_engine::merge::PartialGroups::new();
                         groups.insert(
                             Vec::new(),
@@ -256,12 +281,12 @@ fn recording_fake_worker(behavior: Misbehavior, seen: SeenSeqs) -> (SocketAddr, 
                             MAX,
                         )
                         .expect("encode");
-                        let honest = [4u8, 1, 3, 10, 12];
+                        let honest = IdForgery::HONEST;
                         let at = bytes
                             .windows(honest.len())
                             .position(|window| window == honest)
                             .expect("the ID list is in the frame");
-                        bytes[at..at + honest.len()].copy_from_slice(&[4, 10, 12, 1, 3]);
+                        bytes[at..at + honest.len()].copy_from_slice(&forgery.bytes());
                         let _ = stream.write_all(&bytes);
                     }
                     Misbehavior::TrickleOnQuery => {
@@ -604,43 +629,62 @@ fn forged_short_partials_are_rejected_and_redispatched() {
     }
 }
 
-/// A well-framed partial whose ID list names its runs out of order is
-/// refused where it is decoded: the frame is undecodable, so the worker is
-/// condemned like any other that breaks the protocol and the shard is
-/// re-dispatched. It used to decode into a non-canonical set that the merge
-/// folded in — a response with the forger's sum and count and an ID list
-/// missing rows, no error — and that, folded in another order, finalization
-/// would encode with `run.start - prev`: an overflow panic on the
-/// coordinator's thread in a debug build.
+/// A well-framed partial whose ID list names rows twice, sits in a container
+/// no table lists, or is a bitmap whose body is shorter than its span is
+/// refused where it is decoded: the frame is undecodable, so the worker's
+/// link is poisoned like any other that breaks the protocol and the shard is
+/// re-dispatched. A list whose runs stepped backwards used to decode into a
+/// non-canonical set that the merge folded in — a response with the forger's
+/// sum and count and an ID list missing rows, no error — and that, folded in
+/// another order, finalization would encode with `run.start - prev`: an
+/// overflow panic on the coordinator's thread in a debug build.
 #[test]
 fn forged_unsorted_id_lists_are_refused_at_decode_and_redispatched() {
     let table = test_table(1_000, 4);
     let query = sum_query(false);
     let expected = local_answer(&table, &query);
-    let (workers, fake, coordinator) =
-        mixed_cluster(1, Misbehavior::ForgedUnsortedIds, table.clone(), DistConfig::default());
-    let response = coordinator
-        .execute_query(&query, &[])
-        .expect("survivor must carry the query");
-    assert_eq!(expected.groups, response.groups, "a forged ID list must never merge");
-    assert!(coordinator.last_report().runs.iter().any(|r| r.redispatched));
-    drop(coordinator);
-    fake.join().expect("fake worker");
-    for w in workers {
-        w.shutdown();
-    }
+    for forgery in [IdForgery::Overlapping, IdForgery::BadTag, IdForgery::ShortBitmap] {
+        let (workers, fake, coordinator) =
+            mixed_cluster(1, Misbehavior::ForgedIds(forgery), table.clone(), DistConfig::default());
+        let response = coordinator
+            .execute_query(&query, &[])
+            .expect("survivor must carry the query");
+        assert_eq!(
+            expected.groups, response.groups,
+            "{forgery:?}: a forged ID list must never merge"
+        );
+        assert_eq!(expected.result_bytes, response.result_bytes, "{forgery:?}");
+        assert!(
+            coordinator.last_report().runs.iter().any(|r| r.redispatched),
+            "{forgery:?}"
+        );
+        let forger = &coordinator.worker_summaries()[0];
+        assert!(
+            !forger.alive,
+            "{forgery:?}: the forger's link must be poisoned: {forger:?}"
+        );
+        drop(coordinator);
+        fake.join().expect("fake worker");
+        for w in workers {
+            w.shutdown();
+        }
 
-    // A one-worker cluster has nobody to re-dispatch to: a typed error, and
-    // the coordinator goes on answering (typed) instead of having panicked.
-    let (fake_addr, fake_handle) = fake_worker(Misbehavior::ForgedUnsortedIds);
-    let coordinator = DistCoordinator::connect_tables(&[fake_addr], vec![("t".into(), table)], DistConfig::default())
-        .expect("connect");
-    let outcome = coordinator.execute_query(&query, &[]);
-    assert!(matches!(outcome, Err(SeabedError::Dist { .. })), "{outcome:?}");
-    let again = coordinator.execute_query(&query, &[]);
-    assert!(matches!(again, Err(SeabedError::Dist { .. })), "{again:?}");
-    drop(coordinator);
-    fake_handle.join().expect("fake worker");
+        // A one-worker cluster has nobody to re-dispatch to: a typed error, and
+        // the coordinator goes on answering (typed) instead of having panicked.
+        let (fake_addr, fake_handle) = fake_worker(Misbehavior::ForgedIds(forgery));
+        let coordinator =
+            DistCoordinator::connect_tables(&[fake_addr], vec![("t".into(), table.clone())], DistConfig::default())
+                .expect("connect");
+        let outcome = coordinator.execute_query(&query, &[]);
+        assert!(
+            matches!(outcome, Err(SeabedError::Dist { .. })),
+            "{forgery:?}: {outcome:?}"
+        );
+        let again = coordinator.execute_query(&query, &[]);
+        assert!(matches!(again, Err(SeabedError::Dist { .. })), "{forgery:?}: {again:?}");
+        drop(coordinator);
+        fake_handle.join().expect("fake worker");
+    }
 }
 
 // ---------------------------------------------------------------------------

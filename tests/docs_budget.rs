@@ -6,7 +6,7 @@
 use std::path::Path;
 
 /// README.md's line budget. Lower it when the README shrinks; never raise it.
-const README_MAX_LINES: usize = 994;
+const README_MAX_LINES: usize = 985;
 
 /// Names the README may state bare although no workspace source declares
 /// them: they come from the standard library.

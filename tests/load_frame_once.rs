@@ -96,7 +96,7 @@ fn hex(digest: [u8; 32]) -> String {
 #[test]
 fn a_borrowed_shard_encodes_to_the_owned_frames_bytes() {
     // The two `08 load shard` samples of `wire_golden`, through the borrowed
-    // encoder: the digest recorded there for protocol version 5.
+    // encoder: the digest recorded there for protocol version 6.
     let (full, empty) = (golden_table(), Table::from_columns(Schema::new([]), vec![], 1));
     let golden = [
         LoadShardRef {
@@ -128,7 +128,7 @@ fn a_borrowed_shard_encodes_to_the_owned_frames_bytes() {
     }
     assert_eq!(
         hex(Sha256::digest(&bytes)),
-        "dff972dc543be7a9637ae546fb805034c04ee2a1aacdbdbc5f4f06e23f9c5d9d",
+        "bbeda75d5ab4a44ff6a758530f569a6c6bd3f0aa5cadb030ee1af27cef907a57",
         "the `08 load shard` digest of tests/wire_golden.rs"
     );
 

@@ -169,19 +169,28 @@ fn client_fails_a_trickled_reply_within_the_budget_and_poisons() {
     fake_server.join().expect("fake server");
 }
 
-/// Protocol version 4 is not kept beside version 5: a peer whose frame header
-/// says 4 is told why — the typed version error naming both versions, under a
-/// header it cannot misread as its own — and dropped, by `decode_frame` and by
-/// both ends of a real `FrameConn`; the next version-5 peer is served.
+/// Protocol versions 4 and 5 are not kept beside version 6: a peer whose
+/// frame header says 4 is told why — the typed version error naming both
+/// versions, under a header it cannot misread as its own — and dropped, by
+/// `decode_frame` and by both ends of a real `FrameConn`; the next version-6
+/// peer is served. A version-5 frame meets the same error.
 #[test]
 fn a_version_four_peer_is_refused_with_the_typed_version_error() {
-    assert_eq!(wire::PROTOCOL_VERSION, 5);
-    let refusal = "unsupported protocol version 4 (this side speaks 5)";
+    assert_eq!(wire::PROTOCOL_VERSION, 6);
+    let refusal = "unsupported protocol version 4 (this side speaks 6)";
     let mut version_4 = wire::encode_frame(&Frame::SchemaRequest, MAX).expect("encode");
     version_4[4..6].copy_from_slice(&4u16.to_le_bytes());
     let outcome = wire::decode_frame(&version_4, MAX);
     assert!(
         matches!(&outcome, Err(SeabedError::Wire(message)) if message == refusal),
+        "{outcome:?}"
+    );
+    let mut version_5 = version_4.clone();
+    version_5[4..6].copy_from_slice(&5u16.to_le_bytes());
+    let outcome = wire::decode_frame(&version_5, MAX);
+    assert!(
+        matches!(&outcome, Err(SeabedError::Wire(message))
+            if message == "unsupported protocol version 5 (this side speaks 6)"),
         "{outcome:?}"
     );
 

@@ -166,7 +166,7 @@ fn response_group_with_a_forged_id_list_length_or_aggregate_count() {
     };
     let listed = group(Some(GroupIds {
         id_list: vec![1, 2],
-        encoding: IdListEncoding::RangesVb,
+        encoding: IdListEncoding::RangesVbDiff,
     }));
     // group count, key count, option tag, then the list's length.
     assert_bounded("Response group ID-list length", &listed, |payload| {
@@ -207,8 +207,9 @@ fn shard_partial_with_a_forged_group_count() {
     assert_bounded("ShardPartial groups", &honest, |_| 4);
 }
 
-/// A partial group is its ID set — a length-prefixed ID list — then its
-/// aggregates: forge the list's length, then the aggregate count behind it.
+/// A partial group is its ID set — a container tag, then a length-prefixed
+/// ID list — then its aggregates: forge the list's length, then the
+/// aggregate count behind it.
 #[test]
 fn shard_partial_group_with_a_forged_id_list_length_or_aggregate_count() {
     let mut groups = PartialGroups::new();
@@ -230,12 +231,13 @@ fn shard_partial_group_with_a_forged_id_list_length_or_aggregate_count() {
         },
     };
     // (epoch, table, shard, seq), group count, key count, then the ID list
-    // (two one-byte bounds) and the aggregate count.
+    // (`RangesVbDiff`'s tag, then a one-byte gap and span) and the aggregate
+    // count.
     assert_bounded("ShardPartial group ID-list length", &honest, |payload| {
-        assert_eq!(payload[4..10], [1, 0, 2, 3, 9, 2]);
-        6
+        assert_eq!(payload[4..11], [1, 0, 0, 2, 3, 6, 2]);
+        7
     });
-    assert_bounded("ShardPartial group aggregates", &honest, |_| 9);
+    assert_bounded("ShardPartial group aggregates", &honest, |_| 10);
 }
 
 /// A one-aggregate request with nothing else in it.

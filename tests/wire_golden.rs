@@ -14,11 +14,12 @@
 //! protocol change (and then `PROTOCOL_VERSION` moves with it).
 //!
 //! The digests were first recorded at the commit *before* the codec was
-//! rewritten behind one `Wire` trait (PR 18) and re-recorded once, for
-//! protocol version 5, each with the reason it moved ([`RECORDED`]). A kind
-//! whose payload did not move keeps its version-4 digest beside the new one,
-//! and the test re-derives it by writing `4` back into the header — so "only
-//! the version field moved" is checked, not claimed.
+//! rewritten behind one `Wire` trait (PR 18), re-recorded once for protocol
+//! version 5 and once for version 6, each time with the reason it moved
+//! ([`RECORDED`]). A kind whose payload did not move keeps its version-5
+//! digest beside the new one, and the test re-derives it by writing `5` back
+//! into the header — so "only the version field moved" is checked, not
+//! claimed.
 
 use seabed::ashe::IdSet;
 use seabed::core::{EncryptedAggregate, GroupIds, GroupResult, PartialResponse, PhysicalFilter, ServerResponse};
@@ -201,15 +202,7 @@ fn stats() -> ExecStats {
 /// the optional ID list and of the optional row id, an empty and a three-word
 /// group key, and a group whose two sums and count share one ID list.
 fn response() -> ServerResponse {
-    let encodings = [
-        IdListEncoding::RangesVb,
-        IdListEncoding::RangesVbDiff,
-        IdListEncoding::RangesVbDiffDeflateCompact,
-        IdListEncoding::RangesVbDiffDeflateFast,
-        IdListEncoding::VbDiff,
-        IdListEncoding::Bitmap,
-    ];
-    let mut groups: Vec<GroupResult> = encodings
+    let mut groups: Vec<GroupResult> = IdListEncoding::ALL
         .iter()
         .enumerate()
         .map(|(i, &encoding)| GroupResult {
@@ -571,13 +564,13 @@ fn frames() -> Vec<(&'static str, Vec<Frame>)> {
     ]
 }
 
-/// `(name, SHA-256 of the bytes, SHA-256 of the bytes under a version-4
+/// `(name, SHA-256 of the bytes, SHA-256 of the bytes under a version-5
 /// header)`, in a fixed order. The payload writers have no header, so their
 /// two digests are one.
 fn digests() -> Vec<(&'static str, String, String)> {
     let mut out = Vec::new();
     for (index, (name, frames)) in frames().into_iter().enumerate() {
-        let (mut bytes, mut as_version_4) = (Vec::new(), Vec::new());
+        let (mut bytes, mut as_version_5) = (Vec::new(), Vec::new());
         for frame in &frames {
             assert_eq!(
                 frame.kind() as usize,
@@ -590,10 +583,10 @@ fn digests() -> Vec<(&'static str, String, String)> {
             assert_eq!(encode_frame(&decoded, u32::MAX).expect("re-encode"), encoded, "{name}");
             bytes.extend_from_slice(&encoded);
             assert_eq!(encoded[4..6], PROTOCOL_VERSION.to_le_bytes());
-            encoded[4..6].copy_from_slice(&4u16.to_le_bytes());
-            as_version_4.extend_from_slice(&encoded);
+            encoded[4..6].copy_from_slice(&5u16.to_le_bytes());
+            as_version_5.extend_from_slice(&encoded);
         }
-        out.push((name, digest_hex(&bytes), digest_hex(&as_version_4)));
+        out.push((name, digest_hex(&bytes), digest_hex(&as_version_5)));
     }
     let mut statement = Vec::new();
     write_statement_payload(&mut statement, &query(SupportCategory::ClientPostProcessing));
@@ -604,122 +597,123 @@ fn digests() -> Vec<(&'static str, String, String)> {
     out
 }
 
-/// Why a digest differs from the one recorded for protocol version 4.
+/// Why a digest differs from the one recorded for protocol version 5.
 enum Moved {
-    /// Only the header's version field: the bytes under a version-4 header
-    /// still hash to the digest recorded at 8b7e7b3 (the parent of PR 18).
+    /// Only the header's version field: the bytes under a version-5 header
+    /// still hash to the digest recorded for version 5. The payload writers
+    /// have no header, so theirs is the digest itself.
     VersionOnly(&'static str),
-    /// Two reasons, which every plan-carrying sample meets together. (a) The
-    /// plan travels as the server's half of it: no `client_post`, `category`,
-    /// `preserve_row_ids`, no logical group-by or placeholder name. And, not
-    /// one of the issue's three — the redacted-literal placeholders: nothing
-    /// is written where a DET or OPE literal was redacted (version 4 wrote an
-    /// empty string and a zero, one byte per such filter of the sample plan).
-    Plan,
-    /// (b) an ORE ciphertext is 16 packed bytes, not 64.
-    Ore,
-    /// (a) and (b): a plan and ORE filter literals in one frame.
-    PlanAndOre,
-    /// (c) a group carries its ID list once, beside one word per ASHE sum —
-    /// the sample grew a second sum per group to show it.
-    GroupIds,
-    /// (b) and (c): a partial group's ID set and a MIN/MAX candidate's cell.
-    GroupIdsAndOre,
+    /// Every ID list — a result group's and a partial group's — travels in
+    /// the smallest of three containers behind its tag, the `IdListEncoding`
+    /// tags are those three (the sample lists three groups, not six), and a
+    /// partial's list is no longer bare range bounds.
+    IdContainers,
 }
 use Moved::*;
 
-/// Recorded once for protocol version 5, in the order of [`digests`], each
+/// Recorded once for protocol version 6, in the order of [`digests`], each
 /// with what moved it.
 const RECORDED: [(&str, Moved); 20] = [
     // 01 request
     (
-        "2ed3c2ce754350b241955b7fab2a8ef60efc552cd1352710f71dc760f137f598",
-        PlanAndOre,
+        "bb12654e3941fbe5dfe56fa57b65fddefcdaf014453f2e3155110043a1a1c11e",
+        VersionOnly("2ed3c2ce754350b241955b7fab2a8ef60efc552cd1352710f71dc760f137f598"),
     ),
     // 02 response
     (
-        "ba5071b5f3323a3e32422ed0d1d0c7ba2d7c6b8be7ff6e3ad94ede8d29b577eb",
-        GroupIds,
+        "e61e4bf83c00ae8290e510ae4d677b7b53890fea3fe3993aa3311ac9779bdf2d",
+        IdContainers,
     ),
     // 03 error
     (
-        "3d1a9ed167c427cd1491cd2b7e040675cfe79ab17e9c34d40aebd2a964cbbf68",
-        VersionOnly("1f60b780bf8b187fb57347ed8f69948923e4884e9f16e57c94cad9e7e4cb9ea3"),
+        "c234c9e2922f9206485edbb76e7e0234dc845039b1d817d112204eb915c00096",
+        VersionOnly("3d1a9ed167c427cd1491cd2b7e040675cfe79ab17e9c34d40aebd2a964cbbf68"),
     ),
     // 04 schema request
     (
-        "5ee6881384e5b342957eef4347525e3d465bdd75a74204ee047674b0ac288479",
-        VersionOnly("1192852d58927a32a52326c1936582d4e304ae1fecc65d6c03a4ec173aa81a80"),
+        "bb9d5f974cfc40c2adaca77b11d285070a40add1c405de4b4c26c5338ec15c00",
+        VersionOnly("5ee6881384e5b342957eef4347525e3d465bdd75a74204ee047674b0ac288479"),
     ),
     // 05 schema
     (
-        "bd363a2f8676b2dcff44f0a46a7b9fbb87db7175cf2110385a357f16127c591e",
-        VersionOnly("43236a9bd76ddb5c26c6f460a4c2cb5781139a6241dc59d802ffa2170d670936"),
+        "7849b16bdf1358ee67588516dcd1bd387314fe60c847b5ffa4c78bf2f255640d",
+        VersionOnly("bd363a2f8676b2dcff44f0a46a7b9fbb87db7175cf2110385a357f16127c591e"),
     ),
     // 06 worker handshake
     (
-        "9660bd4fc55f720aece8494b7d95716d8f1a917f92e1fb695b494013c5918026",
-        VersionOnly("ccaaecf476e184a43c3dafcd42ee9a5b41e6430ff3b166b6446ef5a191c35dfd"),
+        "e5a10810885881c35323b657769eaf5c1873723855e0efdc0c849d8a00193efb",
+        VersionOnly("9660bd4fc55f720aece8494b7d95716d8f1a917f92e1fb695b494013c5918026"),
     ),
     // 07 worker ready
     (
-        "61e70d1872c839f5349e892d58ff44593d58a0c93868f112383930fe65778141",
-        VersionOnly("e4c2b997771d3e4110dbdc25c829bf33b457b2f3f792eec838b4be17dff445af"),
+        "ba72c3aff281761b3f0b635339023f2356c33daefa040f284ae31ebf7e4910d6",
+        VersionOnly("61e70d1872c839f5349e892d58ff44593d58a0c93868f112383930fe65778141"),
     ),
-    // 08 load shard: the stored-table format did not move (a shipped ORE
-    // column is narrower because its cells are, which `crypto_golden` pins).
+    // 08 load shard
     (
-        "dff972dc543be7a9637ae546fb805034c04ee2a1aacdbdbc5f4f06e23f9c5d9d",
-        VersionOnly("ee9cd096a27122944739c1ddda27dd2601909822dc7b73350dee098ca96475e1"),
+        "bbeda75d5ab4a44ff6a758530f569a6c6bd3f0aa5cadb030ee1af27cef907a57",
+        VersionOnly("dff972dc543be7a9637ae546fb805034c04ee2a1aacdbdbc5f4f06e23f9c5d9d"),
     ),
     // 09 shard loaded
     (
-        "b36e5480c31dd4c1dfc6a87dee0b95fe64e6dde0ca7a1a2ca5d4b949db3ec8c1",
-        VersionOnly("f2366797be40dda52098b86c0b448ada3c0fce6b722698d4b3bd0b50a98bd6a7"),
+        "d53a11f55d5a9e6328dbbcb41006fe54408703331fd1dcf1f6d46d2afbeb97d4",
+        VersionOnly("b36e5480c31dd4c1dfc6a87dee0b95fe64e6dde0ca7a1a2ca5d4b949db3ec8c1"),
     ),
     // 10 shard query
     (
-        "c0e28e3871998ebc017bb32fe18311b6eebac00aca3940b7ae600ff87312287c",
-        PlanAndOre,
+        "8d2b056a2b9729b7d6e850763dc609d60eaeaa30f3d481bf132279a009301d34",
+        VersionOnly("c0e28e3871998ebc017bb32fe18311b6eebac00aca3940b7ae600ff87312287c"),
     ),
     // 11 shard partial
     (
-        "47310aec71bc3be369269250d6027a9e709ed3a3c10efd36d069372619b57d79",
-        GroupIdsAndOre,
+        "bce09b25f3f47f99ef73d651fd9883f27634c68a061f05efb887ba4ed0619843",
+        IdContainers,
     ),
     // 12 prepare statement
-    ("6e2227d518330f602b011234e34e2a1f96c56057ff927b9f61acce3b30fb9b48", Plan),
+    (
+        "c556f4f255bbaa95e9d45a5d594fc28c22c6d01aceda008880c91fed2b2556c5",
+        VersionOnly("6e2227d518330f602b011234e34e2a1f96c56057ff927b9f61acce3b30fb9b48"),
+    ),
     // 13 statement prepared
     (
-        "c6cc263981d4d3f0ff570ed5484ff86a2aa152b5570fdb6c3569c835057121ac",
-        VersionOnly("bd096e5673f410b5143b45e4ee36409e18ad3109b83a4cf2029231c41c202814"),
+        "b8fd1ac93dd70934219c6d07431f0afb7140f34fc6a2b41c57891565dc5ee25a",
+        VersionOnly("c6cc263981d4d3f0ff570ed5484ff86a2aa152b5570fdb6c3569c835057121ac"),
     ),
     // 14 execute statement
-    ("e9bb6d7f125faed042e42b872f9d79cf2aafbd8a69c16796e3a1552e4fc3d8e7", Ore),
+    (
+        "d00dbf31a0d77b84c9a1b2959c68d3d39c0c67378ad8ac91d5f7d9f8685bc916",
+        VersionOnly("e9bb6d7f125faed042e42b872f9d79cf2aafbd8a69c16796e3a1552e4fc3d8e7"),
+    ),
     // 15 unload shard
     (
-        "3f7a42ea604dde5631ab26d3e9f28b1b32ddc78146fff42c66436d920f0ded08",
-        VersionOnly("b79e738bd916dc06b8958c76fc2dd6be8b4f7da8cca133734974e11123473f43"),
+        "4ecdd74f33c2cd552a06d11c2b15ae39e43d5921f437b35d9216c42b8f04aa72",
+        VersionOnly("3f7a42ea604dde5631ab26d3e9f28b1b32ddc78146fff42c66436d920f0ded08"),
     ),
     // 16 shard unloaded
     (
-        "61a6cbabe3ac62b5c1c1bd6a8731f100b56b10c98631748754721c7c07426f86",
-        VersionOnly("9b416b8c3e0f0a21f17f6294345e4d6223a7e1e6d34ce96273356ad8bbaa2191"),
+        "631fb49abf8a86cde956bc5a2c291066676ddf8278233daae2207f3466d3538d",
+        VersionOnly("61a6cbabe3ac62b5c1c1bd6a8731f100b56b10c98631748754721c7c07426f86"),
     ),
     // 17 metrics request
     (
-        "da97c9d556a7b5805c9b66b341e713415f52109d36cdccacd7f16f326c6d1176",
-        VersionOnly("7704fe4c80f4e2b50c1013162ff5eaaa1209e53a3e28735bcae3b3663e4e9253"),
+        "3297a68e92e06f4cf9c81e763300216837e204f79a5d3c475e524566e810c47e",
+        VersionOnly("da97c9d556a7b5805c9b66b341e713415f52109d36cdccacd7f16f326c6d1176"),
     ),
     // 18 metrics snapshot
     (
-        "208473ab76c787535d2cd7ce6b97f4a8750d85172da9990c7440c765ff4e5ef2",
-        VersionOnly("7523006d1832d84d46c0176a91d3d618c6513ed495622dec147af2f87264c3d9"),
+        "f0760ac4108b97975cad22c7cff1cb24f2802c45f88b6742b8607e0ba83dccea",
+        VersionOnly("208473ab76c787535d2cd7ce6b97f4a8750d85172da9990c7440c765ff4e5ef2"),
     ),
     // statement payload
-    ("425f68b4226b44f7cb828e7dee53d304a8d1737326ebd41e4c2e65b2b908fb21", Plan),
+    (
+        "425f68b4226b44f7cb828e7dee53d304a8d1737326ebd41e4c2e65b2b908fb21",
+        VersionOnly("425f68b4226b44f7cb828e7dee53d304a8d1737326ebd41e4c2e65b2b908fb21"),
+    ),
     // filters payload
-    ("f47b31e8ee10d41fcd15863c07c500c4031ea847a1cbc5fc8de7365815911132", Ore),
+    (
+        "f47b31e8ee10d41fcd15863c07c500c4031ea847a1cbc5fc8de7365815911132",
+        VersionOnly("f47b31e8ee10d41fcd15863c07c500c4031ea847a1cbc5fc8de7365815911132"),
+    ),
 ];
 
 #[test]
@@ -729,10 +723,10 @@ fn every_frame_kind_encodes_to_its_recorded_bytes() {
         println!("    \"{digest}\", // {name}");
     }
     assert_eq!(got.len(), RECORDED.len());
-    for ((name, digest, as_version_4), (recorded, moved)) in got.iter().zip(RECORDED) {
+    for ((name, digest, as_version_5), (recorded, moved)) in got.iter().zip(RECORDED) {
         assert_eq!(digest, recorded, "{name}: the encoded bytes moved");
-        if let VersionOnly(version_4) = moved {
-            assert_eq!(as_version_4, version_4, "{name}: more than the version field moved");
+        if let VersionOnly(version_5) = moved {
+            assert_eq!(as_version_5, version_5, "{name}: more than the version field moved");
         }
     }
 }

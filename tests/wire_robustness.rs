@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seabed::core::{EncryptedAggregate, GroupIds, GroupResult, PhysicalFilter, ServerResponse};
-use seabed::encoding::IdListEncoding;
+use seabed::encoding::{varint, IdListEncoding};
 use seabed::engine::{ExecStats, OperatorProfile};
 use seabed::error::SeabedError;
 use seabed::net::wire::{decode_frame, encode_frame, Frame, DEFAULT_MAX_FRAME_LEN, HEADER_LEN};
@@ -176,14 +176,7 @@ fn random_operators(rng: &mut StdRng) -> Vec<OperatorProfile> {
 }
 
 fn random_response(rng: &mut StdRng) -> ServerResponse {
-    let encodings = [
-        IdListEncoding::RangesVb,
-        IdListEncoding::RangesVbDiff,
-        IdListEncoding::RangesVbDiffDeflateCompact,
-        IdListEncoding::RangesVbDiffDeflateFast,
-        IdListEncoding::VbDiff,
-        IdListEncoding::Bitmap,
-    ];
+    let encodings = IdListEncoding::ALL;
     let groups = (0..rng.random_range(0..5usize))
         .map(|_| {
             let key = (0..rng.random_range(0..3usize)).map(|_| rng.random::<u64>()).collect();
@@ -540,14 +533,15 @@ fn forged_operator_and_event_counts_are_rejected() {
 
 /// The analyze flag and the profile/event payloads were a breaking layout
 /// change, so they came with a protocol version bump (to 4), as the packed ORE
-/// cells, the per-group ID list and the server's half of the plan did (to 5):
-/// a frame stamped with either earlier version is refused at the header.
+/// cells, the per-group ID list and the server's half of the plan did (to 5),
+/// and the ID lists' three closed-form containers did (to 6): a frame stamped
+/// with any earlier version is refused at the header.
 #[test]
 fn analyze_extensions_bumped_the_protocol_version() {
     use seabed::net::wire::PROTOCOL_VERSION;
-    assert_eq!(PROTOCOL_VERSION, 5, "one bump for three layout changes");
+    assert_eq!(PROTOCOL_VERSION, 6, "one bump for the ID-list containers");
     let good = encode_frame(&Frame::SchemaRequest, DEFAULT_MAX_FRAME_LEN).expect("encode");
-    for earlier in [3u16, 4] {
+    for earlier in [3u16, 4, 5] {
         let mut stamped = good.clone();
         stamped[4..6].copy_from_slice(&earlier.to_le_bytes());
         assert!(matches!(
@@ -652,49 +646,45 @@ fn live_server_survives_adversarial_volley() {
     net.shutdown();
 }
 
-/// A forged answer must not crash the proxy that holds the keys. A
-/// man-in-the-middle relays a real service's frames but swaps the ID list of
-/// the first `Response` for a ~170-byte compressed block whose only token is
-/// a match — a copy from before the start of the output. The inflater used to
-/// index out of bounds there and panic the session's thread; now the query
-/// fails with a typed error, and the same connection and session answer the
-/// next query correctly.
+/// A forged answer must not crash the proxy that holds the keys, nor make it
+/// allocate what the forger claims. A man-in-the-middle relays a real
+/// service's frames but swaps the ID list of the first `Response` for a
+/// `SpanBitmap` whose header and body disagree: a span far longer than its
+/// body, a first identifier whose span runs past `u64::MAX`, a body one byte
+/// short of its span. Each query fails with a typed error, and the same
+/// connection and session answer the next query correctly.
 #[test]
-fn forged_compressed_id_list_is_a_typed_error_and_the_session_lives() {
-    // Block kind 1 (compressed), 3 bytes declared, 1 token; literal/length
-    // symbol 256 (a length-3 match) and distance symbol 0 (distance 1) get
-    // the only codes, one bit each; the bit stream is a zero byte.
-    let mut forged_list = vec![1u8];
-    forged_list.extend_from_slice(&3u32.to_le_bytes());
-    forged_list.extend_from_slice(&1u32.to_le_bytes());
-    let mut litlen = [0u8; 143];
-    litlen[256 / 2] = 1;
-    let mut dist = [0u8; 15];
-    dist[0] = 1;
-    forged_list.extend_from_slice(&litlen);
-    forged_list.extend_from_slice(&dist);
-    forged_list.push(0);
-    assert!(forged_list.len() < 180);
-    assert_a_forged_id_list_is_a_typed_error_and_the_session_lives(forged_list);
+fn forged_span_bitmaps_are_typed_errors_and_the_session_lives() {
+    let bitmap = |first: u64, bits: u64, body: &[u8]| {
+        let mut list = varint::encode_all(&[first, bits]);
+        list.extend_from_slice(body);
+        list
+    };
+    for forged_list in [
+        bitmap(0, 1 << 60, &[0xff; 4]),
+        bitmap(u64::MAX - 8, 16, &[0xff; 2]),
+        bitmap(0, 200, &[0xff; 24]),
+    ] {
+        assert_a_forged_id_list_is_a_typed_error_and_the_session_lives(IdListEncoding::SpanBitmap, forged_list);
+    }
 }
 
-/// The same for a list that is well-formed as bytes but names rows twice: a
-/// stored block whose body is the `RangesVbDiff` pairs `(1, 9), (0, 5)` — the
-/// runs 1–10 and 10–15. It used to decode into overlapping runs, and the
-/// proxy removed the masks of sixteen rows from a sum over whichever rows the
-/// server had really folded: a wrong number, no error.
+/// The same for a list that is well-formed as bytes but names rows twice:
+/// the `RangesVbDiff` pairs `(1, 9), (0, 5)` — the runs 1–10 and 10–15. It
+/// used to decode into overlapping runs, and the proxy removed the masks of
+/// sixteen rows from a sum over whichever rows the server had really folded:
+/// a wrong number, no error.
 #[test]
 fn forged_overlapping_id_list_is_a_typed_error_and_the_session_lives() {
-    let mut forged_list = vec![0u8];
-    forged_list.extend_from_slice(&4u32.to_le_bytes());
-    forged_list.extend_from_slice(&[1, 9, 0, 5]);
-    assert_a_forged_id_list_is_a_typed_error_and_the_session_lives(forged_list);
+    let forged_list = varint::encode_all(&[1, 9, 0, 5]);
+    assert_a_forged_id_list_is_a_typed_error_and_the_session_lives(IdListEncoding::RangesVbDiff, forged_list);
 }
 
 /// Relays one session through a man in the middle that replaces the ID list
-/// of the first response with `forged_list`: that query must fail with a
-/// typed encoding error, and the next one on the same connection succeed.
-fn assert_a_forged_id_list_is_a_typed_error_and_the_session_lives(forged_list: Vec<u8>) {
+/// of the first response with `forged_list` in the container `encoding`:
+/// that query must fail with a typed encoding error, and the next one on the
+/// same connection succeed.
+fn assert_a_forged_id_list_is_a_typed_error_and_the_session_lives(encoding: IdListEncoding, forged_list: Vec<u8>) {
     use seabed::core::{PlainDataset, ResultValue, SeabedClient, SeabedServer, SeabedSession};
     use seabed::engine::{Cluster, ClusterConfig};
     use seabed::net::{FrameConn, NetServer, Received, RemoteSeabedClient, ServiceConfig, Wait};
@@ -729,8 +719,10 @@ fn assert_a_forged_id_list_is_a_typed_error_and_the_session_lives(forged_list: V
             if let Frame::Response(response) = &mut reply {
                 if forged == 0 {
                     for ids in response.groups.iter_mut().filter_map(|g| g.ids.as_mut()) {
-                        assert_eq!(ids.encoding, IdListEncoding::RangesVbDiffDeflateFast);
+                        // Consecutive rows, the paper's workload: one run.
+                        assert_eq!(ids.encoding, IdListEncoding::RangesVbDiff);
                         ids.id_list = forged_list.clone();
+                        ids.encoding = encoding;
                         forged += 1;
                     }
                 }
