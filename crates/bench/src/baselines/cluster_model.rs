@@ -9,18 +9,28 @@
 //!   closure it hands the engine;
 //! * the modelled server latency is then the makespan of list-scheduling
 //!   those times onto `workers` slots, each task paying a fixed launch
-//!   overhead.
+//!   overhead ([`StageTimes`]).
 //!
 //! This reproduces the shapes of Figures 6–9 — linear growth with data size,
 //! saturation once per-task overhead dominates — while the per-row costs stay
 //! measured rather than modelled. The product reports only what it measured.
 
-use seabed_engine::{Cluster, ExecStats, Partition, Table, TaskOutput};
+use seabed_engine::{Cluster, Partition, Table};
 use std::time::{Duration, Instant};
 
 /// Fixed per-task scheduling/launch overhead (Spark task creation cost; this
 /// is what makes NoEnc latency flat at ~0.6 s in Figure 6).
 pub const TASK_OVERHEAD: Duration = Duration::from_millis(5);
+
+/// What the model makes of one stage's measured task times.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StageTimes {
+    /// The modelled server latency: [`ClusterModel::makespan`] of the task
+    /// times.
+    pub makespan: Duration,
+    /// The task times summed: the stage's work, however it is scheduled.
+    pub task_time: Duration,
+}
 
 /// A modelled cluster of `workers` cores over the engine's real execution.
 #[derive(Clone, Copy, Debug)]
@@ -36,22 +46,24 @@ impl ClusterModel {
     }
 
     /// Runs `task` once per partition on an engine with the default local
-    /// threads and returns the partial results with the engine's statistics,
-    /// whose `simulated_server_time` is this model's
-    /// [`ClusterModel::makespan`] of the measured task times.
-    pub fn run<R, F>(&self, table: &Table, task: F) -> (Vec<R>, ExecStats)
+    /// threads and returns the partial results with this model's
+    /// [`StageTimes`] of the measured task times.
+    pub fn run<R, F>(&self, table: &Table, task: F) -> (Vec<R>, StageTimes)
     where
         R: Send,
-        F: Fn(&Partition) -> TaskOutput<R> + Sync,
+        F: Fn(&Partition) -> R + Sync,
     {
-        let (timed, mut stats) = Cluster::default().run(table, |p| {
+        let (timed, _) = Cluster::default().run(table, |p| {
             let started = Instant::now();
             let out = task(p);
-            TaskOutput::new((out.value, started.elapsed()), out.bytes)
+            (out, started.elapsed())
         });
         let (outputs, task_times): (Vec<R>, Vec<Duration>) = timed.into_iter().unzip();
-        stats.simulated_server_time = self.makespan(&task_times);
-        (outputs, stats)
+        let times = StageTimes {
+            makespan: self.makespan(&task_times),
+            task_time: task_times.iter().sum(),
+        };
+        (outputs, times)
     }
 
     /// List-schedules `task_times` in submission order — how Spark assigns
@@ -80,25 +92,26 @@ mod tests {
     #[test]
     fn simulated_time_includes_task_overhead() {
         let t = table(100, 10);
-        let (_, stats) = ClusterModel::new(1).run(&t, |_| TaskOutput::new((), 0));
-        // 10 tasks on 1 worker, each with 5 ms overhead -> at least 50 ms.
-        assert!(stats.simulated_server_time >= 10 * TASK_OVERHEAD);
-        assert_eq!(stats.tasks, 10);
+        let (outputs, times) = ClusterModel::new(1).run(&t, |_| ());
+        // 10 tasks on 1 worker run in turn, each with 5 ms overhead.
+        assert!(times.makespan >= 10 * TASK_OVERHEAD);
+        assert_eq!(times.makespan, times.task_time + 10 * TASK_OVERHEAD);
+        assert_eq!(outputs.len(), 10);
     }
 
     #[test]
     fn more_workers_reduce_simulated_time() {
         let t = table(200_000, 64);
         let run_with = |workers: usize| {
-            let (_, stats) = ClusterModel::new(workers).run(&t, |p| {
+            let (_, times) = ClusterModel::new(workers).run(&t, |p| {
                 // Do genuine work so task durations are non-trivial.
                 let mut acc = 0u64;
                 for &v in p.column(0).as_u64() {
                     acc = acc.wrapping_add(v.wrapping_mul(2654435761));
                 }
-                TaskOutput::new(acc, 8)
+                acc
             });
-            stats.simulated_server_time
+            times.makespan
         };
         let slow = run_with(2);
         let fast = run_with(32);

@@ -19,7 +19,7 @@ pub mod pipelines;
 pub mod prime;
 
 pub use bigint::BigUint;
-pub use cluster_model::ClusterModel;
+pub use cluster_model::{ClusterModel, StageTimes};
 pub use netmodel::NetworkModel;
 pub use paillier::PaillierKeypair;
 pub use pipelines::{row_selected, NoEncSystem, PaillierSystem};

@@ -14,9 +14,9 @@
 //! that their modelled latencies are directly comparable (Figures 6, 7, 9a).
 
 use super::bigint::BigUint;
-use super::cluster_model::ClusterModel;
+use super::cluster_model::{ClusterModel, StageTimes};
 use super::paillier::{PaillierCiphertext, PaillierKeypair};
-use seabed_engine::{BytesColumn, ColumnData, ColumnType, ExecStats, Schema, Table, TaskOutput};
+use seabed_engine::{BytesColumn, ColumnData, ColumnType, Schema, Table};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -46,8 +46,8 @@ pub struct BaselineResult {
     pub sum: u64,
     /// Number of rows aggregated.
     pub rows: u64,
-    /// Server execution statistics.
-    pub stats: ExecStats,
+    /// The modelled server stage.
+    pub times: StageTimes,
     /// Measured client-side (decryption) time.
     pub client_time: Duration,
     /// Result bytes shipped to the client.
@@ -90,7 +90,7 @@ impl NoEncSystem {
     /// Sums the rows selected by `selectivity`.
     pub fn sum(&self, selectivity: f64) -> BaselineResult {
         let measure = self.measure_index;
-        let (partials, stats) = self.cluster.run(&self.table, |p| {
+        let (partials, times) = self.cluster.run(&self.table, |p| {
             let col = p.column(measure).as_u64();
             let mut sum = 0u64;
             let mut rows = 0u64;
@@ -100,24 +100,24 @@ impl NoEncSystem {
                     rows += 1;
                 }
             }
-            TaskOutput::new((sum, rows), 16)
+            (sum, rows)
         });
         let sum = partials.iter().fold(0u64, |a, (s, _)| a.wrapping_add(*s));
         let rows = partials.iter().map(|(_, r)| r).sum();
         BaselineResult {
             sum,
             rows,
-            stats,
+            times,
             client_time: Duration::ZERO,
             result_bytes: 16,
         }
     }
 
     /// Group-by sum over the grouping column.
-    pub fn group_by_sum(&self, selectivity: f64) -> (HashMap<u64, u64>, ExecStats) {
+    pub fn group_by_sum(&self, selectivity: f64) -> (HashMap<u64, u64>, StageTimes) {
         let measure = self.measure_index;
         let group = self.group_index.expect("no group column configured");
-        let (partials, stats) = self.cluster.run(&self.table, |p| {
+        let (partials, times) = self.cluster.run(&self.table, |p| {
             let values = p.column(measure).as_u64();
             let keys = p.column(group).as_u64();
             let mut map: HashMap<u64, u64> = HashMap::new();
@@ -126,8 +126,7 @@ impl NoEncSystem {
                     *map.entry(keys[i]).or_insert(0) += values[i];
                 }
             }
-            let bytes = map.len() * 16;
-            TaskOutput::new(map, bytes)
+            map
         });
         let mut merged: HashMap<u64, u64> = HashMap::new();
         for partial in partials {
@@ -135,7 +134,7 @@ impl NoEncSystem {
                 *merged.entry(k).or_insert(0) += v;
             }
         }
-        (merged, stats)
+        (merged, times)
     }
 }
 
@@ -200,7 +199,7 @@ impl PaillierSystem {
     /// client.
     pub fn sum(&self, selectivity: f64) -> BaselineResult {
         let public = self.keypair.public.clone();
-        let (partials, stats) = self.cluster.run(&self.table, |p| {
+        let (partials, times) = self.cluster.run(&self.table, |p| {
             let col = p.column(0);
             let mut acc = public.zero_ciphertext();
             let mut rows = 0u64;
@@ -211,8 +210,7 @@ impl PaillierSystem {
                     rows += 1;
                 }
             }
-            let bytes = acc.byte_len();
-            TaskOutput::new((acc, rows), bytes)
+            (acc, rows)
         });
         let mut acc = self.keypair.public.zero_ciphertext();
         let mut rows = 0u64;
@@ -227,17 +225,17 @@ impl PaillierSystem {
         BaselineResult {
             sum,
             rows,
-            stats,
+            times,
             client_time,
             result_bytes,
         }
     }
 
     /// Group-by sum, decrypting one Paillier ciphertext per group.
-    pub fn group_by_sum(&self, selectivity: f64) -> (HashMap<u64, u64>, ExecStats, Duration) {
+    pub fn group_by_sum(&self, selectivity: f64) -> (HashMap<u64, u64>, StageTimes, Duration) {
         let public = self.keypair.public.clone();
         let group = self.group_index.expect("no group column configured");
-        let (partials, stats) = self.cluster.run(&self.table, |p| {
+        let (partials, times) = self.cluster.run(&self.table, |p| {
             let keys = p.column(group).as_u64();
             let col = p.column(0);
             let mut map: HashMap<u64, PaillierCiphertext> = HashMap::new();
@@ -248,8 +246,7 @@ impl PaillierSystem {
                     *entry = public.add(entry, &ct);
                 }
             }
-            let bytes: usize = map.values().map(|c| c.byte_len() + 8).sum();
-            TaskOutput::new(map, bytes)
+            map
         });
         let mut merged: HashMap<u64, PaillierCiphertext> = HashMap::new();
         for partial in partials {
@@ -263,7 +260,7 @@ impl PaillierSystem {
             .into_iter()
             .map(|(k, v)| (k, self.keypair.private.decrypt_u64(&v)))
             .collect();
-        (decrypted, stats, started.elapsed())
+        (decrypted, times, started.elapsed())
     }
 }
 

@@ -59,9 +59,6 @@ impl PaperEncoding {
     /// The encoding the paper selects for aggregation queries.
     pub const SEABED_AGGREGATE: PaperEncoding = PaperEncoding::RangesVbDiffDeflateFast;
 
-    /// The encoding the paper selects for group-by queries.
-    pub const SEABED_GROUP_BY: PaperEncoding = PaperEncoding::VbDiff;
-
     /// Human-readable label matching the figure legend.
     pub fn label(&self) -> &'static str {
         match self {

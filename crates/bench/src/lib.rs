@@ -41,7 +41,7 @@ use rand::SeedableRng;
 use seabed_ashe::{AsheScheme, IdSet};
 use seabed_core::{PhysicalFilter, PlainDataset, QueryResult, SeabedClient, SeabedServer, SeabedSession};
 use seabed_crypto::AesCtr;
-use seabed_engine::{table_disk_size, table_memory_size, Cluster, TaskOutput};
+use seabed_engine::{table_disk_size, table_memory_size, Cluster};
 use seabed_query::{parse, ColumnSpec, CompareOp, PlannerConfig, TranslateOptions};
 use seabed_workloads::{ad_analytics, bdb, classify, synthetic};
 use std::collections::BTreeMap;
@@ -422,7 +422,7 @@ fn ashe_selectivity_run(
         partitions,
     );
     let cluster = ClusterModel::new(workers);
-    let (partials, stats) = cluster.run(&table, |p| {
+    let (partials, times) = cluster.run(&table, |p| {
         let col = p.column(0).as_u64();
         let mut sum = 0u64;
         let mut ids = IdSet::new();
@@ -432,9 +432,10 @@ fn ashe_selectivity_run(
                 ids.push_ordered(p.row_id(i));
             }
         }
-        let encoded = encoding.encode(ids.runs());
-        let bytes = encoded.len() + 8;
-        TaskOutput::new((sum, ids), bytes)
+        // The paper's worker serializes its partial list before shipping it:
+        // Figure 8(b) times each encoding's cost here.
+        std::hint::black_box(encoding.encode(ids.runs()));
+        (sum, ids)
     });
     // Driver merge.
     let mut total = 0u64;
@@ -448,7 +449,7 @@ fn ashe_selectivity_run(
     let started = Instant::now();
     let plain = scheme.decrypt(&seabed_ashe::AsheCiphertext { value: total, ids });
     let client = started.elapsed();
-    (plain, stats.simulated_server_time, client, result_bytes)
+    (plain, times.makespan, client, result_bytes)
 }
 
 /// Figure 6: median end-to-end latency vs number of rows for NoEnc, Seabed
@@ -468,8 +469,8 @@ pub fn exp_fig6(scale: &Scale) -> Vec<LatencyPoint> {
             system: "NoEnc".into(),
             rows,
             workers: 100,
-            total: r.stats.simulated_server_time,
-            server: r.stats.simulated_server_time,
+            total: r.times.makespan,
+            server: r.times.makespan,
             client: Duration::ZERO,
         });
 
@@ -499,7 +500,7 @@ pub fn exp_fig6(scale: &Scale) -> Vec<LatencyPoint> {
         );
         let r = paillier.sum(1.0);
         let factor = rows as f64 / paillier_rows as f64;
-        let server = Duration::from_secs_f64(r.stats.simulated_server_time.as_secs_f64() * factor);
+        let server = Duration::from_secs_f64(r.times.makespan.as_secs_f64() * factor);
         points.push(LatencyPoint {
             system: "Paillier".into(),
             rows,
@@ -526,8 +527,8 @@ pub fn exp_fig7(scale: &Scale) -> Vec<LatencyPoint> {
             system: "NoEnc".into(),
             rows,
             workers,
-            total: r.stats.simulated_server_time,
-            server: r.stats.simulated_server_time,
+            total: r.times.makespan,
+            server: r.times.makespan,
             client: Duration::ZERO,
         });
         for (label, sel) in [("Seabed sel=100%", 1.0), ("Seabed sel=50%", 0.5)] {
@@ -562,8 +563,8 @@ pub fn exp_fig7(scale: &Scale) -> Vec<LatencyPoint> {
             system: "Paillier".into(),
             rows,
             workers,
-            total: Duration::from_secs_f64(r.stats.simulated_server_time.as_secs_f64() * factor),
-            server: Duration::from_secs_f64(r.stats.simulated_server_time.as_secs_f64() * factor),
+            total: Duration::from_secs_f64(r.times.makespan.as_secs_f64() * factor),
+            server: Duration::from_secs_f64(r.times.makespan.as_secs_f64() * factor),
             client: r.client_time,
         });
     }
@@ -660,7 +661,7 @@ pub fn exp_fig8c(scale: &Scale) -> Vec<SelectivityPoint> {
             op: CompareOp::Lt,
             ciphertext: ore.encrypt((selectivity * u32::MAX as f64) as u64),
         };
-        let (partials, stats) = cluster.run(&table, |p| {
+        let (partials, times) = cluster.run(&table, |p| {
             let words = p.column(0).as_u64();
             let selected = filter.select_dense(p).expect("column 1 is the ORE column");
             let mut sum = 0u64;
@@ -669,8 +670,9 @@ pub fn exp_fig8c(scale: &Scale) -> Vec<SelectivityPoint> {
                 sum = sum.wrapping_add(words[row as usize]);
                 ids.push_ordered(p.row_id(row as usize));
             }
-            let bytes = PaperEncoding::SEABED_AGGREGATE.encoded_size(ids.runs()) + 8;
-            TaskOutput::new((sum, ids), bytes)
+            // Serialized as the "Aggregation" line's workers do.
+            std::hint::black_box(PaperEncoding::SEABED_AGGREGATE.encode(ids.runs()));
+            (sum, ids)
         });
         let mut total = 0u64;
         let mut ids = IdSet::new();
@@ -687,7 +689,7 @@ pub fn exp_fig8c(scale: &Scale) -> Vec<SelectivityPoint> {
             config: "+OPE selection".into(),
             selectivity,
             result_bytes: PaperEncoding::SEABED_AGGREGATE.encoded_size(ids.runs()) + 8,
-            response: stats.simulated_server_time + started.elapsed(),
+            response: times.makespan + started.elapsed(),
         });
     }
     points
@@ -723,14 +725,14 @@ pub fn exp_fig9a(scale: &Scale) -> Vec<GroupByPoint> {
 
         // NoEnc.
         let noenc = NoEncSystem::new(&ds.values, Some(&keys), scale.partitions, ClusterModel::new(workers));
-        let (_, stats) = noenc.group_by_sum(1.0);
+        let (_, times) = noenc.group_by_sum(1.0);
         points.push(GroupByPoint {
             system: "NoEnc".into(),
             groups,
-            response: stats.simulated_server_time,
+            response: times.makespan,
         });
 
-        // Seabed (VB+Diff encoding, no inflation) and Seabed-optimized
+        // Seabed (no inflation) and Seabed-optimized
         // (inflate group count to the worker count when fewer groups).
         for (label, inflation) in [
             ("Seabed", 1u64),
@@ -750,8 +752,7 @@ pub fn exp_fig9a(scale: &Scale) -> Vec<GroupByPoint> {
                 scale.partitions,
             );
             let cluster = ClusterModel::new(workers);
-            let encoding = PaperEncoding::SEABED_GROUP_BY;
-            let (partials, stats) = cluster.run(&table, |p| {
+            let (partials, times) = cluster.run(&table, |p| {
                 let words = p.column(0).as_u64();
                 let grp = p.column(1).as_u64();
                 let mut map: BTreeMap<u64, (u64, IdSet)> = BTreeMap::new();
@@ -766,11 +767,7 @@ pub fn exp_fig9a(scale: &Scale) -> Vec<GroupByPoint> {
                     entry.0 = entry.0.wrapping_add(words[i]);
                     entry.1.push_ordered(p.row_id(i));
                 }
-                let bytes: usize = map
-                    .values()
-                    .map(|(_, ids)| 16 + encoding.encoded_size(ids.runs()))
-                    .sum();
-                TaskOutput::new(map, bytes)
+                map
             });
             // Driver merge + client decrypt per group.
             let mut merged: BTreeMap<u64, (u64, IdSet)> = BTreeMap::new();
@@ -790,7 +787,7 @@ pub fn exp_fig9a(scale: &Scale) -> Vec<GroupByPoint> {
             points.push(GroupByPoint {
                 system: label.into(),
                 groups,
-                response: stats.simulated_server_time + started.elapsed(),
+                response: times.makespan + started.elapsed(),
             });
         }
 
@@ -804,12 +801,12 @@ pub fn exp_fig9a(scale: &Scale) -> Vec<GroupByPoint> {
             keypair.clone(),
             &mut rng,
         );
-        let (_, stats, client) = paillier.group_by_sum(1.0);
+        let (_, times, client) = paillier.group_by_sum(1.0);
         let factor = rows as f64 / paillier_rows as f64;
         points.push(GroupByPoint {
             system: "Paillier".into(),
             groups,
-            response: Duration::from_secs_f64(stats.simulated_server_time.as_secs_f64() * factor) + client,
+            response: Duration::from_secs_f64(times.makespan.as_secs_f64() * factor) + client,
         });
     }
     points

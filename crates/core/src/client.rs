@@ -73,9 +73,11 @@ pub struct QueryResult {
     pub rows: Vec<Vec<ResultValue>>,
     /// Measured client-side decryption / post-processing time.
     pub client_time: Duration,
-    /// Raw server statistics, its measured `wall_time` included.
+    /// What the server measured: its `wall_time` and, for an analyzed
+    /// execution, its per-operator profiles.
     pub server_stats: ExecStats,
-    /// Size of the encrypted result shipped from server to client.
+    /// Size of the encrypted result groups the proxy received and decoded
+    /// ([`ServerResponse::result_bytes`]), counted by the proxy.
     pub result_bytes: usize,
     /// Number of PRF (AES) evaluations the client performed during decryption.
     pub client_prf_evals: usize,
@@ -282,6 +284,7 @@ impl SeabedClient {
         translated: &TranslatedQuery,
         response: ServerResponse,
     ) -> Result<QueryResult, SeabedError> {
+        let result_bytes = response.result_bytes();
         let started = Instant::now();
         let mut prf_evals = 0usize;
 
@@ -375,7 +378,7 @@ impl SeabedClient {
             rows,
             client_time: started.elapsed(),
             server_stats: response.stats,
-            result_bytes: response.result_bytes,
+            result_bytes,
             client_prf_evals: prf_evals,
             trace_id: seabed_obs::UNTRACED,
         })
@@ -677,7 +680,6 @@ mod tests {
                     aggregates,
                 }],
                 stats: ExecStats::default(),
-                result_bytes: 8,
             };
             let outcome = client.decrypt_response(query, translated, forged);
             assert!(
@@ -736,7 +738,6 @@ mod tests {
                 },
             ],
             stats: ExecStats::default(),
-            result_bytes: 16,
         };
         let outcome = client.decrypt_response(query, translated, forged);
         assert!(matches!(outcome, Err(SeabedError::Engine(_))), "{outcome:?}");
@@ -771,7 +772,6 @@ mod tests {
                 })
                 .collect(),
             stats: ExecStats::default(),
-            result_bytes: 16,
         };
         for forged in [
             // Same group, second sub-group answers the SUM with a row count.

@@ -47,14 +47,14 @@
 //! (or, via a poisoned response, the proxy) down.
 
 use seabed_crypto::ore::{accepted_pairs, cell_words, first_difference, OreCiphertext, ORE_CELL_BYTES};
-use seabed_encoding::{append_offset_runs, smallest_encoding, IdListEncoding, Run};
+use seabed_encoding::{append_offset_runs, IdListEncoding, Run};
 use seabed_engine::exec::{self, group_rows, GroupedRows, SelectionVector};
 use seabed_engine::merge::{
     extreme_replaces, fold_flat_partials, ExtremeCandidate, FlatPartial, PartialAggregate, PartialGroup, PartialGroups,
 };
 use seabed_engine::{
     merge_operator_profiles, Cluster, ColumnType, ExecMode, ExecStats, OperatorProfile, Partition, ProfileSink, Schema,
-    Table, TaskOutput,
+    Table,
 };
 use seabed_error::{SchemaError, SeabedError};
 use seabed_obs::UNTRACED;
@@ -426,10 +426,17 @@ impl GroupResult {
 pub struct ServerResponse {
     /// Result groups.
     pub groups: Vec<GroupResult>,
-    /// Execution statistics (measured server time, bytes, tasks).
+    /// What the server measured: its wall time and, when analyzed, its
+    /// per-operator profiles.
     pub stats: ExecStats,
-    /// Total serialized size of the result shipped to the client.
-    pub result_bytes: usize,
+}
+
+impl ServerResponse {
+    /// Serialized size of the result groups: the sum of
+    /// [`GroupResult::byte_len`], counted by whoever holds the groups.
+    pub fn result_bytes(&self) -> usize {
+        self.groups.iter().map(GroupResult::byte_len).sum()
+    }
 }
 
 /// SplitMix64 finalizer, used to spread rows across inflated group suffixes.
@@ -607,50 +614,6 @@ fn finish_group(key: Vec<u64>, group: PartialGroup) -> GroupResult {
     }
 }
 
-/// Bytes a partial group's aggregates take beside its key and its ID list: a
-/// word per sum, two per MIN/MAX candidate; a count adds nothing of its own
-/// (it is the size of that list).
-fn aggregate_words(aggregates: &[PartialAggregate]) -> usize {
-    aggregates
-        .iter()
-        .map(|partial| match partial {
-            PartialAggregate::Sum { .. } => 8,
-            PartialAggregate::Count => 0,
-            PartialAggregate::Extreme { .. } => 16,
-        })
-        .sum()
-}
-
-/// Size in bytes of a partition's flat partial, each ID list in its smallest
-/// container: what the partition's worker would ship to the driver — the
-/// rule of [`partial_bytes`], sized in closed form off the same run slices
-/// the fold appends.
-fn flat_partial_bytes(partial: &FlatPartial, fold: &Fold<'_>) -> usize {
-    let ids: usize = (0..partial.groups())
-        .map(|group| smallest_encoding(partial.runs_of(group)).1)
-        .sum();
-    ids + partial.groups() * (aggregate_words(&fold.empty.aggregates) + 8 * fold.group_columns.len().max(1))
-}
-
-/// Partial-result size in bytes, each ID list in its smallest container:
-/// what a worker ships to the driver.
-///
-/// A group's ID list is charged once, however many aggregates read it.
-fn partial_bytes(groups: &PartialGroups, group_columns: usize) -> usize {
-    groups
-        .values()
-        .map(|group| {
-            let ids = if group.aggregates.iter().any(PartialAggregate::reads_ids) {
-                group.ids.smallest_encoding().1
-            } else {
-                0
-            };
-            ids + aggregate_words(&group.aggregates)
-        })
-        .sum::<usize>()
-        + groups.len() * 8 * group_columns.max(1)
-}
-
 impl SeabedServer {
     /// Creates a server over an encrypted table.
     pub fn new(table: Table, cluster: Cluster) -> SeabedServer {
@@ -789,13 +752,7 @@ impl SeabedServer {
                 ExecMode::Scalar => scan_scalar(partition, filters, &fold, &mut sink),
                 ExecMode::Vectorized => scan_vectorized(partition, &ordered, &filter_labels, &fold, &mut sink),
             };
-            match scanned {
-                Ok(partial) => {
-                    let bytes = flat_partial_bytes(&partial, &fold);
-                    TaskOutput::new(Ok((partial, sink.into_operators())), bytes)
-                }
-                Err(err) => TaskOutput::new(Err(err), 0),
-            }
+            scanned.map(|partial| (partial, sink.into_operators()))
         });
 
         // Driver: fold the partitions' partials (propagating any partition
@@ -840,8 +797,7 @@ fn empty_state_of(agg: &ServerAggregate) -> PartialAggregate {
 /// Turns fully-merged partial groups into the client-facing response: the
 /// reduce tail shared by in-process execution and the `seabed-dist`
 /// coordinator. Inserts the empty global group for aggregates with no
-/// matching rows, finalizes every partial, sorts groups by key, and accounts
-/// the serialized result size.
+/// matching rows, finalizes every partial and sorts groups by key.
 pub fn finalize_partials(query: &TranslatedQuery, mut merged: PartialGroups, stats: ExecStats) -> ServerResponse {
     // Global aggregates with no matching rows still return one empty group.
     if merged.is_empty() && query.group_by.is_empty() {
@@ -853,12 +809,7 @@ pub fn finalize_partials(query: &TranslatedQuery, mut merged: PartialGroups, sta
         .map(|(key, group)| finish_group(key, group))
         .collect();
     groups.sort_by(|a, b| a.key.cmp(&b.key));
-    let result_bytes: usize = groups.iter().map(GroupResult::byte_len).sum();
-    ServerResponse {
-        groups,
-        stats,
-        result_bytes,
-    }
+    ServerResponse { groups, stats }
 }
 
 /// A still-mergeable query result: per (possibly inflated) group key, one
@@ -872,16 +823,6 @@ pub struct PartialResponse {
     pub groups: PartialGroups,
     /// Statistics of the scan.
     pub stats: ExecStats,
-}
-
-impl PartialResponse {
-    /// Size in bytes of these merged partials, each ID list in its smallest
-    /// container, in closed form: what a worker ships to its coordinator.
-    /// The scan's own `stats.bytes_to_driver` is the same rule summed over
-    /// the partitions' partials before they merge.
-    pub fn shuffle_bytes(&self, query: &TranslatedQuery) -> usize {
-        partial_bytes(&self.groups, query.group_by.len())
-    }
 }
 
 /// One execution, as a [`QueryTarget`] sees it: the plan, this execution's
@@ -1321,7 +1262,7 @@ mod tests {
                 "unexpected aggregate {:?}",
                 resp.groups[0].aggregates[1]
             );
-            assert!(resp.result_bytes > 0);
+            assert!(resp.result_bytes() > 0);
         }
         Ok(())
     }
@@ -1399,7 +1340,7 @@ mod tests {
             let scalar = server_with_mode(997, ExecMode::Scalar).execute(&query, &filters)?;
             let vectorized = server_with_mode(997, ExecMode::Vectorized).execute(&query, &filters)?;
             assert_eq!(scalar.groups, vectorized.groups);
-            assert_eq!(scalar.result_bytes, vectorized.result_bytes);
+            assert_eq!(scalar.result_bytes(), vectorized.result_bytes());
         }
         Ok(())
     }
@@ -1459,10 +1400,9 @@ mod tests {
             let query = sum_query(group_by, inflation);
             let direct = s.execute(&query, &[])?;
             let partial = s.execute_partial(&query, &[])?;
-            assert!(partial.shuffle_bytes(&query) > 0);
             let reassembled = finalize_partials(&query, partial.groups, partial.stats);
             assert_eq!(direct.groups, reassembled.groups);
-            assert_eq!(direct.result_bytes, reassembled.result_bytes);
+            assert_eq!(direct.result_bytes(), reassembled.result_bytes());
         }
         Ok(())
     }
@@ -1641,23 +1581,20 @@ mod tests {
 
                 let (one_resp, three_resp) = (s.execute(&one, &filters)?, s.execute(&three, &filters)?);
                 let groups = one_resp.groups.len();
-                assert_eq!(three_resp.result_bytes, one_resp.result_bytes + 16 * groups);
+                assert_eq!(three_resp.result_bytes(), one_resp.result_bytes() + 16 * groups);
                 for (a, b) in one_resp.groups.iter().zip(&three_resp.groups) {
                     assert!(a.ids.is_some() && a.ids == b.ids, "the same list, once");
                     assert_eq!(b.byte_len(), a.byte_len() + 16);
                 }
 
+                // A partial group, too, holds one ID set beside its states.
                 let (one_part, three_part) = (s.execute_partial(&one, &filters)?, s.execute_partial(&three, &filters)?);
-                assert_eq!(
-                    three_part.shuffle_bytes(&three),
-                    one_part.shuffle_bytes(&one) + 8 * groups
-                );
-                // One more word per (partition, group) — every group has rows
-                // in each of the four partitions; a count adds none.
-                assert_eq!(
-                    three_part.stats.bytes_to_driver,
-                    one_part.stats.bytes_to_driver + 8 * 4 * groups
-                );
+                assert_eq!(three_part.groups.len(), groups);
+                for (key, a) in &one_part.groups {
+                    let b = &three_part.groups[key];
+                    assert!(!a.ids.is_empty() && a.ids == b.ids, "the same set, once");
+                    assert_eq!((a.aggregates.len(), b.aggregates.len()), (1, 3));
+                }
             }
         }
         Ok(())
@@ -1688,10 +1625,9 @@ mod tests {
             }];
             let partial = s.execute_partial(&q, &[])?;
             assert!(partial.groups.values().all(|group| group.ids.is_empty()), "{mode:?}");
-            assert_eq!(partial.shuffle_bytes(&q), 16 + 8);
             let resp = s.execute(&q, &[])?;
             assert_eq!(resp.groups[0].ids, None);
-            assert_eq!(resp.result_bytes, 16);
+            assert_eq!(resp.result_bytes(), 16);
         }
         Ok(())
     }

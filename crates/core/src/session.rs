@@ -997,7 +997,7 @@ mod tests {
             // Byte-identical payload; stats carry measured wall times and are
             // expected to differ run to run.
             assert_eq!(bound_response.groups, inline_response.groups, "{parameterized}");
-            assert_eq!(bound_response.result_bytes, inline_response.result_bytes);
+            assert_eq!(bound_response.result_bytes(), inline_response.result_bytes());
         }
         Ok(())
     }

@@ -133,6 +133,7 @@ mod tests {
     use super::*;
     use seabed_engine::merge::PartialGroups;
     use seabed_engine::ExecStats;
+    use std::time::Duration;
 
     fn key(epoch: u64, shard: u32, statement: u64) -> PartialKey {
         PartialKey {
@@ -148,7 +149,7 @@ mod tests {
         PartialResponse {
             groups: PartialGroups::new(),
             stats: ExecStats {
-                tasks: marker as usize,
+                wall_time: Duration::from_nanos(marker),
                 ..ExecStats::default()
             },
         }
@@ -159,7 +160,10 @@ mod tests {
         let mut cache = PartialCache::new(8);
         assert!(cache.get(&key(1, 0, 42)).is_none());
         assert_eq!(cache.insert(key(1, 0, 42), 0, partial(5)), 0);
-        assert_eq!(cache.get(&key(1, 0, 42)).unwrap().stats.tasks, 5);
+        assert_eq!(
+            cache.get(&key(1, 0, 42)).unwrap().stats.wall_time,
+            Duration::from_nanos(5)
+        );
         // A bumped epoch is a different key: the old entry is unreachable.
         assert!(cache.get(&key(2, 0, 42)).is_none());
     }

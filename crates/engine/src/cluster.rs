@@ -1,10 +1,11 @@
 //! Partition-parallel execution: every partition task runs on a local thread
-//! pool, the caller's thread among them, and what it cost is measured.
+//! pool, the caller's thread among them, and the run's wall time is measured.
 //!
 //! The paper's latencies come from a 100-core HDInsight cluster (§6). The
-//! harness models that cluster from these measurements
-//! (`seabed_bench::baselines::ClusterModel`); the product reports only what
-//! it measured.
+//! harness models that cluster from task times it measures inside the
+//! closure it hands [`Cluster::run`] (`seabed_bench::baselines::ClusterModel`);
+//! the product reports only what it reads: wall time and, when analyzed,
+//! per-operator profiles.
 
 use crate::exec::{merge_operator_profiles, ExecMode, OperatorProfile};
 use crate::table::{Partition, Table};
@@ -15,7 +16,7 @@ use std::time::{Duration, Instant};
 /// Configuration of a [`Cluster`].
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
-    /// Number of OS threads used to execute tasks, the thread that calls
+    /// Number of OS threads used to scan partitions, the thread that calls
     /// [`Cluster::run`] included: 1 means no thread is ever spawned.
     pub local_threads: usize,
     /// How partition scans are executed (scalar reference path or vectorized
@@ -59,27 +60,11 @@ impl ClusterConfig {
     }
 }
 
-/// Statistics of one distributed stage.
+/// What one execution measured: its wall time and, when analyzed, its
+/// per-operator breakdown. The product reads nothing else, so nothing else
+/// is kept or shipped.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Number of tasks (= partitions) executed.
-    pub tasks: usize,
-    /// Total CPU time across all tasks.
-    pub total_task_time: Duration,
-    /// Longest single task.
-    pub max_task_time: Duration,
-    /// Kept for the wire layout of protocol version 5: [`Cluster::run`]
-    /// writes its measured `wall_time` here, and merges sum it. The paper
-    /// harness writes its cluster model's makespan here.
-    pub simulated_server_time: Duration,
-    /// Bytes the tasks reported shipping to the driver: the sum of
-    /// [`TaskOutput::bytes`]. For a query scan that is the exact size of each
-    /// partition's partial — key and aggregate words, and each ID list in
-    /// the smallest of its three containers, the one it crosses the wire in
-    /// — computed in closed form, so nothing is encoded to be measured.
-    /// `seabed_core::PartialResponse::shuffle_bytes` sizes the merged
-    /// partials by the same rule.
-    pub bytes_to_driver: usize,
     /// Wall-clock time the real execution took on the local thread pool.
     pub wall_time: Duration,
     /// Per-operator execution breakdown, in plan order. Empty on plain
@@ -92,13 +77,12 @@ impl ExecStats {
     /// Merges statistics from a second stage run as part of the same query
     /// (e.g. a map stage followed by a reduce stage).
     ///
-    /// Every field is combined additively except `max_task_time`, which
-    /// takes the maximum — **including `wall_time`**: the merge models
-    /// stages (and shards) run *sequentially* on one driver, so the merged
-    /// wall time is the sum of the parts, not their overlap. Callers that
-    /// ran the parts concurrently (the distributed coordinator's scatter)
-    /// must overwrite `wall_time` with their own end-to-end measurement
-    /// after folding, which is exactly what `DistCoordinator` does.
+    /// The merge models stages (and shards) run *sequentially* on one
+    /// driver, so the merged `wall_time` is the sum of the parts, not their
+    /// overlap. Callers that ran the parts concurrently (the distributed
+    /// coordinator's scatter) must overwrite `wall_time` with their own
+    /// end-to-end measurement after folding, which is exactly what
+    /// `DistCoordinator` does.
     ///
     /// Per-operator profiles merge shard-wise via
     /// [`merge_operator_profiles`]: matching operator sequences sum
@@ -106,33 +90,9 @@ impl ExecStats {
     /// shapes concatenate.
     pub fn merge(&self, other: &ExecStats) -> ExecStats {
         ExecStats {
-            tasks: self.tasks + other.tasks,
-            total_task_time: self.total_task_time + other.total_task_time,
-            max_task_time: self.max_task_time.max(other.max_task_time),
-            simulated_server_time: self.simulated_server_time + other.simulated_server_time,
-            bytes_to_driver: self.bytes_to_driver + other.bytes_to_driver,
             wall_time: self.wall_time + other.wall_time,
             operators: merge_operator_profiles(&self.operators, &other.operators),
         }
-    }
-}
-
-/// The output of one partition task: a value plus the number of bytes the
-/// task would ship to the driver.
-pub struct TaskOutput<R> {
-    /// The task's partial result.
-    pub value: R,
-    /// Size of the partial result in bytes, as the task accounts it. Summed
-    /// into [`ExecStats::bytes_to_driver`]; a task should *compute* this
-    /// (query scans size their ID lists in closed form), not serialize its
-    /// result to find out.
-    pub bytes: usize,
-}
-
-impl<R> TaskOutput<R> {
-    /// Creates a task output with an explicit byte size.
-    pub fn new(value: R, bytes: usize) -> Self {
-        TaskOutput { value, bytes }
     }
 }
 
@@ -146,7 +106,7 @@ impl<R> TaskOutput<R> {
 /// a shared counter, so a slow unit never holds back the lanes beside it. A
 /// panic in `work` reaches the caller once every lane has stopped, whichever
 /// thread it happened on.
-pub fn fan_out<R, F>(lanes: usize, units: usize, work: F) -> Vec<R>
+fn fan_out<R, F>(lanes: usize, units: usize, work: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -180,7 +140,7 @@ where
     done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Executes partition tasks on local threads.
+/// Scans partitions on local threads.
 #[derive(Clone, Debug, Default)]
 pub struct Cluster {
     /// The cluster configuration.
@@ -206,35 +166,22 @@ impl Cluster {
     }
 
     /// Runs `task` once per partition of `table` on up to `local_threads`
-    /// threads — the caller's included, see [`fan_out`] — and returns the
-    /// partial results in partition order along with execution statistics.
+    /// threads — the caller's included, by the module's one fan-out rule —
+    /// and returns the partial results in partition order along with the
+    /// run's wall time.
     pub fn run<R, F>(&self, table: &Table, task: F) -> (Vec<R>, ExecStats)
     where
         R: Send,
-        F: Fn(&Partition) -> TaskOutput<R> + Sync,
+        F: Fn(&Partition) -> R + Sync,
     {
         let started = Instant::now();
-        let n = table.partitions.len();
-        let timed = fan_out(self.config.local_threads, n, |idx| {
-            let t0 = Instant::now();
-            let out = task(&table.partitions[idx]);
-            (out, t0.elapsed())
+        let outputs = fan_out(self.config.local_threads, table.partitions.len(), |idx| {
+            task(&table.partitions[idx])
         });
-        let wall_time = started.elapsed();
-
-        let mut stats = ExecStats {
-            tasks: n,
-            simulated_server_time: wall_time,
-            wall_time,
-            ..ExecStats::default()
+        let stats = ExecStats {
+            wall_time: started.elapsed(),
+            operators: Vec::new(),
         };
-        let mut outputs = Vec::with_capacity(n);
-        for (out, elapsed) in timed {
-            stats.total_task_time += elapsed;
-            stats.max_task_time = stats.max_task_time.max(elapsed);
-            stats.bytes_to_driver += out.bytes;
-            outputs.push(out.value);
-        }
         (outputs, stats)
     }
 }
@@ -255,18 +202,13 @@ mod tests {
         let cluster = Cluster::default();
         let (results, stats) = cluster.run(&t, |p| {
             let sum: u64 = p.column(0).as_u64().iter().sum();
-            TaskOutput::new((p.start_row, sum), 8)
+            (p.start_row, sum)
         });
         assert_eq!(results.len(), 8);
         assert!(results.windows(2).all(|w| w[0].0 < w[1].0), "partition order preserved");
         let total: u64 = results.iter().map(|(_, s)| s).sum();
         assert_eq!(total, (0..1000u64).sum());
-        assert_eq!(stats.tasks, 8);
-        assert_eq!(stats.bytes_to_driver, 64);
-        assert_eq!(
-            stats.simulated_server_time, stats.wall_time,
-            "the product reports what it measured"
-        );
+        assert!(stats.operators.is_empty(), "a plain run profiles nothing");
     }
 
     /// The fan-out rule: whatever the lane count, results come back in unit
@@ -277,11 +219,9 @@ mod tests {
         let t = table(700, partitions);
         for threads in [1, 2, 3, partitions + 5] {
             let cluster = Cluster::new(ClusterConfig::default().local_threads(threads));
-            let (results, stats) = cluster.run(&t, |p| TaskOutput::new(p.start_row, 3));
+            let (results, _) = cluster.run(&t, |p| p.start_row);
             let expected: Vec<u64> = t.partitions.iter().map(|p| p.start_row).collect();
             assert_eq!(results, expected, "local_threads = {threads}");
-            assert_eq!(stats.tasks, partitions);
-            assert_eq!(stats.bytes_to_driver, 3 * partitions);
 
             let runs = AtomicUsize::new(0);
             let squares = fan_out(threads, 20, |unit| {
@@ -306,7 +246,7 @@ mod tests {
         let t = table(800, 8);
         let caller = std::thread::current().id();
         let cluster = Cluster::new(ClusterConfig::default().local_threads(1));
-        let (threads, _) = cluster.run(&t, |_| TaskOutput::new(std::thread::current().id(), 0));
+        let (threads, _) = cluster.run(&t, |_| std::thread::current().id());
         assert_eq!(threads, vec![caller; 8]);
         // One unit of work is the same however many lanes are on offer.
         assert_eq!(fan_out(16, 1, |_| std::thread::current().id()), vec![caller]);
@@ -335,7 +275,6 @@ mod tests {
                         panic!("task 3 failed");
                     }
                     finished.fetch_add(1, Ordering::Relaxed);
-                    TaskOutput::new((), 0)
                 })
             }));
             let payload = outcome.expect_err("the panic must reach the caller");
@@ -362,29 +301,14 @@ mod tests {
             nanos: 5,
         };
         let a = ExecStats {
-            tasks: 2,
-            total_task_time: Duration::from_millis(10),
-            max_task_time: Duration::from_millis(7),
-            simulated_server_time: Duration::from_millis(12),
-            bytes_to_driver: 100,
             wall_time: Duration::from_millis(9),
             operators: vec![op(100)],
         };
         let b = ExecStats {
-            tasks: 3,
-            total_task_time: Duration::from_millis(20),
-            max_task_time: Duration::from_millis(9),
-            simulated_server_time: Duration::from_millis(15),
-            bytes_to_driver: 50,
             wall_time: Duration::from_millis(14),
             operators: vec![op(60)],
         };
         let m = a.merge(&b);
-        assert_eq!(m.tasks, 5);
-        assert_eq!(m.total_task_time, Duration::from_millis(30));
-        assert_eq!(m.max_task_time, Duration::from_millis(9));
-        assert_eq!(m.simulated_server_time, Duration::from_millis(27));
-        assert_eq!(m.bytes_to_driver, 150);
         // Documented additive semantics: merge models sequential stages, so
         // wall times sum (concurrent callers overwrite the field afterward).
         assert_eq!(m.wall_time, Duration::from_millis(23));
@@ -416,8 +340,7 @@ mod tests {
     fn empty_table_runs_single_empty_task() {
         let t = table(0, 4);
         let cluster = Cluster::default();
-        let (results, stats) = cluster.run(&t, |p| TaskOutput::new(p.num_rows(), 0));
+        let (results, _) = cluster.run(&t, |p| p.num_rows());
         assert_eq!(results, vec![0]);
-        assert_eq!(stats.tasks, 1);
     }
 }

@@ -9,9 +9,9 @@
 //! * [`table`] — columnar tables split into partitions whose rows carry
 //!   consecutive global identifiers (ASHE's telescoping decryption needs
 //!   exactly this property);
-//! * [`cluster`] — parallel execution of per-partition tasks on local
-//!   threads, with measured task and wall times (the paper's 100-core cluster
-//!   is modelled by the harness, not here);
+//! * [`cluster`] — parallel execution of one closure per partition on local
+//!   threads, with a measured wall time (the paper's 100-core cluster is
+//!   modelled by the harness, not here);
 //! * [`exec`] — vectorized execution primitives: selection vectors, batched
 //!   filter kernels, the group-by kernel ([`GroupIndex`], [`group_rows`]),
 //!   and the [`ExecMode`] knob that switches the
@@ -33,7 +33,7 @@ pub mod merge;
 pub mod storage;
 pub mod table;
 
-pub use cluster::{fan_out, Cluster, ClusterConfig, ExecStats, TaskOutput};
+pub use cluster::{Cluster, ClusterConfig, ExecStats};
 pub use exec::{
     group_rows, merge_operator_profiles, ExecMode, GroupIndex, GroupedRows, OperatorProfile, ProfileSink,
     SelectionVector,
@@ -111,11 +111,9 @@ mod proptests {
             let expected: u64 = data.iter().sum();
             let t = Table::from_columns(schema, vec![ColumnData::UInt64(data)], partitions);
             let cluster = Cluster::new(ClusterConfig::default().local_threads(threads));
-            let (parts, stats) = cluster.run(&t, |p| {
-                TaskOutput::new(p.column(0).as_u64().iter().sum::<u64>(), 8)
-            });
+            let (parts, _) = cluster.run(&t, |p| p.column(0).as_u64().iter().sum::<u64>());
             prop_assert_eq!(parts.iter().sum::<u64>(), expected);
-            prop_assert_eq!(stats.tasks, t.num_partitions());
+            prop_assert_eq!(parts.len(), t.num_partitions());
         }
     }
 }

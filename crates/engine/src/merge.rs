@@ -58,7 +58,7 @@ pub struct ExtremeCandidate {
 /// The mergeable state of one aggregate of one group, beside the group's ID
 /// set ([`PartialGroup::ids`]).
 ///
-/// This is what partition tasks accumulate into, what crosses the wire from
+/// This is what partition scans accumulate into, what crosses the wire from
 /// `seabed-dist` workers to the coordinator, and what both the driver and the
 /// coordinator fold with [`PartialAggregate::merge`]. Finalization into the
 /// client-facing `EncryptedAggregate` (counting the IDs, dropping the ORE

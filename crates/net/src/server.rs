@@ -1129,7 +1129,7 @@ mod tests {
             panic!("expected a response, got {reply:?}");
         };
         assert_eq!(prepared.groups, one_shot.groups);
-        assert_eq!(prepared.result_bytes, one_shot.result_bytes);
+        assert_eq!(prepared.result_bytes(), one_shot.result_bytes());
 
         // An unknown handle is a typed StaleStatement error and the
         // connection survives.

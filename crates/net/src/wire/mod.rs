@@ -156,9 +156,17 @@ pub const MAGIC: [u8; 4] = *b"SBWF";
 /// `VbDiff` or `SpanBitmap`, behind its one-byte tag; the `IdListEncoding`
 /// tags are those three, where version 5 listed six encodings, DEFLATE among
 /// them, and a partial's list was bare range bounds.
+///
+/// Version 7: exec stats — in a response (kind 2) and a shard partial
+/// (kind 11) — carry only what the server measured, its `wall_time` and its
+/// operator profiles; the task count, the task times, the modelled server
+/// time and the bytes-to-driver count no longer travel, and a response no
+/// longer carries a `result_bytes` count, which the receiver sums from the
+/// groups it decoded. A response frame is six varints shorter, a partial
+/// frame five.
 /// There is no decoder for an older version: such a peer is refused by
 /// [`decode_header`] with the typed version error, like any other.
-pub const PROTOCOL_VERSION: u16 = 6;
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 11;

@@ -227,11 +227,6 @@ fn sample_encrypted_aggregates() -> Vec<EncryptedAggregate> {
 
 fn sample_stats() -> ExecStats {
     ExecStats {
-        tasks: 8,
-        total_task_time: Duration::from_micros(1234),
-        max_task_time: Duration::from_micros(400),
-        simulated_server_time: Duration::from_millis(52),
-        bytes_to_driver: 9000,
         wall_time: Duration::from_micros(800),
         operators: vec![OperatorProfile {
             label: "filter:det:country__det".to_string(),
@@ -263,7 +258,6 @@ fn sample_response() -> ServerResponse {
             },
         ],
         stats: sample_stats(),
-        result_bytes: 123,
     }
 }
 
@@ -838,18 +832,18 @@ fn request_frames_do_not_leak_det_or_ope_literals() {
     );
 }
 
-/// Protocol versions 4 and 5 are gone, not kept beside version 6: a frame
-/// whose header says either is refused with the typed error naming both
+/// Protocol versions 4 to 6 are gone, not kept beside version 7: a frame
+/// whose header says any of them is refused with the typed error naming both
 /// versions, whatever it carries.
 #[test]
 fn an_older_version_frame_is_refused_naming_both_versions() {
-    assert_eq!(PROTOCOL_VERSION, 6);
-    for old in [4u16, 5] {
+    assert_eq!(PROTOCOL_VERSION, 7);
+    for old in [4u16, 5, 6] {
         for frame in [Frame::SchemaRequest, Frame::Response(sample_response())] {
             let mut bytes = encode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
             bytes[4..6].copy_from_slice(&old.to_le_bytes());
             let outcome = decode_frame(&bytes, DEFAULT_MAX_FRAME_LEN);
-            let expected = format!("unsupported protocol version {old} (this side speaks 6)");
+            let expected = format!("unsupported protocol version {old} (this side speaks 7)");
             assert!(
                 matches!(&outcome, Err(SeabedError::Wire(message)) if *message == expected),
                 "{outcome:?}"

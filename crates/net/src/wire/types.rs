@@ -101,20 +101,8 @@ wire_struct!(OperatorProfile {
     batches,
     nanos
 });
-wire_struct!(ExecStats {
-    tasks,
-    total_task_time,
-    max_task_time,
-    simulated_server_time,
-    bytes_to_driver,
-    wall_time,
-    operators,
-});
-wire_struct!(ServerResponse {
-    groups,
-    stats,
-    result_bytes
-});
+wire_struct!(ExecStats { wall_time, operators });
+wire_struct!(ServerResponse { groups, stats });
 
 // ---------------------------------------------------------------------------
 // Mergeable partial results (the seabed-dist gather direction)

@@ -31,6 +31,15 @@ while [ "$#" -gt 0 ]; do
 done
 [ "$#" -gt 0 ] || set -- core net dist
 
+# A crate that is not there is an error, named before anything is printed: a
+# total that silently left it out would be a wrong figure, not a smaller one.
+for crate in "$@"; do
+    if [ ! -d "crates/$crate/src" ]; then
+        echo "nontest-lines: no crate named '$crate' (crates/$crate/src does not exist)" >&2
+        exit 1
+    fi
+done
+
 for crate in "$@"; do
     find "crates/$crate/src" -name '*.rs' | sort
 done | xargs awk -v verbose="$verbose" -v code="$code" '

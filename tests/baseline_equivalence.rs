@@ -67,7 +67,7 @@ fn paillier_is_much_slower_per_row_than_ashe() {
     let ashe_time = start.elapsed();
 
     let result = paillier.sum(1.0);
-    let paillier_time = result.stats.total_task_time + result.client_time;
+    let paillier_time = result.times.task_time + result.client_time;
     assert!(
         paillier_time > ashe_time * 10,
         "Paillier ({paillier_time:?}) should be far slower than ASHE ({ashe_time:?}) even at a 128-bit modulus"

@@ -352,8 +352,7 @@ fn check_case(
         }
     };
     prop_assert_eq!(&scalar.groups, &vectorized.groups);
-    prop_assert_eq!(scalar.result_bytes, vectorized.result_bytes);
-    prop_assert_eq!(scalar.stats.bytes_to_driver, vectorized.stats.bytes_to_driver);
+    prop_assert_eq!(scalar.result_bytes(), vectorized.result_bytes());
 
     // 2. Plaintext reference evaluation (independent of the engine).
     let selected: Vec<usize> = (0..t.rows)

@@ -98,7 +98,7 @@ fn assert_warm_equals_cold(table_name: &str, client: &SeabedClient, table: &Tabl
         assert_eq!(report.cache_hits, 0, "first execute must be cold: {}", c.sql);
         assert!(report.cache_misses > 0, "first execute must record misses: {}", c.sql);
         assert_eq!(first.groups, cold_response.groups, "cold populate diverged: {}", c.sql);
-        assert_eq!(first.result_bytes, cold_response.result_bytes, "{}", c.sql);
+        assert_eq!(first.result_bytes(), cold_response.result_bytes(), "{}", c.sql);
 
         // Warm executes: answered from cached partials, byte-identical.
         for round in 0..3 {
@@ -122,7 +122,8 @@ fn assert_warm_equals_cold(table_name: &str, client: &SeabedClient, table: &Tabl
                 c.sql
             );
             assert_eq!(
-                warm.result_bytes, cold_response.result_bytes,
+                warm.result_bytes(),
+                cold_response.result_bytes(),
                 "warm round {round} result bytes diverged: {}",
                 c.sql
             );

@@ -79,7 +79,7 @@ fn joining_worker_takes_replica_slots_and_answers_identically() {
 
     let before = coordinator.execute_query(&query, &[]).expect("pre-join query");
     assert_eq!(expected.groups, before.groups);
-    assert_eq!(expected.result_bytes, before.result_bytes);
+    assert_eq!(expected.result_bytes(), before.result_bytes());
     let cache_epoch_before = coordinator.cache_epoch();
 
     // A fourth worker joins the live cluster.
@@ -106,7 +106,7 @@ fn joining_worker_takes_replica_slots_and_answers_identically() {
 
     let after = coordinator.execute_query(&query, &[]).expect("post-join query");
     assert_eq!(expected.groups, after.groups);
-    assert_eq!(expected.result_bytes, after.result_bytes);
+    assert_eq!(expected.result_bytes(), after.result_bytes());
     for w in workers {
         w.shutdown();
     }
@@ -148,7 +148,7 @@ fn leaving_worker_rehomes_replicas_and_stays_identical() {
 
     let after = coordinator.execute_query(&query, &[]).expect("post-leave query");
     assert_eq!(expected.groups, after.groups);
-    assert_eq!(expected.result_bytes, after.result_bytes);
+    assert_eq!(expected.result_bytes(), after.result_bytes());
 
     // Idempotent: leaving an already-departed worker is a no-op.
     coordinator.leave_worker(1).expect("second leave is a no-op");

@@ -421,7 +421,7 @@ fn worker_death_mid_query_redispatches_and_completes() {
         .execute_query(&query, &[])
         .expect("query must survive the death");
     assert_eq!(expected.groups, response.groups);
-    assert_eq!(expected.result_bytes, response.result_bytes);
+    assert_eq!(expected.result_bytes(), response.result_bytes());
     let report = coordinator.last_report();
     assert!(
         report.runs.iter().any(|r| r.redispatched),
@@ -653,7 +653,7 @@ fn forged_unsorted_id_lists_are_refused_at_decode_and_redispatched() {
             expected.groups, response.groups,
             "{forgery:?}: a forged ID list must never merge"
         );
-        assert_eq!(expected.result_bytes, response.result_bytes, "{forgery:?}");
+        assert_eq!(expected.result_bytes(), response.result_bytes(), "{forgery:?}");
         assert!(
             coordinator.last_report().runs.iter().any(|r| r.redispatched),
             "{forgery:?}"
@@ -718,7 +718,7 @@ fn worker_death_mid_sweep_fences_cached_partials() {
     assert!(report.cache_misses > 0 && report.cache_hits == 0, "{report:?}");
     let warm = coordinator.execute_prepared(&stmt_a, 1, &[]).expect("warm");
     assert_eq!(expected_a.groups, warm.groups);
-    assert_eq!(expected_a.result_bytes, warm.result_bytes);
+    assert_eq!(expected_a.result_bytes(), warm.result_bytes());
     assert!(coordinator.last_report().cache_hits > 0);
 
     let epoch_before = coordinator.cache_epoch();
@@ -754,7 +754,7 @@ fn worker_death_mid_sweep_fences_cached_partials() {
     );
     assert!(report.cache_misses > 0, "{report:?}");
     assert_eq!(expected_a.groups, recovered.groups);
-    assert_eq!(expected_a.result_bytes, recovered.result_bytes);
+    assert_eq!(expected_a.result_bytes(), recovered.result_bytes());
 
     // And the cache re-warms under the new epoch.
     let rewarmed = coordinator.execute_prepared(&stmt_a, 1, &[]).expect("re-warm");
@@ -823,7 +823,7 @@ fn trickled_partials_exhaust_the_total_budget_not_per_chunk() {
         .expect("survivors must carry the query");
     let elapsed = started.elapsed();
     assert_eq!(expected.groups, response.groups);
-    assert_eq!(expected.result_bytes, response.result_bytes);
+    assert_eq!(expected.result_bytes(), response.result_bytes());
     // Pre-fix this took ~60 ms × frame length (tens of seconds); post-fix the
     // trickler burns one 400 ms budget plus a fast re-dispatch.
     assert!(
@@ -857,7 +857,7 @@ fn hedged_reads_race_replicas_and_discard_the_loser_by_seq() {
     // hedges at 150 ms, and a replica carries the shard.
     let response = coordinator.execute_query(&query, &[]).expect("hedged query");
     assert_eq!(expected.groups, response.groups);
-    assert_eq!(expected.result_bytes, response.result_bytes);
+    assert_eq!(expected.result_bytes(), response.result_bytes());
     let report = coordinator.last_report();
     assert!(
         report.hedged_reads >= 1,
@@ -877,7 +877,7 @@ fn hedged_reads_race_replicas_and_discard_the_loser_by_seq() {
     // then the now-prompt worker answers — byte-identical again.
     let again = coordinator.execute_query(&query, &[]).expect("follow-up query");
     assert_eq!(expected.groups, again.groups);
-    assert_eq!(expected.result_bytes, again.result_bytes);
+    assert_eq!(expected.result_bytes(), again.result_bytes());
     let report = coordinator.last_report();
     assert!(
         report.discarded_partials >= 1,
@@ -1038,7 +1038,7 @@ fn racing_coordinators_get_distinct_epochs_and_the_loser_fails_typed() {
     // B claimed the pool last: it answers correctly.
     let rb = b.execute_query(&query, &[]).expect("the winning coordinator");
     assert_eq!(expected_b.groups, rb.groups);
-    assert_eq!(expected_b.result_bytes, rb.result_bytes);
+    assert_eq!(expected_b.result_bytes(), rb.result_bytes());
 
     // A's epoch is fenced on every worker: a typed Dist error, never B's
     // data and never a hang.
@@ -1078,7 +1078,7 @@ fn lanes_overlap_without_a_thread() {
     let response = coordinator.execute_query(&query, &[]).expect("query");
     let elapsed = started.elapsed();
     assert_eq!(expected.groups, response.groups);
-    assert_eq!(expected.result_bytes, response.result_bytes);
+    assert_eq!(expected.result_bytes(), response.result_bytes());
     let report = coordinator.last_report();
     assert_eq!(report.hedged_reads, 0, "{report:?}");
     assert_eq!(report.runs.len(), 2, "{report:?}");
@@ -1110,7 +1110,7 @@ fn a_hedge_after_the_round_reaches_a_link_the_query_held() {
 
     let response = coordinator.execute_query(&query, &[]).expect("hedged query");
     assert_eq!(expected.groups, response.groups);
-    assert_eq!(expected.result_bytes, response.result_bytes);
+    assert_eq!(expected.result_bytes(), response.result_bytes());
     let report = coordinator.last_report();
     let lanes = 3;
     assert!(
@@ -1153,7 +1153,7 @@ fn an_unhedged_stall_condemns_only_the_stalled_worker() {
 
     let again = coordinator.execute_query(&query, &[]).expect("follow-up query");
     assert_eq!(expected.groups, again.groups);
-    assert_eq!(expected.result_bytes, again.result_bytes);
+    assert_eq!(expected.result_bytes(), again.result_bytes());
     let report = coordinator.last_report();
     assert_eq!(report.runs.len(), 2, "{report:?}");
     assert!(report.runs.iter().all(|r| !r.redispatched && !r.hedged), "{report:?}");

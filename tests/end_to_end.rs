@@ -266,9 +266,12 @@ fn inflation_costs_the_proxy_no_extra_prf_evaluations() {
 /// and encoded once, so a second sum and a count over one (fragmented)
 /// selection cost a word each — `SUM(a)`'s bytes plus 16 — not a second and a
 /// third copy of the list, in the response, in its frame and in the partials.
+/// And beside its groups a frame carries only what the server measured.
 #[test]
 fn a_second_sum_and_a_count_cost_sixteen_bytes_not_another_id_list() {
-    use seabed_net::wire::{encode_frame, Frame};
+    use seabed_core::{PartialResponse, ServerResponse};
+    use seabed_engine::{merge::PartialGroups, ExecStats};
+    use seabed_net::wire::{encode_frame, Frame, HEADER_LEN};
     let rows = 2_000u64;
     let mix = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
     let dataset = PlainDataset::new("t")
@@ -281,6 +284,13 @@ fn a_second_sum_and_a_count_cost_sixteen_bytes_not_another_id_list() {
     let encrypted = client.encrypt_dataset(&dataset, 4, &mut rand::rng());
     let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
 
+    // An un-analyzed execution's stats travel as the LEB128 varint of the
+    // wall time's nanoseconds and a zero operator count: nothing else.
+    let stats_len = |stats: &ExecStats| {
+        assert!(stats.operators.is_empty());
+        let nanos = u64::try_from(stats.wall_time.as_nanos()).unwrap();
+        (64 - nanos.leading_zeros()).max(1).div_ceil(7) as usize + 1
+    };
     let session = SeabedSession::single("t", client.clone(), &server);
     let run = |sql: &str| {
         let prepared = session.prepare(sql).unwrap();
@@ -290,41 +300,54 @@ fn a_second_sum_and_a_count_cost_sixteen_bytes_not_another_id_list() {
         let frame = encode_frame(&Frame::Response(response.clone()), u32::MAX)
             .unwrap()
             .len();
-        // Varint-sized measured durations and counters travel in the frame
-        // too; they are the same few fields on both sides.
         let stats = encode_frame(
-            &Frame::Response(seabed_core::ServerResponse {
+            &Frame::Response(ServerResponse {
                 groups: Vec::new(),
-                ..response.clone()
+                stats: response.stats.clone(),
             }),
             u32::MAX,
         )
         .unwrap()
         .len();
-        (
-            response,
-            frame - stats,
-            partial.stats.bytes_to_driver,
-            partial.shuffle_bytes(&plan),
+        // Header, the zero group count, the stats.
+        assert_eq!(stats, HEADER_LEN + 1 + stats_len(&response.stats), "{sql}");
+        // A shard partial's: header, the one-byte echoes of epoch, table,
+        // shard and sequence, the zero group count, the stats.
+        let shard_stats = encode_frame(
+            &Frame::ShardPartial {
+                epoch: 1,
+                table_id: 0,
+                shard: 0,
+                seq: 0,
+                partial: PartialResponse {
+                    groups: PartialGroups::new(),
+                    stats: partial.stats.clone(),
+                },
+            },
+            u32::MAX,
         )
+        .unwrap()
+        .len();
+        assert_eq!(shard_stats, HEADER_LEN + 4 + 1 + stats_len(&partial.stats), "{sql}");
+        (response, frame - stats, partial)
     };
-    let (one, one_frame, one_to_driver, one_shuffle) = run("SELECT SUM(a) FROM t WHERE dept = 'd1'");
-    let (three, three_frame, three_to_driver, three_shuffle) =
-        run("SELECT SUM(a), SUM(b), COUNT(*) FROM t WHERE dept = 'd1'");
+    let (one, one_frame, one_partial) = run("SELECT SUM(a) FROM t WHERE dept = 'd1'");
+    let (three, three_frame, three_partial) = run("SELECT SUM(a), SUM(b), COUNT(*) FROM t WHERE dept = 'd1'");
 
     let list = one.groups[0].ids.as_ref().expect("a sum ships its rows").id_list.len();
     assert!(list > 100, "the selection must be fragmented for this to bite: {list}");
-    assert_eq!(one.result_bytes, 8 + list);
-    assert_eq!(three.result_bytes, one.result_bytes + 16);
+    assert_eq!(one.result_bytes(), 8 + list);
+    assert_eq!(three.result_bytes(), one.result_bytes() + 16);
     assert_eq!(three.groups[0].ids, one.groups[0].ids);
     // On the wire the two extra aggregates are a tag and a varint each.
     assert!(
         three_frame > one_frame && three_frame <= one_frame + 2 * 11,
         "{three_frame} vs {one_frame}"
     );
-    // Per (partition, group) partial: one more word, and nothing for the count.
-    assert_eq!(three_to_driver, one_to_driver + 4 * 8);
-    assert_eq!(three_shuffle, one_shuffle + 8);
+    // The partial's one group holds one ID set beside its three states.
+    let (one_group, three_group) = (&one_partial.groups[&Vec::new()], &three_partial.groups[&Vec::new()]);
+    assert_eq!(three_group.ids, one_group.ids);
+    assert_eq!((one_group.aggregates.len(), three_group.aggregates.len()), (1, 3));
 
     let answer = query(
         &client,

@@ -311,7 +311,7 @@ proptest! {
             }
             let reassembled = finalize_partials(&translated, merged, ExecStats::default());
             prop_assert_eq!(&single.groups, &reassembled.groups, "encrypted groups diverged for {}", sql);
-            prop_assert_eq!(single.result_bytes, reassembled.result_bytes, "result bytes diverged for {}", sql);
+            prop_assert_eq!(single.result_bytes(), reassembled.result_bytes(), "result bytes diverged for {}", sql);
 
             // And the decrypted answers agree (exact de-inflated ID sets are
             // implied: ASHE decryption fails loudly on a wrong ID set).

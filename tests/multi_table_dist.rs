@@ -88,7 +88,7 @@ fn assert_identical(
     let (_, r1) = via_single.execute_encrypted(&p1, params).expect("single execute");
     let (_, r2) = via_dist.execute_encrypted(&p2, params).expect("dist execute");
     assert_eq!(r1.groups, r2.groups, "{table}: {sql}");
-    assert_eq!(r1.result_bytes, r2.result_bytes, "{table}: {sql}");
+    assert_eq!(r1.result_bytes(), r2.result_bytes(), "{table}: {sql}");
 }
 
 #[test]

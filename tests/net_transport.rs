@@ -135,7 +135,6 @@ fn client_fails_a_trickled_reply_within_the_budget_and_poisons() {
                 aggregates: vec![EncryptedAggregate::Count { rows: 7 }],
             }],
             stats: ExecStats::default(),
-            result_bytes: 8,
         });
         for byte in wire::encode_frame(&response, MAX).expect("encode") {
             if raw.write_all(&[byte]).is_err() {
@@ -169,15 +168,15 @@ fn client_fails_a_trickled_reply_within_the_budget_and_poisons() {
     fake_server.join().expect("fake server");
 }
 
-/// Protocol versions 4 and 5 are not kept beside version 6: a peer whose
+/// Protocol versions 4 to 6 are not kept beside version 7: a peer whose
 /// frame header says 4 is told why — the typed version error naming both
 /// versions, under a header it cannot misread as its own — and dropped, by
-/// `decode_frame` and by both ends of a real `FrameConn`; the next version-6
-/// peer is served. A version-5 frame meets the same error.
+/// `decode_frame` and by both ends of a real `FrameConn`; the next version-7
+/// peer is served. A version-5 or version-6 frame meets the same error.
 #[test]
 fn a_version_four_peer_is_refused_with_the_typed_version_error() {
-    assert_eq!(wire::PROTOCOL_VERSION, 6);
-    let refusal = "unsupported protocol version 4 (this side speaks 6)";
+    assert_eq!(wire::PROTOCOL_VERSION, 7);
+    let refusal = "unsupported protocol version 4 (this side speaks 7)";
     let mut version_4 = wire::encode_frame(&Frame::SchemaRequest, MAX).expect("encode");
     version_4[4..6].copy_from_slice(&4u16.to_le_bytes());
     let outcome = wire::decode_frame(&version_4, MAX);
@@ -185,14 +184,16 @@ fn a_version_four_peer_is_refused_with_the_typed_version_error() {
         matches!(&outcome, Err(SeabedError::Wire(message)) if message == refusal),
         "{outcome:?}"
     );
-    let mut version_5 = version_4.clone();
-    version_5[4..6].copy_from_slice(&5u16.to_le_bytes());
-    let outcome = wire::decode_frame(&version_5, MAX);
-    assert!(
-        matches!(&outcome, Err(SeabedError::Wire(message))
-            if message == "unsupported protocol version 5 (this side speaks 6)"),
-        "{outcome:?}"
-    );
+    for old in [5u16, 6] {
+        let mut stamped = version_4.clone();
+        stamped[4..6].copy_from_slice(&old.to_le_bytes());
+        let outcome = wire::decode_frame(&stamped, MAX);
+        let expected = format!("unsupported protocol version {old} (this side speaks 7)");
+        assert!(
+            matches!(&outcome, Err(SeabedError::Wire(message)) if *message == expected),
+            "{outcome:?}"
+        );
+    }
 
     // A service receiving it: an error frame comes back, then the hang-up.
     let net = NetServer::serve(tiny_server(), "127.0.0.1:0", ServiceConfig::default()).expect("serve");

@@ -210,7 +210,8 @@ fn instrumented_execution_is_byte_identical_and_overhead_bounded() {
     let (_, response_off) = disabled.execute_encrypted(&prepared_off, &[]).expect("encrypted off");
     assert_eq!(response_on.groups, response_off.groups, "encrypted groups diverged");
     assert_eq!(
-        response_on.result_bytes, response_off.result_bytes,
+        response_on.result_bytes(),
+        response_off.result_bytes(),
         "result bytes diverged"
     );
 

@@ -62,7 +62,8 @@ fn assert_case(table: &str, client: &SeabedClient, target: &impl seabed_core::Qu
         case.parameterized
     );
     assert_eq!(
-        prepared_response.result_bytes, one_shot.result_bytes,
+        prepared_response.result_bytes(),
+        one_shot.result_bytes(),
         "{label}: result bytes diverged for {}",
         case.parameterized
     );

@@ -30,7 +30,6 @@ fn canned_response() -> ServerResponse {
             aggregates: vec![EncryptedAggregate::Count { rows: 7 }],
         }],
         stats: ExecStats::default(),
-        result_bytes: 8,
     }
 }
 
@@ -176,7 +175,7 @@ fn changed_plan_under_same_statement_id_registers_fresh() {
     );
     let sum_resp = remote.execute_prepared(&sum_plan, 99, &[]).expect("sum plan");
     // The frame that carried it is the connection's last measured response.
-    assert!(remote.wire_stats().last_response_bytes as usize > sum_resp.result_bytes);
+    assert!(remote.wire_stats().last_response_bytes as usize > sum_resp.result_bytes());
     assert!(
         matches!(&sum_resp.groups[0].aggregates[0], EncryptedAggregate::AsheSum { .. }),
         "the second plan must run, not the cached first one: {:?}",

@@ -142,7 +142,6 @@ fn response_with_a_forged_group_count() {
     let honest = Frame::Response(ServerResponse {
         groups: Vec::new(),
         stats: ExecStats::default(),
-        result_bytes: 0,
     });
     assert_bounded("Response groups", &honest, |_| 0);
 }
@@ -161,7 +160,6 @@ fn response_group_with_a_forged_id_list_length_or_aggregate_count() {
                 aggregates: vec![EncryptedAggregate::AsheSum { value: 1 }],
             }],
             stats: ExecStats::default(),
-            result_bytes: 0,
         })
     };
     let listed = group(Some(GroupIds {

@@ -15,11 +15,11 @@
 //!
 //! The digests were first recorded at the commit *before* the codec was
 //! rewritten behind one `Wire` trait (PR 18), re-recorded once for protocol
-//! version 5 and once for version 6, each time with the reason it moved
-//! ([`RECORDED`]). A kind whose payload did not move keeps its version-5
-//! digest beside the new one, and the test re-derives it by writing `5` back
-//! into the header — so "only the version field moved" is checked, not
-//! claimed.
+//! version 5, once for version 6 and once for version 7, each time with the
+//! reason it moved ([`RECORDED`]). A kind whose payload did not move keeps
+//! its version-6 digest beside the new one, and the test re-derives it by
+//! writing `6` back into the header — so "only the version field moved" is
+//! checked, not claimed.
 
 use seabed::ashe::IdSet;
 use seabed::core::{EncryptedAggregate, GroupIds, GroupResult, PartialResponse, PhysicalFilter, ServerResponse};
@@ -173,11 +173,6 @@ fn filters() -> Vec<PhysicalFilter> {
 
 fn stats() -> ExecStats {
     ExecStats {
-        tasks: 8,
-        total_task_time: Duration::from_micros(1234),
-        max_task_time: Duration::from_micros(400),
-        simulated_server_time: Duration::from_millis(52),
-        bytes_to_driver: 9000,
         wall_time: Duration::from_nanos(800_001),
         operators: vec![
             OperatorProfile {
@@ -240,7 +235,6 @@ fn response() -> ServerResponse {
             }])
             .collect(),
         stats: stats(),
-        result_bytes: 123_456,
     }
 }
 
@@ -564,13 +558,13 @@ fn frames() -> Vec<(&'static str, Vec<Frame>)> {
     ]
 }
 
-/// `(name, SHA-256 of the bytes, SHA-256 of the bytes under a version-5
+/// `(name, SHA-256 of the bytes, SHA-256 of the bytes under a version-6
 /// header)`, in a fixed order. The payload writers have no header, so their
 /// two digests are one.
 fn digests() -> Vec<(&'static str, String, String)> {
     let mut out = Vec::new();
     for (index, (name, frames)) in frames().into_iter().enumerate() {
-        let (mut bytes, mut as_version_5) = (Vec::new(), Vec::new());
+        let (mut bytes, mut as_version_6) = (Vec::new(), Vec::new());
         for frame in &frames {
             assert_eq!(
                 frame.kind() as usize,
@@ -583,10 +577,10 @@ fn digests() -> Vec<(&'static str, String, String)> {
             assert_eq!(encode_frame(&decoded, u32::MAX).expect("re-encode"), encoded, "{name}");
             bytes.extend_from_slice(&encoded);
             assert_eq!(encoded[4..6], PROTOCOL_VERSION.to_le_bytes());
-            encoded[4..6].copy_from_slice(&5u16.to_le_bytes());
-            as_version_5.extend_from_slice(&encoded);
+            encoded[4..6].copy_from_slice(&6u16.to_le_bytes());
+            as_version_6.extend_from_slice(&encoded);
         }
-        out.push((name, digest_hex(&bytes), digest_hex(&as_version_5)));
+        out.push((name, digest_hex(&bytes), digest_hex(&as_version_6)));
     }
     let mut statement = Vec::new();
     write_statement_payload(&mut statement, &query(SupportCategory::ClientPostProcessing));
@@ -597,112 +591,111 @@ fn digests() -> Vec<(&'static str, String, String)> {
     out
 }
 
-/// Why a digest differs from the one recorded for protocol version 5.
+/// Why a digest differs from the one recorded for protocol version 6.
 enum Moved {
-    /// Only the header's version field: the bytes under a version-5 header
-    /// still hash to the digest recorded for version 5. The payload writers
+    /// Only the header's version field: the bytes under a version-6 header
+    /// still hash to the digest recorded for version 6. The payload writers
     /// have no header, so theirs is the digest itself.
     VersionOnly(&'static str),
-    /// Every ID list — a result group's and a partial group's — travels in
-    /// the smallest of three containers behind its tag, the `IdListEncoding`
-    /// tags are those three (the sample lists three groups, not six), and a
-    /// partial's list is no longer bare range bounds.
-    IdContainers,
+    /// Exec stats carry only `wall_time` and `operators` — the task count,
+    /// both task times, the modelled server time and the bytes-to-driver
+    /// count are gone — and a response no longer carries `result_bytes`.
+    MeasuredStatsOnly,
 }
 use Moved::*;
 
-/// Recorded once for protocol version 6, in the order of [`digests`], each
+/// Recorded once for protocol version 7, in the order of [`digests`], each
 /// with what moved it.
 const RECORDED: [(&str, Moved); 20] = [
     // 01 request
     (
-        "bb12654e3941fbe5dfe56fa57b65fddefcdaf014453f2e3155110043a1a1c11e",
-        VersionOnly("2ed3c2ce754350b241955b7fab2a8ef60efc552cd1352710f71dc760f137f598"),
+        "37f07cf42f016b4d577581809a6f1a2f319856051d31913434d52cc2a02ac39c",
+        VersionOnly("bb12654e3941fbe5dfe56fa57b65fddefcdaf014453f2e3155110043a1a1c11e"),
     ),
     // 02 response
     (
-        "e61e4bf83c00ae8290e510ae4d677b7b53890fea3fe3993aa3311ac9779bdf2d",
-        IdContainers,
+        "e98c58b971f3b999cb58594f7179a8edaf75c15947fe120092c60c90dcaa1c1e",
+        MeasuredStatsOnly,
     ),
     // 03 error
     (
-        "c234c9e2922f9206485edbb76e7e0234dc845039b1d817d112204eb915c00096",
-        VersionOnly("3d1a9ed167c427cd1491cd2b7e040675cfe79ab17e9c34d40aebd2a964cbbf68"),
+        "b887b17585821d35eb4424f54a39def90eea0c076c1e7b595a41d954f271fec1",
+        VersionOnly("c234c9e2922f9206485edbb76e7e0234dc845039b1d817d112204eb915c00096"),
     ),
     // 04 schema request
     (
-        "bb9d5f974cfc40c2adaca77b11d285070a40add1c405de4b4c26c5338ec15c00",
-        VersionOnly("5ee6881384e5b342957eef4347525e3d465bdd75a74204ee047674b0ac288479"),
+        "10be5135be6c82307f8111af1c4cbccfe3f4694b9cc532421080b03de693d779",
+        VersionOnly("bb9d5f974cfc40c2adaca77b11d285070a40add1c405de4b4c26c5338ec15c00"),
     ),
     // 05 schema
     (
-        "7849b16bdf1358ee67588516dcd1bd387314fe60c847b5ffa4c78bf2f255640d",
-        VersionOnly("bd363a2f8676b2dcff44f0a46a7b9fbb87db7175cf2110385a357f16127c591e"),
+        "4d557818e798bd62b39198d3406658701e7f61bbadf3d9cc68182c68c496e5ec",
+        VersionOnly("7849b16bdf1358ee67588516dcd1bd387314fe60c847b5ffa4c78bf2f255640d"),
     ),
     // 06 worker handshake
     (
-        "e5a10810885881c35323b657769eaf5c1873723855e0efdc0c849d8a00193efb",
-        VersionOnly("9660bd4fc55f720aece8494b7d95716d8f1a917f92e1fb695b494013c5918026"),
+        "f554fea592713bc018760ce58b9ebfc871f4eedf720927b75752cef112d4143d",
+        VersionOnly("e5a10810885881c35323b657769eaf5c1873723855e0efdc0c849d8a00193efb"),
     ),
     // 07 worker ready
     (
-        "ba72c3aff281761b3f0b635339023f2356c33daefa040f284ae31ebf7e4910d6",
-        VersionOnly("61e70d1872c839f5349e892d58ff44593d58a0c93868f112383930fe65778141"),
+        "e8585ed1e6096ab8e578e28346a2cad499d9aecfffa4d051ef49412b4f4e3eb1",
+        VersionOnly("ba72c3aff281761b3f0b635339023f2356c33daefa040f284ae31ebf7e4910d6"),
     ),
     // 08 load shard
     (
-        "bbeda75d5ab4a44ff6a758530f569a6c6bd3f0aa5cadb030ee1af27cef907a57",
-        VersionOnly("dff972dc543be7a9637ae546fb805034c04ee2a1aacdbdbc5f4f06e23f9c5d9d"),
+        "0e29055c593179e6a4092e95bdde8d058bc87ff4d03a4fda06fbdc6362dff2cf",
+        VersionOnly("bbeda75d5ab4a44ff6a758530f569a6c6bd3f0aa5cadb030ee1af27cef907a57"),
     ),
     // 09 shard loaded
     (
-        "d53a11f55d5a9e6328dbbcb41006fe54408703331fd1dcf1f6d46d2afbeb97d4",
-        VersionOnly("b36e5480c31dd4c1dfc6a87dee0b95fe64e6dde0ca7a1a2ca5d4b949db3ec8c1"),
+        "0d0541f694599d6afd268c12ec559ef295d8271b668f53b3ca0884deae14d056",
+        VersionOnly("d53a11f55d5a9e6328dbbcb41006fe54408703331fd1dcf1f6d46d2afbeb97d4"),
     ),
     // 10 shard query
     (
-        "8d2b056a2b9729b7d6e850763dc609d60eaeaa30f3d481bf132279a009301d34",
-        VersionOnly("c0e28e3871998ebc017bb32fe18311b6eebac00aca3940b7ae600ff87312287c"),
+        "a050fa16b6d2fd97760676ce979b5e3de1a8d19d4a65750bdd338a7cb6e74d69",
+        VersionOnly("8d2b056a2b9729b7d6e850763dc609d60eaeaa30f3d481bf132279a009301d34"),
     ),
     // 11 shard partial
     (
-        "bce09b25f3f47f99ef73d651fd9883f27634c68a061f05efb887ba4ed0619843",
-        IdContainers,
+        "95e79cf156060da10468c1e3e6830c0427fb43936f9c097728f2f917f90288ca",
+        MeasuredStatsOnly,
     ),
     // 12 prepare statement
     (
-        "c556f4f255bbaa95e9d45a5d594fc28c22c6d01aceda008880c91fed2b2556c5",
-        VersionOnly("6e2227d518330f602b011234e34e2a1f96c56057ff927b9f61acce3b30fb9b48"),
+        "23d8c7500396770d7d9e62d4f614492ad14fea7e23eaf51e753404372cfe11af",
+        VersionOnly("c556f4f255bbaa95e9d45a5d594fc28c22c6d01aceda008880c91fed2b2556c5"),
     ),
     // 13 statement prepared
     (
-        "b8fd1ac93dd70934219c6d07431f0afb7140f34fc6a2b41c57891565dc5ee25a",
-        VersionOnly("c6cc263981d4d3f0ff570ed5484ff86a2aa152b5570fdb6c3569c835057121ac"),
+        "f6a4dc7bde748d5aa551b13751a81cbc9d1699b99a8546f082ed296f2f816d68",
+        VersionOnly("b8fd1ac93dd70934219c6d07431f0afb7140f34fc6a2b41c57891565dc5ee25a"),
     ),
     // 14 execute statement
     (
-        "d00dbf31a0d77b84c9a1b2959c68d3d39c0c67378ad8ac91d5f7d9f8685bc916",
-        VersionOnly("e9bb6d7f125faed042e42b872f9d79cf2aafbd8a69c16796e3a1552e4fc3d8e7"),
+        "aa11af5a1a033380bb3d36eda76d50c8c63e784442ff42bebac941fe478b8880",
+        VersionOnly("d00dbf31a0d77b84c9a1b2959c68d3d39c0c67378ad8ac91d5f7d9f8685bc916"),
     ),
     // 15 unload shard
     (
-        "4ecdd74f33c2cd552a06d11c2b15ae39e43d5921f437b35d9216c42b8f04aa72",
-        VersionOnly("3f7a42ea604dde5631ab26d3e9f28b1b32ddc78146fff42c66436d920f0ded08"),
+        "b4bb802f9c805dc70a509310525c5dfd4ca7e225cd78ac90ea51a005d6d61fae",
+        VersionOnly("4ecdd74f33c2cd552a06d11c2b15ae39e43d5921f437b35d9216c42b8f04aa72"),
     ),
     // 16 shard unloaded
     (
-        "631fb49abf8a86cde956bc5a2c291066676ddf8278233daae2207f3466d3538d",
-        VersionOnly("61a6cbabe3ac62b5c1c1bd6a8731f100b56b10c98631748754721c7c07426f86"),
+        "aed6380475e95b565ffd1496eba8830b6fe68854e44e8927699e438c4bdc4878",
+        VersionOnly("631fb49abf8a86cde956bc5a2c291066676ddf8278233daae2207f3466d3538d"),
     ),
     // 17 metrics request
     (
-        "3297a68e92e06f4cf9c81e763300216837e204f79a5d3c475e524566e810c47e",
-        VersionOnly("da97c9d556a7b5805c9b66b341e713415f52109d36cdccacd7f16f326c6d1176"),
+        "0457266b8a57dcdd880788d096950b668810d4f4904e9c8915c25dcb25e02d56",
+        VersionOnly("3297a68e92e06f4cf9c81e763300216837e204f79a5d3c475e524566e810c47e"),
     ),
     // 18 metrics snapshot
     (
-        "f0760ac4108b97975cad22c7cff1cb24f2802c45f88b6742b8607e0ba83dccea",
-        VersionOnly("208473ab76c787535d2cd7ce6b97f4a8750d85172da9990c7440c765ff4e5ef2"),
+        "0347545aa6cd9f918355d8236336b9e4bf4d00b9272bc95bc771059f382d2fb7",
+        VersionOnly("f0760ac4108b97975cad22c7cff1cb24f2802c45f88b6742b8607e0ba83dccea"),
     ),
     // statement payload
     (
@@ -723,10 +716,10 @@ fn every_frame_kind_encodes_to_its_recorded_bytes() {
         println!("    \"{digest}\", // {name}");
     }
     assert_eq!(got.len(), RECORDED.len());
-    for ((name, digest, as_version_5), (recorded, moved)) in got.iter().zip(RECORDED) {
+    for ((name, digest, as_version_6), (recorded, moved)) in got.iter().zip(RECORDED) {
         assert_eq!(digest, recorded, "{name}: the encoded bytes moved");
-        if let VersionOnly(version_5) = moved {
-            assert_eq!(as_version_5, version_5, "{name}: more than the version field moved");
+        if let VersionOnly(version_6) = moved {
+            assert_eq!(as_version_6, version_6, "{name}: more than the version field moved");
         }
     }
 }

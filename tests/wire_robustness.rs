@@ -213,15 +213,9 @@ fn random_response(rng: &mut StdRng) -> ServerResponse {
     ServerResponse {
         groups,
         stats: ExecStats {
-            tasks: rng.random_range(0..1000u64) as usize,
-            total_task_time: Duration::from_nanos(rng.random::<u64>() >> 20),
-            max_task_time: Duration::from_nanos(rng.random::<u64>() >> 20),
-            simulated_server_time: Duration::from_nanos(rng.random::<u64>() >> 20),
-            bytes_to_driver: rng.random_range(0..1_000_000u64) as usize,
             wall_time: Duration::from_nanos(rng.random::<u64>() >> 20),
             operators: random_operators(rng),
         },
-        result_bytes: rng.random_range(0..1_000_000u64) as usize,
     }
 }
 
@@ -462,7 +456,6 @@ fn forged_interior_counts_are_rejected() {
             aggregates: vec![EncryptedAggregate::Count { rows: 9 }],
         }],
         stats: ExecStats::default(),
-        result_bytes: 64,
     });
     let bytes = encode_frame(&response, DEFAULT_MAX_FRAME_LEN).expect("encode");
     // The first payload byte is the varint group count; forge it into a
@@ -493,18 +486,15 @@ fn forged_operator_and_event_counts_are_rejected() {
     };
 
     // Response: the operators vector is the last field of the exec stats,
-    // followed only by the one-byte `result_bytes` varint — the payload tail
-    // is `..., operators-count=0, result_bytes=64`. Splice the forged count
-    // in place of the zero.
+    // and the exec stats the last field of the response — the payload ends
+    // `..., operators-count=0`. Splice the forged count in place of the zero.
     let response = Frame::Response(ServerResponse {
         groups: Vec::new(),
         stats: ExecStats::default(),
-        result_bytes: 64,
     });
     let bytes = encode_frame(&response, DEFAULT_MAX_FRAME_LEN).expect("encode");
-    let mut forged = bytes[..bytes.len() - 2].to_vec();
+    let mut forged = bytes[..bytes.len() - 1].to_vec();
     forged.extend_from_slice(&maximal_varint);
-    forged.push(bytes[bytes.len() - 1]);
     patch_len(&mut forged);
     assert!(matches!(
         decode_frame(&forged, DEFAULT_MAX_FRAME_LEN),
@@ -534,14 +524,15 @@ fn forged_operator_and_event_counts_are_rejected() {
 /// The analyze flag and the profile/event payloads were a breaking layout
 /// change, so they came with a protocol version bump (to 4), as the packed ORE
 /// cells, the per-group ID list and the server's half of the plan did (to 5),
-/// and the ID lists' three closed-form containers did (to 6): a frame stamped
-/// with any earlier version is refused at the header.
+/// the ID lists' three closed-form containers did (to 6), and the exec stats
+/// cut to what the server measured did (to 7): a frame stamped with any
+/// earlier version is refused at the header.
 #[test]
 fn analyze_extensions_bumped_the_protocol_version() {
     use seabed::net::wire::PROTOCOL_VERSION;
-    assert_eq!(PROTOCOL_VERSION, 6, "one bump for the ID-list containers");
+    assert_eq!(PROTOCOL_VERSION, 7, "one bump for the measured stats");
     let good = encode_frame(&Frame::SchemaRequest, DEFAULT_MAX_FRAME_LEN).expect("encode");
-    for earlier in [3u16, 4, 5] {
+    for earlier in [3u16, 4, 5, 6] {
         let mut stamped = good.clone();
         stamped[4..6].copy_from_slice(&earlier.to_le_bytes());
         assert!(matches!(
@@ -556,7 +547,7 @@ fn analyze_extensions_bumped_the_protocol_version() {
 fn unknown_version_and_kind_are_typed_errors() {
     use seabed::net::wire::PROTOCOL_VERSION;
     let good = encode_frame(&Frame::SchemaRequest, DEFAULT_MAX_FRAME_LEN).expect("encode");
-    for version in [0u16, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, 7, u16::MAX] {
+    for version in [0u16, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, 9, u16::MAX] {
         let mut bad = good.clone();
         bad[4..6].copy_from_slice(&version.to_le_bytes());
         let outcome = decode_frame(&bad, DEFAULT_MAX_FRAME_LEN);
