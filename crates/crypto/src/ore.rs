@@ -22,10 +22,11 @@
 //!
 //! A symbol is one of `0, 1, 2`, so it is stored, shipped and compared in
 //! **two bits**, four symbols to a byte, the most significant symbol in the
-//! top two bits of the first byte: [`ORE_CELL_BYTES`] = 16 bytes per cell,
-//! behind a 4-byte length in a serialized table — 20 of the 60 stored bytes of
-//! a row with one ORE column, and what `engine::storage::column_disk_size`
-//! charges. The paper's ciphertext is `n · log₂ 3 ≈ 1.6 n` bits; two bits a
+//! top two bits of the first byte: [`ORE_CELL_BYTES`] = 16 bytes per cell. A
+//! shard frame ships an ORE column's cells back to back, 16 bytes each; Table
+//! 5's footprint model (`engine::storage::column_disk_size`) charges a 4-byte
+//! length beside each — 20 of the 60 stored bytes of a row with one ORE
+//! column. The paper's ciphertext is `n · log₂ 3 ≈ 1.6 n` bits; two bits a
 //! symbol is its byte-aligned form (the lane value `3` is never written), and
 //! the form a word compare can read without decoding.
 //!

@@ -21,8 +21,7 @@
 //!   ID-list unions, MIN/MAX ORE candidates) shared by the in-process driver
 //!   merge and the `seabed-dist` coordinator gather, so the two can never
 //!   diverge;
-//! * [`storage`] — on-disk / in-memory size accounting (Table 5) and a flat
-//!   binary serialization standing in for Protobuf-on-HDFS.
+//! * [`storage`] — the on-disk / in-memory footprint model of Table 5.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -60,48 +59,6 @@ mod proptests {
             let t = Table::from_columns(schema, vec![ColumnData::UInt64(data.clone())], partitions);
             prop_assert_eq!(t.num_rows(), rows);
             prop_assert_eq!(t.gather_u64("v").unwrap(), data);
-        }
-
-        #[test]
-        fn serialization_roundtrip_all_column_types(rows in 0usize..500, partitions in 1usize..8) {
-            let schema = Schema::new([
-                ("a".to_string(), ColumnType::UInt64),
-                ("b".to_string(), ColumnType::Utf8),
-                ("c".to_string(), ColumnType::Int64),
-                ("d".to_string(), ColumnType::Bytes),
-            ]);
-            let t = Table::from_columns(
-                schema,
-                vec![
-                    ColumnData::UInt64((0..rows as u64).map(|i| i * 31).collect()),
-                    ColumnData::Utf8((0..rows).map(|i| format!("s{i}")).collect()),
-                    ColumnData::Int64((0..rows as i64).map(|i| 250 - i).collect()),
-                    ColumnData::Bytes((0..rows).map(|i| vec![(i % 256) as u8; i % 7]).collect()),
-                ],
-                partitions,
-            );
-            let bytes = storage::serialize_table(&t);
-            prop_assert_eq!(storage::deserialize_table(&bytes).unwrap(), t);
-        }
-
-        #[test]
-        fn truncated_serialization_never_panics(rows in 0usize..120, partitions in 1usize..6, cut_seed in any::<u64>()) {
-            let schema = Schema::new([
-                ("a".to_string(), ColumnType::UInt64),
-                ("b".to_string(), ColumnType::Bytes),
-            ]);
-            let t = Table::from_columns(
-                schema,
-                vec![
-                    ColumnData::UInt64((0..rows as u64).collect()),
-                    ColumnData::Bytes((0..rows).map(|i| vec![i as u8; i % 5]).collect()),
-                ],
-                partitions,
-            );
-            let bytes = storage::serialize_table(&t);
-            let cut = (cut_seed % bytes.len() as u64) as usize;
-            // Corruption by truncation must be reported, never panic.
-            prop_assert!(storage::deserialize_table(&bytes[..cut]).is_none());
         }
 
         #[test]

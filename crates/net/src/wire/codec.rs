@@ -5,7 +5,8 @@
 //! from one table by `wire_struct!` / `wire_enum!`), so the two directions
 //! cannot drift apart. Integers are variable-byte ([`seabed_encoding::varint`]),
 //! flags and tags one byte, sequences and byte strings a varint count followed
-//! by the elements.
+//! by the elements — and a table column's words a count followed by their
+//! raw 8-byte forms ([`Word`]).
 //!
 //! [`Reader`] is a totalizing cursor over untrusted bytes: every read returns
 //! [`SeabedError::Wire`] on truncation, never panics, and the only allocation
@@ -20,8 +21,7 @@ use std::time::Duration;
 
 /// A value with exactly one wire layout. Byte strings are not `Wire` on
 /// purpose: they are read with [`Reader::bytes`], which borrows, so a decoder
-/// that only parses the bytes (a serialized table, an ID list) never copies
-/// them first.
+/// that only parses the bytes (an ID list) never copies them first.
 pub(super) trait Wire: Sized {
     /// Appends the value's wire form to `out`.
     fn encode(&self, out: &mut Vec<u8>);
@@ -58,15 +58,31 @@ impl<'a> Reader<'a> {
         Ok(byte)
     }
 
+    /// The next `len` bytes of the payload, or `None` (nothing read) if fewer
+    /// remain.
+    fn take(&mut self, len: usize) -> Option<&'a [u8]> {
+        let slice = self.data.get(self.pos..self.pos.checked_add(len)?)?;
+        self.pos += len;
+        Some(slice)
+    }
+
     /// Reads a length-prefixed byte string as a slice of the payload.
     pub(super) fn bytes(&mut self) -> Result<&'a [u8], SeabedError> {
         let len: usize = self.get()?;
-        let slice = self
-            .data
-            .get(self.pos..self.pos.saturating_add(len))
-            .ok_or_else(|| SeabedError::wire("byte-string length prefix exceeds remaining payload"))?;
-        self.pos += len;
-        Ok(slice)
+        self.take(len)
+            .ok_or_else(|| SeabedError::wire("byte-string length prefix exceeds remaining payload"))
+    }
+
+    /// Reads a column of words written by [`put_words`]: its extent is
+    /// checked once, so a forged count fails having reserved nothing, and an
+    /// honest column is collected at its exact size.
+    pub(super) fn words<W: Word>(&mut self) -> Result<Vec<W>, SeabedError> {
+        let count: usize = self.get()?;
+        let bytes = count
+            .checked_mul(8)
+            .and_then(|len| self.take(len))
+            .ok_or_else(|| SeabedError::wire("word count exceeds remaining payload"))?;
+        Ok(bytes.as_chunks::<8>().0.iter().map(|word| W::from_le(*word)).collect())
     }
 
     /// The payload must be consumed exactly; trailing bytes are corruption.
@@ -89,6 +105,39 @@ pub(super) fn put_seq<T: Wire>(out: &mut Vec<u8>, items: &[T]) {
     items.len().encode(out);
     for item in items {
         item.encode(out);
+    }
+}
+
+/// An 8-byte word of a table column. A column of them travels as a count and
+/// the words' raw little-endian bytes ([`put_words`], [`Reader::words`]),
+/// not as varints, which would grow the random ASHE and DET words.
+pub(super) trait Word: Copy {
+    fn to_le(self) -> [u8; 8];
+    fn from_le(bytes: [u8; 8]) -> Self;
+}
+
+macro_rules! wire_word {
+    ($($ty:ty),+) => {$(
+        impl Word for $ty {
+            fn to_le(self) -> [u8; 8] {
+                self.to_le_bytes()
+            }
+
+            fn from_le(bytes: [u8; 8]) -> $ty {
+                <$ty>::from_le_bytes(bytes)
+            }
+        }
+    )+};
+}
+wire_word!(u64, i64);
+
+/// Writes a count, then `words` in one pass over bytes claimed at once.
+pub(super) fn put_words<W: Word>(out: &mut Vec<u8>, words: &[W]) {
+    words.len().encode(out);
+    let start = out.len();
+    out.resize(start + 8 * words.len(), 0);
+    for (slot, word) in out[start..].as_chunks_mut::<8>().0.iter_mut().zip(words) {
+        *slot = word.to_le();
     }
 }
 
@@ -261,8 +310,9 @@ impl<K: Wire + Ord + Hash, V: Wire> Wire for HashMap<K, V> {
 }
 
 /// One field of a layout table: `name` is any [`Wire`] type, `name: bytes` a
-/// `Vec<u8>` that travels as a length-prefixed byte string, and `name: unsent`
-/// a field that stays with the sender — nothing is written for it (its value
+/// `Vec<u8>` that travels as a length-prefixed byte string, `name: words` a
+/// `Vec` of [`Word`]s that travels as their raw bytes, and `name: unsent` a
+/// field that stays with the sender — nothing is written for it (its value
 /// is never read) and the receiver holds the type's default.
 macro_rules! wire_field {
     (put $out:ident, $field:expr) => {
@@ -270,6 +320,9 @@ macro_rules! wire_field {
     };
     (put $out:ident, $field:expr, bytes) => {
         put_bytes($out, $field)
+    };
+    (put $out:ident, $field:expr, words) => {
+        put_words($out, $field)
     };
     (put $out:ident, $field:expr, unsent) => {
         let _ = $field;
@@ -279,6 +332,9 @@ macro_rules! wire_field {
     };
     (get $r:ident, bytes) => {
         $r.bytes()?.to_vec()
+    };
+    (get $r:ident, words) => {
+        $r.words()?
     };
     (get $r:ident, unsent) => {
         Default::default()
@@ -303,14 +359,16 @@ macro_rules! wire_struct {
 
 /// `wire_enum!(Type as "name in errors" { 0 => Unit, 1 => Tuple(x), 2 => Struct { a, b } })`:
 /// the enum's tag table and each variant's field order, stated once for both
-/// directions; a byte the table does not list is `invalid <name> tag <byte>`.
+/// directions (a tuple field names its binding, and may say how it travels
+/// like a struct field: `Tuple(x: words)`); a byte the table does not list is
+/// `invalid <name> tag <byte>`.
 /// A `#[non_exhaustive]` enum of another crate closes its table with
 /// `_(other) => <a listed value to send instead>`.
 macro_rules! wire_enum {
     ($ty:ident as $what:literal {
         $($tag:literal => $variant:ident
             $({ $($field:ident $(: $how:ident)?),+ })?
-            $(( $($item:ident),+ ))?
+            $(( $($item:ident $(: $item_how:ident)?),+ ))?
         ),+
         $(, _($other:ident) => $instead:expr)? $(,)?
     }) => {
@@ -320,7 +378,7 @@ macro_rules! wire_enum {
                     $($ty::$variant $({ $($field),+ })? $(( $($item),+ ))? => {
                         out.push($tag);
                         $($(wire_field!(put out, $field $(, $how)?);)+)?
-                        $($(Wire::encode($item, out);)+)?
+                        $($(wire_field!(put out, $item $(, $item_how)?);)+)?
                     })+
                     $($other => Wire::encode(&$instead, out),)?
                 }
@@ -330,7 +388,7 @@ macro_rules! wire_enum {
                 match r.u8()? {
                     $($tag => {
                         $($(let $field = wire_field!(get r $(, $how)?);)+)?
-                        $($(let $item = r.get()?;)+)?
+                        $($(let $item = wire_field!(get r $(, $item_how)?);)+)?
                         Ok($ty::$variant $({ $($field),+ })? $(( $($item),+ ))?)
                     })+
                     other => Err(invalid_tag($what, other)),

@@ -16,14 +16,14 @@
 //! The header is fixed at [`HEADER_LEN`] bytes; `payload_len` is bounded by
 //! the receiver's max-frame limit *before* any allocation happens. Payloads
 //! are encoded with the same variable-byte integers as the ID lists
-//! ([`seabed_encoding::varint`]) and the same defensive posture as
-//! `seabed_engine::storage`: **a decoder never reserves more bytes than
-//! remain unread in the frame** — an element count is untrusted, so it buys
-//! room for at most as many elements as fit, at their size in memory, in the
-//! bytes still to be read — and every decode path is total: malformed input
-//! yields [`SeabedError::Wire`], never a panic. One function owns that
-//! reservation (`Vec<T>`'s decode in `codec.rs`; the stored-table decoder has
-//! its twin), and `tests/wire_alloc_bound.rs` holds it with a counting
+//! ([`seabed_encoding::varint`]), and **a decoder never reserves more bytes
+//! than remain unread in the frame** — an element count is untrusted, so it
+//! buys room for at most as many elements as fit, at their size in memory, in
+//! the bytes still to be read — and every decode path is total: malformed
+//! input yields [`SeabedError::Wire`], never a panic. One function owns that
+//! reservation (`Vec<T>`'s decode in `codec.rs`; a shard table's words and
+//! cells are sized by the bytes that carry them, checked before they are
+//! copied), and `tests/wire_alloc_bound.rs` holds it with a counting
 //! allocator: frames of 1 MiB and 8 MiB whose one count is forged to
 //! `u64::MAX` may not make a decode request any single allocation above 2×
 //! the frame. (What a frame *honestly* contains can still be larger in memory
@@ -59,7 +59,7 @@
 //! | 5    | server → client | schema: `seabed_engine::Schema`                |
 //! | 6    | coord → worker  | worker handshake: shard epoch                  |
 //! | 7    | worker → coord  | handshake ack: epoch + resident shard count    |
-//! | 8    | coord → worker  | shard assignment: epoch, (table id, shard id), exec config, serialized `Table` (an ORE cell is 4 + 16 bytes) |
+//! | 8    | coord → worker  | shard assignment: epoch, (table id, shard id), exec config, `Table` (an ORE column is its width, its cell count and 16 bytes a cell) |
 //! | 9    | worker → coord  | shard loaded: epoch, (table id, shard id), row count |
 //! | 10   | coord → worker  | shard query: epoch, (table id, shard id), sequence number, the server's half of a `TranslatedQuery` + filters |
 //! | 11   | worker → coord  | shard partial: echoed (epoch, table, shard, seq) + mergeable `PartialResponse` — per group its key, its ID set once, one partial per aggregate |
@@ -164,9 +164,18 @@ pub const MAGIC: [u8; 4] = *b"SBWF";
 /// longer carries a `result_bytes` count, which the receiver sums from the
 /// groups it decoded. A response frame is six varints shorter, a partial
 /// frame five.
+///
+/// Version 8: a shard's table (kind 8) is written by this codec, like every
+/// other value, where version 7 shipped the engine's stored-table format as
+/// one byte string. A column leads with its type's tag; a word column is a
+/// count and raw 8-byte words, and a `Bytes` column of one cell width is its
+/// width, its cell count and its cells as one byte string, where version 7
+/// put a 4-byte length before every cell: an ORE cell ships in 16 bytes, not
+/// 20.
+///
 /// There is no decoder for an older version: such a peer is refused by
 /// [`decode_header`] with the typed version error, like any other.
-pub const PROTOCOL_VERSION: u16 = 7;
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 11;
@@ -514,14 +523,13 @@ pub fn encode_frame(frame: &Frame, max_frame_len: u32) -> Result<Vec<u8>, Seabed
 /// generated from the `LoadShard` row of the kind table, the one statement of
 /// the layout.
 ///
-/// The table is written once, straight into the frame behind its length,
-/// which [`seabed_engine::storage::serialized_len`] computes without writing
-/// it. The buffer grows as the payload is written, as every frame's does. It
-/// is deliberately not reserved up front, although the size is knowable: one
-/// request of a shard's size (150 KB in the ingest benchmark) crosses the
-/// allocator's mmap threshold, after which glibc keeps the heap top padded —
-/// with the reservation seabench's `ingest_load` read 11.0 MB peak RSS where
-/// it read 9.0 without, and no time to show for it.
+/// The table is written once, straight into the frame. The buffer grows as
+/// the payload is written, as every frame's does. It is deliberately not
+/// reserved up front, although the size is knowable: one request of a
+/// shard's size (150 KB in the ingest benchmark) crosses the allocator's
+/// mmap threshold, after which glibc keeps the heap top padded — with the
+/// reservation seabench's `ingest_load` read 11.0 MB peak RSS where it read
+/// 9.0 without, and no time to show for it.
 #[derive(Clone, Copy, Debug)]
 pub struct LoadShardRef<'a> {
     /// Shard epoch the assignment belongs to.

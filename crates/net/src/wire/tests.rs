@@ -11,7 +11,7 @@ use seabed_core::{EncryptedAggregate, GroupIds, GroupResult};
 use seabed_crypto::OreCiphertext;
 use seabed_encoding::{varint, IdListEncoding};
 use seabed_engine::merge::{ExtremeCandidate, PartialAggregate, PartialGroup, PartialGroups};
-use seabed_engine::{ColumnData, ColumnType, ExecStats, Field, OperatorProfile};
+use seabed_engine::{BytesColumn, ColumnData, ColumnType, ExecStats, Field, OperatorProfile, Partition};
 use seabed_error::{ParseError, SchemaError};
 use seabed_obs::{EventOperator, HistogramSnapshot, MetricsSnapshot, QueryEvent, QueryTrace, TraceSpan};
 use seabed_query::{
@@ -366,6 +366,61 @@ fn sample_table() -> Table {
     )
 }
 
+/// `Bytes` columns in each wire layout: empty, of empty cells and ragged
+/// (`Offsets`), and of one width, 16 bytes like an ORE cell or 1
+/// (`Uniform`).
+fn sample_bytes_columns() -> Vec<BytesColumn> {
+    vec![
+        BytesColumn::new(),
+        [[0u8; 0]; 3].iter().collect(),
+        (0..7usize).map(|i| vec![i as u8; i % 4]).collect(),
+        (0..5u8).map(|i| [i.wrapping_mul(37); 16]).collect(),
+        [[0xff_u8]].iter().collect(),
+    ]
+}
+
+/// Every column type, empty and populated, words at both ends of their
+/// range.
+fn sample_columns() -> Vec<ColumnData> {
+    let mut columns = vec![
+        ColumnData::UInt64(vec![0, 1, 0x9e37_79b9_7f4a_7c15, u64::MAX]),
+        ColumnData::UInt64(Vec::new()),
+        ColumnData::Int64(vec![i64::MIN, -1, 0, 1, i64::MAX]),
+        ColumnData::Int64(Vec::new()),
+        ColumnData::Utf8(vec!["USA".to_string(), String::new(), "Côte d'Ivoire".to_string()]),
+        ColumnData::Utf8(Vec::new()),
+    ];
+    columns.extend(sample_bytes_columns().into_iter().map(ColumnData::Bytes));
+    columns
+}
+
+/// Tables of every column type over several partitions, one with its
+/// `Bytes` column of one width and one with its column of empty cells; a
+/// table of no columns; a table of no rows.
+fn sample_tables() -> Vec<Table> {
+    let with_bytes = |bytes: Vec<Vec<u8>>| {
+        let rows = bytes.len() as u64;
+        Table::from_columns(
+            Schema::new([
+                ("w".to_string(), ColumnType::UInt64),
+                ("ts__ope".to_string(), ColumnType::Bytes),
+            ]),
+            vec![
+                ColumnData::UInt64((0..rows).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect()),
+                ColumnData::Bytes(bytes.into_iter().collect()),
+            ],
+            3,
+        )
+    };
+    vec![
+        sample_table(),
+        with_bytes((0..9u8).map(|i| vec![i; 16]).collect()),
+        with_bytes(vec![Vec::new(); 4]),
+        with_bytes(Vec::new()),
+        Table::from_columns(Schema::new([]), vec![], 1),
+    ]
+}
+
 fn sample_errors() -> Vec<SeabedError> {
     let mut errors = vec![
         SeabedError::Parse(ParseError {
@@ -649,6 +704,16 @@ fn schema_shard_and_error_types_obey_the_wire_contract() {
         },
     ]);
     check_wire(&[table]);
+    check_carrier(&sample_bytes_columns());
+    check_carrier(&sample_columns());
+    let tables = sample_tables();
+    check_wire(
+        &tables
+            .iter()
+            .flat_map(|t| t.partitions.clone())
+            .collect::<Vec<Partition>>(),
+    );
+    check_carrier(&tables);
     check_wire(&[ParseError {
         message: "bad token".to_string(),
         position: 17,
@@ -832,18 +897,18 @@ fn request_frames_do_not_leak_det_or_ope_literals() {
     );
 }
 
-/// Protocol versions 4 to 6 are gone, not kept beside version 7: a frame
+/// Protocol versions 4 to 7 are gone, not kept beside version 8: a frame
 /// whose header says any of them is refused with the typed error naming both
 /// versions, whatever it carries.
 #[test]
 fn an_older_version_frame_is_refused_naming_both_versions() {
-    assert_eq!(PROTOCOL_VERSION, 7);
-    for old in [4u16, 5, 6] {
+    assert_eq!(PROTOCOL_VERSION, 8);
+    for old in [4u16, 5, 6, 7] {
         for frame in [Frame::SchemaRequest, Frame::Response(sample_response())] {
             let mut bytes = encode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
             bytes[4..6].copy_from_slice(&old.to_le_bytes());
             let outcome = decode_frame(&bytes, DEFAULT_MAX_FRAME_LEN);
-            let expected = format!("unsupported protocol version {old} (this side speaks 7)");
+            let expected = format!("unsupported protocol version {old} (this side speaks 8)");
             assert!(
                 matches!(&outcome, Err(SeabedError::Wire(message)) if *message == expected),
                 "{outcome:?}"
@@ -911,7 +976,7 @@ fn corrupt_shard_table_payload_is_a_wire_error() {
         ),
     };
     let good = encode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
-    // Truncate inside the serialized table: decode must report, not panic.
+    // Truncate inside the table: decode must report, not panic.
     let mut bad = good.clone();
     let cut = good.len() - 8;
     bad.truncate(cut);
@@ -920,6 +985,56 @@ fn corrupt_shard_table_payload_is_a_wire_error() {
         decode_frame(&bad, DEFAULT_MAX_FRAME_LEN),
         Err(SeabedError::Wire(_))
     ));
+}
+
+/// A `Uniform` bytes column backs every row it declares with bytes of the
+/// frame: a width times a count that overflows, data of another length, and
+/// cells of no width are each a typed error. A column of empty cells ships
+/// through the `Offsets` arm, a byte a cell, and round-trips.
+#[test]
+fn a_uniform_bytes_column_claims_no_row_it_does_not_ship() {
+    let uniform = |width: u64, cells: u64, data: &[u8]| {
+        let mut out = vec![0];
+        for count in [width, cells, data.len() as u64] {
+            varint::encode_u64(count, &mut out);
+        }
+        out.extend_from_slice(data);
+        out
+    };
+    let pairs: BytesColumn = [[1u8, 2], [3, 4], [5, 6]].iter().collect();
+    assert_eq!(encoded(&pairs), uniform(2, 3, &[1, 2, 3, 4, 5, 6]));
+    assert_eq!(decode_all::<BytesColumn>(&uniform(2, 0, &[])), Ok(BytesColumn::new()));
+    assert_eq!(decode_all::<BytesColumn>(&uniform(0, 0, &[])), Ok(BytesColumn::new()));
+
+    assert_wire_error(
+        decode_all::<BytesColumn>(&uniform(u64::MAX, 2, &[])),
+        "width × cells overflows",
+    );
+    assert_wire_error(
+        decode_all::<BytesColumn>(&uniform(1 << 32, 1 << 32, &[])),
+        "width × cells overflows",
+    );
+    assert_wire_error(
+        decode_all::<BytesColumn>(&uniform(2, 3, &[1, 2, 3, 4, 5])),
+        "data short of its cells",
+    );
+    assert_wire_error(
+        decode_all::<BytesColumn>(&uniform(2, 3, &[0; 7])),
+        "data past its cells",
+    );
+    assert_wire_error(
+        decode_all::<BytesColumn>(&uniform(2, 1 << 40, &[0; 6])),
+        "a forged cell count",
+    );
+    assert_wire_error(decode_all::<BytesColumn>(&uniform(0, 5, &[])), "cells of no width");
+    assert_wire_error(decode_all::<BytesColumn>(&[2, 0]), "an unlisted layout");
+    assert_wire_error(decode_all::<ColumnData>(&[4, 0]), "an unlisted column type");
+
+    let empty_cells: BytesColumn = [[0u8; 0]; 4].iter().collect();
+    assert_eq!(encoded(&empty_cells), [1, 4, 0, 0, 0, 0]);
+    let loaded = decode_all::<BytesColumn>(&encoded(&empty_cells)).expect("round trip");
+    assert_eq!((loaded.len(), loaded.uniform_cells()), (4, Some((0, &[][..]))));
+    assert_eq!(loaded, empty_cells);
 }
 
 #[test]

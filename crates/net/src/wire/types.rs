@@ -3,13 +3,15 @@
 //! the protocol — `tests/wire_golden.rs` pins the bytes of every arm — so a
 //! line moves only together with [`super::PROTOCOL_VERSION`].
 
-use super::codec::{invalid_tag, put_bytes, Reader, Wire};
+use super::codec::{invalid_tag, put_bytes, put_words, Reader, Wire};
 use seabed_ashe::IdSet;
 use seabed_core::{EncryptedAggregate, GroupIds, GroupResult, PartialResponse, PhysicalFilter, ServerResponse};
 use seabed_crypto::OreCiphertext;
 use seabed_encoding::IdListEncoding;
 use seabed_engine::merge::{ExtremeCandidate, PartialAggregate, PartialGroup};
-use seabed_engine::{storage, ColumnType, ExecMode, ExecStats, Field, OperatorProfile, Schema, Table};
+use seabed_engine::{
+    BytesColumn, ColumnData, ColumnType, ExecMode, ExecStats, Field, OperatorProfile, Partition, Schema, Table,
+};
 use seabed_error::{ParseError, SchemaError, SeabedError};
 use seabed_obs::{
     EventOperator, HistogramSnapshot, MetricsSnapshot, QueryEvent, QueryTrace, TraceSpan, HISTOGRAM_BUCKETS,
@@ -208,26 +210,75 @@ wire_struct!(Field { name, ty });
 wire_struct!(Schema { fields });
 wire_enum!(ExecMode as "exec-mode" { 0 => Scalar, 1 => Vectorized });
 
-/// A shard's table travels in the stored-table format of
-/// [`seabed_engine::storage`] as one byte string: written straight into the
-/// frame behind its length, which the storage layer computes exactly, and
-/// parsed straight out of it.
-impl Wire for Table {
+// A shard's table: its schema, then each partition's first row ID and
+// columns. A column leads with its type's tag; words travel as their raw
+// bytes, text as strings. A column whose tag contradicts the schema decodes,
+// and is refused by `Table::validate_layout`, which the server runs on every
+// table it loads.
+wire_struct!(Table { schema, partitions });
+wire_struct!(Partition { start_row, columns });
+wire_enum!(ColumnData as "column" {
+    0 => UInt64(values: words),
+    1 => Int64(values: words),
+    2 => Utf8(values),
+    3 => Bytes(values),
+});
+
+/// A `Bytes` column travels in the layout it has in memory. Cells of one
+/// width (an ORE column's 16 bytes) are `Uniform`: the width, the cell count
+/// and the cells back to back as one byte string, copied in one piece each
+/// way. Any other column — ragged, empty, or of empty cells — is `Offsets`:
+/// a count, then each cell as a byte string, pushed as it arrives. Every row
+/// a frame declares is backed by bytes of the frame: a `Uniform` arm's data
+/// must be exactly `width × cells` bytes, and a zero width claims no cells.
+impl Wire for BytesColumn {
     fn encode(&self, out: &mut Vec<u8>) {
-        let len = storage::serialized_len(self);
-        len.encode(out);
-        let start = out.len();
-        storage::serialize_table_into(self, out);
-        debug_assert_eq!(
-            out.len() - start,
-            len,
-            "serialized_len is the length serialize_table_into writes"
-        );
+        match self.uniform_cells() {
+            Some((width, data)) if width > 0 => {
+                out.push(0);
+                width.encode(out);
+                self.len().encode(out);
+                put_bytes(out, data);
+            }
+            _ => {
+                out.push(1);
+                self.len().encode(out);
+                for cell in self.iter() {
+                    put_bytes(out, cell);
+                }
+            }
+        }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Table, SeabedError> {
-        storage::deserialize_table(r.bytes()?)
-            .ok_or_else(|| SeabedError::wire("shard table payload is corrupt or truncated"))
+    fn decode(r: &mut Reader<'_>) -> Result<BytesColumn, SeabedError> {
+        match r.u8()? {
+            0 => {
+                let (width, cells): (usize, usize) = (r.get()?, r.get()?);
+                let data = r.bytes()?;
+                let len = width
+                    .checked_mul(cells)
+                    .ok_or_else(|| SeabedError::wire(format!("{cells} cells of {width} bytes overflow")))?;
+                if width == 0 && cells > 0 {
+                    return Err(SeabedError::wire(format!("{cells} cells of no width")));
+                }
+                if data.len() != len {
+                    return Err(SeabedError::wire(format!(
+                        "{cells} cells of {width} bytes shipped as {} bytes",
+                        data.len()
+                    )));
+                }
+                Ok(BytesColumn::uniform(width, cells, data.to_vec()))
+            }
+            1 => {
+                let count: usize = r.get()?;
+                let mut column = BytesColumn::new();
+                for _ in 0..count {
+                    column.push(r.bytes()?);
+                }
+                Ok(column)
+            }
+            other => Err(invalid_tag("bytes-column layout", other)),
+        }
     }
 }
 

@@ -11,14 +11,20 @@
 //! selects. Protocol version 5 re-recorded the table and the request, each
 //! with its reason beside it; the table's PR 13 digest is still re-derived
 //! (by spreading every ORE cell back to a byte a symbol), so "only the
-//! packing moved" is checked, not claimed. Protocol versions 6 and 7 each
+//! packing moved" is checked, not claimed. Protocol versions 6, 7 and 8 each
 //! re-recorded the request for its version field alone; the previous
-//! version's digest is re-derived by writing `6` back into its header.
+//! version's digest is re-derived by writing `7` back into its header.
+//!
+//! The table is hashed in the stored-table layout its digests were recorded
+//! in, which this file keeps as the table's canonical form
+//! ([`canonical_table`]) since protocol version 8 ships a table in the wire
+//! codec's own layout: the table digests did not move, and so no ciphertext
+//! byte did.
 
 use rand::SeedableRng;
 use seabed_core::{PlainDataset, SeabedClient, SeabedServer, SeabedSession};
 use seabed_crypto::sha256::digest_hex;
-use seabed_engine::{Cluster, ClusterConfig, ColumnData};
+use seabed_engine::{Cluster, ClusterConfig, ColumnData, ColumnType, Table};
 use seabed_net::wire::{encode_frame, Frame};
 use seabed_query::{parse, ColumnSpec, PlannerConfig};
 
@@ -51,8 +57,48 @@ struct Digests {
     table_a_byte_a_symbol: String,
     dictionary: String,
     request: String,
-    /// The request under a version-6 header.
-    request_as_version_6: String,
+    /// The request under a version-7 header.
+    request_as_version_7: String,
+}
+
+/// A table in the engine's stored-table layout, little-endian throughout: a
+/// `u32` field count, each field's name behind its `u32` length and its type
+/// tag (0–3: `UInt64`, `Int64`, `Utf8`, `Bytes`); a `u32` partition count;
+/// per partition its `u64` first row ID, then per column a `u32` row count
+/// and the values — a word as 8 bytes, a string or a cell behind its `u32`
+/// length.
+fn canonical_table(table: &Table) -> Vec<u8> {
+    let count = |out: &mut Vec<u8>, n: usize| out.extend_from_slice(&(n as u32).to_le_bytes());
+    let put = |out: &mut Vec<u8>, bytes: &[u8]| {
+        count(out, bytes.len());
+        out.extend_from_slice(bytes);
+    };
+    let mut out = Vec::new();
+    count(&mut out, table.schema.fields.len());
+    for field in &table.schema.fields {
+        put(&mut out, field.name.as_bytes());
+        let types = [
+            ColumnType::UInt64,
+            ColumnType::Int64,
+            ColumnType::Utf8,
+            ColumnType::Bytes,
+        ];
+        out.push(types.iter().position(|ty| *ty == field.ty).expect("listed") as u8);
+    }
+    count(&mut out, table.partitions.len());
+    for partition in &table.partitions {
+        out.extend_from_slice(&partition.start_row.to_le_bytes());
+        for column in &partition.columns {
+            count(&mut out, column.len());
+            match column {
+                ColumnData::UInt64(words) => words.iter().for_each(|w| out.extend_from_slice(&w.to_le_bytes())),
+                ColumnData::Int64(words) => words.iter().for_each(|w| out.extend_from_slice(&w.to_le_bytes())),
+                ColumnData::Utf8(text) => text.iter().for_each(|s| put(&mut out, s.as_bytes())),
+                ColumnData::Bytes(cells) => cells.iter().for_each(|cell| put(&mut out, cell)),
+            }
+        }
+    }
+    out
 }
 
 fn digests() -> Digests {
@@ -121,8 +167,8 @@ fn digests() -> Digests {
         u32::MAX,
     )
     .unwrap();
-    let mut as_version_6 = request.clone();
-    as_version_6[4..6].copy_from_slice(&6u16.to_le_bytes());
+    let mut as_version_7 = request.clone();
+    as_version_7[4..6].copy_from_slice(&7u16.to_le_bytes());
 
     let mut spread = encrypted.table.clone();
     for column in spread.partitions.iter_mut().flat_map(|p| p.columns.iter_mut()) {
@@ -141,11 +187,11 @@ fn digests() -> Digests {
     }
 
     Digests {
-        table: digest_hex(&seabed_engine::storage::serialize_table(&encrypted.table)),
-        table_a_byte_a_symbol: digest_hex(&seabed_engine::storage::serialize_table(&spread)),
+        table: digest_hex(&canonical_table(&encrypted.table)),
+        table_a_byte_a_symbol: digest_hex(&canonical_table(&spread)),
         dictionary: digest_hex(&dictionary),
         request: digest_hex(&request),
-        request_as_version_6: digest_hex(&as_version_6),
+        request_as_version_7: digest_hex(&as_version_7),
     }
 }
 
@@ -169,19 +215,20 @@ fn stored_table_dictionary_and_request_frame_did_not_move() {
         got.dictionary, "9e340d77a7dfb7df5a05a158b7f174d0657a4b4c3a44440a20477014cec9cf67",
         "DET dictionaries"
     );
-    // Moved by the header's version field, 7, and by nothing else: under a
-    // version-6 header it is the frame recorded for version 6, which differed
-    // from version 5's (`5128f0a4…`) in its version field alone. Version 5's
-    // was moved by the version field, by (a) — the plan travels without
+    // Moved by the header's version field, 8, and by nothing else: under a
+    // version-7 header it is the frame recorded for version 7, which differed
+    // from version 6's (`ee12c85c…`) in its version field alone, as that did
+    // from version 5's (`5128f0a4…`). Version 5's was moved by the version
+    // field, by (a) — the plan travels without
     // `client_post`, `category`, `preserve_row_ids` and the empty placeholders
     // of its three redacted literals — and by (b): its two ORE literals are 16
     // bytes each.
     assert_eq!(
-        got.request, "5310dcee417c5860745bc7d976227131a4b9f67842df46b7a243f098bb41ab1d",
+        got.request, "6bc43df42c355772be74a7d5323e1e6321db358008361acaa1f131599e1d0987",
         "encrypted request frame"
     );
     assert_eq!(
-        got.request_as_version_6, "ee12c85c3d0626fa8c0c048ba9554e09e519106ca8cdcbb68741bc24052b4f2a",
+        got.request_as_version_7, "5310dcee417c5860745bc7d976227131a4b9f67842df46b7a243f098bb41ab1d",
         "more than the version field of the request frame moved"
     );
 }

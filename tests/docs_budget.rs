@@ -1,29 +1,43 @@
 //! The README states the system, within a budget: it may not grow past the
 //! line count it was last trimmed to, every test file it names as the holder
 //! of a claim must exist, and every item of the workspace it names in
-//! backticks must be declared in the workspace's source.
+//! backticks must be declared in the workspace's source. The verify skill —
+//! the build-and-drive recipe kept beside the code — has a budget of its own.
 
 use std::path::Path;
 
 /// README.md's line budget. Lower it when the README shrinks; never raise it.
-const README_MAX_LINES: usize = 984;
+const README_MAX_LINES: usize = 981;
+
+/// The verify skill's line budget, held the way the README's is.
+const VERIFY_SKILL_MAX_LINES: usize = 150;
 
 /// Names the README may state bare although no workspace source declares
 /// them: they come from the standard library.
 const FOREIGN_NAMES: &[&str] = &["HashMap", "AtomicU64", "TcpListener"];
 
-fn readme() -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("README.md");
+fn read(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
     std::fs::read_to_string(&path).unwrap_or_else(|err| panic!("read {}: {err}", path.display()))
+}
+
+fn readme() -> String {
+    read("README.md")
+}
+
+fn assert_within_budget(name: &str, budget: usize) {
+    let lines = read(name).lines().count();
+    assert!(lines <= budget, "{name} is {lines} lines, over its budget of {budget}");
 }
 
 #[test]
 fn readme_stays_within_its_line_budget() {
-    let lines = readme().lines().count();
-    assert!(
-        lines <= README_MAX_LINES,
-        "README.md is {lines} lines, over its budget of {README_MAX_LINES}"
-    );
+    assert_within_budget("README.md", README_MAX_LINES);
+}
+
+#[test]
+fn verify_skill_stays_within_its_line_budget() {
+    assert_within_budget(".claude/skills/verify/SKILL.md", VERIFY_SKILL_MAX_LINES);
 }
 
 /// Every `tests/<name>.rs` the README names, in the order it names them.

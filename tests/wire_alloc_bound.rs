@@ -1,6 +1,6 @@
 //! The reservation bound of the wire decoder, measured.
 //!
-//! The rule (`seabed_net::wire`, `seabed_engine::storage`): a decoder never
+//! The rule (`seabed_net::wire`): a decoder never
 //! reserves more bytes than remain unread in the frame, whatever element
 //! count the frame claims. The forged-count cases in `wire_robustness` use
 //! frames under 100 bytes and can only see the typed error; this binary
@@ -28,7 +28,7 @@ use seabed::crypto::OreScheme;
 use seabed::encoding::varint;
 use seabed::encoding::IdListEncoding;
 use seabed::engine::merge::{PartialAggregate, PartialGroup, PartialGroups};
-use seabed::engine::{storage, Cluster, ClusterConfig, ColumnData, ColumnType, ExecMode, ExecStats, Schema, Table};
+use seabed::engine::{Cluster, ClusterConfig, ColumnData, ColumnType, ExecMode, ExecStats, Schema, Table};
 use seabed::error::SeabedError;
 use seabed::net::wire::{decode_frame, encode_frame, Frame, ShardExecConfig, DEFAULT_MAX_FRAME_LEN, HEADER_LEN};
 use seabed::query::{CompareOp, GroupByColumn, ServerAggregate, SupportCategory, TranslatedQuery};
@@ -277,9 +277,32 @@ fn request_plan_with_a_forged_group_by_or_param_count() {
     assert_bounded("Request plan placeholders", &bare_request(), |_| 9);
 }
 
-/// The stored-table format inside a `LoadShard` has its own decoder
-/// (`storage::deserialize_table`) and the same rule: forge the row count of
-/// a `Utf8` column, whose cells are 24 bytes in memory and 4 on the wire.
+/// A shard's load of the one-column, one-partition `table`.
+fn load_shard(table: Table) -> Frame {
+    Frame::LoadShard {
+        epoch: 1,
+        table_id: 0,
+        shard: 0,
+        exec: ShardExecConfig {
+            local_threads: 1,
+            exec_mode: ExecMode::Vectorized,
+        },
+        table,
+    }
+}
+
+/// Where a one-column, one-partition table's column starts in its
+/// `LoadShard` payload, given its schema, `(name, type tag)`: behind epoch,
+/// table id, shard id, local threads and exec mode (a byte each), the
+/// schema (field count, name length, name, type tag), the partition count,
+/// `start_row`, the column count and the column's own type tag.
+fn column_at(payload: &[u8], name: u8, tag: u8) -> usize {
+    assert_eq!(payload[..13], [1, 0, 0, 1, 1, 1, 1, name, tag, 1, 0, 1, tag]);
+    13
+}
+
+/// A `Utf8` column is a `Vec<String>`: forge its row count, whose cells are
+/// 24 bytes in memory and 1 on the wire.
 #[test]
 fn load_shard_with_a_forged_utf8_row_count() {
     let table = Table::from_columns(
@@ -287,94 +310,78 @@ fn load_shard_with_a_forged_utf8_row_count() {
         vec![ColumnData::Utf8(vec!["x".to_string()])],
         1,
     );
-    assert_load_shard_bounded("LoadShard Utf8 rows", &table);
+    assert_bounded("LoadShard Utf8 rows", &load_shard(table), |payload| {
+        column_at(payload, b's', 2)
+    });
 }
 
-/// A `Bytes` column is one flat buffer plus an offset per cell, both sized
-/// from the cells' own length prefixes: a forged count (and, with the `0xff`
-/// fill, a forged first cell length) must fail before either is reserved.
+/// A word column is a count and the raw words: one extent check against the
+/// bytes left, so a forged count fails having reserved nothing.
+#[test]
+fn load_shard_with_a_forged_uint64_word_count() {
+    let table = Table::from_columns(
+        Schema::new([("w".to_string(), ColumnType::UInt64)]),
+        vec![ColumnData::UInt64(vec![u64::MAX])],
+        1,
+    );
+    assert_bounded("LoadShard UInt64 words", &load_shard(table), |payload| {
+        column_at(payload, b'w', 0)
+    });
+}
+
+/// A ragged `Bytes` column travels cell by cell behind its count (the
+/// `Offsets` arm, layout tag 1) and is pushed as its cells arrive: a forged
+/// count (and, with the `0xff` fill, a forged first cell length) fails
+/// before anything is reserved.
 #[test]
 fn load_shard_with_a_forged_bytes_cell_count() {
     let table = Table::from_columns(
         Schema::new([("b".to_string(), ColumnType::Bytes)]),
-        vec![ColumnData::Bytes([[7u8; 16]].iter().collect())],
+        vec![ColumnData::Bytes([&[7u8; 16][..], &[7]].into_iter().collect())],
         1,
     );
-    assert_load_shard_bounded("LoadShard Bytes cells", &table);
+    assert_bounded("LoadShard Bytes cells", &load_shard(table), |payload| {
+        let at = column_at(payload, b'b', 3);
+        assert_eq!(payload[at..at + 3], [1, 2, 16]);
+        at + 1
+    });
 }
 
-/// A `Bytes` column of one cell width loads in bulk: one extent check, then
-/// its buffer reserved once. Forge the cell count of an honest 16-byte column
-/// that fills the frame — to one more cell than it holds, and to `u32::MAX` —
-/// and the bulk path's extent check fails, the cell-by-cell walk behind it runs
-/// off the end, and the decode fails having reserved nothing beyond the bytes
-/// left.
+/// A `Bytes` column of one cell width travels as its width, its cell count
+/// and its cells as one byte string (the `Uniform` arm, layout tag 0), and
+/// is copied in one piece once the data is checked to be exactly its cells.
+/// Forge the cell count of an honest 16-byte column that fills the frame —
+/// to one more cell than it holds, and to `u32::MAX` — and the decode fails
+/// having reserved nothing beyond the bytes left.
 #[test]
 fn load_shard_with_a_forged_count_on_a_uniform_column() {
     for frame_len in FRAME_LENS {
-        let cells = (frame_len - 64) / 20;
+        let cells = (frame_len - 64) / 16;
         let table = Table::from_columns(
             Schema::new([("o".to_string(), ColumnType::Bytes)]),
             vec![ColumnData::Bytes((0..cells).map(|i| [i as u8; 16]).collect())],
             1,
         );
-        let table_len = storage::serialized_len(&table);
-        let load = Frame::LoadShard {
-            epoch: 1,
-            table_id: 0,
-            shard: 0,
-            exec: ShardExecConfig {
-                local_threads: 1,
-                exec_mode: ExecMode::Vectorized,
-            },
-            table,
-        };
-        let honest = encode_frame(&load, DEFAULT_MAX_FRAME_LEN).expect("encode");
+        let honest = encode_frame(&load_shard(table), DEFAULT_MAX_FRAME_LEN).expect("encode");
         decode_frame(&honest, DEFAULT_MAX_FRAME_LEN).expect("the honest frame decodes");
-        // The table closes the frame; its cell count follows the schema
-        // (count, name length, "o", tag), the partition count and start_row.
-        let count_at = honest.len() - table_len + 4 + 4 + 1 + 1 + 4 + 8;
-        assert_eq!(honest[count_at..count_at + 4], (cells as u32).to_le_bytes());
-        for forged in [cells as u32 + 1, u32::MAX] {
-            let mut frame = honest.clone();
-            frame[count_at..count_at + 4].copy_from_slice(&forged.to_le_bytes());
+        let at = HEADER_LEN + column_at(&honest[HEADER_LEN..], b'o', 3);
+        assert_eq!(honest[at..at + 2], [0, 16]);
+        let count_at = at + 2;
+        let mut count = Vec::new();
+        varint::encode_u64(cells as u64, &mut count);
+        assert_eq!(honest[count_at..count_at + count.len()], count);
+        for forged in [cells as u64 + 1, u64::from(u32::MAX)] {
+            let mut frame = honest[..count_at].to_vec();
+            varint::encode_u64(forged, &mut frame);
+            frame.extend_from_slice(&honest[count_at + count.len()..]);
+            let payload_len = (frame.len() - HEADER_LEN) as u32;
+            frame[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
             let ratio = decode_and_measure("LoadShard uniform Bytes cells", &frame);
             assert!(
                 ratio <= 1.0,
                 "a forged count of {forged} on a one-width column reserved {ratio:.2}x the frame"
             );
         }
-    }
-}
-
-/// Forges the row count of the one-row, one-column `table` (its column name
-/// one byte long) inside a `LoadShard` frame.
-fn assert_load_shard_bounded(what: &str, table: &Table) {
-    let honest = storage::serialize_table(table);
-    // fields: count(4) + name len(4) + name(1) + tag(1); partitions: count(4)
-    // + start_row(8); then the column's row count.
-    let rows_at = 4 + 4 + 1 + 1 + 4 + 8;
-    assert_eq!(honest[rows_at..rows_at + 4], 1u32.to_le_bytes());
-
-    for frame_len in FRAME_LENS {
-        let mut blob = honest[..rows_at].to_vec();
-        blob.extend_from_slice(&u32::MAX.to_le_bytes());
-        blob.resize(frame_len, 0xff);
-        // Header of kind 8, then epoch, table id, shard id, local threads and
-        // exec mode at one byte each, then the length-prefixed table.
-        let mut frame = encode_frame(&Frame::SchemaRequest, DEFAULT_MAX_FRAME_LEN).expect("encode");
-        frame[6] = 8;
-        frame.extend_from_slice(&[1, 0, 0, 1, 1]);
-        varint::encode_u64(blob.len() as u64, &mut frame);
-        frame.extend_from_slice(&blob);
-        let payload_len = (frame.len() - HEADER_LEN) as u32;
-        frame[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
-
-        let ratio = decode_and_measure(what, &frame);
-        assert!(
-            ratio <= 2.0,
-            "{what}: a forged row count made the table decoder reserve {ratio:.1}x the frame"
-        );
     }
 }
 

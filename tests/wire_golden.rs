@@ -15,11 +15,11 @@
 //!
 //! The digests were first recorded at the commit *before* the codec was
 //! rewritten behind one `Wire` trait (PR 18), re-recorded once for protocol
-//! version 5, once for version 6 and once for version 7, each time with the
-//! reason it moved ([`RECORDED`]). A kind whose payload did not move keeps
-//! its version-6 digest beside the new one, and the test re-derives it by
-//! writing `6` back into the header — so "only the version field moved" is
-//! checked, not claimed.
+//! version 5, once for version 6, once for version 7 and once for version 8,
+//! each time with the reason it moved ([`RECORDED`]). A kind whose payload
+//! did not move keeps its version-7 digest beside the new one, and the test
+//! re-derives it by writing `7` back into the header — so "only the version
+//! field moved" is checked, not claimed.
 
 use seabed::ashe::IdSet;
 use seabed::core::{EncryptedAggregate, GroupIds, GroupResult, PartialResponse, PhysicalFilter, ServerResponse};
@@ -558,13 +558,13 @@ fn frames() -> Vec<(&'static str, Vec<Frame>)> {
     ]
 }
 
-/// `(name, SHA-256 of the bytes, SHA-256 of the bytes under a version-6
+/// `(name, SHA-256 of the bytes, SHA-256 of the bytes under a version-7
 /// header)`, in a fixed order. The payload writers have no header, so their
 /// two digests are one.
 fn digests() -> Vec<(&'static str, String, String)> {
     let mut out = Vec::new();
     for (index, (name, frames)) in frames().into_iter().enumerate() {
-        let (mut bytes, mut as_version_6) = (Vec::new(), Vec::new());
+        let (mut bytes, mut as_version_7) = (Vec::new(), Vec::new());
         for frame in &frames {
             assert_eq!(
                 frame.kind() as usize,
@@ -577,10 +577,10 @@ fn digests() -> Vec<(&'static str, String, String)> {
             assert_eq!(encode_frame(&decoded, u32::MAX).expect("re-encode"), encoded, "{name}");
             bytes.extend_from_slice(&encoded);
             assert_eq!(encoded[4..6], PROTOCOL_VERSION.to_le_bytes());
-            encoded[4..6].copy_from_slice(&6u16.to_le_bytes());
-            as_version_6.extend_from_slice(&encoded);
+            encoded[4..6].copy_from_slice(&7u16.to_le_bytes());
+            as_version_7.extend_from_slice(&encoded);
         }
-        out.push((name, digest_hex(&bytes), digest_hex(&as_version_6)));
+        out.push((name, digest_hex(&bytes), digest_hex(&as_version_7)));
     }
     let mut statement = Vec::new();
     write_statement_payload(&mut statement, &query(SupportCategory::ClientPostProcessing));
@@ -591,111 +591,111 @@ fn digests() -> Vec<(&'static str, String, String)> {
     out
 }
 
-/// Why a digest differs from the one recorded for protocol version 6.
+/// Why a digest differs from the one recorded for protocol version 7.
 enum Moved {
-    /// Only the header's version field: the bytes under a version-6 header
-    /// still hash to the digest recorded for version 6. The payload writers
+    /// Only the header's version field: the bytes under a version-7 header
+    /// still hash to the digest recorded for version 7. The payload writers
     /// have no header, so theirs is the digest itself.
     VersionOnly(&'static str),
-    /// Exec stats carry only `wall_time` and `operators` — the task count,
-    /// both task times, the modelled server time and the bytes-to-driver
-    /// count are gone — and a response no longer carries `result_bytes`.
-    MeasuredStatsOnly,
+    /// The shard table is written by the wire codec: each column behind its
+    /// type's tag, words as raw 8-byte values, a `Bytes` column of one width
+    /// as its width, its count and its cells with no per-cell length.
+    TableLayout,
 }
 use Moved::*;
 
-/// Recorded once for protocol version 7, in the order of [`digests`], each
+/// Recorded once for protocol version 8, in the order of [`digests`], each
 /// with what moved it.
 const RECORDED: [(&str, Moved); 20] = [
     // 01 request
     (
-        "37f07cf42f016b4d577581809a6f1a2f319856051d31913434d52cc2a02ac39c",
-        VersionOnly("bb12654e3941fbe5dfe56fa57b65fddefcdaf014453f2e3155110043a1a1c11e"),
+        "7ebb600c3fb996ccaa99ce171673a79aa0dc12af1fbe2dbb01a2a5c6f136724b",
+        VersionOnly("37f07cf42f016b4d577581809a6f1a2f319856051d31913434d52cc2a02ac39c"),
     ),
     // 02 response
     (
-        "e98c58b971f3b999cb58594f7179a8edaf75c15947fe120092c60c90dcaa1c1e",
-        MeasuredStatsOnly,
+        "675a7c78e4a451935daeef832284d322a8d0433af040921cdd08ff580131d218",
+        VersionOnly("e98c58b971f3b999cb58594f7179a8edaf75c15947fe120092c60c90dcaa1c1e"),
     ),
     // 03 error
     (
-        "b887b17585821d35eb4424f54a39def90eea0c076c1e7b595a41d954f271fec1",
-        VersionOnly("c234c9e2922f9206485edbb76e7e0234dc845039b1d817d112204eb915c00096"),
+        "5bd234d4ef99a606850a820f93f8adc913620076ad7cb04f57433eaaff33b9f3",
+        VersionOnly("b887b17585821d35eb4424f54a39def90eea0c076c1e7b595a41d954f271fec1"),
     ),
     // 04 schema request
     (
-        "10be5135be6c82307f8111af1c4cbccfe3f4694b9cc532421080b03de693d779",
-        VersionOnly("bb9d5f974cfc40c2adaca77b11d285070a40add1c405de4b4c26c5338ec15c00"),
+        "170406184c635f36043ecd452df61d969741f10d6313f302b30dce5e7618363e",
+        VersionOnly("10be5135be6c82307f8111af1c4cbccfe3f4694b9cc532421080b03de693d779"),
     ),
     // 05 schema
     (
-        "4d557818e798bd62b39198d3406658701e7f61bbadf3d9cc68182c68c496e5ec",
-        VersionOnly("7849b16bdf1358ee67588516dcd1bd387314fe60c847b5ffa4c78bf2f255640d"),
+        "d7468699d78f16f771c23ad0c054e0208f53ef52c374ed92831d7d3db3085efc",
+        VersionOnly("4d557818e798bd62b39198d3406658701e7f61bbadf3d9cc68182c68c496e5ec"),
     ),
     // 06 worker handshake
     (
-        "f554fea592713bc018760ce58b9ebfc871f4eedf720927b75752cef112d4143d",
-        VersionOnly("e5a10810885881c35323b657769eaf5c1873723855e0efdc0c849d8a00193efb"),
+        "a03cbb4fb180a362c545f043944c285f91bc52dff88cdce38a9bf54ecc698520",
+        VersionOnly("f554fea592713bc018760ce58b9ebfc871f4eedf720927b75752cef112d4143d"),
     ),
     // 07 worker ready
     (
-        "e8585ed1e6096ab8e578e28346a2cad499d9aecfffa4d051ef49412b4f4e3eb1",
-        VersionOnly("ba72c3aff281761b3f0b635339023f2356c33daefa040f284ae31ebf7e4910d6"),
+        "6bb8712fc5386c9ff7b2f5026a320f7aa13a3367a054ea993cf4d435c50680b9",
+        VersionOnly("e8585ed1e6096ab8e578e28346a2cad499d9aecfffa4d051ef49412b4f4e3eb1"),
     ),
     // 08 load shard
     (
-        "0e29055c593179e6a4092e95bdde8d058bc87ff4d03a4fda06fbdc6362dff2cf",
-        VersionOnly("bbeda75d5ab4a44ff6a758530f569a6c6bd3f0aa5cadb030ee1af27cef907a57"),
+        "57a790b4972228bfb48681f2230f25eb9e7bd41bfaaae001c3025b1349fd0bc6",
+        TableLayout,
     ),
     // 09 shard loaded
     (
-        "0d0541f694599d6afd268c12ec559ef295d8271b668f53b3ca0884deae14d056",
-        VersionOnly("d53a11f55d5a9e6328dbbcb41006fe54408703331fd1dcf1f6d46d2afbeb97d4"),
+        "9739e7b87b6e2ef20f6ac5d8e4e04c07d31edcdc78f4cda07689df4c4b8db433",
+        VersionOnly("0d0541f694599d6afd268c12ec559ef295d8271b668f53b3ca0884deae14d056"),
     ),
     // 10 shard query
     (
-        "a050fa16b6d2fd97760676ce979b5e3de1a8d19d4a65750bdd338a7cb6e74d69",
-        VersionOnly("8d2b056a2b9729b7d6e850763dc609d60eaeaa30f3d481bf132279a009301d34"),
+        "6564d76f464083928cfb6d534ff6f89ec8ee75b3e9d9967fcda1b90fbf6b3b4f",
+        VersionOnly("a050fa16b6d2fd97760676ce979b5e3de1a8d19d4a65750bdd338a7cb6e74d69"),
     ),
     // 11 shard partial
     (
-        "95e79cf156060da10468c1e3e6830c0427fb43936f9c097728f2f917f90288ca",
-        MeasuredStatsOnly,
+        "566f3efb43fb49c4c4ade6f324ee06f8b8345dfedc35d60f51175bd9ef1803e6",
+        VersionOnly("95e79cf156060da10468c1e3e6830c0427fb43936f9c097728f2f917f90288ca"),
     ),
     // 12 prepare statement
     (
-        "23d8c7500396770d7d9e62d4f614492ad14fea7e23eaf51e753404372cfe11af",
-        VersionOnly("c556f4f255bbaa95e9d45a5d594fc28c22c6d01aceda008880c91fed2b2556c5"),
+        "fe4953fcf3f737691619ac2a0a0879a3bef2c92b5247e7a4f350c4b90febad0a",
+        VersionOnly("23d8c7500396770d7d9e62d4f614492ad14fea7e23eaf51e753404372cfe11af"),
     ),
     // 13 statement prepared
     (
-        "f6a4dc7bde748d5aa551b13751a81cbc9d1699b99a8546f082ed296f2f816d68",
-        VersionOnly("b8fd1ac93dd70934219c6d07431f0afb7140f34fc6a2b41c57891565dc5ee25a"),
+        "631252daa077986ed64bb6d1edfdef39a53f05c3fa2aec340ba6490b04940eac",
+        VersionOnly("f6a4dc7bde748d5aa551b13751a81cbc9d1699b99a8546f082ed296f2f816d68"),
     ),
     // 14 execute statement
     (
-        "aa11af5a1a033380bb3d36eda76d50c8c63e784442ff42bebac941fe478b8880",
-        VersionOnly("d00dbf31a0d77b84c9a1b2959c68d3d39c0c67378ad8ac91d5f7d9f8685bc916"),
+        "9970a3b0df00856261130cd3b49178beba31fb908772e2f94ed26a70c7644ca2",
+        VersionOnly("aa11af5a1a033380bb3d36eda76d50c8c63e784442ff42bebac941fe478b8880"),
     ),
     // 15 unload shard
     (
-        "b4bb802f9c805dc70a509310525c5dfd4ca7e225cd78ac90ea51a005d6d61fae",
-        VersionOnly("4ecdd74f33c2cd552a06d11c2b15ae39e43d5921f437b35d9216c42b8f04aa72"),
+        "ab3703fdb428e1e1978a386779cb2eb25ea2e9c570bb0be33d266d4aeb0394b2",
+        VersionOnly("b4bb802f9c805dc70a509310525c5dfd4ca7e225cd78ac90ea51a005d6d61fae"),
     ),
     // 16 shard unloaded
     (
-        "aed6380475e95b565ffd1496eba8830b6fe68854e44e8927699e438c4bdc4878",
-        VersionOnly("631fb49abf8a86cde956bc5a2c291066676ddf8278233daae2207f3466d3538d"),
+        "43d53012e5866772bf646efd85b1df0e0daf0e2673778729508b301b203532d2",
+        VersionOnly("aed6380475e95b565ffd1496eba8830b6fe68854e44e8927699e438c4bdc4878"),
     ),
     // 17 metrics request
     (
-        "0457266b8a57dcdd880788d096950b668810d4f4904e9c8915c25dcb25e02d56",
-        VersionOnly("3297a68e92e06f4cf9c81e763300216837e204f79a5d3c475e524566e810c47e"),
+        "69c5a39d23d4dce3143c1b398c1b3bfe16792c95dabf33ecd609e3e54d9a942f",
+        VersionOnly("0457266b8a57dcdd880788d096950b668810d4f4904e9c8915c25dcb25e02d56"),
     ),
     // 18 metrics snapshot
     (
-        "0347545aa6cd9f918355d8236336b9e4bf4d00b9272bc95bc771059f382d2fb7",
-        VersionOnly("f0760ac4108b97975cad22c7cff1cb24f2802c45f88b6742b8607e0ba83dccea"),
+        "462388efafbe8c38d46d92f273c9bf6e4fa5b1985cb5fe361a06fa54957d2348",
+        VersionOnly("0347545aa6cd9f918355d8236336b9e4bf4d00b9272bc95bc771059f382d2fb7"),
     ),
     // statement payload
     (
@@ -716,10 +716,10 @@ fn every_frame_kind_encodes_to_its_recorded_bytes() {
         println!("    \"{digest}\", // {name}");
     }
     assert_eq!(got.len(), RECORDED.len());
-    for ((name, digest, as_version_6), (recorded, moved)) in got.iter().zip(RECORDED) {
+    for ((name, digest, as_version_7), (recorded, moved)) in got.iter().zip(RECORDED) {
         assert_eq!(digest, recorded, "{name}: the encoded bytes moved");
-        if let VersionOnly(version_6) = moved {
-            assert_eq!(as_version_6, version_6, "{name}: more than the version field moved");
+        if let VersionOnly(version_7) = moved {
+            assert_eq!(as_version_7, version_7, "{name}: more than the version field moved");
         }
     }
 }

@@ -12,9 +12,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seabed::core::{EncryptedAggregate, GroupIds, GroupResult, PhysicalFilter, ServerResponse};
 use seabed::encoding::{varint, IdListEncoding};
-use seabed::engine::{ExecStats, OperatorProfile};
+use seabed::engine::{ColumnData, ColumnType, ExecMode, ExecStats, OperatorProfile, Schema, Table};
 use seabed::error::SeabedError;
-use seabed::net::wire::{decode_frame, encode_frame, Frame, DEFAULT_MAX_FRAME_LEN, HEADER_LEN};
+use seabed::net::wire::{
+    decode_frame, decode_payload, encode_frame, Frame, FrameKind, ShardExecConfig, DEFAULT_MAX_FRAME_LEN, HEADER_LEN,
+};
 use seabed::query::{
     ClientPostStep, CompareOp, GroupByColumn, Literal, Predicate, ServerAggregate, ServerFilter, SupportCategory,
     TranslatedQuery,
@@ -297,6 +299,65 @@ mod roundtrip {
             let bytes = encode_frame(&execute, DEFAULT_MAX_FRAME_LEN).expect("encode");
             prop_assert_eq!(decode_frame(&bytes, DEFAULT_MAX_FRAME_LEN).expect("decode"), execute);
         }
+
+        /// A shard's table round-trips in a `LoadShard` frame: every column
+        /// type, any row count, any partitioning.
+        #[test]
+        fn load_shard_roundtrip_all_column_types(rows in 0usize..500, partitions in 1usize..8) {
+            let table = Table::from_columns(
+                Schema::new([
+                    ("a".to_string(), ColumnType::UInt64),
+                    ("b".to_string(), ColumnType::Utf8),
+                    ("c".to_string(), ColumnType::Int64),
+                    ("d".to_string(), ColumnType::Bytes),
+                ]),
+                vec![
+                    ColumnData::UInt64((0..rows as u64).map(|i| i * 31).collect()),
+                    ColumnData::Utf8((0..rows).map(|i| format!("s{i}")).collect()),
+                    ColumnData::Int64((0..rows as i64).map(|i| 250 - i).collect()),
+                    ColumnData::Bytes((0..rows).map(|i| vec![(i % 256) as u8; i % 7]).collect()),
+                ],
+                partitions,
+            );
+            let frame = load_shard(table);
+            let bytes = encode_frame(&frame, DEFAULT_MAX_FRAME_LEN).expect("encode");
+            prop_assert_eq!(decode_frame(&bytes, DEFAULT_MAX_FRAME_LEN).expect("decode"), frame);
+        }
+
+        /// A `LoadShard` payload cut anywhere is a typed error, never a panic.
+        #[test]
+        fn truncated_load_shard_is_a_typed_error(rows in 0usize..120, partitions in 1usize..6, cut_seed in any::<u64>()) {
+            let table = Table::from_columns(
+                Schema::new([
+                    ("a".to_string(), ColumnType::UInt64),
+                    ("b".to_string(), ColumnType::Bytes),
+                ]),
+                vec![
+                    ColumnData::UInt64((0..rows as u64).collect()),
+                    ColumnData::Bytes((0..rows).map(|i| vec![i as u8; i % 5]).collect()),
+                ],
+                partitions,
+            );
+            let bytes = encode_frame(&load_shard(table), DEFAULT_MAX_FRAME_LEN).expect("encode");
+            let payload = &bytes[HEADER_LEN..];
+            let cut = (cut_seed % payload.len() as u64) as usize;
+            let outcome = decode_payload(FrameKind::LoadShard as u8, &payload[..cut]);
+            prop_assert!(matches!(outcome, Err(SeabedError::Wire(_))), "{:?}", outcome);
+        }
+    }
+}
+
+/// A shard's load of `table`.
+fn load_shard(table: Table) -> Frame {
+    Frame::LoadShard {
+        epoch: 1,
+        table_id: 0,
+        shard: 0,
+        exec: ShardExecConfig {
+            local_threads: 1,
+            exec_mode: ExecMode::Vectorized,
+        },
+        table,
     }
 }
 
@@ -524,15 +585,16 @@ fn forged_operator_and_event_counts_are_rejected() {
 /// The analyze flag and the profile/event payloads were a breaking layout
 /// change, so they came with a protocol version bump (to 4), as the packed ORE
 /// cells, the per-group ID list and the server's half of the plan did (to 5),
-/// the ID lists' three closed-form containers did (to 6), and the exec stats
-/// cut to what the server measured did (to 7): a frame stamped with any
-/// earlier version is refused at the header.
+/// the ID lists' three closed-form containers did (to 6), the exec stats cut
+/// to what the server measured did (to 7), and the shard table written by the
+/// one codec did (to 8): a frame stamped with any earlier version is refused
+/// at the header.
 #[test]
 fn analyze_extensions_bumped_the_protocol_version() {
     use seabed::net::wire::PROTOCOL_VERSION;
-    assert_eq!(PROTOCOL_VERSION, 7, "one bump for the measured stats");
+    assert_eq!(PROTOCOL_VERSION, 8, "one bump for the shard table's layout");
     let good = encode_frame(&Frame::SchemaRequest, DEFAULT_MAX_FRAME_LEN).expect("encode");
-    for earlier in [3u16, 4, 5, 6] {
+    for earlier in [3u16, 4, 5, 6, 7] {
         let mut stamped = good.clone();
         stamped[4..6].copy_from_slice(&earlier.to_le_bytes());
         assert!(matches!(
