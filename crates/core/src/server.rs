@@ -58,7 +58,7 @@ use seabed_engine::{
 };
 use seabed_error::{SchemaError, SeabedError};
 use seabed_obs::UNTRACED;
-use seabed_query::{AggregateInput, CompareOp, FilterClass, PlanNode, ServerAggregate, TranslatedQuery};
+use seabed_query::{AggregateInput, CompareOp, FilterClass, GroupByColumn, PlanNode, ServerAggregate, TranslatedQuery};
 use std::collections::HashMap;
 
 /// A filter with its literal already encrypted by the proxy.
@@ -253,6 +253,21 @@ pub(crate) fn require_column(schema: &Schema, name: &str, expected: Option<Colum
         .into()),
         _ => Ok(index),
     }
+}
+
+/// The columns a plan's scan reads, resolved against `schema`: its group
+/// keys, which must be u64-backed (a plaintext or DET-tag column), and its
+/// aggregates' inputs. Execution and prepare-time validation both run this,
+/// so a plan that prepares is a plan whose columns resolve at execute.
+pub(crate) fn resolve_columns(
+    schema: &Schema,
+    query: &TranslatedQuery,
+) -> Result<(Vec<usize>, Vec<ResolvedAggregate>), SeabedError> {
+    let group_key = |g: &GroupByColumn| require_column(schema, &g.physical_column, Some(ColumnType::UInt64));
+    let group_columns = query.group_by.iter().map(group_key).collect::<Result<_, _>>()?;
+    let resolve = |agg| ResolvedAggregate::resolve(agg, schema);
+    let aggregates = query.aggregates.iter().map(resolve).collect::<Result<_, _>>()?;
+    Ok((group_columns, aggregates))
 }
 
 impl PhysicalFilter {
@@ -697,19 +712,7 @@ impl SeabedServer {
         for filter in filters {
             filter.validate(&self.table)?;
         }
-        let group_columns: Vec<usize> = query
-            .group_by
-            .iter()
-            .map(|g| {
-                // Group keys must be u64-backed (plaintext or DET tag).
-                self.table.require_typed_column(&g.physical_column, ColumnType::UInt64)
-            })
-            .collect::<Result<_, _>>()?;
-        let resolved: Vec<ResolvedAggregate> = query
-            .aggregates
-            .iter()
-            .map(|agg| ResolvedAggregate::resolve(agg, &self.table.schema))
-            .collect::<Result<_, _>>()?;
+        let (group_columns, resolved) = resolve_columns(&self.table.schema, query)?;
 
         let mode = self.cluster.config.exec_mode;
         let table = &self.table;

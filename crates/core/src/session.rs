@@ -35,10 +35,8 @@
 
 use crate::client::{require_filter_column, QueryResult, SeabedClient};
 use crate::fifo::FifoMap;
-use crate::server::{
-    require_column, ExecOutcome, ExecRequest, PhysicalFilter, QueryTarget, ResolvedAggregate, ServerResponse,
-};
-use seabed_engine::{ColumnType, OperatorProfile, Schema};
+use crate::server::{resolve_columns, ExecOutcome, ExecRequest, PhysicalFilter, QueryTarget, ServerResponse};
+use seabed_engine::{OperatorProfile, Schema};
 use seabed_error::{SchemaError, SeabedError};
 use seabed_obs::{Counter, EventOperator, Histogram, QueryEvent, Registry, TraceBuilder, TraceId, UNTRACED};
 use seabed_query::{
@@ -819,14 +817,8 @@ pub fn validate_against_schema(schema: &Schema, translated: &TranslatedQuery) ->
         // literal at bind time).
         require_filter_column(schema, filter)?;
     }
-    for aggregate in &translated.aggregates {
-        // The server's own column resolution, run early and discarded.
-        ResolvedAggregate::resolve(aggregate, schema)?;
-    }
-    for group in &translated.group_by {
-        // Group keys must be u64-backed (plaintext or DET tag).
-        require_column(schema, &group.physical_column, Some(ColumnType::UInt64))?;
-    }
+    // The server's own column resolution, run early and discarded.
+    resolve_columns(schema, translated)?;
     Ok(())
 }
 

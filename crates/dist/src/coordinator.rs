@@ -13,11 +13,15 @@
 //! execution runs, so the distributed answer is byte-identical by
 //! construction.
 //!
-//! This module owns the query path: probe, scatter, hedge, re-dispatch,
-//! gather. *Who holds shard s* is `crate::placement`'s and *is worker w
-//! alive* is `crate::link`'s — their module docs state the rules; *what did
-//! this query do* is a `Tally` the query fills, never a difference of
-//! process-wide counters.
+//! This module is the query path's shell: probe, scatter, gather. *What the
+//! scatter asks next* — each shard's walk through its primary, its hedges and
+//! its re-dispatches, with every deadline, fence, promotion and failure — is
+//! `crate::dispatch`'s, a value the shell drives: the shell locks, sends,
+//! receives, loads, reads the clock and does what the dispatch returns. *Who
+//! holds shard s* is `crate::placement`'s and *is worker w alive* is
+//! `crate::link`'s; their module docs state the rules. *What did this query
+//! do* is a `Tally` the query fills, never a difference of process-wide
+//! counters.
 //!
 //! # The scatter
 //!
@@ -89,10 +93,13 @@
 //! placement, runs the shard loads the plan needs, and commits the copy only
 //! if they went through — a refused leave changes nothing — and each bumps
 //! the partial cache's fencing epoch, so partials cached under the old
-//! membership can never answer a later probe.
+//! membership can never answer a later probe. They run one at a time, under
+//! the membership lock: a plan is always made from the last committed one.
+//! Queries never take that lock.
 
 use crate::cache::{PartialCache, PartialKey};
-use crate::link::{answered, connect_worker, live, LockedLink, Tally, WorkerLink};
+use crate::dispatch::{Action, Ask, Dispatch};
+use crate::link::{connect_worker, live, Tally, WorkerLink};
 use crate::lock;
 use crate::placement::{split_into_shards, Placement};
 use rand::RngCore;
@@ -259,18 +266,6 @@ pub struct WorkerSummary {
     pub bytes_received: u64,
 }
 
-/// Whether a failed shard query is worth re-dispatching to another worker:
-/// transport and wire failures (this worker or its link misbehaved) and
-/// dist-protocol errors (e.g. "shard not resident" after a worker restart)
-/// are; deterministic query-semantics failures are not — every worker would
-/// answer the same.
-fn retry_elsewhere(err: &SeabedError) -> bool {
-    matches!(
-        err,
-        SeabedError::Net(_) | SeabedError::Wire(_) | SeabedError::Dist { .. }
-    )
-}
-
 /// Per-process epoch nonce: drawn once from the vendored RNG, so two
 /// coordinator processes reading the same clock still derive distinct epochs.
 fn epoch_nonce() -> u64 {
@@ -308,17 +303,6 @@ fn fresh_epoch_at(now: SystemTime) -> Result<u64, SeabedError> {
         .as_nanos() as u64;
     let salt = EPOCH_SALT.fetch_add(1, Ordering::Relaxed);
     Ok(mix_epoch(nanos, epoch_nonce(), salt))
-}
-
-/// The immutable per-query inputs threaded through scatter, hedge, and
-/// re-dispatch.
-#[derive(Clone, Copy)]
-struct QueryContext<'a> {
-    table_id: u32,
-    /// Its `trace_id` and `analyze` flag ship inside every `ShardQuery`
-    /// frame: worker-side spans correlate with the coordinator's, and an
-    /// analyzed shard comes back with its per-operator breakdown.
-    request: ExecRequest<'a>,
 }
 
 /// The coordinator's registered instruments (`dist_*`): the lifetime
@@ -382,6 +366,10 @@ pub struct DistCoordinator {
     /// Which workers hold which shard. The one placement lock: held for
     /// reads and in-place edits only, never across I/O.
     placement: Mutex<Placement>,
+    /// Taken by `join_worker` and `leave_worker` for their whole run, shard
+    /// loads included, so one never commits a plan made before the other's
+    /// commit. Queries never take it.
+    membership: Mutex<()>,
     /// Worker slots. Indices are stable for the coordinator's lifetime:
     /// joiners append, leavers are retired in place (their link moves to
     /// `Left`), so replica sets and the partial cache's worker keys never
@@ -465,6 +453,7 @@ impl DistCoordinator {
         let coordinator = DistCoordinator {
             tables: entries,
             placement: Mutex::new(placement.clone()),
+            membership: Mutex::new(()),
             workers: RwLock::new(workers),
             epoch,
             seq: AtomicU64::new(0),
@@ -563,10 +552,6 @@ impl DistCoordinator {
         link_at(&self.pool(), index).cloned()
     }
 
-    fn worker_alive(&self, index: usize) -> bool {
-        live(&self.pool())(index)
-    }
-
     /// Health and traffic summaries, one per worker slot. Wait-free with
     /// respect to the workers: liveness and byte totals are the values each
     /// link published when its connection was last released.
@@ -629,15 +614,13 @@ impl DistCoordinator {
         let tb = self.obs.trace_builder(request.trace_id, "coordinator");
         let (table_id, entry) = self.resolve(&request.plan.base_table)?;
         let total_shards = entry.shards.len();
-        let ctx = QueryContext {
-            table_id,
-            request: *request,
-        };
 
         let (cached, missing) = self.probe(table_id, total_shards as u32, cache_key);
         let scatter_started = Instant::now();
-        let (lanes, results, mut tally) = self.scatter(ctx, &missing);
-        let fresh = self.recover(ctx, results, &mut tally)?;
+        let (lanes, fresh, tally) = match missing.is_empty() {
+            true => (0, Vec::new(), Tally::default()),
+            false => self.scatter(table_id, request, &missing)?,
+        };
         let scatter_ns = record_stage(&self.metrics.scatter_ns, &tb, "scatter", scatter_started.elapsed());
         for (run, ..) in &fresh {
             tb.add_span_ns("shard-execute", nanos(run.round_trip));
@@ -720,113 +703,114 @@ impl DistCoordinator {
         (cached, missing)
     }
 
-    /// Scatter (module docs): group the uncached shards by *primary*, one
-    /// lane per worker, each shard with the replica set a hedge may fall back
-    /// on, and order the lanes by worker index. Round `r` asks the `r`-th
-    /// shard of every lane that has one — a lane has a second only after a
-    /// re-dispatch promoted its worker — on the calling thread:
-    ///
-    /// 1. **send**: in worker order, each lane's link is locked and its shard
-    ///    query written, so every worker is scanning before any reply is read;
-    /// 2. **receive**: in the same order, each reply is read and its link
-    ///    released;
-    /// 3. **hedge**: only then, with no link of the round held, each abandoned
-    ///    shard is raced against its live replicas — often another lane's
-    ///    primary, whose lock this query held a moment ago.
-    ///
-    /// A lane whose connection is gone has the rest of its shards refused by
-    /// the link without another round trip. Returns the lane count, every
-    /// shard's outcome, and the query's tally.
-    fn scatter(&self, ctx: QueryContext<'_>, missing: &[u32]) -> (usize, Vec<ShardResult>, Tally) {
+    /// Scatter, hedge and recover the shards the probe left: the shell of a
+    /// [`Dispatch`], which decides every step (`crate::dispatch`'s module
+    /// docs) while this function locks, sends, receives, loads, fences,
+    /// promotes and reads the clock. A link is held from its send until its
+    /// own reply is read. Returns the lane count, every shard's answer in the
+    /// order the shards settled, and the query's tally.
+    fn scatter(
+        &self,
+        table_id: u32,
+        request: &ExecRequest<'_>,
+        missing: &[u32],
+    ) -> Result<(usize, Vec<ShardAnswer>, Tally), SeabedError> {
         let pool = self.pool().clone();
         let alive = live(&pool);
-        let mut lanes: Vec<Lane> = Vec::new();
-        {
+        let sets = {
             let placement = lock(&self.placement);
-            for &shard in missing {
-                let worker = placement.primary(ctx.table_id, shard, &alive);
-                let replicas = placement.replicas(ctx.table_id, shard).to_vec();
-                match lanes.iter_mut().find(|(w, _)| *w == worker) {
-                    Some((_, shards)) => shards.push((shard, replicas)),
-                    None => lanes.push((worker, vec![(shard, replicas)])),
+            let set = |&shard: &u32| (shard, placement.replicas(table_id, shard).to_vec());
+            missing.iter().map(set).collect()
+        };
+        let (hedge_after, read_timeout) = (self.config.hedge_after, self.config.read_timeout);
+        let hedge = (hedge_after < read_timeout).then_some(hedge_after);
+        let mut dispatch = Dispatch::new(table_id, sets, pool.len(), hedge, read_timeout, &alive);
+        let (origin, mut tally, mut held) = (Instant::now(), Tally::default(), Vec::new());
+        loop {
+            match dispatch.next(origin.elapsed(), &alive) {
+                Action::Send { shard, worker, ask } => {
+                    let load = ask == Ask::Redispatch { load: true };
+                    let loaded = load.then(|| self.load_shard(table_id, shard, &[worker]));
+                    let sent = loaded.unwrap_or(Ok(())).and_then(|()| {
+                        let mut locked = link_at(&pool, worker)?.lock();
+                        let (seq, query) = self.shard_query(table_id, shard, request)?;
+                        locked.send(&query)?;
+                        Ok((locked, seq, query))
+                    });
+                    let at = origin.elapsed();
+                    dispatch.sent(at);
+                    held.push((shard, worker, ask, origin + at, sent));
                 }
+                Action::Receive { deadline, abandon } => {
+                    let (shard, worker, ask, sent_at, sent) = held.remove(0);
+                    let reply = sent.and_then(|(mut locked, seq, query)| {
+                        let echo = |frame: &Frame| {
+                            let echoed = (self.epoch, table_id, shard, seq);
+                            matches!(frame, Frame::ShardPartial { epoch, table_id, shard, seq, .. }
+                                if (*epoch, *table_id, *shard, *seq) == echoed)
+                        };
+                        let reply = locked.receive(&query, origin + deadline, abandon, seq, &mut tally, echo)?;
+                        let Some(Frame::ShardPartial { partial, .. }) = reply else {
+                            return Ok(None);
+                        };
+                        // Shape-checked before it may reach the merge: a
+                        // forged or buggy partial poisons the link here.
+                        let link = locked.link();
+                        if let Err(detail) = validate_partial(request.plan, &partial) {
+                            return Err(locked.poison(SeabedError::dist(&link.label, detail)));
+                        }
+                        link.queries.fetch_add(1, Ordering::Relaxed);
+                        let run = ShardRun {
+                            table_id,
+                            shard,
+                            worker: link.label.clone(),
+                            // Moved out of the partial by the gather.
+                            stats: ExecStats::default(),
+                            round_trip: sent_at.elapsed(),
+                            redispatched: matches!(ask, Ask::Redispatch { .. }),
+                            hedged: ask == Ask::Hedge,
+                        };
+                        Ok(Some((run, worker, partial)))
+                    });
+                    if matches!(reply, Ok(None)) {
+                        tally.hedged += 1;
+                        self.metrics.hedged_reads.incr();
+                    }
+                    dispatch.settle(reply);
+                }
+                Action::Fence => {
+                    let dead: Vec<usize> = (0..pool.len()).filter(|&w| !alive(w)).collect();
+                    self.fence_cache(&dead);
+                }
+                Action::Promote { shard, worker } => {
+                    self.metrics.redispatches.incr();
+                    lock(&self.placement).promote(table_id, shard, worker, &alive);
+                }
+                Action::Done(answers) => return Ok((dispatch.lanes, answers, tally)),
+                Action::Fail(err) => return Err(err),
             }
         }
-        lanes.sort_unstable_by_key(|(worker, _)| *worker);
-        let (mut tally, mut results) = (Tally::default(), Vec::with_capacity(missing.len()));
-        let rounds = lanes.iter().map(|(_, shards)| shards.len()).max().unwrap_or(0);
-        for round in 0..rounds {
-            let asked = lanes
-                .iter()
-                .filter_map(|(worker, shards)| Some((*worker, shards.get(round)?)));
-            let mut in_flight = Vec::with_capacity(lanes.len());
-            for (worker, (shard, replicas)) in asked {
-                let hedge_after = self.hedge_trigger(worker, replicas, &alive);
-                let sent = link_at(&pool, worker).and_then(|link| {
-                    let mut locked = link.lock();
-                    let (seq, request) = self.shard_query(*shard, ctx)?;
-                    locked.send(&request)?;
-                    Ok((locked, seq, request, Instant::now()))
-                });
-                in_flight.push((worker, *shard, replicas, hedge_after, sent));
-            }
-            let mut abandoned = Vec::new();
-            for (worker, shard, replicas, hedge_after, sent) in in_flight {
-                let answer = sent.and_then(|(mut locked, seq, request, sent)| {
-                    // A hedge deadline runs from the lane's own send: expiring
-                    // behind a stalled lane only hedges, which is safe. A plain
-                    // budget runs from now, as expiring condemns the worker.
-                    let deadline = match hedge_after {
-                        Some(after) => sent + after,
-                        None => Instant::now() + self.config.read_timeout,
-                    };
-                    let echo = echoes(self.epoch, ctx.table_id, shard, seq);
-                    let reply = locked.receive(&request, deadline, hedge_after.is_some(), seq, &mut tally, echo)?;
-                    self.accept_partial(&mut locked, worker, shard, ctx, reply, sent)
-                });
-                match answer {
-                    Ok(Some(answer)) => results.push((shard, Ok(answer))),
-                    Ok(None) => abandoned.push((worker, shard, replicas)),
-                    Err(err) => results.push((shard, Err(err))),
-                }
-            }
-            for (primary, shard, replicas) in abandoned {
-                results.push((shard, self.hedge(shard, ctx, replicas, primary, &mut tally)));
-            }
-        }
-        (lanes.len(), results, tally)
     }
 
-    /// Recover: transport/protocol casualties of the scatter are
-    /// re-dispatched to a live replica (or, failing that, any survivor); a
-    /// deterministic query error fails the whole query immediately. A worker
-    /// loss also bumps the cache epoch — every partial cached before this
-    /// recovery is fenced at once — and reclaims the fenced entries (the
-    /// dead workers' first, so the purge is attributable). Returns every
-    /// scattered shard's answer.
-    fn recover(
-        &self,
-        ctx: QueryContext<'_>,
-        results: Vec<ShardResult>,
-        tally: &mut Tally,
-    ) -> Result<Vec<ShardAnswer>, SeabedError> {
-        if results
-            .iter()
-            .any(|(_, result)| result.as_ref().is_err_and(retry_elsewhere))
-        {
-            let pool = self.pool().clone();
-            let dead: Vec<usize> = (0..pool.len()).filter(|&w| !pool[w].alive()).collect();
-            self.fence_cache(&dead);
-        }
-        let mut fresh = Vec::with_capacity(results.len());
-        for (shard, result) in results {
-            fresh.push(match result {
-                Ok(answer) => answer,
-                Err(err) if retry_elsewhere(&err) => self.redispatch(shard, ctx, tally)?,
-                Err(err) => return Err(err),
-            });
-        }
-        Ok(fresh)
+    /// Shard `shard`'s query under a fresh sequence number, encoded from the
+    /// request's borrowed plan and filters. Called with the target link
+    /// locked: a number drawn outside the lock could reach the worker after a
+    /// later one, and the earlier request's hedge-abandoned partial — neither
+    /// this request's echo nor below its `stale_below` — would poison a
+    /// healthy link.
+    fn shard_query(&self, table_id: u32, shard: u32, request: &ExecRequest<'_>) -> Result<(u64, Vec<u8>), SeabedError> {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let query = ShardQueryRef {
+            epoch: self.epoch,
+            table_id,
+            shard,
+            seq,
+            trace_id: request.trace_id,
+            analyze: request.analyze,
+            query: request.plan,
+            filters: request.filters,
+        };
+        Ok((seq, query.encode(self.config.max_frame_len)?))
     }
 
     /// Fresh partials of a prepared execute go back into the cache under the
@@ -884,123 +868,6 @@ impl DistCoordinator {
         (finalize_partials(query, merged, stats), runs, merge_time)
     }
 
-    /// The hedge trigger of a shard query to `primary` (module docs): the
-    /// configured `hedge_after` when it undercuts the read timeout and a live
-    /// replica other than the primary exists to race; otherwise none, and the
-    /// primary gets the whole budget.
-    fn hedge_trigger(&self, primary: usize, replicas: &[usize], alive: impl Fn(usize) -> bool) -> Option<Duration> {
-        let replica = replicas.iter().any(|&w| w != primary && alive(w));
-        (self.config.hedge_after < self.config.read_timeout && replica).then_some(self.config.hedge_after)
-    }
-
-    /// Hedges a shard whose primary left its query outstanding past the
-    /// trigger: the query is re-issued to each live replica in turn under the
-    /// full round-trip budget, and the first valid echo wins. If every hedge
-    /// fails, a retryable error is returned so the shard flows into
-    /// re-dispatch under a fresh sequence number.
-    fn hedge(
-        &self,
-        shard: u32,
-        ctx: QueryContext<'_>,
-        replicas: &[usize],
-        primary: usize,
-        tally: &mut Tally,
-    ) -> Result<ShardAnswer, SeabedError> {
-        tally.hedged += 1;
-        self.metrics.hedged_reads.incr();
-        let mut last_err: Option<SeabedError> = None;
-        // Liveness is read as each replica's turn comes.
-        for &replica in replicas.iter().filter(|&&w| w != primary && self.worker_alive(w)) {
-            match self.query_shard(replica, shard, ctx, tally) {
-                Ok(mut answer) => {
-                    answer.0.hedged = true;
-                    return Ok(answer);
-                }
-                Err(err) if retry_elsewhere(&err) => last_err = Some(err),
-                Err(err) => return Err(err),
-            }
-        }
-        let table_id = ctx.table_id;
-        let nobody = format!("hedged read of table {table_id} shard {shard} found no live replica");
-        Err(last_err.unwrap_or_else(|| SeabedError::dist("coordinator", nobody)))
-    }
-
-    /// Shard `shard`'s query under a fresh sequence number, encoded from the
-    /// request's borrowed plan and filters. Called with the target link
-    /// locked: a number drawn outside the lock could reach the worker after a
-    /// later one, and the earlier request's hedge-abandoned partial — neither
-    /// this request's echo nor below its `stale_below` — would poison a
-    /// healthy link.
-    fn shard_query(&self, shard: u32, ctx: QueryContext<'_>) -> Result<(u64, Vec<u8>), SeabedError> {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let request = ShardQueryRef {
-            epoch: self.epoch,
-            table_id: ctx.table_id,
-            shard,
-            seq,
-            trace_id: ctx.request.trace_id,
-            analyze: ctx.request.analyze,
-            query: ctx.request.plan,
-            filters: ctx.request.filters,
-        };
-        Ok((seq, request.encode(self.config.max_frame_len)?))
-    }
-
-    /// One un-hedged shard query on one worker — a hedge or a re-dispatch:
-    /// one exchange under the full `read_timeout`, its reply accepted as
-    /// `accept_partial` states.
-    fn query_shard(
-        &self,
-        worker: usize,
-        shard: u32,
-        ctx: QueryContext<'_>,
-        tally: &mut Tally,
-    ) -> Result<ShardAnswer, SeabedError> {
-        let link = self.worker(worker)?;
-        let mut locked = link.lock();
-        let (seq, request) = self.shard_query(shard, ctx)?;
-        let started = Instant::now();
-        let echo = echoes(self.epoch, ctx.table_id, shard, seq);
-        let reply = locked.exchange(&request, None, seq, tally, echo)?;
-        let answer = self.accept_partial(&mut locked, worker, shard, ctx, reply, started)?;
-        Ok(answered(answer))
-    }
-
-    /// Accepts a shard query's reply from the held link: the partial that
-    /// echoed the request (`None` when the wait was abandoned for a hedge),
-    /// shape-checked against the query before it may reach the merge — a
-    /// forged or buggy partial poisons the connection here, never silently
-    /// zip-truncated by the fold.
-    fn accept_partial(
-        &self,
-        locked: &mut LockedLink<'_>,
-        worker: usize,
-        shard: u32,
-        ctx: QueryContext<'_>,
-        reply: Option<Frame>,
-        started: Instant,
-    ) -> Result<Option<ShardAnswer>, SeabedError> {
-        let Some(Frame::ShardPartial { partial, .. }) = reply else {
-            return Ok(None);
-        };
-        let link = locked.link();
-        if let Err(detail) = validate_partial(ctx.request.plan, &partial) {
-            return Err(locked.poison(SeabedError::dist(&link.label, detail)));
-        }
-        link.queries.fetch_add(1, Ordering::Relaxed);
-        let run = ShardRun {
-            table_id: ctx.table_id,
-            shard,
-            worker: link.label.clone(),
-            // Moved out of the partial by the gather, once it is merged.
-            stats: ExecStats::default(),
-            round_trip: started.elapsed(),
-            redispatched: false,
-            hedged: false,
-        };
-        Ok(Some((run, worker, partial)))
-    }
-
     /// Loads shard `shard` of table `table_id` onto each of `workers` in turn
     /// and verifies every acknowledgement. The frame is encoded once, from
     /// the retained table where it lies, and the same bytes go to every
@@ -1040,50 +907,6 @@ impl DistCoordinator {
         })
     }
 
-    /// Re-runs a failed shard query elsewhere, in the order of the module
-    /// docs: live replicas, then any other live worker behind a fresh load.
-    /// Dead workers are never selected; success promotes the answering
-    /// worker to primary so later queries go straight there; when nothing
-    /// live is left the query fails with a typed [`SeabedError::Dist`]
-    /// instead of hanging.
-    fn redispatch(&self, shard: u32, ctx: QueryContext<'_>, tally: &mut Tally) -> Result<ShardAnswer, SeabedError> {
-        let table_id = ctx.table_id;
-        let replicas = lock(&self.placement).replicas(table_id, shard).to_vec();
-        let pool = self.pool().clone();
-        let alive = live(&pool);
-        // Liveness is read as each candidate's turn comes.
-        let holders = replicas.iter().map(|&w| (w, true));
-        let others = (0..pool.len()).filter(|w| !replicas.contains(w)).map(|w| (w, false));
-        let mut last_err: Option<SeabedError> = None;
-        for (worker, holds_shard) in holders.chain(others) {
-            if !alive(worker) {
-                continue;
-            }
-            let loaded = if holds_shard {
-                Ok(())
-            } else {
-                self.load_shard(table_id, shard, &[worker])
-            };
-            match loaded.and_then(|()| self.query_shard(worker, shard, ctx, tally)) {
-                Ok(mut answer) => {
-                    answer.0.redispatched = true;
-                    self.metrics.redispatches.incr();
-                    lock(&self.placement).promote(table_id, shard, worker, &alive);
-                    return Ok(answer);
-                }
-                // Deterministic query errors abort re-dispatch: another
-                // worker would answer identically.
-                Err(err) if !retry_elsewhere(&err) => return Err(err),
-                Err(err) => last_err = Some(err),
-            }
-        }
-        let detail = match last_err {
-            Some(err) => format!("table {table_id} shard {shard} could not be re-dispatched: {err}"),
-            None => format!("table {table_id} shard {shard} has no live replica or worker left to run on"),
-        };
-        Err(SeabedError::dist("coordinator", detail))
-    }
-
     /// Connects a new worker under this coordinator's epoch, appends it to
     /// the pool, and rebalances replica slots onto it as `Placement::join`
     /// plans: every moved shard is loaded onto the joiner, the plan is
@@ -1092,6 +915,7 @@ impl DistCoordinator {
     /// names it any more). A failed load fails the join with the placement
     /// untouched. Returns the joiner's stable worker index.
     pub fn join_worker<A: ToSocketAddrs>(&self, addr: A) -> Result<usize, SeabedError> {
+        let _membership = lock(&self.membership);
         let link = Arc::new(connect_worker(&addr, self.epoch, &self.config)?);
         let pool = {
             let mut workers = self.workers.write().unwrap_or_else(|p| p.into_inner());
@@ -1120,6 +944,7 @@ impl DistCoordinator {
     /// meanwhile are unloaded (best effort), and placement and link state
     /// are what they were. Leaving twice is an idempotent no-op.
     pub fn leave_worker(&self, worker: usize) -> Result<(), SeabedError> {
+        let _membership = lock(&self.membership);
         let link = self.worker(worker)?;
         if link.has_left() {
             return Ok(());
@@ -1149,15 +974,6 @@ impl DistCoordinator {
 fn link_at(pool: &[Arc<WorkerLink>], index: usize) -> Result<&Arc<WorkerLink>, SeabedError> {
     let link = pool.get(index);
     link.ok_or_else(|| SeabedError::dist("coordinator", format!("worker index {index} is out of range")))
-}
-
-/// Recognises the reply to one shard query: the partial that echoes its
-/// `(epoch, table, shard, seq)`.
-fn echoes(epoch: u64, table_id: u32, shard: u32, seq: u64) -> impl Fn(&Frame) -> bool {
-    move |frame| {
-        matches!(frame, Frame::ShardPartial { epoch: e, table_id: t, shard: s, seq: q, .. }
-            if (*e, *t, *s, *q) == (epoch, table_id, shard, seq))
-    }
 }
 
 /// A duration as the nanosecond count spans and histograms take.
@@ -1289,17 +1105,10 @@ impl QueryTarget for DistCoordinator {
     }
 }
 
-/// One worker's share of a scatter: its index and the shards whose primary
-/// it is, each with the replica set a hedge may fall back on.
-type Lane = (usize, Vec<(u32, Vec<usize>)>);
-
 /// One shard's answer as a lane hands it over: its run record, the index of
 /// the answering worker (recorded so a cached copy of the partial can be
 /// purged if that worker later dies) and the mergeable partial, by value.
 type ShardAnswer = (ShardRun, usize, PartialResponse);
-
-/// One scattered shard's outcome: its answer, or the error that felled it.
-type ShardResult = (u32, Result<ShardAnswer, SeabedError>);
 
 /// Shape-checks a worker's partial against the query before it may reach
 /// the merge: aggregate arity and kinds per group (including the MIN/MAX

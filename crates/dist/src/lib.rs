@@ -27,6 +27,9 @@
 //!   replica-set value and every rule that reads or edits it, socket-free.
 //! * `link` (private) — *is worker w alive*: a worker connection (the only
 //!   file that names the socket type), its forward-only state, the exchange.
+//! * `dispatch` (private) — *what does this query ask next*: one walk per
+//!   shard — primary, hedges, re-dispatches — as a socket-, lock- and
+//!   clock-free value the coordinator's shell drives.
 //!
 //! Resilience, in [`coordinator`]'s module docs: slow workers are hedged
 //! against a replica and the loser's late partial is discarded by its stale
@@ -48,6 +51,7 @@
 
 mod cache;
 pub mod coordinator;
+mod dispatch;
 mod link;
 mod placement;
 pub mod worker;

@@ -21,7 +21,7 @@
 //! A link sends **bytes**: [`WorkerLink::encode`] (or, for a shard load or a
 //! shard query, the coordinator's borrowed encoders) makes the frame,
 //! [`LockedLink::send`] writes it and [`LockedLink::receive`] runs the one
-//! receive loop; [`LockedLink::exchange`] is the two back to back. Split, they
+//! receive loop; [`WorkerLink::command`] runs the two back to back. Split, they
 //! let the coordinator's scatter write a query on every link before it reads
 //! any reply, so the workers overlap without a thread per link; it locks the
 //! links in ascending worker order.
@@ -52,7 +52,8 @@ enum LinkState {
 }
 
 /// What one query did on the links it used: filled by [`LockedLink::receive`]
-/// and the hedge path of that query alone, and reported as its own.
+/// and the coordinator's scatter for that query alone, and reported as its
+/// own.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Tally {
     /// Hedged reads launched (slow primaries raced against a replica).
@@ -128,12 +129,6 @@ impl WorkerLink {
         self.state.load(Ordering::Acquire) == LinkState::Left as u8
     }
 
-    /// Poisons the connection over a violation only the caller can see (a
-    /// well-framed reply of the wrong shape), handing `why` back.
-    pub(crate) fn poison(&self, why: SeabedError) -> SeabedError {
-        self.lock().poison(why)
-    }
-
     /// Encodes `frame` under this link's frame limit. One too large is a
     /// local failure: nothing is written and the worker is not condemned.
     pub(crate) fn encode(&self, frame: &Frame) -> Result<Vec<u8>, SeabedError> {
@@ -141,19 +136,23 @@ impl WorkerLink {
     }
 
     /// An un-hedged, already encoded command outside any query — handshake,
-    /// load, unload — that `is_ack` recognises the acknowledgement of. A
-    /// stale partial (say a hedge-abandoned reply landing between requests)
-    /// is drained, not mistaken for a bad ack, and belongs to no query's
-    /// tally.
+    /// load, unload — that `is_ack` recognises the acknowledgement of, sent
+    /// and answered under the link's `read_timeout`. A stale partial (say a
+    /// hedge-abandoned reply landing between requests) is drained, not
+    /// mistaken for a bad ack, and belongs to no query's tally.
     pub(crate) fn command(&self, command: &[u8], is_ack: impl Fn(&Frame) -> bool) -> Result<(), SeabedError> {
         let mut locked = self.lock();
-        let ack = locked.exchange(command, None, u64::MAX, &mut Tally::default(), is_ack);
+        locked.send(command)?;
+        let deadline = Instant::now() + self.read_timeout;
+        let ack = locked.receive(command, deadline, false, u64::MAX, &mut Tally::default(), is_ack);
         ack.map(|_| ())
     }
 
     /// Shuts the connection and moves the link to `Left`, for good.
     pub(crate) fn retire(&self) {
-        let _ = self.poison(SeabedError::dist(&self.label, "worker left the cluster"));
+        let _ = self
+            .lock()
+            .poison(SeabedError::dist(&self.label, "worker left the cluster"));
         self.advance(LinkState::Left);
     }
 }
@@ -207,22 +206,6 @@ impl<'a> LockedLink<'a> {
         }
     }
 
-    /// One request/reply exchange: [`send`](Self::send), then
-    /// [`receive`](Self::receive) under one budget — the link's
-    /// `read_timeout`, unless `hedge_after` undercuts it and arms the hedge.
-    pub(crate) fn exchange(
-        &mut self,
-        request: &[u8],
-        hedge_after: Option<Duration>,
-        stale_below: u64,
-        tally: &mut Tally,
-        is_echo: impl Fn(&Frame) -> bool,
-    ) -> Result<Option<Frame>, SeabedError> {
-        self.send(request)?;
-        let deadline = Instant::now() + hedge_after.unwrap_or(self.link.read_timeout);
-        self.receive(request, deadline, hedge_after.is_some(), stale_below, tally, is_echo)
-    }
-
     /// Poisons the held connection over a violation only the caller can see
     /// (a well-framed reply of the wrong shape), handing `why` back.
     pub(crate) fn poison(&mut self, why: SeabedError) -> SeabedError {
@@ -233,12 +216,6 @@ impl<'a> LockedLink<'a> {
     pub(crate) fn link(&self) -> &'a WorkerLink {
         self.link
     }
-}
-
-/// Unwraps the reply of an un-hedged [`LockedLink::receive`], which runs to a
-/// reply or an error: only a hedged one abandons its wait.
-pub(crate) fn answered<T>(reply: Option<T>) -> T {
-    reply.expect("only a hedged receive abandons the wait")
 }
 
 /// Liveness by worker index over a snapshot of the pool (an index outside it
@@ -356,7 +333,8 @@ mod tests {
         peer.join().expect("peer");
     }
 
-    /// An unload through the bare exchange, so the test owns the tally.
+    /// An unload through the bare send and receive, so the test owns the
+    /// tally.
     fn unload(link: &WorkerLink, tally: &mut Tally) -> Result<(), SeabedError> {
         let frame = Frame::UnloadShard {
             epoch: EPOCH,
@@ -364,10 +342,11 @@ mod tests {
             shard: 0,
         };
         let is_ack = |frame: &Frame| matches!(frame, Frame::ShardUnloaded { remaining: 0, .. });
-        let ack = link
-            .lock()
-            .exchange(&link.encode(&frame)?, None, u64::MAX, tally, is_ack)?;
-        assert!(ack.is_some(), "an un-hedged exchange runs to a reply or an error");
+        let (mut locked, request) = (link.lock(), link.encode(&frame)?);
+        locked.send(&request)?;
+        let deadline = Instant::now() + link.read_timeout;
+        let ack = locked.receive(&request, deadline, false, u64::MAX, tally, is_ack)?;
+        assert!(ack.is_some(), "an un-hedged receive runs to a reply or an error");
         Ok(())
     }
 

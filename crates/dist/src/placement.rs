@@ -10,9 +10,10 @@
 //! across I/O: queries read it, [`Placement::promote`] edits it in place,
 //! and a join or a leave — whose shard loads *are* I/O — is planned on a
 //! copy and committed by storing the copy back once the loads went through.
-//! (An edit between the copy and the commit is overwritten; the only
-//! concurrent editor is `promote`, whose loss costs that shard's next query
-//! one more re-dispatch, never an answer.)
+//! Joins and leaves run one at a time under the coordinator's membership
+//! lock, so an edit between the copy and the commit can only be a query's
+//! `promote`; it is overwritten, which costs that shard's next query one more
+//! re-dispatch, never an answer.
 
 use seabed_engine::Table;
 use std::cmp::Reverse;
@@ -58,15 +59,6 @@ impl Placement {
     /// The replica set of one shard, primary first.
     pub(crate) fn replicas(&self, table: u32, shard: u32) -> &[usize] {
         &self.tables[table as usize][shard as usize]
-    }
-
-    /// The worker a query for the shard goes to: the first live member of
-    /// its set, falling back to the nominal head so a fully dead set still
-    /// fails over through re-dispatch.
-    pub(crate) fn primary(&self, table: u32, shard: u32, live: impl Fn(usize) -> bool) -> usize {
-        let set = self.replicas(table, shard);
-        let first_live = set.iter().copied().find(|&w| live(w));
-        first_live.or_else(|| set.first().copied()).unwrap_or(0)
     }
 
     /// Replica slots held by each of `workers` worker indices.
@@ -468,7 +460,12 @@ mod tests {
                             let worker = pool[rng.random_range(0..pool.len())];
                             placement.promote(table, shard, worker, |w| alive[w].get());
                             assert_eq!(placement.replicas(table, shard)[0], worker, "{context}");
-                            assert_eq!(placement.primary(table, shard, |w| alive[w].get()), worker, "{context}");
+                            let first_live = placement.replicas(table, shard).iter().find(|&&w| alive[w].get());
+                            assert_eq!(
+                                first_live,
+                                Some(&worker),
+                                "{context}: queries go to the first live member"
+                            );
                             assert_eq!(placement.replicas(table, shard).len(), set.len(), "{context}");
                         }
                     }

@@ -483,28 +483,6 @@ impl Table {
         self.schema.index_of(name)
     }
 
-    /// Index of a column by name, as a [`SeabedError::Schema`] when missing.
-    pub fn require_column(&self, name: &str) -> Result<usize, SeabedError> {
-        self.column_index(name)
-            .ok_or_else(|| SchemaError::UnknownPhysicalColumn(name.to_string()).into())
-    }
-
-    /// Index of a column that must have a specific physical type.
-    pub fn require_typed_column(&self, name: &str, ty: ColumnType) -> Result<usize, SeabedError> {
-        let index = self.require_column(name)?;
-        let actual = self.schema.fields[index].ty;
-        if actual == ty {
-            Ok(index)
-        } else {
-            Err(SchemaError::TypeMismatch {
-                column: name.to_string(),
-                expected: format!("{ty:?}"),
-                actual: format!("{actual:?}"),
-            }
-            .into())
-        }
-    }
-
     /// Checks that every partition physically matches the schema: same column
     /// count, same column types, and consistent row counts. [`Table::from_columns`]
     /// establishes these invariants, but `Table`'s fields are public (the

@@ -9,9 +9,13 @@ use seabed_core::{QueryTarget, SeabedServer, ServerResponse};
 use seabed_dist::{spawn_worker, DistConfig, DistCoordinator};
 use seabed_engine::{Cluster, ClusterConfig, ColumnData, ColumnType, Schema, Table};
 use seabed_error::SeabedError;
-use seabed_net::ServiceConfig;
+use seabed_net::wire::{self, Frame};
+use seabed_net::{FrameConn, Received, ServiceConfig, Wait};
 use seabed_query::{ServerAggregate, SupportCategory, TranslatedQuery};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn test_table(rows: u64, partitions: usize) -> Table {
     Table::from_columns(
@@ -195,4 +199,113 @@ fn sole_replica_holder_cannot_leave() {
         .expect("query after refused leave");
     assert_eq!(expected.groups, response.groups);
     worker.shutdown();
+}
+
+/// A fake joiner that holds back the acknowledgement of its first shard load
+/// until `release` is set — or 2 s have passed — and raises `loading` while
+/// it does; every other load or unload it acknowledges at once. It serves
+/// one coordinator connection, until the coordinator hangs up.
+fn held_back_joiner(loading: Arc<AtomicBool>, release: Arc<AtomicBool>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let handle = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut conn = FrameConn::from_stream(stream, Duration::from_secs(10)).expect("wrap");
+        let max = wire::DEFAULT_MAX_FRAME_LEN;
+        let (mut first_load, mut remaining) = (true, 0);
+        let never = AtomicBool::new(false);
+        let wait = || Wait::Serve {
+            stop: &never,
+            budget: Duration::from_secs(10),
+        };
+        while let Ok(Received::Frame(frame)) = conn.recv(max, wait()) {
+            let reply = match frame {
+                Frame::WorkerHandshake { epoch } => Frame::WorkerReady { epoch, shards: 0 },
+                Frame::LoadShard {
+                    epoch,
+                    table_id,
+                    shard,
+                    table,
+                    ..
+                } => {
+                    if std::mem::take(&mut first_load) {
+                        loading.store(true, Ordering::SeqCst);
+                        let patience = Instant::now() + Duration::from_secs(2);
+                        while !release.load(Ordering::SeqCst) && Instant::now() < patience {
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                    }
+                    remaining += 1;
+                    let rows = table.num_rows() as u64;
+                    Frame::ShardLoaded {
+                        epoch,
+                        table_id,
+                        shard,
+                        rows,
+                    }
+                }
+                Frame::UnloadShard { epoch, table_id, shard } => {
+                    remaining -= 1;
+                    Frame::ShardUnloaded {
+                        epoch,
+                        table_id,
+                        shard,
+                        remaining,
+                    }
+                }
+                other => panic!("the joiner was not asked for {other:?}"),
+            };
+            conn.send(&reply, max).expect("reply");
+        }
+    });
+    (addr, handle)
+}
+
+/// Regression: a join and a leave each planned on a copy of the placement
+/// and stored it back, so the one that committed last overwrote the other's
+/// plan. Here a join plans, then stalls in its shard load until a leave of
+/// worker 0 would have committed; storing the join's copy afterwards put the
+/// leaver back into a replica set it had been re-homed out of. Membership
+/// changes now run one at a time: the leave plans on the committed join.
+#[test]
+fn a_join_and_a_leave_never_overwrite_each_others_plan() {
+    let workers: Vec<_> = (0..4)
+        .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker"))
+        .collect();
+    let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.local_addr()).collect();
+    // Two shards at R = 2 over four workers: {0, 1} and {1, 2}; worker 3 idles.
+    let table = vec![("t".into(), test_table(800, 2))];
+    let coordinator = DistCoordinator::connect_tables(&addrs, table, DistConfig::default()).expect("connect");
+    let (loading, release) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+    let (joiner, fake) = held_back_joiner(loading.clone(), release.clone());
+
+    std::thread::scope(|scope| {
+        let join = scope.spawn(|| coordinator.join_worker(joiner));
+        let patience = Instant::now() + Duration::from_secs(10);
+        while !loading.load(Ordering::SeqCst) {
+            assert!(
+                Instant::now() < patience,
+                "the join never loaded a shard onto the joiner"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        coordinator.leave_worker(0).expect("leave");
+        release.store(true, Ordering::SeqCst);
+        assert_eq!(join.join().expect("join thread").expect("join"), 4);
+    });
+
+    let summaries = coordinator.worker_summaries();
+    assert!(
+        !summaries[0].alive && summaries[0].shards.is_empty(),
+        "the leaver is back in a replica set: {summaries:?}"
+    );
+    for shard in [(0, 0), (0, 1)] {
+        let holders = summaries.iter().filter(|w| w.alive && w.shards.contains(&shard));
+        assert_eq!(holders.count(), 2, "{shard:?} lost a live copy: {summaries:?}");
+    }
+    drop(coordinator);
+    fake.join().expect("fake joiner");
+    for w in workers {
+        w.shutdown();
+    }
 }
