@@ -10,11 +10,13 @@
 //!
 //! **Key material exists once per proxy.** "A different secret key for each
 //! column" (§4.2) is a per-column cost paid before the data flows:
-//! [`SeabedClient::create_plan`] derives every column key and expands it into
-//! its scheme (AES round keys, HMAC midstates) once, into one value that
-//! clones of the client share. Literal encryption and decryption borrow from
-//! it; a literal for a column it holds no scheme for is a typed error, never
-//! a ciphertext under a key made up on the spot.
+//! [`SeabedClient::create_plan`] builds the plan's layout
+//! ([`crate::encrypt`]), deriving every column key and expanding it into its
+//! scheme (AES round keys, HMAC midstates) once, into one value that clones
+//! of the client share; the master secret is wiped before it returns. Upload,
+//! literal encryption and decryption borrow the same schemes; a literal for a
+//! column the layout holds no scheme for is a typed error, never a ciphertext
+//! under a key made up on the spot.
 //!
 //! This is the file that holds the keys, so it only *decrypts*: how a `SELECT`
 //! list expands into server aggregates and collapses back into a result row is
@@ -44,16 +46,14 @@
 //! without an ID list, and an undecodable ID list.
 
 use crate::dataset::PlainDataset;
-use crate::encrypt::{encrypt_dataset, physical_ashe_keys, EncryptedTable};
-use crate::keys::KeyStore;
+use crate::encrypt::{EncryptedTable, Layout};
 use crate::server::{filter_column_type, require_column, EncryptedAggregate, PhysicalFilter, ServerResponse};
 use seabed_ashe::{AsheCiphertext, AsheScheme, IdSet};
-use seabed_crypto::{DetScheme, OreScheme};
 use seabed_engine::{ExecStats, Schema};
 use seabed_error::SeabedError;
-use seabed_query::planner::{plan_schema, ColumnSpec, EncryptionChoice, PlannerConfig, SchemaPlan};
+use seabed_query::planner::{plan_schema, ColumnSpec, PlannerConfig, SchemaPlan};
 pub use seabed_query::ResultValue;
-use seabed_query::{encnames, AggregateInput, Query, ServerAggregate, ServerFilter, TranslateOptions, TranslatedQuery};
+use seabed_query::{AggregateInput, Query, ServerAggregate, ServerFilter, TranslateOptions, TranslatedQuery};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -88,40 +88,6 @@ pub struct QueryResult {
     pub trace_id: u64,
 }
 
-/// Every scheme this proxy's keys open, each keyed by the *physical* column it
-/// reads or writes: an [`AsheScheme`] per ASHE-masked column (measures, their
-/// squares, OPE companions, every splayed SPLASHE column), a [`DetScheme`]
-/// per DET-tagged column and an [`OreScheme`] per order-encrypted one. Built
-/// once, by [`SeabedClient::create_plan`]; nothing else in the query path
-/// derives a key or expands one.
-struct ColumnSchemes {
-    ashe: HashMap<String, AsheScheme>,
-    det: HashMap<String, DetScheme>,
-    ore: HashMap<String, OreScheme>,
-}
-
-impl ColumnSchemes {
-    fn build(plan: &SchemaPlan, keys: &KeyStore) -> ColumnSchemes {
-        let ashe = physical_ashe_keys(plan, keys)
-            .into_iter()
-            .map(|(column, key)| (column, AsheScheme::new(&key)))
-            .collect();
-        let (mut det, mut ore) = (HashMap::new(), HashMap::new());
-        for column in &plan.columns {
-            match column.encryption {
-                EncryptionChoice::Det | EncryptionChoice::SplasheEnhanced { .. } => {
-                    det.insert(encnames::det(&column.name), DetScheme::new(&keys.det_key(&column.name)));
-                }
-                EncryptionChoice::Ope => {
-                    ore.insert(encnames::ope(&column.name), OreScheme::new(&keys.ope_key(&column.name)));
-                }
-                _ => {}
-            }
-        }
-        ColumnSchemes { ashe, det, ore }
-    }
-}
-
 /// The error of a literal for a column this proxy holds no scheme for: the
 /// plan was translated under another proxy's schema plan.
 fn no_scheme(kind: &str, column: &str) -> SeabedError {
@@ -132,24 +98,24 @@ fn no_scheme(kind: &str, column: &str) -> SeabedError {
 
 /// The Seabed client proxy.
 ///
-/// `Clone` copies the plan and *shares* the schemes (no round key is copied)
-/// and the DET dictionaries, so concurrent workloads — many simultaneous
-/// sessions or remote clients — hand each its own proxy without re-planning,
-/// re-deriving a key or copying a dictionary.
+/// `Clone` copies the plan and *shares* the layout with its schemes (no round
+/// key is copied) and the DET dictionaries, so concurrent workloads — many
+/// simultaneous sessions or remote clients — hand each its own proxy without
+/// re-planning, re-deriving a key or copying a dictionary.
 #[derive(Clone)]
 pub struct SeabedClient {
-    keys: KeyStore,
     plan: SchemaPlan,
     det_dictionary: Arc<HashMap<String, HashMap<u64, String>>>,
-    schemes: Arc<ColumnSchemes>,
+    pub(crate) layout: Arc<Layout>,
     /// Translation options (worker count for group inflation, expected groups).
     pub translate_options: TranslateOptions,
 }
 
 impl SeabedClient {
     /// Runs the planner over the plaintext schema and sample queries and
-    /// builds a proxy around the resulting plan ("Create Plan" in §4.1),
-    /// deriving and expanding every column key the plan calls for.
+    /// builds a proxy around the resulting plan ("Create Plan" in §4.1): its
+    /// layout, every column key derived and expanded into its scheme. No
+    /// master secret outlives the call.
     pub fn create_plan(
         master_key: &[u8],
         columns: &[ColumnSpec],
@@ -157,13 +123,11 @@ impl SeabedClient {
         config: &PlannerConfig,
     ) -> SeabedClient {
         let plan = plan_schema(columns, sample_queries, config);
-        let keys = KeyStore::new(master_key);
-        let schemes = Arc::new(ColumnSchemes::build(&plan, &keys));
+        let layout = Arc::new(Layout::new(&plan, master_key));
         SeabedClient {
-            keys,
             plan,
             det_dictionary: Arc::default(),
-            schemes,
+            layout,
             translate_options: TranslateOptions::default(),
         }
     }
@@ -173,16 +137,16 @@ impl SeabedClient {
         &self.plan
     }
 
-    /// Encrypts a dataset for upload ("Upload Data" in §4.1), retaining the
-    /// DET dictionaries needed to decrypt group keys later. Clones made before
-    /// keep the dictionaries they shared.
+    /// Encrypts a dataset for upload ("Upload Data" in §4.1) with the
+    /// layout's schemes, retaining the DET dictionaries needed to decrypt
+    /// group keys later. Clones made before keep the dictionaries they shared.
     pub fn encrypt_dataset<R: rand::Rng + ?Sized>(
         &mut self,
         dataset: &PlainDataset,
         num_partitions: usize,
         rng: &mut R,
     ) -> EncryptedTable {
-        let encrypted = encrypt_dataset(dataset, &self.plan, &self.keys, num_partitions, rng);
+        let encrypted = self.layout.encrypt(&self.plan, dataset, num_partitions, rng);
         let dictionaries = Arc::make_mut(&mut self.det_dictionary);
         for (col, dict) in &encrypted.det_dictionary {
             dictionaries
@@ -249,14 +213,14 @@ impl SeabedClient {
                 }
             },
             ServerFilter::DetEquals { column, value } => {
-                let det = self.schemes.det.get(column).ok_or_else(|| no_scheme("DET", column))?;
+                let det = self.layout.det(column).ok_or_else(|| no_scheme("DET", column))?;
                 PhysicalFilter::DetTag {
                     column: idx,
                     tag: det.tag64_of(value.as_bytes()),
                 }
             }
             ServerFilter::OpeCompare { column, op, value } => {
-                let ore = self.schemes.ore.get(column).ok_or_else(|| no_scheme("OPE", column))?;
+                let ore = self.layout.ore(column).ok_or_else(|| no_scheme("OPE", column))?;
                 PhysicalFilter::Ope {
                     column: idx,
                     op: *op,
@@ -388,7 +352,7 @@ impl SeabedClient {
     /// up under the name of the physical column the words come from
     /// ([`ServerAggregate::input`]), the ASHE scheme that unmasks them.
     fn opener(&self, aggregate: &ServerAggregate) -> Opener<'_> {
-        let scheme = |words_of: &str| self.schemes.ashe.get(words_of);
+        let scheme = |words_of: &str| self.layout.ashe(words_of);
         let (answer, scheme) = match aggregate.input() {
             AggregateInput::Words(column) => (Answer::Sum, scheme(column)),
             AggregateInput::RowIds => (Answer::Count, None),
@@ -795,16 +759,16 @@ mod tests {
     #[test]
     fn cloning_the_proxy_shares_its_schemes() -> Result<(), SeabedError> {
         let (client, _, _) = build_system()?;
-        assert_eq!(Arc::strong_count(&client.schemes), 1);
+        assert_eq!(Arc::strong_count(&client.layout), 1);
         let clone = client.clone();
-        assert_eq!(Arc::strong_count(&client.schemes), 2);
-        assert!(Arc::ptr_eq(&client.schemes, &clone.schemes));
+        assert_eq!(Arc::strong_count(&client.layout), 2);
+        assert!(Arc::ptr_eq(&client.layout, &clone.layout));
         // One scheme per physical column of the plan, whatever a query names.
-        assert!(client.schemes.det.contains_key("dept__det") && client.schemes.det.contains_key("country__det"));
-        assert_eq!(client.schemes.ore.keys().collect::<Vec<_>>(), ["ts__ope"]);
+        assert!(client.layout.det("dept__det").is_some() && client.layout.det("country__det").is_some());
+        assert!(client.layout.ore("ts__ope").is_some() && client.layout.ore("ts__ope_val").is_none());
         assert!(["revenue__ashe", "revenue__ashe_sq", "ts__ope_val"]
             .iter()
-            .all(|column| client.schemes.ashe.contains_key(*column)));
+            .all(|column| client.layout.ashe(column).is_some()));
         Ok(())
     }
 

@@ -1,12 +1,18 @@
 //! The encryption module (§4.3): turning a plaintext dataset into the
 //! encrypted physical schema.
 //!
-//! Given the data planner's per-column decisions, the encryption module
-//! produces an engine [`Table`] whose physical columns follow the naming rules
-//! of [`seabed_query::encnames`]:
+//! [`SeabedClient::create_plan`](crate::SeabedClient::create_plan) turns the
+//! data planner's per-column decisions into the plan's layout once: the
+//! ordered list of physical columns, named by the rules of
+//! [`seabed_query::encnames`], each with what it holds and the scheme that
+//! writes and opens it. It is the one place a column key is derived ("a
+//! different secret key for each column", §4.2) and expanded; the master
+//! secret is wiped when it returns. An upload writes the layout's columns
+//! whose sources are in the batch, with the layout's schemes; literal
+//! encryption and decryption look the same schemes up by physical name.
 //!
 //! * ASHE measures become a `u64` column of masked words (plus an optional
-//!   squares column for variance queries), keyed per column;
+//!   squares column for variance queries);
 //! * OPE columns store the ORE ciphertext bytes plus an ASHE-encrypted
 //!   companion value so MIN/MAX results can be decrypted. The column is one
 //!   run of one [`seabed_crypto::OreCursor`]: a row pays for the PRF levels it
@@ -20,8 +26,9 @@
 //! * DET dimensions store 64-bit equality tags; the proxy keeps the reverse
 //!   dictionary so group keys can be decrypted. A tag is computed once per
 //!   distinct value, and a row repeating the value before it costs no lookup;
-//! * SPLASHE dimensions are splayed into indicator and per-measure columns,
-//!   with the enhanced variant adding a frequency-balanced DET column;
+//! * enhanced SPLASHE dimensions are splayed into an indicator and a column
+//!   per ASHE measure for each frequent value and for "others", plus a
+//!   frequency-balanced DET column (§3.4);
 //! * non-sensitive columns pass through unchanged.
 //!
 //! Row identifiers are implicit: row `i` of the table is identifier `i`
@@ -39,6 +46,7 @@ use seabed_crypto::{DetScheme, OreScheme};
 use seabed_engine::{BytesColumn, ColumnData, ColumnType, Schema, Table};
 use seabed_query::encnames;
 use seabed_query::planner::{EncryptionChoice, SchemaPlan};
+use seabed_splashe::EnhancedPlan;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash};
 
@@ -55,181 +63,260 @@ pub struct EncryptedTable {
     pub det_dictionary: HashMap<String, HashMap<u64, String>>,
 }
 
-/// Returns the ASHE key for a physical (encrypted) column name, consistent
-/// between the encryption module and the decryption module.
-pub(crate) fn physical_ashe_keys(plan: &SchemaPlan, keys: &KeyStore) -> HashMap<String, [u8; 16]> {
-    let mut map = HashMap::new();
-    let measures: Vec<&str> = plan
-        .columns
-        .iter()
-        .filter(|c| matches!(c.encryption, EncryptionChoice::Ashe { .. }))
-        .map(|c| c.name.as_str())
-        .collect();
-    for col in &plan.columns {
-        match &col.encryption {
-            EncryptionChoice::Ashe { with_squares } => {
-                map.insert(encnames::ashe(&col.name), keys.ashe_key(&col.name));
-                if *with_squares {
-                    map.insert(
-                        encnames::ashe_squares(&col.name),
-                        keys.ashe_key(&format!("{}^2", col.name)),
-                    );
-                }
-            }
-            EncryptionChoice::Ope => {
-                map.insert(encnames::ope_value(&col.name), keys.ashe_key(&col.name));
-            }
-            EncryptionChoice::SplasheBasic { domain } => {
-                for (slot, _) in domain.iter().enumerate() {
-                    map.insert(
-                        encnames::splashe_indicator(&col.name, slot),
-                        keys.splashe_indicator_key(&col.name, slot),
-                    );
-                    for measure in &measures {
-                        map.insert(
-                            encnames::splashe_measure(&col.name, measure, slot),
-                            keys.splashe_measure_key(&col.name, measure, slot),
+/// A plan's physical columns in table order, and the index of their schemes
+/// by physical name.
+pub(crate) struct Layout {
+    columns: Vec<PhysicalColumn>,
+    by_name: HashMap<String, usize>,
+}
+
+/// One physical column of a [`Layout`].
+struct PhysicalColumn {
+    name: String,
+    /// The logical column its rows are read from: the dimension, for a
+    /// SPLASHE column.
+    source: String,
+    holds: Holds,
+}
+
+/// What a physical column holds, with the scheme that writes and opens it.
+enum Holds {
+    /// The logical column as it is.
+    Plain,
+    /// ASHE words of the values: an ASHE measure, or an OPE column's
+    /// companion.
+    Words(AsheScheme),
+    /// ASHE words of the values' squares.
+    Squares(AsheScheme),
+    /// ORE cells of the values.
+    Ore(OreScheme),
+    /// DET tags of the values.
+    Det(DetScheme),
+    /// ASHE words of 1 where the row's value lands in SPLASHE slot `slot`,
+    /// else 0.
+    Indicator { slot: usize, ashe: AsheScheme },
+    /// ASHE words of `measure` where the row's value lands in `slot`, else 0.
+    Splayed {
+        measure: String,
+        slot: usize,
+        ashe: AsheScheme,
+    },
+    /// Enhanced SPLASHE's frequency-balanced DET column.
+    Balanced(DetScheme),
+}
+
+impl Holds {
+    /// The column's physical type; `None` for a public column, which keeps
+    /// the type it is uploaded with.
+    fn column_type(&self) -> Option<ColumnType> {
+        match self {
+            Holds::Plain => None,
+            Holds::Ore(_) => Some(ColumnType::Bytes),
+            _ => Some(ColumnType::UInt64),
+        }
+    }
+}
+
+impl Layout {
+    /// The plan's physical columns, each column key derived from `master_key`
+    /// and expanded into its scheme: the one place a key is derived. The
+    /// master secret is wiped on return.
+    pub(crate) fn new(plan: &SchemaPlan, master_key: &[u8]) -> Layout {
+        let keys = KeyStore::new(master_key);
+        let ashe = |label: &str| AsheScheme::new(&keys.ashe_key(label));
+        // Every SPLASHE dimension splays each ASHE measure (a conservative
+        // superset of the co-queried measures).
+        let measures: Vec<&str> = plan
+            .columns
+            .iter()
+            .filter(|c| matches!(c.encryption, EncryptionChoice::Ashe { .. }))
+            .map(|c| c.name.as_str())
+            .collect();
+        let mut columns = Vec::new();
+        for column in &plan.columns {
+            let source = column.name.as_str();
+            let mut push = |name: String, holds: Holds| {
+                columns.push(PhysicalColumn {
+                    name,
+                    source: source.to_string(),
+                    holds,
+                })
+            };
+            match &column.encryption {
+                EncryptionChoice::Plaintext => push(source.to_string(), Holds::Plain),
+                EncryptionChoice::Ashe { with_squares } => {
+                    push(encnames::ashe(source), Holds::Words(ashe(source)));
+                    if *with_squares {
+                        push(
+                            encnames::ashe_squares(source),
+                            Holds::Squares(ashe(&format!("{source}^2"))),
                         );
                     }
                 }
-            }
-            EncryptionChoice::SplasheEnhanced { plan: eplan } => {
-                let others_slot = eplan.k();
-                for slot in 0..=others_slot {
-                    let ind_name = if slot == others_slot {
-                        encnames::splashe_indicator_others(&col.name)
-                    } else {
-                        encnames::splashe_indicator(&col.name, slot)
-                    };
-                    map.insert(ind_name, keys.splashe_indicator_key(&col.name, slot));
-                    for measure in &measures {
-                        let m_name = if slot == others_slot {
-                            encnames::splashe_measure_others(&col.name, measure)
-                        } else {
-                            encnames::splashe_measure(&col.name, measure, slot)
-                        };
-                        map.insert(m_name, keys.splashe_measure_key(&col.name, measure, slot));
+                EncryptionChoice::Det => push(encnames::det(source), Holds::Det(DetScheme::new(&keys.det_key(source)))),
+                EncryptionChoice::Ope => {
+                    push(encnames::ope(source), Holds::Ore(OreScheme::new(&keys.ope_key(source))));
+                    push(encnames::ope_value(source), Holds::Words(ashe(source)));
+                }
+                EncryptionChoice::SplasheEnhanced { plan: splay } => {
+                    let k = splay.k();
+                    for slot in 0..=k {
+                        let ashe = AsheScheme::new(&keys.splashe_indicator_key(source, slot));
+                        push(
+                            encnames::splashe_indicator(source, slot, k),
+                            Holds::Indicator { slot, ashe },
+                        );
                     }
+                    for measure in &measures {
+                        for slot in 0..=k {
+                            let ashe = AsheScheme::new(&keys.splashe_measure_key(source, measure, slot));
+                            let measure = measure.to_string();
+                            push(
+                                encnames::splashe_measure(source, &measure, slot, k),
+                                Holds::Splayed { measure, slot, ashe },
+                            );
+                        }
+                    }
+                    push(
+                        encnames::det(source),
+                        Holds::Balanced(DetScheme::new(&keys.det_key(source))),
+                    );
                 }
             }
-            _ => {}
+        }
+        let by_name = columns.iter().enumerate().map(|(i, c)| (c.name.clone(), i)).collect();
+        Layout { columns, by_name }
+    }
+
+    fn holds(&self, column: &str) -> Option<&Holds> {
+        self.by_name.get(column).map(|&i| &self.columns[i].holds)
+    }
+
+    /// The ASHE scheme of an ASHE-masked physical column.
+    pub(crate) fn ashe(&self, column: &str) -> Option<&AsheScheme> {
+        match self.holds(column)? {
+            Holds::Words(ashe) | Holds::Squares(ashe) | Holds::Indicator { ashe, .. } | Holds::Splayed { ashe, .. } => {
+                Some(ashe)
+            }
+            _ => None,
         }
     }
-    map
-}
 
-/// Encrypts a plaintext dataset into the physical encrypted table.
-///
-/// `num_partitions` controls how the server will parallelise scans; rows keep
-/// their upload order so identifiers stay contiguous.
-pub fn encrypt_dataset<R: Rng + ?Sized>(
-    dataset: &PlainDataset,
-    plan: &SchemaPlan,
-    keys: &KeyStore,
-    num_partitions: usize,
-    rng: &mut R,
-) -> EncryptedTable {
-    let mut fields: Vec<(String, ColumnType)> = Vec::new();
-    let mut columns: Vec<ColumnData> = Vec::new();
-    let mut det_dictionary: HashMap<String, HashMap<u64, String>> = HashMap::new();
+    /// The DET scheme of a DET-tagged physical column.
+    pub(crate) fn det(&self, column: &str) -> Option<&DetScheme> {
+        match self.holds(column)? {
+            Holds::Det(det) | Holds::Balanced(det) => Some(det),
+            _ => None,
+        }
+    }
 
-    // Names of all ASHE measure columns; every SPLASHE dimension splays each
-    // of them (a conservative superset of the co-queried measures).
-    let measures: Vec<String> = plan
-        .columns
-        .iter()
-        .filter(|c| matches!(c.encryption, EncryptionChoice::Ashe { .. }))
-        .map(|c| c.name.clone())
-        .collect();
+    /// The ORE scheme of an order-encrypted physical column.
+    pub(crate) fn ore(&self, column: &str) -> Option<&OreScheme> {
+        match self.holds(column)? {
+            Holds::Ore(ore) => Some(ore),
+            _ => None,
+        }
+    }
 
-    for col_plan in &plan.columns {
-        let Some(source) = dataset.column(&col_plan.name) else {
-            // Column described by the plan but absent from this upload batch —
-            // skip it (e.g. optional columns).
-            continue;
-        };
-        match &col_plan.encryption {
-            EncryptionChoice::Plaintext => match source {
-                PlainColumn::UInt(v) => {
-                    fields.push((col_plan.name.clone(), ColumnType::UInt64));
-                    columns.push(ColumnData::UInt64(v.clone()));
-                }
-                PlainColumn::Text(v) => {
-                    fields.push((col_plan.name.clone(), ColumnType::Utf8));
-                    columns.push(ColumnData::Utf8(v.clone()));
-                }
-            },
-            EncryptionChoice::Ashe { with_squares } => {
-                let values = numeric_values(source, &col_plan.name);
-                fields.push((encnames::ashe(&col_plan.name), ColumnType::UInt64));
-                columns.push(ashe_column(keys.ashe_key(&col_plan.name), &values));
-                if *with_squares {
-                    let squares: Vec<u64> = values.iter().map(|&v| v.wrapping_mul(v)).collect();
-                    fields.push((encnames::ashe_squares(&col_plan.name), ColumnType::UInt64));
-                    columns.push(ashe_column(keys.ashe_key(&format!("{}^2", col_plan.name)), &squares));
-                }
-            }
-            EncryptionChoice::Det => {
-                let det = DetScheme::new(&keys.det_key(&col_plan.name));
-                let physical = encnames::det(&col_plan.name);
-                let (tags, dict) = match source {
-                    PlainColumn::UInt(v) => det_column(&det, v.iter().copied(), |value| value.to_string()),
-                    PlainColumn::Text(v) => det_column(&det, v.iter().map(String::as_str), str::to_string),
+    /// Encrypts a plaintext dataset into the physical encrypted table: the
+    /// layout's columns whose sources are in the batch, in layout order.
+    ///
+    /// `num_partitions` controls how the server will parallelise scans; rows
+    /// keep their upload order so identifiers stay contiguous.
+    pub(crate) fn encrypt<R: Rng + ?Sized>(
+        &self,
+        plan: &SchemaPlan,
+        dataset: &PlainDataset,
+        num_partitions: usize,
+        rng: &mut R,
+    ) -> EncryptedTable {
+        let mut fields: Vec<(String, ColumnType)> = Vec::new();
+        let mut columns: Vec<ColumnData> = Vec::new();
+        let mut det_dictionary: HashMap<String, HashMap<u64, String>> = HashMap::new();
+        // Each row's SPLASHE slot, per splayed dimension of the batch.
+        let slots: HashMap<&str, (&EnhancedPlan, Vec<usize>)> = plan
+            .columns
+            .iter()
+            .filter_map(|column| {
+                let EncryptionChoice::SplasheEnhanced { plan: splay } = &column.encryption else {
+                    return None;
                 };
-                det_dictionary.insert(physical.clone(), dict);
-                fields.push((physical, ColumnType::UInt64));
-                columns.push(ColumnData::UInt64(tags));
-            }
-            EncryptionChoice::Ope => {
-                let values = numeric_values(source, &col_plan.name);
-                let ore = OreScheme::new(&keys.ope_key(&col_plan.name));
-                fields.push((encnames::ope(&col_plan.name), ColumnType::Bytes));
-                let mut cells = BytesColumn::with_capacity(values.len() * ORE_CELL_BYTES);
-                ore.cursor().encrypt_run(&values, |cell| cells.push(&cell));
-                columns.push(ColumnData::Bytes(cells));
-                // Companion ASHE column so MIN/MAX results can be decrypted.
-                fields.push((encnames::ope_value(&col_plan.name), ColumnType::UInt64));
-                columns.push(ashe_column(keys.ashe_key(&col_plan.name), &values));
-            }
-            EncryptionChoice::SplasheBasic { domain } => {
-                splay_dimension(
-                    &col_plan.name,
-                    source,
-                    domain,
-                    None,
-                    &measures,
-                    dataset,
-                    keys,
-                    &mut fields,
-                    &mut columns,
-                    &mut det_dictionary,
-                    rng,
-                );
-            }
-            EncryptionChoice::SplasheEnhanced { plan: eplan } => {
-                splay_dimension(
-                    &col_plan.name,
-                    source,
-                    &eplan.frequent,
-                    Some(&eplan.infrequent),
-                    &measures,
-                    dataset,
-                    keys,
-                    &mut fields,
-                    &mut columns,
-                    &mut det_dictionary,
-                    rng,
-                );
-            }
+                let source = dataset.column(&column.name)?;
+                let slots = (0..source.len()).map(|i| encnames::splashe_slot(splay, &source.text_at(i)));
+                Some((column.name.as_str(), (splay, slots.collect())))
+            })
+            .collect();
+        for column in &self.columns {
+            // A column the plan describes but this batch does not carry is
+            // skipped (e.g. optional columns).
+            let Some(source) = dataset.column(&column.source) else {
+                continue;
+            };
+            let name = &column.name;
+            // A SPLASHE column's source is a splayed dimension of the batch.
+            let splayed = || &slots[column.source.as_str()];
+            let data = match &column.holds {
+                Holds::Plain => match source {
+                    PlainColumn::UInt(v) => ColumnData::UInt64(v.clone()),
+                    PlainColumn::Text(v) => ColumnData::Utf8(v.clone()),
+                },
+                Holds::Words(ashe) => ashe_column(ashe, numeric_values(source, name)),
+                Holds::Squares(ashe) => {
+                    let squares: Vec<u64> = numeric_values(source, name)
+                        .iter()
+                        .map(|&v| v.wrapping_mul(v))
+                        .collect();
+                    ashe_column(ashe, &squares)
+                }
+                Holds::Ore(ore) => {
+                    let values = numeric_values(source, name);
+                    let mut cells = BytesColumn::with_capacity(values.len() * ORE_CELL_BYTES);
+                    ore.cursor().encrypt_run(values, |cell| cells.push(&cell));
+                    ColumnData::Bytes(cells)
+                }
+                Holds::Det(det) => {
+                    let (tags, dict) = match source {
+                        PlainColumn::UInt(v) => det_column(det, v.iter().copied(), |value| value.to_string()),
+                        PlainColumn::Text(v) => det_column(det, v.iter().map(String::as_str), str::to_string),
+                    };
+                    det_dictionary.insert(name.clone(), dict);
+                    ColumnData::UInt64(tags)
+                }
+                Holds::Indicator { slot, ashe } => {
+                    let plain: Vec<u64> = splayed().1.iter().map(|&s| u64::from(s == *slot)).collect();
+                    ashe_column(ashe, &plain)
+                }
+                Holds::Splayed { measure, slot, ashe } => {
+                    let Some(values) = dataset.column(measure) else {
+                        continue;
+                    };
+                    let values = numeric_values(values, measure);
+                    let plain: Vec<u64> = splayed()
+                        .1
+                        .iter()
+                        .zip(values)
+                        .map(|(&s, &v)| if s == *slot { v } else { 0 })
+                        .collect();
+                    ashe_column(ashe, &plain)
+                }
+                Holds::Balanced(det) => {
+                    let (splay, row_slots) = splayed();
+                    let (tags, dict) = balanced_column(det, splay, source, row_slots, rng);
+                    det_dictionary.insert(name.clone(), dict);
+                    ColumnData::UInt64(tags)
+                }
+            };
+            fields.push((
+                name.clone(),
+                column.holds.column_type().unwrap_or_else(|| data.column_type()),
+            ));
+            columns.push(data);
         }
-    }
-
-    let schema = Schema::new(fields);
-    let table = Table::from_columns(schema, columns, num_partitions.max(1));
-    EncryptedTable {
-        table,
-        plan: plan.clone(),
-        det_dictionary,
+        EncryptedTable {
+            table: Table::from_columns(Schema::new(fields), columns, num_partitions.max(1)),
+            plan: plan.clone(),
+            det_dictionary,
+        }
     }
 }
 
@@ -270,141 +357,80 @@ fn det_column<V: Copy + Eq + Hash>(
     (tags, dict)
 }
 
-/// `values` ASHE-encrypted under `key` as one physical column, row `i` under
-/// identifier `i`.
-fn ashe_column(key: [u8; 16], values: &[u64]) -> ColumnData {
-    ColumnData::UInt64(seabed_ashe::encrypt_column(&AsheScheme::new(&key), values, 0).values)
+/// `values` ASHE-encrypted under `ashe` as one physical column, row `i`
+/// under identifier `i`.
+fn ashe_column(ashe: &AsheScheme, values: &[u64]) -> ColumnData {
+    ColumnData::UInt64(seabed_ashe::encrypt_column(ashe, values, 0).values)
 }
 
-fn numeric_values(source: &PlainColumn, name: &str) -> Vec<u64> {
+fn numeric_values<'a>(source: &'a PlainColumn, name: &str) -> &'a [u64] {
     match source {
-        PlainColumn::UInt(v) => v.clone(),
+        PlainColumn::UInt(v) => v,
         PlainColumn::Text(_) => panic!("column {name} must be numeric for this encryption scheme"),
     }
 }
 
-/// Splays one dimension into indicator and per-measure columns.
-///
-/// `frequent` lists the values that get dedicated columns; `infrequent` is
-/// `Some` for enhanced SPLASHE (those values share the "others" columns and a
-/// frequency-balanced DET column) and `None` for basic SPLASHE (every value is
-/// in `frequent`).
-#[allow(clippy::too_many_arguments)]
-fn splay_dimension<R: Rng + ?Sized>(
-    dimension: &str,
+/// Enhanced SPLASHE's frequency-balanced DET column (§3.4) and its
+/// dictionary. A row in the "others" slot carries its value's tag; every
+/// other row is a dummy cell, and the dummies, in shuffled order, each go to
+/// the value with the fewest cells so far. A value the plan never listed is
+/// an infrequent value like the listed ones: appended after them, tagged,
+/// entered in the dictionary and padded.
+fn balanced_column<R: Rng + ?Sized>(
+    det: &DetScheme,
+    splay: &EnhancedPlan,
     source: &PlainColumn,
-    frequent: &[String],
-    infrequent: Option<&[String]>,
-    measures: &[String],
-    dataset: &PlainDataset,
-    keys: &KeyStore,
-    fields: &mut Vec<(String, ColumnType)>,
-    columns: &mut Vec<ColumnData>,
-    det_dictionary: &mut HashMap<String, HashMap<u64, String>>,
+    row_slots: &[usize],
     rng: &mut R,
-) {
-    let n = source.len();
-    let k = frequent.len();
-    let enhanced = infrequent.is_some();
-    let slots = if enhanced { k + 1 } else { k };
-
-    // Which slot each row belongs to (k = "others" for enhanced).
-    let mut row_slot = Vec::with_capacity(n);
-    for i in 0..n {
-        let text = source.text_at(i);
-        let slot = frequent.iter().position(|v| *v == text).unwrap_or_else(|| {
-            if enhanced {
-                k
-            } else {
-                panic!("value {text:?} not in the splayed domain of {dimension}")
-            }
-        });
-        row_slot.push(slot);
-    }
-
-    // Indicator columns.
-    for slot in 0..slots {
-        let plain: Vec<u64> = row_slot.iter().map(|&s| u64::from(s == slot)).collect();
-        let name = if enhanced && slot == k {
-            encnames::splashe_indicator_others(dimension)
-        } else {
-            encnames::splashe_indicator(dimension, slot)
-        };
-        fields.push((name, ColumnType::UInt64));
-        columns.push(ashe_column(keys.splashe_indicator_key(dimension, slot), &plain));
-    }
-
-    // Splayed measure columns.
-    for measure in measures {
-        let Some(values) = dataset.column(measure) else {
+) -> (Vec<u64>, HashMap<u64, String>) {
+    // (value, tag, cells so far) per infrequent value.
+    let tagged = |value: String| {
+        let tag = det.tag64_of(value.as_bytes());
+        (value, tag, 0u64)
+    };
+    let mut values: Vec<(String, u64, u64)> = splay.infrequent.iter().cloned().map(tagged).collect();
+    let mut tags = vec![0u64; row_slots.len()];
+    let mut dummy_rows = Vec::new();
+    for (row, &slot) in row_slots.iter().enumerate() {
+        if slot != splay.k() {
+            dummy_rows.push(row);
             continue;
+        }
+        let text = source.text_at(row);
+        let idx = match values.iter().position(|(value, ..)| *value == text) {
+            Some(idx) => idx,
+            None => {
+                values.push(tagged(text));
+                values.len() - 1
+            }
         };
-        let values = numeric_values(values, measure);
-        for slot in 0..slots {
-            let plain: Vec<u64> = row_slot
-                .iter()
-                .zip(values.iter())
-                .map(|(&s, &v)| if s == slot { v } else { 0 })
-                .collect();
-            let name = if enhanced && slot == k {
-                encnames::splashe_measure_others(dimension, measure)
-            } else {
-                encnames::splashe_measure(dimension, measure, slot)
-            };
-            fields.push((name, ColumnType::UInt64));
-            columns.push(ashe_column(keys.splashe_measure_key(dimension, measure, slot), &plain));
+        tags[row] = values[idx].1;
+        values[idx].2 += 1;
+    }
+    if values.is_empty() {
+        // No infrequent value at all: every cell is one fixed dummy tag.
+        values.push(tagged("__splashe_dummy__".to_string()));
+        dummy_rows.iter().for_each(|&row| tags[row] = values[0].1);
+    } else {
+        dummy_rows.shuffle(rng);
+        for row in dummy_rows {
+            let fewest = values
+                .iter_mut()
+                .min_by_key(|(.., cells)| *cells)
+                .expect("values is not empty");
+            tags[row] = fewest.1;
+            fewest.2 += 1;
         }
     }
-
-    // Enhanced SPLASHE: frequency-balanced DET column over the infrequent
-    // values, using frequent rows' cells as dummies.
-    if let Some(infrequent) = infrequent {
-        let det = DetScheme::new(&keys.det_key(dimension));
-        let physical = encnames::det(dimension);
-        let tags: Vec<u64> = infrequent.iter().map(|v| det.tag64_of(v.as_bytes())).collect();
-        let mut dict: HashMap<u64, String> = tags.iter().copied().zip(infrequent.iter().cloned()).collect();
-        let mut det_column = vec![0u64; n];
-        let mut counts = vec![0u64; infrequent.len()];
-        let mut dummy_rows = Vec::new();
-        for (i, &slot) in row_slot.iter().enumerate() {
-            if slot == k {
-                let text = source.text_at(i);
-                let idx = infrequent
-                    .iter()
-                    .position(|v| *v == text)
-                    .expect("infrequent value must be listed in the plan");
-                det_column[i] = tags[idx];
-                counts[idx] += 1;
-            } else {
-                dummy_rows.push(i);
-            }
-        }
-        if !infrequent.is_empty() {
-            dummy_rows.shuffle(rng);
-            for row in dummy_rows {
-                let (idx, _) = counts.iter().enumerate().min_by_key(|(_, &c)| c).unwrap();
-                det_column[row] = tags[idx];
-                counts[idx] += 1;
-            }
-        } else {
-            // No infrequent values at all: fill with a fixed dummy tag.
-            let dummy = det.tag64_of(b"__splashe_dummy__");
-            dict.insert(dummy, "__splashe_dummy__".to_string());
-            for row in dummy_rows {
-                det_column[row] = dummy;
-            }
-        }
-        det_dictionary.insert(physical.clone(), dict);
-        fields.push((physical, ColumnType::UInt64));
-        columns.push(ColumnData::UInt64(det_column));
-    }
+    (tags, values.into_iter().map(|(value, tag, _)| (tag, value)).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SeabedClient;
     use seabed_query::parser::parse;
-    use seabed_query::planner::{plan_schema, ColumnSpec, PlannerConfig};
+    use seabed_query::planner::{ColumnSpec, PlannerConfig};
 
     fn dataset() -> PlainDataset {
         let countries = ["USA", "USA", "Canada", "USA", "Canada", "India", "Chile", "India"];
@@ -415,7 +441,9 @@ mod tests {
             .with_uint_column("clicks", vec![1, 1, 2, 2, 3, 3, 4, 4])
     }
 
-    fn schema_plan(ds: &PlainDataset) -> SchemaPlan {
+    /// A proxy whose layout has enhanced SPLASHE, squares, ORE with its
+    /// companion and a public column.
+    fn client(ds: &PlainDataset) -> SeabedClient {
         let columns = vec![
             ColumnSpec::sensitive_with_distribution("country", ds.distribution("country").unwrap()),
             ColumnSpec::sensitive("revenue"),
@@ -425,19 +453,18 @@ mod tests {
         let queries: Vec<_> = [
             "SELECT SUM(revenue) FROM sales WHERE country = 'USA'",
             "SELECT SUM(revenue) FROM sales WHERE ts >= 3",
+            "SELECT VARIANCE(revenue) FROM sales",
         ]
         .iter()
         .map(|s| parse(s).unwrap())
         .collect();
-        plan_schema(&columns, &queries, &PlannerConfig::default())
+        SeabedClient::create_plan(b"master", &columns, &queries, &PlannerConfig::default())
     }
 
     #[test]
     fn encrypted_schema_has_expected_columns() {
         let ds = dataset();
-        let plan = schema_plan(&ds);
-        let keys = KeyStore::new(b"master");
-        let enc = encrypt_dataset(&ds, &plan, &keys, 2, &mut rand::rng());
+        let enc = client(&ds).encrypt_dataset(&ds, 2, &mut rand::rng());
         let names: Vec<&str> = enc.table.schema.fields.iter().map(|f| f.name.as_str()).collect();
         assert!(names.contains(&"revenue__ashe"));
         assert!(names.contains(&"ts__ope"));
@@ -457,9 +484,7 @@ mod tests {
     #[test]
     fn ciphertext_columns_differ_from_plaintext() {
         let ds = dataset();
-        let plan = schema_plan(&ds);
-        let keys = KeyStore::new(b"master");
-        let enc = encrypt_dataset(&ds, &plan, &keys, 1, &mut rand::rng());
+        let enc = client(&ds).encrypt_dataset(&ds, 1, &mut rand::rng());
         let ashe_col = enc.table.gather_u64("revenue__ashe").unwrap();
         assert_ne!(ashe_col, vec![10, 20, 30, 40, 50, 60, 70, 80]);
     }
@@ -467,9 +492,8 @@ mod tests {
     #[test]
     fn ashe_column_decrypts_back_to_plaintext() {
         let ds = dataset();
-        let plan = schema_plan(&ds);
+        let enc = client(&ds).encrypt_dataset(&ds, 3, &mut rand::rng());
         let keys = KeyStore::new(b"master");
-        let enc = encrypt_dataset(&ds, &plan, &keys, 3, &mut rand::rng());
         let scheme = AsheScheme::new(&keys.ashe_key("revenue"));
         let words = enc.table.gather_u64("revenue__ashe").unwrap();
         let col = seabed_ashe::EncryptedColumn {
@@ -485,9 +509,7 @@ mod tests {
     #[test]
     fn det_dictionary_covers_observed_tags() {
         let ds = dataset();
-        let plan = schema_plan(&ds);
-        let keys = KeyStore::new(b"master");
-        let enc = encrypt_dataset(&ds, &plan, &keys, 1, &mut rand::rng());
+        let enc = client(&ds).encrypt_dataset(&ds, 1, &mut rand::rng());
         let dict = &enc.det_dictionary["country__det"];
         let tags = enc.table.gather_u64("country__det").unwrap();
         for tag in tags {
@@ -515,9 +537,9 @@ mod tests {
             parse("SELECT dept, SUM(pay) FROM staff GROUP BY dept").unwrap(),
             parse("SELECT SUM(pay) FROM staff WHERE code = 1001").unwrap(),
         ];
-        let plan = plan_schema(&columns, &queries, &PlannerConfig::default());
+        let mut client = SeabedClient::create_plan(b"master", &columns, &queries, &PlannerConfig::default());
+        let enc = client.encrypt_dataset(&ds, 2, &mut rand::rng());
         let keys = KeyStore::new(b"master");
-        let enc = encrypt_dataset(&ds, &plan, &keys, 2, &mut rand::rng());
         for name in ["dept", "code"] {
             let det = DetScheme::new(&keys.det_key(name));
             let source = ds.column(name).unwrap();
@@ -538,9 +560,7 @@ mod tests {
     #[test]
     fn splashe_balanced_column_is_flat() {
         let ds = dataset();
-        let plan = schema_plan(&ds);
-        let keys = KeyStore::new(b"master");
-        let enc = encrypt_dataset(&ds, &plan, &keys, 1, &mut rand::rng());
+        let enc = client(&ds).encrypt_dataset(&ds, 1, &mut rand::rng());
         let tags = enc.table.gather_u64("country__det").unwrap();
         let mut hist: HashMap<u64, u64> = HashMap::new();
         for t in tags {
@@ -551,23 +571,55 @@ mod tests {
         assert!(max - min <= 1, "histogram {hist:?}");
     }
 
+    /// The layout is the one enumeration: the table an upload writes has its
+    /// names, types and order, and every encrypted column has exactly one
+    /// scheme, of its kind, to open it with.
     #[test]
-    fn physical_key_map_covers_ashe_columns() {
+    fn layout_table_and_schemes_agree() {
         let ds = dataset();
-        let plan = schema_plan(&ds);
-        let keys = KeyStore::new(b"master");
-        let enc = encrypt_dataset(&ds, &plan, &keys, 1, &mut rand::rng());
-        let key_map = physical_ashe_keys(&plan, &keys);
-        for field in &enc.table.schema.fields {
-            let name = &field.name;
-            let is_ashe_backed = name.ends_with("__ashe")
-                || name.ends_with("__ashe_sq")
-                || name.ends_with("__ope_val")
-                || name.contains("__spl_")
-                || name.contains("__ind_");
-            if is_ashe_backed {
-                assert!(key_map.contains_key(name), "missing key for {name}");
-            }
+        let mut client = client(&ds);
+        let enc = client.encrypt_dataset(&ds, 2, &mut rand::rng());
+        let layout = &client.layout;
+        let fields: Vec<(&str, ColumnType)> = enc
+            .table
+            .schema
+            .fields
+            .iter()
+            .map(|f| (f.name.as_str(), f.ty))
+            .collect();
+        let planned: Vec<(&str, ColumnType)> = layout
+            .columns
+            .iter()
+            // The one public column, `clicks`, is uploaded as `u64`s.
+            .map(|c| (c.name.as_str(), c.holds.column_type().unwrap_or(ColumnType::UInt64)))
+            .collect();
+        assert_eq!(fields, planned);
+        for kind in [
+            "__ashe_sq",
+            "__ope",
+            "__ope_val",
+            "__ind_others",
+            "__spl_country_others",
+            "country__det",
+        ] {
+            assert!(fields.iter().any(|(name, _)| name.ends_with(kind)), "no {kind} column");
+        }
+        for (name, _) in fields {
+            let schemes = [
+                layout.ashe(name).is_some(),
+                layout.det(name).is_some(),
+                layout.ore(name).is_some(),
+            ];
+            let kind = if name == "clicks" {
+                [false; 3]
+            } else if name.ends_with("__det") {
+                [false, true, false]
+            } else if name.ends_with("__ope") {
+                [false, false, true]
+            } else {
+                [true, false, false]
+            };
+            assert_eq!(schemes, kind, "{name}");
         }
     }
 }

@@ -1,10 +1,12 @@
 //! Key management for the Seabed client proxy.
 //!
 //! Seabed chooses "a different secret key k for each new column" (§4.2). The
-//! proxy holds a single tenant master key and derives every column key from it
-//! with HMAC-based key derivation, so provisioning stays simple and revoking a
-//! user never requires re-encrypting data (the proxy mediates all queries and
-//! never shares the derived keys, §4.3).
+//! proxy is given a single tenant master key and derives every column key from
+//! it with HMAC-based key derivation, so provisioning stays simple and revoking
+//! a user never requires re-encrypting data (the proxy mediates all queries and
+//! never shares the derived keys, §4.3). The derivation runs once, when
+//! `SeabedClient::create_plan` builds the plan's layout; the store, and the
+//! master secret with it, is dropped when that returns.
 
 use seabed_crypto::{derive_key_128, derive_key_256, wipe};
 

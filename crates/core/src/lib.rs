@@ -5,15 +5,16 @@
 //!
 //! This crate ties the substrates together into the system of Figure 5:
 //!
-//! * [`keys`] — the proxy's key store (one derived key per column);
+//! * [`keys`] — the key derivation (one derived key per column);
 //! * [`dataset`] — plaintext datasets as uploaded by the data collector;
-//! * [`encrypt`] — the encryption module turning plaintext uploads into the
-//!   encrypted physical schema (ASHE, SPLASHE, DET, OPE columns);
+//! * [`encrypt`] — the encryption module: the plan's physical layout, with
+//!   every column's scheme, and the upload it writes (ASHE, SPLASHE, DET, OPE
+//!   columns);
 //! * [`server`] — the untrusted Seabed server executing translated queries
 //!   over the partitioned encrypted table;
-//! * [`client`] — the trusted client proxy of one table: its plan, its keys
-//!   (every column's scheme, built once), literal encryption and result
-//!   decryption;
+//! * [`client`] — the trusted client proxy of one table: its plan, its
+//!   layout (every column's scheme, built once), upload, literal encryption
+//!   and result decryption;
 //! * [`session`] — the one way from SQL text to decrypted rows: a catalog of
 //!   proxies over one execution target, with a statement cache, traces and
 //!   metrics.
@@ -63,7 +64,7 @@ pub mod session;
 
 pub use client::{QueryResult, ResultValue, SeabedClient};
 pub use dataset::{PlainColumn, PlainDataset};
-pub use encrypt::{encrypt_dataset, EncryptedTable};
+pub use encrypt::EncryptedTable;
 pub use fifo::FifoMap;
 pub use keys::KeyStore;
 pub use server::{

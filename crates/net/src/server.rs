@@ -40,7 +40,7 @@ use seabed_query::TranslatedQuery;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -224,6 +224,29 @@ impl ShardStore {
         inner.shards.len() as u64
     }
 
+    /// The store, locked, when `epoch` is the one in force; else the typed
+    /// error naming both epochs and the shard the frame was about.
+    fn current(
+        &self,
+        identity: &str,
+        epoch: u64,
+        action: &str,
+        table_id: u32,
+        shard: u32,
+    ) -> Result<MutexGuard<'_, ShardEpoch>, SeabedError> {
+        let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        if inner.epoch != epoch {
+            return Err(SeabedError::dist(
+                identity,
+                format!(
+                    "{action} of shard {table_id}/{shard} names epoch {epoch} but epoch {} is in force",
+                    inner.epoch
+                ),
+            ));
+        }
+        Ok(inner)
+    }
+
     /// Installs a shard under `epoch`; fails when the epoch is not current.
     fn load(
         &self,
@@ -233,16 +256,7 @@ impl ShardStore {
         shard: u32,
         server: SeabedServer,
     ) -> Result<u64, SeabedError> {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if inner.epoch != epoch {
-            return Err(SeabedError::dist(
-                identity,
-                format!(
-                    "shard {table_id}/{shard} arrived for epoch {epoch} but epoch {} is in force",
-                    inner.epoch
-                ),
-            ));
-        }
+        let mut inner = self.current(identity, epoch, "load", table_id, shard)?;
         let rows = server.table().num_rows() as u64;
         inner.shards.insert((table_id, shard), Arc::new(server));
         Ok(rows)
@@ -253,16 +267,7 @@ impl ShardStore {
     /// resident succeeds too — the coordinator's unload is idempotent — but
     /// an epoch mismatch is a typed error like every other stale-epoch frame.
     fn unload(&self, identity: &str, epoch: u64, table_id: u32, shard: u32) -> Result<u64, SeabedError> {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if inner.epoch != epoch {
-            return Err(SeabedError::dist(
-                identity,
-                format!(
-                    "unload of shard {table_id}/{shard} names epoch {epoch} but epoch {} is in force",
-                    inner.epoch
-                ),
-            ));
-        }
+        let mut inner = self.current(identity, epoch, "unload", table_id, shard)?;
         inner.shards.remove(&(table_id, shard));
         Ok(inner.shards.len() as u64)
     }
@@ -274,13 +279,7 @@ impl ShardStore {
 
     /// Fetches a shard for querying; fails on epoch mismatch or unknown id.
     fn get(&self, identity: &str, epoch: u64, table_id: u32, shard: u32) -> Result<Arc<SeabedServer>, SeabedError> {
-        let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if inner.epoch != epoch {
-            return Err(SeabedError::dist(
-                identity,
-                format!("query for epoch {epoch} but epoch {} is in force", inner.epoch),
-            ));
-        }
+        let inner = self.current(identity, epoch, "query", table_id, shard)?;
         inner.shards.get(&(table_id, shard)).cloned().ok_or_else(|| {
             SeabedError::dist(
                 identity,

@@ -11,8 +11,10 @@
 //! * sensitive measures needing `MIN`/`MAX` → **OPE** (order comparison on the
 //!   server);
 //! * sensitive dimensions used only in equality filters / group-bys →
-//!   **SPLASHE** (enhanced when the distribution is known, basic otherwise),
-//!   subject to the storage budget, prioritised lowest-cardinality first;
+//!   **enhanced SPLASHE** when the distribution is known, subject to the
+//!   storage budget, prioritised lowest-cardinality first (basic SPLASHE,
+//!   §3.3, is `seabed_splashe::BasicSplashe`, which the paper experiments
+//!   drive; the product never plans it);
 //! * sensitive dimensions needing range predicates → **OPE**;
 //! * anything left over falls back to **DET**, with a warning recorded.
 
@@ -44,11 +46,6 @@ pub enum EncryptionChoice {
         /// Whether an additional ASHE column of client-side squared values is
         /// materialised (needed for variance/stddev).
         with_squares: bool,
-    },
-    /// Basic SPLASHE: splay every domain value.
-    SplasheBasic {
-        /// The dimension's domain.
-        domain: Vec<String>,
     },
     /// Enhanced SPLASHE: splay only frequent values.
     SplasheEnhanced {

@@ -79,24 +79,32 @@ pub mod encnames {
         format!("{column}__ope_val")
     }
 
-    /// Splayed measure column for a (dimension, frequent-value index) pair.
-    pub fn splashe_measure(dimension: &str, measure: &str, value_index: usize) -> String {
-        format!("{measure}__spl_{dimension}_{value_index}")
+    /// The SPLASHE slot `value` of an enhanced dimension lands in: its index
+    /// among the frequent values, or else the "others" slot `k`. The upload
+    /// splays a row and the translator picks the column a query sums by this
+    /// one rule.
+    pub fn splashe_slot(plan: &seabed_splashe::EnhancedPlan, value: &str) -> usize {
+        plan.frequent.iter().position(|v| v == value).unwrap_or(plan.k())
     }
 
-    /// Splayed measure "others" column.
-    pub fn splashe_measure_others(dimension: &str, measure: &str) -> String {
-        format!("{measure}__spl_{dimension}_others")
+    /// Splayed measure column of `slot` of a dimension with `k` frequent
+    /// values (slot `k` is "others").
+    pub fn splashe_measure(dimension: &str, measure: &str, slot: usize, k: usize) -> String {
+        format!("{measure}__spl_{dimension}_{}", slot_label(slot, k))
     }
 
-    /// Splayed count-indicator column for a (dimension, frequent-value index).
-    pub fn splashe_indicator(dimension: &str, value_index: usize) -> String {
-        format!("{dimension}__ind_{value_index}")
+    /// Splayed count-indicator column of `slot` of a dimension with `k`
+    /// frequent values (slot `k` is "others").
+    pub fn splashe_indicator(dimension: &str, slot: usize, k: usize) -> String {
+        format!("{dimension}__ind_{}", slot_label(slot, k))
     }
 
-    /// Splayed count-indicator "others" column.
-    pub fn splashe_indicator_others(dimension: &str) -> String {
-        format!("{dimension}__ind_others")
+    fn slot_label(slot: usize, k: usize) -> String {
+        if slot == k {
+            "others".to_string()
+        } else {
+            slot.to_string()
+        }
     }
 
     /// True for a splayed measure or indicator column.
@@ -632,7 +640,9 @@ pub fn translate(
     }
 
     let mut filters = Vec::new();
-    let mut splashe_filters: Vec<(String, String)> = Vec::new();
+    // A SPLASHE equality as (dimension, slot of its literal, the dimension's
+    // "others" slot `k`).
+    let mut splashe_filters: Vec<(String, usize, usize)> = Vec::new();
     // `?` placeholders, keyed by ordinal; sorted into `params` once the
     // filter list is final (subquery flattening visits predicates out of
     // source order, ordinals restore it).
@@ -693,20 +703,6 @@ pub fn translate(
                     value,
                 });
             }
-            EncryptionChoice::SplasheBasic { .. } => {
-                if pred.op != CompareOp::Eq {
-                    return Err(TranslateError::Unsupported(format!(
-                        "SPLASHE column {} only supports equality predicates",
-                        pred.column
-                    )));
-                }
-                if pred.value.is_param() {
-                    return Err(splashe_param_error(&pred.column));
-                }
-                // Basic SPLASHE absorbs the predicate entirely: the aggregate
-                // reads the per-value splayed column.
-                splashe_filters.push((pred.column.clone(), literal_text(pred)));
-            }
             EncryptionChoice::SplasheEnhanced { plan: eplan } => {
                 if pred.op != CompareOp::Eq {
                     return Err(TranslateError::Unsupported(format!(
@@ -718,16 +714,17 @@ pub fn translate(
                     return Err(splashe_param_error(&pred.column));
                 }
                 let value = literal_text(pred);
-                // Frequent values read their dedicated column; infrequent
-                // values aggregate the "others" column restricted to the rows
-                // whose balanced DET tag matches (§3.4).
-                if !eplan.frequent.contains(&value) {
+                // Frequent values read their dedicated column; any other value
+                // aggregates the "others" column restricted to the rows whose
+                // balanced DET tag matches (§3.4).
+                let slot = encnames::splashe_slot(eplan, &value);
+                if slot == eplan.k() {
                     filters.push(ServerFilter::DetEquals {
                         column: encnames::det(&pred.column),
-                        value: value.clone(),
+                        value,
                     });
                 }
-                splashe_filters.push((pred.column.clone(), value));
+                splashe_filters.push((pred.column.clone(), slot, eplan.k()));
             }
             EncryptionChoice::Ashe { .. } => {
                 return Err(TranslateError::Unsupported(format!(
@@ -742,13 +739,13 @@ pub fn translate(
     // only sums and counts have splayed columns: any other aggregate — and
     // any equality past the first, which `splashe_filters.first()` below
     // never reads — would silently cover rows the predicate excludes.
-    if let Some((dimension, _)) = splashe_filters.get(1) {
+    if let Some((dimension, ..)) = splashe_filters.get(1) {
         return Err(TranslateError::Unsupported(format!(
             "a second equality filter on a splayed column ({dimension}): one SPLASHE equality per query"
         )));
     }
     let reject_under_splashe = |func: &AggregateFunction, column: &str| match splashe_filters.first() {
-        Some((dimension, _)) => Err(TranslateError::Unsupported(format!(
+        Some((dimension, ..)) => Err(TranslateError::Unsupported(format!(
             "{}({column}) under an equality filter on the splayed column {dimension}: only SUM, COUNT and AVG \
              have splayed columns",
             func.name()
@@ -769,13 +766,13 @@ pub fn translate(
                 aggregates.push(sum_aggregate(column, plan, &splashe_filters)?);
             }
             AggregateFunction::Count => {
-                aggregates.push(count_aggregate(column, plan, &splashe_filters)?);
+                aggregates.push(count_aggregate(&splashe_filters));
             }
             AggregateFunction::Avg => {
                 let numerator = aggregates.len();
                 aggregates.push(sum_aggregate(column, plan, &splashe_filters)?);
                 let denominator = aggregates.len();
-                aggregates.push(count_aggregate("*", plan, &splashe_filters)?);
+                aggregates.push(count_aggregate(&splashe_filters));
                 client_post.push(ClientPostStep::Divide { numerator, denominator });
                 category = category.max_with(SupportCategory::ClientPostProcessing);
             }
@@ -849,7 +846,7 @@ pub fn translate(
                     "GROUP BY over the OPE column {column} is not supported; the planner assigns DET to group-by dimensions"
                 )));
             }
-            EncryptionChoice::SplasheBasic { .. } | EncryptionChoice::SplasheEnhanced { .. } => {
+            EncryptionChoice::SplasheEnhanced { .. } => {
                 return Err(TranslateError::Unsupported(format!(
                     "GROUP BY over splayed column {column} must be expressed as one query per value"
                 )));
@@ -961,7 +958,7 @@ fn collect_predicates(query: &Query, out: &mut Vec<Predicate>) {
 fn sum_aggregate(
     column: &str,
     plan: &SchemaPlan,
-    splashe_filters: &[(String, String)],
+    splashe_filters: &[(String, usize, usize)],
 ) -> Result<ServerAggregate, TranslateError> {
     let col_plan = plan
         .column(column)
@@ -969,102 +966,36 @@ fn sum_aggregate(
     match &col_plan.encryption {
         // A public column has no splayed copies.
         EncryptionChoice::Plaintext => match splashe_filters.first() {
-            Some((dimension, _)) => Err(TranslateError::Unsupported(format!(
+            Some((dimension, ..)) => Err(TranslateError::Unsupported(format!(
                 "SUM({column}) over a public column under an equality filter on the splayed column {dimension}"
             ))),
             None => Ok(ServerAggregate::AsheSum {
                 column: column.to_string(),
             }),
         },
-        EncryptionChoice::Ashe { .. } => {
-            // If a SPLASHE filter is active, the measure must be read from the
-            // splayed column for the filtered value.
-            if let Some((dimension, value)) = splashe_filters.first() {
-                if let Some(dim_plan) = plan.column(dimension) {
-                    return Ok(ServerAggregate::AsheSum {
-                        column: splayed_measure_column(dim_plan, dimension, column, value)?,
-                    });
-                }
-            }
-            Ok(ServerAggregate::AsheSum {
-                column: encnames::ashe(column),
-            })
-        }
+        // If a SPLASHE filter is active, the measure is read from the splayed
+        // column of the filtered value's slot.
+        EncryptionChoice::Ashe { .. } => Ok(ServerAggregate::AsheSum {
+            column: match splashe_filters.first() {
+                Some((dimension, slot, k)) => encnames::splashe_measure(dimension, column, *slot, *k),
+                None => encnames::ashe(column),
+            },
+        }),
         other => Err(TranslateError::Unsupported(format!(
             "SUM({column}) over a column encrypted with {other:?}"
         ))),
     }
 }
 
-fn count_aggregate(
-    column: &str,
-    plan: &SchemaPlan,
-    splashe_filters: &[(String, String)],
-) -> Result<ServerAggregate, TranslateError> {
-    // COUNT with a SPLASHE equality filter sums the indicator column so that
-    // nothing about the predicate value leaks; otherwise it is a row count of
-    // the selection.
-    if let Some((dimension, value)) = splashe_filters.first() {
-        if let Some(dim_plan) = plan.column(dimension) {
-            return Ok(ServerAggregate::AsheSum {
-                column: splayed_indicator_column(dim_plan, dimension, value)?,
-            });
-        }
-    }
-    let _ = column;
-    Ok(ServerAggregate::CountRows)
-}
-
-fn splayed_measure_column(
-    dim_plan: &crate::planner::ColumnPlan,
-    dimension: &str,
-    measure: &str,
-    value: &str,
-) -> Result<String, TranslateError> {
-    match &dim_plan.encryption {
-        EncryptionChoice::SplasheBasic { domain } => {
-            let idx = domain
-                .iter()
-                .position(|v| v == value)
-                .ok_or_else(|| TranslateError::Unsupported(format!("value {value} not in domain of {dimension}")))?;
-            Ok(encnames::splashe_measure(dimension, measure, idx))
-        }
-        EncryptionChoice::SplasheEnhanced { plan } => {
-            if let Some(idx) = plan.frequent.iter().position(|v| v == value) {
-                Ok(encnames::splashe_measure(dimension, measure, idx))
-            } else {
-                Ok(encnames::splashe_measure_others(dimension, measure))
-            }
-        }
-        other => Err(TranslateError::Unsupported(format!(
-            "column {dimension} is not splayed ({other:?})"
-        ))),
-    }
-}
-
-fn splayed_indicator_column(
-    dim_plan: &crate::planner::ColumnPlan,
-    dimension: &str,
-    value: &str,
-) -> Result<String, TranslateError> {
-    match &dim_plan.encryption {
-        EncryptionChoice::SplasheBasic { domain } => {
-            let idx = domain
-                .iter()
-                .position(|v| v == value)
-                .ok_or_else(|| TranslateError::Unsupported(format!("value {value} not in domain of {dimension}")))?;
-            Ok(encnames::splashe_indicator(dimension, idx))
-        }
-        EncryptionChoice::SplasheEnhanced { plan } => {
-            if let Some(idx) = plan.frequent.iter().position(|v| v == value) {
-                Ok(encnames::splashe_indicator(dimension, idx))
-            } else {
-                Ok(encnames::splashe_indicator_others(dimension))
-            }
-        }
-        other => Err(TranslateError::Unsupported(format!(
-            "column {dimension} is not splayed ({other:?})"
-        ))),
+/// COUNT with a SPLASHE equality filter sums the indicator column of the
+/// filtered value's slot, so that nothing about the predicate value leaks;
+/// otherwise it is a row count of the selection.
+fn count_aggregate(splashe_filters: &[(String, usize, usize)]) -> ServerAggregate {
+    match splashe_filters.first() {
+        Some((dimension, slot, k)) => ServerAggregate::AsheSum {
+            column: encnames::splashe_indicator(dimension, *slot, *k),
+        },
+        None => ServerAggregate::CountRows,
     }
 }
 
@@ -1514,8 +1445,15 @@ mod tests {
         assert_eq!(encnames::det_logical(&encnames::det("dept")), "dept");
         assert_eq!(encnames::ope_logical(&encnames::ope("ts")), "ts");
         assert_eq!(encnames::ope_logical("ts"), "ts");
-        assert!(encnames::is_splayed(&encnames::splashe_measure("country", "salary", 0)));
-        assert!(encnames::is_splayed(&encnames::splashe_indicator_others("country")));
+        assert_eq!(
+            encnames::splashe_measure("country", "salary", 0, 2),
+            "salary__spl_country_0"
+        );
+        assert_eq!(encnames::splashe_indicator("country", 2, 2), "country__ind_others");
+        assert!(encnames::is_splayed(&encnames::splashe_measure(
+            "country", "salary", 0, 2
+        )));
+        assert!(encnames::is_splayed(&encnames::splashe_indicator("country", 2, 2)));
         assert!(!encnames::is_splayed(&encnames::ashe("salary")));
         Ok(())
     }

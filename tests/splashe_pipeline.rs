@@ -3,6 +3,7 @@
 
 use seabed_core::{PlainDataset, SeabedClient, SeabedServer, SeabedSession};
 use seabed_engine::{Cluster, ClusterConfig};
+use seabed_query::planner::EncryptionChoice;
 use seabed_query::{parse, ColumnSpec, PlannerConfig};
 use seabed_splashe::{frequency_attack, AuxiliaryDistribution};
 use std::collections::HashMap;
@@ -113,4 +114,54 @@ fn plain_det_column_would_be_recovered() {
     );
     let result = frequency_attack(&tags, &aux, &truth);
     assert!(result.row_recovery_rate() > 0.99);
+}
+
+/// A value the plan never saw is an infrequent value: the upload sends it to
+/// the "others" slot under its own balanced DET tag, pads it like a listed
+/// value, and a query for it answers like a query for a listed one.
+#[test]
+fn a_value_the_plan_never_saw_is_answered_like_an_infrequent_one() {
+    let distribution = [("USA", 50), ("Canada", 30), ("India", 5), ("Chile", 3)]
+        .map(|(value, count)| (value.to_string(), count))
+        .to_vec();
+    let columns = vec![
+        ColumnSpec::sensitive_with_distribution("country", distribution),
+        ColumnSpec::sensitive("revenue"),
+    ];
+    let samples = vec![parse("SELECT SUM(revenue) FROM t WHERE country = 'USA'").unwrap()];
+    let mut client = SeabedClient::create_plan(b"splashe-it", &columns, &samples, &PlannerConfig::default());
+    let Some(EncryptionChoice::SplasheEnhanced { plan }) = client.plan().column("country").map(|c| &c.encryption)
+    else {
+        panic!("country must be planned as enhanced SPLASHE: {:?}", client.plan());
+    };
+    assert_eq!(plan.frequent, ["USA", "Canada"]);
+    assert_eq!(plan.infrequent, ["India", "Chile"]);
+
+    let countries = [
+        "USA", "Peru", "Canada", "India", "USA", "Peru", "Chile", "USA", "Canada", "Peru",
+    ];
+    let ds = PlainDataset::new("t")
+        .with_text_column("country", countries.iter().map(|c| c.to_string()).collect())
+        .with_uint_column("revenue", (1..=countries.len() as u64).map(|i| i * 10).collect());
+    let encrypted = client.encrypt_dataset(&ds, 2, &mut rand::rng());
+    let mut hist: HashMap<u64, u64> = HashMap::new();
+    for tag in encrypted.table.gather_u64("country__det").unwrap() {
+        *hist.entry(tag).or_insert(0) += 1;
+    }
+    assert_eq!(hist.len(), 3, "India, Chile and Peru each have a tag: {hist:?}");
+    assert!(
+        hist.values().max().unwrap() - hist.values().min().unwrap() <= 1,
+        "{hist:?}"
+    );
+
+    let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
+    let session = SeabedSession::single("t", client, &server);
+    for value in ["Peru", "India", "USA"] {
+        let rows = (0..countries.len()).filter(|&i| countries[i] == value);
+        let sum: u64 = rows.clone().map(|i| (i as u64 + 1) * 10).sum();
+        let sql = format!("SELECT SUM(revenue), COUNT(*) FROM t WHERE country = '{value}'");
+        let result = session.query(&sql, &[]).unwrap();
+        let answer: Vec<Option<u64>> = result.rows[0].iter().map(|v| v.as_u64()).collect();
+        assert_eq!(answer, [Some(sum), Some(rows.count() as u64)], "{sql}");
+    }
 }
