@@ -843,7 +843,7 @@ pub struct ExecRequest<'a> {
     /// partials) and reuse it. `None` is a one-shot execution.
     pub statement_id: Option<u64>,
     /// Propagated trace id ([`UNTRACED`] for none): a target that crosses a
-    /// process boundary ships it with the query and records its spans under it.
+    /// process boundary ships it with the query and records its event under it.
     pub trace_id: u64,
     /// `EXPLAIN ANALYZE`: profile every operator into
     /// `response.stats.operators` and return the target-side plan subtree.

@@ -38,7 +38,7 @@ use crate::fifo::FifoMap;
 use crate::server::{resolve_columns, ExecOutcome, ExecRequest, PhysicalFilter, QueryTarget, ServerResponse};
 use seabed_engine::{OperatorProfile, Schema};
 use seabed_error::{SchemaError, SeabedError};
-use seabed_obs::{Counter, EventOperator, Histogram, QueryEvent, Registry, TraceBuilder, TraceId, UNTRACED};
+use seabed_obs::{Counter, EventOperator, Histogram, Registry, TraceBuilder, TraceId, UNTRACED};
 use seabed_query::{
     parse, parse_statement, translate, ExplainMode, Literal, PlanNode, PlanProfile, Query, ServerFilter,
     TranslatedQuery,
@@ -47,7 +47,6 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// 64-bit FNV-1a, the statement-cache hash. Stable across processes (the
 /// `seabed-net` statement handles reuse it on the server side), no
@@ -81,7 +80,8 @@ impl Hasher for Fnv1a {
     }
 }
 
-/// The static outcome tag a [`QueryEvent`] records for a query execution.
+/// The static outcome tag a [`QueryEvent`](seabed_obs::QueryEvent) records
+/// for a query execution.
 /// Deliberately a classification, never an error *message*: messages can echo
 /// caller-supplied text (SQL fragments, table names), and the event log is
 /// redacted by construction.
@@ -98,7 +98,7 @@ pub fn outcome_tag<T>(outcome: &Result<T, SeabedError>) -> &'static str {
 }
 
 /// Converts the engine's measured per-operator counters into the event-log
-/// representation ([`QueryEvent::operators`]).
+/// representation ([`QueryEvent::operators`](seabed_obs::QueryEvent::operators)).
 pub fn event_operators(operators: &[OperatorProfile]) -> Vec<EventOperator> {
     operators
         .iter()
@@ -440,13 +440,13 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
     /// [`SeabedError::Translate`] / [`SeabedError::Schema`] for plans the
     /// encrypted schema cannot run.
     pub fn prepare(&self, sql: &str) -> Result<Arc<PreparedQuery>, SeabedError> {
-        self.prepare_traced(sql, &TraceBuilder::noop())
+        self.prepare_traced(sql, &mut TraceBuilder::noop())
     }
 
     /// [`SeabedSession::prepare`] recording its stages (`parse`,
     /// `translate`, `encrypt-filters`) into `tb`. A cache hit records no
     /// spans — nothing was parsed or encrypted.
-    fn prepare_traced(&self, sql: &str, tb: &TraceBuilder) -> Result<Arc<PreparedQuery>, SeabedError> {
+    fn prepare_traced(&self, sql: &str, tb: &mut TraceBuilder) -> Result<Arc<PreparedQuery>, SeabedError> {
         let statement_id = fnv1a64(sql.as_bytes());
         if let Some(cached) = self.cache.lock().unwrap_or_else(|p| p.into_inner()).get(&statement_id) {
             // Guard against (astronomically unlikely) hash collisions: a hit
@@ -540,27 +540,21 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
     ///
     /// Every execution runs under a freshly minted [`TraceId`], returned as
     /// `result.trace_id` ([`UNTRACED`] when the registry is disabled): the
-    /// session's `bind` / `dispatch` / `decrypt` spans land in its registry
-    /// under it, and it travels to the target (a coordinator records its
-    /// scatter/gather/merge spans under it, a remote worker its
-    /// shard-execute span).
+    /// session's one [`QueryEvent`](seabed_obs::QueryEvent) — its `bind` /
+    /// `dispatch` / `decrypt` spans among it — lands in its registry under
+    /// it, and it travels to the target (a coordinator's event carries its
+    /// scatter/gather/merge spans, a remote worker's its execute span).
     pub fn execute(&self, prepared: &PreparedQuery, params: &[Literal]) -> Result<QueryResult, SeabedError> {
-        let (result, _) = self.traced(prepared.statement_id, |tb, trace_id| {
-            self.execute_with(prepared, params, false, tb, trace_id)
-        })?;
+        let (result, _) = self.execute_traced(prepared, params, false)?;
         Ok(result)
     }
 
-    /// Runs `body` under a fresh trace id ([`UNTRACED`] when the registry is
-    /// disabled, so disabled sessions also skip the propagation work
-    /// downstream) and records the spans it left on the builder — whatever
-    /// the outcome: the trace of a query that failed is the one an operator
+    /// A builder for one session call under a fresh trace id ([`UNTRACED`]
+    /// when the registry is disabled, so disabled sessions also skip the
+    /// propagation work downstream). Every call finishes it once, whatever
+    /// the outcome: the record of a query that failed is the one an operator
     /// goes looking for.
-    fn traced<R>(
-        &self,
-        statement_id: u64,
-        body: impl FnOnce(&TraceBuilder, u64) -> Result<R, SeabedError>,
-    ) -> Result<R, SeabedError> {
+    fn trace(&self, statement_id: u64) -> TraceBuilder {
         let trace_id = if self.obs.enabled() {
             TraceId::mint().as_u64()
         } else {
@@ -568,11 +562,21 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
         };
         let mut tb = self.obs.trace_builder(trace_id, "session");
         tb.set_statement_id(statement_id);
-        let result = body(&tb, trace_id);
-        if let Some(trace) = tb.finish() {
-            self.obs.record_trace(trace);
-        }
-        result
+        tb
+    }
+
+    /// [`SeabedSession::execute_with`] as one traced call: its own builder,
+    /// finished into the session's event for this execution.
+    fn execute_traced(
+        &self,
+        prepared: &PreparedQuery,
+        params: &[Literal],
+        analyze: bool,
+    ) -> Result<(QueryResult, Option<PlanNode>), SeabedError> {
+        let mut tb = self.trace(prepared.statement_id);
+        let outcome = self.execute_with(prepared, params, analyze, &mut tb);
+        tb.finish(outcome_tag(&outcome));
+        outcome
     }
 
     /// The proxy state of the table `prepared` reads.
@@ -583,21 +587,21 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
     }
 
     /// The shared execute body of `execute`, `query` and `EXPLAIN ANALYZE`:
-    /// dispatch, decrypt (as a span on `tb`), count, and leave one
-    /// [`QueryEvent`]. With `analyze`, also returns the structural plan
-    /// annotated with the measured operators, the target's own subtree of
-    /// this execution hung under it.
+    /// dispatch, decrypt (as a span on `tb`), count, and describe the plan
+    /// on `tb`. With `analyze`, also returns the structural plan annotated
+    /// with the measured operators, the target's own subtree of this
+    /// execution hung under it.
     fn execute_with(
         &self,
         prepared: &PreparedQuery,
         params: &[Literal],
         analyze: bool,
-        tb: &TraceBuilder,
-        trace_id: u64,
+        tb: &mut TraceBuilder,
     ) -> Result<(QueryResult, Option<PlanNode>), SeabedError> {
-        let started = self.obs.enabled().then(Instant::now);
+        let timer = self.metrics.execute_ns.start();
+        let trace_id = tb.trace_id();
         let outcome = self.client_of(prepared).and_then(|client| {
-            let (bound, executed) = self.dispatch(client, prepared, params, analyze, tb, trace_id)?;
+            let (bound, executed) = self.dispatch(client, prepared, params, analyze, tb)?;
             let mut result = client.decrypt_response(&prepared.query, &prepared.translated, executed.response)?;
             tb.add_span_ns("decrypt", result.client_time.as_nanos() as u64);
             result.trace_id = trace_id;
@@ -617,32 +621,14 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
             });
             Ok((result, plan))
         });
-        // Every execute — analyzed or not, successful or not — lands in the
-        // slow-query event ring (when the registry is enabled), and a
-        // successful one in the latency histogram, both with its one measured
-        // time. The plan is the analyzed tree, or the translated plan's
-        // structural description; nothing in the event carries SQL text or
-        // literals.
-        if let Some(total_ns) = started.map(|started| started.elapsed().as_nanos() as u64) {
-            if outcome.is_ok() {
-                self.metrics.execute_ns.record_ns(total_ns);
-            }
-            let (plan, operators) = match &outcome {
-                Ok((result, Some(plan))) => (plan.render(), event_operators(&result.server_stats.operators)),
-                _ => (prepared.translated.describe(), Vec::new()),
-            };
-            self.obs.record_event(QueryEvent {
-                trace_id,
-                statement_id: prepared.statement_id,
-                node: "session".to_string(),
-                plan,
-                operators,
-                total_ns,
-                slow: false,
-                outcome: outcome_tag(&outcome).to_string(),
-            });
-        }
+        // The event's plan is the analyzed tree, or the translated plan's
+        // structural description; nothing in it carries SQL text or literals.
+        tb.describe(|| match &outcome {
+            Ok((result, Some(plan))) => (plan.render(), event_operators(&result.server_stats.operators)),
+            _ => (prepared.translated.describe(), Vec::new()),
+        });
         let executed = outcome?;
+        self.metrics.execute_ns.stop(timer);
         self.metrics.executes.incr();
         Ok(executed)
     }
@@ -657,8 +643,7 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
         prepared: &PreparedQuery,
         params: &[Literal],
         analyze: bool,
-        tb: &TraceBuilder,
-        trace_id: u64,
+        tb: &mut TraceBuilder,
     ) -> Result<(Option<TranslatedQuery>, ExecOutcome), SeabedError> {
         let (bound, filters) = self.bind(client, prepared, params, tb)?;
         let span = tb.start();
@@ -666,7 +651,7 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
             plan: &prepared.translated,
             filters: &filters,
             statement_id: Some(prepared.statement_id),
-            trace_id,
+            trace_id: tb.trace_id(),
             analyze,
         });
         tb.end("dispatch", span);
@@ -682,7 +667,7 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
         client: &SeabedClient,
         prepared: &'p PreparedQuery,
         params: &[Literal],
-        tb: &TraceBuilder,
+        tb: &mut TraceBuilder,
     ) -> Result<(Option<TranslatedQuery>, Cow<'p, [PhysicalFilter]>), SeabedError> {
         let template = match &prepared.filters {
             // Arity is still checked: a fully-bound statement takes no
@@ -736,7 +721,7 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
         params: &[Literal],
     ) -> Result<(TranslatedQuery, ServerResponse), SeabedError> {
         let client = self.client_of(prepared)?;
-        let (bound, executed) = self.dispatch(client, prepared, params, false, &TraceBuilder::noop(), UNTRACED)?;
+        let (bound, executed) = self.dispatch(client, prepared, params, false, &mut TraceBuilder::noop())?;
         // Fully-bound statements' plan is already the bound plan.
         Ok((bound.unwrap_or_else(|| prepared.translated.clone()), executed.response))
     }
@@ -750,7 +735,7 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
     /// is derived entirely from the client-side translated query, so nothing
     /// is dispatched, no shard traffic happens, and the call works even when
     /// every worker is down. `EXPLAIN ANALYZE` *is* an execute — same bind,
-    /// same dispatch, same counters, trace and event as
+    /// same dispatch, same counters and event as
     /// [`SeabedSession::execute`] — with `analyze` set on its
     /// [`ExecRequest`]: each plan node is annotated with the measured
     /// rows/batches/nanos (merged across partitions and shards), the subtree
@@ -775,9 +760,7 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
                 result: None,
             });
         }
-        let (result, plan) = self.traced(prepared.statement_id, |tb, trace_id| {
-            self.execute_with(&prepared, params, true, tb, trace_id)
-        })?;
+        let (result, plan) = self.execute_traced(&prepared, params, true)?;
         Ok(Explanation {
             plan: plan.expect("an analyzed execution returns its plan"),
             analyzed: true,
@@ -788,15 +771,18 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
     /// Prepare-and-execute in one call. The statement cache makes repeated
     /// calls with the same SQL skip parse/translate/validate entirely; on a
     /// miss the prepare spans (`parse`, `translate`, `encrypt-filters`) join
-    /// the execution's trace, so with a registry shared with the target (see
+    /// the execution's event, so with a registry shared with the target (see
     /// [`SeabedSession::with_obs`]) [`Registry::merged_trace`] of
-    /// `result.trace_id` stitches the whole timeline, parse to merge.
+    /// `result.trace_id` stitches the whole timeline, parse to merge. A
+    /// statement that fails to prepare leaves its event too, with its
+    /// outcome tag and an empty plan.
     pub fn query(&self, sql: &str, params: &[Literal]) -> Result<QueryResult, SeabedError> {
-        let (result, _) = self.traced(fnv1a64(sql.as_bytes()), |tb, trace_id| {
-            let prepared = self.prepare_traced(sql, tb)?;
-            self.execute_with(&prepared, params, false, tb, trace_id)
-        })?;
-        Ok(result)
+        let mut tb = self.trace(fnv1a64(sql.as_bytes()));
+        let outcome = self
+            .prepare_traced(sql, &mut tb)
+            .and_then(|prepared| self.execute_with(&prepared, params, false, &mut tb));
+        tb.finish(outcome_tag(&outcome));
+        outcome.map(|(result, _)| result)
     }
 }
 
@@ -1030,7 +1016,7 @@ mod tests {
         let session = SeabedSession::single("sales", client, &server).with_obs(Registry::disabled());
         let trace_id = session.query(sql, &[])?.trace_id;
         assert_eq!(trace_id, UNTRACED);
-        assert!(session.registry().recent_traces().is_empty());
+        assert!(session.registry().recent_events().is_empty());
         assert_eq!(session.stats().executes, 1);
         assert_eq!(
             session

@@ -4,7 +4,7 @@
 //! literals over data that only changes when shards are re-loaded. Workers
 //! therefore recompute identical per-shard partials on every execute. This
 //! module caches those partials at the coordinator, keyed by
-//! `(cache epoch, table, shard, statement handle, bound-filter hash)`:
+//! `(table, shard, statement handle, bound-filter hash)`:
 //!
 //! * the **statement handle** is the FNV-1a hash of the plan's wire payload
 //!   ([`seabed_net::wire::write_statement_payload`]) — identical plans share
@@ -12,17 +12,15 @@
 //! * the **filter hash** covers the bound, literal-encrypted filters
 //!   ([`seabed_net::wire::write_filters_payload`]) — any differing literal
 //!   changes the key;
-//! * the **cache epoch** fences staleness: worker death, a shard
-//!   re-dispatch, or a membership change (a worker joining or leaving the
-//!   cluster rewrites replica sets) bumps it, which unreaches every earlier
-//!   entry at once. A partial produced before a recovery or rebalance can
-//!   therefore never merge into a post-change response.
+//! * a **fence** drops staleness: worker death, a shard re-dispatch, or a
+//!   membership change (a worker joining or leaving the cluster rewrites
+//!   replica sets) empties the cache in one step, under its lock. A partial
+//!   produced before a recovery or rebalance can therefore never merge into
+//!   a post-change response.
 //!
-//! Entries record the worker that produced them, so a dead worker's entries
-//! are additionally purged (reclaiming space; the epoch bump already fenced
-//! them). Capacity is LRU-bounded; `capacity = 0` disables caching entirely.
+//! Capacity is LRU-bounded; `capacity = 0` disables caching entirely.
 //!
-//! The cache counts nothing itself: `insert` and the purges return how many
+//! The cache counts nothing itself: `insert` and `fence` return how many
 //! entries they dropped, and the coordinator counts every probe, insertion,
 //! eviction and invalidation into its registry's `dist_cache_*` counters.
 
@@ -32,8 +30,6 @@ use std::collections::HashMap;
 /// Key of one cached per-shard partial.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PartialKey {
-    /// Cache epoch the entry was inserted under; a bump unreaches it.
-    pub cache_epoch: u64,
     /// Hosted table the shard belongs to.
     pub table_id: u32,
     /// Shard identifier within the table.
@@ -46,8 +42,6 @@ pub struct PartialKey {
 
 struct CacheEntry {
     partial: PartialResponse,
-    /// Worker index that produced the partial (purged if it dies).
-    worker: usize,
     /// LRU tick of the most recent touch.
     last_used: u64,
 }
@@ -58,6 +52,7 @@ pub struct PartialCache {
     entries: HashMap<PartialKey, CacheEntry>,
     capacity: usize,
     tick: u64,
+    fences: u64,
 }
 
 impl PartialCache {
@@ -68,6 +63,7 @@ impl PartialCache {
             entries: HashMap::new(),
             capacity,
             tick: 0,
+            fences: 0,
         }
     }
 
@@ -82,16 +78,10 @@ impl PartialCache {
     /// Inserts (or replaces) a partial, evicting the least-recently-used
     /// entry when the capacity bound is exceeded; returns how many entries
     /// were evicted.
-    pub fn insert(&mut self, key: PartialKey, worker: usize, partial: PartialResponse) -> u64 {
+    pub fn insert(&mut self, key: PartialKey, partial: PartialResponse) -> u64 {
         self.tick += 1;
-        self.entries.insert(
-            key,
-            CacheEntry {
-                partial,
-                worker,
-                last_used: self.tick,
-            },
-        );
+        let last_used = self.tick;
+        self.entries.insert(key, CacheEntry { partial, last_used });
         let mut evicted = 0;
         while self.entries.len() > self.capacity {
             // O(n) eviction scan; the capacity bound keeps n small and
@@ -105,21 +95,18 @@ impl PartialCache {
         evicted
     }
 
-    /// Purges every entry produced by `worker` (after its death; the epoch
-    /// bump has already fenced them, this reclaims the space); returns how
-    /// many were dropped.
-    pub fn purge_worker(&mut self, worker: usize) -> u64 {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.worker != worker);
-        (before - self.entries.len()) as u64
+    /// Fences the cache: counts the fence and drops every entry; returns
+    /// how many were dropped.
+    pub fn fence(&mut self) -> u64 {
+        self.fences += 1;
+        let dropped = self.entries.len() as u64;
+        self.entries.clear();
+        dropped
     }
 
-    /// Purges every entry of a cache epoch older than `current` (fenced and
-    /// unreachable; this reclaims the space); returns how many were dropped.
-    pub fn purge_stale_epochs(&mut self, current: u64) -> u64 {
-        let before = self.entries.len();
-        self.entries.retain(|k, _| k.cache_epoch == current);
-        (before - self.entries.len()) as u64
+    /// How many fences the cache has seen.
+    pub fn fences(&self) -> u64 {
+        self.fences
     }
 
     /// Number of live entries.
@@ -135,9 +122,8 @@ mod tests {
     use seabed_engine::ExecStats;
     use std::time::Duration;
 
-    fn key(epoch: u64, shard: u32, statement: u64) -> PartialKey {
+    fn key(shard: u32, statement: u64) -> PartialKey {
         PartialKey {
-            cache_epoch: epoch,
             table_id: 0,
             shard,
             statement,
@@ -156,49 +142,50 @@ mod tests {
     }
 
     #[test]
-    fn hit_after_insert_miss_after_epoch_bump() {
+    fn hit_after_insert_miss_after_fence() {
         let mut cache = PartialCache::new(8);
-        assert!(cache.get(&key(1, 0, 42)).is_none());
-        assert_eq!(cache.insert(key(1, 0, 42), 0, partial(5)), 0);
-        assert_eq!(
-            cache.get(&key(1, 0, 42)).unwrap().stats.wall_time,
-            Duration::from_nanos(5)
-        );
-        // A bumped epoch is a different key: the old entry is unreachable.
-        assert!(cache.get(&key(2, 0, 42)).is_none());
+        assert!(cache.get(&key(0, 42)).is_none());
+        assert_eq!(cache.insert(key(0, 42), partial(5)), 0);
+        assert_eq!(cache.get(&key(0, 42)).unwrap().stats.wall_time, Duration::from_nanos(5));
+        assert!(cache.get(&key(0, 43)).is_none(), "another statement is another key");
+        cache.fence();
+        assert!(cache.get(&key(0, 42)).is_none(), "a fence unreaches every entry");
     }
 
     #[test]
     fn lru_evicts_the_least_recently_used() {
         let mut cache = PartialCache::new(2);
-        cache.insert(key(1, 0, 1), 0, partial(0));
-        cache.insert(key(1, 1, 1), 0, partial(1));
-        assert!(cache.get(&key(1, 0, 1)).is_some()); // touch shard 0
-        assert_eq!(cache.insert(key(1, 2, 1), 0, partial(2)), 1); // evicts shard 1
+        cache.insert(key(0, 1), partial(0));
+        cache.insert(key(1, 1), partial(1));
+        assert!(cache.get(&key(0, 1)).is_some()); // touch shard 0
+        assert_eq!(cache.insert(key(2, 1), partial(2)), 1); // evicts shard 1
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&key(1, 1, 1)).is_none());
-        assert!(cache.get(&key(1, 0, 1)).is_some());
-        assert!(cache.get(&key(1, 2, 1)).is_some());
+        assert!(cache.get(&key(1, 1)).is_none());
+        assert!(cache.get(&key(0, 1)).is_some());
+        assert!(cache.get(&key(2, 1)).is_some());
     }
 
     #[test]
-    fn purges_by_worker_and_epoch() {
+    fn a_fence_counts_itself_and_drops_every_entry() {
         let mut cache = PartialCache::new(8);
-        cache.insert(key(1, 0, 1), 0, partial(0));
-        cache.insert(key(1, 1, 1), 1, partial(1));
-        cache.insert(key(2, 2, 1), 1, partial(2));
-        assert_eq!(cache.purge_worker(1), 2);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.get(&key(1, 0, 1)).is_some());
-        assert_eq!(cache.purge_stale_epochs(2), 1);
-        assert_eq!(cache.len(), 0);
+        cache.insert(key(0, 1), partial(0));
+        cache.insert(key(1, 1), partial(1));
+        cache.insert(key(2, 2), partial(2));
+        assert_eq!(cache.fences(), 0);
+        assert_eq!(cache.fence(), 3);
+        assert_eq!((cache.len(), cache.fences()), (0, 1));
+        assert_eq!(cache.fence(), 0, "an empty cache drops nothing");
+        assert_eq!(cache.fences(), 2);
+        // Entries filled after a fence are live.
+        cache.insert(key(0, 1), partial(3));
+        assert!(cache.get(&key(0, 1)).is_some());
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut cache = PartialCache::new(0);
-        assert_eq!(cache.insert(key(1, 0, 1), 0, partial(0)), 1);
+        assert_eq!(cache.insert(key(0, 1), partial(0)), 1);
         assert_eq!(cache.len(), 0);
-        assert!(cache.get(&key(1, 0, 1)).is_none());
+        assert!(cache.get(&key(0, 1)).is_none());
     }
 }

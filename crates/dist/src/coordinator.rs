@@ -111,7 +111,7 @@ use seabed_engine::merge::{merge_partial_groups, PartialGroups};
 use seabed_engine::{ExecStats, Schema, Table};
 use seabed_error::SeabedError;
 use seabed_net::wire::{self, Frame, LoadShardRef, ShardExecConfig, ShardQueryRef};
-use seabed_obs::{Counter, Gauge, Histogram, QueryEvent, Registry, TraceBuilder};
+use seabed_obs::{Counter, Gauge, Histogram, Registry, TraceBuilder};
 use seabed_query::{PlanNode, PlanProfile, TranslatedQuery};
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -243,7 +243,7 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries evicted by the capacity bound (`dist_cache_evictions`).
     pub evictions: u64,
-    /// Entries purged by a fence (`dist_cache_invalidated`).
+    /// Entries dropped by a fence (`dist_cache_invalidated`).
     pub invalidated: u64,
 }
 
@@ -372,21 +372,17 @@ pub struct DistCoordinator {
     membership: Mutex<()>,
     /// Worker slots. Indices are stable for the coordinator's lifetime:
     /// joiners append, leavers are retired in place (their link moves to
-    /// `Left`), so replica sets and the partial cache's worker keys never
-    /// dangle.
+    /// `Left`), so replica sets never dangle.
     workers: RwLock<Vec<Arc<WorkerLink>>>,
     epoch: u64,
     seq: AtomicU64,
     config: DistConfig,
     last_report: Mutex<QueryReport>,
-    /// Statement-keyed partial-result cache serving prepared executes.
+    /// Statement-keyed partial-result cache serving prepared executes,
+    /// fenced — emptied — on every worker loss and every membership change,
+    /// so entries cached before a recovery or a rebalance can never answer a
+    /// probe after it.
     cache: Mutex<PartialCache>,
-    /// Fencing epoch of the partial cache. Distinct from the wire `epoch`
-    /// (which orders coordinator *generations* and is constant for this
-    /// coordinator's lifetime): this one is bumped on every worker loss and
-    /// every membership change, so entries cached before a recovery or a
-    /// rebalance can never answer a probe after it.
-    cache_epoch: AtomicU64,
     /// Metrics/trace registry; [`DistCoordinator::with_obs`] swaps in a
     /// shared one so session- and coordinator-side spans merge.
     obs: Registry,
@@ -459,7 +455,6 @@ impl DistCoordinator {
             seq: AtomicU64::new(0),
             last_report: Mutex::new(QueryReport::default()),
             cache: Mutex::new(PartialCache::new(config.partial_cache_capacity)),
-            cache_epoch: AtomicU64::new(1),
             config,
             metrics: DistMetrics::new(&obs),
             obs,
@@ -501,10 +496,12 @@ impl DistCoordinator {
         self.epoch
     }
 
-    /// The partial cache's fencing epoch (bumped on every worker loss and
-    /// membership change).
+    /// The partial cache's fencing epoch: how many fences it has seen (one
+    /// on every worker loss and membership change). Distinct from the wire
+    /// [`DistCoordinator::epoch`], which is constant for this coordinator's
+    /// lifetime.
     pub fn cache_epoch(&self) -> u64 {
-        self.cache_epoch.load(Ordering::Acquire)
+        lock(&self.cache).fences()
     }
 
     /// Lifetime counters of the partial cache, read from the registry.
@@ -529,8 +526,8 @@ impl DistCoordinator {
         lock(&self.last_report).clone()
     }
 
-    /// The coordinator's metrics/trace registry (`dist_*` instruments plus
-    /// the ring of recent coordinator-side [`seabed_obs::QueryTrace`]s).
+    /// The coordinator's metrics registry (`dist_*` instruments plus the ring
+    /// of recent [`seabed_obs::QueryEvent`]s, one per execution).
     pub fn registry(&self) -> Registry {
         self.obs.clone()
     }
@@ -569,18 +566,10 @@ impl DistCoordinator {
         pool.iter().enumerate().map(summary).collect()
     }
 
-    /// Bumps the cache fencing epoch and reclaims everything it fences
-    /// (entries of the named dead/departed workers first, so the purge is
-    /// attributable, then every remaining stale-epoch entry).
-    fn fence_cache(&self, dead: &[usize]) {
-        let bumped = self.cache_epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        {
-            let mut cache = lock(&self.cache);
-            let purged: u64 = dead.iter().map(|&worker| cache.purge_worker(worker)).sum();
-            self.metrics
-                .cache_invalidated
-                .add(purged + cache.purge_stale_epochs(bumped));
-        }
+    /// Fences the partial cache, counting the entries the fence dropped.
+    fn fence_cache(&self) {
+        let dropped = lock(&self.cache).fence();
+        self.metrics.cache_invalidated.add(dropped);
         self.publish_gauges();
     }
 
@@ -603,15 +592,15 @@ impl DistCoordinator {
     /// hash)`) shards may be answered from the partial cache and fresh
     /// partials go back into it; without, the cache is not touched. An
     /// analyzed request asks every worker for a per-operator profile and
-    /// returns the stitched plan of this execution. The response's
-    /// `stats.wall_time` is the time since `started`.
+    /// returns the stitched plan of this execution. Each stage is a span on
+    /// `tb`; the response's `stats.wall_time` is the whole call's.
     fn scatter_gather(
         &self,
         request: &ExecRequest<'_>,
         cache_key: Option<(u64, u64)>,
-        started: Instant,
+        tb: &mut TraceBuilder,
     ) -> Result<ExecOutcome, SeabedError> {
-        let tb = self.obs.trace_builder(request.trace_id, "coordinator");
+        let started = Instant::now();
         let (table_id, entry) = self.resolve(&request.plan.base_table)?;
         let total_shards = entry.shards.len();
 
@@ -621,7 +610,7 @@ impl DistCoordinator {
             true => (0, Vec::new(), Tally::default()),
             false => self.scatter(table_id, request, &missing)?,
         };
-        let scatter_ns = record_stage(&self.metrics.scatter_ns, &tb, "scatter", scatter_started.elapsed());
+        let scatter_ns = record_stage(&self.metrics.scatter_ns, tb, "scatter", scatter_started.elapsed());
         for (run, ..) in &fresh {
             tb.add_span_ns("shard-execute", nanos(run.round_trip));
         }
@@ -633,8 +622,8 @@ impl DistCoordinator {
         let gather_started = Instant::now();
         let (mut response, runs, merge_time) = self.gather(request.plan, cached, fresh);
         let gather_time = gather_started.elapsed();
-        let gather_ns = record_stage(&self.metrics.gather_ns, &tb, "gather", gather_time);
-        let merge_ns = record_stage(&self.metrics.merge_ns, &tb, "merge", merge_time);
+        let gather_ns = record_stage(&self.metrics.gather_ns, tb, "gather", gather_time);
+        let merge_ns = record_stage(&self.metrics.merge_ns, tb, "merge", merge_time);
         response.stats.wall_time = started.elapsed();
 
         let report = QueryReport {
@@ -662,17 +651,13 @@ impl DistCoordinator {
             stitch(&report, total_shards, lanes, &response, stage_ns)
         });
         *lock(&self.last_report) = report;
-        if let Some(trace) = tb.finish() {
-            self.obs.record_trace(trace);
-        }
         Ok(ExecOutcome { response, plan })
     }
 
     /// Probe: a prepared execute answers every shard it can from the cache
     /// and leaves only the rest to the scatter, counting each shard a hit or
     /// a miss; without a key every shard is missing and nothing is touched or
-    /// counted. The probe epoch is read under the cache lock so a concurrent
-    /// bump can't resurrect fenced entries.
+    /// counted.
     fn probe(
         &self,
         table_id: u32,
@@ -683,11 +668,9 @@ impl DistCoordinator {
             return (Vec::new(), (0..shards).collect());
         };
         let mut cache = lock(&self.cache);
-        let cache_epoch = self.cache_epoch.load(Ordering::Acquire);
         let (mut cached, mut missing) = (Vec::new(), Vec::new());
         for shard in 0..shards {
             let key = PartialKey {
-                cache_epoch,
                 table_id,
                 shard,
                 statement,
@@ -739,10 +722,10 @@ impl DistCoordinator {
                     });
                     let at = origin.elapsed();
                     dispatch.sent(at);
-                    held.push((shard, worker, ask, origin + at, sent));
+                    held.push((shard, ask, origin + at, sent));
                 }
                 Action::Receive { deadline, abandon } => {
-                    let (shard, worker, ask, sent_at, sent) = held.remove(0);
+                    let (shard, ask, sent_at, sent) = held.remove(0);
                     let reply = sent.and_then(|(mut locked, seq, query)| {
                         let echo = |frame: &Frame| {
                             let echoed = (self.epoch, table_id, shard, seq);
@@ -770,7 +753,7 @@ impl DistCoordinator {
                             redispatched: matches!(ask, Ask::Redispatch { .. }),
                             hedged: ask == Ask::Hedge,
                         };
-                        Ok(Some((run, worker, partial)))
+                        Ok(Some((run, partial)))
                     });
                     if matches!(reply, Ok(None)) {
                         tally.hedged += 1;
@@ -778,10 +761,7 @@ impl DistCoordinator {
                     }
                     dispatch.settle(reply);
                 }
-                Action::Fence => {
-                    let dead: Vec<usize> = (0..pool.len()).filter(|&w| !alive(w)).collect();
-                    self.fence_cache(&dead);
-                }
+                Action::Fence => self.fence_cache(),
                 Action::Promote { shard, worker } => {
                     self.metrics.redispatches.incr();
                     lock(&self.placement).promote(table_id, shard, worker, &alive);
@@ -813,22 +793,20 @@ impl DistCoordinator {
         Ok((seq, query.encode(self.config.max_frame_len)?))
     }
 
-    /// Fresh partials of a prepared execute go back into the cache under the
-    /// *current* epoch — post-bump if this very query lost a worker, so a
-    /// recovery never caches under a fenced generation — each counted as an
+    /// Fresh partials of a prepared execute go back into the cache — after
+    /// the fence if this very query lost a worker: a partial of an immutable
+    /// shard is the same answer whoever computed it — each counted as an
     /// insertion, with whatever the capacity bound evicts for it.
     fn fill_cache(&self, table_id: u32, (statement, filters): (u64, u64), fresh: &[ShardAnswer]) {
         let mut cache = lock(&self.cache);
-        let cache_epoch = self.cache_epoch.load(Ordering::Acquire);
-        for (run, worker, partial) in fresh {
+        for (run, partial) in fresh {
             let key = PartialKey {
-                cache_epoch,
                 table_id,
                 shard: run.shard,
                 statement,
                 filters,
             };
-            let evicted = cache.insert(key, *worker, partial.clone());
+            let evicted = cache.insert(key, partial.clone());
             self.metrics.cache_evictions.add(evicted);
         }
         self.metrics.cache_insertions.add(fresh.len() as u64);
@@ -847,9 +825,7 @@ impl DistCoordinator {
         fresh: Vec<ShardAnswer>,
     ) -> (ServerResponse, Vec<ShardRun>, Duration) {
         let cached = cached.into_iter().map(|(shard, partial)| (shard, partial, None));
-        let fresh = fresh
-            .into_iter()
-            .map(|(run, _, partial)| (run.shard, partial, Some(run)));
+        let fresh = fresh.into_iter().map(|(run, partial)| (run.shard, partial, Some(run)));
         let mut pieces: Vec<(u32, PartialResponse, Option<ShardRun>)> = cached.chain(fresh).collect();
         pieces.sort_by_key(|(shard, ..)| *shard);
         let merge_started = Instant::now();
@@ -932,7 +908,7 @@ impl DistCoordinator {
         for (table, shard, donor) in moves {
             let _ = self.unload_shard(table, shard, donor);
         }
-        self.fence_cache(&[]);
+        self.fence_cache();
         Ok(joiner)
     }
 
@@ -965,7 +941,7 @@ impl DistCoordinator {
         }
         *lock(&self.placement) = planned;
         link.retire();
-        self.fence_cache(&[worker]);
+        self.fence_cache();
         Ok(())
     }
 }
@@ -984,7 +960,7 @@ fn nanos(duration: Duration) -> u64 {
 /// Records one coordinator stage's one measurement into its histogram and
 /// the query's trace, and returns it for the stitched plan: every reader of a
 /// stage's time reads this figure, with the registry on or off.
-fn record_stage(histogram: &Histogram, tb: &TraceBuilder, name: &str, time: Duration) -> u64 {
+fn record_stage(histogram: &Histogram, tb: &mut TraceBuilder, name: &str, time: Duration) -> u64 {
     let ns = nanos(time);
     histogram.record_ns(ns);
     tb.add_span_ns(name, ns);
@@ -1062,11 +1038,11 @@ impl QueryTarget for DistCoordinator {
         Ok(self.run(&ExecRequest::new(query, filters))?.response)
     }
 
-    /// Records coordinator-side spans (scatter, per-shard execute, gather,
-    /// merge) under the request's trace id and leaves one redacted
-    /// [`QueryEvent`] per execution — failed ones included — in the registry
-    /// (node `coordinator`, carrying this execution's stitched plan when
-    /// analyzed and the plan's redacted description otherwise).
+    /// Leaves one redacted [`seabed_obs::QueryEvent`] per execution — failed
+    /// ones included — in the registry under the request's trace id (node
+    /// `coordinator`): its spans (scatter, per-shard execute, gather,
+    /// merge), and this execution's stitched plan when analyzed or the
+    /// plan's redacted description otherwise.
     ///
     /// A prepared execute routes through the partial cache. The cache key is
     /// *content*-derived — FNV-1a over the statement's and the bound filters'
@@ -1081,34 +1057,30 @@ impl QueryTarget for DistCoordinator {
             wire::write_filters_payload(&mut filter_bytes, request.filters);
             (wire::statement_hash(request.plan), fnv1a64(&filter_bytes))
         });
-        let started = Instant::now();
-        let outcome = self.scatter_gather(request, cache_key, started);
-        if self.obs.enabled() {
-            let executed = outcome.as_ref().ok();
-            // An answered query's time is its response's wall time.
-            let total = executed.map_or_else(|| started.elapsed(), |e| e.response.stats.wall_time);
-            self.obs.record_event(QueryEvent {
-                trace_id: request.trace_id,
-                // A cached execute already hashed the statement for its key.
-                statement_id: cache_key.map_or_else(|| wire::statement_hash(request.plan), |(statement, _)| statement),
-                node: "coordinator".to_string(),
-                plan: executed
-                    .and_then(|e| e.plan.as_ref())
-                    .map_or_else(|| request.plan.describe(), PlanNode::render),
-                operators: event_operators(executed.map_or(&[], |e| &e.response.stats.operators)),
-                total_ns: nanos(total),
-                slow: false,
-                outcome: outcome_tag(&outcome).to_string(),
-            });
+        let mut tb = self.obs.trace_builder(request.trace_id, "coordinator");
+        let outcome = self.scatter_gather(request, cache_key, &mut tb);
+        if tb.is_active() {
+            // A cached execute already hashed the statement for its key.
+            tb.set_statement_id(
+                cache_key.map_or_else(|| wire::statement_hash(request.plan), |(statement, _)| statement),
+            );
         }
+        tb.describe(|| {
+            let executed = outcome.as_ref().ok();
+            let plan = executed.and_then(|e| e.plan.as_ref());
+            (
+                plan.map_or_else(|| request.plan.describe(), PlanNode::render),
+                event_operators(executed.map_or(&[], |e| &e.response.stats.operators)),
+            )
+        });
+        tb.finish(outcome_tag(&outcome));
         outcome
     }
 }
 
-/// One shard's answer as a lane hands it over: its run record, the index of
-/// the answering worker (recorded so a cached copy of the partial can be
-/// purged if that worker later dies) and the mergeable partial, by value.
-type ShardAnswer = (ShardRun, usize, PartialResponse);
+/// One shard's answer as a lane hands it over: its run record and the
+/// mergeable partial, by value.
+type ShardAnswer = (ShardRun, PartialResponse);
 
 /// Shape-checks a worker's partial against the query before it may reach
 /// the merge: aggregate arity and kinds per group (including the MIN/MAX

@@ -20,7 +20,7 @@ use crate::wire::{self, Frame};
 use seabed_core::{ExecOutcome, ExecRequest, FifoMap, PhysicalFilter, QueryTarget, SeabedClient, ServerResponse};
 use seabed_engine::Schema;
 use seabed_error::SeabedError;
-use seabed_obs::{MetricsSnapshot, QueryEvent, QueryTrace};
+use seabed_obs::{MetricsSnapshot, QueryEvent};
 use seabed_query::TranslatedQuery;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Mutex;
@@ -206,29 +206,21 @@ impl RemoteSeabedClient {
 }
 
 /// Scrapes a live Seabed service's metrics snapshot (and, when
-/// `include_traces` / `include_events` are set, its rings of recent query
-/// traces and slow-query events) over a fresh connection. No schema
-/// handshake and no keys: the telemetry surface never carries plaintext
-/// (metric names are static identifiers, traces carry stage names,
-/// durations, and statement hashes, events carry structural plan strings and
-/// outcome tags), so an operator's scraper does not need a [`SeabedClient`].
+/// `include_events` is set, its ring of recent query events — one per
+/// execution) over a fresh connection. No schema handshake and no keys: the
+/// telemetry surface never carries plaintext (metric names are static
+/// identifiers, events carry stage names, durations, statement hashes,
+/// structural plan strings and outcome tags), so an operator's scraper does
+/// not need a [`SeabedClient`].
 pub fn scrape_metrics(
     addr: impl ToSocketAddrs,
-    include_traces: bool,
     include_events: bool,
     read_timeout: Duration,
-) -> Result<(MetricsSnapshot, Vec<QueryTrace>, Vec<QueryEvent>), SeabedError> {
+) -> Result<(MetricsSnapshot, Vec<QueryEvent>), SeabedError> {
     let mut conn = FrameConn::connect(addr, read_timeout)?;
-    let request = Frame::MetricsRequest {
-        include_traces,
-        include_events,
-    };
+    let request = Frame::MetricsRequest { include_events };
     match conn.round_trip(&request, wire::DEFAULT_MAX_FRAME_LEN, read_timeout)? {
-        Frame::MetricsSnapshot {
-            metrics,
-            traces,
-            events,
-        } => Ok((metrics, traces, events)),
+        Frame::MetricsSnapshot { metrics, events } => Ok((metrics, events)),
         other => Err(unexpected(other, "a metrics snapshot")),
     }
 }

@@ -33,7 +33,7 @@
 use crate::conn::{FrameConn, Received, Wait, WireStats};
 use crate::wire::{self, Frame, FrameKind};
 use seabed_core::{FifoMap, SeabedServer};
-use seabed_engine::{Cluster, ClusterConfig};
+use seabed_engine::{Cluster, ClusterConfig, ExecStats};
 use seabed_error::SeabedError;
 use seabed_obs::{Counter, Gauge, Histogram, MetricsSnapshot, ObsConfig, Registry};
 use seabed_query::TranslatedQuery;
@@ -42,7 +42,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of the TCP service.
 #[derive(Clone, Debug)]
@@ -563,51 +563,38 @@ fn serve_frames(conn: &mut FrameConn, ctx: &Service, flushed: &mut WireStats) {
     }
 }
 
-/// Runs one query execution under the service's telemetry: a
-/// `server-execute` span in this service's trace ring under the propagated
-/// `trace_id` (scrapeable by the client, or a coordinator on its behalf) and,
-/// with observability on, one redacted [`seabed_obs::QueryEvent`] describing
-/// `plan` (`None` when a stale handle left nothing to describe). A prepared
-/// `handle` is stamped on the trace and identifies the event; a one-shot
-/// request is identified by its plan's wire-content hash — the same identity
-/// a handle is, never SQL text.
-fn execute_observed(
+/// Runs one query execution under the service's telemetry: `run` timed as
+/// the span `span` under the propagated `trace_id`, and one redacted
+/// [`seabed_obs::QueryEvent`] for the call, whatever its outcome, describing
+/// `plan` (`None` when a stale handle left nothing to describe) with the
+/// operators `stats` reads off an answer. A prepared `handle` identifies the
+/// event; a one-shot request or a shard query is identified by its plan's
+/// wire-content hash — the same identity a handle is, never SQL text.
+fn execute_observed<R>(
     ctx: &Service,
+    span: &str,
     handle: Option<u64>,
     plan: Option<&TranslatedQuery>,
     trace_id: u64,
-    run: impl FnOnce() -> Result<seabed_core::ServerResponse, SeabedError>,
-) -> Frame {
-    let started = ctx.obs.enabled().then(Instant::now);
+    run: impl FnOnce() -> Result<R, SeabedError>,
+    stats: impl FnOnce(&R) -> &ExecStats,
+) -> Result<R, SeabedError> {
+    let mut tb = ctx.obs.trace_builder(trace_id, &ctx.identity);
+    let started = tb.start();
     let outcome = run();
-    // One measurement of the execution feeds its span and its event.
-    if let Some(total_ns) = started.map(|started| started.elapsed().as_nanos() as u64) {
-        let mut tb = ctx.obs.trace_builder(trace_id, &ctx.identity);
-        if let Some(handle) = handle {
-            tb.set_statement_id(handle);
-        }
-        tb.add_span_ns("server-execute", total_ns);
-        if let Some(trace) = tb.finish() {
-            ctx.obs.record_trace(trace);
-        }
-        let statement_id = handle.or_else(|| plan.map(wire::statement_hash)).unwrap_or_default();
-        ctx.obs.record_event(seabed_obs::QueryEvent {
-            trace_id,
-            statement_id,
-            node: ctx.identity.clone(),
-            plan: plan.map(TranslatedQuery::describe).unwrap_or_default(),
-            operators: seabed_core::event_operators(
-                outcome.as_ref().map(|r| r.stats.operators.as_slice()).unwrap_or(&[]),
-            ),
-            total_ns,
-            slow: false,
-            outcome: seabed_core::outcome_tag(&outcome).to_string(),
-        });
+    tb.end(span, started);
+    if tb.is_active() {
+        tb.set_statement_id(handle.or_else(|| plan.map(wire::statement_hash)).unwrap_or_default());
     }
-    match outcome {
-        Ok(response) => Frame::Response(response),
-        Err(err) => Frame::Error(err),
-    }
+    tb.describe(|| {
+        let operators = outcome.as_ref().map_or(&[][..], |answer| &stats(answer).operators);
+        (
+            plan.map(TranslatedQuery::describe).unwrap_or_default(),
+            seabed_core::event_operators(operators),
+        )
+    });
+    tb.finish(seabed_core::outcome_tag(&outcome));
+    outcome
 }
 
 /// Computes the reply to one well-framed request. Service-level failures come
@@ -619,9 +606,11 @@ fn dispatch_frame(frame: Frame, ctx: &Service) -> Frame {
             filters,
             trace_id,
             analyze,
-        } => execute_observed(ctx, None, Some(&query), trace_id, || {
-            ctx.server.execute_analyzed(&query, &filters, analyze)
-        }),
+        } => {
+            let run = || ctx.server.execute_analyzed(&query, &filters, analyze);
+            let outcome = execute_observed(ctx, "server-execute", None, Some(&query), trace_id, run, |r| &r.stats);
+            outcome.map_or_else(Frame::Error, Frame::Response)
+        }
         Frame::SchemaRequest => Frame::Schema(ctx.server.table().schema.clone()),
         Frame::WorkerHandshake { epoch } => {
             let shards = ctx.shards.handshake(epoch);
@@ -671,23 +660,19 @@ fn dispatch_frame(frame: Frame, ctx: &Service) -> Frame {
             filters,
             analyze,
         } => {
-            match ctx
-                .shards
-                .get(&ctx.identity, epoch, table_id, shard)
-                // The Arc clone lets the scan run outside the store lock.
-                .and_then(|server| server.execute_partial_analyzed(&query, &filters, analyze))
-            {
+            let run = || {
+                ctx.shards
+                    .get(&ctx.identity, epoch, table_id, shard)
+                    // The Arc clone lets the scan run outside the store lock.
+                    .and_then(|server| server.execute_partial_analyzed(&query, &filters, analyze))
+            };
+            match execute_observed(ctx, "shard-execute", None, Some(&query), trace_id, run, |p| &p.stats) {
                 Ok(partial) => {
-                    // Only successful scans feed the execute histogram and
-                    // the trace — a stale-epoch rejection is not a scan —
-                    // and both take the scan's own measured wall time.
+                    // Only successful scans feed the execute histogram — a
+                    // stale-epoch rejection is not a scan — at the scan's own
+                    // measured wall time.
                     let scan_ns = u64::try_from(partial.stats.wall_time.as_nanos()).unwrap_or(u64::MAX);
                     ctx.metrics.shard_execute_ns.record_ns(scan_ns);
-                    let tb = ctx.obs.trace_builder(trace_id, &ctx.identity);
-                    tb.add_span_ns("shard-execute", scan_ns);
-                    if let Some(trace) = tb.finish() {
-                        ctx.obs.record_trace(trace);
-                    }
                     Frame::ShardPartial {
                         epoch,
                         table_id,
@@ -734,21 +719,16 @@ fn dispatch_frame(frame: Frame, ctx: &Service) -> Frame {
             filters,
         } => {
             let statement = ctx.statements.get(handle);
-            execute_observed(ctx, Some(handle), statement.as_deref().ok(), trace_id, || {
+            let plan = statement.as_deref().ok();
+            let run = || {
                 ctx.server
                     .execute(statement.as_deref().map_err(Clone::clone)?, &filters)
-            })
+            };
+            let outcome = execute_observed(ctx, "server-execute", Some(handle), plan, trace_id, run, |r| &r.stats);
+            outcome.map_or_else(Frame::Error, Frame::Response)
         }
-        Frame::MetricsRequest {
-            include_traces,
-            include_events,
-        } => Frame::MetricsSnapshot {
+        Frame::MetricsRequest { include_events } => Frame::MetricsSnapshot {
             metrics: ctx.obs.snapshot(),
-            traces: if include_traces {
-                ctx.obs.recent_traces()
-            } else {
-                Vec::new()
-            },
             events: if include_events {
                 ctx.obs.recent_events()
             } else {
@@ -768,6 +748,7 @@ mod tests {
     use crate::wire::DEFAULT_MAX_FRAME_LEN;
     use seabed_engine::{Cluster, ClusterConfig, ColumnData, ColumnType, Schema, Table};
     use seabed_query::{ServerAggregate, SupportCategory, TranslatedQuery};
+    use std::time::Instant;
 
     fn test_server() -> SeabedServer {
         let schema = Schema::new([
@@ -1233,7 +1214,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_scrape_returns_counters_histograms_and_traces() {
+    fn metrics_scrape_returns_counters_histograms_and_events() {
         let net = NetServer::serve(test_server(), "127.0.0.1:0", ServiceConfig::default()).expect("serve");
         let mut stream = connect(&net);
 
@@ -1263,14 +1244,8 @@ mod tests {
             Frame::Response(_)
         ));
 
-        let reply = round_trip(
-            &mut stream,
-            &Frame::MetricsRequest {
-                include_traces: true,
-                include_events: false,
-            },
-        );
-        let Frame::MetricsSnapshot { metrics, traces, .. } = reply else {
+        let reply = round_trip(&mut stream, &Frame::MetricsRequest { include_events: true });
+        let Frame::MetricsSnapshot { metrics, events } = reply else {
             panic!("expected a metrics snapshot, got {reply:?}");
         };
         assert_eq!(metrics.counter("net_frames_request"), Some(2));
@@ -1278,23 +1253,21 @@ mod tests {
         let request_ns = metrics.histogram("net_request_ns").expect("request histogram");
         assert!(request_ns.count >= 2, "{request_ns:?}");
         assert!(request_ns.sum > 0);
-        // Exactly the traced request left a trace, under its id.
-        assert_eq!(traces.len(), 1, "{traces:?}");
-        assert_eq!(traces[0].trace_id, 0xdead_beef);
-        assert_eq!(traces[0].spans[0].name, "server-execute");
+        // Each request left one event, the traced one under its id.
+        let ids: Vec<u64> = events.iter().map(|e| e.trace_id).collect();
+        assert_eq!(ids, [0, 0xdead_beef], "{events:?}");
+        for event in &events {
+            assert_eq!(event.spans.len(), 1, "{event:?}");
+            assert_eq!(event.spans[0].name, "server-execute");
+            assert_eq!(event.outcome, "ok");
+        }
 
-        // include_traces: false omits the ring.
-        let reply = round_trip(
-            &mut stream,
-            &Frame::MetricsRequest {
-                include_traces: false,
-                include_events: false,
-            },
-        );
-        let Frame::MetricsSnapshot { traces, .. } = reply else {
+        // include_events: false omits the ring.
+        let reply = round_trip(&mut stream, &Frame::MetricsRequest { include_events: false });
+        let Frame::MetricsSnapshot { events, .. } = reply else {
             panic!("expected a metrics snapshot, got {reply:?}");
         };
-        assert!(traces.is_empty());
+        assert!(events.is_empty());
 
         // The in-process registry view sees the same numbers.
         assert_eq!(net.registry().snapshot().counter("net_frames_metrics_request"), Some(2));

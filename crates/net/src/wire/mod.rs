@@ -69,7 +69,7 @@
 //! | 15   | coord → worker  | unload shard: epoch, (table id, shard id)      |
 //! | 16   | worker → coord  | shard unloaded: echoed triple + remaining shard count |
 //! | 17   | client → server | metrics request: scrape the live metrics registry |
-//! | 18   | server → client | metrics snapshot: counters/gauges/histograms + recent traces |
+//! | 18   | server → client | metrics snapshot: counters/gauges/histograms + recent query events |
 //!
 //! Kinds 6–11 and 15–16 are the `seabed-dist` scatter/gather sub-protocol. A worker
 //! echoes the `(epoch, table, shard, seq)` tuple of the query it answers, so
@@ -173,9 +173,16 @@ pub const MAGIC: [u8; 4] = *b"SBWF";
 /// put a 4-byte length before every cell: an ORE cell ships in 16 bytes, not
 /// 20.
 ///
+/// Version 9: a node leaves one record per execution, so the scrape frames
+/// carry one list. A metrics request (kind 17) is its `include_events` flag
+/// alone, where version 8 led with `include_traces`; a metrics snapshot
+/// (kind 18) is the metrics and the events, where version 8 put a list of
+/// traces between them, and each event carries its spans after its node.
+/// No other kind moved.
+///
 /// There is no decoder for an older version: such a peer is refused by
 /// [`decode_header`] with the typed version error, like any other.
-pub const PROTOCOL_VERSION: u16 = 8;
+pub const PROTOCOL_VERSION: u16 = 9;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 11;
@@ -301,9 +308,9 @@ frame_kinds! {
     /// Worker → coordinator: shard-unload acknowledgement.
     16 => ShardUnloaded { epoch, table_id, shard, remaining },
     /// Client → server: scrape the live metrics registry.
-    17 => MetricsRequest { include_traces, include_events },
-    /// Server → client: a point-in-time metrics snapshot (+ recent traces).
-    18 => MetricsSnapshot { metrics, traces, events },
+    17 => MetricsRequest { include_events },
+    /// Server → client: a point-in-time metrics snapshot (+ recent events).
+    18 => MetricsSnapshot { metrics, events },
 }
 
 /// Execution knobs a coordinator fixes for every shard it assigns, so result
@@ -404,7 +411,7 @@ pub enum Frame {
         /// Proxy-encrypted physical filters.
         filters: Vec<PhysicalFilter>,
         /// Propagated per-query trace id (0 = untraced), so a worker's
-        /// shard-execute spans correlate with the coordinator's.
+        /// shard-execute events correlate with the coordinator's.
         trace_id: u64,
         /// When true, the partial's exec stats carry the shard's measured
         /// per-operator profile (the coordinator merges them shard-wise).
@@ -475,25 +482,20 @@ pub enum Frame {
     /// Client → server: scrape the receiver's live metrics registry.
     /// Carries no query state; answered with [`Frame::MetricsSnapshot`].
     MetricsRequest {
-        /// When true, the snapshot includes the receiver's recent traces.
-        include_traces: bool,
         /// When true, the snapshot includes the receiver's recent query
-        /// events (the slow-query ring).
+        /// events.
         include_events: bool,
     },
     /// Server → client: a point-in-time snapshot of the receiver's metrics
-    /// registry. Metric names are static identifiers, traces carry only
-    /// span names, durations, and statement hashes, and query events carry
-    /// only statement hashes, structural plan strings, operator labels, and
-    /// outcome tags — the same redaction rule as [`redact_query`], extended
-    /// to telemetry.
+    /// registry. Metric names are static identifiers, and query events carry
+    /// only statement hashes, span names and durations, structural plan
+    /// strings, operator labels, and outcome tags — the same redaction rule
+    /// as [`redact_query`], extended to telemetry.
     MetricsSnapshot {
         /// Counters, gauges, and histograms at scrape time.
         metrics: seabed_obs::MetricsSnapshot,
-        /// Recent traces (empty unless the request asked for them).
-        traces: Vec<seabed_obs::QueryTrace>,
-        /// Recent query events, oldest first (empty unless the request asked
-        /// for them).
+        /// Recent query events — one per execution per node — oldest first
+        /// (empty unless the request asked for them).
         events: Vec<seabed_obs::QueryEvent>,
     },
 }

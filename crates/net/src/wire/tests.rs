@@ -13,7 +13,7 @@ use seabed_encoding::{varint, IdListEncoding};
 use seabed_engine::merge::{ExtremeCandidate, PartialAggregate, PartialGroup, PartialGroups};
 use seabed_engine::{BytesColumn, ColumnData, ColumnType, ExecStats, Field, OperatorProfile, Partition};
 use seabed_error::{ParseError, SchemaError};
-use seabed_obs::{EventOperator, HistogramSnapshot, MetricsSnapshot, QueryEvent, QueryTrace, TraceSpan};
+use seabed_obs::{EventOperator, HistogramSnapshot, MetricsSnapshot, QueryEvent, TraceSpan};
 use seabed_query::{
     ClientPostStep, CompareOp, GroupByColumn, Literal, ParamKind, ParamSlot, Predicate, ServerAggregate,
     SupportCategory,
@@ -316,24 +316,16 @@ fn sample_metrics_snapshot() -> MetricsSnapshot {
     }
 }
 
-fn sample_traces() -> Vec<QueryTrace> {
-    vec![QueryTrace {
-        trace_id: 0xfeed_f00d,
-        statement_id: 0xdead_beef,
-        node: "worker:9042".to_string(),
-        spans: vec![TraceSpan {
-            name: "shard-execute".to_string(),
-            start_ns: 100,
-            duration_ns: 250_000,
-        }],
-    }]
-}
-
 fn sample_events() -> Vec<QueryEvent> {
     vec![QueryEvent {
         trace_id: 0xfeed_f00d,
         statement_id: 0xdead_beef,
         node: "coordinator".to_string(),
+        spans: vec![TraceSpan {
+            name: "shard-execute".to_string(),
+            start_ns: 100,
+            duration_ns: 250_000,
+        }],
         plan: "aggregate\n  scan sales".to_string(),
         operators: vec![EventOperator {
             label: "filter:det:dept__det".to_string(),
@@ -531,22 +523,14 @@ fn sample_frames() -> Vec<Frame> {
             shard: 2,
             remaining: 4,
         },
-        Frame::MetricsRequest {
-            include_traces: true,
-            include_events: false,
-        },
-        Frame::MetricsRequest {
-            include_traces: false,
-            include_events: true,
-        },
+        Frame::MetricsRequest { include_events: false },
+        Frame::MetricsRequest { include_events: true },
         Frame::MetricsSnapshot {
             metrics: sample_metrics_snapshot(),
-            traces: sample_traces(),
             events: sample_events(),
         },
         Frame::MetricsSnapshot {
             metrics: MetricsSnapshot::default(),
-            traces: vec![],
             events: vec![],
         },
     ];
@@ -671,11 +655,8 @@ fn telemetry_types_obey_the_wire_contract() {
     check_carrier(std::slice::from_ref(&snapshot.counters));
     check_carrier(std::slice::from_ref(&snapshot.histograms));
     check_wire(&[snapshot, MetricsSnapshot::default()]);
-    let traces = sample_traces();
-    check_wire(&traces[0].spans);
-    check_wire(&traces);
-    check_carrier(&[traces]);
     let events = sample_events();
+    check_wire(&events[0].spans);
     check_wire(&events[0].operators);
     check_wire(&events);
     check_carrier(&[events]);
@@ -897,18 +878,18 @@ fn request_frames_do_not_leak_det_or_ope_literals() {
     );
 }
 
-/// Protocol versions 4 to 7 are gone, not kept beside version 8: a frame
+/// Protocol versions 4 to 8 are gone, not kept beside version 9: a frame
 /// whose header says any of them is refused with the typed error naming both
 /// versions, whatever it carries.
 #[test]
 fn an_older_version_frame_is_refused_naming_both_versions() {
-    assert_eq!(PROTOCOL_VERSION, 8);
-    for old in [4u16, 5, 6, 7] {
+    assert_eq!(PROTOCOL_VERSION, 9);
+    for old in [4u16, 5, 6, 7, 8] {
         for frame in [Frame::SchemaRequest, Frame::Response(sample_response())] {
             let mut bytes = encode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
             bytes[4..6].copy_from_slice(&old.to_le_bytes());
             let outcome = decode_frame(&bytes, DEFAULT_MAX_FRAME_LEN);
-            let expected = format!("unsupported protocol version {old} (this side speaks 8)");
+            let expected = format!("unsupported protocol version {old} (this side speaks 9)");
             assert!(
                 matches!(&outcome, Err(SeabedError::Wire(message)) if *message == expected),
                 "{outcome:?}"
@@ -933,7 +914,6 @@ fn metrics_snapshot_rejects_out_of_range_bucket_index() {
                 },
             )],
         },
-        traces: vec![],
         events: vec![],
     };
     let bytes = encode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();

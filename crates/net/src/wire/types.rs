@@ -13,9 +13,7 @@ use seabed_engine::{
     BytesColumn, ColumnData, ColumnType, ExecMode, ExecStats, Field, OperatorProfile, Partition, Schema, Table,
 };
 use seabed_error::{ParseError, SchemaError, SeabedError};
-use seabed_obs::{
-    EventOperator, HistogramSnapshot, MetricsSnapshot, QueryEvent, QueryTrace, TraceSpan, HISTOGRAM_BUCKETS,
-};
+use seabed_obs::{EventOperator, HistogramSnapshot, MetricsSnapshot, QueryEvent, TraceSpan, HISTOGRAM_BUCKETS};
 use seabed_query::{
     CompareOp, GroupByColumn, Literal, ParamKind, ParamSlot, Predicate, ServerAggregate, ServerFilter, TranslatedQuery,
 };
@@ -139,7 +137,7 @@ wire_struct!(PartialGroup { ids, aggregates });
 wire_struct!(PartialResponse { groups, stats });
 
 // ---------------------------------------------------------------------------
-// Metrics snapshots, query traces and events (the observability scrape)
+// Metrics snapshots and query events (the observability scrape)
 // ---------------------------------------------------------------------------
 
 /// One histogram bucket, `(index, count)`. The index is range-checked on
@@ -177,12 +175,6 @@ wire_struct!(TraceSpan {
     start_ns,
     duration_ns
 });
-wire_struct!(QueryTrace {
-    trace_id,
-    statement_id,
-    node,
-    spans
-});
 wire_struct!(EventOperator {
     label,
     rows_in,
@@ -194,6 +186,7 @@ wire_struct!(QueryEvent {
     trace_id,
     statement_id,
     node,
+    spans,
     plan,
     operators,
     total_ns,

@@ -1,13 +1,13 @@
 //! Unified observability for the Seabed stack: one [`Registry`] per process
 //! component (session, coordinator, network service) holding lock-free
-//! counters, gauges, and log-bucket latency histograms, plus a bounded ring
-//! buffer of per-query [`QueryTrace`]s.
+//! counters, gauges, and log-bucket latency histograms, plus one bounded ring
+//! of [`QueryEvent`]s — the one record each execution leaves on each node.
 //!
 //! ```text
 //!   SeabedSession ──┐  counter("session_executes").incr()
 //!   DistCoordinator ┼─ Registry ── snapshot() → MetricsSnapshot (JSON / Prometheus text)
 //!   NetServer ──────┘  histogram("net_request_ns").record_ns(…)
-//!                        └── traces: ring of QueryTrace { trace_id, spans }
+//!                        └── events: ring of QueryEvent { trace_id, spans, plan, total_ns, outcome, … }
 //! ```
 //!
 //! Design constraints, in order:
@@ -17,20 +17,24 @@
 //!    relaxed atomic op with no lock and no allocation. The registry's
 //!    interior mutex is touched only at registration and snapshot time.
 //! 2. **Zero overhead when off.** A registry built from
-//!    [`ObsConfig::disabled`] turns histogram timers and trace recording
+//!    [`ObsConfig::disabled`] turns histogram timers and trace builders
 //!    into no-ops (no `Instant::now`, no allocation); counters and gauges
 //!    stay live because they are each component's only lifetime totals.
-//! 3. **Nothing sensitive.** Metric names are static identifiers; traces
-//!    carry span names, durations, and statement *hashes* — never SQL text
-//!    or plaintext literals. This is the same redaction rule the wire layer
-//!    enforces for queries, extended to telemetry.
+//! 3. **Nothing sensitive.** Metric names are static identifiers; events
+//!    carry span names, durations, statement *hashes*, structural plans and
+//!    outcome tags — never SQL text or plaintext literals. This is the same
+//!    redaction rule the wire layer enforces for queries, extended to
+//!    telemetry.
 //!
-//! Tracing: a [`TraceId`] is minted at the client/session, travels inside
-//! request frames (`seabed-net` protocol v3), and every component that
-//! touches the query records its own spans into its own registry under that
-//! id. [`Registry::merged_trace`] stitches the components sharing a registry
-//! back into one parse→…→decrypt timeline; remote components (workers) are
-//! scraped over the wire (`MetricsRequest`/`MetricsSnapshot` frames).
+//! One record per execution: a node times its call with the
+//! [`TraceBuilder`] from [`Registry::trace_builder`] and finishes it into
+//! exactly one event, failures included; the registry builds every record.
+//! A [`TraceId`] is minted at the session, travels inside the query frames
+//! (`seabed-net` protocol v9), and every node the query touches records its
+//! event under that id in its own registry. [`Registry::merged_trace`]
+//! stitches the nodes sharing a registry back into one parse→…→decrypt
+//! timeline; remote nodes (workers) are scraped over the wire
+//! (`MetricsRequest`/`MetricsSnapshot` frames).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -41,7 +45,7 @@ mod trace;
 
 pub use events::{events_to_json, EventOperator, QueryEvent};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Timer, HISTOGRAM_BUCKETS};
-pub use trace::{QueryTrace, SpanStart, TraceBuilder, TraceId, TraceSpan, UNTRACED};
+pub use trace::{SpanStart, TraceBuilder, TraceId, TraceSpan, UNTRACED};
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::AtomicU64;
@@ -51,13 +55,11 @@ use std::time::Duration;
 /// Configuration of a [`Registry`].
 #[derive(Clone, Copy, Debug)]
 pub struct ObsConfig {
-    /// When false, histogram timers and trace recording are no-ops.
+    /// When false, histogram timers and trace builders are no-ops.
     /// Counters and gauges always count (they are the only lifetime totals).
     pub enabled: bool,
-    /// Capacity of the recent-trace ring buffer (oldest evicted first).
-    pub trace_capacity: usize,
-    /// Capacity of the query-event ring buffer (oldest evicted first).
-    pub event_capacity: usize,
+    /// Capacity of the query-event ring (oldest evicted first).
+    pub capacity: usize,
     /// Executions at least this long are flagged `slow` in their
     /// [`QueryEvent`] and counted under the `slow_queries` counter.
     pub slow_query_threshold: Duration,
@@ -67,20 +69,18 @@ impl Default for ObsConfig {
     fn default() -> ObsConfig {
         ObsConfig {
             enabled: true,
-            trace_capacity: 128,
-            event_capacity: 128,
+            capacity: 128,
             slow_query_threshold: Duration::from_millis(100),
         }
     }
 }
 
 impl ObsConfig {
-    /// Observability off: timers and traces become no-ops.
+    /// Observability off: timers and trace builders become no-ops.
     pub fn disabled() -> ObsConfig {
         ObsConfig {
             enabled: false,
-            trace_capacity: 0,
-            event_capacity: 0,
+            capacity: 0,
             slow_query_threshold: Duration::from_millis(100),
         }
     }
@@ -97,8 +97,9 @@ struct RegistryInner {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     histograms: Mutex<BTreeMap<String, Arc<metrics::HistogramCore>>>,
-    traces: Mutex<VecDeque<QueryTrace>>,
     events: Mutex<VecDeque<QueryEvent>>,
+    /// Registered with the registry, so every scrape lists it.
+    slow_queries: Counter,
 }
 
 /// A process-component metrics registry. Cheap to clone (shared interior);
@@ -118,24 +119,26 @@ impl Default for Registry {
 impl Registry {
     /// A registry under `config`.
     pub fn new(config: ObsConfig) -> Registry {
+        let slow_queries = Arc::new(AtomicU64::new(0));
+        let counters = BTreeMap::from([("slow_queries".to_string(), Arc::clone(&slow_queries))]);
         Registry {
             inner: Arc::new(RegistryInner {
                 config,
-                counters: Mutex::new(BTreeMap::new()),
+                counters: Mutex::new(counters),
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
-                traces: Mutex::new(VecDeque::new()),
                 events: Mutex::new(VecDeque::new()),
+                slow_queries: Counter::new(slow_queries),
             }),
         }
     }
 
-    /// A registry with timers and traces disabled.
+    /// A registry with timers and trace builders disabled.
     pub fn disabled() -> Registry {
         Registry::new(ObsConfig::disabled())
     }
 
-    /// True when histogram timers and trace recording are active.
+    /// True when histogram timers and trace builders are active.
     pub fn enabled(&self) -> bool {
         self.inner.config.enabled
     }
@@ -163,45 +166,29 @@ impl Registry {
         Histogram::new(core, self.enabled())
     }
 
-    /// A new trace builder for `trace_id` attributed to `node`; disabled
-    /// (all span ops no-ops) when the registry is disabled or the id is
-    /// [`UNTRACED`].
+    /// A builder timing one call of `node` under `trace_id`
+    /// ([`UNTRACED`] when the request carried none), which finishes into the
+    /// call's one [`QueryEvent`]. Active whenever the registry is enabled;
+    /// a disabled registry's builder records nothing and allocates nothing.
     pub fn trace_builder(&self, trace_id: u64, node: &str) -> TraceBuilder {
-        if self.enabled() && trace_id != UNTRACED {
-            TraceBuilder::new(trace_id, node)
+        if self.enabled() {
+            TraceBuilder::new(self.clone(), trace_id, node)
         } else {
             TraceBuilder::noop()
         }
     }
 
-    /// Records a finished trace into the ring buffer (oldest evicted past
-    /// capacity). No-op for disabled registries or no-op builders.
-    pub fn record_trace(&self, trace: QueryTrace) {
-        if !self.enabled() || trace.trace_id == UNTRACED {
-            return;
-        }
-        let mut ring = self.inner.traces.lock().unwrap_or_else(|p| p.into_inner());
-        while ring.len() >= self.inner.config.trace_capacity.max(1) {
-            ring.pop_front();
-        }
-        ring.push_back(trace);
-    }
-
-    /// Records a query event into the bounded event ring (oldest evicted
-    /// past capacity). The registry — not the caller — decides slowness:
-    /// `event.slow` is set from the configured `slow_query_threshold`, and
-    /// slow events increment the `slow_queries` counter. No-op for disabled
-    /// registries.
-    pub fn record_event(&self, mut event: QueryEvent) {
-        if !self.enabled() {
-            return;
-        }
+    /// Pushes a finished event into the bounded ring (oldest evicted past
+    /// capacity). The registry — not the node — decides slowness: `slow` is
+    /// set from the configured `slow_query_threshold`, and slow events
+    /// increment the `slow_queries` counter.
+    fn record(&self, mut event: QueryEvent) {
         event.slow = Duration::from_nanos(event.total_ns) >= self.inner.config.slow_query_threshold;
         if event.slow {
-            self.counter("slow_queries").incr();
+            self.inner.slow_queries.incr();
         }
         let mut ring = self.inner.events.lock().unwrap_or_else(|p| p.into_inner());
-        while ring.len() >= self.inner.config.event_capacity.max(1) {
+        while ring.len() >= self.inner.config.capacity.max(1) {
             ring.pop_front();
         }
         ring.push_back(event);
@@ -218,41 +205,31 @@ impl Registry {
             .collect()
     }
 
-    /// The recent traces, oldest first.
-    pub fn recent_traces(&self) -> Vec<QueryTrace> {
-        self.inner
-            .traces
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// All spans recorded under `trace_id` in this registry, stitched into
-    /// one trace (components sharing a registry each record their own entry;
-    /// this merges them in recording order). `None` if the id is unknown.
-    pub fn merged_trace(&self, trace_id: u64) -> Option<QueryTrace> {
-        let ring = self.inner.traces.lock().unwrap_or_else(|p| p.into_inner());
-        let mut merged: Option<QueryTrace> = None;
-        for trace in ring.iter().filter(|t| t.trace_id == trace_id) {
-            match &mut merged {
-                None => merged = Some(trace.clone()),
-                Some(m) => {
-                    // Downstream components (coordinator, workers) don't know
-                    // the statement hash; whichever entry does fills it in.
-                    if m.statement_id == 0 {
-                        m.statement_id = trace.statement_id;
-                    }
-                    m.spans.extend(trace.spans.iter().cloned());
-                    if !trace.node.is_empty() && !m.node.contains(trace.node.as_str()) {
-                        m.node.push('+');
-                        m.node.push_str(&trace.node);
-                    }
-                }
+    /// The events recorded under `trace_id` in this registry, stitched into
+    /// one: every span in ring order, and the nodes joined with `+`
+    /// outermost first. A call finishes after every call it makes, so the
+    /// last event of the id is the outermost one — the session's, when a
+    /// session shares this registry with its coordinator — and the merged
+    /// event keeps its statement id, plan, operators, total and outcome.
+    /// `None` for an unknown id and for [`UNTRACED`].
+    pub fn merged_trace(&self, trace_id: u64) -> Option<QueryEvent> {
+        if trace_id == UNTRACED {
+            return None;
+        }
+        let ring = self.inner.events.lock().unwrap_or_else(|p| p.into_inner());
+        let parts: Vec<&QueryEvent> = ring.iter().filter(|e| e.trace_id == trace_id).collect();
+        let (outermost, inner) = parts.split_last()?;
+        let mut merged = QueryEvent {
+            spans: parts.iter().flat_map(|e| e.spans.iter().cloned()).collect(),
+            ..(*outermost).clone()
+        };
+        for event in inner {
+            if !merged.node.split('+').any(|node| node == event.node) {
+                merged.node.push('+');
+                merged.node.push_str(&event.node);
             }
         }
-        merged
+        Some(merged)
     }
 
     /// A point-in-time snapshot of every registered instrument.
@@ -312,7 +289,14 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_still_counts_but_skips_timers_and_traces() {
+    fn a_fresh_registry_lists_slow_queries_at_zero() {
+        let snap = Registry::default().snapshot();
+        assert_eq!(snap.counter("slow_queries"), Some(0));
+        assert!(snap.to_prometheus().contains("slow_queries 0"));
+    }
+
+    #[test]
+    fn disabled_registry_still_counts_but_skips_timers_and_events() {
         let reg = Registry::disabled();
         let c = reg.counter("n");
         c.incr();
@@ -322,98 +306,66 @@ mod tests {
         assert!(!t.is_running());
         h.stop(t);
         assert_eq!(reg.snapshot().histogram("lat").unwrap().count, 0);
-        let tb = reg.trace_builder(7, "test");
+        let mut tb = reg.trace_builder(7, "test");
         assert!(!tb.is_active());
-        reg.record_trace(QueryTrace {
-            trace_id: 7,
-            statement_id: 0,
-            node: "test".to_string(),
-            spans: vec![],
-        });
-        assert!(reg.recent_traces().is_empty());
+        tb.add_span_ns("parse", 1);
+        tb.finish("ok");
+        assert!(reg.recent_events().is_empty());
     }
 
-    #[test]
-    fn trace_ring_is_bounded_and_evicts_oldest() {
-        let reg = Registry::new(ObsConfig {
-            trace_capacity: 3,
-            ..ObsConfig::default()
-        });
-        for id in 1..=5u64 {
-            reg.record_trace(QueryTrace {
-                trace_id: id,
-                statement_id: 0,
-                node: "t".to_string(),
-                spans: vec![],
-            });
+    /// Finishes one event of `node` under `trace_id` whose call took at
+    /// least `min_ns`, with one span per name.
+    fn record(reg: &Registry, trace_id: u64, node: &str, spans: &[&str], min_ns: u64) {
+        let mut tb = reg.trace_builder(trace_id, node);
+        tb.set_statement_id(trace_id * 100);
+        for span in spans {
+            tb.add_span_ns(span, 1);
         }
-        let ids: Vec<u64> = reg.recent_traces().iter().map(|t| t.trace_id).collect();
-        assert_eq!(ids, vec![3, 4, 5]);
+        std::thread::sleep(Duration::from_nanos(min_ns));
+        tb.finish("ok");
     }
 
     #[test]
     fn event_ring_is_bounded_and_the_registry_decides_slowness() {
         let reg = Registry::new(ObsConfig {
-            event_capacity: 2,
-            slow_query_threshold: Duration::from_micros(50),
+            capacity: 2,
+            slow_query_threshold: Duration::from_millis(20),
             ..ObsConfig::default()
         });
-        let event = |id: u64, total_ns: u64| QueryEvent {
-            trace_id: id,
-            statement_id: id,
-            node: "session".to_string(),
-            plan: "scan t".to_string(),
-            operators: vec![],
-            total_ns,
-            // Caller-set slowness is overwritten by the registry.
-            slow: total_ns == 1,
-            outcome: "ok".to_string(),
-        };
-        reg.record_event(event(1, 1));
-        reg.record_event(event(2, 10_000));
-        reg.record_event(event(3, 60_000));
+        record(&reg, 1, "a", &[], 0);
+        record(&reg, 2, "b", &[], 0);
+        record(&reg, 3, "c", &[], 25_000_000);
         let events = reg.recent_events();
         assert_eq!(events.len(), 2, "oldest evicted past capacity");
         assert_eq!(events[0].trace_id, 2);
-        assert!(!events[0].slow, "10µs under the 50µs threshold");
-        assert!(events[1].slow, "60µs over the 50µs threshold");
+        assert!(!events[0].slow, "an instant call is under the 20ms threshold");
+        assert!(events[1].slow, "a 25ms call is over it");
+        assert!(events[1].total_ns >= 25_000_000);
         assert_eq!(reg.snapshot().counter("slow_queries"), Some(1));
-
-        let off = Registry::disabled();
-        off.record_event(event(4, 60_000));
-        assert!(off.recent_events().is_empty(), "disabled registries skip events");
     }
 
     #[test]
-    fn merged_trace_stitches_components_sharing_a_registry() {
+    fn merged_trace_stitches_the_nodes_sharing_a_registry() {
         let reg = Registry::default();
-        let span = |name: &str| TraceSpan {
-            name: name.to_string(),
-            start_ns: 0,
-            duration_ns: 1,
-        };
-        reg.record_trace(QueryTrace {
-            trace_id: 42,
-            statement_id: 9,
-            node: "session".to_string(),
-            spans: vec![span("parse"), span("translate")],
-        });
-        reg.record_trace(QueryTrace {
-            trace_id: 42,
-            statement_id: 9,
-            node: "coordinator".to_string(),
-            spans: vec![span("scatter"), span("gather")],
-        });
-        reg.record_trace(QueryTrace {
-            trace_id: 41,
-            statement_id: 9,
-            node: "other".to_string(),
-            spans: vec![span("noise")],
-        });
+        // The coordinator's call ends inside the session's, so it finishes
+        // first.
+        record(&reg, 42, "coordinator", &["scatter", "gather"], 0);
+        record(&reg, 41, "other", &["noise"], 0);
+        let mut session = reg.trace_builder(42, "session");
+        session.set_statement_id(9);
+        session.add_span_ns("parse", 1);
+        session.finish("net-error");
         let merged = reg.merged_trace(42).expect("trace 42");
         let names: Vec<&str> = merged.spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, vec!["parse", "translate", "scatter", "gather"]);
+        assert_eq!(names, vec!["scatter", "gather", "parse"], "ring order");
         assert_eq!(merged.node, "session+coordinator");
+        assert_eq!(
+            (merged.statement_id, merged.outcome.as_str()),
+            (9, "net-error"),
+            "the session's"
+        );
         assert!(reg.merged_trace(99).is_none());
+        reg.trace_builder(UNTRACED, "server").finish("ok");
+        assert!(reg.merged_trace(UNTRACED).is_none());
     }
 }

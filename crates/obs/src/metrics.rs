@@ -272,10 +272,9 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            push_escaped(&mut out, name);
+            push_json_string(&mut out, name);
             out.push_str(&format!(
-                "\":{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
+                ":{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
                 h.count,
                 h.sum,
                 h.max,
@@ -364,13 +363,15 @@ fn push_scalar_map(out: &mut String, entries: &[(String, u64)]) {
         if i > 0 {
             out.push(',');
         }
-        out.push('"');
-        push_escaped(out, name);
-        out.push_str(&format!("\":{value}"));
+        push_json_string(out, name);
+        out.push_str(&format!(":{value}"));
     }
 }
 
-fn push_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal: quoted, with quotes, backslashes
+/// and control characters escaped. The one escaper of both expositions.
+pub(crate) fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -379,6 +380,7 @@ fn push_escaped(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+    out.push('"');
 }
 
 #[cfg(test)]

@@ -1,12 +1,14 @@
 //! Per-query tracing: [`TraceId`] minting, [`TraceSpan`]s, and the
-//! [`TraceBuilder`] each component uses to time its stages of a query.
+//! [`TraceBuilder`] each node uses to time its stages of a query and to
+//! leave its one [`QueryEvent`].
 //!
 //! Redaction rule (same as `wire::redact_query`): a trace names *stages*
 //! and carries durations and statement hashes — never SQL text, literals,
 //! or any plaintext derived from them.
 
+use crate::{EventOperator, QueryEvent, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The wire value meaning "this request is not traced".
@@ -63,52 +65,38 @@ pub struct TraceSpan {
     pub duration_ns: u64,
 }
 
-/// The spans one component recorded for one query.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QueryTrace {
-    /// The propagated per-query id ([`UNTRACED`] never appears in a ring).
-    pub trace_id: u64,
-    /// FNV-1a hash of the statement's SQL text (0 when unknown) — an
-    /// identity, deliberately not the text itself.
-    pub statement_id: u64,
-    /// Which component recorded these spans (e.g. `"session"`,
-    /// `"coordinator"`, `"worker:9042"`).
-    pub node: String,
-    /// Recorded spans, in recording order.
-    pub spans: Vec<TraceSpan>,
-}
-
 /// An in-flight span handle from [`TraceBuilder::start`].
 pub struct SpanStart {
     at: Option<Instant>,
 }
 
 struct BuilderState {
-    trace_id: u64,
-    statement_id: u64,
-    node: String,
+    registry: Registry,
     t0: Instant,
-    spans: Mutex<Vec<TraceSpan>>,
+    event: QueryEvent,
 }
 
-/// Collects one component's spans for one query. Obtained from
-/// [`Registry::trace_builder`](crate::Registry::trace_builder); a no-op
-/// builder (disabled registry or untraced request) skips all clock reads
-/// and allocations. Span recording is internally locked, so scatter lanes
-/// may record into a shared builder concurrently.
+/// Times one node's call for one query and finishes into that node's one
+/// [`QueryEvent`]. Obtained from
+/// [`Registry::trace_builder`](crate::Registry::trace_builder); the builder
+/// of a disabled registry (or [`TraceBuilder::noop`]) skips every clock read
+/// and allocation, and its [`TraceBuilder::finish`] records nothing.
+#[must_use = "a node's call leaves its event only when its builder is finished"]
 pub struct TraceBuilder {
     state: Option<BuilderState>,
 }
 
 impl TraceBuilder {
-    pub(crate) fn new(trace_id: u64, node: &str) -> TraceBuilder {
+    pub(crate) fn new(registry: Registry, trace_id: u64, node: &str) -> TraceBuilder {
         TraceBuilder {
             state: Some(BuilderState {
-                trace_id,
-                statement_id: 0,
-                node: node.to_string(),
+                registry,
                 t0: Instant::now(),
-                spans: Mutex::new(Vec::new()),
+                event: QueryEvent {
+                    trace_id,
+                    node: node.to_string(),
+                    ..QueryEvent::default()
+                },
             }),
         }
     }
@@ -119,20 +107,29 @@ impl TraceBuilder {
         TraceBuilder { state: None }
     }
 
-    /// True when spans recorded here will reach a ring buffer.
+    /// True when this builder will leave an event.
     pub fn is_active(&self) -> bool {
         self.state.is_some()
     }
 
     /// The trace id, or [`UNTRACED`] for a no-op builder.
     pub fn trace_id(&self) -> u64 {
-        self.state.as_ref().map_or(UNTRACED, |s| s.trace_id)
+        self.state.as_ref().map_or(UNTRACED, |s| s.event.trace_id)
     }
 
-    /// Attaches the statement hash (an identity, never the SQL text).
+    /// Attaches the identity the node knows the statement by (a hash or a
+    /// handle, never the SQL text).
     pub fn set_statement_id(&mut self, statement_id: u64) {
         if let Some(state) = &mut self.state {
-            state.statement_id = statement_id;
+            state.event.statement_id = statement_id;
+        }
+    }
+
+    /// Attaches the redacted plan shape and the measured operators, built
+    /// only when the builder is active.
+    pub fn describe(&mut self, plan: impl FnOnce() -> (String, Vec<EventOperator>)) {
+        if let Some(state) = &mut self.state {
+            (state.event.plan, state.event.operators) = plan();
         }
     }
 
@@ -145,13 +142,13 @@ impl TraceBuilder {
 
     /// Ends `span`, recording it under `name`. Returns the span duration in
     /// nanoseconds (0 when inactive).
-    pub fn end(&self, name: &str, span: SpanStart) -> u64 {
-        let (Some(state), Some(at)) = (&self.state, span.at) else {
+    pub fn end(&mut self, name: &str, span: SpanStart) -> u64 {
+        let (Some(state), Some(at)) = (&mut self.state, span.at) else {
             return 0;
         };
         let start_ns = saturating_ns(at.duration_since(state.t0).as_nanos());
         let duration_ns = saturating_ns(at.elapsed().as_nanos());
-        state.spans.lock().unwrap_or_else(|p| p.into_inner()).push(TraceSpan {
+        state.event.spans.push(TraceSpan {
             name: name.to_string(),
             start_ns,
             duration_ns,
@@ -159,32 +156,34 @@ impl TraceBuilder {
         duration_ns
     }
 
-    /// Records an already-measured span (used when a duration is observed
-    /// by other means, e.g. a worker-reported execute time).
-    pub fn add_span_ns(&self, name: &str, duration_ns: u64) {
-        let Some(state) = &self.state else { return };
+    /// Records an already-measured span that ends now (used when a duration
+    /// is observed by other means, e.g. a stage timed for its histogram).
+    pub fn add_span_ns(&mut self, name: &str, duration_ns: u64) {
+        let Some(state) = &mut self.state else { return };
         let start_ns = saturating_ns(state.t0.elapsed().as_nanos()).saturating_sub(duration_ns);
-        state.spans.lock().unwrap_or_else(|p| p.into_inner()).push(TraceSpan {
+        state.event.spans.push(TraceSpan {
             name: name.to_string(),
             start_ns,
             duration_ns,
         });
     }
 
-    /// Finishes the builder into a [`QueryTrace`] (`None` when inactive,
-    /// or when no span was recorded — an empty trace carries no signal).
-    pub fn finish(self) -> Option<QueryTrace> {
-        let state = self.state?;
-        let spans = state.spans.into_inner().unwrap_or_else(|p| p.into_inner());
-        if spans.is_empty() {
-            return None;
-        }
-        Some(QueryTrace {
-            trace_id: state.trace_id,
-            statement_id: state.statement_id,
-            node: state.node,
-            spans,
-        })
+    /// Finishes the node's call: stamps `total_ns` (the builder's whole
+    /// life, so every span lies inside it) and the static `outcome` tag,
+    /// and leaves the one event in the registry's ring. No-op when
+    /// inactive.
+    pub fn finish(self, outcome: &str) {
+        let Some(BuilderState {
+            registry,
+            t0,
+            mut event,
+        }) = self.state
+        else {
+            return;
+        };
+        event.total_ns = saturating_ns(t0.elapsed().as_nanos());
+        event.outcome = outcome.to_string();
+        registry.record(event);
     }
 }
 
@@ -209,37 +208,57 @@ mod tests {
     }
 
     #[test]
-    fn builder_records_named_spans_in_order() {
-        let mut tb = TraceBuilder::new(11, "session");
+    fn builder_finishes_into_one_event_holding_its_spans() {
+        let registry = Registry::default();
+        let mut tb = registry.trace_builder(11, "session");
         tb.set_statement_id(99);
         let s = tb.start();
         std::thread::sleep(std::time::Duration::from_millis(1));
         let d = tb.end("parse", s);
         assert!(d > 0);
         tb.add_span_ns("shard-execute", 500);
-        let trace = tb.finish().expect("active builder with spans");
-        assert_eq!(trace.trace_id, 11);
-        assert_eq!(trace.statement_id, 99);
-        assert_eq!(trace.node, "session");
-        let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
+        tb.describe(|| ("scan t".to_string(), Vec::new()));
+        tb.finish("ok");
+        let events = registry.recent_events();
+        assert_eq!(events.len(), 1);
+        let event = &events[0];
+        assert_eq!((event.trace_id, event.statement_id), (11, 99));
+        assert_eq!(
+            (event.node.as_str(), event.plan.as_str(), event.outcome.as_str()),
+            ("session", "scan t", "ok")
+        );
+        let names: Vec<&str> = event.spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["parse", "shard-execute"]);
-        assert!(trace.spans[0].duration_ns >= 1_000_000);
-        assert_eq!(trace.spans[1].duration_ns, 500);
+        assert!(event.spans[0].duration_ns >= 1_000_000);
+        assert_eq!(event.spans[1].duration_ns, 500);
+        for span in &event.spans {
+            assert!(
+                span.start_ns + span.duration_ns <= event.total_ns,
+                "{span:?} outside {}",
+                event.total_ns
+            );
+        }
     }
 
     #[test]
     fn noop_builder_records_nothing() {
-        let tb = TraceBuilder::noop();
+        let mut tb = TraceBuilder::noop();
         assert!(!tb.is_active());
         assert_eq!(tb.trace_id(), UNTRACED);
         let s = tb.start();
         assert_eq!(tb.end("parse", s), 0);
         tb.add_span_ns("x", 1);
-        assert!(tb.finish().is_none());
+        tb.describe(|| unreachable!("an inactive builder describes nothing"));
+        tb.finish("ok");
     }
 
     #[test]
-    fn empty_active_builder_finishes_to_none() {
-        assert!(TraceBuilder::new(3, "n").finish().is_none());
+    fn a_builder_without_spans_still_leaves_its_event() {
+        let registry = Registry::default();
+        registry.trace_builder(UNTRACED, "server").finish("parse-error");
+        let events = registry.recent_events();
+        assert_eq!(events.len(), 1);
+        assert!(events[0].spans.is_empty() && events[0].plan.is_empty());
+        assert_eq!(events[0].outcome, "parse-error");
     }
 }

@@ -10,7 +10,8 @@
 //!    gather → merge → decrypt;
 //! 2. a remote scrape ([`seabed_net::scrape_metrics`], wire kinds 17/18) of
 //!    a live worker: counters, log-bucket latency histograms with p50/p99,
-//!    and the worker's own trace ring carrying the propagated id;
+//!    and the worker's own event ring — one event per shard query it
+//!    answered — carrying the propagated id;
 //! 3. both exposition formats (JSON and Prometheus) — note that nothing in
 //!    either ever contains a plaintext query literal.
 //!
@@ -47,8 +48,8 @@ fn main() {
     let encrypted = client.encrypt_dataset(&sales, 12, &mut rng);
 
     // 2. Three workers on ephemeral ports, one coordinator, one session. The
-    //    session adopts the coordinator's registry so every component's
-    //    spans land in the same trace ring.
+    //    session adopts the coordinator's registry so both nodes' events
+    //    land in the same ring.
     let workers: Vec<_> = (0..3)
         .map(|i| {
             let w = spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker must start");
@@ -84,8 +85,8 @@ fn main() {
         .expect("explain analyze");
     println!("\nEXPLAIN ANALYZE {sql}\n{}", explanation.render());
 
-    // 4. The stitched end-to-end timeline: session spans + coordinator spans
-    //    under the one propagated id.
+    // 4. The stitched end-to-end timeline: the coordinator's event and the
+    //    session's under the one propagated id, spans in ring order.
     let merged = session.registry().merged_trace(trace_id).expect("trace recorded");
     println!("\ntimeline across [{}]:", merged.node);
     for span in &merged.spans {
@@ -98,10 +99,9 @@ fn main() {
     }
 
     // 5. Scrape a live worker over the wire (kinds 17/18): its counters and
-    //    shard-execute latency histogram, plus its trace ring — the same
+    //    shard-execute latency histogram, plus its event ring — the same
     //    trace id shows up server-side.
-    let (snapshot, traces, events) =
-        scrape_metrics(addrs[0], true, true, Duration::from_secs(5)).expect("worker scrape");
+    let (snapshot, events) = scrape_metrics(addrs[0], true, Duration::from_secs(5)).expect("worker scrape");
     println!("\nscraped worker {}:", addrs[0]);
     if let Some(h) = snapshot.histogram("shard_execute_ns") {
         println!(
@@ -115,16 +115,16 @@ fn main() {
     for name in ["net_requests_served", "net_bytes_in", "net_bytes_out"] {
         println!("  {name}: {}", snapshot.counter(name).unwrap_or(0));
     }
-    let propagated = traces.iter().filter(|t| t.trace_id == trace_id).count();
-    println!("  trace ring: {} trace(s), {propagated} carrying our id", traces.len());
-    println!("  event ring: {} event(s)", events.len());
+    let propagated = events.iter().filter(|e| e.trace_id == trace_id).count();
+    println!("  event ring: {} event(s), {propagated} carrying our id", events.len());
     if let Some(event) = events.last() {
         println!(
-            "  last event: node={} outcome={} slow={} total={:.3} ms ({} operator rows)",
+            "  last event: node={} outcome={} slow={} total={:.3} ms ({} spans, {} operator rows)",
             event.node,
             event.outcome,
             event.slow,
             event.total_ns as f64 / 1e6,
+            event.spans.len(),
             event.operators.len()
         );
     }

@@ -11,9 +11,9 @@
 //! selects. Protocol version 5 re-recorded the table and the request, each
 //! with its reason beside it; the table's PR 13 digest is still re-derived
 //! (by spreading every ORE cell back to a byte a symbol), so "only the
-//! packing moved" is checked, not claimed. Protocol versions 6, 7 and 8 each
-//! re-recorded the request for its version field alone; the previous
-//! version's digest is re-derived by writing `7` back into its header.
+//! packing moved" is checked, not claimed. Protocol versions 6, 7, 8 and 9
+//! each re-recorded the request for its version field alone; the previous
+//! version's digest is re-derived by writing `8` back into its header.
 //!
 //! The table is hashed in the stored-table layout its digests were recorded
 //! in, which this file keeps as the table's canonical form
@@ -57,8 +57,8 @@ struct Digests {
     table_a_byte_a_symbol: String,
     dictionary: String,
     request: String,
-    /// The request under a version-7 header.
-    request_as_version_7: String,
+    /// The request under a version-8 header.
+    request_as_version_8: String,
 }
 
 /// A table in the engine's stored-table layout, little-endian throughout: a
@@ -167,8 +167,8 @@ fn digests() -> Digests {
         u32::MAX,
     )
     .unwrap();
-    let mut as_version_7 = request.clone();
-    as_version_7[4..6].copy_from_slice(&7u16.to_le_bytes());
+    let mut as_version_8 = request.clone();
+    as_version_8[4..6].copy_from_slice(&8u16.to_le_bytes());
 
     let mut spread = encrypted.table.clone();
     for column in spread.partitions.iter_mut().flat_map(|p| p.columns.iter_mut()) {
@@ -191,7 +191,7 @@ fn digests() -> Digests {
         table_a_byte_a_symbol: digest_hex(&canonical_table(&spread)),
         dictionary: digest_hex(&dictionary),
         request: digest_hex(&request),
-        request_as_version_7: digest_hex(&as_version_7),
+        request_as_version_8: digest_hex(&as_version_8),
     }
 }
 
@@ -215,20 +215,21 @@ fn stored_table_dictionary_and_request_frame_did_not_move() {
         got.dictionary, "9e340d77a7dfb7df5a05a158b7f174d0657a4b4c3a44440a20477014cec9cf67",
         "DET dictionaries"
     );
-    // Moved by the header's version field, 8, and by nothing else: under a
-    // version-7 header it is the frame recorded for version 7, which differed
-    // from version 6's (`ee12c85c…`) in its version field alone, as that did
-    // from version 5's (`5128f0a4…`). Version 5's was moved by the version
+    // Moved by the header's version field, 9, and by nothing else: under a
+    // version-8 header it is the frame recorded for version 8, which differed
+    // from version 7's (`5310dcee…`) in its version field alone, as that did
+    // from version 6's (`ee12c85c…`) and that from version 5's (`5128f0a4…`).
+    // Version 5's was moved by the version
     // field, by (a) — the plan travels without
     // `client_post`, `category`, `preserve_row_ids` and the empty placeholders
     // of its three redacted literals — and by (b): its two ORE literals are 16
     // bytes each.
     assert_eq!(
-        got.request, "6bc43df42c355772be74a7d5323e1e6321db358008361acaa1f131599e1d0987",
+        got.request, "87ec4750422786c3de87bc540409057f270367e67d5b6e1c0948eb59769c470d",
         "encrypted request frame"
     );
     assert_eq!(
-        got.request_as_version_7, "5310dcee417c5860745bc7d976227131a4b9f67842df46b7a243f098bb41ab1d",
+        got.request_as_version_8, "6bc43df42c355772be74a7d5323e1e6321db358008361acaa1f131599e1d0987",
         "more than the version field of the request frame moved"
     );
 }

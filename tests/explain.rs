@@ -323,7 +323,7 @@ fn distributed_explain_analyze_stitches_shard_profiles() {
         addrs
             .iter()
             .map(|a| {
-                let (snapshot, _, _) = scrape_metrics(*a, false, false, Duration::from_secs(5)).expect("scrape");
+                let (snapshot, _) = scrape_metrics(*a, false, Duration::from_secs(5)).expect("scrape");
                 snapshot.histogram("shard_execute_ns").map(|h| h.count).unwrap_or(0)
             })
             .sum()

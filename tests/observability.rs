@@ -8,10 +8,11 @@
 //!    cover the whole lifecycle (parse → translate → encrypt-filters →
 //!    dispatch → scatter → shard-execute → gather → merge → decrypt). A
 //!    remote scrape of a live worker returns non-zero shard-execute
-//!    histograms and the propagated id.
-//! 2. **Redaction** — nothing a scrape ships (metric names, trace span
-//!    names, node labels, either exposition format) ever contains a
-//!    plaintext query literal.
+//!    histograms and the propagated id. Every node leaves exactly one event
+//!    per execution, refused and failed ones included.
+//! 2. **Redaction** — nothing a scrape ships (metric names, events with
+//!    their spans and node labels, either exposition format) ever contains
+//!    a plaintext query literal.
 //! 3. **Invisibility** — instrumented execution is byte-identical to
 //!    execution under a disabled registry, and its overhead is bounded.
 
@@ -114,13 +115,13 @@ fn distributed_query_propagates_one_trace_id_from_parse_to_merge() {
     let mut propagated_spans = 0usize;
     let mut shard_execute_count = 0u64;
     for worker in &workers {
-        let (snapshot, traces, events) =
-            scrape_metrics(worker.local_addr(), true, true, Duration::from_secs(5)).expect("worker scrape");
+        let (snapshot, events) =
+            scrape_metrics(worker.local_addr(), true, Duration::from_secs(5)).expect("worker scrape");
         shard_execute_count += snapshot.histogram("shard_execute_ns").map(|h| h.count).unwrap_or(0);
-        propagated_spans += traces
+        propagated_spans += events
             .iter()
-            .filter(|t| t.trace_id == trace_id)
-            .flat_map(|t| t.spans.iter())
+            .filter(|e| e.trace_id == trace_id)
+            .flat_map(|e| e.spans.iter())
             .filter(|s| s.name == "shard-execute")
             .count();
 
@@ -133,12 +134,6 @@ fn distributed_query_propagates_one_trace_id_from_parse_to_merge() {
             !snapshot.to_prometheus().contains(SECRET_LITERAL),
             "Prometheus exposition leaked a query literal"
         );
-        for trace in &traces {
-            assert!(!trace.node.contains(SECRET_LITERAL), "trace node leaked a literal");
-            for span in &trace.spans {
-                assert!(!span.name.contains(SECRET_LITERAL), "span name leaked a literal");
-            }
-        }
         for event in &events {
             let rendered = event.to_json();
             assert!(
@@ -174,6 +169,13 @@ fn distributed_query_propagates_one_trace_id_from_parse_to_merge() {
         !snapshot.to_json().contains(SECRET_LITERAL),
         "local exposition redacted"
     );
+    for event in session.registry().recent_events() {
+        let rendered = event.to_json();
+        assert!(
+            !rendered.contains(SECRET_LITERAL) && !rendered.contains("SELECT"),
+            "local query event leaked: {rendered}"
+        );
+    }
 
     for worker in workers {
         worker.shutdown();
@@ -224,7 +226,7 @@ fn instrumented_execution_is_byte_identical_and_overhead_bounded() {
     assert_eq!(traced.result_bytes, untraced.result_bytes);
 
     // The disabled session recorded nothing; the instrumented one did.
-    assert!(disabled.registry().recent_traces().is_empty());
+    assert!(disabled.registry().recent_events().is_empty());
     assert!(instrumented.registry().merged_trace(traced.trace_id).is_some());
 
     // Overhead guard: best-of-N prepared executes. The bound is deliberately
@@ -272,8 +274,7 @@ impl seabed_core::QueryTarget for FailsOnDemand<'_> {
 }
 
 /// The query an operator most wants to look at is the one that failed: its
-/// trace must be recorded whatever the outcome. A dispatch that dies used to
-/// leave a `net-error` event and no trace at all.
+/// event — spans included — is recorded whatever the outcome.
 #[test]
 fn a_failed_execute_still_records_its_trace() {
     use seabed_query::Literal;
@@ -298,27 +299,20 @@ fn a_failed_execute_still_records_its_trace() {
     session
         .query(sql, &[Literal::Integer(100)])
         .expect("the honest execute");
-    let traces_before = registry.recent_traces().len();
+    let events_before = registry.recent_events().len();
     let executes_before = registry.snapshot().counter("session_executes");
-    assert_eq!((traces_before, executes_before), (1, Some(1)));
+    assert_eq!((events_before, executes_before), (1, Some(1)));
 
     target.failing.store(true, Ordering::SeqCst);
     let outcome = session.query(sql, &[Literal::Integer(200)]);
     assert!(matches!(outcome, Err(seabed_error::SeabedError::Net(_))), "{outcome:?}");
 
     let events = registry.recent_events();
-    let failed = events.last().expect("the failed execute left its event");
+    assert_eq!(events.len(), events_before + 1, "the failed execute leaves one event");
+    let failed = events.last().expect("just counted");
     assert_eq!(failed.outcome, "net-error");
     assert_ne!(failed.trace_id, UNTRACED);
-    let traces = registry.recent_traces();
-    println!("traces = {}, events = {}", traces.len(), events.len());
-    assert_eq!(traces.len(), traces_before + 1, "the failed execute must leave a trace");
-    let trace = traces.last().expect("just counted");
-    assert_eq!(
-        trace.trace_id, failed.trace_id,
-        "the trace of the execution that failed"
-    );
-    let names: Vec<&str> = trace.spans.iter().map(|span| span.name.as_str()).collect();
+    let names: Vec<&str> = failed.spans.iter().map(|span| span.name.as_str()).collect();
     assert_eq!(
         names,
         vec!["bind", "dispatch"],
@@ -329,4 +323,91 @@ fn a_failed_execute_still_records_its_trace() {
         executes_before,
         "a failed execute is not counted as an execute"
     );
+}
+
+/// One record per node per execution: N executes through a session sharing
+/// the coordinator's registry leave N `session` and N `coordinator` events
+/// under the results' trace ids, and each worker's ring one event per shard
+/// query it answered. A shard query a worker refuses leaves one too.
+#[test]
+fn every_node_leaves_one_event_per_execution() {
+    let (client, server) = sales_fixture();
+    let (workers, coordinator) = cluster_of(2, &server);
+    let session = SeabedSession::single("sales", client, &coordinator).with_obs(coordinator.registry());
+
+    // The repeated statement is answered from the partial cache: its
+    // execution scatters nothing, and still leaves its two events.
+    let mut trace_ids = HashSet::new();
+    for country in ["USA", "Canada", "India", "USA", "Chile"] {
+        let sql = format!("SELECT SUM(revenue) FROM sales WHERE country = '{country}'");
+        let result = session.query(&sql, &[]).expect("query");
+        assert!(trace_ids.insert(result.trace_id), "a fresh trace id per execution");
+    }
+    let events = session.registry().recent_events();
+    for node in ["session", "coordinator"] {
+        let ids: HashSet<u64> = events.iter().filter(|e| e.node == node).map(|e| e.trace_id).collect();
+        assert_eq!(
+            events.iter().filter(|e| e.node == node).count(),
+            trace_ids.len(),
+            "{node} leaves one event per execution"
+        );
+        assert_eq!(ids, trace_ids, "{node} events under the results' trace ids");
+    }
+
+    let summaries = coordinator.worker_summaries();
+    let mut answered = 0;
+    for (worker, summary) in workers.iter().zip(&summaries) {
+        let (_, events) = scrape_metrics(worker.local_addr(), true, Duration::from_secs(5)).expect("scrape");
+        assert_eq!(
+            events.len() as u64,
+            summary.queries,
+            "{}: one event per shard query answered",
+            summary.label
+        );
+        for event in &events {
+            assert!(trace_ids.contains(&event.trace_id), "{event:?}");
+            assert_eq!(event.outcome, "ok");
+            let names: Vec<&str> = event.spans.iter().map(|s| s.name.as_str()).collect();
+            assert_eq!(names, ["shard-execute"]);
+        }
+        answered += summary.queries;
+    }
+    assert!(answered > 0, "the executes scattered");
+
+    // A shard query under an epoch the worker does not hold is refused — and
+    // still leaves its one event, under the frame's trace id.
+    let worker = workers[0].local_addr();
+    let refused_trace = 0x5eab_ed00_u64;
+    let mut conn = seabed_net::FrameConn::connect(worker, Duration::from_secs(5)).expect("connect");
+    let stale = seabed_net::Frame::ShardQuery {
+        epoch: coordinator.epoch().wrapping_add(1),
+        table_id: 0,
+        shard: 0,
+        seq: 1,
+        trace_id: refused_trace,
+        query: session
+            .prepare("SELECT SUM(revenue) FROM sales")
+            .expect("prepare")
+            .translated()
+            .clone(),
+        filters: vec![],
+        analyze: false,
+    };
+    let reply = conn
+        .round_trip(&stale, seabed_net::DEFAULT_MAX_FRAME_LEN, Duration::from_secs(5))
+        .expect("a reply");
+    assert!(
+        matches!(reply, seabed_net::Frame::Error(seabed_error::SeabedError::Dist { .. })),
+        "{reply:?}"
+    );
+    let (_, events) = scrape_metrics(worker, true, Duration::from_secs(5)).expect("scrape");
+    let refused: Vec<_> = events.iter().filter(|e| e.trace_id == refused_trace).collect();
+    assert_eq!(refused.len(), 1, "the refusal leaves one event: {events:?}");
+    assert_eq!(refused[0].outcome, "dist-error");
+
+    drop(session);
+    drop(coordinator);
+    for w in workers {
+        w.shutdown();
+    }
 }

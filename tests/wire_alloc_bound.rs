@@ -182,7 +182,6 @@ fn response_group_with_a_forged_id_list_length_or_aggregate_count() {
 fn metrics_snapshot_with_a_forged_event_count() {
     let honest = Frame::MetricsSnapshot {
         metrics: seabed::obs::MetricsSnapshot::default(),
-        traces: Vec::new(),
         events: Vec::new(),
     };
     assert_bounded("MetricsSnapshot events", &honest, |payload| payload.len() - 1);

@@ -7,7 +7,7 @@
 //! `SchemaError` variant, every `PhysicalFilter`, `EncryptedAggregate`,
 //! `PartialAggregate`, `ClientPostStep`, `Literal`, `IdListEncoding` and
 //! `ColumnType` arm, both `Option` states, a two-partition `LoadShard` table,
-//! a metrics snapshot with traces and events — plus the two payload writers
+//! a metrics snapshot with events and their spans — plus the two payload writers
 //! other crates hash (`write_statement_payload`, `write_filters_payload`),
 //! each compared to a recorded SHA-256 digest. If it fails a wire layout
 //! moved: fix the code, don't re-record, unless the PR's purpose is a
@@ -15,11 +15,11 @@
 //!
 //! The digests were first recorded at the commit *before* the codec was
 //! rewritten behind one `Wire` trait (PR 18), re-recorded once for protocol
-//! version 5, once for version 6, once for version 7 and once for version 8,
-//! each time with the reason it moved ([`RECORDED`]). A kind whose payload
-//! did not move keeps its version-7 digest beside the new one, and the test
-//! re-derives it by writing `7` back into the header — so "only the version
-//! field moved" is checked, not claimed.
+//! version 5, once for version 6, once for version 7, once for version 8 and
+//! once for version 9, each time with the reason it moved ([`RECORDED`]). A
+//! kind whose payload did not move keeps its version-8 digest beside the new
+//! one, and the test re-derives it by writing `8` back into the header — so
+//! "only the version field moved" is checked, not claimed.
 
 use seabed::ashe::IdSet;
 use seabed::core::{EncryptedAggregate, GroupIds, GroupResult, PartialResponse, PhysicalFilter, ServerResponse};
@@ -33,7 +33,7 @@ use seabed::net::wire::{
     decode_frame, encode_frame, redact_query, write_filters_payload, write_statement_payload, Frame, ShardExecConfig,
     ShardQueryRef, PROTOCOL_VERSION,
 };
-use seabed::obs::{EventOperator, HistogramSnapshot, MetricsSnapshot, QueryEvent, QueryTrace, TraceSpan};
+use seabed::obs::{EventOperator, HistogramSnapshot, MetricsSnapshot, QueryEvent, TraceSpan};
 use seabed::query::{
     ClientPostStep, CompareOp, GroupByColumn, Literal, ParamKind, ParamSlot, Predicate, ServerAggregate, ServerFilter,
     SupportCategory, TranslatedQuery,
@@ -352,11 +352,11 @@ fn snapshot() -> Frame {
                 ("net_request_ns".to_string(), HistogramSnapshot::default()),
             ],
         },
-        traces: vec![
-            QueryTrace {
+        events: vec![
+            QueryEvent {
                 trace_id: 0xfeed_f00d,
                 statement_id: 0xdead_beef,
-                node: "worker:9042".to_string(),
+                node: "coordinator".to_string(),
                 spans: vec![
                     TraceSpan {
                         name: "queue".to_string(),
@@ -369,19 +369,6 @@ fn snapshot() -> Frame {
                         duration_ns: 250_000,
                     },
                 ],
-            },
-            QueryTrace {
-                trace_id: 1,
-                statement_id: 0,
-                node: "session".to_string(),
-                spans: vec![],
-            },
-        ],
-        events: vec![
-            QueryEvent {
-                trace_id: 0xfeed_f00d,
-                statement_id: 0xdead_beef,
-                node: "coordinator".to_string(),
                 plan: "aggregate\n  scan sales".to_string(),
                 operators: vec![EventOperator {
                     label: "filter:det:dept__det".to_string(),
@@ -398,6 +385,7 @@ fn snapshot() -> Frame {
                 trace_id: 2,
                 statement_id: 3,
                 node: "session".to_string(),
+                spans: vec![],
                 plan: String::new(),
                 operators: vec![],
                 total_ns: 9,
@@ -534,14 +522,8 @@ fn frames() -> Vec<(&'static str, Vec<Frame>)> {
         (
             "17 metrics request",
             vec![
-                Frame::MetricsRequest {
-                    include_traces: true,
-                    include_events: false,
-                },
-                Frame::MetricsRequest {
-                    include_traces: false,
-                    include_events: true,
-                },
+                Frame::MetricsRequest { include_events: false },
+                Frame::MetricsRequest { include_events: true },
             ],
         ),
         (
@@ -550,7 +532,6 @@ fn frames() -> Vec<(&'static str, Vec<Frame>)> {
                 snapshot(),
                 Frame::MetricsSnapshot {
                     metrics: MetricsSnapshot::default(),
-                    traces: vec![],
                     events: vec![],
                 },
             ],
@@ -558,13 +539,13 @@ fn frames() -> Vec<(&'static str, Vec<Frame>)> {
     ]
 }
 
-/// `(name, SHA-256 of the bytes, SHA-256 of the bytes under a version-7
+/// `(name, SHA-256 of the bytes, SHA-256 of the bytes under a version-8
 /// header)`, in a fixed order. The payload writers have no header, so their
 /// two digests are one.
 fn digests() -> Vec<(&'static str, String, String)> {
     let mut out = Vec::new();
     for (index, (name, frames)) in frames().into_iter().enumerate() {
-        let (mut bytes, mut as_version_7) = (Vec::new(), Vec::new());
+        let (mut bytes, mut as_version_8) = (Vec::new(), Vec::new());
         for frame in &frames {
             assert_eq!(
                 frame.kind() as usize,
@@ -577,10 +558,10 @@ fn digests() -> Vec<(&'static str, String, String)> {
             assert_eq!(encode_frame(&decoded, u32::MAX).expect("re-encode"), encoded, "{name}");
             bytes.extend_from_slice(&encoded);
             assert_eq!(encoded[4..6], PROTOCOL_VERSION.to_le_bytes());
-            encoded[4..6].copy_from_slice(&7u16.to_le_bytes());
-            as_version_7.extend_from_slice(&encoded);
+            encoded[4..6].copy_from_slice(&8u16.to_le_bytes());
+            as_version_8.extend_from_slice(&encoded);
         }
-        out.push((name, digest_hex(&bytes), digest_hex(&as_version_7)));
+        out.push((name, digest_hex(&bytes), digest_hex(&as_version_8)));
     }
     let mut statement = Vec::new();
     write_statement_payload(&mut statement, &query(SupportCategory::ClientPostProcessing));
@@ -591,111 +572,112 @@ fn digests() -> Vec<(&'static str, String, String)> {
     out
 }
 
-/// Why a digest differs from the one recorded for protocol version 7.
+/// Why a digest differs from the one recorded for protocol version 8.
 enum Moved {
-    /// Only the header's version field: the bytes under a version-7 header
-    /// still hash to the digest recorded for version 7. The payload writers
+    /// Only the header's version field: the bytes under a version-8 header
+    /// still hash to the digest recorded for version 8. The payload writers
     /// have no header, so theirs is the digest itself.
     VersionOnly(&'static str),
-    /// The shard table is written by the wire codec: each column behind its
-    /// type's tag, words as raw 8-byte values, a `Bytes` column of one width
-    /// as its width, its count and its cells with no per-cell length.
-    TableLayout,
+    /// One record per execution: a metrics request is its `include_events`
+    /// flag alone (version 8 led with `include_traces`), and a snapshot is
+    /// the metrics and the events, each event carrying its spans after its
+    /// node (version 8 put a list of traces between the two).
+    OneRecord,
 }
 use Moved::*;
 
-/// Recorded once for protocol version 8, in the order of [`digests`], each
+/// Recorded once for protocol version 9, in the order of [`digests`], each
 /// with what moved it.
 const RECORDED: [(&str, Moved); 20] = [
     // 01 request
     (
-        "7ebb600c3fb996ccaa99ce171673a79aa0dc12af1fbe2dbb01a2a5c6f136724b",
-        VersionOnly("37f07cf42f016b4d577581809a6f1a2f319856051d31913434d52cc2a02ac39c"),
+        "370fd99c50980bf3ed2d2c7b0a176f4e191660caaa6dfabf3ed2352e14cf66d1",
+        VersionOnly("7ebb600c3fb996ccaa99ce171673a79aa0dc12af1fbe2dbb01a2a5c6f136724b"),
     ),
     // 02 response
     (
-        "675a7c78e4a451935daeef832284d322a8d0433af040921cdd08ff580131d218",
-        VersionOnly("e98c58b971f3b999cb58594f7179a8edaf75c15947fe120092c60c90dcaa1c1e"),
+        "b928dcc39b52d174f18a0a40ad3fed1a9d826ec6d96e089a1be45b227631b7d0",
+        VersionOnly("675a7c78e4a451935daeef832284d322a8d0433af040921cdd08ff580131d218"),
     ),
     // 03 error
     (
-        "5bd234d4ef99a606850a820f93f8adc913620076ad7cb04f57433eaaff33b9f3",
-        VersionOnly("b887b17585821d35eb4424f54a39def90eea0c076c1e7b595a41d954f271fec1"),
+        "2868c63db2537897b4818d5fc87f9112841b4da6704486ed32b2010643ad266c",
+        VersionOnly("5bd234d4ef99a606850a820f93f8adc913620076ad7cb04f57433eaaff33b9f3"),
     ),
     // 04 schema request
     (
-        "170406184c635f36043ecd452df61d969741f10d6313f302b30dce5e7618363e",
-        VersionOnly("10be5135be6c82307f8111af1c4cbccfe3f4694b9cc532421080b03de693d779"),
+        "33c2f5f376098f4ca3f2aa06da11c1ff4f9168ec4af8faea95fd64820927d518",
+        VersionOnly("170406184c635f36043ecd452df61d969741f10d6313f302b30dce5e7618363e"),
     ),
     // 05 schema
     (
-        "d7468699d78f16f771c23ad0c054e0208f53ef52c374ed92831d7d3db3085efc",
-        VersionOnly("4d557818e798bd62b39198d3406658701e7f61bbadf3d9cc68182c68c496e5ec"),
+        "a585c33b8f010b238cdc442daa587c47277a811fcf337b0c60be33c0d40b2d6f",
+        VersionOnly("d7468699d78f16f771c23ad0c054e0208f53ef52c374ed92831d7d3db3085efc"),
     ),
     // 06 worker handshake
     (
-        "a03cbb4fb180a362c545f043944c285f91bc52dff88cdce38a9bf54ecc698520",
-        VersionOnly("f554fea592713bc018760ce58b9ebfc871f4eedf720927b75752cef112d4143d"),
+        "04dab21a25e349c6ca7217c62785ea07092f96741357b8b364e6de58700c9738",
+        VersionOnly("a03cbb4fb180a362c545f043944c285f91bc52dff88cdce38a9bf54ecc698520"),
     ),
     // 07 worker ready
     (
-        "6bb8712fc5386c9ff7b2f5026a320f7aa13a3367a054ea993cf4d435c50680b9",
-        VersionOnly("e8585ed1e6096ab8e578e28346a2cad499d9aecfffa4d051ef49412b4f4e3eb1"),
+        "602cbbbe61913a941bf43dd1c05dfb2f33fba0929ed4e5cc179a82154b86c76d",
+        VersionOnly("6bb8712fc5386c9ff7b2f5026a320f7aa13a3367a054ea993cf4d435c50680b9"),
     ),
     // 08 load shard
     (
-        "57a790b4972228bfb48681f2230f25eb9e7bd41bfaaae001c3025b1349fd0bc6",
-        TableLayout,
+        "4878eb150b9f9bf6ff6289f4c6109fcb06e1c7586c7db9633a1a127e64c65d63",
+        VersionOnly("57a790b4972228bfb48681f2230f25eb9e7bd41bfaaae001c3025b1349fd0bc6"),
     ),
     // 09 shard loaded
     (
-        "9739e7b87b6e2ef20f6ac5d8e4e04c07d31edcdc78f4cda07689df4c4b8db433",
-        VersionOnly("0d0541f694599d6afd268c12ec559ef295d8271b668f53b3ca0884deae14d056"),
+        "4dc01d85a2e2100d3527830b034f6c9f45a4fb205a4969e850f78d31f2f6ebc5",
+        VersionOnly("9739e7b87b6e2ef20f6ac5d8e4e04c07d31edcdc78f4cda07689df4c4b8db433"),
     ),
     // 10 shard query
     (
-        "6564d76f464083928cfb6d534ff6f89ec8ee75b3e9d9967fcda1b90fbf6b3b4f",
-        VersionOnly("a050fa16b6d2fd97760676ce979b5e3de1a8d19d4a65750bdd338a7cb6e74d69"),
+        "504fea3458b0894113efd0f4f20ecda9b2c389305bec0c8dfc1097f5e7cdb927",
+        VersionOnly("6564d76f464083928cfb6d534ff6f89ec8ee75b3e9d9967fcda1b90fbf6b3b4f"),
     ),
     // 11 shard partial
     (
-        "566f3efb43fb49c4c4ade6f324ee06f8b8345dfedc35d60f51175bd9ef1803e6",
-        VersionOnly("95e79cf156060da10468c1e3e6830c0427fb43936f9c097728f2f917f90288ca"),
+        "00e4be59ec9ced6c9d11f9f927e6ee1760baaf36bfab45f54a2787775ce9b7c2",
+        VersionOnly("566f3efb43fb49c4c4ade6f324ee06f8b8345dfedc35d60f51175bd9ef1803e6"),
     ),
     // 12 prepare statement
     (
-        "fe4953fcf3f737691619ac2a0a0879a3bef2c92b5247e7a4f350c4b90febad0a",
-        VersionOnly("23d8c7500396770d7d9e62d4f614492ad14fea7e23eaf51e753404372cfe11af"),
+        "d1d501bd99d38a81246ed73bd19cdf6852e78dd19c0b806896776aabb46d356d",
+        VersionOnly("fe4953fcf3f737691619ac2a0a0879a3bef2c92b5247e7a4f350c4b90febad0a"),
     ),
     // 13 statement prepared
     (
-        "631252daa077986ed64bb6d1edfdef39a53f05c3fa2aec340ba6490b04940eac",
-        VersionOnly("f6a4dc7bde748d5aa551b13751a81cbc9d1699b99a8546f082ed296f2f816d68"),
+        "9c5f7a255f02498830a3069883c2aee2197b55eb02f32996374cdc622ace8016",
+        VersionOnly("631252daa077986ed64bb6d1edfdef39a53f05c3fa2aec340ba6490b04940eac"),
     ),
     // 14 execute statement
     (
-        "9970a3b0df00856261130cd3b49178beba31fb908772e2f94ed26a70c7644ca2",
-        VersionOnly("aa11af5a1a033380bb3d36eda76d50c8c63e784442ff42bebac941fe478b8880"),
+        "905cbd4b8582568603d075bb9d4834f8744c50fcb712496b3f28f7f3dc1f744d",
+        VersionOnly("9970a3b0df00856261130cd3b49178beba31fb908772e2f94ed26a70c7644ca2"),
     ),
     // 15 unload shard
     (
-        "ab3703fdb428e1e1978a386779cb2eb25ea2e9c570bb0be33d266d4aeb0394b2",
-        VersionOnly("b4bb802f9c805dc70a509310525c5dfd4ca7e225cd78ac90ea51a005d6d61fae"),
+        "9c1744ab86294a52f6b5c438caf4448e0c092e08c72c5a12a02453ba52eab2fe",
+        VersionOnly("ab3703fdb428e1e1978a386779cb2eb25ea2e9c570bb0be33d266d4aeb0394b2"),
     ),
     // 16 shard unloaded
     (
-        "43d53012e5866772bf646efd85b1df0e0daf0e2673778729508b301b203532d2",
-        VersionOnly("aed6380475e95b565ffd1496eba8830b6fe68854e44e8927699e438c4bdc4878"),
+        "2819bf95298d593a518679bbf007918b4ff64d2dfd94f5c4a6bdcae0565f1cfc",
+        VersionOnly("43d53012e5866772bf646efd85b1df0e0daf0e2673778729508b301b203532d2"),
     ),
     // 17 metrics request
     (
-        "69c5a39d23d4dce3143c1b398c1b3bfe16792c95dabf33ecd609e3e54d9a942f",
-        VersionOnly("0457266b8a57dcdd880788d096950b668810d4f4904e9c8915c25dcb25e02d56"),
+        "df78a11444bfbb62e4283f85474e413ea1dab34a3314608c497fed9a2fd35661",
+        OneRecord,
     ),
     // 18 metrics snapshot
     (
-        "462388efafbe8c38d46d92f273c9bf6e4fa5b1985cb5fe361a06fa54957d2348",
-        VersionOnly("0347545aa6cd9f918355d8236336b9e4bf4d00b9272bc95bc771059f382d2fb7"),
+        "d964014f34d140edaba79c51c9bb9bb7d7ffcf802acb54658ca80b013b68a837",
+        OneRecord,
     ),
     // statement payload
     (
@@ -716,10 +698,10 @@ fn every_frame_kind_encodes_to_its_recorded_bytes() {
         println!("    \"{digest}\", // {name}");
     }
     assert_eq!(got.len(), RECORDED.len());
-    for ((name, digest, as_version_7), (recorded, moved)) in got.iter().zip(RECORDED) {
+    for ((name, digest, as_version_8), (recorded, moved)) in got.iter().zip(RECORDED) {
         assert_eq!(digest, recorded, "{name}: the encoded bytes moved");
-        if let VersionOnly(version_7) = moved {
-            assert_eq!(as_version_7, version_7, "{name}: more than the version field moved");
+        if let VersionOnly(version_8) = moved {
+            assert_eq!(as_version_8, version_8, "{name}: more than the version field moved");
         }
     }
 }

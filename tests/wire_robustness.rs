@@ -418,10 +418,7 @@ fn sample_frames() -> Vec<Frame> {
             trace_id: 7,
             filters: random_filters(&mut rng),
         },
-        Frame::MetricsRequest {
-            include_traces: true,
-            include_events: true,
-        },
+        Frame::MetricsRequest { include_events: true },
         Frame::MetricsSnapshot {
             metrics: seabed::obs::MetricsSnapshot {
                 counters: vec![("net_requests_served".to_string(), 9)],
@@ -436,20 +433,15 @@ fn sample_frames() -> Vec<Frame> {
                     },
                 )],
             },
-            traces: vec![seabed::obs::QueryTrace {
+            events: vec![seabed::obs::QueryEvent {
                 trace_id: 0xfeed,
                 statement_id: 0xbeef,
-                node: "worker:1".to_string(),
+                node: "coordinator".to_string(),
                 spans: vec![seabed::obs::TraceSpan {
                     name: "shard-execute".to_string(),
                     start_ns: 10,
                     duration_ns: 90,
                 }],
-            }],
-            events: vec![seabed::obs::QueryEvent {
-                trace_id: 0xfeed,
-                statement_id: 0xbeef,
-                node: "coordinator".to_string(),
                 plan: "aggregate\n  scan sales".to_string(),
                 operators: vec![seabed::obs::EventOperator {
                     label: "filter:det:dept__det".to_string(),
@@ -569,7 +561,6 @@ fn forged_operator_and_event_counts_are_rejected() {
             gauges: Vec::new(),
             histograms: Vec::new(),
         },
-        traces: Vec::new(),
         events: Vec::new(),
     };
     let bytes = encode_frame(&snapshot, DEFAULT_MAX_FRAME_LEN).expect("encode");
@@ -586,15 +577,15 @@ fn forged_operator_and_event_counts_are_rejected() {
 /// change, so they came with a protocol version bump (to 4), as the packed ORE
 /// cells, the per-group ID list and the server's half of the plan did (to 5),
 /// the ID lists' three closed-form containers did (to 6), the exec stats cut
-/// to what the server measured did (to 7), and the shard table written by the
-/// one codec did (to 8): a frame stamped with any earlier version is refused
-/// at the header.
+/// to what the server measured did (to 7), the shard table written by the
+/// one codec did (to 8), and the one event list of the scrape frames did (to
+/// 9): a frame stamped with any earlier version is refused at the header.
 #[test]
 fn analyze_extensions_bumped_the_protocol_version() {
     use seabed::net::wire::PROTOCOL_VERSION;
-    assert_eq!(PROTOCOL_VERSION, 8, "one bump for the shard table's layout");
+    assert_eq!(PROTOCOL_VERSION, 9, "one bump for the scrape frames' one event list");
     let good = encode_frame(&Frame::SchemaRequest, DEFAULT_MAX_FRAME_LEN).expect("encode");
-    for earlier in [3u16, 4, 5, 6, 7] {
+    for earlier in [3u16, 4, 5, 6, 7, 8] {
         let mut stamped = good.clone();
         stamped[4..6].copy_from_slice(&earlier.to_le_bytes());
         assert!(matches!(
@@ -609,7 +600,7 @@ fn analyze_extensions_bumped_the_protocol_version() {
 fn unknown_version_and_kind_are_typed_errors() {
     use seabed::net::wire::PROTOCOL_VERSION;
     let good = encode_frame(&Frame::SchemaRequest, DEFAULT_MAX_FRAME_LEN).expect("encode");
-    for version in [0u16, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, 9, u16::MAX] {
+    for version in [0u16, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, 10, u16::MAX] {
         let mut bad = good.clone();
         bad[4..6].copy_from_slice(&version.to_le_bytes());
         let outcome = decode_frame(&bad, DEFAULT_MAX_FRAME_LEN);
