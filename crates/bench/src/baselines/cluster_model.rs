@@ -1,25 +1,23 @@
-//! The paper's cluster, modelled from measured task times.
+//! The paper's cluster, modelled from measured times.
 //!
 //! The paper runs Seabed on an Azure HDInsight cluster and sweeps the number
-//! of cores from 10 to 100 (Figure 7). A test box does not have 100 cores, so
-//! the harness separates *doing the work* from *costing the work*:
+//! of cores from 10 to 100 (Figure 7). A test box does not have 100 cores.
+//! The harness measures the product on one and two local threads, and
+//! Figure 7's `model` rows cost the paper's core counts here: the measured
+//! one-thread server time, split evenly across the partitions, is
+//! list-scheduled onto `workers` slots, each task paying a fixed launch
+//! overhead ([`ClusterModel::makespan`]). Those rows are the only modelled
+//! server times in the figures; the product reports only what it measured.
 //!
-//! * every partition task runs for real, through the engine's
-//!   [`Cluster::run`], and [`ClusterModel::run`] times each one inside the
-//!   closure it hands the engine;
-//! * the modelled server latency is then the makespan of list-scheduling
-//!   those times onto `workers` slots, each task paying a fixed launch
-//!   overhead ([`StageTimes`]).
-//!
-//! This reproduces the shapes of Figures 6–9 — linear growth with data size,
-//! saturation once per-task overhead dominates — while the per-row costs stay
-//! measured rather than modelled. The product reports only what it measured.
+//! [`ClusterModel::run`] runs a reference pipeline's partition tasks through
+//! the engine's [`Cluster::run`] and times each one inside the closure it
+//! hands the engine ([`StageTimes`]).
 
 use seabed_engine::{Cluster, Partition, Table};
 use std::time::{Duration, Instant};
 
-/// Fixed per-task scheduling/launch overhead (Spark task creation cost; this
-/// is what makes NoEnc latency flat at ~0.6 s in Figure 6).
+/// Fixed per-task scheduling/launch overhead (Spark task creation cost; in
+/// the paper it makes NoEnc's latency flat at ~0.6 s in Figure 6).
 pub const TASK_OVERHEAD: Duration = Duration::from_millis(5);
 
 /// What the model makes of one stage's measured task times.
@@ -35,7 +33,8 @@ pub struct StageTimes {
 /// A modelled cluster of `workers` cores over the engine's real execution.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterModel {
-    /// Number of modelled worker cores (the x-axis of Figure 7).
+    /// Number of modelled worker cores (the x-axis of Figure 7's `model`
+    /// rows).
     pub workers: usize,
 }
 

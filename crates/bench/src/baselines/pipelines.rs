@@ -1,17 +1,18 @@
 //! Reference pipelines the paper compares Seabed against.
 //!
-//! * **NoEnc** — plain Spark over plaintext data. Reproduced by running the
-//!   same engine over unencrypted columns. For full SQL queries the simplest
-//!   way to get a NoEnc pipeline is to build a [`seabed_core::SeabedClient`]
-//!   whose plan marks every column as non-sensitive; this module additionally
-//!   offers a light-weight direct API for the synthetic microbenchmarks.
+//! * **NoEnc** — plain Spark over plaintext data, as a light-weight direct
+//!   API over the engine: the reference `baseline_equivalence` and
+//!   `differential_exec` check against. The figures' NoEnc is the product
+//!   under an all-public twin plan instead.
 //! * **Paillier** — the CryptDB/Monomi configuration: measures encrypted with
 //!   Paillier, dimensions with DET/OPE. Aggregation multiplies ciphertexts
 //!   modulo `n²` at the workers and the driver; the client performs a single
 //!   (expensive) Paillier decryption.
 //!
-//! Both systems run on a [`ClusterModel`], as Seabed's microbenchmarks do, so
-//! that their modelled latencies are directly comparable (Figures 6, 7, 9a).
+//! Both run their partition tasks through [`ClusterModel::run`], which times
+//! each task. Paillier is the figures' baseline, charged its summed task time
+//! ([`StageTimes::task_time`]) as Seabed is charged the server's one-thread
+//! wall time; only Figure 7's `model` rows take a makespan.
 
 use super::bigint::BigUint;
 use super::cluster_model::{ClusterModel, StageTimes};
@@ -31,12 +32,28 @@ pub fn row_selected(row_id: u64, selectivity: f64) -> bool {
     if selectivity <= 0.0 {
         return false;
     }
-    // SplitMix64 finalizer as a cheap hash.
+    row_hash(row_id) < selectivity
+}
+
+/// The resolution of [`selection_key`]: a power of two, so that scaling by it
+/// is exact and `selection_key(row) < k` holds exactly when
+/// `row_selected(row, k / SELECTION_SCALE)` does.
+pub const SELECTION_SCALE: u64 = 1 << 20;
+
+/// [`row_selected`]'s rule as a column value: the product's figures store it
+/// as a public column `p`, and `WHERE p < k` selects the rows the baselines
+/// select at selectivity `k / SELECTION_SCALE`.
+pub fn selection_key(row_id: u64) -> u64 {
+    (row_hash(row_id) * SELECTION_SCALE as f64) as u64
+}
+
+/// `row_id` hashed into [0, 1] (SplitMix64's finalizer, a cheap hash).
+fn row_hash(row_id: u64) -> f64 {
     let mut z = row_id.wrapping_add(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     z ^= z >> 31;
-    (z as f64 / u64::MAX as f64) < selectivity
+    z as f64 / u64::MAX as f64
 }
 
 /// Result of a baseline aggregation.

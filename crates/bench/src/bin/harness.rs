@@ -60,53 +60,23 @@ fn main() {
     runner.register("fig6", "Figure 6: end-to-end latency vs rows", |scale| {
         latency_rows(&exp_fig6(scale), false)
     });
-    runner.register("fig7", "Figure 7: server latency vs workers", |scale| {
-        latency_rows(&exp_fig7(scale), true)
-    });
+    runner.register(
+        "fig7",
+        "Figure 7: server latency vs threads (measured) and cores (model)",
+        |scale| latency_rows(&exp_fig7(scale), true),
+    );
     // "fig8" runs both halves; the emitted JSON names "fig8ab"/"fig8c" are
     // also accepted so a file name seen in bench_results/ can be replayed.
     runner.register_aliased(
         "fig8ab",
         &["fig8"],
         "Figure 8(a,b): ID-list size and response time vs selectivity",
-        |scale| {
-            exp_fig8ab(scale)
-                .into_iter()
-                .map(|p| {
-                    Row::new(format!("{} sel={:.0}%", p.config, p.selectivity * 100.0))
-                        .with("result_mb", p.result_bytes as f64 / 1e6)
-                        .with("response_s", p.response.as_secs_f64())
-                })
-                .collect()
-        },
+        exp_fig8ab,
     );
-    runner.register_aliased("fig8c", &["fig8"], "Figure 8(c): OPE selection overhead", |scale| {
-        exp_fig8c(scale)
-            .into_iter()
-            .map(|p| {
-                Row::new(format!("{} sel={:.0}%", p.config, p.selectivity * 100.0))
-                    .with("response_s", p.response.as_secs_f64())
-            })
-            .collect()
-    });
-    runner.register("fig9a", "Figure 9(a): group-by microbenchmark", |scale| {
-        exp_fig9a(scale)
-            .into_iter()
-            .map(|p| Row::new(format!("{} groups={}", p.system, p.groups)).with("response_s", p.response.as_secs_f64()))
-            .collect()
-    });
-    runner.register("fig9bc", "Figure 9(b,c): Big Data Benchmark", |scale| {
-        exp_fig9bc(scale)
-            .into_iter()
-            .map(|p| Row::new(format!("{} {}", p.query, p.system)).with("response_s", p.response.as_secs_f64()))
-            .collect()
-    });
-    runner.register("fig10a", "Figure 10(a): Ad-Analytics response times", |scale| {
-        exp_fig10a(scale)
-            .into_iter()
-            .map(|p| Row::new(format!("{} groups={}", p.system, p.groups)).with("response_s", p.response.as_secs_f64()))
-            .collect()
-    });
+    runner.register_aliased("fig8c", &["fig8"], "Figure 8(c): OPE selection overhead", exp_fig8c);
+    runner.register("fig9a", "Figure 9(a): group-by microbenchmark", exp_fig9a);
+    runner.register("fig9bc", "Figure 9(b,c): Big Data Benchmark", exp_fig9bc);
+    runner.register("fig10a", "Figure 10(a): Ad-Analytics response times", exp_fig10a);
     runner.register(
         "fig10b",
         "Figure 10(b): SPLASHE storage overhead (cumulative x)",

@@ -9,18 +9,29 @@
 //!
 //! Paper-scale runs (1.75 B rows, 100 physical cores, 2048-bit Paillier) are
 //! not feasible in a test environment; every experiment therefore runs at a
-//! reduced scale, recorded as `scale` in each artifact. The *shapes* — who
-//! wins, by roughly what factor, where the crossovers are — are preserved.
-//! One default-scale run (`harness --json-dir=crates/bench/paper all`) is
-//! committed under `crates/bench/paper/`.
+//! reduced scale, recorded as `scale` in each artifact. One default-scale run
+//! (`harness --json-dir=crates/bench/paper all`) is committed under
+//! `crates/bench/paper/`.
 //!
-//! The systems Seabed is compared against — NoEnc, Paillier with its
-//! big-integer arithmetic — and the paper's models of its 100-core cluster
-//! and of the §6.6 link live here too, in [`baselines`]: no proxy, server or
-//! worker runs them. Figures 9b/c and 10a run the product itself, so they
-//! report the server time it measured. The ID-list encodings the paper
-//! compares but the product does not send — raw range bounds, DEFLATE and
-//! its parts, the roaring-style bitmap — are in [`codec`].
+//! Figures 6–10a run the product. Each figure's dataset is planned twice
+//! with `SeabedClient::create_plan` — its encrypted plan and an all-public
+//! twin, which is NoEnc — uploaded with `encrypt_dataset` to a
+//! `SeabedServer` on [`LOCAL_THREADS`] local thread, and queried through
+//! `SeabedSession`. A timed row reports the server's `ExecStats::wall_time`
+//! and the proxy's `QueryResult::client_time` as the median of [`K_RUNS`]
+//! runs, with their interquartile ranges. The harness panics unless the
+//! encrypted plan answers as the twin does. Two things are modelled, and
+//! only they: Figure 7's `model` rows (its 10–100 cores, a makespan over the
+//! measured one-thread time) and Paillier's extrapolation (its capped rows
+//! scaled linearly; in Figures 9b/c and 10a, a measured per-row addition
+//! added to the Seabed row).
+//!
+//! Paillier with its big-integer arithmetic, the plaintext reference the
+//! equivalence suites check against, and the models of the paper's cluster
+//! and of the §6.6 link live in [`baselines`]: no proxy, server or worker
+//! runs them. The ID-list encodings the paper compares but the product does
+//! not send — raw range bounds, DEFLATE and its parts, the roaring-style
+//! bitmap — are in [`codec`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,21 +41,20 @@ pub mod codec;
 pub mod metrics;
 pub mod runner;
 
-pub use metrics::{format_rows, rows_to_json, write_bench_json, Row, RunMeta};
+pub use metrics::{format_rows, rows_to_json, write_bench_json, Row, RunMeta, Spread, Timing, K_RUNS};
 pub use runner::{ExperimentConfig, ExperimentReport, ExperimentRunner};
 
-use baselines::cluster_model::TASK_OVERHEAD;
-use baselines::{row_selected, BigUint, ClusterModel, NetworkModel, NoEncSystem, PaillierKeypair, PaillierSystem};
+use baselines::{selection_key, BigUint, ClusterModel, NetworkModel, PaillierKeypair, PaillierSystem, SELECTION_SCALE};
 use codec::PaperEncoding;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seabed_ashe::{AsheScheme, IdSet};
-use seabed_core::{PhysicalFilter, PlainDataset, QueryResult, SeabedClient, SeabedServer, SeabedSession};
+use seabed_core::{PlainDataset, ResultValue, SeabedClient, SeabedServer, SeabedSession};
 use seabed_crypto::AesCtr;
-use seabed_engine::{table_disk_size, table_memory_size, Cluster};
-use seabed_query::{parse, ColumnSpec, CompareOp, PlannerConfig, TranslateOptions};
+use seabed_engine::{table_disk_size, table_memory_size, Cluster, ClusterConfig};
+use seabed_query::{parse, ColumnSpec, Literal, PlannerConfig, Query, TranslateOptions};
+use seabed_workloads::synthetic::SyntheticDataset;
 use seabed_workloads::{ad_analytics, bdb, classify, synthetic};
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Scaling knobs for the experiments.
@@ -278,41 +288,47 @@ fn paillier_ciphertext_len(bits: usize) -> usize {
     bits / 4 // elements of Z_{n^2} serialize to ~2 * bits/8 bytes
 }
 
+fn mb(bytes: usize) -> f64 {
+    bytes as f64 / 1e6
+}
+
 /// Table 5: disk and memory footprint of NoEnc / Seabed / Paillier
-/// representations for each dataset, at the configured scale.
+/// representations for each dataset, at the configured scale. NoEnc is the
+/// twin plan's table.
 pub fn exp_table5(scale: &Scale) -> Vec<Row> {
     let mut rng = scale.rng();
     let mut rows = Vec::new();
-    let mb = |bytes: usize| bytes as f64 / 1e6;
 
     // Synthetic datasets: one measure column.
     for (label, paper_millions) in [("Synthetic-Large", 1750u64), ("Synthetic-Small", 250u64)] {
         let n = scale.rows(paper_millions);
-        let ds = synthetic::aggregation_dataset(&mut rng, n);
-        let noenc = NoEncSystem::new(&ds.values, None, scale.partitions, ClusterModel::new(100));
+        let values = synthetic::aggregation_dataset(&mut rng, n).values;
+        let table = PlainDataset::new("t").with_uint_column("m", values);
+        let specs = column_specs(&table, &["m"]);
+        let served = Served::new(&table, &specs, &["SELECT SUM(m) FROM t"], scale, &mut rng);
+        let noenc = served.twin.server.table();
         // Seabed: one ASHE word plus an explicit ID column per row, as in the
         // prototype's synthetic dataset (Table 5 note in §6.1).
-        let ashe = AsheScheme::new(&[1u8; 16]);
-        let encrypted = seabed_ashe::encrypt_column(&ashe, &ds.values, 0);
-        let seabed_disk = encrypted.values.len() * 16;
+        let seabed_disk = table_disk_size(served.seabed.server.table()) + n * 8;
         let paillier_disk = n * (4 + paillier_ciphertext_len(2048));
-        let noenc_disk = table_disk_size(noenc.table());
         rows.push(
             Row::new(format!("{label} ({n} rows)"))
-                .with("noenc_disk_mb", mb(noenc_disk))
+                .with("noenc_disk_mb", mb(table_disk_size(noenc)))
                 .with("seabed_disk_mb", mb(seabed_disk))
                 .with("paillier_disk_mb", mb(paillier_disk))
-                .with("noenc_mem_mb", mb(table_memory_size(noenc.table())))
+                .with("noenc_mem_mb", mb(table_memory_size(noenc)))
                 .with("seabed_mem_mb", mb(seabed_disk + seabed_disk / 3))
                 .with("paillier_mem_mb", mb(paillier_disk + paillier_disk / 5)),
         );
     }
 
     // Big Data Benchmark and Ad-Analytics: measure real encrypted tables at a
-    // small scale.
+    // small scale. Sensitive measures are ASHE, with one optional SPLASHE
+    // dimension; Paillier turns each sensitive measure into a 2048-bit
+    // ciphertext and keeps the other columns as NoEnc has them.
     let bdb_tables = bdb::generate(&mut rng, scale.rows(90) / 20, scale.rows(775) / 20);
     let ada = ad_analytics::generate(&mut rng, (scale.rows(759) / 100).max(2_000));
-    for (label, dataset, sensitive_measures, splashe_dim) in [
+    for (label, dataset, measures, splashe_dim) in [
         ("BDB-Rankings", &bdb_tables.rankings, vec!["pageRank"], None),
         (
             "BDB-UserVisits",
@@ -322,138 +338,360 @@ pub fn exp_table5(scale: &Scale) -> Vec<Row> {
         ),
         ("Ad-Analytics", &ada, vec!["measure00", "measure01"], Some("dim00")),
     ] {
-        let (noenc_table, seabed_table, paillier_bytes) =
-            build_size_comparison(dataset, &sensitive_measures, splashe_dim, scale, &mut rng);
+        let specs: Vec<ColumnSpec> = column_specs(dataset, &measures)
+            .into_iter()
+            .map(|spec| match (splashe_dim, dataset.distribution(&spec.name)) {
+                (Some(dim), Some(distribution)) if dim == spec.name => {
+                    ColumnSpec::sensitive_with_distribution(dim, distribution)
+                }
+                _ => spec,
+            })
+            .collect();
+        let mut samples: Vec<String> = measures.iter().map(|m| format!("SELECT SUM({m}) FROM t")).collect();
+        if let Some(dim) = splashe_dim {
+            samples.push(format!("SELECT SUM({}) FROM t WHERE {dim} = 'v0'", measures[0]));
+        }
+        let samples: Vec<&str> = samples.iter().map(String::as_str).collect();
+        let served = Served::new(dataset, &specs, &samples, scale, &mut rng);
+        let (noenc, seabed) = (served.twin.server.table(), served.seabed.server.table());
+        let paillier_disk =
+            table_disk_size(noenc) + dataset.num_rows() * measures.len() * (4 + paillier_ciphertext_len(2048));
         rows.push(
             Row::new(format!("{label} ({} rows)", dataset.num_rows()))
-                .with("noenc_disk_mb", mb(table_disk_size(&noenc_table)))
-                .with("seabed_disk_mb", mb(table_disk_size(&seabed_table)))
-                .with("paillier_disk_mb", mb(paillier_bytes))
-                .with("noenc_mem_mb", mb(table_memory_size(&noenc_table)))
-                .with("seabed_mem_mb", mb(table_memory_size(&seabed_table))),
+                .with("noenc_disk_mb", mb(table_disk_size(noenc)))
+                .with("seabed_disk_mb", mb(table_disk_size(seabed)))
+                .with("paillier_disk_mb", mb(paillier_disk))
+                .with("noenc_mem_mb", mb(table_memory_size(noenc)))
+                .with("seabed_mem_mb", mb(table_memory_size(seabed))),
         );
     }
     rows
 }
 
-fn build_size_comparison<R: rand::Rng + ?Sized>(
-    dataset: &PlainDataset,
-    sensitive_measures: &[&str],
-    splashe_dim: Option<&str>,
-    scale: &Scale,
-    rng: &mut R,
-) -> (seabed_engine::Table, seabed_engine::Table, usize) {
-    // NoEnc: everything plaintext.
-    let noenc_specs: Vec<ColumnSpec> = dataset.columns.iter().map(|(n, _)| ColumnSpec::public(n)).collect();
-    let sample = vec![parse(&format!("SELECT SUM({}) FROM t", sensitive_measures[0])).unwrap()];
-    let mut noenc_client = SeabedClient::create_plan(b"k", &noenc_specs, &sample, &PlannerConfig::default());
-    let noenc_table = noenc_client.encrypt_dataset(dataset, scale.partitions, rng).table;
+// ---------------------------------------------------------------------------
+// The product, served under two plans
+// ---------------------------------------------------------------------------
 
-    // Seabed: sensitive measures ASHE, one optional SPLASHE dimension.
-    let specs: Vec<ColumnSpec> = dataset
+/// Local threads each figure's server scans with. Figure 7 measures one and
+/// two and names them in its rows.
+pub const LOCAL_THREADS: usize = 1;
+
+type Session<'a> = SeabedSession<'a, SeabedServer>;
+
+/// One plan of a figure's dataset: the proxy and the server it uploaded to.
+struct Plan {
+    client: SeabedClient,
+    server: SeabedServer,
+}
+
+impl Plan {
+    fn new(dataset: &PlainDataset, specs: &[ColumnSpec], samples: &[Query], scale: &Scale, rng: &mut StdRng) -> Plan {
+        let mut client = SeabedClient::create_plan(b"seabed-bench", specs, samples, &PlannerConfig::default());
+        let table = client.encrypt_dataset(dataset, scale.partitions, rng).table;
+        Plan {
+            client,
+            server: SeabedServer::new(table, cluster(LOCAL_THREADS)),
+        }
+    }
+
+    fn session(&self, table: &str) -> Session<'_> {
+        SeabedSession::single(table, self.client.clone(), &self.server)
+    }
+}
+
+fn cluster(threads: usize) -> Cluster {
+    Cluster::new(ClusterConfig::default().local_threads(threads))
+}
+
+/// A figure's dataset served through the product twice, as Computing on
+/// Masked Data measures a masked pipeline against the unmasked one on the
+/// same operations: under its encrypted plan and under an all-public twin
+/// plan of the same sample queries, each on its own `SeabedServer` and
+/// queried through `SeabedSession`.
+struct Served {
+    table: String,
+    seabed: Plan,
+    twin: Plan,
+}
+
+/// What one statement measured on one plan.
+struct Measured {
+    /// The decrypted answer.
+    rows: Vec<Vec<ResultValue>>,
+    /// The server's `ExecStats::wall_time` and the proxy's
+    /// `QueryResult::client_time` over [`K_RUNS`] runs.
+    timing: Timing,
+    /// The response's result groups, as the proxy counted them.
+    result_bytes: usize,
+}
+
+impl Served {
+    /// Plans `dataset` under `specs`, and again with every column public, and
+    /// uploads both to servers on [`LOCAL_THREADS`].
+    fn new(dataset: &PlainDataset, specs: &[ColumnSpec], samples: &[&str], scale: &Scale, rng: &mut StdRng) -> Served {
+        let samples: Vec<Query> = samples
+            .iter()
+            .map(|sql| parse(sql).expect("a figure's sample parses"))
+            .collect();
+        Served {
+            table: dataset.name.clone(),
+            seabed: Plan::new(dataset, specs, &samples, scale, rng),
+            twin: Plan::new(dataset, &column_specs(dataset, &[]), &samples, scale, rng),
+        }
+    }
+
+    /// Figures 6–9a's synthetic table `t`: the measure `m` (ASHE), the public
+    /// selection column `p`, and the dataset's group column `g` (DET) or
+    /// range column `f` (ORE).
+    fn synthetic(ds: &SyntheticDataset, samples: &[&str], scale: &Scale, rng: &mut StdRng) -> Served {
+        let table = synthetic_table(ds);
+        Served::new(&table, &column_specs(&table, &["m", "g", "f"]), samples, scale, rng)
+    }
+
+    /// The same tables served on `threads` local threads.
+    fn on_threads(&self, threads: usize) -> Served {
+        let plan = |plan: &Plan| Plan {
+            client: plan.client.clone(),
+            server: SeabedServer::new(plan.server.table().clone(), cluster(threads)),
+        };
+        Served {
+            table: self.table.clone(),
+            seabed: plan(&self.seabed),
+            twin: plan(&self.twin),
+        }
+    }
+
+    /// Times `sql` on both plans. Panics unless both answer, and answer alike.
+    fn measure(&self, sql: &str, params: &[Literal]) -> (Measured, Measured) {
+        match self.try_measure(sql, params) {
+            (Ok(seabed), Ok(twin)) => (seabed, twin),
+            (seabed, twin) => panic!("`{sql}`: seabed {:?}, twin {:?}", seabed.err(), twin.err()),
+        }
+    }
+
+    /// Times `sql` on both plans, each refusal as its error's text. Panics if
+    /// both answer and the answers differ.
+    fn try_measure(&self, sql: &str, params: &[Literal]) -> (Result<Measured, String>, Result<Measured, String>) {
+        let seabed = measure(&self.seabed.session(&self.table), sql, params);
+        let twin = measure(&self.twin.session(&self.table), sql, params);
+        if let (Ok(seabed), Ok(twin)) = (&seabed, &twin) {
+            assert_same_answer(sql, &seabed.rows, &twin.rows);
+        }
+        (seabed, twin)
+    }
+
+    /// The ID set of each group of the encrypted plan's response to `sql`.
+    fn id_sets(&self, sql: &str, params: &[Literal]) -> Vec<IdSet> {
+        let session = self.seabed.session(&self.table);
+        let prepared = session.prepare(sql).expect("a measured statement prepares");
+        let (_, response) = session
+            .execute_encrypted(&prepared, params)
+            .expect("a measured statement executes");
+        response
+            .groups
+            .iter()
+            .filter_map(|group| group.ids.as_ref())
+            .map(|ids| IdSet::decode(&ids.id_list, ids.encoding).expect("the product's ID list decodes"))
+            .collect()
+    }
+}
+
+/// `dataset`'s columns: those named in `sensitive` sensitive, with no
+/// distribution known, and the rest public.
+fn column_specs(dataset: &PlainDataset, sensitive: &[&str]) -> Vec<ColumnSpec> {
+    dataset
         .columns
         .iter()
-        .map(|(n, _)| {
-            if sensitive_measures.contains(&n.as_str()) {
-                ColumnSpec::sensitive(n)
-            } else if Some(n.as_str()) == splashe_dim {
-                ColumnSpec::sensitive_with_distribution(n, dataset.distribution(n).unwrap())
-            } else {
-                ColumnSpec::public(n)
-            }
+        .map(|(name, _)| match sensitive.contains(&name.as_str()) {
+            true => ColumnSpec::sensitive(name),
+            false => ColumnSpec::public(name),
         })
-        .collect();
-    let mut samples: Vec<_> = sensitive_measures
-        .iter()
-        .map(|m| parse(&format!("SELECT SUM({m}) FROM t")).unwrap())
-        .collect();
-    if let Some(dim) = splashe_dim {
-        samples.push(
-            parse(&format!(
-                "SELECT SUM({}) FROM t WHERE {dim} = 'v0'",
-                sensitive_measures[0]
-            ))
-            .unwrap(),
-        );
-    }
-    let mut seabed_client = SeabedClient::create_plan(b"k", &specs, &samples, &PlannerConfig::default());
-    let seabed_table = seabed_client.encrypt_dataset(dataset, scale.partitions, rng).table;
+        .collect()
+}
 
-    // Paillier: each sensitive measure becomes a 2048-bit ciphertext; other
-    // columns as in NoEnc (analytic accounting).
-    let paillier_bytes = table_disk_size(&noenc_table)
-        + dataset.num_rows() * sensitive_measures.len() * (4 + paillier_ciphertext_len(2048));
-    (noenc_table, seabed_table, paillier_bytes)
+/// `sql` through `session`: the first run's answer (that run prepares the
+/// statement), then the [`Timing`] of the runs after it.
+fn measure(session: &Session<'_>, sql: &str, params: &[Literal]) -> Result<Measured, String> {
+    let first = session.query(sql, params).map_err(|err| err.to_string())?;
+    let timing = Timing::measure(|| {
+        let result = session
+            .query(sql, params)
+            .expect("a statement that answered once answers again");
+        (result.server_stats.wall_time, result.client_time)
+    });
+    Ok(Measured {
+        rows: first.rows,
+        timing,
+        result_bytes: first.result_bytes,
+    })
+}
+
+/// Panics unless the two plans' answers to `sql` hold the same rows, in any
+/// order. A DET group key decrypts to the text of the integer the twin
+/// returns, so values compare as text.
+fn assert_same_answer(sql: &str, seabed: &[Vec<ResultValue>], twin: &[Vec<ResultValue>]) {
+    let canonical = |rows: &[Vec<ResultValue>]| {
+        let mut rows: Vec<Vec<String>> = rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|value| match value {
+                        ResultValue::UInt(v) => v.to_string(),
+                        ResultValue::Float(v) => v.to_string(),
+                        ResultValue::Text(v) => v.clone(),
+                    })
+                    .collect()
+            })
+            .collect();
+        rows.sort_unstable();
+        rows
+    };
+    assert!(
+        canonical(seabed) == canonical(twin),
+        "the encrypted plan and its twin answer `{sql}` differently"
+    );
+}
+
+/// The synthetic table of a [`SyntheticDataset`]: `m`, `p` (each row's
+/// [`selection_key`]), and `g` or `f` when the dataset has them.
+fn synthetic_table(ds: &SyntheticDataset) -> PlainDataset {
+    let mut table = PlainDataset::new("t")
+        .with_uint_column("m", ds.values.clone())
+        .with_uint_column("p", (0..ds.rows() as u64).map(selection_key).collect());
+    if let Some(groups) = &ds.groups {
+        table = table.with_uint_column("g", groups.clone());
+    }
+    if let Some(values) = &ds.ope_values {
+        table = table.with_uint_column("f", values.clone());
+    }
+    table
+}
+
+/// Figures 6–8's aggregate at `selectivity`: `WHERE p < k` selects the rows
+/// [`row_selected`] selects at `k / SELECTION_SCALE`.
+fn selection_sql(selectivity: f64) -> String {
+    if selectivity >= 1.0 {
+        "SELECT SUM(m) FROM t".to_string()
+    } else {
+        let k = (selectivity * SELECTION_SCALE as f64) as u64;
+        format!("SELECT SUM(m) FROM t WHERE p < {k}")
+    }
+}
+
+/// Paillier's `SUM(m)` (with `keys`, grouped by them) on the one-thread basis
+/// Seabed is timed on: the summed task time ([`StageTimes::task_time`]) over
+/// at most `paillier_row_cap` rows, extrapolated linearly, and the client's
+/// decryption.
+///
+/// [`StageTimes::task_time`]: baselines::StageTimes::task_time
+fn paillier_timing(
+    values: &[u64],
+    keys: Option<&[u64]>,
+    keypair: PaillierKeypair,
+    scale: &Scale,
+    rng: &mut StdRng,
+) -> Timing {
+    let capped = values.len().min(scale.paillier_row_cap);
+    let keys = keys.map(|keys| &keys[..capped]);
+    let system = PaillierSystem::with_keypair(
+        &values[..capped],
+        keys,
+        scale.partitions,
+        ClusterModel::new(1),
+        keypair,
+        rng,
+    );
+    let factor = values.len() as f64 / capped as f64;
+    Timing::measure(|| {
+        let (times, client) = match keys {
+            None => {
+                let result = system.sum(1.0);
+                (result.times, result.client_time)
+            }
+            Some(_) => {
+                let (_, times, client) = system.group_by_sum(1.0);
+                (times, client)
+            }
+        };
+        (times.task_time.mul_f64(factor), client)
+    })
+}
+
+/// The measured cost of one Paillier addition at the configured modulus:
+/// what Paillier pays per aggregated row where Seabed adds a word.
+fn paillier_add_cost(scale: &Scale, rng: &mut StdRng) -> Duration {
+    let keypair = PaillierKeypair::generate(rng, scale.paillier_bits);
+    let c = keypair.public.encrypt_u64(rng, 1);
+    Duration::from_secs_f64(
+        1e-9 * time_per_op(2_000, || {
+            std::hint::black_box(keypair.public.add(&c, &c));
+        }),
+    )
+}
+
+/// Paillier in Seabed's place, estimated: the Seabed row's measured time plus
+/// the measured Paillier addition for each row the query sums, on the same
+/// one-thread basis (no worker divisor, no task overhead). `None` when the
+/// query sums nothing (a `COUNT` needs no Paillier ciphertext).
+fn paillier_estimate(served: &Served, sql: &str, seabed: &Timing, per_add: Duration) -> Option<Timing> {
+    let rows: u64 = served.id_sets(sql, &[]).iter().map(IdSet::count).sum();
+    let paillier = per_add.mul_f64(rows as f64);
+    (rows > 0).then(|| Timing {
+        server: seabed.server.map(|d| d + paillier),
+        total: seabed.total.map(|d| d + paillier),
+        ..*seabed
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Figures 6 & 7: end-to-end latency vs rows, server latency vs cores
 // ---------------------------------------------------------------------------
 
-/// One measured latency point for the microbenchmark systems.
+/// One latency point for the microbenchmark systems.
 #[derive(Clone, Debug)]
 pub struct LatencyPoint {
     /// System label ("NoEnc", "Seabed sel=100%", …).
     pub system: String,
     /// Row count of the dataset.
     pub rows: usize,
-    /// Simulated worker count.
+    /// The local threads the server ran on; on a `model` row, the modelled
+    /// cores.
     pub workers: usize,
-    /// End-to-end latency (server + network + client).
-    pub total: Duration,
+    /// Whether the point is Figure 7's cluster model rather than a
+    /// measurement.
+    pub model: bool,
+    /// End-to-end latency (server + client).
+    pub total: Spread,
     /// Server-side component.
-    pub server: Duration,
+    pub server: Spread,
     /// Client-side component.
-    pub client: Duration,
+    pub client: Spread,
 }
 
-fn ashe_selectivity_run(
-    values: &[u64],
-    selectivity: f64,
-    workers: usize,
-    partitions: usize,
-    encoding: PaperEncoding,
-) -> (u64, Duration, Duration, usize) {
-    let scheme = AsheScheme::new(&[5u8; 16]);
-    let encrypted = seabed_ashe::encrypt_column(&scheme, values, 0);
-    let table = seabed_engine::Table::from_columns(
-        seabed_engine::Schema::new([("m__ashe".to_string(), seabed_engine::ColumnType::UInt64)]),
-        vec![seabed_engine::ColumnData::UInt64(encrypted.values)],
-        partitions,
-    );
-    let cluster = ClusterModel::new(workers);
-    let (partials, times) = cluster.run(&table, |p| {
-        let col = p.column(0).as_u64();
-        let mut sum = 0u64;
-        let mut ids = IdSet::new();
-        for (i, &word) in col.iter().enumerate() {
-            if row_selected(p.row_id(i), selectivity) {
-                sum = sum.wrapping_add(word);
-                ids.push_ordered(p.row_id(i));
-            }
+impl LatencyPoint {
+    fn measured(system: &str, rows: usize, threads: usize, timing: Timing) -> LatencyPoint {
+        LatencyPoint {
+            system: system.to_string(),
+            rows,
+            workers: threads,
+            model: false,
+            total: timing.total,
+            server: timing.server,
+            client: timing.client,
         }
-        // The paper's worker serializes its partial list before shipping it:
-        // Figure 8(b) times each encoding's cost here.
-        std::hint::black_box(encoding.encode(ids.runs()));
-        (sum, ids)
-    });
-    // Driver merge.
-    let mut total = 0u64;
-    let mut ids = IdSet::new();
-    for (sum, partial_ids) in partials {
-        total = total.wrapping_add(sum);
-        ids = ids.union(&partial_ids);
     }
-    let result_bytes = encoding.encoded_size(ids.runs()) + 8;
-    // Client decryption.
-    let started = Instant::now();
-    let plain = scheme.decrypt(&seabed_ashe::AsheCiphertext { value: total, ids });
-    let client = started.elapsed();
-    (plain, times.makespan, client, result_bytes)
+
+    fn timing(&self) -> Timing {
+        Timing {
+            server: self.server,
+            client: self.client,
+            total: self.total,
+        }
+    }
 }
 
-/// Figure 6: median end-to-end latency vs number of rows for NoEnc, Seabed
-/// (selectivity 100% and 50%) and Paillier.
+/// Figure 6: end-to-end latency vs number of rows for NoEnc, Seabed
+/// (selectivity 100% and 50%) and Paillier, on one thread.
 pub fn exp_fig6(scale: &Scale) -> Vec<LatencyPoint> {
     let mut rng = scale.rng();
     let mut points = Vec::new();
@@ -461,414 +699,208 @@ pub fn exp_fig6(scale: &Scale) -> Vec<LatencyPoint> {
     for &millions in &synthetic::FIG6_ROWS_MILLIONS {
         let rows = scale.rows(millions);
         let ds = synthetic::aggregation_dataset(&mut rng, rows);
-
-        // NoEnc.
-        let noenc = NoEncSystem::new(&ds.values, None, scale.partitions, ClusterModel::new(100));
-        let r = noenc.sum(1.0);
-        points.push(LatencyPoint {
-            system: "NoEnc".into(),
-            rows,
-            workers: 100,
-            total: r.times.makespan,
-            server: r.times.makespan,
-            client: Duration::ZERO,
-        });
-
-        // Seabed at 100% and 50% selectivity.
-        for (label, sel) in [("Seabed sel=100%", 1.0), ("Seabed sel=50%", 0.5)] {
-            let (_, server, client, _) =
-                ashe_selectivity_run(&ds.values, sel, 100, scale.partitions, PaperEncoding::SEABED_AGGREGATE);
-            points.push(LatencyPoint {
-                system: label.into(),
-                rows,
-                workers: 100,
-                total: server + client,
-                server,
-                client,
-            });
-        }
-
-        // Paillier, capped and extrapolated.
-        let paillier_rows = rows.min(scale.paillier_row_cap);
-        let paillier = PaillierSystem::with_keypair(
-            &ds.values[..paillier_rows],
-            None,
-            scale.partitions,
-            ClusterModel::new(100),
-            keypair.clone(),
-            &mut rng,
-        );
-        let r = paillier.sum(1.0);
-        let factor = rows as f64 / paillier_rows as f64;
-        let server = Duration::from_secs_f64(r.times.makespan.as_secs_f64() * factor);
-        points.push(LatencyPoint {
-            system: "Paillier".into(),
-            rows,
-            workers: 100,
-            total: server + r.client_time,
-            server,
-            client: r.client_time,
-        });
+        let served = Served::synthetic(&ds, &[&selection_sql(0.5)], scale, &mut rng);
+        let point = |system: &str, timing: Timing| LatencyPoint::measured(system, rows, LOCAL_THREADS, timing);
+        let (all, twin) = served.measure(&selection_sql(1.0), &[]);
+        let (half, _) = served.measure(&selection_sql(0.5), &[]);
+        points.push(point("NoEnc", twin.timing));
+        points.push(point("Seabed sel=100%", all.timing));
+        points.push(point("Seabed sel=50%", half.timing));
+        points.push(point(
+            "Paillier",
+            paillier_timing(&ds.values, None, keypair.clone(), scale, &mut rng),
+        ));
     }
     points
 }
 
-/// Figure 7: server-side latency vs simulated worker count, fixed dataset.
+/// Figure 7: server latency vs compute. The product is measured on one and
+/// two local threads. The paper's 10–100 cores are `model` rows: the
+/// one-thread server time split evenly across the partitions and
+/// list-scheduled by [`ClusterModel::makespan`].
 pub fn exp_fig7(scale: &Scale) -> Vec<LatencyPoint> {
     let mut rng = scale.rng();
     let rows = scale.rows(1750);
     let ds = synthetic::aggregation_dataset(&mut rng, rows);
     let keypair = PaillierKeypair::generate(&mut rng, scale.paillier_bits);
+    let one = Served::synthetic(&ds, &[&selection_sql(0.5)], scale, &mut rng);
+    let two = one.on_threads(2);
     let mut points = Vec::new();
+    for (threads, served) in [(LOCAL_THREADS, &one), (2, &two)] {
+        let (all, twin) = served.measure(&selection_sql(1.0), &[]);
+        let (half, _) = served.measure(&selection_sql(0.5), &[]);
+        for (system, timing) in [
+            ("NoEnc", twin.timing),
+            ("Seabed sel=100%", all.timing),
+            ("Seabed sel=50%", half.timing),
+        ] {
+            points.push(LatencyPoint::measured(system, rows, threads, timing));
+        }
+    }
+    let paillier = paillier_timing(&ds.values, None, keypair, scale, &mut rng);
+    points.push(LatencyPoint::measured("Paillier", rows, LOCAL_THREADS, paillier));
+
+    let one_thread: Vec<LatencyPoint> = points.iter().filter(|p| p.workers == LOCAL_THREADS).cloned().collect();
+    let partitions = scale.partitions.max(1);
     for &workers in &synthetic::FIG7_WORKERS {
-        let noenc = NoEncSystem::new(&ds.values, None, scale.partitions, ClusterModel::new(workers));
-        let r = noenc.sum(1.0);
-        points.push(LatencyPoint {
-            system: "NoEnc".into(),
-            rows,
-            workers,
-            total: r.times.makespan,
-            server: r.times.makespan,
-            client: Duration::ZERO,
-        });
-        for (label, sel) in [("Seabed sel=100%", 1.0), ("Seabed sel=50%", 0.5)] {
-            let (_, server, client, _) = ashe_selectivity_run(
-                &ds.values,
-                sel,
-                workers,
-                scale.partitions,
-                PaperEncoding::SEABED_AGGREGATE,
-            );
+        let model = ClusterModel::new(workers);
+        let makespan = |server: Duration| model.makespan(&vec![server / partitions as u32; partitions]);
+        for measured in &one_thread {
+            let server = measured.server.map(makespan);
             points.push(LatencyPoint {
-                system: label.into(),
-                rows,
                 workers,
-                total: server + client,
+                model: true,
+                total: server,
                 server,
-                client,
+                client: Spread::default(),
+                ..measured.clone()
             });
         }
-        let paillier_rows = rows.min(scale.paillier_row_cap);
-        let paillier = PaillierSystem::with_keypair(
-            &ds.values[..paillier_rows],
-            None,
-            scale.partitions,
-            ClusterModel::new(workers),
-            keypair.clone(),
-            &mut rng,
-        );
-        let r = paillier.sum(1.0);
-        let factor = rows as f64 / paillier_rows as f64;
-        points.push(LatencyPoint {
-            system: "Paillier".into(),
-            rows,
-            workers,
-            total: Duration::from_secs_f64(r.times.makespan.as_secs_f64() * factor),
-            server: Duration::from_secs_f64(r.times.makespan.as_secs_f64() * factor),
-            client: r.client_time,
-        });
     }
     points
+}
+
+/// Rows of latency points: by row count (Figure 6) or by threads and
+/// modelled cores (Figure 7). A `model` row carries only its server time.
+pub fn latency_rows(points: &[LatencyPoint], by_workers: bool) -> Vec<Row> {
+    points
+        .iter()
+        .map(|p| match (by_workers, p.model) {
+            (true, true) => Row::new(format!("{} workers={} (model)", p.system, p.workers))
+                .with("k", K_RUNS as f64)
+                .with_spread("server_s", p.server),
+            (true, false) => Row::new(format!("{} threads={}", p.system, p.workers)).with_timing(&p.timing()),
+            (false, _) => Row::new(format!("{} rows={}", p.system, p.rows)).with_timing(&p.timing()),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
 // Figure 8: ID-list size and response time vs selectivity; OPE overhead
 // ---------------------------------------------------------------------------
 
-/// One Figure 8 measurement.
-#[derive(Clone, Debug)]
-pub struct SelectivityPoint {
-    /// Encoding or configuration label.
-    pub config: String,
-    /// Selectivity in [0, 1].
-    pub selectivity: f64,
-    /// Result (ID list) size in bytes.
-    pub result_bytes: usize,
-    /// Server + client response time.
-    pub response: Duration,
+/// The encodings Figure 8(a)/(b) compares.
+const FIG8_ENCODINGS: [PaperEncoding; 4] = [
+    PaperEncoding::RangesVb,
+    PaperEncoding::RangesVbDiff,
+    PaperEncoding::RangesVbDiffDeflateCompact,
+    PaperEncoding::RangesVbDiffDeflateFast,
+];
+
+fn selectivity_label(config: &str, selectivity: f64) -> String {
+    format!("{config} sel={:.0}%", selectivity * 100.0)
 }
 
-/// Figure 8(a)/(b): ID-list size and response time vs selectivity for each
-/// encoding combination.
-pub fn exp_fig8ab(scale: &Scale) -> Vec<SelectivityPoint> {
+/// Figure 8(a)/(b): the product's result size and response time vs
+/// selectivity, and beside it each paper encoding's size and encode time on
+/// the response's own ID list.
+pub fn exp_fig8ab(scale: &Scale) -> Vec<Row> {
     let mut rng = scale.rng();
-    let rows = scale.rows(1750);
-    let ds = synthetic::aggregation_dataset(&mut rng, rows);
-    let mut points = Vec::new();
-    let encodings = [
-        PaperEncoding::RangesVb,
-        PaperEncoding::RangesVbDiff,
-        PaperEncoding::RangesVbDiffDeflateCompact,
-        PaperEncoding::RangesVbDiffDeflateFast,
-    ];
-    for &encoding in &encodings {
-        for &selectivity in &synthetic::FIG8_SELECTIVITIES {
-            let (_, server, client, result_bytes) =
-                ashe_selectivity_run(&ds.values, selectivity, 100, scale.partitions, encoding);
-            points.push(SelectivityPoint {
-                config: encoding.label().to_string(),
-                selectivity,
-                result_bytes,
-                response: server + client,
-            });
-        }
-    }
-    points
-}
-
-/// Figure 8(c): aggregation with and without an OPE selection predicate.
-pub fn exp_fig8c(scale: &Scale) -> Vec<SelectivityPoint> {
-    let mut rng = scale.rng();
-    let rows = scale.rows(1750) / 4; // ORE comparison is per-row; keep runtime bounded
-    let ds = synthetic::ope_dataset(&mut rng, rows);
-    let ope_values = ds.ope_values.clone().unwrap();
-    let scheme = AsheScheme::new(&[5u8; 16]);
-    let encrypted = seabed_ashe::encrypt_column(&scheme, &ds.values, 0);
-    let ore = seabed_crypto::OreScheme::new(&[8u8; 16]);
-    let ore_cts: seabed_engine::BytesColumn = ope_values.iter().map(|&v| ore.encrypt(v).symbols).collect();
-    let table = seabed_engine::Table::from_columns(
-        seabed_engine::Schema::new([
-            ("m__ashe".to_string(), seabed_engine::ColumnType::UInt64),
-            ("f__ope".to_string(), seabed_engine::ColumnType::Bytes),
-        ]),
-        vec![
-            seabed_engine::ColumnData::UInt64(encrypted.values),
-            seabed_engine::ColumnData::Bytes(ore_cts),
-        ],
-        scale.partitions,
-    );
-    let cluster = ClusterModel::new(100);
-    let mut points = Vec::new();
+    let ds = synthetic::aggregation_dataset(&mut rng, scale.rows(1750));
+    let served = Served::synthetic(&ds, &[&selection_sql(0.5)], scale, &mut rng);
+    let mut rows = Vec::new();
     for &selectivity in &synthetic::FIG8_SELECTIVITIES {
-        // Plain aggregation at this selectivity (the "Aggregation" line).
-        let (_, server, client, bytes) = ashe_selectivity_run(
-            &ds.values,
-            selectivity,
-            100,
-            scale.partitions,
-            PaperEncoding::SEABED_AGGREGATE,
+        let sql = selection_sql(selectivity);
+        let (seabed, _) = served.measure(&sql, &[]);
+        rows.push(
+            Row::new(selectivity_label("Seabed", selectivity))
+                .with("result_mb", mb(seabed.result_bytes))
+                .with_timing(&seabed.timing),
         );
-        points.push(SelectivityPoint {
-            config: "Aggregation".into(),
-            selectivity,
-            result_bytes: bytes,
-            response: server + client,
-        });
-        // Aggregation with an OPE range predicate of the same selectivity,
-        // through the server's range kernel.
-        let filter = PhysicalFilter::Ope {
-            column: 1,
-            op: CompareOp::Lt,
-            ciphertext: ore.encrypt((selectivity * u32::MAX as f64) as u64),
-        };
-        let (partials, times) = cluster.run(&table, |p| {
-            let words = p.column(0).as_u64();
-            let selected = filter.select_dense(p).expect("column 1 is the ORE column");
-            let mut sum = 0u64;
-            let mut ids = IdSet::new();
-            for &row in selected.rows() {
-                sum = sum.wrapping_add(words[row as usize]);
-                ids.push_ordered(p.row_id(row as usize));
-            }
-            // Serialized as the "Aggregation" line's workers do.
-            std::hint::black_box(PaperEncoding::SEABED_AGGREGATE.encode(ids.runs()));
-            (sum, ids)
-        });
-        let mut total = 0u64;
-        let mut ids = IdSet::new();
-        for (sum, partial) in partials {
-            total = total.wrapping_add(sum);
-            ids = ids.union(&partial);
+        let ids = served.id_sets(&sql, &[]);
+        for encoding in FIG8_ENCODINGS {
+            // The list and the sum's word, as the paper's worker ships them.
+            let bytes: usize = ids.iter().map(|set| encoding.encoded_size(set.runs()) + 8).sum();
+            let encode = Spread::time(|| {
+                for set in &ids {
+                    std::hint::black_box(encoding.encode(set.runs()));
+                }
+            });
+            rows.push(
+                Row::new(selectivity_label(encoding.label(), selectivity))
+                    .with("result_mb", mb(bytes))
+                    .with("k", K_RUNS as f64)
+                    .with_spread("encode_s", encode),
+            );
         }
-        let started = Instant::now();
-        std::hint::black_box(scheme.decrypt(&seabed_ashe::AsheCiphertext {
-            value: total,
-            ids: ids.clone(),
-        }));
-        points.push(SelectivityPoint {
-            config: "+OPE selection".into(),
-            selectivity,
-            result_bytes: PaperEncoding::SEABED_AGGREGATE.encoded_size(ids.runs()) + 8,
-            response: times.makespan + started.elapsed(),
-        });
     }
-    points
+    rows
+}
+
+/// Figure 8(c): aggregation with and without an OPE selection predicate of
+/// the same selectivity, `WHERE f < ?` on a sensitive (ORE) column.
+pub fn exp_fig8c(scale: &Scale) -> Vec<Row> {
+    let mut rng = scale.rng();
+    let ds = synthetic::ope_dataset(&mut rng, scale.rows(1750) / 4); // ORE comparison is per-row; keep runtime bounded
+    let ope = "SELECT SUM(m) FROM t WHERE f < ?";
+    let served = Served::synthetic(&ds, &[&selection_sql(0.5), ope], scale, &mut rng);
+    let mut rows = Vec::new();
+    for &selectivity in &synthetic::FIG8_SELECTIVITIES {
+        let (aggregation, _) = served.measure(&selection_sql(selectivity), &[]);
+        let bound = Literal::Integer((selectivity * u32::MAX as f64) as u64);
+        let (selection, _) = served.measure(ope, &[bound]);
+        rows.push(Row::new(selectivity_label("Aggregation", selectivity)).with_timing(&aggregation.timing));
+        rows.push(Row::new(selectivity_label("+OPE selection", selectivity)).with_timing(&selection.timing));
+    }
+    rows
 }
 
 // ---------------------------------------------------------------------------
 // Figure 9a: group-by microbenchmark
 // ---------------------------------------------------------------------------
 
-/// One Figure 9a measurement.
-#[derive(Clone, Debug)]
-pub struct GroupByPoint {
-    /// System label.
-    pub system: String,
-    /// Number of groups in the dataset.
-    pub groups: u64,
-    /// Response time.
-    pub response: Duration,
-}
-
-/// Figure 9a: group-by latency vs number of groups for NoEnc, Paillier,
-/// Seabed and Seabed-optimized (group inflation).
-pub fn exp_fig9a(scale: &Scale) -> Vec<GroupByPoint> {
+/// Figure 9a: group-by latency vs number of groups for NoEnc, Seabed,
+/// Seabed-optimized (group inflation) and Paillier.
+pub fn exp_fig9a(scale: &Scale) -> Vec<Row> {
     let mut rng = scale.rng();
     let rows = scale.rows(1750) / 2;
-    let workers = 100usize;
     let keypair = PaillierKeypair::generate(&mut rng, scale.paillier_bits);
-    let mut points = Vec::new();
+    let sql = "SELECT g, SUM(m) FROM t GROUP BY g";
+    let mut out = Vec::new();
     for &groups in &synthetic::FIG9A_GROUPS {
         let groups = groups.min(rows as u64 / 2);
         let ds = synthetic::group_by_dataset(&mut rng, rows, groups);
-        let keys = ds.groups.clone().unwrap();
-
-        // NoEnc.
-        let noenc = NoEncSystem::new(&ds.values, Some(&keys), scale.partitions, ClusterModel::new(workers));
-        let (_, times) = noenc.group_by_sum(1.0);
-        points.push(GroupByPoint {
-            system: "NoEnc".into(),
-            groups,
-            response: times.makespan,
-        });
-
-        // Seabed (no inflation) and Seabed-optimized
-        // (inflate group count to the worker count when fewer groups).
-        for (label, inflation) in [
-            ("Seabed", 1u64),
-            ("Seabed-optimized", (workers as u64 / groups.max(1)).max(1)),
+        let mut served = Served::synthetic(&ds, &[sql], scale, &mut rng);
+        let (seabed, twin) = served.measure(sql, &[]);
+        // Seabed-optimized: the proxy expects `groups` groups, so fewer groups
+        // than workers are inflated to the worker count (§4.4).
+        served.seabed.client.translate_options.expected_groups = Some(groups as usize);
+        let optimized = measure(&served.seabed.session(&served.table), sql, &[]).expect("inflated group-by answers");
+        assert_same_answer(sql, &optimized.rows, &twin.rows);
+        let paillier = paillier_timing(&ds.values, ds.groups.as_deref(), keypair.clone(), scale, &mut rng);
+        for (system, timing) in [
+            ("NoEnc", twin.timing),
+            ("Seabed", seabed.timing),
+            ("Seabed-optimized", optimized.timing),
+            ("Paillier", paillier),
         ] {
-            let scheme = AsheScheme::new(&[5u8; 16]);
-            let encrypted = seabed_ashe::encrypt_column(&scheme, &ds.values, 0);
-            let table = seabed_engine::Table::from_columns(
-                seabed_engine::Schema::new([
-                    ("m__ashe".to_string(), seabed_engine::ColumnType::UInt64),
-                    ("g".to_string(), seabed_engine::ColumnType::UInt64),
-                ]),
-                vec![
-                    seabed_engine::ColumnData::UInt64(encrypted.values),
-                    seabed_engine::ColumnData::UInt64(keys.clone()),
-                ],
-                scale.partitions,
-            );
-            let cluster = ClusterModel::new(workers);
-            let (partials, times) = cluster.run(&table, |p| {
-                let words = p.column(0).as_u64();
-                let grp = p.column(1).as_u64();
-                let mut map: BTreeMap<u64, (u64, IdSet)> = BTreeMap::new();
-                for i in 0..p.num_rows() {
-                    let suffix = if inflation > 1 {
-                        (p.row_id(i).wrapping_mul(2654435761)) % inflation
-                    } else {
-                        0
-                    };
-                    let key = grp[i] * inflation + suffix;
-                    let entry = map.entry(key).or_insert_with(|| (0, IdSet::new()));
-                    entry.0 = entry.0.wrapping_add(words[i]);
-                    entry.1.push_ordered(p.row_id(i));
-                }
-                map
-            });
-            // Driver merge + client decrypt per group.
-            let mut merged: BTreeMap<u64, (u64, IdSet)> = BTreeMap::new();
-            for partial in partials {
-                for (k, (sum, ids)) in partial {
-                    let entry = merged.entry(k).or_insert_with(|| (0, IdSet::new()));
-                    entry.0 = entry.0.wrapping_add(sum);
-                    entry.1 = entry.1.union(&ids);
-                }
-            }
-            let started = Instant::now();
-            let mut acc = 0u64;
-            for (_, (sum, ids)) in merged {
-                acc = acc.wrapping_add(scheme.decrypt(&seabed_ashe::AsheCiphertext { value: sum, ids }));
-            }
-            std::hint::black_box(acc);
-            points.push(GroupByPoint {
-                system: label.into(),
-                groups,
-                response: times.makespan + started.elapsed(),
-            });
+            out.push(Row::new(format!("{system} groups={groups}")).with_timing(&timing));
         }
-
-        // Paillier, capped and extrapolated.
-        let paillier_rows = rows.min(scale.paillier_row_cap);
-        let paillier = PaillierSystem::with_keypair(
-            &ds.values[..paillier_rows],
-            Some(&keys[..paillier_rows]),
-            scale.partitions,
-            ClusterModel::new(workers),
-            keypair.clone(),
-            &mut rng,
-        );
-        let (_, times, client) = paillier.group_by_sum(1.0);
-        let factor = rows as f64 / paillier_rows as f64;
-        points.push(GroupByPoint {
-            system: "Paillier".into(),
-            groups,
-            response: Duration::from_secs_f64(times.makespan.as_secs_f64() * factor) + client,
-        });
     }
-    points
+    out
 }
 
 // ---------------------------------------------------------------------------
 // Figure 9b/c: Big Data Benchmark
 // ---------------------------------------------------------------------------
 
-/// One BDB query measurement.
-#[derive(Clone, Debug)]
-pub struct BdbPoint {
-    /// Query name (Q1A..Q4).
-    pub query: String,
-    /// System label.
-    pub system: String,
-    /// Server-side response time.
-    pub response: Duration,
-}
-
 /// Figure 9b/c: the ten Big Data Benchmark queries under NoEnc and Seabed,
 /// plus a Paillier estimate for the aggregation queries.
-pub fn exp_fig9bc(scale: &Scale) -> Vec<BdbPoint> {
+pub fn exp_fig9bc(scale: &Scale) -> Vec<Row> {
     let mut rng = scale.rng();
     let tables = bdb::generate(&mut rng, scale.rows(90) / 10, scale.rows(775) / 10);
-    let workers = 32usize;
-    let mut points = Vec::new();
-
-    // Build NoEnc and Seabed systems for each base table.
-    let build = |dataset: &PlainDataset, sensitive: &[&str], rng: &mut StdRng| {
-        let specs: Vec<ColumnSpec> = dataset
-            .columns
-            .iter()
-            .map(|(n, _)| {
-                if sensitive.contains(&n.as_str()) {
-                    ColumnSpec::sensitive(n)
-                } else {
-                    ColumnSpec::public(n)
-                }
-            })
-            .collect();
-        let samples: Vec<_> = bdb::queries()
+    let per_add = paillier_add_cost(scale, &mut rng);
+    let queries = bdb::queries();
+    let serve = |dataset: &PlainDataset, sensitive: &[&str], rng: &mut StdRng| {
+        let samples: Vec<&str> = queries
             .iter()
             .filter(|q| dataset.name == q.table)
-            .map(|q| parse(&q.sql).unwrap())
+            .map(|q| q.sql.as_str())
             .collect();
-        let mut client = SeabedClient::create_plan(b"bdb", &specs, &samples, &PlannerConfig::default());
-        let encrypted = client.encrypt_dataset(dataset, scale.partitions, rng);
-        let server = SeabedServer::new(encrypted.table.clone(), Cluster::default());
-        (client, server)
+        Served::new(dataset, &column_specs(dataset, sensitive), &samples, scale, rng)
     };
-    let build_noenc = |dataset: &PlainDataset, rng: &mut StdRng| {
-        let specs: Vec<ColumnSpec> = dataset.columns.iter().map(|(n, _)| ColumnSpec::public(n)).collect();
-        let samples = vec![parse("SELECT COUNT(*) FROM t").unwrap()];
-        let mut client = SeabedClient::create_plan(b"noenc", &specs, &samples, &PlannerConfig::default());
-        let encrypted = client.encrypt_dataset(dataset, scale.partitions, rng);
-        let server = SeabedServer::new(encrypted.table.clone(), Cluster::default());
-        (client, server)
-    };
-
-    let (rank_client, rank_server) = build(&tables.rankings, &["pageRank", "avgDuration"], &mut rng);
-    let (uv_client, uv_server) = build(
+    let rankings = serve(&tables.rankings, &["pageRank", "avgDuration"], &mut rng);
+    let uservisits = serve(
         &tables.uservisits,
         &[
             "adRevenue",
@@ -880,19 +912,12 @@ pub fn exp_fig9bc(scale: &Scale) -> Vec<BdbPoint> {
         ],
         &mut rng,
     );
-    let (rank_noenc_client, rank_noenc_server) = build_noenc(&tables.rankings, &mut rng);
-    let (uv_noenc_client, uv_noenc_server) = build_noenc(&tables.uservisits, &mut rng);
-    let (rankings, uservisits) = (&tables.rankings.name, &tables.uservisits.name);
-    let rank = SeabedSession::single(rankings, rank_client, &rank_server);
-    let uv = SeabedSession::single(uservisits, uv_client, &uv_server);
-    let rank_noenc = SeabedSession::single(rankings, rank_noenc_client, &rank_noenc_server);
-    let uv_noenc = SeabedSession::single(uservisits, uv_noenc_client, &uv_noenc_server);
-
-    for query in bdb::queries() {
-        let (seabed, noenc) = if query.table == *rankings {
-            (&rank, &rank_noenc)
+    let mut rows = Vec::new();
+    for query in &queries {
+        let served = if query.table == rankings.table {
+            &rankings
         } else {
-            (&uv, &uv_noenc)
+            &uservisits
         };
         // Scan queries (Q1*) have no aggregate; approximate them as COUNT
         // scans so both systems do equivalent filter work (the paper also
@@ -902,133 +927,70 @@ pub fn exp_fig9bc(scale: &Scale) -> Vec<BdbPoint> {
         } else {
             query.sql.clone()
         };
-        for (label, session) in [("NoEnc", noenc), ("Seabed", seabed)] {
-            match session.query(&sql, &[]) {
-                Ok(result) => points.push(BdbPoint {
-                    query: query.name.to_string(),
-                    system: label.to_string(),
-                    response: result.server_stats.wall_time + result.client_time,
-                }),
-                Err(err) => {
-                    points.push(BdbPoint {
-                        query: query.name.to_string(),
-                        system: format!("{label} (unsupported: {err})"),
-                        response: Duration::ZERO,
-                    });
-                }
-            }
+        let label = |system: &str| format!("{} {system}", query.name);
+        let (seabed, twin) = served.try_measure(&sql, &[]);
+        for (system, measured) in [("NoEnc", &twin), ("Seabed", &seabed)] {
+            rows.push(match measured {
+                Ok(measured) => Row::new(label(system)).with_timing(&measured.timing),
+                Err(err) => Row::new(label(&format!("{system} (unsupported: {err})"))),
+            });
         }
-        // Paillier estimate for aggregation queries: per-row homomorphic
-        // multiplication cost at the configured modulus, over the scanned rows
-        // divided across workers.
-        if !query.name.starts_with("Q1") {
-            let mut rng2 = scale.rng();
-            let kp = PaillierKeypair::generate(&mut rng2, scale.paillier_bits);
-            let c = kp.public.encrypt_u64(&mut rng2, 1);
-            let per_add = time_per_op(2_000, || {
-                std::hint::black_box(kp.public.add(&c, &c));
-            });
-            let rows = tables.uservisits.num_rows() as f64;
-            let est = Duration::from_secs_f64(per_add * 1e-9 * rows / workers as f64);
-            points.push(BdbPoint {
-                query: query.name.to_string(),
-                system: "Paillier (estimated)".to_string(),
-                response: est,
-            });
+        if let Some(estimate) = seabed
+            .as_ref()
+            .ok()
+            .and_then(|seabed| paillier_estimate(served, &sql, &seabed.timing, per_add))
+        {
+            rows.push(Row::new(label("Paillier (estimated)")).with_timing(&estimate));
         }
     }
-    points
+    rows
 }
 
 // ---------------------------------------------------------------------------
 // Figure 10: Ad-Analytics CDF and SPLASHE storage overhead
 // ---------------------------------------------------------------------------
 
-/// One Ad-Analytics query measurement.
-#[derive(Clone, Debug)]
-pub struct AdaPoint {
-    /// System label.
-    pub system: String,
-    /// Number of hour groups in the query.
-    pub groups: usize,
-    /// End-to-end response time.
-    pub response: Duration,
-}
-
 /// Figure 10(a): response times of the 15-query Ad-Analytics performance set
-/// under NoEnc, Seabed and Paillier (estimated per-row cost).
-pub fn exp_fig10a(scale: &Scale) -> Vec<AdaPoint> {
+/// under NoEnc, Seabed and Paillier (estimated per-row cost). End to end as
+/// §6.6 has it: server and proxy compute plus the result's transfer over the
+/// datacenter link, modelled from its size.
+pub fn exp_fig10a(scale: &Scale) -> Vec<Row> {
     let mut rng = scale.rng();
-    let rows = (scale.rows(759) / 4).max(5_000);
-    let dataset = ad_analytics::generate(&mut rng, rows);
+    let dataset = ad_analytics::generate(&mut rng, (scale.rows(759) / 4).max(5_000));
     let queries = ad_analytics::performance_query_set(&mut rng);
-    let workers = 100usize;
-
-    // Seabed plan: hour is an OPE dimension, measures 0/1 are ASHE.
-    let specs: Vec<ColumnSpec> = dataset
-        .columns
-        .iter()
-        .map(|(n, _)| {
-            if n == "measure00" || n == "measure01" {
-                ColumnSpec::sensitive(n)
-            } else {
-                ColumnSpec::public(n)
-            }
-        })
-        .collect();
-    let samples: Vec<_> = queries.iter().map(|q| parse(&q.sql).unwrap()).collect();
-    let mut seabed_client = SeabedClient::create_plan(b"ada", &specs, &samples, &PlannerConfig::default());
-    let seabed_table = seabed_client.encrypt_dataset(&dataset, scale.partitions, &mut rng);
-    let seabed_server = SeabedServer::new(seabed_table.table.clone(), Cluster::default());
-
-    let noenc_specs: Vec<ColumnSpec> = dataset.columns.iter().map(|(n, _)| ColumnSpec::public(n)).collect();
-    let mut noenc_client = SeabedClient::create_plan(b"ada-noenc", &noenc_specs, &samples, &PlannerConfig::default());
-    let noenc_table = noenc_client.encrypt_dataset(&dataset, scale.partitions, &mut rng);
-    let noenc_server = SeabedServer::new(noenc_table.table.clone(), Cluster::default());
-
-    // Per-row Paillier addition cost for the estimate.
-    let kp = PaillierKeypair::generate(&mut rng, scale.paillier_bits);
-    let c = kp.public.encrypt_u64(&mut rng, 1);
-    let per_add_ns = time_per_op(2_000, || {
-        std::hint::black_box(kp.public.add(&c, &c));
-    });
-
-    // End to end as §6.6 has it: server and proxy compute plus the result's
-    // transfer over the datacenter link, modelled from its size.
+    let samples: Vec<&str> = queries.iter().map(|q| q.sql.as_str()).collect();
+    let served = Served::new(
+        &dataset,
+        &column_specs(&dataset, &["measure00", "measure01"]),
+        &samples,
+        scale,
+        &mut rng,
+    );
+    let per_add = paillier_add_cost(scale, &mut rng);
     let link = NetworkModel::datacenter();
-    let end_to_end = |result: &QueryResult| {
-        result.server_stats.wall_time + result.client_time + link.transfer_time(result.result_bytes)
-    };
-    let table = &dataset.name;
-    let noenc = SeabedSession::single(table, noenc_client, &noenc_server);
-    let seabed = SeabedSession::single(table, seabed_client, &seabed_server);
-    let mut points = Vec::new();
-    for q in &queries {
-        if let Ok(result) = noenc.query(&q.sql, &[]) {
-            points.push(AdaPoint {
-                system: "NoEnc".into(),
-                groups: q.groups,
-                response: end_to_end(&result),
-            });
+    let end_to_end = |measured: &Measured| {
+        let transfer = link.transfer_time(measured.result_bytes);
+        Timing {
+            total: measured.timing.total.map(|d| d + transfer),
+            ..measured.timing
         }
-        if let Ok(result) = seabed.query(&q.sql, &[]) {
-            points.push(AdaPoint {
-                system: "Seabed".into(),
-                groups: q.groups,
-                response: end_to_end(&result),
-            });
-            // Paillier estimate: same selected rows, per-row ciphertext
-            // multiplication instead of wrapping addition.
-            let selected_rows = rows as f64 * (q.groups as f64 / 24.0);
-            let est = Duration::from_secs_f64(per_add_ns * 1e-9 * selected_rows / workers as f64) + TASK_OVERHEAD;
-            points.push(AdaPoint {
-                system: "Paillier (estimated)".into(),
-                groups: q.groups,
-                response: end_to_end(&result) + est,
-            });
+    };
+    let mut rows = Vec::new();
+    for q in &queries {
+        let label = |system: &str| format!("{system} groups={}", q.groups);
+        let (seabed, twin) = served.try_measure(&q.sql, &[]);
+        if let Ok(twin) = &twin {
+            rows.push(Row::new(label("NoEnc")).with_timing(&end_to_end(twin)));
+        }
+        if let Ok(seabed) = &seabed {
+            let timing = end_to_end(seabed);
+            rows.push(Row::new(label("Seabed")).with_timing(&timing));
+            if let Some(estimate) = paillier_estimate(&served, &q.sql, &timing, per_add) {
+                rows.push(Row::new(label("Paillier (estimated)")).with_timing(&estimate));
+            }
         }
     }
-    points
+    rows
 }
 
 /// Figure 10(b): cumulative storage overhead of basic vs enhanced SPLASHE over
@@ -1047,27 +1009,11 @@ pub fn exp_fig10b(scale: &Scale) -> Vec<Row> {
         .collect()
 }
 
-/// Helper converting latency points into printable rows.
-pub fn latency_rows(points: &[LatencyPoint], by_workers: bool) -> Vec<Row> {
-    points
-        .iter()
-        .map(|p| {
-            let label = if by_workers {
-                format!("{} workers={}", p.system, p.workers)
-            } else {
-                format!("{} rows={}", p.system, p.rows)
-            };
-            Row::new(label)
-                .with("total_s", p.total.as_secs_f64())
-                .with("server_s", p.server.as_secs_f64())
-                .with("client_s", p.client.as_secs_f64())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use baselines::row_selected;
+    use seabed_core::PlainColumn;
 
     fn tiny_scale() -> Scale {
         Scale {
@@ -1153,6 +1099,77 @@ mod tests {
             at("Seabed sel=50%", rows) < at("Paillier", rows),
             "ASHE must beat Paillier"
         );
+    }
+
+    /// The selection column is `row_selected`'s rule: `p < k` holds exactly
+    /// where `row_selected(row, k / SELECTION_SCALE)` does, so the product
+    /// and the Paillier baseline aggregate the same rows.
+    #[test]
+    fn p_below_k_selects_the_rows_row_selected_selects() {
+        let scale = tiny_scale();
+        let ds = synthetic::aggregation_dataset(&mut scale.rng(), 5_000);
+        let table = synthetic_table(&ds);
+        let Some(PlainColumn::UInt(p)) = table.column("p") else {
+            panic!("p is an integer column");
+        };
+        for k in [
+            0,
+            1,
+            SELECTION_SCALE / 10,
+            SELECTION_SCALE / 2,
+            SELECTION_SCALE - 1,
+            SELECTION_SCALE,
+        ] {
+            let selectivity = k as f64 / SELECTION_SCALE as f64;
+            for (row, &key) in p.iter().enumerate() {
+                assert_eq!(key < k, row_selected(row as u64, selectivity), "row {row}, k {k}");
+            }
+        }
+        // Through the product: the encrypted plan's 50% sum is the baselines'.
+        let served = Served::synthetic(&ds, &[&selection_sql(0.5)], &scale, &mut scale.rng());
+        let (seabed, _) = served.measure(&selection_sql(0.5), &[]);
+        let expected = (0..ds.rows())
+            .filter(|&row| row_selected(row as u64, 0.5))
+            .fold(0u64, |sum, row| sum.wrapping_add(ds.values[row]));
+        assert_eq!(seabed.rows, vec![vec![ResultValue::UInt(expected)]]);
+    }
+
+    /// Figures 6, 8(c) and 9(a) run the product at a tiny scale. Each checks
+    /// every answer against the twin's as it goes (a difference panics), and
+    /// every timed row carries `k` and its spread.
+    #[test]
+    fn product_figures_check_their_answers_at_tiny_scale() {
+        let scale = tiny_scale();
+        let figures = [
+            latency_rows(&exp_fig6(&scale), false),
+            exp_fig8c(&scale),
+            exp_fig9a(&scale),
+        ];
+        for row in figures.iter().flatten() {
+            assert_eq!(row.value("k"), Some(K_RUNS as f64), "{}", row.label);
+            assert!(row.value("response_s_iqr").is_some(), "{}", row.label);
+        }
+        let systems: Vec<&str> = figures[2]
+            .iter()
+            .filter_map(|r| r.label.split(" groups=").next())
+            .collect();
+        for system in ["NoEnc", "Seabed", "Seabed-optimized", "Paillier"] {
+            assert!(systems.contains(&system), "Figure 9(a) has no {system} row");
+        }
+    }
+
+    #[test]
+    fn answers_compare_as_text_in_any_order() {
+        let (uint, text) = (ResultValue::UInt, |s: &str| ResultValue::Text(s.to_string()));
+        let twin = [vec![uint(3), uint(10)], vec![uint(4), uint(20)]];
+        let seabed = [vec![text("4"), uint(20)], vec![text("3"), uint(10)]];
+        assert_same_answer("q", &seabed, &twin);
+    }
+
+    #[test]
+    #[should_panic(expected = "answer `q` differently")]
+    fn a_wrong_answer_panics() {
+        assert_same_answer("q", &[vec![ResultValue::UInt(1)]], &[vec![ResultValue::UInt(2)]]);
     }
 
     #[test]

@@ -1,11 +1,94 @@
 //! Metrics layer of the bench harness: the [`Row`] result shape every
-//! experiment produces, the aligned-table text renderer, and the
+//! experiment produces, the [`Timing`] of [`K_RUNS`] runs a timed row carries
+//! as medians with their spread, the aligned-table text renderer, and the
 //! `BENCH_<name>.json` serialization successive runs diff against. Kept
 //! separate from the experiments (which *measure*) and from the
 //! [`crate::runner`] (which *selects and drives*), so each layer can change
 //! without touching the others.
 
-use crate::Scale;
+use crate::{Scale, LOCAL_THREADS};
+use std::time::Duration;
+
+/// Timed runs behind every timed row, after one discarded warm-up.
+pub const K_RUNS: usize = 5;
+
+/// A quantity timed over several runs: its median and quartiles (nearest
+/// rank). Ordered by median first, so comparing two spreads compares their
+/// medians.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Spread {
+    /// The median run.
+    pub median: Duration,
+    /// The first quartile.
+    pub q1: Duration,
+    /// The third quartile.
+    pub q3: Duration,
+}
+
+impl Spread {
+    /// The spread of `samples`.
+    pub fn of(samples: impl IntoIterator<Item = Duration>) -> Spread {
+        let mut sorted: Vec<Duration> = samples.into_iter().collect();
+        sorted.sort_unstable();
+        let at = |quarter: usize| sorted.get(sorted.len() * quarter / 4).copied().unwrap_or_default();
+        Spread {
+            median: at(2),
+            q1: at(1),
+            q3: at(3),
+        }
+    }
+
+    /// Runs `f` once to warm up, discards it, then times [`K_RUNS`] runs.
+    pub fn time(mut f: impl FnMut()) -> Spread {
+        f();
+        Spread::of((0..K_RUNS).map(|_| {
+            let started = std::time::Instant::now();
+            f();
+            started.elapsed()
+        }))
+    }
+
+    /// The interquartile range.
+    pub fn iqr(&self) -> Duration {
+        self.q3 - self.q1
+    }
+
+    /// The spread of `f` of the runs, for a monotone `f` (an extrapolation, a
+    /// model, an added constant): it maps each quartile.
+    pub fn map(&self, f: impl Fn(Duration) -> Duration) -> Spread {
+        Spread {
+            median: f(self.median),
+            q1: f(self.q1),
+            q3: f(self.q3),
+        }
+    }
+}
+
+/// What [`K_RUNS`] runs of one operation measured on each side: §6.2's
+/// server and client compute and their sum, run by run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Timing {
+    /// The server's share.
+    pub server: Spread,
+    /// The client's share.
+    pub client: Spread,
+    /// Server plus client, summed per run.
+    pub total: Spread,
+}
+
+impl Timing {
+    /// Runs `run` once to warm up, discards it, then [`K_RUNS`] times; each
+    /// run returns its server and client time.
+    pub fn measure(mut run: impl FnMut() -> (Duration, Duration)) -> Timing {
+        run();
+        let runs: Vec<(Duration, Duration)> = (0..K_RUNS).map(|_| run()).collect();
+        Timing {
+            server: Spread::of(runs.iter().map(|r| r.0)),
+            client: Spread::of(runs.iter().map(|r| r.1)),
+            total: Spread::of(runs.iter().map(|r| r.0 + r.1)),
+        }
+    }
+}
 
 /// A generic result row: a label plus named numeric fields, printable as a
 /// table row by the harness.
@@ -30,6 +113,22 @@ impl Row {
     pub fn with(mut self, name: &str, value: f64) -> Row {
         self.values.push((name.to_string(), value));
         self
+    }
+
+    /// Adds a timed quantity in seconds: its median as `name` and its
+    /// interquartile range as `{name}_iqr`.
+    pub fn with_spread(self, name: &str, spread: Spread) -> Row {
+        self.with(name, spread.median.as_secs_f64())
+            .with(&format!("{name}_iqr"), spread.iqr().as_secs_f64())
+    }
+
+    /// Adds a [`Timing`]: `k`, then `response_s`, `server_s` and `client_s`
+    /// with their spreads.
+    pub fn with_timing(self, timing: &Timing) -> Row {
+        self.with("k", K_RUNS as f64)
+            .with_spread("response_s", timing.total)
+            .with_spread("server_s", timing.server)
+            .with_spread("client_s", timing.client)
     }
 
     /// Looks up a named value.
@@ -142,8 +241,8 @@ fn json_number(v: f64) -> String {
 /// {
 ///   "experiment": "fig6",
 ///   "meta": {"unix_timestamp": 1754600000, "git_commit": "abc123...", "aes_backend": "aes-ni"},
-///   "scale": {"row_divisor": 1000, "partitions": 64, ...},
-///   "rows": [{"label": "...", "values": {"response_s": 1.25}}]
+///   "scale": {"row_divisor": 1000, "partitions": 64, ..., "local_threads": 1},
+///   "rows": [{"label": "...", "values": {"k": 5, "response_s": 1.25, "response_s_iqr": 0.03, ...}}]
 /// }
 /// ```
 ///
@@ -161,8 +260,8 @@ pub fn rows_to_json(experiment: &str, scale: &Scale, meta: &RunMeta, rows: &[Row
         meta.aes_backend
     ));
     out.push_str(&format!(
-        "  \"scale\": {{\"row_divisor\": {}, \"paillier_row_cap\": {}, \"paillier_bits\": {}, \"partitions\": {}, \"seed\": {}}},\n",
-        scale.row_divisor, scale.paillier_row_cap, scale.paillier_bits, scale.partitions, scale.seed
+        "  \"scale\": {{\"row_divisor\": {}, \"paillier_row_cap\": {}, \"paillier_bits\": {}, \"partitions\": {}, \"seed\": {}, \"local_threads\": {}}},\n",
+        scale.row_divisor, scale.paillier_row_cap, scale.paillier_bits, scale.partitions, scale.seed, LOCAL_THREADS
     ));
     out.push_str("  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -196,4 +295,23 @@ pub fn write_bench_json(
     let path = dir.join(format!("BENCH_{experiment}.json"));
     std::fs::write(&path, rows_to_json(experiment, scale, meta, rows))?;
     Ok(path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_spread_is_the_quartiles_of_its_runs_and_orders_by_median() {
+        let ms = Duration::from_millis;
+        let spread = Spread::of([5, 1, 4, 2, 3].map(ms));
+        assert_eq!((spread.q1, spread.median, spread.q3), (ms(2), ms(3), ms(4)));
+        assert_eq!(spread.iqr(), ms(2));
+        assert_eq!(spread.map(|d| d * 2).iqr(), ms(4));
+        assert!(
+            Spread::of([1, 2, 9].map(ms)) < Spread::of([0, 3, 3].map(ms)),
+            "the median decides"
+        );
+        assert_eq!(Spread::of([]), Spread::default());
+    }
 }

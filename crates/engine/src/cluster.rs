@@ -2,10 +2,11 @@
 //! pool, the caller's thread among them, and the run's wall time is measured.
 //!
 //! The paper's latencies come from a 100-core HDInsight cluster (§6). The
-//! harness models that cluster from task times it measures inside the
-//! closure it hands [`Cluster::run`] (`seabed_bench::baselines::ClusterModel`);
-//! the product reports only what it reads: wall time and, when analyzed,
-//! per-operator profiles.
+//! paper harness times this cluster on one and two local threads and reports
+//! the wall time it measured; only Figure 7's `model` rows cost the paper's
+//! core counts, from that one-thread time
+//! (`seabed_bench::baselines::ClusterModel`). The product reports only what
+//! it reads: wall time and, when analyzed, per-operator profiles.
 
 use crate::exec::{merge_operator_profiles, ExecMode, OperatorProfile};
 use crate::table::{Partition, Table};

@@ -59,7 +59,7 @@ pub fn ope_dataset<R: Rng + ?Sized>(rng: &mut R, rows: usize) -> SyntheticDatase
 /// The row counts (in millions) swept by Figure 6, before scaling.
 pub const FIG6_ROWS_MILLIONS: [u64; 4] = [250, 750, 1250, 1750];
 
-/// The worker counts swept by Figure 7.
+/// The core counts Figure 7's `model` rows sweep.
 pub const FIG7_WORKERS: [usize; 5] = [10, 25, 50, 75, 100];
 
 /// The selectivities swept by Figure 8.
