@@ -10,10 +10,10 @@
 //! server times in the figures; the product reports only what it measured.
 //!
 //! [`ClusterModel::run`] runs a reference pipeline's partition tasks through
-//! the engine's [`Cluster::run`] and times each one inside the closure it
-//! hands the engine ([`StageTimes`]).
+//! the engine's [`Cluster::run`] on one local thread and times each one
+//! inside the closure it hands the engine ([`StageTimes`]).
 
-use seabed_engine::{Cluster, Partition, Table};
+use seabed_engine::{Cluster, ClusterConfig, Partition, Table};
 use std::time::{Duration, Instant};
 
 /// Fixed per-task scheduling/launch overhead (Spark task creation cost; in
@@ -44,15 +44,18 @@ impl ClusterModel {
         ClusterModel { workers }
     }
 
-    /// Runs `task` once per partition on an engine with the default local
-    /// threads and returns the partial results with this model's
-    /// [`StageTimes`] of the measured task times.
+    /// Runs `task` once per partition on one local thread and returns the
+    /// partial results with this model's [`StageTimes`] of the measured task
+    /// times. One thread is the basis the figures time the product on, and
+    /// the one on which summed task times are one core's work: on two
+    /// threads, Paillier's summed task time read up to four times its
+    /// one-thread time.
     pub fn run<R, F>(&self, table: &Table, task: F) -> (Vec<R>, StageTimes)
     where
         R: Send,
         F: Fn(&Partition) -> R + Sync,
     {
-        let (timed, _) = Cluster::default().run(table, |p| {
+        let (timed, _) = Cluster::new(ClusterConfig::default().local_threads(1)).run(table, |p| {
             let started = Instant::now();
             let out = task(p);
             (out, started.elapsed())
