@@ -568,7 +568,7 @@ fn synthetic_table(ds: &SyntheticDataset) -> PlainDataset {
 }
 
 /// Figures 6–8's aggregate at `selectivity`: `WHERE p < k` selects the rows
-/// [`row_selected`] selects at `k / SELECTION_SCALE`.
+/// [`baselines::row_selected`] selects at `k / SELECTION_SCALE`.
 fn selection_sql(selectivity: f64) -> String {
     if selectivity >= 1.0 {
         "SELECT SUM(m) FROM t".to_string()
