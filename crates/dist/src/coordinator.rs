@@ -88,14 +88,22 @@
 //!
 //! # Elastic membership
 //!
-//! [`DistCoordinator::join_worker`] and [`DistCoordinator::leave_worker`]
-//! change the pool under the *same* epoch. Each plans on a copy of the
-//! placement, runs the shard loads the plan needs, and commits the copy only
-//! if they went through — a refused leave changes nothing — and each bumps
-//! the partial cache's fencing epoch, so partials cached under the old
+//! Who is in the cluster is one value, `Members`: the worker pool and the
+//! placement, published behind one mutex as an `Arc` that is only ever
+//! cloned or swapped under it, never held across I/O. A cold scatter takes
+//! the snapshot once and walks on it to the end, re-dispatch loads included;
+//! health reads take one each. [`DistCoordinator::join_worker`] and
+//! [`DistCoordinator::leave_worker`] change the pool under the *same* epoch.
+//! Each plans on a clone, runs the shard loads the plan needs, and publishes
+//! the clone whole once they went through — a refused join or leave unloads
+//! what it loaded and publishes nothing — then unloads the donors, retires
+//! the leaver and fences the partial cache, so partials cached under the old
 //! membership can never answer a later probe. They run one at a time, under
-//! the membership lock: a plan is always made from the last committed one.
-//! Queries never take that lock.
+//! the membership lock, which queries never take: a plan is always made from
+//! the last published membership. A query's promotion publishes an edited
+//! copy in between; a membership change that publishes after it overwrites
+//! it, which costs that shard's next query one more re-dispatch, never an
+//! answer.
 
 use crate::cache::{PartialCache, PartialKey};
 use crate::dispatch::{Action, Ask, Dispatch};
@@ -115,7 +123,7 @@ use seabed_obs::{Counter, Gauge, Histogram, Registry, TraceBuilder};
 use seabed_query::{PlanNode, PlanProfile, TranslatedQuery};
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Configuration of a [`DistCoordinator`].
@@ -359,21 +367,29 @@ struct TableEntry {
     shards: Vec<Table>,
 }
 
+/// Who is in the cluster, as one immutable value: a reader that took it
+/// sees a pool and a placement that were published together.
+#[derive(Clone)]
+struct Members {
+    /// Worker slots. Indices are stable for the coordinator's lifetime:
+    /// joiners append, leavers are retired in place (their link poisoned),
+    /// so replica sets never dangle.
+    pool: Vec<Arc<WorkerLink>>,
+    /// Which workers hold which shard.
+    placement: Placement,
+}
+
 /// The scatter/gather coordinator over N `seabed-net` workers, hosting one
 /// or many encrypted tables on the same worker pool.
 pub struct DistCoordinator {
     tables: Vec<TableEntry>,
-    /// Which workers hold which shard. The one placement lock: held for
-    /// reads and in-place edits only, never across I/O.
-    placement: Mutex<Placement>,
+    /// The published membership. Held only to clone the `Arc` or to swap
+    /// it, never across I/O.
+    members: Mutex<Arc<Members>>,
     /// Taken by `join_worker` and `leave_worker` for their whole run, shard
-    /// loads included, so one never commits a plan made before the other's
-    /// commit. Queries never take it.
+    /// loads included, so one never publishes a plan made before the other's
+    /// publish. Queries never take it.
     membership: Mutex<()>,
-    /// Worker slots. Indices are stable for the coordinator's lifetime:
-    /// joiners append, leavers are retired in place (their link moves to
-    /// `Left`), so replica sets never dangle.
-    workers: RwLock<Vec<Arc<WorkerLink>>>,
     epoch: u64,
     seq: AtomicU64,
     config: DistConfig,
@@ -435,22 +451,19 @@ impl DistCoordinator {
         // two coordinators reading the same clock still get distinct epochs.
         let epoch = fresh_epoch_at(SystemTime::now())?;
 
-        let mut workers = Vec::with_capacity(addrs.len());
+        let mut pool = Vec::with_capacity(addrs.len());
         for addr in addrs {
-            workers.push(Arc::new(connect_worker(addr, epoch, &config)?));
+            pool.push(Arc::new(connect_worker(addr, epoch, &config)?));
         }
-        let placement = Placement::initial(
-            entries.iter().map(|entry| entry.shards.len()),
-            workers.len(),
-            config.replication,
-        );
+        let shards = entries.iter().map(|entry| entry.shards.len());
+        let placement = Placement::initial(shards, pool.len(), config.replication);
+        let members = Arc::new(Members { pool, placement });
 
         let obs = Registry::default();
         let coordinator = DistCoordinator {
             tables: entries,
-            placement: Mutex::new(placement.clone()),
+            members: Mutex::new(members.clone()),
             membership: Mutex::new(()),
-            workers: RwLock::new(workers),
             epoch,
             seq: AtomicU64::new(0),
             last_report: Mutex::new(QueryReport::default()),
@@ -459,8 +472,8 @@ impl DistCoordinator {
             metrics: DistMetrics::new(&obs),
             obs,
         };
-        for (table_id, shard, set) in placement.sets() {
-            coordinator.load_shard(table_id, shard, set)?;
+        for (table_id, shard, set) in members.placement.sets() {
+            coordinator.load_shard(&members, table_id, shard, set)?;
         }
         coordinator.publish_gauges();
         Ok(coordinator)
@@ -488,7 +501,7 @@ impl DistCoordinator {
 
     /// Number of worker slots, including retired ones (indices are stable).
     pub fn num_workers(&self) -> usize {
-        self.pool().len()
+        self.members().pool.len()
     }
 
     /// The shard epoch in force on every worker.
@@ -541,20 +554,16 @@ impl DistCoordinator {
         self
     }
 
-    fn pool(&self) -> RwLockReadGuard<'_, Vec<Arc<WorkerLink>>> {
-        self.workers.read().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn worker(&self, index: usize) -> Result<Arc<WorkerLink>, SeabedError> {
-        link_at(&self.pool(), index).cloned()
+    /// The published membership.
+    fn members(&self) -> Arc<Members> {
+        lock(&self.members).clone()
     }
 
     /// Health and traffic summaries, one per worker slot. Wait-free with
     /// respect to the workers: liveness and byte totals are the values each
     /// link published when its connection was last released.
     pub fn worker_summaries(&self) -> Vec<WorkerSummary> {
-        let pool = self.pool().clone();
-        let placement = lock(&self.placement);
+        let Members { pool, placement } = &*self.members();
         let summary = |(w, link): (usize, &Arc<WorkerLink>)| WorkerSummary {
             label: link.label.clone(),
             alive: link.alive(),
@@ -578,7 +587,7 @@ impl DistCoordinator {
     /// every membership change and cache fence (and the cache-length half
     /// after inserts), so a scrape always sees the post-transition values.
     fn publish_gauges(&self) {
-        let live = self.pool().iter().filter(|link| link.alive()).count();
+        let live = self.members().pool.iter().filter(|link| link.alive()).count();
         self.metrics.live_workers.set(live as u64);
         let len = lock(&self.cache).len();
         self.metrics.partial_cache_len.set(len as u64);
@@ -698,13 +707,11 @@ impl DistCoordinator {
         request: &ExecRequest<'_>,
         missing: &[u32],
     ) -> Result<(usize, Vec<ShardAnswer>, Tally), SeabedError> {
-        let pool = self.pool().clone();
-        let alive = live(&pool);
-        let sets = {
-            let placement = lock(&self.placement);
-            let set = |&shard: &u32| (shard, placement.replicas(table_id, shard).to_vec());
-            missing.iter().map(set).collect()
-        };
+        let members = self.members();
+        let Members { pool, placement } = &*members;
+        let alive = live(pool);
+        let set = |&shard: &u32| (shard, placement.replicas(table_id, shard).to_vec());
+        let sets = missing.iter().map(set).collect();
         let (hedge_after, read_timeout) = (self.config.hedge_after, self.config.read_timeout);
         let hedge = (hedge_after < read_timeout).then_some(hedge_after);
         let mut dispatch = Dispatch::new(table_id, sets, pool.len(), hedge, read_timeout, &alive);
@@ -713,9 +720,9 @@ impl DistCoordinator {
             match dispatch.next(origin.elapsed(), &alive) {
                 Action::Send { shard, worker, ask } => {
                     let load = ask == Ask::Redispatch { load: true };
-                    let loaded = load.then(|| self.load_shard(table_id, shard, &[worker]));
+                    let loaded = load.then(|| self.load_shard(&members, table_id, shard, &[worker]));
                     let sent = loaded.unwrap_or(Ok(())).and_then(|()| {
-                        let mut locked = link_at(&pool, worker)?.lock();
+                        let mut locked = link_at(pool, worker)?.lock();
                         let (seq, query) = self.shard_query(table_id, shard, request)?;
                         locked.send(&query)?;
                         Ok((locked, seq, query))
@@ -764,7 +771,12 @@ impl DistCoordinator {
                 Action::Fence => self.fence_cache(),
                 Action::Promote { shard, worker } => {
                     self.metrics.redispatches.incr();
-                    lock(&self.placement).promote(table_id, shard, worker, &alive);
+                    // In place when no reader holds the published snapshot
+                    // (this walk's own does, so usually a copy), with the
+                    // liveness of the snapshot it replaces.
+                    let mut published = lock(&self.members);
+                    let next = Arc::make_mut(&mut published);
+                    next.placement.promote(table_id, shard, worker, live(&next.pool));
                 }
                 Action::Done(answers) => return Ok((dispatch.lanes, answers, tally)),
                 Action::Fail(err) => return Err(err),
@@ -844,12 +856,12 @@ impl DistCoordinator {
         (finalize_partials(query, merged, stats), runs, merge_time)
     }
 
-    /// Loads shard `shard` of table `table_id` onto each of `workers` in turn
-    /// and verifies every acknowledgement. The frame is encoded once, from
-    /// the retained table where it lies, and the same bytes go to every
-    /// worker named: a replica set costs one encode, not one clone and one
-    /// encode per member.
-    fn load_shard(&self, table_id: u32, shard: u32, workers: &[usize]) -> Result<(), SeabedError> {
+    /// Loads shard `shard` of table `table_id` onto each of `workers` of
+    /// `members` in turn and verifies every acknowledgement. The frame is
+    /// encoded once, from the retained table where it lies, and the same
+    /// bytes go to every worker named: a replica set costs one encode, not
+    /// one clone and one encode per member.
+    fn load_shard(&self, members: &Members, table_id: u32, shard: u32, workers: &[usize]) -> Result<(), SeabedError> {
         let table = &self.tables[table_id as usize].shards[shard as usize];
         let epoch = self.epoch;
         let load = LoadShardRef {
@@ -868,78 +880,88 @@ impl DistCoordinator {
         };
         workers
             .iter()
-            .try_for_each(|&worker| self.worker(worker)?.command(&load, |frame| *frame == ack))
+            .try_for_each(|&worker| link_at(&members.pool, worker)?.command(&load, |frame| *frame == ack))
     }
 
-    /// Asks `worker` to drop its copy of shard `shard` (after a rebalance
-    /// moved the replica elsewhere) and verifies the acknowledgement.
-    fn unload_shard(&self, table_id: u32, shard: u32, worker: usize) -> Result<(), SeabedError> {
+    /// Asks each `(table, shard, worker)` of `members` to drop its copy of the
+    /// shard — a donor after a rebalance moved the replica, or a copy a
+    /// refused change loaded — best effort: a failed unload wastes memory on
+    /// the worker but is otherwise harmless, as no set names it.
+    fn unload_shards(&self, members: &Members, copies: &[(u32, u32, usize)]) {
         let epoch = self.epoch;
-        let link = self.worker(worker)?;
-        let unload = link.encode(&Frame::UnloadShard { epoch, table_id, shard })?;
-        link.command(&unload, |frame| {
-            matches!(frame, Frame::ShardUnloaded { epoch: e, table_id: t, shard: s, .. }
-                if (*e, *t, *s) == (epoch, table_id, shard))
-        })
+        for &(table_id, shard, worker) in copies {
+            let _ = link_at(&members.pool, worker).and_then(|link| {
+                let unload = link.encode(&Frame::UnloadShard { epoch, table_id, shard })?;
+                link.command(&unload, |frame| {
+                    matches!(frame, Frame::ShardUnloaded { epoch: e, table_id: t, shard: s, .. }
+                        if (*e, *t, *s) == (epoch, table_id, shard))
+                })
+            });
+        }
     }
 
-    /// Connects a new worker under this coordinator's epoch, appends it to
-    /// the pool, and rebalances replica slots onto it as `Placement::join`
-    /// plans: every moved shard is loaded onto the joiner, the plan is
-    /// committed, and only then do the donors unload (best effort: a failed
-    /// unload wastes memory on the donor but is otherwise harmless — no set
-    /// names it any more). A failed load fails the join with the placement
-    /// untouched. Returns the joiner's stable worker index.
+    /// Connects a new worker under this coordinator's epoch and rebalances
+    /// replica slots onto it as `Placement::join` plans, on a clone of the
+    /// membership with the joiner appended: every moved shard is loaded onto
+    /// the joiner, the clone is published, and only then do the donors
+    /// unload. A worker already in the pool as a live slot is refused, and
+    /// so is a join whose load fails: its loads are undone, its connection
+    /// dropped, and nothing is published. Returns the joiner's stable worker
+    /// index.
     pub fn join_worker<A: ToSocketAddrs>(&self, addr: A) -> Result<usize, SeabedError> {
         let _membership = lock(&self.membership);
         let link = Arc::new(connect_worker(&addr, self.epoch, &self.config)?);
-        let pool = {
-            let mut workers = self.workers.write().unwrap_or_else(|p| p.into_inner());
-            workers.push(link);
-            workers.clone()
-        };
-        let joiner = pool.len() - 1;
-        let mut planned = lock(&self.placement).clone();
-        let moves = planned.join(joiner, pool.len(), live(&pool));
+        let mut next = Members::clone(&self.members());
+        if next.pool.iter().any(|other| other.alive() && other.label == link.label) {
+            return Err(SeabedError::dist(&link.label, "cannot join: already a live worker"));
+        }
+        next.pool.push(link.clone());
+        let joiner = next.pool.len() - 1;
+        let moves = next.placement.join(joiner, next.pool.len(), live(&next.pool));
+        let mut loaded = Vec::new();
         for &(table, shard, _) in &moves {
-            self.load_shard(table, shard, &[joiner])?;
+            if let Err(err) = self.load_shard(&next, table, shard, &[joiner]) {
+                self.unload_shards(&next, &loaded);
+                return Err(SeabedError::dist(&link.label, format!("cannot join: {err}")));
+            }
+            loaded.push((table, shard, joiner));
         }
-        *lock(&self.placement) = planned;
-        for (table, shard, donor) in moves {
-            let _ = self.unload_shard(table, shard, donor);
-        }
+        let next = Arc::new(next);
+        *lock(&self.members) = next.clone();
+        self.unload_shards(&next, &moves);
         self.fence_cache();
         Ok(joiner)
     }
 
-    /// Retires `worker` from the cluster as `Placement::leave` plans:
-    /// every replica slot it held is re-homed (a fresh copy loaded off the
-    /// critical path), the plan is committed, and its link moves to `Left`;
-    /// until then the leaver keeps serving. If a shard would lose its *last*
-    /// copy the call fails with a typed error, the copies it loaded
-    /// meanwhile are unloaded (best effort), and placement and link state
-    /// are what they were. Leaving twice is an idempotent no-op.
+    /// Retires `worker` from the cluster as `Placement::leave` plans, on a
+    /// clone of the placement: every replica slot it held is re-homed (a
+    /// fresh copy loaded off the critical path), the clone is published with
+    /// the pool, and its link is poisoned; until then the leaver keeps
+    /// serving. If a shard
+    /// would lose its *last* copy the call fails with a typed error, the
+    /// copies it loaded meanwhile are unloaded (best effort), and nothing is
+    /// published. Leaving twice is a no-op: a worker whose link is down and
+    /// that no set names has nothing left to leave.
     pub fn leave_worker(&self, worker: usize) -> Result<(), SeabedError> {
         let _membership = lock(&self.membership);
-        let link = self.worker(worker)?;
-        if link.has_left() {
+        let members = self.members();
+        let link = link_at(&members.pool, worker)?;
+        if !link.alive() && members.placement.shards_of(worker).is_empty() {
             return Ok(());
         }
-        let pool = self.pool().clone();
-        let mut planned = lock(&self.placement).clone();
-        let mut loaded: Vec<(u32, u32, usize)> = Vec::new();
-        let rehomed = planned.leave(worker, pool.len(), live(&pool), |table, shard, to| {
-            self.load_shard(table, shard, &[to])?;
+        let mut placement = members.placement.clone();
+        let mut loaded = Vec::new();
+        let rehomed = placement.leave(worker, members.pool.len(), live(&members.pool), |table, shard, to| {
+            self.load_shard(&members, table, shard, &[to])?;
             loaded.push((table, shard, to));
             Ok::<(), SeabedError>(())
         });
         if let Err(refusal) = rehomed {
-            for (table, shard, to) in loaded {
-                let _ = self.unload_shard(table, shard, to);
-            }
+            self.unload_shards(&members, &loaded);
             return Err(SeabedError::dist(&link.label, format!("cannot leave: {refusal}")));
         }
-        *lock(&self.placement) = planned;
+        let pool = members.pool.clone();
+        *lock(&self.members) = Arc::new(Members { pool, placement });
         link.retire();
         self.fence_cache();
         Ok(())

@@ -673,21 +673,26 @@ mod tests {
         }
     }
 
-    /// The walk decides; it never does I/O, takes a lock or reads a clock.
+    /// The walk and the placement rules decide; they never do I/O, take a
+    /// lock or read a clock.
     #[test]
     fn dispatch_names_no_socket_lock_or_clock() {
-        let source = include_str!("dispatch.rs");
-        let product = &source[..source.find("#[cfg(test)]").expect("a test module")];
-        for name in [
-            "Instant::now",
-            "SystemTime",
-            "Mutex",
-            "RwLock",
-            "WorkerLink",
-            "LockedLink",
-            "FrameConn",
+        for (file, source) in [
+            ("dispatch.rs", include_str!("dispatch.rs")),
+            ("placement.rs", include_str!("placement.rs")),
         ] {
-            assert!(!product.contains(name), "dispatch.rs names `{name}`");
+            let product = &source[..source.find("#[cfg(test)]").expect("a test module")];
+            for name in [
+                "Instant::now",
+                "SystemTime",
+                "Mutex",
+                "RwLock",
+                "WorkerLink",
+                "LockedLink",
+                "FrameConn",
+            ] {
+                assert!(!product.contains(name), "{file} names `{name}`");
+            }
         }
     }
 }

@@ -24,9 +24,11 @@
 //! * `cache` (private) — the statement-keyed partial-result cache and its
 //!   fence; it stores partials, the coordinator counts what happens to them.
 //! * `placement` (private) — *who holds shard s*: the table → shard →
-//!   replica-set value and every rule that reads or edits it, socket-free.
+//!   replica-set value and every rule that reads or edits it, socket-, lock-
+//!   and clock-free. The coordinator publishes it with the worker pool as
+//!   one snapshot, which a query reads once.
 //! * `link` (private) — *is worker w alive*: a worker connection (the only
-//!   file that names the socket type), its forward-only state, the exchange.
+//!   file that names the socket type), live or poisoned, the exchange.
 //! * `dispatch` (private) — *what does this query ask next*: one walk per
 //!   shard — primary, hedges, re-dispatches — as a socket-, lock- and
 //!   clock-free value the coordinator's shell drives.
@@ -38,7 +40,8 @@
 //! [`seabed_error::SeabedError::Dist`] rather than hanging; workers can
 //! [join](coordinator::DistCoordinator::join_worker) or
 //! [leave](coordinator::DistCoordinator::leave_worker) a live cluster, each
-//! change fencing the partial cache.
+//! change published whole once its loads went through, or not at all, and
+//! fencing the partial cache.
 //!
 //! The trust model is unchanged from `seabed-net`: workers are untrusted and
 //! only ever see ciphertexts, deterministic tags and ORE symbols; all keys
@@ -61,7 +64,7 @@ pub use worker::spawn_worker;
 
 /// Locks `mutex`, taking the guard over from a holder that panicked: every
 /// critical section in this crate leaves its data valid at each step (a set
-/// edit, a cache insert, a report or placement stored whole; a connection
+/// edit, a cache insert, a report or membership stored whole; a connection
 /// carries its own poison flag), so there is nothing a panic could tear.
 fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|p| p.into_inner())

@@ -7,16 +7,14 @@
 //! state to atomics as that lock is released ([`LockedLink`]'s drop). Health
 //! reads (`alive()`, the worker summaries, the live-workers gauge, every
 //! placement rule's liveness predicate) read the atomics and never queue
-//! behind an exchange. The state only moves forward, `Live → Poisoned →
-//! Left` (or straight `Live → Left`):
-//!
-//! * `→ Poisoned`, by the guard that saw it: an exchange broke, or a reply
-//!   failed the coordinator's shape check. The connection is kept, not
-//!   dropped: it refuses all traffic while the summary still reports the
-//!   bytes it really shipped.
-//! * `→ Left`, by [`WorkerLink::retire`]: `leave_worker` committed the
-//!   leaver's re-homing. Nothing moves a link back; a worker that returns
-//!   does so through `join_worker`, as a new slot.
+//! behind an exchange. A link is live or poisoned, and only moves `Live →
+//! Poisoned`, by the guard that saw it: an exchange broke, a reply failed
+//! the coordinator's shape check, or [`WorkerLink::retire`] shut it for a
+//! leave. The connection is kept, not dropped: it refuses all traffic while
+//! the summary still reports the bytes it really shipped. Nothing moves a
+//! link back; a worker that returns does so through `join_worker`, as a new
+//! slot. Whether a worker *left* is the coordinator's to tell, from its
+//! published membership: its link is down and no replica set names it.
 //!
 //! A link sends **bytes**: [`WorkerLink::encode`] (or, for a shard load or a
 //! shard query, the coordinator's borrowed encoders) makes the frame,
@@ -37,19 +35,9 @@ use seabed_error::SeabedError;
 use seabed_net::wire::{self, Frame};
 use seabed_net::FrameConn;
 use std::net::ToSocketAddrs;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Where a link stands; the discriminant order is the only direction it
-/// moves.
-#[derive(Clone, Copy)]
-#[repr(u8)]
-enum LinkState {
-    Live,
-    Poisoned,
-    Left,
-}
 
 /// What one query did on the links it used: filled by [`LockedLink::receive`]
 /// and the coordinator's scatter for that query alone, and reported as its
@@ -74,9 +62,9 @@ pub(crate) struct WorkerLink {
     epoch: u64,
     max_frame_len: u32,
     read_timeout: Duration,
-    /// A [`LinkState`], advanced with `fetch_max` and read with `Acquire`:
-    /// whoever sees a link past `Live` also sees it refuse traffic.
-    state: AtomicU8,
+    /// Set with `Release` and read with `Acquire`: whoever sees a link
+    /// poisoned also sees it refuse traffic.
+    poisoned: AtomicBool,
     /// Shard queries answered by this worker.
     pub(crate) queries: AtomicU64,
     /// The connection's byte totals as of the last released guard: with no
@@ -86,8 +74,8 @@ pub(crate) struct WorkerLink {
 }
 
 /// A [`WorkerLink`] with its connection lock held. Dropping it publishes the
-/// connection's byte totals and, if the connection broke meanwhile, moves
-/// the link to `Poisoned`.
+/// connection's byte totals and, if the connection broke meanwhile, marks
+/// the link poisoned.
 pub(crate) struct LockedLink<'a> {
     link: &'a WorkerLink,
     conn: MutexGuard<'a, FrameConn>,
@@ -99,7 +87,7 @@ impl Drop for LockedLink<'_> {
         self.link.bytes_sent.store(totals.bytes_sent, Ordering::Relaxed);
         self.link.bytes_received.store(totals.bytes_received, Ordering::Relaxed);
         if self.conn.is_poisoned() {
-            self.link.advance(LinkState::Poisoned);
+            self.link.poisoned.store(true, Ordering::Release);
         }
     }
 }
@@ -115,18 +103,9 @@ impl WorkerLink {
         }
     }
 
-    fn advance(&self, to: LinkState) {
-        self.state.fetch_max(to as u8, Ordering::AcqRel);
-    }
-
-    /// True while the link is `Live`. Wait-free.
+    /// True until the link is poisoned. Wait-free.
     pub(crate) fn alive(&self) -> bool {
-        self.state.load(Ordering::Acquire) == LinkState::Live as u8
-    }
-
-    /// True once the worker left the cluster. Wait-free.
-    pub(crate) fn has_left(&self) -> bool {
-        self.state.load(Ordering::Acquire) == LinkState::Left as u8
+        !self.poisoned.load(Ordering::Acquire)
     }
 
     /// Encodes `frame` under this link's frame limit. One too large is a
@@ -148,12 +127,11 @@ impl WorkerLink {
         ack.map(|_| ())
     }
 
-    /// Shuts the connection and moves the link to `Left`, for good.
+    /// Shuts the connection for good: the worker left the cluster.
     pub(crate) fn retire(&self) {
         let _ = self
             .lock()
             .poison(SeabedError::dist(&self.label, "worker left the cluster"));
-        self.advance(LinkState::Left);
     }
 }
 
@@ -238,7 +216,7 @@ pub(crate) fn connect_worker<A: ToSocketAddrs>(
         epoch,
         max_frame_len: config.max_frame_len,
         read_timeout: config.read_timeout,
-        state: AtomicU8::new(LinkState::Live as u8),
+        poisoned: AtomicBool::new(false),
         queries: AtomicU64::new(0),
         bytes_sent: AtomicU64::new(0),
         bytes_received: AtomicU64::new(0),
@@ -353,7 +331,7 @@ mod tests {
     /// The published totals are the connection's own once a guard is
     /// released, a health read never takes the connection lock, the caller's
     /// tally (and nothing shared) counts a drained partial, and the state
-    /// moves `Live → Poisoned → Left` and never back.
+    /// moves `Live → Poisoned` and never back.
     #[test]
     fn a_link_publishes_on_release_and_only_moves_forward() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -374,7 +352,7 @@ mod tests {
         // With the connection lock held by this very thread, a health read
         // that took it would never return.
         let held = link.lock();
-        assert!(link.alive() && !link.has_left());
+        assert!(link.alive());
         assert_eq!(link.bytes_sent.load(Ordering::Relaxed), after_handshake.bytes_sent);
         drop(held);
 
@@ -388,13 +366,13 @@ mod tests {
         // saw it publishes `Poisoned` as it is released.
         peer.join().expect("peer");
         assert!(unload(&link, &mut tally).is_err());
-        assert!(!link.alive() && !link.has_left());
+        assert!(!link.alive());
         published_equals_the_connection(&link);
 
         link.retire();
-        assert!(link.has_left() && !link.alive());
-        // Another broken guard release does not pull it back to `Poisoned`.
+        assert!(!link.alive());
+        // Another broken guard release does not pull it back to `Live`.
         assert!(unload(&link, &mut tally).is_err());
-        assert!(link.has_left());
+        assert!(!link.alive());
     }
 }

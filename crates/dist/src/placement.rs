@@ -6,14 +6,11 @@
 //! leave / promote / death sequences. Liveness comes in as a predicate over
 //! worker indices ([`crate::link::live`], which is wait-free).
 //!
-//! The coordinator keeps one `Placement` behind one mutex that is never held
-//! across I/O: queries read it, [`Placement::promote`] edits it in place,
-//! and a join or a leave — whose shard loads *are* I/O — is planned on a
-//! copy and committed by storing the copy back once the loads went through.
-//! Joins and leaves run one at a time under the coordinator's membership
-//! lock, so an edit between the copy and the commit can only be a query's
-//! `promote`; it is overwritten, which costs that shard's next query one more
-//! re-dispatch, never an answer.
+//! The coordinator publishes a `Placement` together with its worker pool, as
+//! one immutable snapshot that a query reads once. A query's
+//! [`Placement::promote`] publishes an edited copy; a join or a leave — whose
+//! shard loads *are* I/O — plans on a copy and publishes it once the loads
+//! went through, and publishes nothing if they did not.
 
 use seabed_engine::Table;
 use std::cmp::Reverse;
@@ -94,7 +91,7 @@ impl Placement {
     /// workers onto `joiner` until it carries its fair share (⌊total slots /
     /// live workers⌋, at least one) or no eligible donor remains. Edits the
     /// sets and returns the moves in order as `(table, shard, donor)`, for
-    /// the caller to load onto the joiner before committing and unload from
+    /// the caller to load onto the joiner before publishing and unload from
     /// the donors after. A move swaps the donor out of its set in place —
     /// the joiner inherits the donor's rank, so it takes query load and not
     /// just memory — and only ever touches a set that lacks the joiner:

@@ -309,3 +309,194 @@ fn a_join_and_a_leave_never_overwrite_each_others_plan() {
         w.shutdown();
     }
 }
+
+/// What a fake joiner was asked to load and to unload, as (table, shard).
+#[derive(Debug, Default)]
+struct JoinerLog {
+    loaded: Vec<(u32, u32)>,
+    unloaded: Vec<(u32, u32)>,
+}
+
+/// A fake joiner that acknowledges its first shard load and refuses every
+/// later one with a well-framed error, acknowledging every unload. It serves
+/// one coordinator connection, until the coordinator hangs up, and hands
+/// back what it was asked.
+fn refusing_joiner() -> (SocketAddr, std::thread::JoinHandle<JoinerLog>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let handle = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut conn = FrameConn::from_stream(stream, Duration::from_secs(10)).expect("wrap");
+        let max = wire::DEFAULT_MAX_FRAME_LEN;
+        let mut log = JoinerLog::default();
+        let never = AtomicBool::new(false);
+        let wait = || Wait::Serve {
+            stop: &never,
+            budget: Duration::from_secs(10),
+        };
+        while let Ok(Received::Frame(frame)) = conn.recv(max, wait()) {
+            let reply = match frame {
+                Frame::WorkerHandshake { epoch } => Frame::WorkerReady { epoch, shards: 0 },
+                Frame::LoadShard {
+                    epoch,
+                    table_id,
+                    shard,
+                    table,
+                    ..
+                } if log.loaded.is_empty() => {
+                    log.loaded.push((table_id, shard));
+                    let rows = table.num_rows() as u64;
+                    Frame::ShardLoaded {
+                        epoch,
+                        table_id,
+                        shard,
+                        rows,
+                    }
+                }
+                Frame::LoadShard { .. } => Frame::Error(SeabedError::dist("joiner", "load refused")),
+                Frame::UnloadShard { epoch, table_id, shard } => {
+                    log.unloaded.push((table_id, shard));
+                    Frame::ShardUnloaded {
+                        epoch,
+                        table_id,
+                        shard,
+                        remaining: 0,
+                    }
+                }
+                other => panic!("the joiner was not asked for {other:?}"),
+            };
+            conn.send(&reply, max).expect("reply");
+        }
+        log
+    });
+    (addr, handle)
+}
+
+/// Regression: a join appended its joiner to the pool before its shard
+/// loads, so a refused load left a live slot that held no shard — the next
+/// join got the slot after it — and the shard it had already loaded stayed
+/// loaded. A failed join now undoes its loads, drops the connection and
+/// publishes nothing.
+#[test]
+fn a_failed_join_leaves_the_membership_as_it_was() {
+    let workers: Vec<_> = (0..3)
+        .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker"))
+        .collect();
+    let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.local_addr()).collect();
+    // Three shards at R = 3 over three workers: nine slots, so a fourth
+    // worker is due two of them, and the second load is refused.
+    let table = vec![("t".into(), test_table(900, 3))];
+    let config = DistConfig::default().replication(3);
+    let coordinator = DistCoordinator::connect_tables(&addrs, table, config).expect("connect");
+    let before = format!("{:?}", coordinator.worker_summaries());
+    let (joiner, fake) = refusing_joiner();
+
+    let outcome = coordinator.join_worker(joiner);
+    assert!(matches!(outcome, Err(SeabedError::Dist { .. })), "{outcome:?}");
+    assert_eq!(coordinator.num_workers(), 3);
+    let summaries = coordinator.worker_summaries();
+    assert_eq!(format!("{summaries:?}"), before, "a failed join changed the membership");
+    let live = summaries.iter().filter(|w| w.alive).count() as u64;
+    let gauge = coordinator.registry().snapshot().gauge("dist_live_workers");
+    assert_eq!(gauge, Some(live));
+
+    // The connection is dropped, so the fake's loop ends.
+    let log = fake.join().expect("fake joiner");
+    assert_eq!(log.loaded.len(), 1, "{log:?}");
+    assert_eq!(
+        log.unloaded, log.loaded,
+        "the accepted shard was never unloaded: {log:?}"
+    );
+    for w in workers {
+        w.shutdown();
+    }
+}
+
+/// Regression: joining a worker that was already a live slot succeeded, the
+/// new slot took shards from donors that were the same process, and the
+/// donors' unloads dropped that process's only copy, so the next query
+/// re-dispatched. Such a join is now refused, naming the address.
+#[test]
+fn a_live_worker_cannot_join_twice() {
+    let table = test_table(900, 3);
+    let query = sum_query(false);
+    let expected = local_answer(&table, &query);
+    let workers: Vec<_> = (0..3)
+        .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker"))
+        .collect();
+    let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.local_addr()).collect();
+    let coordinator =
+        DistCoordinator::connect_tables(&addrs, vec![("t".into(), table)], DistConfig::default()).expect("connect");
+    let before = format!("{:?}", coordinator.worker_summaries());
+
+    match coordinator.join_worker(addrs[0]) {
+        Err(SeabedError::Dist { worker, .. }) => assert_eq!(worker, addrs[0].to_string()),
+        other => panic!("a second join of a live worker went through: {other:?}"),
+    }
+    assert_eq!(format!("{:?}", coordinator.worker_summaries()), before);
+
+    let response = coordinator.execute_query(&query, &[]).expect("query");
+    assert_eq!(expected.groups, response.groups);
+    let report = coordinator.last_report();
+    assert!(
+        report.runs.iter().all(|run| !run.redispatched),
+        "a shard lost its copy: {report:?}"
+    );
+    for w in workers {
+        w.shutdown();
+    }
+}
+
+/// The membership lock is the only one a join holds across its loads:
+/// while a joiner holds back its first load, a query answers and the health
+/// read returns, each well within the joiner's patience.
+#[test]
+fn a_membership_change_never_stalls_queries_or_health_reads() {
+    let table = test_table(800, 2);
+    let query = sum_query(true);
+    let expected = local_answer(&table, &query);
+    let workers: Vec<_> = (0..4)
+        .map(|_| spawn_worker("127.0.0.1:0", ServiceConfig::default()).expect("worker"))
+        .collect();
+    let addrs: Vec<SocketAddr> = workers.iter().map(|w| w.local_addr()).collect();
+    let coordinator =
+        DistCoordinator::connect_tables(&addrs, vec![("t".into(), table)], DistConfig::default()).expect("connect");
+    let (loading, release) = (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+    let (joiner, fake) = held_back_joiner(loading.clone(), release.clone());
+
+    std::thread::scope(|scope| {
+        let join = scope.spawn(|| coordinator.join_worker(joiner));
+        let patience = Instant::now() + Duration::from_secs(10);
+        while !loading.load(Ordering::SeqCst) {
+            assert!(
+                Instant::now() < patience,
+                "the join never loaded a shard onto the joiner"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let started = Instant::now();
+        let response = coordinator.execute_query(&query, &[]).expect("query during a join");
+        assert!(
+            started.elapsed() < Duration::from_millis(500),
+            "{:?}",
+            started.elapsed()
+        );
+        assert_eq!(expected.groups, response.groups);
+        assert_eq!(expected.result_bytes(), response.result_bytes());
+        let started = Instant::now();
+        assert_eq!(coordinator.worker_summaries().len(), 4);
+        assert!(
+            started.elapsed() < Duration::from_millis(500),
+            "{:?}",
+            started.elapsed()
+        );
+        release.store(true, Ordering::SeqCst);
+        assert_eq!(join.join().expect("join thread").expect("join"), 4);
+    });
+
+    drop(coordinator);
+    fake.join().expect("fake joiner");
+    for w in workers {
+        w.shutdown();
+    }
+}
