@@ -219,14 +219,10 @@ pub fn exp_table2() -> Vec<(String, String)> {
     .map(|s| parse(s).unwrap())
     .collect();
     let plan = seabed_query::plan_schema(&columns, &samples, &PlannerConfig::default());
-    let options = TranslateOptions {
-        workers: 100,
-        expected_groups: Some(10),
-    };
     samples
         .iter()
         .map(|q| {
-            let translated = seabed_query::translate(q, &plan, &options).unwrap();
+            let translated = seabed_query::translate(q, &plan, &TranslateOptions).unwrap();
             (q.to_sql(), translated.describe())
         })
         .collect()
@@ -849,8 +845,9 @@ pub fn exp_fig8c(scale: &Scale) -> Vec<Row> {
 // Figure 9a: group-by microbenchmark
 // ---------------------------------------------------------------------------
 
-/// Figure 9a: group-by latency vs number of groups for NoEnc, Seabed,
-/// Seabed-optimized (group inflation) and Paillier.
+/// Figure 9a: group-by latency vs number of groups for NoEnc, Seabed and
+/// Paillier. The paper's optimized Seabed line (group inflation, §4.5) has
+/// no counterpart: no stage of the product splits work by group.
 pub fn exp_fig9a(scale: &Scale) -> Vec<Row> {
     let mut rng = scale.rng();
     let rows = scale.rows(1750) / 2;
@@ -860,18 +857,12 @@ pub fn exp_fig9a(scale: &Scale) -> Vec<Row> {
     for &groups in &synthetic::FIG9A_GROUPS {
         let groups = groups.min(rows as u64 / 2);
         let ds = synthetic::group_by_dataset(&mut rng, rows, groups);
-        let mut served = Served::synthetic(&ds, &[sql], scale, &mut rng);
+        let served = Served::synthetic(&ds, &[sql], scale, &mut rng);
         let (seabed, twin) = served.measure(sql, &[]);
-        // Seabed-optimized: the proxy expects `groups` groups, so fewer groups
-        // than workers are inflated to the worker count (§4.4).
-        served.seabed.client.translate_options.expected_groups = Some(groups as usize);
-        let optimized = measure(&served.seabed.session(&served.table), sql, &[]).expect("inflated group-by answers");
-        assert_same_answer(sql, &optimized.rows, &twin.rows);
         let paillier = paillier_timing(&ds.values, ds.groups.as_deref(), keypair.clone(), scale, &mut rng);
         for (system, timing) in [
             ("NoEnc", twin.timing),
             ("Seabed", seabed.timing),
-            ("Seabed-optimized", optimized.timing),
             ("Paillier", paillier),
         ] {
             out.push(Row::new(format!("{system} groups={groups}")).with_timing(&timing));
@@ -1149,13 +1140,13 @@ mod tests {
             assert_eq!(row.value("k"), Some(K_RUNS as f64), "{}", row.label);
             assert!(row.value("response_s_iqr").is_some(), "{}", row.label);
         }
-        let systems: Vec<&str> = figures[2]
+        let mut systems: Vec<&str> = figures[2]
             .iter()
             .filter_map(|r| r.label.split(" groups=").next())
             .collect();
-        for system in ["NoEnc", "Seabed", "Seabed-optimized", "Paillier"] {
-            assert!(systems.contains(&system), "Figure 9(a) has no {system} row");
-        }
+        systems.sort_unstable();
+        systems.dedup();
+        assert_eq!(systems, ["NoEnc", "Paillier", "Seabed"], "Figure 9(a)'s systems");
     }
 
     #[test]

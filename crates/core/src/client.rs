@@ -21,29 +21,23 @@
 //! This is the file that holds the keys, so it only *decrypts*: how a `SELECT`
 //! list expands into server aggregates and collapses back into a result row is
 //! `seabed_query::translate`'s business, in both directions.
-//! [`SeabedClient::decrypt_response`] is three passes over a response:
-//!
-//! 1. **resolve** — each plan aggregate once per response: the kind of answer
-//!    the plan asked for and, borrowed from the schemes the proxy built with
-//!    its plan, the ASHE scheme that opens it;
-//! 2. **decode + fold** — each group's aggregates are checked against the
-//!    plan and its ID list — one per group, whatever the number of sums over
-//!    it — decoded exactly once; under group inflation the sub-groups of a
-//!    group are folded here, before anything is decrypted: their ID sets
-//!    united (which restores the runs telescoping needs), ASHE sums by adding
-//!    words, counts by adding, MIN/MAX by decrypting each candidate and
-//!    comparing plaintexts;
-//! 3. **finish** — one decryption per folded sum (all the sums of a group
-//!    over its one ID set), DET group keys through the dictionary, the
-//!    decrypted words through [`TranslatedQuery::finish_aggregates`].
+//! [`SeabedClient::decrypt_response`] resolves each plan aggregate once per
+//! response — the kind of answer the plan asked for and, borrowed from the
+//! schemes the proxy built with its plan, the ASHE scheme that opens it —
+//! and then turns each response group into one result row: its aggregates
+//! checked against the plan, its ID list — one per group, whatever the
+//! number of sums over it — decoded exactly once, one decryption per sum
+//! (all the sums of a group over its one ID set), DET group keys through the
+//! dictionary, and the decrypted words through
+//! [`TranslatedQuery::finish_aggregates`].
 //!
 //! Every fallible step returns [`SeabedError`] and the path is panic-free:
-//! the server is untrusted, so the second pass refuses — as a typed error,
-//! never a crash of the trusted proxy — a group whose key has the wrong
-//! number of words (one per group-by column, plus the inflation suffix), a
-//! group with more or fewer aggregates than the plan, an aggregate of another
-//! kind than the plan asked for at that position, a masked sum in a group
-//! without an ID list, and an undecodable ID list.
+//! the server is untrusted, so the proxy refuses — as a typed error, never a
+//! crash of the trusted proxy — a group whose key has the wrong number of
+//! words (one per group-by column), a group with more or fewer aggregates
+//! than the plan, an aggregate of another kind than the plan asked for at
+//! that position, a masked sum in a group without an ID list, and an
+//! undecodable ID list.
 
 use crate::dataset::PlainDataset;
 use crate::encrypt::{EncryptedTable, Layout};
@@ -107,7 +101,7 @@ pub struct SeabedClient {
     plan: SchemaPlan,
     det_dictionary: Arc<HashMap<String, HashMap<u64, String>>>,
     pub(crate) layout: Arc<Layout>,
-    /// Translation options (worker count for group inflation, expected groups).
+    /// Translation options; there are none (see [`TranslateOptions`]).
     pub translate_options: TranslateOptions,
 }
 
@@ -128,7 +122,7 @@ impl SeabedClient {
             plan,
             det_dictionary: Arc::default(),
             layout,
-            translate_options: TranslateOptions::default(),
+            translate_options: TranslateOptions,
         }
     }
 
@@ -230,9 +224,9 @@ impl SeabedClient {
         })
     }
 
-    /// Decrypts a server response into the rows of the original `SELECT` —
-    /// the three passes of the [module docs](self). Public so benchmarks can
-    /// time it separately from execution.
+    /// Decrypts a server response into the rows of the original `SELECT`, one
+    /// row per response group, as the [module docs](self) describe. Public
+    /// so benchmarks can time it separately from execution.
     ///
     /// `translated` alone says how: its aggregates name what to decrypt, its
     /// post steps how the decrypted words become result values (`_query` is
@@ -252,69 +246,43 @@ impl SeabedClient {
         let started = Instant::now();
         let mut prf_evals = 0usize;
 
-        // Pass 1 — resolve: each plan aggregate to the scheme that opens it.
+        // Each plan aggregate, resolved once to the scheme that opens it.
         let plan: Vec<Opener<'_>> = translated.aggregates.iter().map(|agg| self.opener(agg)).collect();
-
-        // Pass 2 — decode + fold. Inflation is decided here and only here:
-        // the server appended a suffix word to every group key, and the
-        // sub-groups that agree on the rest of the key are one group.
-        let inflated = translated.group_inflation > 1;
-        let key_words = translated.group_by.len() + usize::from(inflated);
+        let key_words = translated.group_by.len();
         let unmasks = plan
             .iter()
             .any(|opener| matches!(opener.answer, Answer::Sum) && opener.scheme.is_some());
-        let mut groups: Vec<(Vec<u64>, AsheCiphertext, Vec<Folded>)> = Vec::with_capacity(response.groups.len());
-        let mut slot_of: HashMap<Vec<u64>, usize> = HashMap::new();
+
+        // Each response group is one result row.
+        let mut rows = Vec::with_capacity(response.groups.len());
+        let mut words = Vec::with_capacity(plan.len());
         for group in response.groups {
-            let mut key = group.key;
-            if key.len() != key_words || group.aggregates.len() != plan.len() {
+            if group.key.len() != key_words || group.aggregates.len() != plan.len() {
                 return Err(SeabedError::engine(format!(
                     "server returned a group with {} key words and {} aggregates where the plan has {key_words} and \
                      {}: response does not match the plan",
-                    key.len(),
+                    group.key.len(),
                     group.aggregates.len(),
                     plan.len()
                 )));
             }
-            let slot = if inflated {
-                key.pop();
-                *slot_of.entry(key.clone()).or_insert(groups.len())
-            } else {
-                groups.len()
-            };
-            if slot == groups.len() {
-                groups.push((
-                    key,
-                    AsheCiphertext::zero(),
-                    plan.iter().map(Opener::nothing_yet).collect(),
-                ));
-            }
-            let (_, selected, folded) = &mut groups[slot];
             // The group's ID list, decoded once for all the sums over it — and
             // not at all when no sum of the plan has a mask to remove.
+            let mut selected = AsheCiphertext::zero();
             if unmasks {
                 let ids = group.ids.ok_or_else(|| {
                     SeabedError::engine("server returned a group without the ID list its sums are masked under")
                 })?;
-                let decoded = IdSet::decode(&ids.id_list, ids.encoding)
+                selected.ids = IdSet::decode(&ids.id_list, ids.encoding)
                     .ok_or_else(|| SeabedError::encoding("undecodable ID list in a response group"))?;
-                selected.ids.merge(decoded);
             }
+            words.clear();
             let asked = translated.aggregates.iter().zip(&plan);
-            for (((asked, opener), into), aggregate) in asked.zip(folded).zip(group.aggregates) {
-                opener.fold(asked, into, aggregate, &mut prf_evals)?;
+            for ((asked, opener), aggregate) in asked.zip(group.aggregates) {
+                words.push(opener.open(asked, aggregate, &mut selected, &mut prf_evals)?);
             }
-        }
-        if inflated {
-            groups.sort_by(|a, b| a.0.cmp(&b.0));
-        }
-
-        // Pass 3 — finish: group keys, then the SELECT list's values.
-        let mut rows = Vec::with_capacity(groups.len());
-        let mut words = Vec::with_capacity(plan.len());
-        for (key, mut selected, folded) in groups {
-            let mut row: Vec<ResultValue> = Vec::with_capacity(key.len() + folded.len());
-            for (group_col, raw) in translated.group_by.iter().zip(key) {
+            let mut row: Vec<ResultValue> = Vec::with_capacity(key_words + words.len());
+            for (group_col, raw) in translated.group_by.iter().zip(group.key) {
                 // Encrypted keys are decrypted via the DET dictionary.
                 row.push(if group_col.encrypted {
                     let text = self
@@ -328,12 +296,6 @@ impl SeabedClient {
                     ResultValue::UInt(raw)
                 });
             }
-            words.clear();
-            words.extend(
-                plan.iter()
-                    .zip(folded)
-                    .map(|(opener, folded)| opener.open(folded, &mut selected, &mut prf_evals)),
-            );
             translated.finish_aggregates(&words, &mut row)?;
             rows.push(row);
         }
@@ -356,7 +318,7 @@ impl SeabedClient {
         let (answer, scheme) = match aggregate.input() {
             AggregateInput::Words(column) => (Answer::Sum, scheme(column)),
             AggregateInput::RowIds => (Answer::Count, None),
-            AggregateInput::Extreme { value, want_max, .. } => (Answer::Extreme { want_max }, scheme(&value)),
+            AggregateInput::Extreme { value, .. } => (Answer::Extreme, scheme(&value)),
         };
         Opener { answer, scheme }
     }
@@ -374,18 +336,7 @@ struct Opener<'a> {
 enum Answer {
     Sum,
     Count,
-    Extreme { want_max: bool },
-}
-
-/// One aggregate of one result group while its (sub-)groups are folded.
-enum Folded {
-    /// Still masked: the words added up (the rows whose masks they carry are
-    /// the group's).
-    Sum(u64),
-    /// Rows counted so far.
-    Count(u64),
-    /// The best plaintext candidate so far; `None` while no row matched.
-    Extreme(Option<u64>),
+    Extreme,
 }
 
 /// Removes from `masked.value` the masks of the rows in `masked.ids`,
@@ -399,75 +350,41 @@ fn unmask(scheme: Option<&AsheScheme>, masked: &AsheCiphertext, prf_evals: &mut 
 }
 
 impl Opener<'_> {
-    /// The fold's identity: a group no sub-group has contributed to yet.
-    fn nothing_yet(&self) -> Folded {
-        match self.answer {
-            Answer::Sum => Folded::Sum(0),
-            Answer::Count => Folded::Count(0),
-            Answer::Extreme { .. } => Folded::Extreme(None),
-        }
-    }
-
-    /// Folds one aggregate of the response — the server's answer to the plan
-    /// aggregate `asked` — into `into`: the only place an answer's kind is held
-    /// against the plan's.
-    fn fold(
+    /// The decrypted word of one aggregate of the response — the server's
+    /// answer to the plan aggregate `asked` — and the only place an answer's
+    /// kind is held against the plan's. `selected` holds the group's ID set,
+    /// as a ciphertext whose word is swapped in per sum: the sums of a group
+    /// share the set without copying it. A MIN/MAX winner is unmasked under
+    /// its own row; an empty selection answers zero.
+    fn open(
         &self,
         asked: &ServerAggregate,
-        into: &mut Folded,
         aggregate: EncryptedAggregate,
+        selected: &mut AsheCiphertext,
         prf_evals: &mut usize,
-    ) -> Result<(), SeabedError> {
-        match (&self.answer, into, aggregate) {
-            (Answer::Sum, Folded::Sum(value), EncryptedAggregate::AsheSum { value: word }) => {
-                *value = value.wrapping_add(word);
+    ) -> Result<u64, SeabedError> {
+        Ok(match (&self.answer, aggregate) {
+            (Answer::Sum, EncryptedAggregate::AsheSum { value }) => {
+                selected.value = value;
+                unmask(self.scheme, selected, prf_evals)
             }
-            (Answer::Count, Folded::Count(rows), EncryptedAggregate::Count { rows: more }) => {
-                *rows = rows.wrapping_add(more);
-            }
-            (
-                Answer::Extreme { want_max },
-                Folded::Extreme(best),
-                EncryptedAggregate::Extreme { value_word, row_id },
-            ) => {
-                // An ORE ciphertext only compares, so the server cannot rank
-                // winners of different sub-groups for us: each candidate is
-                // decrypted and the plaintexts compared.
-                if let Some(id) = row_id {
+            (Answer::Count, EncryptedAggregate::Count { rows }) => rows,
+            (Answer::Extreme, EncryptedAggregate::Extreme { value_word, row_id }) => match row_id {
+                Some(id) => {
                     let row = AsheCiphertext {
                         value: value_word,
                         ids: IdSet::single(id),
                     };
-                    let candidate = unmask(self.scheme, &row, prf_evals);
-                    *best = Some(match *best {
-                        Some(best) if *want_max => best.max(candidate),
-                        Some(best) => best.min(candidate),
-                        None => candidate,
-                    });
+                    unmask(self.scheme, &row, prf_evals)
                 }
-            }
+                None => 0,
+            },
             _ => {
                 return Err(SeabedError::engine(format!(
                     "the server answered {asked:?} with an aggregate of another kind: response does not match the plan"
                 )))
             }
-        }
-        Ok(())
-    }
-
-    /// The decrypted word of a completely folded aggregate (zero over an
-    /// empty selection). `selected` holds the group's ID set, as a ciphertext
-    /// whose word is swapped in per sum: the sums of a group share the set
-    /// without copying it.
-    fn open(&self, folded: Folded, selected: &mut AsheCiphertext, prf_evals: &mut usize) -> u64 {
-        match folded {
-            Folded::Sum(value) => {
-                selected.value = value;
-                unmask(self.scheme, selected, prf_evals)
-            }
-            Folded::Count(rows) => rows,
-            Folded::Extreme(best) => best.unwrap_or(0),
-        }
+        })
     }
 }
 
@@ -668,89 +585,6 @@ mod tests {
             vec![EncryptedAggregate::AsheSum { value: 7 }],
             "without the ID list",
         );
-        Ok(())
-    }
-
-    #[test]
-    fn inflated_groups_with_mismatched_aggregate_counts_are_rejected() -> Result<(), SeabedError> {
-        use crate::server::{GroupIds, GroupResult};
-        let (mut client, server, _) = build_system()?;
-        client.translate_options.expected_groups = Some(1);
-        let prepared = SeabedSession::single("sales", client.clone(), &server)
-            .prepare("SELECT dept, SUM(revenue) FROM sales GROUP BY dept")?;
-        let (query, translated) = (prepared.query(), prepared.translated());
-        assert!(translated.group_inflation > 1, "fixture should inflate groups");
-        let no_rows = || {
-            Some(GroupIds {
-                id_list: Vec::new(),
-                encoding: seabed_encoding::IdListEncoding::RangesVbDiff,
-            })
-        };
-        // Two inflated shards of the same logical group, one shipping a
-        // truncated aggregate list: must error, not silently drop data.
-        let forged = ServerResponse {
-            groups: vec![
-                GroupResult {
-                    key: vec![5, 0],
-                    ids: no_rows(),
-                    aggregates: vec![EncryptedAggregate::AsheSum { value: 1 }],
-                },
-                GroupResult {
-                    key: vec![5, 1],
-                    ids: no_rows(),
-                    aggregates: vec![],
-                },
-            ],
-            stats: ExecStats::default(),
-        };
-        let outcome = client.decrypt_response(query, translated, forged);
-        assert!(matches!(outcome, Err(SeabedError::Engine(_))), "{outcome:?}");
-        Ok(())
-    }
-
-    /// The two forged shapes only the fold can meet: sub-groups of one group
-    /// that disagree on an aggregate's kind, and an inflated group key too
-    /// short to carry the suffix (popping it used to strip a *group* word and
-    /// silently merge unrelated groups). Each is a typed error, and the proxy
-    /// answers the next honest query.
-    #[test]
-    fn inflated_groups_that_disagree_or_lack_the_suffix_are_rejected() -> Result<(), SeabedError> {
-        use crate::server::{GroupIds, GroupResult};
-        let (mut client, server, _) = build_system()?;
-        client.translate_options.expected_groups = Some(1);
-        let sql = "SELECT dept, SUM(revenue) FROM sales GROUP BY dept";
-        let prepared = SeabedSession::single("sales", client.clone(), &server).prepare(sql)?;
-        let (query, translated) = (prepared.query(), prepared.translated());
-        assert!(translated.group_inflation > 1, "fixture should inflate groups");
-        let sum = |value: u64| EncryptedAggregate::AsheSum { value };
-        let forge = |groups: Vec<(Vec<u64>, EncryptedAggregate)>| ServerResponse {
-            groups: groups
-                .into_iter()
-                .map(|(key, aggregate)| GroupResult {
-                    key,
-                    ids: Some(GroupIds {
-                        id_list: Vec::new(),
-                        encoding: seabed_encoding::IdListEncoding::RangesVbDiff,
-                    }),
-                    aggregates: vec![aggregate],
-                })
-                .collect(),
-            stats: ExecStats::default(),
-        };
-        for forged in [
-            // Same group, second sub-group answers the SUM with a row count.
-            forge(vec![
-                (vec![5, 0], sum(1)),
-                (vec![5, 1], EncryptedAggregate::Count { rows: 3 }),
-            ]),
-            // Two different groups, neither key carries the inflation suffix.
-            forge(vec![(vec![5], sum(1)), (vec![6], sum(2))]),
-        ] {
-            let outcome = client.decrypt_response(query, translated, forged);
-            assert!(matches!(outcome, Err(SeabedError::Engine(_))), "{outcome:?}");
-        }
-        let honest = run(&client, &server, sql)?;
-        assert_eq!(honest.rows.len(), 2);
         Ok(())
     }
 

@@ -15,11 +15,11 @@
 //! at a time ([`PhysicalFilter::refine`], cheapest class first:
 //! [`FilterClass::cost_rank`]), then folds the selected rows into one *flat*
 //! partial ([`FlatPartial`]): [`group_rows`] numbers the distinct group keys
-//! it meets (any number of `UInt64` group columns plus the inflation suffix)
-//! through a small open-addressed index and counting-sorts the rows by that
-//! number, and from each group's ascending slice come its maximal ID runs,
-//! its words and its MIN/MAX candidates — four vectors per partition, however
-//! many groups, at work proportional to rows and runs. A global aggregate is
+//! it meets (any number of `UInt64` group columns) through a small
+//! open-addressed index and counting-sorts the rows by that number, and from
+//! each group's ascending slice come its maximal ID runs, its words and its
+//! MIN/MAX candidates — four vectors per partition, however many groups, at
+//! work proportional to rows and runs. A global aggregate is
 //! the one-group case and builds its runs straight off the selection. The
 //! driver folds the flat partials **in partition order** into the one
 //! [`PartialGroups`] a query returns ([`fold_flat_partials`]): one key lookup
@@ -33,10 +33,10 @@
 //! and the row is pushed into a per-partition `HashMap` of groups, which then
 //! feeds the same driver fold. The two are differentially tested against each
 //! other and against a plaintext evaluation (`tests/differential_exec.rs`),
-//! and must stay result-identical — including group-inflation suffixes,
-//! ID-list bytes and the shuffle-byte accounting; the structural claim (a
-//! `GROUP BY` allocates per partition and per result group, never per
-//! (partition, group)) is held by `tests/wire_alloc_bound.rs`.
+//! and must stay result-identical — including ID-list bytes and the
+//! shuffle-byte accounting; the structural claim (a `GROUP BY` allocates per
+//! partition and per result group, never per (partition, group)) is held by
+//! `tests/wire_alloc_bound.rs`.
 //!
 //! Execution is panic-free by construction: every column reference in the
 //! plan and in the filters is resolved and type-checked against the schema
@@ -416,7 +416,7 @@ pub struct GroupIds {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroupResult {
     /// The group key as stored on the server (plaintext values or DET tags),
-    /// including the inflation suffix when group inflation is active.
+    /// one word per group-by column.
     pub key: Vec<u64>,
     /// The group's selected rows — once, whatever the number of ASHE sums
     /// over them: an ID list is a property of the row set, not of the column
@@ -452,14 +452,6 @@ impl ServerResponse {
     pub fn result_bytes(&self) -> usize {
         self.groups.iter().map(GroupResult::byte_len).sum()
     }
-}
-
-/// SplitMix64 finalizer, used to spread rows across inflated group suffixes.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// The Seabed server: an encrypted table plus a cluster to scan it with.
@@ -557,9 +549,6 @@ struct Fold<'a> {
     /// Group column indices (`UInt64`: plaintext values or DET tags) in the
     /// encrypted schema; none for a global aggregate.
     group_columns: &'a [usize],
-    /// Group-inflation factor; 1 — no suffix on the key — unless the query
-    /// groups *and* inflates (a global aggregate has no key to suffix).
-    inflation: u64,
     resolved: &'a [ResolvedAggregate],
     /// The group no row has been folded into yet.
     empty: PartialGroup,
@@ -569,19 +558,6 @@ struct Fold<'a> {
 }
 
 impl Fold<'_> {
-    /// Words per group key.
-    fn key_width(&self) -> usize {
-        self.group_columns.len() + usize::from(self.inflation > 1)
-    }
-
-    /// The suffix of a row's key: the paper appends a pseudo-random
-    /// identifier in `[0, factor)` to the group key (§4.5); hashing the row
-    /// id keeps the assignment deterministic without correlating with the
-    /// group value.
-    fn suffix(&self, row_id: u64) -> u64 {
-        splitmix64(row_id) % self.inflation
-    }
-
     /// Folds one selected row into `group`, the scalar path's way: its
     /// identifier once, then every aggregate. Rows arrive in ascending order
     /// on both scan paths, so the ID lists come out identical.
@@ -736,11 +712,6 @@ impl SeabedServer {
         let empty = PartialGroup::new(query.aggregates.iter().map(empty_state_of).collect());
         let fold = Fold {
             group_columns: &group_columns,
-            inflation: if group_columns.is_empty() {
-                1
-            } else {
-                query.group_inflation.max(1) as u64
-            },
             resolved: &resolved,
             collect_ids: empty.aggregates.iter().any(PartialAggregate::reads_ids),
             empty,
@@ -771,7 +742,7 @@ impl SeabedServer {
         }
         stats.operators = operators;
         Ok(PartialResponse {
-            groups: fold_flat_partials(flats, fold.key_width(), resolved.len()),
+            groups: fold_flat_partials(flats, fold.group_columns.len(), resolved.len()),
             stats,
         })
     }
@@ -815,11 +786,10 @@ pub fn finalize_partials(query: &TranslatedQuery, mut merged: PartialGroups, sta
     ServerResponse { groups, stats }
 }
 
-/// A still-mergeable query result: per (possibly inflated) group key, one
-/// [`PartialGroup`] — the group's ID set and one [`PartialAggregate`] per
-/// requested aggregate — plus the execution statistics of the scan that
-/// produced it. What a `seabed-dist` worker ships
-/// to the coordinator.
+/// A still-mergeable query result: per group key, one [`PartialGroup`] — the
+/// group's ID set and one [`PartialAggregate`] per requested aggregate — plus
+/// the execution statistics of the scan that produced it. What a
+/// `seabed-dist` worker ships to the coordinator.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PartialResponse {
     /// Mergeable per-group partial states.
@@ -834,7 +804,7 @@ pub struct PartialResponse {
 pub struct ExecRequest<'a> {
     /// The translated plan. For a prepared statement this is the *unbound*
     /// plan, stable across executions — the server side only reads its shape
-    /// (aggregates, grouping, inflation).
+    /// (aggregates and grouping).
     pub plan: &'a TranslatedQuery,
     /// The bound, literal-encrypted filters of this execution.
     pub filters: &'a [PhysicalFilter],
@@ -980,7 +950,7 @@ fn scan_scalar(
             continue;
         }
         matched += 1;
-        let mut key: Vec<u64> = Vec::with_capacity(fold.key_width());
+        let mut key: Vec<u64> = Vec::with_capacity(fold.group_columns.len());
         for &c in fold.group_columns {
             // A missing or mistyped group column must fail loudly: defaulting
             // here would silently fold the row into group key 0.
@@ -992,14 +962,11 @@ fn scan_scalar(
                 })?;
             key.push(cell);
         }
-        if fold.inflation > 1 {
-            key.push(fold.suffix(partition.row_id(row)));
-        }
         let group = groups.entry(key).or_insert_with(|| fold.empty.clone());
         fold.observe(group, partition, row);
     }
     sink.finish(started, "scan:scalar", n as u64, matched, 1);
-    Ok(FlatPartial::from_groups(groups, fold.key_width()))
+    Ok(FlatPartial::from_groups(groups, fold.group_columns.len()))
 }
 
 /// Vectorized partition scan: filters narrow a selection vector column at a
@@ -1089,14 +1056,13 @@ fn scan_vectorized(
 /// rows and runs.
 ///
 /// [`group_rows`] numbers each row's group key (any number of `UInt64` group
-/// columns, resolved to slices once, plus the inflation suffix, which is
-/// arithmetic on the row id) and lays the rows out group after group,
+/// columns, resolved to slices once) and lays the rows out group after group,
 /// ascending within each, so a group's ID runs, words and MIN/MAX candidates
 /// are each one pass over its slice. A global aggregate is the one-group case
 /// and skips the sort: its slice is the selection itself.
 fn aggregate(partition: &Partition, rows: Option<&[u32]>, fold: &Fold<'_>) -> Result<FlatPartial, SeabedError> {
     let n = partition.num_rows();
-    let key_width = fold.key_width();
+    let key_width = fold.group_columns.len();
     let grouped = if key_width == 0 {
         None
     } else {
@@ -1113,9 +1079,6 @@ fn aggregate(partition: &Partition, rows: Option<&[u32]>, fold: &Fold<'_>) -> Re
         Some(group_rows(rows, n, key_width, |row, key| {
             for (word, col) in key.iter_mut().zip(&key_cols) {
                 *word = col[row];
-            }
-            if fold.inflation > 1 {
-                key[key_width - 1] = fold.suffix(partition.row_id(row));
             }
         }))
     };
@@ -1218,7 +1181,7 @@ mod tests {
         server_with_mode(rows, ExecMode::Vectorized)
     }
 
-    fn sum_query(group_by: Vec<GroupByColumn>, inflation: u32) -> TranslatedQuery {
+    fn sum_query(group_by: Vec<GroupByColumn>) -> TranslatedQuery {
         TranslatedQuery {
             base_table: "t".to_string(),
             filters: vec![],
@@ -1229,7 +1192,6 @@ mod tests {
                 ServerAggregate::CountRows,
             ],
             group_by,
-            group_inflation: inflation,
             client_post: vec![],
             preserve_row_ids: true,
             category: SupportCategory::ServerOnly,
@@ -1249,7 +1211,7 @@ mod tests {
     fn global_sum_over_all_rows() -> Result<(), SeabedError> {
         for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
             let s = server_with_mode(1000, mode);
-            let resp = s.execute(&sum_query(vec![], 1), &[])?;
+            let resp = s.execute(&sum_query(vec![]), &[])?;
             assert_eq!(resp.groups.len(), 1);
             let (EncryptedAggregate::AsheSum { value }, Some(ids)) =
                 (&resp.groups[0].aggregates[0], &resp.groups[0].ids)
@@ -1279,7 +1241,7 @@ mod tests {
                 op: CompareOp::Eq,
                 value: 1,
             }];
-            let resp = s.execute(&sum_query(vec![], 1), &filters)?;
+            let resp = s.execute(&sum_query(vec![]), &filters)?;
             let expected: u64 = (0..1000u64).filter(|i| i % 2 == 1).map(|i| i + 1).sum();
             assert!(
                 matches!(&resp.groups[0].aggregates[0], EncryptedAggregate::AsheSum { value, .. } if *value == expected),
@@ -1294,7 +1256,7 @@ mod tests {
     fn det_tag_filter() -> Result<(), SeabedError> {
         let s = server(100);
         let filters = vec![PhysicalFilter::DetTag { column: 2, tag: 103 }];
-        let resp = s.execute(&sum_query(vec![], 1), &filters)?;
+        let resp = s.execute(&sum_query(vec![]), &filters)?;
         assert!(
             matches!(&resp.groups[0].aggregates[1], EncryptedAggregate::Count { rows } if *rows == 20),
             "unexpected aggregate {:?}",
@@ -1304,14 +1266,16 @@ mod tests {
     }
 
     #[test]
-    fn group_by_with_and_without_inflation() -> Result<(), SeabedError> {
+    fn group_by_sums_add_up_to_the_global_sum() -> Result<(), SeabedError> {
         for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
             let s = server_with_mode(1000, mode);
-            let plain = s.execute(&sum_query(group_by_g(), 1), &[])?;
-            assert_eq!(plain.groups.len(), 5);
-            let inflated = s.execute(&sum_query(group_by_g(), 10), &[])?;
-            assert_eq!(inflated.groups.len(), 50, "5 groups × 10-way inflation");
-            // Sum across inflated groups equals the plain total.
+            let grouped = s.execute(&sum_query(group_by_g()), &[])?;
+            assert_eq!(grouped.groups.len(), 5);
+            assert!(
+                grouped.groups.iter().all(|g| g.key.len() == 1),
+                "one key word per group-by column"
+            );
+            let global = s.execute(&sum_query(vec![]), &[])?;
             let total = |resp: &ServerResponse| -> u64 {
                 resp.groups
                     .iter()
@@ -1321,7 +1285,7 @@ mod tests {
                     })
                     .fold(0u64, |a, b| a.wrapping_add(b))
             };
-            assert_eq!(total(&plain), total(&inflated));
+            assert_eq!(total(&grouped), total(&global));
         }
         Ok(())
     }
@@ -1338,8 +1302,8 @@ mod tests {
             },
             PhysicalFilter::DetTag { column: 2, tag: 102 },
         ];
-        for (group_by, inflation) in [(vec![], 1u32), (group_by_g(), 1), (group_by_g(), 7)] {
-            let query = sum_query(group_by, inflation);
+        for group_by in [vec![], group_by_g()] {
+            let query = sum_query(group_by);
             let scalar = server_with_mode(997, ExecMode::Scalar).execute(&query, &filters)?;
             let vectorized = server_with_mode(997, ExecMode::Vectorized).execute(&query, &filters)?;
             assert_eq!(scalar.groups, vectorized.groups);
@@ -1381,7 +1345,7 @@ mod tests {
                 op: CompareOp::Gt,
                 value: 100,
             }];
-            let resp = s.execute(&sum_query(vec![], 1), &filters)?;
+            let resp = s.execute(&sum_query(vec![]), &filters)?;
             assert_eq!(resp.groups.len(), 1);
             assert!(
                 matches!(&resp.groups[0].aggregates[1], EncryptedAggregate::Count { rows } if *rows == 0),
@@ -1399,8 +1363,8 @@ mod tests {
     #[test]
     fn execute_equals_partial_plus_finalize() -> Result<(), SeabedError> {
         let s = server(500);
-        for (group_by, inflation) in [(vec![], 1u32), (group_by_g(), 1), (group_by_g(), 4)] {
-            let query = sum_query(group_by, inflation);
+        for group_by in [vec![], group_by_g()] {
+            let query = sum_query(group_by);
             let direct = s.execute(&query, &[])?;
             let partial = s.execute_partial(&query, &[])?;
             let reassembled = finalize_partials(&query, partial.groups, partial.stats);
@@ -1418,7 +1382,7 @@ mod tests {
         let config = ClusterConfig::default().local_threads(0);
         let s = SeabedServer::new(test_table(10), Cluster::new(config));
         assert!(matches!(
-            s.execute(&sum_query(vec![], 1), &[]),
+            s.execute(&sum_query(vec![]), &[]),
             Err(SeabedError::Engine(_))
         ));
     }
@@ -1426,7 +1390,7 @@ mod tests {
     #[test]
     fn unknown_column_is_a_schema_error() {
         let s = server(10);
-        let mut q = sum_query(vec![], 1);
+        let mut q = sum_query(vec![]);
         q.aggregates = vec![ServerAggregate::AsheSum {
             column: "missing".to_string(),
         }];
@@ -1442,7 +1406,7 @@ mod tests {
             value: 1,
         }];
         assert!(matches!(
-            s.execute(&sum_query(vec![], 1), &filters),
+            s.execute(&sum_query(vec![]), &filters),
             Err(SeabedError::Engine(_))
         ));
     }
@@ -1458,7 +1422,7 @@ mod tests {
             let n = table.partitions[1].num_rows();
             table.partitions[1].columns[2] = ColumnData::Utf8(vec!["oops".to_string(); n]);
             let s = SeabedServer::new(table, Cluster::new(ClusterConfig::default().exec_mode(mode)));
-            let outcome = s.execute(&sum_query(group_by_g(), 1), &[]);
+            let outcome = s.execute(&sum_query(group_by_g()), &[]);
             assert!(
                 matches!(
                     outcome,
@@ -1497,7 +1461,7 @@ mod tests {
         let expected_min_row = (1..40).min_by_key(|&i| plain[i]).expect("non-empty") as u64;
         for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
             let s = SeabedServer::new(table.clone(), Cluster::new(ClusterConfig::default().exec_mode(mode)));
-            let mut q = sum_query(vec![], 1);
+            let mut q = sum_query(vec![]);
             q.aggregates = vec![ServerAggregate::OpeMin {
                 column: "o__ope".to_string(),
             }];
@@ -1543,7 +1507,7 @@ mod tests {
         };
         for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
             let s = SeabedServer::new(table.clone(), Cluster::new(ClusterConfig::default().exec_mode(mode)));
-            let honest = s.execute(&sum_query(vec![], 1), &[filter(ore.encrypt(10).symbols)])?;
+            let honest = s.execute(&sum_query(vec![]), &[filter(ore.encrypt(10).symbols)])?;
             assert!(
                 matches!(&honest.groups[0].aggregates[1], EncryptedAggregate::Count { rows: 10 }),
                 "{mode:?}: {:?}",
@@ -1551,7 +1515,7 @@ mod tests {
             );
             // Empty, truncated, one byte over, and the one-byte-per-symbol width.
             for width in [0, ORE_CELL_BYTES - 1, ORE_CELL_BYTES + 1, 4 * ORE_CELL_BYTES] {
-                let outcome = s.execute(&sum_query(vec![], 1), &[filter(vec![0; width])]);
+                let outcome = s.execute(&sum_query(vec![]), &[filter(vec![0; width])]);
                 assert!(
                     matches!(&outcome, Err(SeabedError::Engine(message)) if message.contains("ORE literal")),
                     "{mode:?}, width {width}: {outcome:?}"
@@ -1577,7 +1541,7 @@ mod tests {
         for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
             for group_by in [vec![], group_by_g()] {
                 let s = server_with_mode(1000, mode);
-                let mut one = sum_query(group_by, 1);
+                let mut one = sum_query(group_by);
                 one.aggregates = vec![sum("m__ashe")];
                 let mut three = one.clone();
                 three.aggregates = vec![sum("m__ashe"), sum("g__det"), ServerAggregate::CountRows];
@@ -1622,7 +1586,7 @@ mod tests {
         );
         for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
             let s = SeabedServer::new(table.clone(), Cluster::new(ClusterConfig::default().exec_mode(mode)));
-            let mut q = sum_query(vec![], 1);
+            let mut q = sum_query(vec![]);
             q.aggregates = vec![ServerAggregate::OpeMax {
                 column: "o__ope".to_string(),
             }];
@@ -1644,7 +1608,7 @@ mod tests {
             let s = SeabedServer::new(table, Cluster::new(ClusterConfig::default().exec_mode(mode)));
             assert!(
                 matches!(
-                    s.execute(&sum_query(group_by_g(), 1), &[]),
+                    s.execute(&sum_query(group_by_g()), &[]),
                     Err(SeabedError::Schema(SchemaError::CorruptPartition { .. }))
                 ),
                 "{mode:?}"

@@ -28,8 +28,8 @@
 //!
 //! A statement with bound `?` literals executes byte-identically to the same
 //! statement with the literals inline, by construction: the server side of a
-//! plan only reads its *shape* (aggregates, grouping, inflation), which
-//! binding never changes, and filter encryption is deterministic —
+//! plan only reads its *shape* (aggregates and grouping), which binding
+//! never changes, and filter encryption is deterministic —
 //! `tests/prepared_equivalence.rs` pins this across all three execution
 //! targets.
 
@@ -534,9 +534,9 @@ impl<'t, T: QueryTarget + ?Sized> SeabedSession<'t, T> {
     /// statements), returning the decrypted result.
     ///
     /// Decryption runs against the statement's stored plan: binding never
-    /// changes the plan *shape* (aggregates, grouping, inflation, post
-    /// steps), which is all decryption reads, so fully-bound statements pay
-    /// no per-execute allocation or crypto at all.
+    /// changes the plan *shape* (aggregates, grouping, post steps), which is
+    /// all decryption reads, so fully-bound statements pay no per-execute
+    /// allocation or crypto at all.
     ///
     /// Every execution runs under a freshly minted [`TraceId`], returned as
     /// `result.trace_id` ([`UNTRACED`] when the registry is disabled): the

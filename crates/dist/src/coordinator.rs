@@ -1113,11 +1113,7 @@ fn validate_partial(query: &TranslatedQuery, partial: &PartialResponse) -> Resul
     use seabed_engine::merge::PartialAggregate;
     use seabed_query::ServerAggregate;
 
-    let expected_key_len = if query.group_by.is_empty() {
-        0
-    } else {
-        query.group_by.len() + usize::from(query.group_inflation > 1)
-    };
+    let expected_key_len = query.group_by.len();
     for (key, group) in &partial.groups {
         let partials = &group.aggregates;
         if key.len() != expected_key_len {

@@ -190,8 +190,7 @@ fn initial_replica_set(table_id: usize, shard: usize, num_workers: usize, replic
 /// contiguous shard tables whose sizes differ by at most one partition (the
 /// first `len % shards` shards take the remainder), so no requested worker
 /// silently idles. Global row IDs travel with their partitions, so ASHE's
-/// telescoping decryption — and the exact de-inflated ID sets — are
-/// unchanged.
+/// telescoping decryption and the exact ID sets are unchanged.
 pub(crate) fn split_into_shards(table: Table, num_shards: usize) -> Vec<Table> {
     let Table { schema, partitions } = table;
     let total = partitions.len();

@@ -289,10 +289,9 @@ pub fn refine_rows(sel: &mut SelectionVector, mut pred: impl FnMut(usize) -> boo
 /// seen first: open addressing over a power-of-two table at most half full, a
 /// multiply-shift hash of the key words. A partition scan numbers its rows'
 /// groups with one ([`group_rows`]), the driver the partitions' groups. The
-/// keys are a stored column's cells (DET tags, public values) plus the
-/// inflation suffix, not something a peer sends with a query, so the hash is
-/// not keyed; the data's owner could at worst slow down scans of their own
-/// table.
+/// keys are a stored column's cells (DET tags, public values), not something
+/// a peer sends with a query, so the hash is not keyed; the data's owner
+/// could at worst slow down scans of their own table.
 #[derive(Clone, Debug)]
 pub struct GroupIndex {
     width: usize,

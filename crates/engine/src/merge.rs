@@ -1,10 +1,10 @@
 //! The partial-aggregate merge algebra shared by every gather point.
 //!
 //! Seabed's reduce step is *additive*: each partition task produces, per
-//! (possibly inflated) group key, one [`PartialGroup`] — the identifiers of
-//! the rows it selected, held **once**, plus one partial state per requested
-//! aggregate: an ASHE partial sum, a count, or a MIN/MAX ORE candidate — and
-//! the driver folds groups pairwise. With `seabed-dist`, the exact same fold
+//! group key, one [`PartialGroup`] — the identifiers of the rows it selected,
+//! held **once**, plus one partial state per requested aggregate: an ASHE
+//! partial sum, a count, or a MIN/MAX ORE candidate — and the driver folds
+//! groups pairwise. With `seabed-dist`, the exact same fold
 //! happens one level up: workers fold their partitions' partials locally, and
 //! the coordinator folds the per-worker partials it gathered over the
 //! network. Both folds MUST be the same implementation, or a distributed
@@ -166,7 +166,7 @@ impl PartialGroup {
 }
 
 /// Partial results of one scan unit (a partition, a worker shard, or a whole
-/// server), by (possibly inflated) group key.
+/// server), by group key.
 pub type PartialGroups = HashMap<Vec<u64>, PartialGroup>;
 
 /// Folds `from` into `into`, group by group. Vacant keys move over wholesale;

@@ -772,7 +772,6 @@ mod tests {
             filters: vec![],
             aggregates: vec![ServerAggregate::CountRows],
             group_by: vec![],
-            group_inflation: 1,
             client_post: vec![],
             preserve_row_ids: true,
             category: SupportCategory::ServerOnly,

@@ -180,9 +180,15 @@ pub const MAGIC: [u8; 4] = *b"SBWF";
 /// traces between them, and each event carries its spans after its node.
 /// No other kind moved.
 ///
+/// Version 10: a plan — in a request (kind 1), a shard query (kind 10) and a
+/// prepared statement (kind 12) — no longer carries a group-inflation
+/// factor: a result or partial group key has one word per group-by column.
+/// Each plan is one varint shorter, so a statement's hash and handle move
+/// with it. No other kind moved.
+///
 /// There is no decoder for an older version: such a peer is refused by
 /// [`decode_header`] with the typed version error, like any other.
-pub const PROTOCOL_VERSION: u16 = 9;
+pub const PROTOCOL_VERSION: u16 = 10;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 11;

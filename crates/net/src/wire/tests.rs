@@ -134,7 +134,6 @@ fn sample_query() -> TranslatedQuery {
             physical_column: "dept__det".to_string(),
             encrypted: true,
         }],
-        group_inflation: 7,
         client_post: sample_post_steps(),
         preserve_row_ids: true,
         category: SupportCategory::ClientPostProcessing,
@@ -180,7 +179,6 @@ fn sample_post_steps() -> Vec<ClientPostStep> {
             count: 2,
         },
         ClientPostStep::SqrtOfVariance { variance_step: 0 },
-        ClientPostStep::MergeInflatedGroups,
     ]
 }
 
@@ -729,16 +727,18 @@ fn every_frame_kind_obeys_the_wire_contract() {
 // ---------------------------------------------------------------------------
 
 /// The one plan-content hash is FNV-1a over the statement payload, and the
-/// handle it gives the sample plan is the one recorded before its four
+/// handle it gives the sample plan is the one recorded when its four
 /// spelled-out copies (server store, event id, client handle cache,
-/// coordinator cache key) became this function.
+/// coordinator cache key) became this function, re-recorded once for
+/// protocol version 10, whose plan no longer carries an inflation factor
+/// (`0xf880_193e_5b31_ac2c` before).
 #[test]
 fn statement_hash_is_the_recorded_handle() {
     let query = sample_query();
     let mut payload = Vec::new();
     write_statement_payload(&mut payload, &query);
     assert_eq!(statement_hash(&query), seabed_core::fnv1a64(&payload));
-    assert_eq!(statement_hash(&query), 0xf880_193e_5b31_ac2c);
+    assert_eq!(statement_hash(&query), 0x9e04_c9d2_c5d4_89c5);
     // What stays with the key holder never reaches the hash.
     assert_eq!(statement_hash(&redact_query(&query)), statement_hash(&query));
 }
@@ -805,14 +805,10 @@ fn request_frames_do_not_leak_det_or_ope_literals() {
             physical_column: "dept__det".to_string(),
             encrypted: true,
         }],
-        group_inflation: 3,
-        client_post: vec![
-            ClientPostStep::Divide {
-                numerator: step_a as usize,
-                denominator: step_b as usize,
-            },
-            ClientPostStep::MergeInflatedGroups,
-        ],
+        client_post: vec![ClientPostStep::Divide {
+            numerator: step_a as usize,
+            denominator: step_b as usize,
+        }],
         preserve_row_ids: true,
         category: SupportCategory::ClientPostProcessing,
         params: vec![ParamSlot {
@@ -878,18 +874,18 @@ fn request_frames_do_not_leak_det_or_ope_literals() {
     );
 }
 
-/// Protocol versions 4 to 8 are gone, not kept beside version 9: a frame
+/// Protocol versions 4 to 9 are gone, not kept beside version 10: a frame
 /// whose header says any of them is refused with the typed error naming both
 /// versions, whatever it carries.
 #[test]
 fn an_older_version_frame_is_refused_naming_both_versions() {
-    assert_eq!(PROTOCOL_VERSION, 9);
-    for old in [4u16, 5, 6, 7, 8] {
+    assert_eq!(PROTOCOL_VERSION, 10);
+    for old in [4u16, 5, 6, 7, 8, 9] {
         for frame in [Frame::SchemaRequest, Frame::Response(sample_response())] {
             let mut bytes = encode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
             bytes[4..6].copy_from_slice(&old.to_le_bytes());
             let outcome = decode_frame(&bytes, DEFAULT_MAX_FRAME_LEN);
-            let expected = format!("unsupported protocol version {old} (this side speaks 9)");
+            let expected = format!("unsupported protocol version {old} (this side speaks 10)");
             assert!(
                 matches!(&outcome, Err(SeabedError::Wire(message)) if *message == expected),
                 "{outcome:?}"

@@ -60,7 +60,6 @@ wire_struct!(TranslatedQuery {
     filters,
     aggregates,
     group_by,
-    group_inflation,
     client_post: unsent,
     preserve_row_ids: unsent,
     category: unsent,

@@ -12,13 +12,13 @@
 //!   encryption scheme (ASHE, SPLASHE, DET, OPE) under a storage budget;
 //! * [`mod@translate`] — the query translator, both directions: it rewrites
 //!   plaintext queries into encrypted server plans plus client-side
-//!   post-processing steps (preserving row IDs through subqueries, applying the
-//!   group-by inflation heuristic), and it runs those steps to turn a group's
-//!   decrypted server aggregates back into the `SELECT` list's values;
+//!   post-processing steps (preserving row IDs through subqueries), and it
+//!   runs those steps to turn a group's decrypted server aggregates back into
+//!   the `SELECT` list's values;
 //! * [`plan_node`] — structural plan trees for `EXPLAIN` / `EXPLAIN ANALYZE`:
 //!   redacted-by-construction operator nodes (scan, SPLASHE expansion,
-//!   class-labelled filters in execution order, inflation, group-by,
-//!   aggregate) that measured per-operator profiles annotate.
+//!   class-labelled filters in execution order, group-by, aggregate) that
+//!   measured per-operator profiles annotate.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -88,8 +88,8 @@ mod proptests {
             let sql = format!("SELECT SUM(m) FROM t WHERE ts >= {value}");
             let queries = vec![parse(&sql).unwrap()];
             let plan = plan_schema(&columns, &queries, &PlannerConfig::default());
-            let a = translate(&queries[0], &plan, &TranslateOptions::default()).unwrap();
-            let b = translate(&queries[0], &plan, &TranslateOptions::default()).unwrap();
+            let a = translate(&queries[0], &plan, &TranslateOptions).unwrap();
+            let b = translate(&queries[0], &plan, &TranslateOptions).unwrap();
             prop_assert_eq!(a, b);
         }
     }

@@ -3,12 +3,11 @@
 //! A [`PlanNode`] tree describes *what the server will do* for a translated
 //! query — scan, SPLASHE splay expansion, the filter chain in its chosen
 //! execution order (cheapest [`FilterClass`] first — the same table the
-//! server's scan sorts by), group-by with its inflation step, and the
-//! aggregate root — without ever executing anything.
-//! `EXPLAIN` renders exactly this tree; `EXPLAIN ANALYZE` executes the query
-//! and annotates each node with its measured [`PlanProfile`] (rows in,
-//! selection survivors, batches, nanoseconds), matched back onto the tree by
-//! operator label.
+//! server's scan sorts by), group-by, and the aggregate root — without ever
+//! executing anything. `EXPLAIN` renders exactly this tree; `EXPLAIN ANALYZE`
+//! executes the query and annotates each node with its measured
+//! [`PlanProfile`] (rows in, selection survivors, batches, nanoseconds),
+//! matched back onto the tree by operator label.
 //!
 //! # Redaction guarantees
 //!
@@ -50,7 +49,7 @@ pub struct PlanProfile {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PlanNode {
     /// Structural operator name: `scan`, `splashe-expand`, `filter`,
-    /// `group-by`, `inflate`, `aggregate` — or a coordinator stage
+    /// `group-by`, `aggregate` — or a coordinator stage
     /// (`scatter`, `shard`, `gather`, `merge`) on a stitched distributed
     /// plan.
     pub op: String,
@@ -100,8 +99,8 @@ impl PlanNode {
     /// Builds the structural plan of a translated query: the tree `EXPLAIN`
     /// renders and `EXPLAIN ANALYZE` annotates. The chain mirrors server
     /// execution bottom-up — scan, SPLASHE expansion, filters in chosen
-    /// (cheapest-first) order, inflation, group-by, aggregate root — so the
-    /// deepest node is what executes first.
+    /// (cheapest-first) order, group-by, aggregate root — so the deepest node
+    /// is what executes first.
     pub fn from_translated(translated: &TranslatedQuery) -> PlanNode {
         let mut node = PlanNode::new("scan", translated.base_table.clone());
 
@@ -132,9 +131,6 @@ impl PlanNode {
         }
 
         if !translated.group_by.is_empty() {
-            if translated.group_inflation > 1 {
-                node = PlanNode::new("inflate", format!("rid%{}", translated.group_inflation)).with_child(node);
-            }
             let keys: Vec<&str> = translated.group_by.iter().map(|g| g.physical_column.as_str()).collect();
             node = PlanNode::new("group-by", keys.join(", ")).with_child(node);
         }
@@ -147,7 +143,7 @@ impl PlanNode {
     /// `filter:{class}:{column}` for filter nodes, `aggregate` for the
     /// aggregate root, `scan:scalar` for the scan leaf (the scalar path
     /// profiles as one fused scan operator). Structural-only nodes
-    /// (`group-by`, `inflate`, `splashe-expand`) have no label of their own —
+    /// (`group-by`, `splashe-expand`) have no label of their own —
     /// their work is measured inside the aggregate slot.
     pub fn operator_label(&self) -> Option<String> {
         match self.op.as_str() {
@@ -303,7 +299,6 @@ mod tests {
                 physical_column: "dept__det".to_string(),
                 encrypted: true,
             }],
-            group_inflation: 4,
             client_post: vec![],
             preserve_row_ids: true,
             category: SupportCategory::ServerOnly,
@@ -319,11 +314,9 @@ mod tests {
         let group = &plan.children[0];
         assert_eq!(group.op, "group-by");
         assert_eq!(group.detail, "dept__det");
-        let inflate = &group.children[0];
-        assert_eq!((inflate.op.as_str(), inflate.detail.as_str()), ("inflate", "rid%4"));
         // Filters render last-executed first (the tree is read bottom-up):
         // ORE (rank 2) on top, then text (rank 1), DET (rank 0) nearest the scan.
-        let ore = &inflate.children[0];
+        let ore = &group.children[0];
         assert_eq!((ore.op.as_str(), ore.detail.as_str()), ("filter", "ore:ts__ope"));
         let text = &ore.children[0];
         assert_eq!((text.op.as_str(), text.detail.as_str()), ("filter", "text:region"));
@@ -351,7 +344,7 @@ mod tests {
             }),
         );
         let plan = PlanNode::from_translated(&t);
-        let last_executed = &plan.children[0].children[0].children[0];
+        let last_executed = &plan.children[0].children[0];
         assert_eq!(
             (last_executed.op.as_str(), last_executed.detail.as_str()),
             ("filter", "?:region")
@@ -367,7 +360,6 @@ mod tests {
         }];
         t.filters.clear();
         t.group_by.clear();
-        t.group_inflation = 1;
         let plan = PlanNode::from_translated(&t);
         assert_eq!(plan.op, "aggregate");
         let splay = &plan.children[0];

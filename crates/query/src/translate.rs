@@ -5,9 +5,11 @@
 //! appropriate scheme, aggregation operators become ASHE folds (`AVG` becomes
 //! a sum and a count, `VARIANCE` becomes Σx², Σx and n), equality filters on
 //! splayed dimensions are absorbed into the choice of splayed column, the
-//! implicit row-ID column is preserved through subqueries, and group-by
-//! queries may have their group count artificially inflated to use more
-//! reducers (§4.5).
+//! implicit row-ID column is preserved through subqueries. A group-by has
+//! one plan: the server groups by the key columns as stored. The paper's
+//! group inflation (§4.5) is not translated: it spreads few groups over
+//! Spark's one-reducer-per-group stage, and no stage here splits work by
+//! group.
 //!
 //! **Inverse** ([`TranslatedQuery::finish_aggregates`]): the decrypted server
 //! aggregates of one group become the values of the original `SELECT` list.
@@ -304,11 +306,6 @@ pub enum ClientPostStep {
         /// Index of the variance step in the client-post list.
         variance_step: usize,
     },
-    /// Merge inflated group-by groups back together (strip the appended
-    /// random suffix and re-aggregate at the proxy). A marker, not a per-group
-    /// computation: the proxy folds the sub-groups *before* it decrypts,
-    /// whenever [`TranslatedQuery::group_inflation`] is above one.
-    MergeInflatedGroups,
 }
 
 /// Which of the paper's four support categories the query falls into
@@ -406,11 +403,9 @@ pub struct TranslatedQuery {
     pub filters: Vec<ServerFilter>,
     /// Aggregates computed on the server, in output order.
     pub aggregates: Vec<ServerAggregate>,
-    /// Group-by columns (empty for global aggregates).
+    /// Group-by columns (empty for global aggregates); a result group's key
+    /// has one word per column.
     pub group_by: Vec<GroupByColumn>,
-    /// Group-inflation factor (`1` = disabled); when `> 1` the server appends
-    /// `row_id % factor` to the group key and the proxy merges groups back.
-    pub group_inflation: u32,
     /// Client-side post-processing steps, executed per result group by
     /// [`TranslatedQuery::finish_aggregates`]. A server aggregate no step
     /// reads is a result value as it stands; a step's value takes the place
@@ -559,8 +554,6 @@ impl TranslatedQuery {
                     }
                     None
                 }
-                // The sub-groups were folded before decryption.
-                ClientPostStep::MergeInflatedGroups => None,
             });
         }
         row.extend(slots.into_iter().flatten());
@@ -582,11 +575,7 @@ impl TranslatedQuery {
         }
         if !self.group_by.is_empty() {
             let keys: Vec<&str> = self.group_by.iter().map(|g| g.physical_column.as_str()).collect();
-            if self.group_inflation > 1 {
-                parts.push(format!("groupBy({} + rid%{})", keys.join(", "), self.group_inflation));
-            } else {
-                parts.push(format!("groupBy({})", keys.join(", ")));
-            }
+            parts.push(format!("groupBy({})", keys.join(", ")));
         }
         for agg in &self.aggregates {
             match agg {
@@ -600,30 +589,17 @@ impl TranslatedQuery {
     }
 }
 
-/// Options influencing translation.
-#[derive(Clone, Debug)]
-pub struct TranslateOptions {
-    /// Number of workers on the server, used by the group-inflation heuristic.
-    pub workers: usize,
-    /// Expected number of groups the query will produce (client-maintained
-    /// state, §4.4); `None` disables group inflation.
-    pub expected_groups: Option<usize>,
-}
-
-impl Default for TranslateOptions {
-    fn default() -> Self {
-        TranslateOptions {
-            workers: 100,
-            expected_groups: None,
-        }
-    }
-}
+/// Options influencing translation: none. The type stays while callers
+/// still pass it to [`translate`]; it leaves with the three-argument
+/// signature (ROADMAP A(a) and S).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TranslateOptions;
 
 /// Translates a plaintext query against a schema plan.
 pub fn translate(
     query: &Query,
     plan: &SchemaPlan,
-    options: &TranslateOptions,
+    _options: &TranslateOptions,
 ) -> Result<TranslatedQuery, TranslateError> {
     // Flatten a FROM-subquery: its predicates are merged into the outer
     // query's predicate list (the subquery projection is only narrowing
@@ -864,18 +840,6 @@ pub fn translate(
         });
     }
 
-    // Group-inflation heuristic (§4.5): inflate when fewer groups than workers
-    // are expected.
-    let mut group_inflation = 1u32;
-    if !group_by.is_empty() {
-        if let Some(expected) = options.expected_groups {
-            if expected > 0 && expected < options.workers {
-                group_inflation = (options.workers / expected).max(1) as u32;
-                client_post.push(ClientPostStep::MergeInflatedGroups);
-            }
-        }
-    }
-
     let preserve_row_ids = aggregates
         .iter()
         .any(|a| matches!(a, ServerAggregate::AsheSum { .. } | ServerAggregate::CountRows));
@@ -900,7 +864,6 @@ pub fn translate(
         filters,
         aggregates,
         group_by,
-        group_inflation,
         client_post,
         preserve_row_ids,
         category,
@@ -1042,7 +1005,7 @@ mod tests {
     fn ashe_sum_with_ope_filter() -> Result<(), SeabedError> {
         let plan = sample_plan()?;
         let q = parse("SELECT SUM(salary) FROM emp WHERE ts >= 100")?;
-        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         assert_eq!(
             t.aggregates,
             vec![ServerAggregate::AsheSum {
@@ -1067,7 +1030,7 @@ mod tests {
         let plan = sample_plan()?;
         // Frequent value -> dedicated column.
         let q = parse("SELECT SUM(salary) FROM emp WHERE country = 'USA'")?;
-        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         assert_eq!(t.filters, vec![], "SPLASHE absorbs the equality filter");
         assert_eq!(
             t.aggregates,
@@ -1078,7 +1041,7 @@ mod tests {
         // Infrequent value -> others column plus a DET filter is NOT used for
         // the sum (it reads the others column); counts use the indicator.
         let q2 = parse("SELECT SUM(salary) FROM emp WHERE country = 'India'")?;
-        let t2 = translate(&q2, &plan, &TranslateOptions::default())?;
+        let t2 = translate(&q2, &plan, &TranslateOptions)?;
         assert_eq!(
             t2.aggregates,
             vec![ServerAggregate::AsheSum {
@@ -1101,7 +1064,7 @@ mod tests {
         ];
         let queries = vec![parse("SELECT COUNT(*) FROM t WHERE a = 10")?];
         let plan = plan_schema(&columns, &queries, &PlannerConfig::default());
-        let t = translate(&queries[0], &plan, &TranslateOptions::default())?;
+        let t = translate(&queries[0], &plan, &TranslateOptions)?;
         assert!(t.filters.is_empty());
         assert_eq!(t.aggregates.len(), 1);
         assert!(
@@ -1116,7 +1079,7 @@ mod tests {
     fn subquery_predicates_are_flattened_and_ids_preserved() -> Result<(), SeabedError> {
         let plan = sample_plan()?;
         let q = parse("SELECT SUM(tmp.salary) FROM (SELECT salary FROM emp WHERE ts > 10) tmp")?;
-        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         assert_eq!(t.base_table, "emp");
         assert_eq!(t.filters.len(), 1);
         assert!(
@@ -1130,7 +1093,7 @@ mod tests {
     fn avg_splits_into_sum_count_and_division() -> Result<(), SeabedError> {
         let plan = sample_plan()?;
         let q = parse("SELECT AVG(salary) FROM emp")?;
-        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         assert_eq!(t.aggregates.len(), 2);
         assert_eq!(
             t.client_post,
@@ -1146,35 +1109,26 @@ mod tests {
     fn variance_uses_precomputed_squares() -> Result<(), SeabedError> {
         let plan = sample_plan()?;
         let q = parse("SELECT VARIANCE(bonus) FROM emp")?;
-        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         assert_eq!(t.aggregates.len(), 3);
         assert!(matches!(t.aggregates[0], ServerAggregate::AsheSum { ref column } if column == "bonus__ashe_sq"));
         assert_eq!(t.category, SupportCategory::ClientPreProcessing);
         // Variance over a column without squares is rejected.
         let bad = parse("SELECT VARIANCE(salary) FROM emp")?;
-        assert!(translate(&bad, &plan, &TranslateOptions::default()).is_err());
+        assert!(translate(&bad, &plan, &TranslateOptions).is_err());
         Ok(())
     }
 
     #[test]
-    fn group_by_on_det_column_with_inflation() -> Result<(), SeabedError> {
+    fn group_by_on_det_column() -> Result<(), SeabedError> {
         let plan = sample_plan()?;
         let q = parse("SELECT dept, SUM(salary) FROM emp GROUP BY dept")?;
-        let opts = TranslateOptions {
-            workers: 100,
-            expected_groups: Some(10),
-        };
-        let t = translate(&q, &plan, &opts)?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         assert_eq!(t.group_by.len(), 1);
         assert_eq!(t.group_by[0].physical_column, "dept__det");
         assert!(t.group_by[0].encrypted);
-        assert_eq!(t.group_inflation, 10, "10 groups on 100 workers -> 10x inflation");
-        assert!(t.client_post.contains(&ClientPostStep::MergeInflatedGroups));
-        assert!(t.describe().contains("rid%10"));
-
-        // Without the expected-group hint inflation is off.
-        let t2 = translate(&q, &plan, &TranslateOptions::default())?;
-        assert_eq!(t2.group_inflation, 1);
+        assert!(t.client_post.is_empty(), "a plain SUM needs no proxy step");
+        assert!(t.describe().contains("groupBy(dept__det) -> reduce ASHE("));
         Ok(())
     }
 
@@ -1182,7 +1136,7 @@ mod tests {
     fn plaintext_columns_pass_through() -> Result<(), SeabedError> {
         let plan = sample_plan()?;
         let q = parse("SELECT SUM(salary) FROM emp WHERE public_flag = 1")?;
-        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         assert!(matches!(t.filters[0], ServerFilter::Plain(_)));
         Ok(())
     }
@@ -1192,19 +1146,19 @@ mod tests {
         let plan = sample_plan()?;
         // Range predicate over a SPLASHE column.
         let q = parse("SELECT SUM(salary) FROM emp WHERE country > 'USA'")?;
-        assert!(translate(&q, &plan, &TranslateOptions::default()).is_err());
+        assert!(translate(&q, &plan, &TranslateOptions).is_err());
         // Filtering on an ASHE measure.
         let q2 = parse("SELECT COUNT(*) FROM emp WHERE salary = 100")?;
-        assert!(translate(&q2, &plan, &TranslateOptions::default()).is_err());
+        assert!(translate(&q2, &plan, &TranslateOptions).is_err());
         // Unknown column.
         let q3 = parse("SELECT SUM(unknown_col) FROM emp")?;
         assert!(matches!(
-            translate(&q3, &plan, &TranslateOptions::default()),
+            translate(&q3, &plan, &TranslateOptions),
             Err(TranslateError::UnknownColumn(_))
         ));
         // Group-by over an ASHE measure.
         let q4 = parse("SELECT salary, COUNT(*) FROM emp GROUP BY salary")?;
-        assert!(translate(&q4, &plan, &TranslateOptions::default()).is_err());
+        assert!(translate(&q4, &plan, &TranslateOptions).is_err());
         Ok(())
     }
 
@@ -1212,7 +1166,7 @@ mod tests {
     fn min_max_require_ope_or_plaintext() -> Result<(), SeabedError> {
         let plan = sample_plan()?;
         let q = parse("SELECT MIN(ts) FROM emp")?;
-        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         assert_eq!(
             t.aggregates,
             vec![ServerAggregate::OpeMin {
@@ -1220,7 +1174,7 @@ mod tests {
             }]
         );
         let q2 = parse("SELECT MAX(salary) FROM emp")?;
-        assert!(translate(&q2, &plan, &TranslateOptions::default()).is_err());
+        assert!(translate(&q2, &plan, &TranslateOptions).is_err());
         Ok(())
     }
 
@@ -1229,7 +1183,7 @@ mod tests {
         let plan = sample_plan()?;
         // dept is DET, ts is OPE, public_flag is plaintext.
         let q = parse("SELECT SUM(salary) FROM emp WHERE dept = ? AND ts >= ? AND public_flag = ?")?;
-        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         assert_eq!(t.params.len(), 3);
         assert!(!t.is_bound());
         assert_eq!(t.params[0].kind, ParamKind::Det);
@@ -1253,12 +1207,12 @@ mod tests {
     fn bind_substitutes_literals_by_ordinal() -> Result<(), SeabedError> {
         let plan = sample_plan()?;
         let q = parse("SELECT SUM(salary) FROM emp WHERE dept = ? AND ts >= ?")?;
-        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         let bound = t.bind(&[Literal::Text("eng".to_string()), Literal::Integer(100)])?;
         assert!(bound.is_bound());
         // The bound image is identical to translating the literal SQL.
         let inline = parse("SELECT SUM(salary) FROM emp WHERE dept = 'eng' AND ts >= 100")?;
-        let expected = translate(&inline, &plan, &TranslateOptions::default())?;
+        let expected = translate(&inline, &plan, &TranslateOptions)?;
         assert_eq!(bound, expected);
         // The prepared plan is reusable: a second bind sees clean slots.
         let again = t.bind(&[Literal::Text("ops".to_string()), Literal::Integer(7)])?;
@@ -1270,7 +1224,7 @@ mod tests {
     fn bind_rejects_wrong_arity_and_types() -> Result<(), SeabedError> {
         let plan = sample_plan()?;
         let q = parse("SELECT SUM(salary) FROM emp WHERE ts >= ?")?;
-        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         // Unbound and over-bound are typed Schema errors at bind time.
         assert!(matches!(
             t.bind(&[]),
@@ -1299,7 +1253,7 @@ mod tests {
         // country is enhanced SPLASHE: the bound value selects the physical
         // column, so a placeholder cannot be planned.
         let q = parse("SELECT SUM(salary) FROM emp WHERE country = ?")?;
-        let outcome = translate(&q, &plan, &TranslateOptions::default());
+        let outcome = translate(&q, &plan, &TranslateOptions);
         assert!(
             matches!(&outcome, Err(TranslateError::Unsupported(msg)) if msg.contains("SPLASHE")),
             "{outcome:?}"
@@ -1313,7 +1267,7 @@ mod tests {
         let mut q = parse("SELECT SUM(salary) FROM emp WHERE ts >= ?")?;
         // Hand-corrupt the ordinal; the parser never produces this.
         q.predicates[0].value = Literal::Param(3);
-        assert!(translate(&q, &plan, &TranslateOptions::default()).is_err());
+        assert!(translate(&q, &plan, &TranslateOptions).is_err());
         Ok(())
     }
 
@@ -1329,7 +1283,7 @@ mod tests {
         let q = parse(
             "SELECT SUM(salary), AVG(salary), MIN(ts), VARIANCE(bonus), STDDEV(bonus), COUNT(*), STDDEV(bonus) FROM emp",
         )?;
-        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         assert_eq!(t.aggregates.len(), 1 + 2 + 1 + 3 + 3 + 1 + 3);
         // bonus = {1, 2, 3, 6}: Σx² = 50, Σx = 12, n = 4, variance 3.5.
         let decrypted = [100, 90, 4, 7, 50, 12, 4, 50, 12, 4, 4, 50, 12, 4];
@@ -1364,7 +1318,7 @@ mod tests {
     fn the_inverse_follows_the_plans_indices() -> Result<(), SeabedError> {
         let plan = sample_plan()?;
         let q = parse("SELECT COUNT(*), AVG(salary), SUM(salary) FROM emp")?;
-        let mut t = translate(&q, &plan, &TranslateOptions::default())?;
+        let mut t = translate(&q, &plan, &TranslateOptions)?;
         assert_eq!(
             finished(&t, &[4, 90, 6, 100])?,
             vec![ResultValue::UInt(4), ResultValue::Float(15.0), ResultValue::UInt(100)]
@@ -1385,7 +1339,7 @@ mod tests {
     fn values_or_steps_that_do_not_fit_the_plan_are_typed_errors() -> Result<(), SeabedError> {
         let plan = sample_plan()?;
         let q = parse("SELECT STDDEV(bonus) FROM emp")?;
-        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         // Too few and too many values.
         for decrypted in [&[50, 12][..], &[50, 12, 4, 9][..]] {
             assert!(matches!(finished(&t, decrypted), Err(SeabedError::Engine(_))));
@@ -1413,7 +1367,7 @@ mod tests {
         let plan = sample_plan()?;
         let q =
             parse("SELECT MAX(ts) FROM emp WHERE dept = 'eng' AND ts >= 7 AND public_flag = ? AND public_flag = 1")?;
-        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         let classes: Vec<_> = t.filters.iter().map(|f| (f.class(), f.column())).collect();
         assert_eq!(
             classes,
@@ -1471,7 +1425,7 @@ mod tests {
             "SELECT SUM(public_flag) FROM emp WHERE country = 'USA'",
             "SELECT SUM(salary) FROM emp WHERE country = 'USA' AND country = 'India'",
         ] {
-            let outcome = translate(&parse(sql)?, &plan, &TranslateOptions::default());
+            let outcome = translate(&parse(sql)?, &plan, &TranslateOptions);
             assert!(
                 matches!(&outcome, Err(TranslateError::Unsupported(msg)) if msg.contains("country")),
                 "{sql}: {outcome:?}"
@@ -1479,7 +1433,7 @@ mod tests {
         }
         // SUM, COUNT and AVG have splayed columns.
         let q = parse("SELECT SUM(salary), COUNT(*), AVG(salary) FROM emp WHERE country = 'USA' AND ts >= 3")?;
-        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         assert!(t
             .aggregates
             .iter()
@@ -1491,7 +1445,7 @@ mod tests {
     fn describe_mentions_encrypted_operators() -> Result<(), SeabedError> {
         let plan = sample_plan()?;
         let q = parse("SELECT SUM(salary) FROM emp WHERE ts >= 100")?;
-        let t = translate(&q, &plan, &TranslateOptions::default())?;
+        let t = translate(&q, &plan, &TranslateOptions)?;
         let desc = t.describe();
         assert!(desc.contains("OPE.cmp"));
         assert!(desc.contains("reduce ASHE"));

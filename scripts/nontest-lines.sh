@@ -59,7 +59,7 @@ done | xargs awk -v verbose="$verbose" -v code="$code" '
     }
     function close_crate() {
         close_file()
-        if (crate != "") row("%-6s", crate, "crate")
+        if (crate != "") row("%-9s", crate, "crate")
         add("total", "crate")
     }
     FNR == 1 {
@@ -73,5 +73,5 @@ done | xargs awk -v verbose="$verbose" -v code="$code" '
     { lines["file"]++ }
     /^[[:space:]]*\/\// { comments["file"]++; next }
     /[^[:space:]]/ { codes["file"]++ }
-    END { close_crate(); row("%-6s", "total", "total") }
+    END { close_crate(); row("%-9s", "total", "total") }
 '

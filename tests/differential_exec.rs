@@ -9,12 +9,11 @@
 //! 1. `scalar_vectorized_and_reference_agree` — 256 randomized cases over
 //!    hand-built tables covering every filter variant (plain u64 with all six
 //!    operators, string equality, DET tags, ORE range predicates), SUM /
-//!    COUNT / MIN / MAX aggregates, 0–2 group-by columns and group inflation.
-//!    The scalar and vectorized responses must be *identical* (keys,
-//!    aggregate values, ID lists, result and shuffle byte accounting), and
-//!    after de-inflation
-//!    they must match an independent plaintext evaluation (sums, group keys,
-//!    group counts, exact selected-row ID sets, MIN/MAX winners).
+//!    COUNT / MIN / MAX aggregates and 0–2 group-by columns. The scalar and
+//!    vectorized responses must be *identical* (keys, aggregate values, ID
+//!    lists, result and shuffle byte accounting), and they must match an
+//!    independent plaintext evaluation (sums, group keys, group counts, exact
+//!    selected-row ID sets, MIN/MAX winners).
 //!    `flat_fold_matches_the_row_at_a_time_oracle_on_the_hard_shapes` runs
 //!    the same check over the shapes a per-partition group index and an
 //!    in-order driver fold can get wrong and random small tables never reach.
@@ -192,7 +191,7 @@ impl FuzzFilter {
     }
 }
 
-fn query(group_cols: &[&str], inflation: u32, extreme: Option<bool>) -> TranslatedQuery {
+fn query(group_cols: &[&str], extreme: Option<bool>) -> TranslatedQuery {
     let mut aggregates = vec![
         ServerAggregate::AsheSum {
             column: "m__ashe".to_string(),
@@ -222,7 +221,6 @@ fn query(group_cols: &[&str], inflation: u32, extreme: Option<bool>) -> Translat
                 encrypted: false,
             })
             .collect(),
-        group_inflation: inflation,
         client_post: vec![],
         preserve_row_ids: true,
         category: SupportCategory::ServerOnly,
@@ -244,38 +242,25 @@ struct RefGroup {
     extreme: Option<u64>,
 }
 
-/// De-inflated view of a server response, merged the way the proxy merges
-/// inflated shards.
-struct Deflated {
+/// A server response group, decoded.
+#[derive(Default)]
+struct Decoded {
     sum: u64,
     count: u64,
     ids: Vec<u64>,
-    /// (ORE plaintext value, companion word) of the best shard winner.
+    /// (ORE plaintext value, companion word) of the winner.
     extreme: Option<(u64, u64)>,
 }
 
-fn deflate(
-    t: &FuzzTable,
-    resp: &ServerResponse,
-    strip_suffix: bool,
-    want_max: bool,
-) -> Result<HashMap<Vec<u64>, Deflated>, String> {
-    let mut out: HashMap<Vec<u64>, Deflated> = HashMap::new();
+/// The response's groups by key; a key answered twice is an error.
+fn decode(t: &FuzzTable, resp: &ServerResponse) -> Result<HashMap<Vec<u64>, Decoded>, String> {
+    let mut out: HashMap<Vec<u64>, Decoded> = HashMap::new();
     for group in &resp.groups {
-        let mut key = group.key.clone();
-        if strip_suffix {
-            key.pop();
-        }
-        let entry = out.entry(key).or_insert(Deflated {
-            sum: 0,
-            count: 0,
-            ids: Vec::new(),
-            extreme: None,
-        });
+        let mut decoded = Decoded::default();
         // The group's rows: one list, whatever the number of sums over them.
         if let Some(ids) = &group.ids {
             let ids = IdSet::decode(&ids.id_list, ids.encoding).ok_or("undecodable ID list")?;
-            entry.ids.extend(ids.iter());
+            decoded.ids = ids.iter().collect();
         }
         for agg in &group.aggregates {
             match agg {
@@ -283,9 +268,9 @@ fn deflate(
                     if group.ids.is_none() {
                         return Err("an ASHE sum in a group without an ID list".to_string());
                     }
-                    entry.sum = entry.sum.wrapping_add(*value);
+                    decoded.sum = *value;
                 }
-                EncryptedAggregate::Count { rows } => entry.count += rows,
+                EncryptedAggregate::Count { rows } => decoded.count = *rows,
                 EncryptedAggregate::Extreme { value_word, row_id } => {
                     let Some(id) = row_id else { continue };
                     let row = *id as usize;
@@ -297,26 +282,13 @@ fn deflate(
                     if *value_word != t.ope_word(row) {
                         return Err(format!("extreme companion word mismatch at row {row}"));
                     }
-                    let v = t.ovals[row];
-                    let better = match entry.extreme {
-                        None => true,
-                        Some((cur, _)) => {
-                            if want_max {
-                                v > cur
-                            } else {
-                                v < cur
-                            }
-                        }
-                    };
-                    if better {
-                        entry.extreme = Some((v, *value_word));
-                    }
+                    decoded.extreme = Some((t.ovals[row], *value_word));
                 }
             }
         }
-    }
-    for entry in out.values_mut() {
-        entry.ids.sort_unstable();
+        if out.insert(group.key.clone(), decoded).is_some() {
+            return Err(format!("group {:?} answered twice", group.key));
+        }
     }
     Ok(out)
 }
@@ -329,7 +301,6 @@ fn check_case(
     t: &FuzzTable,
     fuzz_filters: &[FuzzFilter],
     group_mode: u8,
-    inflation: u32,
     extreme: Option<bool>,
 ) -> Result<ServerResponse, TestCaseError> {
     let filters: Vec<PhysicalFilter> = fuzz_filters.iter().map(|f| f.physical()).collect();
@@ -339,7 +310,7 @@ fn check_case(
         _ => &["g", "h"],
     };
     let want_max = extreme.unwrap_or(false);
-    let q = query(group_cols, inflation, extreme);
+    let q = query(group_cols, extreme);
 
     // 1. The two execution modes must agree exactly.
     let scalar = server(&t.table, ExecMode::Scalar).execute(&q, &filters);
@@ -386,18 +357,17 @@ fn check_case(
         reference.entry(vec![]).or_default();
     }
 
-    // 3. De-inflate the server response and compare.
-    let strip = group_mode > 0 && inflation > 1;
-    let deflated = match deflate(t, &scalar, strip, want_max) {
+    // 3. Decode the server response and compare.
+    let decoded = match decode(t, &scalar) {
         Ok(d) => d,
         Err(msg) => {
             prop_assert!(false, "{}", msg);
             unreachable!()
         }
     };
-    prop_assert_eq!(deflated.len(), reference.len(), "group key sets differ");
+    prop_assert_eq!(decoded.len(), reference.len(), "group key sets differ");
     for (key, expected) in &reference {
-        let Some(actual) = deflated.get(key) else {
+        let Some(actual) = decoded.get(key) else {
             prop_assert!(false, "server is missing group {key:?}");
             unreachable!()
         };
@@ -439,7 +409,6 @@ proptest! {
         op2 in 0u8..6,
         ov in 0u64..32,
         group_mode in 0u8..3,
-        inflation_pick in 0u8..3,
         extreme_on in any::<bool>(),
         want_max in any::<bool>(),
     ) {
@@ -460,21 +429,20 @@ proptest! {
         if filter_mask & 8 != 0 {
             fuzz_filters.push(FuzzFilter::Ope(op_of(op2), ov));
         }
-        let inflation = [1u32, 2, 5][inflation_pick as usize];
-        check_case(&t, &fuzz_filters, group_mode, inflation, extreme_on.then_some(want_max))?;
+        check_case(&t, &fuzz_filters, group_mode, extreme_on.then_some(want_max))?;
     }
 }
 
 /// The shapes the flat per-partition fold can get wrong and the random cases
 /// above (six values of `g`, at most 220 rows) never reach: a group index that
 /// has to grow, keys that collide or differ in one half of the word only,
-/// composite inflated keys, MIN/MAX states beside sums under GROUP BY,
+/// composite keys, MIN/MAX states beside sums under GROUP BY,
 /// partitions that select nothing or one row, and a run of selected rows
 /// running across a partition boundary.
 #[test]
 fn flat_fold_matches_the_row_at_a_time_oracle_on_the_hard_shapes() {
-    let check = |name: &str, t: &FuzzTable, filters: &[FuzzFilter], group_mode, inflation, extreme| match check_case(
-        t, filters, group_mode, inflation, extreme,
+    let check = |name: &str, t: &FuzzTable, filters: &[FuzzFilter], group_mode, extreme| match check_case(
+        t, filters, group_mode, extreme,
     ) {
         Ok(response) => response,
         Err(TestCaseError::Fail(message)) => panic!("{name}: {message}"),
@@ -483,12 +451,10 @@ fn flat_fold_matches_the_row_at_a_time_oracle_on_the_hard_shapes() {
     let unfiltered = |rows: usize| vec![0u64; rows];
 
     // More than 300 distinct keys in each partition: the index doubles its
-    // table three times over. With and without the inflation suffix.
+    // table three times over.
     let many = FuzzTable::with_columns(1, 2, unfiltered(700), (0..700u64).map(|i| i % 331).collect());
-    for inflation in [1, 5] {
-        let response = check("many keys", &many, &[], 1, inflation, None);
-        assert!(response.groups.len() >= 331, "{} groups", response.groups.len());
-    }
+    let response = check("many keys", &many, &[], 1, None);
+    assert!(response.groups.len() >= 331, "{} groups", response.groups.len());
 
     // Keys equal in their low 32 bits, keys differing only there, and both.
     type KeyFamily = (&'static str, fn(u64) -> u64);
@@ -499,20 +465,20 @@ fn flat_fold_matches_the_row_at_a_time_oracle_on_the_hard_shapes() {
     ];
     for (name, key) in halves {
         let t = FuzzTable::with_columns(2, 3, unfiltered(300), (0..300u64).map(key).collect());
-        let response = check(name, &t, &[], 1, 1, None);
+        let response = check(name, &t, &[], 1, None);
         let expected = if name == "both halves" { 15 } else { 7 };
         assert_eq!(response.groups.len(), expected, "{name}");
-        check(name, &t, &[FuzzFilter::Ope(CompareOp::Lt, 20)], 1, 2, Some(true));
+        check(name, &t, &[FuzzFilter::Ope(CompareOp::Lt, 20)], 1, Some(true));
     }
 
-    // Two group columns with inflation 5, filtered and not; MIN and MAX
-    // beside SUM and COUNT under one and two group columns.
+    // Two group columns, filtered and not; MIN and MAX beside SUM and COUNT
+    // under one and two group columns.
     let t = FuzzTable::generate(3, 400, 5);
     for filters in [vec![], vec![FuzzFilter::PlainU64(CompareOp::GtEq, 4)]] {
-        check("two columns, inflation 5", &t, &filters, 2, 5, None);
+        check("two columns", &t, &filters, 2, None);
         for want_max in [false, true] {
-            check("extremes under GROUP BY", &t, &filters, 1, 1, Some(want_max));
-            check("extremes under GROUP BY", &t, &filters, 2, 5, Some(want_max));
+            check("extremes under GROUP BY", &t, &filters, 1, Some(want_max));
+            check("extremes under GROUP BY", &t, &filters, 2, Some(want_max));
         }
     }
 
@@ -520,15 +486,8 @@ fn flat_fold_matches_the_row_at_a_time_oracle_on_the_hard_shapes() {
     let picked = |rows: &[u64]| (0..80u64).map(|i| u64::from(rows.contains(&i))).collect::<Vec<u64>>();
     let selected = [FuzzFilter::PlainU64(CompareOp::Eq, 1)];
     let sparse = FuzzTable::with_columns(4, 4, picked(&[25, 60, 61, 62]), (0..80u64).map(|i| i % 3).collect());
-    for (group_mode, inflation) in [(0, 1), (1, 1), (2, 5)] {
-        check(
-            "sparse partitions",
-            &sparse,
-            &selected,
-            group_mode,
-            inflation,
-            Some(true),
-        );
+    for group_mode in [0, 1, 2] {
+        check("sparse partitions", &sparse, &selected, group_mode, Some(true));
     }
 
     // Rows 15 to 24 of 20-row partitions: one run across the boundary, and
@@ -536,7 +495,7 @@ fn flat_fold_matches_the_row_at_a_time_oracle_on_the_hard_shapes() {
     let across: Vec<u64> = (15..25).collect();
     let spanning = FuzzTable::with_columns(5, 4, picked(&across), vec![9; 80]);
     for group_mode in [0, 1] {
-        let response = check("spanning run", &spanning, &selected, group_mode, 1, None);
+        let response = check("spanning run", &spanning, &selected, group_mode, None);
         assert_eq!(response.groups.len(), 1);
         let ids = response.groups[0].ids.as_ref().expect("a sum carries its ID list");
         let decoded = IdSet::decode(&ids.id_list, ids.encoding).expect("decodable");
@@ -561,7 +520,7 @@ proptest! {
         let keys: Vec<u64> = (0..rows as u64).map(|i| mix(seed, i, 2) % groups).collect();
         let noenc = NoEncSystem::new(&values, Some(&keys), partitions, ClusterModel::new(4));
         let expected_sum = noenc.sum(1.0);
-        let (expected_groups, _) = noenc.group_by_sum(1.0);
+        let (want_groups, _) = noenc.group_by_sum(1.0);
 
         let table = Table::from_columns(
             Schema::new([
@@ -582,7 +541,6 @@ proptest! {
                     ServerAggregate::CountRows,
                 ],
                 group_by: vec![],
-                group_inflation: 1,
                 client_post: vec![],
                 preserve_row_ids: true,
                 category: SupportCategory::ServerOnly,
@@ -612,9 +570,9 @@ proptest! {
                 Ok(r) => r,
                 Err(e) => { prop_assert!(false, "{mode:?}: {e}"); unreachable!() }
             };
-            prop_assert_eq!(resp.groups.len(), expected_groups.len());
+            prop_assert_eq!(resp.groups.len(), want_groups.len());
             for group in &resp.groups {
-                let expected = expected_groups.get(&group.key[0]).copied();
+                let expected = want_groups.get(&group.key[0]).copied();
                 prop_assert!(matches!(
                     &group.aggregates[0],
                     EncryptedAggregate::AsheSum { value, .. } if Some(*value) == expected

@@ -226,18 +226,15 @@ fn always_hedged_execution_is_byte_identical() {
     }
 }
 
-/// Group inflation produces inflated (suffixed) group keys on the server;
-/// the distributed merge must keep every inflated shard-group intact so the
-/// proxy's de-inflation (and its exact de-inflated ID sets) sees identical
-/// input.
+/// A group-by through the coordinator: each group's shard partials merge into
+/// the single server's group, exact ID set included, and the decrypted
+/// per-dept sums match a plaintext evaluation.
 #[test]
-fn inflated_group_by_is_byte_identical() {
-    let (mut client, server, dataset) = sales_fixture();
-    client.translate_options.expected_groups = Some(1);
+fn grouped_sums_are_byte_identical_and_match_plaintext() {
+    let (client, server, dataset) = sales_fixture();
     let (workers, coordinator) = cluster_of(2, "sales", server.table().clone());
     let sql = "SELECT dept, SUM(revenue) FROM sales GROUP BY dept";
     let (prepared, local) = run_encrypted(&client, &server, sql).expect("local");
-    assert!(prepared.translated().group_inflation > 1, "fixture must inflate groups");
     let (_, dist) = run_encrypted(&client, &coordinator, sql).expect("dist");
     assert_eq!(local.groups, dist.groups);
 
@@ -260,33 +257,26 @@ fn inflated_group_by_is_byte_identical() {
     }
 }
 
-/// MIN/MAX on the inflated fixture: every sub-group ships its own winner, and
-/// the proxy — not a server, ORE ciphertexts of different sub-groups never
-/// meet — picks among them. Through the coordinator and on the single server
-/// the decrypted rows must equal the un-inflated ones and a plaintext
-/// evaluation (the proxy used to answer with the first sub-group's winner).
+/// MIN/MAX per group: the coordinator merges each group's shard winners
+/// into the single server's, and through both the decrypted rows equal a
+/// plaintext evaluation.
 #[test]
-fn inflated_min_max_decrypt_to_the_plaintext_extremes() {
+fn grouped_min_max_decrypt_to_the_plaintext_extremes() {
     let (client, server, dataset) = sales_fixture();
-    let mut inflating = client.clone();
-    inflating.translate_options.expected_groups = Some(1);
     let (workers, coordinator) = cluster_of(2, "sales", server.table().clone());
     let sql = "SELECT dept, MIN(ts), SUM(revenue), MAX(ts) FROM sales GROUP BY dept";
-    let (prepared, local) = run_encrypted(&inflating, &server, sql).expect("local");
-    assert!(prepared.translated().group_inflation > 1, "fixture must inflate groups");
-    let (_, dist) = run_encrypted(&inflating, &coordinator, sql).expect("dist");
+    let (prepared, local) = run_encrypted(&client, &server, sql).expect("local");
+    let (_, dist) = run_encrypted(&client, &coordinator, sql).expect("dist");
     assert_eq!(local.groups, dist.groups);
 
-    let (flat, uninflated) = run_encrypted(&client, &server, sql).expect("un-inflated");
-    let uninflated = decrypted(&client, &flat, uninflated);
     let (dept, ts, revenue) = (
         dataset.column("dept").expect("dept"),
         dataset.column("ts").expect("ts"),
         dataset.column("revenue").expect("revenue"),
     );
     for response in [local, dist] {
-        let rows = decrypted(&inflating, &prepared, response);
-        assert_eq!(rows, uninflated);
+        let rows = decrypted(&client, &prepared, response);
+        assert_eq!(rows.len(), 5);
         for row in rows {
             let ResultValue::Text(key) = &row[0] else {
                 panic!("expected a decrypted dept key, got {row:?}");

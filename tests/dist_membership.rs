@@ -50,7 +50,6 @@ fn sum_query(group_by: bool) -> TranslatedQuery {
         } else {
             vec![]
         },
-        group_inflation: 1,
         client_post: vec![],
         preserve_row_ids: true,
         category: SupportCategory::ServerOnly,

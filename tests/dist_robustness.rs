@@ -3,13 +3,13 @@
 //! partial-response frames (typed errors, coordinator survives), and
 //! duplicate / late partial responses (discarded, never merged twice).
 
-use seabed_core::{QueryTarget, SeabedServer, ServerResponse};
+use seabed_core::{QueryTarget, SeabedClient, SeabedServer, ServerResponse};
 use seabed_dist::{spawn_worker, DistConfig, DistCoordinator};
 use seabed_engine::{Cluster, ClusterConfig, ColumnData, ColumnType, Schema, Table};
 use seabed_error::SeabedError;
 use seabed_net::wire::{self, Frame};
 use seabed_net::{FrameConn, Received, ServiceConfig, Wait};
-use seabed_query::{ServerAggregate, SupportCategory, TranslatedQuery};
+use seabed_query::{parse, ColumnSpec, PlannerConfig, ServerAggregate, SupportCategory, TranslatedQuery};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
@@ -50,7 +50,6 @@ fn sum_query(group_by: bool) -> TranslatedQuery {
         } else {
             vec![]
         },
-        group_inflation: 1,
         client_post: vec![],
         preserve_row_ids: true,
         category: SupportCategory::ServerOnly,
@@ -86,6 +85,9 @@ enum Misbehavior {
     /// Answer with a well-framed partial whose groups carry fewer aggregates
     /// than the query requested (a forged/buggy shape).
     ForgedShortPartial,
+    /// Answer with an honest partial whose every group key carries one word
+    /// more than the query groups by.
+    WideKeys,
     /// Answer with a well-framed partial of the right shape whose ID list
     /// is forged as the [`IdForgery`] says.
     ForgedIds(IdForgery),
@@ -238,6 +240,30 @@ fn recording_fake_worker(behavior: Misbehavior, seen: SeenSeqs) -> (SocketAddr, 
                         for states in partial.groups.values_mut() {
                             states.aggregates.truncate(1);
                         }
+                        let _ = conn.send(
+                            &Frame::ShardPartial {
+                                epoch,
+                                table_id,
+                                shard,
+                                seq,
+                                partial,
+                            },
+                            MAX,
+                        );
+                    }
+                    Misbehavior::WideKeys => {
+                        let mut partial = shards
+                            .get(&shard)
+                            .expect("shard resident")
+                            .execute_partial(&query, &filters)
+                            .expect("shard execution");
+                        partial.groups = std::mem::take(&mut partial.groups)
+                            .into_iter()
+                            .map(|(mut key, group)| {
+                                key.push(0);
+                                (key, group)
+                            })
+                            .collect();
                         let _ = conn.send(
                             &Frame::ShardPartial {
                                 epoch,
@@ -627,6 +653,40 @@ fn forged_short_partials_are_rejected_and_redispatched() {
     for w in workers {
         w.shutdown();
     }
+}
+
+/// A group key one word wider than the plan — the shape of a key that still
+/// carries the paper's group-inflation suffix — is refused as a typed error
+/// by the proxy, in a response, and by the coordinator, in a shard partial
+/// from its only worker, so nothing can re-dispatch it. The proxy then
+/// decrypts the honest response.
+#[test]
+fn a_group_key_wider_than_the_plan_is_refused_by_the_proxy_and_the_coordinator() {
+    let table = test_table(1_000, 4);
+    let query = sum_query(true);
+    let honest = local_answer(&table, &query);
+    let mut wide = honest.clone();
+    wide.groups.iter_mut().for_each(|group| group.key.push(0));
+
+    let proxy = SeabedClient::create_plan(b"wide-keys", &[ColumnSpec::public("g")], &[], &PlannerConfig::default());
+    let sql = parse("SELECT g, SUM(m), COUNT(*) FROM t GROUP BY g").expect("parse");
+    let outcome = proxy.decrypt_response(&sql, &query, wide);
+    assert!(
+        matches!(&outcome, Err(SeabedError::Engine(message)) if message.contains("2 key words")),
+        "{outcome:?}"
+    );
+    let rows = proxy
+        .decrypt_response(&sql, &query, honest)
+        .expect("honest response")
+        .rows;
+    assert_eq!(rows.len(), 7);
+
+    let (_, fake, coordinator) = mixed_cluster(0, Misbehavior::WideKeys, table, DistConfig::default());
+    let outcome = coordinator.execute_query(&query, &[]);
+    assert!(matches!(&outcome, Err(SeabedError::Dist { .. })), "{outcome:?}");
+    assert!(!coordinator.worker_summaries()[0].alive, "the partial poisons its link");
+    drop(coordinator);
+    fake.join().expect("fake worker");
 }
 
 /// A well-framed partial whose ID list names rows twice, sits in a container

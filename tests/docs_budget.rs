@@ -7,7 +7,7 @@
 use std::path::Path;
 
 /// README.md's line budget. Lower it when the README shrinks; never raise it.
-const README_MAX_LINES: usize = 976;
+const README_MAX_LINES: usize = 970;
 
 /// The verify skill's line budget, held the way the README's is.
 const VERIFY_SKILL_MAX_LINES: usize = 150;

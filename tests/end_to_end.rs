@@ -158,9 +158,8 @@ fn timings_are_populated() {
 
 /// 200 rows in two contiguous departments (`a`: rows 0–99, `b`: rows
 /// 100–199), an OPE timestamp that is not monotonic in the row order, and an
-/// ASHE measure. Returns the proxy, the same proxy hinted to expect 2 groups
-/// (inflation factor 50 on the default 100 workers), the server and the data.
-fn two_dept_world() -> (SeabedClient, SeabedClient, SeabedServer, PlainDataset) {
+/// ASHE measure. Returns the proxy, the server and the data.
+fn two_dept_world() -> (SeabedClient, SeabedServer, PlainDataset) {
     let rows = 200u64;
     let dataset = PlainDataset::new("sales")
         .with_text_column(
@@ -181,22 +180,17 @@ fn two_dept_world() -> (SeabedClient, SeabedClient, SeabedServer, PlainDataset) 
     .iter()
     .map(|s| parse(s).unwrap())
     .collect();
-    let mut client = SeabedClient::create_plan(b"inflate", &columns, &samples, &PlannerConfig::default());
+    let mut client = SeabedClient::create_plan(b"two-dept", &columns, &samples, &PlannerConfig::default());
     let encrypted = client.encrypt_dataset(&dataset, 8, &mut rand::rng());
     let server = SeabedServer::new(encrypted.table.clone(), Cluster::new(ClusterConfig::default()));
-    let mut inflating = client.clone();
-    inflating.translate_options.expected_groups = Some(2);
-    (client, inflating, server, dataset)
+    (client, server, dataset)
 }
 
-/// MIN/MAX under group inflation. The proxy used to keep the *first*
-/// sub-group's winner of each group ("MIN/MAX never combines with group
-/// inflation in this dialect" — which nothing enforced) and answer with it,
-/// no error. Inflated rows must equal un-inflated rows must equal plaintext,
-/// for MIN, MAX and a list mixing them with SUM / COUNT / AVG.
+/// MIN/MAX per group: the decrypted rows equal plaintext, for MIN, MAX and a
+/// list mixing them with SUM / COUNT / AVG.
 #[test]
-fn inflated_min_max_match_uninflated_and_plaintext() {
-    let (client, inflating, server, ds) = two_dept_world();
+fn grouped_min_max_match_plaintext() {
+    let (client, server, ds) = two_dept_world();
     let dept = ds.column("dept").unwrap();
     let column = |name: &str, key: &str| -> Vec<u64> {
         (0..ds.num_rows())
@@ -218,14 +212,6 @@ fn inflated_min_max_match_uninflated_and_plaintext() {
     for list in [vec![0], vec![1], vec![0, 1], vec![2, 0, 3, 4, 1]] {
         let select: Vec<&str> = list.iter().map(|&i| items[i].0).collect();
         let sql = format!("SELECT dept, {} FROM sales GROUP BY dept", select.join(", "));
-        let prepared = SeabedSession::single("sales", inflating.clone(), &server)
-            .prepare(&sql)
-            .unwrap();
-        assert_eq!(
-            prepared.translated().group_inflation,
-            50,
-            "the hinted proxy must inflate {sql}"
-        );
 
         let plaintext: Vec<Vec<ResultValue>> = ["a", "b"]
             .iter()
@@ -240,26 +226,20 @@ fn inflated_min_max_match_uninflated_and_plaintext() {
             rows.sort_by_key(|row| format!("{:?}", row[0]));
             rows
         };
-        let flat = by_dept(query(&client, &server, &sql).rows);
-        let inflated = by_dept(query(&inflating, &server, &sql).rows);
-        assert_eq!(flat, plaintext, "un-inflated {sql}");
-        assert_eq!(inflated, plaintext, "inflated {sql}");
+        let rows = by_dept(query(&client, &server, &sql).rows);
+        assert_eq!(rows, plaintext, "{sql}");
     }
 }
 
-/// Inflation scatters each department's contiguous rows over 50 sub-groups;
-/// the proxy unites their ID sets *before* the one decryption, so the runs
-/// telescoping needs are whole again and an inflated SUM costs the proxy the
-/// PRF evaluations of the un-inflated one: two per department.
+/// Each department's rows are one contiguous run, so a grouped SUM costs the
+/// proxy two PRF evaluations per department: telescoping unmasks a run from
+/// its two ends.
 #[test]
-fn inflation_costs_the_proxy_no_extra_prf_evaluations() {
-    let (client, inflating, server, _) = two_dept_world();
-    let sql = "SELECT dept, SUM(revenue) FROM sales GROUP BY dept";
-    let flat = query(&client, &server, sql);
-    let inflated = query(&inflating, &server, sql);
-    assert_eq!(inflated.rows, flat.rows);
+fn a_grouped_sum_costs_the_proxy_two_prf_evaluations_per_group() {
+    let (client, server, _) = two_dept_world();
+    let flat = query(&client, &server, "SELECT dept, SUM(revenue) FROM sales GROUP BY dept");
+    assert_eq!(flat.rows.len(), 2);
     assert_eq!(flat.client_prf_evals, 4);
-    assert_eq!(inflated.client_prf_evals, 4);
 }
 
 /// The byte accounting follows the layout: a group's ID list is built, charged

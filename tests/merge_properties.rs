@@ -313,8 +313,8 @@ proptest! {
             prop_assert_eq!(&single.groups, &reassembled.groups, "encrypted groups diverged for {}", sql);
             prop_assert_eq!(single.result_bytes(), reassembled.result_bytes(), "result bytes diverged for {}", sql);
 
-            // And the decrypted answers agree (exact de-inflated ID sets are
-            // implied: ASHE decryption fails loudly on a wrong ID set).
+            // And the decrypted answers agree (exact ID sets are implied:
+            // ASHE decryption fails loudly on a wrong ID set).
             let a = match client.decrypt_response(query, &translated, single) {
                 Ok(r) => r.rows,
                 Err(e) => { prop_assert!(false, "decrypt single {sql}: {e}"); unreachable!() }

@@ -10,7 +10,7 @@
 //! BDB tables, against an in-process `SeabedServer`, a
 //! `RemoteSeabedClient`/`NetServer` pair (where prepared executions ship
 //! only the statement handle plus bound filters), and a `DistCoordinator`
-//! over real workers. Group-by inflation is exercised explicitly.
+//! over real workers.
 
 use seabed_core::{Catalog, PlainDataset, SeabedClient, SeabedServer, SeabedSession};
 use seabed_dist::{spawn_worker, DistConfig, DistCoordinator};
@@ -193,28 +193,6 @@ fn sales_fixture_prepared_equals_one_shot_on_all_targets() {
             "SELECT AVG(revenue) FROM sales WHERE ts >= 1000",
         ),
         case("SELECT MIN(ts) FROM sales", vec![], "SELECT MIN(ts) FROM sales"),
-        case(
-            "SELECT dept, SUM(revenue) FROM sales GROUP BY dept",
-            vec![],
-            "SELECT dept, SUM(revenue) FROM sales GROUP BY dept",
-        ),
-    ];
-    assert_cases_across_targets("sales", &client, &server, &cases);
-}
-
-/// Group inflation produces inflated (suffixed) group keys on the server;
-/// prepared execution must keep the exact same inflated shape so the proxy's
-/// de-inflation sees identical input.
-#[test]
-fn inflated_group_by_prepared_equals_one_shot() {
-    let (mut client, server, _) = sales_fixture();
-    client.translate_options.expected_groups = Some(1);
-    // Confirm the fixture really inflates.
-    let prepared = SeabedSession::single("sales", client.clone(), &server)
-        .prepare("SELECT dept, SUM(revenue) FROM sales GROUP BY dept")
-        .expect("prepare");
-    assert!(prepared.translated().group_inflation > 1, "fixture must inflate groups");
-    let cases = vec![
         case(
             "SELECT dept, SUM(revenue) FROM sales GROUP BY dept",
             vec![],

@@ -95,7 +95,7 @@ fn count_statement() -> seabed_query::TranslatedQuery {
     let client = trivial_client();
     let plan = client.plan().clone();
     let query = parse("SELECT COUNT(*) FROM t").expect("parse");
-    seabed_query::translate(&query, &plan, &seabed_query::TranslateOptions::default()).expect("translate")
+    seabed_query::translate(&query, &plan, &seabed_query::TranslateOptions).expect("translate")
 }
 
 /// One stale EXECUTE: the client re-prepares exactly once and the retry
@@ -156,7 +156,7 @@ fn changed_plan_under_same_statement_id_registers_fresh() {
     let remote = RemoteSeabedClient::connect(net.local_addr(), client.clone()).expect("connect");
 
     let plan = client.plan().clone();
-    let opts = seabed_query::TranslateOptions::default();
+    let opts = seabed_query::TranslateOptions;
     let count_plan =
         seabed_query::translate(&parse("SELECT COUNT(*) FROM t").expect("parse"), &plan, &opts).expect("translate");
     let sum_plan =
@@ -295,7 +295,7 @@ fn a_missing_ope_companion_column_is_refused_at_prepare() {
     let plan = seabed_query::translate(
         &parse(sql).expect("parse"),
         client.plan(),
-        &seabed_query::TranslateOptions::default(),
+        &seabed_query::TranslateOptions,
     )
     .expect("translate");
     let net = NetServer::serve(server, "127.0.0.1:0", ServiceConfig::default()).expect("serve");

@@ -29,7 +29,7 @@ fn plan() -> seabed_query::SchemaPlan {
 fn table2_row1_id_preservation_through_subquery() {
     let p = plan();
     let q = parse("SELECT sum(tmp.a_measure) FROM (SELECT a_measure FROM t WHERE b > 10) tmp").unwrap();
-    let t = translate(&q, &p, &TranslateOptions::default()).unwrap();
+    let t = translate(&q, &p, &TranslateOptions).unwrap();
     assert!(t.preserve_row_ids);
     assert_eq!(t.filters.len(), 1);
     assert!(matches!(t.filters[0], ServerFilter::OpeCompare { .. }));
@@ -45,7 +45,7 @@ fn table2_row1_id_preservation_through_subquery() {
 fn table2_row2_splashe_rewrite() {
     let p = plan();
     let q = parse("SELECT count(*) FROM t WHERE a = 10").unwrap();
-    let t = translate(&q, &p, &TranslateOptions::default()).unwrap();
+    let t = translate(&q, &p, &TranslateOptions).unwrap();
     // The frequent value 10 gets its own indicator column and no server filter.
     assert!(t.filters.is_empty());
     match &t.aggregates[0] {
@@ -54,24 +54,24 @@ fn table2_row2_splashe_rewrite() {
     }
 }
 
+/// Table 2's row 3, the paper's group-inflation example, translates without
+/// its `+ rid%N` suffix: the server groups by the DET column alone, so a
+/// result key is one word.
 #[test]
 fn table2_row3_group_by_inflation() {
     let p = plan();
     let q = parse("SELECT g, sum(a_measure) FROM t GROUP BY g").unwrap();
-    let opts = TranslateOptions {
-        workers: 100,
-        expected_groups: Some(10),
-    };
-    let t = translate(&q, &p, &opts).unwrap();
-    assert_eq!(t.group_inflation, 10);
-    assert!(t.describe().contains("groupBy"));
+    let t = translate(&q, &p, &TranslateOptions).unwrap();
+    assert_eq!(t.group_by.len(), 1);
+    assert!(t.describe().contains(&format!("groupBy({})", encnames::det("g"))));
+    assert!(!t.describe().contains("rid%"));
 }
 
 #[test]
 fn infrequent_splashe_value_keeps_det_filter() {
     let p = plan();
     let q = parse("SELECT SUM(a_measure) FROM t WHERE a = 30").unwrap();
-    let t = translate(&q, &p, &TranslateOptions::default()).unwrap();
+    let t = translate(&q, &p, &TranslateOptions).unwrap();
     assert_eq!(t.filters.len(), 1, "infrequent value needs the balanced DET filter");
     match &t.aggregates[0] {
         ServerAggregate::AsheSum { column } => assert!(column.ends_with("_others")),
@@ -109,7 +109,7 @@ fn unsupported_operations_error_cleanly() {
     ] {
         let q = parse(sql).unwrap();
         assert!(
-            translate(&q, &p, &TranslateOptions::default()).is_err(),
+            translate(&q, &p, &TranslateOptions).is_err(),
             "{sql} should be rejected"
         );
     }
@@ -124,7 +124,7 @@ fn unsupported_operations_error_cleanly() {
 fn min_max_over_a_public_column_is_refused_by_the_translator() {
     let p = plan();
     for (sql, func) in [("SELECT MIN(pub) FROM t", "MIN"), ("SELECT MAX(pub) FROM t", "MAX")] {
-        let outcome = translate(&parse(sql).unwrap(), &p, &TranslateOptions::default());
+        let outcome = translate(&parse(sql).unwrap(), &p, &TranslateOptions);
         assert!(
             matches!(&outcome, Err(seabed_query::TranslateError::Unsupported(msg))
                 if msg.contains(func) && msg.contains("pub") && msg.contains("only OPE columns support MIN/MAX")),
@@ -132,12 +132,7 @@ fn min_max_over_a_public_column_is_refused_by_the_translator() {
         );
     }
     // Over the OPE column the same functions still translate.
-    let t = translate(
-        &parse("SELECT MIN(b), MAX(b) FROM t").unwrap(),
-        &p,
-        &TranslateOptions::default(),
-    )
-    .unwrap();
+    let t = translate(&parse("SELECT MIN(b), MAX(b) FROM t").unwrap(), &p, &TranslateOptions).unwrap();
     assert_eq!(
         t.aggregates,
         vec![

@@ -4,12 +4,12 @@
 //! `ServerResponse`s); this suite closes the loop the analyst sees. A seeded
 //! generator draws SELECT lists of 1–4 items from every aggregate function
 //! (repeats allowed), a grouping (global / a DET dimension / a public
-//! column), a group-inflation hint and up to two filters of every class, and
-//! runs each case through a session twice — with its literals inline
-//! (`query`) **and** as placeholders (`prepare` + `execute`) — on one
-//! `SeabedServer`, a handful also over a two-worker `DistCoordinator`. Every answer must equal a plaintext evaluation of the
-//! parsed query over the plaintext dataset, order-insensitively and within
-//! 1e-9 on floats.
+//! column) and up to two filters of every class, and runs each case through
+//! a session twice — with its literals inline (`query`) **and** as
+//! placeholders (`prepare` + `execute`) — on one `SeabedServer`, a handful
+//! also over a two-worker `DistCoordinator`. Every answer must equal a
+//! plaintext evaluation of the parsed query over the plaintext dataset,
+//! order-insensitively and within 1e-9 on floats.
 //!
 //! The plaintext evaluator below shares no code with `translate` or
 //! `decrypt_response`: it reads the `Query` AST and the `PlainDataset` only.
@@ -237,7 +237,6 @@ struct Case {
     inline_sql: String,
     prepared_sql: String,
     params: Vec<Literal>,
-    expected_groups: Option<usize>,
     /// Equality filters on the SPLASHE dimension.
     splashe_equalities: usize,
 }
@@ -258,7 +257,9 @@ fn generate(seed: u64) -> Case {
     for _ in 0..rng.random_range(1..5usize) {
         select.push(pick(&mut rng, &ITEMS).to_string());
     }
-    let expected_groups = [None, Some(1), Some(3)][rng.random_range(0..3usize)];
+    // Once a group-inflation hint; still drawn, so each seed generates the
+    // statement it always did.
+    rng.random_range(0..3usize);
 
     // (column, operator, literal as SQL, literal as a bindable value — `None`
     // for a SPLASHE equality, whose literal must stay inline).
@@ -315,7 +316,6 @@ fn generate(seed: u64) -> Case {
         inline_sql,
         prepared_sql,
         params,
-        expected_groups,
         splashe_equalities: filters.iter().filter(|(column, ..)| *column == "country").count(),
     }
 }
@@ -396,8 +396,8 @@ fn check(
     };
     (!agrees).then(|| {
         format!(
-            "seed {seed} [{path}] expected_groups={:?}\n  sql: {}\n  decrypted: {got}\n  plaintext: {want}",
-            case.expected_groups, case.inline_sql
+            "seed {seed} [{path}]\n  sql: {}\n  decrypted: {got}\n  plaintext: {want}",
+            case.inline_sql
         )
     })
 }
@@ -416,42 +416,22 @@ fn decrypted_rows_equal_a_plaintext_evaluation_of_the_sql() {
     )
     .expect("coordinator must connect");
 
-    // One proxy (and one session over it) per inflation hint: the hint is
-    // client-side translation state.
-    let hinted = |expected_groups: Option<usize>| {
-        let mut hinted = client.clone();
-        hinted.translate_options.expected_groups = expected_groups;
-        hinted
-    };
-    let proxies = [hinted(None), hinted(Some(1)), hinted(Some(3))];
-    let sessions: Vec<_> = proxies
-        .iter()
-        .map(|proxy| SeabedSession::single("sales", proxy.clone(), &server))
-        .collect();
-    let dist_sessions: Vec<_> = proxies
-        .iter()
-        .map(|proxy| SeabedSession::single("sales", proxy.clone(), &coordinator))
-        .collect();
+    let session = SeabedSession::single("sales", client.clone(), &server);
+    let dist_session = SeabedSession::single("sales", client.clone(), &coordinator);
 
     let mut failures: Vec<String> = Vec::new();
     // What the seeds actually exercised, so a change to the generator cannot
     // quietly stop covering the interesting corners.
-    let (mut refused, mut inflated_extremes, mut bound_params) = (0, 0, 0);
+    let (mut refused, mut grouped_extremes, mut bound_params) = (0, 0, 0);
     for seed in 0..CASES {
         let case = generate(seed);
-        let which = match case.expected_groups {
-            None => 0,
-            Some(1) => 1,
-            _ => 2,
-        };
-        let session = &sessions[which];
         let expected = expectation(&data, &case);
         let sql = &case.inline_sql;
         match expected {
             Expected::Refused => refused += 1,
             Expected::Rows { key_columns, .. } => {
                 let extremes = sql.contains("MIN(") || sql.contains("MAX(");
-                inflated_extremes += usize::from(key_columns > 0 && case.expected_groups.is_some() && extremes);
+                grouped_extremes += usize::from(key_columns > 0 && extremes);
             }
         }
         bound_params += case.params.len();
@@ -464,20 +444,18 @@ fn decrypted_rows_equal_a_plaintext_evaluation_of_the_sql() {
             .map(|result| result.rows);
         failures.extend(check("prepared", &case, seed, &expected, prepared));
         if seed % DIST_EVERY == 0 {
-            let dist = dist_sessions[which]
-                .query(&case.inline_sql, &[])
-                .map(|result| result.rows);
+            let dist = dist_session.query(&case.inline_sql, &[]).map(|result| result.rows);
             failures.extend(check("dist", &case, seed, &expected, dist));
         }
     }
-    drop(dist_sessions);
+    drop(dist_session);
     drop(coordinator);
     for w in workers {
         w.shutdown();
     }
     assert!(
-        refused >= 10 && inflated_extremes >= 30 && bound_params >= 100,
-        "thin coverage: {refused} refused, {inflated_extremes} inflated MIN/MAX, {bound_params} bound literals"
+        refused >= 10 && grouped_extremes >= 30 && bound_params >= 100,
+        "thin coverage: {refused} refused, {grouped_extremes} grouped MIN/MAX, {bound_params} bound literals"
     );
     assert!(
         failures.is_empty(),
@@ -505,11 +483,9 @@ fn every_generated_plan_travels_as_its_server_half() {
     let (mut plans, mut with_post_steps, mut with_group_names, mut with_param_names) = (0, 0, 0, 0);
     for seed in 0..CASES {
         let case = generate(seed);
-        let mut proxy = client.clone();
-        proxy.translate_options.expected_groups = case.expected_groups;
         for sql in [&case.inline_sql, &case.prepared_sql] {
             let parsed = parse(sql).expect("generated SQL parses");
-            let Ok(plan) = translate(&parsed, proxy.plan(), &proxy.translate_options) else {
+            let Ok(plan) = translate(&parsed, client.plan(), &client.translate_options) else {
                 continue; // a refused statement has no plan to ship
             };
             plans += 1;

@@ -245,7 +245,6 @@ fn bare_request() -> Frame {
             filters: Vec::new(),
             aggregates: vec![ServerAggregate::CountRows],
             group_by: Vec::new(),
-            group_inflation: 1,
             client_post: Vec::new(),
             preserve_row_ids: false,
             category: SupportCategory::ServerOnly,
@@ -265,15 +264,15 @@ fn request_with_a_forged_filter_count() {
 }
 
 /// The plan inside a request is the server's half of it: trace id, analyze,
-/// "t", no plan filters, one aggregate; then the group-by count, the inflation
-/// factor and the placeholder count.
+/// "t", no plan filters, one aggregate; then the group-by count and the
+/// placeholder count.
 #[test]
 fn request_plan_with_a_forged_group_by_or_param_count() {
     assert_bounded("Request plan group-by", &bare_request(), |payload| {
-        assert_eq!(payload[..11], [0, 0, 1, b't', 0, 1, 1, 0, 1, 0, 0]);
+        assert_eq!(payload[..10], [0, 0, 1, b't', 0, 1, 1, 0, 0, 0]);
         7
     });
-    assert_bounded("Request plan placeholders", &bare_request(), |_| 9);
+    assert_bounded("Request plan placeholders", &bare_request(), |_| 8);
 }
 
 /// A shard's load of the one-column, one-partition `table`.
@@ -422,7 +421,6 @@ fn group_by_allocations(rows: u64, partitions: usize, groups: u64) -> usize {
             physical_column: "g".to_string(),
             encrypted: false,
         }],
-        group_inflation: 1,
         client_post: Vec::new(),
         preserve_row_ids: true,
         category: SupportCategory::ServerOnly,

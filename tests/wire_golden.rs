@@ -15,11 +15,12 @@
 //!
 //! The digests were first recorded at the commit *before* the codec was
 //! rewritten behind one `Wire` trait (PR 18), re-recorded once for protocol
-//! version 5, once for version 6, once for version 7, once for version 8 and
-//! once for version 9, each time with the reason it moved ([`RECORDED`]). A
-//! kind whose payload did not move keeps its version-8 digest beside the new
-//! one, and the test re-derives it by writing `8` back into the header — so
-//! "only the version field moved" is checked, not claimed.
+//! version 5, once for version 6, once for version 7, once for version 8,
+//! once for version 9 and once for version 10, each time with the reason it
+//! moved ([`RECORDED`]). A kind whose payload did not move keeps its
+//! version-9 digest beside the new one, and the test re-derives it by writing
+//! `9` back into the header — so "only the version field moved" is checked,
+//! not claimed.
 
 use seabed::ashe::IdSet;
 use seabed::core::{EncryptedAggregate, GroupIds, GroupResult, PartialResponse, PhysicalFilter, ServerResponse};
@@ -100,7 +101,6 @@ fn query(category: SupportCategory) -> TranslatedQuery {
                 encrypted: false,
             },
         ],
-        group_inflation: 7,
         client_post: vec![
             ClientPostStep::Divide {
                 numerator: 0,
@@ -112,7 +112,6 @@ fn query(category: SupportCategory) -> TranslatedQuery {
                 count: 1,
             },
             ClientPostStep::SqrtOfVariance { variance_step: 1 },
-            ClientPostStep::MergeInflatedGroups,
         ],
         preserve_row_ids: true,
         category,
@@ -539,13 +538,13 @@ fn frames() -> Vec<(&'static str, Vec<Frame>)> {
     ]
 }
 
-/// `(name, SHA-256 of the bytes, SHA-256 of the bytes under a version-8
+/// `(name, SHA-256 of the bytes, SHA-256 of the bytes under a version-9
 /// header)`, in a fixed order. The payload writers have no header, so their
 /// two digests are one.
 fn digests() -> Vec<(&'static str, String, String)> {
     let mut out = Vec::new();
     for (index, (name, frames)) in frames().into_iter().enumerate() {
-        let (mut bytes, mut as_version_8) = (Vec::new(), Vec::new());
+        let (mut bytes, mut as_version_9) = (Vec::new(), Vec::new());
         for frame in &frames {
             assert_eq!(
                 frame.kind() as usize,
@@ -558,10 +557,10 @@ fn digests() -> Vec<(&'static str, String, String)> {
             assert_eq!(encode_frame(&decoded, u32::MAX).expect("re-encode"), encoded, "{name}");
             bytes.extend_from_slice(&encoded);
             assert_eq!(encoded[4..6], PROTOCOL_VERSION.to_le_bytes());
-            encoded[4..6].copy_from_slice(&8u16.to_le_bytes());
-            as_version_8.extend_from_slice(&encoded);
+            encoded[4..6].copy_from_slice(&9u16.to_le_bytes());
+            as_version_9.extend_from_slice(&encoded);
         }
-        out.push((name, digest_hex(&bytes), digest_hex(&as_version_8)));
+        out.push((name, digest_hex(&bytes), digest_hex(&as_version_9)));
     }
     let mut statement = Vec::new();
     write_statement_payload(&mut statement, &query(SupportCategory::ClientPostProcessing));
@@ -572,117 +571,115 @@ fn digests() -> Vec<(&'static str, String, String)> {
     out
 }
 
-/// Why a digest differs from the one recorded for protocol version 8.
+/// Why a digest differs from the one recorded for protocol version 9.
 enum Moved {
-    /// Only the header's version field: the bytes under a version-8 header
-    /// still hash to the digest recorded for version 8. The payload writers
+    /// Only the header's version field: the bytes under a version-9 header
+    /// still hash to the digest recorded for version 9. The payload writers
     /// have no header, so theirs is the digest itself.
     VersionOnly(&'static str),
-    /// One record per execution: a metrics request is its `include_events`
-    /// flag alone (version 8 led with `include_traces`), and a snapshot is
-    /// the metrics and the events, each event carrying its spans after its
-    /// node (version 8 put a list of traces between the two).
-    OneRecord,
+    /// The plan no longer carries a group-inflation factor, which version 9
+    /// wrote after the group-by columns: one varint fewer.
+    NoInflationFactor,
 }
 use Moved::*;
 
-/// Recorded once for protocol version 9, in the order of [`digests`], each
+/// Recorded once for protocol version 10, in the order of [`digests`], each
 /// with what moved it.
 const RECORDED: [(&str, Moved); 20] = [
     // 01 request
     (
-        "370fd99c50980bf3ed2d2c7b0a176f4e191660caaa6dfabf3ed2352e14cf66d1",
-        VersionOnly("7ebb600c3fb996ccaa99ce171673a79aa0dc12af1fbe2dbb01a2a5c6f136724b"),
+        "139f6306428d79aecf1fc0e5220a1415df6a369f3c690a7a92ee3c5ee21bbb12",
+        NoInflationFactor,
     ),
     // 02 response
     (
-        "b928dcc39b52d174f18a0a40ad3fed1a9d826ec6d96e089a1be45b227631b7d0",
-        VersionOnly("675a7c78e4a451935daeef832284d322a8d0433af040921cdd08ff580131d218"),
+        "0d41fe9c243f56c137b55c7f5dfb0baf795d8e4c2cf59113c62f6e3d6ab63c6d",
+        VersionOnly("b928dcc39b52d174f18a0a40ad3fed1a9d826ec6d96e089a1be45b227631b7d0"),
     ),
     // 03 error
     (
-        "2868c63db2537897b4818d5fc87f9112841b4da6704486ed32b2010643ad266c",
-        VersionOnly("5bd234d4ef99a606850a820f93f8adc913620076ad7cb04f57433eaaff33b9f3"),
+        "f269e4b9082c7c2d3ecc12ddb9ba47afa1bbb7937948fe0b45b1f02c6eac9412",
+        VersionOnly("2868c63db2537897b4818d5fc87f9112841b4da6704486ed32b2010643ad266c"),
     ),
     // 04 schema request
     (
-        "33c2f5f376098f4ca3f2aa06da11c1ff4f9168ec4af8faea95fd64820927d518",
-        VersionOnly("170406184c635f36043ecd452df61d969741f10d6313f302b30dce5e7618363e"),
+        "e79a5272f454b418956d89caf40041158d2f264b9f61c96c2ddcb9579a2e02ae",
+        VersionOnly("33c2f5f376098f4ca3f2aa06da11c1ff4f9168ec4af8faea95fd64820927d518"),
     ),
     // 05 schema
     (
-        "a585c33b8f010b238cdc442daa587c47277a811fcf337b0c60be33c0d40b2d6f",
-        VersionOnly("d7468699d78f16f771c23ad0c054e0208f53ef52c374ed92831d7d3db3085efc"),
+        "058bde9994dcc847b1f695fbc5c88f4f4ba0f733f7efb6a4f4a85a72eb6dbe61",
+        VersionOnly("a585c33b8f010b238cdc442daa587c47277a811fcf337b0c60be33c0d40b2d6f"),
     ),
     // 06 worker handshake
     (
-        "04dab21a25e349c6ca7217c62785ea07092f96741357b8b364e6de58700c9738",
-        VersionOnly("a03cbb4fb180a362c545f043944c285f91bc52dff88cdce38a9bf54ecc698520"),
+        "813d3ca297a7778168163b6d7c2b2848d1e4a84caa3b80ae9e8e6be4328d2793",
+        VersionOnly("04dab21a25e349c6ca7217c62785ea07092f96741357b8b364e6de58700c9738"),
     ),
     // 07 worker ready
     (
-        "602cbbbe61913a941bf43dd1c05dfb2f33fba0929ed4e5cc179a82154b86c76d",
-        VersionOnly("6bb8712fc5386c9ff7b2f5026a320f7aa13a3367a054ea993cf4d435c50680b9"),
+        "b3747094cede1c76cb305ebd1fef49189a56ee51aa3dc8523673cfab7a534096",
+        VersionOnly("602cbbbe61913a941bf43dd1c05dfb2f33fba0929ed4e5cc179a82154b86c76d"),
     ),
     // 08 load shard
     (
-        "4878eb150b9f9bf6ff6289f4c6109fcb06e1c7586c7db9633a1a127e64c65d63",
-        VersionOnly("57a790b4972228bfb48681f2230f25eb9e7bd41bfaaae001c3025b1349fd0bc6"),
+        "c8584ddc1454fde4a5a120496510390a2a42baa49fc15e1b87a29cdf503b235f",
+        VersionOnly("4878eb150b9f9bf6ff6289f4c6109fcb06e1c7586c7db9633a1a127e64c65d63"),
     ),
     // 09 shard loaded
     (
-        "4dc01d85a2e2100d3527830b034f6c9f45a4fb205a4969e850f78d31f2f6ebc5",
-        VersionOnly("9739e7b87b6e2ef20f6ac5d8e4e04c07d31edcdc78f4cda07689df4c4b8db433"),
+        "3be5fc23fb25800a026609aca77311e08b5042c70c1398175221950f81be2c34",
+        VersionOnly("4dc01d85a2e2100d3527830b034f6c9f45a4fb205a4969e850f78d31f2f6ebc5"),
     ),
     // 10 shard query
     (
-        "504fea3458b0894113efd0f4f20ecda9b2c389305bec0c8dfc1097f5e7cdb927",
-        VersionOnly("6564d76f464083928cfb6d534ff6f89ec8ee75b3e9d9967fcda1b90fbf6b3b4f"),
+        "a521d5ba9798be9097db024e1e98676d358c7b6986f265aa132b10eee9894786",
+        NoInflationFactor,
     ),
     // 11 shard partial
     (
-        "00e4be59ec9ced6c9d11f9f927e6ee1760baaf36bfab45f54a2787775ce9b7c2",
-        VersionOnly("566f3efb43fb49c4c4ade6f324ee06f8b8345dfedc35d60f51175bd9ef1803e6"),
+        "c9e99bcfa842b1e85d7abf04958dac31fbf84fe1d49b8f64eb2e3161090729e2",
+        VersionOnly("00e4be59ec9ced6c9d11f9f927e6ee1760baaf36bfab45f54a2787775ce9b7c2"),
     ),
     // 12 prepare statement
     (
-        "d1d501bd99d38a81246ed73bd19cdf6852e78dd19c0b806896776aabb46d356d",
-        VersionOnly("fe4953fcf3f737691619ac2a0a0879a3bef2c92b5247e7a4f350c4b90febad0a"),
+        "1717e4677c849c0665e993912da097097f5b21068065a99304e3bc846f224b12",
+        NoInflationFactor,
     ),
     // 13 statement prepared
     (
-        "9c5f7a255f02498830a3069883c2aee2197b55eb02f32996374cdc622ace8016",
-        VersionOnly("631252daa077986ed64bb6d1edfdef39a53f05c3fa2aec340ba6490b04940eac"),
+        "f6384370c6fec25060f2ee75c3c19b4e7ee80cb3621d3ed43f04ec87cf342652",
+        VersionOnly("9c5f7a255f02498830a3069883c2aee2197b55eb02f32996374cdc622ace8016"),
     ),
     // 14 execute statement
     (
-        "905cbd4b8582568603d075bb9d4834f8744c50fcb712496b3f28f7f3dc1f744d",
-        VersionOnly("9970a3b0df00856261130cd3b49178beba31fb908772e2f94ed26a70c7644ca2"),
+        "dfdd73060da0db4061bc8709ae1a3ba54e4c6955b2da5c666c1b814c57eec19f",
+        VersionOnly("905cbd4b8582568603d075bb9d4834f8744c50fcb712496b3f28f7f3dc1f744d"),
     ),
     // 15 unload shard
     (
-        "9c1744ab86294a52f6b5c438caf4448e0c092e08c72c5a12a02453ba52eab2fe",
-        VersionOnly("ab3703fdb428e1e1978a386779cb2eb25ea2e9c570bb0be33d266d4aeb0394b2"),
+        "4f2ac6cf01928189bbb3316cdb50a0fe65a0ef34303aee96e9d9c1f9bc0aac45",
+        VersionOnly("9c1744ab86294a52f6b5c438caf4448e0c092e08c72c5a12a02453ba52eab2fe"),
     ),
     // 16 shard unloaded
     (
-        "2819bf95298d593a518679bbf007918b4ff64d2dfd94f5c4a6bdcae0565f1cfc",
-        VersionOnly("43d53012e5866772bf646efd85b1df0e0daf0e2673778729508b301b203532d2"),
+        "852547b8695638467a576788477e3955d409c0c9122717cfdbf69f70ee7db786",
+        VersionOnly("2819bf95298d593a518679bbf007918b4ff64d2dfd94f5c4a6bdcae0565f1cfc"),
     ),
     // 17 metrics request
     (
-        "df78a11444bfbb62e4283f85474e413ea1dab34a3314608c497fed9a2fd35661",
-        OneRecord,
+        "4d9ea882193f48e8ddb5c62fee7a47cefc203c86e1048ab6fe4555b31ff3a3f0",
+        VersionOnly("df78a11444bfbb62e4283f85474e413ea1dab34a3314608c497fed9a2fd35661"),
     ),
     // 18 metrics snapshot
     (
-        "d964014f34d140edaba79c51c9bb9bb7d7ffcf802acb54658ca80b013b68a837",
-        OneRecord,
+        "0c4f2d68b00671e9227f5849aca2a6b2a9c4c78439617e5e7bcd94ec871dd045",
+        VersionOnly("d964014f34d140edaba79c51c9bb9bb7d7ffcf802acb54658ca80b013b68a837"),
     ),
     // statement payload
     (
-        "425f68b4226b44f7cb828e7dee53d304a8d1737326ebd41e4c2e65b2b908fb21",
-        VersionOnly("425f68b4226b44f7cb828e7dee53d304a8d1737326ebd41e4c2e65b2b908fb21"),
+        "9b50ae78186d9319151b0fa72a8baba390bca0d31e930993d9f4a63ab270bbfa",
+        NoInflationFactor,
     ),
     // filters payload
     (
@@ -698,10 +695,10 @@ fn every_frame_kind_encodes_to_its_recorded_bytes() {
         println!("    \"{digest}\", // {name}");
     }
     assert_eq!(got.len(), RECORDED.len());
-    for ((name, digest, as_version_8), (recorded, moved)) in got.iter().zip(RECORDED) {
+    for ((name, digest, as_version_9), (recorded, moved)) in got.iter().zip(RECORDED) {
         assert_eq!(digest, recorded, "{name}: the encoded bytes moved");
-        if let VersionOnly(version_8) = moved {
-            assert_eq!(as_version_8, version_8, "{name}: more than the version field moved");
+        if let VersionOnly(version_9) = moved {
+            assert_eq!(as_version_9, version_9, "{name}: more than the version field moved");
         }
     }
 }

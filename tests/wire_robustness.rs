@@ -90,7 +90,7 @@ fn random_query(rng: &mut StdRng) -> TranslatedQuery {
         })
         .collect();
     let client_post = (0..rng.random_range(0..3usize))
-        .map(|_| match rng.random_range(0..4u64) {
+        .map(|_| match rng.random_range(0..3u64) {
             0 => ClientPostStep::Divide {
                 numerator: rng.random_range(0..8u64) as usize,
                 denominator: rng.random_range(0..8u64) as usize,
@@ -100,10 +100,9 @@ fn random_query(rng: &mut StdRng) -> TranslatedQuery {
                 sum: rng.random_range(0..8u64) as usize,
                 count: rng.random_range(0..8u64) as usize,
             },
-            2 => ClientPostStep::SqrtOfVariance {
+            _ => ClientPostStep::SqrtOfVariance {
                 variance_step: rng.random_range(0..8u64) as usize,
             },
-            _ => ClientPostStep::MergeInflatedGroups,
         })
         .collect();
     let params = (0..rng.random_range(0..3usize))
@@ -122,7 +121,6 @@ fn random_query(rng: &mut StdRng) -> TranslatedQuery {
         filters,
         aggregates,
         group_by,
-        group_inflation: rng.random_range(1..64u64) as u32,
         client_post,
         preserve_row_ids: rng.random_range(0..2u64) == 0,
         category: [
@@ -578,14 +576,15 @@ fn forged_operator_and_event_counts_are_rejected() {
 /// cells, the per-group ID list and the server's half of the plan did (to 5),
 /// the ID lists' three closed-form containers did (to 6), the exec stats cut
 /// to what the server measured did (to 7), the shard table written by the
-/// one codec did (to 8), and the one event list of the scrape frames did (to
-/// 9): a frame stamped with any earlier version is refused at the header.
+/// one codec did (to 8), the one event list of the scrape frames did (to 9)
+/// and the plan without a group-inflation factor did (to 10): a frame
+/// stamped with any earlier version is refused at the header.
 #[test]
 fn analyze_extensions_bumped_the_protocol_version() {
     use seabed::net::wire::PROTOCOL_VERSION;
-    assert_eq!(PROTOCOL_VERSION, 9, "one bump for the scrape frames' one event list");
+    assert_eq!(PROTOCOL_VERSION, 10, "one bump for the plan's dropped inflation factor");
     let good = encode_frame(&Frame::SchemaRequest, DEFAULT_MAX_FRAME_LEN).expect("encode");
-    for earlier in [3u16, 4, 5, 6, 7, 8] {
+    for earlier in [3u16, 4, 5, 6, 7, 8, 9] {
         let mut stamped = good.clone();
         stamped[4..6].copy_from_slice(&earlier.to_le_bytes());
         assert!(matches!(
@@ -600,7 +599,7 @@ fn analyze_extensions_bumped_the_protocol_version() {
 fn unknown_version_and_kind_are_typed_errors() {
     use seabed::net::wire::PROTOCOL_VERSION;
     let good = encode_frame(&Frame::SchemaRequest, DEFAULT_MAX_FRAME_LEN).expect("encode");
-    for version in [0u16, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, 10, u16::MAX] {
+    for version in [0u16, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, 12, u16::MAX] {
         let mut bad = good.clone();
         bad[4..6].copy_from_slice(&version.to_le_bytes());
         let outcome = decode_frame(&bad, DEFAULT_MAX_FRAME_LEN);
