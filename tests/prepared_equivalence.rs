@@ -198,6 +198,21 @@ fn sales_fixture_prepared_equals_one_shot_on_all_targets() {
             vec![],
             "SELECT dept, SUM(revenue) FROM sales GROUP BY dept",
         ),
+    ];
+    assert_cases_across_targets("sales", &client, &server, &cases);
+}
+
+/// A grouped SUM, unbound and with a bound OPE filter: prepared execution
+/// must hand the proxy the same one-row-per-group response as one-shot.
+#[test]
+fn grouped_sum_prepared_equals_one_shot() {
+    let (client, server, _) = sales_fixture();
+    let cases = vec![
+        case(
+            "SELECT dept, SUM(revenue) FROM sales GROUP BY dept",
+            vec![],
+            "SELECT dept, SUM(revenue) FROM sales GROUP BY dept",
+        ),
         case(
             "SELECT dept, SUM(revenue) FROM sales WHERE ts >= ? GROUP BY dept",
             vec![Literal::Integer(2_000)],
