@@ -9,14 +9,36 @@
 //! * decryption: `m = L(c^λ mod n²) · µ mod n` with `L(x) = (x-1)/n`
 //! * homomorphic addition: `c1 ⊕ c2 = c1 · c2 mod n²`
 //!
-//! The key size is configurable. The paper's prototype uses 2048-bit keys;
-//! because this repository's big-integer arithmetic is a portable schoolbook
-//! implementation, the full-pipeline benchmarks default to smaller keys and
-//! the Table 1 harness additionally reports per-operation costs at 2048 bits.
+//! No figure runs a Paillier pipeline. The harness costs Paillier at the
+//! paper's 2048-bit modulus ([`PAILLIER_BITS`]) from one measurement of its
+//! three operations, [`PaillierCost`]: Table 1 reports it, and every
+//! figure's Paillier row is its [`PaillierCost::estimate`] on the product's
+//! own selection. [`PaillierCost::pipeline_sum`] runs the real aggregation
+//! once to check that estimate. Tests use small moduli, where the same
+//! functions run in milliseconds.
 
 use super::bigint::BigUint;
 use super::prime::generate_prime_pair;
+use crate::metrics::{Spread, Timing};
 use rand::Rng;
+use std::hint::black_box;
+use std::time::Duration;
+
+/// The modulus every Paillier number of the harness is costed at: the
+/// paper's (Table 1).
+pub const PAILLIER_BITS: usize = 2048;
+
+/// Keys a [`PaillierCost`] is measured over. A key's costs vary with its
+/// modulus (a loop over the same ciphertexts differed 1.6× between two
+/// 128-bit keys), so the key with the median addition is kept.
+const KEYS: usize = 3;
+
+/// Additions timed together in one run: one alone is near the clock's grain
+/// at small moduli.
+const ADDS_PER_RUN: u32 = 200;
+
+/// Pre-encrypted ciphertexts [`PaillierCost::pipeline_sum`] cycles through.
+const POOL: usize = 4;
 
 /// Paillier public key.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -159,6 +181,133 @@ impl PaillierPrivateKey {
     }
 }
 
+/// What Paillier's operations cost at one modulus, measured once: the model
+/// every Paillier number of the harness is built from. Each operation is a
+/// [`Spread`] of [`crate::K_RUNS`] runs after a warm-up.
+#[derive(Clone, Debug)]
+pub struct PaillierCost {
+    /// The modulus size in bits.
+    pub bits: usize,
+    /// One encryption.
+    pub encrypt: Spread,
+    /// One homomorphic addition: a product modulo `n²`.
+    pub add: Spread,
+    /// One decryption.
+    pub decrypt: Spread,
+    /// The key measured, which [`PaillierCost::pipeline_sum`] sums under.
+    keypair: PaillierKeypair,
+}
+
+impl PaillierCost {
+    /// Generates three keys of `bits` bits, times each key's encryption,
+    /// addition and decryption, and returns the numbers of the key whose
+    /// addition is the median: the operation every server estimate scales.
+    pub fn measure<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> PaillierCost {
+        let mut costs: Vec<PaillierCost> = (0..KEYS)
+            .map(|_| {
+                let keypair = PaillierKeypair::generate(rng, bits);
+                PaillierCost::of_key(rng, keypair, bits)
+            })
+            .collect();
+        costs.sort_by_key(|cost| cost.add.median);
+        costs.swap_remove(KEYS / 2)
+    }
+
+    fn of_key<R: Rng + ?Sized>(rng: &mut R, keypair: PaillierKeypair, bits: usize) -> PaillierCost {
+        let (public, private) = (&keypair.public, &keypair.private);
+        let m = BigUint::from_u64(123_456_789);
+        let encrypt = Spread::time(|| {
+            black_box(public.encrypt(rng, &m));
+        });
+        let (a, b) = (public.encrypt(rng, &m), public.encrypt(rng, &m));
+        let add = Spread::time(|| {
+            for _ in 0..ADDS_PER_RUN {
+                black_box(public.add(&a, &b));
+            }
+        })
+        .map(|run| run / ADDS_PER_RUN);
+        let decrypt = Spread::time(|| {
+            black_box(private.decrypt(&a));
+        });
+        PaillierCost {
+            bits,
+            encrypt,
+            add,
+            decrypt,
+            keypair,
+        }
+    }
+
+    /// Bytes of one ciphertext: an element of `Z_{n²}`.
+    pub fn ciphertext_bytes(&self) -> usize {
+        self.bits / 4
+    }
+
+    /// Paillier in Seabed's place, a pure function of this cost: the server
+    /// does Seabed's work plus `adds` additions (one per row a sum reads),
+    /// and the client does `decryptions` decryptions (one per sum of each
+    /// result group) in place of Seabed's. Quartiles add quartile to
+    /// quartile.
+    pub fn estimate(&self, seabed: &Timing, adds: u64, decryptions: u64) -> Timing {
+        let times = |op: Spread, n: u64| op.map(|d| d.mul_f64(n as f64));
+        let server = seabed.server.plus(times(self.add, adds));
+        let client = times(self.decrypt, decryptions);
+        Timing {
+            server,
+            client,
+            total: server.plus(client),
+        }
+    }
+
+    /// Paillier's real aggregation path, timed: `rows` additions under the
+    /// measured key, cycling a pool of four pre-encrypted ciphertexts (a
+    /// product's cost modulo `n²` does not depend on the plaintext), then one
+    /// decryption. Beside it, [`PaillierCost::estimate`]'s prediction of the
+    /// same work.
+    pub fn pipeline_sum<R: Rng + ?Sized>(&self, rng: &mut R, rows: u64) -> PipelineSum {
+        let (public, private) = (&self.keypair.public, &self.keypair.private);
+        let values: Vec<u64> = (0..POOL).map(|_| rng.random_range(0..1_000_000)).collect();
+        let pool: Vec<PaillierCiphertext> = values.iter().map(|&v| public.encrypt_u64(rng, v)).collect();
+        let mut sum = 0;
+        let measured = Spread::time(|| {
+            let mut acc = public.zero_ciphertext();
+            for row in 0..rows as usize {
+                acc = public.add(&acc, &pool[row % POOL]);
+            }
+            sum = private.decrypt_u64(&acc);
+        });
+        PipelineSum {
+            rows,
+            sum,
+            expected: (0..rows as usize).map(|row| values[row % POOL]).sum(),
+            measured,
+            predicted: self.estimate(&Timing::default(), rows, 1).total.median,
+        }
+    }
+}
+
+/// One run of [`PaillierCost::pipeline_sum`].
+#[derive(Clone, Copy, Debug)]
+pub struct PipelineSum {
+    /// Rows summed.
+    pub rows: u64,
+    /// The decrypted sum.
+    pub sum: u64,
+    /// The plaintext sum of the same rows.
+    pub expected: u64,
+    /// The additions and the decryption, timed.
+    pub measured: Spread,
+    /// The model's time for the same work.
+    pub predicted: Duration,
+}
+
+impl PipelineSum {
+    /// The model's time over the measured median.
+    pub fn model_over_measured(&self) -> f64 {
+        self.predicted.as_secs_f64() / self.measured.median.as_secs_f64()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,5 +395,29 @@ mod tests {
         // ciphertext lives in Z_{n^2}; with two ~30-bit primes n^2 is ~120 bits = 15 bytes.
         assert!(c.byte_len() <= kp.public.n_squared.to_bytes_be().len());
         assert!(c.byte_len() >= kp.public.n.to_bytes_be().len());
+    }
+
+    /// The estimate is Seabed's server time plus the additions, and the
+    /// decryptions in place of Seabed's client.
+    #[test]
+    fn the_estimate_adds_the_additions_and_replaces_the_client() {
+        let ms = Duration::from_millis;
+        let cost = PaillierCost {
+            bits: 64,
+            encrypt: Spread::of([ms(9)]),
+            add: Spread::of([ms(1), ms(2), ms(3)]),
+            decrypt: Spread::of([ms(10)]),
+            keypair: small_keypair(),
+        };
+        let seabed = Timing {
+            server: Spread::of([ms(4)]),
+            client: Spread::of([ms(100)]),
+            total: Spread::of([ms(104)]),
+        };
+        let estimate = cost.estimate(&seabed, 5, 3);
+        assert_eq!(estimate.server.median, ms(4 + 5 * 2));
+        assert_eq!((estimate.server.q1, estimate.server.q3), (ms(4 + 5), ms(4 + 5 * 3)));
+        assert_eq!(estimate.client.median, ms(30));
+        assert_eq!(estimate.total.median, ms(44));
     }
 }

@@ -15,7 +15,17 @@
 
 #![forbid(unsafe_code)]
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use seabed_bench::*;
+use std::sync::OnceLock;
+
+/// Paillier's costs at [`PAILLIER_BITS`], measured on first use: once per
+/// run, for Table 1 and every figure's Paillier estimate.
+fn paillier(scale: &Scale) -> &'static PaillierCost {
+    static COST: OnceLock<PaillierCost> = OnceLock::new();
+    COST.get_or_init(|| PaillierCost::measure(&mut StdRng::seed_from_u64(scale.seed), PAILLIER_BITS))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -35,11 +45,9 @@ fn main() {
     // carries the same timestamp and commit.
     let meta = RunMeta::capture();
     let mut runner = ExperimentRunner::new(ExperimentConfig::new(scale).json_dir(json_dir).meta(meta));
-    runner.register(
-        "table1",
-        "Table 1: cost of cryptographic operations (ns/op)",
-        exp_table1,
-    );
+    runner.register("table1", "Table 1: cost of cryptographic operations (ns/op)", |scale| {
+        exp_table1(scale, paillier(scale))
+    });
     runner.register("table2", "Table 2: query translation examples", |_| {
         exp_table2()
             .into_iter()
@@ -58,12 +66,12 @@ fn main() {
             .collect()
     });
     runner.register("fig6", "Figure 6: end-to-end latency vs rows", |scale| {
-        latency_rows(&exp_fig6(scale), false)
+        latency_rows(&exp_fig6(scale, paillier(scale)), false)
     });
     runner.register(
         "fig7",
         "Figure 7: server latency vs threads (measured) and cores (model)",
-        |scale| latency_rows(&exp_fig7(scale), true),
+        |scale| latency_rows(&exp_fig7(scale, paillier(scale)), true),
     );
     // "fig8" runs both halves; the emitted JSON names "fig8ab"/"fig8c" are
     // also accepted so a file name seen in bench_results/ can be replayed.
@@ -74,9 +82,15 @@ fn main() {
         exp_fig8ab,
     );
     runner.register_aliased("fig8c", &["fig8"], "Figure 8(c): OPE selection overhead", exp_fig8c);
-    runner.register("fig9a", "Figure 9(a): group-by microbenchmark", exp_fig9a);
-    runner.register("fig9bc", "Figure 9(b,c): Big Data Benchmark", exp_fig9bc);
-    runner.register("fig10a", "Figure 10(a): Ad-Analytics response times", exp_fig10a);
+    runner.register("fig9a", "Figure 9(a): group-by microbenchmark", |scale| {
+        exp_fig9a(scale, paillier(scale))
+    });
+    runner.register("fig9bc", "Figure 9(b,c): Big Data Benchmark", |scale| {
+        exp_fig9bc(scale, paillier(scale))
+    });
+    runner.register("fig10a", "Figure 10(a): Ad-Analytics response times", |scale| {
+        exp_fig10a(scale, paillier(scale))
+    });
     runner.register(
         "fig10b",
         "Figure 10(b): SPLASHE storage overhead (cumulative x)",

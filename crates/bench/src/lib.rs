@@ -7,10 +7,10 @@
 //! regression-gating benchmark is the separate `benchmark/` package,
 //! `seabench`.)
 //!
-//! Paper-scale runs (1.75 B rows, 100 physical cores, 2048-bit Paillier) are
-//! not feasible in a test environment; every experiment therefore runs at a
-//! reduced scale, recorded as `scale` in each artifact. One default-scale run
-//! (`harness --json-dir=crates/bench/paper all`) is committed under
+//! Paper-scale runs (1.75 B rows, 100 physical cores) are not feasible in a
+//! test environment; every experiment therefore runs at a reduced scale,
+//! recorded as `scale` in each artifact. One default-scale run (`harness
+//! --json-dir=crates/bench/paper all`) is committed under
 //! `crates/bench/paper/`.
 //!
 //! Figures 6–10a run the product. Each figure's dataset is planned twice
@@ -22,16 +22,17 @@
 //! runs, with their interquartile ranges. The harness panics unless the
 //! encrypted plan answers as the twin does. Two things are modelled, and
 //! only they: Figure 7's `model` rows (its 10–100 cores, a makespan over the
-//! measured one-thread time) and Paillier's extrapolation (its capped rows
-//! scaled linearly; in Figures 9b/c and 10a, a measured per-row addition
-//! added to the Seabed row).
+//! measured one-thread time) and Paillier. Every Paillier row is an
+//! `(estimate)` from one [`PaillierCost`] measured at the paper's 2048 bits
+//! per harness run: the Seabed row's server time plus one addition for
+//! each row its sums read, and one decryption per sum of each result group.
 //!
-//! Paillier with its big-integer arithmetic, the plaintext reference the
-//! equivalence suites check against, and the models of the paper's cluster
-//! and of the §6.6 link live in [`baselines`]: no proxy, server or worker
-//! runs them. The ID-list encodings the paper compares but the product does
-//! not send — raw range bounds, DEFLATE and its parts, the roaring-style
-//! bitmap — are in [`codec`].
+//! Paillier with its big-integer arithmetic and cost model, the plaintext
+//! reference the equivalence suites check against, and the models of the
+//! paper's cluster and of the §6.6 link live in [`baselines`]: no proxy,
+//! server or worker runs them. The ID-list encodings the paper compares but
+//! the product does not send — raw range bounds, DEFLATE and its parts, the
+//! roaring-style bitmap — are in [`codec`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -44,18 +45,22 @@ pub mod runner;
 pub use metrics::{format_rows, rows_to_json, write_bench_json, Row, RunMeta, Spread, Timing, K_RUNS};
 pub use runner::{ExperimentConfig, ExperimentReport, ExperimentRunner};
 
-use baselines::{selection_key, BigUint, ClusterModel, NetworkModel, PaillierKeypair, PaillierSystem, SELECTION_SCALE};
+pub use baselines::{PaillierCost, PAILLIER_BITS};
+
+use baselines::{selection_key, ClusterModel, NetworkModel, SELECTION_SCALE};
 use codec::PaperEncoding;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seabed_ashe::{AsheScheme, IdSet};
-use seabed_core::{PlainDataset, ResultValue, SeabedClient, SeabedServer, SeabedSession};
+use seabed_core::{
+    EncryptedAggregate, GroupIds, PlainDataset, ResultValue, SeabedClient, SeabedServer, SeabedSession, ServerResponse,
+};
 use seabed_crypto::AesCtr;
 use seabed_engine::{table_disk_size, table_memory_size, Cluster, ClusterConfig};
 use seabed_query::{parse, ColumnSpec, Literal, PlannerConfig, Query, TranslateOptions};
 use seabed_workloads::synthetic::SyntheticDataset;
 use seabed_workloads::{ad_analytics, bdb, classify, synthetic};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Scaling knobs for the experiments.
 #[derive(Clone, Copy, Debug)]
@@ -63,12 +68,6 @@ pub struct Scale {
     /// Divisor applied to the paper's row counts (default 1000: 1.75 B rows
     /// become 1.75 M).
     pub row_divisor: u64,
-    /// Maximum number of rows any Paillier pipeline actually encrypts; larger
-    /// requests are measured at this size and extrapolated linearly.
-    pub paillier_row_cap: usize,
-    /// Paillier modulus size used in full-pipeline experiments (Table 1
-    /// additionally reports 2048-bit single-operation costs).
-    pub paillier_bits: usize,
     /// Number of partitions the engine splits tables into.
     pub partitions: usize,
     /// RNG seed so harness runs are reproducible.
@@ -79,8 +78,6 @@ impl Default for Scale {
     fn default() -> Self {
         Scale {
             row_divisor: 1_000,
-            paillier_row_cap: 20_000,
-            paillier_bits: 128,
             partitions: 64,
             seed: 0x5eabed,
         }
@@ -92,8 +89,6 @@ impl Scale {
     pub fn smoke() -> Scale {
         Scale {
             row_divisor: 20_000,
-            paillier_row_cap: 2_000,
-            paillier_bits: 96,
             partitions: 16,
             seed: 0x5eabed,
         }
@@ -109,88 +104,80 @@ impl Scale {
     }
 }
 
-fn time_per_op<F: FnMut()>(iterations: u64, mut f: F) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iterations {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iterations as f64
+/// A Table 1 row: `k`, and the nanoseconds of one operation (median and
+/// IQR) from `runs` of `ops` operations each.
+fn ns_row(label: impl Into<String>, ops: u32, runs: Spread) -> Row {
+    let ns = |d: Duration| d.as_secs_f64() * 1e9 / f64::from(ops);
+    Row::new(label)
+        .with("k", K_RUNS as f64)
+        .with("ns", ns(runs.median))
+        .with("ns_iqr", ns(runs.iqr()))
+}
+
+/// [`ns_row`] of [`K_RUNS`] runs of `ops` calls of `f` each.
+fn op_row(label: &str, ops: u32, mut f: impl FnMut()) -> Row {
+    let runs = Spread::time(|| {
+        for _ in 0..ops {
+            f();
+        }
+    });
+    ns_row(label, ops, runs)
 }
 
 // ---------------------------------------------------------------------------
 // Table 1: cost of cryptographic operations
 // ---------------------------------------------------------------------------
 
-/// Table 1: nanoseconds per operation for the primitives Seabed builds on.
-pub fn exp_table1(scale: &Scale) -> Vec<Row> {
-    let mut rng = scale.rng();
+/// Rows Table 1's Paillier pipeline sums.
+const PIPELINE_ROWS: u64 = 4_000;
+
+/// Table 1: nanoseconds per operation for the primitives Seabed builds on,
+/// with Paillier's from `paillier`, and last Paillier's real sum over 4 000
+/// rows beside the model's time for it. Panics unless that sum decrypts to
+/// the plaintext sum of its rows.
+pub fn exp_table1(scale: &Scale, paillier: &PaillierCost) -> Vec<Row> {
     let mut rows = Vec::new();
 
     // AES counter mode (one 128-bit block).
     let ctr = AesCtr::new(&[7u8; 16], 1);
     let mut counter = 0u64;
-    rows.push(Row::new("AES counter mode").with(
-        "ns",
-        time_per_op(200_000, || {
-            counter = counter.wrapping_add(1);
-            std::hint::black_box(ctr.keystream_block(counter));
-        }),
-    ));
+    rows.push(op_row("AES counter mode", 50_000, || {
+        counter = counter.wrapping_add(1);
+        std::hint::black_box(ctr.keystream_block(counter));
+    }));
 
     // ASHE encryption / decryption.
     let ashe = AsheScheme::new(&[9u8; 16]);
     let mut id = 0u64;
-    rows.push(Row::new("ASHE encryption").with(
-        "ns",
-        time_per_op(200_000, || {
-            id = id.wrapping_add(1);
-            std::hint::black_box(ashe.encrypt(id ^ 0xdead, id));
-        }),
-    ));
+    rows.push(op_row("ASHE encryption", 50_000, || {
+        id = id.wrapping_add(1);
+        std::hint::black_box(ashe.encrypt(id ^ 0xdead, id));
+    }));
     let ct = ashe.encrypt(12345, 42);
-    rows.push(Row::new("ASHE decryption").with(
-        "ns",
-        time_per_op(200_000, || {
-            std::hint::black_box(ashe.decrypt(&ct));
-        }),
-    ));
+    rows.push(op_row("ASHE decryption", 50_000, || {
+        std::hint::black_box(ashe.decrypt(&ct));
+    }));
 
     // Plain addition.
     let mut acc = 0u64;
-    rows.push(Row::new("Plain addition").with(
-        "ns",
-        time_per_op(2_000_000, || {
-            acc = acc.wrapping_add(std::hint::black_box(3));
-        }),
-    ));
+    rows.push(op_row("Plain addition", 500_000, || {
+        acc = acc.wrapping_add(std::hint::black_box(3));
+    }));
     std::hint::black_box(acc);
 
-    // Paillier at the configured modulus and at 2048 bits (single ops only).
-    for bits in [scale.paillier_bits, 2048] {
-        let keypair = PaillierKeypair::generate(&mut rng, bits);
-        let iters = if bits >= 2048 { 3 } else { 100 };
-        let m = BigUint::from_u64(123_456_789);
-        rows.push(Row::new(format!("Paillier encryption ({bits}-bit)")).with(
-            "ns",
-            time_per_op(iters, || {
-                std::hint::black_box(keypair.public.encrypt(&mut rng, &m));
-            }),
-        ));
-        let c1 = keypair.public.encrypt(&mut rng, &m);
-        let c2 = keypair.public.encrypt(&mut rng, &m);
-        rows.push(Row::new(format!("Paillier addition ({bits}-bit)")).with(
-            "ns",
-            time_per_op(iters * 20, || {
-                std::hint::black_box(keypair.public.add(&c1, &c2));
-            }),
-        ));
-        rows.push(Row::new(format!("Paillier decryption ({bits}-bit)")).with(
-            "ns",
-            time_per_op(iters, || {
-                std::hint::black_box(keypair.private.decrypt(&c1));
-            }),
-        ));
-    }
+    let bits = paillier.bits;
+    rows.push(ns_row(format!("Paillier encryption ({bits}-bit)"), 1, paillier.encrypt));
+    rows.push(ns_row(format!("Paillier addition ({bits}-bit)"), 1, paillier.add));
+    rows.push(ns_row(format!("Paillier decryption ({bits}-bit)"), 1, paillier.decrypt));
+    let sum = paillier.pipeline_sum(&mut scale.rng(), PIPELINE_ROWS);
+    assert_eq!(sum.sum, sum.expected, "Paillier's pipeline sum decrypts wrong");
+    rows.push(
+        Row::new(format!("Paillier pipeline sum ({bits}-bit, {} rows)", sum.rows))
+            .with("k", K_RUNS as f64)
+            .with_spread("measured_s", sum.measured)
+            .with("model_s", sum.predicted.as_secs_f64())
+            .with("model_over_measured", sum.model_over_measured()),
+    );
     rows
 }
 
@@ -280,10 +267,6 @@ pub fn exp_table6() -> Vec<(String, String, String)> {
 // Table 5: dataset sizes
 // ---------------------------------------------------------------------------
 
-fn paillier_ciphertext_len(bits: usize) -> usize {
-    bits / 4 // elements of Z_{n^2} serialize to ~2 * bits/8 bytes
-}
-
 fn mb(bytes: usize) -> f64 {
     bytes as f64 / 1e6
 }
@@ -306,7 +289,8 @@ pub fn exp_table5(scale: &Scale) -> Vec<Row> {
         // Seabed: one ASHE word plus an explicit ID column per row, as in the
         // prototype's synthetic dataset (Table 5 note in §6.1).
         let seabed_disk = table_disk_size(served.seabed.server.table()) + n * 8;
-        let paillier_disk = n * (4 + paillier_ciphertext_len(2048));
+        // A Paillier ciphertext is an element of Z_{n²}: bits / 4 bytes.
+        let paillier_disk = n * (4 + PAILLIER_BITS / 4);
         rows.push(
             Row::new(format!("{label} ({n} rows)"))
                 .with("noenc_disk_mb", mb(table_disk_size(noenc)))
@@ -350,8 +334,7 @@ pub fn exp_table5(scale: &Scale) -> Vec<Row> {
         let samples: Vec<&str> = samples.iter().map(String::as_str).collect();
         let served = Served::new(dataset, &specs, &samples, scale, &mut rng);
         let (noenc, seabed) = (served.twin.server.table(), served.seabed.server.table());
-        let paillier_disk =
-            table_disk_size(noenc) + dataset.num_rows() * measures.len() * (4 + paillier_ciphertext_len(2048));
+        let paillier_disk = table_disk_size(noenc) + dataset.num_rows() * measures.len() * (4 + PAILLIER_BITS / 4);
         rows.push(
             Row::new(format!("{label} ({} rows)", dataset.num_rows()))
                 .with("noenc_disk_mb", mb(table_disk_size(noenc)))
@@ -476,20 +459,57 @@ impl Served {
         (seabed, twin)
     }
 
-    /// The ID set of each group of the encrypted plan's response to `sql`.
-    fn id_sets(&self, sql: &str, params: &[Literal]) -> Vec<IdSet> {
+    /// The encrypted plan's response to `sql`, as the server sent it.
+    fn response(&self, sql: &str, params: &[Literal]) -> ServerResponse {
         let session = self.seabed.session(&self.table);
         let prepared = session.prepare(sql).expect("a measured statement prepares");
         let (_, response) = session
             .execute_encrypted(&prepared, params)
             .expect("a measured statement executes");
         response
+    }
+
+    /// The ID set of each group of the encrypted plan's response to `sql`.
+    fn id_sets(&self, sql: &str, params: &[Literal]) -> Vec<IdSet> {
+        let response = self.response(sql, params);
+        response
             .groups
             .iter()
             .filter_map(|group| group.ids.as_ref())
-            .map(|ids| IdSet::decode(&ids.id_list, ids.encoding).expect("the product's ID list decodes"))
+            .map(id_set)
             .collect()
     }
+
+    /// What Paillier would compute in the encrypted plan's place on `sql`
+    /// (no parameters), read off the product's own response: one addition
+    /// for each row each ASHE sum reads, and one sum to decrypt for each ASHE
+    /// sum of each group.
+    fn paillier_work(&self, sql: &str) -> (u64, u64) {
+        let (mut adds, mut sums) = (0, 0);
+        for group in self.response(sql, &[]).groups {
+            let group_sums = group
+                .aggregates
+                .iter()
+                .filter(|agg| matches!(agg, EncryptedAggregate::AsheSum { .. }))
+                .count() as u64;
+            adds += group_sums * group.ids.as_ref().map_or(0, |ids| id_set(ids).count());
+            sums += group_sums;
+        }
+        (adds, sums)
+    }
+
+    /// [`PaillierCost::estimate`] of [`Served::paillier_work`] from the
+    /// `seabed` row's timing. `None` when the statement sums nothing (a
+    /// `COUNT` needs no Paillier ciphertext).
+    fn paillier(&self, sql: &str, seabed: &Timing, cost: &PaillierCost) -> Option<Timing> {
+        let (adds, sums) = self.paillier_work(sql);
+        (sums > 0).then(|| cost.estimate(seabed, adds, sums))
+    }
+}
+
+/// A response group's ID list, decoded.
+fn id_set(ids: &GroupIds) -> IdSet {
+    IdSet::decode(&ids.id_list, ids.encoding).expect("the product's ID list decodes")
 }
 
 /// `dataset`'s columns: those named in `sensitive` sensitive, with no
@@ -574,71 +594,6 @@ fn selection_sql(selectivity: f64) -> String {
     }
 }
 
-/// Paillier's `SUM(m)` (with `keys`, grouped by them) on the one-thread basis
-/// Seabed is timed on: the summed task time ([`StageTimes::task_time`]) over
-/// at most `paillier_row_cap` rows, extrapolated linearly, and the client's
-/// decryption.
-///
-/// [`StageTimes::task_time`]: baselines::StageTimes::task_time
-fn paillier_timing(
-    values: &[u64],
-    keys: Option<&[u64]>,
-    keypair: PaillierKeypair,
-    scale: &Scale,
-    rng: &mut StdRng,
-) -> Timing {
-    let capped = values.len().min(scale.paillier_row_cap);
-    let keys = keys.map(|keys| &keys[..capped]);
-    let system = PaillierSystem::with_keypair(
-        &values[..capped],
-        keys,
-        scale.partitions,
-        ClusterModel::new(1),
-        keypair,
-        rng,
-    );
-    let factor = values.len() as f64 / capped as f64;
-    Timing::measure(|| {
-        let (times, client) = match keys {
-            None => {
-                let result = system.sum(1.0);
-                (result.times, result.client_time)
-            }
-            Some(_) => {
-                let (_, times, client) = system.group_by_sum(1.0);
-                (times, client)
-            }
-        };
-        (times.task_time.mul_f64(factor), client)
-    })
-}
-
-/// The measured cost of one Paillier addition at the configured modulus:
-/// what Paillier pays per aggregated row where Seabed adds a word.
-fn paillier_add_cost(scale: &Scale, rng: &mut StdRng) -> Duration {
-    let keypair = PaillierKeypair::generate(rng, scale.paillier_bits);
-    let c = keypair.public.encrypt_u64(rng, 1);
-    Duration::from_secs_f64(
-        1e-9 * time_per_op(2_000, || {
-            std::hint::black_box(keypair.public.add(&c, &c));
-        }),
-    )
-}
-
-/// Paillier in Seabed's place, estimated: the Seabed row's measured time plus
-/// the measured Paillier addition for each row the query sums, on the same
-/// one-thread basis (no worker divisor, no task overhead). `None` when the
-/// query sums nothing (a `COUNT` needs no Paillier ciphertext).
-fn paillier_estimate(served: &Served, sql: &str, seabed: &Timing, per_add: Duration) -> Option<Timing> {
-    let rows: u64 = served.id_sets(sql, &[]).iter().map(IdSet::count).sum();
-    let paillier = per_add.mul_f64(rows as f64);
-    (rows > 0).then(|| Timing {
-        server: seabed.server.map(|d| d + paillier),
-        total: seabed.total.map(|d| d + paillier),
-        ..*seabed
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Figures 6 & 7: end-to-end latency vs rows, server latency vs cores
 // ---------------------------------------------------------------------------
@@ -646,7 +601,7 @@ fn paillier_estimate(served: &Served, sql: &str, seabed: &Timing, per_add: Durat
 /// One latency point for the microbenchmark systems.
 #[derive(Clone, Debug)]
 pub struct LatencyPoint {
-    /// System label ("NoEnc", "Seabed sel=100%", …).
+    /// System label ("NoEnc sel=50%", "Seabed sel=100%", …).
     pub system: String,
     /// Row count of the dataset.
     pub rows: usize,
@@ -686,55 +641,58 @@ impl LatencyPoint {
     }
 }
 
-/// Figure 6: end-to-end latency vs number of rows for NoEnc, Seabed
+/// Label of the Paillier rows: each is [`PaillierCost::estimate`]'s.
+const PAILLIER: &str = "Paillier (estimate)";
+
+/// Figures 6 and 7's measured points on `served` at `threads`: NoEnc and
+/// Seabed at selectivity 100% and 50%, then, with a `paillier` cost, its
+/// estimate from the Seabed row at 100% (Paillier sums every row).
+fn selection_points(
+    served: &Served,
+    rows: usize,
+    threads: usize,
+    paillier: Option<&PaillierCost>,
+) -> Vec<LatencyPoint> {
+    let (all, twin_all) = served.measure(&selection_sql(1.0), &[]);
+    let (half, twin_half) = served.measure(&selection_sql(0.5), &[]);
+    let estimate = paillier.and_then(|cost| served.paillier(&selection_sql(1.0), &all.timing, cost));
+    [
+        ("NoEnc sel=100%", twin_all.timing),
+        ("NoEnc sel=50%", twin_half.timing),
+        ("Seabed sel=100%", all.timing),
+        ("Seabed sel=50%", half.timing),
+    ]
+    .into_iter()
+    .chain(estimate.map(|timing| (PAILLIER, timing)))
+    .map(|(system, timing)| LatencyPoint::measured(system, rows, threads, timing))
+    .collect()
+}
+
+/// Figure 6: end-to-end latency vs number of rows for NoEnc and Seabed
 /// (selectivity 100% and 50%) and Paillier, on one thread.
-pub fn exp_fig6(scale: &Scale) -> Vec<LatencyPoint> {
+pub fn exp_fig6(scale: &Scale, paillier: &PaillierCost) -> Vec<LatencyPoint> {
     let mut rng = scale.rng();
     let mut points = Vec::new();
-    let keypair = PaillierKeypair::generate(&mut rng, scale.paillier_bits);
     for &millions in &synthetic::FIG6_ROWS_MILLIONS {
         let rows = scale.rows(millions);
         let ds = synthetic::aggregation_dataset(&mut rng, rows);
         let served = Served::synthetic(&ds, &[&selection_sql(0.5)], scale, &mut rng);
-        let point = |system: &str, timing: Timing| LatencyPoint::measured(system, rows, LOCAL_THREADS, timing);
-        let (all, twin) = served.measure(&selection_sql(1.0), &[]);
-        let (half, _) = served.measure(&selection_sql(0.5), &[]);
-        points.push(point("NoEnc", twin.timing));
-        points.push(point("Seabed sel=100%", all.timing));
-        points.push(point("Seabed sel=50%", half.timing));
-        points.push(point(
-            "Paillier",
-            paillier_timing(&ds.values, None, keypair.clone(), scale, &mut rng),
-        ));
+        points.extend(selection_points(&served, rows, LOCAL_THREADS, Some(paillier)));
     }
     points
 }
 
 /// Figure 7: server latency vs compute. The product is measured on one and
-/// two local threads. The paper's 10–100 cores are `model` rows: the
-/// one-thread server time split evenly across the partitions and
-/// list-scheduled by [`ClusterModel::makespan`].
-pub fn exp_fig7(scale: &Scale) -> Vec<LatencyPoint> {
+/// two local threads, and Paillier estimated on one. The paper's 10–100
+/// cores are `model` rows: the one-thread server time split evenly across
+/// the partitions and list-scheduled by [`ClusterModel::makespan`].
+pub fn exp_fig7(scale: &Scale, paillier: &PaillierCost) -> Vec<LatencyPoint> {
     let mut rng = scale.rng();
     let rows = scale.rows(1750);
     let ds = synthetic::aggregation_dataset(&mut rng, rows);
-    let keypair = PaillierKeypair::generate(&mut rng, scale.paillier_bits);
     let one = Served::synthetic(&ds, &[&selection_sql(0.5)], scale, &mut rng);
-    let two = one.on_threads(2);
-    let mut points = Vec::new();
-    for (threads, served) in [(LOCAL_THREADS, &one), (2, &two)] {
-        let (all, twin) = served.measure(&selection_sql(1.0), &[]);
-        let (half, _) = served.measure(&selection_sql(0.5), &[]);
-        for (system, timing) in [
-            ("NoEnc", twin.timing),
-            ("Seabed sel=100%", all.timing),
-            ("Seabed sel=50%", half.timing),
-        ] {
-            points.push(LatencyPoint::measured(system, rows, threads, timing));
-        }
-    }
-    let paillier = paillier_timing(&ds.values, None, keypair, scale, &mut rng);
-    points.push(LatencyPoint::measured("Paillier", rows, LOCAL_THREADS, paillier));
+    let mut points = selection_points(&one, rows, LOCAL_THREADS, Some(paillier));
+    points.extend(selection_points(&one.on_threads(2), rows, 2, None));
 
     let one_thread: Vec<LatencyPoint> = points.iter().filter(|p| p.workers == LOCAL_THREADS).cloned().collect();
     let partitions = scale.partitions.max(1);
@@ -846,12 +804,12 @@ pub fn exp_fig8c(scale: &Scale) -> Vec<Row> {
 // ---------------------------------------------------------------------------
 
 /// Figure 9a: group-by latency vs number of groups for NoEnc, Seabed and
-/// Paillier. The paper's optimized Seabed line (group inflation, §4.5) has
-/// no counterpart: no stage of the product splits work by group.
-pub fn exp_fig9a(scale: &Scale) -> Vec<Row> {
+/// Paillier, whose client decrypts one ciphertext per group. The paper's
+/// optimized Seabed line (group inflation, §4.5) has no counterpart: no
+/// stage of the product splits work by group.
+pub fn exp_fig9a(scale: &Scale, paillier: &PaillierCost) -> Vec<Row> {
     let mut rng = scale.rng();
     let rows = scale.rows(1750) / 2;
-    let keypair = PaillierKeypair::generate(&mut rng, scale.paillier_bits);
     let sql = "SELECT g, SUM(m) FROM t GROUP BY g";
     let mut out = Vec::new();
     for &groups in &synthetic::FIG9A_GROUPS {
@@ -859,12 +817,10 @@ pub fn exp_fig9a(scale: &Scale) -> Vec<Row> {
         let ds = synthetic::group_by_dataset(&mut rng, rows, groups);
         let served = Served::synthetic(&ds, &[sql], scale, &mut rng);
         let (seabed, twin) = served.measure(sql, &[]);
-        let paillier = paillier_timing(&ds.values, ds.groups.as_deref(), keypair.clone(), scale, &mut rng);
-        for (system, timing) in [
-            ("NoEnc", twin.timing),
-            ("Seabed", seabed.timing),
-            ("Paillier", paillier),
-        ] {
+        let estimate = served
+            .paillier(sql, &seabed.timing, paillier)
+            .expect("a grouped SUM sums");
+        for (system, timing) in [("NoEnc", twin.timing), ("Seabed", seabed.timing), (PAILLIER, estimate)] {
             out.push(Row::new(format!("{system} groups={groups}")).with_timing(&timing));
         }
     }
@@ -877,10 +833,9 @@ pub fn exp_fig9a(scale: &Scale) -> Vec<Row> {
 
 /// Figure 9b/c: the ten Big Data Benchmark queries under NoEnc and Seabed,
 /// plus a Paillier estimate for the aggregation queries.
-pub fn exp_fig9bc(scale: &Scale) -> Vec<Row> {
+pub fn exp_fig9bc(scale: &Scale, paillier: &PaillierCost) -> Vec<Row> {
     let mut rng = scale.rng();
     let tables = bdb::generate(&mut rng, scale.rows(90) / 10, scale.rows(775) / 10);
-    let per_add = paillier_add_cost(scale, &mut rng);
     let queries = bdb::queries();
     let serve = |dataset: &PlainDataset, sensitive: &[&str], rng: &mut StdRng| {
         let samples: Vec<&str> = queries
@@ -929,9 +884,9 @@ pub fn exp_fig9bc(scale: &Scale) -> Vec<Row> {
         if let Some(estimate) = seabed
             .as_ref()
             .ok()
-            .and_then(|seabed| paillier_estimate(served, &sql, &seabed.timing, per_add))
+            .and_then(|seabed| served.paillier(&sql, &seabed.timing, paillier))
         {
-            rows.push(Row::new(label("Paillier (estimated)")).with_timing(&estimate));
+            rows.push(Row::new(label(PAILLIER)).with_timing(&estimate));
         }
     }
     rows
@@ -942,10 +897,11 @@ pub fn exp_fig9bc(scale: &Scale) -> Vec<Row> {
 // ---------------------------------------------------------------------------
 
 /// Figure 10(a): response times of the 15-query Ad-Analytics performance set
-/// under NoEnc, Seabed and Paillier (estimated per-row cost). End to end as
-/// §6.6 has it: server and proxy compute plus the result's transfer over the
-/// datacenter link, modelled from its size.
-pub fn exp_fig10a(scale: &Scale) -> Vec<Row> {
+/// under NoEnc, Seabed and Paillier (estimated from the Seabed row). End to
+/// end as §6.6 has it: server and proxy compute plus the result's transfer
+/// over the datacenter link, modelled from its size (for Paillier, one
+/// ciphertext per sum of each group).
+pub fn exp_fig10a(scale: &Scale, paillier: &PaillierCost) -> Vec<Row> {
     let mut rng = scale.rng();
     let dataset = ad_analytics::generate(&mut rng, (scale.rows(759) / 4).max(5_000));
     let queries = ad_analytics::performance_query_set(&mut rng);
@@ -957,27 +913,25 @@ pub fn exp_fig10a(scale: &Scale) -> Vec<Row> {
         scale,
         &mut rng,
     );
-    let per_add = paillier_add_cost(scale, &mut rng);
     let link = NetworkModel::datacenter();
-    let end_to_end = |measured: &Measured| {
-        let transfer = link.transfer_time(measured.result_bytes);
-        Timing {
-            total: measured.timing.total.map(|d| d + transfer),
-            ..measured.timing
-        }
+    let end_to_end = |timing: &Timing, bytes: usize| Timing {
+        total: timing.total.map(|d| d + link.transfer_time(bytes)),
+        ..*timing
     };
     let mut rows = Vec::new();
     for q in &queries {
         let label = |system: &str| format!("{system} groups={}", q.groups);
         let (seabed, twin) = served.try_measure(&q.sql, &[]);
         if let Ok(twin) = &twin {
-            rows.push(Row::new(label("NoEnc")).with_timing(&end_to_end(twin)));
+            rows.push(Row::new(label("NoEnc")).with_timing(&end_to_end(&twin.timing, twin.result_bytes)));
         }
         if let Ok(seabed) = &seabed {
-            let timing = end_to_end(seabed);
-            rows.push(Row::new(label("Seabed")).with_timing(&timing));
-            if let Some(estimate) = paillier_estimate(&served, &q.sql, &timing, per_add) {
-                rows.push(Row::new(label("Paillier (estimated)")).with_timing(&estimate));
+            rows.push(Row::new(label("Seabed")).with_timing(&end_to_end(&seabed.timing, seabed.result_bytes)));
+            let (adds, sums) = served.paillier_work(&q.sql);
+            if sums > 0 {
+                let estimate = paillier.estimate(&seabed.timing, adds, sums);
+                let bytes = sums as usize * paillier.ciphertext_bytes();
+                rows.push(Row::new(label(PAILLIER)).with_timing(&end_to_end(&estimate, bytes)));
             }
         }
     }
@@ -1009,29 +963,42 @@ mod tests {
     fn tiny_scale() -> Scale {
         Scale {
             row_divisor: 100_000,
-            paillier_row_cap: 500,
-            paillier_bits: 64,
             partitions: 4,
             seed: 1,
         }
     }
 
+    /// The harness's Paillier cost function at a 128-bit modulus, measured
+    /// once for every test: a 2048-bit key takes a minute to generate in a
+    /// debug build.
+    fn small_cost() -> &'static PaillierCost {
+        static COST: std::sync::OnceLock<PaillierCost> = std::sync::OnceLock::new();
+        COST.get_or_init(|| PaillierCost::measure(&mut tiny_scale().rng(), 128))
+    }
+
     #[test]
     fn table1_has_expected_operations() {
-        let rows = exp_table1(&tiny_scale());
+        let rows = exp_table1(&tiny_scale(), small_cost());
         let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
         assert!(labels.contains(&"AES counter mode"));
         assert!(labels.contains(&"ASHE encryption"));
-        assert!(labels.iter().any(|l| l.starts_with("Paillier encryption")));
-        // Ordering claim of Table 1: plain add < ASHE < Paillier (2048-bit).
+        assert!(labels.contains(&"Paillier encryption (128-bit)"));
+        // Ordering claim of Table 1: plain add < ASHE < Paillier.
         let value = |label: &str| {
             rows.iter()
                 .find(|r| r.label.starts_with(label))
-                .map(|r| r.values[0].1)
+                .unwrap()
+                .value("ns")
                 .unwrap()
         };
         assert!(value("Plain addition") < value("ASHE encryption"));
-        assert!(value("ASHE encryption") < value("Paillier encryption (2048-bit)"));
+        assert!(value("ASHE encryption") < value("Paillier encryption"));
+        for row in &rows {
+            assert_eq!(row.value("k"), Some(K_RUNS as f64), "{}", row.label);
+        }
+        let pipeline = rows.last().unwrap();
+        assert_eq!(pipeline.label, "Paillier pipeline sum (128-bit, 4000 rows)");
+        assert!(pipeline.value("model_over_measured").is_some_and(|r| r > 0.0));
     }
 
     #[test]
@@ -1077,7 +1044,7 @@ mod tests {
 
     #[test]
     fn fig6_shape_seabed_beats_paillier() {
-        let points = exp_fig6(&tiny_scale());
+        let points = exp_fig6(&tiny_scale(), small_cost());
         let at = |system: &str, rows: usize| {
             points
                 .iter()
@@ -1087,14 +1054,14 @@ mod tests {
         };
         let rows = points[0].rows;
         assert!(
-            at("Seabed sel=50%", rows) < at("Paillier", rows),
+            at("Seabed sel=50%", rows) < at(PAILLIER, rows),
             "ASHE must beat Paillier"
         );
     }
 
     /// The selection column is `row_selected`'s rule: `p < k` holds exactly
     /// where `row_selected(row, k / SELECTION_SCALE)` does, so the product
-    /// and the Paillier baseline aggregate the same rows.
+    /// and the NoEnc reference aggregate the same rows.
     #[test]
     fn p_below_k_selects_the_rows_row_selected_selects() {
         let scale = tiny_scale();
@@ -1132,9 +1099,9 @@ mod tests {
     fn product_figures_check_their_answers_at_tiny_scale() {
         let scale = tiny_scale();
         let figures = [
-            latency_rows(&exp_fig6(&scale), false),
+            latency_rows(&exp_fig6(&scale, small_cost()), false),
             exp_fig8c(&scale),
-            exp_fig9a(&scale),
+            exp_fig9a(&scale, small_cost()),
         ];
         for row in figures.iter().flatten() {
             assert_eq!(row.value("k"), Some(K_RUNS as f64), "{}", row.label);
@@ -1146,7 +1113,20 @@ mod tests {
             .collect();
         systems.sort_unstable();
         systems.dedup();
-        assert_eq!(systems, ["NoEnc", "Paillier", "Seabed"], "Figure 9(a)'s systems");
+        assert_eq!(systems, ["NoEnc", PAILLIER, "Seabed"], "Figure 9(a)'s systems");
+        // Paillier's client decrypts one ciphertext per group.
+        let clients: Vec<f64> = figures[2]
+            .iter()
+            .filter(|r| r.label.starts_with(PAILLIER))
+            .map(|r| r.value("client_s").unwrap())
+            .collect();
+        assert!(clients.windows(2).all(|w| w[0] <= w[1]), "{clients:?}");
+        assert!(clients[0] < clients[clients.len() - 1], "{clients:?}");
+        // Figure 6 times NoEnc at both selectivities Seabed runs at.
+        for system in ["NoEnc sel=100%", "NoEnc sel=50%", "Seabed sel=50%", PAILLIER] {
+            let label = format!("{system} rows=");
+            assert!(figures[0].iter().any(|r| r.label.starts_with(&label)), "{label}");
+        }
     }
 
     #[test]

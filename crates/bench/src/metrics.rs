@@ -6,6 +6,7 @@
 //! [`crate::runner`] (which *selects and drives*), so each layer can change
 //! without touching the others.
 
+use crate::baselines::PAILLIER_BITS;
 use crate::{Scale, LOCAL_THREADS};
 use std::time::Duration;
 
@@ -53,7 +54,17 @@ impl Spread {
         self.q3 - self.q1
     }
 
-    /// The spread of `f` of the runs, for a monotone `f` (an extrapolation, a
+    /// `self` and `other` added quartile to quartile: the spread of an
+    /// estimate built from two measured parts.
+    pub fn plus(&self, other: Spread) -> Spread {
+        Spread {
+            median: self.median + other.median,
+            q1: self.q1 + other.q1,
+            q3: self.q3 + other.q3,
+        }
+    }
+
+    /// The spread of `f` of the runs, for a monotone `f` (a scale factor, a
     /// model, an added constant): it maps each quartile.
     pub fn map(&self, f: impl Fn(Duration) -> Duration) -> Spread {
         Spread {
@@ -241,14 +252,15 @@ fn json_number(v: f64) -> String {
 /// {
 ///   "experiment": "fig6",
 ///   "meta": {"unix_timestamp": 1754600000, "git_commit": "abc123...", "aes_backend": "aes-ni"},
-///   "scale": {"row_divisor": 1000, "partitions": 64, ..., "local_threads": 1},
+///   "scale": {"row_divisor": 1000, "partitions": 64, ..., "paillier_bits": 2048},
 ///   "rows": [{"label": "...", "values": {"k": 5, "response_s": 1.25, "response_s_iqr": 0.03, ...}}]
 /// }
 /// ```
 ///
 /// `experiment` names the run, `meta` stamps its provenance, and `scale` is
-/// the full configuration snapshot — together they make every artifact
-/// self-describing for trajectory diffs.
+/// the full configuration snapshot, with the Paillier modulus every Paillier
+/// row is costed at — together they make every artifact self-describing for
+/// trajectory diffs.
 pub fn rows_to_json(experiment: &str, scale: &Scale, meta: &RunMeta, rows: &[Row]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -260,8 +272,8 @@ pub fn rows_to_json(experiment: &str, scale: &Scale, meta: &RunMeta, rows: &[Row
         meta.aes_backend
     ));
     out.push_str(&format!(
-        "  \"scale\": {{\"row_divisor\": {}, \"paillier_row_cap\": {}, \"paillier_bits\": {}, \"partitions\": {}, \"seed\": {}, \"local_threads\": {}}},\n",
-        scale.row_divisor, scale.paillier_row_cap, scale.paillier_bits, scale.partitions, scale.seed, LOCAL_THREADS
+        "  \"scale\": {{\"row_divisor\": {}, \"partitions\": {}, \"seed\": {}, \"local_threads\": {}, \"paillier_bits\": {}}},\n",
+        scale.row_divisor, scale.partitions, scale.seed, LOCAL_THREADS, PAILLIER_BITS
     ));
     out.push_str("  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {

@@ -85,7 +85,8 @@
 //!
 //! Kinds 12–14 are the prepared-statement sub-protocol: a client registers a
 //! statement's (redacted, unbound) plan once and thereafter ships only the
-//! 8-byte handle plus the bound, proxy-encrypted filters per execution — the
+//! handle — a 64-bit hash sent as a varint, 9–10 bytes by its top bits — plus
+//! the bound, proxy-encrypted filters per execution — the
 //! wire-level half of the `SeabedSession` prepare/execute lifecycle. A
 //! handle the server no longer holds (evicted, restarted) is answered with a
 //! typed [`SeabedError::StaleStatement`] error frame; the `seabed-net`

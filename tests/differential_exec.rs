@@ -25,7 +25,7 @@
 
 use proptest::prelude::*;
 use seabed_ashe::IdSet;
-use seabed_bench::baselines::{ClusterModel, NoEncSystem};
+use seabed_bench::baselines::NoEncSystem;
 use seabed_core::{
     EncryptedAggregate, PhysicalFilter, PlainDataset, ResultValue, SeabedClient, SeabedServer, SeabedSession,
     ServerResponse,
@@ -518,7 +518,7 @@ proptest! {
     ) {
         let values: Vec<u64> = (0..rows as u64).map(|i| mix(seed, i, 1) % 1_000_000).collect();
         let keys: Vec<u64> = (0..rows as u64).map(|i| mix(seed, i, 2) % groups).collect();
-        let noenc = NoEncSystem::new(&values, Some(&keys), partitions, ClusterModel::new(4));
+        let noenc = NoEncSystem::new(&values, Some(&keys), partitions);
         let expected_sum = noenc.sum(1.0);
         let (want_groups, _) = noenc.group_by_sum(1.0);
 
