@@ -12,7 +12,9 @@
 //! operands (possible only with forged or duplicated partial results from an
 //! untrusted worker) coalesce canonically instead of panicking the merge.
 
-use seabed_encoding::{decode_runs, encode_runs, encoded_size, ids_to_runs, smallest_encoding, IdListEncoding, Run};
+use seabed_encoding::{
+    append_encoded, decode_runs, encode_runs, encoded_size, ids_to_runs, smallest_encoding, IdListEncoding, Run,
+};
 
 /// A set of row identifiers stored as sorted, non-overlapping, maximal runs.
 #[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -188,6 +190,13 @@ impl IdSet {
     /// Serializes the set with the given encoding.
     pub fn encode(&self, encoding: IdListEncoding) -> Vec<u8> {
         encode_runs(&self.runs, encoding)
+    }
+
+    /// Appends the set to `out` in `encoding`, whose size the caller already
+    /// holds from [`IdSet::smallest_encoding`] (see
+    /// [`seabed_encoding::append_encoded`]).
+    pub fn append_encoded(&self, encoding: IdListEncoding, size: usize, out: &mut Vec<u8>) {
+        append_encoded(&self.runs, encoding, size, out);
     }
 
     /// Deserializes a set; `None` on malformed input.

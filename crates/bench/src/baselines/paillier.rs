@@ -6,7 +6,12 @@
 //!
 //! * keygen: `n = p·q`, `λ = lcm(p-1, q-1)`, generator `g = n + 1`
 //! * encryption: `c = g^m · r^n mod n²`
-//! * decryption: `m = L(c^λ mod n²) · µ mod n` with `L(x) = (x-1)/n`
+//! * decryption by the Chinese remainder theorem (Paillier 1999, §7):
+//!   `m_p = L_p(c^(p-1) mod p²) · h_p mod p` with `L_p(x) = (x-1)/p` and
+//!   `h_p = L_p(g^(p-1) mod p²)^-1 mod p`, the same modulo `q`, and `m` the
+//!   one residue modulo `n` that is `m_p` modulo `p` and `m_q` modulo `q` —
+//!   the textbook `L(c^λ mod n²) · µ mod n`, computed as two exponentiations
+//!   of half the exponent modulo numbers of half the size
 //! * homomorphic addition: `c1 ⊕ c2 = c1 · c2 mod n²`
 //!
 //! No figure runs a Paillier pipeline. The harness costs Paillier at the
@@ -51,15 +56,53 @@ pub struct PaillierPublicKey {
     pub g: BigUint,
 }
 
-/// Paillier private key.
+/// Paillier private key: the factors of `n` and what decryption by the
+/// Chinese remainder theorem precomputes from them.
 #[derive(Clone, Debug)]
 pub struct PaillierPrivateKey {
-    /// Carmichael function `λ = lcm(p-1, q-1)`.
-    pub lambda: BigUint,
-    /// Precomputed `µ = (L(g^λ mod n²))^-1 mod n`.
-    pub mu: BigUint,
+    /// Decryption modulo `p²`.
+    p: PrimeHalf,
+    /// Decryption modulo `q²`.
+    q: PrimeHalf,
+    /// `q^-1 mod p`, which recombines the two halves.
+    q_inv_p: BigUint,
     /// Copy of the public key for decryption-side arithmetic.
     pub public: PaillierPublicKey,
+}
+
+/// One prime's half of a CRT decryption.
+#[derive(Clone, Debug)]
+struct PrimeHalf {
+    /// The prime `p`.
+    prime: BigUint,
+    /// `p²`, the modulus of the half's exponentiation.
+    squared: BigUint,
+    /// `p - 1`, its exponent.
+    exponent: BigUint,
+    /// `h_p = L_p(g^(p-1) mod p²)^-1 mod p`.
+    h: BigUint,
+}
+
+impl PrimeHalf {
+    fn new(prime: &BigUint, g: &BigUint) -> PrimeHalf {
+        let squared = prime.mul(prime);
+        let exponent = prime.sub(&BigUint::one());
+        let h = l_function(&g.mod_pow(&exponent, &squared), prime)
+            .mod_inverse(prime)
+            .expect("L_p(g^(p-1)) must be invertible for valid Paillier primes");
+        PrimeHalf {
+            prime: prime.clone(),
+            squared,
+            exponent,
+            h,
+        }
+    }
+
+    /// `m mod p` for the ciphertext `c`.
+    fn decrypt(&self, c: &BigUint) -> BigUint {
+        let x = c.rem(&self.squared).mod_pow(&self.exponent, &self.squared);
+        l_function(&x, &self.prime).mul_mod(&self.h, &self.prime)
+    }
 }
 
 /// A Paillier ciphertext (an element of `Z_{n²}^*`).
@@ -92,36 +135,28 @@ impl PaillierKeypair {
         Self::from_primes(&p, &q)
     }
 
-    /// Builds a keypair from two primes (exposed for deterministic tests).
+    /// Builds a keypair from two distinct primes (exposed for deterministic
+    /// tests).
     pub fn from_primes(p: &BigUint, q: &BigUint) -> Self {
-        let one = BigUint::one();
         let n = p.mul(q);
-        let n_squared = n.mul(&n);
-        let g = n.add(&one);
-        let lambda = p.sub(&one).lcm(&q.sub(&one));
         let public = PaillierPublicKey {
-            n: n.clone(),
-            n_squared: n_squared.clone(),
-            g: g.clone(),
+            n_squared: n.mul(&n),
+            g: n.add(&BigUint::one()),
+            n,
         };
-        // µ = (L(g^λ mod n²))^-1 mod n
-        let x = g.mod_pow(&lambda, &n_squared);
-        let l = l_function(&x, &n);
-        let mu = l
-            .mod_inverse(&n)
-            .expect("L(g^lambda) must be invertible for valid Paillier primes");
         let private = PaillierPrivateKey {
-            lambda,
-            mu,
+            p: PrimeHalf::new(p, &public.g),
+            q: PrimeHalf::new(q, &public.g),
+            q_inv_p: q.rem(p).mod_inverse(p).expect("distinct primes are coprime"),
             public: public.clone(),
         };
         PaillierKeypair { public, private }
     }
 }
 
-/// The `L(x) = (x - 1) / n` function from the Paillier decryption equation.
-fn l_function(x: &BigUint, n: &BigUint) -> BigUint {
-    x.sub(&BigUint::one()).divrem(n).0
+/// The `L(x) = (x - 1) / d` function from the Paillier decryption equation.
+fn l_function(x: &BigUint, d: &BigUint) -> BigUint {
+    x.sub(&BigUint::one()).divrem(d).0
 }
 
 impl PaillierPublicKey {
@@ -167,11 +202,13 @@ impl PaillierPublicKey {
 }
 
 impl PaillierPrivateKey {
-    /// Decrypts a ciphertext back to an element of `Z_n`.
+    /// Decrypts a ciphertext back to an element of `Z_n`, by the Chinese
+    /// remainder theorem: `m = m_q + q · ((m_p - m_q) · q^-1 mod p)`.
     pub fn decrypt(&self, c: &PaillierCiphertext) -> BigUint {
-        let pk = &self.public;
-        let x = c.0.mod_pow(&self.lambda, &pk.n_squared);
-        l_function(&x, &pk.n).mul_mod(&self.mu, &pk.n)
+        let (p, q) = (&self.p.prime, &self.q.prime);
+        let (m_p, m_q) = (self.p.decrypt(&c.0), self.q.decrypt(&c.0));
+        let difference = m_p.add(p).sub(&m_q.rem(p)).rem(p);
+        m_q.add(&q.mul(&difference.mul_mod(&self.q_inv_p, p)))
     }
 
     /// Decrypts to a `u64` (truncating; callers aggregating 64-bit measures
@@ -326,6 +363,29 @@ mod tests {
         for m in [0u64, 1, 42, 1_000_000, 123_456_789] {
             let c = kp.public.encrypt_u64(&mut rng, m);
             assert_eq!(kp.private.decrypt_u64(&c), m);
+        }
+    }
+
+    /// Decryption by CRT is the textbook `L(c^λ mod n²) · µ mod n`, on
+    /// ciphertexts of random plaintexts below `n` under a generated key.
+    #[test]
+    fn crt_decryption_is_the_textbook_decryption() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for kp in [small_keypair(), PaillierKeypair::generate(&mut rng, 128)] {
+            let (p, q) = (&kp.private.p.prime, &kp.private.q.prime);
+            let (one, n, n_squared) = (BigUint::one(), &kp.public.n, &kp.public.n_squared);
+            let lambda = p.sub(&one).lcm(&q.sub(&one));
+            let mu = l_function(&kp.public.g.mod_pow(&lambda, n_squared), n)
+                .mod_inverse(n)
+                .unwrap();
+            for _ in 0..8 {
+                let m = BigUint::random_below(&mut rng, n);
+                let c = kp.public.encrypt(&mut rng, &m);
+                let textbook = l_function(&c.0.mod_pow(&lambda, n_squared), n).mul_mod(&mu, n);
+                assert_eq!(textbook, m);
+                assert_eq!(kp.private.decrypt(&c), m);
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! The ID-list encodings the paper compares (Table 3, Figure 8) that the
 //! product does not send.
 //!
-//! The product ships every list in the smallest of three closed-form
+//! The product ships every list in the smallest of four closed-form
 //! containers ([`seabed_encoding::smallest_encoding`]). The paper instead picks
 //! one encoding per query class — ranges with a DEFLATE pass for aggregates,
 //! per-ID deltas for group-bys — and evaluates raw range bounds and a

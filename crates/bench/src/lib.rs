@@ -56,6 +56,7 @@ use seabed_core::{
     EncryptedAggregate, GroupIds, PlainDataset, ResultValue, SeabedClient, SeabedServer, SeabedSession, ServerResponse,
 };
 use seabed_crypto::AesCtr;
+use seabed_encoding::IdListEncoding;
 use seabed_engine::{table_disk_size, table_memory_size, Cluster, ClusterConfig};
 use seabed_query::{parse, ColumnSpec, Literal, PlannerConfig, Query, TranslateOptions};
 use seabed_workloads::synthetic::SyntheticDataset;
@@ -219,18 +220,24 @@ pub fn exp_table2() -> Vec<(String, String)> {
 // Table 3: ID-list encoding examples
 // ---------------------------------------------------------------------------
 
-/// Table 3: encoded sizes of a representative ID list under each technique.
+/// Table 3: encoded sizes of a representative ID list under each technique
+/// of the paper, then under the product's fourth container, Elias–Fano, and
+/// in the smallest of the product's four containers, the size it sends.
 pub fn exp_table3() -> Vec<Row> {
     let ids: Vec<u64> = (2..=14).chain(19..=23).collect();
     let set = IdSet::from_sorted_ids(&ids);
-    PaperEncoding::ALL
+    let row = |label: &str, bytes: usize| {
+        Row::new(label)
+            .with("bytes", bytes as f64)
+            .with("ids", set.count() as f64)
+    };
+    let mut rows: Vec<Row> = PaperEncoding::ALL
         .iter()
-        .map(|&enc| {
-            Row::new(enc.label())
-                .with("bytes", enc.encoded_size(set.runs()) as f64)
-                .with("ids", set.count() as f64)
-        })
-        .collect()
+        .map(|&enc| row(enc.label(), enc.encoded_size(set.runs())))
+        .collect();
+    rows.push(row("Elias–Fano", set.encoded_size(IdListEncoding::EliasFano)));
+    rows.push(row("smallest of four", set.smallest_encoding().1));
+    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -1012,15 +1019,22 @@ mod tests {
     #[test]
     fn table3_matches_paper_shape() {
         let rows = exp_table3();
-        assert_eq!(rows.len(), PaperEncoding::ALL.len());
+        assert_eq!(rows.len(), PaperEncoding::ALL.len() + 2);
         // Range+VB+Diff should be no larger than raw range+VB for this list.
         let size = |label: &str| rows.iter().find(|r| r.label == label).unwrap().values[0].1;
         assert!(size("+Diff") <= size("Ranges & VB"));
+        // The product sends no more than any of its containers would: the
+        // range, per-ID and Elias–Fano rows are three of its four.
+        for container in ["+Diff", "VB & Diff (group-by)", "Elias–Fano"] {
+            assert!(size("smallest of four") <= size(container), "{container}");
+        }
     }
 
     /// Table 3's bytes per encoding on its fixed list, as the harness
     /// reported them while the encodings still lived in `seabed-encoding`
     /// (the committed `paper/BENCH_table3.json`): the move changed no byte.
+    /// The product's Elias–Fano container writes `2 18 22` and 39 bits, and
+    /// the product sends the list as ranges, `2 12 5 4`.
     #[test]
     fn table3_bytes_are_the_recorded_figures() {
         let got: Vec<(String, f64, f64)> = exp_table3()
@@ -1034,6 +1048,8 @@ mod tests {
             ("+Deflate(Fast)", 9.0),
             ("VB & Diff (group-by)", 18.0),
             ("Bitmap", 40.0),
+            ("Elias–Fano", 8.0),
+            ("smallest of four", 4.0),
         ];
         let want: Vec<(String, f64, f64)> = recorded
             .iter()

@@ -585,11 +585,10 @@ fn finish_group(key: Vec<u64>, group: PartialGroup) -> GroupResult {
     GroupResult {
         key,
         ids: summed.then(|| {
-            let (encoding, _) = group.ids.smallest_encoding();
-            GroupIds {
-                id_list: group.ids.encode(encoding),
-                encoding,
-            }
+            let (encoding, size) = group.ids.smallest_encoding();
+            let mut id_list = Vec::with_capacity(size);
+            group.ids.append_encoded(encoding, size, &mut id_list);
+            GroupIds { id_list, encoding }
         }),
         aggregates: group
             .aggregates

@@ -150,7 +150,7 @@ impl RemoteSeabedClient {
     /// A request without a statement id, or an analyzed one, ships the whole
     /// plan in a `Request` frame (the only frame with an `analyze` flag). A
     /// prepared one registers the plan once and thereafter ships only the
-    /// handle (a 64-bit hash sent as a varint, 9–10 bytes) plus the bound
+    /// handle (a 64-bit hash sent as 8 fixed bytes) plus the bound
     /// filters — no SQL, no translated plan; a
     /// [`SeabedError::StaleStatement`] from the server (evicted handle,
     /// server restart) is recovered from by re-preparing once, and a second

@@ -85,6 +85,14 @@ impl<'a> Reader<'a> {
         Ok(bytes.as_chunks::<8>().0.iter().map(|word| W::from_le(*word)).collect())
     }
 
+    /// Reads a `u64` written as its 8 little-endian bytes (a `fixed` field).
+    pub(super) fn fixed(&mut self) -> Result<u64, SeabedError> {
+        let bytes = self
+            .take(8)
+            .ok_or_else(|| SeabedError::wire("truncated payload: expected 8 fixed bytes"))?;
+        Ok(u64::from_le_bytes(bytes.try_into().expect("eight bytes")))
+    }
+
     /// The payload must be consumed exactly; trailing bytes are corruption.
     pub(super) fn finish(self) -> Result<(), SeabedError> {
         match self.remaining() {
@@ -311,9 +319,11 @@ impl<K: Wire + Ord + Hash, V: Wire> Wire for HashMap<K, V> {
 
 /// One field of a layout table: `name` is any [`Wire`] type, `name: bytes` a
 /// `Vec<u8>` that travels as a length-prefixed byte string, `name: words` a
-/// `Vec` of [`Word`]s that travels as their raw bytes, and `name: unsent` a
-/// field that stays with the sender — nothing is written for it (its value
-/// is never read) and the receiver holds the type's default.
+/// `Vec` of [`Word`]s that travels as their raw bytes, `name: fixed` a `u64`
+/// that travels as its 8 little-endian bytes (a hash, whose top bits would
+/// make a varint 9–10 bytes), and `name: unsent` a field that stays with the
+/// sender — nothing is written for it (its value is never read) and the
+/// receiver holds the type's default.
 macro_rules! wire_field {
     (put $out:ident, $field:expr) => {
         Wire::encode($field, $out)
@@ -323,6 +333,9 @@ macro_rules! wire_field {
     };
     (put $out:ident, $field:expr, words) => {
         put_words($out, $field)
+    };
+    (put $out:ident, $field:expr, fixed) => {
+        $out.extend_from_slice(&$field.to_le_bytes())
     };
     (put $out:ident, $field:expr, unsent) => {
         let _ = $field;
@@ -335,6 +348,9 @@ macro_rules! wire_field {
     };
     (get $r:ident, words) => {
         $r.words()?
+    };
+    (get $r:ident, fixed) => {
+        $r.fixed()?
     };
     (get $r:ident, unsent) => {
         Default::default()

@@ -64,8 +64,8 @@
 //! | 10   | coord → worker  | shard query: epoch, (table id, shard id), sequence number, the server's half of a `TranslatedQuery` + filters |
 //! | 11   | worker → coord  | shard partial: echoed (epoch, table, shard, seq) + mergeable `PartialResponse` — per group its key, its ID set once, one partial per aggregate |
 //! | 12   | client → server | prepare statement: the server's half of an unbound `TranslatedQuery` |
-//! | 13   | server → client | statement handle: u64                          |
-//! | 14   | client → server | execute statement: handle + bound `PhysicalFilter`s |
+//! | 13   | server → client | statement handle: 8 bytes LE                   |
+//! | 14   | client → server | execute statement: handle (8 bytes LE) + bound `PhysicalFilter`s |
 //! | 15   | coord → worker  | unload shard: epoch, (table id, shard id)      |
 //! | 16   | worker → coord  | shard unloaded: echoed triple + remaining shard count |
 //! | 17   | client → server | metrics request: scrape the live metrics registry |
@@ -85,7 +85,7 @@
 //!
 //! Kinds 12–14 are the prepared-statement sub-protocol: a client registers a
 //! statement's (redacted, unbound) plan once and thereafter ships only the
-//! handle — a 64-bit hash sent as a varint, 9–10 bytes by its top bits — plus
+//! handle — a 64-bit hash sent as its 8 little-endian bytes — plus
 //! the bound, proxy-encrypted filters per execution — the
 //! wire-level half of the `SeabedSession` prepare/execute lifecycle. A
 //! handle the server no longer holds (evicted, restarted) is answered with a
@@ -187,9 +187,16 @@ pub const MAGIC: [u8; 4] = *b"SBWF";
 /// Each plan is one varint shorter, so a statement's hash and handle move
 /// with it. No other kind moved.
 ///
+/// Version 11: an ID list — a result group's (kind 2) and a partial group's
+/// (kind 11) — may travel in a fourth container, `EliasFano` (tag 3), when it
+/// is the smallest; and a statement handle — in a statement-prepared frame
+/// (kind 13), an execute-statement frame (kind 14) and a stale-statement
+/// error (kind 3) — is 8 fixed little-endian bytes, where version 10 wrote a
+/// varint of 9–10 bytes. No other kind moved.
+///
 /// There is no decoder for an older version: such a peer is refused by
 /// [`decode_header`] with the typed version error, like any other.
-pub const PROTOCOL_VERSION: u16 = 10;
+pub const PROTOCOL_VERSION: u16 = 11;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 11;
@@ -205,11 +212,13 @@ pub const DEFAULT_MAX_FRAME_LEN: u32 = 64 << 20;
 /// codec of both directions are generated from it, so they cannot disagree —
 /// and every generated `match` is exhaustive over [`Frame`] or names the
 /// variant it builds, so a row without a variant, a variant without a row, or
-/// a row that misses or misnames a field does not compile. A row marked
-/// `also Borrowed` gives the named struct of the same fields the same encoder.
+/// a row that misses or misnames a field does not compile. A field may say
+/// how it travels, as in `wire_struct!` (`handle: fixed`). A row marked
+/// `also Borrowed` gives the named struct of the same fields the same encoder;
+/// such a row's fields travel the default way.
 macro_rules! frame_kinds {
     ($($(#[$doc:meta])* $byte:literal => $name:ident
-        $({ $($field:ident),+ } $(also $borrowed:ident)?)?
+        $({ $($field:ident $(: $how:ident)?),+ } $(also $borrowed:ident)?)?
         $(( $($item:ident),+ ))?
     ,)+) => {
         /// The kind byte of a frame.
@@ -244,7 +253,7 @@ macro_rules! frame_kinds {
             fn encode_payload(&self, out: &mut Vec<u8>) {
                 match self {
                     $(Frame::$name $({ $($field),+ })? $(( $($item),+ ))? => {
-                        $($(wire_field!(put out, $field);)+)?
+                        $($(wire_field!(put out, $field $(, $how)?);)+)?
                         $($(wire_field!(put out, $item);)+)?
                     })+
                 }
@@ -253,7 +262,7 @@ macro_rules! frame_kinds {
             fn decode_payload(kind: FrameKind, r: &mut Reader<'_>) -> Result<Frame, SeabedError> {
                 Ok(match kind {
                     $(FrameKind::$name => {
-                        $($(let $field = wire_field!(get r);)+)?
+                        $($(let $field = wire_field!(get r $(, $how)?);)+)?
                         $($(let $item = wire_field!(get r);)+)?
                         Frame::$name $({ $($field),+ })? $(( $($item),+ ))?
                     })+
@@ -261,9 +270,9 @@ macro_rules! frame_kinds {
             }
         }
 
-        $($(frame_kinds!(@borrowed $name $($borrowed)? { $($field),+ });)?)+
+        $($(frame_kinds!(@borrowed $name $($borrowed)? { $($field $(: $how)?),+ });)?)+
     };
-    (@borrowed $name:ident { $($field:ident),+ }) => {};
+    (@borrowed $name:ident { $($field:ident $(: $how:ident)?),+ }) => {};
     (@borrowed $name:ident $borrowed:ident { $($field:ident),+ }) => {
         impl $borrowed<'_> {
             /// The frame, byte for byte what [`encode_frame`] makes of the
@@ -307,9 +316,9 @@ frame_kinds! {
     /// Client → server: register a statement's unbound plan, get a handle.
     12 => PrepareStatement { query },
     /// Server → client: the statement handle.
-    13 => StatementPrepared { handle },
+    13 => StatementPrepared { handle: fixed },
     /// Client → server: execute a registered statement with bound filters.
-    14 => ExecuteStatement { handle, trace_id, filters },
+    14 => ExecuteStatement { handle: fixed, trace_id, filters },
     /// Coordinator → worker: drop one resident shard (replica rebalance).
     15 => UnloadShard { epoch, table_id, shard },
     /// Worker → coordinator: shard-unload acknowledgement.

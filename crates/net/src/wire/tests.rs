@@ -614,18 +614,23 @@ fn result_layer_types_obey_the_wire_contract() {
 
 #[test]
 fn partial_result_types_obey_the_wire_contract() {
-    // Sets whose smallest containers are, in turn, each of the three.
+    // Sets whose smallest containers are, in turn, each of the four: forty
+    // rows twenty apart are 35 bytes as Elias–Fano against 40 as deltas, and
+    // three are 3 bytes as deltas.
     let every = |step: u64| IdSet::from_sorted_ids(&(0..40).map(|i| i * step).collect::<Vec<_>>());
     let sets = [
         IdSet::new(),
         IdSet::range(5, 10),
+        IdSet::from_sorted_ids(&[0, 20, 40]),
         every(20),
         every(2),
         IdSet::range(0, u64::MAX),
     ];
     let containers: Vec<IdListEncoding> = sets.iter().map(|set| set.smallest_encoding().0).collect();
-    let [ranges, per_id, bitmap] = IdListEncoding::ALL;
-    assert_eq!(containers, [ranges, ranges, per_id, bitmap, ranges]);
+    let [ranges, per_id, bitmap, elias_fano] = IdListEncoding::ALL;
+    assert_eq!(containers, [ranges, ranges, per_id, elias_fano, bitmap, ranges]);
+    assert_eq!(sets[3].encoded_size(per_id), 40);
+    assert_eq!(sets[3].smallest_encoding().1, 35);
     check_carrier(&sets);
     check_wire(&[ExtremeCandidate {
         ciphertext: OreCiphertext {
@@ -741,6 +746,26 @@ fn statement_hash_is_the_recorded_handle() {
     assert_eq!(statement_hash(&query), 0x9e04_c9d2_c5d4_89c5);
     // What stays with the key holder never reaches the hash.
     assert_eq!(statement_hash(&redact_query(&query)), statement_hash(&query));
+}
+
+/// A statement handle is a hash, so its top bits are as often set as not:
+/// it travels as its 8 little-endian bytes, whatever its value, in both
+/// frames that carry it and in the stale-statement error.
+#[test]
+fn a_statement_handle_is_eight_fixed_bytes() {
+    let payload = |frame: &Frame| encode_frame(frame, DEFAULT_MAX_FRAME_LEN).unwrap()[HEADER_LEN..].to_vec();
+    for handle in [0u64, 1, 0x9e04_c9d2_c5d4_89c5, u64::MAX] {
+        assert_eq!(payload(&Frame::StatementPrepared { handle }), handle.to_le_bytes());
+        let execute = payload(&Frame::ExecuteStatement {
+            handle,
+            trace_id: 0,
+            filters: vec![],
+        });
+        assert_eq!(execute[..8], handle.to_le_bytes());
+        assert_eq!(execute.len(), 8 + 2, "a trace id and an empty filter list");
+        let stale = payload(&Frame::Error(SeabedError::StaleStatement(handle)));
+        assert_eq!(stale[stale.len() - 8..], handle.to_le_bytes());
+    }
 }
 
 #[test]
@@ -874,18 +899,18 @@ fn request_frames_do_not_leak_det_or_ope_literals() {
     );
 }
 
-/// Protocol versions 4 to 9 are gone, not kept beside version 10: a frame
+/// Protocol versions 4 to 10 are gone, not kept beside version 11: a frame
 /// whose header says any of them is refused with the typed error naming both
 /// versions, whatever it carries.
 #[test]
 fn an_older_version_frame_is_refused_naming_both_versions() {
-    assert_eq!(PROTOCOL_VERSION, 10);
-    for old in [4u16, 5, 6, 7, 8, 9] {
+    assert_eq!(PROTOCOL_VERSION, 11);
+    for old in [4u16, 5, 6, 7, 8, 9, 10] {
         for frame in [Frame::SchemaRequest, Frame::Response(sample_response())] {
             let mut bytes = encode_frame(&frame, DEFAULT_MAX_FRAME_LEN).unwrap();
             bytes[4..6].copy_from_slice(&old.to_le_bytes());
             let outcome = decode_frame(&bytes, DEFAULT_MAX_FRAME_LEN);
-            let expected = format!("unsupported protocol version {old} (this side speaks 10)");
+            let expected = format!("unsupported protocol version {old} (this side speaks 11)");
             assert!(
                 matches!(&outcome, Err(SeabedError::Wire(message)) if *message == expected),
                 "{outcome:?}"

@@ -82,7 +82,12 @@ wire_enum!(PhysicalFilter as "physical-filter" {
 // Result-layer types (response direction)
 // ---------------------------------------------------------------------------
 
-wire_enum!(IdListEncoding as "ID-list encoding" { 0 => RangesVbDiff, 1 => VbDiff, 2 => SpanBitmap });
+wire_enum!(IdListEncoding as "ID-list encoding" {
+    0 => RangesVbDiff,
+    1 => VbDiff,
+    2 => SpanBitmap,
+    3 => EliasFano
+});
 wire_enum!(EncryptedAggregate as "encrypted-aggregate" {
     0 => AsheSum { value },
     1 => Count { rows },
@@ -111,9 +116,11 @@ wire_struct!(ServerResponse { groups, stats });
 /// smallest container, then the list in it, parsed straight out of the frame.
 impl Wire for IdSet {
     fn encode(&self, out: &mut Vec<u8>) {
-        let (encoding, _) = self.smallest_encoding();
+        let (encoding, size) = self.smallest_encoding();
         encoding.encode(out);
-        put_bytes(out, &IdSet::encode(self, encoding));
+        // A byte string's layout (`put_bytes`), written in place.
+        size.encode(out);
+        self.append_encoded(encoding, size, out);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<IdSet, SeabedError> {
@@ -298,7 +305,7 @@ wire_enum!(SeabedError as "error" {
     7 => Net(message),
     8 => Wire(message),
     9 => Dist { worker, message },
-    10 => StaleStatement(handle),
+    10 => StaleStatement(handle: fixed),
     // `SeabedError` is #[non_exhaustive]; a variant this protocol version does
     // not know still crosses the wire with its layer erased but its message
     // intact.

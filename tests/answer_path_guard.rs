@@ -1,5 +1,5 @@
 //! No entropy coder on the answer path. Every ID list the product ships is
-//! sized in closed form and sent in the smallest of three containers
+//! sized in closed form and sent in the smallest of four containers
 //! (`seabed_encoding::smallest_encoding`); the DEFLATE compressor and its
 //! LZ77, Huffman and bit-I/O parts serve only the paper harness
 //! (`seabed_bench::codec`). This file fails when a crate on the path from the

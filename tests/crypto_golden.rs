@@ -14,8 +14,9 @@
 //! packing moved" is checked, not claimed. Protocol versions 6, 7, 8 and 9
 //! each re-recorded the request for its version field alone. Version 10
 //! re-recorded it for its version field and the plan's group-inflation
-//! factor, which it no longer carries; version 9's digest is re-derived by
-//! writing `9` back into the header and the factor back into the plan.
+//! factor, which it no longer carries. Version 11 re-recorded it for its
+//! version field alone; version 10's digest is re-derived by writing `10`
+//! back into the header.
 //!
 //! The table is hashed in the stored-table layout its digests were recorded
 //! in, which this file keeps as the table's canonical form
@@ -59,8 +60,8 @@ struct Digests {
     table_a_byte_a_symbol: String,
     dictionary: String,
     request: String,
-    /// The request as version 9 wrote it.
-    request_as_version_9: String,
+    /// The request as version 10 wrote it.
+    request_as_version_10: String,
 }
 
 /// A table in the engine's stored-table layout, little-endian throughout: a
@@ -171,20 +172,15 @@ fn digests() -> Digests {
         u32::MAX,
     )
     .unwrap();
-    // Version 9 wrote the plan's inflation factor, 1 here, between its
-    // group-by list and its placeholder count, the plan's last byte. The plan
-    // follows the trace id and the analyze flag, one byte each.
+    // The plan follows the trace id and the analyze flag, one byte each.
     let plan_at = HEADER_LEN + 2;
     assert_eq!(
         request[plan_at..plan_at + plan.len()],
         plan[..],
         "the request carries the plan's bytes"
     );
-    let mut as_version_9 = request.clone();
-    as_version_9[4..6].copy_from_slice(&9u16.to_le_bytes());
-    as_version_9.insert(plan_at + plan.len() - 1, 1);
-    let length = u32::from_le_bytes(as_version_9[7..11].try_into().unwrap()) + 1;
-    as_version_9[7..11].copy_from_slice(&length.to_le_bytes());
+    let mut as_version_10 = request.clone();
+    as_version_10[4..6].copy_from_slice(&10u16.to_le_bytes());
 
     let mut spread = encrypted.table.clone();
     for column in spread.partitions.iter_mut().flat_map(|p| p.columns.iter_mut()) {
@@ -207,7 +203,7 @@ fn digests() -> Digests {
         table_a_byte_a_symbol: digest_hex(&canonical_table(&spread)),
         dictionary: digest_hex(&dictionary),
         request: digest_hex(&request),
-        request_as_version_9: digest_hex(&as_version_9),
+        request_as_version_10: digest_hex(&as_version_10),
     }
 }
 
@@ -231,23 +227,24 @@ fn stored_table_dictionary_and_request_frame_did_not_move() {
         got.dictionary, "9e340d77a7dfb7df5a05a158b7f174d0657a4b4c3a44440a20477014cec9cf67",
         "DET dictionaries"
     );
-    // Moved by the header's version field, 10, and by the plan's inflation
-    // factor, which it no longer carries: written back, it is the frame
-    // recorded for version 9, which differed from version 8's (`6bc43df4…`)
-    // in its version field alone, as that did from version 7's (`5310dcee…`),
-    // that from version 6's (`ee12c85c…`) and that from version 5's
-    // (`5128f0a4…`).
+    // Moved by the header's version field, 11, alone: written back, it is
+    // the frame recorded for version 10 (`9752367c…`), which version 10 had
+    // moved by its version field and by the plan's inflation factor, which
+    // it no longer carries, from version 9's (`87ec4750…`). That differed
+    // from version 8's (`6bc43df4…`) in its version field alone, as that did
+    // from version 7's (`5310dcee…`), that from version 6's (`ee12c85c…`) and
+    // that from version 5's (`5128f0a4…`).
     // Version 5's was moved by the version
     // field, by (a) — the plan travels without
     // `client_post`, `category`, `preserve_row_ids` and the empty placeholders
     // of its three redacted literals — and by (b): its two ORE literals are 16
     // bytes each.
     assert_eq!(
-        got.request, "9752367cc33e262e161ffe453c85abf88a36e7a49ee81ef9d262d8b4c425b660",
+        got.request, "634f05f53cc2f98917101686d884bddc0e778ea9833c3496c4fcf264d829db9f",
         "encrypted request frame"
     );
     assert_eq!(
-        got.request_as_version_9, "87ec4750422786c3de87bc540409057f270367e67d5b6e1c0948eb59769c470d",
-        "more than the version field and the inflation factor of the request frame moved"
+        got.request_as_version_10, "9752367cc33e262e161ffe453c85abf88a36e7a49ee81ef9d262d8b4c425b660",
+        "more than the version field of the request frame moved"
     );
 }

@@ -1,6 +1,6 @@
-//! The rule that sizes every ID list the product ships: of the three
-//! containers `RangesVbDiff`, `VbDiff` and `SpanBitmap`, the smallest, sized
-//! in closed form, ties to the earlier. Held here over seeded random sets of
+//! The rule that sizes every ID list the product ships: of the four
+//! containers `RangesVbDiff`, `VbDiff`, `SpanBitmap` and `EliasFano`, the
+//! smallest, sized in closed form, ties to the earlier. Held here over seeded random sets of
 //! five shapes — contiguous runs, sparse singletons, a random half of a
 //! span, a mix of those, and the empty set with identifiers at either end of
 //! the `u64` range — and, end to end, on the paper's workload: rows uploaded
@@ -96,13 +96,13 @@ fn smallest_by_encoding(runs: &[Run]) -> (IdListEncoding, usize) {
             best = Some((encoding, size));
         }
     }
-    best.expect("three containers")
+    best.expect("four containers")
 }
 
 #[test]
 fn the_chooser_is_the_argmin_of_exact_closed_forms_over_five_shapes() {
     let mut rng = StdRng::seed_from_u64(0x1d_115);
-    let mut chosen = [[0usize; 3]; 5];
+    let mut chosen = [[0usize; 4]; 5];
     for round in 0..2_500 {
         let shape = round % 5;
         let ids = set_of_shape(&mut rng, shape);
@@ -125,11 +125,13 @@ fn the_chooser_is_the_argmin_of_exact_closed_forms_over_five_shapes() {
         assert!(size < ENCODABLE, "the chosen container is always small: {runs:?}");
         chosen[shape][encoding as usize] += 1;
     }
-    // Contiguous runs go as ranges, sparse singletons as deltas, a random
-    // half of a span as a bitmap; the mix and the edges see more than one.
-    let [ranges, per_id, bitmap] = [0, 1, 2];
+    // Contiguous runs go as ranges, sparse singletons as deltas when they are
+    // few and as Elias–Fano when they are many, a random half of a span as a
+    // bitmap; the mix and the edges see more than one.
+    let [ranges, per_id, bitmap, elias_fano] = [0, 1, 2, 3];
     assert_eq!(chosen[0][ranges], 500, "{chosen:?}");
-    assert_eq!(chosen[1][per_id], 500, "{chosen:?}");
+    assert_eq!(chosen[1][per_id] + chosen[1][elias_fano], 500, "{chosen:?}");
+    assert!(chosen[1][per_id] > 0 && chosen[1][elias_fano] > 400, "{chosen:?}");
     assert!(chosen[2][bitmap] > 450, "{chosen:?}");
     assert!(chosen[3].iter().filter(|&&n| n > 0).count() >= 2, "{chosen:?}");
     assert!(chosen[4][ranges] > 0 && chosen[4][per_id] > 0, "{chosen:?}");
@@ -151,6 +153,11 @@ fn ties_go_to_the_earlier_container() {
     // {0, 2, 4, 6, 8, 10}: ranges 12 bytes, deltas 6, a bitmap `0 11 55 05` 4.
     let alternating = ids_to_runs(&[0, 2, 4, 6, 8, 10]);
     assert_eq!(smallest_encoding(&alternating), (IdListEncoding::SpanBitmap, 4));
+    // {0, 10, …, 70}: deltas `0 10 10 …` and Elias–Fano `0 8 71` with 40
+    // bits (L = 3) are eight bytes each.
+    let tens = ids_to_runs(&(0..8u64).map(|i| i * 10).collect::<Vec<_>>());
+    assert_eq!(encoded_size(&tens, IdListEncoding::EliasFano), 8);
+    assert_eq!(smallest_encoding(&tens), (IdListEncoding::VbDiff, 8));
 }
 
 /// The paper's workload: rows uploaded with consecutive identifiers, and

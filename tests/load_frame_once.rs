@@ -96,9 +96,9 @@ fn hex(digest: [u8; 32]) -> String {
 #[test]
 fn a_borrowed_shard_encodes_to_the_owned_frames_bytes() {
     // The two `08 load shard` samples of `wire_golden`, through the borrowed
-    // encoder: the digest recorded there for protocol version 10, and under a
-    // version-9 header the one recorded for version 9 (only the version field
-    // moved).
+    // encoder: the digest recorded there for protocol version 11, and under a
+    // version-10 header the one recorded for version 10 (only the version
+    // field moved).
     let (full, empty) = (golden_table(), Table::from_columns(Schema::new([]), vec![], 1));
     let golden = [
         LoadShardRef {
@@ -122,22 +122,22 @@ fn a_borrowed_shard_encodes_to_the_owned_frames_bytes() {
             table: &empty,
         },
     ];
-    let (mut bytes, mut as_version_9) = (Vec::new(), Vec::new());
+    let (mut bytes, mut as_version_10) = (Vec::new(), Vec::new());
     for load in golden {
         let mut encoded = load.encode(u32::MAX).expect("encode");
         assert_eq!(encoded, encode_frame(&owned(load), u32::MAX).expect("encode owned"));
         bytes.extend_from_slice(&encoded);
-        encoded[4..6].copy_from_slice(&9u16.to_le_bytes());
-        as_version_9.extend_from_slice(&encoded);
+        encoded[4..6].copy_from_slice(&10u16.to_le_bytes());
+        as_version_10.extend_from_slice(&encoded);
     }
     assert_eq!(
         hex(Sha256::digest(&bytes)),
-        "c8584ddc1454fde4a5a120496510390a2a42baa49fc15e1b87a29cdf503b235f",
+        "745ec0b327b847ecf3ff1087ea3ddbf01e27dcd4930d9cf2a0f778a65bc0cded",
         "the `08 load shard` digest of tests/wire_golden.rs"
     );
     assert_eq!(
-        hex(Sha256::digest(&as_version_9)),
-        "4878eb150b9f9bf6ff6289f4c6109fcb06e1c7586c7db9633a1a127e64c65d63",
+        hex(Sha256::digest(&as_version_10)),
+        "c8584ddc1454fde4a5a120496510390a2a42baa49fc15e1b87a29cdf503b235f",
         "more than the version field of the load frame moved"
     );
 

@@ -168,15 +168,15 @@ fn client_fails_a_trickled_reply_within_the_budget_and_poisons() {
     fake_server.join().expect("fake server");
 }
 
-/// Protocol versions 4 to 9 are not kept beside version 10: a peer whose
+/// Protocol versions 4 to 10 are not kept beside version 11: a peer whose
 /// frame header says 4 is told why — the typed version error naming both
 /// versions, under a header it cannot misread as its own — and dropped, by
-/// `decode_frame` and by both ends of a real `FrameConn`; the next version-10
-/// peer is served. A version-5, -6, -7, -8 or -9 frame meets the same error.
+/// `decode_frame` and by both ends of a real `FrameConn`; the next version-11
+/// peer is served. A version-5 to -10 frame meets the same error.
 #[test]
 fn a_version_four_peer_is_refused_with_the_typed_version_error() {
-    assert_eq!(wire::PROTOCOL_VERSION, 10);
-    let refusal = "unsupported protocol version 4 (this side speaks 10)";
+    assert_eq!(wire::PROTOCOL_VERSION, 11);
+    let refusal = "unsupported protocol version 4 (this side speaks 11)";
     let mut version_4 = wire::encode_frame(&Frame::SchemaRequest, MAX).expect("encode");
     version_4[4..6].copy_from_slice(&4u16.to_le_bytes());
     let outcome = wire::decode_frame(&version_4, MAX);
@@ -184,11 +184,11 @@ fn a_version_four_peer_is_refused_with_the_typed_version_error() {
         matches!(&outcome, Err(SeabedError::Wire(message)) if message == refusal),
         "{outcome:?}"
     );
-    for old in [5u16, 6, 7, 8, 9] {
+    for old in [5u16, 6, 7, 8, 9, 10] {
         let mut stamped = version_4.clone();
         stamped[4..6].copy_from_slice(&old.to_le_bytes());
         let outcome = wire::decode_frame(&stamped, MAX);
-        let expected = format!("unsupported protocol version {old} (this side speaks 10)");
+        let expected = format!("unsupported protocol version {old} (this side speaks 11)");
         assert!(
             matches!(&outcome, Err(SeabedError::Wire(message)) if *message == expected),
             "{outcome:?}"

@@ -16,11 +16,11 @@
 //! The digests were first recorded at the commit *before* the codec was
 //! rewritten behind one `Wire` trait (PR 18), re-recorded once for protocol
 //! version 5, once for version 6, once for version 7, once for version 8,
-//! once for version 9 and once for version 10, each time with the reason it
-//! moved ([`RECORDED`]). A kind whose payload did not move keeps its
-//! version-9 digest beside the new one, and the test re-derives it by writing
-//! `9` back into the header — so "only the version field moved" is checked,
-//! not claimed.
+//! once for version 9, once for version 10 and once for version 11, each
+//! time with the reason it moved ([`RECORDED`]). A kind whose payload did not
+//! move keeps its version-10 digest beside the new one, and the test
+//! re-derives it by writing `10` back into the header — so "only the version
+//! field moved" is checked, not claimed.
 
 use seabed::ashe::IdSet;
 use seabed::core::{EncryptedAggregate, GroupIds, GroupResult, PartialResponse, PhysicalFilter, ServerResponse};
@@ -538,13 +538,13 @@ fn frames() -> Vec<(&'static str, Vec<Frame>)> {
     ]
 }
 
-/// `(name, SHA-256 of the bytes, SHA-256 of the bytes under a version-9
+/// `(name, SHA-256 of the bytes, SHA-256 of the bytes under a version-10
 /// header)`, in a fixed order. The payload writers have no header, so their
 /// two digests are one.
 fn digests() -> Vec<(&'static str, String, String)> {
     let mut out = Vec::new();
     for (index, (name, frames)) in frames().into_iter().enumerate() {
-        let (mut bytes, mut as_version_9) = (Vec::new(), Vec::new());
+        let (mut bytes, mut as_version_10) = (Vec::new(), Vec::new());
         for frame in &frames {
             assert_eq!(
                 frame.kind() as usize,
@@ -557,10 +557,10 @@ fn digests() -> Vec<(&'static str, String, String)> {
             assert_eq!(encode_frame(&decoded, u32::MAX).expect("re-encode"), encoded, "{name}");
             bytes.extend_from_slice(&encoded);
             assert_eq!(encoded[4..6], PROTOCOL_VERSION.to_le_bytes());
-            encoded[4..6].copy_from_slice(&9u16.to_le_bytes());
-            as_version_9.extend_from_slice(&encoded);
+            encoded[4..6].copy_from_slice(&10u16.to_le_bytes());
+            as_version_10.extend_from_slice(&encoded);
         }
-        out.push((name, digest_hex(&bytes), digest_hex(&as_version_9)));
+        out.push((name, digest_hex(&bytes), digest_hex(&as_version_10)));
     }
     let mut statement = Vec::new();
     write_statement_payload(&mut statement, &query(SupportCategory::ClientPostProcessing));
@@ -571,115 +571,118 @@ fn digests() -> Vec<(&'static str, String, String)> {
     out
 }
 
-/// Why a digest differs from the one recorded for protocol version 9.
+/// Why a digest differs from the one recorded for protocol version 10.
 enum Moved {
-    /// Only the header's version field: the bytes under a version-9 header
-    /// still hash to the digest recorded for version 9. The payload writers
+    /// Only the header's version field: the bytes under a version-10 header
+    /// still hash to the digest recorded for version 10. The payload writers
     /// have no header, so theirs is the digest itself.
     VersionOnly(&'static str),
-    /// The plan no longer carries a group-inflation factor, which version 9
-    /// wrote after the group-by columns: one varint fewer.
-    NoInflationFactor,
+    /// The sample gained a group whose ID list travels in the fourth
+    /// container, `EliasFano` (tag 3): `IdListEncoding::ALL` grew by one.
+    EliasFanoGroup,
+    /// A statement handle travels as its 8 little-endian bytes, where
+    /// version 10 wrote a varint of 9–10 bytes.
+    FixedHandle,
 }
 use Moved::*;
 
-/// Recorded once for protocol version 10, in the order of [`digests`], each
+/// Recorded once for protocol version 11, in the order of [`digests`], each
 /// with what moved it.
 const RECORDED: [(&str, Moved); 20] = [
     // 01 request
     (
-        "139f6306428d79aecf1fc0e5220a1415df6a369f3c690a7a92ee3c5ee21bbb12",
-        NoInflationFactor,
+        "ec97a47835ec050139ec2d3c256d2a4e90919b7916fc56eeeae65be50473749c",
+        VersionOnly("139f6306428d79aecf1fc0e5220a1415df6a369f3c690a7a92ee3c5ee21bbb12"),
     ),
     // 02 response
     (
-        "0d41fe9c243f56c137b55c7f5dfb0baf795d8e4c2cf59113c62f6e3d6ab63c6d",
-        VersionOnly("b928dcc39b52d174f18a0a40ad3fed1a9d826ec6d96e089a1be45b227631b7d0"),
+        "c0fd6a662cf14cea98c4407813e871a0bdb566f7ab60eb57f9c7b8a83d3025a3",
+        EliasFanoGroup,
     ),
     // 03 error
     (
-        "f269e4b9082c7c2d3ecc12ddb9ba47afa1bbb7937948fe0b45b1f02c6eac9412",
-        VersionOnly("2868c63db2537897b4818d5fc87f9112841b4da6704486ed32b2010643ad266c"),
+        "170dca84b0917037e3e7ea9a816734893e579752dbc47f9956b3be456548d88a",
+        FixedHandle,
     ),
     // 04 schema request
     (
-        "e79a5272f454b418956d89caf40041158d2f264b9f61c96c2ddcb9579a2e02ae",
-        VersionOnly("33c2f5f376098f4ca3f2aa06da11c1ff4f9168ec4af8faea95fd64820927d518"),
+        "228b934b3261e9777b9762735c71b5fe7385026f854c0f164310b24781fc818f",
+        VersionOnly("e79a5272f454b418956d89caf40041158d2f264b9f61c96c2ddcb9579a2e02ae"),
     ),
     // 05 schema
     (
-        "058bde9994dcc847b1f695fbc5c88f4f4ba0f733f7efb6a4f4a85a72eb6dbe61",
-        VersionOnly("a585c33b8f010b238cdc442daa587c47277a811fcf337b0c60be33c0d40b2d6f"),
+        "2290dea0e52bda7c26f8a2d79836a3a22c12f47991e510d0272c35ed0c62a202",
+        VersionOnly("058bde9994dcc847b1f695fbc5c88f4f4ba0f733f7efb6a4f4a85a72eb6dbe61"),
     ),
     // 06 worker handshake
     (
-        "813d3ca297a7778168163b6d7c2b2848d1e4a84caa3b80ae9e8e6be4328d2793",
-        VersionOnly("04dab21a25e349c6ca7217c62785ea07092f96741357b8b364e6de58700c9738"),
+        "772fe21c7a367541d2e32c2c2f6994741368f4d8d09acc96feecfc19e631e0d7",
+        VersionOnly("813d3ca297a7778168163b6d7c2b2848d1e4a84caa3b80ae9e8e6be4328d2793"),
     ),
     // 07 worker ready
     (
-        "b3747094cede1c76cb305ebd1fef49189a56ee51aa3dc8523673cfab7a534096",
-        VersionOnly("602cbbbe61913a941bf43dd1c05dfb2f33fba0929ed4e5cc179a82154b86c76d"),
+        "8a2174ee3f52d646403795e3d34fd1c1a007f51cb08836d158c72c7bd9e9785b",
+        VersionOnly("b3747094cede1c76cb305ebd1fef49189a56ee51aa3dc8523673cfab7a534096"),
     ),
     // 08 load shard
     (
-        "c8584ddc1454fde4a5a120496510390a2a42baa49fc15e1b87a29cdf503b235f",
-        VersionOnly("4878eb150b9f9bf6ff6289f4c6109fcb06e1c7586c7db9633a1a127e64c65d63"),
+        "745ec0b327b847ecf3ff1087ea3ddbf01e27dcd4930d9cf2a0f778a65bc0cded",
+        VersionOnly("c8584ddc1454fde4a5a120496510390a2a42baa49fc15e1b87a29cdf503b235f"),
     ),
     // 09 shard loaded
     (
-        "3be5fc23fb25800a026609aca77311e08b5042c70c1398175221950f81be2c34",
-        VersionOnly("4dc01d85a2e2100d3527830b034f6c9f45a4fb205a4969e850f78d31f2f6ebc5"),
+        "81ad8a74c4ac08921cc3ba9340c0d69405086206075aa036f1d9fb8df3a37ee0",
+        VersionOnly("3be5fc23fb25800a026609aca77311e08b5042c70c1398175221950f81be2c34"),
     ),
     // 10 shard query
     (
-        "a521d5ba9798be9097db024e1e98676d358c7b6986f265aa132b10eee9894786",
-        NoInflationFactor,
+        "302a5e371f459278f4480fb1a9c7a09e4acc018b9a03d3a04fbd84fadb13f7ae",
+        VersionOnly("a521d5ba9798be9097db024e1e98676d358c7b6986f265aa132b10eee9894786"),
     ),
     // 11 shard partial
     (
-        "c9e99bcfa842b1e85d7abf04958dac31fbf84fe1d49b8f64eb2e3161090729e2",
-        VersionOnly("00e4be59ec9ced6c9d11f9f927e6ee1760baaf36bfab45f54a2787775ce9b7c2"),
+        "d854f9b1b1d77645d9af64f83842d3a88cc6bd97fa3858a613f0e3bb920f8d32",
+        VersionOnly("c9e99bcfa842b1e85d7abf04958dac31fbf84fe1d49b8f64eb2e3161090729e2"),
     ),
     // 12 prepare statement
     (
-        "1717e4677c849c0665e993912da097097f5b21068065a99304e3bc846f224b12",
-        NoInflationFactor,
+        "76b4ba9cedc83810b8e3717c9582a60de9a98e4b8dff5e0b3bcedbe1d93b8e6d",
+        VersionOnly("1717e4677c849c0665e993912da097097f5b21068065a99304e3bc846f224b12"),
     ),
     // 13 statement prepared
     (
-        "f6384370c6fec25060f2ee75c3c19b4e7ee80cb3621d3ed43f04ec87cf342652",
-        VersionOnly("9c5f7a255f02498830a3069883c2aee2197b55eb02f32996374cdc622ace8016"),
+        "67863069c1c88c6381259b08776822eeadd02b25b6e2ed2db466323667ae35a4",
+        FixedHandle,
     ),
     // 14 execute statement
     (
-        "dfdd73060da0db4061bc8709ae1a3ba54e4c6955b2da5c666c1b814c57eec19f",
-        VersionOnly("905cbd4b8582568603d075bb9d4834f8744c50fcb712496b3f28f7f3dc1f744d"),
+        "b2ba356592b177d09c581f5ed788b8362f7bd8f92ed89ceb419717f40ba6baf8",
+        FixedHandle,
     ),
     // 15 unload shard
     (
-        "4f2ac6cf01928189bbb3316cdb50a0fe65a0ef34303aee96e9d9c1f9bc0aac45",
-        VersionOnly("9c1744ab86294a52f6b5c438caf4448e0c092e08c72c5a12a02453ba52eab2fe"),
+        "98b47dad367f3e81f38e13a22593ed73d2f455fc07b4b57fb41bf356a97aa3f8",
+        VersionOnly("4f2ac6cf01928189bbb3316cdb50a0fe65a0ef34303aee96e9d9c1f9bc0aac45"),
     ),
     // 16 shard unloaded
     (
-        "852547b8695638467a576788477e3955d409c0c9122717cfdbf69f70ee7db786",
-        VersionOnly("2819bf95298d593a518679bbf007918b4ff64d2dfd94f5c4a6bdcae0565f1cfc"),
+        "e3dfbcc817257cb65e7f7c0887e4e75a405b739ca02db6e7dbb36a0e6d8fa944",
+        VersionOnly("852547b8695638467a576788477e3955d409c0c9122717cfdbf69f70ee7db786"),
     ),
     // 17 metrics request
     (
-        "4d9ea882193f48e8ddb5c62fee7a47cefc203c86e1048ab6fe4555b31ff3a3f0",
-        VersionOnly("df78a11444bfbb62e4283f85474e413ea1dab34a3314608c497fed9a2fd35661"),
+        "de520120b119da3206088119528299d3c2457212d160de04ce02e4042d755eab",
+        VersionOnly("4d9ea882193f48e8ddb5c62fee7a47cefc203c86e1048ab6fe4555b31ff3a3f0"),
     ),
     // 18 metrics snapshot
     (
-        "0c4f2d68b00671e9227f5849aca2a6b2a9c4c78439617e5e7bcd94ec871dd045",
-        VersionOnly("d964014f34d140edaba79c51c9bb9bb7d7ffcf802acb54658ca80b013b68a837"),
+        "9f9970292d464962da0d168854399559521b6ea555f1fc5a249fa91850aae4a9",
+        VersionOnly("0c4f2d68b00671e9227f5849aca2a6b2a9c4c78439617e5e7bcd94ec871dd045"),
     ),
     // statement payload
     (
         "9b50ae78186d9319151b0fa72a8baba390bca0d31e930993d9f4a63ab270bbfa",
-        NoInflationFactor,
+        VersionOnly("9b50ae78186d9319151b0fa72a8baba390bca0d31e930993d9f4a63ab270bbfa"),
     ),
     // filters payload
     (
@@ -695,10 +698,10 @@ fn every_frame_kind_encodes_to_its_recorded_bytes() {
         println!("    \"{digest}\", // {name}");
     }
     assert_eq!(got.len(), RECORDED.len());
-    for ((name, digest, as_version_9), (recorded, moved)) in got.iter().zip(RECORDED) {
+    for ((name, digest, as_version_10), (recorded, moved)) in got.iter().zip(RECORDED) {
         assert_eq!(digest, recorded, "{name}: the encoded bytes moved");
-        if let VersionOnly(version_9) = moved {
-            assert_eq!(as_version_9, version_9, "{name}: more than the version field moved");
+        if let VersionOnly(version_10) = moved {
+            assert_eq!(as_version_10, version_10, "{name}: more than the version field moved");
         }
     }
 }

@@ -576,15 +576,19 @@ fn forged_operator_and_event_counts_are_rejected() {
 /// cells, the per-group ID list and the server's half of the plan did (to 5),
 /// the ID lists' three closed-form containers did (to 6), the exec stats cut
 /// to what the server measured did (to 7), the shard table written by the
-/// one codec did (to 8), the one event list of the scrape frames did (to 9)
-/// and the plan without a group-inflation factor did (to 10): a frame
+/// one codec did (to 8), the one event list of the scrape frames did (to 9),
+/// the plan without a group-inflation factor did (to 10) and the Elias–Fano
+/// container with the fixed-width statement handle did (to 11): a frame
 /// stamped with any earlier version is refused at the header.
 #[test]
 fn analyze_extensions_bumped_the_protocol_version() {
     use seabed::net::wire::PROTOCOL_VERSION;
-    assert_eq!(PROTOCOL_VERSION, 10, "one bump for the plan's dropped inflation factor");
+    assert_eq!(
+        PROTOCOL_VERSION, 11,
+        "one bump for the Elias–Fano container and the 8-byte handle"
+    );
     let good = encode_frame(&Frame::SchemaRequest, DEFAULT_MAX_FRAME_LEN).expect("encode");
-    for earlier in [3u16, 4, 5, 6, 7, 8, 9] {
+    for earlier in [3u16, 4, 5, 6, 7, 8, 9, 10] {
         let mut stamped = good.clone();
         stamped[4..6].copy_from_slice(&earlier.to_le_bytes());
         assert!(matches!(
@@ -709,6 +713,28 @@ fn forged_span_bitmaps_are_typed_errors_and_the_session_lives() {
         bitmap(0, 200, &[0xff; 24]),
     ] {
         assert_a_forged_id_list_is_a_typed_error_and_the_session_lives(IdListEncoding::SpanBitmap, forged_list);
+    }
+}
+
+/// The same for forged Elias–Fano lists (the honest `{3, 40, 41, 99}` is
+/// `3 4 97 | 50 06 19 02`): a span far longer than the body, a last
+/// identifier past `u64::MAX`, a body one byte short, an identifier named
+/// twice, and a last identifier past `first + span − 1`.
+#[test]
+fn forged_elias_fano_lists_are_typed_errors_and_the_session_lives() {
+    let list = |header: &[u64], body: &[u8]| {
+        let mut list = varint::encode_all(header);
+        list.extend_from_slice(body);
+        list
+    };
+    for forged_list in [
+        list(&[0, 4, 1 << 60], &[0x50, 0x06, 0x19, 0x02]),
+        list(&[u64::MAX - 8, 4, 97], &[0x50, 0x06, 0x19, 0x02]),
+        list(&[3, 4, 97], &[0x50, 0x06, 0x19]),
+        list(&[3, 4, 97], &[0x50, 0x05, 0x19, 0x02]),
+        list(&[3, 4, 97], &[0x50, 0xf6, 0x19, 0x02]),
+    ] {
+        assert_a_forged_id_list_is_a_typed_error_and_the_session_lives(IdListEncoding::EliasFano, forged_list);
     }
 }
 
