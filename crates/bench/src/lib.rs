@@ -950,8 +950,8 @@ pub fn exp_fig10a(scale: &Scale, paillier: &PaillierCost) -> Vec<Row> {
 pub fn exp_fig10b(scale: &Scale) -> Vec<Row> {
     let rows = scale.rows(759) as u64;
     let profiles = ad_analytics::sensitive_dimension_profiles(rows);
-    let total_columns = ad_analytics::NUM_DIMENSIONS + ad_analytics::NUM_MEASURES;
-    seabed_splashe::overhead_curve(&profiles, total_columns)
+    let plain_columns = ad_analytics::NUM_DIMENSIONS + ad_analytics::NUM_MEASURES;
+    seabed_splashe::overhead_curve(&profiles, plain_columns)
         .into_iter()
         .map(|p| {
             Row::new(format!("{} (d={})", p.name, p.cardinality))

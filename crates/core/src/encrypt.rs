@@ -28,7 +28,9 @@
 //!   distinct value, and a row repeating the value before it costs no lookup;
 //! * enhanced SPLASHE dimensions are splayed into an indicator and a column
 //!   per ASHE measure for each frequent value and for "others", plus a
-//!   frequency-balanced DET column (§3.4);
+//!   frequency-balanced DET column (§3.4); `seabed_splashe` places each row
+//!   ([`seabed_splashe::EnhancedPlan::slot`]) and writes that DET column
+//!   ([`seabed_splashe::balanced_column`]);
 //! * non-sensitive columns pass through unchanged.
 //!
 //! Row identifiers are implicit: row `i` of the table is identifier `i`
@@ -38,7 +40,6 @@
 use crate::dataset::{PlainColumn, PlainDataset};
 use crate::keys::KeyStore;
 use crate::session::Fnv1a;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use seabed_ashe::AsheScheme;
 use seabed_crypto::ore::ORE_CELL_BYTES;
@@ -242,7 +243,7 @@ impl Layout {
                     return None;
                 };
                 let source = dataset.column(&column.name)?;
-                let slots = (0..source.len()).map(|i| encnames::splashe_slot(splay, &source.text_at(i)));
+                let slots = (0..source.len()).map(|i| splay.slot(&source.text_at(i)));
                 Some((column.name.as_str(), (splay, slots.collect())))
             })
             .collect();
@@ -301,7 +302,8 @@ impl Layout {
                 }
                 Holds::Balanced(det) => {
                     let (splay, row_slots) = splayed();
-                    let (tags, dict) = balanced_column(det, splay, source, row_slots, rng);
+                    let (tags, dict) =
+                        seabed_splashe::balanced_column(det, splay, row_slots, |row| source.text_at(row), rng);
                     det_dictionary.insert(name.clone(), dict);
                     ColumnData::UInt64(tags)
                 }
@@ -368,61 +370,6 @@ fn numeric_values<'a>(source: &'a PlainColumn, name: &str) -> &'a [u64] {
         PlainColumn::UInt(v) => v,
         PlainColumn::Text(_) => panic!("column {name} must be numeric for this encryption scheme"),
     }
-}
-
-/// Enhanced SPLASHE's frequency-balanced DET column (§3.4) and its
-/// dictionary. A row in the "others" slot carries its value's tag; every
-/// other row is a dummy cell, and the dummies, in shuffled order, each go to
-/// the value with the fewest cells so far. A value the plan never listed is
-/// an infrequent value like the listed ones: appended after them, tagged,
-/// entered in the dictionary and padded.
-fn balanced_column<R: Rng + ?Sized>(
-    det: &DetScheme,
-    splay: &EnhancedPlan,
-    source: &PlainColumn,
-    row_slots: &[usize],
-    rng: &mut R,
-) -> (Vec<u64>, HashMap<u64, String>) {
-    // (value, tag, cells so far) per infrequent value.
-    let tagged = |value: String| {
-        let tag = det.tag64_of(value.as_bytes());
-        (value, tag, 0u64)
-    };
-    let mut values: Vec<(String, u64, u64)> = splay.infrequent.iter().cloned().map(tagged).collect();
-    let mut tags = vec![0u64; row_slots.len()];
-    let mut dummy_rows = Vec::new();
-    for (row, &slot) in row_slots.iter().enumerate() {
-        if slot != splay.k() {
-            dummy_rows.push(row);
-            continue;
-        }
-        let text = source.text_at(row);
-        let idx = match values.iter().position(|(value, ..)| *value == text) {
-            Some(idx) => idx,
-            None => {
-                values.push(tagged(text));
-                values.len() - 1
-            }
-        };
-        tags[row] = values[idx].1;
-        values[idx].2 += 1;
-    }
-    if values.is_empty() {
-        // No infrequent value at all: every cell is one fixed dummy tag.
-        values.push(tagged("__splashe_dummy__".to_string()));
-        dummy_rows.iter().for_each(|&row| tags[row] = values[0].1);
-    } else {
-        dummy_rows.shuffle(rng);
-        for row in dummy_rows {
-            let fewest = values
-                .iter_mut()
-                .min_by_key(|(.., cells)| *cells)
-                .expect("values is not empty");
-            tags[row] = fewest.1;
-            fewest.2 += 1;
-        }
-    }
-    (tags, values.into_iter().map(|(value, tag, _)| (tag, value)).collect())
 }
 
 #[cfg(test)]
@@ -621,5 +568,66 @@ mod tests {
             };
             assert_eq!(schemes, kind, "{name}");
         }
+    }
+
+    /// The §4.2 budget charges a SPLASHE dimension what the upload writes:
+    /// k + 1 indicators and k + 1 splayed columns per ASHE measure of the
+    /// plan, co-queried or not, so (k + 1)(M + 1) columns beside the balanced
+    /// DET column that replaces the plaintext one.
+    #[test]
+    fn splashe_budget_charges_the_columns_the_upload_writes() {
+        let ds = dataset();
+        let distribution = ds.distribution("country").unwrap();
+        let k = seabed_splashe::plan_enhanced(&distribution).k();
+        // revenue is co-queried with country; clicks, sensitive and never
+        // queried, is an ASHE measure too, so m = 1 and M = 2.
+        let (m, ashe_measures) = (1, 2);
+        let columns = vec![
+            ColumnSpec::sensitive_with_distribution("country", distribution),
+            ColumnSpec::sensitive("revenue"),
+            ColumnSpec::sensitive("ts"),
+            ColumnSpec::sensitive("clicks"),
+        ];
+        let queries = vec![
+            parse("SELECT SUM(revenue) FROM sales WHERE country = 'USA'").unwrap(),
+            parse("SELECT SUM(revenue) FROM sales WHERE ts >= 3").unwrap(),
+        ];
+        let added = (k + 1) * (ashe_measures + 1);
+        let factor = |extra: usize| 1.0 + extra as f64 / columns.len() as f64;
+        let country_columns = |client: &mut SeabedClient| {
+            let enc = client.encrypt_dataset(&ds, 1, &mut rand::rng());
+            let names = enc.table.schema.fields.iter().map(|f| f.name.clone());
+            names
+                .filter(|n| n == "country__det" || n.starts_with("country__ind_") || n.contains("__spl_country_"))
+                .count()
+        };
+
+        let budget = PlannerConfig {
+            max_storage_factor: factor(added),
+        };
+        let mut client = SeabedClient::create_plan(b"master", &columns, &queries, &budget);
+        assert!(matches!(
+            client.plan().column("country").map(|c| &c.encryption),
+            Some(EncryptionChoice::SplasheEnhanced { .. })
+        ));
+        assert_eq!(country_columns(&mut client), added + 1);
+
+        // m·k fits this budget and (k + 1)(M + 1) does not.
+        assert!(m * k < added);
+        let budget = PlannerConfig {
+            max_storage_factor: factor(added - 1),
+        };
+        let mut client = SeabedClient::create_plan(b"master", &columns, &queries, &budget);
+        assert_eq!(
+            client.plan().column("country").map(|c| &c.encryption),
+            Some(&EncryptionChoice::Det)
+        );
+        let warning = "storage budget exhausted: column country falls back to deterministic encryption";
+        assert!(
+            client.plan().warnings.iter().any(|w| w == warning),
+            "{:?}",
+            client.plan().warnings
+        );
+        assert_eq!(country_columns(&mut client), 1);
     }
 }

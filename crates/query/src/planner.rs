@@ -12,9 +12,10 @@
 //!   server);
 //! * sensitive dimensions used only in equality filters / group-bys →
 //!   **enhanced SPLASHE** when the distribution is known, subject to the
-//!   storage budget, prioritised lowest-cardinality first (basic SPLASHE,
-//!   §3.3, is `seabed_splashe::BasicSplashe`, which the paper experiments
-//!   drive; the product never plans it);
+//!   storage budget, prioritised lowest-cardinality first and charged the
+//!   columns the upload adds ([`EnhancedPlan::added_columns`]); basic
+//!   SPLASHE (§3.3) is never planned, and lives on only as the basic curve
+//!   of the paper's Fig. 10b model (`seabed_splashe::overhead_curve`);
 //! * sensitive dimensions needing range predicates → **OPE**;
 //! * anything left over falls back to **DET**, with a warning recorded.
 
@@ -146,19 +147,16 @@ impl SchemaPlan {
 /// Planner configuration.
 #[derive(Clone, Debug)]
 pub struct PlannerConfig {
-    /// Maximum storage expansion the user accepts for SPLASHE (relative to the
-    /// plaintext dataset); `f64::INFINITY` means unlimited.
+    /// Maximum storage expansion the user accepts for SPLASHE, in columns
+    /// relative to the plaintext columns passed in; `f64::INFINITY` means
+    /// unlimited.
     pub max_storage_factor: f64,
-    /// Total number of plaintext columns in the dataset (for the overhead
-    /// denominator); defaults to the number of specs passed in.
-    pub total_columns: Option<usize>,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             max_storage_factor: f64::INFINITY,
-            total_columns: None,
         }
     }
 }
@@ -234,7 +232,7 @@ fn needs_squares(column: &str, queries: &[Query]) -> bool {
 /// Runs the planning step.
 pub fn plan_schema(columns: &[ColumnSpec], queries: &[Query], config: &PlannerConfig) -> SchemaPlan {
     let roles = classify_roles(columns, queries);
-    let total_columns = config.total_columns.unwrap_or(columns.len()).max(1);
+    let plain_columns = columns.len().max(1);
     let mut plan = SchemaPlan::default();
 
     // First pass: measures and order-needing columns.
@@ -291,17 +289,22 @@ pub fn plan_schema(columns: &[ColumnSpec], queries: &[Query], config: &PlannerCo
         }
     }
 
-    // Second pass: allocate the SPLASHE budget lowest-cardinality first.
+    // Second pass: allocate the SPLASHE budget lowest-cardinality first, "in
+    // order to maximise protection against frequency attacks" (§4.2): those
+    // are the columns such attacks decode most easily. A splayed dimension
+    // splays every ASHE measure of the plan.
     splashe_candidates.sort_by_key(|s| s.distribution.as_ref().map(|d| d.len()).unwrap_or(usize::MAX));
+    let ashe_measures = decisions
+        .values()
+        .filter(|c| matches!(c, EncryptionChoice::Ashe { .. }))
+        .count();
     let mut extra_columns = 0.0f64;
     for spec in splashe_candidates {
-        let measures_used_with = measures_co_queried(&spec.name, queries);
-        let m = measures_used_with.len().max(1) as f64;
         match &spec.distribution {
             Some(dist) => {
                 let enhanced = plan_enhanced(dist);
-                let enhanced_extra = (1.0 + m * (enhanced.k() as f64 + 1.0)) - (1.0 + m);
-                let projected = 1.0 + (extra_columns + enhanced_extra) / total_columns as f64;
+                let enhanced_extra = enhanced.added_columns(ashe_measures) as f64;
+                let projected = 1.0 + (extra_columns + enhanced_extra) / plain_columns as f64;
                 if projected <= config.max_storage_factor {
                     extra_columns += enhanced_extra;
                     decisions.insert(spec.name.clone(), EncryptionChoice::SplasheEnhanced { plan: enhanced });
@@ -331,19 +334,6 @@ pub fn plan_schema(columns: &[ColumnSpec], queries: &[Query], config: &PlannerCo
         });
     }
     plan
-}
-
-/// Measures that appear in the same queries as a filter/group-by on `dimension`.
-fn measures_co_queried<'a>(dimension: &str, queries: &'a [Query]) -> BTreeSet<&'a str> {
-    let mut out = BTreeSet::new();
-    for q in queries {
-        if q.dimension_columns().contains(&dimension) {
-            for m in q.measure_columns() {
-                out.insert(m);
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -436,7 +426,7 @@ mod tests {
         assert!(
             matches!(
                 &country,
-                Some(EncryptionChoice::SplasheEnhanced { plan }) if plan.frequent.contains(&"USA".to_string())
+                Some(EncryptionChoice::SplasheEnhanced { plan }) if plan.frequent().contains(&"USA".to_string())
             ),
             "expected enhanced SPLASHE with USA frequent, got {country:?}"
         );
@@ -462,7 +452,6 @@ mod tests {
     fn tight_storage_budget_forces_det_fallback() {
         let config = PlannerConfig {
             max_storage_factor: 1.01,
-            total_columns: Some(6),
         };
         let plan = plan_schema(&specs(), &sample_queries(), &config);
         assert_eq!(choice(&plan, "country"), Some(EncryptionChoice::Det));
@@ -477,5 +466,42 @@ mod tests {
             choice(&plan, "secret_notes"),
             Some(EncryptionChoice::Ashe { with_squares: false })
         );
+    }
+
+    /// Under a budget that fits either dimension alone but not both, the
+    /// lower-cardinality one is protected, whatever the input order: a
+    /// frequency attack decodes it most easily (§4.2).
+    #[test]
+    fn budget_goes_to_the_lowest_cardinality_first() {
+        let specs = vec![
+            ColumnSpec::sensitive_with_distribution("country", country_distribution()),
+            ColumnSpec::sensitive_with_distribution("gender", vec![("F".to_string(), 600), ("M".to_string(), 400)]),
+            ColumnSpec::sensitive("salary"),
+        ];
+        let queries: Vec<Query> = [
+            "SELECT SUM(salary) FROM emp WHERE country = 'USA'",
+            "SELECT SUM(salary) FROM emp WHERE gender = 'F'",
+        ]
+        .iter()
+        .filter_map(|s| parse(s).ok())
+        .collect();
+        // gender (k = 1) adds 2·2 columns, country (k = 2) 3·2: alone each
+        // fits 3.5x of 3 columns, together (1 + 10/3) they do not.
+        let plan = plan_schema(
+            &specs,
+            &queries,
+            &PlannerConfig {
+                max_storage_factor: 3.5,
+            },
+        );
+        assert!(matches!(
+            choice(&plan, "gender"),
+            Some(EncryptionChoice::SplasheEnhanced { .. })
+        ));
+        assert_eq!(choice(&plan, "country"), Some(EncryptionChoice::Det));
+        assert!(plan
+            .warnings
+            .iter()
+            .any(|w| w.contains("budget") && w.contains("country")));
     }
 }

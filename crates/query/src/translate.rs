@@ -39,7 +39,6 @@ pub mod encnames {
     /// The implicit row-identifier column every encrypted table carries.
     pub const ROW_ID: &str = "__rid";
 
-    const DET_SUFFIX: &str = "__det";
     const OPE_SUFFIX: &str = "__ope";
 
     /// ASHE ciphertext column for a measure.
@@ -54,13 +53,7 @@ pub mod encnames {
 
     /// Deterministic-encryption tag column for a dimension.
     pub fn det(column: &str) -> String {
-        format!("{column}{DET_SUFFIX}")
-    }
-
-    /// The logical column a DET tag column encrypts — the name its key is
-    /// derived under. A name without the suffix stands for itself.
-    pub fn det_logical(physical: &str) -> &str {
-        physical.strip_suffix(DET_SUFFIX).unwrap_or(physical)
+        format!("{column}__det")
     }
 
     /// Order-revealing-encryption column.
@@ -79,14 +72,6 @@ pub mod encnames {
     /// only compares).
     pub fn ope_value(column: &str) -> String {
         format!("{column}__ope_val")
-    }
-
-    /// The SPLASHE slot `value` of an enhanced dimension lands in: its index
-    /// among the frequent values, or else the "others" slot `k`. The upload
-    /// splays a row and the translator picks the column a query sums by this
-    /// one rule.
-    pub fn splashe_slot(plan: &seabed_splashe::EnhancedPlan, value: &str) -> usize {
-        plan.frequent.iter().position(|v| v == value).unwrap_or(plan.k())
     }
 
     /// Splayed measure column of `slot` of a dimension with `k` frequent
@@ -693,7 +678,7 @@ pub fn translate(
                 // Frequent values read their dedicated column; any other value
                 // aggregates the "others" column restricted to the rows whose
                 // balanced DET tag matches (§3.4).
-                let slot = encnames::splashe_slot(eplan, &value);
+                let slot = eplan.slot(&value);
                 if slot == eplan.k() {
                     filters.push(ServerFilter::DetEquals {
                         column: encnames::det(&pred.column),
@@ -1396,7 +1381,6 @@ mod tests {
         );
         assert_eq!(ServerAggregate::CountRows.input(), AggregateInput::RowIds);
         // Logical → physical → logical.
-        assert_eq!(encnames::det_logical(&encnames::det("dept")), "dept");
         assert_eq!(encnames::ope_logical(&encnames::ope("ts")), "ts");
         assert_eq!(encnames::ope_logical("ts"), "ts");
         assert_eq!(

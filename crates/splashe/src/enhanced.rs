@@ -1,11 +1,11 @@
 //! Enhanced SPLASHE (§3.4, Appendix A.2).
 //!
-//! Basic SPLASHE multiplies storage by the dimension's cardinality `d`, which
-//! is wasteful when only a few values are common. Enhanced SPLASHE splays only
-//! the `k` *frequent* values into their own ASHE measure columns, routes every
-//! infrequent value through a single "others" measure column, and keeps one
-//! deterministically-encrypted dimension column for equality filtering of the
-//! infrequent values.
+//! Basic SPLASHE (§3.3) multiplies storage by the dimension's cardinality
+//! `d`, which is wasteful when only a few values are common. Enhanced SPLASHE
+//! splays only the `k` *frequent* values into their own ASHE measure columns,
+//! routes every infrequent value through a single "others" measure column,
+//! and keeps one deterministically-encrypted dimension column for equality
+//! filtering of the infrequent values.
 //!
 //! The deterministic column would normally leak value frequencies; enhanced
 //! SPLASHE prevents that by reusing the cells of rows holding *frequent*
@@ -15,6 +15,11 @@
 //! correct while the adversary sees a flat histogram and learns only the
 //! number of rows `n`, the number of frequent values `j` and the number of
 //! infrequent values `c` (Definition 1 in the appendix).
+//!
+//! This module decides enhanced SPLASHE for the product too: which slot a
+//! value lands in ([`EnhancedPlan::slot`]), how many columns a planned
+//! dimension adds ([`EnhancedPlan::added_columns`]) and how the balanced DET
+//! column is written ([`balanced_column`]).
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -23,15 +28,19 @@ use seabed_crypto::DetScheme;
 use std::collections::HashMap;
 
 /// The output of the enhanced-SPLASHE planning step for one dimension.
+///
+/// Only [`plan_enhanced`] builds one, and only this crate reads its value
+/// lists: every other crate asks [`EnhancedPlan::slot`], so the rule that
+/// places a value is stated once.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct EnhancedPlan {
     /// The `k` frequent values, most frequent first; each gets its own column.
-    pub frequent: Vec<String>,
+    pub(crate) frequent: Vec<String>,
     /// The `c = d - k` infrequent values sharing the "others" column.
-    pub infrequent: Vec<String>,
+    pub(crate) infrequent: Vec<String>,
     /// The balancing target: every infrequent value appears at least this many
     /// times in the deterministic column after padding.
-    pub pad_target: u64,
+    pub(crate) pad_target: u64,
 }
 
 impl EnhancedPlan {
@@ -50,13 +59,50 @@ impl EnhancedPlan {
         self.k() + self.c()
     }
 
+    /// The frequent values, most frequent first: slot `i` is `frequent()[i]`.
+    /// Where a value goes is [`EnhancedPlan::slot`]'s to say; the lists are
+    /// for reports and tests.
+    pub fn frequent(&self) -> &[String] {
+        &self.frequent
+    }
+
+    /// The infrequent values the plan listed, sharing the "others" slot.
+    pub fn infrequent(&self) -> &[String] {
+        &self.infrequent
+    }
+
+    /// The slot `value` lands in: its index among the frequent values, or
+    /// else the "others" slot `k`. A value the plan never listed is an
+    /// infrequent value. The upload splays a row, and the translator picks
+    /// the column a query sums, by this one rule.
+    pub fn slot(&self, value: &str) -> usize {
+        self.frequent.iter().position(|v| v == value).unwrap_or(self.k())
+    }
+
+    /// Columns the product's upload adds for this dimension when the plan
+    /// has `ashe_measures` ASHE measures: `k + 1` indicator columns and
+    /// `k + 1` splayed columns for every ASHE measure, so
+    /// `(k + 1)(ashe_measures + 1)`. The balanced DET column takes the place
+    /// of the plaintext one. The §4.2 storage budget charges this count.
+    pub fn added_columns(&self, ashe_measures: usize) -> usize {
+        (self.k() + 1) * (ashe_measures + 1)
+    }
+
+    /// Columns the paper's model (§3.4, Fig. 10b) gives this dimension with
+    /// `measures` co-queried measure columns: one DET column, and `k + 1`
+    /// columns per measure.
+    pub(crate) fn model_columns(&self, measures: usize) -> usize {
+        1 + measures * (self.k() + 1)
+    }
+
     /// Storage expansion factor when this dimension is co-queried with
-    /// `measures` measure columns: the dimension keeps one (DET) column and
-    /// each measure expands into `k + 1` columns.
+    /// `measures` measure columns, in the paper's model: the dimension keeps
+    /// one (DET) column and each measure expands into `k + 1` columns. The
+    /// product also writes indicator columns and splays every ASHE measure
+    /// ([`EnhancedPlan::added_columns`]); Table 5 reports the bytes it
+    /// stores.
     pub fn storage_factor(&self, measures: usize) -> f64 {
-        let plain = 1 + measures;
-        let splayed = 1 + measures * (self.k() + 1);
-        splayed as f64 / plain as f64
+        self.model_columns(measures) as f64 / (1 + measures) as f64
     }
 }
 
@@ -156,70 +202,29 @@ impl EnhancedSplashe {
 
     /// Splays and encrypts rows of `(dimension value, measure value)` pairs.
     ///
-    /// Dummy deterministic entries are assigned greedily to the currently
-    /// least-represented infrequent value, which balances the histogram to
-    /// within one occurrence whenever the plan's feasibility condition holds.
+    /// Each row lands in its value's [`EnhancedPlan::slot`], and the DET
+    /// column is the upload's, written by [`balanced_column`]: a value the
+    /// plan never listed is an infrequent value.
     pub fn encode_rows<R: Rng + ?Sized>(
         &self,
         rows: &[(String, u64)],
         start_id: u64,
         rng: &mut R,
     ) -> EnhancedSplayedColumns {
-        let k = self.plan.k();
-        let n_cols = k + 1;
-        let mut measure_plain = vec![Vec::with_capacity(rows.len()); n_cols];
-        // Tag for every infrequent value.
-        let infrequent_tags: Vec<u64> = self
-            .plan
-            .infrequent
-            .iter()
-            .map(|v| self.det.tag64_of(v.as_bytes()))
-            .collect();
-        let mut det_column = Vec::with_capacity(rows.len());
-        // Track real counts so dummies can balance them.
-        let mut tag_counts: Vec<u64> = vec![0; infrequent_tags.len()];
-        // Positions of rows whose DET cell is free for dummy reuse.
-        let mut dummy_rows: Vec<usize> = Vec::new();
-
-        for (row_idx, (value, measure)) in rows.iter().enumerate() {
-            if let Some(j) = self.plan.frequent.iter().position(|v| v == value) {
-                for (col, plain) in measure_plain.iter_mut().enumerate() {
-                    plain.push(if col == j { *measure } else { 0 });
-                }
-                det_column.push(0); // placeholder, filled with a dummy below
-                dummy_rows.push(row_idx);
-            } else if let Some(j) = self.plan.infrequent.iter().position(|v| v == value) {
-                for (col, plain) in measure_plain.iter_mut().enumerate() {
-                    plain.push(if col == k { *measure } else { 0 });
-                }
-                det_column.push(infrequent_tags[j]);
-                tag_counts[j] += 1;
-            } else {
-                panic!("value {value:?} not covered by the enhanced SPLASHE plan");
-            }
-        }
-
-        // Fill the free DET cells with dummy encryptions that flatten the
-        // histogram: repeatedly give the least-represented infrequent value
-        // another occurrence. Shuffle the free rows so dummy placement is not
-        // correlated with row order.
-        if !infrequent_tags.is_empty() {
-            dummy_rows.shuffle(rng);
-            for row_idx in dummy_rows {
-                let (min_idx, _) = tag_counts
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &c)| c)
-                    .expect("at least one infrequent value");
-                det_column[row_idx] = infrequent_tags[min_idx];
-                tag_counts[min_idx] += 1;
-            }
-        }
-
-        let measures = measure_plain
+        let slots: Vec<usize> = rows.iter().map(|(value, _)| self.plan.slot(value)).collect();
+        let (det_column, _) = balanced_column(&self.det, &self.plan, &slots, |row| rows[row].0.as_str(), rng);
+        let measures = self
+            .measure_schemes
             .iter()
             .enumerate()
-            .map(|(col, plain)| seabed_ashe::encrypt_column(&self.measure_schemes[col], plain, start_id))
+            .map(|(col, scheme)| {
+                let plain: Vec<u64> = rows
+                    .iter()
+                    .zip(&slots)
+                    .map(|((_, measure), &slot)| if slot == col { *measure } else { 0 })
+                    .collect();
+                seabed_ashe::encrypt_column(scheme, &plain, start_id)
+            })
             .collect();
         EnhancedSplayedColumns {
             plan: self.plan.clone(),
@@ -230,21 +235,18 @@ impl EnhancedSplashe {
 
     /// Answers `SELECT SUM(measure) WHERE dim = value`.
     ///
-    /// Frequent values aggregate their dedicated column in full; infrequent
-    /// values filter the deterministic column and aggregate the "others"
+    /// Frequent values aggregate their dedicated column in full; any other
+    /// value filters the deterministic column and aggregates the "others"
     /// column — exactly the two server-side strategies of §3.4.
-    pub fn sum_where(&self, cols: &EnhancedSplayedColumns, value: &str) -> Option<u64> {
-        let k = self.plan.k();
-        if let Some(j) = self.plan.frequent.iter().position(|v| v == value) {
-            let agg = seabed_ashe::aggregate_where(&cols.measures[j], |_| true);
-            return Some(self.measure_schemes[j].decrypt(&agg));
-        }
-        if self.plan.infrequent.iter().any(|v| v == value) {
+    pub fn sum_where(&self, cols: &EnhancedSplayedColumns, value: &str) -> u64 {
+        let slot = self.plan.slot(value);
+        let agg = if slot < self.plan.k() {
+            seabed_ashe::aggregate_where(&cols.measures[slot], |_| true)
+        } else {
             let tag = self.det.tag64_of(value.as_bytes());
-            let agg = seabed_ashe::aggregate_where(&cols.measures[k], |i| cols.det_column[i] == tag);
-            return Some(self.measure_schemes[k].decrypt(&agg));
-        }
-        None
+            seabed_ashe::aggregate_where(&cols.measures[slot], |i| cols.det_column[i] == tag)
+        };
+        self.measure_schemes[slot].decrypt(&agg)
     }
 
     /// Answers `SELECT SUM(measure)` with no dimension predicate (all rows).
@@ -253,6 +255,63 @@ impl EnhancedSplashe {
             .map(|col| self.measure_schemes[col].decrypt(&seabed_ashe::aggregate_where(&cols.measures[col], |_| true)))
             .fold(0u64, |a, b| a.wrapping_add(b))
     }
+}
+
+/// Enhanced SPLASHE's frequency-balanced DET column (§3.4) and its
+/// dictionary, for rows already placed in `row_slots` by
+/// [`EnhancedPlan::slot`]; `value_at(row)` is a row's value in the text DET
+/// operates on. A row in the "others" slot carries its value's tag; every
+/// other row is a dummy cell, and the dummies, in shuffled order, each go to
+/// the value with the fewest cells so far. A value the plan never listed is
+/// an infrequent value like the listed ones: appended after them, tagged,
+/// entered in the dictionary and padded.
+pub fn balanced_column<V: AsRef<str>, R: Rng + ?Sized>(
+    det: &DetScheme,
+    splay: &EnhancedPlan,
+    row_slots: &[usize],
+    value_at: impl Fn(usize) -> V,
+    rng: &mut R,
+) -> (Vec<u64>, HashMap<u64, String>) {
+    // (value, tag, cells so far) per infrequent value.
+    let tagged = |value: String| {
+        let tag = det.tag64_of(value.as_bytes());
+        (value, tag, 0u64)
+    };
+    let mut values: Vec<(String, u64, u64)> = splay.infrequent.iter().cloned().map(tagged).collect();
+    let mut tags = vec![0u64; row_slots.len()];
+    let mut dummy_rows = Vec::new();
+    for (row, &slot) in row_slots.iter().enumerate() {
+        if slot != splay.k() {
+            dummy_rows.push(row);
+            continue;
+        }
+        let text = value_at(row);
+        let idx = match values.iter().position(|(value, ..)| value == text.as_ref()) {
+            Some(idx) => idx,
+            None => {
+                values.push(tagged(text.as_ref().to_string()));
+                values.len() - 1
+            }
+        };
+        tags[row] = values[idx].1;
+        values[idx].2 += 1;
+    }
+    if values.is_empty() {
+        // No infrequent value at all: every cell is one fixed dummy tag.
+        values.push(tagged("__splashe_dummy__".to_string()));
+        dummy_rows.iter().for_each(|&row| tags[row] = values[0].1);
+    } else {
+        dummy_rows.shuffle(rng);
+        for row in dummy_rows {
+            let fewest = values
+                .iter_mut()
+                .min_by_key(|(.., cells)| *cells)
+                .expect("values is not empty");
+            tags[row] = fewest.1;
+            fewest.2 += 1;
+        }
+    }
+    (tags, values.into_iter().map(|(value, tag, _)| (tag, value)).collect())
 }
 
 #[cfg(test)]
@@ -296,8 +355,8 @@ mod tests {
     fn plan_selects_frequent_values() {
         let plan = plan_enhanced(&figure4_distribution());
         // USA (3) and Canada (3) dominate; the rest occur once or twice.
-        assert!(plan.frequent.contains(&"USA".to_string()));
-        assert!(plan.frequent.contains(&"Canada".to_string()));
+        assert!(plan.frequent().contains(&"USA".to_string()));
+        assert!(plan.frequent().contains(&"Canada".to_string()));
         assert_eq!(plan.cardinality(), 9);
         assert!(
             plan.k() <= 3,
@@ -313,8 +372,8 @@ mod tests {
         let dist = figure4_distribution();
         let plan = plan_enhanced(&dist);
         let count_of = |v: &String| dist.iter().find(|(x, _)| x == v).unwrap().1;
-        let available: u64 = plan.frequent.iter().map(count_of).sum();
-        let needed: u64 = plan.infrequent.iter().map(|v| plan.pad_target - count_of(v)).sum();
+        let available: u64 = plan.frequent().iter().map(count_of).sum();
+        let needed: u64 = plan.infrequent().iter().map(|v| plan.pad_target - count_of(v)).sum();
         assert!(available >= needed, "available {available} < needed {needed}");
     }
 
@@ -357,9 +416,9 @@ mod tests {
             *expected.entry(c.clone()).or_insert(0) += s;
         }
         for (value, sum) in &expected {
-            assert_eq!(enc.sum_where(&cols, value), Some(*sum), "sum for {value}");
+            assert_eq!(enc.sum_where(&cols, value), *sum, "sum for {value}");
         }
-        assert_eq!(enc.sum_where(&cols, "Atlantis"), None);
+        assert_eq!(enc.sum_where(&cols, "Atlantis"), 0);
         assert_eq!(enc.sum_all(&cols), rows.iter().map(|(_, s)| s).sum::<u64>());
     }
 
@@ -398,9 +457,9 @@ mod tests {
         let sum_a: u64 = (0..30u64).map(|i| 1000 + i).sum();
         let sum_b: u64 = (0..10u64).map(|i| 5000 + i).sum();
         let sum_hot: u64 = (0..600).sum();
-        assert_eq!(enc.sum_where(&cols, "A"), Some(sum_a));
-        assert_eq!(enc.sum_where(&cols, "B"), Some(sum_b));
-        assert_eq!(enc.sum_where(&cols, "Hot"), Some(sum_hot));
+        assert_eq!(enc.sum_where(&cols, "A"), sum_a);
+        assert_eq!(enc.sum_where(&cols, "B"), sum_b);
+        assert_eq!(enc.sum_where(&cols, "Hot"), sum_hot);
         // And the histogram hides that B is 3x rarer than A.
         let hist = cols.det_histogram();
         let max = hist.values().max().unwrap();
@@ -408,19 +467,34 @@ mod tests {
         assert!(max - min <= 1, "histogram not flat: {hist:?}");
     }
 
+    /// A value the plan never listed is an infrequent value, as at upload:
+    /// it goes to the "others" column under its own tag and is padded.
     #[test]
-    fn storage_factor_is_much_smaller_than_basic() {
-        let plan = plan_enhanced(&figure4_distribution());
-        let enhanced = plan.storage_factor(1);
-        let basic = crate::basic::basic_storage_factor(plan.cardinality(), 1);
-        assert!(enhanced < basic, "enhanced {enhanced} should beat basic {basic}");
-    }
-
-    #[test]
-    #[should_panic]
-    fn unknown_value_panics() {
+    fn unlisted_value_is_encoded_as_an_infrequent_one() {
         let enc = encoder();
-        enc.encode_rows(&[("Narnia".to_string(), 1)], 0, &mut rand::rng());
+        let mut rows = figure4_rows();
+        rows.extend([("Narnia".to_string(), 7), ("Narnia".to_string(), 11)]);
+        let cols = enc.encode_rows(&rows, 0, &mut rand::rng());
+        let k = enc.plan().k();
+        assert_eq!(enc.plan().slot("Narnia"), k);
+        assert_eq!(enc.sum_where(&cols, "Narnia"), 18);
+        let others: Vec<u64> = seabed_ashe::decrypt_column(&enc.measure_schemes[k], &cols.measures[k]);
+        assert_eq!(
+            &others[rows.len() - 2..],
+            [7, 11],
+            "Narnia's measures sit in \"others\""
+        );
+        let narnia = enc.det.tag64_of(b"Narnia");
+        assert_eq!(cols.det_column[rows.len() - 2..], [narnia, narnia]);
+        let hist = cols.det_histogram();
+        assert_eq!(
+            hist.len(),
+            enc.plan().c() + 1,
+            "one tag per infrequent value and Narnia"
+        );
+        let max = hist.values().max().unwrap();
+        let min = hist.values().min().unwrap();
+        assert!(max - min <= 1, "Narnia is padded like a listed value: {hist:?}");
     }
 
     #[test]

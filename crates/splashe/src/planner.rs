@@ -1,12 +1,15 @@
-//! SPLASHE storage planning (§4.2, Figure 10b).
+//! SPLASHE storage overhead in the paper's model (§4.2, Figure 10b).
 //!
 //! Splaying is not free: each protected dimension multiplies the storage of
 //! every measure it is co-queried with. Seabed's planner therefore lets the
 //! user cap the total storage overhead and prioritises dimensions by
 //! cardinality (lowest first), encrypting as many as the budget allows with
-//! SPLASHE and warning that the rest fall back to DET.
+//! SPLASHE and warning that the rest fall back to DET. The product's planner,
+//! `seabed_query::planner::plan_schema`, runs that walk and charges what the
+//! upload writes ([`EnhancedPlan::added_columns`](crate::EnhancedPlan::added_columns));
+//! this module draws the paper's curves.
 
-use crate::enhanced::{plan_enhanced, EnhancedPlan};
+use crate::enhanced::plan_enhanced;
 
 /// A sensitive dimension the user wants protected, together with the
 /// information the planner needs.
@@ -17,7 +20,7 @@ pub struct DimensionProfile {
     /// Expected value distribution (value, occurrence count or weight).
     pub distribution: Vec<(String, u64)>,
     /// Number of measure columns that queries combine with this dimension
-    /// (only these need to be splayed alongside it).
+    /// (in the paper's model only these are splayed alongside it).
     pub co_queried_measures: usize,
 }
 
@@ -26,26 +29,6 @@ impl DimensionProfile {
     pub fn cardinality(&self) -> usize {
         self.distribution.len()
     }
-}
-
-/// How the planner decided to protect one dimension.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DimensionDecision {
-    /// Splay every value (basic SPLASHE).
-    BasicSplashe {
-        /// Storage multiplier this choice costs.
-        factor: f64,
-    },
-    /// Splay only the frequent values (enhanced SPLASHE).
-    EnhancedSplashe {
-        /// The chosen split of frequent vs infrequent values.
-        plan: EnhancedPlan,
-        /// Storage multiplier this choice costs.
-        factor: f64,
-    },
-    /// Budget exhausted: fall back to deterministic encryption and accept the
-    /// frequency leakage (the planner "warns the user", §4.2).
-    DeterministicFallback,
 }
 
 /// Cumulative overhead report for one dimension, in the order Figure 10b plots
@@ -70,6 +53,11 @@ pub struct OverheadPoint {
 /// splaying multiplies the storage of its own column plus its co-queried
 /// measures; dimensions are independent, so cumulative overhead is the sum of
 /// the per-dimension extra columns normalised by the plaintext column count.
+/// Basic SPLASHE (§3.3) turns the dimension into `d` indicator columns and
+/// each co-queried measure into `d` columns; enhanced SPLASHE's columns are
+/// those of [`EnhancedPlan::storage_factor`](crate::EnhancedPlan::storage_factor).
+/// This is the paper's model, not the product's bytes: Table 5 reports what
+/// the product stores.
 pub fn overhead_curve(dimensions: &[DimensionProfile], total_plain_columns: usize) -> Vec<OverheadPoint> {
     let mut dims: Vec<&DimensionProfile> = dimensions.iter().collect();
     dims.sort_by_key(|d| d.cardinality());
@@ -79,15 +67,11 @@ pub fn overhead_curve(dimensions: &[DimensionProfile], total_plain_columns: usiz
     for dim in dims {
         let d = dim.cardinality() as f64;
         let m = dim.co_queried_measures as f64;
-        // Basic: dimension column becomes d indicator columns, each co-queried
-        // measure becomes d columns.
         let basic_columns = d + m * d;
         let plain_columns = 1.0 + m;
         extra_basic += basic_columns - plain_columns;
-        // Enhanced: dimension keeps 1 DET column, each measure becomes k+1.
-        let plan = plan_enhanced(&dim.distribution);
-        let enhanced_columns = 1.0 + m * (plan.k() as f64 + 1.0);
-        extra_enhanced += enhanced_columns - plain_columns;
+        let enhanced_columns = plan_enhanced(&dim.distribution).model_columns(dim.co_queried_measures);
+        extra_enhanced += enhanced_columns as f64 - plain_columns;
         points.push(OverheadPoint {
             name: dim.name.clone(),
             cardinality: dim.cardinality(),
@@ -96,50 +80,6 @@ pub fn overhead_curve(dimensions: &[DimensionProfile], total_plain_columns: usiz
         });
     }
     points
-}
-
-/// Decides, per dimension, whether to use basic SPLASHE, enhanced SPLASHE or
-/// the DET fallback, under a maximum cumulative storage factor.
-///
-/// Dimensions are prioritised lowest-cardinality first, "in order to maximise
-/// protection against frequency attacks" (§4.2): low-cardinality columns are
-/// exactly the ones frequency attacks decode most easily.
-pub fn plan_under_budget(
-    dimensions: &[DimensionProfile],
-    total_plain_columns: usize,
-    max_storage_factor: f64,
-    prefer_enhanced: bool,
-) -> Vec<(String, DimensionDecision)> {
-    let mut dims: Vec<&DimensionProfile> = dimensions.iter().collect();
-    dims.sort_by_key(|d| d.cardinality());
-    let mut decisions = Vec::with_capacity(dims.len());
-    let mut extra_columns = 0.0f64;
-    for dim in dims {
-        let d = dim.cardinality() as f64;
-        let m = dim.co_queried_measures as f64;
-        let plain_columns = 1.0 + m;
-        let (candidate_extra, decision) = if prefer_enhanced {
-            let plan = plan_enhanced(&dim.distribution);
-            let cols = 1.0 + m * (plan.k() as f64 + 1.0);
-            let factor = cols / plain_columns;
-            (
-                cols - plain_columns,
-                DimensionDecision::EnhancedSplashe { plan, factor },
-            )
-        } else {
-            let cols = d + m * d;
-            let factor = cols / plain_columns;
-            (cols - plain_columns, DimensionDecision::BasicSplashe { factor })
-        };
-        let projected = 1.0 + (extra_columns + candidate_extra) / total_plain_columns as f64;
-        if projected <= max_storage_factor {
-            extra_columns += candidate_extra;
-            decisions.push((dim.name.clone(), decision));
-        } else {
-            decisions.push((dim.name.clone(), DimensionDecision::DeterministicFallback));
-        }
-    }
-    decisions
 }
 
 #[cfg(test)]
@@ -196,57 +136,18 @@ mod tests {
     #[test]
     fn figure10b_shape_more_dimensions_under_same_budget() {
         // The paper's observation: with a 2x budget, enhanced SPLASHE covers
-        // (at least as many, typically more) dimensions than basic; with 3x it
-        // covers roughly twice as many.
-        let dims = sample_dimensions();
-        let count_covered = |prefer_enhanced: bool, budget: f64| {
-            plan_under_budget(&dims, 51, budget, prefer_enhanced)
-                .iter()
-                .filter(|(_, d)| !matches!(d, DimensionDecision::DeterministicFallback))
-                .count()
+        // at least as many dimensions as basic, lowest cardinality first; with
+        // 3x it covers more.
+        let curve = overhead_curve(&sample_dimensions(), 51);
+        let covered = |budget: f64, cumulative: fn(&OverheadPoint) -> f64| {
+            curve.iter().take_while(|p| cumulative(p) <= budget).count()
         };
         for budget in [2.0, 3.0, 5.0] {
             assert!(
-                count_covered(true, budget) >= count_covered(false, budget),
+                covered(budget, |p| p.cumulative_enhanced) >= covered(budget, |p| p.cumulative_basic),
                 "enhanced should cover at least as many dimensions at {budget}x"
             );
         }
-        assert!(count_covered(true, 3.0) > count_covered(false, 3.0));
-    }
-
-    #[test]
-    fn budget_fallback_is_deterministic_encryption() {
-        let dims = sample_dimensions();
-        let decisions = plan_under_budget(&dims, 51, 1.05, true);
-        // A 5% budget cannot fit much splaying; the large dimensions must fall back.
-        assert!(decisions
-            .iter()
-            .any(|(_, d)| matches!(d, DimensionDecision::DeterministicFallback)));
-        // Decisions come back lowest-cardinality first.
-        assert_eq!(decisions.len(), dims.len());
-    }
-
-    #[test]
-    fn generous_budget_covers_everything() {
-        let dims = sample_dimensions();
-        let decisions = plan_under_budget(&dims, 51, 1_000.0, false);
-        assert!(decisions
-            .iter()
-            .all(|(_, d)| matches!(d, DimensionDecision::BasicSplashe { .. })));
-    }
-
-    #[test]
-    fn low_cardinality_dimensions_win_ties_for_budget() {
-        // With a budget that only fits one dimension, the 2-value dimension
-        // (most vulnerable to frequency attacks) must be the one protected.
-        let dims = sample_dimensions();
-        let decisions = plan_under_budget(&dims, 51, 1.3, false);
-        let protected: Vec<&String> = decisions
-            .iter()
-            .filter(|(_, d)| !matches!(d, DimensionDecision::DeterministicFallback))
-            .map(|(n, _)| n)
-            .collect();
-        assert!(!protected.is_empty());
-        assert_eq!(protected[0], "Col1");
+        assert!(covered(3.0, |p| p.cumulative_enhanced) > covered(3.0, |p| p.cumulative_basic));
     }
 }

@@ -1,7 +1,7 @@
 //! Runs the Ad-Analytics style workload end-to-end: hour-of-day group-by
 //! aggregations over an encrypted fact table (§6.6 of the paper).
 //!
-//! Run with: `cargo run -p seabed-core --release --example ad_analytics_demo`
+//! Run with: `cargo run --release --example ad_analytics_demo`
 
 use seabed_core::{SeabedClient, SeabedServer, SeabedSession};
 use seabed_engine::{Cluster, ClusterConfig};

@@ -1,7 +1,7 @@
 //! Runs the AmpLab Big Data Benchmark queries over encrypted tables
 //! (§6.7 / Figure 9(b,c) of the paper).
 //!
-//! Run with: `cargo run -p seabed-core --release --example bdb_demo`
+//! Run with: `cargo run --release --example bdb_demo`
 
 use seabed_core::{SeabedClient, SeabedServer, SeabedSession};
 use seabed_engine::{Cluster, ClusterConfig};

@@ -1,7 +1,7 @@
 //! Demonstrates the frequency attack on deterministic encryption and how
 //! SPLASHE's balanced columns defeat it (§3.3–3.4 of the paper).
 //!
-//! Run with: `cargo run -p seabed-core --release --example frequency_attack`
+//! Run with: `cargo run --release --example frequency_attack`
 
 use seabed_crypto::DetScheme;
 use seabed_splashe::{frequency_attack, plan_enhanced, AuxiliaryDistribution, EnhancedSplashe};
@@ -59,6 +59,6 @@ fn main() {
 
     // 3. Aggregates still work on the protected representation.
     let usa: u64 = rows.iter().filter(|(c, _)| c == "USA").map(|(_, m)| m).sum();
-    assert_eq!(splashe.sum_where(&cols, "USA"), Some(usa));
+    assert_eq!(splashe.sum_where(&cols, "USA"), usa);
     println!("SUM(measure) WHERE country = 'USA' still answers correctly: {usa}");
 }

@@ -3,7 +3,7 @@
 //! [`SeabedSession`] over an execution target, and prepared, parameterized
 //! statements.
 //!
-//! Run with: `cargo run -p seabed-core --release --example quickstart`
+//! Run with: `cargo run --release --example quickstart`
 
 use seabed_core::{Catalog, PlainDataset, SeabedClient, SeabedServer, SeabedSession};
 use seabed_engine::{Cluster, ClusterConfig};
