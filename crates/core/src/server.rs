@@ -814,8 +814,8 @@ pub struct ExecRequest<'a> {
     /// The bound, literal-encrypted filters of this execution.
     pub filters: &'a [PhysicalFilter],
     /// `Some` for an execution of a prepared statement: the target may keep
-    /// per-statement state for `plan` (a server-side handle, cached shard
-    /// partials) and reuse it. `None` is a one-shot execution.
+    /// per-statement state for `plan` (a server-side handle, a cached
+    /// answer) and reuse it. `None` is a one-shot execution.
     pub statement_id: Option<u64>,
     /// Propagated trace id ([`UNTRACED`] for none): a target that crosses a
     /// process boundary ships it with the query and records its event under it.

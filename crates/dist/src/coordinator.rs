@@ -11,7 +11,10 @@
 //! [`ServerResponse`] via [`seabed_engine::merge`] +
 //! [`seabed_core::finalize_partials`]: the *same* two steps in-process
 //! execution runs, so the distributed answer is byte-identical by
-//! construction.
+//! construction. A prepared execute first probes the answer cache
+//! (`crate::cache`): a hit is that finalized answer, cloned, with nothing
+//! scattered, merged or finalized; a miss gathers as above and caches what it
+//! gathered.
 //!
 //! This module is the query path's shell: probe, scatter, gather. *What the
 //! scatter asks next* — each shard's walk through its primary, its hedges and
@@ -97,7 +100,7 @@
 //! Each plans on a clone, runs the shard loads the plan needs, and publishes
 //! the clone whole once they went through — a refused join or leave unloads
 //! what it loaded and publishes nothing — then unloads the donors, retires
-//! the leaver and fences the partial cache, so partials cached under the old
+//! the leaver and fences the answer cache, so answers cached under the old
 //! membership can never answer a later probe. They run one at a time, under
 //! the membership lock, which queries never take: a plan is always made from
 //! the last published membership. A query's promotion publishes an edited
@@ -105,14 +108,14 @@
 //! it, which costs that shard's next query one more re-dispatch, never an
 //! answer.
 
-use crate::cache::{PartialCache, PartialKey};
+use crate::cache::{AnswerCache, AnswerKey};
 use crate::dispatch::{Action, Ask, Dispatch};
 use crate::link::{connect_worker, live, Tally, WorkerLink};
 use crate::lock;
 use crate::placement::{split_into_shards, Placement};
 use rand::RngCore;
 use seabed_core::{
-    event_operators, finalize_partials, fnv1a64, outcome_tag, plan_profile, ExecOutcome, ExecRequest, PartialResponse,
+    event_operators, finalize_partials, outcome_tag, plan_profile, ExecOutcome, ExecRequest, PartialResponse,
     PhysicalFilter, QueryTarget, ServerResponse,
 };
 use seabed_engine::merge::{merge_partial_groups, PartialGroups};
@@ -140,8 +143,8 @@ pub struct DistConfig {
     /// Execution knobs fixed for every shard (worker-side scan threads and
     /// scalar/vectorized mode).
     pub exec: ShardExecConfig,
-    /// Entry bound of the statement-keyed partial-result cache serving
-    /// prepared executes; `0` disables caching.
+    /// How many answers the statement-keyed answer cache serving prepared
+    /// executes holds; `0` disables caching.
     pub partial_cache_capacity: usize,
     /// Replicas per shard. Clamped to `1..=N` at connect time; `1` restores
     /// the old single-owner placement (and disables hedging for lack of a
@@ -176,7 +179,7 @@ impl DistConfig {
         self
     }
 
-    /// Returns the configuration with the partial-cache bound replaced
+    /// Returns the configuration with the answer cache's bound replaced
     /// (`0` disables the cache).
     pub fn partial_cache_capacity(mut self, capacity: usize) -> DistConfig {
         self.partial_cache_capacity = capacity;
@@ -229,29 +232,34 @@ pub struct QueryReport {
     /// Stale (duplicate, hedge-loser, or late) partials discarded during
     /// this query.
     pub discarded_partials: u64,
-    /// Shards answered from the partial cache (prepared executes only).
+    /// Shards answered from the answer cache (prepared executes only): a
+    /// hit counts every shard of the table.
     pub cache_hits: u64,
-    /// Shards that missed the partial cache and were scattered (prepared
-    /// executes only; one-shot queries never probe and count nothing).
+    /// Shards that missed the answer cache and were scattered (prepared
+    /// executes only; one-shot queries never probe and count nothing): a
+    /// miss counts every shard of the table.
     pub cache_misses: u64,
     /// Hedged reads launched during this query (slow primaries raced
     /// against a replica).
     pub hedged_reads: u64,
 }
 
-/// The partial cache's lifetime counters: a view over the coordinator
-/// registry's `dist_cache_*` counters, their only home.
+/// The answer cache's lifetime counters: a view over the coordinator
+/// registry's `dist_cache_*` counters, their only home. Hits and misses
+/// count shards, the rest count answers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Shard probes answered from the cache (`dist_cache_hits`).
+    /// Shards answered from the cache, every shard of a hit's table
+    /// (`dist_cache_hits`).
     pub hits: u64,
-    /// Shard probes that missed and were scattered (`dist_cache_misses`).
+    /// Shards scattered on a miss, every shard of its table
+    /// (`dist_cache_misses`).
     pub misses: u64,
-    /// Partials inserted (`dist_cache_insertions`).
+    /// Answers inserted (`dist_cache_insertions`).
     pub insertions: u64,
-    /// Entries evicted by the capacity bound (`dist_cache_evictions`).
+    /// Answers evicted by the capacity bound (`dist_cache_evictions`).
     pub evictions: u64,
-    /// Entries dropped by a fence (`dist_cache_invalidated`).
+    /// Answers dropped by a fence (`dist_cache_invalidated`).
     pub invalidated: u64,
 }
 
@@ -330,7 +338,7 @@ struct DistMetrics {
     merge_ns: Histogram,
     cache_hit_ns: Histogram,
     cache_miss_ns: Histogram,
-    /// Current number of entries in the partial-result cache, re-published
+    /// Current number of answers in the answer cache, re-published
     /// on every insert and every fence.
     partial_cache_len: Gauge,
     /// Workers currently alive (connected and not retired), re-published on
@@ -394,11 +402,11 @@ pub struct DistCoordinator {
     seq: AtomicU64,
     config: DistConfig,
     last_report: Mutex<QueryReport>,
-    /// Statement-keyed partial-result cache serving prepared executes,
+    /// Statement-keyed answer cache serving prepared executes,
     /// fenced — emptied — on every worker loss and every membership change,
     /// so entries cached before a recovery or a rebalance can never answer a
     /// probe after it.
-    cache: Mutex<PartialCache>,
+    cache: Mutex<AnswerCache>,
     /// Metrics/trace registry; [`DistCoordinator::with_obs`] swaps in a
     /// shared one so session- and coordinator-side spans merge.
     obs: Registry,
@@ -467,7 +475,7 @@ impl DistCoordinator {
             epoch,
             seq: AtomicU64::new(0),
             last_report: Mutex::new(QueryReport::default()),
-            cache: Mutex::new(PartialCache::new(config.partial_cache_capacity)),
+            cache: Mutex::new(AnswerCache::new(config.partial_cache_capacity)),
             config,
             metrics: DistMetrics::new(&obs),
             obs,
@@ -509,7 +517,7 @@ impl DistCoordinator {
         self.epoch
     }
 
-    /// The partial cache's fencing epoch: how many fences it has seen (one
+    /// The answer cache's fencing epoch: how many fences it has seen (one
     /// on every worker loss and membership change). Distinct from the wire
     /// [`DistCoordinator::epoch`], which is constant for this coordinator's
     /// lifetime.
@@ -517,7 +525,7 @@ impl DistCoordinator {
         lock(&self.cache).fences()
     }
 
-    /// Lifetime counters of the partial cache, read from the registry.
+    /// Lifetime counters of the answer cache, read from the registry.
     pub fn cache_stats(&self) -> CacheStats {
         let metrics = &self.metrics;
         CacheStats {
@@ -529,7 +537,7 @@ impl DistCoordinator {
         }
     }
 
-    /// Number of live entries in the partial cache.
+    /// Number of answers in the answer cache.
     pub fn cache_len(&self) -> usize {
         lock(&self.cache).len()
     }
@@ -575,7 +583,7 @@ impl DistCoordinator {
         pool.iter().enumerate().map(summary).collect()
     }
 
-    /// Fences the partial cache, counting the entries the fence dropped.
+    /// Fences the answer cache, counting the answers the fence dropped.
     fn fence_cache(&self) {
         let dropped = lock(&self.cache).fence();
         self.metrics.cache_invalidated.add(dropped);
@@ -597,64 +605,77 @@ impl DistCoordinator {
     /// across every shard of the table it names and merges the partial
     /// results into one response, byte-identical to single-server execution;
     /// it fails only when a shard cannot run anywhere or a worker reports a
-    /// deterministic query error. With `cache_key` (`(statement hash, filter
-    /// hash)`) shards may be answered from the partial cache and fresh
-    /// partials go back into it; without, the cache is not touched. An
-    /// analyzed request asks every worker for a per-operator profile and
-    /// returns the stitched plan of this execution. Each stage is a span on
+    /// deterministic query error. With a `key`, an answer cached under it is
+    /// cloned and returned — nothing is scattered, merged or finalized — and
+    /// a miss's answer goes into the cache once gathered, after any fence the
+    /// query itself raised: a gather over immutable shards is the same answer
+    /// whoever computed it. Without one the cache is not touched. An analyzed
+    /// request asks every worker for a per-operator profile and returns the
+    /// stitched plan of this execution. Each stage of a gather is a span on
     /// `tb`; the response's `stats.wall_time` is the whole call's.
     fn scatter_gather(
         &self,
         request: &ExecRequest<'_>,
-        cache_key: Option<(u64, u64)>,
+        key: Option<AnswerKey>,
         tb: &mut TraceBuilder,
     ) -> Result<ExecOutcome, SeabedError> {
         let started = Instant::now();
         let (table_id, entry) = self.resolve(&request.plan.base_table)?;
         let total_shards = entry.shards.len();
+        // A probe counts every shard of the table a hit or a miss.
+        let (shards, probed) = (total_shards as u64, key.is_some());
+        if let Some(key) = &key {
+            let cached = lock(&self.cache).get(table_id, key).cloned();
+            if let Some(mut response) = cached {
+                self.metrics.cache_hits.add(shards);
+                response.stats.wall_time = started.elapsed();
+                self.metrics.cache_hit_ns.record_ns(nanos(response.stats.wall_time));
+                *lock(&self.last_report) = QueryReport {
+                    cache_hits: shards,
+                    ..QueryReport::default()
+                };
+                return Ok(ExecOutcome { response, plan: None });
+            }
+            // Counted before the scatter: a query that then fails still
+            // counts its misses.
+            self.metrics.cache_misses.add(shards);
+        }
 
-        let (cached, missing) = self.probe(table_id, total_shards as u32, cache_key);
         let scatter_started = Instant::now();
-        let (lanes, fresh, tally) = match missing.is_empty() {
-            true => (0, Vec::new(), Tally::default()),
-            false => self.scatter(table_id, request, &missing)?,
-        };
+        let (lanes, fresh, tally) = self.scatter(table_id, request, total_shards as u32)?;
         let scatter_ns = record_stage(&self.metrics.scatter_ns, tb, "scatter", scatter_started.elapsed());
         for (run, ..) in &fresh {
             tb.add_span_ns("shard-execute", nanos(run.round_trip));
         }
-        if let Some(key) = cache_key {
-            self.fill_cache(table_id, key, &fresh);
-        }
-
-        let cache_hits = cached.len() as u64;
         let gather_started = Instant::now();
-        let (mut response, runs, merge_time) = self.gather(request.plan, cached, fresh);
+        let (mut response, runs, merge_time) = self.gather(request.plan, fresh);
         let gather_time = gather_started.elapsed();
         let gather_ns = record_stage(&self.metrics.gather_ns, tb, "gather", gather_time);
         let merge_ns = record_stage(&self.metrics.merge_ns, tb, "merge", merge_time);
+        if let Some(key) = key {
+            let groups = response.groups.clone();
+            let answer = ServerResponse {
+                groups,
+                stats: ExecStats::default(),
+            };
+            let mut cache = lock(&self.cache);
+            self.metrics.cache_evictions.add(cache.insert(table_id, key, answer));
+            self.metrics.cache_insertions.incr();
+            self.metrics.partial_cache_len.set(cache.len() as u64);
+        }
         response.stats.wall_time = started.elapsed();
+        if probed {
+            self.metrics.cache_miss_ns.record_ns(nanos(response.stats.wall_time));
+        }
 
         let report = QueryReport {
             runs,
             gather_time,
             discarded_partials: tally.discarded,
-            cache_hits,
-            cache_misses: if cache_key.is_some() { missing.len() as u64 } else { 0 },
+            cache_hits: 0,
+            cache_misses: if probed { shards } else { 0 },
             hedged_reads: tally.hedged,
         };
-        // Latency split of prepared executes: a fully cached answer never
-        // touched the network; anything that scattered lands in the miss
-        // histogram. One-shot queries never probe and record neither.
-        if cache_key.is_some() {
-            let metrics = &self.metrics;
-            let split = if missing.is_empty() {
-                &metrics.cache_hit_ns
-            } else {
-                &metrics.cache_miss_ns
-            };
-            split.record_ns(nanos(response.stats.wall_time));
-        }
         let plan = request.analyze.then(|| {
             let stage_ns = [scatter_ns, gather_ns, merge_ns];
             stitch(&report, total_shards, lanes, &response, stage_ns)
@@ -663,39 +684,7 @@ impl DistCoordinator {
         Ok(ExecOutcome { response, plan })
     }
 
-    /// Probe: a prepared execute answers every shard it can from the cache
-    /// and leaves only the rest to the scatter, counting each shard a hit or
-    /// a miss; without a key every shard is missing and nothing is touched or
-    /// counted.
-    fn probe(
-        &self,
-        table_id: u32,
-        shards: u32,
-        cache_key: Option<(u64, u64)>,
-    ) -> (Vec<(u32, PartialResponse)>, Vec<u32>) {
-        let Some((statement, filters)) = cache_key else {
-            return (Vec::new(), (0..shards).collect());
-        };
-        let mut cache = lock(&self.cache);
-        let (mut cached, mut missing) = (Vec::new(), Vec::new());
-        for shard in 0..shards {
-            let key = PartialKey {
-                table_id,
-                shard,
-                statement,
-                filters,
-            };
-            match cache.get(&key) {
-                Some(partial) => cached.push((shard, partial.clone())),
-                None => missing.push(shard),
-            }
-        }
-        self.metrics.cache_hits.add(cached.len() as u64);
-        self.metrics.cache_misses.add(missing.len() as u64);
-        (cached, missing)
-    }
-
-    /// Scatter, hedge and recover the shards the probe left: the shell of a
+    /// Scatter, hedge and recover every shard of the table: the shell of a
     /// [`Dispatch`], which decides every step (`crate::dispatch`'s module
     /// docs) while this function locks, sends, receives, loads, fences,
     /// promotes and reads the clock. A link is held from its send until its
@@ -705,13 +694,13 @@ impl DistCoordinator {
         &self,
         table_id: u32,
         request: &ExecRequest<'_>,
-        missing: &[u32],
+        shards: u32,
     ) -> Result<(usize, Vec<ShardAnswer>, Tally), SeabedError> {
         let members = self.members();
         let Members { pool, placement } = &*members;
         let alive = live(pool);
-        let set = |&shard: &u32| (shard, placement.replicas(table_id, shard).to_vec());
-        let sets = missing.iter().map(set).collect();
+        let set = |shard| (shard, placement.replicas(table_id, shard).to_vec());
+        let sets = (0..shards).map(set).collect();
         let (hedge_after, read_timeout) = (self.config.hedge_after, self.config.read_timeout);
         let hedge = (hedge_after < read_timeout).then_some(hedge_after);
         let mut dispatch = Dispatch::new(table_id, sets, pool.len(), hedge, read_timeout, &alive);
@@ -805,52 +794,28 @@ impl DistCoordinator {
         Ok((seq, query.encode(self.config.max_frame_len)?))
     }
 
-    /// Fresh partials of a prepared execute go back into the cache — after
-    /// the fence if this very query lost a worker: a partial of an immutable
-    /// shard is the same answer whoever computed it — each counted as an
-    /// insertion, with whatever the capacity bound evicts for it.
-    fn fill_cache(&self, table_id: u32, (statement, filters): (u64, u64), fresh: &[ShardAnswer]) {
-        let mut cache = lock(&self.cache);
-        for (run, partial) in fresh {
-            let key = PartialKey {
-                table_id,
-                shard: run.shard,
-                statement,
-                filters,
-            };
-            let evicted = cache.insert(key, partial.clone());
-            self.metrics.cache_evictions.add(evicted);
-        }
-        self.metrics.cache_insertions.add(fresh.len() as u64);
-        self.metrics.partial_cache_len.set(cache.len() as u64);
-    }
-
-    /// Gather: fold every shard's partial groups — cached and fresh — in
-    /// shard order through the shared merge implementation, then finalize
-    /// exactly as the in-process driver. Each fresh partial's scan
-    /// statistics move into its shard's run once merged. Returns the
-    /// response, the runs in shard order, and the time the fold took.
+    /// Gather: fold every shard's partial groups in shard order through the
+    /// shared merge implementation, then finalize exactly as the in-process
+    /// driver. Each partial's scan statistics move into its shard's run once
+    /// merged. Returns the response, the runs in shard order, and the time
+    /// the fold took.
     fn gather(
         &self,
         query: &TranslatedQuery,
-        cached: Vec<(u32, PartialResponse)>,
-        fresh: Vec<ShardAnswer>,
+        mut fresh: Vec<ShardAnswer>,
     ) -> (ServerResponse, Vec<ShardRun>, Duration) {
-        let cached = cached.into_iter().map(|(shard, partial)| (shard, partial, None));
-        let fresh = fresh.into_iter().map(|(run, partial)| (run.shard, partial, Some(run)));
-        let mut pieces: Vec<(u32, PartialResponse, Option<ShardRun>)> = cached.chain(fresh).collect();
-        pieces.sort_by_key(|(shard, ..)| *shard);
+        fresh.sort_by_key(|(run, _)| run.shard);
         let merge_started = Instant::now();
         let mut merged: PartialGroups = PartialGroups::new();
         let mut stats = ExecStats::default();
-        let mut runs = Vec::new();
-        for (_, partial, run) in pieces {
+        let mut runs = Vec::with_capacity(fresh.len());
+        for (run, partial) in fresh {
             stats = stats.merge(&partial.stats);
             merge_partial_groups(&mut merged, partial.groups);
-            runs.extend(run.map(|run| ShardRun {
+            runs.push(ShardRun {
                 stats: partial.stats,
                 ..run
-            }));
+            });
         }
         let merge_time = merge_started.elapsed();
         (finalize_partials(query, merged, stats), runs, merge_time)
@@ -1066,7 +1031,7 @@ impl QueryTarget for DistCoordinator {
     /// merge), and this execution's stitched plan when analyzed or the
     /// plan's redacted description otherwise.
     ///
-    /// A prepared execute routes through the partial cache. The cache key is
+    /// A prepared execute routes through the answer cache. The cache key is
     /// *content*-derived — FNV-1a over the statement's and the bound filters'
     /// wire payloads — not the session's `statement_id`, mirroring the net
     /// client's handle cache: two sessions preparing the same SQL and binding
@@ -1074,18 +1039,14 @@ impl QueryTarget for DistCoordinator {
     /// fills the cache, whatever its `statement_id`: every shard node of its
     /// plan is a shard that ran.
     fn run(&self, request: &ExecRequest<'_>) -> Result<ExecOutcome, SeabedError> {
-        let cache_key = (request.statement_id.is_some() && !request.analyze).then(|| {
-            let mut filter_bytes = Vec::new();
-            wire::write_filters_payload(&mut filter_bytes, request.filters);
-            (wire::statement_hash(request.plan), fnv1a64(&filter_bytes))
-        });
+        let key =
+            (request.statement_id.is_some() && !request.analyze).then(|| AnswerKey::new(request.plan, request.filters));
+        // A cached execute already hashed the statement for its key.
+        let statement = key.as_ref().map(|key| key.statement);
         let mut tb = self.obs.trace_builder(request.trace_id, "coordinator");
-        let outcome = self.scatter_gather(request, cache_key, &mut tb);
+        let outcome = self.scatter_gather(request, key, &mut tb);
         if tb.is_active() {
-            // A cached execute already hashed the statement for its key.
-            tb.set_statement_id(
-                cache_key.map_or_else(|| wire::statement_hash(request.plan), |(statement, _)| statement),
-            );
+            tb.set_statement_id(statement.unwrap_or_else(|| wire::statement_hash(request.plan)));
         }
         tb.describe(|| {
             let executed = outcome.as_ref().ok();

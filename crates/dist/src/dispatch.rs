@@ -66,7 +66,7 @@ pub(crate) enum Action<A> {
     /// link and [settle](Dispatch::settle) it. With `abandon`, running dry
     /// before the reply is `Ok(None)` and leaves the link healthy.
     Receive { deadline: Duration, abandon: bool },
-    /// Fence the partial cache: the query is about to re-dispatch.
+    /// Fence the answer cache: the query is about to re-dispatch.
     Fence,
     /// Move `worker` to the front of `shard`'s replica set: it answered a
     /// re-dispatch.

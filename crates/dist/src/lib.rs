@@ -21,8 +21,9 @@
 //! * [`worker`] — a one-call helper standing up a shard-hosting
 //!   [`seabed_net::NetServer`]; the worker side of the protocol lives in
 //!   `seabed-net` itself (frame kinds 6–11 plus the 15/16 unload pair).
-//! * `cache` (private) — the statement-keyed partial-result cache and its
-//!   fence; it stores partials, the coordinator counts what happens to them.
+//! * `cache` (private) — the statement-keyed answer cache and its fence; it
+//!   stores each prepared execute's finalized answer, the coordinator counts
+//!   what happens to them.
 //! * `placement` (private) — *who holds shard s*: the table → shard →
 //!   replica-set value and every rule that reads or edits it, socket-, lock-
 //!   and clock-free. The coordinator publishes it with the worker pool as
@@ -41,7 +42,7 @@
 //! [join](coordinator::DistCoordinator::join_worker) or
 //! [leave](coordinator::DistCoordinator::leave_worker) a live cluster, each
 //! change published whole once its loads went through, or not at all, and
-//! fencing the partial cache.
+//! fencing the answer cache.
 //!
 //! The trust model is unchanged from `seabed-net`: workers are untrusted and
 //! only ever see ciphertexts, deterministic tags and ORE symbols; all keys

@@ -663,7 +663,7 @@ pub fn write_statement_payload(out: &mut Vec<u8>, query: &TranslatedQuery) {
 /// The content-derived identity of a plan: FNV-1a over its statement payload.
 /// It is the handle a server registers a prepared statement under, the key of
 /// the client's handle cache, the statement half of the coordinator's
-/// partial-cache key, and the statement id of a server- or coordinator-side
+/// answer-cache key, and the statement id of a server- or coordinator-side
 /// event — one function, so the four cannot drift apart.
 pub fn statement_hash(query: &TranslatedQuery) -> u64 {
     let mut payload = Vec::new();
@@ -673,7 +673,7 @@ pub fn statement_hash(query: &TranslatedQuery) -> u64 {
 
 /// Serializes a bound filter list exactly as it travels inside frames. The
 /// dist coordinator hashes these bytes — together with the statement payload
-/// — into its partial-result cache key, so two executes binding identical
+/// — into its answer-cache key, so two executes binding identical
 /// literals map to the same cached entry regardless of which client sent
 /// them, and any differing literal changes the key.
 pub fn write_filters_payload(out: &mut Vec<u8>, filters: &[PhysicalFilter]) {

@@ -344,12 +344,12 @@ fn metric_help(name: &str, fallback: &'static str) -> &'static str {
         "shard_store_size" => "Shards currently resident in the worker's store",
         "dist_hedged_reads" => "Shard reads won by a hedge replica",
         "dist_redispatches" => "Shard queries re-dispatched after a worker failure",
-        "dist_cache_hits" => "Shards answered from the coordinator's partial-result cache",
+        "dist_cache_hits" => "Shards answered from the coordinator's answer cache",
         "dist_cache_misses" => "Shards that had to be scattered to a worker",
-        "dist_cache_insertions" => "Partials inserted into the coordinator's partial-result cache",
-        "dist_cache_evictions" => "Partial-result cache entries evicted by its capacity bound",
-        "dist_cache_invalidated" => "Partial-result cache entries purged by a fence",
-        "dist_partial_cache_len" => "Entries currently resident in the coordinator's partial-result cache",
+        "dist_cache_insertions" => "Answers inserted into the coordinator's answer cache",
+        "dist_cache_evictions" => "Answer cache entries evicted by its capacity bound",
+        "dist_cache_invalidated" => "Answer cache entries purged by a fence",
+        "dist_partial_cache_len" => "Answers currently resident in the coordinator's answer cache",
         "dist_live_workers" => "Workers currently alive in the coordinator's pool",
         "dist_scatter_ns" => "Coordinator scatter-phase latency in nanoseconds",
         "dist_gather_ns" => "Coordinator gather-phase latency in nanoseconds",
@@ -486,7 +486,7 @@ mod tests {
             assert!(help < typ, "HELP must precede TYPE for {family}");
         }
         assert!(
-            prom.contains("# HELP dist_cache_hits Shards answered from the coordinator's partial-result cache"),
+            prom.contains("# HELP dist_cache_hits Shards answered from the coordinator's answer cache"),
             "known name gets its real description: {prom}"
         );
         assert!(

@@ -1,23 +1,25 @@
-//! Warm partial-cache executions ≡ cold scatter/gather, byte for byte.
+//! Warm answer-cache executions ≡ cold scatter/gather, byte for byte.
 //!
-//! The coordinator's statement-keyed partial cache is a pure throughput
-//! device: a repeated prepared execute may skip the scatter for shards whose
-//! partials are cached, but the merged encrypted response — group keys, ASHE
-//! sums, exact encoded ID lists, result-byte accounting — must be identical
-//! to what a cold scatter/gather produces. This file pins that on the sales
-//! fixture, the Ad-Analytics workload and the BDB `rankings` table: a
-//! cache-disabled coordinator (capacity 0) provides the cold reference, a
+//! The coordinator's statement-keyed answer cache is a pure throughput
+//! device: a repeated prepared execute skips the scatter, the merge and the
+//! finalize when its answer is cached, but the encrypted response — group
+//! keys, ASHE sums, exact encoded ID lists, result-byte accounting — must be
+//! identical to what a cold scatter/gather produces. This file pins that on
+//! the sales fixture, the Ad-Analytics workload and the BDB `rankings` table:
+//! a cache-disabled coordinator (capacity 0) provides the cold reference, a
 //! default coordinator answers the same statements warm, and every warm
 //! response (and its decryption) must match. Cache keying by bound-filter
 //! hash is exercised by re-binding different literals.
 
 use seabed_core::{SeabedClient, SeabedSession, ServerResponse};
 use seabed_dist::{spawn_worker, DistConfig, DistCoordinator};
-use seabed_engine::Table;
+use seabed_engine::{ExecStats, Table};
+use seabed_net::wire::{Frame, DEFAULT_MAX_FRAME_LEN};
 use seabed_net::{NetServer, ServiceConfig};
 use seabed_query::{parse, ColumnSpec, Literal, PlannerConfig, Query};
 use seabed_workloads::{ad_analytics, bdb};
 use std::net::SocketAddr;
+use std::time::Duration;
 
 /// One statement to compare: parameterized SQL plus its bindings.
 struct Case {
@@ -334,12 +336,12 @@ fn bdb_warm_cache_equals_cold_scatter() {
     assert_warm_equals_cold("rankings", &client, &encrypted.table, &cases);
 }
 
-/// The partial cache's counters have one home, the coordinator's registry:
+/// The answer cache's counters have one home, the coordinator's registry:
 /// `cache_stats()` equals its `dist_cache_*` counters, field by field,
 /// through a hit, an eviction (capacity 1), and a miss that fails once every
-/// worker is gone and fences the cache. A probe counts when it happens, so a
-/// query that then fails still counts its misses, and a scrape shows the
-/// evictions and invalidations.
+/// worker is gone and fences the cache. A probe counts every shard of the
+/// table when it happens, so a query that then fails still counts its
+/// misses, and a scrape shows the evictions and invalidations.
 #[test]
 fn cache_counters_have_one_home_in_the_registry() {
     let (client, table) = sales_fixture();
@@ -357,18 +359,22 @@ fn cache_counters_have_one_home_in_the_registry() {
         .expect("prepare");
     let bind = |dept: &str| [Literal::Text(dept.to_string())];
 
-    // Cold: two misses, two insertions, the first evicted by the second.
+    // Cold: both shards miss, and the answer is inserted.
     session.execute_encrypted(&prepared, &bind("d0")).expect("cold execute");
-    // Warm: the one resident shard hits, the other misses and is re-inserted.
+    // Warm: the answer hits, counting both shards.
     session.execute_encrypted(&prepared, &bind("d0")).expect("warm execute");
     let report = coordinator.last_report();
-    assert_eq!((report.cache_hits, report.cache_misses), (1, 1), "{report:?}");
-    // A new binding misses both shards, and with every worker gone the
+    assert_eq!((report.cache_hits, report.cache_misses), (2, 0), "{report:?}");
+    // A second binding misses both shards, and its answer evicts the first.
+    session
+        .execute_encrypted(&prepared, &bind("d1"))
+        .expect("second binding");
+    // A third binding misses both shards, and with every worker gone the
     // scatter fails, fencing the one resident entry.
     for w in workers {
         w.shutdown();
     }
-    let failed = session.execute_encrypted(&prepared, &bind("d1"));
+    let failed = session.execute_encrypted(&prepared, &bind("d2"));
     assert!(failed.is_err(), "no worker is left to answer: {failed:?}");
 
     let stats = coordinator.cache_stats();
@@ -393,5 +399,51 @@ fn cache_counters_have_one_home_in_the_registry() {
         stats.evictions,
         stats.invalidated,
     );
-    assert_eq!(counted, (1, 5, 3, 2, 1), "{stats:?}");
+    assert_eq!(counted, (2, 6, 2, 1, 1), "{stats:?}");
+}
+
+/// A warm execute is one lookup and one clone: it scatters, gathers and
+/// merges nothing, and its encrypted answer is byte for byte the first
+/// execute's.
+#[test]
+fn a_warm_execute_gathers_nothing() {
+    let (client, table) = sales_fixture();
+    let (workers, addrs) = spawn_pair();
+    let coordinator = DistCoordinator::connect_tables(&addrs, vec![("sales".into(), table)], DistConfig::default())
+        .expect("coordinator");
+    assert_eq!(coordinator.num_shards(), 2);
+    let session = SeabedSession::single("sales", client, &coordinator);
+    let prepared = session
+        .prepare("SELECT dept, SUM(revenue) FROM sales WHERE ts >= ? GROUP BY dept")
+        .expect("prepare");
+    let params = [Literal::Integer(1_000)];
+    let stage_counts = || {
+        let snapshot = coordinator.registry().snapshot();
+        let count = |name| snapshot.histogram(name).map_or(0, |h| h.count);
+        (count("dist_gather_ns"), count("dist_merge_ns"))
+    };
+    // The answer's bytes on the wire, without the stats each execute measures.
+    let encoded = |response: ServerResponse| {
+        let groups = ServerResponse {
+            groups: response.groups,
+            stats: ExecStats::default(),
+        };
+        seabed_net::wire::encode_frame(&Frame::Response(groups), DEFAULT_MAX_FRAME_LEN).expect("encode")
+    };
+
+    let (_, first) = session.execute_encrypted(&prepared, &params).expect("cold execute");
+    let cold = stage_counts();
+    assert_eq!(cold, (1, 1), "the cold execute gathers once");
+    let (_, warm) = session.execute_encrypted(&prepared, &params).expect("warm execute");
+    assert_eq!(stage_counts(), cold, "a warm execute gathered or merged");
+    let report = coordinator.last_report();
+    assert!(report.runs.is_empty(), "a warm execute ran shards: {report:?}");
+    assert_eq!(report.gather_time, Duration::ZERO, "{report:?}");
+    assert_eq!(report.cache_hits, 2, "a hit counts every shard: {report:?}");
+    assert!(first.groups.len() > 1, "a grouped answer");
+    assert_eq!(encoded(warm), encoded(first));
+    drop(coordinator);
+    for w in workers {
+        w.shutdown();
+    }
 }
